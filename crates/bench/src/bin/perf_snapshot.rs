@@ -24,7 +24,7 @@ use mph_eigen::{
     block_jacobi, block_jacobi_threaded, block_jacobi_threaded_adaptive,
     block_jacobi_threaded_fabric, choose_qs, choose_tail_qs, lower_job, lower_sweeps,
     packetization_cap, svd_block, Adaptation, BlockPartition, ColumnBlock, FabricModel,
-    JacobiOptions, JobSpec, KernelPath, Pipelining,
+    JacobiOptions, JobSpec, KernelPath, PairingRule, Pipelining, SweepKernel,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{
@@ -92,62 +92,72 @@ fn main() {
     );
     println!("  block sweep, ColumnBlock + diag cache: {cached_ms:9.3} ms ({speedup_cached:.2}x)");
 
-    // --- Kernel layer: scalar vs lanes vs lanes + worker pool -----------
+    // --- Kernel layer: scalar vs lanes vs the tournament on 1, 2, N threads
     // The same full block sweep, routed through a configured SweepKernel:
     // the single-node hot path behind every driver. The scalar baseline is
     // the default (tiled serial) path; lanes adds the runtime-dispatched
-    // SIMD rotate + fused triple; lanes_parallel adds the intra-node
-    // worker pool at the host's available parallelism. The bitwise flag is
-    // computed in-process: the tiled scalar kernel must reproduce the
-    // untiled reference bit for bit, and the tournament order must be
-    // worker-count-invariant.
-    let kworkers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // SIMD rotate + fused triple; lanes_w1/w2/wn run the tile tournament
+    // on the calling thread alone, with one parked helper, and with the
+    // host's available parallelism — each named by its worker count, with
+    // `cores` beside them, so the pool's figure cannot be read off a
+    // one-worker run. The bitwise flag is computed in-process: the tiled
+    // scalar kernel must reproduce the untiled reference bit for bit, and
+    // the tournament order must be worker-count-invariant.
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Each sample sweeps pristine blocks (a converged matrix is not the
-    // workload) and only the sweep is timed; one warmup pass per
-    // configuration stabilises the median.
+    // workload) and only the sweep is timed — the pool is created once per
+    // configuration, as a solve creates it once for all its sweeps; one
+    // warmup pass per configuration stabilises the median.
     let kernel_median_ms = |path: KernelPath, workers: usize| -> f64 {
-        let mut warm = make_col_blocks();
-        black_box(column_block_full_sweep_kernel(&mut warm, 0.0, false, path, workers));
-        let mut samples: Vec<f64> = (0..reps)
-            .map(|_| {
-                let mut blocks = make_col_blocks();
-                let t0 = Instant::now();
-                black_box(column_block_full_sweep_kernel(&mut blocks, 0.0, false, path, workers));
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
+        let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
+        let mut tour = kern.tournament(make_col_blocks().iter().map(ColumnBlock::len));
+        let mut sweep_ms = || {
+            let mut blocks = make_col_blocks();
+            let t0 = Instant::now();
+            black_box(column_block_full_sweep_kernel(&mut blocks, false, &kern, &mut tour));
+            t0.elapsed().as_secs_f64() * 1e3
+        };
+        sweep_ms();
+        let mut samples: Vec<f64> = (0..reps).map(|_| sweep_ms()).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         samples[samples.len() / 2]
     };
     let kernel_scalar_ms = kernel_median_ms(KernelPath::Scalar, 0);
     let kernel_lanes_ms = kernel_median_ms(KernelPath::Lanes, 0);
-    let kernel_parallel_ms = kernel_median_ms(KernelPath::Lanes, kworkers);
+    let lanes_w1_ms = kernel_median_ms(KernelPath::Lanes, 1);
+    let lanes_w2_ms = kernel_median_ms(KernelPath::Lanes, 2);
+    let lanes_wn_ms = kernel_median_ms(KernelPath::Lanes, cores);
     let speedup_lanes = kernel_scalar_ms / kernel_lanes_ms;
-    let speedup_lanes_parallel = kernel_scalar_ms / kernel_parallel_ms;
     let (mut kref, mut ktiled) = (make_col_blocks(), make_col_blocks());
     column_block_full_sweep(&mut kref, 0.0, false);
-    column_block_full_sweep_kernel(&mut ktiled, 0.0, false, KernelPath::Scalar, 0);
+    let kernel_sweep_once = |blocks: &mut [ColumnBlock], path: KernelPath, workers: usize| {
+        let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
+        let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
+        column_block_full_sweep_kernel(blocks, false, &kern, &mut tour);
+    };
+    kernel_sweep_once(&mut ktiled, KernelPath::Scalar, 0);
     let (mut kw1, mut kw4) = (make_col_blocks(), make_col_blocks());
-    column_block_full_sweep_kernel(&mut kw1, 0.0, false, KernelPath::Lanes, 1);
-    column_block_full_sweep_kernel(&mut kw4, 0.0, false, KernelPath::Lanes, 4);
+    kernel_sweep_once(&mut kw1, KernelPath::Lanes, 1);
+    kernel_sweep_once(&mut kw4, KernelPath::Lanes, 4);
     let kernel_bitwise = kref == ktiled && kw1 == kw4;
     println!("  kernel sweep, scalar (default path)  : {kernel_scalar_ms:9.3} ms");
     println!(
         "  kernel sweep, lanes                  : {kernel_lanes_ms:9.3} ms ({speedup_lanes:.2}x)"
     );
     println!(
-        "  kernel sweep, lanes + {kworkers} worker(s)    : {kernel_parallel_ms:9.3} ms \
-         ({speedup_lanes_parallel:.2}x)"
+        "  kernel sweep, lanes_w1/w2/wn         : {lanes_w1_ms:9.3} / {lanes_w2_ms:.3} / \
+         {lanes_wn_ms:.3} ms (wn = {cores} workers on {cores} cores)"
     );
     println!("  kernel bitwise   : tiled == reference && worker-invariant: {kernel_bitwise}");
     let kernel_json = format!(
         "{{\n    \"reps\": {reps},\n    \
+         \"cores\": {cores},\n    \
          \"scalar_ms\": {kernel_scalar_ms:.3},\n    \
          \"lanes_ms\": {kernel_lanes_ms:.3},\n    \
-         \"lanes_parallel_ms\": {kernel_parallel_ms:.3},\n    \
-         \"workers\": {kworkers},\n    \
+         \"lanes_w1_ms\": {lanes_w1_ms:.3},\n    \
+         \"lanes_w2_ms\": {lanes_w2_ms:.3},\n    \
+         \"lanes_wn_ms\": {lanes_wn_ms:.3},\n    \
          \"speedup_lanes\": {speedup_lanes:.3},\n    \
-         \"speedup_lanes_parallel\": {speedup_lanes_parallel:.3},\n    \
          \"bitwise_identical\": {kernel_bitwise}\n  }}"
     );
 

@@ -64,33 +64,30 @@ pub fn column_block_full_sweep(
 
 /// [`column_block_full_sweep`] routed through a configured [`SweepKernel`]
 /// instead of the untiled reference free functions: the tiled sweeps, lane
-/// kernels, and intra-node worker pool of the real drivers, selected by
-/// `kernel`/`workers` exactly as [`JacobiOptions`] would. This is the
-/// workload behind `perf_snapshot`'s `"kernel"` block.
+/// kernels, and parked helper pool of the real drivers. `tour` is built by
+/// the caller (`kern.tournament(..)`) and reused across sweeps, as a solve
+/// holds one for all of its sweeps. This is the workload behind
+/// `perf_snapshot`'s `"kernel"` block.
 ///
-/// [`JacobiOptions`]: mph_eigen::JacobiOptions
 /// [`SweepKernel`]: mph_eigen::SweepKernel
 pub fn column_block_full_sweep_kernel(
     blocks: &mut [mph_eigen::ColumnBlock],
-    threshold: f64,
     cache_diagonals: bool,
-    path: mph_eigen::KernelPath,
-    workers: usize,
+    kern: &mph_eigen::SweepKernel,
+    tour: &mut mph_eigen::Tournament,
 ) -> u64 {
-    use mph_eigen::{refresh_block_diag, PairingRule, SweepKernel};
     use mph_linalg::block::two_blocks_mut;
-    let kern = SweepKernel { rule: PairingRule::Implicit, threshold, path, workers };
-    let mut rotations = 0;
-    for b in blocks.iter_mut() {
-        if cache_diagonals {
-            refresh_block_diag(b, PairingRule::Implicit);
+    if cache_diagonals {
+        for b in blocks.iter_mut() {
+            mph_eigen::refresh_block_diag(b, kern.rule);
         }
-        rotations += kern.within(b).rotations;
     }
+    let mut rotations = kern.within(tour, blocks.iter_mut()).rotations;
+    // All block pairs, not a schedule's node-disjoint steps: one call each.
     for bi in 0..blocks.len() {
         for bj in (bi + 1)..blocks.len() {
             let (left, right) = two_blocks_mut(blocks, bi, bj);
-            rotations += kern.across(left, right).rotations;
+            rotations += kern.across(tour, left, right).rotations;
         }
     }
     rotations

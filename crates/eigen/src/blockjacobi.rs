@@ -17,7 +17,7 @@ use crate::offnorm::{diagonal_blocks, off_norm_blocks};
 use crate::options::{EigenResult, JacobiOptions};
 use mph_core::BlockPartition;
 use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
-use mph_linalg::block::{two_blocks_mut, ColumnBlock};
+use mph_linalg::block::ColumnBlock;
 use mph_linalg::Matrix;
 
 /// Solves the symmetric eigenproblem of `a0` with the block one-sided
@@ -48,6 +48,8 @@ pub fn block_jacobi(
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
+    // One helper pool for the whole solve; every call below reuses it.
+    let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
     let mut layout = BlockLayout::canonical(d);
     while !converged && sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
@@ -62,15 +64,11 @@ pub fn block_jacobi(
         for (step_idx, step) in trace.steps.iter().enumerate() {
             if step_idx == 0 {
                 // Paper step (1): intra-block pairings, every block.
-                for b in blocks.iter_mut() {
-                    acc.merge(kern.within(b));
-                }
+                acc.merge(kern.within(&mut tour, &mut blocks));
             }
-            // Paper step (2): pair the two co-located blocks at each node.
-            for &(b0, b1) in step {
-                let (left, right) = two_blocks_mut(&mut blocks, b0, b1);
-                acc.merge(kern.across(left, right));
-            }
+            // Paper step (2): pair the two co-located blocks at each node —
+            // node-disjoint, so the whole step is one kernel call.
+            acc.merge(kern.across_step(&mut tour, &mut blocks, step));
         }
         layout = trace.final_layout;
         rotations += acc.rotations;
@@ -141,6 +139,69 @@ mod tests {
             assert!(r.rotations <= pairs);
             assert!(r.rotations >= pairs - 2, "d={d}: rotations {}", r.rotations);
         }
+    }
+
+    #[test]
+    fn a_solve_spawns_its_helpers_once_whatever_the_sweep_count() {
+        // m = 40 on 4 blocks of 10 columns: 2 tiles each, so the largest
+        // round (every tile's internal pairs) holds cap = 8 tasks.
+        let (a, cap) = (random_symmetric(40, 17), 8usize);
+        for workers in [0usize, 1, 2, 3, 8, 64, usize::MAX] {
+            for sweeps in [1usize, 4] {
+                let opts =
+                    JacobiOptions { workers, force_sweeps: Some(sweeps), ..Default::default() };
+                let spawned = crate::pool::spawned_by(|| {
+                    block_jacobi(&a, 1, OrderingFamily::Br, &opts);
+                });
+                assert_eq!(
+                    spawned,
+                    workers.min(cap).saturating_sub(1),
+                    "workers={workers} sweeps={sweeps}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbounded_worker_count_solves_and_equals_one_worker_bit_for_bit() {
+        let a = random_symmetric(40, 18);
+        let solve = |workers| {
+            block_jacobi(
+                &a,
+                1,
+                OrderingFamily::Degree4,
+                &JacobiOptions { workers, ..Default::default() },
+            )
+        };
+        let (one, max) = (solve(1), solve(usize::MAX));
+        assert!(max.converged);
+        assert_eq!(max.eigenvalues, one.eigenvalues);
+        assert_eq!(max.eigenvectors, one.eigenvectors);
+        assert_eq!(max.off_history, one.off_history);
+        assert_eq!((max.sweeps, max.rotations), (one.sweeps, one.rotations));
+    }
+
+    #[test]
+    fn the_benchmark_shape_is_bitwise_worker_count_invariant() {
+        // m = 256 on a 3-cube: every merged round holds 16 tile tasks of
+        // 512-element columns — enough work that helpers are seated, which
+        // the small-matrix tests never reach.
+        let a = random_symmetric(256, 19);
+        let solve = |workers| {
+            let opts = JacobiOptions {
+                workers,
+                kernel: mph_linalg::KernelPath::Lanes,
+                cache_diagonals: true,
+                force_sweeps: Some(2),
+                ..Default::default()
+            };
+            block_jacobi(&a, 3, OrderingFamily::PermutedBr, &opts)
+        };
+        let (one, four) = (solve(1), solve(4));
+        assert_eq!(four.eigenvalues, one.eigenvalues);
+        assert_eq!(four.eigenvectors, one.eigenvectors);
+        assert_eq!(four.off_history, one.off_history);
+        assert_eq!(four.rotations, one.rotations);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod multidrive;
 pub mod offnorm;
 pub mod onesided;
 pub mod options;
+mod pool;
 pub mod svd;
 pub mod threaded;
 pub mod twosided;
@@ -46,7 +47,7 @@ pub use blockjacobi::block_jacobi;
 pub use harness::{convergence_stats, table2_grid, ConvergenceStats};
 pub use kernel::{
     pair_across_blocks, pair_columns, pair_view, pair_view_with, pair_within_block,
-    refresh_block_diag, PairOutcome, PairingRule, SweepAccumulator, SweepKernel,
+    refresh_block_diag, PairOutcome, PairingRule, SweepAccumulator, SweepKernel, Tournament,
 };
 pub use mph_core::BlockPartition;
 pub use mph_linalg::block::ColumnBlock;

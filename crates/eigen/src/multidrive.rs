@@ -42,7 +42,7 @@
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
 //! [`svd_block`]: crate::svd::svd_block
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
+use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
 use crate::options::{EigenResult, JacobiOptions};
 use crate::svd::{sigma_and_u_col, SvdResult};
 use crate::threaded::{choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap};
@@ -431,9 +431,15 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// Executes one micro-op. The caller guarantees every node invokes
-    /// every job's steps in the same merged order.
-    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mux: &mut JobMux<'_, '_, BatchMsg>) {
+    /// Executes one micro-op, pairing on the node thread's shared `tour`.
+    /// The caller guarantees every node invokes every job's steps in the
+    /// same merged order.
+    fn step(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<'_, '_, BatchMsg>,
+        tour: &mut Tournament,
+    ) {
         if !self.started {
             self.started = true;
             self.start = ctx.virtual_now();
@@ -445,11 +451,10 @@ impl<'a> JobNode<'a> {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
-                self.acc.merge(self.kern.within(&mut self.slot0));
-                self.acc.merge(self.kern.within(&mut self.slot1));
+                self.acc.merge(self.kern.within(tour, [&mut self.slot0, &mut self.slot1]));
                 if self.plans[self.sweeps].phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
-                    self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                     self.pos = Pos::SweepEnd;
                 } else {
                     self.pos = self.start_of_phase(0);
@@ -459,7 +464,7 @@ impl<'a> JobNode<'a> {
                 let plan = &self.plans[self.sweeps];
                 let ph = &plan.phases()[phase];
                 let link = ph.links[t];
-                self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+                self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                 let outgoing = match ph.kind {
                     PhaseKind::Exchange { .. } | PhaseKind::Last => self.slot1.take(),
                     PhaseKind::Division { .. } => {
@@ -526,7 +531,7 @@ impl<'a> JobNode<'a> {
                     );
                     (pkt.payload, stamp)
                 };
-                self.acc.merge(self.kern.across(&mut self.slot0, &mut payload));
+                self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut payload));
                 ctx.send_after(
                     ph.links[k],
                     BatchMsg::Packet(Packet::for_job(self.job, k as u32, q as u32, payload)),
@@ -588,9 +593,9 @@ impl<'a> JobNode<'a> {
                 // then the packet departs on its own readiness stamp.
                 let mut payload = self.pipe[q].take().expect("tail packet consumed twice");
                 if resident_out {
-                    self.acc.merge(self.kern.across(&mut payload, &mut self.slot1));
+                    self.acc.merge(self.kern.across(tour, &mut payload, &mut self.slot1));
                 } else {
-                    self.acc.merge(self.kern.across(&mut self.slot0, &mut payload));
+                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut payload));
                 }
                 ctx.send_after(
                     link,
@@ -711,6 +716,19 @@ impl<'a> JobNode<'a> {
     }
 }
 
+/// The one [`Tournament`] a node thread shares among all its jobs: its
+/// micro-ops run one at a time, so one set of parked helpers serves every
+/// job, sized for the job that can use the most (`workers` against the
+/// tiles of the two blocks it keeps at a node).
+fn node_tournament(jobs: &[JobSpec], d: usize) -> Tournament {
+    let lanes = jobs.iter().map(|spec| {
+        // Block 0 is the largest of the balanced partition.
+        let block = BlockPartition::new(spec.a.cols(), 2 << d).size(0);
+        Tournament::lanes(spec.opts.workers, [block; 2])
+    });
+    Tournament::with_lanes(lanes.max().unwrap_or(0))
+}
+
 /// Runs `jobs` concurrently on one `d`-cube of threads over one `fabric`,
 /// interleaving their communication per `order`. Returns per-job results
 /// (each bitwise identical to the job's solo threaded run), per-job
@@ -774,11 +792,12 @@ pub fn run_job_batch_planned_traced(
             .map(|(j, (spec, (plans, qs)))| JobNode::new(j as u32, spec, plans, qs, d, ctx.id()))
             .collect();
         let mut mux = JobMux::new(ctx);
+        let mut tour = node_tournament(jobs, d);
         match order {
             BatchOrder::Serial(ord) => {
                 for &j in ord {
                     while !nodes[j].done() {
-                        nodes[j].step(ctx, &mut mux);
+                        nodes[j].step(ctx, &mut mux, &mut tour);
                     }
                 }
             }
@@ -789,7 +808,7 @@ pub fn run_job_batch_planned_traced(
                         if nodes[j].done() {
                             break;
                         }
-                        nodes[j].step(ctx, &mut mux);
+                        nodes[j].step(ctx, &mut mux, &mut tour);
                         active = true;
                     }
                 }
@@ -1117,6 +1136,7 @@ pub fn run_job_service_traced(
     let (node_logs, meter, fabric_report) =
         run_spmd_fabric_jobs_traced::<BatchMsg, NodeService, _>(d, fabric, njobs, sink, |ctx| {
             let mut mux = JobMux::new(ctx);
+            let mut tour = node_tournament(jobs, d);
             let mut nodes: Vec<Option<JobNode>> = (0..njobs).map(|_| None).collect();
             let mut queue: Vec<usize> = Vec::new();
             let mut active: Vec<usize> = Vec::new();
@@ -1246,7 +1266,7 @@ pub fn run_job_service_traced(
                             }
                             let node = nodes[j].as_mut().expect("active job lowered");
                             let before = node.sweeps;
-                            node.step(ctx, &mut mux);
+                            node.step(ctx, &mut mux, &mut tour);
                             if node.done() || node.sweeps > before {
                                 crossed[i] = true;
                             }
@@ -1396,6 +1416,47 @@ mod tests {
                         let got = run.results[0].eigen().expect("eigen job");
                         assert_eigen_bitwise(got, &solo, &format!("{family} d={d} cache={cache}"));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_jobs_on_one_node_share_one_pool() {
+        // d = 0: one node holds both blocks of every job (m = 40 → 20
+        // columns, 3 tiles each). Jobs ask for 1, 3 and 2 workers; the node
+        // thread's tournament is sized once, for the widest of them — its
+        // thread count does not grow with the number of jobs.
+        let mats: Vec<Matrix> = (0..3).map(|i| random_symmetric(40, 300 + i)).collect();
+        let job = |i: usize, workers| {
+            let opts = JacobiOptions { workers, force_sweeps: Some(2), ..Default::default() };
+            if i == 1 {
+                JobSpec::svd(mats[i].clone(), OrderingFamily::Br, opts)
+            } else {
+                JobSpec::eigen(mats[i].clone(), OrderingFamily::Br, opts)
+            }
+        };
+        let spawned_for =
+            |jobs: &[JobSpec]| crate::pool::spawned_by(|| drop(node_tournament(jobs, 0)));
+        let jobs = [job(0, 1), job(1, 3), job(2, 2)];
+        assert_eq!(spawned_for(&jobs), 2);
+        assert_eq!(spawned_for(&jobs[1..2]), 2);
+        assert_eq!(spawned_for(&[job(0, 1)]), 0);
+        assert_eq!(spawned_for(&[job(0, usize::MAX), job(2, 0)]), 5, "clamped to 6 tiles");
+
+        // Interleaved micro-op by micro-op through that one shared pool,
+        // every job still equals its solo logical solve bit for bit.
+        let order = BatchOrder::RoundRobin { order: vec![2, 0, 1], stride: 1 };
+        let run = run_job_batch(0, &jobs, FabricModel::Free, &order);
+        for (i, spec) in jobs.iter().enumerate() {
+            match &run.results[i] {
+                JobResult::Eigen(got) => {
+                    let solo = block_jacobi(&spec.a, 0, spec.family, &spec.opts);
+                    assert_eigen_bitwise(got, &solo, &format!("job {i}"));
+                }
+                JobResult::Svd(got) => {
+                    let solo = svd_block(&spec.a, 0, spec.family, &spec.opts);
+                    assert_svd_bitwise(got, &solo, &format!("job {i}"));
                 }
             }
         }

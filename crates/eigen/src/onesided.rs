@@ -28,12 +28,13 @@ pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
 
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
+    let mut tour = kern.tournament([m]);
     let sweep_budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
     while !converged && sweeps < sweep_budget {
         if opts.cache_diagonals {
             refresh_block_diag(&mut blk, PairingRule::Implicit);
         }
-        let acc: SweepAccumulator = kern.within(&mut blk);
+        let acc: SweepAccumulator = kern.within(&mut tour, [&mut blk]);
         rotations += acc.rotations;
         sweeps += 1;
         let off = off_norm_blocks(std::slice::from_ref(&blk));

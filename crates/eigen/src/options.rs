@@ -118,18 +118,29 @@ pub struct JacobiOptions {
     /// products reassociate (≤1e-12 relative), so `Lanes` is opt-in like
     /// `cache_diagonals`.
     pub kernel: KernelPath,
-    /// Intra-node parallel pairing: how many scoped worker threads apply a
-    /// sub-sweep's column-disjoint pairings concurrently.
+    /// Intra-node parallel pairing: how many threads apply a sub-sweep's
+    /// column-disjoint pairings concurrently.
     ///
     /// `0` (the default) is the legacy serial path — row-major pairing
     /// order, bitwise parity with previous releases. Any value ≥ 1 switches
     /// to the deterministic tournament-round schedule, whose pairing order
     /// is fixed by pair index (never by the scheduler): a round's pairs
     /// touch disjoint columns and therefore commute *exactly*, so every
-    /// worker count ≥ 1 produces identical bits (`workers == 1` runs the
-    /// rounds inline without spawning). The tournament order visits the
-    /// same pair set as the serial order, so convergence behavior matches;
-    /// only last-bit rotation angles may differ between `0` and `≥ 1`.
+    /// worker count ≥ 1 produces identical bits. The tournament order
+    /// visits the same pair set as the serial order, so convergence
+    /// behavior matches; only last-bit rotation angles may differ between
+    /// `0` and `≥ 1`.
+    ///
+    /// The threads are a pool that lives as long as the solve (as long as
+    /// the node thread, in the threaded and batch drivers, where every job
+    /// on the node shares it): `workers − 1` helpers are spawned once and
+    /// sleep between rounds, and the calling thread works through each
+    /// round alongside them. `workers ≤ 1` spawns nothing; a count above
+    /// the number of 8-column tile tasks a round can hold is clamped to
+    /// it, so any value is safe. The logical drivers hand the kernel a
+    /// whole solver step at once, so the threads synchronise once per
+    /// tournament round of the step's largest block pair — twice per step
+    /// at `m = 256, d = 3` — whatever the number of blocks.
     pub workers: usize,
     /// Trace sink for the threaded driver (ignored by the logical
     /// drivers): when enabled — e.g.

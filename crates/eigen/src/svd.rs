@@ -22,7 +22,7 @@ use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKern
 use crate::options::JacobiOptions;
 use mph_core::BlockPartition;
 use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
-use mph_linalg::block::{two_blocks_mut, ColumnBlock};
+use mph_linalg::block::ColumnBlock;
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 
@@ -119,11 +119,12 @@ pub fn svd_cyclic(a: &Matrix, opts: &JacobiOptions) -> SvdResult {
     let mut converged = false;
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
     let kern = SweepKernel::from_options(PairingRule::Gram, opts);
+    let mut tour = kern.tournament([n]);
     while sweeps < budget {
         if opts.cache_diagonals {
             refresh_block_diag(&mut blk, PairingRule::Gram);
         }
-        let acc = kern.within(&mut blk);
+        let acc = kern.within(&mut tour, [&mut blk]);
         rotations += acc.rotations;
         sweeps += 1;
         if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {
@@ -156,6 +157,7 @@ pub fn svd_block(a: &Matrix, d: usize, family: OrderingFamily, opts: &JacobiOpti
     let mut converged = false;
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
     let kern = SweepKernel::from_options(PairingRule::Gram, opts);
+    let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
     while sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
         let trace = mph_core::trace_sweep(&schedule, &layout);
@@ -167,14 +169,9 @@ pub fn svd_block(a: &Matrix, d: usize, family: OrderingFamily, opts: &JacobiOpti
         }
         for (step_idx, step) in trace.steps.iter().enumerate() {
             if step_idx == 0 {
-                for b in blocks.iter_mut() {
-                    acc.merge(kern.within(b));
-                }
+                acc.merge(kern.within(&mut tour, &mut blocks));
             }
-            for &(b0, b1) in step {
-                let (left, right) = two_blocks_mut(&mut blocks, b0, b1);
-                acc.merge(kern.across(left, right));
-            }
+            acc.merge(kern.across_step(&mut tour, &mut blocks, step));
         }
         layout = trace.final_layout;
         rotations += acc.rotations;

@@ -469,6 +469,10 @@ pub fn block_jacobi_threaded_adaptive(
             let mut slot1 = ColumnBlock::from_matrix_with_identity(a0, partition.cols(n + p), m);
             // Per-node packet-store pool, reused across phases and sweeps.
             let mut pool = BufferPool::new();
+            // Per-node pairing helpers, parked between kernel calls for the
+            // life of this node thread. A node holds two blocks at a time,
+            // neither larger than block 0 of the balanced partition.
+            let mut tour = kern.tournament([partition.size(0); 2]);
             let mut sweeps = 0usize;
             let mut rotations = 0u64;
             let mut converged = false;
@@ -555,8 +559,7 @@ pub fn block_jacobi_threaded_adaptive(
                 }
                 // Step 0, paper step (1): intra-block pairings. The step-0
                 // cross pairing is the first exchange iteration's compute.
-                acc.merge(kern.within(&mut slot0));
-                acc.merge(kern.within(&mut slot1));
+                acc.merge(kern.within(&mut tour, [&mut slot0, &mut slot1]));
                 let runs = &tail_runs[sweeps];
                 let phases = plan.phases();
                 let mut xq = 0usize;
@@ -601,9 +604,9 @@ pub fn block_jacobi_threaded_adaptive(
                                     expect_packet,
                                     |_k, _q, pkt: &mut ColumnBlock| {
                                         if resident_out {
-                                            acc.merge(kern.across(pkt, &mut slot1));
+                                            acc.merge(kern.across(&mut tour, pkt, &mut slot1));
                                         } else {
-                                            acc.merge(kern.across(&mut slot0, pkt));
+                                            acc.merge(kern.across(&mut tour, &mut slot0, pkt));
                                         }
                                     },
                                 );
@@ -634,7 +637,7 @@ pub fn block_jacobi_threaded_adaptive(
                                 // Whole-block reference loop: pair, then ship
                                 // (relaying around dead links when necessary).
                                 for &link in &phase.links {
-                                    acc.merge(kern.across(&mut slot0, &mut slot1));
+                                    acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
                                     slot1 = expect_block(exchange_via(
                                         ctx,
                                         link,
@@ -657,14 +660,14 @@ pub fn block_jacobi_threaded_adaptive(
                                     Msg::Packet,
                                     expect_packet,
                                     |_k, _q, pkt: &mut ColumnBlock| {
-                                        acc.merge(kern.across(&mut slot0, pkt));
+                                        acc.merge(kern.across(&mut tour, &mut slot0, pkt));
                                     },
                                 );
                                 slot1 = ColumnBlock::from_packets_pooled(finals, &mut pool);
                             }
                         }
                         PhaseKind::Division { .. } => {
-                            acc.merge(kern.across(&mut slot0, &mut slot1));
+                            acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
                             let link = phase.links[0];
                             // bit = 0 endpoint sends its mobile (slot1) and
                             // receives the partner's resident into slot1;
@@ -691,7 +694,7 @@ pub fn block_jacobi_threaded_adaptive(
                             }
                         }
                         PhaseKind::Last => {
-                            acc.merge(kern.across(&mut slot0, &mut slot1));
+                            acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
                             slot1 = expect_block(exchange_via(
                                 ctx,
                                 phase.links[0],
@@ -705,7 +708,7 @@ pub fn block_jacobi_threaded_adaptive(
                 }
                 if d == 0 {
                     // Single node: the whole sweep is step 0's pairings.
-                    acc.merge(kern.across(&mut slot0, &mut slot1));
+                    acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
                 }
                 ctx.trace()
                     .emit(n, || TraceEvent::SweepEnd { sweep: sweeps, time: ctx.virtual_now() });

@@ -5,8 +5,8 @@
 use mph_ccpipe::{Machine, PortModel};
 use mph_core::OrderingFamily;
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, one_sided_cyclic, two_sided_cyclic, JacobiOptions,
-    KernelPath, Pipelining,
+    block_jacobi, block_jacobi_threaded, one_sided_cyclic, svd_block, svd_cyclic, two_sided_cyclic,
+    EigenResult, JacobiOptions, KernelPath, Pipelining, SvdResult,
 };
 use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
 use mph_linalg::Matrix;
@@ -47,8 +47,83 @@ fn symmetric(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Symmetric matrices whose block partitions straddle the kernel's
+/// 8-column tile: single-column and empty blocks (`m < 2^(d+1)` at the
+/// larger `d`), one ragged tile, several tiles with a ragged last one.
+fn ragged_symmetric() -> impl Strategy<Value = Matrix> {
+    prop_oneof![Just(3usize), Just(5), Just(12), Just(17), Just(24), Just(35), Just(41)]
+        .prop_flat_map(symmetric)
+}
+
+/// Every output bit of an eigensolve, for exact comparison.
+fn eigen_bits(r: &EigenResult) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize, u64, bool) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        bits(&r.eigenvalues),
+        bits(r.eigenvectors.as_slice()),
+        bits(&r.off_history),
+        r.sweeps,
+        r.rotations,
+        r.converged,
+    )
+}
+
+/// Every output bit of an SVD.
+fn svd_bits(r: &SvdResult) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize, u64, bool) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    (
+        bits(&r.singular_values),
+        bits(r.u.as_slice()),
+        bits(r.v.as_slice()),
+        r.sweeps,
+        r.rotations,
+        r.converged,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn worker_counts_are_bitwise_identical_through_the_logical_drivers(
+        a in ragged_symmetric(),
+        d in 0usize..=3,
+        family in family_strategy(),
+        cache in any::<bool>(),
+        lanes in any::<bool>(),
+        forced in any::<bool>(),
+    ) {
+        // One pool per solve, rounds merged across a step's blocks, tasks
+        // claimed by whichever thread is free: none of it may move a bit,
+        // a rotation, a sweep or an off-norm against `workers: 1`, which
+        // runs the same rounds on the calling thread alone.
+        let n = a.cols();
+        // A tall factor for the SVD drivers: `A` stacked on its top rows.
+        let tall = Matrix::from_fn(n + 3, n, |r, c| a[(r % n, c)]);
+        let opts = |workers: usize| JacobiOptions {
+            workers,
+            cache_diagonals: cache,
+            kernel: if lanes { KernelPath::Lanes } else { KernelPath::Scalar },
+            force_sweeps: forced.then_some(2),
+            ..Default::default()
+        };
+        let one = opts(1);
+        let block = eigen_bits(&block_jacobi(&a, d, family, &one));
+        let cyclic = eigen_bits(&one_sided_cyclic(&a, &one));
+        let svd = svd_bits(&svd_block(&tall, d, family, &one));
+        let svd_cyc = svd_bits(&svd_cyclic(&tall, &one));
+        for workers in [2usize, 3, 8] {
+            let w = opts(workers);
+            prop_assert!(eigen_bits(&block_jacobi(&a, d, family, &w)) == block,
+                "block_jacobi m={} d={} workers={}", n, d, workers);
+            prop_assert!(eigen_bits(&one_sided_cyclic(&a, &w)) == cyclic,
+                "one_sided_cyclic m={} workers={}", n, workers);
+            prop_assert!(svd_bits(&svd_block(&tall, d, family, &w)) == svd,
+                "svd_block m={} d={} workers={}", n, d, workers);
+            prop_assert!(svd_bits(&svd_cyclic(&tall, &w)) == svd_cyc,
+                "svd_cyclic m={} workers={}", n, workers);
+        }
+    }
 
     #[test]
     fn one_sided_matches_two_sided(a in symmetric(8)) {

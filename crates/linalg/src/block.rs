@@ -175,11 +175,11 @@ impl<'a> PairViewMut<'a> {
 }
 
 /// One column's mutable slices — the unit of work a *parallel* pairing
-/// round hands to a worker. A round's pairs touch disjoint columns, so a
-/// `Vec<ColumnViewMut>` produced by [`ColumnBlock::columns_mut`] can be
-/// carved into per-pair [`PairViewMut`]s (the fields are public precisely
-/// so the pairing kernel can assemble them) and sent to scoped threads
-/// without any further borrow gymnastics.
+/// round hands to a worker. A round's pairs touch disjoint columns, so the
+/// views produced by [`ColumnBlock::columns_mut`] can be carved into
+/// per-pair [`PairViewMut`]s (the fields are public precisely so the
+/// pairing kernel can assemble them) and shared out among threads without
+/// any further borrow gymnastics.
 #[derive(Debug)]
 pub struct ColumnViewMut<'a> {
     /// The column's `A`-slice.
@@ -339,29 +339,20 @@ impl ColumnBlock {
         }
     }
 
-    /// Splits the whole block into one disjoint mutable view per column —
-    /// the distribution primitive for intra-node parallel pairing, where a
-    /// round of column-disjoint pairs is handed to a pool of scoped
-    /// threads. Views are returned in block-column order.
-    pub fn columns_mut(&mut self) -> Vec<ColumnViewMut<'_>> {
-        let (arows, unit, has_diag) = (self.arows, self.unit(), !self.diag.is_empty());
-        let mut cols = Vec::with_capacity(self.ncols);
-        let mut rest: &mut [f64] = &mut self.data;
-        let mut drest: &mut [f64] = &mut self.diag;
-        for _ in 0..self.ncols {
-            let (chunk, r) = rest.split_at_mut(unit);
-            rest = r;
+    /// Splits the whole block into one disjoint mutable view per column, in
+    /// block-column order — the distribution primitive for intra-node
+    /// parallel pairing, where a round of column-disjoint pairs is shared
+    /// out among a pool of threads. An iterator, so a caller tabulating the
+    /// views of several blocks fills one table without a `Vec` per block.
+    pub fn columns_mut(&mut self) -> impl Iterator<Item = ColumnViewMut<'_>> {
+        // A taken (default) block has a zero-length unit and no columns.
+        let (arows, unit) = (self.arows, self.unit().max(1));
+        // `diag` is empty when the cache is off, so every slot reads `None`.
+        let mut diag = self.diag.iter_mut();
+        self.data.chunks_exact_mut(unit).take(self.ncols).map(move |chunk| {
             let (a, u) = chunk.split_at_mut(arows);
-            let d = if has_diag {
-                let (d0, dr) = drest.split_first_mut().expect("diag len == ncols");
-                drest = dr;
-                Some(d0)
-            } else {
-                None
-            };
-            cols.push(ColumnViewMut { a, u, d });
-        }
-        cols
+            ColumnViewMut { a, u, d: diag.next() }
+        })
     }
 
     /// Moves the block out of `self` in O(1), leaving an empty block — the
@@ -862,7 +853,7 @@ mod tests {
             }
             let want: Vec<(Vec<f64>, Vec<f64>)> =
                 (0..4).map(|k| (b.a_col(k).to_vec(), b.u_col(k).to_vec())).collect();
-            let mut cols = b.columns_mut();
+            let mut cols: Vec<ColumnViewMut<'_>> = b.columns_mut().collect();
             assert_eq!(cols.len(), 4);
             for (k, col) in cols.iter().enumerate() {
                 assert_eq!(col.a, want[k].0, "col {k}");
@@ -890,8 +881,7 @@ mod tests {
         let (c, s) = (0.96, 0.28);
         reference.pair_mut(1, 4).rotate(c, s);
         {
-            let mut slots: Vec<Option<ColumnViewMut<'_>>> =
-                b.columns_mut().into_iter().map(Some).collect();
+            let mut slots: Vec<Option<ColumnViewMut<'_>>> = b.columns_mut().map(Some).collect();
             let ci = slots[1].take().unwrap();
             let cj = slots[4].take().unwrap();
             ColumnViewMut::pair(ci, cj).rotate(c, s);
