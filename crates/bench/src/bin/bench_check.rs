@@ -209,13 +209,24 @@ fn validate(doc: &Json) -> Vec<String> {
     // so these are acceptance bars rather than a two-sided band: the lane
     // kernels must be worth ≥ 1.3x; the parked helper pool must never be a
     // loss beyond noise (two workers within 1.15x of one, whatever the core
-    // count — on one core the caller just works through the round); and
-    // the bitwise flag — tiled scalar == untiled reference AND tournament
-    // output invariant across worker counts — must hold.
+    // count — on one core the caller just works through the round); the
+    // per-sweep convergence check (`off_norm_*_ms`, same state) must stay
+    // a fraction of the sweep it follows — it was once as large as the
+    // sweep and half of a logical solve; and the bitwise flag — tiled
+    // scalar == untiled reference AND tournament output invariant across
+    // worker counts — must hold.
     let kernel = doc.get("kernel");
     require("kernel", kernel.is_some());
     let kernel_num = |key: &str| kernel.and_then(|k| k.get(key)).and_then(Json::as_number);
-    for key in ["scalar_ms", "lanes_ms", "lanes_w1_ms", "lanes_w2_ms", "lanes_wn_ms"] {
+    for key in [
+        "scalar_ms",
+        "lanes_ms",
+        "lanes_w1_ms",
+        "lanes_w2_ms",
+        "lanes_wn_ms",
+        "off_norm_scalar_ms",
+        "off_norm_lanes_ms",
+    ] {
         require(
             &format!("kernel.{key}"),
             kernel_num(key).is_some_and(|x| x.is_finite() && x > 0.0),
@@ -231,6 +242,13 @@ fn validate(doc: &Json) -> Vec<String> {
         matches!(
             (kernel_num("lanes_w1_ms"), kernel_num("lanes_w2_ms")),
             (Some(w1), Some(w2)) if w2 <= 1.15 * w1
+        ),
+    );
+    require(
+        "kernel.off_norm_lanes_ms <= 0.25 x lanes_w1_ms",
+        matches!(
+            (kernel_num("lanes_w1_ms"), kernel_num("off_norm_lanes_ms")),
+            (Some(w1), Some(off)) if off <= 0.25 * w1
         ),
     );
     require(
@@ -629,6 +647,7 @@ mod tests {
                            "columnblock_cached_ms": 1.0, "speedup_contiguous": 1.0}},
           "kernel": {{"reps": 5, "cores": 2, "scalar_ms": 10.0, "lanes_ms": 5.4,
                      "lanes_w1_ms": 5.5, "lanes_w2_ms": 4.1, "lanes_wn_ms": 4.1,
+                     "off_norm_scalar_ms": 2.7, "off_norm_lanes_ms": 0.45,
                      "speedup_lanes": 1.85, "bitwise_identical": true}},
           "pipelined": {{"unpipelined_ms": 1.0, "pipelined_ms": 1.0, "measured_speedup": 1.0,
                         "unpipelined_traffic_elems": 10, "pipelined_traffic_elems": 10,
@@ -973,6 +992,37 @@ mod tests {
             let problems = validate(&doc);
             assert!(problems.iter().any(|p| p.contains(&format!("kernel.{key}"))), "{problems:?}");
         }
+    }
+
+    #[test]
+    fn gates_the_off_norm_stays_a_fraction_of_the_sweep_bar() {
+        // A convergence check above a quarter of the sweep it follows gates.
+        let grown = |ms: &str| {
+            minimal_snapshot(1.0, 100.0)
+                .replace("\"off_norm_lanes_ms\": 0.45", &format!("\"off_norm_lanes_ms\": {ms}"))
+        };
+        let doc = Parser::new(&grown("1.38")).document().expect("parses");
+        let problems = validate(&doc);
+        assert!(problems.iter().any(|p| p.contains("off_norm_lanes_ms <= 0.25 x")), "{problems:?}");
+        // Exactly a quarter (0.25 × 5.5) passes.
+        let doc = Parser::new(&grown("1.375")).document().expect("parses");
+        assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
+    }
+
+    #[test]
+    fn gates_the_off_norm_fields() {
+        // Both timings of the measure must be on record, and positive.
+        for key in ["off_norm_scalar_ms", "off_norm_lanes_ms"] {
+            let text = minimal_snapshot(1.0, 100.0)
+                .replace(&format!("\"{key}\""), &format!("\"renamed_{key}\""));
+            let doc = Parser::new(&text).document().expect("parses");
+            let problems = validate(&doc);
+            assert!(problems.iter().any(|p| p.contains(&format!("kernel.{key}"))), "{problems:?}");
+        }
+        let text = minimal_snapshot(1.0, 100.0)
+            .replace("\"off_norm_scalar_ms\": 2.7", "\"off_norm_scalar_ms\": 0.0");
+        let doc = Parser::new(&text).document().expect("parses");
+        assert!(validate(&doc).iter().any(|p| p.contains("kernel.off_norm_scalar_ms")));
     }
 
     #[test]

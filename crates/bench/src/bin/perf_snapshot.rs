@@ -23,8 +23,8 @@ use mph_core::OrderingFamily;
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, block_jacobi_threaded_adaptive,
     block_jacobi_threaded_fabric, choose_qs, choose_tail_qs, lower_job, lower_sweeps,
-    packetization_cap, svd_block, Adaptation, BlockPartition, ColumnBlock, FabricModel,
-    JacobiOptions, JobSpec, KernelPath, PairingRule, Pipelining, SweepKernel,
+    off_norm_blocks, packetization_cap, svd_block, Adaptation, BlockPartition, ColumnBlock,
+    FabricModel, JacobiOptions, JobSpec, KernelPath, PairingRule, Pipelining, SweepKernel,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{
@@ -140,6 +140,18 @@ fn main() {
     kernel_sweep_once(&mut kw1, KernelPath::Lanes, 1);
     kernel_sweep_once(&mut kw4, KernelPath::Lanes, 4);
     let kernel_bitwise = kref == ktiled && kw1 == kw4;
+    // The convergence check that follows every sweep of a logical solve,
+    // on the generic state one lanes sweep leaves behind (at U = I every
+    // entry would be a single element read). The state is built outside
+    // the timed region; only the measure is timed.
+    let off_norm_median_ms = |path: KernelPath| -> f64 {
+        black_box(off_norm_blocks(&kw1, path));
+        median_ms(4 * reps + 1, || {
+            black_box(off_norm_blocks(black_box(&kw1), path));
+        })
+    };
+    let off_norm_scalar_ms = off_norm_median_ms(KernelPath::Scalar);
+    let off_norm_lanes_ms = off_norm_median_ms(KernelPath::Lanes);
     println!("  kernel sweep, scalar (default path)  : {kernel_scalar_ms:9.3} ms");
     println!(
         "  kernel sweep, lanes                  : {kernel_lanes_ms:9.3} ms ({speedup_lanes:.2}x)"
@@ -147,6 +159,11 @@ fn main() {
     println!(
         "  kernel sweep, lanes_w1/w2/wn         : {lanes_w1_ms:9.3} / {lanes_w2_ms:.3} / \
          {lanes_wn_ms:.3} ms (wn = {cores} workers on {cores} cores)"
+    );
+    println!(
+        "  off-norm, scalar / lanes             : {off_norm_scalar_ms:9.3} / {off_norm_lanes_ms:.3} ms \
+         (once per sweep; {:.2} of lanes_w1)",
+        off_norm_lanes_ms / lanes_w1_ms
     );
     println!("  kernel bitwise   : tiled == reference && worker-invariant: {kernel_bitwise}");
     let kernel_json = format!(
@@ -157,6 +174,8 @@ fn main() {
          \"lanes_w1_ms\": {lanes_w1_ms:.3},\n    \
          \"lanes_w2_ms\": {lanes_w2_ms:.3},\n    \
          \"lanes_wn_ms\": {lanes_wn_ms:.3},\n    \
+         \"off_norm_scalar_ms\": {off_norm_scalar_ms:.4},\n    \
+         \"off_norm_lanes_ms\": {off_norm_lanes_ms:.4},\n    \
          \"speedup_lanes\": {speedup_lanes:.3},\n    \
          \"bitwise_identical\": {kernel_bitwise}\n  }}"
     );

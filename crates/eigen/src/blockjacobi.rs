@@ -41,7 +41,7 @@ pub fn block_jacobi(
         .map(|b| ColumnBlock::from_matrix_with_identity(a0, partition.cols(b), m))
         .collect();
     let norm_a = a0.frobenius_norm();
-    let mut off_history = vec![off_norm_blocks(&blocks)];
+    let mut off_history = vec![off_norm_blocks(&blocks, opts.kernel)];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
     let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
@@ -73,7 +73,7 @@ pub fn block_jacobi(
         layout = trace.final_layout;
         rotations += acc.rotations;
         sweeps += 1;
-        let off = off_norm_blocks(&blocks);
+        let off = off_norm_blocks(&blocks, opts.kernel);
         off_history.push(off);
         if opts.force_sweeps.is_none() {
             converged = off <= opts.tol * norm_a;
@@ -202,6 +202,31 @@ mod tests {
         assert_eq!(four.eigenvectors, one.eigenvectors);
         assert_eq!(four.off_history, one.off_history);
         assert_eq!(four.rotations, one.rotations);
+    }
+
+    #[test]
+    fn non_finite_input_runs_out_its_sweeps_and_sorts_without_a_panic() {
+        // A NaN (or ±Inf, which the first rotation turns into NaNs) makes
+        // the off-norm non-finite, so `off <= tol·‖A‖` never holds: the
+        // solve stops at `max_sweeps`, unconverged, and its result sorts.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = random_symmetric(12, 21);
+            a[(3, 7)] = bad;
+            a[(7, 3)] = bad;
+            for kernel in [mph_linalg::KernelPath::Scalar, mph_linalg::KernelPath::Lanes] {
+                let opts = JacobiOptions { max_sweeps: 3, kernel, ..Default::default() };
+                for r in [
+                    block_jacobi(&a, 1, OrderingFamily::PermutedBr, &opts),
+                    one_sided_cyclic(&a, &opts),
+                ] {
+                    assert!(!r.converged, "{bad} {kernel:?}");
+                    assert_eq!(r.sweeps, 3, "{bad} {kernel:?}");
+                    assert_eq!(r.off_history.len(), 4);
+                    assert!(r.off_history.iter().all(|off| !off.is_finite()));
+                    assert_eq!(r.sorted_eigenvalues().len(), 12);
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use multidrive::{
     BoundarySample, JobKind, JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan,
     ServiceRun,
 };
-pub use offnorm::{diagonal, diagonal_blocks, off_norm, off_norm_blocks};
+pub use offnorm::{diagonal_blocks, off_norm_blocks};
 pub use onesided::one_sided_cyclic;
 pub use options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 pub use svd::{svd_block, svd_cyclic, SvdResult};

@@ -114,8 +114,10 @@ pub struct JacobiOptions {
     /// Compute path of the rotation kernels (see
     /// [`mph_linalg::KernelPath`]). `Scalar` (the default) is the bitwise
     /// reference; `Lanes` dispatches to the widest vector unit the CPU
-    /// offers — rotations stay bitwise identical, but the fused inner
-    /// products reassociate (≤1e-12 relative), so `Lanes` is opt-in like
+    /// offers — rotations stay bitwise identical, but the reductions (the
+    /// pairing's fused inner products, and the Gram tiles of the per-sweep
+    /// off-norm the logical drivers record in `off_history`) reassociate
+    /// (≤1e-12 relative per inner product), so `Lanes` is opt-in like
     /// `cache_diagonals`.
     pub kernel: KernelPath,
     /// Intra-node parallel pairing: how many threads apply a sub-sweep's
@@ -201,10 +203,12 @@ pub struct EigenResult {
 }
 
 impl EigenResult {
-    /// Eigenvalues sorted ascending (for spectrum comparisons).
+    /// Eigenvalues sorted ascending (for spectrum comparisons), in
+    /// [`f64::total_cmp`] order: a solve fed non-finite data reports NaNs
+    /// at the ends instead of panicking here.
     pub fn sorted_eigenvalues(&self) -> Vec<f64> {
         let mut v = self.eigenvalues.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v
     }
 }
@@ -256,5 +260,10 @@ mod tests {
             converged: true,
         };
         assert_eq!(r.sorted_eigenvalues(), vec![-1.0, 2.0, 3.0]);
+        // A NaN sorts (to the end, being positive) instead of panicking.
+        let nan = EigenResult { eigenvalues: vec![3.0, f64::NAN, -1.0], ..r };
+        let sorted = nan.sorted_eigenvalues();
+        assert_eq!(sorted[..2], [-1.0, 3.0]);
+        assert!(sorted[2].is_nan());
     }
 }

@@ -41,10 +41,11 @@ pub struct SvdResult {
 }
 
 impl SvdResult {
-    /// Singular values sorted descending (the conventional order).
+    /// Singular values sorted descending (the conventional order), in
+    /// [`f64::total_cmp`] order so a NaN cannot panic the sort.
     pub fn sorted_singular_values(&self) -> Vec<f64> {
         let mut s = self.singular_values.clone();
-        s.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        s.sort_by(|a, b| b.total_cmp(a));
         s
     }
 
@@ -244,6 +245,21 @@ mod tests {
                 assert!((d - want).abs() < 1e-10, "UᵀU ({i},{j}) = {d}");
             }
         }
+    }
+
+    #[test]
+    fn sorting_singular_values_with_a_nan_does_not_panic() {
+        let r = SvdResult {
+            singular_values: vec![1.0, f64::NAN, 3.0, 0.0],
+            u: Matrix::identity(4),
+            v: Matrix::identity(4),
+            sweeps: 0,
+            rotations: 0,
+            converged: false,
+        };
+        let s = r.sorted_singular_values();
+        assert!(s[0].is_nan(), "total order: a positive NaN sorts above every number");
+        assert_eq!(s[1..], [3.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Single-pair kernel hot path, scalar vs lanes: the inner products that
 //! feed `symmetric_schur` (dot / fused triple) and the 4-stream rotation
-//! that applies it, at the column lengths the block drivers actually see.
+//! that applies it, at the column lengths the block drivers actually see —
+//! plus the per-sweep convergence measure's inner products (one `dot` per
+//! entry vs 4×4 Gram tiles) over a whole m = 256 upper triangle.
 //!
 //! These are the micro-counterparts of `perf_snapshot`'s `"kernel"` block:
 //! that measures a whole block sweep end to end; this isolates each
 //! primitive so a regression can be attributed to one kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mph_linalg::vecops::{dot, dot_lanes, fused_triple, pair_rotate, pair_rotate_lanes};
+use mph_linalg::vecops::{dot, dot_lanes, fused_triple, gram_tile, pair_rotate, pair_rotate_lanes};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -107,5 +109,51 @@ fn bench_rotate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_fused_triple, bench_rotate);
+/// The off-norm's work at m = 256: every `u_i·a_j` of the strict upper
+/// triangle, squared and summed — as 32 640 scalar dots, and as 2 080 Gram
+/// tiles (`mph_eigen::off_norm_blocks` adds only the column lookup and the
+/// fixed summation order to these loops).
+fn bench_off_norm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("off_norm");
+    g.sample_size(20).measurement_time(Duration::from_secs(2));
+    let m = 256;
+    let u: Vec<Vec<f64>> = (0..m).map(|k| filled(m, 11 + k as u64)).collect();
+    let a: Vec<Vec<f64>> = (0..m).map(|k| filled(m, 1011 + k as u64)).collect();
+    g.bench_with_input(BenchmarkId::new("scalar", m), &m, |b, _| {
+        b.iter(|| {
+            let mut s = 0.0;
+            for j in 0..m {
+                for i in 0..j {
+                    let mij = dot(black_box(&u[i]), &a[j]);
+                    s += mij * mij;
+                }
+            }
+            black_box(s)
+        })
+    });
+    g.bench_with_input(BenchmarkId::new("lanes", m), &m, |b, _| {
+        fn four(cols: &[Vec<f64>], at: usize) -> [&[f64]; 4] {
+            [&cols[at], &cols[at + 1], &cols[at + 2], &cols[at + 3]]
+        }
+        b.iter(|| {
+            let mut s = 0.0;
+            for j in (0..m).step_by(4) {
+                for i in (0..=j).step_by(4) {
+                    let tile = gram_tile(black_box(four(&u, i)), four(&a, j));
+                    for (r, row) in tile.iter().enumerate() {
+                        for (c, mij) in row.iter().enumerate() {
+                            if i < j || r < c {
+                                s += mij * mij;
+                            }
+                        }
+                    }
+                }
+            }
+            black_box(s)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_dot, bench_fused_triple, bench_rotate, bench_off_norm);
 criterion_main!(benches);

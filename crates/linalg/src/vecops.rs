@@ -11,8 +11,9 @@
 //! * `Lanes` promises bitwise identity for the *rotations* (the lane rotate
 //!   multiplies then adds exactly like the scalar loop — no FMA is used, so
 //!   every element's bits match at any vector width) and ≤1e-12 relative
-//!   error for the fused *reductions* ([`fused_triple`], [`dot_lanes`]),
-//!   which reassociate the accumulation and may contract with FMA.
+//!   error for the fused *reductions* ([`fused_triple`], [`dot_lanes`], and
+//!   the 4×4 Gram tile [`gram_tile`] behind the convergence measure), which
+//!   reassociate the accumulation and may contract with FMA.
 
 /// Which compute path the rotation stack runs on.
 ///
@@ -25,8 +26,9 @@ pub enum KernelPath {
     #[default]
     Scalar,
     /// Runtime-dispatched lane kernels. Rotations stay bitwise identical to
-    /// `Scalar`; fused inner products are ≤1e-12 relative of the scalar
-    /// three-pass form.
+    /// `Scalar`; the reductions — the pairing's fused inner products and the
+    /// Gram tile of the off-norm — are ≤1e-12 relative of the scalar `dot`
+    /// per entry.
     Lanes,
 }
 
@@ -163,6 +165,53 @@ fn fused_triple_portable(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f6
         sqq += yr[i] * br[i];
     }
     (spp, spq, sqq)
+}
+
+/// The 4×4 tile of inner products `g[r][c] = u[r]·a[c]` over eight
+/// equal-length columns, in one pass.
+///
+/// This is the register tile of the convergence measure: `off(UᵀA₀U)` needs
+/// every `u_i·a_j`, and sixteen of them share eight column streams — 8 loads
+/// per 16 multiply-adds where sixteen separate dots pay 2 loads each. Like
+/// [`fused_triple`] it is a lane reduction: each tier accumulates in its own
+/// fixed order (FMA on the AVX tiers), so an entry is ≤1e-12 relative of
+/// [`dot`]`(u[r], a[c])` rather than bitwise equal, and repeatable run to
+/// run on one host.
+///
+/// # Panics
+/// Panics if the eight slices do not all have one common length.
+#[inline]
+pub fn gram_tile(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    let n = u[0].len();
+    assert!(u.iter().chain(&a).all(|col| col.len() == n), "gram_tile: column lengths differ");
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: tier implies the feature was detected (see `lane_tier`);
+        // the common length was asserted above.
+        LaneTier::Avx512 => unsafe { x86::gram_tile_avx512(u, a) },
+        #[cfg(target_arch = "x86_64")]
+        LaneTier::Avx2 => unsafe { x86::gram_tile_avx2(u, a) },
+        LaneTier::Portable => gram_tile_portable(u, a),
+    }
+}
+
+/// Portable Gram tile: sixteen running sums over one walk of the eight
+/// streams, each entry accumulated in plain index order.
+fn gram_tile_portable(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    let n = u[0].len();
+    // One reslice per stream lets the loop below run without bounds checks.
+    let (u, a) = (u.map(|col| &col[..n]), a.map(|col| &col[..n]));
+    let mut g = [[0.0f64; 4]; 4];
+    for k in 0..n {
+        let ak = [a[0][k], a[1][k], a[2][k], a[3][k]];
+        for r in 0..4 {
+            let urk = u[r][k];
+            for c in 0..4 {
+                g[r][c] += urk * ak[c];
+            }
+        }
+    }
+    g
 }
 
 /// `y ← a·x + y`.
@@ -471,6 +520,87 @@ mod x86 {
             qq += y[i] * b[i];
         }
         (pp, pq, qq)
+    }
+
+    /// 4×4 Gram tile, 8 lanes at a time: sixteen vector accumulators, four
+    /// `u` loads and four `a` loads per sixteen FMAs.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx512f` via cpuid; all eight slices must
+    /// share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gram_tile_avx512(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
+        let n = u[0].len();
+        let mut acc = [[_mm512_setzero_pd(); 4]; 4];
+        let chunks = n / 8;
+        for k in 0..chunks {
+            let i = 8 * k;
+            let vu = [
+                _mm512_loadu_pd(u[0].as_ptr().add(i)),
+                _mm512_loadu_pd(u[1].as_ptr().add(i)),
+                _mm512_loadu_pd(u[2].as_ptr().add(i)),
+                _mm512_loadu_pd(u[3].as_ptr().add(i)),
+            ];
+            for c in 0..4 {
+                let va = _mm512_loadu_pd(a[c].as_ptr().add(i));
+                for r in 0..4 {
+                    acc[r][c] = _mm512_fmadd_pd(vu[r], va, acc[r][c]);
+                }
+            }
+        }
+        let mut g = [[0.0f64; 4]; 4];
+        for r in 0..4 {
+            for c in 0..4 {
+                g[r][c] = _mm512_reduce_add_pd(acc[r][c]);
+            }
+        }
+        for i in 8 * chunks..n {
+            for r in 0..4 {
+                for c in 0..4 {
+                    g[r][c] += u[r][i] * a[c][i];
+                }
+            }
+        }
+        g
+    }
+
+    /// 4×4 Gram tile on 16 vector registers: two 4×2 half tiles (eight
+    /// accumulators, four `u` loads, two `a` loads each), 4 lanes at a time.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` and `fma` via cpuid; all eight
+    /// slices must share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gram_tile_avx2(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
+        let n = u[0].len();
+        let chunks = n / 4;
+        let mut g = [[0.0f64; 4]; 4];
+        for half in 0..2 {
+            let (a0, a1) = (a[2 * half], a[2 * half + 1]);
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for k in 0..chunks {
+                let i = 4 * k;
+                let va0 = _mm256_loadu_pd(a0.as_ptr().add(i));
+                let va1 = _mm256_loadu_pd(a1.as_ptr().add(i));
+                for r in 0..4 {
+                    let vu = _mm256_loadu_pd(u[r].as_ptr().add(i));
+                    acc[r][0] = _mm256_fmadd_pd(vu, va0, acc[r][0]);
+                    acc[r][1] = _mm256_fmadd_pd(vu, va1, acc[r][1]);
+                }
+            }
+            for r in 0..4 {
+                g[r][2 * half] = hsum256(acc[r][0]);
+                g[r][2 * half + 1] = hsum256(acc[r][1]);
+            }
+        }
+        for i in 4 * chunks..n {
+            for r in 0..4 {
+                for c in 0..4 {
+                    g[r][c] += u[r][i] * a[c][i];
+                }
+            }
+        }
+        g
     }
 
     /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
@@ -806,6 +936,163 @@ mod tests {
             let got = dot_lanes(&x, &y);
             let scale = want.abs().max(1.0);
             assert!((got - want).abs() <= 1e-12 * scale, "n={n}: {got} vs {want}");
+        }
+    }
+
+    // --- Every lane tier this CPU has, called directly --------------------
+    //
+    // The public lane kernels reach exactly one tier per host (`lane_tier`),
+    // so on an AVX-512 machine the AVX2 forms would otherwise never run. The
+    // tables below name each tier's function — the portable form always, an
+    // x86 form only once cpuid reports its features, which is the safety
+    // condition of the `unsafe` calls inside the closures.
+
+    type DotFn = fn(&[f64], &[f64]) -> f64;
+    type TripleFn = fn(&[f64], &[f64], &[f64], &[f64]) -> (f64, f64, f64);
+    type TileFn = fn([&[f64]; 4], [&[f64]; 4]) -> [[f64; 4]; 4];
+    type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
+
+    struct Tier {
+        name: &'static str,
+        dot: DotFn,
+        triple: TripleFn,
+        tile: TileFn,
+        rotate: RotateFn,
+    }
+
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier {
+            name: "portable",
+            dot,
+            triple: fused_triple_portable,
+            tile: gram_tile_portable,
+            rotate: rotate4,
+        }];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                // SAFETY (the four closures): avx2 and fma were just
+                // detected; the tests pass equal-length slices.
+                tiers.push(Tier {
+                    name: "avx2",
+                    dot: |x, y| unsafe { x86::dot_avx2(x, y) },
+                    triple: |x, a, y, b| unsafe { x86::fused_triple_avx2(x, a, y, b) },
+                    tile: |u, a| unsafe { x86::gram_tile_avx2(u, a) },
+                    rotate: |ai, aj, ui, uj, c, s| unsafe {
+                        x86::pair_rotate_avx2(ai, aj, ui, uj, c, s)
+                    },
+                });
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY (the four closures): avx512f was just detected;
+                // the tests pass equal-length slices.
+                tiers.push(Tier {
+                    name: "avx512",
+                    dot: |x, y| unsafe { x86::dot_avx512(x, y) },
+                    triple: |x, a, y, b| unsafe { x86::fused_triple_avx512(x, a, y, b) },
+                    tile: |u, a| unsafe { x86::gram_tile_avx512(u, a) },
+                    rotate: |ai, aj, ui, uj, c, s| unsafe {
+                        x86::pair_rotate_avx512(ai, aj, ui, uj, c, s)
+                    },
+                });
+            }
+        }
+        tiers
+    }
+
+    /// Column `k` of a deterministic, sign-mixed test family.
+    fn stream(k: usize, n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i + 3 * k) as f64 * (0.37 + 0.11 * k as f64)).sin() * 2.0 - 0.2).collect()
+    }
+
+    /// The reductions' documented contract: ≤ 1e-12 relative of `dot`.
+    fn within_contract(got: f64, want: f64) -> bool {
+        (got - want).abs() <= 1e-12 * want.abs().max(1.0)
+    }
+
+    #[test]
+    fn every_tier_of_dot_and_fused_triple_meets_the_reduction_contract() {
+        for t in tiers() {
+            for n in (0..=40usize).chain([101, 256]) {
+                let (x, a, y, b) = (stream(0, n), stream(1, n), stream(2, n), stream(3, n));
+                assert!(within_contract((t.dot)(&x, &y), dot(&x, &y)), "{} dot n={n}", t.name);
+                let (pp, pq, qq) = (t.triple)(&x, &a, &y, &b);
+                for (got, want) in [(pp, dot(&x, &a)), (pq, dot(&x, &b)), (qq, dot(&y, &b))] {
+                    assert!(within_contract(got, want), "{} triple n={n}: {got} vs {want}", t.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_of_the_gram_tile_meets_the_reduction_contract() {
+        for t in tiers() {
+            for n in (0..=40usize).chain([101, 256, 1001]) {
+                let cols: Vec<Vec<f64>> = (0..8).map(|k| stream(k, n)).collect();
+                let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
+                let a: [&[f64]; 4] = std::array::from_fn(|c| &cols[4 + c][..]);
+                let g = (t.tile)(u, a);
+                for r in 0..4 {
+                    for c in 0..4 {
+                        let want = dot(u[r], a[c]);
+                        assert!(
+                            within_contract(g[r][c], want),
+                            "{} tile n={n} ({r},{c}): {} vs {want}",
+                            t.name,
+                            g[r][c]
+                        );
+                    }
+                }
+                // The Gram rule's aliasing: the same columns in both roles.
+                let gram = (t.tile)(u, u);
+                for r in 0..4 {
+                    for c in 0..4 {
+                        assert!(within_contract(gram[r][c], dot(u[r], u[c])), "{} n={n}", t.name);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_dispatched_gram_tile_is_one_of_the_tiers_bit_for_bit() {
+        let cols: Vec<Vec<f64>> = (0..8).map(|k| stream(k, 37)).collect();
+        let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
+        let a: [&[f64]; 4] = std::array::from_fn(|c| &cols[4 + c][..]);
+        let got = gram_tile(u, a);
+        assert!(tiers().iter().any(|t| (t.tile)(u, a) == got));
+        assert_eq!(gram_tile(u, a), got, "repeatable run to run");
+    }
+
+    #[test]
+    #[should_panic(expected = "column lengths differ")]
+    fn gram_tile_rejects_mismatched_column_lengths() {
+        let (long, short) = (stream(0, 9), stream(1, 8));
+        gram_tile([&long, &long, &long, &long], [&long, &long, &short, &long]);
+    }
+
+    #[test]
+    fn every_tier_of_pair_rotate_is_bitwise_the_scalar_rotation() {
+        // Equal lengths 0..=40, then mismatched A/U lengths with the excess
+        // on either side: the tier rotates the common prefix, `rotate_pair`
+        // the excess — the split `pair_rotate_lanes` performs.
+        let (c, s) = (0.352f64, -0.936f64);
+        let mismatched = [(19, 5), (5, 19), (40, 33), (33, 40), (0, 7), (7, 0)];
+        for (na, nu) in (0..=40usize).map(|n| (n, n)).chain(mismatched) {
+            let (ai, aj, ui, uj) = (stream(0, na), stream(1, na), stream(2, nu), stream(3, nu));
+            let mut want = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
+            rotate_pair(&mut want.0, &mut want.1, c, s);
+            rotate_pair(&mut want.2, &mut want.3, c, s);
+            for t in tiers() {
+                let mut got = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
+                let (head, a_tail, u_tail) =
+                    split_pair_streams(&mut got.0, &mut got.1, &mut got.2, &mut got.3);
+                (t.rotate)(head.0, head.1, head.2, head.3, c, s);
+                rotate_pair(a_tail.0, a_tail.1, c, s);
+                rotate_pair(u_tail.0, u_tail.1, c, s);
+                assert_eq!(got, want, "{} na={na} nu={nu}", t.name);
+            }
         }
     }
 
