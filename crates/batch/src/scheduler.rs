@@ -54,10 +54,14 @@ pub enum BatchConfigError {
     /// [`mph_runtime::FabricConfigError`]).
     InvalidFabric(FabricConfigError),
     /// The fabric is a [`FabricModel::Degraded`] scenario that schedules
-    /// link deaths. The batch driver interleaves many jobs' pre-lowered
-    /// micro-op chains over direct links and has no relay layer — only
-    /// the adaptive solo driver (`block_jacobi_threaded_adaptive` in
-    /// `mph-eigen`) routes around dead links. Jitter, episode, and
+    /// link deaths. Deaths take effect at scenario epochs, and the engine
+    /// advances the epoch (and switches to the relay script around the
+    /// dead links) at a sweep boundary every node shares. The jobs of a
+    /// batch cross their sweep boundaries at different times, so a batch
+    /// has no such boundary: it runs entirely at epoch 0 and would send
+    /// across a link dead from the start. Only a solo solve
+    /// (`block_jacobi_threaded*`, `svd_block_threaded*` in `mph-eigen`)
+    /// hands the engine per-sweep relay tables. Jitter, episode, and
     /// heterogeneity scenarios are fine; death schedules are rejected up
     /// front instead of asserting inside the fabric clock mid-run.
     DeadLinksUnsupported,
@@ -72,8 +76,8 @@ impl std::fmt::Display for BatchConfigError {
             BatchConfigError::InvalidFabric(e) => write!(f, "invalid fabric: {e}"),
             BatchConfigError::DeadLinksUnsupported => write!(
                 f,
-                "the batch driver does not reroute around dead links; \
-                 use a death-free scenario or the adaptive solo driver"
+                "a batch does not reroute around dead links; \
+                 use a death-free scenario or a solo solve"
             ),
         }
     }

@@ -9,14 +9,14 @@
 //! * [`block_jacobi`] — the paper's parallel block algorithm executed
 //!   logically (single thread following the sweep schedule), used for the
 //!   Table-2 convergence measurements;
-//! * [`block_jacobi_threaded`] — the same algorithm on the threaded
-//!   multicomputer of `mph-runtime`, with real block messages; bitwise
-//!   equal to the logical driver for a fixed sweep count.
+//! * the micro-op engine in [`multidrive`] — the same algorithm on the
+//!   threaded multicomputer of `mph-runtime`, with real block messages:
+//!   N independent eigen/SVD problems interleaved over one link fabric
+//!   ([`run_job_batch`]), or one problem solo ([`block_jacobi_threaded`],
+//!   [`svd_block_threaded`]); every job bitwise equal to its logical
+//!   solve for a fixed sweep count.
 //!
-//! All of them — the SVD drivers in [`svd`], the threaded SVD
-//! ([`svd_block_threaded`]), and the cooperative multi-job batch driver
-//! in [`multidrive`] (N independent eigen/SVD problems interleaved over
-//! one link fabric, each bitwise equal to its solo run) — store their
+//! All of them, and the logical SVD drivers in [`svd`], store their
 //! columns in the contiguous [`ColumnBlock`] layout of `mph-linalg` and
 //! pair through the single kernel in [`kernel`]: one rotation path, one
 //! storage layout, shared end to end.
@@ -54,7 +54,7 @@ pub use mph_linalg::block::ColumnBlock;
 pub use mph_linalg::KernelPath;
 pub use mph_runtime::{FabricModel, FabricReport};
 pub use multidrive::{
-    lower_job, run_job_batch, run_job_batch_planned, run_job_batch_planned_traced, run_job_service,
+    lower_job, run_job_batch, run_job_batch_planned_traced, run_job_service,
     run_job_service_traced, svd_block_threaded, svd_block_threaded_fabric, BatchMsg, BatchRun,
     BoundarySample, JobKind, JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan,
     ServiceRun,
@@ -65,7 +65,6 @@ pub use options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 pub use svd::{svd_block, svd_cyclic, SvdResult};
 pub use threaded::{
     block_jacobi_threaded, block_jacobi_threaded_adaptive, block_jacobi_threaded_fabric, choose_qs,
-    choose_tail_qs, lower_sweeps, lower_sweeps_with, packetization_cap, AdaptiveReport, Msg,
-    NodeOutput,
+    choose_tail_qs, lower_sweeps, lower_sweeps_with, packetization_cap, AdaptiveReport,
 };
 pub use twosided::two_sided_cyclic;

@@ -1,60 +1,100 @@
-//! The cooperative multi-plan driver: N independent eigen/SVD jobs
-//! interleaved over ONE shared link fabric.
+//! The micro-op engine: the one phase machine of the workspace, walking
+//! one job's [`CommPlan`] chain or several chains at once over ONE shared
+//! link fabric.
 //!
-//! [`crate::threaded`] walks a single problem's [`CommPlan`] chain; this
-//! module walks *several* chains at once. Each job becomes an explicit
-//! per-node state machine ([`JobNode`]) whose `step` advances exactly one
-//! scheduler micro-op — pair-and-send a transition, consume a received
-//! block, process-and-forward one pipeline packet, drain an epilogue
-//! packet, or cast a convergence vote — and a deterministic interleaving
-//! order ([`BatchOrder`], produced by the `mph-batch` policies) merges the
-//! jobs' op streams. Every node executes the *same* merged sequence, so
-//! sends and receives pair up exactly as in a solo SPMD program; the
-//! messages carry job tags and each node demultiplexes arrivals through
-//! [`JobMux`], so per-`(link, job)` FIFO order survives any interleaving.
+//! Each job becomes an explicit per-node state machine ([`JobNode`]) whose
+//! `step` advances exactly one scheduler micro-op — pair-and-send a
+//! transition, consume a received block, process-and-forward one pipeline
+//! packet, drain an epilogue packet, or cast a convergence vote — and a
+//! deterministic interleaving order ([`BatchOrder`], produced by the
+//! `mph-batch` policies) merges the jobs' op streams. Every node executes
+//! the *same* merged sequence, so sends and receives pair up exactly as in
+//! a solo SPMD program; the messages carry job tags and each node
+//! demultiplexes arrivals through [`JobMux`], so per-`(link, job)` FIFO
+//! order survives any interleaving.
 //!
-//! Why interleave at micro-op granularity: the virtual clock charges
-//! start-ups serially on the node CPU but lets transmissions ride the
-//! links concurrently (per port model). A solo solve's serial tail —
-//! division and last transitions, `Ts + S·Tw` each with the CPU idle while
-//! the wire drains — and its pipeline prologues/epilogues are exactly the
-//! slots where a *different* job's sends are issued here before the first
-//! job's arrivals are consumed, so problem B's packets occupy links
-//! problem A left idle. On a one-port machine the single transmit port
-//! serializes everything and batching buys ~nothing; on the paper's
-//! multi-port machines it converts bubbles into throughput — the measured
-//! counterpart of `mph_ccpipe::batch_cost`.
+//! # The phase machine
 //!
-//! # Bitwise equality, preserved
+//! A node owns two [`ColumnBlock`]s per job (the A- and U-columns of its
+//! two blocks in one flat allocation each) and walks every sweep's plan —
+//! the same plan the cost model prices and the network simulator replays:
 //!
-//! Jobs share no data: interleaving changes *when* a job's ops run, never
-//! *which* ops run or in what per-job order. Each [`JobNode`] performs the
-//! exact pairing sequence of its solo driver — [`block_jacobi_threaded`]
-//! for eigen jobs, [`svd_block`] (via the same phase machine) for SVD jobs
-//! — through the same shared kernel, so every batched job's result is
-//! bitwise identical to its solo run under every policy, port model, and
-//! pipelining degree. This is asserted in the tests below and proptested
-//! across random job mixes in `mph-batch`.
+//! * an **exchange phase** `e` is a CC-cube loop of `K = 2^e − 1`
+//!   iterations: pair the resident block against the mobile block, then
+//!   ship the mobile block through the phase's next link. With pipelining
+//!   (see [`Pipelining`]) the mobile payload is split into `Q` column
+//!   packets; packet `q` of iteration `k` is received from the previous
+//!   link, paired against the resident block, and forwarded on its own
+//!   arrival stamp — the paper's stage `s = k + q` wavefront (§2.4), the
+//!   `Pipe`/`Drain` micro-ops;
+//! * **division** and **last** transitions are whole-block moves,
+//!   slot-asymmetric exactly as in [`mph_core::TransitionKind::Division`],
+//!   or — with a tail degree above 1 — packets chained through each run of
+//!   single-link transitions (`TailSend`/`TailRecv`).
 //!
-//! The module is also where the SVD finally runs on the threaded/pipelined
-//! phase machine: [`svd_block_threaded`] is a single-job batch.
+//! A solo solve ([`block_jacobi_threaded`], [`svd_block_threaded`]) is a
+//! batch of one on this engine plus what only a solo run has (`Solo`):
+//! sweep markers in the trace and, on a degraded fabric, an epoch barrier
+//! per sweep, relays around dead links and mid-run re-pricing.
+//!
+//! # Why interleave at micro-op granularity
+//!
+//! The virtual clock charges start-ups serially on the node CPU but lets
+//! transmissions ride the links concurrently (per port model). A solo
+//! solve's serial tail — division and last transitions, `Ts + S·Tw` each
+//! with the CPU idle while the wire drains — and its pipeline
+//! prologues/epilogues are exactly the slots where a *different* job's
+//! sends are issued here before the first job's arrivals are consumed, so
+//! problem B's packets occupy links problem A left idle. On a one-port
+//! machine the single transmit port serializes everything and batching
+//! buys ~nothing; on the paper's multi-port machines it converts bubbles
+//! into throughput — the measured counterpart of `mph_ccpipe::batch_cost`.
+//!
+//! # Bitwise equality, by construction
+//!
+//! Packets never interact: a cross-block pairing touches one resident and
+//! one mobile column, packets partition the mobile columns, and both the
+//! packetized ops and the whole-block ops visit each column's pairings in
+//! the same relative order. Reordering whole pairings that share no column
+//! is exact (they touch disjoint memory), so a job performs *identical*
+//! floating-point work for every `Q`, with the diagonal cache on or off.
+//! Jobs share no data either: interleaving changes *when* a job's ops run,
+//! never *which* ops run or in what per-job order. Every pairing goes
+//! through the shared kernel in [`crate::kernel`] on the same storage as
+//! the logical drivers ([`block_jacobi`], [`svd_block`]), so every job is
+//! bitwise equal to its logical solve when forced to the same number of
+//! sweeps — under every policy, port model, pipelining degree and fabric
+//! impairment. This is asserted in the tests below and in
+//! `crate::threaded`'s, and proptested across random job mixes in
+//! `mph-batch`.
+//!
+//! Convergence is decided per job by an all-reduce of the largest
+//! off-diagonal value seen during the sweep; the votes ride the same links
+//! as control-plane messages, metered separately from the block traffic
+//! the paper's tables count.
 //!
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
+//! [`block_jacobi`]: crate::blockjacobi::block_jacobi
 //! [`svd_block`]: crate::svd::svd_block
+//! [`Pipelining`]: crate::options::Pipelining
 
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
-use crate::options::{EigenResult, JacobiOptions};
+use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{sigma_and_u_col, SvdResult};
-use crate::threaded::{choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap};
+use crate::threaded::{
+    choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport,
+};
 use mph_ccpipe::BatchOrder;
 use mph_core::{BlockPartition, CommPlan, OrderingFamily, PhaseKind};
+use mph_hypercube::surviving_route;
 use mph_linalg::block::{BufferPool, ColumnBlock};
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{
-    run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Meterable, NodeCtx, Packet,
-    SinkHandle, TraceEvent, TrafficMeter,
+    run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Machine, Meterable, NodeCtx,
+    Packet, Scenario, SinkHandle, TraceEvent, TrafficMeter,
 };
+use std::sync::Arc;
 
 /// What kind of factorization a job asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +154,152 @@ pub fn lower_job(spec: &JobSpec, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     let q_cap = packetization_cap(n, d);
     let qs = plans.iter().map(|p| choose_qs(p, &spec.opts.pipelining, q_cap)).collect();
     (plans, qs)
+}
+
+/// How one sweep's plan is executed, per phase: the packet count of an
+/// exchange phase and the chained tail run a single-link transition rides.
+/// Built once per job beside [`lower_job`]'s output and borrowed by all
+/// `2^d` nodes; a degraded solo sweep replaces its entry (`Solo::reprice`).
+struct SweepTable {
+    /// `q[idx]`: packets of exchange phase `idx` (1 for serial phases).
+    q: Vec<usize>,
+    /// `run[idx]`: the tail run `(start, end)` holding phase `idx`
+    /// ([`CommPlan::tail_runs`]) — `None` outside a run, and everywhere
+    /// when the tail stays whole-block (`tail_q == 1`).
+    run: Vec<Option<(usize, usize)>>,
+    /// The packet degree of the sweep's tail runs.
+    tail_q: usize,
+}
+
+impl SweepTable {
+    /// `qs` has one entry per exchange phase of `plan`, as [`choose_qs`]
+    /// returns them.
+    fn new(plan: &CommPlan, qs: &[usize], tail_q: usize) -> Self {
+        let mut qs = qs.iter();
+        let q = plan
+            .phases()
+            .iter()
+            .map(|ph| {
+                if ph.is_exchange() {
+                    (*qs.next().expect("one q per exchange phase")).max(1)
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let mut run = vec![None; plan.phases().len()];
+        if tail_q > 1 {
+            for r in plan.tail_runs() {
+                run[r.clone()].fill(Some((r.start, r.end)));
+            }
+        }
+        SweepTable { q, run, tail_q }
+    }
+
+    /// Every transition of `plan` a whole-block move.
+    fn whole_block(plan: &CommPlan) -> Self {
+        let phases = plan.phases().len();
+        SweepTable { q: vec![1; phases], run: vec![None; phases], tail_q: 1 }
+    }
+}
+
+/// Every job's schedule: a [`SweepTable`] per lowered plan, built before
+/// the node threads spawn — the tail degree ([`choose_tail_qs`]) is priced
+/// once per plan rather than on every node.
+fn job_tables(
+    jobs: &[JobSpec],
+    d: usize,
+    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+) -> Vec<Vec<SweepTable>> {
+    let tables = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
+        let q_cap = packetization_cap(spec.a.cols(), d);
+        let tail = &spec.opts.tail_pipelining;
+        plans
+            .iter()
+            .zip(qs)
+            .map(|(plan, qs)| SweepTable::new(plan, qs, choose_tail_qs(plan, tail, q_cap)))
+            .collect()
+    };
+    jobs.iter().zip(lowered).map(tables).collect()
+}
+
+/// One dead undirected edge's relay plan for a sweep: who its endpoints
+/// are and the surviving multi-hop routes replacing the direct exchange,
+/// one per direction. Pure scenario data — every node holds the same
+/// table, so the relay runs as a fixed global script with no negotiation.
+struct RelayEntry {
+    /// Smaller endpoint of the dead edge.
+    u: usize,
+    /// `u ^ 2^dim` — the other endpoint.
+    v: usize,
+    /// Dimension the dead edge crosses.
+    dim: usize,
+    /// Dimension sequence of the surviving route `u -> v`.
+    fwd: Vec<usize>,
+    /// Dimension sequence of the surviving route `v -> u`.
+    rev: Vec<usize>,
+}
+
+/// What only a solo solve hands the engine (batch and serve pass none):
+/// its presence marks sweeps in the trace, and on a
+/// [`FabricModel::Degraded`] fabric it makes sweep `s` run at scenario
+/// epoch `s`, relayed around that epoch's dead links and re-priced per
+/// [`Adaptation`]. Jobs of a batch share no epoch, which is why deaths
+/// stay solo-only.
+struct Solo {
+    /// The degraded fabric's scenario; `None` on free and throttled ones.
+    scenario: Option<Arc<Scenario>>,
+    /// `relays[s]`: the dead edges of sweep (= epoch) `s` and the route
+    /// around each. Empty on clean sweeps, where every exchange is direct.
+    relays: Vec<Vec<RelayEntry>>,
+    adaptation: Adaptation,
+}
+
+impl Solo {
+    fn new(d: usize, opts: &JacobiOptions, budget: usize) -> Self {
+        let scenario = opts.fabric.scenario().cloned();
+        let relays = (0..budget)
+            .map(|s| {
+                let dead = scenario.as_ref().map_or_else(Vec::new, |sc| sc.dead_edges(s));
+                let route = |a, b| {
+                    surviving_route(d, a, b, &dead)
+                        .expect("scenarios reject disconnecting death schedules")
+                };
+                dead.iter()
+                    .map(|&(u, dim)| {
+                        let v = u ^ (1 << dim);
+                        RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
+                    })
+                    .collect()
+            })
+            .collect();
+        Solo { scenario, relays, adaptation: opts.adaptation }
+    }
+
+    /// Sweep `sweep`'s schedule when the scenario overrides the pre-run
+    /// one. Dead-link sweeps run whole-block: the packet pipelines assume
+    /// direct links, and `Q` never changes bits. Otherwise Reactive prices
+    /// every phase against `agreed` (the machine the nodes last agreed on)
+    /// and Oracle against the scenario's worst alive machine.
+    fn reprice(
+        &self,
+        plan: &CommPlan,
+        sweep: usize,
+        agreed: Machine,
+        q_cap: usize,
+    ) -> Option<SweepTable> {
+        let scenario = self.scenario.as_ref()?;
+        if !self.relays[sweep].is_empty() {
+            return Some(SweepTable::whole_block(plan));
+        }
+        let pricing = Pipelining::Auto(match self.adaptation {
+            Adaptation::Off => return None,
+            Adaptation::Reactive => agreed,
+            Adaptation::Oracle => scenario.worst_alive_machine(sweep),
+        });
+        let tail_q = choose_tail_qs(plan, &pricing, q_cap);
+        Some(SweepTable::new(plan, &choose_qs(plan, &pricing, q_cap), tail_q))
+    }
 }
 
 /// The batch wire protocol: every frame carries its job tag, so N
@@ -276,7 +462,9 @@ struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec,
     plans: &'a [CommPlan],
-    qs: &'a [Vec<usize>],
+    /// The job's schedule, one entry per plan (see [`job_tables`]).
+    tables: &'a [SweepTable],
+    solo: Option<&'a Solo>,
     kern: SweepKernel,
     d: usize,
     node: usize,
@@ -294,14 +482,21 @@ struct JobNode<'a> {
     /// them, then the drained finals.
     pipe: Vec<Option<ColumnBlock>>,
     pipe_entry: f64,
-    /// Tail-run schedule: packet degree and the phase-index runs of each
-    /// sweep's plan (see [`CommPlan::tail_runs`]).
-    tail_qs: Vec<usize>,
-    tail_runs: Vec<Vec<std::ops::Range<usize>>>,
     /// Per-packet readiness stamps threaded through a tail run.
     tail_stamps: Vec<f64>,
     /// Packet backing stores, reused across phases and sweeps.
     pool: BufferPool,
+    /// The current sweep's schedule where a degraded solo sweep overrides
+    /// `tables` ([`Solo::reprice`]).
+    repriced: Option<SweepTable>,
+    /// A payload whose direct edge is dead, parked between `send_via` and
+    /// the relay script of `recv_via`.
+    outbox: Option<BatchMsg>,
+    /// The machine Reactive re-pricing last agreed on: the scenario's
+    /// clean base (the spec sheet) until live windows re-fit it.
+    machine: Machine,
+    /// This node's share of the solve's [`AdaptiveReport`].
+    adaptive: AdaptiveReport,
     started: bool,
     start: f64,
     finish: f64,
@@ -314,6 +509,7 @@ struct JobNodeOutput {
     converged: bool,
     start: f64,
     finish: f64,
+    adaptive: AdaptiveReport,
     /// Eigen: `(global column, λ, u-column)`.
     eigen_cols: Vec<(usize, f64, Vec<f64>)>,
     /// SVD: `(global column, w-column, v-column)`.
@@ -325,7 +521,8 @@ impl<'a> JobNode<'a> {
         job: u32,
         spec: &'a JobSpec,
         plans: &'a [CommPlan],
-        qs: &'a [Vec<usize>],
+        tables: &'a [SweepTable],
+        solo: Option<&'a Solo>,
         d: usize,
         node: usize,
     ) -> Self {
@@ -342,17 +539,12 @@ impl<'a> JobNode<'a> {
             JobKind::Eigen => spec.a.frobenius_norm(),
             JobKind::Svd => 1.0, // SVD convergence is an absolute cosine
         };
-        let q_cap = packetization_cap(n, d);
-        let tail_qs = plans
-            .iter()
-            .map(|plan| choose_tail_qs(plan, &spec.opts.tail_pipelining, q_cap))
-            .collect();
-        let tail_runs = plans.iter().map(CommPlan::tail_runs).collect();
         JobNode {
             job,
             spec,
             plans,
-            qs,
+            tables,
+            solo,
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
             d,
             node,
@@ -368,10 +560,14 @@ impl<'a> JobNode<'a> {
             pos: if spec.budget() == 0 { Pos::Done } else { Pos::SweepStart },
             pipe: Vec::new(),
             pipe_entry: 0.0,
-            tail_qs,
-            tail_runs,
             tail_stamps: Vec::new(),
             pool: BufferPool::new(),
+            repriced: None,
+            outbox: None,
+            machine: solo
+                .and_then(|solo| solo.scenario.as_ref())
+                .map_or_else(Machine::paper_figure2, |sc| sc.base()),
+            adaptive: AdaptiveReport::default(),
             started: false,
             start: 0.0,
             finish: 0.0,
@@ -382,33 +578,30 @@ impl<'a> JobNode<'a> {
         self.pos == Pos::Done
     }
 
+    /// The current sweep's schedule.
+    fn table(&self) -> &SweepTable {
+        self.repriced.as_ref().unwrap_or(&self.tables[self.sweeps])
+    }
+
     /// The packet count of exchange phase `idx` of the current sweep
     /// (1 for serial phases).
     fn phase_q(&self, idx: usize) -> usize {
-        let plan = &self.plans[self.sweeps];
-        if !plan.phases()[idx].is_exchange() {
-            return 1;
-        }
-        let xq = plan.phases()[..idx].iter().filter(|ph| ph.is_exchange()).count();
-        self.qs[self.sweeps][xq].max(1)
+        self.table().q[idx]
     }
 
     /// The tail run of the current sweep containing phase `idx`, as
     /// `(start, end)` — `None` when the phase is not a single-link
     /// transition or tail pipelining is off for this sweep.
     fn tail_run_at(&self, idx: usize) -> Option<(usize, usize)> {
-        if self.tail_qs[self.sweeps] <= 1 {
-            return None;
-        }
-        self.tail_runs[self.sweeps]
-            .iter()
-            .find(|r| r.start <= idx && idx < r.end)
-            .map(|r| (r.start, r.end))
+        self.table().run[idx]
     }
 
-    /// Whether the resident block (slot0) is the one travelling in tail
-    /// phase `idx` — the division slot asymmetry's bit = 1 endpoint.
-    fn tail_resident_out(&self, idx: usize) -> bool {
+    /// Whether the resident block (slot0) is the one travelling in serial
+    /// phase `idx` — the division slot asymmetry: its bit = 0 endpoint
+    /// sends its mobile (slot1) and receives the partner's resident into
+    /// slot1; its bit = 1 endpoint sends its resident and receives the
+    /// partner's mobile into slot0. Everywhere else the mobile travels.
+    fn resident_out(&self, idx: usize) -> bool {
         let ph = &self.plans[self.sweeps].phases()[idx];
         matches!(ph.kind, PhaseKind::Division { .. }) && self.node & (1 << ph.links[0]) != 0
     }
@@ -431,6 +624,136 @@ impl<'a> JobNode<'a> {
         }
     }
 
+    /// The relay table of the current sweep (until its vote is cast):
+    /// empty for batch and serve jobs and on every clean sweep.
+    fn relays(&self) -> &'a [RelayEntry] {
+        match self.solo {
+            Some(solo) => &solo.relays[self.sweeps],
+            None => &[],
+        }
+    }
+
+    /// Receives this job's next message from `link`; consuming the arrival
+    /// advances the virtual clock.
+    fn recv(
+        &self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<'_, '_, BatchMsg>,
+        link: usize,
+    ) -> BatchMsg {
+        let (msg, stamp) = mux.recv_for(link, self.job);
+        ctx.advance_clock_to(stamp);
+        msg
+    }
+
+    /// First half of a whole-message exchange across `link`: ships `msg`
+    /// — unless this node's `link`-edge is dead this sweep, in which case
+    /// the payload waits for the relay script of [`Self::recv_via`].
+    fn send_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize, msg: BatchMsg) {
+        let key = self.node.min(ctx.neighbor(link));
+        if self.relays().iter().any(|r| r.dim == link && r.u == key) {
+            self.outbox = Some(msg);
+        } else {
+            ctx.send(link, msg);
+        }
+    }
+
+    /// Second half: returns the partner's message across `link`, then
+    /// plays this node's part in the relays around every dead `link`-edge.
+    ///
+    /// Each dead edge's two payloads hop their surviving routes, one
+    /// scripted direction at a time; every node walks the same script (it
+    /// is pure scenario data) and plays its own part — origin, relay,
+    /// destination, or bystander. Sends never block, each receive's
+    /// producer appears strictly earlier in the global script order, and
+    /// the per-(node, dim, job) channels are FIFO, so the script is
+    /// deadlock-free and deterministic. With no dead edge on `link` this
+    /// is a plain receive.
+    fn recv_via(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<'_, '_, BatchMsg>,
+        link: usize,
+    ) -> BatchMsg {
+        let n = self.node;
+        // A parked payload means the direct edge is dead: nothing crosses it.
+        let mut incoming = self.outbox.is_none().then(|| self.recv(ctx, mux, link));
+        for r in self.relays().iter().filter(|r| r.dim == link) {
+            for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
+                let mut cur = src;
+                let mut carried: Option<BatchMsg> = None;
+                for &hop in route {
+                    let nxt = cur ^ (1 << hop);
+                    if n == cur {
+                        let m = if cur == src {
+                            let m = self.outbox.take().expect("one relayed payload per direction");
+                            self.adaptive.reroutes += 1;
+                            self.adaptive.rerouted_elems += m.elems();
+                            ctx.trace().emit(n, || TraceEvent::Relay {
+                                dim: r.dim,
+                                elems: m.elems(),
+                                time: ctx.virtual_now(),
+                            });
+                            m
+                        } else {
+                            carried.take().expect("relay hop carries the payload")
+                        };
+                        ctx.send(hop, m);
+                    } else if n == nxt {
+                        let got = self.recv(ctx, mux, hop);
+                        if nxt == dst {
+                            incoming = Some(got);
+                        } else {
+                            carried = Some(got);
+                        }
+                    }
+                    cur = nxt;
+                }
+            }
+        }
+        incoming.expect("every exchange delivers: scenarios reject disconnecting death schedules")
+    }
+
+    /// Max-allreduce of a scalar by recursive dimension exchange, every
+    /// hop relay-aware — convergence votes and machine agreement survive
+    /// dead links like any other exchange.
+    fn allreduce_max(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<'_, '_, BatchMsg>,
+        mut v: f64,
+    ) -> f64 {
+        for dim in 0..self.d {
+            self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v });
+            v = v.max(expect_scalar(self.recv_via(ctx, mux, dim)));
+        }
+        v
+    }
+
+    /// Reactive re-calibration at the start of a degraded solo sweep: fit
+    /// a machine to the service times the link clock measured last sweep,
+    /// then agree with the peers — max-allreduce of `Ts` then `Tw`, so
+    /// every node prices against the same (slowest-observed) machine.
+    fn recalibrate(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mux: &mut JobMux<'_, '_, BatchMsg>) {
+        let ports = self.machine.ports;
+        let local = Machine::calibrate(&ctx.take_fabric_window())
+            .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
+        let ts = self.allreduce_max(ctx, mux, local.ts);
+        let tw = self.allreduce_max(ctx, mux, local.tw);
+        let agreed = Machine { ts, tw, ports };
+        if agreed != self.machine {
+            self.machine = agreed;
+            self.adaptive.recalibrations += 1;
+            let sweep = self.sweeps;
+            ctx.trace().emit(self.node, || TraceEvent::Recalibrate {
+                sweep,
+                ts,
+                tw,
+                time: ctx.virtual_now(),
+            });
+        }
+    }
+
     /// Executes one micro-op, pairing on the node thread's shared `tour`.
     /// The caller guarantees every node invokes every job's steps in the
     /// same merged order.
@@ -446,13 +769,29 @@ impl<'a> JobNode<'a> {
         }
         match self.pos {
             Pos::SweepStart => {
+                let plan = &self.plans[self.sweeps];
+                if let Some(solo) = self.solo {
+                    let sweep = self.sweeps;
+                    ctx.trace().emit(self.node, || TraceEvent::SweepBegin {
+                        sweep,
+                        time: ctx.virtual_now(),
+                    });
+                    if solo.scenario.is_some()
+                        && solo.adaptation == Adaptation::Reactive
+                        && sweep > 0
+                    {
+                        self.recalibrate(ctx, mux);
+                    }
+                    let q_cap = packetization_cap(self.spec.a.cols(), self.d);
+                    self.repriced = solo.reprice(plan, sweep, self.machine, q_cap);
+                }
                 self.acc = SweepAccumulator::default();
                 if self.spec.opts.cache_diagonals {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
                 self.acc.merge(self.kern.within(tour, [&mut self.slot0, &mut self.slot1]));
-                if self.plans[self.sweeps].phases().is_empty() {
+                if plan.phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
                     self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                     self.pos = Pos::SweepEnd;
@@ -461,41 +800,22 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::Send { phase, t } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = &self.plans[self.sweeps].phases()[phase];
                 let link = ph.links[t];
                 self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
-                let outgoing = match ph.kind {
-                    PhaseKind::Exchange { .. } | PhaseKind::Last => self.slot1.take(),
-                    PhaseKind::Division { .. } => {
-                        // bit = 0 endpoint sends its mobile, bit = 1 its
-                        // resident — the division's slot asymmetry.
-                        if self.node & (1 << link) == 0 {
-                            self.slot1.take()
-                        } else {
-                            self.slot0.take()
-                        }
-                    }
-                };
-                ctx.send(link, BatchMsg::Block { job: self.job, block: outgoing });
+                let block =
+                    if self.resident_out(phase) { self.slot0.take() } else { self.slot1.take() };
+                self.send_via(ctx, link, BatchMsg::Block { job: self.job, block });
                 self.pos = Pos::Recv { phase, t };
             }
             Pos::Recv { phase, t } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = &self.plans[self.sweeps].phases()[phase];
                 let link = ph.links[t];
-                let (msg, stamp) = mux.recv_for(link, self.job);
-                ctx.advance_clock_to(stamp);
-                let block = expect_block(msg);
-                match ph.kind {
-                    PhaseKind::Exchange { .. } | PhaseKind::Last => self.slot1 = block,
-                    PhaseKind::Division { .. } => {
-                        if self.node & (1 << link) == 0 {
-                            self.slot1 = block;
-                        } else {
-                            self.slot0 = block;
-                        }
-                    }
+                let block = expect_block(self.recv_via(ctx, mux, link));
+                if self.resident_out(phase) {
+                    self.slot0 = block;
+                } else {
+                    self.slot1 = block;
                 }
                 self.pos = if ph.is_exchange() && t + 1 < ph.k() {
                     Pos::Send { phase, t: t + 1 }
@@ -504,8 +824,7 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::Pipe { phase, k, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = &self.plans[self.sweeps].phases()[phase];
                 let q_total = self.phase_q(phase);
                 let k_total = ph.k();
                 if k == 0 && q == 0 {
@@ -519,6 +838,9 @@ impl<'a> JobNode<'a> {
                         .map(Some)
                         .collect();
                 }
+                // Each packet's forwarding departs when *its own* input
+                // has arrived (the fabric's stamp), not when the node's
+                // program counter gets there — the comm-processor model.
                 let (mut payload, ready) = if k == 0 {
                     (self.pipe[q].take().expect("local packet consumed twice"), self.pipe_entry)
                 } else {
@@ -546,8 +868,7 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::Drain { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
+                let ph = &self.plans[self.sweeps].phases()[phase];
                 let q_total = self.phase_q(phase);
                 let (msg, stamp) = mux.recv_for(ph.links[ph.k() - 1], self.job);
                 let pkt = expect_packet(msg);
@@ -570,11 +891,10 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::TailSend { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let tq = self.tail_qs[self.sweeps];
+                let ph = &self.plans[self.sweeps].phases()[phase];
+                let tq = self.table().tail_q;
                 let link = ph.links[0];
-                let resident_out = self.tail_resident_out(phase);
+                let resident_out = self.resident_out(phase);
                 if q == 0 {
                     let (run_start, _) = self.tail_run_at(phase).expect("tail op outside a run");
                     if phase == run_start {
@@ -609,9 +929,8 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::TailRecv { phase, q } => {
-                let plan = &self.plans[self.sweeps];
-                let ph = &plan.phases()[phase];
-                let tq = self.tail_qs[self.sweeps];
+                let ph = &self.plans[self.sweeps].phases()[phase];
+                let tq = self.table().tail_q;
                 let (msg, stamp) = mux.recv_for(ph.links[0], self.job);
                 let pkt = expect_packet(msg);
                 assert_eq!(
@@ -630,15 +949,19 @@ impl<'a> JobNode<'a> {
                 let finals: Vec<ColumnBlock> =
                     self.pipe.drain(..).map(|p| p.expect("tail packet lost")).collect();
                 let block = ColumnBlock::from_packets_pooled(finals, &mut self.pool);
-                if self.tail_resident_out(phase) {
+                if self.resident_out(phase) {
                     self.slot0 = block;
                 } else {
                     self.slot1 = block;
                 }
                 let (_, run_end) = self.tail_run_at(phase).expect("tail op outside a run");
                 if phase + 1 < run_end {
+                    // An in-run K = 1 exchange rides the tail pipeline at
+                    // the run's degree, whatever its own planned Q.
                     self.pos = Pos::TailSend { phase: phase + 1, q: 0 };
                 } else {
+                    // One clock advance for the whole run: the node is
+                    // done when its last packets have landed.
                     for &s in &self.tail_stamps {
                         ctx.advance_clock_to(s);
                     }
@@ -646,28 +969,38 @@ impl<'a> JobNode<'a> {
                 }
             }
             Pos::SweepEnd => {
+                if self.solo.is_some() {
+                    let sweep = self.sweeps;
+                    ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
+                        sweep,
+                        time: ctx.virtual_now(),
+                    });
+                }
                 self.rotations += self.acc.rotations;
-                self.sweeps += 1;
                 if !self.forced {
-                    // Dimension-exchange all-reduce of the sweep's largest
-                    // off measure — the same vote the solo driver casts,
-                    // demultiplexed by job tag.
-                    let mut v = self.acc.max_off;
-                    for dim in 0..self.d {
-                        ctx.send(dim, BatchMsg::Scalar { job: self.job, v });
-                        let (msg, stamp) = mux.recv_for(dim, self.job);
-                        ctx.advance_clock_to(stamp);
-                        v = v.max(expect_scalar(msg));
-                    }
+                    // The vote: a dimension-exchange all-reduce of the
+                    // sweep's largest off measure, demultiplexed by job
+                    // tag and relayed like the sweep's blocks. The
+                    // decision is global, so every node finishes (or
+                    // continues to the barrier) together.
+                    let v = self.allreduce_max(ctx, mux, self.acc.max_off);
                     let bar = match self.spec.kind {
                         JobKind::Eigen => self.spec.opts.tol * self.norm_a,
                         JobKind::Svd => self.spec.opts.tol,
                     };
-                    if v <= bar {
-                        self.converged = true;
-                        self.finish(ctx);
-                        return;
-                    }
+                    self.converged = v <= bar;
+                }
+                self.sweeps += 1;
+                self.repriced = None;
+                if self.converged {
+                    self.finish(ctx);
+                    return;
+                }
+                if self.solo.is_some_and(|solo| solo.scenario.is_some()) {
+                    // End-of-sweep barrier: advances the fabric epoch, so
+                    // sweep s runs at scenario epoch s on every node — the
+                    // deterministic clock the impairment timelines key on.
+                    ctx.barrier();
                 }
                 if self.sweeps >= self.budget {
                     self.finish(ctx);
@@ -692,6 +1025,7 @@ impl<'a> JobNode<'a> {
             converged: self.converged || self.forced,
             start: self.start,
             finish: self.finish,
+            adaptive: self.adaptive,
             eigen_cols: Vec::new(),
             svd_cols: Vec::new(),
         };
@@ -734,6 +1068,10 @@ fn node_tournament(jobs: &[JobSpec], d: usize) -> Tournament {
 /// (each bitwise identical to the job's solo threaded run), per-job
 /// virtual-clock spans, the shared per-job-metered traffic meter, and the
 /// fabric report whose makespan is the batch's measured virtual time.
+///
+/// Jobs of a batch share no sweep boundary, so the run passes no barrier:
+/// on a [`FabricModel::Degraded`] fabric every sweep runs at scenario
+/// epoch 0.
 pub fn run_job_batch(
     d: usize,
     jobs: &[JobSpec],
@@ -742,27 +1080,17 @@ pub fn run_job_batch(
 ) -> BatchRun {
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         jobs.iter().map(|spec| lower_job(spec, d)).collect();
-    run_job_batch_planned(d, jobs, &lowered, fabric, order)
+    run_job_batch_planned_traced(d, jobs, &lowered, fabric, order, SinkHandle::nop())
 }
 
 /// [`run_job_batch`] with the jobs' communication already lowered
 /// (`lowered[j]` = [`lower_job`]`(jobs[j], d)`), so a scheduler that
 /// lowered the plans to price and order the batch (`mph-batch`) does not
-/// lower them a second time to execute it.
-pub fn run_job_batch_planned(
-    d: usize,
-    jobs: &[JobSpec],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-    fabric: FabricModel,
-    order: &BatchOrder,
-) -> BatchRun {
-    run_job_batch_planned_traced(d, jobs, lowered, fabric, order, SinkHandle::nop())
-}
-
-/// [`run_job_batch_planned`] with a live trace sink: the fabric records
-/// every job's link/barrier events (tagged with job and packet headers)
-/// into `sink`, stamped on the shared virtual clock. Tracing is strictly
-/// observational — results are bitwise identical to the untraced run.
+/// lower them a second time to execute it, and with a live trace sink: the
+/// fabric records every job's link/barrier events (tagged with job and
+/// packet headers) into `sink`, stamped on the shared virtual clock.
+/// Tracing is strictly observational — results are bitwise identical to
+/// the untraced run.
 pub fn run_job_batch_planned_traced(
     d: usize,
     jobs: &[JobSpec],
@@ -771,25 +1099,34 @@ pub fn run_job_batch_planned_traced(
     order: &BatchOrder,
     sink: SinkHandle,
 ) -> BatchRun {
+    run_jobs(d, jobs, lowered, fabric, order, sink, None).0
+}
+
+/// The engine pass behind every batch and — as a batch of one carrying
+/// its [`Solo`] data — every solo solve. The [`AdaptiveReport`] is all
+/// zeros without one.
+fn run_jobs(
+    d: usize,
+    jobs: &[JobSpec],
+    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+    fabric: FabricModel,
+    order: &BatchOrder,
+    sink: SinkHandle,
+    solo: Option<&Solo>,
+) -> (BatchRun, AdaptiveReport) {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     order.validate(jobs.len());
-    for (j, spec) in jobs.iter().enumerate() {
-        if spec.kind == JobKind::Eigen {
-            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
-        }
-    }
+    assert_square_eigen_jobs(jobs);
+    let tables = job_tables(jobs, d, lowered);
 
     let (outputs, meter, fabric_report) = run_spmd_fabric_jobs_traced::<
         BatchMsg,
         Vec<JobNodeOutput>,
         _,
     >(d, fabric, jobs.len(), sink, |ctx| {
-        let mut nodes: Vec<JobNode> = jobs
-            .iter()
-            .zip(lowered)
-            .enumerate()
-            .map(|(j, (spec, (plans, qs)))| JobNode::new(j as u32, spec, plans, qs, d, ctx.id()))
+        let mut nodes: Vec<JobNode> = (0..jobs.len())
+            .map(|j| JobNode::new(j as u32, &jobs[j], &lowered[j].0, &tables[j], solo, d, ctx.id()))
             .collect();
         let mut mux = JobMux::new(ctx);
         let mut tour = node_tournament(jobs, d);
@@ -824,13 +1161,51 @@ pub fn run_job_batch_planned_traced(
     // Assemble per-job global results from the per-node column shares.
     let mut results = Vec::with_capacity(jobs.len());
     let mut spans = Vec::with_capacity(jobs.len());
+    let mut adaptive = AdaptiveReport::default();
     for (j, spec) in jobs.iter().enumerate() {
         let per_node: Vec<&JobNodeOutput> = outputs.iter().map(|o| &o[j]).collect();
         let (result, span) = assemble_job(spec, &per_node);
         results.push(result);
         spans.push(span);
+        for o in per_node {
+            // Recalibrations are globally agreed (same count everywhere);
+            // reroute work is per-origin and sums.
+            adaptive.recalibrations = adaptive.recalibrations.max(o.adaptive.recalibrations);
+            adaptive.reroutes += o.adaptive.reroutes;
+            adaptive.rerouted_elems += o.adaptive.rerouted_elems;
+        }
     }
-    BatchRun { results, spans, meter, fabric: fabric_report }
+    (BatchRun { results, spans, meter, fabric: fabric_report }, adaptive)
+}
+
+fn assert_square_eigen_jobs(jobs: &[JobSpec]) {
+    for (j, spec) in jobs.iter().enumerate() {
+        if spec.kind == JobKind::Eigen {
+            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
+        }
+    }
+}
+
+/// The one solo entry: `spec` as a batch of one on the engine, on its own
+/// options' fabric and trace sink, with the [`Solo`] data its fabric calls
+/// for. Every `*_threaded*` solver is a wrapper over this.
+pub(crate) fn solve_solo(
+    spec: JobSpec,
+    d: usize,
+) -> (JobResult, TrafficMeter, FabricReport, AdaptiveReport) {
+    let lowered = [lower_job(&spec, d)];
+    let solo = Solo::new(d, &spec.opts, spec.budget());
+    let (mut run, adaptive) = run_jobs(
+        d,
+        std::slice::from_ref(&spec),
+        &lowered,
+        spec.opts.fabric.clone(),
+        &BatchOrder::Serial(vec![0]),
+        spec.opts.trace.clone(),
+        Some(&solo),
+    );
+    let result = run.results.pop().expect("one job, one result");
+    (result, run.meter, run.fabric, adaptive)
 }
 
 /// Merges one job's per-node column shares into its global result and
@@ -1125,11 +1500,8 @@ pub fn run_job_service_traced(
     assert!(!jobs.is_empty(), "an empty service serves nothing");
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     plan.validate(jobs.len());
-    for (j, spec) in jobs.iter().enumerate() {
-        if spec.kind == JobKind::Eigen {
-            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
-        }
-    }
+    assert_square_eigen_jobs(jobs);
+    let tables = job_tables(jobs, d, lowered);
     let njobs = jobs.len();
     let throttled = matches!(fabric, FabricModel::Throttled(_));
 
@@ -1177,8 +1549,15 @@ pub fn run_job_service_traced(
                             })
                             .expect("non-empty queue");
                         let j = queue.remove(pick);
-                        let (plans, qs) = &lowered[j];
-                        nodes[j] = Some(JobNode::new(j as u32, &jobs[j], plans, qs, d, ctx.id()));
+                        nodes[j] = Some(JobNode::new(
+                            j as u32,
+                            &jobs[j],
+                            &lowered[j].0,
+                            &tables[j],
+                            None,
+                            d,
+                            ctx.id(),
+                        ));
                         admitted_at[j] = Some(now);
                         active.push(j);
                         admitted.push(j);
@@ -1330,12 +1709,13 @@ pub fn run_job_service_traced(
     ServiceRun { results, outcomes, boundaries, meter, fabric: fabric_report }
 }
 
-/// The block one-sided Jacobi SVD on the threaded/pipelined phase machine:
-/// the same phase walk, packet pipeline, link fabric, and metering as
+/// The block one-sided Jacobi SVD on the phase machine: the same phase
+/// walk, packet pipeline, link fabric, metering and solo hooks as
 /// [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded), with
-/// the Gram pairing rule — implemented as a single-job batch, which it
-/// literally is. Bitwise identical to the logical [`svd_block`] for a
-/// fixed sweep count (asserted in the tests below).
+/// the Gram pairing rule. Bitwise identical to the logical [`svd_block`]
+/// for a fixed sweep count (asserted in the tests below).
+///
+/// [`svd_block`]: crate::svd::svd_block
 pub fn svd_block_threaded(
     a: &Matrix,
     d: usize,
@@ -1349,17 +1729,22 @@ pub fn svd_block_threaded(
 /// [`svd_block_threaded`], also returning the link fabric's report (see
 /// [`block_jacobi_threaded_fabric`](crate::threaded::block_jacobi_threaded_fabric)
 /// for the semantics of the measured makespan).
+///
+/// On a [`FabricModel::Degraded`] fabric sweep `s` runs at scenario epoch
+/// `s`, as the eigensolver's always did: the solve passes a barrier per
+/// sweep, relays around the epoch's dead links and honours
+/// [`JacobiOptions::adaptation`] (see
+/// [`block_jacobi_threaded_adaptive`](crate::threaded::block_jacobi_threaded_adaptive)),
+/// and [`JacobiOptions::trace`] receives its sweep markers.
 pub fn svd_block_threaded_fabric(
     a: &Matrix,
     d: usize,
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> (SvdResult, TrafficMeter, FabricReport) {
-    let spec = JobSpec::svd(a.clone(), family, opts.clone());
-    let mut run = run_job_batch(d, &[spec], opts.fabric.clone(), &BatchOrder::Serial(vec![0]));
-    match run.results.pop() {
-        Some(JobResult::Svd(r)) => (r, run.meter, run.fabric),
-        _ => unreachable!("a single SVD job returns a single SVD result"),
+    match solve_solo(JobSpec::svd(a.clone(), family, opts.clone()), d) {
+        (JobResult::Svd(r), meter, fabric, _) => (r, meter, fabric),
+        _ => unreachable!("an SVD job returns an SVD result"),
     }
 }
 
@@ -1369,7 +1754,7 @@ mod tests {
     use crate::blockjacobi::block_jacobi;
     use crate::options::Pipelining;
     use crate::svd::svd_block;
-    use crate::threaded::{block_jacobi_threaded, block_jacobi_threaded_fabric};
+    use crate::threaded::{block_jacobi_threaded, block_jacobi_threaded_adaptive};
     use mph_ccpipe::Machine;
     use mph_linalg::matmul::eigen_residual;
     use mph_linalg::symmetric::random_symmetric;
@@ -1395,7 +1780,10 @@ mod tests {
 
     #[test]
     fn single_eigen_job_batch_is_the_solo_threaded_run_bitwise() {
-        let a = random_symmetric(16, 90);
+        // The solo entry points are wrappers over a one-job engine pass:
+        // same bits, and the meter comes back through the wrapper intact.
+        let auto = Pipelining::Auto(Machine::paper_figure2());
+        let mut inputs = Vec::new();
         for cache in [false, true] {
             for q in [Pipelining::Off, Pipelining::Fixed(3)] {
                 let opts = JacobiOptions {
@@ -1404,18 +1792,34 @@ mod tests {
                     pipelining: q,
                     ..Default::default()
                 };
-                for d in [1usize, 2] {
-                    for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
-                        let (solo, _) = block_jacobi_threaded(&a, d, family, &opts);
-                        let run = run_job_batch(
-                            d,
-                            &[JobSpec::eigen(a.clone(), family, opts.clone())],
-                            FabricModel::Free,
-                            &BatchOrder::Serial(vec![0]),
-                        );
-                        let got = run.results[0].eigen().expect("eigen job");
-                        assert_eigen_bitwise(got, &solo, &format!("{family} d={d} cache={cache}"));
-                    }
+                inputs.push((random_symmetric(16, 90), opts, vec![1usize, 2]));
+            }
+        }
+        // Free-running on an uneven partition, both pipelines cost-model
+        // scheduled: votes, per-plan tail degrees and ragged packets.
+        let free_running =
+            JacobiOptions { pipelining: auto, tail_pipelining: auto, ..Default::default() };
+        inputs.push((random_symmetric(40, 91), free_running, vec![2]));
+        for (a, opts, ds) in inputs {
+            for d in ds {
+                for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
+                    let (solo, solo_meter) = block_jacobi_threaded(&a, d, family, &opts);
+                    let run = run_job_batch(
+                        d,
+                        &[JobSpec::eigen(a.clone(), family, opts.clone())],
+                        FabricModel::Free,
+                        &BatchOrder::Serial(vec![0]),
+                    );
+                    let what = format!("{family} m={} d={d} {opts:?}", a.cols());
+                    let got = run.results[0].eigen().expect("eigen job");
+                    assert_eigen_bitwise(got, &solo, &what);
+                    assert_eq!(run.meter.volume_by_dim(), solo_meter.volume_by_dim(), "{what}");
+                    assert_eq!(run.meter.total_messages(), solo_meter.total_messages(), "{what}");
+                    assert_eq!(
+                        run.meter.total_control_messages(),
+                        solo_meter.total_control_messages(),
+                        "{what}"
+                    );
                 }
             }
         }
@@ -1499,6 +1903,45 @@ mod tests {
         assert!(r.converged);
         let reference = svd_block(&a, 1, OrderingFamily::PermutedBr, &JacobiOptions::default());
         assert_svd_bitwise(&r, &reference, "free-running");
+    }
+
+    #[test]
+    fn solo_svd_on_a_degraded_fabric_runs_sweep_s_at_epoch_s() {
+        // The SVD rides the same solo hooks as the eigensolver: with a
+        // link death scheduled at epoch 1, sweep 0 crosses the edge
+        // directly and sweeps ≥ 1 relay around it — which needs the
+        // per-sweep epoch barrier, the relay script and the sweep markers.
+        use mph_runtime::{LinkDeath, RingSink, ScenarioSpec};
+        let a = random_symmetric(16, 35);
+        let (d, sweeps) = (2usize, 3usize);
+        let spec = ScenarioSpec {
+            epochs: 4,
+            deaths: vec![LinkDeath { node: 0, dim: 0, epoch: 1 }],
+            ..ScenarioSpec::clean(3, Machine::all_port(500.0, 10.0))
+        };
+        let ring = Arc::new(RingSink::new(d, 1 << 14));
+        let opts = JacobiOptions {
+            force_sweeps: Some(sweeps),
+            fabric: FabricModel::Degraded(Arc::new(Scenario::new(d, spec).expect("valid"))),
+            trace: SinkHandle::new(ring.clone()),
+            ..Default::default()
+        };
+        let (threaded, _, _) = svd_block_threaded_fabric(&a, d, OrderingFamily::Br, &opts);
+        let logical = svd_block(&a, d, OrderingFamily::Br, &opts);
+        assert_svd_bitwise(&threaded, &logical, "degraded solo svd");
+        let lanes = ring.drain();
+        assert_eq!(lanes.len(), 1 << d);
+        let count = |lane: &[TraceEvent], pick: fn(&TraceEvent) -> bool| {
+            lane.iter().filter(|e| pick(e)).count()
+        };
+        for (n, lane) in lanes.iter().enumerate() {
+            let begins = count(lane, |e| matches!(e, TraceEvent::SweepBegin { .. }));
+            let ends = count(lane, |e| matches!(e, TraceEvent::SweepEnd { .. }));
+            assert_eq!((begins, ends), (sweeps, sweeps), "node {n}: one marker pair per sweep");
+        }
+        let relays: usize =
+            lanes.iter().map(|lane| count(lane, |e| matches!(e, TraceEvent::Relay { .. }))).sum();
+        assert!(relays >= 1, "sweeps at epochs ≥ 1 must relay around the dead edge");
     }
 
     #[test]
@@ -1899,18 +2342,24 @@ mod tests {
     fn throttled_single_job_batch_reproduces_the_solo_makespan() {
         // A Serial([0]) batch is the solo threaded run: same bits AND the
         // same measured virtual makespan — with the tail whole-block and
-        // chained alike.
-        let a = random_symmetric(32, 44);
+        // chained alike, forced and free-running — and a clean fabric
+        // leaves the wrapper's adaptive report empty.
         let machine = Machine::all_port(500.0, 10.0);
-        for tail in [Pipelining::Off, Pipelining::Fixed(3)] {
-            let opts = JacobiOptions {
-                force_sweeps: Some(2),
-                tail_pipelining: tail,
-                fabric: FabricModel::Throttled(machine),
-                ..Default::default()
-            };
-            let (_, _, solo_report) =
-                block_jacobi_threaded_fabric(&a, 2, OrderingFamily::Br, &opts);
+        let auto = Pipelining::Auto(machine);
+        let forced = |tail| JacobiOptions {
+            force_sweeps: Some(2),
+            tail_pipelining: tail,
+            ..Default::default()
+        };
+        let free_running =
+            JacobiOptions { pipelining: auto, tail_pipelining: auto, ..Default::default() };
+        for (m, opts) in
+            [(32, forced(Pipelining::Off)), (32, forced(Pipelining::Fixed(3))), (40, free_running)]
+        {
+            let a = random_symmetric(m, 44);
+            let opts = JacobiOptions { fabric: FabricModel::Throttled(machine), ..opts };
+            let (_, _, solo_report, adaptive) =
+                block_jacobi_threaded_adaptive(&a, 2, OrderingFamily::Br, &opts);
             let run = run_job_batch(
                 2,
                 &[JobSpec::eigen(a.clone(), OrderingFamily::Br, opts.clone())],
@@ -1919,10 +2368,12 @@ mod tests {
             );
             assert!(
                 (run.fabric.makespan - solo_report.makespan).abs() <= 1e-9 * solo_report.makespan,
-                "{tail:?}: batch {} vs solo {}",
+                "m={m} {:?}: batch {} vs solo {}",
+                opts.tail_pipelining,
                 run.fabric.makespan,
                 solo_report.makespan
             );
+            assert_eq!(adaptive, AdaptiveReport::default(), "m={m}: nothing to adapt to");
         }
     }
 

@@ -1,143 +1,39 @@
-//! The block one-sided Jacobi algorithm on the threaded multicomputer:
-//! one thread per hypercube node, blocks exchanged over channels — the
-//! distributed execution the paper describes, with real message passing
-//! and, when enabled, the paper's communication pipelining (§2.4).
+//! The solo threaded solvers' front door: the planning helpers that fix a
+//! solve's communication before it runs, and the `block_jacobi_threaded*`
+//! entry points.
 //!
-//! # The phase machine
+//! The solve itself runs on the micro-op engine in [`crate::multidrive`] —
+//! one thread per hypercube node, blocks exchanged over channels, the
+//! paper's communication pipelining (§2.4) when enabled — as a batch of
+//! one; see that module for the phase machine and for why every
+//! [`Pipelining`] degree, fabric and impairment yields the same bits as
+//! the logical driver ([`block_jacobi`](crate::blockjacobi::block_jacobi)).
+//! What lives here is what callers outside the engine share with it:
 //!
-//! Each node owns two [`ColumnBlock`]s (the A- and U-columns of its two
-//! blocks in one flat allocation each). Every sweep is first lowered to a
-//! [`CommPlan`] — the same plan the cost model prices and the network
-//! simulator replays — and the node walks the plan's phases:
-//!
-//! * an **exchange phase** `e` is a CC-cube loop of `K = 2^e − 1`
-//!   iterations: pair the resident block against the mobile block, then
-//!   ship the mobile block through the phase's next link. With pipelining
-//!   (see [`Pipelining`]) the mobile payload is split into `Q` column
-//!   packets; packet `q` of iteration `k` is received from the previous
-//!   link, paired against the resident block, and forwarded immediately —
-//!   the paper's stage `s = k + q` wavefront, with up to `Q` packetized
-//!   sends in flight per dimension and rotation compute overlapping block
-//!   transmission ([`mph_runtime::pipelined_phase`]);
-//! * **division** and **last** transitions stay serial whole-block moves,
-//!   slot-asymmetric exactly as in [`mph_core::TransitionKind::Division`].
-//!
-//! # Bitwise equality, by construction
-//!
-//! Packets never interact: a cross-block pairing touches one resident and
-//! one mobile column, packets partition the mobile columns, and both the
-//! packetized loop and the whole-block loop visit each column's pairings
-//! in the same relative order. Reordering whole pairings that share no
-//! column is exact (they touch disjoint memory), so the pipelined driver
-//! performs *identical* floating-point work to the unpipelined one — for
-//! every `Q`, with the diagonal cache on or off. Every pairing goes
-//! through the shared kernel in [`crate::kernel`] on the same storage as
-//! the logical driver (`block_jacobi`), so all drivers produce
-//! bitwise-equal eigensystems when forced to run the same number of
-//! sweeps — asserted in the tests below across `Q ∈ {1, 2, 5, ≥K}`.
-//!
-//! Convergence is decided globally by an all-reduce of the largest
-//! off-diagonal value seen during the sweep (`max |M_ij|`); the votes ride
-//! the same links as control-plane messages, metered separately from the
-//! block traffic the paper's tables count.
+//! * [`lower_sweeps`] / [`lower_sweeps_with`] lower every sweep to its
+//!   [`CommPlan`] — the same plan the cost model prices and the network
+//!   simulator replays;
+//! * [`packetization_cap`], [`choose_qs`] and [`choose_tail_qs`] pick the
+//!   packet degrees the engine executes, so benches and conformance tests
+//!   predict traffic for the schedule the solver runs, not a near copy;
+//! * [`AdaptiveReport`] is what a degraded solve reports back.
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
+use crate::multidrive::{solve_solo, JobResult, JobSpec};
+use crate::options::{EigenResult, JacobiOptions, Pipelining};
 use mph_ccpipe::{plan_pipelining, plan_tail_pipelining};
-use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, PhaseKind, SweepSchedule};
-use mph_hypercube::surviving_route;
-use mph_linalg::block::{BufferPool, ColumnBlock};
-use mph_linalg::vecops::dot;
+use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSchedule};
 use mph_linalg::Matrix;
-use mph_runtime::{
-    pipelined_phase, pipelined_phase_stamped, run_spmd_fabric_jobs_traced, FabricReport, Machine,
-    Meterable, NodeCtx, Packet, Scenario, TraceEvent, TrafficMeter,
-};
+use mph_runtime::{FabricReport, TrafficMeter};
 use mph_trace::MetricsRegistry;
-use std::sync::Arc;
-
-/// Messages carried by the links: a whole column block (one contiguous
-/// payload), one framed packet of a pipelined exchange phase, or a
-/// convergence-vote scalar.
-#[derive(Debug, Clone)]
-pub enum Msg {
-    Block(ColumnBlock),
-    Packet(Packet<ColumnBlock>),
-    Scalar(f64),
-}
-
-impl Meterable for Msg {
-    fn elems(&self) -> u64 {
-        match self {
-            // A block (or packet of one) moves its A-columns, U-columns,
-            // and (when caching is enabled) its diagonal cache.
-            Msg::Block(b) => b.payload_elems() as u64,
-            Msg::Packet(p) => p.payload.payload_elems() as u64,
-            Msg::Scalar(_) => 1,
-        }
-    }
-
-    fn is_control(&self) -> bool {
-        // Convergence votes are protocol, not block data: they must not
-        // pollute the block-traffic totals the paper's tables count.
-        matches!(self, Msg::Scalar(_))
-    }
-
-    fn kq(&self) -> Option<(u32, u32)> {
-        // Framed packets carry their (k, q) header into the trace.
-        match self {
-            Msg::Packet(p) => Some((p.k, p.q)),
-            _ => None,
-        }
-    }
-}
-
-fn expect_block(msg: Msg) -> ColumnBlock {
-    match msg {
-        Msg::Block(b) => b,
-        _ => panic!("protocol error: expected a block"),
-    }
-}
-
-fn expect_packet(msg: Msg) -> Packet<ColumnBlock> {
-    match msg {
-        Msg::Packet(p) => p,
-        _ => panic!("protocol error: expected a packet"),
-    }
-}
-
-fn expect_scalar(msg: Msg) -> f64 {
-    match msg {
-        Msg::Scalar(x) => x,
-        _ => panic!("protocol error: expected a scalar"),
-    }
-}
-
-/// Per-node output: owned columns with eigenvalues and eigenvector columns.
-#[derive(Debug, Clone)]
-pub struct NodeOutput {
-    pub columns: Vec<(usize, f64, Vec<f64>)>,
-    pub sweeps: usize,
-    pub rotations: u64,
-    pub converged: bool,
-    /// Mid-run machine re-fits this node adopted (globally agreed, so
-    /// every node reports the same count).
-    pub recalibrations: usize,
-    /// Messages this node *originated* that had to relay around a dead
-    /// link instead of crossing it directly.
-    pub reroutes: u64,
-    /// Elements in those origin messages (relay hops re-ship them, but the
-    /// origin volume is what the dead link would have carried).
-    pub rerouted_elems: u64,
-}
 
 /// What the adaptive layer did during a degraded solve — all zeros on
 /// clean fabrics. See [`block_jacobi_threaded_adaptive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdaptiveReport {
     /// Times the solver re-priced against a newly agreed machine
-    /// ([`Adaptation::Reactive`]: calibrated from live windows;
-    /// [`Adaptation::Oracle`]: the scenario's worst alive machine).
+    /// ([`Reactive`](crate::options::Adaptation::Reactive): calibrated from
+    /// live windows; [`Oracle`](crate::options::Adaptation::Oracle): the
+    /// scenario's worst alive machine).
     pub recalibrations: usize,
     /// Origin messages routed around dead links, summed over nodes.
     pub reroutes: u64,
@@ -154,114 +50,6 @@ impl AdaptiveReport {
         r.add("adaptive.rerouted_elems", self.rerouted_elems);
         r
     }
-}
-
-/// One dead undirected edge's relay plan for a sweep: who its endpoints
-/// are and the surviving multi-hop routes replacing the direct exchange,
-/// one per direction. Pure scenario data — every node computes the same
-/// table, so the relay runs as a fixed global script with no negotiation.
-struct RelayEntry {
-    /// Smaller endpoint of the dead edge.
-    u: usize,
-    /// `u ^ 2^dim` — the other endpoint.
-    v: usize,
-    /// Dimension the dead edge crosses.
-    dim: usize,
-    /// Dimension sequence of the surviving route `u -> v`.
-    fwd: Vec<usize>,
-    /// Dimension sequence of the surviving route `v -> u`.
-    rev: Vec<usize>,
-}
-
-/// The degraded-sweep exchange primitive: delivers `msg` to the partner
-/// across `link` exactly as `ctx.exchange` would, but when the direct edge
-/// is dead the payload travels the sweep's relay script instead.
-///
-/// Phase A: every pair whose `link`-edge is alive exchanges directly.
-/// Phase B: each dead `link`-edge's two payloads hop their surviving
-/// routes, one scripted direction at a time; every node walks the same
-/// script (it is pure scenario data) and plays its own part — origin,
-/// relay, destination, or bystander. Sends never block, each receive's
-/// producer appears strictly earlier in the global script order, and the
-/// per-(node, dim) channels are FIFO, so the script is deadlock-free and
-/// deterministic. With no dead edges on `link` this *is* `ctx.exchange`.
-fn exchange_via(
-    ctx: &NodeCtx<'_, Msg>,
-    link: usize,
-    msg: Msg,
-    relays: &[RelayEntry],
-    reroutes: &mut u64,
-    rerouted_elems: &mut u64,
-) -> Msg {
-    let n = ctx.id();
-    let key = n.min(ctx.neighbor(link));
-    let mine_dead = relays.iter().any(|r| r.dim == link && r.u == key);
-    let mut outgoing = Some(msg);
-    let mut incoming = None;
-    if !mine_dead {
-        incoming = Some(ctx.exchange(link, outgoing.take().expect("own payload")));
-    }
-    for r in relays.iter().filter(|r| r.dim == link) {
-        for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
-            let mut cur = src;
-            let mut carried: Option<Msg> = None;
-            for &hop in route {
-                let nxt = cur ^ (1 << hop);
-                if n == cur {
-                    let m = if cur == src {
-                        let m = outgoing.take().expect("one relayed payload per direction");
-                        *reroutes += 1;
-                        *rerouted_elems += m.elems();
-                        ctx.trace().emit(n, || TraceEvent::Relay {
-                            dim: r.dim,
-                            elems: m.elems(),
-                            time: ctx.virtual_now(),
-                        });
-                        m
-                    } else {
-                        carried.take().expect("relay hop carries the payload")
-                    };
-                    ctx.send(hop, m);
-                } else if n == nxt {
-                    let got = ctx.recv(hop);
-                    if nxt == dst {
-                        incoming = Some(got);
-                    } else {
-                        carried = Some(got);
-                    }
-                }
-                cur = nxt;
-            }
-        }
-    }
-    incoming.expect("every exchange delivers: scenarios reject disconnecting death schedules")
-}
-
-/// Max-allreduce of a scalar that survives dead links: the classical
-/// recursive dimension exchange with every hop going through
-/// [`exchange_via`]. Used for convergence votes and machine agreement on
-/// degraded fabrics; identical to `ctx.allreduce_with(.., f64::max)` when
-/// the relay table is empty.
-fn allreduce_max_via(
-    ctx: &NodeCtx<'_, Msg>,
-    value: f64,
-    relays: &[RelayEntry],
-    reroutes: &mut u64,
-    rerouted_elems: &mut u64,
-) -> f64 {
-    let mut value = value;
-    for dim in 0..ctx.dim() {
-        let got = expect_scalar(exchange_via(
-            ctx,
-            dim,
-            Msg::Scalar(value),
-            relays,
-            reroutes,
-            rerouted_elems,
-        ));
-        value = value.max(got);
-    }
-    value
 }
 
 /// The paper's packetization ceiling for an `m × m` problem on a
@@ -388,16 +176,17 @@ pub fn block_jacobi_threaded_fabric(
 ///   scheduler does;
 /// * transitions whose link is **dead** at the current epoch relay their
 ///   blocks along the surviving route ([`mph_hypercube::surviving_route`])
-///   through a fixed global script (see [`exchange_via`]) — the solve
+///   through a fixed global script (see [`crate::multidrive`]) — the solve
 ///   completes with the exact same bits, because the relay changes only
 ///   *how* a payload travels, never what is computed from it. Sweeps with
 ///   dead links run whole-block (`Q = 1`): packetized pipelines assume
 ///   direct links, and packetization never changes bits anyway;
-/// * under [`Adaptation::Reactive`] each node drains its live
+/// * under [`Reactive`](crate::options::Adaptation::Reactive) each node drains its live
 ///   [`mph_runtime::FabricStats`] window every sweep, fits a machine, and
 ///   the nodes **agree** (max-allreduce of `Ts`, then `Tw` — relay-aware,
 ///   so agreement survives dead links) before re-pricing every phase's `Q`
-///   through the cost model; [`Adaptation::Oracle`] re-prices against the
+///   through the cost model;
+///   [`Oracle`](crate::options::Adaptation::Oracle) re-prices against the
 ///   scenario's `worst_alive_machine` instead — the privileged baseline
 ///   the reactive mode is benchmarked against.
 ///
@@ -410,388 +199,17 @@ pub fn block_jacobi_threaded_adaptive(
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> (EigenResult, TrafficMeter, FabricReport, AdaptiveReport) {
-    assert_eq!(a0.rows(), a0.cols());
-    let m = a0.cols();
-    let p = 1usize << d;
-    let partition = BlockPartition::new(m, 2 * p);
-    let norm_a = a0.frobenius_norm();
-    let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
-    let tol = opts.tol;
-    let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-    let forced = opts.force_sweeps.is_some();
-    let cache = opts.cache_diagonals;
-
-    // One plan per sweep — the single communication description shared
-    // with the cost model (which chooses the packet counts below) and the
-    // network simulator (see the pipeline-traffic tests).
-    let plans = lower_sweeps(m, d, family, cache, budget);
-    let q_cap = packetization_cap(m, d);
-    let phase_qs: Vec<Vec<usize>> =
-        plans.iter().map(|plan| choose_qs(plan, &opts.pipelining, q_cap)).collect();
-    let tail_qs: Vec<usize> =
-        plans.iter().map(|plan| choose_tail_qs(plan, &opts.tail_pipelining, q_cap)).collect();
-    let tail_runs: Vec<Vec<std::ops::Range<usize>>> =
-        plans.iter().map(CommPlan::tail_runs).collect();
-
-    // The degraded-fabric relay tables, one per sweep (= scenario epoch):
-    // which links are dead and the surviving route for each — pure
-    // scenario data, identical on every node. Empty on clean fabrics and
-    // on clean sweeps, where `exchange_via` degenerates to a plain
-    // exchange.
-    let scenario: Option<Arc<Scenario>> = opts.fabric.scenario().cloned();
-    let sweep_relays: Vec<Vec<RelayEntry>> = (0..budget)
-        .map(|s| match &scenario {
-            None => Vec::new(),
-            Some(sc) => {
-                let dead = sc.dead_edges(s);
-                dead.iter()
-                    .map(|&(u, dim)| {
-                        let v = u ^ (1 << dim);
-                        let route = |a, b| {
-                            surviving_route(d, a, b, &dead)
-                                .expect("scenarios reject disconnecting death schedules")
-                        };
-                        RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
-                    })
-                    .collect()
-            }
-        })
-        .collect();
-    let adaptation = opts.adaptation;
-
-    let fabric_model = opts.fabric.clone();
-    let sink = opts.trace.clone();
-    let (outputs, meter, fabric) =
-        run_spmd_fabric_jobs_traced::<Msg, NodeOutput, _>(d, fabric_model, 1, sink, |ctx| {
-            let n = ctx.id();
-            // Canonical initial layout: slot0 = block n, slot1 = block n + p.
-            let mut slot0 = ColumnBlock::from_matrix_with_identity(a0, partition.cols(n), m);
-            let mut slot1 = ColumnBlock::from_matrix_with_identity(a0, partition.cols(n + p), m);
-            // Per-node packet-store pool, reused across phases and sweeps.
-            let mut pool = BufferPool::new();
-            // Per-node pairing helpers, parked between kernel calls for the
-            // life of this node thread. A node holds two blocks at a time,
-            // neither larger than block 0 of the balanced partition.
-            let mut tour = kern.tournament([partition.size(0); 2]);
-            let mut sweeps = 0usize;
-            let mut rotations = 0u64;
-            let mut converged = false;
-            // Adaptive state: the machine currently priced against (Reactive
-            // starts from the scenario's clean base — the spec sheet — and
-            // re-fits from live windows) plus the activity counters.
-            let mut machine: Machine =
-                scenario.as_ref().map(|sc| sc.base()).unwrap_or_else(Machine::paper_figure2);
-            let mut recalibrations = 0usize;
-            let mut reroutes = 0u64;
-            let mut rerouted_elems = 0u64;
-            loop {
-                if sweeps >= budget {
-                    break;
-                }
-                let plan = &plans[sweeps];
-                let relays = &sweep_relays[sweeps];
-                ctx.trace()
-                    .emit(n, || TraceEvent::SweepBegin { sweep: sweeps, time: ctx.virtual_now() });
-                // Reactive re-calibration, from sweep 1 on: fit a machine to
-                // the service times the link clock measured last sweep, then
-                // agree with the peers — max-allreduce of Ts then Tw, so every
-                // node prices against the same (slowest-observed) machine.
-                // The agreement rides the control plane and survives dead
-                // links like every other exchange.
-                if scenario.is_some() && adaptation == Adaptation::Reactive && sweeps > 0 {
-                    let window = ctx.take_fabric_window();
-                    let local = Machine::calibrate(&window)
-                        .map(|fit| Machine { ts: fit.ts, tw: fit.tw, ports: machine.ports })
-                        .unwrap_or(machine);
-                    let ts = allreduce_max_via(
-                        ctx,
-                        local.ts,
-                        relays,
-                        &mut reroutes,
-                        &mut rerouted_elems,
-                    );
-                    let tw = allreduce_max_via(
-                        ctx,
-                        local.tw,
-                        relays,
-                        &mut reroutes,
-                        &mut rerouted_elems,
-                    );
-                    let agreed = Machine { ts, tw, ports: machine.ports };
-                    if agreed != machine {
-                        machine = agreed;
-                        recalibrations += 1;
-                        ctx.trace().emit(n, || TraceEvent::Recalibrate {
-                            sweep: sweeps,
-                            ts,
-                            tw,
-                            time: ctx.virtual_now(),
-                        });
-                    }
-                }
-                // Per-sweep pricing. Dead-link sweeps run whole-block: the
-                // packet pipelines assume direct links, and Q never changes
-                // bits, so forcing Q = 1 is always safe. Otherwise Reactive /
-                // Oracle re-price every phase through the cost model against
-                // the current (agreed / scenario-known) machine; Off keeps the
-                // pre-run static schedule.
-                let has_dead = !relays.is_empty();
-                let (qs, tail_q): (Vec<usize>, usize) = if has_dead {
-                    (plan.exchange_phases().map(|_| 1).collect(), 1)
-                } else if scenario.is_some() && adaptation != Adaptation::Off {
-                    let pricing = match (&scenario, adaptation) {
-                        (Some(sc), Adaptation::Oracle) => {
-                            Pipelining::Auto(sc.worst_alive_machine(sweeps))
-                        }
-                        _ => Pipelining::Auto(machine),
-                    };
-                    (choose_qs(plan, &pricing, q_cap), choose_tail_qs(plan, &pricing, q_cap))
-                } else {
-                    (phase_qs[sweeps].clone(), tail_qs[sweeps])
-                };
-                let qs = &qs;
-                let mut acc = SweepAccumulator::default();
-                if cache {
-                    // Periodic exact refresh of the resident blocks' diagonals;
-                    // the cache then travels with a block across links.
-                    refresh_block_diag(&mut slot0, PairingRule::Implicit);
-                    refresh_block_diag(&mut slot1, PairingRule::Implicit);
-                }
-                // Step 0, paper step (1): intra-block pairings. The step-0
-                // cross pairing is the first exchange iteration's compute.
-                acc.merge(kern.within(&mut tour, [&mut slot0, &mut slot1]));
-                let runs = &tail_runs[sweeps];
-                let phases = plan.phases();
-                let mut xq = 0usize;
-                let mut idx = 0usize;
-                while idx < phases.len() {
-                    // A tail run: consecutive single-link transitions executed
-                    // as one chained pipeline. Each phase splits its outgoing
-                    // block into `tail_q` column packets, pairs packet `q`
-                    // against the staying block, and ships it on a readiness
-                    // stamp threaded from the previous phase — packet `q` of
-                    // one transition departs as soon as packet `q` of the
-                    // previous one has landed, so wire time overlaps pairing
-                    // compute across the whole run. The per-packet pairing is
-                    // the reference pairing re-tiled by packet boundary (see
-                    // the module docs), so the bits match the whole-block path.
-                    if tail_q > 1 {
-                        if let Some(run) = runs.iter().find(|r| r.start == idx) {
-                            let mut stamps = vec![ctx.virtual_now(); tail_q];
-                            for i in run.clone() {
-                                let phase = &phases[i];
-                                if matches!(phase.kind, PhaseKind::Exchange { .. }) {
-                                    // An in-run K = 1 exchange rides the tail
-                                    // pipeline at the run's degree; its planned
-                                    // per-phase Q is consumed but overridden.
-                                    xq += 1;
-                                }
-                                let link = phase.links[0];
-                                // Division, bit = 1 endpoint: the resident
-                                // (slot0) is the outgoing block; everywhere
-                                // else the mobile (slot1) travels.
-                                let resident_out = matches!(phase.kind, PhaseKind::Division { .. })
-                                    && n & (1 << link) != 0;
-                                let outgoing =
-                                    if resident_out { slot0.take() } else { slot1.take() };
-                                let packets = outgoing.split_columns_pooled(tail_q, &mut pool);
-                                let (finals, next, _stats) = pipelined_phase_stamped(
-                                    ctx,
-                                    std::slice::from_ref(&link),
-                                    packets,
-                                    &stamps,
-                                    Msg::Packet,
-                                    expect_packet,
-                                    |_k, _q, pkt: &mut ColumnBlock| {
-                                        if resident_out {
-                                            acc.merge(kern.across(&mut tour, pkt, &mut slot1));
-                                        } else {
-                                            acc.merge(kern.across(&mut tour, &mut slot0, pkt));
-                                        }
-                                    },
-                                );
-                                let block = ColumnBlock::from_packets_pooled(finals, &mut pool);
-                                if resident_out {
-                                    slot0 = block;
-                                } else {
-                                    slot1 = block;
-                                }
-                                stamps = next;
-                            }
-                            // One clock advance for the whole run: the node is
-                            // done when its last packets have landed.
-                            for &s in &stamps {
-                                ctx.advance_clock_to(s);
-                            }
-                            idx = run.end;
-                            continue;
-                        }
-                    }
-                    let phase = &phases[idx];
-                    idx += 1;
-                    match phase.kind {
-                        PhaseKind::Exchange { .. } => {
-                            let q = qs[xq];
-                            xq += 1;
-                            if q <= 1 {
-                                // Whole-block reference loop: pair, then ship
-                                // (relaying around dead links when necessary).
-                                for &link in &phase.links {
-                                    acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
-                                    slot1 = expect_block(exchange_via(
-                                        ctx,
-                                        link,
-                                        Msg::Block(slot1.take()),
-                                        relays,
-                                        &mut reroutes,
-                                        &mut rerouted_elems,
-                                    ));
-                                }
-                            } else {
-                                // Packetized pipeline: pair each arriving
-                                // packet against the resident block and
-                                // forward it at once — identical rotation
-                                // sequence, overlapped transmission.
-                                let packets = slot1.take().split_columns_pooled(q, &mut pool);
-                                let (finals, _stats) = pipelined_phase(
-                                    ctx,
-                                    &phase.links,
-                                    packets,
-                                    Msg::Packet,
-                                    expect_packet,
-                                    |_k, _q, pkt: &mut ColumnBlock| {
-                                        acc.merge(kern.across(&mut tour, &mut slot0, pkt));
-                                    },
-                                );
-                                slot1 = ColumnBlock::from_packets_pooled(finals, &mut pool);
-                            }
-                        }
-                        PhaseKind::Division { .. } => {
-                            acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
-                            let link = phase.links[0];
-                            // bit = 0 endpoint sends its mobile (slot1) and
-                            // receives the partner's resident into slot1;
-                            // bit = 1 endpoint sends its resident (slot0) and
-                            // receives the partner's mobile into slot0.
-                            if n & (1 << link) == 0 {
-                                slot1 = expect_block(exchange_via(
-                                    ctx,
-                                    link,
-                                    Msg::Block(slot1.take()),
-                                    relays,
-                                    &mut reroutes,
-                                    &mut rerouted_elems,
-                                ));
-                            } else {
-                                slot0 = expect_block(exchange_via(
-                                    ctx,
-                                    link,
-                                    Msg::Block(slot0.take()),
-                                    relays,
-                                    &mut reroutes,
-                                    &mut rerouted_elems,
-                                ));
-                            }
-                        }
-                        PhaseKind::Last => {
-                            acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
-                            slot1 = expect_block(exchange_via(
-                                ctx,
-                                phase.links[0],
-                                Msg::Block(slot1.take()),
-                                relays,
-                                &mut reroutes,
-                                &mut rerouted_elems,
-                            ));
-                        }
-                    }
-                }
-                if d == 0 {
-                    // Single node: the whole sweep is step 0's pairings.
-                    acc.merge(kern.across(&mut tour, &mut slot0, &mut slot1));
-                }
-                ctx.trace()
-                    .emit(n, || TraceEvent::SweepEnd { sweep: sweeps, time: ctx.virtual_now() });
-                rotations += acc.rotations;
-                sweeps += 1;
-                if !forced {
-                    // The vote must survive dead links too; with an empty
-                    // relay table this is the plain recursive-exchange
-                    // all-reduce. The decision is global, so every node
-                    // breaks (or continues to the barrier) together.
-                    let global_max = allreduce_max_via(
-                        ctx,
-                        acc.max_off,
-                        relays,
-                        &mut reroutes,
-                        &mut rerouted_elems,
-                    );
-                    if global_max <= tol * norm_a {
-                        converged = true;
-                        break;
-                    }
-                }
-                if scenario.is_some() {
-                    // End-of-sweep barrier: advances the fabric epoch, so
-                    // sweep s runs at scenario epoch s on every node — the
-                    // deterministic clock the impairment timelines key on.
-                    ctx.barrier();
-                }
-            }
-            let mut columns = Vec::with_capacity(slot0.len() + slot1.len());
-            for b in [&slot0, &slot1] {
-                for k in 0..b.len() {
-                    let lambda = dot(b.u_col(k), b.a_col(k));
-                    columns.push((b.global_col(k), lambda, b.u_col(k).to_vec()));
-                }
-            }
-            NodeOutput {
-                columns,
-                sweeps,
-                rotations,
-                converged: converged || forced,
-                recalibrations,
-                reroutes,
-                rerouted_elems,
-            }
-        });
-
-    // Assemble the global eigensystem by column index.
-    let mut eigenvalues = vec![0.0; m];
-    let mut u = Matrix::zeros(m, m);
-    let mut sweeps = 0usize;
-    let mut rotations = 0u64;
-    let mut converged = true;
-    let mut adaptive = AdaptiveReport::default();
-    for out in &outputs {
-        sweeps = sweeps.max(out.sweeps);
-        rotations += out.rotations;
-        converged &= out.converged;
-        // Recalibrations are globally agreed (same count everywhere);
-        // reroute work is per-origin and sums.
-        adaptive.recalibrations = adaptive.recalibrations.max(out.recalibrations);
-        adaptive.reroutes += out.reroutes;
-        adaptive.rerouted_elems += out.rerouted_elems;
-        for (c, lambda, ucol) in &out.columns {
-            eigenvalues[*c] = *lambda;
-            u.col_mut(*c).copy_from_slice(ucol);
-        }
+    match solve_solo(JobSpec::eigen(a0.clone(), family, opts.clone()), d) {
+        (JobResult::Eigen(r), meter, fabric, adaptive) => (r, meter, fabric, adaptive),
+        _ => unreachable!("an eigen job returns an eigen result"),
     }
-    let result = EigenResult {
-        eigenvalues,
-        eigenvectors: u,
-        sweeps,
-        rotations,
-        off_history: Vec::new(), // not tracked distributively
-        converged,
-    };
-    (result, meter, fabric, adaptive)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blockjacobi::block_jacobi;
+    use crate::options::Adaptation;
     use mph_ccpipe::Machine;
     use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
     use mph_linalg::symmetric::random_symmetric;
@@ -1243,7 +661,8 @@ mod tests {
 
     // ---- degraded-fabric scenarios -------------------------------------
 
-    use mph_runtime::{LinkDeath, ScenarioSpec};
+    use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
+    use std::sync::Arc;
 
     fn degraded(d: usize, spec: ScenarioSpec) -> FabricModel {
         FabricModel::Degraded(Arc::new(Scenario::new(d, spec).expect("valid scenario")))

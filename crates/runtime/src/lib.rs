@@ -26,7 +26,6 @@ pub mod jobmux;
 pub mod machine;
 pub mod meter;
 pub mod packet;
-pub mod pipelined;
 pub mod scenario;
 pub mod spmd;
 pub mod trace;
@@ -38,11 +37,9 @@ pub use fabric::{
 pub use jobmux::JobMux;
 pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
-pub use packet::{pipelined_phase, pipelined_phase_stamped, Packet, PacketChannel, PhaseStats};
-pub use pipelined::{pipelined_exchange, unpipelined_exchange};
+pub use packet::Packet;
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
 pub use spmd::{
-    run_spmd, run_spmd_fabric, run_spmd_fabric_jobs, run_spmd_fabric_jobs_traced, run_spmd_metered,
-    Meterable, NodeCtx,
+    run_spmd, run_spmd_fabric, run_spmd_fabric_jobs_traced, run_spmd_metered, Meterable, NodeCtx,
 };
 pub use trace::{NopSink, RingSink, SinkHandle, TraceEvent, TraceSink};

@@ -1,51 +1,28 @@
-//! Packetized links: framed packets, windowed per-dimension channels and
-//! the stateful pipelined exchange phase.
+//! Framed packets: the wire unit of the paper's communication pipelining
+//! (§2.4).
 //!
-//! The generic [`pipelined_exchange`](crate::pipelined::pipelined_exchange)
-//! requires its per-packet computation to be a pure function of the packet
-//! — the CC-cube model of \[9\]. The Jacobi solver's exchange phases are
-//! *not* of that shape: pairing a mobile packet rotates the node's resident
-//! columns too, so the computation carries shared state across packets.
-//! This module provides the pipeline that such phases need:
-//!
-//! * [`Packet`] — a framed packet: `(k, q)` sequence header plus payload.
-//!   The header lets every receive assert protocol position, and the frame
-//!   carries [`Meterable`] accounting through a mixed link protocol.
-//! * [`PacketChannel`] — a windowed view of a node's links: up to
-//!   `Q` packetized sends may be in flight per dimension (the runtime
-//!   generalization of the old one-message-per-exchange link layer);
-//!   in-flight counts and their peaks are tracked per dimension.
-//! * [`pipelined_phase`] — runs one exchange phase (`K` transitions
-//!   through `links[k]`, the mobile payload split into `Q` packets) as a
-//!   software pipeline: packet `q` of iteration `k` is received from
-//!   `links[k−1]`, processed, and *immediately forwarded* through
-//!   `links[k]`, so the transmission of packet `q` overlaps the
-//!   computation of packet `q+1` and, across nodes, packet `q` occupies
-//!   hop `k` of the link path at pipeline depth `s = k + q` — the paper's
-//!   prologue (pipe filling, stages `s < Q−1`), kernel, and epilogue (pipe
-//!   draining) stage machine in dataflow form.
-//!
-//! Unlike the pure-packet pipeline, [`pipelined_phase`] guarantees a fixed
-//! **processing order**: `(k, q)` lexicographic — iteration `k` processes
-//! its packets `q = 0..Q` in order, exactly the order of the unpipelined
-//! reference loop. Stateful computations (like Jacobi pairings against a
-//! resident block) therefore produce *bitwise-identical* results for every
-//! `Q`: the state sees the same update sequence, only the message framing
-//! and the overlap change. That property is what lets the threaded
-//! eigensolver assert bitwise equality between its pipelined and
-//! unpipelined drivers.
+//! A pipelined exchange phase splits its mobile payload into `Q` packets;
+//! packet `q` of iteration `k` is received from `links[k−1]`, processed,
+//! and forwarded through `links[k]` on its own arrival stamp, so it
+//! occupies hop `k` of the link path at pipeline depth `s = k + q` — the
+//! paper's prologue, kernel and epilogue in dataflow form. The pipeline
+//! itself is the micro-op engine's (`mph_eigen::multidrive`: its
+//! `Pipe`/`Drain`/`TailSend`/`TailRecv` ops over
+//! [`NodeCtx::send_after`](crate::spmd::NodeCtx::send_after) and
+//! [`JobMux::recv_for`](crate::jobmux::JobMux::recv_for)); this module
+//! owns the frame it moves.
 
-use crate::spmd::{Meterable, NodeCtx};
+use crate::spmd::Meterable;
 
 /// A framed packet: pipeline coordinates plus payload.
 ///
-/// `k` is the iteration (hop) that sent the packet, `q` the packet index
-/// within the payload split, and `job` the batch-job id when several
-/// independent problems multiplex one fabric (0 for solo programs).
-/// Receivers assert the header, turning a silent protocol slip into an
-/// immediate panic; the job tag is what lets a receiver demultiplex
-/// interleaved jobs' packets off one FIFO link
-/// ([`crate::jobmux::JobMux`]).
+/// `job` is the id of the problem the packet belongs to (several
+/// independent problems may multiplex one fabric), `k` the iteration (hop)
+/// that sent it and `q` its index within the payload split. Receivers
+/// assert the header, turning a silent protocol slip into an immediate
+/// panic; the job tag is what lets a receiver demultiplex interleaved
+/// jobs' packets off one FIFO link ([`crate::jobmux::JobMux`]), and the
+/// frame carries [`Meterable`] accounting through a mixed link protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet<P> {
     pub job: u32,
@@ -55,13 +32,7 @@ pub struct Packet<P> {
 }
 
 impl<P> Packet<P> {
-    /// A solo (job-0) packet — the framing every single-problem driver
-    /// uses.
-    pub fn new(k: u32, q: u32, payload: P) -> Self {
-        Packet { job: 0, k, q, payload }
-    }
-
-    /// A packet tagged for batch job `job`.
+    /// Packet `q` of iteration `k` of job `job`.
     pub fn for_job(job: u32, k: u32, q: u32, payload: P) -> Self {
         Packet { job, k, q, payload }
     }
@@ -82,417 +53,5 @@ impl<P: Meterable> Meterable for Packet<P> {
 
     fn kq(&self) -> Option<(u32, u32)> {
         Some((self.k, self.q))
-    }
-}
-
-/// Per-phase statistics of a [`PacketChannel`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// The in-flight window: how many packetized sends a node may hold
-    /// per dimension (`Q` for a `Q`-packet phase).
-    pub window: usize,
-    /// Peak simultaneous in-flight sends observed per dimension.
-    pub peak_in_flight: Vec<usize>,
-}
-
-/// A windowed, packetized view of a node's links for one exchange phase.
-///
-/// Wraps a [`NodeCtx`], counting in-flight packets per dimension: a send
-/// increments the dimension's counter, a receive decrements it. In the
-/// symmetric SPMD programs of the paper every node runs the same schedule,
-/// so the local count equals the partner's unconsumed backlog — the number
-/// of messages genuinely in flight on the link. Sends beyond the window
-/// panic: the window is the contract that bounds link-buffer occupancy.
-pub struct PacketChannel<'c, 'n, M: Send + Meterable> {
-    ctx: &'c NodeCtx<'n, M>,
-    window: usize,
-    in_flight: Vec<usize>,
-    peak: Vec<usize>,
-}
-
-impl<'c, 'n, M: Send + Meterable> PacketChannel<'c, 'n, M> {
-    /// A channel allowing up to `window` in-flight packets per dimension.
-    pub fn new(ctx: &'c NodeCtx<'n, M>, window: usize) -> Self {
-        assert!(window >= 1, "window must admit at least one packet");
-        let d = ctx.dim().max(1);
-        PacketChannel { ctx, window, in_flight: vec![0; d], peak: vec![0; d] }
-    }
-
-    /// Sends one packetized message across `dim`.
-    ///
-    /// # Panics
-    /// Panics if the dimension already holds `window` in-flight packets.
-    pub fn send(&mut self, dim: usize, msg: M) {
-        self.account_send(dim);
-        self.ctx.send(dim, msg);
-    }
-
-    /// [`PacketChannel::send`] with a data-readiness stamp: the packet's
-    /// transmission acquires its port and link through the fabric no
-    /// earlier than `ready` (see [`NodeCtx::send_after`]). Window
-    /// accounting is identical to [`PacketChannel::send`].
-    pub fn send_after(&mut self, dim: usize, msg: M, ready: f64) {
-        self.account_send(dim);
-        self.ctx.send_after(dim, msg, ready);
-    }
-
-    fn account_send(&mut self, dim: usize) {
-        assert!(
-            self.in_flight[dim] < self.window,
-            "dimension {dim} already holds {} in-flight packets (window {})",
-            self.in_flight[dim],
-            self.window
-        );
-        self.in_flight[dim] += 1;
-        self.peak[dim] = self.peak[dim].max(self.in_flight[dim]);
-    }
-
-    /// Receives the next packetized message from `dim` (blocking).
-    ///
-    /// # Panics
-    /// Panics if no windowed send is outstanding on `dim` — a receive
-    /// without a matching [`PacketChannel::send`] means the caller mixed
-    /// raw channel traffic into the windowed protocol, which would
-    /// silently corrupt the in-flight accounting.
-    pub fn recv(&mut self, dim: usize) -> M {
-        self.account_recv(dim);
-        self.ctx.recv(dim)
-    }
-
-    /// [`PacketChannel::recv`] returning the packet's virtual arrival
-    /// stamp without advancing the node clock (see
-    /// [`NodeCtx::recv_stamped`]).
-    pub fn recv_stamped(&mut self, dim: usize) -> (M, f64) {
-        self.account_recv(dim);
-        self.ctx.recv_stamped(dim)
-    }
-
-    fn account_recv(&mut self, dim: usize) {
-        assert!(
-            self.in_flight[dim] > 0,
-            "dimension {dim} has no in-flight packet to receive (window accounting broken)"
-        );
-        self.in_flight[dim] -= 1;
-    }
-
-    /// Current in-flight count on `dim`.
-    pub fn in_flight(&self, dim: usize) -> usize {
-        self.in_flight[dim]
-    }
-
-    /// Statistics snapshot (window + per-dimension peaks).
-    pub fn stats(&self) -> PhaseStats {
-        PhaseStats { window: self.window, peak_in_flight: self.peak.clone() }
-    }
-}
-
-/// Runs one exchange phase — `K = links.len()` transitions, the mobile
-/// payload split into `Q = packets.len()` packets — as a software pipeline
-/// with a *stateful* per-packet computation.
-///
-/// For every iteration `k` in order, and every packet `q` in order:
-/// receive packet `q` from `links[k−1]` (iteration 0 starts from the local
-/// `packets`), call `process(k, q, &mut payload)`, and forward the packet
-/// through `links[k]` immediately — so while the link transmits packet
-/// `q`, the node is already processing packet `q+1`, and downstream nodes
-/// process iteration `k+1` of early packets while this node still works on
-/// iteration `k` of late ones (the paper's stage `s = k + q` wavefront).
-/// After the last iteration the `Q` packets arriving from `links[K−1]` are
-/// returned in packet order.
-///
-/// `wrap` lifts a framed packet into the link message type and `unwrap`
-/// extracts it, so links carrying a mixed protocol (blocks, packets,
-/// votes) need no second channel fabric. Every receive asserts the frame's
-/// `(k, q)` header.
-///
-/// `process` is invoked in `(k, q)` lexicographic order — the unpipelined
-/// reference order — which is what makes stateful computations produce
-/// bitwise-identical results for every `Q` (see the module docs).
-pub fn pipelined_phase<M, P, W, U, F>(
-    ctx: &NodeCtx<'_, M>,
-    links: &[usize],
-    packets: Vec<P>,
-    wrap: W,
-    unwrap: U,
-    process: F,
-) -> (Vec<P>, PhaseStats)
-where
-    M: Send + Meterable,
-    W: Fn(Packet<P>) -> M,
-    U: Fn(M) -> Packet<P>,
-    F: FnMut(usize, usize, &mut P),
-{
-    // Local packets are ready at phase entry; consuming each arrival
-    // advances the virtual clock — the phase completes for this node when
-    // it holds the packet.
-    let entry = vec![ctx.virtual_now(); packets.len()];
-    let (finals, stamps, stats) =
-        pipelined_phase_stamped(ctx, links, packets, &entry, wrap, unwrap, process);
-    for &stamp in &stamps {
-        ctx.advance_clock_to(stamp);
-    }
-    (finals, stats)
-}
-
-/// [`pipelined_phase`] with explicit per-packet readiness stamps and *no*
-/// clock advance: packet `q` enters the pipe ready at `entry[q]` (instead
-/// of the node's current virtual time), and the returned stamps are the
-/// final packets' fabric arrival times, left for the caller to consume.
-///
-/// This is the chaining primitive for multi-phase tail runs: a run
-/// executes its phases back-to-back through this function, threading each
-/// phase's arrival stamps into the next phase's entry stamps, so packet
-/// `q` of phase `i+1` departs as soon as packet `q` of phase `i` has
-/// landed — while the node clock only advances once, at the end of the
-/// run. Processing order and framing are identical to
-/// [`pipelined_phase`], so the bitwise contract carries over.
-pub fn pipelined_phase_stamped<M, P, W, U, F>(
-    ctx: &NodeCtx<'_, M>,
-    links: &[usize],
-    packets: Vec<P>,
-    entry: &[f64],
-    wrap: W,
-    unwrap: U,
-    mut process: F,
-) -> (Vec<P>, Vec<f64>, PhaseStats)
-where
-    M: Send + Meterable,
-    W: Fn(Packet<P>) -> M,
-    U: Fn(M) -> Packet<P>,
-    F: FnMut(usize, usize, &mut P),
-{
-    let k_total = links.len();
-    let q_total = packets.len();
-    assert_eq!(entry.len(), q_total, "one entry stamp per packet");
-    if k_total == 0 || q_total == 0 {
-        let stats =
-            PhaseStats { window: q_total.max(1), peak_in_flight: vec![0; ctx.dim().max(1)] };
-        return (packets, entry.to_vec(), stats);
-    }
-    let mut chan = PacketChannel::new(ctx, q_total);
-    let mut local: Vec<Option<P>> = packets.into_iter().map(Some).collect();
-    let expect = |pkt: &Packet<P>, k: usize, q: usize| {
-        assert_eq!(
-            (pkt.k, pkt.q),
-            (k as u32, q as u32),
-            "packet protocol violation: got ({}, {}) expecting ({k}, {q})",
-            pkt.k,
-            pkt.q
-        );
-    };
-    // The phase's virtual-time dataflow: each packet's forwarding departs
-    // when *its own* input has arrived (stamp from the fabric), not when
-    // the node's program counter gets there — the comm-processor model.
-    for k in 0..k_total {
-        for q in 0..q_total {
-            let (mut payload, ready) = if k == 0 {
-                (local[q].take().expect("local packet consumed twice"), entry[q])
-            } else {
-                let (msg, stamp) = chan.recv_stamped(links[k - 1]);
-                let pkt = unwrap(msg);
-                expect(&pkt, k - 1, q);
-                (pkt.payload, stamp)
-            };
-            process(k, q, &mut payload);
-            chan.send_after(links[k], wrap(Packet::new(k as u32, q as u32, payload)), ready);
-        }
-    }
-    let mut stamps = Vec::with_capacity(q_total);
-    let finals = (0..q_total)
-        .map(|q| {
-            let (msg, stamp) = chan.recv_stamped(links[k_total - 1]);
-            let pkt = unwrap(msg);
-            expect(&pkt, k_total - 1, q);
-            stamps.push(stamp);
-            pkt.payload
-        })
-        .collect();
-    let stats = chan.stats();
-    (finals, stamps, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spmd::{run_spmd, run_spmd_metered};
-
-    type Log = Vec<f64>;
-
-    /// Reference: the whole-payload unpipelined phase loop — iteration k
-    /// processes every packet against the node state, then exchanges them
-    /// one message per packet.
-    fn reference(d: usize, links: &[usize], q: usize) -> Vec<(Vec<Log>, f64)> {
-        run_spmd::<Packet<Log>, (Vec<Log>, f64), _>(d, move |ctx| {
-            let mut state = ctx.id() as f64;
-            let mut packets: Vec<Log> = (0..q).map(|i| vec![ctx.id() as f64, i as f64]).collect();
-            for (k, &link) in links.iter().enumerate() {
-                for (qi, p) in packets.iter_mut().enumerate() {
-                    state += (k * 31 + qi) as f64; // stateful: order-sensitive
-                    p.push(state);
-                }
-                for (qi, p) in packets.drain(..).enumerate() {
-                    ctx.send(link, Packet::new(k as u32, qi as u32, p));
-                }
-                packets = (0..q).map(|_| ctx.recv(link).payload).collect();
-            }
-            (packets, state)
-        })
-    }
-
-    fn pipelined(d: usize, links: &[usize], q: usize) -> Vec<(Vec<Log>, f64)> {
-        run_spmd::<Packet<Log>, (Vec<Log>, f64), _>(d, move |ctx| {
-            let mut state = ctx.id() as f64;
-            let packets: Vec<Log> = (0..q).map(|i| vec![ctx.id() as f64, i as f64]).collect();
-            let (finals, _) = pipelined_phase(
-                ctx,
-                links,
-                packets,
-                |pkt| pkt,
-                |pkt| pkt,
-                |k, qi, p: &mut Log| {
-                    state += (k * 31 + qi) as f64;
-                    p.push(state);
-                },
-            );
-            (finals, state)
-        })
-    }
-
-    #[test]
-    fn stateful_pipeline_equals_reference_for_every_q() {
-        let links = vec![0usize, 1, 0, 2, 0, 1, 0]; // D_3^BR, K = 7
-        for q in [1usize, 2, 3, 7, 12] {
-            assert_eq!(reference(3, &links, q), pipelined(3, &links, q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn single_link_phase_round_trips() {
-        // K = 1: everything goes out on one link and comes straight back.
-        let links = vec![1usize];
-        for q in [1usize, 4] {
-            assert_eq!(reference(2, &links, q), pipelined(2, &links, q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn empty_phase_is_identity() {
-        let results = run_spmd::<Packet<Log>, Vec<Log>, _>(1, |ctx| {
-            let packets = vec![vec![ctx.id() as f64]];
-            let (finals, stats) = pipelined_phase(ctx, &[], packets, |p| p, |p| p, |_, _, _| ());
-            assert_eq!(stats.peak_in_flight, vec![0]);
-            finals
-        });
-        assert_eq!(results[0], vec![vec![0.0]]);
-        assert_eq!(results[1], vec![vec![1.0]]);
-    }
-
-    #[test]
-    fn in_flight_peaks_at_packet_count() {
-        // All Q sends of an iteration are issued before the matching
-        // receives of the next iteration drain them: the per-dimension
-        // in-flight peak is exactly Q (the channel window).
-        let links = [0usize, 1, 0];
-        for q in [1usize, 3, 5] {
-            let results = run_spmd::<Packet<Log>, PhaseStats, _>(3, move |ctx| {
-                let packets: Vec<Log> = (0..q).map(|i| vec![i as f64]).collect();
-                let (_, stats) = pipelined_phase(ctx, &links, packets, |p| p, |p| p, |_, _, _| ());
-                stats
-            });
-            for stats in results {
-                assert_eq!(stats.window, q);
-                assert_eq!(stats.peak_in_flight[0], q);
-                assert_eq!(stats.peak_in_flight[1], q);
-                assert_eq!(stats.peak_in_flight[2], 0, "link 2 unused");
-            }
-        }
-    }
-
-    #[test]
-    fn traffic_volume_is_q_invariant() {
-        // Packetization reframes the same payload: per-dimension volume
-        // must not depend on Q (message count scales with Q).
-        let links = [0usize, 1, 0];
-        let volume = |q: usize| {
-            let (_, meter) = run_spmd_metered::<Packet<Log>, (), _>(2, move |ctx| {
-                // 12 elements split into q packets of 12/q.
-                let packets: Vec<Log> = (0..q).map(|_| vec![0.0; 12 / q]).collect();
-                let _ = pipelined_phase(ctx, &links, packets, |p| p, |p| p, |_, _, _| ());
-            });
-            (meter.volume_by_dim(), meter.total_messages())
-        };
-        let (v1, m1) = volume(1);
-        let (v4, m4) = volume(4);
-        assert_eq!(v1, v4);
-        assert_eq!(m4, m1 * 4);
-    }
-
-    #[test]
-    fn chained_stamped_phases_match_sequential_phases_bitwise() {
-        // Two single-link phases run through the stamped primitive with
-        // arrival stamps threaded phase-to-phase (and one clock advance at
-        // the end) must carry exactly the payloads of two sequential
-        // pipelined_phase calls — the tail-run chaining contract.
-        let run = |chained: bool| {
-            run_spmd::<Packet<Log>, Vec<Log>, _>(2, move |ctx| {
-                let mut state = ctx.id() as f64;
-                let packets: Vec<Log> = (0..3).map(|i| vec![ctx.id() as f64, i as f64]).collect();
-                let mut process = |k: usize, q: usize, p: &mut Log| {
-                    state += (k * 31 + q) as f64;
-                    p.push(state);
-                };
-                if chained {
-                    let entry = vec![ctx.virtual_now(); 3];
-                    let (mid, stamps, _) = pipelined_phase_stamped(
-                        ctx,
-                        &[0],
-                        packets,
-                        &entry,
-                        |p| p,
-                        |p| p,
-                        &mut process,
-                    );
-                    let (fin, stamps, _) = pipelined_phase_stamped(
-                        ctx,
-                        &[1],
-                        mid,
-                        &stamps,
-                        |p| p,
-                        |p| p,
-                        &mut process,
-                    );
-                    for &s in &stamps {
-                        ctx.advance_clock_to(s);
-                    }
-                    fin
-                } else {
-                    let (mid, _) = pipelined_phase(ctx, &[0], packets, |p| p, |p| p, &mut process);
-                    let (fin, _) = pipelined_phase(ctx, &[1], mid, |p| p, |p| p, &mut process);
-                    fin
-                }
-            })
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn channel_rejects_sends_beyond_the_window() {
-        // The window violation panics inside the node thread; catch it
-        // there (propagating it would abort the whole SPMD scope).
-        let results = run_spmd::<Packet<Log>, String, _>(1, |ctx| {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut chan = PacketChannel::new(ctx, 1);
-                let mk = |q| Packet::new(0, q, vec![0.0]);
-                chan.send(0, mk(0));
-                chan.send(0, mk(1)); // second in-flight packet: beyond window
-            }))
-            .expect_err("over-window send must panic");
-            // Drain the one delivered packet so the partner's sends pair up.
-            let _ = ctx.recv(0);
-            err.downcast_ref::<String>().expect("panic carries a message").clone()
-        });
-        for msg in results {
-            assert!(msg.contains("window"), "unexpected panic message: {msg}");
-        }
     }
 }

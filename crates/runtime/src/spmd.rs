@@ -40,7 +40,7 @@ pub trait Meterable {
 
     /// Which batch job this message belongs to, when several independent
     /// problems share one fabric (see
-    /// [`run_spmd_fabric_jobs`](crate::spmd::run_spmd_fabric_jobs)). The
+    /// [`run_spmd_fabric_jobs_traced`]). The
     /// meter keeps per-job totals and the job demultiplexer
     /// ([`crate::jobmux::JobMux`]) routes by this tag. Solo programs use
     /// the default job 0.
@@ -236,39 +236,6 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
             }
         }
     }
-
-    /// All-reduce by recursive dimension exchange over *any* message type:
-    /// every node ends with `fold` applied over all `2^d` contributions, in
-    /// `d` neighbor exchanges — the classical hypercube collective.
-    ///
-    /// `wrap` lifts the reduced value into the link's message type and
-    /// `unwrap` extracts it from a received message, so a program whose
-    /// links carry a mixed protocol (e.g. blocks *and* convergence scalars)
-    /// can vote without a second channel fabric:
-    ///
-    /// ```ignore
-    /// let max = ctx.allreduce_with(local, |&v| Msg::Scalar(v), expect_scalar, f64::max);
-    /// ```
-    pub fn allreduce_with<T>(
-        &self,
-        mut value: T,
-        wrap: impl Fn(&T) -> M,
-        unwrap: impl Fn(M) -> T,
-        fold: impl Fn(T, T) -> T,
-    ) -> T {
-        for dim in 0..self.d {
-            let other = unwrap(self.exchange(dim, wrap(&value)));
-            value = fold(value, other);
-        }
-        value
-    }
-}
-
-impl<'a> NodeCtx<'a, f64> {
-    /// [`NodeCtx::allreduce_with`] for links that carry bare `f64`s.
-    pub fn allreduce(&self, value: f64, fold: impl Fn(f64, f64) -> f64) -> f64 {
-        self.allreduce_with(value, |&v| v, |m| m, fold)
-    }
 }
 
 /// Runs `body` on every node of a `d`-cube, one thread each, and returns
@@ -310,33 +277,17 @@ where
     R: Send,
     F: Fn(&NodeCtx<'_, M>) -> R + Sync,
 {
-    run_spmd_fabric_jobs(d, fabric, 1, body)
+    run_spmd_fabric_jobs_traced(d, fabric, 1, SinkHandle::nop(), body)
 }
 
 /// Like [`run_spmd_fabric`] for a program multiplexing `njobs` independent
-/// batch jobs over the links: the traffic meter keeps per-job totals
+/// batch jobs over the links — the traffic meter keeps per-job totals
 /// (messages declare their job via [`Meterable::job`]) next to the blended
-/// per-dimension ones. `run_spmd_fabric` is this with a single job.
-pub fn run_spmd_fabric_jobs<M, R, F>(
-    d: usize,
-    fabric: FabricModel,
-    njobs: usize,
-    body: F,
-) -> (Vec<R>, TrafficMeter, FabricReport)
-where
-    M: Send + Meterable,
-    R: Send,
-    F: Fn(&NodeCtx<'_, M>) -> R + Sync,
-{
-    run_spmd_fabric_jobs_traced(d, fabric, njobs, SinkHandle::nop(), body)
-}
-
-/// Like [`run_spmd_fabric_jobs`] with a trace sink: every node's link
-/// clock records its transmissions, arrivals, and barrier crossings into
-/// `sink` (see [`crate::trace`]), and `body` can record driver-level
-/// events through [`NodeCtx::trace`]. Tracing is observational only —
-/// results are bitwise-identical to the untraced run, and with the
-/// default [`SinkHandle::nop`] this *is* [`run_spmd_fabric_jobs`].
+/// per-dimension ones — and with a trace sink: every node's link clock
+/// records its transmissions, arrivals, and barrier crossings into `sink`
+/// (see [`crate::trace`]), and `body` can record driver-level events
+/// through [`NodeCtx::trace`]. Tracing is observational only — results are
+/// bitwise-identical to the untraced run ([`SinkHandle::nop`]).
 pub fn run_spmd_fabric_jobs_traced<M, R, F>(
     d: usize,
     fabric: FabricModel,
@@ -421,6 +372,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::all_reduce;
     use crate::machine::Machine;
 
     #[test]
@@ -439,7 +391,7 @@ mod tests {
     fn allreduce_sum_over_cube() {
         for d in 0..=4 {
             let results =
-                run_spmd::<f64, f64, _>(d, |ctx| ctx.allreduce(ctx.id() as f64, |a, b| a + b));
+                run_spmd::<f64, f64, _>(d, |ctx| all_reduce(ctx, ctx.id() as f64, |a, b| a + b));
             let expect = ((1usize << d) * ((1usize << d) - 1) / 2) as f64;
             for r in results {
                 assert_eq!(r, expect);
@@ -448,30 +400,10 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_with_lifts_into_an_enum_message_type() {
-        // A mixed protocol: links carry an enum, the vote is a scalar.
-        #[derive(Clone)]
-        enum Wire {
-            Num(u64),
-        }
-        impl Meterable for Wire {
-            fn elems(&self) -> u64 {
-                1
-            }
-        }
-        let results = run_spmd::<Wire, u64, _>(3, |ctx| {
-            ctx.allreduce_with(ctx.id() as u64, |&v| Wire::Num(v), |Wire::Num(v)| v, std::cmp::max)
-        });
-        for r in results {
-            assert_eq!(r, 7);
-        }
-    }
-
-    #[test]
     fn allreduce_max_over_cube() {
         let results = run_spmd::<f64, f64, _>(3, |ctx| {
             let v = (ctx.id() as f64 * 7.0) % 5.0;
-            ctx.allreduce(v, f64::max)
+            all_reduce(ctx, v, f64::max)
         });
         let expect = (0..8).map(|n| (n as f64 * 7.0) % 5.0).fold(0.0f64, f64::max);
         for r in results {
@@ -516,7 +448,7 @@ mod tests {
     #[test]
     fn free_fabric_reports_zero_makespan() {
         let (_, _, report) = run_spmd_fabric::<f64, f64, _>(2, FabricModel::Free, |ctx| {
-            ctx.allreduce(1.0, |a, b| a + b)
+            all_reduce(ctx, 1.0, |a, b| a + b)
         });
         assert_eq!(report.model, FabricModel::Free);
         assert_eq!(report.makespan, 0.0);

@@ -1,13 +1,12 @@
 //! Integration tests for the threaded multicomputer: every SPMD collective
 //! must agree with a sequential reference computed from the same per-node
 //! contributions, the traffic meter must report schedule-independent
-//! counts at every cube size (thread count), the packet window must
-//! enforce and report in-flight occupancy exactly, and wall-clock
-//! calibration of the channel fabric must be finite, positive, and stable.
+//! counts at every cube size (thread count), and wall-clock calibration of
+//! the channel fabric must be finite, positive, and stable.
 
 use mph_runtime::{
-    all_gather, all_reduce, broadcast, gather, measure_channel_fabric, pipelined_exchange,
-    run_spmd, run_spmd_metered, unpipelined_exchange, Machine, Packet, PacketChannel,
+    all_gather, all_reduce, broadcast, gather, measure_channel_fabric, run_spmd, run_spmd_metered,
+    Machine,
 };
 
 /// The deterministic per-node contribution used throughout: node `n` of a
@@ -137,55 +136,6 @@ fn meter_counts_are_reproducible_across_runs() {
 }
 
 #[test]
-fn packet_channel_enforces_the_window_and_reports_exact_peaks() {
-    // Direct unit exercise of the windowed link view: interleaved
-    // sends/receives across two dimensions; the per-dimension peak must be
-    // the exact high-water mark, not merely ≤ the window.
-    let results = run_spmd::<Packet<Vec<f64>>, (), _>(2, |ctx| {
-        let mk = |k: u32, q: u32| Packet::new(k, q, vec![0.0; 4]);
-        let mut chan = PacketChannel::new(ctx, 3);
-        // dim 0: fill to 2, drain 1, refill to 3 (the window) — peak 3.
-        chan.send(0, mk(0, 0));
-        chan.send(0, mk(0, 1));
-        assert_eq!(chan.in_flight(0), 2);
-        let _ = chan.recv(0);
-        assert_eq!(chan.in_flight(0), 1);
-        chan.send(0, mk(0, 2));
-        chan.send(0, mk(0, 3));
-        assert_eq!(chan.in_flight(0), 3, "window fully occupied");
-        // dim 1: a single round trip — peak 1, independent of dim 0.
-        chan.send(1, mk(1, 0));
-        let _ = chan.recv(1);
-        // Drain dim 0 so the partner's symmetric sends pair up.
-        for _ in 0..3 {
-            let _ = chan.recv(0);
-        }
-        let stats = chan.stats();
-        assert_eq!(stats.window, 3);
-        assert_eq!(stats.peak_in_flight, vec![3, 1]);
-        assert_eq!(chan.in_flight(0), 0);
-    });
-    assert_eq!(results.len(), 4);
-}
-
-#[test]
-fn packet_channel_rejects_unmatched_receives() {
-    // A recv with no windowed send outstanding means raw traffic got mixed
-    // into the windowed protocol — it must panic, not corrupt accounting.
-    let results = run_spmd::<Packet<Vec<f64>>, String, _>(1, |ctx| {
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut chan = PacketChannel::new(ctx, 2);
-            let _ = chan.recv(0);
-        }))
-        .expect_err("unmatched recv must panic");
-        err.downcast_ref::<String>().expect("panic carries a message").clone()
-    });
-    for msg in results {
-        assert!(msg.contains("no in-flight packet"), "unexpected panic: {msg}");
-    }
-}
-
-#[test]
 fn channel_fabric_calibration_is_finite_positive_and_stable() {
     // The promoted calibration test: Machine::calibrate on the live
     // channel runtime must return finite, positive Ts/Tw whose predictions
@@ -207,33 +157,4 @@ fn channel_fabric_calibration_is_finite_positive_and_stable() {
     let (ca, cb) = (a.single_message_cost(100_000.0), b.single_message_cost(100_000.0));
     let ratio = ca.max(cb) / ca.min(cb);
     assert!(ratio < 4.0, "calibration unstable: {ca:.3e} vs {cb:.3e} ({ratio:.2}x)");
-}
-
-#[test]
-fn pipelining_preserves_results_and_traffic_volume() {
-    // The pipelined exchange is a schedule transformation: per-packet
-    // results and total per-dimension volume must match the reference loop
-    // exactly; only the concurrency pattern differs.
-    let links = vec![0usize, 1, 0, 2, 0, 1, 0]; // D_3^BR
-    for q in [1usize, 3, 8] {
-        let links_a = links.clone();
-        let (naive, meter_a) = run_spmd_metered::<Vec<f64>, Vec<Vec<f64>>, _>(3, move |ctx| {
-            let packets: Vec<Vec<f64>> = (0..q).map(|i| vec![ctx.id() as f64, i as f64]).collect();
-            unpipelined_exchange(ctx, &links_a, packets, |k, _q, mut p| {
-                p.push(k as f64);
-                p
-            })
-        });
-        let links_b = links.clone();
-        let (piped, meter_b) = run_spmd_metered::<Vec<f64>, Vec<Vec<f64>>, _>(3, move |ctx| {
-            let packets: Vec<Vec<f64>> = (0..q).map(|i| vec![ctx.id() as f64, i as f64]).collect();
-            pipelined_exchange(ctx, &links_b, packets, |k, _q, mut p| {
-                p.push(k as f64);
-                p
-            })
-        });
-        assert_eq!(naive, piped, "q={q}");
-        assert_eq!(meter_a.volume_by_dim(), meter_b.volume_by_dim(), "q={q}");
-        assert_eq!(meter_a.total_messages(), meter_b.total_messages(), "q={q}");
-    }
 }
