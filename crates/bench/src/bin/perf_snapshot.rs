@@ -14,7 +14,10 @@
 
 use mph_batch::{solve_batch, AdmissionConfig, BatchOptions, Job, JobResult, Policy};
 use mph_bench::seedpath::{self, VecBlock};
-use mph_bench::{banner, column_block_full_sweep, column_block_full_sweep_kernel, results_dir};
+use mph_bench::{
+    banner, column_block_full_sweep, column_block_full_sweep_kernel,
+    column_block_full_sweep_reference, results_dir,
+};
 use mph_ccpipe::{
     plan_cost_with, plan_cost_with_tail, plan_sweep_cost, plan_unpipelined_cost, solo_plan_costs,
     Machine, PlannedJob, PortModel,
@@ -94,27 +97,28 @@ fn main() {
 
     // --- Kernel layer: scalar vs lanes vs the tournament on 1, 2, N threads
     // The same full block sweep, routed through a configured SweepKernel:
-    // the single-node hot path behind every driver. The scalar baseline is
-    // the default (tiled serial) path; lanes adds the runtime-dispatched
-    // SIMD rotate + fused triple; lanes_w1/w2/wn run the tile tournament
-    // on the calling thread alone, with one parked helper, and with the
-    // host's available parallelism — each named by its worker count, with
-    // `cores` beside them, so the pool's figure cannot be read off a
-    // one-worker run. The bitwise flag is computed in-process: the tiled
-    // scalar kernel must reproduce the untiled reference bit for bit, and
-    // the tournament order must be worker-count-invariant.
+    // the single-node hot path behind every driver. `scalar` is the default
+    // (tiled serial) path — the reference bits, executed by the exact
+    // vector kernels of `exact_tier`; `reference` is the same sweep the way
+    // those bits used to be executed (three `dot`s and the scalar rotation
+    // per pairing), so scalar/reference is what the exact kernels buy;
+    // lanes takes the reassociated FMA reductions; lanes_w1/w2/wn run the
+    // tile tournament on the calling thread alone, with one parked helper,
+    // and with the host's available parallelism — each named by its worker
+    // count, with `cores` beside them, so the pool's figure cannot be read
+    // off a one-worker run. The bitwise flag is computed in-process: the
+    // tiled scalar kernel must reproduce the untiled sweep and the
+    // three-`dot` reference bit for bit, and the tournament order must be
+    // worker-count-invariant.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Each sample sweeps pristine blocks (a converged matrix is not the
-    // workload) and only the sweep is timed — the pool is created once per
-    // configuration, as a solve creates it once for all its sweeps; one
-    // warmup pass per configuration stabilises the median.
-    let kernel_median_ms = |path: KernelPath, workers: usize| -> f64 {
-        let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
-        let mut tour = kern.tournament(make_col_blocks().iter().map(ColumnBlock::len));
+    // workload) and only the sweep is timed; one warmup pass per
+    // configuration stabilises the median.
+    let sweep_median_ms = |sweep: &mut dyn FnMut(&mut [ColumnBlock])| -> f64 {
         let mut sweep_ms = || {
             let mut blocks = make_col_blocks();
             let t0 = Instant::now();
-            black_box(column_block_full_sweep_kernel(&mut blocks, false, &kern, &mut tour));
+            sweep(&mut blocks);
             t0.elapsed().as_secs_f64() * 1e3
         };
         sweep_ms();
@@ -122,14 +126,29 @@ fn main() {
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         samples[samples.len() / 2]
     };
+    // The pool is created once per configuration, as a solve creates it
+    // once for all its sweeps.
+    let kernel_median_ms = |path: KernelPath, workers: usize| -> f64 {
+        let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
+        let mut tour = kern.tournament(make_col_blocks().iter().map(ColumnBlock::len));
+        sweep_median_ms(&mut |blocks| {
+            black_box(column_block_full_sweep_kernel(blocks, false, &kern, &mut tour));
+        })
+    };
+    let kernel_reference_ms = sweep_median_ms(&mut |blocks| {
+        black_box(column_block_full_sweep_reference(blocks, 0.0));
+    });
+    let exact_tier = mph_linalg::vecops::exact_tier();
     let kernel_scalar_ms = kernel_median_ms(KernelPath::Scalar, 0);
     let kernel_lanes_ms = kernel_median_ms(KernelPath::Lanes, 0);
     let lanes_w1_ms = kernel_median_ms(KernelPath::Lanes, 1);
     let lanes_w2_ms = kernel_median_ms(KernelPath::Lanes, 2);
     let lanes_wn_ms = kernel_median_ms(KernelPath::Lanes, cores);
     let speedup_lanes = kernel_scalar_ms / kernel_lanes_ms;
-    let (mut kref, mut ktiled) = (make_col_blocks(), make_col_blocks());
+    let (mut kref, mut ktiled, mut koracle) =
+        (make_col_blocks(), make_col_blocks(), make_col_blocks());
     column_block_full_sweep(&mut kref, 0.0, false);
+    column_block_full_sweep_reference(&mut koracle, 0.0);
     let kernel_sweep_once = |blocks: &mut [ColumnBlock], path: KernelPath, workers: usize| {
         let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
         let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
@@ -139,7 +158,7 @@ fn main() {
     let (mut kw1, mut kw4) = (make_col_blocks(), make_col_blocks());
     kernel_sweep_once(&mut kw1, KernelPath::Lanes, 1);
     kernel_sweep_once(&mut kw4, KernelPath::Lanes, 4);
-    let kernel_bitwise = kref == ktiled && kw1 == kw4;
+    let kernel_bitwise = kref == ktiled && koracle == ktiled && kw1 == kw4;
     // The convergence check that follows every sweep of a logical solve,
     // on the generic state one lanes sweep leaves behind (at U = I every
     // entry would be a single element read). The state is built outside
@@ -152,7 +171,11 @@ fn main() {
     };
     let off_norm_scalar_ms = off_norm_median_ms(KernelPath::Scalar);
     let off_norm_lanes_ms = off_norm_median_ms(KernelPath::Lanes);
-    println!("  kernel sweep, scalar (default path)  : {kernel_scalar_ms:9.3} ms");
+    println!("  kernel sweep, three-dot reference    : {kernel_reference_ms:9.3} ms");
+    println!(
+        "  kernel sweep, scalar (default path)  : {kernel_scalar_ms:9.3} ms ({:.2}x, exact tier {exact_tier})",
+        kernel_reference_ms / kernel_scalar_ms
+    );
     println!(
         "  kernel sweep, lanes                  : {kernel_lanes_ms:9.3} ms ({speedup_lanes:.2}x)"
     );
@@ -165,10 +188,15 @@ fn main() {
          (once per sweep; {:.2} of lanes_w1)",
         off_norm_lanes_ms / lanes_w1_ms
     );
-    println!("  kernel bitwise   : tiled == reference && worker-invariant: {kernel_bitwise}");
+    println!(
+        "  kernel bitwise   : tiled == untiled == three-dot reference && worker-invariant: \
+         {kernel_bitwise}"
+    );
     let kernel_json = format!(
         "{{\n    \"reps\": {reps},\n    \
          \"cores\": {cores},\n    \
+         \"exact_tier\": \"{exact_tier}\",\n    \
+         \"reference_ms\": {kernel_reference_ms:.3},\n    \
          \"scalar_ms\": {kernel_scalar_ms:.3},\n    \
          \"lanes_ms\": {kernel_lanes_ms:.3},\n    \
          \"lanes_w1_ms\": {lanes_w1_ms:.3},\n    \

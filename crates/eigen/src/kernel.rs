@@ -12,8 +12,9 @@
 //! Two pairing rules share this machinery (selected by [`PairingRule`]):
 //! the symmetric eigensolver's implicit rule above, and the Hestenes SVD's
 //! Gram rule (`G_ij = w_i · w_j`, convergence measured by the cosine of the
-//! column angle). Both rotate through the same fused
-//! [`mph_linalg::vecops::pair_rotate`] kernel, so the logical, threaded,
+//! column angle). Both rotate through the same fused rotation kernel
+//! ([`mph_linalg::vecops::pair_rotate_lanes`], bitwise
+//! [`mph_linalg::vecops::pair_rotate`]), so the logical, threaded,
 //! and SVD drivers are *structurally* guaranteed to perform identical
 //! floating-point work — the bitwise-equality tests between drivers check
 //! an invariant the code now enforces by construction.
@@ -39,7 +40,7 @@ use crate::options::JacobiOptions;
 use crate::pool::PairingPool;
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
-use mph_linalg::vecops::{dot, dot_lanes, fused_triple};
+use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact};
 use mph_linalg::{KernelPath, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -83,50 +84,57 @@ impl PairingRule {
 /// Pairs one column pair presented as raw views — the shared core every
 /// driver funnels through. Reads the diagonal entries from the view's
 /// cache slots when present (maintaining them under rotation), recomputes
-/// them otherwise. Runs on the scalar kernel path; see [`pair_view_with`]
-/// for the path-selected form.
+/// them otherwise. Computes the reference bits ([`KernelPath::Scalar`]);
+/// see [`pair_view_with`] for the path-selected form.
 pub fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
     pair_view_with(v, rule, threshold, KernelPath::Scalar)
 }
 
-/// [`pair_view`] on the kernel path selected by `path`.
+/// [`pair_view`] with the inner products `path` selects.
 ///
-/// `Scalar` reproduces the reference pairing bit for bit. `Lanes` computes
-/// the uncached 2×2 block through the one-pass [`fused_triple`] (three
-/// inner products, one traversal) and the cached off-diagonal through
-/// [`dot_lanes`]; the rotation itself goes through the lane rotator, which
-/// is bitwise identical to the scalar one — so `Lanes` differs from
-/// `Scalar` only in the last bits of the inner products feeding the
-/// rotation angle.
+/// `Scalar` is the reference pairing bit for bit: the uncached 2×2 block is
+/// three [`dot`]s — computed in one pass by [`fused_triple_exact`], whose
+/// every product is `to_bits`-equal to `dot` — and the cached off-diagonal
+/// is one `dot`. `Lanes` takes the reassociated reductions instead
+/// ([`fused_triple`], [`dot_lanes`]: wider partial sums, FMA, ≤1e-12
+/// relative). The rotation is the same for both — the lane rotator, bitwise
+/// the scalar loop — so `Lanes` differs from `Scalar` only in the last bits
+/// of the inner products feeding the rotation angle.
 pub fn pair_view_with(
     mut v: PairViewMut<'_>,
     rule: PairingRule,
     threshold: f64,
     path: KernelPath,
 ) -> PairOutcome {
+    // One arm per path, the rule matched innermost, as the pairing was
+    // always laid out: flattening the three matches into one reads better
+    // and cost `logical_pool` (the Lanes arm, which this function's Scalar
+    // arm must not disturb) ≈ 3 % in the repository benchmark.
     let (app, apq, aqq) = match path {
-        KernelPath::Scalar => {
-            let (app, aqq) = match (&v.di, &v.dj) {
-                (Some(di), Some(dj)) => (**di, **dj),
-                _ => (rule.diag_entry(v.ai, v.ui), rule.diag_entry(v.aj, v.uj)),
-            };
-            let apq = match rule {
-                PairingRule::Implicit => dot(v.ui, v.aj),
-                PairingRule::Gram => dot(v.ai, v.aj),
-            };
-            (app, apq, aqq)
-        }
+        KernelPath::Scalar => match (&v.di, &v.dj) {
+            (Some(di), Some(dj)) => {
+                let apq = match rule {
+                    PairingRule::Implicit => dot(v.ui, v.aj),
+                    PairingRule::Gram => dot(v.ai, v.aj),
+                };
+                (**di, apq, **dj)
+            }
+            // Uncached, or a mixed cache (one side of a cross-block pair
+            // carries none): both diagonals are recomputed, in one fused
+            // pass over the pair's columns.
+            _ => match rule {
+                PairingRule::Implicit => fused_triple_exact(v.ui, v.ai, v.uj, v.aj),
+                PairingRule::Gram => fused_triple_exact(v.ai, v.ai, v.aj, v.aj),
+            },
+        },
         KernelPath::Lanes => match (&v.di, &v.dj) {
             (Some(di), Some(dj)) => {
-                let (app, aqq) = (**di, **dj);
                 let apq = match rule {
                     PairingRule::Implicit => dot_lanes(v.ui, v.aj),
                     PairingRule::Gram => dot_lanes(v.ai, v.aj),
                 };
-                (app, apq, aqq)
+                (**di, apq, **dj)
             }
-            // Uncached (or mixed cache, where the scalar path recomputes
-            // both diagonals too): one fused pass over the pair's columns.
             _ => match rule {
                 PairingRule::Implicit => fused_triple(v.ui, v.ai, v.uj, v.aj),
                 PairingRule::Gram => fused_triple(v.ai, v.ai, v.aj, v.aj),
@@ -150,7 +158,7 @@ pub fn pair_view_with(
         return PairOutcome { off_before, rotated: false };
     }
     let rot = symmetric_schur(app, apq, aqq);
-    v.rotate_with(rot.c, rot.s, path);
+    v.rotate_with(rot.c, rot.s);
     if v.di.is_some() || v.dj.is_some() {
         // The rotation annihilates the off-diagonal; the new diagonal is
         // the exact 2×2 similarity image of the old block. Update every
@@ -364,7 +372,8 @@ pub struct SweepKernel {
     pub rule: PairingRule,
     /// Rotation threshold (see `JacobiOptions::threshold`).
     pub threshold: f64,
-    /// Scalar or lane compute path.
+    /// Which inner products the pairings take: the reference bits or the
+    /// reassociated reductions.
     pub path: KernelPath,
     /// Threads a tournament round may use (0 = legacy serial order).
     pub workers: usize,
@@ -769,6 +778,97 @@ mod tests {
         let mut acc = kern.within(&mut tour, [&mut *left, &mut *right]);
         acc.merge(kern.across(&mut tour, left, right));
         acc
+    }
+
+    /// The reference pairing as it was executed before the exact kernels,
+    /// kept as the oracle `pair_view_with(.., Scalar)` must match bit for
+    /// bit: one `dot` per inner product and the portable scalar rotation.
+    fn pair_view_oracle(mut v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
+        let (app, aqq) = match (&v.di, &v.dj) {
+            (Some(di), Some(dj)) => (**di, **dj),
+            _ => (rule.diag_entry(v.ai, v.ui), rule.diag_entry(v.aj, v.uj)),
+        };
+        let apq = match rule {
+            PairingRule::Implicit => dot(v.ui, v.aj),
+            PairingRule::Gram => dot(v.ai, v.aj),
+        };
+        let off_before = match rule {
+            PairingRule::Implicit => apq.abs(),
+            PairingRule::Gram => {
+                let denom = (app * aqq).max(0.0).sqrt();
+                if denom > 0.0 {
+                    apq.abs() / denom
+                } else {
+                    0.0
+                }
+            }
+        };
+        if off_before <= threshold || apq == 0.0 {
+            return PairOutcome { off_before, rotated: false };
+        }
+        let rot = symmetric_schur(app, apq, aqq);
+        v.rotate(rot.c, rot.s);
+        let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
+        if let Some(di) = v.di {
+            *di = pp;
+        }
+        if let Some(dj) = v.dj {
+            *dj = qq;
+        }
+        PairOutcome { off_before, rotated: true }
+    }
+
+    #[test]
+    fn the_scalar_pairing_is_bitwise_the_three_dot_oracle() {
+        // Both rules; no cache, both caches, and the mixed cache of a
+        // cross-block pair; column lengths of every remainder mod 4; the
+        // Gram rule on tall rectangular blocks, where the `W`-columns are
+        // longer than the `V`-columns. Two sweeps, so the second runs on
+        // generic (not identity) `U`-columns, and a threshold that skips
+        // some pairings.
+        for (rule, extra_rows) in [(PairingRule::Implicit, 0), (PairingRule::Gram, 9)] {
+            for n in [8usize, 9, 10, 11] {
+                let square = random_symmetric(n + extra_rows, 40 + n as u64);
+                let a0 = Matrix::from_fn(n + extra_rows, n, |r, c| square[(r, c)]);
+                for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
+                    let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..n / 2, n);
+                    let mut right = ColumnBlock::from_matrix_with_identity(&a0, n / 2..n, n);
+                    if cache_left {
+                        refresh_block_diag(&mut left, rule);
+                    }
+                    if cache_right {
+                        refresh_block_diag(&mut right, rule);
+                    }
+                    let (mut want_left, mut want_right) = (left.clone(), right.clone());
+                    for threshold in [0.0, 0.05] {
+                        for i in 0..left.len() {
+                            for j in i + 1..left.len() {
+                                let got = pair_view(left.pair_mut(i, j), rule, threshold);
+                                let want =
+                                    pair_view_oracle(want_left.pair_mut(i, j), rule, threshold);
+                                assert_eq!(got, want, "{rule:?} n={n} within ({i},{j})");
+                            }
+                            for j in 0..right.len() {
+                                let got = pair_view(
+                                    cross_pair_mut(&mut left, i, &mut right, j),
+                                    rule,
+                                    threshold,
+                                );
+                                let want = pair_view_oracle(
+                                    cross_pair_mut(&mut want_left, i, &mut want_right, j),
+                                    rule,
+                                    threshold,
+                                );
+                                assert_eq!(got, want, "{rule:?} n={n} across ({i},{j})");
+                            }
+                        }
+                    }
+                    let what = format!("{rule:?} n={n} cache=({cache_left},{cache_right})");
+                    assert_eq!(left, want_left, "{what}");
+                    assert_eq!(right, want_right, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! order, so an `off_history` is repeatable and independent of `workers`.
 
 use mph_linalg::block::ColumnBlock;
-use mph_linalg::vecops::{dot, dot_lanes, gram_tile};
+use mph_linalg::vecops::{dot, dot_lanes, dot_tile_exact, gram_tile};
 use mph_linalg::KernelPath;
 
 /// Every column's `U`- and `A`-slices in global column order. The blocks
@@ -34,7 +34,9 @@ fn global_columns(blocks: &[ColumnBlock]) -> (Vec<&[f64]>, Vec<&[f64]>) {
 /// the rotation loop.
 ///
 /// * [`KernelPath::Scalar`]: every entry is bitwise [`dot`]`(u_i, a_j)`,
-///   squared and summed column `j` outer, `i < j` inner — the reference.
+///   squared and summed column `j` outer, `i < j` inner — the reference
+///   bits. The entries are computed in exact 4×2 tiles
+///   ([`dot_tile_exact`]); the sum is taken in the defining order.
 /// * [`KernelPath::Lanes`]: 4×4 register tiles ([`gram_tile`]) over panels
 ///   of four `A`-columns; each panel's squares are summed tile by tile
 ///   (`i` ascending, the diagonal tile's strict upper part last) and the
@@ -55,11 +57,44 @@ pub fn off_norm_blocks(blocks: &[ColumnBlock], path: KernelPath) -> f64 {
 }
 
 /// `Σ_j Σ_{i<j} dot(u_i, a_j)²`, one running sum in that order.
+///
+/// The dots of a panel of two `A`-columns `(j, j+1)` are computed four
+/// `U`-columns at a time by [`dot_tile_exact`] — each entry bitwise the
+/// `dot` — and parked in two scratch columns; the at most three rows past
+/// the last full tile, and the last column of an odd `m`, go through `dot`
+/// itself. Squaring and summing then walk the scratch columns in the
+/// defining order, so tiling changes when an entry is computed, never
+/// where it enters the sum.
 fn upper_squares_scalar(u: &[&[f64]], a: &[&[f64]]) -> f64 {
+    let m = a.len();
+    let (mut left, mut right) = (vec![0.0f64; m], vec![0.0f64; m]);
     let mut s = 0.0;
-    for j in 0..a.len() {
-        for i in 0..j {
-            let mij = dot(u[i], a[j]);
+    let paired = m - m % 2;
+    for j in (0..paired).step_by(2) {
+        // Rows `i < j` serve column `j`, rows `i ≤ j` column `j + 1`.
+        let tiled = j - j % 4;
+        for i in (0..tiled).step_by(4) {
+            let tile = dot_tile_exact([u[i], u[i + 1], u[i + 2], u[i + 3]], [a[j], a[j + 1]]);
+            for (r, [l, rt]) in tile.into_iter().enumerate() {
+                (left[i + r], right[i + r]) = (l, rt);
+            }
+        }
+        for i in tiled..=j {
+            if i < j {
+                left[i] = dot(u[i], a[j]);
+            }
+            right[i] = dot(u[i], a[j + 1]);
+        }
+        for mij in &left[..j] {
+            s += mij * mij;
+        }
+        for mij in &right[..=j] {
+            s += mij * mij;
+        }
+    }
+    if paired < m {
+        for ui in &u[..paired] {
+            let mij = dot(ui, a[paired]);
             s += mij * mij;
         }
     }
@@ -176,6 +211,21 @@ mod tests {
         (got - want).abs() <= 1e-12 * a0.frobenius_norm()
     }
 
+    /// The `Scalar` measure as it is defined: one `dot` per entry of the
+    /// strict upper triangle, squared and summed column `j` outer, `i < j`
+    /// inner, in one running sum.
+    fn scalar_definition(blocks: &[ColumnBlock]) -> f64 {
+        let (u, a) = global_columns(blocks);
+        let mut s = 0.0;
+        for j in 0..a.len() {
+            for i in 0..j {
+                let mij = dot(u[i], a[j]);
+                s += mij * mij;
+            }
+        }
+        (2.0 * s).sqrt()
+    }
+
     #[test]
     fn off_norm_of_initial_state_is_matrix_off_norm() {
         // U = I ⇒ M = A₀.
@@ -242,6 +292,29 @@ mod tests {
     }
 
     #[test]
+    fn the_tiled_scalar_measure_is_bitwise_its_definition_at_every_panel_shape() {
+        // m walks every branch of the exact tiling: no panel, a lone odd
+        // column, panels with 0 and 2 leftover rows before the diagonal,
+        // full tiles, and both with an odd last column — at U = I and in
+        // the generic state after a sweep, on every block cut.
+        for m in [0usize, 1, 2, 3, 4, 5, 6, 7, 9, 17, 41] {
+            let a0 = random_symmetric(m, 300 + m as u64);
+            for d in 0..=3 {
+                let mut blocks = cut(&a0, 2 << d);
+                for sweeps in 0..2 {
+                    let got = off_norm_blocks(&blocks, KernelPath::Scalar);
+                    assert_eq!(
+                        got.to_bits(),
+                        scalar_definition(&blocks).to_bits(),
+                        "m={m} d={d} sweeps={sweeps}"
+                    );
+                    sweep(&mut blocks);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn diagonal_sums_to_trace() {
         // Similarity preserves the trace: Σ λ_i = tr(A₀) for any orthogonal U
         // maintained with A = A₀U.
@@ -291,20 +364,12 @@ mod tests {
                 );
             }
 
-            // Scalar is the reference: bitwise the upper-triangle `dot`
-            // sum, column j outer, i < j inner.
-            let (u, a) = global_columns(&blocks);
-            let mut s = 0.0;
-            for j in 0..m {
-                for i in 0..j {
-                    let mij = dot(u[i], a[j]);
-                    s += mij * mij;
-                }
-            }
+            // Scalar is the reference: bitwise its definition.
             let scalar = off_norm_blocks(&blocks, KernelPath::Scalar);
-            prop_assert_eq!(scalar.to_bits(), (2.0 * s).sqrt().to_bits());
+            prop_assert_eq!(scalar.to_bits(), scalar_definition(&blocks).to_bits());
 
             // The same columns as one block of m: the same bits, both paths.
+            let (u, a) = global_columns(&blocks);
             let mut whole = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
             for (c, view) in whole.columns_mut().enumerate() {
                 view.a.copy_from_slice(a[c]);

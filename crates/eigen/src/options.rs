@@ -111,13 +111,16 @@ pub struct JacobiOptions {
     /// Mid-run reaction to a degraded fabric; see [`Adaptation`]. Ignored
     /// (harmlessly) unless `fabric` is [`FabricModel::Degraded`].
     pub adaptation: Adaptation,
-    /// Compute path of the rotation kernels (see
-    /// [`mph_linalg::KernelPath`]). `Scalar` (the default) is the bitwise
-    /// reference; `Lanes` dispatches to the widest vector unit the CPU
-    /// offers — rotations stay bitwise identical, but the reductions (the
+    /// Which bits the rotation kernels compute (see
+    /// [`mph_linalg::KernelPath`]) — not which instructions: both settings
+    /// run on the widest vector unit the CPU offers that can produce their
+    /// bits. `Scalar` (the default) is the bitwise reference, stable
+    /// across releases: every inner product is the portable `dot` to the
+    /// bit, computed by exact vector kernels. `Lanes` keeps the rotations
+    /// bitwise identical but takes reassociated FMA reductions (the
     /// pairing's fused inner products, and the Gram tiles of the per-sweep
-    /// off-norm the logical drivers record in `off_history`) reassociate
-    /// (≤1e-12 relative per inner product), so `Lanes` is opt-in like
+    /// off-norm the logical drivers record in `off_history`; ≤1e-12
+    /// relative per inner product), so it is opt-in like
     /// `cache_diagonals`.
     pub kernel: KernelPath,
     /// Intra-node parallel pairing: how many threads apply a sub-sweep's
@@ -229,7 +232,7 @@ mod tests {
         assert_eq!(o.tail_pipelining, Pipelining::Off, "whole-block tail must be the default");
         assert_eq!(o.fabric, FabricModel::Free, "the raw channel fabric must be the default");
         assert_eq!(o.adaptation, Adaptation::Off, "no mid-run adaptation by default");
-        assert_eq!(o.kernel, KernelPath::Scalar, "scalar kernels must be the default");
+        assert_eq!(o.kernel, KernelPath::Scalar, "the reference bits must be the default");
         assert_eq!(o.workers, 0, "serial legacy pairing order must be the default");
         assert!(!o.trace.is_enabled(), "tracing must default to the nop sink");
         assert!(o.validate().is_ok(), "the default option set must validate");

@@ -1,15 +1,20 @@
-//! Single-pair kernel hot path, scalar vs lanes: the inner products that
-//! feed `symmetric_schur` (dot / fused triple) and the 4-stream rotation
-//! that applies it, at the column lengths the block drivers actually see —
-//! plus the per-sweep convergence measure's inner products (one `dot` per
-//! entry vs 4×4 Gram tiles) over a whole m = 256 upper triangle.
+//! Single-pair kernel hot path — the portable definitions, the exact
+//! vector kernels that reproduce their bits, and the reassociated lane
+//! reductions: the inner products that feed `symmetric_schur` (dot / fused
+//! triple) and the 4-stream rotation that applies it, at the column lengths
+//! the block drivers actually see — plus the per-sweep convergence
+//! measure's inner products (one `dot` per entry vs exact 4×2 tiles vs 4×4
+//! Gram tiles) over a whole m = 256 upper triangle.
 //!
 //! These are the micro-counterparts of `perf_snapshot`'s `"kernel"` block:
 //! that measures a whole block sweep end to end; this isolates each
 //! primitive so a regression can be attributed to one kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mph_linalg::vecops::{dot, dot_lanes, fused_triple, gram_tile, pair_rotate, pair_rotate_lanes};
+use mph_linalg::vecops::{
+    dot, dot_lanes, dot_tile_exact, fused_triple, fused_triple_exact, gram_tile, pair_rotate,
+    pair_rotate_lanes,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -34,6 +39,11 @@ fn bench_dot(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("lanes", m), &m, |b, _| {
             b.iter(|| black_box(dot_lanes(black_box(&x), black_box(&y))))
         });
+        // Eight entries per call: divide by 8 to compare with the rows above.
+        let u: Vec<Vec<f64>> = (0..4).map(|k| filled(m, 20 + k)).collect();
+        g.bench_with_input(BenchmarkId::new("exact_tile_of_8", m), &m, |b, _| {
+            b.iter(|| black_box(dot_tile_exact(black_box([&u[0], &u[1], &u[2], &u[3]]), [&x, &y])))
+        });
     }
     g.finish();
 }
@@ -52,6 +62,16 @@ fn bench_fused_triple(c: &mut Criterion) {
                 let apq = dot(black_box(&ui), black_box(&aj));
                 let aqq = dot(black_box(&uj), black_box(&aj));
                 black_box((app, apq, aqq))
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("fused_exact", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(fused_triple_exact(
+                    black_box(&ui),
+                    black_box(&ai),
+                    black_box(&uj),
+                    black_box(&aj),
+                ))
             })
         });
         g.bench_with_input(BenchmarkId::new("fused", m), &m, |b, _| {
@@ -110,9 +130,11 @@ fn bench_rotate(c: &mut Criterion) {
 }
 
 /// The off-norm's work at m = 256: every `u_i·a_j` of the strict upper
-/// triangle, squared and summed — as 32 640 scalar dots, and as 2 080 Gram
-/// tiles (`mph_eigen::off_norm_blocks` adds only the column lookup and the
-/// fixed summation order to these loops).
+/// triangle, squared and summed — as 32 640 scalar dots (the definition of
+/// the `Scalar` measure), as exact 4×2 tiles with the rows short of a tile
+/// through `dot` (how `Scalar` computes those same bits), and as 2 080 Gram
+/// tiles (`Lanes`). `mph_eigen::off_norm_blocks` adds only the column
+/// lookup and the fixed summation order to these loops.
 fn bench_off_norm(c: &mut Criterion) {
     let mut g = c.benchmark_group("off_norm");
     g.sample_size(20).measurement_time(Duration::from_secs(2));
@@ -126,6 +148,25 @@ fn bench_off_norm(c: &mut Criterion) {
                 for i in 0..j {
                     let mij = dot(black_box(&u[i]), &a[j]);
                     s += mij * mij;
+                }
+            }
+            black_box(s)
+        })
+    });
+    g.bench_with_input(BenchmarkId::new("scalar_exact_tiles", m), &m, |b, _| {
+        b.iter(|| {
+            let mut s = 0.0;
+            for j in (0..m).step_by(2) {
+                let tiled = j - j % 4;
+                for i in (0..tiled).step_by(4) {
+                    let rows = black_box([&u[i][..], &u[i + 1], &u[i + 2], &u[i + 3]]);
+                    for [l, r] in dot_tile_exact(rows, [&a[j], &a[j + 1]]) {
+                        s += l * l + r * r;
+                    }
+                }
+                for i in tiled..=j {
+                    let (l, r) = (dot(&u[i], &a[j]), dot(&u[i], &a[j + 1]));
+                    s += if i < j { l * l + r * r } else { r * r };
                 }
             }
             black_box(s)

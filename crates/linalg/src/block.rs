@@ -152,25 +152,21 @@ pub struct PairViewMut<'a> {
 
 impl<'a> PairViewMut<'a> {
     /// Applies the plane rotation `(c, s)` to the pair's `A`- and
-    /// `U`-columns in one fused pass (see [`crate::vecops::pair_rotate`]).
+    /// `U`-columns in one fused pass through the portable scalar loop
+    /// ([`crate::vecops::pair_rotate`]) — the definition
+    /// [`PairViewMut::rotate_with`] is tested against.
     #[inline]
     pub fn rotate(&mut self, c: f64, s: f64) {
         crate::vecops::pair_rotate(self.ai, self.aj, self.ui, self.uj, c, s);
     }
 
-    /// [`PairViewMut::rotate`] on the kernel path selected by `path`. Both
-    /// paths are bitwise identical (the lane rotate uses no FMA); the
-    /// selection only changes how fast the same bits are produced.
+    /// [`PairViewMut::rotate`] on the widest vector unit the host offers
+    /// ([`crate::vecops::pair_rotate_lanes`]): the same bits (the lane
+    /// rotate uses no FMA), produced faster — what every pairing of every
+    /// [`crate::vecops::KernelPath`] runs.
     #[inline]
-    pub fn rotate_with(&mut self, c: f64, s: f64, path: crate::vecops::KernelPath) {
-        match path {
-            crate::vecops::KernelPath::Scalar => {
-                crate::vecops::pair_rotate(self.ai, self.aj, self.ui, self.uj, c, s)
-            }
-            crate::vecops::KernelPath::Lanes => {
-                crate::vecops::pair_rotate_lanes(self.ai, self.aj, self.ui, self.uj, c, s)
-            }
-        }
+    pub fn rotate_with(&mut self, c: f64, s: f64) {
+        crate::vecops::pair_rotate_lanes(self.ai, self.aj, self.ui, self.uj, c, s);
     }
 }
 
@@ -891,13 +887,12 @@ mod tests {
 
     #[test]
     fn rotate_with_is_bitwise_identical_across_paths() {
-        use crate::vecops::KernelPath;
         let a0 = random_symmetric(9, 31);
         let mut scalar = ColumnBlock::from_matrix_with_identity(&a0, 0..9, 9);
         let mut lanes = scalar.clone();
         let (c, s) = (0.642, -0.766);
-        scalar.pair_mut(2, 7).rotate_with(c, s, KernelPath::Scalar);
-        lanes.pair_mut(2, 7).rotate_with(c, s, KernelPath::Lanes);
+        scalar.pair_mut(2, 7).rotate(c, s);
+        lanes.pair_mut(2, 7).rotate_with(c, s);
         assert_eq!(scalar, lanes);
     }
 

@@ -1,34 +1,47 @@
 //! BLAS-1 style kernels used by the one-sided Jacobi inner loop.
 //!
-//! These are the only operations on the solver's hot path. Each has a
-//! reference scalar form (a genuinely unrolled `chunks_exact` main loop plus
-//! a short tail) and, where it pays, a lane form dispatched at runtime to
-//! the widest vector unit the CPU offers (AVX-512F, then AVX2, then the
-//! portable unrolled loop). The two forms are selected by [`KernelPath`]:
+//! These are the only operations on the solver's hot path. [`dot`] is the
+//! portable definition of an inner product — four partial sums by index
+//! mod 4, multiply then add, `(s0+s1)+(s2+s3)`, tail in index order — and
+//! [`pair_rotate`] of a rotation (multiply, multiply, add). Beside them
+//! stand kernels dispatched at runtime to the widest vector unit the CPU
+//! offers (AVX-512F, then AVX2, then a portable loop), of two kinds:
 //!
-//! * `Scalar` (the default) is the historical reference path — every result
-//!   produced through it is bitwise identical to previous releases.
-//! * `Lanes` promises bitwise identity for the *rotations* (the lane rotate
-//!   multiplies then adds exactly like the scalar loop — no FMA is used, so
-//!   every element's bits match at any vector width) and ≤1e-12 relative
-//!   error for the fused *reductions* ([`fused_triple`], [`dot_lanes`], and
-//!   the 4×4 Gram tile [`gram_tile`] behind the convergence measure), which
-//!   reassociate the accumulation and may contract with FMA.
+//! * *exact* kernels — [`fused_triple_exact`], [`dot_tile_exact`],
+//!   [`pair_rotate_lanes`] — compute the reference bits: every result is
+//!   `to_bits`-equal to [`dot`] / [`pair_rotate`], at any width, because a
+//!   vector register doing a multiply and then an add (never an FMA), lane
+//!   `l` holding partial sum `l`, performs exactly the scalar operations;
+//! * *reassociated* reductions — [`fused_triple`], [`dot_lanes`],
+//!   [`gram_tile`] — use wider partial sums and FMA, ≤1e-12 relative of
+//!   [`dot`] per entry.
+//!
+//! [`KernelPath`] selects between the two kinds of *reduction*; it promises
+//! bits, not an instruction mix:
+//!
+//! * `Scalar` (the default) is the reference bits — every result produced
+//!   through it is bitwise identical to previous releases — executed by the
+//!   exact kernels.
+//! * `Lanes` keeps the rotations bitwise identical and takes the
+//!   reassociated reductions.
 
-/// Which compute path the rotation stack runs on.
+/// Which bits the rotation stack computes.
 ///
 /// Mirrors the `cache_diagonals` contract: the default is bitwise parity
 /// with the reference implementation, the opt-in is a proptest-bounded
-/// equivalent that exists purely for speed.
+/// equivalent that exists purely for speed. Neither variant names an
+/// instruction set: both run on the widest vector unit that can produce
+/// their bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// Reference scalar kernels; bitwise-stable across releases.
+    /// The reference bits, stable across releases: every inner product is
+    /// bitwise [`dot`], every rotation bitwise [`pair_rotate`].
     #[default]
     Scalar,
-    /// Runtime-dispatched lane kernels. Rotations stay bitwise identical to
+    /// Reassociated reductions. Rotations stay bitwise identical to
     /// `Scalar`; the reductions — the pairing's fused inner products and the
-    /// Gram tile of the off-norm — are ≤1e-12 relative of the scalar `dot`
-    /// per entry.
+    /// Gram tile of the off-norm — use wider partial sums and FMA, ≤1e-12
+    /// relative of the scalar `dot` per entry.
     Lanes,
 }
 
@@ -60,6 +73,17 @@ fn lane_tier() -> LaneTier {
 #[cfg(not(target_arch = "x86_64"))]
 fn lane_tier() -> LaneTier {
     LaneTier::Portable
+}
+
+/// The vector unit this host runs the exact kernels on: `"avx2"` or
+/// `"portable"`. [`dot`] has four partial sums, so four lanes is as wide as
+/// its bits can be reproduced — an AVX-512 host runs the AVX2 forms.
+pub fn exact_tier() -> &'static str {
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        LaneTier::Avx512 | LaneTier::Avx2 => "avx2",
+        LaneTier::Portable => "portable",
+    }
 }
 
 /// Dot product of two equal-length slices.
@@ -165,6 +189,60 @@ fn fused_triple_portable(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f6
         sqq += yr[i] * br[i];
     }
     (spp, spq, sqq)
+}
+
+/// [`fused_triple`] with the reference bits: `(x·a, x·b, y·b)` in one pass,
+/// each product `to_bits`-equal to [`dot`].
+///
+/// The AVX2 form keeps one 4-lane accumulator per product — lane `l` is
+/// `dot`'s partial sum `l` — multiplies then adds, and finishes with `dot`'s
+/// own tree and tail, so it performs the scalar operations exactly; eight
+/// lanes would be eight partial sums, so it serves AVX-512 hosts as well.
+/// This is what a [`KernelPath::Scalar`] pairing runs on.
+///
+/// # Panics
+/// Panics if the slices do not all have one common length.
+#[inline]
+pub fn fused_triple_exact(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
+    assert_eq!(x.len(), a.len());
+    assert_eq!(y.len(), b.len());
+    assert_eq!(x.len(), y.len());
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: either tier implies avx2 (rustc's `avx512f` includes it);
+        // the common length was asserted above.
+        LaneTier::Avx512 | LaneTier::Avx2 => unsafe { x86::fused_triple_exact_avx2(x, a, y, b) },
+        LaneTier::Portable => fused_triple_portable(x, a, y, b),
+    }
+}
+
+/// The 4×2 tile of inner products `g[r][c] = u[r]·a[c]` over six
+/// equal-length columns in one pass, every entry `to_bits`-equal to
+/// [`dot`]`(u[r], a[c])`.
+///
+/// The exact counterpart of [`gram_tile`], behind the
+/// [`KernelPath::Scalar`] convergence measure: eight accumulators are as
+/// many independent add chains as keep the adder busy while each entry is
+/// still summed in `dot`'s order, and six loads feed eight multiply-adds
+/// where eight separate dots pay two loads each.
+///
+/// # Panics
+/// Panics if the six slices do not all have one common length.
+#[inline]
+pub fn dot_tile_exact(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
+    let n = u[0].len();
+    assert!(u.iter().chain(&a).all(|col| col.len() == n), "dot_tile_exact: column lengths differ");
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: as in `fused_triple_exact`.
+        LaneTier::Avx512 | LaneTier::Avx2 => unsafe { x86::dot_tile_exact_avx2(u, a) },
+        LaneTier::Portable => dot_tile_exact_portable(u, a),
+    }
+}
+
+/// Portable exact tile: the eight [`dot`]s themselves.
+fn dot_tile_exact_portable(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
+    u.map(|ur| a.map(|ac| dot(ur, ac)))
 }
 
 /// The 4×4 tile of inner products `g[r][c] = u[r]·a[c]` over eight
@@ -520,6 +598,99 @@ mod x86 {
             qq += y[i] * b[i];
         }
         (pp, pq, qq)
+    }
+
+    /// [`super::dot`]'s final tree over a 4-lane accumulator whose lane `l`
+    /// holds partial sum `l`: `(s0+s1)+(s2+s3)` — not [`hsum256`], whose
+    /// `(s0+s2)+(s1+s3)` is a different sum.
+    ///
+    /// # Safety
+    /// Requires AVX (implied by the callers' avx2 target feature).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_tree256(v: __m256d) -> f64 {
+        let mut s = [0.0f64; 4];
+        _mm256_storeu_pd(s.as_mut_ptr(), v);
+        (s[0] + s[1]) + (s[2] + s[3])
+    }
+
+    /// The three inner products of a pairing, each in [`super::dot`]'s
+    /// exact operation order: multiply then add — NO FMA — into lane
+    /// `index mod 4`, `dot`'s tree, then the tail in index order.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` via cpuid; all four slices must
+    /// share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fused_triple_exact_avx2(
+        x: &[f64],
+        a: &[f64],
+        y: &[f64],
+        b: &[f64],
+    ) -> (f64, f64, f64) {
+        let n = x.len();
+        let mut spp = _mm256_setzero_pd();
+        let mut spq = _mm256_setzero_pd();
+        let mut sqq = _mm256_setzero_pd();
+        let chunks = n / 4;
+        for k in 0..chunks {
+            let i = 4 * k;
+            let vx = _mm256_loadu_pd(x.as_ptr().add(i));
+            let va = _mm256_loadu_pd(a.as_ptr().add(i));
+            let vy = _mm256_loadu_pd(y.as_ptr().add(i));
+            let vb = _mm256_loadu_pd(b.as_ptr().add(i));
+            spp = _mm256_add_pd(spp, _mm256_mul_pd(vx, va));
+            spq = _mm256_add_pd(spq, _mm256_mul_pd(vx, vb));
+            sqq = _mm256_add_pd(sqq, _mm256_mul_pd(vy, vb));
+        }
+        let mut pp = dot_tree256(spp);
+        let mut pq = dot_tree256(spq);
+        let mut qq = dot_tree256(sqq);
+        for i in 4 * chunks..n {
+            pp += x[i] * a[i];
+            pq += x[i] * b[i];
+            qq += y[i] * b[i];
+        }
+        (pp, pq, qq)
+    }
+
+    /// 4×2 exact dot tile: eight accumulators, four `u` loads and two `a`
+    /// loads per eight multiply-then-adds, every entry in
+    /// [`super::dot`]'s exact operation order (see
+    /// [`fused_triple_exact_avx2`]).
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` via cpuid; all six slices must
+    /// share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_tile_exact_avx2(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
+        let n = u[0].len();
+        let chunks = n / 4;
+        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        for k in 0..chunks {
+            let i = 4 * k;
+            let va0 = _mm256_loadu_pd(a[0].as_ptr().add(i));
+            let va1 = _mm256_loadu_pd(a[1].as_ptr().add(i));
+            for r in 0..4 {
+                let vu = _mm256_loadu_pd(u[r].as_ptr().add(i));
+                acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(vu, va0));
+                acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(vu, va1));
+            }
+        }
+        let mut g = [[0.0f64; 2]; 4];
+        for r in 0..4 {
+            for c in 0..2 {
+                g[r][c] = dot_tree256(acc[r][c]);
+            }
+        }
+        for i in 4 * chunks..n {
+            for r in 0..4 {
+                for c in 0..2 {
+                    g[r][c] += u[r][i] * a[c][i];
+                }
+            }
+        }
+        g
     }
 
     /// 4×4 Gram tile, 8 lanes at a time: sixteen vector accumulators, four
@@ -1070,6 +1241,151 @@ mod tests {
     fn gram_tile_rejects_mismatched_column_lengths() {
         let (long, short) = (stream(0, 9), stream(1, 8));
         gram_tile([&long, &long, &long, &long], [&long, &long, &short, &long]);
+    }
+
+    // --- The exact kernels: `to_bits`-equal to `dot`, tier by tier ----------
+
+    type ExactTileFn = fn([&[f64]; 4], [&[f64]; 2]) -> [[f64; 2]; 4];
+
+    /// Every form of the exact kernels this host can run: the portable tier
+    /// always, the AVX2 tier called directly once cpuid reports it, and the
+    /// public dispatch.
+    fn exact_tiers() -> Vec<(&'static str, TripleFn, ExactTileFn)> {
+        let mut tiers: Vec<(&'static str, TripleFn, ExactTileFn)> = vec![
+            ("portable", fused_triple_portable, dot_tile_exact_portable),
+            ("dispatch", fused_triple_exact, dot_tile_exact),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY (both closures): avx2 was just detected; the tests pass
+            // equal-length slices.
+            tiers.push((
+                "avx2",
+                |x, a, y, b| unsafe { x86::fused_triple_exact_avx2(x, a, y, b) },
+                |u, a| unsafe { x86::dot_tile_exact_avx2(u, a) },
+            ));
+        }
+        tiers
+    }
+
+    /// Every remainder 0..=3 below, at and well past one vector.
+    fn exact_lengths() -> impl Iterator<Item = usize> {
+        (0..=67usize).chain([255, 256, 257, 259])
+    }
+
+    /// Six columns of length `n` drawn from `draw`.
+    fn six_columns(n: usize, mut draw: impl FnMut() -> f64) -> Vec<Vec<f64>> {
+        (0..6).map(|_| (0..n).map(|_| draw()).collect()).collect()
+    }
+
+    /// Checks every exact tier against `dot` on `cols` (`x, a, y, b` for the
+    /// triple; four `u` then two `a` for the tile) with `same`.
+    fn check_exact_tiers(cols: &[Vec<f64>], same: impl Fn(f64, f64) -> bool, what: &str) {
+        let n = cols[0].len();
+        let (x, a, y, b) = (&cols[0][..], &cols[1][..], &cols[2][..], &cols[3][..]);
+        let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
+        let pair: [&[f64]; 2] = [&cols[4], &cols[5]];
+        for (name, triple, tile) in exact_tiers() {
+            let (pp, pq, qq) = triple(x, a, y, b);
+            for (got, want) in [(pp, dot(x, a)), (pq, dot(x, b)), (qq, dot(y, b))] {
+                assert!(same(got, want), "{name} triple, {what}, n={n}: {got:e} vs {want:e}");
+            }
+            // The Gram rule's aliasing: the same columns in both roles.
+            let (pp, pq, qq) = triple(x, x, y, y);
+            for (got, want) in [(pp, dot(x, x)), (pq, dot(x, y)), (qq, dot(y, y))] {
+                assert!(same(got, want), "{name} gram triple, {what}, n={n}");
+            }
+            let g = tile(u, pair);
+            for r in 0..4 {
+                for c in 0..2 {
+                    let want = dot(u[r], pair[c]);
+                    assert!(
+                        same(g[r][c], want),
+                        "{name} tile ({r},{c}), {what}, n={n}: {:e} vs {want:e}",
+                        g[r][c]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_exact_tier_is_bitwise_dot_on_random_data() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        for n in exact_lengths() {
+            let cols = six_columns(n, || rng.gen_range(-1.0..=1.0));
+            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "random");
+        }
+    }
+
+    #[test]
+    fn every_exact_tier_is_bitwise_dot_on_signed_zeros_and_subnormals() {
+        // Products that underflow to ±0 or to subnormals, sums that cancel
+        // to a signed zero: the sign of a zero and the last subnormal bit
+        // depend on the operation order, which is the thing under test.
+        use rand::{Rng, SeedableRng};
+        const POOL: [f64; 10] =
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160, 1.0, -1.0];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for n in exact_lengths() {
+            let cols = six_columns(n, || POOL[rng.gen_range(0..POOL.len())]);
+            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "tiny");
+        }
+        // All-negative-zero columns: every partial sum is `0.0 + -0.0`.
+        for n in [0usize, 3, 4, 9] {
+            let cols = vec![vec![-0.0; n]; 6];
+            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "-0");
+        }
+    }
+
+    #[test]
+    fn every_exact_tier_agrees_with_dot_on_non_finite_input() {
+        // NaN payloads are not pinned by IEEE 754, so NaN-ness is compared,
+        // and an infinity must match in sign.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let agree = |got: f64, want: f64| {
+            if want.is_nan() {
+                got.is_nan()
+            } else {
+                got == want
+            }
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for n in [1usize, 4, 7, 33, 256, 259] {
+                // One bad entry per column, in the vector body and the tail.
+                for at in [0, n / 2, n - 1] {
+                    let mut cols = six_columns(n, || rng.gen_range(-1.0..=1.0));
+                    for (k, col) in cols.iter_mut().enumerate() {
+                        if k % 2 == 0 {
+                            col[at] = bad;
+                        }
+                    }
+                    check_exact_tiers(&cols, agree, "non-finite");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_exact_tier_name_is_one_of_the_tiers() {
+        assert!(exact_tiers().iter().any(|(name, ..)| *name == exact_tier()));
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn fused_triple_exact_rejects_mismatched_lengths_with_dots_message() {
+        // The pairing pool's panic-propagation test reads this message.
+        let (short, long) = (stream(0, 8), stream(1, 9));
+        fused_triple_exact(&short, &short, &long, &long);
+    }
+
+    #[test]
+    #[should_panic(expected = "column lengths differ")]
+    fn dot_tile_exact_rejects_mismatched_column_lengths() {
+        let (long, short) = (stream(0, 9), stream(1, 8));
+        dot_tile_exact([&long, &long, &long, &long], [&long, &short]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
-    axpy, dot, dot_lanes, fused_triple, nrm2, pair_rotate, pair_rotate_lanes, rotate_pair,
+    axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
+    rotate_pair,
 };
 use mph_linalg::Matrix;
 use proptest::prelude::*;
@@ -143,6 +144,18 @@ proptest! {
                 (got - want).abs() <= 1e-12 * want.abs().max(1.0),
                 "{got} vs {want}"
             );
+        }
+    }
+
+    #[test]
+    fn fused_triple_exact_is_bitwise_three_dots(quads in quad_vecs_laned()) {
+        // The exact triple may NOT re-associate: it is what the reference
+        // (`KernelPath::Scalar`) pairing runs, on whichever vector tier the
+        // host dispatches to, so every product carries `dot`'s bits.
+        let (x, a, y, b) = quads;
+        let (app, apq, aqq) = fused_triple_exact(&x, &a, &y, &b);
+        for (got, want) in [(app, dot(&x, &a)), (apq, dot(&x, &b)), (aqq, dot(&y, &b))] {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
         }
     }
 
