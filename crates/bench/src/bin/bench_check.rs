@@ -203,6 +203,12 @@ fn validate(doc: &Json) -> Vec<String> {
             layout.and_then(|l| l.get(key)).and_then(Json::as_number).is_some(),
         );
     }
+    // The storage block: every wall-clock figure below was taken on columns
+    // that start a cache line — exact fields, gated by equality.
+    let storage_num =
+        |key: &str| doc.get("storage").and_then(|s| s.get(key)).and_then(Json::as_number);
+    require("storage.column_align_bytes == 64", storage_num("column_align_bytes") == Some(64.0));
+    require("storage.misaligned_columns == 0", storage_num("misaligned_columns") == Some(0.0));
     // The kernel block: the single-node hot path on one full block sweep —
     // the three-`dot` reference, scalar (the same bits on the exact vector
     // kernels of `exact_tier`) and lanes (serial order), then the tile
@@ -674,6 +680,7 @@ mod tests {
           "bench": "eigen_perf_snapshot", "m": 256, "d": 3, "smoke": false, "seed": 1,
           "layout_sweep": {{"seed_vecvec_ms": 1.0, "columnblock_ms": 1.0,
                            "columnblock_cached_ms": 1.0, "speedup_contiguous": 1.0}},
+          "storage": {{"column_align_bytes": 64, "misaligned_columns": 0}},
           "kernel": {{"reps": 5, "cores": 2, "exact_tier": "avx2", "reference_ms": 15.0,
                      "scalar_ms": 9.4, "lanes_ms": 7.3,
                      "lanes_w1_ms": 5.5, "lanes_w2_ms": 4.1, "lanes_wn_ms": 4.1,
@@ -1101,6 +1108,24 @@ mod tests {
         let doc = Parser::new(&text).document().expect("parses");
         let problems = validate(&doc);
         assert!(problems.iter().any(|p| p.contains("kernel.bitwise_identical")), "{problems:?}");
+    }
+
+    #[test]
+    fn gates_the_storage_invariant_by_equality() {
+        let snapshot = minimal_snapshot(1.0, 100.0);
+        for (good, bad, gate) in [
+            (
+                "\"column_align_bytes\": 64",
+                "\"column_align_bytes\": 32",
+                "column_align_bytes == 64",
+            ),
+            ("\"misaligned_columns\": 0", "\"misaligned_columns\": 3", "misaligned_columns == 0"),
+            ("\"misaligned_columns\": 0", "\"unrelated\": 0", "misaligned_columns == 0"),
+        ] {
+            let doc = Parser::new(&snapshot.replace(good, bad)).document().expect("parses");
+            let problems = validate(&doc);
+            assert!(problems.iter().any(|p| p.contains(gate)), "{bad}: {problems:?}");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use mph_eigen::{
     off_norm_blocks, packetization_cap, svd_block, Adaptation, BlockPartition, ColumnBlock,
     FabricModel, JacobiOptions, JobSpec, KernelPath, PairingRule, Pipelining, SweepKernel,
 };
+use mph_linalg::block::COLUMN_ALIGN_BYTES;
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{
     calibrate_channel_machine, LinkDeath, RingSink, Scenario, ScenarioSpec, SinkHandle,
@@ -41,17 +42,41 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Median wall-clock milliseconds of `reps` runs of `f`.
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+/// Wall-clock milliseconds of one run of `f`.
+fn timed_ms(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds of `reps` runs of `f`.
+fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    median((0..reps).map(|_| timed_ms(&mut f)).collect())
+}
+
+/// Medians of `reps` samples of each side of a wall-clock ratio, taken
+/// round-robin after one warm-up pass: round `r` starts with side
+/// `r mod N`. Each side returns its own sample in milliseconds, so set-up
+/// stays outside the timed region. Timing one side to completion and then
+/// the other puts the host's slow drift (frequency, a neighbour's load)
+/// wholly on one side of the ratio; interleaved, both medians see it.
+fn paired_ms<const N: usize>(reps: usize, mut sides: [&mut dyn FnMut() -> f64; N]) -> [f64; N] {
+    for side in sides.iter_mut() {
+        side();
+    }
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for r in 0..reps {
+        for k in 0..N {
+            let side = (r + k) % N;
+            samples[side].push(sides[side]());
+        }
+    }
+    samples.map(median)
 }
 
 fn main() {
@@ -112,38 +137,38 @@ fn main() {
     // worker-count-invariant.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Each sample sweeps pristine blocks (a converged matrix is not the
-    // workload) and only the sweep is timed; one warmup pass per
-    // configuration stabilises the median.
-    let sweep_median_ms = |sweep: &mut dyn FnMut(&mut [ColumnBlock])| -> f64 {
-        let mut sweep_ms = || {
-            let mut blocks = make_col_blocks();
-            let t0 = Instant::now();
-            sweep(&mut blocks);
-            t0.elapsed().as_secs_f64() * 1e3
-        };
-        sweep_ms();
-        let mut samples: Vec<f64> = (0..reps).map(|_| sweep_ms()).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        samples[samples.len() / 2]
+    // workload) and only the sweep is timed.
+    let sweep_ms = |sweep: &mut dyn FnMut(&mut [ColumnBlock])| -> f64 {
+        let mut blocks = make_col_blocks();
+        timed_ms(|| sweep(&mut blocks))
     };
     // The pool is created once per configuration, as a solve creates it
     // once for all its sweeps.
-    let kernel_median_ms = |path: KernelPath, workers: usize| -> f64 {
+    let kernel_sweep_ms = |path: KernelPath, workers: usize| {
         let kern = SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
         let mut tour = kern.tournament(make_col_blocks().iter().map(ColumnBlock::len));
-        sweep_median_ms(&mut |blocks| {
-            black_box(column_block_full_sweep_kernel(blocks, false, &kern, &mut tour));
+        move || {
+            sweep_ms(&mut |blocks| {
+                black_box(column_block_full_sweep_kernel(blocks, false, &kern, &mut tour));
+            })
+        }
+    };
+    let exact_tier = mph_linalg::vecops::exact_tier();
+    // The sides of a gated ratio are sampled interleaved (`paired_ms`):
+    // scalar/reference and lanes/scalar share one round-robin, w2/w1 another.
+    let mut reference = || {
+        sweep_ms(&mut |blocks| {
+            black_box(column_block_full_sweep_reference(blocks, 0.0));
         })
     };
-    let kernel_reference_ms = sweep_median_ms(&mut |blocks| {
-        black_box(column_block_full_sweep_reference(blocks, 0.0));
-    });
-    let exact_tier = mph_linalg::vecops::exact_tier();
-    let kernel_scalar_ms = kernel_median_ms(KernelPath::Scalar, 0);
-    let kernel_lanes_ms = kernel_median_ms(KernelPath::Lanes, 0);
-    let lanes_w1_ms = kernel_median_ms(KernelPath::Lanes, 1);
-    let lanes_w2_ms = kernel_median_ms(KernelPath::Lanes, 2);
-    let lanes_wn_ms = kernel_median_ms(KernelPath::Lanes, cores);
+    let (mut scalar, mut lanes) =
+        (kernel_sweep_ms(KernelPath::Scalar, 0), kernel_sweep_ms(KernelPath::Lanes, 0));
+    let [kernel_reference_ms, kernel_scalar_ms, kernel_lanes_ms] =
+        paired_ms(reps, [&mut reference, &mut scalar, &mut lanes]);
+    let (mut w1, mut w2) =
+        (kernel_sweep_ms(KernelPath::Lanes, 1), kernel_sweep_ms(KernelPath::Lanes, 2));
+    let [lanes_w1_ms, lanes_w2_ms] = paired_ms(reps, [&mut w1, &mut w2]);
+    let [lanes_wn_ms] = paired_ms(reps, [&mut kernel_sweep_ms(KernelPath::Lanes, cores)]);
     let speedup_lanes = kernel_scalar_ms / kernel_lanes_ms;
     let (mut kref, mut ktiled, mut koracle) =
         (make_col_blocks(), make_col_blocks(), make_col_blocks());
@@ -159,6 +184,16 @@ fn main() {
     kernel_sweep_once(&mut kw1, KernelPath::Lanes, 1);
     kernel_sweep_once(&mut kw4, KernelPath::Lanes, 4);
     let kernel_bitwise = kref == ktiled && koracle == ktiled && kw1 == kw4;
+    // The storage invariant behind every number above, counted over the
+    // blocks those sweeps ran on: no column starts off a cache line.
+    let misaligned_columns: usize = [&kref, &ktiled, &koracle, &kw1, &kw4]
+        .into_iter()
+        .flatten()
+        .map(ColumnBlock::misaligned_columns)
+        .sum();
+    println!(
+        "  column storage   : {COLUMN_ALIGN_BYTES}-byte aligned, {misaligned_columns} misaligned columns"
+    );
     // The convergence check that follows every sweep of a logical solve,
     // on the generic state one lanes sweep leaves behind (at U = I every
     // entry would be a single element read). The state is built outside
@@ -738,7 +773,7 @@ fn main() {
     // observational, so the gate requires the traced run to stay within
     // 5% wall time of the untraced one, bitwise-identical results, and a
     // well-formed Chrome export. Wall-clock medians are noisy at this
-    // margin, so the block takes extra reps.
+    // margin, so the block takes extra reps and interleaves the two sides.
     let trace_reps = 2 * reps + 1;
     let trace_opts = JacobiOptions {
         force_sweeps: Some(2),
@@ -746,14 +781,15 @@ fn main() {
         fabric: FabricModel::Throttled(dg_machine),
         ..Default::default()
     };
-    let nop_ms = median_ms(trace_reps, || {
-        black_box(block_jacobi_threaded_fabric(&a, d, pipe_family, &trace_opts));
-    });
     let ring = Arc::new(RingSink::new(d, 1 << 16));
     let ring_opts = JacobiOptions { trace: SinkHandle::new(ring.clone()), ..trace_opts.clone() };
-    let ring_ms = median_ms(trace_reps, || {
-        black_box(block_jacobi_threaded_fabric(&a, d, pipe_family, &ring_opts));
-    });
+    let solve_ms = |opts: &JacobiOptions| {
+        timed_ms(|| {
+            black_box(block_jacobi_threaded_fabric(&a, d, pipe_family, opts));
+        })
+    };
+    let [nop_ms, ring_ms] =
+        paired_ms(trace_reps, [&mut || solve_ms(&trace_opts), &mut || solve_ms(&ring_opts)]);
     let trace_overhead = ring_ms / nop_ms;
     let (tr_plain, _, _) = block_jacobi_threaded_fabric(&a, d, pipe_family, &trace_opts);
     ring.drain();
@@ -786,6 +822,8 @@ fn main() {
          \"columnblock_cached_ms\": {cached_ms:.3},\n    \
          \"speedup_contiguous\": {speedup_contiguous:.3},\n    \
          \"speedup_contiguous_cached\": {speedup_cached:.3}\n  }},\n  \
+         \"storage\": {{\n    \"column_align_bytes\": {COLUMN_ALIGN_BYTES},\n    \
+         \"misaligned_columns\": {misaligned_columns}\n  }},\n  \
          \"kernel\": {kernel_json},\n  \
          \"pipelined\": {pipelined_json},\n  \
          \"fabric\": {fabric_json},\n  \

@@ -223,7 +223,9 @@ pub fn pair_across_blocks(
 
 /// Right-column tile width of the serial sweep loops: with `m = 256` rows
 /// a `(A|U)` unit is 4 KiB, so an 8-column tile plus the walking left
-/// column stays L1-resident across the pairings that reuse it.
+/// column is 36 KiB — resident in a 48 KiB L1d across the pairings that
+/// reuse it, not in a 32 KiB one. A 4-column tile (20 KiB) measured no
+/// different from 8 on the CI host, so L1 capacity is not the limit there.
 const ACROSS_TILE: usize = 8;
 
 /// Rounds of the circle-method tournament among `b` indices: `b − 1` for

@@ -344,14 +344,22 @@ impl Meterable for BatchMsg {
 
 fn expect_block(msg: BatchMsg) -> ColumnBlock {
     match msg {
-        BatchMsg::Block { block, .. } => block,
+        BatchMsg::Block { block, .. } => {
+            // A block crosses a link by pointer: it arrives as aligned as
+            // it left.
+            debug_assert_eq!(block.misaligned_columns(), 0);
+            block
+        }
         other => panic!("batch protocol error: expected a block, got {other:?}"),
     }
 }
 
 fn expect_packet(msg: BatchMsg) -> Packet<ColumnBlock> {
     match msg {
-        BatchMsg::Packet(p) => p,
+        BatchMsg::Packet(p) => {
+            debug_assert_eq!(p.payload.misaligned_columns(), 0);
+            p
+        }
         other => panic!("batch protocol error: expected a packet, got {other:?}"),
     }
 }
@@ -486,6 +494,9 @@ struct JobNode<'a> {
     tail_stamps: Vec<f64>,
     /// Packet backing stores, reused across phases and sweeps.
     pool: BufferPool,
+    /// `pool.misses()` at the end of each sweep.
+    #[cfg(test)]
+    pool_misses: Vec<u64>,
     /// The current sweep's schedule where a degraded solo sweep overrides
     /// `tables` ([`Solo::reprice`]).
     repriced: Option<SweepTable>,
@@ -514,6 +525,9 @@ struct JobNodeOutput {
     eigen_cols: Vec<(usize, f64, Vec<f64>)>,
     /// SVD: `(global column, w-column, v-column)`.
     svd_cols: Vec<(usize, Vec<f64>, Vec<f64>)>,
+    /// Packet-store allocations so far, at the end of each sweep.
+    #[cfg(test)]
+    pool_misses: Vec<u64>,
 }
 
 impl<'a> JobNode<'a> {
@@ -562,6 +576,8 @@ impl<'a> JobNode<'a> {
             pipe_entry: 0.0,
             tail_stamps: Vec::new(),
             pool: BufferPool::new(),
+            #[cfg(test)]
+            pool_misses: Vec::new(),
             repriced: None,
             outbox: None,
             machine: solo
@@ -977,6 +993,8 @@ impl<'a> JobNode<'a> {
                     });
                 }
                 self.rotations += self.acc.rotations;
+                #[cfg(test)]
+                self.pool_misses.push(self.pool.misses());
                 if !self.forced {
                     // The vote: a dimension-exchange all-reduce of the
                     // sweep's largest off measure, demultiplexed by job
@@ -1028,6 +1046,8 @@ impl<'a> JobNode<'a> {
             adaptive: self.adaptive,
             eigen_cols: Vec::new(),
             svd_cols: Vec::new(),
+            #[cfg(test)]
+            pool_misses: self.pool_misses,
         };
         for b in [&self.slot0, &self.slot1] {
             for k in 0..b.len() {
@@ -1114,49 +1134,7 @@ fn run_jobs(
     sink: SinkHandle,
     solo: Option<&Solo>,
 ) -> (BatchRun, AdaptiveReport) {
-    assert!(!jobs.is_empty(), "an empty batch solves nothing");
-    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
-    order.validate(jobs.len());
-    assert_square_eigen_jobs(jobs);
-    let tables = job_tables(jobs, d, lowered);
-
-    let (outputs, meter, fabric_report) = run_spmd_fabric_jobs_traced::<
-        BatchMsg,
-        Vec<JobNodeOutput>,
-        _,
-    >(d, fabric, jobs.len(), sink, |ctx| {
-        let mut nodes: Vec<JobNode> = (0..jobs.len())
-            .map(|j| JobNode::new(j as u32, &jobs[j], &lowered[j].0, &tables[j], solo, d, ctx.id()))
-            .collect();
-        let mut mux = JobMux::new(ctx);
-        let mut tour = node_tournament(jobs, d);
-        match order {
-            BatchOrder::Serial(ord) => {
-                for &j in ord {
-                    while !nodes[j].done() {
-                        nodes[j].step(ctx, &mut mux, &mut tour);
-                    }
-                }
-            }
-            BatchOrder::RoundRobin { order: ord, stride } => loop {
-                let mut active = false;
-                for &j in ord {
-                    for _ in 0..*stride {
-                        if nodes[j].done() {
-                            break;
-                        }
-                        nodes[j].step(ctx, &mut mux, &mut tour);
-                        active = true;
-                    }
-                }
-                if !active {
-                    break;
-                }
-            },
-        }
-        assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
-        nodes.into_iter().map(JobNode::into_output).collect()
-    });
+    let (outputs, meter, fabric_report) = run_nodes(d, jobs, lowered, fabric, order, sink, solo);
 
     // Assemble per-job global results from the per-node column shares.
     let mut results = Vec::with_capacity(jobs.len());
@@ -1176,6 +1154,67 @@ fn run_jobs(
         }
     }
     (BatchRun { results, spans, meter, fabric: fabric_report }, adaptive)
+}
+
+/// The SPMD run of [`run_jobs`]: every node steps its [`JobNode`]s to
+/// completion in `order` and returns each job's share, indexed
+/// `[node][job]`.
+fn run_nodes(
+    d: usize,
+    jobs: &[JobSpec],
+    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+    fabric: FabricModel,
+    order: &BatchOrder,
+    sink: SinkHandle,
+    solo: Option<&Solo>,
+) -> (Vec<Vec<JobNodeOutput>>, TrafficMeter, FabricReport) {
+    assert!(!jobs.is_empty(), "an empty batch solves nothing");
+    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    order.validate(jobs.len());
+    assert_square_eigen_jobs(jobs);
+    let tables = job_tables(jobs, d, lowered);
+
+    run_spmd_fabric_jobs_traced::<BatchMsg, Vec<JobNodeOutput>, _>(
+        d,
+        fabric,
+        jobs.len(),
+        sink,
+        |ctx| {
+            let mut nodes: Vec<JobNode> = (0..jobs.len())
+                .map(|j| {
+                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &tables[j], solo, d, ctx.id())
+                })
+                .collect();
+            let mut mux = JobMux::new(ctx);
+            let mut tour = node_tournament(jobs, d);
+            match order {
+                BatchOrder::Serial(ord) => {
+                    for &j in ord {
+                        while !nodes[j].done() {
+                            nodes[j].step(ctx, &mut mux, &mut tour);
+                        }
+                    }
+                }
+                BatchOrder::RoundRobin { order: ord, stride } => loop {
+                    let mut active = false;
+                    for &j in ord {
+                        for _ in 0..*stride {
+                            if nodes[j].done() {
+                                break;
+                            }
+                            nodes[j].step(ctx, &mut mux, &mut tour);
+                            active = true;
+                        }
+                    }
+                    if !active {
+                        break;
+                    }
+                },
+            }
+            assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
+            nodes.into_iter().map(JobNode::into_output).collect()
+        },
+    )
 }
 
 fn assert_square_eigen_jobs(jobs: &[JobSpec]) {
@@ -1863,6 +1902,38 @@ mod tests {
                     assert_svd_bitwise(got, &solo, &format!("job {i}"));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn packet_stores_are_allocated_in_the_first_sweep_only() {
+        // Cached diagonals put two kinds of store in one pool — packet
+        // columns and 2-entry diagonal slices. A take is served only by a
+        // store that holds it, so once the first sweep has stocked the pool
+        // a node allocates nothing: not for packets, not for the
+        // reassembled block, not for their diagonals. (Even partition: on an
+        // uneven one a node meets its first larger block in a later sweep.)
+        let opts = JacobiOptions {
+            force_sweeps: Some(3),
+            cache_diagonals: true,
+            pipelining: Pipelining::Fixed(4),
+            ..Default::default()
+        };
+        let spec = JobSpec::eigen(random_symmetric(64, 64), OrderingFamily::Br, opts);
+        let lowered = [lower_job(&spec, 2)];
+        let (outputs, ..) = run_nodes(
+            2,
+            std::slice::from_ref(&spec),
+            &lowered,
+            FabricModel::Free,
+            &BatchOrder::Serial(vec![0]),
+            spec.opts.trace.clone(),
+            None,
+        );
+        for (node, out) in outputs.iter().enumerate() {
+            let misses = &out[0].pool_misses;
+            assert!(misses[0] > 0, "node {node}: the first sweep stocks the pool");
+            assert_eq!(misses[1..], [misses[0]; 2], "node {node}: {misses:?}");
         }
     }
 

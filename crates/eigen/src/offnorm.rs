@@ -21,6 +21,7 @@ fn global_columns(blocks: &[ColumnBlock]) -> (Vec<&[f64]>, Vec<&[f64]>) {
     let m: usize = blocks.iter().map(ColumnBlock::len).sum();
     let (mut u, mut a) = (vec![&[][..]; m], vec![&[][..]; m]);
     for b in blocks {
+        debug_assert_eq!(b.misaligned_columns(), 0);
         for k in 0..b.len() {
             u[b.global_col(k)] = b.u_col(k);
             a[b.global_col(k)] = b.a_col(k);

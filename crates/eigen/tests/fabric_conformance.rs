@@ -32,9 +32,12 @@ fn machine() -> Machine {
 #[test]
 fn unpipelined_measured_simulated_and_priced_agree_exactly() {
     // Uniform partitions: every node's virtual clock walks the same
-    // Ts + S·Tw ladder the model sums and the simulator replays.
+    // Ts + S·Tw ladder the model sums and the simulator replays. m = 100
+    // (four blocks of 25) is not a multiple of 8, so its columns are stored
+    // with alignment pads: S stays the logical size — pads are never
+    // metered or priced.
     let machine = machine();
-    for (m, d) in [(32usize, 2usize), (64, 3)] {
+    for (m, d) in [(32usize, 2usize), (64, 3), (100, 1)] {
         let a = random_symmetric(m, 5);
         for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
             let sweeps = 2usize;

@@ -149,6 +149,29 @@ proptest! {
     }
 }
 
+/// m = 100 is not a multiple of 8, so every column is stored with
+/// alignment pads (and d = 2 cuts it unevenly, 13- and 12-column blocks):
+/// whole blocks and packets still put exactly the plan's logical volume on
+/// every dimension — pads are storage, never traffic.
+#[test]
+fn alignment_pads_are_never_metered() {
+    let (m, d, sweeps) = (100usize, 2usize, 1usize);
+    let a = random_symmetric(m, 100);
+    for cache in [false, true] {
+        let predicted = predicted_volume(&lower_sweeps(m, d, OrderingFamily::Br, cache, sweeps), d);
+        for pipelining in [Pipelining::Off, Pipelining::Fixed(3)] {
+            let opts = JacobiOptions {
+                force_sweeps: Some(sweeps),
+                cache_diagonals: cache,
+                pipelining,
+                ..Default::default()
+            };
+            let (_, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
+            assert_eq!(meter.volume_by_dim(), predicted, "cache={cache} {pipelining:?}");
+        }
+    }
+}
+
 /// Port-model conformance: under every `PortModel`, pipelined ≡
 /// unpipelined ≡ logical stays bitwise for Q ∈ {1, 2, K} with throttling
 /// on — the fabric charges time, the mathematics must not notice.

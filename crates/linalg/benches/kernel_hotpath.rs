@@ -4,7 +4,9 @@
 //! triple) and the 4-stream rotation that applies it, at the column lengths
 //! the block drivers actually see — plus the per-sweep convergence
 //! measure's inner products (one `dot` per entry vs exact 4×2 tiles vs 4×4
-//! Gram tiles) over a whole m = 256 upper triangle.
+//! Gram tiles) over a whole m = 256 upper triangle. The last group keeps the
+//! price of a misaligned column on record: the same two kernels on the same
+//! data, 0 and 2 elements past a cache-line boundary.
 //!
 //! These are the micro-counterparts of `perf_snapshot`'s `"kernel"` block:
 //! that measures a whole block sweep end to end; this isolates each
@@ -196,5 +198,55 @@ fn bench_off_norm(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_fused_triple, bench_rotate, bench_off_norm);
+/// What `ColumnBlock`'s aligned storage buys: the pairing's two kernels at
+/// n = 256 on four columns one 2 KiB stride apart, every column starting
+/// `offset` elements past a 64-byte boundary. At offset 0 (what a block
+/// hands out) no vector access crosses a line; at offset 2 (where `malloc`
+/// put three blocks in four) every 64-byte access and every second 32-byte
+/// one does.
+fn bench_alignment(c: &mut Criterion) {
+    let mut g = c.benchmark_group("alignment");
+    g.sample_size(20).measurement_time(Duration::from_secs(2));
+    let n = 256;
+    let (cth, sth) = (0.8, 0.6);
+    for offset in [0usize, 2] {
+        let mut arena = filled(4 * n + 16, 30);
+        let to_line = (arena.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        let mut units = arena[to_line + offset..].chunks_exact_mut(n);
+        let [ai, ui, aj, uj]: [&mut [f64]; 4] =
+            std::array::from_fn(|_| units.next().expect("four columns"));
+        g.bench_with_input(BenchmarkId::new("fused_triple_exact", offset), &offset, |b, _| {
+            b.iter(|| {
+                black_box(fused_triple_exact(
+                    black_box(&*ui),
+                    black_box(&*ai),
+                    black_box(&*uj),
+                    black_box(&*aj),
+                ))
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("pair_rotate_lanes", offset), &offset, |b, _| {
+            b.iter(|| {
+                pair_rotate_lanes(
+                    black_box(&mut *ai),
+                    black_box(&mut *aj),
+                    black_box(&mut *ui),
+                    black_box(&mut *uj),
+                    cth,
+                    sth,
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dot,
+    bench_fused_triple,
+    bench_rotate,
+    bench_off_norm,
+    bench_alignment
+);
 criterion_main!(benches);

@@ -6,11 +6,18 @@
 //! shipped whole across a hypercube link on every transition. The seed
 //! implementation stored a block as `Vec<Vec<f64>>` — one heap allocation
 //! per column, scattered across the heap, and `2b` separate buffers per
-//! message. [`ColumnBlock`] replaces that with a single flat `Vec<f64>`:
+//! message. [`ColumnBlock`] replaces that with a single flat store:
 //!
 //! * **unit-interleaved layout** — column `k` occupies one contiguous
-//!   *unit* `[A_k | U_k]` of `arows + urows` values, so the four slices a
-//!   pairing touches live in two contiguous chunks;
+//!   *unit* `[A_k | U_k]`, so the four slices a pairing touches live in two
+//!   contiguous chunks;
+//! * **cache-line-aligned columns** — the store starts on a 64-byte
+//!   boundary ([`COLUMN_ALIGN_BYTES`]) and each half of a unit is
+//!   zero-padded to a multiple of 8 values, so *every* `A`- and `U`-column
+//!   slice starts a cache line, whatever the shape: no vector load or
+//!   store of the pairing kernels straddles two lines. The pads are
+//!   storage only — never viewed, never counted by
+//!   [`ColumnBlock::payload_elems`], never priced;
 //! * **zero-copy column views** — [`ColumnBlock::a_col`]/[`u_col`] are
 //!   subslices of the backing buffer, never copies;
 //! * **split-borrow pair access** — [`ColumnBlock::pair_mut`] and
@@ -28,8 +35,120 @@
 
 use crate::matrix::Matrix;
 
-/// A LIFO pool of `f64` backing stores, reused across packetization
-/// rounds.
+/// Alignment, in bytes, of every `A`- and `U`-column slice a
+/// [`ColumnBlock`] hands out: one cache line, the widest vector access of
+/// the lane kernels.
+pub const COLUMN_ALIGN_BYTES: usize = 64;
+
+/// `f64`s per cache line: the granule every column half is padded to.
+const LINE: usize = COLUMN_ALIGN_BYTES / std::mem::size_of::<f64>();
+
+fn is_aligned(col: &[f64]) -> bool {
+    elems_to_line(col) == 0
+}
+
+/// How many elements past `run[0]` the next cache line starts (0..[`LINE`]).
+pub(crate) fn elems_to_line(run: &[f64]) -> usize {
+    (run.as_ptr() as usize).wrapping_neg() % COLUMN_ALIGN_BYTES / std::mem::size_of::<f64>()
+}
+
+/// A fixed-capacity run of `f64`s whose first element starts a cache line.
+///
+/// The allocation is `LINE − 1` elements larger than the capacity asked
+/// for, and the first `head` of them are skipped so that `raw[head]` is
+/// 64-byte aligned wherever `malloc` put `raw[0]`. `raw` never grows past
+/// the capacity it was created with, so the buffer never moves and `head`
+/// stays right for the store's whole life. Dereferences to the logical
+/// contents `raw[head..]`.
+#[derive(Default)]
+struct AlignedStore {
+    raw: Vec<f64>,
+    head: usize,
+}
+
+impl AlignedStore {
+    /// An empty store that can hold `capacity` values; no allocation for 0.
+    fn with_capacity(capacity: usize) -> Self {
+        if capacity == 0 {
+            return AlignedStore::default();
+        }
+        let mut raw: Vec<f64> = Vec::with_capacity(capacity + LINE - 1);
+        let head = elems_to_line(&raw);
+        raw.resize(head, 0.0);
+        AlignedStore { raw, head }
+    }
+
+    /// `len` zeros.
+    fn zeros(len: usize) -> Self {
+        let mut store = AlignedStore::with_capacity(len);
+        store.raw.resize(store.head + len, 0.0);
+        store
+    }
+
+    fn capacity(&self) -> usize {
+        self.raw.capacity() - self.head
+    }
+
+    fn clear(&mut self) {
+        self.raw.truncate(self.head);
+    }
+
+    /// Appends `values`.
+    ///
+    /// # Panics
+    /// Panics rather than reallocate (and lose the alignment) when they do
+    /// not fit.
+    fn extend_from_slice(&mut self, values: &[f64]) {
+        assert!(self.len() + values.len() <= self.capacity(), "aligned store overflow");
+        self.raw.extend_from_slice(values);
+    }
+
+    /// Appends one value; panics like [`Self::extend_from_slice`].
+    fn push(&mut self, value: f64) {
+        assert!(self.len() < self.capacity(), "aligned store overflow");
+        self.raw.push(value);
+    }
+}
+
+impl std::ops::Deref for AlignedStore {
+    type Target = [f64];
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        &self.raw[self.head..]
+    }
+}
+
+impl std::ops::DerefMut for AlignedStore {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.raw[self.head..]
+    }
+}
+
+/// A copy lives in a new allocation, whose offset from a line boundary is
+/// its own: `head` is derived again, never copied.
+impl Clone for AlignedStore {
+    fn clone(&self) -> Self {
+        let mut store = AlignedStore::with_capacity(self.len());
+        store.extend_from_slice(self);
+        store
+    }
+}
+
+/// Stores are equal when their logical contents are, wherever they start.
+impl PartialEq for AlignedStore {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for AlignedStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// A pool of aligned backing stores, reused across packetization rounds.
 ///
 /// Packetized phases allocate one buffer per packet per phase
 /// ([`ColumnBlock::split_columns`]) and one more per reassembly
@@ -41,13 +160,13 @@ use crate::matrix::Matrix;
 /// buffers from the pool and recycle the stores they consume, so a
 /// steady-state phase run allocates nothing.
 ///
-/// LIFO order keeps the hottest (most recently touched) store on top.
-/// The pool is deliberately dumb about sizing: a drawn buffer is cleared
-/// and grown to the requested capacity, so mixed packet sizes simply
-/// converge on stores big enough for the largest request.
+/// A store's capacity is fixed, so a request is served by the smallest
+/// pooled store that holds it (the most recently returned among equals):
+/// a packet never takes the store of a whole block, nor a diagonal cache
+/// the store of a packet, while a fitting one is pooled.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    free: Vec<Vec<f64>>,
+    free: Vec<AlignedStore>,
     hits: u64,
     misses: u64,
 }
@@ -58,28 +177,35 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Draws an empty buffer with at least `capacity` reserved, reusing a
-    /// recycled store when one is available.
-    pub fn take(&mut self, capacity: usize) -> Vec<f64> {
-        match self.free.pop() {
-            Some(mut buf) => {
+    /// Draws an empty store that holds `capacity` values: a pooled one when
+    /// one is large enough (a hit), a new allocation otherwise (a miss). A
+    /// request for nothing is neither.
+    fn take(&mut self, capacity: usize) -> AlignedStore {
+        if capacity == 0 {
+            return AlignedStore::default();
+        }
+        let fit = (0..self.free.len())
+            .rev()
+            .filter(|&i| self.free[i].capacity() >= capacity)
+            .min_by_key(|&i| self.free[i].capacity());
+        match fit {
+            Some(i) => {
                 self.hits += 1;
-                buf.clear();
-                buf.reserve(capacity);
-                buf
+                let mut store = self.free.remove(i);
+                store.clear();
+                store
             }
             None => {
                 self.misses += 1;
-                Vec::with_capacity(capacity)
+                AlignedStore::with_capacity(capacity)
             }
         }
     }
 
-    /// Returns a backing store to the pool. Zero-capacity vectors carry no
-    /// store and are dropped.
-    pub fn put(&mut self, buf: Vec<f64>) {
-        if buf.capacity() > 0 {
-            self.free.push(buf);
+    /// Returns a store to the pool; one without an allocation is dropped.
+    fn put(&mut self, store: AlignedStore) {
+        if store.capacity() > 0 {
+            self.free.push(store);
         }
     }
 
@@ -99,7 +225,7 @@ impl BufferPool {
         self.free.is_empty()
     }
 
-    /// Takes that found a pooled store.
+    /// Takes served by a pooled store: no allocation.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -127,10 +253,11 @@ pub struct ColumnBlock {
     arows: usize,
     /// Rows per `U`-column.
     urows: usize,
-    /// `ncols` units of `arows + urows` values: `[A_0|U_0|A_1|U_1|…]`.
-    data: Vec<f64>,
+    /// `ncols` units `[A_k | pad | U_k | pad]`, each half zero-padded to a
+    /// whole number of cache lines, in a store that starts on one.
+    data: AlignedStore,
     /// Cached per-column diagonal values; empty when caching is disabled.
-    diag: Vec<f64>,
+    diag: AlignedStore,
 }
 
 /// The four mutable column slices (and optional cached-diagonal slots) of
@@ -236,14 +363,15 @@ impl ColumnBlock {
         assert!(range.end <= urows || range.is_empty(), "unit index out of bounds");
         let arows = a0.rows();
         let (start, ncols) = (range.start, range.len());
-        let unit = arows + urows;
-        let mut data = vec![0.0; ncols * unit];
+        let ustart = padded(arows);
+        let unit = ustart + padded(urows);
+        let mut data = AlignedStore::zeros(ncols * unit);
         for k in 0..ncols {
             let c = start + k;
             data[k * unit..k * unit + arows].copy_from_slice(a0.col(c));
-            data[k * unit + arows + c] = 1.0;
+            data[k * unit + ustart + c] = 1.0;
         }
-        ColumnBlock { start, ncols, arows, urows, data, diag: Vec::new() }
+        ColumnBlock { start, ncols, arows, urows, data, diag: AlignedStore::default() }
     }
 
     /// Number of columns in the block.
@@ -284,15 +412,39 @@ impl ColumnBlock {
     }
 
     /// Total `f64` payload (A-columns + U-columns + cached diagonals) —
-    /// what one message carrying this block puts on a link.
+    /// what one message carrying this block puts on a link. The logical
+    /// count: alignment pads are storage, not payload.
     #[inline]
     pub fn payload_elems(&self) -> usize {
-        self.data.len() + self.diag.len()
+        self.ncols * (self.arows + self.urows) + self.diag.len()
     }
 
+    /// Columns whose `A`- or `U`-slice does not start on a
+    /// [`COLUMN_ALIGN_BYTES`] boundary — 0 for every block this module
+    /// builds; what consumers `debug_assert!` and the perf snapshot records.
+    pub fn misaligned_columns(&self) -> usize {
+        (0..self.ncols)
+            .filter(|&k| !(is_aligned(self.a_col(k)) && is_aligned(self.u_col(k))))
+            .count()
+    }
+
+    /// Offset of the `U`-half within a unit.
+    #[inline]
+    fn ustart(&self) -> usize {
+        padded(self.arows)
+    }
+
+    /// Stored length of one column unit, pads included.
     #[inline]
     fn unit(&self) -> usize {
-        self.arows + self.urows
+        self.ustart() + padded(self.urows)
+    }
+
+    /// The store starts a cache line and every half-unit is whole lines, so
+    /// one check covers every column view built from it.
+    #[inline]
+    fn debug_assert_aligned(&self) {
+        debug_assert!(self.data.is_empty() || is_aligned(&self.data), "column store misaligned");
     }
 
     /// Zero-copy view of the `A`-column of block column `k`.
@@ -305,7 +457,7 @@ impl ColumnBlock {
     /// Zero-copy view of the `U`-column of block column `k`.
     #[inline]
     pub fn u_col(&self, k: usize) -> &[f64] {
-        let off = k * self.unit() + self.arows;
+        let off = k * self.unit() + self.ustart();
         &self.data[off..off + self.urows]
     }
 
@@ -317,11 +469,12 @@ impl ColumnBlock {
     pub fn pair_mut(&mut self, i: usize, j: usize) -> PairViewMut<'_> {
         assert!(i != j, "pair_mut requires distinct columns");
         assert!(i < self.ncols && j < self.ncols);
-        let unit = self.unit();
+        self.debug_assert_aligned();
+        let (unit, shape) = (self.unit(), (self.arows, self.urows));
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
         let (head, tail) = self.data.split_at_mut(hi * unit);
-        let (a_lo, u_lo) = head[lo * unit..(lo + 1) * unit].split_at_mut(self.arows);
-        let (a_hi, u_hi) = tail[..unit].split_at_mut(self.arows);
+        let (a_lo, u_lo) = split_unit(&mut head[lo * unit..(lo + 1) * unit], shape);
+        let (a_hi, u_hi) = split_unit(&mut tail[..unit], shape);
         let (d_lo, d_hi) = if self.diag.is_empty() {
             (None, None)
         } else {
@@ -341,12 +494,13 @@ impl ColumnBlock {
     /// out among a pool of threads. An iterator, so a caller tabulating the
     /// views of several blocks fills one table without a `Vec` per block.
     pub fn columns_mut(&mut self) -> impl Iterator<Item = ColumnViewMut<'_>> {
+        self.debug_assert_aligned();
         // A taken (default) block has a zero-length unit and no columns.
-        let (arows, unit) = (self.arows, self.unit().max(1));
+        let (shape, unit) = ((self.arows, self.urows), self.unit().max(1));
         // `diag` is empty when the cache is off, so every slot reads `None`.
         let mut diag = self.diag.iter_mut();
         self.data.chunks_exact_mut(unit).take(self.ncols).map(move |chunk| {
-            let (a, u) = chunk.split_at_mut(arows);
+            let (a, u) = split_unit(chunk, shape);
             ColumnViewMut { a, u, d: diag.next() }
         })
     }
@@ -386,8 +540,13 @@ impl ColumnBlock {
     /// values current under rotation in between.
     pub fn refresh_diag(&mut self, f: impl Fn(&[f64], &[f64]) -> f64) {
         let mut diag = std::mem::take(&mut self.diag);
+        if diag.capacity() < self.ncols {
+            diag = AlignedStore::with_capacity(self.ncols);
+        }
         diag.clear();
-        diag.extend((0..self.ncols).map(|k| f(self.a_col(k), self.u_col(k))));
+        for k in 0..self.ncols {
+            diag.push(f(self.a_col(k), self.u_col(k)));
+        }
         self.diag = diag;
     }
 
@@ -403,6 +562,27 @@ impl ColumnBlock {
     /// # Panics
     /// Panics if `q == 0`.
     pub fn split_columns(self, q: usize) -> Vec<ColumnBlock> {
+        self.split_with(q, AlignedStore::with_capacity)
+    }
+
+    /// [`ColumnBlock::split_columns`] drawing packet buffers from `pool`
+    /// and recycling the split block's own backing stores into it —
+    /// identical packets (balanced sizes, preserved order and caches),
+    /// zero steady-state allocation.
+    pub fn split_columns_pooled(self, q: usize, pool: &mut BufferPool) -> Vec<ColumnBlock> {
+        let packets = self.split_with(q, |capacity| pool.take(capacity));
+        pool.recycle(self);
+        packets
+    }
+
+    /// The packets of [`ColumnBlock::split_columns`], each in stores drawn
+    /// from `store`. A packet is a run of whole units, pads and all, so its
+    /// columns are as aligned as the block's.
+    fn split_with(
+        &self,
+        q: usize,
+        mut store: impl FnMut(usize) -> AlignedStore,
+    ) -> Vec<ColumnBlock> {
         assert!(q >= 1, "cannot split into zero packets");
         let unit = self.unit();
         let base = self.ncols / q;
@@ -411,12 +591,13 @@ impl ColumnBlock {
         let mut col = 0usize;
         for p in 0..q {
             let ncols = base + usize::from(p < extra);
-            let data = self.data[col * unit..(col + ncols) * unit].to_vec();
-            let diag = if self.diag.is_empty() {
-                Vec::new()
-            } else {
-                self.diag[col..col + ncols].to_vec()
-            };
+            let mut data = store(ncols * unit);
+            data.extend_from_slice(&self.data[col * unit..(col + ncols) * unit]);
+            let mut diag = AlignedStore::default();
+            if self.has_diag() {
+                diag = store(ncols);
+                diag.extend_from_slice(&self.diag[col..col + ncols]);
+            }
             packets.push(ColumnBlock {
                 start: self.start + col,
                 ncols,
@@ -440,74 +621,7 @@ impl ColumnBlock {
     /// non-contiguous column range, or an inconsistent diagonal cache
     /// (all non-empty packets must either carry one or none).
     pub fn from_packets(packets: Vec<ColumnBlock>) -> ColumnBlock {
-        assert!(!packets.is_empty(), "cannot reassemble zero packets");
-        let first = packets.iter().find(|p| !p.is_empty());
-        let Some(first) = first else {
-            // All packets empty: an empty block (shape from packet 0).
-            let p = &packets[0];
-            return ColumnBlock {
-                start: p.start,
-                ncols: 0,
-                arows: p.arows,
-                urows: p.urows,
-                data: Vec::new(),
-                diag: Vec::new(),
-            };
-        };
-        let (start, arows, urows) = (first.start, first.arows, first.urows);
-        let has_diag = first.has_diag();
-        let mut ncols = 0usize;
-        let mut data = Vec::new();
-        let mut diag = Vec::new();
-        for p in &packets {
-            if p.is_empty() {
-                continue;
-            }
-            assert_eq!((p.arows, p.urows), (arows, urows), "packet row counts differ");
-            assert_eq!(p.start, start + ncols, "packets are not contiguous");
-            assert_eq!(p.has_diag(), has_diag, "inconsistent diagonal caches");
-            data.extend_from_slice(&p.data);
-            diag.extend_from_slice(&p.diag);
-            ncols += p.ncols;
-        }
-        ColumnBlock { start, ncols, arows, urows, data, diag }
-    }
-
-    /// [`ColumnBlock::split_columns`] drawing packet buffers from `pool`
-    /// and recycling the split block's own backing stores into it —
-    /// identical packets (balanced sizes, preserved order and caches),
-    /// zero steady-state allocation.
-    pub fn split_columns_pooled(mut self, q: usize, pool: &mut BufferPool) -> Vec<ColumnBlock> {
-        assert!(q >= 1, "cannot split into zero packets");
-        let unit = self.unit();
-        let base = self.ncols / q;
-        let extra = self.ncols % q;
-        let mut packets = Vec::with_capacity(q);
-        let mut col = 0usize;
-        for p in 0..q {
-            let ncols = base + usize::from(p < extra);
-            let mut data = pool.take(ncols * unit);
-            data.extend_from_slice(&self.data[col * unit..(col + ncols) * unit]);
-            let diag = if self.diag.is_empty() {
-                Vec::new()
-            } else {
-                let mut d = pool.take(ncols);
-                d.extend_from_slice(&self.diag[col..col + ncols]);
-                d
-            };
-            packets.push(ColumnBlock {
-                start: self.start + col,
-                ncols,
-                arows: self.arows,
-                urows: self.urows,
-                data,
-                diag,
-            });
-            col += ncols;
-        }
-        pool.put(std::mem::take(&mut self.data));
-        pool.put(std::mem::take(&mut self.diag));
-        packets
+        ColumnBlock::assemble(&packets, AlignedStore::with_capacity)
     }
 
     /// [`ColumnBlock::from_packets`] drawing the assembled block's buffers
@@ -517,42 +631,51 @@ impl ColumnBlock {
     /// # Panics
     /// As [`ColumnBlock::from_packets`].
     pub fn from_packets_pooled(packets: Vec<ColumnBlock>, pool: &mut BufferPool) -> ColumnBlock {
+        let block = ColumnBlock::assemble(&packets, |capacity| pool.take(capacity));
+        for p in packets {
+            pool.recycle(p);
+        }
+        block
+    }
+
+    /// The block of [`ColumnBlock::from_packets`], in stores drawn from
+    /// `store` — sized once for the whole block, never grown.
+    fn assemble(
+        packets: &[ColumnBlock],
+        mut store: impl FnMut(usize) -> AlignedStore,
+    ) -> ColumnBlock {
         assert!(!packets.is_empty(), "cannot reassemble zero packets");
-        let Some(first) = packets.iter().find(|p| !p.is_empty()) else {
-            // All packets empty: an empty block (shape from packet 0).
-            let shape = (packets[0].start, packets[0].arows, packets[0].urows);
-            for p in packets {
-                pool.recycle(p);
-            }
-            return ColumnBlock {
-                start: shape.0,
-                ncols: 0,
-                arows: shape.1,
-                urows: shape.2,
-                data: Vec::new(),
-                diag: Vec::new(),
-            };
-        };
+        // All packets empty: an empty block, shape from packet 0.
+        let first = packets.iter().find(|p| !p.is_empty()).unwrap_or(&packets[0]);
         let (start, arows, urows) = (first.start, first.arows, first.urows);
         let has_diag = first.has_diag();
-        let unit = arows + urows;
         let total: usize = packets.iter().map(|p| p.ncols).sum();
-        let mut data = pool.take(total * unit);
-        let mut diag = if has_diag { pool.take(total) } else { Vec::new() };
+        let mut data = store(total * first.unit());
+        let mut diag = if has_diag { store(total) } else { AlignedStore::default() };
         let mut ncols = 0usize;
-        for p in packets {
-            if !p.is_empty() {
-                assert_eq!((p.arows, p.urows), (arows, urows), "packet row counts differ");
-                assert_eq!(p.start, start + ncols, "packets are not contiguous");
-                assert_eq!(p.has_diag(), has_diag, "inconsistent diagonal caches");
-                data.extend_from_slice(&p.data);
-                diag.extend_from_slice(&p.diag);
-                ncols += p.ncols;
-            }
-            pool.recycle(p);
+        for p in packets.iter().filter(|p| !p.is_empty()) {
+            assert_eq!((p.arows, p.urows), (arows, urows), "packet row counts differ");
+            assert_eq!(p.start, start + ncols, "packets are not contiguous");
+            assert_eq!(p.has_diag(), has_diag, "inconsistent diagonal caches");
+            data.extend_from_slice(&p.data);
+            diag.extend_from_slice(&p.diag);
+            ncols += p.ncols;
         }
         ColumnBlock { start, ncols, arows, urows, data, diag }
     }
+}
+
+/// `n` rounded up to whole cache lines of `f64`s.
+#[inline]
+fn padded(n: usize) -> usize {
+    n.next_multiple_of(LINE)
+}
+
+/// The logical `(A, U)` slices of one stored unit `[A | pad | U | pad]`.
+#[inline]
+fn split_unit(unit: &mut [f64], (arows, urows): (usize, usize)) -> (&mut [f64], &mut [f64]) {
+    let (a, u) = unit.split_at_mut(padded(arows));
+    (&mut a[..arows], &mut u[..urows])
 }
 
 /// Mutable access to two *distinct* blocks of a slice — the split borrow a
@@ -587,10 +710,12 @@ pub fn cross_pair_mut<'a>(
     j: usize,
 ) -> PairViewMut<'a> {
     assert!(i < left.ncols && j < right.ncols);
-    let (l_arows, l_unit, l_off) = (left.arows, left.unit(), i * left.unit());
-    let (r_arows, r_unit, r_off) = (right.arows, right.unit(), j * right.unit());
-    let (ai, ui) = left.data[l_off..l_off + l_unit].split_at_mut(l_arows);
-    let (aj, uj) = right.data[r_off..r_off + r_unit].split_at_mut(r_arows);
+    left.debug_assert_aligned();
+    right.debug_assert_aligned();
+    let (l_unit, l_off) = (left.unit(), i * left.unit());
+    let (r_unit, r_off) = (right.unit(), j * right.unit());
+    let (ai, ui) = split_unit(&mut left.data[l_off..l_off + l_unit], (left.arows, left.urows));
+    let (aj, uj) = split_unit(&mut right.data[r_off..r_off + r_unit], (right.arows, right.urows));
     let di = if left.diag.is_empty() { None } else { Some(&mut left.diag[i]) };
     let dj = if right.diag.is_empty() { None } else { Some(&mut right.diag[j]) };
     PairViewMut { ai, ui, aj, uj, di, dj }
@@ -781,6 +906,57 @@ mod tests {
             assert_eq!(pool.misses(), misses, "steady state must not allocate");
             assert!(pool.hits() > 0);
             assert!(!pool.is_empty(), "the cycle returns stores to the pool");
+        }
+    }
+
+    #[test]
+    fn the_pool_serves_a_take_only_from_a_store_that_holds_it() {
+        let mut pool = BufferPool::new();
+        pool.put(AlignedStore::with_capacity(16));
+        // A diagonal-sized store cannot back a packet: that is a miss, and
+        // the small store stays pooled.
+        let big = pool.take(8192);
+        assert!(big.capacity() >= 8192 && big.is_empty() && is_aligned(&big));
+        assert_eq!((pool.hits(), pool.misses(), pool.len()), (0, 1, 1));
+        pool.put(big);
+        // The smallest store that fits, so the large one is still there for
+        // the next large request; neither take allocates.
+        let small = pool.take(10);
+        assert!(small.capacity() < 8192);
+        assert!(pool.take(8000).capacity() >= 8192);
+        assert_eq!((pool.hits(), pool.misses(), pool.len()), (2, 1, 0));
+        // Asking for nothing touches neither the pool nor the allocator.
+        assert_eq!(pool.take(0).capacity(), 0);
+        assert_eq!((pool.hits(), pool.misses()), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "aligned store overflow")]
+    fn an_aligned_store_panics_rather_than_reallocate() {
+        let mut store = AlignedStore::with_capacity(8);
+        let capacity = store.capacity();
+        store.extend_from_slice(&vec![1.0; capacity]);
+        store.push(2.0);
+    }
+
+    #[test]
+    fn padded_units_keep_odd_and_rectangular_columns_on_cache_lines() {
+        // 7 × 5 with a 5-row V factor: units are [7 | 1 pad | 5 | 3 pads].
+        let a0 = Matrix::from_fn(7, 5, |r, c| (r * 5 + c) as f64 + 1.0);
+        let mut b = ColumnBlock::from_matrix_with_identity(&a0, 1..4, 5);
+        assert_eq!(b.misaligned_columns(), 0);
+        assert_eq!(b.payload_elems(), 3 * 12);
+        b.pair_mut(0, 2).rotate(0.6, 0.8);
+        cross_pair_mut(&mut b.clone(), 1, &mut b, 0).rotate(0.8, 0.6);
+        for view in b.columns_mut() {
+            assert_eq!((view.a.len(), view.u.len()), (7, 5));
+            assert!(is_aligned(view.a) && is_aligned(view.u));
+        }
+        // The pads took no part in any of it.
+        let unit = b.unit();
+        for k in 0..3 {
+            assert_eq!(b.data[k * unit + 7..k * unit + 8], [0.0]);
+            assert_eq!(b.data[k * unit + 13..(k + 1) * unit], [0.0; 3]);
         }
     }
 

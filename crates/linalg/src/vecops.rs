@@ -5,7 +5,8 @@
 //! mod 4, multiply then add, `(s0+s1)+(s2+s3)`, tail in index order — and
 //! [`pair_rotate`] of a rotation (multiply, multiply, add). Beside them
 //! stand kernels dispatched at runtime to the widest vector unit the CPU
-//! offers (AVX-512F, then AVX2, then a portable loop), of two kinds:
+//! offers (AVX-512F, then AVX2 — with FMA for the kernels that use it —
+//! then a portable loop), of two kinds:
 //!
 //! * *exact* kernels — [`fused_triple_exact`], [`dot_tile_exact`],
 //!   [`pair_rotate_lanes`] — compute the reference bits: every result is
@@ -50,6 +51,11 @@ pub enum KernelPath {
 enum LaneTier {
     #[cfg(target_arch = "x86_64")]
     Avx512,
+    /// AVX2 with FMA: every AVX2 kernel.
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    /// AVX2 without FMA: the exact kernels and the rotator, which use none;
+    /// the reassociated reductions run portable.
     #[cfg(target_arch = "x86_64")]
     Avx2,
     Portable,
@@ -62,8 +68,12 @@ fn lane_tier() -> LaneTier {
     *TIER.get_or_init(|| {
         if is_x86_feature_detected!("avx512f") {
             LaneTier::Avx512
-        } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            LaneTier::Avx2
+        } else if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("fma") {
+                LaneTier::Avx2Fma
+            } else {
+                LaneTier::Avx2
+            }
         } else {
             LaneTier::Portable
         }
@@ -81,7 +91,7 @@ fn lane_tier() -> LaneTier {
 pub fn exact_tier() -> &'static str {
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx512 | LaneTier::Avx2 => "avx2",
+        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => "avx2",
         LaneTier::Portable => "portable",
     }
 }
@@ -123,12 +133,12 @@ pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: the tier is only ever Avx512/Avx2 when cpuid reported the
-        // matching features at process start.
+        // Safety: the tier is only ever Avx512/Avx2Fma when cpuid reported
+        // the matching features at process start.
         LaneTier::Avx512 => unsafe { x86::dot_avx512(x, y) },
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2 => unsafe { x86::dot_avx2(x, y) },
-        LaneTier::Portable => dot(x, y),
+        LaneTier::Avx2Fma => unsafe { x86::dot_avx2(x, y) },
+        _ => dot(x, y),
     }
 }
 
@@ -156,8 +166,8 @@ pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f6
         // Safety: tier implies the feature was detected (see `lane_tier`).
         LaneTier::Avx512 => unsafe { x86::fused_triple_avx512(x, a, y, b) },
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2 => unsafe { x86::fused_triple_avx2(x, a, y, b) },
-        LaneTier::Portable => fused_triple_portable(x, a, y, b),
+        LaneTier::Avx2Fma => unsafe { x86::fused_triple_avx2(x, a, y, b) },
+        _ => fused_triple_portable(x, a, y, b),
     }
 }
 
@@ -209,9 +219,11 @@ pub fn fused_triple_exact(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f
     assert_eq!(x.len(), y.len());
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: either tier implies avx2 (rustc's `avx512f` includes it);
-        // the common length was asserted above.
-        LaneTier::Avx512 | LaneTier::Avx2 => unsafe { x86::fused_triple_exact_avx2(x, a, y, b) },
+        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
+        // includes it); the common length was asserted above.
+        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
+            x86::fused_triple_exact_avx2(x, a, y, b)
+        },
         LaneTier::Portable => fused_triple_portable(x, a, y, b),
     }
 }
@@ -235,7 +247,9 @@ pub fn dot_tile_exact(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
         // Safety: as in `fused_triple_exact`.
-        LaneTier::Avx512 | LaneTier::Avx2 => unsafe { x86::dot_tile_exact_avx2(u, a) },
+        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
+            x86::dot_tile_exact_avx2(u, a)
+        },
         LaneTier::Portable => dot_tile_exact_portable(u, a),
     }
 }
@@ -268,8 +282,8 @@ pub fn gram_tile(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
         // the common length was asserted above.
         LaneTier::Avx512 => unsafe { x86::gram_tile_avx512(u, a) },
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2 => unsafe { x86::gram_tile_avx2(u, a) },
-        LaneTier::Portable => gram_tile_portable(u, a),
+        LaneTier::Avx2Fma => unsafe { x86::gram_tile_avx2(u, a) },
+        _ => gram_tile_portable(u, a),
     }
 }
 
@@ -458,7 +472,9 @@ pub fn pair_rotate_lanes(
             x86::pair_rotate_avx512(head.0, head.1, head.2, head.3, c, s)
         },
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2 => unsafe { x86::pair_rotate_avx2(head.0, head.1, head.2, head.3, c, s) },
+        LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
+            x86::pair_rotate_avx2(head.0, head.1, head.2, head.3, c, s)
+        },
         LaneTier::Portable => rotate4(head.0, head.1, head.2, head.3, c, s),
     }
     rotate_pair(a_tail.0, a_tail.1, c, s);
@@ -1142,18 +1158,31 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                // SAFETY (the four closures): avx2 and fma were just
-                // detected; the tests pass equal-length slices.
+            if is_x86_feature_detected!("avx2") {
+                // The tier an AVX2 host without FMA runs: its rotator, and
+                // the portable reductions `lane_tier` leaves it with.
+                // SAFETY: avx2 was just detected; the tests pass
+                // equal-length slices.
+                let rotate: RotateFn =
+                    |ai, aj, ui, uj, c, s| unsafe { x86::pair_rotate_avx2(ai, aj, ui, uj, c, s) };
                 tiers.push(Tier {
                     name: "avx2",
-                    dot: |x, y| unsafe { x86::dot_avx2(x, y) },
-                    triple: |x, a, y, b| unsafe { x86::fused_triple_avx2(x, a, y, b) },
-                    tile: |u, a| unsafe { x86::gram_tile_avx2(u, a) },
-                    rotate: |ai, aj, ui, uj, c, s| unsafe {
-                        x86::pair_rotate_avx2(ai, aj, ui, uj, c, s)
-                    },
+                    dot,
+                    triple: fused_triple_portable,
+                    tile: gram_tile_portable,
+                    rotate,
                 });
+                if is_x86_feature_detected!("fma") {
+                    // SAFETY (the three closures): avx2 and fma were just
+                    // detected; the tests pass equal-length slices.
+                    tiers.push(Tier {
+                        name: "avx2+fma",
+                        dot: |x, y| unsafe { x86::dot_avx2(x, y) },
+                        triple: |x, a, y, b| unsafe { x86::fused_triple_avx2(x, a, y, b) },
+                        tile: |u, a| unsafe { x86::gram_tile_avx2(u, a) },
+                        rotate,
+                    });
+                }
             }
             if is_x86_feature_detected!("avx512f") {
                 // SAFETY (the four closures): avx512f was just detected;
@@ -1373,6 +1402,18 @@ mod tests {
         assert!(exact_tiers().iter().any(|(name, ..)| *name == exact_tier()));
     }
 
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_exact_tier_asks_for_avx2_alone() {
+        // The exact kernels and the rotator use no FMA, so FMA must not be
+        // what decides whether the default path runs vectorised.
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        assert_eq!(exact_tier() == "avx2", avx2);
+        if avx2 && !std::arch::is_x86_feature_detected!("fma") {
+            assert_eq!(lane_tier(), LaneTier::Avx2);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "left == right")]
     fn fused_triple_exact_rejects_mismatched_lengths_with_dots_message() {
@@ -1408,6 +1449,65 @@ mod tests {
                 rotate_pair(a_tail.0, a_tail.1, c, s);
                 rotate_pair(u_tail.0, u_tail.1, c, s);
                 assert_eq!(got, want, "{} na={na} nu={nu}", t.name);
+            }
+        }
+    }
+
+    /// A copy of `src` that starts `off` elements past a 64-byte boundary:
+    /// the backing vector and the copy's range within it.
+    fn placed(src: &[f64], off: usize) -> (Vec<f64>, std::ops::Range<usize>) {
+        let mut backing = vec![0.0; src.len() + 16];
+        let to_line = crate::block::elems_to_line(&backing);
+        let at = to_line + off..to_line + off + src.len();
+        backing[at.clone()].copy_from_slice(src);
+        (backing, at)
+    }
+
+    #[test]
+    fn alignment_moves_time_never_a_bit() {
+        // Every tier of every kernel, on the same eight columns placed at
+        // each of the eight element offsets from a cache line — column `k`
+        // one element further than column `k − 1`, so the streams of one
+        // call are also misaligned against each other. Offset 0 is what
+        // `ColumnBlock` hands out; the rest is what a `Matrix` column or a
+        // caller's slice may be.
+        let (c, s) = (0.8f64, -0.6f64);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for n in [0usize, 5, 8, 37, 64, 256, 259] {
+            let mut want: Option<Vec<Vec<u64>>> = None;
+            for off in 0..8 {
+                let place = |k: usize| placed(&stream(k, n), (off + k) % 8);
+                let mut got: Vec<Vec<u64>> = Vec::new();
+                let cols: Vec<_> = (0..8).map(place).collect();
+                let col: [&[f64]; 8] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
+                let (u, a) = ([col[0], col[1], col[2], col[3]], [col[4], col[5], col[6], col[7]]);
+                for t in tiers() {
+                    let (pp, pq, qq) = (t.triple)(col[0], col[1], col[2], col[3]);
+                    got.push(bits(&[(t.dot)(col[0], col[1]), pp, pq, qq]));
+                    got.push(bits((t.tile)(u, a).as_flattened()));
+                }
+                for (_, triple, tile) in exact_tiers() {
+                    let (pp, pq, qq) = triple(col[0], col[1], col[2], col[3]);
+                    got.push(bits(&[pp, pq, qq]));
+                    got.push(bits(tile(u, [a[0], a[1]]).as_flattened()));
+                }
+                for t in tiers() {
+                    let mut quad: Vec<_> = (0..4).map(place).collect();
+                    let [ai, aj, ui, uj] = &mut quad[..] else { unreachable!() };
+                    (t.rotate)(
+                        &mut ai.0[ai.1.clone()],
+                        &mut aj.0[aj.1.clone()],
+                        &mut ui.0[ui.1.clone()],
+                        &mut uj.0[uj.1.clone()],
+                        c,
+                        s,
+                    );
+                    got.extend(quad.iter().map(|(backing, at)| bits(&backing[at.clone()])));
+                }
+                match &want {
+                    None => want = Some(got),
+                    Some(want) => assert_eq!(&got, want, "n={n} offset={off}"),
+                }
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra kernels: the invariants the
 //! eigensolver's correctness rests on.
 
+use mph_linalg::block::{BufferPool, ColumnBlock, COLUMN_ALIGN_BYTES};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
     axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
@@ -28,7 +29,95 @@ fn quad_vecs_laned() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec
     })
 }
 
+/// The storage invariant on one block: every `A`- and `U`-column slice has
+/// its logical length and starts on a cache line, and the payload is the
+/// logical count — the alignment pads are in neither.
+fn check_storage(b: &ColumnBlock, what: &str) -> Result<(), TestCaseError> {
+    for k in 0..b.len() {
+        for (col, rows) in [(b.a_col(k), b.arows()), (b.u_col(k), b.urows())] {
+            prop_assert_eq!(col.len(), rows, "{}: column {} length", what, k);
+            prop_assert_eq!(
+                col.as_ptr() as usize % COLUMN_ALIGN_BYTES,
+                0,
+                "{}: column {} of a {}x{} block is misaligned",
+                what,
+                k,
+                b.arows(),
+                b.urows()
+            );
+        }
+    }
+    prop_assert_eq!(b.misaligned_columns(), 0, "{}", what);
+    let logical = b.len() * (b.arows() + b.urows()) + b.diag().len();
+    prop_assert_eq!(b.payload_elems(), logical, "{}: payload counts pads", what);
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn every_column_of_every_block_starts_a_cache_line(
+        arows in 1usize..=41,
+        total in 1usize..=19,
+        extra_urows in 0usize..=9,
+        cut in (0usize..=19, 0usize..=19),
+        q in 1usize..=7,
+        cached in any::<bool>(),
+    ) {
+        // Odd sizes, m ∤ 8 and rectangular (`arows ≠ urows`) blocks
+        // included: the invariant is the padding rule's, not the shape's.
+        let a0 = Matrix::from_fn(arows, total, |r, c| (r * total + c) as f64 * 0.25 - 3.0);
+        let (lo, hi) = (cut.0.min(cut.1).min(total), cut.0.max(cut.1).min(total));
+        let urows = total + extra_urows;
+        let mut block = ColumnBlock::from_matrix_with_identity(&a0, lo..hi, urows);
+        check_storage(&block, "from_matrix_with_identity")?;
+        for k in 0..block.len() {
+            prop_assert_eq!(block.a_col(k), a0.col(lo + k));
+            let unit: Vec<f64> = (0..urows).map(|r| f64::from(r == lo + k)).collect();
+            prop_assert_eq!(block.u_col(k), &unit[..]);
+        }
+        let diag = |a: &[f64], u: &[f64]| a[0] + u.len() as f64;
+        if cached {
+            block.refresh_diag(diag);
+            check_storage(&block, "refresh_diag")?;
+        }
+        let copy = block.clone();
+        check_storage(&copy, "clone")?;
+        prop_assert_eq!(&copy, &block);
+
+        // Plain packet round trip.
+        let packets = copy.split_columns(q);
+        for p in &packets {
+            check_storage(p, "split_columns")?;
+        }
+        let payload: usize = packets.iter().map(ColumnBlock::payload_elems).sum();
+        prop_assert_eq!(payload, block.payload_elems());
+        let back = ColumnBlock::from_packets(packets);
+        check_storage(&back, "from_packets")?;
+        prop_assert_eq!(&back, &block);
+
+        // Pooled round trips out of a slot: the second one is served from
+        // the stores the first one recycled.
+        let mut pool = BufferPool::new();
+        let mut slot = back;
+        for cycle in 0..2 {
+            let moved = slot.take();
+            prop_assert_eq!(&slot, &ColumnBlock::default());
+            check_storage(&moved, "take")?;
+            let packets = moved.split_columns_pooled(q, &mut pool);
+            for p in &packets {
+                check_storage(p, "split_columns_pooled")?;
+            }
+            slot = ColumnBlock::from_packets_pooled(packets, &mut pool);
+            check_storage(&slot, "from_packets_pooled")?;
+            prop_assert_eq!(&slot, &block, "cycle {}", cycle);
+        }
+        if cached {
+            slot.refresh_diag(diag);
+            check_storage(&slot, "refresh_diag of a pooled block")?;
+            prop_assert_eq!(&slot, &block);
+        }
+    }
+
     #[test]
     fn dot_is_commutative_and_linear(x in finite_vec(13), y in finite_vec(13), a in -100f64..100.0) {
         let xy = dot(&x, &y);
