@@ -35,7 +35,9 @@ pub mod scheduler;
 
 pub use admission::{admission_priorities, service_plan, stagger_keys, AdmissionConfig};
 pub use job::Job;
-pub use mph_ccpipe::{batch_cost, partial_batch_cost, BatchCost, BatchOrder, PlannedJob};
+pub use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, PlannedJob};
 pub use mph_eigen::{JobResult, JobSpan, JobSpec, ServicePlan};
 pub use policy::Policy;
-pub use scheduler::{solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput};
+pub use scheduler::{
+    planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput,
+};

@@ -21,7 +21,7 @@ pub enum Policy {
     /// the stride comes from configuration rather than code.
     Interleave { stride: usize },
     /// Serial, but in ascending plan-priced cost
-    /// ([`solo_plan_costs`]: `plan_cost_with` summed over each job's
+    /// ([`solo_plan_costs`]: `plan_cost_with_tail` summed over each job's
     /// sweep chain) — the classical shortest-job-first discipline: the
     /// same total makespan as FIFO, the smallest mean completion time.
     ShortestPlanFirst,

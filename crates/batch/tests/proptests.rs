@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 /// A death-free degraded scenario (heterogeneity × jitter × episodes) —
 /// the impairment classes the batch driver supports (death schedules are
-/// rejected by `BatchOptions::new`; only the adaptive solo driver relays).
+/// rejected by `BatchOptions::new`: the relays live in the engine's
+/// `JobNode`, but only a solo run carries relay tables).
 fn degraded_fabric(seed: u64) -> FabricModel {
     let spec = ScenarioSpec {
         epochs: 3,

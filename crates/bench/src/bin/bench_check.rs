@@ -313,11 +313,11 @@ fn validate(doc: &Json) -> Vec<String> {
     );
     // The throttled-fabric block: measured-vs-predicted per port model.
     // These are *virtual-clock* quantities — deterministic for a given
-    // geometry — so they gate hard: the fields must exist, the
-    // measured/predicted ratios must be finite and near 1 (the one-port
-    // row is the acceptance bar: within 20% of the prediction), and
-    // serializing the ports must never make the measured wall time
-    // smaller (one-port ≥ all-port).
+    // geometry — so they gate hard: the fields must exist, the prediction
+    // is the schedule clock's evaluation of the executed schedule
+    // (`executed_cost`), so measured/predicted must read 1.0 at the
+    // printed precision, and serializing the ports must never make the
+    // measured virtual time smaller (one-port ≥ all-port).
     let fabric = doc.get("fabric");
     require("fabric", fabric.is_some());
     for key in ["calibrated_channel_ts", "calibrated_channel_tw"] {
@@ -345,9 +345,10 @@ fn validate(doc: &Json) -> Vec<String> {
                 port_row(name, key).is_some_and(|x| x.is_finite() && x > 0.0),
             );
         }
-        let ok = port_row(name, "measured_over_predicted")
-            .is_some_and(|r| r.is_finite() && (0.8..=1.25).contains(&r));
-        require(&format!("fabric.{name}.measured_over_predicted within [0.8, 1.25]"), ok);
+        require(
+            &format!("fabric.{name}.measured_over_predicted == 1.0"),
+            port_row(name, "measured_over_predicted") == Some(1.0),
+        );
     }
     for key in ["unpipelined_vtime", "pipelined_vtime"] {
         let ordered = match (port_row("one_port", key), port_row("all_port", key)) {
@@ -360,8 +361,8 @@ fn validate(doc: &Json) -> Vec<String> {
     // point, on the all-port machine. Virtual-clock quantities again, so
     // they gate hard: the chosen tail degree must actually chain
     // (tail_q ≥ 2), packetizing must not grow the tail's share of the
-    // sweep price, the measured speedup must track the chained-tail model
-    // within [0.8, 1.25], the large-m scale point must be worth ≥ 1.05x
+    // sweep price, the measured speedup must equal the schedule clock's
+    // (ratio 1.0 as printed), the large-m scale point must be worth ≥ 1.05x
     // measured, and the bitwise flag — tail-on equal to tail-off — must
     // hold at every size.
     let tail = doc.get("tail");
@@ -393,9 +394,8 @@ fn validate(doc: &Json) -> Vec<String> {
             };
         require(&format!("tail.{name}.tail_share_after <= tail_share_before"), shrinks);
         require(
-            &format!("tail.{name}.measured_over_predicted within [0.8, 1.25]"),
-            tail_row(name, "measured_over_predicted")
-                .is_some_and(|r| r.is_finite() && (0.8..=1.25).contains(&r)),
+            &format!("tail.{name}.measured_over_predicted == 1.0"),
+            tail_row(name, "measured_over_predicted") == Some(1.0),
         );
         require(
             &format!("tail.{name}.bitwise_identical"),
@@ -413,7 +413,8 @@ fn validate(doc: &Json) -> Vec<String> {
     // The batch block: N jobs multiplexed on one fabric. Virtual-clock
     // quantities again, so they gate hard: fields finite, interleaving
     // must not lose to FIFO-serial on the all-port fabric (≥ 1.0×), the
-    // round model must track the measurement within [0.8, 1.25], and the
+    // interleaved schedule run on the schedule clock must equal the
+    // measurement under both port models (ratio 1.0 as printed), and the
     // bitwise flag — every batched job equal to its solo run — must hold.
     let batch = doc.get("batch");
     require("batch", batch.is_some());
@@ -443,15 +444,14 @@ fn validate(doc: &Json) -> Vec<String> {
                 batch_row(name, key).is_some_and(|x| x.is_finite() && x > 0.0),
             );
         }
+        require(
+            &format!("batch.{name}.measured_over_predicted == 1.0"),
+            batch_row(name, "measured_over_predicted") == Some(1.0),
+        );
     }
     require(
         "batch.all_port.interleave_gain_vs_fifo >= 1.0",
         batch_row("all_port", "interleave_gain_vs_fifo").is_some_and(|g| g.is_finite() && g >= 1.0),
-    );
-    require(
-        "batch.all_port.measured_over_predicted within [0.8, 1.25]",
-        batch_row("all_port", "measured_over_predicted")
-            .is_some_and(|r| r.is_finite() && (0.8..=1.25).contains(&r)),
     );
     // Serializing the ports can only slow the batch down.
     for key in ["fifo_vtime", "interleave_vtime"] {
@@ -700,18 +700,18 @@ mod tests {
                                   "measured_over_predicted": {one_port_ratio}}},
                      "all_port": {{"q_per_phase": [16, 2, 1],
                                   "unpipelined_vtime": 100.0, "pipelined_vtime": 70.0,
-                                  "measured_speedup": 1.45, "predicted_speedup": 1.44,
-                                  "measured_over_predicted": 1.007}}}},
+                                  "measured_speedup": 1.45, "predicted_speedup": 1.45,
+                                  "measured_over_predicted": 1.0}}}},
           "tail": {{"family": "permuted-BR", "force_sweeps": 1,
                    "machine_ts": 1000.0, "machine_tw": 100.0,
                    "m256": {{"tail_q": 4, "tail_share_before": 0.42, "tail_share_after": 0.35,
                             "tail_off_vtime": 9.0e6, "tail_on_vtime": 8.2e6,
-                            "measured_speedup": 1.09, "predicted_speedup": 1.08,
-                            "measured_over_predicted": 1.009, "bitwise_identical": true}},
+                            "measured_speedup": 1.09, "predicted_speedup": 1.09,
+                            "measured_over_predicted": 1.0, "bitwise_identical": true}},
                    "m1024": {{"tail_q": 16, "tail_share_before": 0.55, "tail_share_after": 0.44,
                              "tail_off_vtime": 9.0e7, "tail_on_vtime": 6.9e7,
-                             "measured_speedup": 1.30, "predicted_speedup": 1.31,
-                             "measured_over_predicted": 0.992, "bitwise_identical": true}}}},
+                             "measured_speedup": 1.30, "predicted_speedup": 1.30,
+                             "measured_over_predicted": 1.0, "bitwise_identical": true}}}},
           "batch": {{"jobs": 4, "force_sweeps": 1,
                     "machine_ts": 1000.0, "machine_tw": 100.0,
                     "bitwise_identical": {bitwise},
@@ -719,15 +719,15 @@ mod tests {
                                  "spf_vtime": 400.0, "spf_mean_finish": 200.0,
                                  "fifo_mean_finish": 250.0,
                                  "interleave_gain_vs_fifo": 1.005,
-                                 "predicted_interleave_vtime": 400.0,
-                                 "measured_over_predicted": 0.995,
+                                 "predicted_interleave_vtime": 398.0,
+                                 "measured_over_predicted": 1.0,
                                  "serial_tail_vtime": 40.0,
                                  "jobs_per_vtime": 1.0e-2, "elems_per_vtime": 9.0}},
                     "all_port": {{"fifo_vtime": 300.0, "interleave_vtime": 180.0,
                                  "spf_vtime": 300.0, "spf_mean_finish": 150.0,
                                  "fifo_mean_finish": 187.0,
                                  "interleave_gain_vs_fifo": {batch_gain},
-                                 "predicted_interleave_vtime": 175.0,
+                                 "predicted_interleave_vtime": 180.0,
                                  "measured_over_predicted": {batch_ratio},
                                  "serial_tail_vtime": 40.0,
                                  "jobs_per_vtime": 2.2e-2, "elems_per_vtime": 20.0}}}},
@@ -776,7 +776,7 @@ mod tests {
     }
 
     fn minimal_snapshot(one_port_ratio: f64, one_port_vtime: f64) -> String {
-        minimal_snapshot_with(one_port_ratio, one_port_vtime, 1.66, 1.03, true)
+        minimal_snapshot_with(one_port_ratio, one_port_vtime, 1.66, 1.0, true)
     }
 
     #[test]
@@ -787,8 +787,9 @@ mod tests {
 
     #[test]
     fn gates_the_one_port_measured_over_predicted_band() {
-        // Outside [0.8, 1.25] the acceptance bar is failed and must gate.
-        for bad in [0.5, 1.3] {
+        // The prediction is the executed schedule's: any printed ratio
+        // but 1.0 gates, however close.
+        for bad in [0.9991, 1.0198] {
             let doc = Parser::new(&minimal_snapshot(bad, 100.0)).document().expect("parses");
             let problems = validate(&doc);
             assert!(
@@ -913,8 +914,8 @@ mod tests {
             .expect("parses");
         let problems = validate(&doc);
         assert!(problems.iter().any(|p| p.contains("interleave_gain_vs_fifo")), "{problems:?}");
-        // A round model off by more than the band gates.
-        for bad in [0.5, 1.6] {
+        // A prediction that is not the measurement gates.
+        for bad in [0.9991, 1.0198] {
             let doc = Parser::new(&minimal_snapshot_with(1.0, 100.0, 1.5, bad, true))
                 .document()
                 .expect("parses");
@@ -948,10 +949,11 @@ mod tests {
             problems.iter().any(|p| p.contains("tail.m1024.measured_speedup >= 1.05")),
             "{problems:?}"
         );
-        // A tail measurement off the chained-tail model by more than the
-        // band gates.
-        let text = minimal_snapshot(1.0, 100.0)
-            .replace("\"measured_over_predicted\": 0.992", "\"measured_over_predicted\": 1.4");
+        // A tail measurement off the schedule clock's prediction gates.
+        let text = minimal_snapshot(1.0, 100.0).replace(
+            "\"measured_over_predicted\": 1.0, \"bitwise_identical\": true}}",
+            "\"measured_over_predicted\": 1.0198, \"bitwise_identical\": true}}",
+        );
         let doc = Parser::new(&text).document().expect("parses");
         let problems = validate(&doc);
         assert!(
@@ -960,8 +962,8 @@ mod tests {
         );
         // A tail run that changed the reference bits must never pass.
         let text = minimal_snapshot(1.0, 100.0).replace(
-            "\"measured_over_predicted\": 1.009, \"bitwise_identical\": true",
-            "\"measured_over_predicted\": 1.009, \"bitwise_identical\": false",
+            "\"measured_over_predicted\": 1.0, \"bitwise_identical\": true},",
+            "\"measured_over_predicted\": 1.0, \"bitwise_identical\": false},",
         );
         let doc = Parser::new(&text).document().expect("parses");
         let problems = validate(&doc);

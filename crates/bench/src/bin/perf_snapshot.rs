@@ -19,10 +19,10 @@ use mph_bench::{
     column_block_full_sweep_reference, results_dir,
 };
 use mph_ccpipe::{
-    plan_cost_with, plan_cost_with_tail, plan_sweep_cost, plan_unpipelined_cost, solo_plan_costs,
-    Machine, PlannedJob, PortModel,
+    executed_cost, plan_cost_with_tail, plan_sweep_cost, plan_unpipelined_cost, solo_plan_costs,
+    BatchOrder, Machine, PlannedJob, PortModel,
 };
-use mph_core::OrderingFamily;
+use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, block_jacobi_threaded_adaptive,
     block_jacobi_threaded_fabric, choose_qs, choose_tail_qs, lower_job, lower_sweeps,
@@ -41,6 +41,14 @@ use std::fs;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The schedule clock's virtual time for one forced sweep of `plan`
+/// executed solo at the degrees `qs` / `tail_q` — what the throttled
+/// fabric measures, to rounding.
+fn executed_vtime(plan: &CommPlan, qs: &[usize], tail_q: usize, machine: &Machine) -> f64 {
+    let job = PlannedJob { plans: std::slice::from_ref(plan), qs: &[qs.to_vec()], tail_q };
+    executed_cost(&[job], machine, &BatchOrder::Serial(vec![0])).makespan
+}
 
 /// Wall-clock milliseconds of one run of `f`.
 fn timed_ms(f: impl FnOnce()) -> f64 {
@@ -336,10 +344,10 @@ fn main() {
     // --- Throttled fabric: measured vs predicted, per port model --------
     // The virtual-clock fabric enforces the Ts/Tw/port machine on the
     // real threaded solver, so the measured speedup is deterministic and
-    // directly comparable to the plan-priced prediction — per port model.
-    // This is the table the ROADMAP's "port-model enforcement" item asked
-    // for: one-port gains nothing (and the runtime proves it), all-port
-    // gains the Figure-2 ratio.
+    // the schedule clock (`executed_cost`) predicts it exactly — per port
+    // model: one-port gains nothing (and the runtime proves it), all-port
+    // gains what the dataflow pipeline executes. The paper's stage-model
+    // figure that Auto optimized is `pipelined.predicted_comm_ratio`.
     let fsweeps = 1usize;
     // One binding for the enforced machine's parameters: the Machine the
     // runs are throttled on and the values the JSON records must agree.
@@ -357,8 +365,9 @@ fn main() {
         let (_, _, ru) = block_jacobi_threaded_fabric(&a, d, pipe_family, &fbase);
         let (_, _, rp) = block_jacobi_threaded_fabric(&a, d, pipe_family, &fauto);
         let measured = ru.makespan / rp.makespan;
+        let fones = choose_qs(plan, &fbase.pipelining, q_cap);
         let predicted =
-            plan_unpipelined_cost(plan, &fmachine) / plan_cost_with(plan, &fmachine, &fqs).total;
+            executed_vtime(plan, &fones, 1, &fmachine) / executed_vtime(plan, &fqs, 1, &fmachine);
         let ratio = measured / predicted;
         println!(
             "  fabric {name:<9}: unpipelined {:>12.0} | pipelined {:>12.0} vtime | \
@@ -406,8 +415,8 @@ fn main() {
     // sweep price before and after chaining, the measured virtual-clock
     // makespan of the real threaded solver with the tail off vs on
     // (everything else identical — exchange unpipelined, one forced
-    // sweep), the model's predicted gain, and the bitwise flag the whole
-    // feature is contracted on.
+    // sweep), the schedule clock's predicted gain, and the bitwise flag
+    // the whole feature is contracted on.
     let tail_machine = Machine { ts: fab_ts, tw: fab_tw, ports: PortModel::AllPort };
     let tail_sizes: &[usize] = if smoke { &[64] } else { &[256, 1024] };
     let mut tail_rows = String::new();
@@ -421,7 +430,8 @@ fn main() {
         let after = plan_cost_with_tail(tplan, &tail_machine, &ones, tq);
         let share_before = before.serial / before.total;
         let share_after = after.serial / after.total;
-        let predicted = before.total / after.total;
+        let predicted = executed_vtime(tplan, &ones, 1, &tail_machine)
+            / executed_vtime(tplan, &ones, tq, &tail_machine);
         let toff = JacobiOptions {
             force_sweeps: Some(1),
             fabric: FabricModel::Throttled(tail_machine),
@@ -463,11 +473,11 @@ fn main() {
     // --- Batch scheduler: N jobs on one fabric, per policy + port ------
     // Four mixed jobs (three eigensolves, one SVD, distinct families so
     // their link sequences partially diverge) forced to one sweep each,
-    // unpipelined — the configuration the batch round model prices
-    // exactly. Per port model: FIFO-serial vs micro-op interleave vs
-    // shortest-plan-first, measured on the virtual clock next to the
-    // batch_cost prediction; plus the bitwise flag (every batched result
-    // equals its solo logical run) the gate requires.
+    // unpipelined. Per port model: FIFO-serial vs micro-op interleave vs
+    // shortest-plan-first, measured on the virtual clock next to
+    // batch_cost's prediction (the interleaved schedule run on the
+    // schedule clock); plus the bitwise flag (every batched result equals
+    // its solo logical run) the gate requires.
     let batch_n = 4usize;
     let bopts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
     let batch_jobs = vec![

@@ -11,37 +11,33 @@
 //! * [`batch_cost`] returns, for a set of lowered jobs and an interleaving
 //!   [`BatchOrder`]:
 //!   - the **solo** cost of each job (the plan-priced makespan of running
-//!     it alone, [`plan_cost_with`] summed over its sweep chain),
+//!     it alone, [`plan_cost_with_tail`] summed over its sweep chain) —
+//!     the paper-model number that orders and admits jobs,
 //!   - the **serial total** `Σ solo` — what FIFO back-to-back execution
 //!     costs, the paper's economics repeated `N` times, bubbles included;
 //!   - a **lower bound** `Ts·(messages per node) + Tw·(busiest-port
-//!     volume per node)` — the cost if interleaving filled *every* bubble
-//!     (start-ups are CPU-serial, the busiest link/port must still carry
-//!     its volume);
-//!   - a **predicted** interleaved makespan from a round-walk model that
-//!     mirrors the cooperative driver's schedule: the jobs' per-transition
-//!     send/receive micro-ops are merged in the order's round-robin
-//!     pattern, and each round is priced `n·Ts` (serial start-ups) plus
-//!     the busiest link's serialized transmissions under the machine's
-//!     port model — colliding jobs queue on the wire, disjoint ones
-//!     overlap;
+//!     volume per node)` — the stage model's cost if interleaving filled
+//!     *every* bubble (start-ups are CPU-serial, the busiest link/port
+//!     must still carry its volume). The executed schedule can undercut
+//!     it by the start-ups its comm processor issues while another
+//!     message is still on the wire;
+//!   - the **predicted** makespan of executing the order: the jobs'
+//!     micro-ops merged as the cooperative driver merges them and run on
+//!     the schedule clock ([`executed_cost`]) — equal to the throttled
+//!     fabric's measurement on uniform partitions, for `Serial` orders too
+//!     (where it differs from `Σ solo` by what dataflow pipelining gains
+//!     on the stage model);
 //!   - the **tail** cost `Σ` over jobs of their serial-tail messages —
 //!     exactly which bubbles batching fills, reported separately so the
 //!     model *explains* the gain instead of just asserting it.
 //!
-//! The round model deliberately matches the runtime at the same
-//! granularity the cooperative driver schedules (one send or receive per
-//! scheduling slot): for unpipelined jobs on the throttled fabric the
-//! prediction tracks the measured virtual-clock makespan within the
-//! `bench_check` band; pipelined jobs overlap *within* phases through the
-//! fabric's data-readiness stamps, which the round model prices
-//! conservatively (it never credits intra-phase overlap it cannot see).
 //! Convergence votes are control-plane traffic the model does not price —
 //! compare against forced-sweep runs, as every conformance test does.
 
 use crate::machine::{Machine, PortModel};
 use crate::plancost::{chained_tail_cost, plan_cost_with_tail};
-use mph_core::{BlockPartition, CommPlan, PhaseKind};
+use crate::schedclock::executed_cost;
+use mph_core::CommPlan;
 
 /// How a batch of jobs shares the fabric — the schedule shape the batch
 /// policies (`mph-batch`) lower to and the cooperative driver
@@ -94,140 +90,21 @@ pub struct PlannedJob<'a> {
     pub tail_q: usize,
 }
 
-impl<'a> PlannedJob<'a> {
-    /// The job's unexecuted remainder after `sweeps_done` completed
-    /// sweeps: the same job with the first `sweeps_done` plans (and their
-    /// pipelining degrees) sliced off. Past-the-end progress saturates to
-    /// an empty (fully executed) job, so callers can feed completed jobs
-    /// through [`partial_batch_cost`] without special-casing them.
-    pub fn remaining(&self, sweeps_done: usize) -> PlannedJob<'a> {
-        let done = sweeps_done.min(self.plans.len());
-        PlannedJob { plans: &self.plans[done..], qs: &self.qs[done..], tail_q: self.tail_q }
-    }
-
-    /// Total sweeps this job was lowered to.
-    pub fn sweeps(&self) -> usize {
-        self.plans.len()
-    }
-}
-
 /// The batch price sheet. All quantities are virtual-clock times per the
 /// machine's `Ts`/`Tw`/ports; see the module docs for definitions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchCost {
     /// Plan-priced solo makespan of each job.
     pub solo: Vec<f64>,
-    /// `Σ solo` — the FIFO-serial prediction.
+    /// `Σ solo` — the FIFO-serial prediction of the paper model.
     pub serial_total: f64,
-    /// Fill-every-bubble floor: start-ups + busiest-port volume.
+    /// The stage model's fill-every-bubble floor: start-ups +
+    /// busiest-port volume.
     pub lower_bound: f64,
-    /// Round-model makespan of executing the given [`BatchOrder`].
+    /// The executed schedule's makespan under the given [`BatchOrder`].
     pub predicted: f64,
     /// Serial-tail cost summed over jobs — the bubbles batching fills.
     pub tail: f64,
-}
-
-impl BatchCost {
-    /// Predicted throughput gain of the order over FIFO-serial execution.
-    pub fn predicted_gain(&self) -> f64 {
-        self.serial_total / self.predicted
-    }
-}
-
-/// One scheduler micro-op of the round model: a send puts `elems` on
-/// `dim`; everything else (receives, drains, local compute slots) only
-/// consumes a scheduling slot.
-#[derive(Debug, Clone, Copy)]
-enum ModelOp {
-    Send { dim: usize, elems: u64 },
-    Slot,
-}
-
-/// Lowers one job to the micro-op sequence the cooperative driver
-/// schedules, at the same granularity (`mph_eigen::run_job_batch`): one
-/// slot for sweep start, send+receive per whole-block transition,
-/// `K·Q` sends plus `Q` drains per pipelined phase, one slot for sweep
-/// end. Message sizes are the phase's largest message — the same bound
-/// every plan-pricing path uses.
-fn job_ops(job: &PlannedJob) -> Vec<ModelOp> {
-    assert_eq!(job.plans.len(), job.qs.len(), "one qs vector per sweep plan");
-    let mut ops = Vec::new();
-    for (plan, qs) in job.plans.iter().zip(job.qs) {
-        assert_eq!(
-            qs.len(),
-            plan.exchange_phases().count(),
-            "one pipelining degree per exchange phase"
-        );
-        ops.push(ModelOp::Slot); // sweep start: intra-block pairings
-        let mut xq = 0usize;
-        for ph in plan.phases() {
-            match ph.kind {
-                PhaseKind::Exchange { .. } => {
-                    // A K = 1 exchange inside a chained tail run is framed
-                    // at the run's tail degree, overriding its exchange q.
-                    let q = if job.tail_q > 1 && ph.k() == 1 { job.tail_q } else { qs[xq].max(1) };
-                    xq += 1;
-                    if q == 1 {
-                        for (t, &dim) in ph.links.iter().enumerate() {
-                            let elems = ph.sends[t].iter().copied().max().unwrap_or(0);
-                            ops.push(ModelOp::Send { dim, elems });
-                            ops.push(ModelOp::Slot); // the matching receive
-                        }
-                    } else {
-                        // Column-balanced packet split of the phase-entry
-                        // block, as ColumnBlock::split_columns performs it.
-                        let epc = plan.elems_per_col().max(1);
-                        let cols = ph.max_message_elems() as usize / epc;
-                        let split = BlockPartition::new(cols, q);
-                        for &dim in &ph.links {
-                            for pkt in 0..q {
-                                let elems = (split.size(pkt) * epc) as u64;
-                                ops.push(ModelOp::Send { dim, elems });
-                            }
-                        }
-                        for _ in 0..q {
-                            ops.push(ModelOp::Slot); // epilogue drains
-                        }
-                    }
-                }
-                PhaseKind::Division { .. } | PhaseKind::Last => {
-                    let tq = job.tail_q.max(1);
-                    if tq == 1 {
-                        let elems = ph.sends[0].iter().copied().max().unwrap_or(0);
-                        ops.push(ModelOp::Send { dim: ph.links[0], elems });
-                        ops.push(ModelOp::Slot);
-                    } else {
-                        let epc = plan.elems_per_col().max(1);
-                        let cols = ph.max_message_elems() as usize / epc;
-                        let split = BlockPartition::new(cols, tq);
-                        for pkt in 0..tq {
-                            let elems = (split.size(pkt) * epc) as u64;
-                            ops.push(ModelOp::Send { dim: ph.links[0], elems });
-                        }
-                        for _ in 0..tq {
-                            ops.push(ModelOp::Slot); // packet reassembly drains
-                        }
-                    }
-                }
-            }
-        }
-        ops.push(ModelOp::Slot); // sweep end
-    }
-    ops
-}
-
-/// Prices one merged round: serial start-ups plus port-model wire time
-/// over the per-dimension serialized volumes.
-fn round_cost(machine: &Machine, sends: &[(usize, u64)], d: usize) -> f64 {
-    if sends.is_empty() {
-        return 0.0;
-    }
-    let mut wire = vec![0.0f64; d.max(1)];
-    for &(dim, elems) in sends {
-        wire[dim] += elems as f64 * machine.tw;
-    }
-    let startups = sends.len() as f64 * machine.ts;
-    startups + port_busy(machine.ports, &wire)
 }
 
 /// Wire time of per-dimension loads under a port model: all-port carries
@@ -255,8 +132,8 @@ fn port_busy(ports: PortModel, wire: &[f64]) -> f64 {
 
 /// Plan-priced solo cost of each job — the communication makespan of
 /// running it alone with the degrees its driver will use
-/// ([`plan_cost_with`] summed over the sweep chain). This is *the* solo
-/// pricing: [`batch_cost`]'s `solo` column and the shortest-plan-first
+/// ([`plan_cost_with_tail`] summed over the sweep chain). This is *the*
+/// solo pricing: [`batch_cost`]'s `solo` column and the shortest-plan-first
 /// policy order both come from here, so they can never diverge.
 pub fn solo_plan_costs(jobs: &[PlannedJob], machine: &Machine) -> Vec<f64> {
     jobs.iter()
@@ -303,81 +180,17 @@ pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) ->
         }
     }
     let lower_bound = sends_per_node * machine.ts + port_busy(machine.ports, &pernode_wire);
-
-    // Round-walk prediction of the interleaved execution.
-    let predicted = match order {
-        BatchOrder::Serial(_) => serial_total,
-        BatchOrder::RoundRobin { order, stride } => {
-            let streams: Vec<Vec<ModelOp>> = jobs.iter().map(job_ops).collect();
-            let mut cursor = vec![0usize; jobs.len()];
-            let mut total = 0.0f64;
-            loop {
-                let mut sends: Vec<(usize, u64)> = Vec::new();
-                let mut progressed = false;
-                for &j in order {
-                    let ops = &streams[j];
-                    for _ in 0..*stride {
-                        if cursor[j] >= ops.len() {
-                            break;
-                        }
-                        if let ModelOp::Send { dim, elems } = ops[cursor[j]] {
-                            sends.push((dim, elems));
-                        }
-                        cursor[j] += 1;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-                total += round_cost(machine, &sends, d);
-            }
-            total
-        }
-    };
+    let predicted = executed_cost(jobs, machine, order).makespan;
 
     BatchCost { solo, serial_total, lower_bound, predicted, tail }
-}
-
-/// Prices the *unexecuted remainder* of a partially-run batch: job `j`
-/// has completed `progress[j]` of its sweeps (saturating — a finished job
-/// contributes nothing), and the sheet covers only what is still to run.
-/// This is how a serving layer prices its in-flight backlog at a sweep
-/// boundary: `serial_total` is the remaining work if nothing overlapped,
-/// `predicted` the round-model makespan of draining it under `order`.
-///
-/// With `progress` all zero this is exactly [`batch_cost`]; with every
-/// job complete all quantities are 0.
-pub fn partial_batch_cost(
-    jobs: &[PlannedJob],
-    progress: &[usize],
-    machine: &Machine,
-    order: &BatchOrder,
-) -> BatchCost {
-    assert_eq!(jobs.len(), progress.len(), "one progress mark per job");
-    let rest: Vec<PlannedJob> =
-        jobs.iter().zip(progress).map(|(job, &done)| job.remaining(done)).collect();
-    batch_cost(&rest, machine, order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plancost::plan_unpipelined_cost;
-    use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
-
-    fn lower_chain(m: usize, d: usize, family: OrderingFamily, sweeps: usize) -> Vec<CommPlan> {
-        let partition = BlockPartition::new(m, 2 << d);
-        let mut layout = BlockLayout::canonical(d);
-        (0..sweeps)
-            .map(|s| {
-                let schedule = SweepSchedule::sweep(d, family, s);
-                let plan = CommPlan::lower(&schedule, &partition, &layout, 2 * m);
-                layout = plan.final_layout().clone();
-                plan
-            })
-            .collect()
-    }
+    use crate::testutil::lower_chain;
+    use mph_core::OrderingFamily;
 
     fn ones(plans: &[CommPlan]) -> Vec<Vec<usize>> {
         plans.iter().map(|p| p.exchange_phases().map(|_| 1).collect()).collect()
@@ -385,9 +198,9 @@ mod tests {
 
     #[test]
     fn single_unpipelined_job_prices_like_the_plan_everywhere() {
-        // One job, q = 1: solo, serial, and the round model must all equal
-        // the chained plan_unpipelined_cost exactly — rounds of one
-        // message are transitions.
+        // One job, q = 1: solo, serial, and the executed schedule must all
+        // equal the chained plan_unpipelined_cost — an unpipelined solo
+        // run is where the paper model and the schedule clock coincide.
         let machine = Machine::all_port(1000.0, 100.0);
         let plans = lower_chain(32, 2, OrderingFamily::Br, 2);
         let qs = ones(&plans);
@@ -405,8 +218,9 @@ mod tests {
 
     #[test]
     fn one_port_interleaving_buys_nothing() {
-        // A single transmit port serializes every wire second: the round
-        // model must price the interleave exactly at the serial total.
+        // A single transmit port serializes every wire second, so the
+        // interleave buys no wire time: all it can hide is one job's
+        // start-ups under the other's transmissions.
         let machine = Machine::one_port(1000.0, 100.0);
         let plans_a = lower_chain(32, 2, OrderingFamily::Br, 1);
         let plans_b = lower_chain(32, 2, OrderingFamily::Degree4, 1);
@@ -417,13 +231,20 @@ mod tests {
         ];
         let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
         let c = batch_cost(&jobs, &machine, &order);
+        let per_node = (plans_a[0].messages_with_tail(&qa[0], 1)
+            + plans_b[0].messages_with_tail(&qb[0], 1))
+            / 4;
+        let startups = per_node as f64 * machine.ts;
+        assert!(c.predicted <= c.serial_total, "{} vs {}", c.predicted, c.serial_total);
         assert!(
-            (c.predicted - c.serial_total).abs() < 1e-9 * c.serial_total,
-            "one-port predicted {} vs serial {}",
+            c.predicted >= c.serial_total - startups - 1e-9,
+            "one-port predicted {} hides more than the start-ups of serial {}",
             c.predicted,
             c.serial_total
         );
-        assert!((c.predicted_gain() - 1.0).abs() < 1e-9);
+        // On the stage model (start-ups, then transmissions) there is
+        // nothing to gain at all: its floor is the serial total.
+        assert!((c.lower_bound - c.serial_total).abs() < 1e-9 * c.serial_total);
     }
 
     #[test]
@@ -455,7 +276,6 @@ mod tests {
             c.lower_bound,
             c.predicted
         );
-        assert!(c.predicted_gain() > 1.0);
     }
 
     #[test]
@@ -481,8 +301,7 @@ mod tests {
     #[test]
     fn tail_packetized_jobs_price_the_chained_tail() {
         // tail_q > 1 swaps the whole-block serial sum for the chained-run
-        // price in both the solo column and the tail line, and conserves
-        // volume in the round model's micro-ops.
+        // price in the solo column, the tail line and the prediction.
         let machine = Machine::all_port(1000.0, 100.0);
         let plans = lower_chain(256, 3, OrderingFamily::Br, 1);
         let qs = ones(&plans);
@@ -495,108 +314,8 @@ mod tests {
         assert!((cp.tail - want).abs() < 1e-9 * want, "{} vs {want}", cp.tail);
         assert!(cp.tail < cb.tail, "chaining must undercut the serial sum");
         assert!(cp.solo[0] < cb.solo[0], "solo price must inherit the cheaper tail");
-        // Volume conservation across framings.
-        let vol = |job: &PlannedJob| {
-            let mut v = vec![0u64; 3];
-            for op in job_ops(job) {
-                if let ModelOp::Send { dim, elems } = op {
-                    v[dim] += elems;
-                }
-            }
-            v
-        };
-        assert_eq!(vol(&base), vol(&piped), "packetization reframes, never changes, volume");
-    }
-
-    #[test]
-    fn pipelined_job_ops_conserve_volume() {
-        // The round model's send ops must carry the same per-dimension
-        // volume as the plan for any q — packetization reframes, never
-        // changes, what crosses the wires.
-        let plans = lower_chain(32, 2, OrderingFamily::PermutedBr, 1);
-        for q in [1usize, 2, 4] {
-            let qs: Vec<Vec<usize>> =
-                plans.iter().map(|p| p.exchange_phases().map(|_| q).collect()).collect();
-            let ops = job_ops(&PlannedJob { plans: &plans, qs: &qs, tail_q: 1 });
-            let mut vol = vec![0u64; 2];
-            for op in &ops {
-                if let ModelOp::Send { dim, elems } = op {
-                    vol[*dim] += elems;
-                }
-            }
-            // Per node: the plan's per-dim volume / p (uniform blocks).
-            let want: Vec<u64> = plans[0].volume_by_dim().iter().map(|v| v / 4).collect();
-            assert_eq!(vol, want, "q={q}");
-        }
-    }
-
-    #[test]
-    fn partial_cost_walks_from_full_batch_down_to_zero() {
-        // Zero progress reproduces batch_cost exactly; each completed
-        // sweep strictly shrinks the remaining serial total; full
-        // progress prices to nothing — and saturates past the end.
-        let machine = Machine::all_port(1000.0, 100.0);
-        let plans_a = lower_chain(32, 2, OrderingFamily::Br, 2);
-        let plans_b = lower_chain(32, 2, OrderingFamily::Degree4, 2);
-        let (qa, qb) = (ones(&plans_a), ones(&plans_b));
-        let jobs = [
-            PlannedJob { plans: &plans_a, qs: &qa, tail_q: 1 },
-            PlannedJob { plans: &plans_b, qs: &qb, tail_q: 1 },
-        ];
-        let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
-        let full = batch_cost(&jobs, &machine, &order);
-        let fresh = partial_batch_cost(&jobs, &[0, 0], &machine, &order);
-        assert_eq!(fresh, full, "no progress means the whole batch remains");
-        let mut prev = full.serial_total;
-        for done in 1..=2usize {
-            let c = partial_batch_cost(&jobs, &[done, done], &machine, &order);
-            assert!(
-                c.serial_total < prev,
-                "progress {done}: serial total {} should shrink below {prev}",
-                c.serial_total
-            );
-            assert!(c.predicted <= prev + 1e-9);
-            prev = c.serial_total;
-        }
-        assert_eq!(prev, 0.0, "a fully executed batch has no remaining cost");
-        let over = partial_batch_cost(&jobs, &[9, 9], &machine, &order);
-        assert_eq!(over.serial_total, 0.0, "progress saturates past the budget");
-        assert_eq!(over.predicted, 0.0);
-    }
-
-    #[test]
-    fn partial_cost_prices_the_straggler_alone() {
-        // Job 0 done, job 1 untouched: the remainder is exactly job 1's
-        // solo price, under any order shape.
-        let machine = Machine::all_port(1000.0, 100.0);
-        let plans_a = lower_chain(16, 1, OrderingFamily::Br, 1);
-        let plans_b = lower_chain(32, 1, OrderingFamily::Br, 2);
-        let (qa, qb) = (ones(&plans_a), ones(&plans_b));
-        let jobs = [
-            PlannedJob { plans: &plans_a, qs: &qa, tail_q: 1 },
-            PlannedJob { plans: &plans_b, qs: &qb, tail_q: 1 },
-        ];
-        let solo = solo_plan_costs(&jobs, &machine);
-        let c = partial_batch_cost(
-            &jobs,
-            &[jobs[0].sweeps(), 0],
-            &machine,
-            &BatchOrder::Serial(vec![0, 1]),
-        );
-        assert_eq!(c.solo[0], 0.0);
-        assert!((c.serial_total - solo[1]).abs() < 1e-9 * solo[1]);
-    }
-
-    #[test]
-    fn remaining_slices_plans_and_degrees_together() {
-        let plans = lower_chain(16, 1, OrderingFamily::Br, 3);
-        let qs = ones(&plans);
-        let job = PlannedJob { plans: &plans, qs: &qs, tail_q: 1 };
-        let rest = job.remaining(2);
-        assert_eq!(rest.plans.len(), 1);
-        assert_eq!(rest.qs.len(), 1);
-        assert_eq!(rest.plans[0], plans[2]);
-        assert_eq!(job.remaining(5).sweeps(), 0, "saturating slice");
+        // The executed schedule inherits it too.
+        assert!(cp.predicted < cb.predicted, "{} vs {}", cp.predicted, cb.predicted);
     }
 
     #[test]

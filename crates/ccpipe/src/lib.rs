@@ -15,7 +15,21 @@
 //! * [`sweepcost`] — full-sweep composition and the Figure-2 data points;
 //! * [`plancost`] — the same pricing applied to a lowered
 //!   [`mph_core::CommPlan`], which is how the cost model schedules the
-//!   threaded solver's pipelining degrees.
+//!   threaded solver's pipelining degrees;
+//! * [`execution`] — the computation term on top of the communication
+//!   prices: total sweep times, speedup and efficiency.
+//!
+//! All of the above is the **paper's model**: stage-synchronous, witnessed
+//! at 1e-9 by `mph_simnet::simulate_synchronized`. Two modules price what
+//! the engine *executes* — barrier-free dataflow pipelining, chained
+//! serial tails, several jobs interleaved on one fabric — which the paper
+//! does not define:
+//!
+//! * [`schedclock`] — one schedule clock and [`executed_cost`], which
+//!   runs the engine's micro-op order on it; its witness is the throttled
+//!   fabric's measurement, also at 1e-9;
+//! * [`batchcost`] — the batch price sheet: paper-model solo prices (what
+//!   orders and admits jobs) beside the executed schedule's makespan.
 
 pub mod batchcost;
 pub mod cccube;
@@ -26,11 +40,10 @@ pub mod machine;
 pub mod optimum;
 pub mod pipelining;
 pub mod plancost;
+pub mod schedclock;
 pub mod sweepcost;
 
-pub use batchcost::{
-    batch_cost, partial_batch_cost, solo_plan_costs, BatchCost, BatchOrder, PlannedJob,
-};
+pub use batchcost::{batch_cost, solo_plan_costs, BatchCost, BatchOrder, PlannedJob};
 pub use cccube::CcCube;
 pub use cost::PhaseCostModel;
 pub use execution::{
@@ -44,11 +57,35 @@ pub use pipelining::{
     mode_of, pipelined_schedule, PipelineMode, PipelinedSchedule, Stage, StagePhase,
 };
 pub use plancost::{
-    chained_tail_cost, phase_cc, plan_cost_hetero, plan_cost_with, plan_cost_with_tail,
-    plan_pipelining, plan_sweep_cost, plan_tail_pipelining, plan_unpipelined_cost, worst_machine,
-    PhaseChoice,
+    plan_cost_with_tail, plan_pipelining, plan_sweep_cost, plan_tail_pipelining,
+    plan_unpipelined_cost, PhaseChoice,
 };
+pub use schedclock::{executed_cost, ExecutedCost};
 pub use sweepcost::{
     elems_per_transfer, figure2_point, lower_bound_sweep_cost, pipelined_sweep_cost,
     unpipelined_sweep_cost, Figure2Point, PhaseOutcome, SweepCost, Workload,
 };
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSchedule};
+
+    /// Sweeps `0..sweeps` of an `m`-column eigensolve on a `d`-cube, each
+    /// lowered from its predecessor's final layout.
+    pub(crate) fn lower_chain(
+        m: usize,
+        d: usize,
+        family: OrderingFamily,
+        sweeps: usize,
+    ) -> Vec<CommPlan> {
+        let partition = BlockPartition::new(m, 2 << d);
+        let mut layout = BlockLayout::canonical(d);
+        let mut lower = |s| {
+            let schedule = SweepSchedule::sweep(d, family, s);
+            let plan = CommPlan::lower(&schedule, &partition, &layout, 2 * m);
+            layout = plan.final_layout().clone();
+            plan
+        };
+        (0..sweeps).map(&mut lower).collect()
+    }
+}

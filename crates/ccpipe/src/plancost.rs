@@ -3,11 +3,15 @@
 //!
 //! Each exchange phase of a plan *is* a CC-cube algorithm — its link
 //! sequence plus a message size — so the Figure-2 machinery applies to it
-//! unchanged: [`phase_cc`] adapts a [`PlanPhase`] into a [`CcCube`],
-//! [`plan_pipelining`] runs ref \[9\]'s optimal-degree procedure on every
-//! exchange phase (this is what the threaded solver calls to *schedule*
-//! itself), and [`plan_sweep_cost`] composes the priced phases with the
-//! serial division/last transitions into a [`SweepCost`].
+//! unchanged: [`plan_pipelining`] runs ref \[9\]'s optimal-degree
+//! procedure on every exchange phase (this is what the threaded solver
+//! calls to *schedule* itself), and [`plan_sweep_cost`] composes the priced
+//! phases with the serial division/last transitions into a [`SweepCost`].
+//! These are the **paper-model** prices: stage-synchronous, witnessed by
+//! `mph_simnet::simulate_synchronized`. The chained serial tail, which the
+//! paper does not define, is priced by running it on the schedule clock
+//! ([`crate::schedclock`]); the price of a whole executed schedule is
+//! [`crate::executed_cost`].
 //!
 //! The continuous-size path ([`crate::sweepcost`], which Figure 2 uses for
 //! matrices up to `m = 2^32`) and this executable path agree exactly
@@ -18,11 +22,12 @@
 
 use crate::cccube::CcCube;
 use crate::cost::PhaseCostModel;
-use crate::machine::{Machine, PortModel};
+use crate::machine::Machine;
 use crate::optimum::{optimize_q, OptimalQ};
 use crate::pipelining::mode_of;
+use crate::schedclock::chained_run_cost;
 use crate::sweepcost::{PhaseOutcome, SweepCost};
-use mph_core::{CommPlan, PhaseKind, PlanPhase};
+use mph_core::{CommPlan, Frame, PhaseKind, PlanPhase};
 
 /// Adapts one exchange phase of a plan into the CC-cube algorithm the
 /// analytic models price. The message size is the phase's largest single
@@ -31,7 +36,7 @@ use mph_core::{CommPlan, PhaseKind, PlanPhase};
 ///
 /// # Panics
 /// Panics if `phase` is not an exchange phase.
-pub fn phase_cc(phase: &PlanPhase) -> CcCube {
+fn phase_cc(phase: &PlanPhase) -> CcCube {
     assert!(phase.is_exchange(), "only exchange phases are CC-cube algorithms");
     CcCube { link_seq: phase.links.clone(), message_elems: phase.max_message_elems() as f64 }
 }
@@ -61,210 +66,113 @@ pub fn plan_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> Vec<Ph
         .collect()
 }
 
-/// Communication cost of executing `plan` unpipelined: every transition is
-/// one whole-block message (priced at the phase's largest block).
-pub fn plan_unpipelined_cost(plan: &CommPlan, machine: &Machine) -> f64 {
-    plan.phases()
-        .iter()
-        .map(|ph| ph.k() as f64 * machine.single_message_cost(ph.max_message_elems() as f64))
-        .sum()
+/// One phase's price, as the walk every plan price shares yields them.
+enum Priced<T> {
+    Exchange(T),
+    /// A division or last transition: one whole-block message.
+    Serial(f64),
 }
 
-/// Communication cost of executing `plan` with *given* per-phase
-/// pipelining degrees (one entry of `qs` per exchange phase, in execution
-/// order; division and last transitions stay single messages) — the price
-/// of exactly the schedule the threaded driver executes under
-/// `Pipelining::Fixed(q)` or any `choose_qs` outcome, which is what the
-/// measured-vs-predicted fabric experiments compare against.
-pub fn plan_cost_with(plan: &CommPlan, machine: &Machine, qs: &[usize]) -> SweepCost {
-    assert_eq!(
-        qs.len(),
-        plan.exchange_phases().count(),
-        "one pipelining degree per exchange phase"
-    );
+/// Walks `plan` in execution order: exchange phase `idx` (number `e`) is
+/// priced by `exchange`, a serial phase as one message of the phase's
+/// largest block.
+fn price_phases<'a, T>(
+    plan: &'a CommPlan,
+    machine: &'a Machine,
+    mut exchange: impl FnMut(usize, usize, &PlanPhase) -> T + 'a,
+) -> impl Iterator<Item = Priced<T>> + 'a {
+    plan.phases().iter().enumerate().map(move |(idx, ph)| match ph.kind {
+        PhaseKind::Exchange { e } => Priced::Exchange(exchange(idx, e, ph)),
+        PhaseKind::Division { .. } | PhaseKind::Last => {
+            Priced::Serial(machine.single_message_cost(ph.max_message_elems() as f64))
+        }
+    })
+}
+
+/// Collects a walk into the sweep's cost sheet.
+fn sweep_cost(d: usize, priced: impl Iterator<Item = Priced<PhaseOutcome>>) -> SweepCost {
     let mut phases = Vec::new();
     let mut serial = 0.0;
-    let mut xq = 0usize;
-    for ph in plan.phases() {
-        match ph.kind {
-            PhaseKind::Exchange { e } => {
-                let q = qs[xq].max(1);
-                xq += 1;
-                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-                phases.push(PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) });
-            }
-            PhaseKind::Division { .. } | PhaseKind::Last => {
-                serial += machine.single_message_cost(ph.max_message_elems() as f64);
-            }
+    for p in priced {
+        match p {
+            Priced::Exchange(outcome) => phases.push(outcome),
+            Priced::Serial(cost) => serial += cost,
         }
     }
     let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d: plan.d(), phases, serial, tail_q: 1, total }
+    SweepCost { d, phases, serial, tail_q: 1, total }
 }
 
-/// Exact max-plus price of executing every **tail run** of `plan`
-/// (see [`CommPlan::tail_runs`]) packetized at degree `tail_q` and
+/// Communication cost of executing `plan` unpipelined: every transition is
+/// one whole-block message (priced at the phase's largest block).
+pub fn plan_unpipelined_cost(plan: &CommPlan, machine: &Machine) -> f64 {
+    let whole = |_, _, ph: &PlanPhase| {
+        ph.k() as f64 * machine.single_message_cost(ph.max_message_elems() as f64)
+    };
+    price_phases(plan, machine, whole)
+        .map(|p| match p {
+            Priced::Exchange(cost) | Priced::Serial(cost) => cost,
+        })
+        .sum()
+}
+
+/// Exact price of executing every **tail run** of `plan` (see
+/// [`CommPlan::tail_runs`]) packetized at degree `tail_q` and
 /// phase-chained: each phase of a run splits its whole-block message into
 /// `tail_q` balanced column-group packets, and packet `p` of phase `i + 1`
-/// departs as soon as packet `p` of phase `i` has arrived — the
-/// comm-processor forwarding discipline of
-/// `NodeCtx::send_after`/`recv_stamped`.
-///
-/// The recurrence mirrors the throttled fabric's `LinkClock` exactly, per
-/// symmetric node: every send first charges a serial start-up
-/// (`now += Ts`), then the transmission starts no earlier than the CPU,
-/// the data dependency (the previous phase's packet-`p` stamp), the
-/// outgoing link's previous transmission, and the earliest available
-/// transmit port; it occupies the link and port for `S_p·Tw`. A run's
-/// price is the time from run entry to the last packet's arrival, and the
-/// runs are additive (the driver syncs its clock at the end of each run).
+/// departs as soon as packet `p` of phase `i` has arrived. Each run is run
+/// on the schedule clock from an idle node; the runs are additive (the
+/// driver syncs its clock at the end of each run).
 ///
 /// `tail_q = 1` chains whole blocks; the *unchained* baseline the paper
 /// describes (and the drivers execute with tail pipelining off) is the
-/// plain `Σ Ts + S·Tw` serial sum of [`plan_cost_with`].
-pub fn chained_tail_cost(plan: &CommPlan, machine: &Machine, tail_q: usize) -> f64 {
-    let q = tail_q.max(1);
-    let epc = plan.elems_per_col().max(1);
-    let nports = match machine.ports {
-        PortModel::AllPort => 0,
-        PortModel::OnePort => 1,
-        PortModel::KPort(k) => k.max(1),
-    };
-    let ndims = plan.phases().iter().flat_map(|ph| ph.links.iter()).max().map_or(1, |&l| l + 1);
+/// plain `Σ Ts + S·Tw` serial sum of [`plan_cost_with_tail`]`(.., 1)`.
+pub(crate) fn chained_tail_cost(plan: &CommPlan, machine: &Machine, tail_q: usize) -> f64 {
     let mut total = 0.0f64;
     for run in plan.tail_runs() {
-        let mut now = 0.0f64;
-        let mut stamps = vec![0.0f64; q];
-        let mut link_free = vec![0.0f64; ndims];
-        let mut port_free = vec![0.0f64; nports];
-        for idx in run {
-            let ph = &plan.phases()[idx];
-            let dim = ph.links[0];
-            // Balanced column-group packets, exactly `split_columns`:
-            // larger packets first.
-            let cols = ph.max_message_elems() as usize / epc;
-            let (base, extra) = (cols / q, cols % q);
-            for p in 0..q {
-                let elems = ((base + usize::from(p < extra)) * epc) as f64;
-                now += machine.ts;
-                let mut start = now.max(stamps[p]).max(link_free[dim]);
-                if !port_free.is_empty() {
-                    let pt = (0..port_free.len())
-                        .min_by(|&a, &b| port_free[a].total_cmp(&port_free[b]))
-                        .expect("at least one port");
-                    start = start.max(port_free[pt]);
-                    port_free[pt] = start + elems * machine.tw;
-                }
-                let end = start + elems * machine.tw;
-                link_free[dim] = end;
-                stamps[p] = end;
-            }
-        }
-        total += stamps.iter().fold(now, |a, &b| a.max(b));
+        total += chained_run_cost(plan, machine, run, tail_q.max(1));
     }
     total
 }
 
-/// [`plan_cost_with`] with the serial tail additionally packetized at
-/// `tail_q` and phase-chained. `tail_q = 1` delegates to
-/// [`plan_cost_with`] verbatim — the old serial sum, bit for bit. For
-/// `tail_q > 1` the out-of-run exchange phases are priced exactly as
-/// before, the tail runs are priced by [`chained_tail_cost`] (reported in
-/// `serial`), and the in-run `e = 1` exchange phase — which the chained
-/// tail executes at the run's degree — is recorded with `q = tail_q` and
-/// zero standalone cost, preserving `total = Σ phases + serial`.
+/// Communication cost of executing `plan` with *given* degrees: exchange
+/// phase `i` pipelined at `qs[i]` (one entry per exchange phase, in
+/// execution order) on the paper's stage model, the serial tail at
+/// `tail_q` — the schedule the threaded driver executes under any
+/// `choose_qs`/`choose_tail_qs` outcome.
+///
+/// With `tail_q ≤ 1` division and last transitions are single messages,
+/// summed into `serial`. With `tail_q > 1` the tail runs are priced by
+/// the schedule clock (`serial` is then the chained runs' exact price),
+/// and the in-run `e = 1` exchange phase — which the chained tail executes
+/// at the run's degree — is recorded with `q = tail_q` and zero standalone
+/// cost, preserving `total = Σ phases + serial`.
 pub fn plan_cost_with_tail(
     plan: &CommPlan,
     machine: &Machine,
     qs: &[usize],
     tail_q: usize,
 ) -> SweepCost {
-    if tail_q <= 1 {
-        return plan_cost_with(plan, machine, qs);
-    }
-    assert_eq!(
-        qs.len(),
-        plan.exchange_phases().count(),
-        "one pipelining degree per exchange phase"
-    );
-    let mut phases = Vec::new();
-    let mut xq = 0usize;
-    for ph in plan.phases() {
-        if let PhaseKind::Exchange { e } = ph.kind {
-            let q = qs[xq].max(1);
-            xq += 1;
-            if ph.k() == 1 {
-                phases.push(PhaseOutcome { e, q: tail_q, mode: mode_of(1, tail_q), cost: 0.0 });
-            } else {
-                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-                phases.push(PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) });
-            }
+    let framing = plan.framing(qs, tail_q);
+    let exchange = |idx, e, ph: &PlanPhase| match framing.frame(idx) {
+        Frame::Chained { q, .. } => PhaseOutcome { e, q, mode: mode_of(1, q), cost: 0.0 },
+        frame => {
+            let model = PhaseCostModel::new(&phase_cc(ph), *machine);
+            let q = frame.packets();
+            PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) }
         }
+    };
+    let mut cost = sweep_cost(plan.d(), price_phases(plan, machine, exchange));
+    if tail_q > 1 {
+        cost.serial = chained_tail_cost(plan, machine, tail_q);
+        cost.tail_q = tail_q;
+        cost.total = cost.phases.iter().map(|p| p.cost).sum::<f64>() + cost.serial;
     }
-    let serial = chained_tail_cost(plan, machine, tail_q);
-    let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d: plan.d(), phases, serial, tail_q, total }
-}
-
-/// The pessimistic collapse of a set of per-link machines into one: the
-/// component-wise maximum of `Ts` and `Tw` under the first machine's port
-/// model. A lock-step SPMD sweep is gated by its slowest link, so pricing
-/// a heterogeneous epoch on this machine is exactly what an oracle that
-/// knows every link's condition would do — it is the pricing collapse
-/// behind `Scenario::worst_alive_machine` in `mph-runtime` and the
-/// [`plan_cost_hetero`] upper bound asserted in the tests below.
-///
-/// # Panics
-/// Panics on an empty slice: there is no worst of nothing.
-pub fn worst_machine(machines: &[Machine]) -> Machine {
-    let first = machines.first().expect("worst_machine needs at least one machine");
-    machines.iter().fold(*first, |acc, m| Machine {
-        ts: acc.ts.max(m.ts),
-        tw: acc.tw.max(m.tw),
-        ports: acc.ports,
-    })
-}
-
-/// [`plan_cost_with`] on a **heterogeneous** fabric: one machine per plan
-/// phase (in execution order — exchange, division, and last phases alike),
-/// each phase priced on its own machine. This is the cost-model view of a
-/// degraded epoch where different sweeps' phases traverse links in
-/// different conditions: the scenario layer samples a machine per phase
-/// (typically the worst link the phase crosses) and this prices the
-/// resulting schedule.
-///
-/// With every entry equal, the result is bit-for-bit [`plan_cost_with`] —
-/// asserted in the tests below, as is the sandwich
-/// `uniform(best) ≤ hetero ≤ uniform(worst_machine)`.
-pub fn plan_cost_hetero(plan: &CommPlan, machines: &[Machine], qs: &[usize]) -> SweepCost {
-    assert_eq!(machines.len(), plan.phases().len(), "one machine per plan phase");
-    assert_eq!(
-        qs.len(),
-        plan.exchange_phases().count(),
-        "one pipelining degree per exchange phase"
-    );
-    let mut phases = Vec::new();
-    let mut serial = 0.0;
-    let mut xq = 0usize;
-    for (ph, machine) in plan.phases().iter().zip(machines) {
-        match ph.kind {
-            PhaseKind::Exchange { e } => {
-                let q = qs[xq].max(1);
-                xq += 1;
-                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-                phases.push(PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) });
-            }
-            PhaseKind::Division { .. } | PhaseKind::Last => {
-                serial += machine.single_message_cost(ph.max_message_elems() as f64);
-            }
-        }
-    }
-    let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d: plan.d(), phases, serial, tail_q: 1, total }
+    cost
 }
 
 /// The optimal tail packet degree for `plan` on `machine`: the integer
-/// `Q ∈ [1, q_max]` minimizing [`chained_tail_cost`], scanned over the
+/// `Q ∈ [1, q_max]` minimizing the chained tail's price, scanned over the
 /// same candidate structure as [`optimize_q`] (all small `Q`, a geometric
 /// grid, the cap). This is what `Pipelining::Auto` tail scheduling calls.
 pub fn plan_tail_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> usize {
@@ -295,22 +203,12 @@ pub fn plan_tail_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> u
 /// [`pipelined_sweep_cost`](crate::sweepcost::pipelined_sweep_cost), but
 /// computed from the lowered plan instead of the continuous workload.
 pub fn plan_sweep_cost(plan: &CommPlan, machine: &Machine, q_max: f64) -> SweepCost {
-    let mut phases = Vec::new();
-    let mut serial = 0.0;
-    for ph in plan.phases() {
-        match ph.kind {
-            PhaseKind::Exchange { e } => {
-                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-                let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
-                phases.push(PhaseOutcome { e, q, mode, cost });
-            }
-            PhaseKind::Division { .. } | PhaseKind::Last => {
-                serial += machine.single_message_cost(ph.max_message_elems() as f64);
-            }
-        }
-    }
-    let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d: plan.d(), phases, serial, tail_q: 1, total }
+    let optimal = |_, e, ph: &PlanPhase| {
+        let model = PhaseCostModel::new(&phase_cc(ph), *machine);
+        let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
+        PhaseOutcome { e, q, mode, cost }
+    };
+    sweep_cost(plan.d(), price_phases(plan, machine, optimal))
 }
 
 #[cfg(test)]
@@ -375,23 +273,23 @@ mod tests {
 
     #[test]
     fn fixed_q_cost_agrees_with_the_optimizer_at_its_choices() {
-        // plan_cost_with priced at the optimizer's own qs must reproduce
-        // plan_sweep_cost exactly, and q = 1 everywhere must reproduce the
-        // unpipelined cost.
+        // plan_cost_with_tail priced at the optimizer's own qs must
+        // reproduce plan_sweep_cost exactly, and q = 1 everywhere must
+        // reproduce the unpipelined cost.
         let machine = Machine::paper_figure2();
         for family in OrderingFamily::ALL {
             let plan = lower(256, 3, family, 0);
             let q_max = 256.0 / 16.0;
             let opt = plan_sweep_cost(&plan, &machine, q_max);
             let qs: Vec<usize> = opt.phases.iter().map(|p| p.q).collect();
-            let fixed = plan_cost_with(&plan, &machine, &qs);
+            let fixed = plan_cost_with_tail(&plan, &machine, &qs, 1);
             assert!((fixed.total - opt.total).abs() < 1e-9 * opt.total, "{family}");
             assert_eq!(fixed.serial, opt.serial);
             for (a, b) in fixed.phases.iter().zip(&opt.phases) {
                 assert_eq!((a.e, a.q, a.mode), (b.e, b.q, b.mode), "{family}");
             }
             let ones: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
-            let base = plan_cost_with(&plan, &machine, &ones).total;
+            let base = plan_cost_with_tail(&plan, &machine, &ones, 1).total;
             let want = plan_unpipelined_cost(&plan, &machine);
             assert!((base - want).abs() < 1e-9 * want, "{family}");
         }
@@ -432,8 +330,9 @@ mod tests {
 
     #[test]
     fn tail_q_of_one_reproduces_the_old_serial_sum_bit_for_bit() {
-        // The satellite contract: with tail_q = 1, plan_cost_with_tail IS
-        // plan_cost_with — every f64 identical to the bit.
+        // With tail_q ≤ 1 the tail is the classical serial sum — one
+        // Ts + S·Tw per division and last transition, added in phase order
+        // — and every exchange phase keeps its own stage-model price.
         for machine in
             [Machine::paper_figure2(), Machine::one_port(500.0, 10.0), Machine::all_port(0.0, 7.0)]
         {
@@ -441,12 +340,21 @@ mod tests {
                 for (m, d) in [(64usize, 2usize), (256, 3), (10, 1)] {
                     let plan = lower(m, d, family, 0);
                     let qs: Vec<usize> = plan.exchange_phases().map(|ph| ph.k().min(3)).collect();
-                    let old = plan_cost_with(&plan, &machine, &qs);
-                    let new = plan_cost_with_tail(&plan, &machine, &qs, 1);
-                    assert_eq!(new.serial.to_bits(), old.serial.to_bits(), "{family} d={d}");
-                    assert_eq!(new.total.to_bits(), old.total.to_bits(), "{family} d={d}");
-                    assert_eq!(new.phases, old.phases, "{family} d={d}");
-                    assert_eq!(new.tail_q, 1);
+                    let mut serial = 0.0;
+                    for ph in plan.phases().iter().filter(|ph| !ph.is_exchange()) {
+                        serial += machine.single_message_cost(ph.max_message_elems() as f64);
+                    }
+                    for tail_q in [0usize, 1] {
+                        let got = plan_cost_with_tail(&plan, &machine, &qs, tail_q);
+                        assert_eq!(got.serial.to_bits(), serial.to_bits(), "{family} d={d}");
+                        assert_eq!(got.tail_q, 1);
+                        for ((out, ph), &q) in
+                            got.phases.iter().zip(plan.exchange_phases()).zip(&qs)
+                        {
+                            let model = PhaseCostModel::new(&phase_cc(ph), machine);
+                            assert_eq!((out.q, out.cost), (q, model.cost(q)), "{family} d={d}");
+                        }
+                    }
                 }
             }
         }
@@ -467,7 +375,7 @@ mod tests {
                     assert!(tq >= 1 && tq as f64 <= cap);
                     // The chained tail absorbs any in-run K = 1 exchange
                     // phase, so the like-for-like comparison is totals.
-                    let old = plan_cost_with(&plan, &machine, &qs);
+                    let old = plan_cost_with_tail(&plan, &machine, &qs, 1);
                     let new = plan_cost_with_tail(&plan, &machine, &qs, tq);
                     assert!(
                         new.total <= old.total * (1.0 + 1e-12),
@@ -492,7 +400,7 @@ mod tests {
         let cap = (1024 / 16) as f64;
         let tq = plan_tail_pipelining(&plan, &machine, cap);
         assert!(tq > 1, "the optimizer must choose to packetize, got {tq}");
-        let old = plan_cost_with(&plan, &machine, &qs);
+        let old = plan_cost_with_tail(&plan, &machine, &qs, 1);
         let new = plan_cost_with_tail(&plan, &machine, &qs, tq);
         // Two of the run's phases share a link dimension, so the wire
         // keeps ~3 whole-block transmissions on the chain: the win is the
@@ -511,50 +419,6 @@ mod tests {
         assert_eq!(x1.cost, 0.0);
         let sum: f64 = new.phases.iter().map(|p| p.cost).sum::<f64>() + new.serial;
         assert!((new.total - sum).abs() < 1e-9 * sum.max(1.0));
-    }
-
-    #[test]
-    fn uniform_hetero_pricing_is_plan_cost_with_bit_for_bit() {
-        let machine = Machine::paper_figure2();
-        for family in OrderingFamily::ALL {
-            let plan = lower(64, 2, family, 0);
-            let qs: Vec<usize> = plan.exchange_phases().map(|_| 2).collect();
-            let machines = vec![machine; plan.phases().len()];
-            let uniform = plan_cost_with(&plan, &machine, &qs);
-            let hetero = plan_cost_hetero(&plan, &machines, &qs);
-            assert_eq!(hetero.total.to_bits(), uniform.total.to_bits(), "{family}");
-            assert_eq!(hetero.serial.to_bits(), uniform.serial.to_bits(), "{family}");
-            assert_eq!(hetero.phases, uniform.phases, "{family}");
-        }
-    }
-
-    #[test]
-    fn hetero_pricing_is_sandwiched_by_the_best_and_worst_uniform_machines() {
-        // Degrade a couple of phases: the mixed price must sit between
-        // the all-clean price and the price on the worst machine of the
-        // set — the oracle's pessimistic collapse.
-        let clean = Machine::all_port(1000.0, 100.0);
-        let slow = Machine { ts: 3.0 * clean.ts, tw: 5.0 * clean.tw, ports: clean.ports };
-        let plan = lower(64, 2, OrderingFamily::Degree4, 0);
-        let qs: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
-        let mut machines = vec![clean; plan.phases().len()];
-        machines[0] = slow;
-        *machines.last_mut().expect("plans have phases") = slow;
-        let hetero = plan_cost_hetero(&plan, &machines, &qs).total;
-        let best = plan_cost_with(&plan, &clean, &qs).total;
-        let worst = plan_cost_with(&plan, &worst_machine(&machines), &qs).total;
-        assert!(best < hetero, "{best} < {hetero}");
-        assert!(hetero < worst, "{hetero} < {worst}");
-    }
-
-    #[test]
-    fn worst_machine_takes_the_component_wise_max() {
-        let a = Machine { ts: 10.0, tw: 1.0, ports: PortModel::AllPort };
-        let b = Machine { ts: 5.0, tw: 4.0, ports: PortModel::OnePort };
-        let w = worst_machine(&[a, b]);
-        assert_eq!(w.ts, 10.0);
-        assert_eq!(w.tw, 4.0);
-        assert_eq!(w.ports, PortModel::AllPort, "ports come from the first machine");
     }
 
     #[test]

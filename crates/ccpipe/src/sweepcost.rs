@@ -73,9 +73,9 @@ pub struct SweepCost {
     pub phases: Vec<PhaseOutcome>,
     /// Division transitions + last transition. With `tail_q = 1` this is
     /// the classical `d + 1` single whole-block messages; with
-    /// `tail_q > 1` it is the exact max-plus price of the packetized,
-    /// phase-chained tail runs (see
-    /// [`chained_tail_cost`](crate::plancost::chained_tail_cost)).
+    /// `tail_q > 1` it is the exact price of the packetized,
+    /// phase-chained tail runs on the schedule clock (see
+    /// [`plan_cost_with_tail`](crate::plancost::plan_cost_with_tail)).
     pub serial: f64,
     /// The packet degree the serial tail was priced at (1 = whole-block,
     /// the paper's unpipelined division/last transitions).

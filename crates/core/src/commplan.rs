@@ -19,12 +19,17 @@
 //! consume:
 //!
 //! * `mph-ccpipe` prices it (each exchange phase is a CC-cube algorithm;
-//!   `optimize_q` picks its pipelining degree);
+//!   `optimize_q` picks its pipelining degree; `executed_cost` runs the
+//!   schedule the driver executes on a schedule clock);
 //! * `mph-simnet` simulates it (lowering each phase to communication
 //!   stages, packetized or not);
 //! * `mph-runtime`/`mph-eigen` execute it (the threaded driver walks the
 //!   same phases, splitting blocks into the packet counts the cost model
 //!   chose).
+//!
+//! How a phase crosses the links under given degrees — whole blocks,
+//! packets, or a chained tail run — is decided once, in
+//! [`CommPlan::framing`], for all of them.
 //!
 //! Because all three read the same object, the metered traffic of an
 //! execution, the simulated traffic of the network model and the volume
@@ -266,64 +271,94 @@ impl CommPlan {
         runs
     }
 
-    /// Whether phase `idx` belongs to a tail run (see
-    /// [`CommPlan::tail_runs`]).
-    pub fn in_tail_run(&self, idx: usize) -> bool {
-        self.phases[idx].k() == 1
-    }
-
-    /// Data-plane messages when every exchange phase `i` is split into
-    /// `qs[i]` packets (serial phases always move one message per node).
-    /// `qs` must have one entry per exchange phase; unpipelined counts are
-    /// `messages_with(&[1, 1, …])`.
-    pub fn messages_with(&self, qs: &[usize]) -> u64 {
-        let p = (1usize << self.d) as u64;
-        let mut xq = self.exchange_phases().count();
-        assert_eq!(qs.len(), xq, "one q per exchange phase");
-        xq = 0;
-        let mut total = 0u64;
-        for ph in &self.phases {
-            let per_transition = if ph.is_exchange() {
-                let q = qs[xq] as u64;
-                xq += 1;
-                q.max(1)
-            } else {
-                1
-            };
-            total += ph.k() as u64 * p * per_transition;
+    /// How the phases of this plan move when exchange phase `i` is split
+    /// into `qs[i]` packets (one entry per exchange phase, in execution
+    /// order) and the tail runs into `tail_q` — the one framing decision
+    /// the engine executes, the schedule clock prices, the simulator
+    /// lowers and [`CommPlan::messages_with_tail`] counts.
+    pub fn framing(&self, qs: &[usize], tail_q: usize) -> Framing {
+        assert_eq!(qs.len(), self.exchange_phases().count(), "one q per exchange phase");
+        let mut exchange_qs = qs.iter().copied();
+        let mut frames: Vec<Frame> = self
+            .phases
+            .iter()
+            .map(|ph| {
+                let q = if ph.is_exchange() { exchange_qs.next().unwrap_or(1) } else { 1 };
+                if q > 1 {
+                    Frame::Packets(q)
+                } else {
+                    Frame::Whole
+                }
+            })
+            .collect();
+        if tail_q > 1 {
+            // A K = 1 exchange inside a run rides at the run's degree,
+            // whatever its own planned Q.
+            for run in self.tail_runs() {
+                let (start, end) = (run.start, run.end);
+                frames[run].fill(Frame::Chained { q: tail_q, start, end });
+            }
         }
-        total
+        Framing(frames)
     }
 
-    /// [`CommPlan::messages_with`] when the serial tail is additionally
-    /// packetized: every phase of every tail run carries `tail_q` framed
-    /// packets per node (including the in-run `e = 1` exchange phase,
-    /// which the chained tail executes at the run's degree, overriding its
-    /// per-phase `qs` entry). `tail_q = 1` reproduces
-    /// [`CommPlan::messages_with`] exactly.
+    /// The packet sizes, in elements, of a `block_elems`-element block of
+    /// this plan's columns split `q` ways: balanced column groups, larger
+    /// first — what `ColumnBlock::split_columns` ships.
+    pub fn packet_elems(&self, block_elems: u64, q: usize) -> impl Iterator<Item = u64> {
+        let epc = self.elems_per_col.max(1) as u64;
+        let cols = block_elems / epc;
+        let (base, extra) = (cols / q as u64, cols % q as u64);
+        (0..q as u64).map(move |p| (base + u64::from(p < extra)) * epc)
+    }
+
+    /// Data-plane messages of the sweep under [`CommPlan::framing`]`(qs,
+    /// tail_q)`: every transition of a phase carries the phase's packet
+    /// count per node. Unpipelined counts are `qs = [1, 1, …]`,
+    /// `tail_q = 1`.
     pub fn messages_with_tail(&self, qs: &[usize], tail_q: usize) -> u64 {
         let p = (1usize << self.d) as u64;
-        assert_eq!(qs.len(), self.exchange_phases().count(), "one q per exchange phase");
-        let tail_q = tail_q.max(1);
-        let mut xq = 0usize;
-        let mut total = 0u64;
-        for ph in &self.phases {
-            let per_transition = if ph.is_exchange() {
-                let q = (qs[xq] as u64).max(1);
-                xq += 1;
-                if ph.k() == 1 && tail_q > 1 {
-                    tail_q as u64
-                } else {
-                    q
-                }
-            } else if tail_q > 1 {
-                tail_q as u64
-            } else {
-                1
-            };
-            total += ph.k() as u64 * p * per_transition;
+        let framing = self.framing(qs, tail_q);
+        self.phases
+            .iter()
+            .enumerate()
+            .map(|(idx, ph)| ph.k() as u64 * p * framing.frame(idx).packets() as u64)
+            .sum()
+    }
+}
+
+/// How one phase of a plan crosses the links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// Every transition is one whole-block message.
+    Whole,
+    /// An exchange phase whose mobile block travels as this many (> 1)
+    /// packets, pipelined inside the phase.
+    Packets(usize),
+    /// A single-link transition of the tail run `start..end` (phase
+    /// indices, see [`CommPlan::tail_runs`]), whose phases are chained
+    /// packet by packet at degree `q` (> 1).
+    Chained { q: usize, start: usize, end: usize },
+}
+
+impl Frame {
+    /// Messages per node per transition.
+    pub fn packets(self) -> usize {
+        match self {
+            Frame::Whole => 1,
+            Frame::Packets(q) | Frame::Chained { q, .. } => q,
         }
-        total
+    }
+}
+
+/// One [`Frame`] per phase of a plan, from [`CommPlan::framing`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Framing(Vec<Frame>);
+
+impl Framing {
+    /// How phase `idx` moves.
+    pub fn frame(&self, idx: usize) -> Frame {
+        self.0[idx]
     }
 }
 
@@ -480,11 +515,11 @@ mod tests {
         let p = plan(16, d, OrderingFamily::Br, 0);
         let nodes = 1u64 << d;
         let transitions = (2u64 << d) - 1;
-        assert_eq!(p.messages_with(&[1, 1]), transitions * nodes);
+        assert_eq!(p.messages_with_tail(&[1, 1], 1), transitions * nodes);
         // Splitting phase e=2 (K=3) into 4 packets adds 3·3·4 messages per
         // node... precisely: exchange transitions of that phase now carry 4
         // messages each.
-        let piped = p.messages_with(&[4, 2]);
+        let piped = p.messages_with_tail(&[4, 2], 1);
         let serial = (d as u64 + 1) * nodes; // divisions + last
         assert_eq!(piped, 3 * 4 * nodes + 2 * nodes + serial);
     }
@@ -501,14 +536,42 @@ mod tests {
         // d = 2: X_2 Div_2 X_1 Div_1 Last → one run after X_2.
         let p = plan(32, 2, OrderingFamily::PermutedBr, 0);
         assert_eq!(p.tail_runs(), vec![1..5]);
-        for runs in [p.tail_runs()] {
-            for r in runs {
-                for i in r {
-                    assert!(p.in_tail_run(i));
-                    assert_eq!(p.phases()[i].k(), 1);
-                }
+        for r in p.tail_runs() {
+            for i in r {
+                assert_eq!(p.phases()[i].k(), 1);
             }
         }
+    }
+
+    #[test]
+    fn framing_chains_the_runs_and_packetizes_the_rest() {
+        // d = 3: X_3 Div_3 X_2 Div_2 X_1 Div_1 Last.
+        let p = plan(64, 3, OrderingFamily::Br, 0);
+        let frames = |qs: &[usize], tail_q| {
+            let f = p.framing(qs, tail_q);
+            (0..p.phases().len()).map(|i| f.frame(i)).collect::<Vec<_>>()
+        };
+        use Frame::{Chained, Packets, Whole};
+        // Degrees of 0 and 1 are whole blocks; a whole-block tail leaves
+        // the K = 1 exchange its own degree.
+        assert_eq!(
+            frames(&[4, 0, 2], 1),
+            [Packets(4), Whole, Whole, Whole, Packets(2), Whole, Whole]
+        );
+        // A chained tail takes the in-run X_1 over at the run's degree.
+        let (lone, run) = (Chained { q: 3, start: 1, end: 2 }, Chained { q: 3, start: 3, end: 7 });
+        assert_eq!(frames(&[4, 1, 2], 3), [Packets(4), lone, Whole, run, run, run, run]);
+        assert_eq!(run.packets(), 3);
+    }
+
+    #[test]
+    fn packets_are_balanced_column_groups_larger_first() {
+        // 5 columns of 20 elements: 3 ways is 2 + 2 + 1 columns, 7 ways
+        // leaves two empty packets; the split conserves the block.
+        let p = plan(10, 1, OrderingFamily::Br, 0);
+        assert_eq!(p.packet_elems(100, 3).collect::<Vec<_>>(), [40, 40, 20]);
+        assert_eq!(p.packet_elems(100, 7).collect::<Vec<_>>(), [20, 20, 20, 20, 20, 0, 0]);
+        assert_eq!(p.packet_elems(100, 1).collect::<Vec<_>>(), [100]);
     }
 
     #[test]
@@ -516,10 +579,6 @@ mod tests {
         let d = 2;
         let p = plan(16, d, OrderingFamily::Br, 0);
         let nodes = 1u64 << d;
-        // tail_q = 1 is exactly messages_with, for any exchange qs.
-        for qs in [[1usize, 1], [4, 2], [2, 5]] {
-            assert_eq!(p.messages_with_tail(&qs, 1), p.messages_with(&qs));
-        }
         // tail_q = 3: the run [Div_2, X_1, Div_1, Last] carries 3 packets
         // per node per phase; X_2 (K=3) keeps its own q.
         let got = p.messages_with_tail(&[4, 2], 3);
@@ -533,7 +592,7 @@ mod tests {
         let p = CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(0), 16);
         assert!(p.phases().is_empty());
         assert_eq!(p.total_volume(), 0);
-        assert_eq!(p.messages_with(&[]), 0);
+        assert_eq!(p.messages_with_tail(&[], 1), 0);
     }
 
     #[test]

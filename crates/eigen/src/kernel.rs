@@ -352,8 +352,8 @@ impl Tournament {
 /// a pure reordering of *commuting* operations that preserves every bit of
 /// the untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
 /// asserted in tests). With `workers ≥ 1` the sweeps run the deterministic
-/// *tile tournament*: columns are grouped into [`ACROSS_TILE`]-wide tiles,
-/// [`push_within_round`]/[`push_across_round`] schedule rounds of
+/// *tile tournament*: columns are grouped into `ACROSS_TILE`-wide tiles,
+/// `push_within_round`/`push_across_round` schedule rounds of
 /// column-disjoint tile tasks, and each task is a serial row-major
 /// micro-sweep of its tile pair (the L1-resident inner loop of the serial
 /// path). A call takes every block it may touch at once — all blocks'

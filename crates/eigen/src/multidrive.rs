@@ -2,7 +2,7 @@
 //! one job's [`CommPlan`] chain or several chains at once over ONE shared
 //! link fabric.
 //!
-//! Each job becomes an explicit per-node state machine ([`JobNode`]) whose
+//! Each job becomes an explicit per-node state machine (`JobNode`) whose
 //! `step` advances exactly one scheduler micro-op — pair-and-send a
 //! transition, consume a received block, process-and-forward one pipeline
 //! packet, drain an epilogue packet, or cast a convergence vote — and a
@@ -85,7 +85,7 @@ use crate::threaded::{
     choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport,
 };
 use mph_ccpipe::BatchOrder;
-use mph_core::{BlockPartition, CommPlan, OrderingFamily, PhaseKind};
+use mph_core::{BlockPartition, CommPlan, Frame, Framing, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
 use mph_linalg::block::{BufferPool, ColumnBlock};
 use mph_linalg::vecops::dot;
@@ -156,71 +156,25 @@ pub fn lower_job(spec: &JobSpec, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     (plans, qs)
 }
 
-/// How one sweep's plan is executed, per phase: the packet count of an
-/// exchange phase and the chained tail run a single-link transition rides.
-/// Built once per job beside [`lower_job`]'s output and borrowed by all
-/// `2^d` nodes; a degraded solo sweep replaces its entry (`Solo::reprice`).
-struct SweepTable {
-    /// `q[idx]`: packets of exchange phase `idx` (1 for serial phases).
-    q: Vec<usize>,
-    /// `run[idx]`: the tail run `(start, end)` holding phase `idx`
-    /// ([`CommPlan::tail_runs`]) — `None` outside a run, and everywhere
-    /// when the tail stays whole-block (`tail_q == 1`).
-    run: Vec<Option<(usize, usize)>>,
-    /// The packet degree of the sweep's tail runs.
-    tail_q: usize,
-}
-
-impl SweepTable {
-    /// `qs` has one entry per exchange phase of `plan`, as [`choose_qs`]
-    /// returns them.
-    fn new(plan: &CommPlan, qs: &[usize], tail_q: usize) -> Self {
-        let mut qs = qs.iter();
-        let q = plan
-            .phases()
-            .iter()
-            .map(|ph| {
-                if ph.is_exchange() {
-                    (*qs.next().expect("one q per exchange phase")).max(1)
-                } else {
-                    1
-                }
-            })
-            .collect();
-        let mut run = vec![None; plan.phases().len()];
-        if tail_q > 1 {
-            for r in plan.tail_runs() {
-                run[r.clone()].fill(Some((r.start, r.end)));
-            }
-        }
-        SweepTable { q, run, tail_q }
-    }
-
-    /// Every transition of `plan` a whole-block move.
-    fn whole_block(plan: &CommPlan) -> Self {
-        let phases = plan.phases().len();
-        SweepTable { q: vec![1; phases], run: vec![None; phases], tail_q: 1 }
-    }
-}
-
-/// Every job's schedule: a [`SweepTable`] per lowered plan, built before
-/// the node threads spawn — the tail degree ([`choose_tail_qs`]) is priced
-/// once per plan rather than on every node.
-fn job_tables(
+/// Every job's schedule: the [`Framing`] of each lowered plan, built before
+/// the node threads spawn and borrowed by all `2^d` nodes — the tail degree
+/// ([`choose_tail_qs`]) is priced once per plan rather than on every node.
+/// A degraded solo sweep replaces its entry (`Solo::reprice`).
+fn job_framings(
     jobs: &[JobSpec],
     d: usize,
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-) -> Vec<Vec<SweepTable>> {
-    let tables = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
+) -> Vec<Vec<Framing>> {
+    let framings = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
         let q_cap = packetization_cap(spec.a.cols(), d);
         let tail = &spec.opts.tail_pipelining;
         plans
             .iter()
             .zip(qs)
-            .map(|(plan, qs)| SweepTable::new(plan, qs, choose_tail_qs(plan, tail, q_cap)))
+            .map(|(plan, qs)| plan.framing(qs, choose_tail_qs(plan, tail, q_cap)))
             .collect()
     };
-    jobs.iter().zip(lowered).map(tables).collect()
+    jobs.iter().zip(lowered).map(framings).collect()
 }
 
 /// One dead undirected edge's relay plan for a sweep: who its endpoints
@@ -287,18 +241,19 @@ impl Solo {
         sweep: usize,
         agreed: Machine,
         q_cap: usize,
-    ) -> Option<SweepTable> {
+    ) -> Option<Framing> {
         let scenario = self.scenario.as_ref()?;
-        if !self.relays[sweep].is_empty() {
-            return Some(SweepTable::whole_block(plan));
-        }
-        let pricing = Pipelining::Auto(match self.adaptation {
-            Adaptation::Off => return None,
-            Adaptation::Reactive => agreed,
-            Adaptation::Oracle => scenario.worst_alive_machine(sweep),
-        });
+        let pricing = if !self.relays[sweep].is_empty() {
+            Pipelining::Off
+        } else {
+            Pipelining::Auto(match self.adaptation {
+                Adaptation::Off => return None,
+                Adaptation::Reactive => agreed,
+                Adaptation::Oracle => scenario.worst_alive_machine(sweep),
+            })
+        };
         let tail_q = choose_tail_qs(plan, &pricing, q_cap);
-        Some(SweepTable::new(plan, &choose_qs(plan, &pricing, q_cap), tail_q))
+        Some(plan.framing(&choose_qs(plan, &pricing, q_cap), tail_q))
     }
 }
 
@@ -470,8 +425,8 @@ struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec,
     plans: &'a [CommPlan],
-    /// The job's schedule, one entry per plan (see [`job_tables`]).
-    tables: &'a [SweepTable],
+    /// The job's schedule, one entry per plan (see [`job_framings`]).
+    framings: &'a [Framing],
     solo: Option<&'a Solo>,
     kern: SweepKernel,
     d: usize,
@@ -498,8 +453,8 @@ struct JobNode<'a> {
     #[cfg(test)]
     pool_misses: Vec<u64>,
     /// The current sweep's schedule where a degraded solo sweep overrides
-    /// `tables` ([`Solo::reprice`]).
-    repriced: Option<SweepTable>,
+    /// `framings` ([`Solo::reprice`]).
+    repriced: Option<Framing>,
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
     outbox: Option<BatchMsg>,
@@ -535,7 +490,7 @@ impl<'a> JobNode<'a> {
         job: u32,
         spec: &'a JobSpec,
         plans: &'a [CommPlan],
-        tables: &'a [SweepTable],
+        framings: &'a [Framing],
         solo: Option<&'a Solo>,
         d: usize,
         node: usize,
@@ -557,7 +512,7 @@ impl<'a> JobNode<'a> {
             job,
             spec,
             plans,
-            tables,
+            framings,
             solo,
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
             d,
@@ -594,22 +549,18 @@ impl<'a> JobNode<'a> {
         self.pos == Pos::Done
     }
 
-    /// The current sweep's schedule.
-    fn table(&self) -> &SweepTable {
-        self.repriced.as_ref().unwrap_or(&self.tables[self.sweeps])
+    /// How phase `idx` of the current sweep moves.
+    fn frame(&self, idx: usize) -> Frame {
+        self.repriced.as_ref().unwrap_or(&self.framings[self.sweeps]).frame(idx)
     }
 
-    /// The packet count of exchange phase `idx` of the current sweep
-    /// (1 for serial phases).
-    fn phase_q(&self, idx: usize) -> usize {
-        self.table().q[idx]
-    }
-
-    /// The tail run of the current sweep containing phase `idx`, as
-    /// `(start, end)` — `None` when the phase is not a single-link
-    /// transition or tail pipelining is off for this sweep.
-    fn tail_run_at(&self, idx: usize) -> Option<(usize, usize)> {
-        self.table().run[idx]
+    /// The chained tail run holding phase `idx` of the current sweep, as
+    /// `(degree, start, end)`.
+    fn tail_run(&self, idx: usize) -> (usize, usize, usize) {
+        match self.frame(idx) {
+            Frame::Chained { q, start, end } => (q, start, end),
+            frame => panic!("tail op in a {frame:?} phase"),
+        }
     }
 
     /// Whether the resident block (slot0) is the one travelling in serial
@@ -623,12 +574,10 @@ impl<'a> JobNode<'a> {
     }
 
     fn start_of_phase(&self, idx: usize) -> Pos {
-        if self.tail_run_at(idx).is_some_and(|(start, _)| start == idx) {
-            Pos::TailSend { phase: idx, q: 0 }
-        } else if self.phase_q(idx) > 1 {
-            Pos::Pipe { phase: idx, k: 0, q: 0 }
-        } else {
-            Pos::Send { phase: idx, t: 0 }
+        match self.frame(idx) {
+            Frame::Whole => Pos::Send { phase: idx, t: 0 },
+            Frame::Packets(_) => Pos::Pipe { phase: idx, k: 0, q: 0 },
+            Frame::Chained { .. } => Pos::TailSend { phase: idx, q: 0 },
         }
     }
 
@@ -841,7 +790,7 @@ impl<'a> JobNode<'a> {
             }
             Pos::Pipe { phase, k, q } => {
                 let ph = &self.plans[self.sweeps].phases()[phase];
-                let q_total = self.phase_q(phase);
+                let q_total = self.frame(phase).packets();
                 let k_total = ph.k();
                 if k == 0 && q == 0 {
                     // Phase entry: split the mobile block into its packets.
@@ -885,7 +834,7 @@ impl<'a> JobNode<'a> {
             }
             Pos::Drain { phase, q } => {
                 let ph = &self.plans[self.sweeps].phases()[phase];
-                let q_total = self.phase_q(phase);
+                let q_total = self.frame(phase).packets();
                 let (msg, stamp) = mux.recv_for(ph.links[ph.k() - 1], self.job);
                 let pkt = expect_packet(msg);
                 assert_eq!(
@@ -908,11 +857,10 @@ impl<'a> JobNode<'a> {
             }
             Pos::TailSend { phase, q } => {
                 let ph = &self.plans[self.sweeps].phases()[phase];
-                let tq = self.table().tail_q;
+                let (tq, run_start, _) = self.tail_run(phase);
                 let link = ph.links[0];
                 let resident_out = self.resident_out(phase);
                 if q == 0 {
-                    let (run_start, _) = self.tail_run_at(phase).expect("tail op outside a run");
                     if phase == run_start {
                         // Run entry: every packet is ready now.
                         self.tail_stamps = vec![ctx.virtual_now(); tq];
@@ -946,7 +894,7 @@ impl<'a> JobNode<'a> {
             }
             Pos::TailRecv { phase, q } => {
                 let ph = &self.plans[self.sweeps].phases()[phase];
-                let tq = self.table().tail_q;
+                let (tq, _, run_end) = self.tail_run(phase);
                 let (msg, stamp) = mux.recv_for(ph.links[0], self.job);
                 let pkt = expect_packet(msg);
                 assert_eq!(
@@ -970,7 +918,6 @@ impl<'a> JobNode<'a> {
                 } else {
                     self.slot1 = block;
                 }
-                let (_, run_end) = self.tail_run_at(phase).expect("tail op outside a run");
                 if phase + 1 < run_end {
                     // An in-run K = 1 exchange rides the tail pipeline at
                     // the run's degree, whatever its own planned Q.
@@ -1172,7 +1119,7 @@ fn run_nodes(
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     order.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
-    let tables = job_tables(jobs, d, lowered);
+    let framings = job_framings(jobs, d, lowered);
 
     run_spmd_fabric_jobs_traced::<BatchMsg, Vec<JobNodeOutput>, _>(
         d,
@@ -1182,7 +1129,7 @@ fn run_nodes(
         |ctx| {
             let mut nodes: Vec<JobNode> = (0..jobs.len())
                 .map(|j| {
-                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &tables[j], solo, d, ctx.id())
+                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &framings[j], solo, d, ctx.id())
                 })
                 .collect();
             let mut mux = JobMux::new(ctx);
@@ -1499,7 +1446,7 @@ struct NodeService {
 ///    so all arrivals are taken at the first boundary.)
 /// 3. **Admission** — while the active set has room, the queued job with
 ///    the smallest `plan.priority` (ties to the earlier arrival) is
-///    admitted, preemption-free: its [`JobNode`] state machine is built
+///    admitted, preemption-free: its `JobNode` state machine is built
 ///    and joins the interleave at the *next* micro-op, never mid-sweep.
 /// 4. **Service round** — every active job advances exactly one sweep,
 ///    round-robin with `plan.stride` micro-ops per turn; same-key jobs
@@ -1540,7 +1487,7 @@ pub fn run_job_service_traced(
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     plan.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
-    let tables = job_tables(jobs, d, lowered);
+    let framings = job_framings(jobs, d, lowered);
     let njobs = jobs.len();
     let throttled = matches!(fabric, FabricModel::Throttled(_));
 
@@ -1592,7 +1539,7 @@ pub fn run_job_service_traced(
                             j as u32,
                             &jobs[j],
                             &lowered[j].0,
-                            &tables[j],
+                            &framings[j],
                             None,
                             d,
                             ctx.id(),

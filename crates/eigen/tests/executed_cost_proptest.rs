@@ -1,0 +1,159 @@
+//! `mph_ccpipe::executed_cost` is the throttled fabric without the
+//! fabric: for random cubes, machines, port models, job mixes (eigen and
+//! SVD, diagonal cache on and off), exchange and tail pipelining settings
+//! and interleaving orders, the schedule clock's makespan and every job's
+//! finish time equal what the engine measures on the virtual clock —
+//! exactly, not within a band — whenever the partition is uniform, and
+//! bound the measurement from above when it is not (every message is then
+//! priced at its phase's largest block).
+//!
+//! This is the witness that lets every measured-vs-predicted assertion on
+//! the *executed* schedule read 1e-9; comparisons against the paper's
+//! stage model keep their bands and are labelled cross-model where they
+//! stand (`fabric_conformance.rs`, `d4_window_runtime.rs`).
+
+use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
+use mph_core::{CommPlan, OrderingFamily};
+use mph_eigen::{
+    choose_tail_qs, lower_job, packetization_cap, run_job_batch, FabricModel, JacobiOptions,
+    JobSpec, Pipelining,
+};
+use mph_linalg::symmetric::random_symmetric;
+use proptest::prelude::*;
+
+fn machine_strategy() -> impl Strategy<Value = Machine> {
+    let ports = prop_oneof![
+        Just(PortModel::AllPort),
+        Just(PortModel::OnePort),
+        Just(PortModel::KPort(2)),
+        Just(PortModel::KPort(3)),
+    ];
+    // Integer and non-representable Ts/Tw alike: the clock and the fabric
+    // run one recurrence, so they round alike.
+    let ts = prop_oneof![Just(1000.0), Just(0.0), 1.0f64..5000.0];
+    let tw = prop_oneof![Just(100.0), 0.1f64..100.0];
+    (ts, tw, ports).prop_map(|(ts, tw, ports)| Machine { ts, tw, ports })
+}
+
+/// `Off`, `Fixed(2..=4)` or `Auto` on the fabric's own machine.
+fn pipelining(choice: usize, machine: Machine) -> Pipelining {
+    match choice {
+        0 => Pipelining::Off,
+        1 => Pipelining::Auto(machine),
+        q => Pipelining::Fixed(q),
+    }
+}
+
+/// One job per draw: `(columns per block, family, svd, sweeps)` and
+/// `(exchange pipelining, tail pipelining, diagonal cache)`.
+type JobDraw = ((usize, usize, bool, usize), (usize, usize, bool));
+
+fn job_strategy() -> impl Strategy<Value = Vec<JobDraw>> {
+    let problem = (1usize..=3, 0usize..4, any::<bool>(), 1usize..=2);
+    let schedule = (0usize..=4, 0usize..=3, any::<bool>());
+    proptest::collection::vec((problem, schedule), 1..=4)
+}
+
+/// The drawn jobs on a `d`-cube; `ragged` extra columns make every
+/// partition uneven.
+fn specs(draws: &[JobDraw], d: usize, ragged: usize, machine: Machine, seed: u64) -> Vec<JobSpec> {
+    draws
+        .iter()
+        .enumerate()
+        .map(|(i, &((cols, family, svd, sweeps), (exchange, tail, cache)))| {
+            let a = random_symmetric(cols * (2 << d) + ragged, seed + i as u64);
+            let opts = JacobiOptions {
+                force_sweeps: Some(sweeps),
+                pipelining: pipelining(exchange, machine),
+                tail_pipelining: pipelining(tail, machine),
+                cache_diagonals: cache,
+                ..Default::default()
+            };
+            let family = OrderingFamily::ALL[family];
+            if svd {
+                JobSpec::svd(a, family, opts)
+            } else {
+                JobSpec::eigen(a, family, opts)
+            }
+        })
+        .collect()
+}
+
+/// `Serial` (stride 0) or `RoundRobin`, over the jobs rotated by `rot`.
+fn order(njobs: usize, rot: usize, stride: usize) -> BatchOrder {
+    let order: Vec<usize> = (0..njobs).map(|i| (i + rot) % njobs).collect();
+    match stride {
+        0 => BatchOrder::Serial(order),
+        stride => BatchOrder::RoundRobin { order, stride },
+    }
+}
+
+/// `(measured, predicted)` as `[makespan, finish of job 0, 1, …]`.
+fn measure_and_predict(
+    specs: &[JobSpec],
+    d: usize,
+    machine: Machine,
+    order: &BatchOrder,
+) -> (Vec<f64>, Vec<f64>) {
+    let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
+        specs.iter().map(|spec| lower_job(spec, d)).collect();
+    let planned: Vec<PlannedJob> = lowered
+        .iter()
+        .zip(specs)
+        .map(|((plans, qs), spec)| {
+            let q_cap = packetization_cap(spec.a.cols(), d);
+            let tail_q = choose_tail_qs(&plans[0], &spec.opts.tail_pipelining, q_cap);
+            PlannedJob { plans, qs, tail_q }
+        })
+        .collect();
+    let predicted = executed_cost(&planned, &machine, order);
+    let run = run_job_batch(d, specs, FabricModel::Throttled(machine), order);
+    let measured =
+        std::iter::once(run.fabric.makespan).chain(run.spans.iter().map(|s| s.finish)).collect();
+    (measured, std::iter::once(predicted.makespan).chain(predicted.finish).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn executed_cost_equals_the_fabric_on_uniform_partitions(
+        d in 1usize..=3,
+        machine in machine_strategy(),
+        draws in job_strategy(),
+        rot in 0usize..4,
+        stride in 0usize..=5,
+        seed in 0u64..1000,
+    ) {
+        let specs = specs(&draws, d, 0, machine, seed);
+        let order = order(specs.len(), rot, stride);
+        let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
+        for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {
+            prop_assert!(
+                (m - p).abs() <= 1e-9 * p,
+                "{order:?} on {machine:?}: time {i} measured {m} vs executed_cost {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn executed_cost_bounds_the_fabric_on_uneven_partitions(
+        d in 1usize..=3,
+        machine in machine_strategy(),
+        draws in job_strategy(),
+        ragged in 1usize..4,
+        rot in 0usize..4,
+        stride in 0usize..=5,
+        seed in 0u64..1000,
+    ) {
+        let specs = specs(&draws, d, ragged, machine, seed);
+        let order = order(specs.len(), rot, stride);
+        let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
+        for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {
+            prop_assert!(
+                *m <= p * (1.0 + 1e-9),
+                "{order:?} on {machine:?}: time {i} measured {m} above executed_cost {p}"
+            );
+        }
+    }
+}

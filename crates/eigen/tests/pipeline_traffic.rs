@@ -110,7 +110,7 @@ proptest! {
             .iter()
             .map(|p| {
                 let qs: Vec<usize> = p.exchange_phases().map(|_| q).collect();
-                p.messages_with(&qs)
+                p.messages_with_tail(&qs, 1)
             })
             .sum();
         prop_assert_eq!(meter_q.total_messages(), per_sweep, "pipelined message count");

@@ -15,8 +15,8 @@
 //! * [`ServeReport`] — per-job outcomes (latency = arrival→finish),
 //!   [`LatencyStats`] p50/p90/p99, queue-wait distribution, jobs/s and
 //!   elems/s on the virtual clock, and a priced backlog time series
-//!   (queued at full cost, active at `partial_batch_cost` of their
-//!   remaining sweeps);
+//!   (queued at full cost, active at the plan price of their remaining
+//!   sweeps);
 //! * backpressure — an arrival finding the queue full is shed with the
 //!   typed `Rejected::QueueFull`, never silently dropped.
 //!

@@ -2,12 +2,10 @@
 
 use crate::metrics::{latency_stats, LatencyStats};
 use crate::scenario::Scenario;
-use mph_batch::{service_plan, AdmissionConfig, Policy, Throughput};
-use mph_ccpipe::{partial_batch_cost, BatchOrder, Machine, PlannedJob};
+use mph_batch::{planned_jobs, service_plan, AdmissionConfig, Policy, Throughput};
+use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
-use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_service_traced, JobSpec, ServiceRun,
-};
+use mph_eigen::{lower_job, run_job_service_traced, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
 use mph_trace::MetricsRegistry;
 
@@ -59,7 +57,8 @@ pub struct BacklogPoint {
     pub active: usize,
     /// Priced time to drain everything in the system serially from here:
     /// queued jobs at full cost, active jobs at the cost of their
-    /// remaining sweeps ([`partial_batch_cost`]).
+    /// remaining sweeps ([`plan_cost_with_tail`] per sweep, the price
+    /// that admits them).
     pub remaining_cost: f64,
 }
 
@@ -133,18 +132,7 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
     let specs: Vec<JobSpec> = scenario.jobs.iter().map(|j| j.to_spec()).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
-    // Price each job at the tail degree its JobNode will execute.
-    let planned: Vec<PlannedJob<'_>> = lowered
-        .iter()
-        .zip(&specs)
-        .map(|((plans, qs), spec)| PlannedJob {
-            plans,
-            qs,
-            tail_q: plans.first().map_or(1, |p| {
-                choose_tail_qs(p, &spec.opts.tail_pipelining, packetization_cap(spec.a.cols(), d))
-            }),
-        })
-        .collect();
+    let planned = planned_jobs(&specs, &lowered, d);
     let machine = opts.fabric.machine().unwrap_or(opts.pricing);
     let plan = service_plan(
         &scenario.jobs,
@@ -159,26 +147,31 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
 
     let latencies: Vec<f64> = run.outcomes.iter().filter_map(|o| o.latency()).collect();
     let waits: Vec<f64> = run.outcomes.iter().filter_map(|o| o.queue_wait()).collect();
-    let order = BatchOrder::Serial((0..specs.len()).collect());
+    // Every sweep priced once; a boundary looks its backlog up.
+    let sweep_costs: Vec<Vec<f64>> = planned
+        .iter()
+        .map(|job| {
+            let price = |(plan, qs): (&CommPlan, &Vec<usize>)| {
+                plan_cost_with_tail(plan, &machine, qs, job.tail_q).total
+            };
+            job.plans.iter().zip(job.qs).map(price).collect()
+        })
+        .collect();
     let backlog: Vec<BacklogPoint> = run
         .boundaries
         .iter()
         .map(|b| {
-            // Out of the system (not arrived, done, or shed) prices 0;
-            // queued prices its whole chain; active prices what's left.
-            let mut progress: Vec<usize> = planned.iter().map(PlannedJob::sweeps).collect();
-            for &j in &b.queued {
-                progress[j] = 0;
-            }
-            for &(j, sweeps_done) in &b.active {
-                progress[j] = sweeps_done;
-            }
+            // In the system: a queued job owes its whole chain, an active
+            // one the sweeps it has left. Summed in job order.
+            let mut owing: Vec<(usize, usize)> =
+                b.queued.iter().map(|&j| (j, 0)).chain(b.active.iter().copied()).collect();
+            owing.sort_unstable();
+            let left = |&(j, done): &(usize, usize)| sweep_costs[j].iter().skip(done).sum::<f64>();
             BacklogPoint {
                 time: b.time,
                 queue_depth: b.queue_depth(),
                 active: b.active.len(),
-                remaining_cost: partial_batch_cost(&planned, &progress, &machine, &order)
-                    .serial_total,
+                remaining_cost: owing.iter().map(left).sum(),
             }
         })
         .collect();

@@ -19,22 +19,27 @@
 //!   ([`StartupModel::Overlapped`]) and barrier-free dependency-driven
 //!   execution ([`simulate_async`]) — quantify how conservative the
 //!   paper's model is.
+//!
+//! It is the witness of the *paper's* stage model and lowers only what
+//! that model defines. The schedule the threaded engine executes
+//! (dataflow packets, chained tails, interleaved batches) is priced by
+//! `mph_ccpipe::executed_cost` and witnessed by the throttled fabric.
+//!
+//! * [`schedule`] — communication stages and schedules, and the stage
+//!   lowering of one CC-cube phase;
+//! * [`plan`] — the stage lowering of a whole [`mph_core::CommPlan`];
+//! * [`sim`] — the synchronized and asynchronous simulators;
+//! * [`validate`] — simulator-vs-closed-form samples for the
+//!   `validate_simnet` experiment.
 
-pub mod batch;
 pub mod plan;
 pub mod schedule;
 pub mod sim;
-pub mod sweepsim;
 pub mod validate;
 
-pub use batch::{interleaved_replay, job_schedule, serial_replay};
-pub use plan::{
-    plan_phase_times, plan_phase_times_hetero, plan_pipelined_schedule,
-    plan_pipelined_schedule_with_tail, plan_unpipelined_schedule,
-};
+pub use plan::{plan_pipelined_schedule, plan_unpipelined_schedule};
 pub use schedule::{
     pipelined_phase_schedule, unpipelined_phase_schedule, CommSchedule, CommStage, NodeSend,
 };
 pub use sim::{simulate_async, simulate_synchronized, SimReport, StartupModel};
-pub use sweepsim::{pipelined_sweep_schedule, simulate_sweep, unpipelined_sweep_schedule};
 pub use validate::{validate_phase, ValidationSample};

@@ -3,8 +3,8 @@
 //! Reports across the workspace (`ServeReport`, `AdaptiveReport`)
 //! expose their numbers through one of these so downstream tooling can
 //! consume a single shape instead of one bespoke struct per subsystem.
-//! Names are ordered (`BTreeMap`), so iteration and [`render`]
-//! (MetricsRegistry::render) are deterministic.
+//! Names are ordered (`BTreeMap`), so iteration and
+//! [`render`](MetricsRegistry::render) are deterministic.
 
 use std::collections::BTreeMap;
 

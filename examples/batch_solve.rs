@@ -13,7 +13,9 @@
 //! pipeline bubbles problem A leaves on the links). Every batched result
 //! is bitwise identical to its solo run — scheduling is invisible to the
 //! numerics — and the throughput gain is measured on the deterministic
-//! virtual clock next to the batch cost model's prediction.
+//! virtual clock next to the cost sheet's prediction, which is the same
+//! interleaved schedule run on `mph_ccpipe`'s schedule clock
+//! (`executed_cost`) and therefore the same number.
 
 use mph_batch::{solve_batch, BatchOptions, Job, JobResult, Policy};
 use mph_ccpipe::Machine;
@@ -87,6 +89,10 @@ fn main() {
             report.mean_finish(),
             t.jobs_per_time,
             report.cost.predicted,
+        );
+        assert!(
+            (report.makespan - report.cost.predicted).abs() <= 1e-9 * report.cost.predicted,
+            "forced sweeps on a uniform partition: the schedule clock is exact"
         );
         // Per-job spans and traffic, metered apart by job tag.
         for (i, (span, result)) in report.spans.iter().zip(&report.results).enumerate() {
