@@ -39,5 +39,6 @@ pub use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, PlannedJob};
 pub use mph_eigen::{JobResult, JobSpan, JobSpec, ServicePlan};
 pub use policy::Policy;
 pub use scheduler::{
-    planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput,
+    check_shared_fabric, planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport,
+    Throughput,
 };

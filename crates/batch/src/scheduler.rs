@@ -58,13 +58,29 @@ pub enum BatchConfigError {
     /// advances the epoch (and switches to the relay script around the
     /// dead links) at a sweep boundary every node shares. The jobs of a
     /// batch cross their sweep boundaries at different times, so a batch
-    /// has no such boundary: it runs entirely at epoch 0 and would send
-    /// across a link dead from the start. Only a solo solve
+    /// has no such boundary: it runs entirely at epoch 0, would send
+    /// across a link dead from the start and would ignore a later death.
+    /// A service passes one barrier per round, so its epoch does advance —
+    /// and its jobs, which carry no relay tables either, would send across
+    /// the link the moment it dies. Only a solo solve
     /// (`block_jacobi_threaded*`, `svd_block_threaded*` in `mph-eigen`)
     /// hands the engine per-sweep relay tables. Jitter, episode, and
     /// heterogeneity scenarios are fine; death schedules are rejected up
     /// front instead of asserting inside the fabric clock mid-run.
     DeadLinksUnsupported,
+}
+
+/// Whether `fabric` can carry several jobs at once: it must be enforceable
+/// ([`BatchConfigError::InvalidFabric`]) and schedule no link death
+/// ([`BatchConfigError::DeadLinksUnsupported`]). The one check of
+/// [`BatchOptions::new`], [`solve_batch`] and `mph_serve::serve`, made
+/// before anything is lowered or spawned.
+pub fn check_shared_fabric(fabric: &FabricModel) -> Result<(), BatchConfigError> {
+    fabric.validate()?;
+    if fabric.scenario().is_some_and(|sc| sc.has_deaths()) {
+        return Err(BatchConfigError::DeadLinksUnsupported);
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for BatchConfigError {
@@ -106,10 +122,7 @@ impl BatchOptions {
         if matches!(policy, Policy::Interleave { stride: 0 }) {
             return Err(BatchConfigError::ZeroStride);
         }
-        fabric.validate()?;
-        if fabric.scenario().is_some_and(|sc| sc.has_deaths()) {
-            return Err(BatchConfigError::DeadLinksUnsupported);
-        }
+        check_shared_fabric(&fabric)?;
         Ok(BatchOptions { fabric, policy, pricing, trace: SinkHandle::nop() })
     }
 }
@@ -153,8 +166,8 @@ pub struct BatchReport {
     pub meter: TrafficMeter,
     /// Fabric report (per-node final clocks).
     pub fabric: FabricReport,
-    /// The cost sheet: per-job solo prices, FIFO-serial total, fill-floor,
-    /// the executed schedule's predicted makespan for `order`, and the
+    /// The cost sheet: per-job solo prices, FIFO-serial total, the
+    /// executed schedule's predicted makespan for `order`, and the
     /// serial-tail share.
     pub cost: BatchCost,
     /// Aggregate throughput; `None` on a free fabric (no clock ticks).
@@ -202,8 +215,14 @@ pub fn planned_jobs<'a>(
 /// job to its [`CommPlan`] chain, prices the batch, lowers the policy to a
 /// concrete order, executes everything on one `run_spmd_fabric` instance,
 /// and assembles the report.
+///
+/// # Panics
+/// On an empty batch, and — before anything is lowered — on a fabric
+/// [`check_shared_fabric`] refuses, with that error's message
+/// ([`BatchOptions::new`] returns it instead).
 pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
+    check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));
     let specs: Vec<JobSpec> = jobs.iter().map(Job::to_spec).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
@@ -295,21 +314,29 @@ mod tests {
             .expect_err("KPort(0) cannot be enforced");
         assert_eq!(err, BatchConfigError::InvalidFabric(FabricConfigError::ZeroPorts));
         assert!(err.to_string().contains("KPort(0)"));
-        // ...a death schedule is refused (the batch driver has no relay)...
-        let deadly = ScenarioSpec {
-            epochs: 2,
-            deaths: vec![LinkDeath { node: 0, dim: 0, epoch: 0 }],
-            ..ScenarioSpec::clean(1, Machine::paper_figure2())
-        };
-        let sc = Scenario::new(2, deadly).expect("a single death keeps the 2-cube connected");
-        let err = BatchOptions::new(
-            FabricModel::Degraded(Arc::new(sc)),
-            Policy::Fifo,
-            Machine::paper_figure2(),
-        )
-        .expect_err("the batch driver cannot route around dead links");
-        assert_eq!(err, BatchConfigError::DeadLinksUnsupported);
-        assert!(err.to_string().contains("reroute"));
+        // ...a death schedule is refused (the batch driver has no relay),
+        // dead from the start or dying later, by the checked constructor
+        // and — for options built by struct literal — by `solve_batch`
+        // itself, before anything is spawned...
+        for epoch in [0, 1] {
+            let deadly = ScenarioSpec {
+                epochs: 2,
+                deaths: vec![LinkDeath { node: 0, dim: 0, epoch }],
+                ..ScenarioSpec::clean(1, Machine::paper_figure2())
+            };
+            let sc = Scenario::new(2, deadly).expect("a single death keeps the 2-cube connected");
+            let fabric = FabricModel::Degraded(Arc::new(sc));
+            let err = BatchOptions::new(fabric.clone(), Policy::Fifo, Machine::paper_figure2())
+                .expect_err("the batch driver cannot route around dead links");
+            assert_eq!(err, BatchConfigError::DeadLinksUnsupported);
+            assert!(err.to_string().contains("reroute"));
+            let literal = BatchOptions { fabric, ..Default::default() };
+            let run = || solve_batch(2, &mixed_jobs(16), &literal);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a scheduled death must not run");
+            let msg = panic.downcast_ref::<String>().expect("the typed error's Display");
+            assert!(msg.contains("reroute"), "epoch {epoch}: {msg}");
+        }
         // ...but a death-free degraded scenario passes.
         let jittery = ScenarioSpec {
             epochs: 2,

@@ -3,8 +3,8 @@
 //! baseline. The channel transport moves blocks by pointer, so the wall
 //! numbers isolate the *scheduling* overhead of the cooperative driver
 //! (state-machine stepping, job demultiplexing) — the virtual-clock
-//! throughput story lives in `perf_snapshot`'s `"batch"` block, where the
-//! throttled fabric enforces the machine model.
+//! throughput story is `vclock_tables`' `batch` rows, where the throttled
+//! fabric enforces the machine model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mph_batch::{solve_batch, BatchOptions, Job, Policy};

@@ -15,12 +15,6 @@
 //!     the paper-model number that orders and admits jobs,
 //!   - the **serial total** `Σ solo` — what FIFO back-to-back execution
 //!     costs, the paper's economics repeated `N` times, bubbles included;
-//!   - a **lower bound** `Ts·(messages per node) + Tw·(busiest-port
-//!     volume per node)` — the stage model's cost if interleaving filled
-//!     *every* bubble (start-ups are CPU-serial, the busiest link/port
-//!     must still carry its volume). The executed schedule can undercut
-//!     it by the start-ups its comm processor issues while another
-//!     message is still on the wire;
 //!   - the **predicted** makespan of executing the order: the jobs'
 //!     micro-ops merged as the cooperative driver merges them and run on
 //!     the schedule clock ([`executed_cost`]) — equal to the throttled
@@ -34,7 +28,7 @@
 //! Convergence votes are control-plane traffic the model does not price —
 //! compare against forced-sweep runs, as every conformance test does.
 
-use crate::machine::{Machine, PortModel};
+use crate::machine::Machine;
 use crate::plancost::{chained_tail_cost, plan_cost_with_tail};
 use crate::schedclock::executed_cost;
 use mph_core::CommPlan;
@@ -98,36 +92,10 @@ pub struct BatchCost {
     pub solo: Vec<f64>,
     /// `Σ solo` — the FIFO-serial prediction of the paper model.
     pub serial_total: f64,
-    /// The stage model's fill-every-bubble floor: start-ups +
-    /// busiest-port volume.
-    pub lower_bound: f64,
     /// The executed schedule's makespan under the given [`BatchOrder`].
     pub predicted: f64,
     /// Serial-tail cost summed over jobs — the bubbles batching fills.
     pub tail: f64,
-}
-
-/// Wire time of per-dimension loads under a port model: all-port carries
-/// dimensions concurrently (busiest dominates), one-port serializes
-/// everything, k-port runs an LPT list schedule over the dimension loads.
-fn port_busy(ports: PortModel, wire: &[f64]) -> f64 {
-    match ports {
-        PortModel::AllPort => wire.iter().fold(0.0f64, |a, &b| a.max(b)),
-        PortModel::OnePort => wire.iter().sum(),
-        PortModel::KPort(k) => {
-            let k = k.max(1);
-            let mut jobs: Vec<f64> = wire.iter().copied().filter(|&w| w > 0.0).collect();
-            jobs.sort_by(|a, b| b.total_cmp(a));
-            let mut engines = vec![0.0f64; k.min(jobs.len()).max(1)];
-            for j in jobs {
-                let idx = (0..engines.len())
-                    .min_by(|&a, &b| engines[a].total_cmp(&engines[b]))
-                    .expect("at least one engine");
-                engines[idx] += j;
-            }
-            engines.iter().fold(0.0f64, |a, &b| a.max(b))
-        }
-    }
 }
 
 /// Plan-priced solo cost of each job — the communication makespan of
@@ -152,22 +120,13 @@ pub fn solo_plan_costs(jobs: &[PlannedJob], machine: &Machine) -> Vec<f64> {
 pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) -> BatchCost {
     assert!(!jobs.is_empty(), "an empty batch has no cost");
     order.validate(jobs.len());
-    let d = jobs.iter().flat_map(|j| j.plans.iter()).map(CommPlan::d).max().unwrap_or(0);
 
     let solo = solo_plan_costs(jobs, machine);
     let serial_total: f64 = solo.iter().sum();
 
-    // Fill-every-bubble floor: per-node start-ups + busiest-port volume.
-    let p = (1u64 << d) as f64;
-    let mut pernode_wire = vec![0.0f64; d.max(1)];
-    let mut sends_per_node = 0.0f64;
     let mut tail = 0.0f64;
     for job in jobs {
-        for (plan, qs) in job.plans.iter().zip(job.qs) {
-            sends_per_node += plan.messages_with_tail(qs, job.tail_q) as f64 / p;
-            for (dim, vol) in plan.volume_by_dim().into_iter().enumerate() {
-                pernode_wire[dim] += vol as f64 / p * machine.tw;
-            }
+        for plan in job.plans {
             tail += if job.tail_q > 1 {
                 chained_tail_cost(plan, machine, job.tail_q)
             } else {
@@ -179,10 +138,9 @@ pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) ->
             };
         }
     }
-    let lower_bound = sends_per_node * machine.ts + port_busy(machine.ports, &pernode_wire);
     let predicted = executed_cost(jobs, machine, order).makespan;
 
-    BatchCost { solo, serial_total, lower_bound, predicted, tail }
+    BatchCost { solo, serial_total, predicted, tail }
 }
 
 #[cfg(test)]
@@ -242,16 +200,13 @@ mod tests {
             c.predicted,
             c.serial_total
         );
-        // On the stage model (start-ups, then transmissions) there is
-        // nothing to gain at all: its floor is the serial total.
-        assert!((c.lower_bound - c.serial_total).abs() < 1e-9 * c.serial_total);
     }
 
     #[test]
     fn all_port_interleaving_of_disjoint_links_overlaps_wires() {
         // Jobs with different families hit different links in many rounds:
-        // the all-port prediction must fall strictly between the lower
-        // bound and the serial total.
+        // the all-port prediction must fall strictly below the serial
+        // total, and no lower than the longest job run alone.
         let machine = Machine::all_port(1000.0, 100.0);
         let families = [OrderingFamily::Br, OrderingFamily::Degree4, OrderingFamily::PermutedBr];
         let chains: Vec<Vec<CommPlan>> =
@@ -270,10 +225,10 @@ mod tests {
             c.predicted,
             c.serial_total
         );
+        let longest = c.solo.iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(
-            c.lower_bound <= c.predicted + 1e-9,
-            "floor {} above prediction {}",
-            c.lower_bound,
+            c.predicted >= longest - 1e-9,
+            "three jobs finished before the longest one alone: {} vs {longest}",
             c.predicted
         );
     }

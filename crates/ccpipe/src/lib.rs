@@ -25,9 +25,10 @@
 //! serial tails, several jobs interleaved on one fabric — which the paper
 //! does not define:
 //!
-//! * [`schedclock`] — one schedule clock and [`executed_cost`], which
-//!   runs the engine's micro-op order on it; its witness is the throttled
-//!   fabric's measurement, also at 1e-9;
+//! * [`schedclock`] — [`executed_cost`], which runs the engine's micro-op
+//!   order on one `mph_runtime::NodeClock`; its witness is the throttled
+//!   fabric's measurement — the same clock type, driven by live sends —
+//!   also at 1e-9;
 //! * [`batchcost`] — the batch price sheet: paper-model solo prices (what
 //!   orders and admits jobs) beside the executed schedule's makespan.
 

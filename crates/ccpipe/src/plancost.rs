@@ -214,6 +214,8 @@ pub fn plan_sweep_cost(plan: &CommPlan, machine: &Machine, q_max: f64) -> SweepC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batchcost::{BatchOrder, PlannedJob};
+    use crate::schedclock::executed_cost;
     use crate::sweepcost::{pipelined_sweep_cost, unpipelined_sweep_cost, Workload};
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
 
@@ -393,32 +395,59 @@ mod tests {
         // m = 1024 on d = 3, all-port: the 4-phase run [Div_2, X_1, Div_1,
         // Last] chains into ~(L + Q − 1) packet slots instead of L whole
         // messages — a real constant-factor win, which is the tentpole's
-        // whole point.
+        // whole point. The permuted-BR rows are the two `vclock_tables`
+        // prints; at m = 256 the start-ups weigh more and the win is smaller.
         let machine = Machine::all_port(1000.0, 100.0);
-        let plan = lower(1024, 3, OrderingFamily::Br, 0);
-        let qs: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
-        let cap = (1024 / 16) as f64;
-        let tq = plan_tail_pipelining(&plan, &machine, cap);
-        assert!(tq > 1, "the optimizer must choose to packetize, got {tq}");
-        let old = plan_cost_with_tail(&plan, &machine, &qs, 1);
-        let new = plan_cost_with_tail(&plan, &machine, &qs, tq);
-        // Two of the run's phases share a link dimension, so the wire
-        // keeps ~3 whole-block transmissions on the chain: the win is the
-        // fourth transmission plus every start-up, not a 1/Q collapse.
-        assert!(
-            new.serial < 0.8 * old.serial,
-            "chained tail {} vs serial sum {}",
-            new.serial,
-            old.serial
-        );
-        assert_eq!(new.tail_q, tq);
-        // Bookkeeping: the in-run e = 1 exchange phase is carried at the
-        // run's degree with zero standalone cost; totals stay additive.
-        let x1 = new.phases.iter().find(|p| p.e == 1).expect("e = 1 outcome");
-        assert_eq!(x1.q, tq);
-        assert_eq!(x1.cost, 0.0);
-        let sum: f64 = new.phases.iter().map(|p| p.cost).sum::<f64>() + new.serial;
-        assert!((new.total - sum).abs() < 1e-9 * sum.max(1.0));
+        for (m, family, bar) in [
+            (1024, OrderingFamily::Br, 0.8),
+            (1024, OrderingFamily::PermutedBr, 0.8),
+            (256, OrderingFamily::PermutedBr, 0.9),
+        ] {
+            let plan = lower(m, 3, family, 0);
+            let qs: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
+            let cap = (m / 16) as f64;
+            let tq = plan_tail_pipelining(&plan, &machine, cap);
+            assert!(tq > 1, "m={m} {family}: the optimizer must choose to packetize, got {tq}");
+            let old = plan_cost_with_tail(&plan, &machine, &qs, 1);
+            let new = plan_cost_with_tail(&plan, &machine, &qs, tq);
+            // Two of the run's phases share a link dimension, so the wire
+            // keeps ~3 whole-block transmissions on the chain: the win is
+            // the fourth transmission plus every start-up, not a 1/Q
+            // collapse.
+            assert!(
+                new.serial < bar * old.serial,
+                "m={m} {family}: chained tail {} vs serial sum {}",
+                new.serial,
+                old.serial
+            );
+            assert_eq!(new.tail_q, tq);
+            // The tail shrinks as a share of the sweep price too, and the
+            // executed sweep — what the throttled fabric measures — is
+            // worth at least 1.05x.
+            let (before, after) = (old.serial / old.total, new.serial / new.total);
+            assert!(
+                0.0 < after && after <= before && before < 1.0,
+                "m={m} {family}: tail share {before} -> {after}"
+            );
+            let executed = |tail_q| {
+                let job = PlannedJob {
+                    plans: std::slice::from_ref(&plan),
+                    qs: std::slice::from_ref(&qs),
+                    tail_q,
+                };
+                executed_cost(&[job], &machine, &BatchOrder::Serial(vec![0])).makespan
+            };
+            let speedup = executed(1) / executed(tq);
+            assert!(speedup >= 1.05, "m={m} {family}: chained sweep only {speedup:.4}x faster");
+            // Bookkeeping: the in-run e = 1 exchange phase is carried at
+            // the run's degree with zero standalone cost; totals stay
+            // additive.
+            let x1 = new.phases.iter().find(|p| p.e == 1).expect("e = 1 outcome");
+            assert_eq!(x1.q, tq);
+            assert_eq!(x1.cost, 0.0);
+            let sum: f64 = new.phases.iter().map(|p| p.cost).sum::<f64>() + new.serial;
+            assert!((new.total - sum).abs() < 1e-9 * sum.max(1.0));
+        }
     }
 
     #[test]

@@ -9,13 +9,8 @@
 //! several jobs' micro-ops interleave on one set of links. This module
 //! prices that schedule by running it: [`executed_cost`] merges the jobs'
 //! micro-op streams in the order the engine's `run_nodes` does and charges
-//! every op to one clock with the fabric's own recurrence —
-//!
-//! * a **send** charges a serial start-up (`now += Ts`), then transmits
-//!   for `elems · Tw` from the latest of the CPU, the data's readiness,
-//!   the outgoing link's previous transmission and the earliest transmit
-//!   port;
-//! * a **wait** advances `now` to an arrival stamp.
+//! every op to one [`NodeClock`] — the type the throttled fabric charges
+//! its live sends to, so there is one recurrence and both round alike.
 //!
 //! SPMD symmetry is what makes one clock enough: on a uniform partition
 //! every node issues the same ops with the same sizes, so a node's
@@ -27,58 +22,10 @@
 //! price: compare against forced-sweep runs.
 
 use crate::batchcost::{BatchOrder, PlannedJob};
-use crate::machine::{Machine, PortModel};
+use crate::machine::Machine;
 use mph_core::{CommPlan, Frame, PlanPhase};
+use mph_runtime::NodeClock;
 use std::ops::Range;
-
-/// One node's virtual clock: the recurrence of the throttled fabric's
-/// `LinkClock`, operation for operation, so both round alike.
-struct SchedClock {
-    ts: f64,
-    tw: f64,
-    now: f64,
-    /// When the outgoing link across each dimension ends its transmission.
-    link_free: Vec<f64>,
-    /// Transmit-port horizons; empty for all-port (one port per link).
-    port_free: Vec<f64>,
-}
-
-impl SchedClock {
-    fn new(machine: &Machine, d: usize) -> Self {
-        let ports = match machine.ports {
-            PortModel::AllPort => 0,
-            PortModel::OnePort => 1,
-            PortModel::KPort(k) => k.max(1),
-        };
-        SchedClock {
-            ts: machine.ts,
-            tw: machine.tw,
-            now: 0.0,
-            link_free: vec![0.0; d.max(1)],
-            port_free: vec![0.0; ports],
-        }
-    }
-
-    /// Issues an `elems`-element message across `dim` whose data is ready
-    /// at `ready`; returns its arrival stamp.
-    fn send(&mut self, dim: usize, elems: f64, ready: f64) -> f64 {
-        self.now += self.ts;
-        let mut start = self.now.max(ready).max(self.link_free[dim]);
-        let port = (0..self.port_free.len())
-            .min_by(|&a, &b| self.port_free[a].total_cmp(&self.port_free[b]));
-        if let Some(p) = port {
-            start = start.max(self.port_free[p]);
-            self.port_free[p] = start + elems * self.tw;
-        }
-        let end = start + elems * self.tw;
-        self.link_free[dim] = end;
-        end
-    }
-
-    fn wait(&mut self, t: f64) {
-        self.now = self.now.max(t);
-    }
-}
 
 /// One scheduler micro-op as the clock sees it. A job keeps one arrival
 /// stamp per packet *lane*; a send departs on its lane's stamp and leaves
@@ -163,15 +110,16 @@ impl OpStream {
         self.pc == self.ops.len()
     }
 
-    /// Executes the next op on `clock`.
-    fn step(&mut self, clock: &mut SchedClock) {
+    /// Executes the next op on `clock`, every link charging `machine`.
+    fn step(&mut self, clock: &mut NodeClock, machine: &Machine) {
         match &self.ops[self.pc] {
             Op::Slot => {}
             &Op::Send { dim, elems, lane, entry } => {
                 if entry {
-                    self.stamps.fill(clock.now);
+                    self.stamps.fill(clock.now());
                 }
-                self.stamps[lane] = clock.send(dim, elems, self.stamps[lane]);
+                self.stamps[lane] =
+                    clock.send(machine.ts, machine.tw, dim, elems, self.stamps[lane]).end;
             }
             Op::Wait(lanes) => {
                 for &stamp in &self.stamps[lanes.clone()] {
@@ -193,11 +141,11 @@ pub(crate) fn chained_run_cost(
 ) -> f64 {
     let mut stream = OpStream::default();
     stream.chained(plan, run, q);
-    let mut clock = SchedClock::new(machine, plan.d());
+    let mut clock = NodeClock::new(machine.ports, plan.d());
     while !stream.done() {
-        stream.step(&mut clock);
+        stream.step(&mut clock, machine);
     }
-    clock.now
+    clock.now()
 }
 
 /// What [`executed_cost`] returns: virtual times on the machine's clock.
@@ -216,7 +164,7 @@ pub struct ExecutedCost {
 pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) -> ExecutedCost {
     order.validate(jobs.len());
     let d = jobs.iter().flat_map(|job| job.plans).map(CommPlan::d).max().unwrap_or(0);
-    let mut clock = SchedClock::new(machine, d);
+    let mut clock = NodeClock::new(machine.ports, d);
     let mut streams: Vec<OpStream> = jobs
         .iter()
         .map(|job| {
@@ -235,8 +183,8 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
         let stream = &mut streams[j];
         let before = stream.pc;
         while !stream.done() && stream.pc - before < grant {
-            stream.step(&mut clock);
-            finish[j] = clock.now;
+            stream.step(&mut clock, machine);
+            finish[j] = clock.now();
         }
         stream.pc > before
     };
@@ -256,7 +204,7 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
             }
         },
     }
-    ExecutedCost { makespan: clock.now, finish }
+    ExecutedCost { makespan: clock.now(), finish }
 }
 
 #[cfg(test)]
@@ -320,5 +268,17 @@ mod tests {
         let mixed = executed_cost(&jobs, &machine, &order);
         assert!(mixed.makespan < serial.makespan, "{} vs {}", mixed.makespan, serial.makespan);
         assert!(mixed.finish.iter().all(|&f| f <= mixed.makespan));
+        // Serializing the transmit ports can only slow a schedule down,
+        // serial or interleaved.
+        let one_port = Machine::one_port(machine.ts, machine.tw);
+        for (order, all_port) in [(BatchOrder::Serial(vec![1, 0]), &serial), (order, &mixed)] {
+            let slowed = executed_cost(&jobs, &one_port, &order);
+            assert!(
+                slowed.makespan >= all_port.makespan,
+                "{order:?}: one-port {} beat all-port {}",
+                slowed.makespan,
+                all_port.makespan
+            );
+        }
     }
 }

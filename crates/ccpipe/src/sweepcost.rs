@@ -91,11 +91,6 @@ impl SweepCost {
     pub fn first_phase_mode(&self) -> PipelineMode {
         self.phases.first().map(|p| p.mode).unwrap_or(PipelineMode::Unpipelined)
     }
-
-    /// True when every exchange phase ran in deep mode.
-    pub fn all_deep(&self) -> bool {
-        self.phases.iter().all(|p| p.mode == PipelineMode::Deep)
-    }
 }
 
 /// Unpipelined sweep cost: `2^{d+1} − 1` single block messages. This is the

@@ -47,8 +47,8 @@ pub enum Adaptation {
     /// Cheat: re-price each sweep against the scenario's
     /// `worst_alive_machine` for that epoch — the pricing a scheduler that
     /// knew the impairment schedule in advance would choose. The baseline
-    /// the reactive mode is gated against (`bench_check`: reactive/oracle
-    /// ≤ 1.25).
+    /// the reactive mode is held to (reactive/oracle ≤ 1.25, asserted in
+    /// `tests/degraded_classes.rs`).
     Oracle,
 }
 

@@ -761,7 +761,8 @@ mod tests {
     fn reactive_recalibrates_and_stays_near_the_oracle() {
         // The adaptation gate: on a statically heterogeneous fabric the
         // reactive mode must (a) actually recalibrate, and (b) land within
-        // 1.25× of the oracle's makespan — the bench_check bound.
+        // 1.25× of the oracle's makespan (the bar `degraded_classes.rs`
+        // holds the three `vclock_tables` scenario classes to).
         let a = random_symmetric(32, 21);
         let d = 2;
         let base = JacobiOptions {

@@ -8,14 +8,17 @@
 //! price of a misaligned column on record: the same two kernels on the same
 //! data, 0 and 2 elements past a cache-line boundary.
 //!
-//! These are the micro-counterparts of `perf_snapshot`'s `"kernel"` block:
-//! that measures a whole block sweep end to end; this isolates each
-//! primitive so a regression can be attributed to one kernel.
+//! These are the micro-counterparts of the repository benchmark's
+//! `eigen.kernel_ns_per_rotation` and `eigen.lanes_speedup`: those measure
+//! whole solves end to end; this isolates each primitive so a regression
+//! can be attributed to one kernel. The `fused_triple` group opens with the
+//! vector tier the exact kernels run on, since their timings mean nothing
+//! without it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mph_linalg::vecops::{
-    dot, dot_lanes, dot_tile_exact, fused_triple, fused_triple_exact, gram_tile, pair_rotate,
-    pair_rotate_lanes,
+    dot, dot_lanes, dot_tile_exact, exact_tier, fused_triple, fused_triple_exact, gram_tile,
+    pair_rotate, pair_rotate_lanes,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -51,6 +54,7 @@ fn bench_dot(c: &mut Criterion) {
 }
 
 fn bench_fused_triple(c: &mut Criterion) {
+    println!("exact tier: {}", exact_tier());
     let mut g = c.benchmark_group("fused_triple");
     g.sample_size(20).measurement_time(Duration::from_secs(2));
     for m in SIZES {

@@ -421,7 +421,7 @@ impl ColumnBlock {
 
     /// Columns whose `A`- or `U`-slice does not start on a
     /// [`COLUMN_ALIGN_BYTES`] boundary — 0 for every block this module
-    /// builds; what consumers `debug_assert!` and the perf snapshot records.
+    /// builds; what consumers `debug_assert!`.
     pub fn misaligned_columns(&self) -> usize {
         (0..self.ncols)
             .filter(|&k| !(is_aligned(self.a_col(k)) && is_aligned(self.u_col(k))))

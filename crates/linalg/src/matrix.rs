@@ -114,12 +114,6 @@ impl Matrix {
         ci.swap_with_slice(cj);
     }
 
-    /// Copies column `src` of `other` into column `dst` of `self`.
-    pub fn copy_column_from(&mut self, dst: usize, other: &Matrix, src: usize) {
-        assert_eq!(self.rows, other.rows);
-        self.col_mut(dst).copy_from_slice(other.col(src));
-    }
-
     /// The transpose (used by verification helpers only).
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])

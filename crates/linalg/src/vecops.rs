@@ -1341,6 +1341,8 @@ mod tests {
     #[test]
     fn every_exact_tier_is_bitwise_dot_on_random_data() {
         use rand::{Rng, SeedableRng};
+        // The tier the host reports is one of the forms checked here.
+        assert!(exact_tiers().iter().any(|(name, ..)| *name == exact_tier()), "{}", exact_tier());
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         for n in exact_lengths() {
             let cols = six_columns(n, || rng.gen_range(-1.0..=1.0));

@@ -63,6 +63,9 @@ proptest! {
         q in 1usize..=7,
         cached in any::<bool>(),
     ) {
+        // A cache line, and the widest access of any kernel (one AVX-512
+        // load or store).
+        prop_assert_eq!(COLUMN_ALIGN_BYTES, 64);
         // Odd sizes, m ∤ 8 and rectangular (`arows ≠ urows`) blocks
         // included: the invariant is the padding rule's, not the shape's.
         let a0 = Matrix::from_fn(arows, total, |r, c| (r * total + c) as f64 * 0.25 - 3.0);

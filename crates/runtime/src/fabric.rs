@@ -14,11 +14,14 @@
 //!   [`PortModel::AllPort`]) **and the outgoing link** for `S·Tw`, starting
 //!   no earlier than the CPU, the acquired port, or the link's previous
 //!   transmission — links serialize, ports are acquired
-//!   earliest-available (a list schedule, the dynamic counterpart of the
-//!   cost model's LPT);
+//!   earliest-available;
 //! * the message is stamped with its transmission-end time, and the
 //!   receiver's clock advances to that stamp — waiting for data is virtual
 //!   time spent.
+//!
+//! That recurrence is [`NodeClock`]'s, which the cost layer's
+//! `executed_cost` drives too; this module adds what only a live run has:
+//! the lock, the barrier epoch, per-link scenario machines and tracing.
 //!
 //! The clocks are max-plus dataflow over the FIFO channel order, so the
 //! measured makespan (`max` over the nodes' final clocks, reported by
@@ -56,6 +59,7 @@
 //! [`measure_channel_fabric`], whose samples [`Machine::calibrate`] fits.
 
 use crate::machine::{FabricStats, Machine, PortModel};
+use crate::nodeclock::NodeClock;
 use crate::scenario::Scenario;
 use crate::spmd::run_spmd;
 use crate::trace::{SinkHandle, TraceEvent};
@@ -157,23 +161,15 @@ pub struct FabricReport {
 /// dropped once full, so an un-drained degraded run stays bounded.
 const WINDOW_CAP: usize = 4096;
 
-/// Per-node clock state: the CPU's current virtual time plus the
-/// availability horizon of every outgoing link and transmit port.
+/// Per-node clock state: the node's [`NodeClock`] plus what a live run
+/// adds to it.
 struct ClockState {
-    now: f64,
+    clock: NodeClock,
     /// Barriers passed so far; its parity selects the [`SharedClock`]
     /// slot for the next synchronization, and its value is the **epoch**
     /// at which a degraded scenario is evaluated — a deterministic,
     /// node-consistent virtual-time index.
     barrier_gen: usize,
-    /// `link_free[dim]`: when this node's outgoing link across `dim` ends
-    /// its current transmission. Links are full-duplex — each direction is
-    /// owned by its sender — so this state is node-local, which is what
-    /// keeps the clock deterministic under real thread scheduling.
-    link_free: Vec<f64>,
-    /// Transmit-port availability; empty for all-port (the link array
-    /// already *is* one port per link).
-    port_free: Vec<f64>,
     /// Live `(elems, service time)` samples of this node's sends under a
     /// degraded fabric — the mid-run calibration feed.
     window: Vec<(f64, f64)>,
@@ -209,22 +205,14 @@ impl LinkClock {
 
     /// [`LinkClock::new`] recording its link activity into `sink`.
     pub(crate) fn with_sink(model: FabricModel, node: usize, d: usize, sink: SinkHandle) -> Self {
-        let ports = match model.machine().map(|m| m.ports) {
-            None | Some(PortModel::AllPort) => 0,
-            Some(PortModel::OnePort) => 1,
-            // KPort(0) is rejected at configuration time by
-            // `FabricModel::validate`; clamping here keeps this
-            // constructor infallible for the validated models.
-            Some(PortModel::KPort(k)) => k.max(1),
-        };
+        // A free fabric never charges its clock; any port model will do.
+        let ports = model.machine().map_or(PortModel::AllPort, |m| m.ports);
         LinkClock {
             model,
             node,
             state: Mutex::new(ClockState {
-                now: 0.0,
+                clock: NodeClock::new(ports, d),
                 barrier_gen: 0,
-                link_free: vec![0.0; d.max(1)],
-                port_free: vec![0.0; ports],
                 window: Vec::new(),
             }),
             sink,
@@ -260,11 +248,8 @@ impl LinkClock {
     /// The full send charge, with an explicit *data-readiness* time and
     /// the message's trace metadata: the transmission starts no earlier
     /// than `ready` — the arrival stamp of the received packet this
-    /// message forwards. The CPU still issues the start-up serially in
-    /// program order (`now += Ts`), but it does not wait for the data:
-    /// this is the comm-processor model a pipelined phase needs, where
-    /// iteration `k+1`'s early packets depart while iteration `k`'s late
-    /// ones are still in flight.
+    /// message forwards (see [`NodeClock::send`]) — and is charged at the
+    /// `Ts`/`Tw` of the link it crosses at the current epoch.
     ///
     /// # Panics
     /// Under [`FabricModel::Degraded`], sending across an edge that is
@@ -273,9 +258,9 @@ impl LinkClock {
     pub(crate) fn on_send_meta(&self, dim: usize, ready: f64, meta: &SendMeta) -> f64 {
         let elems = meta.elems;
         let mut st = self.lock_state();
-        let (ts, tw) = match &self.model {
+        let link = match &self.model {
             FabricModel::Free => return 0.0,
-            FabricModel::Throttled(m) => (m.ts, m.tw),
+            FabricModel::Throttled(m) => *m,
             FabricModel::Degraded(sc) => {
                 let epoch = st.barrier_gen;
                 assert!(
@@ -284,29 +269,14 @@ impl LinkClock {
                      route around dead edges instead",
                     self.node
                 );
-                let (fts, ftw) = sc.factors(self.node, dim, epoch);
-                let base = sc.base();
-                let (ts, tw) = (base.ts * fts, base.tw * ftw);
+                let link = sc.machine_for(self.node, dim, epoch);
                 if st.window.len() < WINDOW_CAP {
-                    st.window.push((elems as f64, ts + elems as f64 * tw));
+                    st.window.push((elems as f64, link.single_message_cost(elems as f64)));
                 }
-                (ts, tw)
+                link
             }
         };
-        // Start-up: issued serially by the node CPU.
-        st.now += ts;
-        // Transmission: waits for the data dependency, then acquires a
-        // port (earliest available) and the outgoing link.
-        let issued = st.now;
-        let mut start = issued.max(ready).max(st.link_free[dim]);
-        let port =
-            (0..st.port_free.len()).min_by(|&a, &b| st.port_free[a].total_cmp(&st.port_free[b]));
-        if let Some(p) = port {
-            start = start.max(st.port_free[p]);
-            st.port_free[p] = start + elems as f64 * tw;
-        }
-        let end = start + elems as f64 * tw;
-        st.link_free[dim] = end;
+        let sent = st.clock.send(link.ts, link.tw, dim, elems as f64, ready);
         if self.sink.is_enabled() {
             let epoch = st.barrier_gen;
             drop(st);
@@ -317,13 +287,13 @@ impl LinkClock {
                 kq: meta.kq,
                 control: meta.control,
                 epoch,
-                issued,
+                issued: sent.issued,
                 ready,
-                start,
-                end,
+                start: sent.start,
+                end: sent.end,
             });
         }
-        end
+        sent.end
     }
 
     /// Advances the clock to a received message's arrival stamp.
@@ -331,8 +301,7 @@ impl LinkClock {
         if !self.model.is_throttled() {
             return;
         }
-        let mut st = self.lock_state();
-        st.now = st.now.max(stamp);
+        self.lock_state().clock.wait(stamp);
     }
 
     /// This node's current virtual time (0 under [`FabricModel::Free`]).
@@ -340,7 +309,7 @@ impl LinkClock {
         if !self.model.is_throttled() {
             return 0.0;
         }
-        self.lock_state().now
+        self.lock_state().clock.now()
     }
 
     /// The current epoch: barriers passed so far. This is the index a
@@ -372,7 +341,7 @@ impl LinkClock {
         let mut st = self.lock_state();
         let slot = st.barrier_gen & 1;
         st.barrier_gen += 1;
-        shared.fold_in(slot, st.now);
+        shared.fold_in(slot, st.clock.now());
         Some(slot)
     }
 
@@ -386,9 +355,9 @@ impl LinkClock {
         let t = shared.read(slot);
         shared.reset(slot ^ 1);
         let mut st = self.lock_state();
-        st.now = st.now.max(t);
+        st.clock.wait(t);
         if self.sink.is_enabled() {
-            let (epoch, time) = (st.barrier_gen, st.now);
+            let (epoch, time) = (st.barrier_gen, st.clock.now());
             drop(st);
             self.sink.emit(self.node, || TraceEvent::Barrier { epoch, time });
         }

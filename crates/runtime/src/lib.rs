@@ -25,6 +25,7 @@ pub mod fabric;
 pub mod jobmux;
 pub mod machine;
 pub mod meter;
+pub mod nodeclock;
 pub mod packet;
 pub mod scenario;
 pub mod spmd;
@@ -37,6 +38,7 @@ pub use fabric::{
 pub use jobmux::JobMux;
 pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
+pub use nodeclock::{NodeClock, SendTimes};
 pub use packet::Packet;
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
 pub use spmd::{

@@ -203,13 +203,6 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.clock.on_recv(t);
     }
 
-    /// The clock's current epoch (barriers passed so far) — the index a
-    /// [`FabricModel::Degraded`] scenario is evaluated at. Nodes that have
-    /// passed the same barriers agree on it deterministically.
-    pub fn fabric_epoch(&self) -> usize {
-        self.clock.epoch()
-    }
-
     /// Drains this node's live send-cost window (degraded fabrics only;
     /// always empty otherwise): `(elems, service time)` samples an
     /// adaptive driver feeds to `Machine::calibrate` mid-run.

@@ -2,7 +2,9 @@
 
 use crate::metrics::{latency_stats, LatencyStats};
 use crate::scenario::Scenario;
-use mph_batch::{planned_jobs, service_plan, AdmissionConfig, Policy, Throughput};
+use mph_batch::{
+    check_shared_fabric, planned_jobs, service_plan, AdmissionConfig, Policy, Throughput,
+};
 use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
 use mph_eigen::{lower_job, run_job_service_traced, JobSpec, ServiceRun};
@@ -127,8 +129,16 @@ impl ServeReport {
 /// Serves `scenario` on a `d`-cube of threads sharing one fabric: lowers
 /// every job once, prices admission with the same plans the driver
 /// executes, runs the online service, and assembles the SLO report.
+///
+/// # Panics
+/// Before anything is lowered, on a fabric [`check_shared_fabric`]
+/// refuses (with that error's message): served jobs carry no relay
+/// tables, and the service's per-round barrier advances the fabric epoch,
+/// so a scheduled link death would otherwise panic in every node thread
+/// at the epoch it lands.
 pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport {
     assert_eq!(scenario.jobs.len(), scenario.arrivals.len(), "one arrival per job");
+    check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));
     let specs: Vec<JobSpec> = scenario.jobs.iter().map(|j| j.to_spec()).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
@@ -261,6 +271,35 @@ mod tests {
         let burst = serve(1, &small_scenario(5, 3, 0.0), &opts);
         assert!(burst.queue_wait.expect("served").max > 0.0);
         assert!(burst.peak_queue_depth() > 0);
+    }
+
+    #[test]
+    fn a_scheduled_link_death_is_refused_up_front_and_a_death_free_scenario_serves() {
+        use mph_runtime::{LinkDeath, Scenario as Impairments, ScenarioSpec};
+        use std::sync::Arc;
+        let degraded = |deaths: Vec<LinkDeath>| {
+            let spec = ScenarioSpec {
+                epochs: 3,
+                hetero_spread: 1.0,
+                deaths,
+                ..ScenarioSpec::clean(4, Machine::all_port(1000.0, 100.0))
+            };
+            let sc = Impairments::new(2, spec).expect("one death keeps the 2-cube connected");
+            ServeOptions { fabric: FabricModel::Degraded(Arc::new(sc)), ..Default::default() }
+        };
+        let scenario = small_scenario(5, 3, 0.0);
+        // The service's round barrier advances the epoch, so a death at
+        // epoch 1 would be reached mid-service by jobs that cannot relay.
+        let deadly = degraded(vec![LinkDeath { node: 0, dim: 0, epoch: 1 }]);
+        let run = || serve(2, &scenario, &deadly);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("served jobs cannot route around a dead link");
+        let msg = panic.downcast_ref::<String>().expect("the typed error's Display");
+        assert!(msg.contains("reroute"), "{msg}");
+        // Heterogeneity alone re-times the service and sheds nothing.
+        let report = serve(2, &scenario, &degraded(Vec::new()));
+        assert_eq!((report.served(), report.rejected()), (3, 0));
+        assert!(report.makespan > 0.0, "a degraded fabric ticks the clock");
     }
 
     #[test]

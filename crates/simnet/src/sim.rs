@@ -51,18 +51,6 @@ pub struct SimReport {
     pub volume: f64,
 }
 
-impl SimReport {
-    /// Utilization of dimension `dim`: busy time / (makespan × 2^d links in
-    /// that dimension × 2 directions), i.e. the mean fraction of time the
-    /// dimension's wires carry data.
-    pub fn dim_utilization(&self, dim: usize, d: usize) -> f64 {
-        if self.makespan == 0.0 {
-            return 0.0;
-        }
-        self.dim_busy[dim] / (self.makespan * (1u64 << d) as f64)
-    }
-}
-
 /// Completion time of one node's sends within a stage starting at `t0`,
 /// also accumulating per-dimension busy time.
 fn node_stage_completion(
