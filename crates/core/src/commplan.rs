@@ -304,7 +304,8 @@ impl CommPlan {
 
     /// The packet sizes, in elements, of a `block_elems`-element block of
     /// this plan's columns split `q` ways: balanced column groups, larger
-    /// first — what `ColumnBlock::split_columns` ships.
+    /// first — what `ColumnBlock::split_columns` cuts, and what the engine
+    /// charges the clock packet by packet.
     pub fn packet_elems(&self, block_elems: u64, q: usize) -> impl Iterator<Item = u64> {
         let epc = self.elems_per_col.max(1) as u64;
         let cols = block_elems / epc;

@@ -4,8 +4,8 @@
 //!
 //! Each job becomes an explicit per-node state machine (`JobNode`) whose
 //! `step` advances exactly one scheduler micro-op — pair-and-send a
-//! transition, consume a received block, process-and-forward one pipeline
-//! packet, drain an epilogue packet, or cast a convergence vote — and a
+//! transition, consume a received block, charge one pipeline packet to the
+//! clock, drain an epilogue packet, or cast a convergence vote — and a
 //! deterministic interleaving order ([`BatchOrder`], produced by the
 //! `mph-batch` policies) merges the jobs' op streams. Every node executes
 //! the *same* merged sequence, so sends and receives pair up exactly as in
@@ -22,15 +22,46 @@
 //! * an **exchange phase** `e` is a CC-cube loop of `K = 2^e − 1`
 //!   iterations: pair the resident block against the mobile block, then
 //!   ship the mobile block through the phase's next link. With pipelining
-//!   (see [`Pipelining`]) the mobile payload is split into `Q` column
-//!   packets; packet `q` of iteration `k` is received from the previous
-//!   link, paired against the resident block, and forwarded on its own
-//!   arrival stamp — the paper's stage `s = k + q` wavefront (§2.4), the
-//!   `Pipe`/`Drain` micro-ops;
+//!   (see [`Pipelining`]) the mobile payload travels as `Q` column
+//!   packets: packet `q` of iteration `k` arrives from the previous link
+//!   and is forwarded on its own arrival stamp — the paper's stage
+//!   `s = k + q` wavefront (§2.4), the `Pipe`/`Drain` micro-ops;
 //! * **division** and **last** transitions are whole-block moves,
 //!   slot-asymmetric exactly as in [`mph_core::TransitionKind::Division`],
 //!   or — with a tail degree above 1 — packets chained through each run of
 //!   single-link transitions (`TailSend`/`TailRecv`).
+//!
+//! # A packet is a clock fact, a round is a host message
+//!
+//! Packets exist so that transmission overlaps computation on a machine
+//! whose `Ts` and `Tw` are real. Here that machine is the fabric's virtual
+//! clock; the host moves a block by pointer, and every node is busy with
+//! its own pairings in every iteration, so cutting the block up buys the
+//! host nothing. The engine therefore keeps one micro-op per packet — the
+//! op order, the meter, the trace and `mph_ccpipe::executed_cost` all key
+//! on them — and separates what each one *charges* from what the
+//! iteration *moves*:
+//!
+//! * **per packet** (`Pipe{k, q}`, `TailSend{q}`): one
+//!   [`NodeCtx::charge`] — a metered message and a transmission on the
+//!   link clock, traced under its `(k, q)` header, departing on that
+//!   packet's own readiness stamp, of the size
+//!   [`CommPlan::packet_elems`] gives packet `q` of the block (what
+//!   `ColumnBlock::split_columns` would have cut; an empty packet is a
+//!   `Ts`-only transmission). The arrival stamp it returns is kept;
+//! * **per round** (the `Q` packets of one iteration): at `q = 0` the
+//!   upstream round is received and the whole block paired once; at
+//!   `q = Q − 1` the block and its `Q` stamps cross the channel as one
+//!   [`BatchMsg::Round`] ([`NodeCtx::ship`]: no books). A chained tail
+//!   transition pairs once at `q = 0`, before anything is charged;
+//! * **per consumed packet** (`Pipe{k ≥ 1, q}`, `Drain{q}`,
+//!   `TailRecv{q}`): its `TraceEvent::Recv`, and its stamp put to use —
+//!   the readiness of the packet it becomes (`Pipe`, `TailRecv`) or a
+//!   clock advance (`Drain`, the end of a tail run).
+//!
+//! A pipelined solve thus meters, prices and traces `Q` messages per
+//! transition and moves one ([`TrafficMeter::shipments`]). The stamp
+//! vector a round brings is the one the next round leaves with.
 //!
 //! A solo solve ([`block_jacobi_threaded`], [`svd_block_threaded`]) is a
 //! batch of one on this engine plus what only a solo run has (`Solo`):
@@ -53,11 +84,14 @@
 //! # Bitwise equality, by construction
 //!
 //! Packets never interact: a cross-block pairing touches one resident and
-//! one mobile column, packets partition the mobile columns, and both the
-//! packetized ops and the whole-block ops visit each column's pairings in
-//! the same relative order. Reordering whole pairings that share no column
-//! is exact (they touch disjoint memory), so a job performs *identical*
-//! floating-point work for every `Q`, with the diagonal cache on or off.
+//! one mobile column, packets partition the mobile columns, and both
+//! packet-by-packet pairing and the whole-block pairing visit each
+//! column's pairings in the same relative order. Reordering whole pairings
+//! that share no column is exact (they touch disjoint memory), so the one
+//! whole-block pairing of a round *is* its `Q` per-packet pairings
+//! (`tests/pipeline_traffic.rs` pins it on the kernel), and a job performs
+//! *identical* floating-point work for every `Q`, with the diagonal cache
+//! on or off.
 //! Jobs share no data either: interleaving changes *when* a job's ops run,
 //! never *which* ops run or in what per-job order. Every pairing goes
 //! through the shared kernel in [`crate::kernel`] on the same storage as
@@ -87,12 +121,12 @@ use crate::threaded::{
 use mph_ccpipe::BatchOrder;
 use mph_core::{BlockPartition, CommPlan, Frame, Framing, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
-use mph_linalg::block::{BufferPool, ColumnBlock};
+use mph_linalg::block::ColumnBlock;
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{
     run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Machine, Meterable, NodeCtx,
-    Packet, Scenario, SinkHandle, TraceEvent, TrafficMeter,
+    Scenario, SinkHandle, TraceEvent, TrafficMeter,
 };
 use std::sync::Arc;
 
@@ -156,25 +190,41 @@ pub fn lower_job(spec: &JobSpec, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     (plans, qs)
 }
 
-/// Every job's schedule: the [`Framing`] of each lowered plan, built before
-/// the node threads spawn and borrowed by all `2^d` nodes — the tail degree
-/// ([`choose_tail_qs`]) is priced once per plan rather than on every node.
-/// A degraded solo sweep replaces its entry (`Solo::reprice`).
-fn job_framings(
+/// What the `2^d` nodes of one job share: worked out once, before the node
+/// threads spawn, and borrowed by all of them.
+struct JobShared {
+    /// The job's schedule: the [`Framing`] of each lowered plan — the tail
+    /// degree ([`choose_tail_qs`]) is priced once per plan rather than on
+    /// every node. A degraded solo sweep replaces its entry
+    /// (`Solo::reprice`).
+    framings: Vec<Framing>,
+    /// The convergence bar a sweep's vote is held against: `tol · ‖A‖` for
+    /// an eigen job, `tol` (an absolute cosine) for an SVD. `None` for a
+    /// forced job, which casts no vote — so its norm, a serial m² add
+    /// chain, is never computed.
+    bar: Option<f64>,
+}
+
+fn job_shared(
     jobs: &[JobSpec],
     d: usize,
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-) -> Vec<Vec<Framing>> {
-    let framings = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
+) -> Vec<JobShared> {
+    let shared = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
         let q_cap = packetization_cap(spec.a.cols(), d);
         let tail = &spec.opts.tail_pipelining;
-        plans
+        let framings = plans
             .iter()
             .zip(qs)
             .map(|(plan, qs)| plan.framing(qs, choose_tail_qs(plan, tail, q_cap)))
-            .collect()
+            .collect();
+        let bar = spec.opts.force_sweeps.is_none().then(|| match spec.kind {
+            JobKind::Eigen => spec.opts.tol * spec.a.frobenius_norm(),
+            JobKind::Svd => spec.opts.tol,
+        });
+        JobShared { framings, bar }
     };
-    jobs.iter().zip(lowered).map(framings).collect()
+    jobs.iter().zip(lowered).map(shared).collect()
 }
 
 /// One dead undirected edge's relay plan for a sweep: who its endpoints
@@ -258,12 +308,17 @@ impl Solo {
 }
 
 /// The batch wire protocol: every frame carries its job tag, so N
-/// problems' blocks, pipeline packets, and convergence votes multiplex one
+/// problems' blocks, pipeline rounds, and convergence votes multiplex one
 /// set of links and demultiplex losslessly at the receiver.
+///
+/// A `Round` is the block that iteration `k` of a packetized phase (0 in a
+/// chained tail) forwards, whole, with the arrival stamp of each of the
+/// packets the sender's clock was charged for it. Receivers assert the
+/// header, turning a protocol slip into an immediate panic.
 #[derive(Debug, Clone)]
 pub enum BatchMsg {
     Block { job: u32, block: ColumnBlock },
-    Packet(Packet<ColumnBlock>),
+    Round { job: u32, k: u32, block: ColumnBlock, stamps: Vec<f64> },
     Scalar { job: u32, v: f64 },
 }
 
@@ -271,7 +326,7 @@ impl Meterable for BatchMsg {
     fn elems(&self) -> u64 {
         match self {
             BatchMsg::Block { block, .. } => block.payload_elems() as u64,
-            BatchMsg::Packet(p) => p.payload.payload_elems() as u64,
+            BatchMsg::Round { block, .. } => block.payload_elems() as u64,
             BatchMsg::Scalar { .. } => 1,
         }
     }
@@ -282,17 +337,9 @@ impl Meterable for BatchMsg {
 
     fn job(&self) -> u32 {
         match self {
-            BatchMsg::Block { job, .. } => *job,
-            BatchMsg::Packet(p) => p.job,
-            BatchMsg::Scalar { job, .. } => *job,
-        }
-    }
-
-    fn kq(&self) -> Option<(u32, u32)> {
-        // Framed packets carry their (k, q) header into the trace.
-        match self {
-            BatchMsg::Packet(p) => Some((p.k, p.q)),
-            _ => None,
+            BatchMsg::Block { job, .. }
+            | BatchMsg::Round { job, .. }
+            | BatchMsg::Scalar { job, .. } => *job,
         }
     }
 }
@@ -306,16 +353,6 @@ fn expect_block(msg: BatchMsg) -> ColumnBlock {
             block
         }
         other => panic!("batch protocol error: expected a block, got {other:?}"),
-    }
-}
-
-fn expect_packet(msg: BatchMsg) -> Packet<ColumnBlock> {
-    match msg {
-        BatchMsg::Packet(p) => {
-            debug_assert_eq!(p.payload.misaligned_columns(), 0);
-            p
-        }
-        other => panic!("batch protocol error: expected a packet, got {other:?}"),
     }
 }
 
@@ -392,24 +429,30 @@ enum Pos {
         phase: usize,
         t: usize,
     },
+    /// Pipelined exchange: charge packet `q` of iteration `k`'s round. At
+    /// `q = 0` the upstream round is received and the whole mobile block
+    /// paired; at `q = Q − 1` the block crosses the channel.
     Pipe {
         phase: usize,
         k: usize,
         q: usize,
     },
+    /// Pipelined exchange epilogue: consume packet `q` of the last round,
+    /// advancing the clock to its arrival.
     Drain {
         phase: usize,
         q: usize,
     },
-    /// Tail run: pair-and-ship one packet of a chained single-link
-    /// transition (the packet departs on its readiness stamp, threaded
-    /// from the previous transition's arrival).
+    /// Tail run: charge one packet of a chained single-link transition
+    /// (the packet departs on its readiness stamp, threaded from the
+    /// previous transition's arrival). The transition's pairing runs once,
+    /// at `q = 0`, before anything is charged.
     TailSend {
         phase: usize,
         q: usize,
     },
-    /// Tail run: consume one arrived packet, recording its stamp for the
-    /// next transition — the clock only advances at the run's end.
+    /// Tail run: consume one arrived packet, whose stamp is the next
+    /// transition's readiness — the clock only advances at the run's end.
     TailRecv {
         phase: usize,
         q: usize,
@@ -425,15 +468,12 @@ struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec,
     plans: &'a [CommPlan],
-    /// The job's schedule, one entry per plan (see [`job_framings`]).
-    framings: &'a [Framing],
+    shared: &'a JobShared,
     solo: Option<&'a Solo>,
     kern: SweepKernel,
     d: usize,
     node: usize,
     budget: usize,
-    forced: bool,
-    norm_a: f64,
     slot0: ColumnBlock,
     slot1: ColumnBlock,
     acc: SweepAccumulator,
@@ -441,19 +481,14 @@ struct JobNode<'a> {
     rotations: u64,
     converged: bool,
     pos: Pos,
-    /// Pipelined-phase scratch: local packets before iteration 0 consumes
-    /// them, then the drained finals.
-    pipe: Vec<Option<ColumnBlock>>,
-    pipe_entry: f64,
-    /// Per-packet readiness stamps threaded through a tail run.
-    tail_stamps: Vec<f64>,
-    /// Packet backing stores, reused across phases and sweeps.
-    pool: BufferPool,
-    /// `pool.misses()` at the end of each sweep.
-    #[cfg(test)]
-    pool_misses: Vec<u64>,
+    /// One stamp per packet of the round in hand: the packet's readiness
+    /// (phase entry, or its arrival from upstream) until it is charged,
+    /// its own arrival stamp after. The vector travels with the round, and
+    /// the one a received round brings is the next to leave, so a steady
+    /// pipeline allocates none.
+    stamps: Vec<f64>,
     /// The current sweep's schedule where a degraded solo sweep overrides
-    /// `framings` ([`Solo::reprice`]).
+    /// `shared.framings` ([`Solo::reprice`]).
     repriced: Option<Framing>,
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
@@ -480,9 +515,6 @@ struct JobNodeOutput {
     eigen_cols: Vec<(usize, f64, Vec<f64>)>,
     /// SVD: `(global column, w-column, v-column)`.
     svd_cols: Vec<(usize, Vec<f64>, Vec<f64>)>,
-    /// Packet-store allocations so far, at the end of each sweep.
-    #[cfg(test)]
-    pool_misses: Vec<u64>,
 }
 
 impl<'a> JobNode<'a> {
@@ -490,7 +522,7 @@ impl<'a> JobNode<'a> {
         job: u32,
         spec: &'a JobSpec,
         plans: &'a [CommPlan],
-        framings: &'a [Framing],
+        shared: &'a JobShared,
         solo: Option<&'a Solo>,
         d: usize,
         node: usize,
@@ -504,22 +536,16 @@ impl<'a> JobNode<'a> {
         let slot0 = ColumnBlock::from_matrix_with_identity(&spec.a, partition.cols(node), urows);
         let slot1 =
             ColumnBlock::from_matrix_with_identity(&spec.a, partition.cols(node + p), urows);
-        let norm_a = match spec.kind {
-            JobKind::Eigen => spec.a.frobenius_norm(),
-            JobKind::Svd => 1.0, // SVD convergence is an absolute cosine
-        };
         JobNode {
             job,
             spec,
             plans,
-            framings,
+            shared,
             solo,
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
             d,
             node,
             budget: spec.budget(),
-            forced: spec.opts.force_sweeps.is_some(),
-            norm_a,
             slot0,
             slot1,
             acc: SweepAccumulator::default(),
@@ -527,12 +553,7 @@ impl<'a> JobNode<'a> {
             rotations: 0,
             converged: false,
             pos: if spec.budget() == 0 { Pos::Done } else { Pos::SweepStart },
-            pipe: Vec::new(),
-            pipe_entry: 0.0,
-            tail_stamps: Vec::new(),
-            pool: BufferPool::new(),
-            #[cfg(test)]
-            pool_misses: Vec::new(),
+            stamps: Vec::new(),
             repriced: None,
             outbox: None,
             machine: solo
@@ -551,7 +572,7 @@ impl<'a> JobNode<'a> {
 
     /// How phase `idx` of the current sweep moves.
     fn frame(&self, idx: usize) -> Frame {
-        self.repriced.as_ref().unwrap_or(&self.framings[self.sweeps]).frame(idx)
+        self.repriced.as_ref().unwrap_or(&self.shared.framings[self.sweeps]).frame(idx)
     }
 
     /// The chained tail run holding phase `idx` of the current sweep, as
@@ -608,7 +629,80 @@ impl<'a> JobNode<'a> {
     ) -> BatchMsg {
         let (msg, stamp) = mux.recv_for(link, self.job);
         ctx.advance_clock_to(stamp);
+        ctx.trace_recv(link, msg.elems(), self.job, None, msg.is_control(), stamp);
         msg
+    }
+
+    /// The slot whose block travels in phase `idx` (see
+    /// [`Self::resident_out`]).
+    fn travelling(&mut self, idx: usize) -> &mut ColumnBlock {
+        if self.resident_out(idx) {
+            &mut self.slot0
+        } else {
+            &mut self.slot1
+        }
+    }
+
+    /// Receives round `k` of phase `idx` into the travelling slot, and
+    /// into `stamps` the arrival of each of its packets — consumed one per
+    /// micro-op by [`Self::consume_packet`], the clock untouched here.
+    fn recv_round(&mut self, mux: &mut JobMux<'_, '_, BatchMsg>, idx: usize, k: usize) {
+        let link = self.plans[self.sweeps].phases()[idx].links[k];
+        match mux.recv_for(link, self.job).0 {
+            BatchMsg::Round { job, k: sent_k, block, stamps } => {
+                assert_eq!((job, sent_k), (self.job, k as u32), "batch round protocol violation");
+                debug_assert_eq!(block.misaligned_columns(), 0);
+                *self.travelling(idx) = block;
+                self.stamps = stamps;
+            }
+            other => panic!("batch protocol error: expected a round, got {other:?}"),
+        }
+    }
+
+    /// The link round `k` of phase `idx` crosses and the elements of its
+    /// packet `q`: the size `mph_ccpipe::executed_cost` prices, and the
+    /// payload of the `q`-th block [`ColumnBlock::split_columns`] would
+    /// cut from the travelling one (pinned in `tests/pipeline_traffic.rs`).
+    fn packet(&mut self, idx: usize, k: usize, q: usize) -> (usize, u64) {
+        let plan = &self.plans[self.sweeps];
+        let block_elems = self.travelling(idx).payload_elems() as u64;
+        let mut sizes = plan.packet_elems(block_elems, self.stamps.len());
+        (plan.phases()[idx].links[k], sizes.nth(q).expect("one stamp per packet of the round"))
+    }
+
+    /// Consumes packet `q` of the received round `k`: records its arrival
+    /// and returns the stamp, which the caller forwards as a readiness or
+    /// advances the clock to.
+    fn consume_packet(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        idx: usize,
+        k: usize,
+        q: usize,
+    ) -> f64 {
+        if ctx.trace().is_enabled() {
+            let (link, elems) = self.packet(idx, k, q);
+            let kq = Some((k as u32, q as u32));
+            ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[q]);
+        }
+        self.stamps[q]
+    }
+
+    /// Charges packet `q` of round `k` to the clock: a transmission of
+    /// that packet's share of the travelling block, departing on the
+    /// packet's own readiness stamp — which its arrival stamp replaces.
+    /// Nothing moves until the round's last packet is charged; then block
+    /// and stamps cross the channel once.
+    fn charge_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize, q: usize) {
+        let (link, elems) = self.packet(idx, k, q);
+        let kq = Some((k as u32, q as u32));
+        self.stamps[q] = ctx.charge(link, elems, self.job, kq, false, self.stamps[q]);
+        if q + 1 == self.stamps.len() {
+            let (job, k) = (self.job, k as u32);
+            let block = self.travelling(idx).take();
+            let stamps = std::mem::take(&mut self.stamps);
+            ctx.ship(link, BatchMsg::Round { job, k, block, stamps });
+        }
     }
 
     /// First half of a whole-message exchange across `link`: ships `msg`
@@ -768,20 +862,14 @@ impl<'a> JobNode<'a> {
                 let ph = &self.plans[self.sweeps].phases()[phase];
                 let link = ph.links[t];
                 self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
-                let block =
-                    if self.resident_out(phase) { self.slot0.take() } else { self.slot1.take() };
+                let block = self.travelling(phase).take();
                 self.send_via(ctx, link, BatchMsg::Block { job: self.job, block });
                 self.pos = Pos::Recv { phase, t };
             }
             Pos::Recv { phase, t } => {
                 let ph = &self.plans[self.sweeps].phases()[phase];
                 let link = ph.links[t];
-                let block = expect_block(self.recv_via(ctx, mux, link));
-                if self.resident_out(phase) {
-                    self.slot0 = block;
-                } else {
-                    self.slot1 = block;
-                }
+                *self.travelling(phase) = expect_block(self.recv_via(ctx, mux, link));
                 self.pos = if ph.is_exchange() && t + 1 < ph.k() {
                     Pos::Send { phase, t: t + 1 }
                 } else {
@@ -789,103 +877,61 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::Pipe { phase, k, q } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
                 let q_total = self.frame(phase).packets();
-                let k_total = ph.k();
-                if k == 0 && q == 0 {
-                    // Phase entry: split the mobile block into its packets.
-                    self.pipe_entry = ctx.virtual_now();
-                    self.pipe = self
-                        .slot1
-                        .take()
-                        .split_columns_pooled(q_total, &mut self.pool)
-                        .into_iter()
-                        .map(Some)
-                        .collect();
+                if q == 0 {
+                    if k == 0 {
+                        // Phase entry: every local packet is ready now.
+                        self.stamps.clear();
+                        self.stamps.resize(q_total, ctx.virtual_now());
+                    } else {
+                        self.recv_round(mux, phase, k - 1);
+                    }
+                    // One pairing of the whole mobile block — the per-packet
+                    // pairings, which share no mobile column (module docs).
+                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                 }
                 // Each packet's forwarding departs when *its own* input
                 // has arrived (the fabric's stamp), not when the node's
                 // program counter gets there — the comm-processor model.
-                let (mut payload, ready) = if k == 0 {
-                    (self.pipe[q].take().expect("local packet consumed twice"), self.pipe_entry)
-                } else {
-                    let (msg, stamp) = mux.recv_for(ph.links[k - 1], self.job);
-                    let pkt = expect_packet(msg);
-                    assert_eq!(
-                        (pkt.job, pkt.k, pkt.q),
-                        (self.job, (k - 1) as u32, q as u32),
-                        "batch packet protocol violation"
-                    );
-                    (pkt.payload, stamp)
-                };
-                self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut payload));
-                ctx.send_after(
-                    ph.links[k],
-                    BatchMsg::Packet(Packet::for_job(self.job, k as u32, q as u32, payload)),
-                    ready,
-                );
+                if k > 0 {
+                    self.consume_packet(ctx, phase, k - 1, q);
+                }
+                self.charge_packet(ctx, phase, k, q);
                 self.pos = if q + 1 < q_total {
                     Pos::Pipe { phase, k, q: q + 1 }
-                } else if k + 1 < k_total {
+                } else if k + 1 < self.plans[self.sweeps].phases()[phase].k() {
                     Pos::Pipe { phase, k: k + 1, q: 0 }
                 } else {
                     Pos::Drain { phase, q: 0 }
                 };
             }
             Pos::Drain { phase, q } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
-                let q_total = self.frame(phase).packets();
-                let (msg, stamp) = mux.recv_for(ph.links[ph.k() - 1], self.job);
-                let pkt = expect_packet(msg);
-                assert_eq!(
-                    (pkt.job, pkt.k, pkt.q),
-                    (self.job, (ph.k() - 1) as u32, q as u32),
-                    "batch packet protocol violation"
-                );
+                let k = self.plans[self.sweeps].phases()[phase].k() - 1;
+                if q == 0 {
+                    self.recv_round(mux, phase, k);
+                }
                 // The phase completes for this packet when the node holds
                 // it: consuming the arrival advances the virtual clock.
-                ctx.advance_clock_to(stamp);
-                self.pipe[q] = Some(pkt.payload);
-                if q + 1 < q_total {
-                    self.pos = Pos::Drain { phase, q: q + 1 };
+                ctx.advance_clock_to(self.consume_packet(ctx, phase, k, q));
+                self.pos = if q + 1 < self.stamps.len() {
+                    Pos::Drain { phase, q: q + 1 }
                 } else {
-                    let finals: Vec<ColumnBlock> =
-                        self.pipe.drain(..).map(|p| p.expect("packet lost")).collect();
-                    self.slot1 = ColumnBlock::from_packets_pooled(finals, &mut self.pool);
-                    self.pos = self.after_phase(phase);
-                }
+                    self.after_phase(phase)
+                };
             }
             Pos::TailSend { phase, q } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
                 let (tq, run_start, _) = self.tail_run(phase);
-                let link = ph.links[0];
-                let resident_out = self.resident_out(phase);
                 if q == 0 {
                     if phase == run_start {
                         // Run entry: every packet is ready now.
-                        self.tail_stamps = vec![ctx.virtual_now(); tq];
+                        self.stamps.clear();
+                        self.stamps.resize(tq, ctx.virtual_now());
                     }
-                    let outgoing = if resident_out { self.slot0.take() } else { self.slot1.take() };
-                    self.pipe = outgoing
-                        .split_columns_pooled(tq, &mut self.pool)
-                        .into_iter()
-                        .map(Some)
-                        .collect();
+                    // Pair before anything is charged: the transition's one
+                    // whole-block pairing, as in a `Send`.
+                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                 }
-                // Pair before ship — the reference pairing re-tiled by
-                // packet boundary (bitwise equal to the whole-block op),
-                // then the packet departs on its own readiness stamp.
-                let mut payload = self.pipe[q].take().expect("tail packet consumed twice");
-                if resident_out {
-                    self.acc.merge(self.kern.across(tour, &mut payload, &mut self.slot1));
-                } else {
-                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut payload));
-                }
-                ctx.send_after(
-                    link,
-                    BatchMsg::Packet(Packet::for_job(self.job, 0, q as u32, payload)),
-                    self.tail_stamps[q],
-                );
+                self.charge_packet(ctx, phase, 0, q);
                 self.pos = if q + 1 < tq {
                     Pos::TailSend { phase, q: q + 1 }
                 } else {
@@ -893,43 +939,27 @@ impl<'a> JobNode<'a> {
                 };
             }
             Pos::TailRecv { phase, q } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
                 let (tq, _, run_end) = self.tail_run(phase);
-                let (msg, stamp) = mux.recv_for(ph.links[0], self.job);
-                let pkt = expect_packet(msg);
-                assert_eq!(
-                    (pkt.job, pkt.k, pkt.q),
-                    (self.job, 0, q as u32),
-                    "batch tail packet protocol violation"
-                );
+                if q == 0 {
+                    self.recv_round(mux, phase, 0);
+                }
                 // The stamp is next transition's readiness, not a clock
                 // advance: the node only waits at the run's end.
-                self.tail_stamps[q] = stamp;
-                self.pipe[q] = Some(pkt.payload);
-                if q + 1 < tq {
-                    self.pos = Pos::TailRecv { phase, q: q + 1 };
-                    return;
-                }
-                let finals: Vec<ColumnBlock> =
-                    self.pipe.drain(..).map(|p| p.expect("tail packet lost")).collect();
-                let block = ColumnBlock::from_packets_pooled(finals, &mut self.pool);
-                if self.resident_out(phase) {
-                    self.slot0 = block;
-                } else {
-                    self.slot1 = block;
-                }
-                if phase + 1 < run_end {
+                self.consume_packet(ctx, phase, 0, q);
+                self.pos = if q + 1 < tq {
+                    Pos::TailRecv { phase, q: q + 1 }
+                } else if phase + 1 < run_end {
                     // An in-run K = 1 exchange rides the tail pipeline at
                     // the run's degree, whatever its own planned Q.
-                    self.pos = Pos::TailSend { phase: phase + 1, q: 0 };
+                    Pos::TailSend { phase: phase + 1, q: 0 }
                 } else {
                     // One clock advance for the whole run: the node is
                     // done when its last packets have landed.
-                    for &s in &self.tail_stamps {
+                    for &s in &self.stamps {
                         ctx.advance_clock_to(s);
                     }
-                    self.pos = self.after_phase(phase);
-                }
+                    self.after_phase(phase)
+                };
             }
             Pos::SweepEnd => {
                 if self.solo.is_some() {
@@ -940,19 +970,13 @@ impl<'a> JobNode<'a> {
                     });
                 }
                 self.rotations += self.acc.rotations;
-                #[cfg(test)]
-                self.pool_misses.push(self.pool.misses());
-                if !self.forced {
+                if let Some(bar) = self.shared.bar {
                     // The vote: a dimension-exchange all-reduce of the
                     // sweep's largest off measure, demultiplexed by job
                     // tag and relayed like the sweep's blocks. The
                     // decision is global, so every node finishes (or
                     // continues to the barrier) together.
                     let v = self.allreduce_max(ctx, mux, self.acc.max_off);
-                    let bar = match self.spec.kind {
-                        JobKind::Eigen => self.spec.opts.tol * self.norm_a,
-                        JobKind::Svd => self.spec.opts.tol,
-                    };
                     self.converged = v <= bar;
                 }
                 self.sweeps += 1;
@@ -987,14 +1011,12 @@ impl<'a> JobNode<'a> {
         let mut out = JobNodeOutput {
             sweeps: self.sweeps,
             rotations: self.rotations,
-            converged: self.converged || self.forced,
+            converged: self.converged || self.shared.bar.is_none(),
             start: self.start,
             finish: self.finish,
             adaptive: self.adaptive,
             eigen_cols: Vec::new(),
             svd_cols: Vec::new(),
-            #[cfg(test)]
-            pool_misses: self.pool_misses,
         };
         for b in [&self.slot0, &self.slot1] {
             for k in 0..b.len() {
@@ -1119,7 +1141,7 @@ fn run_nodes(
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     order.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
-    let framings = job_framings(jobs, d, lowered);
+    let shared = job_shared(jobs, d, lowered);
 
     run_spmd_fabric_jobs_traced::<BatchMsg, Vec<JobNodeOutput>, _>(
         d,
@@ -1129,7 +1151,7 @@ fn run_nodes(
         |ctx| {
             let mut nodes: Vec<JobNode> = (0..jobs.len())
                 .map(|j| {
-                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &framings[j], solo, d, ctx.id())
+                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &shared[j], solo, d, ctx.id())
                 })
                 .collect();
             let mut mux = JobMux::new(ctx);
@@ -1487,7 +1509,7 @@ pub fn run_job_service_traced(
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     plan.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
-    let framings = job_framings(jobs, d, lowered);
+    let shared = job_shared(jobs, d, lowered);
     let njobs = jobs.len();
     let throttled = matches!(fabric, FabricModel::Throttled(_));
 
@@ -1539,7 +1561,7 @@ pub fn run_job_service_traced(
                             j as u32,
                             &jobs[j],
                             &lowered[j].0,
-                            &framings[j],
+                            &shared[j],
                             None,
                             d,
                             ctx.id(),
@@ -1849,38 +1871,6 @@ mod tests {
                     assert_svd_bitwise(got, &solo, &format!("job {i}"));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn packet_stores_are_allocated_in_the_first_sweep_only() {
-        // Cached diagonals put two kinds of store in one pool — packet
-        // columns and 2-entry diagonal slices. A take is served only by a
-        // store that holds it, so once the first sweep has stocked the pool
-        // a node allocates nothing: not for packets, not for the
-        // reassembled block, not for their diagonals. (Even partition: on an
-        // uneven one a node meets its first larger block in a later sweep.)
-        let opts = JacobiOptions {
-            force_sweeps: Some(3),
-            cache_diagonals: true,
-            pipelining: Pipelining::Fixed(4),
-            ..Default::default()
-        };
-        let spec = JobSpec::eigen(random_symmetric(64, 64), OrderingFamily::Br, opts);
-        let lowered = [lower_job(&spec, 2)];
-        let (outputs, ..) = run_nodes(
-            2,
-            std::slice::from_ref(&spec),
-            &lowered,
-            FabricModel::Free,
-            &BatchOrder::Serial(vec![0]),
-            spec.opts.trace.clone(),
-            None,
-        );
-        for (node, out) in outputs.iter().enumerate() {
-            let misses = &out[0].pool_misses;
-            assert!(misses[0] > 0, "node {node}: the first sweep stocks the pool");
-            assert_eq!(misses[1..], [misses[0]; 2], "node {node}: {misses:?}");
         }
     }
 

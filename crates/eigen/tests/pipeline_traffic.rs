@@ -4,17 +4,23 @@
 //! [`CommPlan`] — pipelined and unpipelined, even partitions and odd,
 //! diagonal cache on and off. One plan, three layers, one set of numbers.
 //!
-//! Also pins the kernel-level fact the pipelined driver rests on: the
-//! packetized cross-block pairing is bitwise-equal to the whole-block
-//! pairing for every packet count (packets never interact).
+//! Also pins the two facts the pipelined driver rests on. The kernel's:
+//! the packetized cross-block pairing is bitwise-equal to the whole-block
+//! pairing for every packet count (packets never interact) — which is why
+//! the engine pairs a round's block once. And the clock's: a packet is
+//! charged, not moved — a pipelined solve meters `Q` messages per
+//! transition, of the sizes `split_columns` would have cut, and ships one.
 
-use mph_ccpipe::{Machine, PortModel};
+use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
 use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
-    block_jacobi_threaded, lower_sweeps, pair_across_blocks, ColumnBlock, FabricModel,
-    JacobiOptions, PairingRule, Pipelining,
+    block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
+    lower_sweeps_with, packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock,
+    FabricModel, JacobiOptions, JobSpec, PairingRule, Pipelining,
 };
 use mph_linalg::symmetric::random_symmetric;
+use mph_linalg::Matrix;
+use mph_runtime::{RingSink, SinkHandle, TraceEvent};
 use mph_simnet::{plan_pipelined_schedule, plan_unpipelined_schedule};
 use proptest::prelude::*;
 
@@ -232,4 +238,140 @@ fn boundary_degrees_are_bitwise_identical_and_traffic_exact() {
         }
         assert_eq!(meter.volume_by_dim(), predicted, "q={q}");
     }
+}
+
+/// A packet is a clock fact, a round is a host message: for every degree
+/// (even, uneven and oversplit over 3-column blocks), exchange pipelining
+/// alone and with a chained tail, a pipelined solve moves exactly the
+/// channel messages of the unpipelined one while its meter counts every
+/// packet, its clock reads what `executed_cost` prices for those packets,
+/// and its bits are the logical solver's.
+///
+/// Each assertion fails when the engine is broken by hand: `ship` a round
+/// per packet and `shipments` reads `Q` times the whole-block count;
+/// `charge` a round's block as one packet and `total_messages` falls to
+/// the whole-block count and the makespan below `executed_cost`'s; pair a
+/// round's block against the wrong slot and the bits move.
+#[test]
+fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
+    let machine = Machine::all_port(1000.0, 100.0);
+    let fabric = FabricModel::Throttled(machine);
+    let order = BatchOrder::Serial(vec![0]);
+    for d in [1usize, 2] {
+        let a = random_symmetric(3 * (2 << d), 40 + d as u64);
+        for cache in [false, true] {
+            let base = JacobiOptions {
+                force_sweeps: Some(2),
+                cache_diagonals: cache,
+                ..Default::default()
+            };
+            let logical = block_jacobi(&a, d, OrderingFamily::Degree4, &base);
+            let run = |opts: &JacobiOptions| {
+                let spec = JobSpec::eigen(a.clone(), OrderingFamily::Degree4, opts.clone());
+                let run = run_job_batch(d, std::slice::from_ref(&spec), fabric.clone(), &order);
+                (spec, run)
+            };
+            let (_, whole) = run(&base);
+            assert_eq!(whole.meter.shipments(), whole.meter.total_messages(), "Q = 1: one each");
+            for q in [1usize, 2, 5, 16] {
+                for tail in [Pipelining::Off, Pipelining::Fixed(q)] {
+                    let what = format!("d={d} cache={cache} q={q} tail={tail:?}");
+                    let opts = JacobiOptions {
+                        pipelining: Pipelining::Fixed(q),
+                        tail_pipelining: tail,
+                        ..base.clone()
+                    };
+                    let (spec, piped) = run(&opts);
+                    assert_eq!(piped.meter.shipments(), whole.meter.shipments(), "{what}");
+
+                    let (plans, qs) = lower_job(&spec, d);
+                    let tail_q = choose_tail_qs(&plans[0], &tail, packetization_cap(a.cols(), d));
+                    let packets: u64 =
+                        plans.iter().zip(&qs).map(|(p, qs)| p.messages_with_tail(qs, tail_q)).sum();
+                    assert_eq!(piped.meter.total_messages(), packets, "{what}");
+
+                    let planned = [PlannedJob { plans: &plans, qs: &qs, tail_q }];
+                    let priced = executed_cost(&planned, &machine, &order).makespan;
+                    assert!(
+                        (piped.fabric.makespan - priced).abs() <= 1e-9 * priced,
+                        "{what}: measured {} vs executed_cost {priced}",
+                        piped.fabric.makespan
+                    );
+
+                    let got = piped.results[0].eigen().expect("eigen job");
+                    assert_eq!(got.rotations, logical.rotations, "{what}");
+                    assert_eq!(got.eigenvalues, logical.eigenvalues, "{what}");
+                    assert_eq!(
+                        got.eigenvectors.as_slice(),
+                        logical.eigenvectors.as_slice(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The engine never cuts a block: it charges packet `i` of a `q`-packet
+/// round `CommPlan::packet_elems(block.payload_elems(), q)[i]` elements
+/// and trusts that to be what `split_columns(q)[i]` would have shipped —
+/// uneven splits, `q > ncols` empty packets, diagonal cache and the SVD's
+/// rectangular units included. And an empty packet is still a packet: a
+/// metered message and a `Ts`-only transmission.
+#[test]
+fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
+    // (arows, urows): a square eigen block and an SVD block (W over V).
+    for (arows, urows) in [(9usize, 9usize), (13, 9)] {
+        let a0 = Matrix::from_fn(arows, 9, |r, c| (r * 9 + c) as f64 + 1.0);
+        for cache in [false, true] {
+            let elems_per_col = arows + urows + usize::from(cache);
+            let plan = &lower_sweeps_with(9, 1, OrderingFamily::Br, elems_per_col, 1)[0];
+            for ncols in 0..=9usize {
+                let mut block = ColumnBlock::from_matrix_with_identity(&a0, 0..ncols, urows);
+                if cache {
+                    block.refresh_diag(|a, u| a[0] + u[0]);
+                }
+                for q in 1..=12usize {
+                    let charged: Vec<u64> =
+                        plan.packet_elems(block.payload_elems() as u64, q).collect();
+                    let shipped: Vec<u64> = (block.clone().split_columns(q).iter())
+                        .map(|p| p.payload_elems() as u64)
+                        .collect();
+                    assert_eq!(
+                        charged, shipped,
+                        "{arows}x{urows} cache={cache} ncols={ncols} q={q}"
+                    );
+                }
+            }
+        }
+    }
+
+    // Q = 5 over 2-column blocks: three packets of every round are empty.
+    let (m, d, q, ts) = (8usize, 1usize, 5usize, 1000.0);
+    let ring = std::sync::Arc::new(RingSink::new(d, 1 << 12));
+    let opts = JacobiOptions {
+        force_sweeps: Some(1),
+        pipelining: Pipelining::Fixed(q),
+        tail_pipelining: Pipelining::Fixed(q),
+        fabric: FabricModel::Throttled(Machine::all_port(ts, 100.0)),
+        trace: SinkHandle::new(ring.clone()),
+        ..Default::default()
+    };
+    let (_, meter) = block_jacobi_threaded(&random_symmetric(m, 8), d, OrderingFamily::Br, &opts);
+    let mut empties = 0u64;
+    for lane in ring.drain() {
+        let mut issued_before = 0.0;
+        for e in lane {
+            if let TraceEvent::Send { elems, kq, issued, start, end, .. } = e {
+                if elems == 0 {
+                    assert!(kq.is_some_and(|(_, q)| q >= 2), "only packets 2.. are empty");
+                    assert_eq!(end, start, "nothing on the wire");
+                    assert!(issued >= issued_before + ts, "the start-up is still paid");
+                    empties += 1;
+                }
+                issued_before = issued;
+            }
+        }
+    }
+    assert_eq!(empties * 5, meter.total_messages() * 3, "3 of every 5 metered messages");
 }

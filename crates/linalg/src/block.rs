@@ -148,94 +148,6 @@ impl std::fmt::Debug for AlignedStore {
     }
 }
 
-/// A pool of aligned backing stores, reused across packetization rounds.
-///
-/// Packetized phases allocate one buffer per packet per phase
-/// ([`ColumnBlock::split_columns`]) and one more per reassembly
-/// ([`ColumnBlock::from_packets`]); across the sweeps of a large-`m` solve
-/// that is thousands of short-lived allocations of identical sizes. A
-/// per-node pool breaks the cycle: the pooled variants
-/// ([`split_columns_pooled`](ColumnBlock::split_columns_pooled),
-/// [`from_packets_pooled`](ColumnBlock::from_packets_pooled)) draw their
-/// buffers from the pool and recycle the stores they consume, so a
-/// steady-state phase run allocates nothing.
-///
-/// A store's capacity is fixed, so a request is served by the smallest
-/// pooled store that holds it (the most recently returned among equals):
-/// a packet never takes the store of a whole block, nor a diagonal cache
-/// the store of a packet, while a fitting one is pooled.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    free: Vec<AlignedStore>,
-    hits: u64,
-    misses: u64,
-}
-
-impl BufferPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        BufferPool::default()
-    }
-
-    /// Draws an empty store that holds `capacity` values: a pooled one when
-    /// one is large enough (a hit), a new allocation otherwise (a miss). A
-    /// request for nothing is neither.
-    fn take(&mut self, capacity: usize) -> AlignedStore {
-        if capacity == 0 {
-            return AlignedStore::default();
-        }
-        let fit = (0..self.free.len())
-            .rev()
-            .filter(|&i| self.free[i].capacity() >= capacity)
-            .min_by_key(|&i| self.free[i].capacity());
-        match fit {
-            Some(i) => {
-                self.hits += 1;
-                let mut store = self.free.remove(i);
-                store.clear();
-                store
-            }
-            None => {
-                self.misses += 1;
-                AlignedStore::with_capacity(capacity)
-            }
-        }
-    }
-
-    /// Returns a store to the pool; one without an allocation is dropped.
-    fn put(&mut self, store: AlignedStore) {
-        if store.capacity() > 0 {
-            self.free.push(store);
-        }
-    }
-
-    /// Recycles a block's backing stores (data and diagonal cache).
-    pub fn recycle(&mut self, block: ColumnBlock) {
-        self.put(block.data);
-        self.put(block.diag);
-    }
-
-    /// Number of stores currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// True when no stores are pooled.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
-
-    /// Takes served by a pooled store: no allocation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Takes that had to allocate.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 /// A block of columns in flat, contiguous, column-major storage.
 ///
 /// Column `k` of the block carries global column index `start + k` and two
@@ -562,28 +474,9 @@ impl ColumnBlock {
     /// # Panics
     /// Panics if `q == 0`.
     pub fn split_columns(self, q: usize) -> Vec<ColumnBlock> {
-        self.split_with(q, AlignedStore::with_capacity)
-    }
-
-    /// [`ColumnBlock::split_columns`] drawing packet buffers from `pool`
-    /// and recycling the split block's own backing stores into it —
-    /// identical packets (balanced sizes, preserved order and caches),
-    /// zero steady-state allocation.
-    pub fn split_columns_pooled(self, q: usize, pool: &mut BufferPool) -> Vec<ColumnBlock> {
-        let packets = self.split_with(q, |capacity| pool.take(capacity));
-        pool.recycle(self);
-        packets
-    }
-
-    /// The packets of [`ColumnBlock::split_columns`], each in stores drawn
-    /// from `store`. A packet is a run of whole units, pads and all, so its
-    /// columns are as aligned as the block's.
-    fn split_with(
-        &self,
-        q: usize,
-        mut store: impl FnMut(usize) -> AlignedStore,
-    ) -> Vec<ColumnBlock> {
         assert!(q >= 1, "cannot split into zero packets");
+        // A packet is a run of whole units, pads and all, so its columns
+        // are as aligned as the block's.
         let unit = self.unit();
         let base = self.ncols / q;
         let extra = self.ncols % q;
@@ -591,11 +484,11 @@ impl ColumnBlock {
         let mut col = 0usize;
         for p in 0..q {
             let ncols = base + usize::from(p < extra);
-            let mut data = store(ncols * unit);
+            let mut data = AlignedStore::with_capacity(ncols * unit);
             data.extend_from_slice(&self.data[col * unit..(col + ncols) * unit]);
             let mut diag = AlignedStore::default();
             if self.has_diag() {
-                diag = store(ncols);
+                diag = AlignedStore::with_capacity(ncols);
                 diag.extend_from_slice(&self.diag[col..col + ncols]);
             }
             packets.push(ColumnBlock {
@@ -621,37 +514,16 @@ impl ColumnBlock {
     /// non-contiguous column range, or an inconsistent diagonal cache
     /// (all non-empty packets must either carry one or none).
     pub fn from_packets(packets: Vec<ColumnBlock>) -> ColumnBlock {
-        ColumnBlock::assemble(&packets, AlignedStore::with_capacity)
-    }
-
-    /// [`ColumnBlock::from_packets`] drawing the assembled block's buffers
-    /// from `pool` and recycling every packet's backing store into it —
-    /// the reassembly half of the zero-allocation packet cycle.
-    ///
-    /// # Panics
-    /// As [`ColumnBlock::from_packets`].
-    pub fn from_packets_pooled(packets: Vec<ColumnBlock>, pool: &mut BufferPool) -> ColumnBlock {
-        let block = ColumnBlock::assemble(&packets, |capacity| pool.take(capacity));
-        for p in packets {
-            pool.recycle(p);
-        }
-        block
-    }
-
-    /// The block of [`ColumnBlock::from_packets`], in stores drawn from
-    /// `store` — sized once for the whole block, never grown.
-    fn assemble(
-        packets: &[ColumnBlock],
-        mut store: impl FnMut(usize) -> AlignedStore,
-    ) -> ColumnBlock {
         assert!(!packets.is_empty(), "cannot reassemble zero packets");
         // All packets empty: an empty block, shape from packet 0.
         let first = packets.iter().find(|p| !p.is_empty()).unwrap_or(&packets[0]);
         let (start, arows, urows) = (first.start, first.arows, first.urows);
         let has_diag = first.has_diag();
         let total: usize = packets.iter().map(|p| p.ncols).sum();
-        let mut data = store(total * first.unit());
-        let mut diag = if has_diag { store(total) } else { AlignedStore::default() };
+        // Sized once for the whole block, never grown.
+        let mut data = AlignedStore::with_capacity(total * first.unit());
+        let mut diag =
+            if has_diag { AlignedStore::with_capacity(total) } else { AlignedStore::default() };
         let mut ncols = 0usize;
         for p in packets.iter().filter(|p| !p.is_empty()) {
             assert_eq!((p.arows, p.urows), (arows, urows), "packet row counts differ");
@@ -885,52 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_split_and_reassembly_match_the_plain_paths_and_stop_allocating() {
-        let a0 = random_symmetric(6, 13);
-        for cached in [false, true] {
-            let mut pool = BufferPool::new();
-            let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..6, 6);
-            if cached {
-                b.refresh_diag(|a, u| dot(u, a));
-            }
-            let want_packets = b.clone().split_columns(4);
-            let packets = b.clone().split_columns_pooled(4, &mut pool);
-            assert_eq!(packets, want_packets, "cached={cached}");
-            let back = ColumnBlock::from_packets_pooled(packets, &mut pool);
-            assert_eq!(back, b, "cached={cached}");
-            // Steady state: every draw of the second cycle is a pool hit.
-            let misses = pool.misses();
-            let packets = back.split_columns_pooled(4, &mut pool);
-            let back = ColumnBlock::from_packets_pooled(packets, &mut pool);
-            assert_eq!(back, b, "cached={cached}");
-            assert_eq!(pool.misses(), misses, "steady state must not allocate");
-            assert!(pool.hits() > 0);
-            assert!(!pool.is_empty(), "the cycle returns stores to the pool");
-        }
-    }
-
-    #[test]
-    fn the_pool_serves_a_take_only_from_a_store_that_holds_it() {
-        let mut pool = BufferPool::new();
-        pool.put(AlignedStore::with_capacity(16));
-        // A diagonal-sized store cannot back a packet: that is a miss, and
-        // the small store stays pooled.
-        let big = pool.take(8192);
-        assert!(big.capacity() >= 8192 && big.is_empty() && is_aligned(&big));
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (0, 1, 1));
-        pool.put(big);
-        // The smallest store that fits, so the large one is still there for
-        // the next large request; neither take allocates.
-        let small = pool.take(10);
-        assert!(small.capacity() < 8192);
-        assert!(pool.take(8000).capacity() >= 8192);
-        assert_eq!((pool.hits(), pool.misses(), pool.len()), (2, 1, 0));
-        // Asking for nothing touches neither the pool nor the allocator.
-        assert_eq!(pool.take(0).capacity(), 0);
-        assert_eq!((pool.hits(), pool.misses()), (2, 1));
-    }
-
-    #[test]
     #[should_panic(expected = "aligned store overflow")]
     fn an_aligned_store_panics_rather_than_reallocate() {
         let mut store = AlignedStore::with_capacity(8);
@@ -958,21 +784,6 @@ mod tests {
             assert_eq!(b.data[k * unit + 7..k * unit + 8], [0.0]);
             assert_eq!(b.data[k * unit + 13..(k + 1) * unit], [0.0; 3]);
         }
-    }
-
-    #[test]
-    fn pooled_reassembly_of_empty_packets_recycles_their_stores() {
-        let a0 = random_symmetric(4, 3);
-        let mut pool = BufferPool::new();
-        let b = ColumnBlock::from_matrix_with_identity(&a0, 0..2, 4);
-        let packets = b.clone().split_columns_pooled(5, &mut pool);
-        assert_eq!(packets.len(), 5);
-        let back = ColumnBlock::from_packets_pooled(packets, &mut pool);
-        assert_eq!(back, b);
-        let empties = ColumnBlock::from_matrix_with_identity(&a0, 1..1, 4).split_columns(3);
-        let empty = ColumnBlock::from_packets_pooled(empties, &mut pool);
-        assert!(empty.is_empty());
-        assert_eq!((empty.arows(), empty.urows()), (4, 4));
     }
 
     #[test]

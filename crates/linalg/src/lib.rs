@@ -29,9 +29,7 @@ pub mod rotation;
 pub mod symmetric;
 pub mod vecops;
 
-pub use block::{
-    cross_pair_mut, two_blocks_mut, BufferPool, ColumnBlock, ColumnViewMut, PairViewMut,
-};
+pub use block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 pub use matrix::Matrix;
 pub use rotation::{symmetric_schur, JacobiRotation};
 pub use symmetric::{frank_matrix, off_diagonal_frobenius, random_symmetric, wilkinson_matrix};

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra kernels: the invariants the
 //! eigensolver's correctness rests on.
 
-use mph_linalg::block::{BufferPool, ColumnBlock, COLUMN_ALIGN_BYTES};
+use mph_linalg::block::{ColumnBlock, COLUMN_ALIGN_BYTES};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
     axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
@@ -98,25 +98,15 @@ proptest! {
         check_storage(&back, "from_packets")?;
         prop_assert_eq!(&back, &block);
 
-        // Pooled round trips out of a slot: the second one is served from
-        // the stores the first one recycled.
-        let mut pool = BufferPool::new();
+        // Out of a slot and back: `take` moves the store, it copies nothing.
         let mut slot = back;
-        for cycle in 0..2 {
-            let moved = slot.take();
-            prop_assert_eq!(&slot, &ColumnBlock::default());
-            check_storage(&moved, "take")?;
-            let packets = moved.split_columns_pooled(q, &mut pool);
-            for p in &packets {
-                check_storage(p, "split_columns_pooled")?;
-            }
-            slot = ColumnBlock::from_packets_pooled(packets, &mut pool);
-            check_storage(&slot, "from_packets_pooled")?;
-            prop_assert_eq!(&slot, &block, "cycle {}", cycle);
-        }
+        let moved = slot.take();
+        prop_assert_eq!(&slot, &ColumnBlock::default());
+        check_storage(&moved, "take")?;
+        slot = moved;
         if cached {
             slot.refresh_diag(diag);
-            check_storage(&slot, "refresh_diag of a pooled block")?;
+            check_storage(&slot, "refresh_diag of a reassembled block")?;
             prop_assert_eq!(&slot, &block);
         }
     }

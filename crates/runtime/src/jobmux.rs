@@ -6,7 +6,7 @@
 //! link idle time (pipeline bubbles, serial tails) another leaves behind.
 //! The links themselves stay plain FIFO channels; what makes the
 //! multiplexing sound is that *every* message declares its job via
-//! [`Meterable::job`] (the batch drivers' block/packet/vote frames all
+//! [`Meterable::job`] (the batch drivers' block/round/vote frames all
 //! carry the tag), and each node routes arrivals through a [`JobMux`]:
 //!
 //! * [`JobMux::recv_for`] returns the next message *of the requested job*
@@ -15,10 +15,10 @@
 //!   is preserved exactly even when the nodes' interleaving schedules
 //!   drift apart in real time;
 //! * arrival stamps travel with the stashed messages
-//!   ([`NodeCtx::recv_stamped`] semantics), so a stashed packet charges
-//!   the virtual clock when *its* job consumes it, not when it happened to
-//!   be pulled off the wire. Waiting for another job's data never bills
-//!   this job's clock.
+//!   ([`NodeCtx::recv_stamped`] semantics), so a stashed message charges
+//!   the virtual clock — and is recorded as an arrival — when *its* job
+//!   consumes it, not when it happened to be pulled off the wire. Waiting
+//!   for another job's data never bills this job's clock.
 //!
 //! Link arbitration on the virtual clock needs no extra machinery: the
 //! fabric's [`LinkClock`](crate::fabric) grants ports and links to

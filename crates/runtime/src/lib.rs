@@ -26,7 +26,6 @@ pub mod jobmux;
 pub mod machine;
 pub mod meter;
 pub mod nodeclock;
-pub mod packet;
 pub mod scenario;
 pub mod spmd;
 pub mod trace;
@@ -39,7 +38,6 @@ pub use jobmux::JobMux;
 pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
 pub use nodeclock::{NodeClock, SendTimes};
-pub use packet::Packet;
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
 pub use spmd::{
     run_spmd, run_spmd_fabric, run_spmd_fabric_jobs_traced, run_spmd_metered, Meterable, NodeCtx,

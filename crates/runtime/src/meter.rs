@@ -19,6 +19,12 @@
 //! A message's plane is declared by its type via
 //! [`Meterable::is_control`](crate::spmd::Meterable::is_control).
 //!
+//! Both planes count *modelled* transmissions, one per
+//! [`NodeCtx::charge`](crate::spmd::NodeCtx::charge). What the host moved
+//! to produce them is counted apart: [`TrafficMeter::shipments`] is the
+//! number of channel messages, fewer than the transmissions wherever a
+//! program charges a payload packet by packet and ships it once.
+//!
 //! When several independent problems share one fabric (the batch
 //! scheduler), every message also carries a *job id*
 //! ([`Meterable::job`](crate::spmd::Meterable::job)) and the meter keeps
@@ -47,6 +53,7 @@ pub struct TrafficMeter {
     control_messages: Vec<AtomicU64>,
     control_elems: Vec<AtomicU64>,
     jobs: Vec<JobCounters>,
+    shipments: AtomicU64,
 }
 
 impl TrafficMeter {
@@ -66,6 +73,7 @@ impl TrafficMeter {
             control_messages: counters(n),
             control_elems: counters(n),
             jobs: (0..njobs.max(1)).map(|_| JobCounters::default()).collect(),
+            shipments: AtomicU64::new(0),
         }
     }
 
@@ -97,6 +105,17 @@ impl TrafficMeter {
             jc.messages.fetch_add(1, Ordering::Relaxed);
             jc.elems.fetch_add(elems, Ordering::Relaxed);
         }
+    }
+
+    /// Counts one channel message, whatever it carries.
+    pub(crate) fn record_shipment(&self) {
+        self.shipments.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Channel messages moved so far, both planes: what the host did,
+    /// where every other counter here is what the model was charged.
+    pub fn shipments(&self) -> u64 {
+        self.shipments.load(Ordering::Relaxed)
     }
 
     /// Data-plane messages sent on `dim` so far.

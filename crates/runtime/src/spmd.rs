@@ -15,6 +15,21 @@
 //! [`FabricModel::Throttled`] ([`run_spmd_fabric`]) each send is charged
 //! `Ts + S·Tw` against the machine's port configuration, and barriers
 //! synchronize the nodes' clocks — see [`crate::fabric`].
+//!
+//! # Books and channels
+//!
+//! What the model charges and what the host moves are separate calls.
+//! [`NodeCtx::charge`] keeps the books of one modelled transmission —
+//! meter, link clock, send span — and moves nothing; [`NodeCtx::ship`]
+//! puts one message on the channel and writes nothing down but the
+//! shipment count. [`NodeCtx::send_after`] is both, for a message that is
+//! one transmission. A program whose model splits a payload into packets
+//! the host has no reason to move apart charges each packet, collects the
+//! stamps, and ships payload and stamps once (the micro-op engine's
+//! pipeline rounds, `mph_eigen::multidrive`). The receive side mirrors it:
+//! [`NodeCtx::recv_stamped`] takes a message off the channel,
+//! [`NodeCtx::trace_recv`] records one consumed arrival, and
+//! [`NodeCtx::recv`] is both plus the clock advance.
 
 use crate::fabric::{FabricModel, FabricReport, LinkClock, SendMeta, SharedClock};
 use crate::meter::TrafficMeter;
@@ -47,14 +62,6 @@ pub trait Meterable {
     fn job(&self) -> u32 {
         0
     }
-
-    /// The `(k, q)` pipeline header, when this message is a framed packet
-    /// of a pipelined phase (see [`crate::packet::Packet`]). Used only by
-    /// tracing, so link spans carry the packet identity the paper's
-    /// wavefront diagrams index by. Default: not a packet.
-    fn kq(&self) -> Option<(u32, u32)> {
-        None
-    }
 }
 
 impl Meterable for () {}
@@ -74,7 +81,8 @@ impl Meterable for Vec<f64> {
     }
 }
 
-/// A message plus its virtual-time arrival stamp (0 on a free fabric).
+/// A message plus its virtual-time arrival stamp (0 on a free fabric, and
+/// for a bare [`NodeCtx::ship`]ment, whose contents carry their own).
 struct Envelope<M> {
     msg: M,
     stamp: f64,
@@ -128,10 +136,10 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// on a throttled fabric this node's clock advances to the message's
     /// arrival stamp — waiting for data is virtual time spent).
     pub fn recv(&self, dim: usize) -> M {
-        let env = self.rx[dim].recv().expect("neighbor hung up");
-        self.clock.on_recv(env.stamp);
-        self.trace_recv(dim, &env);
-        env.msg
+        let (msg, stamp) = self.recv_stamped(dim);
+        self.clock.on_recv(stamp);
+        self.trace_recv(dim, msg.elems(), msg.job(), None, msg.is_control(), stamp);
+        msg
     }
 
     /// Symmetric exchange: send `msg` across `dim` and receive the
@@ -147,27 +155,55 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// [`NodeCtx::recv_stamped`]). The CPU issues the start-up serially
     /// in program order but does not wait for the data — the
     /// comm-processor model that lets a software pipeline overlap
-    /// iterations on the virtual clock.
+    /// iterations on the virtual clock. One [`NodeCtx::charge`] of the
+    /// whole message, then its shipment under the stamp that returned.
     pub fn send_after(&self, dim: usize, msg: M, ready: f64) {
-        self.meter.record(dim, msg.elems(), msg.is_control(), msg.job());
-        let meta = SendMeta {
-            elems: msg.elems(),
-            job: msg.job(),
-            kq: msg.kq(),
-            control: msg.is_control(),
-        };
-        let stamp = self.clock.on_send_meta(dim, ready, &meta);
+        let stamp = self.charge(dim, msg.elems(), msg.job(), None, msg.is_control(), ready);
+        self.post(dim, msg, stamp);
+    }
+
+    /// The books of one transmission of `elems` elements across `dim`, and
+    /// nothing else: the meter counts it for `job` on its plane, the link
+    /// clock charges it `Ts + S·Tw` departing no earlier than `ready`, and
+    /// the trace records the send span under its pipeline header `kq`
+    /// (`None` for a whole message). Returns the arrival stamp (0 on a
+    /// free fabric). No message moves: whoever charges a payload piece by
+    /// piece [`NodeCtx::ship`]s it once, with the stamps inside.
+    pub fn charge(
+        &self,
+        dim: usize,
+        elems: u64,
+        job: u32,
+        kq: Option<(u32, u32)>,
+        control: bool,
+        ready: f64,
+    ) -> f64 {
+        self.meter.record(dim, elems, control, job);
+        self.clock.on_send_meta(dim, ready, &SendMeta { elems, job, kq, control })
+    }
+
+    /// Moves `msg` to the neighbor across `dim` and keeps no books beyond
+    /// the meter's shipment count: nothing is charged, no span recorded,
+    /// and the envelope carries no stamp of its own. For a payload whose
+    /// transmissions were [`NodeCtx::charge`]d one by one.
+    pub fn ship(&self, dim: usize, msg: M) {
+        self.post(dim, msg, 0.0);
+    }
+
+    /// One channel message, stamped.
+    fn post(&self, dim: usize, msg: M, stamp: f64) {
+        self.meter.record_shipment();
         self.tx[dim].send(Envelope { msg, stamp }).expect("neighbor hung up");
     }
 
     /// Like [`NodeCtx::recv`], but returns the message's virtual arrival
-    /// stamp *without* advancing this node's clock: the caller owns the
-    /// dependency bookkeeping (forward the stamp into
-    /// [`NodeCtx::send_after`], and [`NodeCtx::advance_clock_to`] the
-    /// stamps it ultimately consumes). On a free fabric the stamp is 0.
+    /// stamp *without* advancing this node's clock or recording the
+    /// arrival: the caller owns the dependency bookkeeping (forward the
+    /// stamp into [`NodeCtx::send_after`], [`NodeCtx::advance_clock_to`]
+    /// the stamps it ultimately consumes, and [`NodeCtx::trace_recv`] each
+    /// arrival where it consumes it). On a free fabric the stamp is 0.
     pub fn recv_stamped(&self, dim: usize) -> (M, f64) {
         let env = self.rx[dim].recv().expect("neighbor hung up");
-        self.trace_recv(dim, &env);
         (env.msg, env.stamp)
     }
 
@@ -180,20 +216,23 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.clock.trace()
     }
 
-    /// Records a consumed arrival. Recv events only exist on throttled
-    /// fabrics, matching the send spans (a free fabric has no virtual
-    /// clock to stamp them on).
-    fn trace_recv(&self, dim: usize, env: &Envelope<M>) {
+    /// Records one consumed arrival — the receive-side counterpart of the
+    /// span [`NodeCtx::charge`] records, with the same `elems`, `job`,
+    /// `kq` and `control` and the stamp that charge returned. Recv events
+    /// only exist on throttled fabrics, matching the send spans (a free
+    /// fabric has no virtual clock to stamp them on).
+    pub fn trace_recv(
+        &self,
+        dim: usize,
+        elems: u64,
+        job: u32,
+        kq: Option<(u32, u32)>,
+        control: bool,
+        stamp: f64,
+    ) {
         let sink = self.clock.trace();
         if sink.is_enabled() && self.clock.throttled() {
-            sink.emit(self.id, || TraceEvent::Recv {
-                dim,
-                elems: env.msg.elems(),
-                job: env.msg.job(),
-                kq: env.msg.kq(),
-                control: env.msg.is_control(),
-                stamp: env.stamp,
-            });
+            sink.emit(self.id, || TraceEvent::Recv { dim, elems, job, kq, control, stamp });
         }
     }
 
@@ -489,6 +528,36 @@ mod tests {
                                       // One port: the second transmission queues behind the first
                                       // (its start-up overlaps the first transmission).
         assert_eq!(one, 1.0 + 100.0 + 100.0);
+    }
+
+    #[test]
+    fn charging_piecewise_and_shipping_once_keeps_the_books_of_separate_sends() {
+        // Three 5-element transmissions per node across dim 0: moved as
+        // three messages, or charged as three and shipped as one with the
+        // stamps inside. Same stamps, same meter — a third of the channel
+        // messages, and the bare shipment is itself neither metered nor
+        // stamped.
+        let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
+        let (separate, sent, _) =
+            run_spmd_fabric::<Vec<f64>, Vec<f64>, _>(1, fabric.clone(), |ctx| {
+                for _ in 0..3 {
+                    ctx.send_after(0, vec![0.0; 5], 0.0);
+                }
+                (0..3).map(|_| ctx.recv_stamped(0).1).collect()
+            });
+        let (round, charged, _) = run_spmd_fabric::<Vec<f64>, Vec<f64>, _>(1, fabric, |ctx| {
+            let stamps = (0..3).map(|q| ctx.charge(0, 5, 0, Some((0, q)), false, 0.0)).collect();
+            ctx.ship(0, stamps);
+            let (stamps, envelope) = ctx.recv_stamped(0);
+            assert_eq!(envelope, 0.0);
+            stamps
+        });
+        assert_eq!(separate, vec![vec![20.0, 30.0, 40.0]; 2]);
+        assert_eq!(round, separate);
+        for meter in [&sent, &charged] {
+            assert_eq!((meter.total_messages(), meter.total_volume()), (6, 30));
+        }
+        assert_eq!((sent.shipments(), charged.shipments()), (6, 2));
     }
 
     #[test]

@@ -198,6 +198,36 @@ proptest! {
             prop_assert_eq!(control[dim], meter.control_volume(dim), "control volume, dim {}", dim);
         }
 
+        // 1b. Arrivals: every charged data transmission is consumed, as
+        //     itself — per directed link, the receiver's Recvs carry the
+        //     sizes, packet headers and arrival stamps of the sender's
+        //     Sends (a relayed payload pairs up hop by hop). A pipeline
+        //     round crosses the channel once; its packets still arrive
+        //     one by one.
+        for (node, lane) in lanes.iter().enumerate() {
+            for dim in 0..d {
+                let mut sent: Vec<_> = lane
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::Send { dim: on, elems, kq, control: false, end, .. }
+                            if *on == dim => Some((*elems, *kq, end.to_bits())),
+                        _ => None,
+                    })
+                    .collect();
+                let mut received: Vec<_> = lanes[node ^ (1 << dim)]
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::Recv { dim: on, elems, kq, control: false, stamp, .. }
+                            if *on == dim => Some((*elems, *kq, stamp.to_bits())),
+                        _ => None,
+                    })
+                    .collect();
+                sent.sort_unstable();
+                received.sort_unstable();
+                prop_assert_eq!(sent, received, "link ({}, {})", node, dim);
+            }
+        }
+
         // 2. Pricing: each (link, epoch) cell's busy virtual time is its
         //    element volume priced at that cell's effective Tw — the
         //    utilization matrix re-derives the fabric's pricing law.
