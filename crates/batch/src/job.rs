@@ -44,11 +44,12 @@ impl Job {
         }
     }
 
-    /// Lowers to the driver's job description.
-    pub fn to_spec(&self) -> JobSpec {
+    /// Lowers to the driver's job description — a view of this job's
+    /// matrix, not a copy.
+    pub fn to_spec(&self) -> JobSpec<'_> {
         match self {
-            Job::Eigen { a, family, opts } => JobSpec::eigen(a.clone(), *family, opts.clone()),
-            Job::Svd { a, family, opts } => JobSpec::svd(a.clone(), *family, opts.clone()),
+            Job::Eigen { a, family, opts } => JobSpec::eigen(a, *family, opts.clone()),
+            Job::Svd { a, family, opts } => JobSpec::svd(a, *family, opts.clone()),
         }
     }
 }
@@ -64,6 +65,10 @@ mod tests {
         let a = random_symmetric(8, 1);
         assert_eq!(Job::eigen(a.clone(), OrderingFamily::Br).to_spec().kind, JobKind::Eigen);
         assert_eq!(Job::svd(a.clone(), OrderingFamily::Br).to_spec().kind, JobKind::Svd);
-        assert_eq!(Job::eigen(a, OrderingFamily::Br).cols(), 8);
+        let job = Job::eigen(a, OrderingFamily::Br);
+        assert_eq!(job.cols(), 8);
+        // The spec is a view of the job's matrix, not a copy.
+        let Job::Eigen { a, .. } = &job else { unreachable!("built as an eigen job") };
+        assert!(std::ptr::eq(job.to_spec().a, a));
     }
 }

@@ -17,7 +17,7 @@
 //!   the classic SJF, minimizes mean completion time);
 //! * [`solve_batch`] — lowers every job to its `CommPlan` chain, prices
 //!   the batch (`mph_ccpipe::batch_cost`), executes it on ONE shared
-//!   `run_spmd_fabric` instance, and reports per-job results, per-job
+//!   `run_spmd` instance, and reports per-job results, per-job
 //!   virtual-clock spans, per-job traffic, aggregate throughput
 //!   (jobs/time and elements/time on the fabric clock), and the cost
 //!   sheet's measured-vs-predicted context.

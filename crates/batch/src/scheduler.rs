@@ -5,8 +5,7 @@ use crate::policy::Policy;
 use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, Machine, PlannedJob};
 use mph_core::CommPlan;
 use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_batch_planned_traced, JobResult, JobSpan,
-    JobSpec,
+    choose_tail_qs, lower_job, packetization_cap, run_job_batch, JobResult, JobSpan, JobSpec,
 };
 use mph_runtime::{FabricConfigError, FabricModel, FabricReport, SinkHandle, TrafficMeter};
 
@@ -63,7 +62,7 @@ pub enum BatchConfigError {
     /// A service passes one barrier per round, so its epoch does advance —
     /// and its jobs, which carry no relay tables either, would send across
     /// the link the moment it dies. Only a solo solve
-    /// (`block_jacobi_threaded*`, `svd_block_threaded*` in `mph-eigen`)
+    /// (`block_jacobi_threaded`, `svd_block_threaded` in `mph-eigen`)
     /// hands the engine per-sweep relay tables. Jitter, episode, and
     /// heterogeneity scenarios are fine; death schedules are rejected up
     /// front instead of asserting inside the fabric clock mid-run.
@@ -195,7 +194,7 @@ impl BatchReport {
 /// one job share it for `Off`/`Fixed`, `Auto` converges per plan, and the
 /// first plan's choice prices the job.
 pub fn planned_jobs<'a>(
-    specs: &[JobSpec],
+    specs: &[JobSpec<'_>],
     lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
     d: usize,
 ) -> Vec<PlannedJob<'a>> {
@@ -213,7 +212,7 @@ pub fn planned_jobs<'a>(
 
 /// Solves `jobs` on a `d`-cube of threads sharing one fabric. Lowers each
 /// job to its [`CommPlan`] chain, prices the batch, lowers the policy to a
-/// concrete order, executes everything on one `run_spmd_fabric` instance,
+/// concrete order, executes everything on one `run_spmd` instance,
 /// and assembles the report.
 ///
 /// # Panics
@@ -223,7 +222,7 @@ pub fn planned_jobs<'a>(
 pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
     check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));
-    let specs: Vec<JobSpec> = jobs.iter().map(Job::to_spec).collect();
+    let specs: Vec<JobSpec<'_>> = jobs.iter().map(Job::to_spec).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
     let planned = planned_jobs(&specs, &lowered, d);
@@ -231,14 +230,7 @@ pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     let order = opts.policy.order(&planned, &machine);
     let cost = batch_cost(&planned, &machine, &order);
     // The lowering that priced the batch is the one that runs it.
-    let run = run_job_batch_planned_traced(
-        d,
-        &specs,
-        &lowered,
-        opts.fabric.clone(),
-        &order,
-        opts.trace.clone(),
-    );
+    let run = run_job_batch(d, &specs, &lowered, opts.fabric.clone(), &order, opts.trace.clone());
     let makespan = run.fabric.makespan;
     let throughput = Throughput::measure(jobs.len(), run.meter.total_volume(), makespan);
     BatchReport {

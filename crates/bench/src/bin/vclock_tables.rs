@@ -28,9 +28,9 @@ use mph_ccpipe::{
 };
 use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded_adaptive, block_jacobi_threaded_fabric, choose_qs,
-    choose_tail_qs, lower_sweeps, packetization_cap, svd_block, Adaptation, EigenResult,
-    FabricModel, JacobiOptions, Pipelining,
+    block_jacobi, block_jacobi_threaded, choose_qs, choose_tail_qs, lower_sweeps,
+    packetization_cap, svd_block, Adaptation, EigenResult, FabricModel, JacobiOptions, Pipelining,
+    ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
@@ -97,8 +97,8 @@ fn main() {
         let auto = JacobiOptions { pipelining: Pipelining::Auto(fmachine), ..base.clone() };
         let ones = choose_qs(plan, &base.pipelining, q_cap);
         let qs = choose_qs(plan, &auto.pipelining, q_cap);
-        let (_, mu, ru) = block_jacobi_threaded_fabric(&a, d, FAMILY, &base);
-        let (_, mp, rp) = block_jacobi_threaded_fabric(&a, d, FAMILY, &auto);
+        let ThreadedRun { meter: mu, fabric: ru, .. } = block_jacobi_threaded(&a, d, FAMILY, &base);
+        let ThreadedRun { meter: mp, fabric: rp, .. } = block_jacobi_threaded(&a, d, FAMILY, &auto);
         let measured = ru.makespan / rp.makespan;
         let predicted =
             executed_vtime(plan, &ones, 1, &fmachine) / executed_vtime(plan, &qs, 1, &fmachine);
@@ -165,8 +165,10 @@ fn main() {
             ..Default::default()
         };
         let on = JacobiOptions { tail_pipelining: Pipelining::Auto(tail_machine), ..off.clone() };
-        let (r_off, _, f_off) = block_jacobi_threaded_fabric(&ta, d, FAMILY, &off);
-        let (r_on, _, f_on) = block_jacobi_threaded_fabric(&ta, d, FAMILY, &on);
+        let ThreadedRun { result: r_off, fabric: f_off, .. } =
+            block_jacobi_threaded(&ta, d, FAMILY, &off);
+        let ThreadedRun { result: r_on, fabric: f_on, .. } =
+            block_jacobi_threaded(&ta, d, FAMILY, &on);
         let measured = f_off.makespan / f_on.makespan;
         let ratio = measured / predicted;
         let bitwise = same_eigen(&r_off, &r_on);
@@ -273,7 +275,8 @@ fn main() {
         fabric: FabricModel::Throttled(dg_machine),
         ..Default::default()
     };
-    let (clean, _, clean_fab) = block_jacobi_threaded_fabric(&a, d, FAMILY, &dg_base);
+    let ThreadedRun { result: clean, fabric: clean_fab, .. } =
+        block_jacobi_threaded(&a, d, FAMILY, &dg_base);
     let spec =
         |k: u64| ScenarioSpec { epochs: sweeps + 1, ..ScenarioSpec::clean(SEED + k, dg_machine) };
     let classes = [
@@ -306,10 +309,11 @@ fn main() {
                 adaptation,
                 ..dg_base.clone()
             };
-            block_jacobi_threaded_adaptive(&a, d, FAMILY, &opts)
+            block_jacobi_threaded(&a, d, FAMILY, &opts)
         };
-        let (r_adaptive, _, f_adaptive, rep) = run(Adaptation::Reactive);
-        let (_, _, f_oracle, _) = run(Adaptation::Oracle);
+        let ThreadedRun { result: r_adaptive, fabric: f_adaptive, adaptive: rep, .. } =
+            run(Adaptation::Reactive);
+        let f_oracle = run(Adaptation::Oracle).fabric;
         let over_oracle = f_adaptive.makespan / f_oracle.makespan;
         let bitwise = same_eigen(&r_adaptive, &clean);
         println!(

@@ -12,7 +12,7 @@
 //! is the convergence-measurement workhorse for Table 2: deterministic,
 //! fast, and faithful to the ordering's rotation sequence.
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
+use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
 use crate::offnorm::{diagonal_blocks, off_norm_blocks};
 use crate::options::{EigenResult, JacobiOptions};
 use mph_core::BlockPartition;
@@ -53,24 +53,7 @@ pub fn block_jacobi(
     let mut layout = BlockLayout::canonical(d);
     while !converged && sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let trace = mph_core::trace_sweep(&schedule, &layout);
-        let mut acc = SweepAccumulator::default();
-        if opts.cache_diagonals {
-            // Periodic exact refresh: recompute every M_ii once per sweep.
-            for b in blocks.iter_mut() {
-                refresh_block_diag(b, PairingRule::Implicit);
-            }
-        }
-        for (step_idx, step) in trace.steps.iter().enumerate() {
-            if step_idx == 0 {
-                // Paper step (1): intra-block pairings, every block.
-                acc.merge(kern.within(&mut tour, &mut blocks));
-            }
-            // Paper step (2): pair the two co-located blocks at each node —
-            // node-disjoint, so the whole step is one kernel call.
-            acc.merge(kern.across_step(&mut tour, &mut blocks, step));
-        }
-        layout = trace.final_layout;
+        let acc = logical_sweep(&kern, &mut tour, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
         let off = off_norm_blocks(&blocks, opts.kernel);
@@ -89,6 +72,39 @@ pub fn block_jacobi(
         b.store_u_into(&mut u);
     }
     EigenResult { eigenvalues, eigenvectors: u, sweeps, rotations, off_history, converged }
+}
+
+/// One sweep of the logical block algorithm, eigen or SVD by `kern.rule`:
+/// `schedule`'s block movements traced from `layout` (left at the sweep's
+/// final layout), every node's pairings applied in node order.
+pub(crate) fn logical_sweep(
+    kern: &SweepKernel,
+    tour: &mut Tournament,
+    blocks: &mut [ColumnBlock],
+    schedule: &SweepSchedule,
+    layout: &mut BlockLayout,
+    opts: &JacobiOptions,
+) -> SweepAccumulator {
+    let trace = mph_core::trace_sweep(schedule, layout);
+    let mut acc = SweepAccumulator::default();
+    if opts.cache_diagonals {
+        // Periodic exact refresh: recompute every cached diagonal (M_ii or
+        // ‖w_i‖²) once per sweep.
+        for b in blocks.iter_mut() {
+            refresh_block_diag(b, kern.rule);
+        }
+    }
+    for (step_idx, step) in trace.steps.iter().enumerate() {
+        if step_idx == 0 {
+            // Paper step (1): intra-block pairings, every block.
+            acc.merge(kern.within(tour, blocks.iter_mut()));
+        }
+        // Paper step (2): pair the two co-located blocks at each node —
+        // node-disjoint, so the whole step is one kernel call.
+        acc.merge(kern.across_step(tour, blocks, step));
+    }
+    *layout = trace.final_layout;
+    acc
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ use crate::pool::PairingPool;
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact};
-use mph_linalg::{KernelPath, Matrix};
+use mph_linalg::KernelPath;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -657,58 +657,6 @@ impl SweepKernel {
     }
 }
 
-/// Pairs columns `i` and `j` of the full matrices `(a, u)`, annihilating
-/// `M_ij` — the whole-matrix convenience wrapper over [`pair_view`] used by
-/// the sequential drivers and tests.
-pub fn pair_columns(
-    a: &mut Matrix,
-    u: &mut Matrix,
-    i: usize,
-    j: usize,
-    threshold: f64,
-) -> PairOutcome {
-    debug_assert!(i != j);
-    let (ai, aj) = a.col_pair_mut(i, j);
-    let (ui, uj) = u.col_pair_mut(i, j);
-    pair_view(PairViewMut { ai, ui, aj, uj, di: None, dj: None }, PairingRule::Implicit, threshold)
-}
-
-/// Pairs every column pair within `cols` (ascending `(i, j)`, `i < j`) on
-/// full matrices.
-pub fn pair_within(
-    a: &mut Matrix,
-    u: &mut Matrix,
-    cols: std::ops::Range<usize>,
-    threshold: f64,
-) -> SweepAccumulator {
-    let mut acc = SweepAccumulator::default();
-    for i in cols.clone() {
-        for j in (i + 1)..cols.end {
-            acc.absorb(pair_columns(a, u, i, j, threshold));
-        }
-    }
-    acc
-}
-
-/// Pairs every column of `left` with every column of `right` (disjoint
-/// ranges) on full matrices.
-pub fn pair_across(
-    a: &mut Matrix,
-    u: &mut Matrix,
-    left: std::ops::Range<usize>,
-    right: std::ops::Range<usize>,
-    threshold: f64,
-) -> SweepAccumulator {
-    debug_assert!(left.end <= right.start || right.end <= left.start);
-    let mut acc = SweepAccumulator::default();
-    for i in left {
-        for j in right.clone() {
-            acc.absorb(pair_columns(a, u, i, j, threshold));
-        }
-    }
-    acc
-}
-
 /// Per-sweep statistics accumulated across pairings.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepAccumulator {
@@ -744,6 +692,62 @@ mod tests {
     use super::*;
     use mph_linalg::matmul::at_b;
     use mph_linalg::symmetric::random_symmetric;
+    use mph_linalg::Matrix;
+
+    /// Pairs columns `i` and `j` of the full matrices `(a, u)`, annihilating
+    /// `M_ij` — the whole-matrix oracle the block pairings are checked against.
+    fn pair_columns(
+        a: &mut Matrix,
+        u: &mut Matrix,
+        i: usize,
+        j: usize,
+        threshold: f64,
+    ) -> PairOutcome {
+        debug_assert!(i != j);
+        let (ai, aj) = a.col_pair_mut(i, j);
+        let (ui, uj) = u.col_pair_mut(i, j);
+        pair_view(
+            PairViewMut { ai, ui, aj, uj, di: None, dj: None },
+            PairingRule::Implicit,
+            threshold,
+        )
+    }
+
+    /// Pairs every column pair within `cols` (ascending `(i, j)`, `i < j`) on
+    /// full matrices.
+    fn pair_within(
+        a: &mut Matrix,
+        u: &mut Matrix,
+        cols: std::ops::Range<usize>,
+        threshold: f64,
+    ) -> SweepAccumulator {
+        let mut acc = SweepAccumulator::default();
+        for i in cols.clone() {
+            for j in (i + 1)..cols.end {
+                acc.absorb(pair_columns(a, u, i, j, threshold));
+            }
+        }
+        acc
+    }
+
+    /// Pairs every column of `left` with every column of `right` (disjoint
+    /// ranges) on full matrices.
+    fn pair_across(
+        a: &mut Matrix,
+        u: &mut Matrix,
+        left: std::ops::Range<usize>,
+        right: std::ops::Range<usize>,
+        threshold: f64,
+    ) -> SweepAccumulator {
+        debug_assert!(left.end <= right.start || right.end <= left.start);
+        let mut acc = SweepAccumulator::default();
+        for i in left {
+            for j in right.clone() {
+                acc.absorb(pair_columns(a, u, i, j, threshold));
+            }
+        }
+        acc
+    }
 
     fn implicit_entry(a: &Matrix, u: &Matrix, i: usize, j: usize) -> f64 {
         dot(u.col(i), a.col(j))

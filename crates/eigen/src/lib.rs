@@ -46,25 +46,23 @@ pub mod twosided;
 pub use blockjacobi::block_jacobi;
 pub use harness::{convergence_stats, table2_grid, ConvergenceStats};
 pub use kernel::{
-    pair_across_blocks, pair_columns, pair_view, pair_view_with, pair_within_block,
-    refresh_block_diag, PairOutcome, PairingRule, SweepAccumulator, SweepKernel, Tournament,
+    pair_across_blocks, pair_view, pair_view_with, pair_within_block, refresh_block_diag,
+    PairOutcome, PairingRule, SweepAccumulator, SweepKernel, Tournament,
 };
 pub use mph_core::BlockPartition;
 pub use mph_linalg::block::ColumnBlock;
 pub use mph_linalg::KernelPath;
 pub use mph_runtime::{FabricModel, FabricReport};
 pub use multidrive::{
-    lower_job, run_job_batch, run_job_batch_planned_traced, run_job_service,
-    run_job_service_traced, svd_block_threaded, svd_block_threaded_fabric, BatchMsg, BatchRun,
-    BoundarySample, JobKind, JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan,
-    ServiceRun,
+    lower_job, run_job_batch, run_job_service, BatchMsg, BatchRun, BoundarySample, JobKind,
+    JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan, ServiceRun,
 };
 pub use offnorm::{diagonal_blocks, off_norm_blocks};
 pub use onesided::one_sided_cyclic;
 pub use options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 pub use svd::{svd_block, svd_cyclic, SvdResult};
 pub use threaded::{
-    block_jacobi_threaded, block_jacobi_threaded_adaptive, block_jacobi_threaded_fabric, choose_qs,
-    choose_tail_qs, lower_sweeps, lower_sweeps_with, packetization_cap, AdaptiveReport,
+    block_jacobi_threaded, block_jacobi_threaded_fabric, choose_qs, choose_tail_qs, lower_sweeps,
+    lower_sweeps_with, packetization_cap, svd_block_threaded, AdaptiveReport, ThreadedRun,
 };
 pub use twosided::two_sided_cyclic;

@@ -63,10 +63,13 @@
 //! transition and moves one ([`TrafficMeter::shipments`]). The stamp
 //! vector a round brings is the one the next round leaves with.
 //!
-//! A solo solve ([`block_jacobi_threaded`], [`svd_block_threaded`]) is a
-//! batch of one on this engine plus what only a solo run has (`Solo`):
-//! sweep markers in the trace and, on a degraded fabric, an epoch barrier
-//! per sweep, relays around dead links and mid-run re-pricing.
+//! This module is the engine only. Its three doors are [`run_job_batch`],
+//! [`run_job_service`] and, for [`crate::threaded`]'s two solo solvers
+//! ([`block_jacobi_threaded`], [`svd_block_threaded`]), `solve_solo`: a
+//! batch of one plus what only a solo run has (`Solo`, built from the
+//! job's own [`JacobiOptions::fabric`] and `adaptation`): sweep markers in
+//! the trace and, on a degraded fabric, an epoch barrier per sweep, relays
+//! around dead links and mid-run re-pricing.
 //!
 //! # Why interleave at micro-op granularity
 //!
@@ -108,6 +111,7 @@
 //! the paper's tables count.
 //!
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
+//! [`svd_block_threaded`]: crate::threaded::svd_block_threaded
 //! [`block_jacobi`]: crate::blockjacobi::block_jacobi
 //! [`svd_block`]: crate::svd::svd_block
 //! [`Pipelining`]: crate::options::Pipelining
@@ -116,7 +120,7 @@ use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKern
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{sigma_and_u_col, SvdResult};
 use crate::threaded::{
-    choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport,
+    choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport, ThreadedRun,
 };
 use mph_ccpipe::BatchOrder;
 use mph_core::{BlockPartition, CommPlan, Frame, Framing, OrderingFamily, PhaseKind};
@@ -125,8 +129,8 @@ use mph_linalg::block::ColumnBlock;
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{
-    run_spmd_fabric_jobs_traced, FabricModel, FabricReport, JobMux, Machine, Meterable, NodeCtx,
-    Scenario, SinkHandle, TraceEvent, TrafficMeter,
+    run_spmd, FabricModel, FabricReport, JobMux, Machine, Meterable, NodeCtx, Scenario, SinkHandle,
+    Spmd, SpmdRun, TraceEvent, TrafficMeter,
 };
 use std::sync::Arc;
 
@@ -139,26 +143,26 @@ pub enum JobKind {
     Svd,
 }
 
-/// One problem of a batch: the matrix, its ordering family, and the solver
-/// options. The per-job [`JacobiOptions::fabric`] field is ignored — the
-/// batch runs on the fabric the *scheduler* was given, which is the whole
-/// point of sharing one.
+/// One problem of a batch: a view of the caller's matrix, its ordering
+/// family, and the solver options. The per-job [`JacobiOptions::fabric`]
+/// field is ignored — the batch runs on the fabric the *scheduler* was
+/// given, which is the whole point of sharing one.
 #[derive(Debug, Clone)]
-pub struct JobSpec {
+pub struct JobSpec<'a> {
     pub kind: JobKind,
-    pub a: Matrix,
+    pub a: &'a Matrix,
     pub family: OrderingFamily,
     pub opts: JacobiOptions,
 }
 
-impl JobSpec {
+impl<'a> JobSpec<'a> {
     /// An eigenproblem job.
-    pub fn eigen(a: Matrix, family: OrderingFamily, opts: JacobiOptions) -> Self {
+    pub fn eigen(a: &'a Matrix, family: OrderingFamily, opts: JacobiOptions) -> Self {
         JobSpec { kind: JobKind::Eigen, a, family, opts }
     }
 
     /// An SVD job.
-    pub fn svd(a: Matrix, family: OrderingFamily, opts: JacobiOptions) -> Self {
+    pub fn svd(a: &'a Matrix, family: OrderingFamily, opts: JacobiOptions) -> Self {
         JobSpec { kind: JobKind::Svd, a, family, opts }
     }
 
@@ -181,7 +185,7 @@ impl JobSpec {
 /// differ only in the per-column payload (`rows + n` elements instead of
 /// `2m`). Public so the batch scheduler prices (`mph_ccpipe::batch_cost`)
 /// and replays (`mph_simnet`) the very plans the runtime executes.
-pub fn lower_job(spec: &JobSpec, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
+pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     let n = spec.a.cols();
     let elems_per_col = spec.a.rows() + n + usize::from(spec.opts.cache_diagonals);
     let plans = lower_sweeps_with(n, d, spec.family, elems_per_col, spec.budget());
@@ -206,11 +210,11 @@ struct JobShared {
 }
 
 fn job_shared(
-    jobs: &[JobSpec],
+    jobs: &[JobSpec<'_>],
     d: usize,
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
 ) -> Vec<JobShared> {
-    let shared = |(spec, (plans, qs)): (&JobSpec, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
+    let shared = |(spec, (plans, qs)): (&JobSpec<'_>, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
         let q_cap = packetization_cap(spec.a.cols(), d);
         let tail = &spec.opts.tail_pipelining;
         let framings = plans
@@ -466,7 +470,7 @@ enum Pos {
 /// schedule across jobs is produced by `run_job_batch`'s order walk.
 struct JobNode<'a> {
     job: u32,
-    spec: &'a JobSpec,
+    spec: &'a JobSpec<'a>,
     plans: &'a [CommPlan],
     shared: &'a JobShared,
     solo: Option<&'a Solo>,
@@ -520,7 +524,7 @@ struct JobNodeOutput {
 impl<'a> JobNode<'a> {
     fn new(
         job: u32,
-        spec: &'a JobSpec,
+        spec: &'a JobSpec<'a>,
         plans: &'a [CommPlan],
         shared: &'a JobShared,
         solo: Option<&'a Solo>,
@@ -533,9 +537,8 @@ impl<'a> JobNode<'a> {
         // The accumulated factor is n × n for both kinds: U for the
         // eigensolver, V for the SVD.
         let urows = n;
-        let slot0 = ColumnBlock::from_matrix_with_identity(&spec.a, partition.cols(node), urows);
-        let slot1 =
-            ColumnBlock::from_matrix_with_identity(&spec.a, partition.cols(node + p), urows);
+        let slot0 = ColumnBlock::from_matrix_with_identity(spec.a, partition.cols(node), urows);
+        let slot1 = ColumnBlock::from_matrix_with_identity(spec.a, partition.cols(node + p), urows);
         JobNode {
             job,
             spec,
@@ -1043,7 +1046,7 @@ impl<'a> JobNode<'a> {
 /// micro-ops run one at a time, so one set of parked helpers serves every
 /// job, sized for the job that can use the most (`workers` against the
 /// tiles of the two blocks it keeps at a node).
-fn node_tournament(jobs: &[JobSpec], d: usize) -> Tournament {
+fn node_tournament(jobs: &[JobSpec<'_>], d: usize) -> Tournament {
     let lanes = jobs.iter().map(|spec| {
         // Block 0 is the largest of the balanced partition.
         let block = BlockPartition::new(spec.a.cols(), 2 << d).size(0);
@@ -1058,31 +1061,19 @@ fn node_tournament(jobs: &[JobSpec], d: usize) -> Tournament {
 /// virtual-clock spans, the shared per-job-metered traffic meter, and the
 /// fabric report whose makespan is the batch's measured virtual time.
 ///
+/// `lowered[j]` is [`lower_job`]`(jobs[j], d)`: a scheduler lowers the
+/// plans once, to price and order the batch (`mph-batch`) and to execute
+/// it. The fabric records every job's link/barrier events (tagged with job
+/// and packet headers) into `sink`, stamped on the shared virtual clock;
+/// tracing is strictly observational — results are bitwise identical to
+/// the untraced run ([`SinkHandle::nop`]).
+///
 /// Jobs of a batch share no sweep boundary, so the run passes no barrier:
 /// on a [`FabricModel::Degraded`] fabric every sweep runs at scenario
 /// epoch 0.
 pub fn run_job_batch(
     d: usize,
-    jobs: &[JobSpec],
-    fabric: FabricModel,
-    order: &BatchOrder,
-) -> BatchRun {
-    let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
-        jobs.iter().map(|spec| lower_job(spec, d)).collect();
-    run_job_batch_planned_traced(d, jobs, &lowered, fabric, order, SinkHandle::nop())
-}
-
-/// [`run_job_batch`] with the jobs' communication already lowered
-/// (`lowered[j]` = [`lower_job`]`(jobs[j], d)`), so a scheduler that
-/// lowered the plans to price and order the batch (`mph-batch`) does not
-/// lower them a second time to execute it, and with a live trace sink: the
-/// fabric records every job's link/barrier events (tagged with job and
-/// packet headers) into `sink`, stamped on the shared virtual clock.
-/// Tracing is strictly observational — results are bitwise identical to
-/// the untraced run.
-pub fn run_job_batch_planned_traced(
-    d: usize,
-    jobs: &[JobSpec],
+    jobs: &[JobSpec<'_>],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
     fabric: FabricModel,
     order: &BatchOrder,
@@ -1096,14 +1087,15 @@ pub fn run_job_batch_planned_traced(
 /// zeros without one.
 fn run_jobs(
     d: usize,
-    jobs: &[JobSpec],
+    jobs: &[JobSpec<'_>],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
     solo: Option<&Solo>,
 ) -> (BatchRun, AdaptiveReport) {
-    let (outputs, meter, fabric_report) = run_nodes(d, jobs, lowered, fabric, order, sink, solo);
+    let SpmdRun { results: outputs, meter, fabric } =
+        run_nodes(d, jobs, lowered, fabric, order, sink, solo);
 
     // Assemble per-job global results from the per-node column shares.
     let mut results = Vec::with_capacity(jobs.len());
@@ -1122,7 +1114,7 @@ fn run_jobs(
             adaptive.rerouted_elems += o.adaptive.rerouted_elems;
         }
     }
-    (BatchRun { results, spans, meter, fabric: fabric_report }, adaptive)
+    (BatchRun { results, spans, meter, fabric }, adaptive)
 }
 
 /// The SPMD run of [`run_jobs`]: every node steps its [`JobNode`]s to
@@ -1130,24 +1122,22 @@ fn run_jobs(
 /// `[node][job]`.
 fn run_nodes(
     d: usize,
-    jobs: &[JobSpec],
+    jobs: &[JobSpec<'_>],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
     solo: Option<&Solo>,
-) -> (Vec<Vec<JobNodeOutput>>, TrafficMeter, FabricReport) {
+) -> SpmdRun<Vec<JobNodeOutput>> {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     order.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
     let shared = job_shared(jobs, d, lowered);
 
-    run_spmd_fabric_jobs_traced::<BatchMsg, Vec<JobNodeOutput>, _>(
+    run_spmd::<BatchMsg, Vec<JobNodeOutput>, _>(
         d,
-        fabric,
-        jobs.len(),
-        sink,
+        Spmd { fabric, njobs: jobs.len(), trace: sink },
         |ctx| {
             let mut nodes: Vec<JobNode> = (0..jobs.len())
                 .map(|j| {
@@ -1186,7 +1176,7 @@ fn run_nodes(
     )
 }
 
-fn assert_square_eigen_jobs(jobs: &[JobSpec]) {
+fn assert_square_eigen_jobs(jobs: &[JobSpec<'_>]) {
     for (j, spec) in jobs.iter().enumerate() {
         if spec.kind == JobKind::Eigen {
             assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
@@ -1196,16 +1186,13 @@ fn assert_square_eigen_jobs(jobs: &[JobSpec]) {
 
 /// The one solo entry: `spec` as a batch of one on the engine, on its own
 /// options' fabric and trace sink, with the [`Solo`] data its fabric calls
-/// for. Every `*_threaded*` solver is a wrapper over this.
-pub(crate) fn solve_solo(
-    spec: JobSpec,
-    d: usize,
-) -> (JobResult, TrafficMeter, FabricReport, AdaptiveReport) {
-    let lowered = [lower_job(&spec, d)];
+/// for. Both solo solvers of [`crate::threaded`] are this.
+pub(crate) fn solve_solo(spec: &JobSpec<'_>, d: usize) -> ThreadedRun<JobResult> {
+    let lowered = [lower_job(spec, d)];
     let solo = Solo::new(d, &spec.opts, spec.budget());
     let (mut run, adaptive) = run_jobs(
         d,
-        std::slice::from_ref(&spec),
+        std::slice::from_ref(spec),
         &lowered,
         spec.opts.fabric.clone(),
         &BatchOrder::Serial(vec![0]),
@@ -1213,13 +1200,13 @@ pub(crate) fn solve_solo(
         Some(&solo),
     );
     let result = run.results.pop().expect("one job, one result");
-    (result, run.meter, run.fabric, adaptive)
+    ThreadedRun { result, meter: run.meter, fabric: run.fabric, adaptive }
 }
 
 /// Merges one job's per-node column shares into its global result and
 /// virtual-clock span — the assembly both the batch and the service
 /// drivers perform once their SPMD run returns.
-fn assemble_job(spec: &JobSpec, per_node: &[&JobNodeOutput]) -> (JobResult, JobSpan) {
+fn assemble_job(spec: &JobSpec<'_>, per_node: &[&JobNodeOutput]) -> (JobResult, JobSpan) {
     let mut sweeps = 0usize;
     let mut rotations = 0u64;
     let mut converged = true;
@@ -1480,26 +1467,16 @@ struct NodeService {
 /// shared `plan`, so all nodes run the same merged op sequence and the
 /// batch driver's pairing guarantees carry over unchanged — including
 /// bitwise equality of every served job with its solo run.
+///
+/// Besides the fabric's link/barrier events, `sink` receives every
+/// admission decision — [`TraceEvent::Admit`] / [`TraceEvent::Reject`] at
+/// sweep boundaries and [`TraceEvent::Stagger`] skip assignments.
+/// Admission state is barrier-synced and identical on every node (asserted
+/// below), so those events are recorded by node 0 only — one lane is the
+/// record, not 2^d copies. Tracing never changes results.
 pub fn run_job_service(
     d: usize,
-    jobs: &[JobSpec],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-    fabric: FabricModel,
-    plan: &ServicePlan,
-) -> ServiceRun {
-    run_job_service_traced(d, jobs, lowered, fabric, plan, SinkHandle::nop())
-}
-
-/// [`run_job_service`] with a live trace sink: besides the fabric's
-/// link/barrier events, the service records every admission decision —
-/// [`TraceEvent::Admit`] / [`TraceEvent::Reject`] at sweep boundaries and
-/// [`TraceEvent::Stagger`] skip assignments. Admission state is
-/// barrier-synced and identical on every node (asserted below), so those
-/// events are recorded by node 0 only — one lane is the record, not 2^d
-/// copies. Tracing never changes results.
-pub fn run_job_service_traced(
-    d: usize,
-    jobs: &[JobSpec],
+    jobs: &[JobSpec<'_>],
     lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
     fabric: FabricModel,
     plan: &ServicePlan,
@@ -1513,8 +1490,8 @@ pub fn run_job_service_traced(
     let njobs = jobs.len();
     let throttled = matches!(fabric, FabricModel::Throttled(_));
 
-    let (node_logs, meter, fabric_report) =
-        run_spmd_fabric_jobs_traced::<BatchMsg, NodeService, _>(d, fabric, njobs, sink, |ctx| {
+    let SpmdRun { results: node_logs, meter, fabric } =
+        run_spmd::<BatchMsg, NodeService, _>(d, Spmd { fabric, njobs, trace: sink }, |ctx| {
             let mut mux = JobMux::new(ctx);
             let mut tour = node_tournament(jobs, d);
             let mut nodes: Vec<Option<JobNode>> = (0..njobs).map(|_| None).collect();
@@ -1714,46 +1691,7 @@ pub fn run_job_service_traced(
         outcomes.push(JobOutcome::Served { arrival, admitted, finish });
     }
     let boundaries = node_logs.into_iter().next().expect("at least one node").boundaries;
-    ServiceRun { results, outcomes, boundaries, meter, fabric: fabric_report }
-}
-
-/// The block one-sided Jacobi SVD on the phase machine: the same phase
-/// walk, packet pipeline, link fabric, metering and solo hooks as
-/// [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded), with
-/// the Gram pairing rule. Bitwise identical to the logical [`svd_block`]
-/// for a fixed sweep count (asserted in the tests below).
-///
-/// [`svd_block`]: crate::svd::svd_block
-pub fn svd_block_threaded(
-    a: &Matrix,
-    d: usize,
-    family: OrderingFamily,
-    opts: &JacobiOptions,
-) -> (SvdResult, TrafficMeter) {
-    let (r, meter, _) = svd_block_threaded_fabric(a, d, family, opts);
-    (r, meter)
-}
-
-/// [`svd_block_threaded`], also returning the link fabric's report (see
-/// [`block_jacobi_threaded_fabric`](crate::threaded::block_jacobi_threaded_fabric)
-/// for the semantics of the measured makespan).
-///
-/// On a [`FabricModel::Degraded`] fabric sweep `s` runs at scenario epoch
-/// `s`, as the eigensolver's always did: the solve passes a barrier per
-/// sweep, relays around the epoch's dead links and honours
-/// [`JacobiOptions::adaptation`] (see
-/// [`block_jacobi_threaded_adaptive`](crate::threaded::block_jacobi_threaded_adaptive)),
-/// and [`JacobiOptions::trace`] receives its sweep markers.
-pub fn svd_block_threaded_fabric(
-    a: &Matrix,
-    d: usize,
-    family: OrderingFamily,
-    opts: &JacobiOptions,
-) -> (SvdResult, TrafficMeter, FabricReport) {
-    match solve_solo(JobSpec::svd(a.clone(), family, opts.clone()), d) {
-        (JobResult::Svd(r), meter, fabric, _) => (r, meter, fabric),
-        _ => unreachable!("an SVD job returns an SVD result"),
-    }
+    ServiceRun { results, outcomes, boundaries, meter, fabric }
 }
 
 #[cfg(test)]
@@ -1762,10 +1700,35 @@ mod tests {
     use crate::blockjacobi::block_jacobi;
     use crate::options::Pipelining;
     use crate::svd::svd_block;
-    use crate::threaded::{block_jacobi_threaded, block_jacobi_threaded_adaptive};
+    use crate::threaded::{block_jacobi_threaded, svd_block_threaded};
     use mph_ccpipe::Machine;
     use mph_linalg::matmul::eigen_residual;
     use mph_linalg::symmetric::random_symmetric;
+
+    fn lower_all(jobs: &[JobSpec], d: usize) -> Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> {
+        jobs.iter().map(|s| lower_job(s, d)).collect()
+    }
+
+    /// One BR eigen job per matrix, all under `opts`.
+    fn br_jobs<'a>(mats: &'a [Matrix], opts: &JacobiOptions) -> Vec<JobSpec<'a>> {
+        mats.iter().map(|a| JobSpec::eigen(a, OrderingFamily::Br, opts.clone())).collect()
+    }
+
+    /// An untraced batch of freshly lowered `jobs`.
+    fn batch(d: usize, jobs: &[JobSpec], fabric: FabricModel, order: &BatchOrder) -> BatchRun {
+        run_job_batch(d, jobs, &lower_all(jobs, d), fabric, order, SinkHandle::nop())
+    }
+
+    /// An untraced service run.
+    fn service(
+        d: usize,
+        jobs: &[JobSpec],
+        lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+        fabric: FabricModel,
+        plan: &ServicePlan,
+    ) -> ServiceRun {
+        run_job_service(d, jobs, lowered, fabric, plan, SinkHandle::nop())
+    }
 
     fn assert_eigen_bitwise(a: &EigenResult, b: &EigenResult, what: &str) {
         assert_eq!(a.rotations, b.rotations, "{what}: rotations");
@@ -1788,8 +1751,8 @@ mod tests {
 
     #[test]
     fn single_eigen_job_batch_is_the_solo_threaded_run_bitwise() {
-        // The solo entry points are wrappers over a one-job engine pass:
-        // same bits, and the meter comes back through the wrapper intact.
+        // A solo solve is a one-job engine pass: same bits, and the meter
+        // comes back through `ThreadedRun` intact.
         let auto = Pipelining::Auto(Machine::paper_figure2());
         let mut inputs = Vec::new();
         for cache in [false, true] {
@@ -1811,10 +1774,11 @@ mod tests {
         for (a, opts, ds) in inputs {
             for d in ds {
                 for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
-                    let (solo, solo_meter) = block_jacobi_threaded(&a, d, family, &opts);
-                    let run = run_job_batch(
+                    let ThreadedRun { result: solo, meter: solo_meter, .. } =
+                        block_jacobi_threaded(&a, d, family, &opts);
+                    let run = batch(
                         d,
-                        &[JobSpec::eigen(a.clone(), family, opts.clone())],
+                        &[JobSpec::eigen(&a, family, opts.clone())],
                         FabricModel::Free,
                         &BatchOrder::Serial(vec![0]),
                     );
@@ -1843,9 +1807,9 @@ mod tests {
         let job = |i: usize, workers| {
             let opts = JacobiOptions { workers, force_sweeps: Some(2), ..Default::default() };
             if i == 1 {
-                JobSpec::svd(mats[i].clone(), OrderingFamily::Br, opts)
+                JobSpec::svd(&mats[i], OrderingFamily::Br, opts)
             } else {
-                JobSpec::eigen(mats[i].clone(), OrderingFamily::Br, opts)
+                JobSpec::eigen(&mats[i], OrderingFamily::Br, opts)
             }
         };
         let spawned_for =
@@ -1859,15 +1823,15 @@ mod tests {
         // Interleaved micro-op by micro-op through that one shared pool,
         // every job still equals its solo logical solve bit for bit.
         let order = BatchOrder::RoundRobin { order: vec![2, 0, 1], stride: 1 };
-        let run = run_job_batch(0, &jobs, FabricModel::Free, &order);
+        let run = batch(0, &jobs, FabricModel::Free, &order);
         for (i, spec) in jobs.iter().enumerate() {
             match &run.results[i] {
                 JobResult::Eigen(got) => {
-                    let solo = block_jacobi(&spec.a, 0, spec.family, &spec.opts);
+                    let solo = block_jacobi(spec.a, 0, spec.family, &spec.opts);
                     assert_eigen_bitwise(got, &solo, &format!("job {i}"));
                 }
                 JobResult::Svd(got) => {
-                    let solo = svd_block(&spec.a, 0, spec.family, &spec.opts);
+                    let solo = svd_block(spec.a, 0, spec.family, &spec.opts);
                     assert_svd_bitwise(got, &solo, &format!("job {i}"));
                 }
             }
@@ -1891,7 +1855,7 @@ mod tests {
                 for d in [1usize, 2] {
                     for family in OrderingFamily::ALL {
                         let logical = svd_block(&a, d, family, &opts);
-                        let (threaded, _) = svd_block_threaded(&a, d, family, &opts);
+                        let threaded = svd_block_threaded(&a, d, family, &opts).result;
                         assert_svd_bitwise(
                             &threaded,
                             &logical,
@@ -1906,8 +1870,8 @@ mod tests {
     #[test]
     fn svd_block_threaded_converges_free_running() {
         let a = random_symmetric(12, 7);
-        let (r, _) =
-            svd_block_threaded(&a, 1, OrderingFamily::PermutedBr, &JacobiOptions::default());
+        let r =
+            svd_block_threaded(&a, 1, OrderingFamily::PermutedBr, &JacobiOptions::default()).result;
         assert!(r.converged);
         let reference = svd_block(&a, 1, OrderingFamily::PermutedBr, &JacobiOptions::default());
         assert_svd_bitwise(&r, &reference, "free-running");
@@ -1934,7 +1898,8 @@ mod tests {
             trace: SinkHandle::new(ring.clone()),
             ..Default::default()
         };
-        let (threaded, _, _) = svd_block_threaded_fabric(&a, d, OrderingFamily::Br, &opts);
+        let ThreadedRun { result: threaded, adaptive, .. } =
+            svd_block_threaded(&a, d, OrderingFamily::Br, &opts);
         let logical = svd_block(&a, d, OrderingFamily::Br, &opts);
         assert_svd_bitwise(&threaded, &logical, "degraded solo svd");
         let lanes = ring.drain();
@@ -1950,6 +1915,7 @@ mod tests {
         let relays: usize =
             lanes.iter().map(|lane| count(lane, |e| matches!(e, TraceEvent::Relay { .. }))).sum();
         assert!(relays >= 1, "sweeps at epochs ≥ 1 must relay around the dead edge");
+        assert_eq!(adaptive.reroutes, relays as u64, "the SVD reports its relays like the eigen");
     }
 
     #[test]
@@ -1962,8 +1928,8 @@ mod tests {
         let opts = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
         let d = 2;
         let jobs = [
-            JobSpec::eigen(a0.clone(), OrderingFamily::Br, opts.clone()),
-            JobSpec::svd(a1.clone(), OrderingFamily::Degree4, opts.clone()),
+            JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
+            JobSpec::svd(&a1, OrderingFamily::Degree4, opts.clone()),
         ];
         let solo_e = block_jacobi(&a0, d, OrderingFamily::Br, &opts);
         let solo_s = svd_block(&a1, d, OrderingFamily::Degree4, &opts);
@@ -1971,7 +1937,7 @@ mod tests {
         {
             for stride in [1usize, 2] {
                 let order = BatchOrder::RoundRobin { order: vec![0, 1], stride };
-                let run = run_job_batch(d, &jobs, fabric.clone(), &order);
+                let run = batch(d, &jobs, fabric.clone(), &order);
                 assert_eigen_bitwise(
                     run.results[0].eigen().expect("eigen"),
                     &solo_e,
@@ -1993,16 +1959,16 @@ mod tests {
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
         let d = 2;
         let jobs = [
-            JobSpec::eigen(a0.clone(), OrderingFamily::Br, opts.clone()),
-            JobSpec::eigen(a1.clone(), OrderingFamily::PermutedBr, opts.clone()),
+            JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
+            JobSpec::eigen(&a1, OrderingFamily::PermutedBr, opts.clone()),
         ];
         let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
-        let run = run_job_batch(d, &jobs, FabricModel::Free, &order);
+        let run = batch(d, &jobs, FabricModel::Free, &order);
         // Each job's metered volume equals its solo run's.
         for (j, (family, a)) in
             [(OrderingFamily::Br, &a0), (OrderingFamily::PermutedBr, &a1)].iter().enumerate()
         {
-            let (_, solo_meter) = block_jacobi_threaded(a, d, *family, &opts);
+            let solo_meter = block_jacobi_threaded(a, d, *family, &opts).meter;
             assert_eq!(run.meter.job_volume(j), solo_meter.total_volume(), "job {j}");
             assert_eq!(run.meter.job_messages(j), solo_meter.total_messages(), "job {j}");
         }
@@ -2027,16 +1993,12 @@ mod tests {
         let machine = Machine::all_port(1000.0, 100.0);
         let fabric = FabricModel::Throttled(machine);
         let jobs = [
-            JobSpec::eigen(a0, OrderingFamily::Br, opts.clone()),
-            JobSpec::eigen(a1, OrderingFamily::Degree4, opts.clone()),
+            JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
+            JobSpec::eigen(&a1, OrderingFamily::Degree4, opts.clone()),
         ];
-        let serial = run_job_batch(d, &jobs, fabric.clone(), &BatchOrder::Serial(vec![0, 1]));
-        let inter = run_job_batch(
-            d,
-            &jobs,
-            fabric,
-            &BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 },
-        );
+        let serial = batch(d, &jobs, fabric.clone(), &BatchOrder::Serial(vec![0, 1]));
+        let inter =
+            batch(d, &jobs, fabric, &BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 });
         assert!(
             inter.fabric.makespan < serial.fabric.makespan,
             "interleaved {} vs serial {}",
@@ -2063,11 +2025,11 @@ mod tests {
         let a0 = random_symmetric(16, 21);
         let a1 = random_symmetric(10, 22);
         let jobs = [
-            JobSpec::eigen(a0.clone(), OrderingFamily::PermutedBr, JacobiOptions::default()),
-            JobSpec::svd(a1.clone(), OrderingFamily::Br, JacobiOptions::default()),
+            JobSpec::eigen(&a0, OrderingFamily::PermutedBr, JacobiOptions::default()),
+            JobSpec::svd(&a1, OrderingFamily::Br, JacobiOptions::default()),
         ];
         let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
-        let run = run_job_batch(2, &jobs, FabricModel::Free, &order);
+        let run = batch(2, &jobs, FabricModel::Free, &order);
         let e = run.results[0].eigen().expect("eigen");
         assert!(e.converged);
         assert!(eigen_residual(&a0, &e.eigenvectors, &e.eigenvalues) < 1e-6);
@@ -2083,22 +2045,17 @@ mod tests {
         assert!(err.sqrt() < 1e-8, "reconstruction error {}", err.sqrt());
     }
 
-    fn lower_all(jobs: &[JobSpec], d: usize) -> Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> {
-        jobs.iter().map(|s| lower_job(s, d)).collect()
-    }
-
     #[test]
     fn service_of_one_job_is_the_solo_run_bitwise() {
         let a = random_symmetric(16, 61);
         let opts = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
         let d = 2;
-        let (solo, _) = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
-        let jobs = [JobSpec::eigen(a, OrderingFamily::Br, opts.clone())];
+        let solo = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).result;
+        let jobs = [JobSpec::eigen(&a, OrderingFamily::Br, opts.clone())];
         let lowered = lower_all(&jobs, d);
         for fabric in [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))]
         {
-            let run =
-                run_job_service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
+            let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
             assert_eq!(run.served(), 1);
             assert_eq!(run.rejected(), 0);
             let got = run.results[0].as_ref().and_then(JobResult::eigen).expect("served");
@@ -2116,24 +2073,18 @@ mod tests {
         let opts = JacobiOptions { force_sweeps: Some(3), ..Default::default() };
         let d = 2;
         let jobs = [
-            JobSpec::eigen(a0.clone(), OrderingFamily::Br, opts.clone()),
-            JobSpec::svd(a1.clone(), OrderingFamily::Degree4, opts.clone()),
+            JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
+            JobSpec::svd(&a1, OrderingFamily::Degree4, opts.clone()),
         ];
         let lowered = lower_all(&jobs, d);
         let machine = Machine::all_port(1000.0, 100.0);
         let fabric = FabricModel::Throttled(machine);
         // First measure job 0 alone to place job 1's arrival mid-run.
-        let probe = run_job_service(
-            d,
-            &jobs[..1],
-            &lowered[..1],
-            fabric.clone(),
-            &ServicePlan::fifo(vec![0.0]),
-        );
+        let probe =
+            service(d, &jobs[..1], &lowered[..1], fabric.clone(), &ServicePlan::fifo(vec![0.0]));
         let solo_makespan = run_outcome_finish(&probe.outcomes[0]);
         let mid = solo_makespan * 0.4;
-        let run =
-            run_job_service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0, mid]));
+        let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0, mid]));
         assert_eq!(run.served(), 2);
         match run.outcomes[1] {
             JobOutcome::Served { arrival, admitted, finish } => {
@@ -2147,7 +2098,7 @@ mod tests {
             }
             ref other => panic!("job 1 should be served, got {other:?}"),
         }
-        let (solo_e, _) = block_jacobi_threaded(&a0, d, OrderingFamily::Br, &opts);
+        let solo_e = block_jacobi_threaded(&a0, d, OrderingFamily::Br, &opts).result;
         let solo_s = svd_block(&a1, d, OrderingFamily::Degree4, &opts);
         assert_eigen_bitwise(
             run.results[0].as_ref().and_then(JobResult::eigen).expect("eigen"),
@@ -2174,13 +2125,12 @@ mod tests {
         // throttled fabric: one runs, one queues, one is shed.
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
         let d = 1;
-        let jobs: Vec<JobSpec> = (0..3)
-            .map(|s| JobSpec::eigen(random_symmetric(8, 80 + s), OrderingFamily::Br, opts.clone()))
-            .collect();
+        let mats: Vec<Matrix> = (0..3).map(|s| random_symmetric(8, 80 + s)).collect();
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let plan =
             ServicePlan { queue_cap: 1, max_active: 1, ..ServicePlan::fifo(vec![0.0, 0.0, 0.0]) };
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -2205,18 +2155,15 @@ mod tests {
         // SPF-style priorities: the small one must be admitted first.
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
         let d = 1;
-        let jobs = [
-            JobSpec::eigen(random_symmetric(24, 91), OrderingFamily::Br, opts.clone()),
-            JobSpec::eigen(random_symmetric(24, 92), OrderingFamily::Br, opts.clone()),
-            JobSpec::eigen(random_symmetric(8, 93), OrderingFamily::Br, opts.clone()),
-        ];
+        let mats = [random_symmetric(24, 91), random_symmetric(24, 92), random_symmetric(8, 93)];
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let plan = ServicePlan {
             max_active: 1,
             priority: vec![10.0, 10.0, 1.0],
             ..ServicePlan::fifo(vec![0.0, 0.0, 0.0])
         };
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -2237,10 +2184,11 @@ mod tests {
         // forward instead of spinning, and the job's queue wait is 0.
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
         let d = 1;
-        let jobs = [JobSpec::eigen(random_symmetric(8, 95), OrderingFamily::Br, opts.clone())];
+        let mats = [random_symmetric(8, 95)];
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let late = 1e6;
-        let run = run_job_service(
+        let run = service(
             d,
             &jobs,
             &lowered,
@@ -2262,15 +2210,9 @@ mod tests {
     fn service_runs_are_deterministic() {
         let opts = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
         let d = 2;
-        let jobs: Vec<JobSpec> = (0..4)
-            .map(|s| {
-                JobSpec::eigen(
-                    random_symmetric(12 + 4 * (s % 2), 60 + s as u64),
-                    OrderingFamily::Br,
-                    opts.clone(),
-                )
-            })
-            .collect();
+        let mats: Vec<Matrix> =
+            (0..4).map(|s| random_symmetric(12 + 4 * (s % 2), 60 + s as u64)).collect();
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let plan = ServicePlan {
             max_active: 2,
@@ -2279,8 +2221,8 @@ mod tests {
             ..ServicePlan::fifo(vec![0.0, 10_000.0, 20_000.0, 30_000.0])
         };
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
-        let a = run_job_service(d, &jobs, &lowered, fabric.clone(), &plan);
-        let b = run_job_service(d, &jobs, &lowered, fabric.clone(), &plan);
+        let a = service(d, &jobs, &lowered, fabric.clone(), &plan);
+        let b = service(d, &jobs, &lowered, fabric.clone(), &plan);
         assert_eq!(a.outcomes, b.outcomes, "virtual-clock outcomes must not depend on scheduling");
         assert_eq!(a.boundaries, b.boundaries);
         assert_eq!(a.fabric.makespan, b.fabric.makespan);
@@ -2292,12 +2234,11 @@ mod tests {
         // collapse to 0, but queue/active bounds still apply.
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
         let d = 1;
-        let jobs: Vec<JobSpec> = (0..3)
-            .map(|s| JobSpec::eigen(random_symmetric(8, 50 + s), OrderingFamily::Br, opts.clone()))
-            .collect();
+        let mats: Vec<Matrix> = (0..3).map(|s| random_symmetric(8, 50 + s)).collect();
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let plan = ServicePlan { max_active: 2, ..ServicePlan::fifo(vec![0.0, 5_000.0, 10_000.0]) };
-        let run = run_job_service(d, &jobs, &lowered, FabricModel::Free, &plan);
+        let run = service(d, &jobs, &lowered, FabricModel::Free, &plan);
         assert_eq!(run.served(), 3);
         for o in &run.outcomes {
             assert_eq!(o.latency(), Some(0.0), "a free fabric has no virtual latency");
@@ -2314,21 +2255,14 @@ mod tests {
         // overlaps. De-phasing must not cost anything and must win here.
         let opts = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
         let d = 2;
-        let jobs = [
-            JobSpec::eigen(random_symmetric(32, 55), OrderingFamily::Br, opts.clone()),
-            JobSpec::eigen(random_symmetric(32, 56), OrderingFamily::Br, opts.clone()),
-        ];
+        let mats = [random_symmetric(32, 55), random_symmetric(32, 56)];
+        let jobs = br_jobs(&mats, &opts);
         let lowered = lower_all(&jobs, d);
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
         let base = ServicePlan { stagger_key: vec![7, 7], ..ServicePlan::fifo(vec![0.0, 0.0]) };
-        let in_phase = run_job_service(d, &jobs, &lowered, fabric.clone(), &base);
-        let staggered = run_job_service(
-            d,
-            &jobs,
-            &lowered,
-            fabric,
-            &ServicePlan { stagger_slots: 2, ..base.clone() },
-        );
+        let in_phase = service(d, &jobs, &lowered, fabric.clone(), &base);
+        let staggered =
+            service(d, &jobs, &lowered, fabric, &ServicePlan { stagger_slots: 2, ..base.clone() });
         assert!(
             staggered.fabric.makespan < in_phase.fabric.makespan,
             "staggered {} vs in-phase {}",
@@ -2351,7 +2285,7 @@ mod tests {
         // A Serial([0]) batch is the solo threaded run: same bits AND the
         // same measured virtual makespan — with the tail whole-block and
         // chained alike, forced and free-running — and a clean fabric
-        // leaves the wrapper's adaptive report empty.
+        // leaves the solo run's adaptive report empty.
         let machine = Machine::all_port(500.0, 10.0);
         let auto = Pipelining::Auto(machine);
         let forced = |tail| JacobiOptions {
@@ -2366,11 +2300,11 @@ mod tests {
         {
             let a = random_symmetric(m, 44);
             let opts = JacobiOptions { fabric: FabricModel::Throttled(machine), ..opts };
-            let (_, _, solo_report, adaptive) =
-                block_jacobi_threaded_adaptive(&a, 2, OrderingFamily::Br, &opts);
-            let run = run_job_batch(
+            let ThreadedRun { fabric: solo_report, adaptive, .. } =
+                block_jacobi_threaded(&a, 2, OrderingFamily::Br, &opts);
+            let run = batch(
                 2,
-                &[JobSpec::eigen(a.clone(), OrderingFamily::Br, opts.clone())],
+                &[JobSpec::eigen(&a, OrderingFamily::Br, opts.clone())],
                 FabricModel::Throttled(machine),
                 &BatchOrder::Serial(vec![0]),
             );
@@ -2405,14 +2339,14 @@ mod tests {
                     ..base.clone()
                 };
                 let jobs = [
-                    JobSpec::eigen(a0.clone(), OrderingFamily::Br, opts.clone()),
-                    JobSpec::svd(a1.clone(), OrderingFamily::Degree4, opts.clone()),
+                    JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
+                    JobSpec::svd(&a1, OrderingFamily::Degree4, opts.clone()),
                 ];
                 for fabric in
                     [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))]
                 {
                     let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 2 };
-                    let run = run_job_batch(d, &jobs, fabric.clone(), &order);
+                    let run = batch(d, &jobs, fabric.clone(), &order);
                     assert_eigen_bitwise(
                         run.results[0].eigen().expect("eigen"),
                         &solo_e,

@@ -100,9 +100,8 @@ pub struct JacobiOptions {
     /// drivers). [`FabricModel::Free`] is the raw channel transport;
     /// [`FabricModel::Throttled`] charges every message `Ts + S·Tw`
     /// against the machine's port configuration on a deterministic
-    /// virtual clock, so `block_jacobi_threaded_fabric` reports a
-    /// *measured* communication makespan comparable against the cost
-    /// model; [`FabricModel::Degraded`] runs a seeded per-link impairment
+    /// virtual clock, so `ThreadedRun::fabric` reports a *measured*
+    /// communication makespan comparable against the cost model; [`FabricModel::Degraded`] runs a seeded per-link impairment
     /// scenario (heterogeneity, jitter walks, episodes, link death) on the
     /// same clock. The fabric only stamps time — it never reorders the
     /// protocol — so any setting produces the same bits, impaired runs

@@ -18,7 +18,8 @@
 //! [`PairingRule::Gram`] — the SVD is the third consumer of the one pairing
 //! kernel, not a reimplementation.
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
+use crate::blockjacobi::logical_sweep;
+use crate::kernel::{refresh_block_diag, PairingRule, SweepKernel};
 use crate::options::JacobiOptions;
 use mph_core::BlockPartition;
 use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
@@ -161,20 +162,7 @@ pub fn svd_block(a: &Matrix, d: usize, family: OrderingFamily, opts: &JacobiOpti
     let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
     while sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let trace = mph_core::trace_sweep(&schedule, &layout);
-        let mut acc = SweepAccumulator::default();
-        if opts.cache_diagonals {
-            for b in blocks.iter_mut() {
-                refresh_block_diag(b, PairingRule::Gram);
-            }
-        }
-        for (step_idx, step) in trace.steps.iter().enumerate() {
-            if step_idx == 0 {
-                acc.merge(kern.within(&mut tour, &mut blocks));
-            }
-            acc.merge(kern.across_step(&mut tour, &mut blocks, step));
-        }
-        layout = trace.final_layout;
+        let acc = logical_sweep(&kern, &mut tour, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
         if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {

@@ -18,8 +18,7 @@
 use mph_ccpipe::{plan_cost_with_tail, plan_unpipelined_cost, Machine, PortModel};
 use mph_core::OrderingFamily;
 use mph_eigen::{
-    block_jacobi_threaded_fabric, lower_sweeps, packetization_cap, FabricModel, JacobiOptions,
-    Pipelining,
+    block_jacobi_threaded, lower_sweeps, packetization_cap, FabricModel, JacobiOptions, Pipelining,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_linalg::Matrix;
@@ -41,7 +40,7 @@ fn measured_sweep(a: &Matrix, family: OrderingFamily, ports: PortModel) -> f64 {
         fabric: FabricModel::Throttled(machine(ports)),
         ..Default::default()
     };
-    block_jacobi_threaded_fabric(a, D, family, &opts).2.makespan
+    block_jacobi_threaded(a, D, family, &opts).fabric.makespan
 }
 
 /// The paper's stage model for the same plan and packet counts — a
@@ -125,7 +124,7 @@ fn shallow_pipelining_pays_only_where_the_model_says_it_does() {
             fabric: FabricModel::Throttled(machine(ports)),
             ..Default::default()
         };
-        block_jacobi_threaded_fabric(&a, D, OrderingFamily::Degree4, &opts).2.makespan
+        block_jacobi_threaded(&a, D, OrderingFamily::Degree4, &opts).fabric.makespan
     };
     let plan = &lower_sweeps(M, D, OrderingFamily::Degree4, false, 1)[0];
 

@@ -9,10 +9,7 @@
 
 use mph_ccpipe::Machine;
 use mph_core::OrderingFamily;
-use mph_eigen::{
-    block_jacobi_threaded_adaptive, block_jacobi_threaded_fabric, Adaptation, FabricModel,
-    JacobiOptions,
-};
+use mph_eigen::{block_jacobi_threaded, Adaptation, FabricModel, JacobiOptions, ThreadedRun};
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
 use std::sync::Arc;
@@ -28,7 +25,8 @@ fn every_class_is_bitwise_clean_near_the_oracle_and_never_faster_than_clean() {
         fabric: FabricModel::Throttled(machine),
         ..Default::default()
     };
-    let (clean, _, clean_fab) = block_jacobi_threaded_fabric(&a, d, family, &base);
+    let ThreadedRun { result: clean, fabric: clean_fab, .. } =
+        block_jacobi_threaded(&a, d, family, &base);
     let spec =
         |k: u64| ScenarioSpec { epochs: sweeps + 1, ..ScenarioSpec::clean(seed + k, machine) };
     let classes = [
@@ -60,10 +58,11 @@ fn every_class_is_bitwise_clean_near_the_oracle_and_never_faster_than_clean() {
                 adaptation,
                 ..base.clone()
             };
-            block_jacobi_threaded_adaptive(&a, d, family, &opts)
+            block_jacobi_threaded(&a, d, family, &opts)
         };
-        let (reactive, _, reactive_fab, report) = run(Adaptation::Reactive);
-        let (_, _, oracle_fab, _) = run(Adaptation::Oracle);
+        let ThreadedRun { result: reactive, fabric: reactive_fab, adaptive: report, .. } =
+            run(Adaptation::Reactive);
+        let oracle_fab = run(Adaptation::Oracle).fabric;
 
         assert_eq!(reactive.rotations, clean.rotations, "{name}: rotations");
         assert_eq!(reactive.eigenvalues, clean.eigenvalues, "{name}: eigenvalues");

@@ -19,6 +19,8 @@ use mph_eigen::{
     JobSpec, Pipelining,
 };
 use mph_linalg::symmetric::random_symmetric;
+use mph_linalg::Matrix;
+use mph_runtime::SinkHandle;
 use proptest::prelude::*;
 
 fn machine_strategy() -> impl Strategy<Value = Machine> {
@@ -54,14 +56,21 @@ fn job_strategy() -> impl Strategy<Value = Vec<JobDraw>> {
     proptest::collection::vec((problem, schedule), 1..=4)
 }
 
-/// The drawn jobs on a `d`-cube; `ragged` extra columns make every
-/// partition uneven.
-fn specs(draws: &[JobDraw], d: usize, ragged: usize, machine: Machine, seed: u64) -> Vec<JobSpec> {
+/// The drawn jobs' matrices on a `d`-cube; `ragged` extra columns make
+/// every partition uneven.
+fn matrices(draws: &[JobDraw], d: usize, ragged: usize, seed: u64) -> Vec<Matrix> {
+    let draw = |(i, &((cols, ..), _)): (usize, &JobDraw)| {
+        random_symmetric(cols * (2 << d) + ragged, seed + i as u64)
+    };
+    draws.iter().enumerate().map(draw).collect()
+}
+
+/// The drawn jobs over their [`matrices`].
+fn specs<'a>(draws: &[JobDraw], mats: &'a [Matrix], machine: Machine) -> Vec<JobSpec<'a>> {
     draws
         .iter()
-        .enumerate()
-        .map(|(i, &((cols, family, svd, sweeps), (exchange, tail, cache)))| {
-            let a = random_symmetric(cols * (2 << d) + ragged, seed + i as u64);
+        .zip(mats)
+        .map(|(&((_, family, svd, sweeps), (exchange, tail, cache)), a)| {
             let opts = JacobiOptions {
                 force_sweeps: Some(sweeps),
                 pipelining: pipelining(exchange, machine),
@@ -107,7 +116,8 @@ fn measure_and_predict(
         })
         .collect();
     let predicted = executed_cost(&planned, &machine, order);
-    let run = run_job_batch(d, specs, FabricModel::Throttled(machine), order);
+    let fabric = FabricModel::Throttled(machine);
+    let run = run_job_batch(d, specs, &lowered, fabric, order, SinkHandle::nop());
     let measured =
         std::iter::once(run.fabric.makespan).chain(run.spans.iter().map(|s| s.finish)).collect();
     (measured, std::iter::once(predicted.makespan).chain(predicted.finish).collect())
@@ -125,7 +135,8 @@ proptest! {
         stride in 0usize..=5,
         seed in 0u64..1000,
     ) {
-        let specs = specs(&draws, d, 0, machine, seed);
+        let mats = matrices(&draws, d, 0, seed);
+        let specs = specs(&draws, &mats, machine);
         let order = order(specs.len(), rot, stride);
         let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
         for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {
@@ -146,7 +157,8 @@ proptest! {
         stride in 0usize..=5,
         seed in 0u64..1000,
     ) {
-        let specs = specs(&draws, d, ragged, machine, seed);
+        let mats = matrices(&draws, d, ragged, seed);
+        let specs = specs(&draws, &mats, machine);
         let order = order(specs.len(), rot, stride);
         let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
         for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {

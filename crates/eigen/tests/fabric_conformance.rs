@@ -23,9 +23,7 @@ use mph_ccpipe::{
     executed_cost, plan_cost_with_tail, plan_unpipelined_cost, BatchOrder, Machine, PlannedJob,
 };
 use mph_core::OrderingFamily;
-use mph_eigen::{
-    block_jacobi_threaded_fabric, lower_sweeps, FabricModel, JacobiOptions, Pipelining,
-};
+use mph_eigen::{block_jacobi_threaded, lower_sweeps, FabricModel, JacobiOptions, Pipelining};
 use mph_linalg::symmetric::random_symmetric;
 use mph_simnet::{
     plan_pipelined_schedule, plan_unpipelined_schedule, simulate_synchronized, StartupModel,
@@ -52,7 +50,7 @@ fn unpipelined_measured_simulated_and_priced_agree_exactly() {
                 fabric: FabricModel::Throttled(machine),
                 ..Default::default()
             };
-            let (_, _, report) = block_jacobi_threaded_fabric(&a, d, family, &opts);
+            let report = block_jacobi_threaded(&a, d, family, &opts).fabric;
             let plans = lower_sweeps(m, d, family, false, sweeps);
             let priced: f64 = plans.iter().map(|p| plan_unpipelined_cost(p, &machine)).sum();
             let simulated: f64 = plans
@@ -108,7 +106,7 @@ fn pipelined_measured_time_tracks_the_simulated_phase_times() {
                 fabric: FabricModel::Throttled(machine),
                 ..Default::default()
             };
-            let (_, _, report) = block_jacobi_threaded_fabric(&a, d, family, &opts);
+            let report = block_jacobi_threaded(&a, d, family, &opts).fabric;
             assert!(
                 (report.makespan - executed).abs() <= 1e-9 * executed,
                 "{family} q={q}: measured {} vs executed schedule {executed}",
@@ -152,8 +150,8 @@ fn pipelined_measured_speedup_lands_within_20pct_of_the_model() {
         let plan = &lower_sweeps(m, d, family, false, 1)[0];
         let q_cap = mph_eigen::packetization_cap(m, d);
         let qs = mph_eigen::choose_qs(plan, &auto.pipelining, q_cap);
-        let (_, _, ru) = block_jacobi_threaded_fabric(&a, d, family, &base);
-        let (_, _, rp) = block_jacobi_threaded_fabric(&a, d, family, &auto);
+        let ru = block_jacobi_threaded(&a, d, family, &base).fabric;
+        let rp = block_jacobi_threaded(&a, d, family, &auto).fabric;
         let measured = ru.makespan / rp.makespan;
         let predicted = plan_unpipelined_cost(plan, &machine)
             / plan_cost_with_tail(plan, &machine, &qs, 1).total;

@@ -141,9 +141,9 @@ fn solve(solver: Solver, case: usize) -> u64 {
         Solver::SvdBlock => {
             svd_checksum(&svd_block(&random_rect(m + 7, m, seed), d, family, &opts))
         }
-        Solver::BlockJacobiThreaded => {
-            eigen_checksum(&block_jacobi_threaded(&random_symmetric(m, seed), d, family, &opts).0)
-        }
+        Solver::BlockJacobiThreaded => eigen_checksum(
+            &block_jacobi_threaded(&random_symmetric(m, seed), d, family, &opts).result,
+        ),
     }
 }
 

@@ -16,7 +16,7 @@ use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
     lower_sweeps_with, packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock,
-    FabricModel, JacobiOptions, JobSpec, PairingRule, Pipelining,
+    FabricModel, JacobiOptions, JobSpec, PairingRule, Pipelining, ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_linalg::Matrix;
@@ -82,7 +82,7 @@ proptest! {
             fabric,
             ..Default::default()
         };
-        let (_, meter) = block_jacobi_threaded(&a, d, family, &base);
+        let meter = block_jacobi_threaded(&a, d, family, &base).meter;
         prop_assert_eq!(&meter.volume_by_dim(), &predicted, "unpipelined meter vs plan");
         let sim: Vec<u64> = plans
             .iter()
@@ -97,7 +97,7 @@ proptest! {
 
         // Pipelined execution with Fixed(q) vs the same plan, same qs.
         let piped = JacobiOptions { pipelining: Pipelining::Fixed(q), ..base.clone() };
-        let (_, meter_q) = block_jacobi_threaded(&a, d, family, &piped);
+        let meter_q = block_jacobi_threaded(&a, d, family, &piped).meter;
         prop_assert_eq!(&meter_q.volume_by_dim(), &predicted, "pipelined meter vs plan");
         let sim_q: Vec<u64> = plans
             .iter()
@@ -172,7 +172,7 @@ fn alignment_pads_are_never_metered() {
                 pipelining,
                 ..Default::default()
             };
-            let (_, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
+            let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
             assert_eq!(meter.volume_by_dim(), predicted, "cache={cache} {pipelining:?}");
         }
     }
@@ -198,7 +198,8 @@ fn every_port_model_preserves_bitwise_equality_across_q() {
                 fabric: fabric.clone(),
                 ..base.clone()
             };
-            let (r, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts);
+            let ThreadedRun { result: r, meter, .. } =
+                block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts);
             assert_eq!(r.rotations, logical.rotations, "{ports:?} q={q}");
             for c in 0..m {
                 assert_eq!(r.eigenvalues[c], logical.eigenvalues[c], "{ports:?} q={q} λ_{c}");
@@ -227,14 +228,15 @@ fn boundary_degrees_are_bitwise_identical_and_traffic_exact() {
     let reference = block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &base);
     let plans = lower_sweeps(m, d, OrderingFamily::Degree4, false, 2);
     let predicted = predicted_volume(&plans, d);
-    assert_eq!(reference.1.volume_by_dim(), predicted);
+    assert_eq!(reference.meter.volume_by_dim(), predicted);
     for q in [1usize, k, k + 1, 3 * k] {
         let opts = JacobiOptions { pipelining: Pipelining::Fixed(q), ..base.clone() };
-        let (r, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts);
-        assert_eq!(r.rotations, reference.0.rotations, "q={q}");
+        let ThreadedRun { result: r, meter, .. } =
+            block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts);
+        assert_eq!(r.rotations, reference.result.rotations, "q={q}");
         for c in 0..m {
-            assert_eq!(r.eigenvalues[c], reference.0.eigenvalues[c], "q={q} λ_{c}");
-            assert_eq!(r.eigenvectors.col(c), reference.0.eigenvectors.col(c), "q={q} u_{c}");
+            assert_eq!(r.eigenvalues[c], reference.result.eigenvalues[c], "q={q} λ_{c}");
+            assert_eq!(r.eigenvectors.col(c), reference.result.eigenvectors.col(c), "q={q} u_{c}");
         }
         assert_eq!(meter.volume_by_dim(), predicted, "q={q}");
     }
@@ -267,9 +269,18 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
             };
             let logical = block_jacobi(&a, d, OrderingFamily::Degree4, &base);
             let run = |opts: &JacobiOptions| {
-                let spec = JobSpec::eigen(a.clone(), OrderingFamily::Degree4, opts.clone());
-                let run = run_job_batch(d, std::slice::from_ref(&spec), fabric.clone(), &order);
-                (spec, run)
+                let spec = JobSpec::eigen(&a, OrderingFamily::Degree4, opts.clone());
+                let lowered = [lower_job(&spec, d)];
+                let run = run_job_batch(
+                    d,
+                    std::slice::from_ref(&spec),
+                    &lowered,
+                    fabric.clone(),
+                    &order,
+                    SinkHandle::nop(),
+                );
+                let [lowered] = lowered;
+                (lowered, run)
             };
             let (_, whole) = run(&base);
             assert_eq!(whole.meter.shipments(), whole.meter.total_messages(), "Q = 1: one each");
@@ -281,10 +292,9 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
                         tail_pipelining: tail,
                         ..base.clone()
                     };
-                    let (spec, piped) = run(&opts);
+                    let ((plans, qs), piped) = run(&opts);
                     assert_eq!(piped.meter.shipments(), whole.meter.shipments(), "{what}");
 
-                    let (plans, qs) = lower_job(&spec, d);
                     let tail_q = choose_tail_qs(&plans[0], &tail, packetization_cap(a.cols(), d));
                     let packets: u64 =
                         plans.iter().zip(&qs).map(|(p, qs)| p.messages_with_tail(qs, tail_q)).sum();
@@ -357,7 +367,7 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
         trace: SinkHandle::new(ring.clone()),
         ..Default::default()
     };
-    let (_, meter) = block_jacobi_threaded(&random_symmetric(m, 8), d, OrderingFamily::Br, &opts);
+    let meter = block_jacobi_threaded(&random_symmetric(m, 8), d, OrderingFamily::Br, &opts).meter;
     let mut empties = 0u64;
     for lane in ring.drain() {
         let mut issued_before = 0.0;

@@ -212,10 +212,10 @@ proptest! {
             workers: 1,
             ..Default::default()
         };
-        let (reference, _) = block_jacobi_threaded(&a, 1, family, &base);
+        let reference = block_jacobi_threaded(&a, 1, family, &base).result;
         for workers in [2usize, 4, 8] {
             let opts = JacobiOptions { workers, ..base.clone() };
-            let (r, _) = block_jacobi_threaded(&a, 1, family, &opts);
+            let r = block_jacobi_threaded(&a, 1, family, &opts).result;
             prop_assert_eq!(r.rotations, reference.rotations, "workers={}", workers);
             prop_assert_eq!(r.sweeps, reference.sweeps, "workers={}", workers);
             for c in 0..12 {
@@ -248,12 +248,12 @@ proptest! {
             fabric,
             ..Default::default()
         };
-        let (reference, _) = block_jacobi_threaded(&a, d, family, &base);
+        let reference = block_jacobi_threaded(&a, d, family, &base).result;
         let auto = Pipelining::Auto(Machine::all_port(1000.0, 100.0));
         for tail in [Pipelining::Fixed(1), Pipelining::Fixed(2), Pipelining::Fixed(5),
                      Pipelining::Fixed(8), auto] {
             let opts = JacobiOptions { tail_pipelining: tail, ..base.clone() };
-            let (r, _) = block_jacobi_threaded(&a, d, family, &opts);
+            let r = block_jacobi_threaded(&a, d, family, &opts).result;
             prop_assert_eq!(r.rotations, reference.rotations, "{:?}", tail);
             prop_assert_eq!(r.sweeps, reference.sweeps, "{:?}", tail);
             for c in 0..12 {
@@ -268,7 +268,7 @@ proptest! {
 
 // ---- degraded-fabric scenario properties -------------------------------
 
-use mph_eigen::{block_jacobi_threaded_adaptive, Adaptation};
+use mph_eigen::{Adaptation, ThreadedRun};
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
 use std::sync::Arc;
 
@@ -323,13 +323,13 @@ proptest! {
         // bit-for-bit from the seed.
         let d = 2;
         let base = JacobiOptions { force_sweeps: Some(sweeps), ..Default::default() };
-        let (clean, _) = block_jacobi_threaded(&a, d, family, &base);
+        let clean = block_jacobi_threaded(&a, d, family, &base).result;
         let opts = JacobiOptions {
             fabric: FabricModel::Degraded(scenario),
             adaptation,
             ..base
         };
-        let (r1, _, f1, ad1) = block_jacobi_threaded_adaptive(&a, d, family, &opts);
+        let ThreadedRun { result: r1, fabric: f1, adaptive: ad1, .. } = block_jacobi_threaded(&a, d, family, &opts);
         prop_assert_eq!(r1.rotations, clean.rotations, "{:?}", adaptation);
         for c in 0..16 {
             prop_assert_eq!(r1.eigenvalues[c], clean.eigenvalues[c], "λ_{}", c);
@@ -338,7 +338,7 @@ proptest! {
         prop_assert!(f1.makespan.is_finite() && f1.makespan > 0.0);
         // Replay: the same scenario yields the exact same virtual clock
         // and adaptive behavior.
-        let (r2, _, f2, ad2) = block_jacobi_threaded_adaptive(&a, d, family, &opts);
+        let ThreadedRun { result: r2, fabric: f2, adaptive: ad2, .. } = block_jacobi_threaded(&a, d, family, &opts);
         prop_assert_eq!(f1.makespan.to_bits(), f2.makespan.to_bits(), "replay makespan");
         prop_assert_eq!(ad1, ad2, "replay adaptive report");
         prop_assert_eq!(r1.rotations, r2.rotations);
@@ -362,10 +362,10 @@ proptest! {
                 adaptation: Adaptation::Reactive,
                 ..Default::default()
             };
-            block_jacobi_threaded_adaptive(&a, d, OrderingFamily::Degree4, &opts)
+            block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts)
         };
-        let (r1, _, f1, ad1) = run(1);
-        let (r2, _, f2, ad2) = run(2);
+        let ThreadedRun { result: r1, fabric: f1, adaptive: ad1, .. } = run(1);
+        let ThreadedRun { result: r2, fabric: f2, adaptive: ad2, .. } = run(2);
         prop_assert_eq!(f1.makespan.to_bits(), f2.makespan.to_bits());
         prop_assert_eq!(ad1, ad2);
         prop_assert_eq!(r1.rotations, r2.rotations);

@@ -133,13 +133,21 @@ pub fn gather<M: Send + Meterable + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmd::run_spmd;
+    use crate::spmd::{run_spmd, Spmd};
+
+    /// `body` on a default (free, untraced) `d`-cube; the per-node results.
+    fn on_cube<M: Send + Meterable, R: Send>(
+        d: usize,
+        body: impl Fn(&NodeCtx<'_, M>) -> R + Sync,
+    ) -> Vec<R> {
+        run_spmd(d, Spmd::default(), body).results
+    }
 
     #[test]
     fn broadcast_reaches_all_nodes() {
         for d in 0..=4 {
             for root in [0usize, (1 << d) - 1] {
-                let results = run_spmd::<u64, u64, _>(d, move |ctx| {
+                let results = on_cube::<u64, u64>(d, move |ctx| {
                     let value = if ctx.id() == root { Some(42u64) } else { None };
                     broadcast(ctx, root, value)
                 });
@@ -152,7 +160,7 @@ mod tests {
     fn broadcast_from_interior_root() {
         let d = 3;
         let root = 5;
-        let results = run_spmd::<u64, u64, _>(d, move |ctx| {
+        let results = on_cube::<u64, u64>(d, move |ctx| {
             let value = if ctx.id() == root { Some(7u64) } else { None };
             broadcast(ctx, root, value)
         });
@@ -162,9 +170,8 @@ mod tests {
     #[test]
     fn all_gather_collects_everything_in_order() {
         for d in 0..=4 {
-            let results = run_spmd::<u64, Vec<Option<u64>>, _>(d, |ctx| {
-                all_gather(ctx, (ctx.id() * 10) as u64)
-            });
+            let results =
+                on_cube::<u64, Vec<Option<u64>>>(d, |ctx| all_gather(ctx, (ctx.id() * 10) as u64));
             for got in results {
                 let flat: Vec<u64> = got.into_iter().map(|v| v.unwrap()).collect();
                 let want: Vec<u64> = (0..(1u64 << d)).map(|i| i * 10).collect();
@@ -176,7 +183,7 @@ mod tests {
     #[test]
     fn all_reduce_product() {
         let results =
-            run_spmd::<f64, f64, _>(3, |ctx| all_reduce(ctx, (ctx.id() + 1) as f64, |a, b| a * b));
+            on_cube::<f64, f64>(3, |ctx| all_reduce(ctx, (ctx.id() + 1) as f64, |a, b| a * b));
         let want = (1..=8).product::<usize>() as f64;
         for r in results {
             assert_eq!(r, want);
@@ -187,7 +194,7 @@ mod tests {
     fn gather_assembles_at_root_only() {
         for d in 1..=4 {
             let root = (1usize << d) - 1;
-            let results = run_spmd::<u64, Option<Vec<Option<u64>>>, _>(d, move |ctx| {
+            let results = on_cube::<u64, Option<Vec<Option<u64>>>>(d, move |ctx| {
                 gather(ctx, root, ctx.id() as u64 + 100)
             });
             for (n, r) in results.into_iter().enumerate() {

@@ -24,8 +24,8 @@
 //! the lock, the barrier epoch, per-link scenario machines and tracing.
 //!
 //! The clocks are max-plus dataflow over the FIFO channel order, so the
-//! measured makespan (`max` over the nodes' final clocks, reported by
-//! [`run_spmd_fabric`](crate::spmd::run_spmd_fabric)) is **deterministic**:
+//! measured makespan (`max` over the nodes' final clocks, reported in
+//! [`SpmdRun::fabric`](crate::spmd::SpmdRun::fabric)) is **deterministic**:
 //! it depends only on the program's message pattern and the machine
 //! parameters, never on OS scheduling. That is what lets tests and benches
 //! compare *measured* phase times against the analytic model and the
@@ -61,7 +61,7 @@
 use crate::machine::{FabricStats, Machine, PortModel};
 use crate::nodeclock::NodeClock;
 use crate::scenario::Scenario;
-use crate::spmd::run_spmd;
+use crate::spmd::{run_spmd, Spmd};
 use crate::trace::{SinkHandle, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -404,7 +404,7 @@ impl SharedClock {
 pub fn measure_channel_fabric(d: usize, sizes: &[usize], reps: usize) -> FabricStats {
     assert!(!sizes.is_empty() && reps >= 1);
     let pooled = Mutex::new(FabricStats::new());
-    run_spmd::<Vec<f64>, (), _>(d, |ctx| {
+    run_spmd::<Vec<f64>, (), _>(d, Spmd::default(), |ctx| {
         let mut local = FabricStats::new();
         for &elems in sizes {
             // Pre-build the payloads: allocation/zeroing is message

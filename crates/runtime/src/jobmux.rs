@@ -79,8 +79,7 @@ impl<'c, 'n, M: Send + Meterable> JobMux<'c, 'n, M> {
 mod tests {
     use super::*;
     use crate::fabric::FabricModel;
-    use crate::spmd::run_spmd_fabric_jobs_traced;
-    use crate::trace::SinkHandle;
+    use crate::spmd::{run_spmd, Spmd, SpmdRun};
 
     /// A two-job wire protocol: every message is one tagged f64.
     #[derive(Debug, Clone, PartialEq)]
@@ -104,11 +103,9 @@ mod tests {
         // Sender order on dim 0: job1, job0, job1, job0. The receiver asks
         // job 0 first: the mux must stash job 1's messages and hand each
         // job its own messages in send order.
-        let (results, meter, _) = run_spmd_fabric_jobs_traced::<Tagged, Vec<(u32, f64)>, _>(
+        let SpmdRun { results, meter, .. } = run_spmd::<Tagged, Vec<(u32, f64)>, _>(
             1,
-            FabricModel::Free,
-            2,
-            SinkHandle::nop(),
+            Spmd { njobs: 2, ..Spmd::default() },
             |ctx| {
                 let base = ctx.id() as f64 * 10.0;
                 for (job, v) in [(1u32, 0.0), (0, 1.0), (1, 2.0), (0, 3.0)] {
@@ -142,11 +139,9 @@ mod tests {
         // job 0's second. Receiving job 0 first must not lose or reorder
         // job 1's stamp.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 1.0));
-        let (results, _, _) = run_spmd_fabric_jobs_traced::<Tagged, (f64, f64), _>(
+        let results = run_spmd::<Tagged, (f64, f64), _>(
             1,
-            fabric,
-            2,
-            SinkHandle::nop(),
+            Spmd { fabric, njobs: 2, ..Spmd::default() },
             |ctx| {
                 ctx.send(0, Tagged { job: 1, v: 1.0 }); // stamp 10 + 1 = 11
                 ctx.send(0, Tagged { job: 0, v: 0.0 }); // stamp 20 + 1 = 21
@@ -155,7 +150,8 @@ mod tests {
                 let (_, s1) = mux.recv_for(0, 1);
                 (s0, s1)
             },
-        );
+        )
+        .results;
         for (s0, s1) in results {
             assert_eq!(s1, 11.0, "job 1's stamp is its own send time");
             assert_eq!(s0, 21.0);

@@ -14,7 +14,7 @@
 //!
 //! * **enforcement** — [`fabric`]: a throttled link layer charging every
 //!   message `Ts + S·Tw` against the port configuration on a
-//!   deterministic virtual clock ([`run_spmd_fabric`]);
+//!   deterministic virtual clock ([`Spmd::fabric`]);
 //! * **measurement** — [`measure_channel_fabric`] probes the live channel
 //!   transport with a wall clock and [`Machine::calibrate`] fits `Ts`/`Tw`
 //!   to the samples, so schedulers can optimize for the machine they
@@ -39,7 +39,5 @@ pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
 pub use nodeclock::{NodeClock, SendTimes};
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
-pub use spmd::{
-    run_spmd, run_spmd_fabric, run_spmd_fabric_jobs_traced, run_spmd_metered, Meterable, NodeCtx,
-};
+pub use spmd::{run_spmd, Meterable, NodeCtx, Spmd, SpmdRun};
 pub use trace::{NopSink, RingSink, SinkHandle, TraceEvent, TraceSink};

@@ -12,7 +12,7 @@
 //! Every message travels in an envelope carrying a virtual-time arrival
 //! stamp from the sender's [`LinkClock`]. Under the default
 //! [`FabricModel::Free`] the stamps are zero and the clocks idle; under
-//! [`FabricModel::Throttled`] ([`run_spmd_fabric`]) each send is charged
+//! [`FabricModel::Throttled`] ([`Spmd::fabric`]) each send is charged
 //! `Ts + S·Tw` against the machine's port configuration, and barriers
 //! synchronize the nodes' clocks — see [`crate::fabric`].
 //!
@@ -22,8 +22,8 @@
 //! [`NodeCtx::charge`] keeps the books of one modelled transmission —
 //! meter, link clock, send span — and moves nothing; [`NodeCtx::ship`]
 //! puts one message on the channel and writes nothing down but the
-//! shipment count. [`NodeCtx::send_after`] is both, for a message that is
-//! one transmission. A program whose model splits a payload into packets
+//! shipment count. [`NodeCtx::send`] is both, for a message that is one
+//! transmission. A program whose model splits a payload into packets
 //! the host has no reason to move apart charges each packet, collects the
 //! stamps, and ships payload and stamps once (the micro-op engine's
 //! pipeline rounds, `mph_eigen::multidrive`). The receive side mirrors it:
@@ -54,8 +54,7 @@ pub trait Meterable {
     }
 
     /// Which batch job this message belongs to, when several independent
-    /// problems share one fabric (see
-    /// [`run_spmd_fabric_jobs_traced`]). The
+    /// problems share one fabric (see [`Spmd::njobs`]). The
     /// meter keeps per-job totals and the job demultiplexer
     /// ([`crate::jobmux::JobMux`]) routes by this tag. Solo programs use
     /// the default job 0.
@@ -127,9 +126,12 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
 
     /// Sends `msg` to the neighbor across `dim` (non-blocking in real
     /// time; on a throttled fabric the message is charged `Ts + S·Tw`
-    /// against this node's ports and outgoing link on the virtual clock).
+    /// against this node's ports and outgoing link on the virtual clock):
+    /// one [`NodeCtx::charge`] of the whole message, then its shipment
+    /// under the stamp that returned.
     pub fn send(&self, dim: usize, msg: M) {
-        self.send_after(dim, msg, 0.0);
+        let stamp = self.charge(dim, msg.elems(), msg.job(), None, msg.is_control(), 0.0);
+        self.post(dim, msg, stamp);
     }
 
     /// Receives the next message from the neighbor across `dim` (blocking;
@@ -149,23 +151,14 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.recv(dim)
     }
 
-    /// Like [`NodeCtx::send`], with an explicit *data-readiness* time:
-    /// the transmission departs no earlier than `ready` (typically the
-    /// arrival stamp of the packet this message forwards, from
-    /// [`NodeCtx::recv_stamped`]). The CPU issues the start-up serially
-    /// in program order but does not wait for the data — the
-    /// comm-processor model that lets a software pipeline overlap
-    /// iterations on the virtual clock. One [`NodeCtx::charge`] of the
-    /// whole message, then its shipment under the stamp that returned.
-    pub fn send_after(&self, dim: usize, msg: M, ready: f64) {
-        let stamp = self.charge(dim, msg.elems(), msg.job(), None, msg.is_control(), ready);
-        self.post(dim, msg, stamp);
-    }
-
     /// The books of one transmission of `elems` elements across `dim`, and
     /// nothing else: the meter counts it for `job` on its plane, the link
-    /// clock charges it `Ts + S·Tw` departing no earlier than `ready`, and
-    /// the trace records the send span under its pipeline header `kq`
+    /// clock charges it `Ts + S·Tw` departing no earlier than `ready`
+    /// (typically the arrival stamp of the packet this transmission
+    /// forwards, from [`NodeCtx::recv_stamped`]: the CPU issues start-ups
+    /// serially in program order but does not wait for the data — the
+    /// comm-processor model that lets a software pipeline overlap
+    /// iterations on the virtual clock), and the trace records the send span under its pipeline header `kq`
     /// (`None` for a whole message). Returns the arrival stamp (0 on a
     /// free fabric). No message moves: whoever charges a payload piece by
     /// piece [`NodeCtx::ship`]s it once, with the stamps inside.
@@ -199,7 +192,7 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// Like [`NodeCtx::recv`], but returns the message's virtual arrival
     /// stamp *without* advancing this node's clock or recording the
     /// arrival: the caller owns the dependency bookkeeping (forward the
-    /// stamp into [`NodeCtx::send_after`], [`NodeCtx::advance_clock_to`]
+    /// stamp into [`NodeCtx::charge`], [`NodeCtx::advance_clock_to`]
     /// the stamps it ultimately consumes, and [`NodeCtx::trace_recv`] each
     /// arrival where it consumes it). On a free fabric the stamp is 0.
     pub fn recv_stamped(&self, dim: usize) -> (M, f64) {
@@ -210,8 +203,8 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// The node's trace sink handle, for drivers that record their own
     /// span boundaries (sweeps, recalibrations, relay hops, admission
     /// decisions) next to the link events the clock records. Disabled
-    /// (the default [`crate::trace::NopSink`]) unless the run came in
-    /// through [`run_spmd_fabric_jobs_traced`].
+    /// (the default [`crate::trace::NopSink`]) unless the run was given a
+    /// live [`Spmd::trace`].
     pub fn trace(&self) -> &SinkHandle {
         self.clock.trace()
     }
@@ -270,68 +263,58 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     }
 }
 
-/// Runs `body` on every node of a `d`-cube, one thread each, and returns
-/// the per-node results in label order.
+/// How an SPMD run is set up: what its links enforce, how many jobs its
+/// messages multiplex, and where its events are recorded. The default is
+/// the raw transport — a [`FabricModel::Free`] fabric, one job, tracing
+/// off.
+#[derive(Debug, Clone)]
+pub struct Spmd {
+    /// What the links run under: with [`FabricModel::Throttled`] every
+    /// message is charged against the machine's `Ts`/`Tw`/ports on a
+    /// deterministic virtual clock, and [`SpmdRun::fabric`] carries the
+    /// measured virtual makespan.
+    pub fabric: FabricModel,
+    /// How many independent batch jobs the program multiplexes over the
+    /// links: the traffic meter keeps per-job totals (messages declare
+    /// their job via [`Meterable::job`]) next to the blended per-dimension
+    /// ones.
+    pub njobs: usize,
+    /// Every node's link clock records its transmissions, arrivals, and
+    /// barrier crossings here (see [`crate::trace`]), and `body` can
+    /// record driver-level events through [`NodeCtx::trace`]. Tracing is
+    /// observational only — results are bitwise-identical to the untraced
+    /// run ([`SinkHandle::nop`]).
+    pub trace: SinkHandle,
+}
+
+impl Default for Spmd {
+    fn default() -> Self {
+        Spmd { fabric: FabricModel::Free, njobs: 1, trace: SinkHandle::nop() }
+    }
+}
+
+/// What an SPMD run returns.
+#[derive(Debug)]
+pub struct SpmdRun<R> {
+    /// The per-node results of `body`, in label order.
+    pub results: Vec<R>,
+    /// The run's traffic meter.
+    pub meter: TrafficMeter,
+    /// The link fabric's report (all zeros on a free fabric).
+    pub fabric: FabricReport,
+}
+
+/// Runs `body` on every node of a `d`-cube, one thread each, under `spmd`.
 ///
 /// `M` is the message type carried by the links; `body` receives the node's
 /// [`NodeCtx`]. Panics in any node propagate (the whole computation aborts).
-pub fn run_spmd<M, R, F>(d: usize, body: F) -> Vec<R>
+pub fn run_spmd<M, R, F>(d: usize, spmd: Spmd, body: F) -> SpmdRun<R>
 where
     M: Send + Meterable,
     R: Send,
     F: Fn(&NodeCtx<'_, M>) -> R + Sync,
 {
-    run_spmd_metered(d, body).0
-}
-
-/// Like [`run_spmd`] but also returns the traffic meter.
-pub fn run_spmd_metered<M, R, F>(d: usize, body: F) -> (Vec<R>, TrafficMeter)
-where
-    M: Send + Meterable,
-    R: Send,
-    F: Fn(&NodeCtx<'_, M>) -> R + Sync,
-{
-    let (results, meter, _) = run_spmd_fabric(d, FabricModel::Free, body);
-    (results, meter)
-}
-
-/// Like [`run_spmd_metered`] but the links run under `fabric`: with
-/// [`FabricModel::Throttled`] every message is charged against the
-/// machine's `Ts`/`Tw`/ports on a deterministic virtual clock, and the
-/// returned [`FabricReport`] carries the measured virtual makespan.
-pub fn run_spmd_fabric<M, R, F>(
-    d: usize,
-    fabric: FabricModel,
-    body: F,
-) -> (Vec<R>, TrafficMeter, FabricReport)
-where
-    M: Send + Meterable,
-    R: Send,
-    F: Fn(&NodeCtx<'_, M>) -> R + Sync,
-{
-    run_spmd_fabric_jobs_traced(d, fabric, 1, SinkHandle::nop(), body)
-}
-
-/// Like [`run_spmd_fabric`] for a program multiplexing `njobs` independent
-/// batch jobs over the links — the traffic meter keeps per-job totals
-/// (messages declare their job via [`Meterable::job`]) next to the blended
-/// per-dimension ones — and with a trace sink: every node's link clock
-/// records its transmissions, arrivals, and barrier crossings into `sink`
-/// (see [`crate::trace`]), and `body` can record driver-level events
-/// through [`NodeCtx::trace`]. Tracing is observational only — results are
-/// bitwise-identical to the untraced run ([`SinkHandle::nop`]).
-pub fn run_spmd_fabric_jobs_traced<M, R, F>(
-    d: usize,
-    fabric: FabricModel,
-    njobs: usize,
-    sink: SinkHandle,
-    body: F,
-) -> (Vec<R>, TrafficMeter, FabricReport)
-where
-    M: Send + Meterable,
-    R: Send,
-    F: Fn(&NodeCtx<'_, M>) -> R + Sync,
-{
+    let Spmd { fabric, njobs, trace } = spmd;
     // Misconfigured fabrics are rejected by the checked option
     // constructors upstream; this is the last line of defense for callers
     // that skipped them — one clear failure before any thread spawns
@@ -376,7 +359,7 @@ where
             rx,
             barrier: &barrier,
             meter: &meter,
-            clock: LinkClock::with_sink(fabric.clone(), n, d, sink.clone()),
+            clock: LinkClock::with_sink(fabric.clone(), n, d, trace.clone()),
             shared_clock: &shared_clock,
         });
     }
@@ -398,7 +381,7 @@ where
     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let node_times: Vec<f64> = ctxs.iter().map(|ctx| ctx.clock.now()).collect();
     let makespan = node_times.iter().fold(0.0f64, |a, &b| a.max(b));
-    (results, meter, FabricReport { model: fabric, makespan, node_times })
+    SpmdRun { results, meter, fabric: FabricReport { model: fabric, makespan, node_times } }
 }
 
 #[cfg(test)]
@@ -407,11 +390,16 @@ mod tests {
     use crate::collectives::all_reduce;
     use crate::machine::Machine;
 
+    fn on(fabric: FabricModel) -> Spmd {
+        Spmd { fabric, ..Spmd::default() }
+    }
+
     #[test]
     fn neighbors_identify_each_other() {
-        let results = run_spmd::<u64, Vec<u64>, _>(3, |ctx| {
+        let results = run_spmd::<u64, Vec<u64>, _>(3, Spmd::default(), |ctx| {
             (0..3).map(|dim| ctx.exchange(dim, ctx.id() as u64)).collect()
-        });
+        })
+        .results;
         for (n, got) in results.iter().enumerate() {
             for dim in 0..3 {
                 assert_eq!(got[dim], (n ^ (1 << dim)) as u64);
@@ -422,8 +410,10 @@ mod tests {
     #[test]
     fn allreduce_sum_over_cube() {
         for d in 0..=4 {
-            let results =
-                run_spmd::<f64, f64, _>(d, |ctx| all_reduce(ctx, ctx.id() as f64, |a, b| a + b));
+            let results = run_spmd::<f64, f64, _>(d, Spmd::default(), |ctx| {
+                all_reduce(ctx, ctx.id() as f64, |a, b| a + b)
+            })
+            .results;
             let expect = ((1usize << d) * ((1usize << d) - 1) / 2) as f64;
             for r in results {
                 assert_eq!(r, expect);
@@ -433,10 +423,11 @@ mod tests {
 
     #[test]
     fn allreduce_max_over_cube() {
-        let results = run_spmd::<f64, f64, _>(3, |ctx| {
+        let results = run_spmd::<f64, f64, _>(3, Spmd::default(), |ctx| {
             let v = (ctx.id() as f64 * 7.0) % 5.0;
             all_reduce(ctx, v, f64::max)
-        });
+        })
+        .results;
         let expect = (0..8).map(|n| (n as f64 * 7.0) % 5.0).fold(0.0f64, f64::max);
         for r in results {
             assert_eq!(r, expect);
@@ -445,10 +436,11 @@ mod tests {
 
     #[test]
     fn meter_counts_volume() {
-        let (_, meter) = run_spmd_metered::<Vec<f64>, (), _>(2, |ctx| {
+        let meter = run_spmd::<Vec<f64>, (), _>(2, Spmd::default(), |ctx| {
             let _ = ctx.exchange(0, vec![0.0; 10]);
             let _ = ctx.exchange(1, vec![0.0; 3]);
-        });
+        })
+        .meter;
         assert_eq!(meter.messages(0), 4);
         assert_eq!(meter.volume(0), 40);
         assert_eq!(meter.volume(1), 12);
@@ -459,12 +451,13 @@ mod tests {
         // Without the barrier a fast node could lap a slow one; the
         // per-dimension FIFO still keeps exchanges paired, so this test
         // checks the barrier API plus two sequential exchange rounds.
-        let results = run_spmd::<u64, (u64, u64), _>(2, |ctx| {
+        let results = run_spmd::<u64, (u64, u64), _>(2, Spmd::default(), |ctx| {
             let first = ctx.exchange(0, ctx.id() as u64);
             ctx.barrier();
             let second = ctx.exchange(0, first);
             (first, second)
-        });
+        })
+        .results;
         for (n, (first, second)) in results.iter().enumerate() {
             assert_eq!(*first, (n ^ 1) as u64);
             assert_eq!(*second, n as u64); // own id comes back
@@ -473,15 +466,19 @@ mod tests {
 
     #[test]
     fn d0_single_node_runs() {
-        let results = run_spmd::<(), usize, _>(0, |ctx| ctx.id() + 100);
+        let results = run_spmd::<(), usize, _>(0, Spmd::default(), |ctx| ctx.id() + 100).results;
         assert_eq!(results, vec![100]);
     }
 
     #[test]
     fn free_fabric_reports_zero_makespan() {
-        let (_, _, report) = run_spmd_fabric::<f64, f64, _>(2, FabricModel::Free, |ctx| {
-            all_reduce(ctx, 1.0, |a, b| a + b)
-        });
+        // The default the narrow entry points used to hard-code: the raw
+        // transport, one job, tracing off.
+        let spmd = Spmd::default();
+        assert_eq!((&spmd.fabric, spmd.njobs), (&FabricModel::Free, 1));
+        assert!(!spmd.trace.is_enabled());
+        let report =
+            run_spmd::<f64, f64, _>(2, spmd, |ctx| all_reduce(ctx, 1.0, |a, b| a + b)).fabric;
         assert_eq!(report.model, FabricModel::Free);
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.node_times, vec![0.0; 4]);
@@ -494,12 +491,12 @@ mod tests {
         // Ts + S·Tw, and the makespan is deterministic.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
         let run = || {
-            let (_, _, report) = run_spmd_fabric::<Vec<f64>, (), _>(2, fabric.clone(), |ctx| {
+            run_spmd::<Vec<f64>, (), _>(2, on(fabric.clone()), |ctx| {
                 for dim in [0usize, 1, 0] {
                     let _ = ctx.exchange(dim, vec![0.0; 5]);
                 }
-            });
-            report
+            })
+            .fabric
         };
         let report = run();
         let expect = 3.0 * (10.0 + 5.0 * 2.0);
@@ -513,14 +510,14 @@ mod tests {
         // Two sends on distinct links before any receive: all-port
         // overlaps the transmissions, one-port queues them.
         let time_with = |machine: Machine| {
-            let (_, _, report) =
-                run_spmd_fabric::<Vec<f64>, (), _>(2, FabricModel::Throttled(machine), |ctx| {
-                    ctx.send(0, vec![0.0; 100]);
-                    ctx.send(1, vec![0.0; 100]);
-                    let _ = ctx.recv(0);
-                    let _ = ctx.recv(1);
-                });
-            report.makespan
+            run_spmd::<Vec<f64>, (), _>(2, on(FabricModel::Throttled(machine)), |ctx| {
+                ctx.send(0, vec![0.0; 100]);
+                ctx.send(1, vec![0.0; 100]);
+                let _ = ctx.recv(0);
+                let _ = ctx.recv(1);
+            })
+            .fabric
+            .makespan
         };
         let all = time_with(Machine::all_port(1.0, 1.0));
         let one = time_with(Machine::one_port(1.0, 1.0));
@@ -538,26 +535,25 @@ mod tests {
         // messages, and the bare shipment is itself neither metered nor
         // stamped.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
-        let (separate, sent, _) =
-            run_spmd_fabric::<Vec<f64>, Vec<f64>, _>(1, fabric.clone(), |ctx| {
-                for _ in 0..3 {
-                    ctx.send_after(0, vec![0.0; 5], 0.0);
-                }
-                (0..3).map(|_| ctx.recv_stamped(0).1).collect()
-            });
-        let (round, charged, _) = run_spmd_fabric::<Vec<f64>, Vec<f64>, _>(1, fabric, |ctx| {
+        let sent = run_spmd::<Vec<f64>, Vec<f64>, _>(1, on(fabric.clone()), |ctx| {
+            for _ in 0..3 {
+                ctx.send(0, vec![0.0; 5]);
+            }
+            (0..3).map(|_| ctx.recv_stamped(0).1).collect()
+        });
+        let charged = run_spmd::<Vec<f64>, Vec<f64>, _>(1, on(fabric), |ctx| {
             let stamps = (0..3).map(|q| ctx.charge(0, 5, 0, Some((0, q)), false, 0.0)).collect();
             ctx.ship(0, stamps);
             let (stamps, envelope) = ctx.recv_stamped(0);
             assert_eq!(envelope, 0.0);
             stamps
         });
-        assert_eq!(separate, vec![vec![20.0, 30.0, 40.0]; 2]);
-        assert_eq!(round, separate);
-        for meter in [&sent, &charged] {
+        assert_eq!(sent.results, vec![vec![20.0, 30.0, 40.0]; 2]);
+        assert_eq!(charged.results, sent.results);
+        for meter in [&sent.meter, &charged.meter] {
             assert_eq!((meter.total_messages(), meter.total_volume()), (6, 30));
         }
-        assert_eq!((sent.shipments(), charged.shipments()), (6, 2));
+        assert_eq!((sent.meter.shipments(), charged.meter.shipments()), (6, 2));
     }
 
     #[test]
@@ -568,7 +564,7 @@ mod tests {
         // across runs regardless of scheduling.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
         let run = || {
-            run_spmd_fabric::<Vec<f64>, Vec<f64>, _>(2, fabric.clone(), |ctx| {
+            run_spmd::<Vec<f64>, Vec<f64>, _>(2, on(fabric.clone()), |ctx| {
                 let mut times = Vec::new();
                 // Round 1: pair (0,1) heavy, pair (2,3) light.
                 let elems = if ctx.id() < 2 { 1000 } else { 10 };
@@ -582,7 +578,7 @@ mod tests {
                 times.push(ctx.virtual_now());
                 times
             })
-            .0
+            .results
         };
         let want = vec![vec![1000.0, 2000.0]; 4];
         for i in 0..20 {
@@ -596,7 +592,7 @@ mod tests {
         // node fails, the panic that escapes the runtime is *that node's*,
         // not a generic join/poison cascade from its peers.
         let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _>(2, |ctx| {
+            run_spmd::<u64, (), _>(2, Spmd::default(), |ctx| {
                 let _ = ctx.exchange(0, ctx.id() as u64);
                 if ctx.id() == 3 {
                     panic!("original failure in node 3");
@@ -631,13 +627,13 @@ mod tests {
         let spec = ScenarioSpec { hetero_spread: 2.0, ..ScenarioSpec::clean(77, base) };
         let sc = Arc::new(Scenario::new(2, spec).expect("valid spec"));
         let run = |fabric: FabricModel| {
-            run_spmd_fabric::<Vec<f64>, (), _>(2, fabric, |ctx| {
+            run_spmd::<Vec<f64>, (), _>(2, on(fabric), |ctx| {
                 for dim in [0usize, 1, 0] {
                     let _ = ctx.exchange(dim, vec![0.0; 5]);
                 }
                 ctx.barrier();
             })
-            .2
+            .fabric
         };
         let clean = run(FabricModel::Throttled(base));
         let degraded = run(FabricModel::Degraded(sc.clone()));
@@ -656,7 +652,7 @@ mod tests {
         use crate::machine::PortModel;
         let bad = Machine { ts: 1.0, tw: 1.0, ports: PortModel::KPort(0) };
         let caught = std::panic::catch_unwind(|| {
-            run_spmd_fabric::<u64, (), _>(1, FabricModel::Throttled(bad), |_| {});
+            run_spmd::<u64, (), _>(1, on(FabricModel::Throttled(bad)), |_| {});
         });
         let payload = caught.expect_err("KPort(0) must be rejected");
         let msg = payload
@@ -672,12 +668,13 @@ mod tests {
         // Node pairs across dim 0 exchange unequal payloads; after a
         // barrier every node's clock sits at the slowest participant.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
-        let (_, _, report) = run_spmd_fabric::<Vec<f64>, f64, _>(2, fabric, |ctx| {
+        let report = run_spmd::<Vec<f64>, f64, _>(2, on(fabric), |ctx| {
             let elems = if ctx.id() < 2 { 10 } else { 1000 };
             let _ = ctx.exchange(0, vec![0.0; elems]);
             ctx.barrier();
             ctx.virtual_now()
-        });
+        })
+        .fabric;
         assert_eq!(report.node_times, vec![1000.0; 4]);
     }
 }

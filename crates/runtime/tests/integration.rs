@@ -5,8 +5,7 @@
 //! the channel fabric must be finite, positive, and stable.
 
 use mph_runtime::{
-    all_gather, all_reduce, broadcast, gather, measure_channel_fabric, run_spmd, run_spmd_metered,
-    Machine,
+    all_gather, all_reduce, broadcast, gather, measure_channel_fabric, run_spmd, Machine, Spmd,
 };
 
 /// The deterministic per-node contribution used throughout: node `n` of a
@@ -31,9 +30,10 @@ fn all_reduce_agrees_with_sequential_fold() {
             (f64::min, inputs.iter().cloned().fold(f64::INFINITY, f64::min)),
         ];
         for (fold, want) in cases {
-            let results = run_spmd::<f64, f64, _>(d, move |ctx| {
+            let results = run_spmd::<f64, f64, _>(d, Spmd::default(), move |ctx| {
                 all_reduce(ctx, contribution(d, ctx.id()), fold)
-            });
+            })
+            .results;
             for (n, got) in results.iter().enumerate() {
                 assert!(
                     (got - want).abs() <= 1e-9 * want.abs().max(1.0),
@@ -49,12 +49,13 @@ fn all_gather_agrees_with_sequential_collection() {
     for d in 0..=5 {
         let p = 1usize << d;
         let want: Vec<f64> = (0..p).map(|n| contribution(d, n)).collect();
-        let results = run_spmd::<f64, Vec<f64>, _>(d, move |ctx| {
+        let results = run_spmd::<f64, Vec<f64>, _>(d, Spmd::default(), move |ctx| {
             all_gather(ctx, contribution(d, ctx.id()))
                 .into_iter()
                 .map(|v| v.expect("piece missing"))
                 .collect()
-        });
+        })
+        .results;
         for (n, got) in results.iter().enumerate() {
             assert_eq!(got, &want, "d={d} node {n}");
         }
@@ -66,10 +67,11 @@ fn broadcast_from_every_root_matches_roots_value() {
     let d = 3;
     for root in 0..(1usize << d) {
         let sent = contribution(d, root);
-        let results = run_spmd::<f64, f64, _>(d, move |ctx| {
+        let results = run_spmd::<f64, f64, _>(d, Spmd::default(), move |ctx| {
             let value = (ctx.id() == root).then(|| contribution(d, ctx.id()));
             broadcast(ctx, root, value)
-        });
+        })
+        .results;
         assert!(results.iter().all(|&v| v == sent), "root={root}: {results:?}");
     }
 }
@@ -80,10 +82,11 @@ fn gather_to_every_root_matches_sequential_collection() {
     let p = 1usize << d;
     let want: Vec<f64> = (0..p).map(|n| contribution(d, n)).collect();
     for root in 0..p {
-        let results = run_spmd::<f64, Option<Vec<f64>>, _>(d, move |ctx| {
+        let results = run_spmd::<f64, Option<Vec<f64>>, _>(d, Spmd::default(), move |ctx| {
             gather(ctx, root, contribution(d, ctx.id()))
                 .map(|vs| vs.into_iter().map(|v| v.expect("piece missing")).collect())
-        });
+        })
+        .results;
         for (n, r) in results.into_iter().enumerate() {
             if n == root {
                 assert_eq!(r.expect("root has no result"), want, "root={root}");
@@ -101,11 +104,12 @@ fn meter_counts_are_exact_at_every_thread_count() {
     // closed-form function of d — independent of thread scheduling.
     for d in 1..=5 {
         let p = 1u64 << d;
-        let (_, meter) = run_spmd_metered::<Vec<f64>, (), _>(d, move |ctx| {
+        let meter = run_spmd::<Vec<f64>, (), _>(d, Spmd::default(), move |ctx| {
             for dim in 0..d {
                 let _ = ctx.exchange(dim, vec![0.0; 10 + dim]);
             }
-        });
+        })
+        .meter;
         for dim in 0..d {
             assert_eq!(meter.messages(dim), p, "d={d} dim={dim} messages");
             assert_eq!(meter.volume(dim), p * (10 + dim as u64), "d={d} dim={dim} volume");
@@ -121,9 +125,10 @@ fn meter_counts_are_reproducible_across_runs() {
     // Same program, different nondeterministic thread interleavings — the
     // meter must not depend on who won which race.
     let run = || {
-        let (_, meter) = run_spmd_metered::<f64, f64, _>(4, |ctx| {
+        let meter = run_spmd::<f64, f64, _>(4, Spmd::default(), |ctx| {
             all_reduce(ctx, ctx.id() as f64, |a, b| a + b)
-        });
+        })
+        .meter;
         (meter.total_messages(), meter.total_volume(), meter.volume_by_dim())
     };
     let first = run();

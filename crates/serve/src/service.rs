@@ -7,7 +7,7 @@ use mph_batch::{
 };
 use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
-use mph_eigen::{lower_job, run_job_service_traced, JobSpec, ServiceRun};
+use mph_eigen::{lower_job, run_job_service, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
 use mph_trace::MetricsRegistry;
 
@@ -152,8 +152,7 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
         &machine,
         &opts.admission,
     );
-    let run =
-        run_job_service_traced(d, &specs, &lowered, opts.fabric.clone(), &plan, opts.trace.clone());
+    let run = run_job_service(d, &specs, &lowered, opts.fabric.clone(), &plan, opts.trace.clone());
 
     let latencies: Vec<f64> = run.outcomes.iter().filter_map(|o| o.latency()).collect();
     let waits: Vec<f64> = run.outcomes.iter().filter_map(|o| o.queue_wait()).collect();

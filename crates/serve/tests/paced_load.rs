@@ -34,7 +34,8 @@ fn arrivals_paced_under_one_port_capacity_shed_nothing_and_all_port_drains_no_sl
         // Price the drawn jobs solo on the one-port machine, then
         // regenerate with the paced gap — same seed, same jobs, same
         // uniform draws, arrivals scaled to the sustained rate.
-        let specs: Vec<JobSpec> = gen.generate().jobs.iter().map(|j| j.to_spec()).collect();
+        let drawn = gen.generate();
+        let specs: Vec<JobSpec> = drawn.jobs.iter().map(|j| j.to_spec()).collect();
         let lowered: Vec<_> = specs.iter().map(|s| lower_job(s, d)).collect();
         let costs =
             solo_plan_costs(&planned_jobs(&specs, &lowered, d), &Machine::one_port(1000.0, 100.0));

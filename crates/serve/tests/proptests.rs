@@ -39,7 +39,7 @@ fn scenario(seed: u64, n: usize, gap: f64, sweeps: usize) -> mph_serve::Scenario
 fn solo_matches(job: &Job, d: usize, got: &JobResult) -> bool {
     match job {
         Job::Eigen { a, family, opts } => {
-            let (solo, _) = block_jacobi_threaded(a, d, *family, opts);
+            let solo = block_jacobi_threaded(a, d, *family, opts).result;
             let r = got.eigen().expect("kind preserved");
             r.rotations == solo.rotations
                 && r.sweeps == solo.sweeps
@@ -48,7 +48,7 @@ fn solo_matches(job: &Job, d: usize, got: &JobResult) -> bool {
                     .all(|c| r.eigenvectors.col(c) == solo.eigenvectors.col(c))
         }
         Job::Svd { a, family, opts } => {
-            let (solo, _) = svd_block_threaded(a, d, *family, opts);
+            let solo = svd_block_threaded(a, d, *family, opts).result;
             let r = got.svd().expect("kind preserved");
             r.rotations == solo.rotations
                 && r.sweeps == solo.sweeps

@@ -23,8 +23,8 @@ use mph::ccpipe::{
 };
 use mph::core::OrderingFamily;
 use mph::eigen::{
-    block_jacobi_threaded, block_jacobi_threaded_fabric, choose_qs, lower_sweeps,
-    packetization_cap, FabricModel, JacobiOptions, Pipelining,
+    block_jacobi_threaded, choose_qs, lower_sweeps, packetization_cap, FabricModel, JacobiOptions,
+    Pipelining, ThreadedRun,
 };
 use mph::linalg::matmul::eigen_residual;
 use mph::linalg::symmetric::random_symmetric;
@@ -62,10 +62,10 @@ fn main() {
     let base = JacobiOptions::default();
     let auto = JacobiOptions { pipelining: Pipelining::Auto(machine), ..base.clone() };
     let t0 = std::time::Instant::now();
-    let (r0, meter0) = block_jacobi_threaded(&a, d, family, &base);
+    let ThreadedRun { result: r0, meter: meter0, .. } = block_jacobi_threaded(&a, d, family, &base);
     let t_unpiped = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let (r1, meter1) = block_jacobi_threaded(&a, d, family, &auto);
+    let ThreadedRun { result: r1, meter: meter1, .. } = block_jacobi_threaded(&a, d, family, &auto);
     let t_piped = t0.elapsed();
 
     println!("unpipelined: {} sweeps in {t_unpiped:.1?}", r0.sweeps);
@@ -105,8 +105,8 @@ fn main() {
     };
     let tauto = JacobiOptions { pipelining: Pipelining::Auto(machine), ..throttled.clone() };
     let qs = choose_qs(plan1, &tauto.pipelining, packetization_cap(m, d));
-    let (_, _, tu) = block_jacobi_threaded_fabric(&a, d, family, &throttled);
-    let (_, _, tp) = block_jacobi_threaded_fabric(&a, d, family, &tauto);
+    let tu = block_jacobi_threaded(&a, d, family, &throttled).fabric;
+    let tp = block_jacobi_threaded(&a, d, family, &tauto).fabric;
     let measured = tu.makespan / tp.makespan;
     let executed = |qs: &[usize]| {
         let job = PlannedJob { plans: std::slice::from_ref(plan1), qs: &[qs.to_vec()], tail_q: 1 };

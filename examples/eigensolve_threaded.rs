@@ -8,7 +8,7 @@
 //! ```
 
 use mph::core::OrderingFamily;
-use mph::eigen::{block_jacobi_threaded, one_sided_cyclic, JacobiOptions};
+use mph::eigen::{block_jacobi_threaded, one_sided_cyclic, JacobiOptions, ThreadedRun};
 use mph::linalg::matmul::{eigen_residual, orthogonality_defect};
 use mph::linalg::symmetric::random_symmetric;
 
@@ -22,7 +22,8 @@ fn main() {
     println!("({} node threads, ordering: {})\n", 1 << d, family.name());
 
     let t0 = std::time::Instant::now();
-    let (r, meter) = block_jacobi_threaded(&a, d, family, &JacobiOptions::default());
+    let ThreadedRun { result: r, meter, .. } =
+        block_jacobi_threaded(&a, d, family, &JacobiOptions::default());
     let dt = t0.elapsed();
 
     println!(

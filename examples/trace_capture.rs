@@ -22,7 +22,7 @@
 //! identical to the same options with the default nop sink.
 
 use mph::core::OrderingFamily;
-use mph::eigen::{block_jacobi_threaded_adaptive, Adaptation, JacobiOptions, Pipelining};
+use mph::eigen::{block_jacobi_threaded, Adaptation, JacobiOptions, Pipelining, ThreadedRun};
 use mph::linalg::symmetric::random_symmetric;
 use mph::runtime::{
     FabricModel, LinkDeath, Machine, RingSink, Scenario, ScenarioSpec, SinkHandle, TraceEvent,
@@ -59,8 +59,8 @@ fn main() {
         trace: SinkHandle::new(ring.clone()),
         ..Default::default()
     };
-    let (result, meter, fabric_report, adaptive) =
-        block_jacobi_threaded_adaptive(&a, d, OrderingFamily::Br, &opts);
+    let ThreadedRun { result, meter, fabric: fabric_report, adaptive } =
+        block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
     println!(
         "solved m={m} on a degraded {d}-cube: {} sweeps, {} rotations, converged={}",
         result.sweeps, result.rotations, result.converged

@@ -37,7 +37,7 @@ fn full_pipeline_for_every_family() {
         }
 
         // 3. The distributed solver converges and verifies.
-        let (r, _) = block_jacobi_threaded(&a, d, family, &JacobiOptions::default());
+        let r = block_jacobi_threaded(&a, d, family, &JacobiOptions::default()).result;
         assert!(r.converged, "{family}");
         assert!(eigen_residual(&a, &r.eigenvectors, &r.eigenvalues) < 1e-6, "{family}");
         assert!(orthogonality_defect(&r.eigenvectors) < 1e-10, "{family}");
@@ -85,7 +85,7 @@ fn threaded_traffic_equals_schedule_volume() {
     let d = 2usize;
     let a = random_symmetric(m, 5);
     let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
-    let (_, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
+    let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
     let p = 1u64 << d;
     let transitions = 2 * p - 1;
     let block_cols = (m as u64) / (2 * p);
@@ -101,7 +101,7 @@ fn sweep_rotation_spreads_traffic_across_sweeps() {
     let d = 3usize;
     let a = random_symmetric(m, 8);
     let opts = JacobiOptions { force_sweeps: Some(d), ..Default::default() };
-    let (_, meter) = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
+    let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
     let v = meter.volume_by_dim();
     let max = *v.iter().max().unwrap() as f64;
     let min = *v.iter().min().unwrap() as f64;

@@ -15,7 +15,7 @@
 //!    utilization matrix is the meter re-derived from the timeline.
 
 use mph::core::OrderingFamily;
-use mph::eigen::{block_jacobi_threaded_adaptive, Adaptation, JacobiOptions, Pipelining};
+use mph::eigen::{block_jacobi_threaded, Adaptation, JacobiOptions, Pipelining, ThreadedRun};
 use mph::linalg::symmetric::random_symmetric;
 use mph::runtime::{
     FabricModel, LinkDeath, Machine, RingSink, Scenario, ScenarioSpec, SinkHandle, TraceEvent,
@@ -92,14 +92,12 @@ proptest! {
             workers,
             ..Default::default()
         };
-        let (plain, plain_meter, plain_fab, plain_adaptive) =
-            block_jacobi_threaded_adaptive(&a, d, family, &base);
+        let ThreadedRun { result: plain, meter: plain_meter, fabric: plain_fab, adaptive: plain_adaptive } = block_jacobi_threaded(&a, d, family, &base);
 
         let ring = Arc::new(RingSink::new(d, 1 << 16));
         let traced_opts =
             JacobiOptions { trace: SinkHandle::new(ring.clone()), ..base.clone() };
-        let (traced, traced_meter, traced_fab, traced_adaptive) =
-            block_jacobi_threaded_adaptive(&a, d, family, &traced_opts);
+        let ThreadedRun { result: traced, meter: traced_meter, fabric: traced_fab, adaptive: traced_adaptive } = block_jacobi_threaded(&a, d, family, &traced_opts);
 
         // Bitwise-identical numerics, identical timing, identical books.
         prop_assert_eq!(traced.rotations, plain.rotations);
@@ -140,7 +138,7 @@ proptest! {
                 trace: SinkHandle::new(ring.clone()),
                 ..Default::default()
             };
-            block_jacobi_threaded_adaptive(&a, d, OrderingFamily::Br, &opts);
+            block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
             ring.drain()
         };
         let (lanes1, lanes2) = (run(), run());
@@ -174,7 +172,7 @@ proptest! {
             trace: SinkHandle::new(ring.clone()),
             ..Default::default()
         };
-        let (_, meter, _, _) = block_jacobi_threaded_adaptive(&a, d, OrderingFamily::Br, &opts);
+        let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
         let lanes = ring.drain();
 
         // 1. Volume: the data elements the traced send spans carry are
