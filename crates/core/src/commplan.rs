@@ -209,6 +209,17 @@ impl CommPlan {
         &self.final_layout
     }
 
+    /// Whether `other` puts the same messages on the same links in the
+    /// same order: everything a price or a [`Framing`] is a function of —
+    /// all of the plan but where its blocks end up. A sweep chain's link
+    /// rotation repeats every `d` sweeps while its layouts keep permuting,
+    /// so plans compare equal here long before they do under `==`.
+    pub fn same_traffic(&self, other: &CommPlan) -> bool {
+        self.d == other.d
+            && self.elems_per_col == other.elems_per_col
+            && self.phases == other.phases
+    }
+
     /// Per-dimension data volume of the whole sweep — invariant under
     /// packetization (pipelining reframes messages, it does not change
     /// what crosses each wire), so this single prediction covers both the
@@ -508,6 +519,22 @@ mod tests {
         // The chained plan still moves every transition's full block volume.
         let total_cols: usize = (0..partition.len()).map(|b| partition.size(b)).sum();
         assert_eq!(total_cols, 12);
+    }
+
+    #[test]
+    fn same_traffic_ignores_where_the_blocks_end_up() {
+        // An even partition: sweep d repeats sweep 0's links, from a layout
+        // that has moved on.
+        let (d, partition) = (2, BlockPartition::new(16, 8));
+        let lower = |s, layout: &BlockLayout| {
+            let schedule = SweepSchedule::sweep(d, OrderingFamily::PermutedBr, s);
+            CommPlan::lower(&schedule, &partition, layout, 32)
+        };
+        let p0 = lower(0, &BlockLayout::canonical(d));
+        let p1 = lower(1, p0.final_layout());
+        let p2 = lower(2, p1.final_layout());
+        assert!(!p0.same_traffic(&p1), "sweep 1 rotates the links");
+        assert!(p0.same_traffic(&p2) && p0 != p2);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub fn block_jacobi(
         .map(|b| ColumnBlock::from_matrix_with_identity(a0, partition.cols(b), m))
         .collect();
     let norm_a = a0.frobenius_norm();
-    let mut off_history = vec![off_norm_blocks(&blocks, opts.kernel)];
+    let mut layout = BlockLayout::canonical(d);
+    let mut off_history = vec![off_norm_blocks(&blocks, &layout)];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
     let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
@@ -50,13 +51,14 @@ pub fn block_jacobi(
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
     // One helper pool for the whole solve; every call below reuses it.
     let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
-    let mut layout = BlockLayout::canonical(d);
     while !converged && sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
         let acc = logical_sweep(&kern, &mut tour, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
-        let off = off_norm_blocks(&blocks, opts.kernel);
+        // Post-sweep, over the layout the sweep ended in: the value the
+        // threaded driver's nodes vote on, to the bit.
+        let off = off_norm_blocks(&blocks, &layout);
         off_history.push(off);
         if opts.force_sweeps.is_none() {
             converged = off <= opts.tol * norm_a;

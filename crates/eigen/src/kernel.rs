@@ -665,7 +665,8 @@ pub struct SweepAccumulator {
     /// Pairings examined.
     pub pairings: u64,
     /// Max off-diagonal measure observed before rotation (`|M_ij|` for the
-    /// eigensolver, the column cosine for the SVD).
+    /// eigensolver, the column cosine for the SVD). The SVD drivers stop on
+    /// it; the eigensolvers stop on the post-sweep [`crate::offnorm`].
     pub max_off: f64,
 }
 

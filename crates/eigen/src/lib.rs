@@ -14,7 +14,8 @@
 //!   N independent eigen/SVD problems interleaved over one link fabric
 //!   ([`run_job_batch`]), or one problem solo ([`block_jacobi_threaded`],
 //!   [`svd_block_threaded`]); every job bitwise equal to its logical
-//!   solve for a fixed sweep count.
+//!   solve, run to convergence or for a fixed sweep count (an eigen
+//!   job's convergence is one measure, [`offnorm`], in every mode).
 //!
 //! All of them, and the logical SVD drivers in [`svd`], store their
 //! columns in the contiguous [`ColumnBlock`] layout of `mph-linalg` and

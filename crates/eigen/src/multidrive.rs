@@ -105,10 +105,16 @@
 //! `crate::threaded`'s, and proptested across random job mixes in
 //! `mph-batch`.
 //!
-//! Convergence is decided per job by an all-reduce of the largest
-//! off-diagonal value seen during the sweep; the votes ride the same links
-//! as control-plane messages, metered separately from the block traffic
-//! the paper's tables count.
+//! Convergence is decided per job by one scalar all-reduce at the end of
+//! each sweep — `d` exchanges per node, control-plane messages riding the
+//! same links, metered separately from the block traffic the paper's
+//! tables count. An eigen job **sums** its nodes' eigen-residuals of the
+//! columns they hold *after* the sweep ([`crate::offnorm`]): the logical
+//! solver's `off(UᵀA₀U)`, folded in the same order, so a job run to
+//! convergence stops at the sweep its logical solve stops at and carries
+//! the same bits, `off_history` included. An SVD job takes the **max** of
+//! the largest cosine its pairings met, the rule of
+//! [`svd_block`](crate::svd::svd_block).
 //!
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
 //! [`svd_block_threaded`]: crate::threaded::svd_block_threaded
@@ -117,6 +123,7 @@
 //! [`Pipelining`]: crate::options::Pipelining
 
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
+use crate::offnorm::node_residual_sq;
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{sigma_and_u_col, SvdResult};
 use crate::threaded::{
@@ -190,8 +197,30 @@ pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>
     let elems_per_col = spec.a.rows() + n + usize::from(spec.opts.cache_diagonals);
     let plans = lower_sweeps_with(n, d, spec.family, elems_per_col, spec.budget());
     let q_cap = packetization_cap(n, d);
-    let qs = plans.iter().map(|p| choose_qs(p, &spec.opts.pipelining, q_cap)).collect();
+    let qs = once_per_distinct(
+        plans.len(),
+        |t, s| plans[t].same_traffic(&plans[s]),
+        |s| choose_qs(&plans[s], &spec.opts.pipelining, q_cap),
+    );
     (plans, qs)
+}
+
+/// `price(s)` for every sweep `s < n`, computed for the first of each run
+/// of sweeps that are the `same` to it and cloned for the rest. A job
+/// lowers `max_sweeps` plans up front and the link rotation brings the
+/// same traffic back every `d` sweeps, so `Auto` pricing — a cost-model
+/// search per plan — runs on a handful of plans instead of on all thirty.
+fn once_per_distinct<T: Clone>(
+    n: usize,
+    same: impl Fn(usize, usize) -> bool,
+    mut price: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    let mut out: Vec<T> = Vec::with_capacity(n);
+    for s in 0..n {
+        let priced = (0..s).find(|&t| same(t, s)).map_or_else(|| price(s), |t| out[t].clone());
+        out.push(priced);
+    }
+    out
 }
 
 /// What the `2^d` nodes of one job share: worked out once, before the node
@@ -217,11 +246,11 @@ fn job_shared(
     let shared = |(spec, (plans, qs)): (&JobSpec<'_>, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
         let q_cap = packetization_cap(spec.a.cols(), d);
         let tail = &spec.opts.tail_pipelining;
-        let framings = plans
-            .iter()
-            .zip(qs)
-            .map(|(plan, qs)| plan.framing(qs, choose_tail_qs(plan, tail, q_cap)))
-            .collect();
+        let framings = once_per_distinct(
+            plans.len(),
+            |t, s| plans[t].same_traffic(&plans[s]) && qs[t] == qs[s],
+            |s| plans[s].framing(&qs[s], choose_tail_qs(&plans[s], tail, q_cap)),
+        );
         let bar = spec.opts.force_sweeps.is_none().then(|| match spec.kind {
             JobKind::Eigen => spec.opts.tol * spec.a.frobenius_norm(),
             JobKind::Svd => spec.opts.tol,
@@ -483,6 +512,9 @@ struct JobNode<'a> {
     acc: SweepAccumulator,
     sweeps: usize,
     rotations: u64,
+    /// The value each sweep's vote agreed on (eigen jobs; the same on
+    /// every node).
+    off_history: Vec<f64>,
     converged: bool,
     pos: Pos,
     /// One stamp per packet of the round in hand: the packet's readiness
@@ -511,6 +543,7 @@ struct JobNode<'a> {
 struct JobNodeOutput {
     sweeps: usize,
     rotations: u64,
+    off_history: Vec<f64>,
     converged: bool,
     start: f64,
     finish: f64,
@@ -554,6 +587,7 @@ impl<'a> JobNode<'a> {
             acc: SweepAccumulator::default(),
             sweeps: 0,
             rotations: 0,
+            off_history: Vec::new(),
             converged: false,
             pos: if spec.budget() == 0 { Pos::Done } else { Pos::SweepStart },
             stamps: Vec::new(),
@@ -776,18 +810,21 @@ impl<'a> JobNode<'a> {
         incoming.expect("every exchange delivers: scenarios reject disconnecting death schedules")
     }
 
-    /// Max-allreduce of a scalar by recursive dimension exchange, every
-    /// hop relay-aware — convergence votes and machine agreement survive
-    /// dead links like any other exchange.
-    fn allreduce_max(
+    /// All-reduce of a scalar under a commutative `op` (`max`, `+`) by
+    /// recursive dimension exchange over dims `0..d`: every node combines
+    /// its running value with its partner's, so all end on the same bits.
+    /// Every hop is relay-aware — convergence votes and machine agreement
+    /// survive dead links like any other exchange.
+    fn allreduce(
         &mut self,
         ctx: &NodeCtx<'_, BatchMsg>,
         mux: &mut JobMux<'_, '_, BatchMsg>,
         mut v: f64,
+        op: fn(f64, f64) -> f64,
     ) -> f64 {
         for dim in 0..self.d {
             self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v });
-            v = v.max(expect_scalar(self.recv_via(ctx, mux, dim)));
+            v = op(v, expect_scalar(self.recv_via(ctx, mux, dim)));
         }
         v
     }
@@ -800,8 +837,8 @@ impl<'a> JobNode<'a> {
         let ports = self.machine.ports;
         let local = Machine::calibrate(&ctx.take_fabric_window())
             .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
-        let ts = self.allreduce_max(ctx, mux, local.ts);
-        let tw = self.allreduce_max(ctx, mux, local.tw);
+        let ts = self.allreduce(ctx, mux, local.ts, f64::max);
+        let tw = self.allreduce(ctx, mux, local.tw, f64::max);
         let agreed = Machine { ts, tw, ports };
         if agreed != self.machine {
             self.machine = agreed;
@@ -974,12 +1011,20 @@ impl<'a> JobNode<'a> {
                 }
                 self.rotations += self.acc.rotations;
                 if let Some(bar) = self.shared.bar {
-                    // The vote: a dimension-exchange all-reduce of the
-                    // sweep's largest off measure, demultiplexed by job
-                    // tag and relayed like the sweep's blocks. The
-                    // decision is global, so every node finishes (or
-                    // continues to the barrier) together.
-                    let v = self.allreduce_max(ctx, mux, self.acc.max_off);
+                    // The vote: one dimension-exchange all-reduce,
+                    // demultiplexed by job tag and relayed like the
+                    // sweep's blocks (module docs). The decision is
+                    // global, so every node finishes (or continues to the
+                    // barrier) together.
+                    let v = match self.spec.kind {
+                        JobKind::Eigen => {
+                            let partial = node_residual_sq(&self.slot0, &self.slot1);
+                            let off = self.allreduce(ctx, mux, partial, |a, b| a + b).sqrt();
+                            self.off_history.push(off);
+                            off
+                        }
+                        JobKind::Svd => self.allreduce(ctx, mux, self.acc.max_off, f64::max),
+                    };
                     self.converged = v <= bar;
                 }
                 self.sweeps += 1;
@@ -1014,6 +1059,7 @@ impl<'a> JobNode<'a> {
         let mut out = JobNodeOutput {
             sweeps: self.sweeps,
             rotations: self.rotations,
+            off_history: self.off_history,
             converged: self.converged || self.shared.bar.is_none(),
             start: self.start,
             finish: self.finish,
@@ -1236,7 +1282,8 @@ fn assemble_job(spec: &JobSpec<'_>, per_node: &[&JobNodeOutput]) -> (JobResult, 
                 eigenvectors: u,
                 sweeps,
                 rotations,
-                off_history: Vec::new(),
+                // Every node holds the votes' agreed values.
+                off_history: per_node[0].off_history.clone(),
                 converged,
             })
         }
@@ -1714,6 +1761,32 @@ mod tests {
         mats.iter().map(|a| JobSpec::eigen(a, OrderingFamily::Br, opts.clone())).collect()
     }
 
+    #[test]
+    fn a_job_is_priced_once_per_distinct_plan_and_reads_as_if_priced_per_sweep() {
+        // Even partitions bring the same traffic back every d sweeps;
+        // uneven ones (36 and 18 columns on 8 blocks) mostly do not.
+        let auto = Pipelining::Auto(Machine::paper_figure2());
+        let opts = JacobiOptions { pipelining: auto, tail_pipelining: auto, ..Default::default() };
+        for (m, d) in [(64usize, 3usize), (36, 2), (18, 2), (8, 1)] {
+            let (a, q_cap) = (random_symmetric(m, 3), packetization_cap(m, d));
+            for family in OrderingFamily::ALL {
+                let spec = JobSpec::eigen(&a, family, opts.clone());
+                let lowered = [lower_job(&spec, d)];
+                let shared = job_shared(std::slice::from_ref(&spec), d, &lowered);
+                let (plans, qs) = &lowered[0];
+                for (s, plan) in plans.iter().enumerate() {
+                    assert_eq!(qs[s], choose_qs(plan, &auto, q_cap), "{family} m={m} sweep {s}");
+                    let framing = plan.framing(&qs[s], choose_tail_qs(plan, &auto, q_cap));
+                    assert_eq!(shared[0].framings[s], framing, "{family} m={m} sweep {s}");
+                }
+                let mut priced = 0;
+                let same = |t: usize, s: usize| plans[t].same_traffic(&plans[s]);
+                once_per_distinct(plans.len(), same, |_| priced += 1);
+                assert!(priced == d || m % (2 << d) != 0, "{family} m={m} d={d}: {priced}");
+            }
+        }
+    }
+
     /// An untraced batch of freshly lowered `jobs`.
     fn batch(d: usize, jobs: &[JobSpec], fabric: FabricModel, order: &BatchOrder) -> BatchRun {
         run_job_batch(d, jobs, &lower_all(jobs, d), fabric, order, SinkHandle::nop())
@@ -1736,6 +1809,40 @@ mod tests {
         for c in 0..a.eigenvalues.len() {
             assert_eq!(a.eigenvalues[c], b.eigenvalues[c], "{what}: λ_{c}");
             assert_eq!(a.eigenvectors.col(c), b.eigenvectors.col(c), "{what}: u_{c}");
+        }
+    }
+
+    #[test]
+    fn unforced_jobs_stop_where_their_logical_solves_stop_in_a_batch_and_in_service() {
+        // Two unforced eigen jobs of different shape, interleaved op by op
+        // on a throttled all-port fabric and then served mid-flight: each
+        // sums its own residuals through the shared links, so each stops
+        // at its logical solve's sweep with its bits — the voted values
+        // being the logical `off_history` past the pre-sweep entry.
+        let d = 2;
+        let mats = [random_symmetric(18, 71), random_symmetric(24, 72)];
+        let cached = JacobiOptions { cache_diagonals: true, ..Default::default() };
+        let jobs = [
+            JobSpec::eigen(&mats[0], OrderingFamily::PermutedBr, JacobiOptions::default()),
+            JobSpec::eigen(&mats[1], OrderingFamily::Degree4, cached),
+        ];
+        let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
+        let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
+        let run = batch(d, &jobs, fabric.clone(), &order);
+        let plan = ServicePlan::fifo(vec![0.0, 0.0]);
+        let served = service(d, &jobs, &lower_all(&jobs, d), fabric, &plan);
+        for (j, spec) in jobs.iter().enumerate() {
+            let logical = block_jacobi(spec.a, d, spec.family, &spec.opts);
+            assert!(logical.converged && logical.sweeps > 2, "job {j}");
+            let served = served.results[j].as_ref().and_then(JobResult::eigen);
+            for (what, got) in [("batch", run.results[j].eigen()), ("service", served)] {
+                let got = got.expect("an eigen result");
+                assert_eigen_bitwise(got, &logical, what);
+                assert!(got.converged, "{what} job {j}");
+                assert_eq!(got.off_history, logical.off_history[1..], "{what} job {j}");
+            }
+            let votes = run.meter.job_control_messages(j);
+            assert_eq!(votes, (d << d) as u64 * logical.sweeps as u64, "job {j}: d·2^d a sweep");
         }
     }
 

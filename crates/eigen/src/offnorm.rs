@@ -1,155 +1,113 @@
-//! Convergence measures on the implicit iterate `M = UᵀA₀U`, computed from
-//! distributed [`ColumnBlock`] storage.
+//! Convergence of the one-sided iteration, measured once: the
+//! off-diagonal norm of the implicit iterate `M = UᵀA₀U` as an
+//! eigen-residual of the distributed [`ColumnBlock`] columns.
 //!
-//! `M` is symmetric, so the off-diagonal measure walks the strict upper
-//! triangle only and doubles it: `off(M)² = 2·Σ_{i<j} (u_i·a_j)²`. In
-//! floating point `u_i·a_j` and `u_j·a_i` agree to rounding, not to the
-//! bit, so this *defines* the measure (it is within a few ulps of the
-//! both-triangles sum, not equal to it). The value is a pure function of
-//! the column data and the [`KernelPath`] — it does not depend on how the
-//! columns are cut into blocks, and it is computed serially in one fixed
-//! order, so an `off_history` is repeatable and independent of `workers`.
+//! The iteration keeps `a_j = A₀u_j` beside each `u_j`. With `U`
+//! orthonormal, `a_j = Σ_i (u_i·a_j)·u_i = Σ_i M_ij·u_i`, so the residual
+//! of column `j` against its own eigenvalue estimate `λ_j = u_j·a_j` is
+//! `r_j = a_j − λ_j·u_j = Σ_{i≠j} M_ij·u_i`, and
+//!
+//! ```text
+//! ‖r_j‖² = Σ_{i≠j} M_ij²        off(M)² = Σ_j ‖r_j‖²
+//! ```
+//!
+//! — `O(m)` per column and *local to whoever holds the column*, where the
+//! Gram form `Σ_{i≠j} (u_i·a_j)²` needed every other column and `O(m³)` in
+//! all. It measures the state *after* a sweep, so the sweep that reaches
+//! the tolerance is the last one run, in every execution mode.
+//!
+//! # Summation order
+//!
+//! Floating-point addition does not associate, so the order is part of the
+//! definition, and it is the order a `d`-cube computes the sum in:
+//!
+//! 1. a column: `λ = `[`dot`]`(u, a)`, then `(a_i − λ·u_i)²` added in row
+//!    order into one running sum ([`residual_sq`]: portable, no
+//!    [`mph_linalg::KernelPath`] dispatch — the measure is one function of
+//!    the column data);
+//! 2. a block: its columns' sums in local column order;
+//! 3. a node: slot 0 + slot 1 (`node_residual_sq`);
+//! 4. the cube: the nodes' partials by dimension exchange over dims
+//!    `0..d`, every node adding its partner's running value to its own —
+//!    addition commutes, so all `2^d` nodes end on the same bits
+//!    ([`off_norm_blocks`] folds the same tree on one thread; the engine's
+//!    convergence vote *is* this all-reduce).
+//!
+//! The value therefore depends, in its last bits, on how the columns are
+//! cut into blocks and on which node holds which block (the sweep's final
+//! [`BlockLayout`]) — and on nothing else: not `workers`, the pipelining
+//! degree, the fabric or the interleaving. The serial Gram measure it
+//! replaced was block-cut independent; its test of that
+//! (`the_measure_matches_the_oracle_and_ignores_the_block_cut`) went with
+//! the definition, and what it guarded — one value whoever computes it —
+//! is `tests/proptests.rs::unforced_threaded_solves_equal_the_logical_solve_bit_for_bit`.
+//!
+//! The identity needs `UᵀU = I`, which rotations keep to about `m·ε`, and
+//! `a_j − λ_j·u_j` cancels to about `ε·‖a_j‖`: a floor of roughly
+//! `m·ε·‖A₀‖_F`, below which no tolerance is met (the tests hold the
+//! measure within `1e-12·‖A₀‖_F` of the both-triangles Gram sum).
 
+use mph_core::BlockLayout;
 use mph_linalg::block::ColumnBlock;
-use mph_linalg::vecops::{dot, dot_lanes, dot_tile_exact, gram_tile};
-use mph_linalg::KernelPath;
+use mph_linalg::vecops::dot;
 
-/// Every column's `U`- and `A`-slices in global column order. The blocks
-/// must tile a contiguous global range starting at 0 (in any order; empty
-/// blocks are fine).
-fn global_columns(blocks: &[ColumnBlock]) -> (Vec<&[f64]>, Vec<&[f64]>) {
-    let m: usize = blocks.iter().map(ColumnBlock::len).sum();
-    let (mut u, mut a) = (vec![&[][..]; m], vec![&[][..]; m]);
-    for b in blocks {
-        debug_assert_eq!(b.misaligned_columns(), 0);
-        for k in 0..b.len() {
-            u[b.global_col(k)] = b.u_col(k);
-            a[b.global_col(k)] = b.a_col(k);
+/// `Σ_k ‖a_k − (u_k·a_k)·u_k‖²` over the block's columns in local order:
+/// the block's share of `off(M)²` (module docs). Non-finite column data
+/// yields a NaN or infinite value, never a panic.
+pub fn residual_sq(block: &ColumnBlock) -> f64 {
+    let mut sum = 0.0;
+    for k in 0..block.len() {
+        let (u, a) = (block.u_col(k), block.a_col(k));
+        let lambda = dot(u, a);
+        let mut r2 = 0.0;
+        for (ai, ui) in a.iter().zip(u) {
+            let r = ai - lambda * ui;
+            r2 += r * r;
         }
+        sum += r2;
     }
-    (u, a)
+    sum
 }
 
-/// `off(M) = ‖M − diag(M)‖_F` from the strict upper triangle of
-/// `M_ij = u_i·a_j`, doubled. `O(m³)` — used once per sweep, never inside
-/// the rotation loop.
-///
-/// * [`KernelPath::Scalar`]: every entry is bitwise [`dot`]`(u_i, a_j)`,
-///   squared and summed column `j` outer, `i < j` inner — the reference
-///   bits. The entries are computed in exact 4×2 tiles
-///   ([`dot_tile_exact`]); the sum is taken in the defining order.
-/// * [`KernelPath::Lanes`]: 4×4 register tiles ([`gram_tile`]) over panels
-///   of four `A`-columns; each panel's squares are summed tile by tile
-///   (`i` ascending, the diagonal tile's strict upper part last) and the
-///   panel sums are added in ascending `j`. The up to three columns past
-///   the last full panel are finished entry by entry with [`dot_lanes`].
-///   Each entry is ≤ 1e-12 relative of the scalar one, so the measure is
-///   within `1e-12·‖A₀‖_F` of the scalar value — the scale `tol·‖A₀‖_F`
-///   it is tested against.
-///
-/// Non-finite column data yields a NaN or infinite measure, never a panic.
-pub fn off_norm_blocks(blocks: &[ColumnBlock], path: KernelPath) -> f64 {
-    let (u, a) = global_columns(blocks);
-    let upper = match path {
-        KernelPath::Scalar => upper_squares_scalar(&u, &a),
-        KernelPath::Lanes => upper_squares_lanes(&u, &a),
-    };
-    (2.0 * upper).sqrt()
+/// A node's partial of `off(M)²`: what it votes into the all-reduce.
+pub(crate) fn node_residual_sq(slot0: &ColumnBlock, slot1: &ColumnBlock) -> f64 {
+    residual_sq(slot0) + residual_sq(slot1)
 }
 
-/// `Σ_j Σ_{i<j} dot(u_i, a_j)²`, one running sum in that order.
-///
-/// The dots of a panel of two `A`-columns `(j, j+1)` are computed four
-/// `U`-columns at a time by [`dot_tile_exact`] — each entry bitwise the
-/// `dot` — and parked in two scratch columns; the at most three rows past
-/// the last full tile, and the last column of an odd `m`, go through `dot`
-/// itself. Squaring and summing then walk the scratch columns in the
-/// defining order, so tiling changes when an entry is computed, never
-/// where it enters the sum.
-fn upper_squares_scalar(u: &[&[f64]], a: &[&[f64]]) -> f64 {
-    let m = a.len();
-    let (mut left, mut right) = (vec![0.0f64; m], vec![0.0f64; m]);
-    let mut s = 0.0;
-    let paired = m - m % 2;
-    for j in (0..paired).step_by(2) {
-        // Rows `i < j` serve column `j`, rows `i ≤ j` column `j + 1`.
-        let tiled = j - j % 4;
-        for i in (0..tiled).step_by(4) {
-            let tile = dot_tile_exact([u[i], u[i + 1], u[i + 2], u[i + 3]], [a[j], a[j + 1]]);
-            for (r, [l, rt]) in tile.into_iter().enumerate() {
-                (left[i + r], right[i + r]) = (l, rt);
-            }
+/// `off(M) = ‖M − diag(M)‖_F` of the `2^{d+1}` blocks of a `d`-cube,
+/// block `b` at `blocks[b]`, held as `layout` says: every node's partial,
+/// folded as the dimension-exchange all-reduce folds them (module docs) —
+/// bit for bit the value the threaded drivers vote on.
+pub fn off_norm_blocks(blocks: &[ColumnBlock], layout: &BlockLayout) -> f64 {
+    let mut partial: Vec<f64> = (0..layout.nodes())
+        .map(|n| {
+            let [b0, b1] = layout.at(n);
+            node_residual_sq(&blocks[b0], &blocks[b1])
+        })
+        .collect();
+    // Node 0's view of the exchange: at dimension `dim` it adds the value
+    // of node `2^dim`, which has by then summed its own lower subcube.
+    let mut bit = 1;
+    while bit < partial.len() {
+        for n in (0..partial.len()).step_by(2 * bit) {
+            partial[n] += partial[n + bit];
         }
-        for i in tiled..=j {
-            if i < j {
-                left[i] = dot(u[i], a[j]);
-            }
-            right[i] = dot(u[i], a[j + 1]);
-        }
-        for mij in &left[..j] {
-            s += mij * mij;
-        }
-        for mij in &right[..=j] {
-            s += mij * mij;
-        }
+        bit *= 2;
     }
-    if paired < m {
-        for ui in &u[..paired] {
-            let mij = dot(ui, a[paired]);
-            s += mij * mij;
-        }
-    }
-    s
-}
-
-/// `Σ g[r][c]²` over the entries `keep` admits, as four row sums added in
-/// a fixed tree — not one 16-long dependency chain.
-#[inline]
-fn tile_squares(g: [[f64; 4]; 4], keep: impl Fn(usize, usize) -> bool) -> f64 {
-    let mut rows = [0.0f64; 4];
-    for r in 0..4 {
-        for c in 0..4 {
-            if keep(r, c) {
-                rows[r] += g[r][c] * g[r][c];
-            }
-        }
-    }
-    (rows[0] + rows[1]) + (rows[2] + rows[3])
-}
-
-/// The same sum from Gram tiles; see [`off_norm_blocks`] for the order.
-fn upper_squares_lanes(u: &[&[f64]], a: &[&[f64]]) -> f64 {
-    fn four<'c>(cols: &[&'c [f64]], at: usize) -> [&'c [f64]; 4] {
-        [cols[at], cols[at + 1], cols[at + 2], cols[at + 3]]
-    }
-    let m = a.len();
-    let tiled = m - m % 4;
-    let mut s = 0.0;
-    for j in (0..tiled).step_by(4) {
-        let aj = four(a, j);
-        let mut panel = 0.0;
-        for i in (0..j).step_by(4) {
-            panel += tile_squares(gram_tile(four(u, i), aj), |_, _| true);
-        }
-        panel += tile_squares(gram_tile(four(u, j), aj), |r, c| r < c);
-        s += panel;
-    }
-    for j in tiled..m {
-        let mut panel = 0.0;
-        for i in 0..j {
-            let mij = dot_lanes(u[i], a[j]);
-            panel += mij * mij;
-        }
-        s += panel;
-    }
-    s
+    partial[0].sqrt()
 }
 
 /// The diagonal of `M` — the eigenvalue estimates `λ_i = u_i · a_i` — in
-/// global column order.
+/// global column order. The blocks must tile a contiguous global range
+/// starting at 0 (in any order; empty blocks are fine).
 pub fn diagonal_blocks(blocks: &[ColumnBlock]) -> Vec<f64> {
-    let (u, a) = global_columns(blocks);
-    u.iter().zip(&a).map(|(ui, ai)| dot(ui, ai)).collect()
+    let mut diag = vec![0.0; blocks.iter().map(ColumnBlock::len).sum()];
+    for b in blocks {
+        for k in 0..b.len() {
+            diag[b.global_col(k)] = dot(b.u_col(k), b.a_col(k));
+        }
+    }
+    diag
 }
 
 #[cfg(test)]
@@ -164,28 +122,29 @@ mod tests {
     use mph_linalg::Matrix;
     use proptest::prelude::*;
 
-    /// The oracle: the measure as it was before the symmetry was used —
-    /// both triangles, one scalar `dot` per entry, column `j` outer.
+    /// The oracle: the `O(m³)` Gram measure the residual form replaced —
+    /// both triangles of `M_ij = u_i·a_j`, one scalar `dot` per entry.
     fn off_norm_full_square(blocks: &[ColumnBlock]) -> f64 {
-        let (u, a) = global_columns(blocks);
+        let cols = || blocks.iter().flat_map(|b| (0..b.len()).map(move |k| (b, k)));
         let mut s = 0.0;
-        for j in 0..a.len() {
-            for i in 0..u.len() {
-                if i != j {
-                    let mij = dot(u[i], a[j]);
-                    s += mij * mij;
-                }
+        for (bj, j) in cols() {
+            for (bi, i) in cols().filter(|&(bi, i)| !(std::ptr::eq(bi, bj) && i == j)) {
+                let mij = dot(bi.u_col(i), bj.a_col(j));
+                s += mij * mij;
             }
         }
         s.sqrt()
     }
 
-    fn cut(a0: &Matrix, nblocks: usize) -> Vec<ColumnBlock> {
+    /// `a0` on the `2^{d+1}` blocks of a `d`-cube, with the layout they
+    /// start in.
+    fn cut(a0: &Matrix, d: usize) -> (Vec<ColumnBlock>, BlockLayout) {
         let m = a0.cols();
-        let partition = BlockPartition::new(m, nblocks);
-        (0..nblocks)
+        let partition = BlockPartition::new(m, 2 << d);
+        let blocks = (0..2 << d)
             .map(|b| ColumnBlock::from_matrix_with_identity(a0, partition.cols(b), m))
-            .collect()
+            .collect();
+        (blocks, BlockLayout::canonical(d))
     }
 
     /// One full sweep in block-cyclic order: every column pair once.
@@ -201,50 +160,33 @@ mod tests {
         }
     }
 
-    const PATHS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Lanes];
-
     /// The measure's contract against the oracle: 1e-12 of the scale the
     /// convergence test compares it to, `‖A₀‖_F` (≥ off(M) at every
     /// iterate). Relative to the value itself that is 1e-12 while off is
-    /// of the order of `‖A₀‖`; once off has fallen to rounding level its
-    /// digits are noise in either summation.
+    /// of the order of `‖A₀‖`; once off has fallen to the floor (module
+    /// docs) its digits are noise in either form.
     fn close(got: f64, want: f64, a0: &Matrix) -> bool {
         (got - want).abs() <= 1e-12 * a0.frobenius_norm()
-    }
-
-    /// The `Scalar` measure as it is defined: one `dot` per entry of the
-    /// strict upper triangle, squared and summed column `j` outer, `i < j`
-    /// inner, in one running sum.
-    fn scalar_definition(blocks: &[ColumnBlock]) -> f64 {
-        let (u, a) = global_columns(blocks);
-        let mut s = 0.0;
-        for j in 0..a.len() {
-            for i in 0..j {
-                let mij = dot(u[i], a[j]);
-                s += mij * mij;
-            }
-        }
-        (2.0 * s).sqrt()
     }
 
     #[test]
     fn off_norm_of_initial_state_is_matrix_off_norm() {
         // U = I ⇒ M = A₀.
         let a = random_symmetric(8, 4);
-        for path in PATHS {
-            let off = off_norm_blocks(&cut(&a, 1), path);
-            assert!((off - off_diagonal_frobenius(&a)).abs() < 1e-12, "{path:?}");
+        for d in 0..=2 {
+            let (blocks, layout) = cut(&a, d);
+            let off = off_norm_blocks(&blocks, &layout);
+            assert!((off - off_diagonal_frobenius(&a)).abs() < 1e-12, "d={d}");
         }
     }
 
     #[test]
     fn off_norm_zero_for_diagonal_matrix() {
+        // a_k = λ·e_k against u_k = e_k: every residual entry is an exact 0.
         let a = diag_matrix(&[1.0, 2.0, -3.0, 0.5, 7.0, -1.0, 4.0, 9.0, 2.5]);
-        for nblocks in [1, 4] {
-            let blocks = cut(&a, nblocks);
-            for path in PATHS {
-                assert_eq!(off_norm_blocks(&blocks, path).to_bits(), 0.0f64.to_bits());
-            }
+        for d in [0, 1] {
+            let (blocks, layout) = cut(&a, d);
+            assert_eq!(off_norm_blocks(&blocks, &layout).to_bits(), 0.0f64.to_bits());
             assert_eq!(diagonal_blocks(&blocks), (0..9).map(|i| a[(i, i)]).collect::<Vec<_>>());
         }
     }
@@ -252,67 +194,85 @@ mod tests {
     #[test]
     fn single_column_and_empty_blocks_are_accepted() {
         let one = Matrix::from_fn(1, 1, |_, _| 3.0);
-        for path in PATHS {
-            assert_eq!(off_norm_blocks(&cut(&one, 1), path), 0.0);
-            // m = 1 on four blocks: one single-column block, three empty.
-            assert_eq!(off_norm_blocks(&cut(&one, 4), path), 0.0);
-            assert_eq!(off_norm_blocks(&[], path), 0.0);
-            assert_eq!(off_norm_blocks(&[ColumnBlock::default()], path), 0.0);
+        // m = 1 on two and on eight blocks: one single-column block, the
+        // rest empty.
+        for d in [0, 2] {
+            let (blocks, layout) = cut(&one, d);
+            assert_eq!(off_norm_blocks(&blocks, &layout), 0.0);
+            assert_eq!(diagonal_blocks(&blocks), vec![3.0]);
         }
-        assert_eq!(diagonal_blocks(&cut(&one, 4)), vec![3.0]);
+        assert_eq!(residual_sq(&ColumnBlock::default()), 0.0);
         assert!(diagonal_blocks(&[]).is_empty());
     }
 
     #[test]
     fn block_measures_match_the_full_square_oracle_in_a_generic_state() {
-        // Three uneven blocks, rotated so every M_ij is a full inner
-        // product (at U = I the entries are single element reads).
+        // Four uneven blocks, one empty, rotated so every M_ij is a full
+        // inner product (at U = I the entries are single element reads).
         let m = 9;
         let a0 = random_symmetric(m, 13);
-        let mut blocks: Vec<ColumnBlock> = [(0..4), (4..6), (6..9)]
+        let mut blocks: Vec<ColumnBlock> = [(0..4), (4..6), (6..6), (6..9)]
             .into_iter()
             .map(|r| ColumnBlock::from_matrix_with_identity(&a0, r, m))
             .collect();
-        let diag0: Vec<f64> = (0..m).map(|i| a0[(i, i)]).collect();
-        assert_eq!(diagonal_blocks(&blocks), diag0);
+        assert_eq!(diagonal_blocks(&blocks), (0..m).map(|i| a0[(i, i)]).collect::<Vec<_>>());
         pair_within_block(&mut blocks[0], PairingRule::Implicit, 0.0);
         let (b0, b1) = two_blocks_mut(&mut blocks, 0, 1);
         pair_across_blocks(b0, b1, PairingRule::Implicit, 0.0);
         let oracle = off_norm_full_square(&blocks);
         assert!(oracle > 0.0);
-        for path in PATHS {
-            let off = off_norm_blocks(&blocks, path);
-            assert!(close(off, oracle, &a0), "{path:?}: {off} vs {oracle}");
+        // Whichever node holds which block, the value is the oracle's to
+        // rounding — the layout only moves its last bits.
+        for slots in [vec![[0, 2], [1, 3]], vec![[3, 0], [2, 1]]] {
+            let off = off_norm_blocks(&blocks, &BlockLayout::from_slots(slots));
+            assert!(close(off, oracle, &a0), "{off} vs {oracle}");
         }
         // The diagonal is the per-column `dot`, whatever the block order.
         let want: Vec<f64> =
             blocks.iter().flat_map(|b| (0..b.len()).map(|k| dot(b.u_col(k), b.a_col(k)))).collect();
         blocks.reverse();
         assert_eq!(diagonal_blocks(&blocks), want);
-        assert!(close(off_norm_blocks(&blocks, KernelPath::Lanes), oracle, &a0));
     }
 
     #[test]
-    fn the_tiled_scalar_measure_is_bitwise_its_definition_at_every_panel_shape() {
-        // m walks every branch of the exact tiling: no panel, a lone odd
-        // column, panels with 0 and 2 leftover rows before the diagonal,
-        // full tiles, and both with an odd last column — at U = I and in
-        // the generic state after a sweep, on every block cut.
-        for m in [0usize, 1, 2, 3, 4, 5, 6, 7, 9, 17, 41] {
-            let a0 = random_symmetric(m, 300 + m as u64);
-            for d in 0..=3 {
-                let mut blocks = cut(&a0, 2 << d);
-                for sweeps in 0..2 {
-                    let got = off_norm_blocks(&blocks, KernelPath::Scalar);
-                    assert_eq!(
-                        got.to_bits(),
-                        scalar_definition(&blocks).to_bits(),
-                        "m={m} d={d} sweeps={sweeps}"
-                    );
-                    sweep(&mut blocks);
-                }
+    fn the_fold_is_the_dimension_exchange_all_reduce_at_every_node() {
+        // What the engine does: every node adds its partner's running
+        // value to its own, dims 0..d. All 2^d nodes must end on the bits
+        // `off_norm_blocks` folds on one thread.
+        let a0 = random_symmetric(37, 5);
+        for d in 0..=3 {
+            let (mut blocks, layout) = cut(&a0, d);
+            sweep(&mut blocks);
+            let mut v: Vec<f64> = (0..1 << d)
+                .map(|n| node_residual_sq(&blocks[layout.at(n)[0]], &blocks[layout.at(n)[1]]))
+                .collect();
+            for dim in 0..d {
+                v = (0..v.len()).map(|n| v[n] + v[n ^ (1 << dim)]).collect();
+            }
+            let off = off_norm_blocks(&blocks, &layout);
+            for (n, sum) in v.iter().enumerate() {
+                assert_eq!(sum.sqrt().to_bits(), off.to_bits(), "d={d} node {n}");
             }
         }
+    }
+
+    #[test]
+    fn the_residual_form_tracks_the_gram_oracle_through_every_sweep_of_a_solve() {
+        // m = 64 on a 2-cube, swept until the measure is far below any
+        // tolerance in use: 1e-12·‖A₀‖_F of the both-triangles Gram sum at
+        // every iterate, the converged ones — where both sit on the
+        // ≈ m·ε·‖A₀‖ floor — included.
+        let a0 = random_symmetric(64, 41);
+        let (mut blocks, layout) = cut(&a0, 2);
+        let mut last = f64::INFINITY;
+        for s in 0..=10 {
+            let off = off_norm_blocks(&blocks, &layout);
+            let oracle = off_norm_full_square(&blocks);
+            assert!(close(off, oracle, &a0), "sweep {s}: {off} vs {oracle}");
+            last = off;
+            sweep(&mut blocks);
+        }
+        assert!(last <= 1e-12 * a0.frobenius_norm(), "the solve converged: {last}");
     }
 
     #[test]
@@ -321,7 +281,7 @@ mod tests {
         // maintained with A = A₀U.
         let a = random_symmetric(6, 7);
         let tr: f64 = (0..6).map(|i| a[(i, i)]).sum();
-        let mut blocks = cut(&a, 4);
+        let (mut blocks, _) = cut(&a, 1);
         for _ in 0..2 {
             let sum: f64 = diagonal_blocks(&blocks).iter().sum();
             assert!((tr - sum).abs() < 1e-12);
@@ -335,9 +295,8 @@ mod tests {
             let mut a = random_symmetric(9, 3);
             a[(2, 6)] = bad;
             a[(6, 2)] = bad;
-            for path in PATHS {
-                assert!(!off_norm_blocks(&cut(&a, 4), path).is_finite(), "{bad} {path:?}");
-            }
+            let (blocks, layout) = cut(&a, 1);
+            assert!(!off_norm_blocks(&blocks, &layout).is_finite(), "{bad}");
         }
     }
 
@@ -345,44 +304,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn the_measure_matches_the_oracle_and_ignores_the_block_cut(
+        fn the_measure_matches_the_oracle_on_every_cut_and_layout(
             m in prop_oneof![Just(3usize), Just(5), Just(12), Just(17), Just(24), Just(35), Just(41)],
             d in 0usize..=3,
             seed in 0u64..1000,
             sweeps in 0usize..=2,
+            turn in 0usize..16,
         ) {
             let a0 = random_symmetric(m, seed);
-            let mut blocks = cut(&a0, 2 << d);
+            let (mut blocks, _) = cut(&a0, d);
             for _ in 0..sweeps {
                 sweep(&mut blocks);
             }
-            let oracle = off_norm_full_square(&blocks);
-            for path in PATHS {
-                let off = off_norm_blocks(&blocks, path);
-                prop_assert!(
-                    close(off, oracle, &a0),
-                    "m={} d={} {:?}: {} vs {}", m, d, path, off, oracle
-                );
-            }
-
-            // Scalar is the reference: bitwise its definition.
-            let scalar = off_norm_blocks(&blocks, KernelPath::Scalar);
-            prop_assert_eq!(scalar.to_bits(), scalar_definition(&blocks).to_bits());
-
-            // The same columns as one block of m: the same bits, both paths.
-            let (u, a) = global_columns(&blocks);
-            let mut whole = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
-            for (c, view) in whole.columns_mut().enumerate() {
-                view.a.copy_from_slice(a[c]);
-                view.u.copy_from_slice(u[c]);
-            }
-            for path in PATHS {
-                prop_assert_eq!(
-                    off_norm_blocks(std::slice::from_ref(&whole), path).to_bits(),
-                    off_norm_blocks(&blocks, path).to_bits(),
-                    "one block of {} vs {} blocks, {:?}", m, 2 << d, path
-                );
-            }
+            // Any placement of the blocks: the canonical one rotated.
+            let nblocks = 2 << d;
+            let layout = BlockLayout::from_slots(
+                (0..nblocks / 2)
+                    .map(|n| [(2 * n + turn) % nblocks, (2 * n + 1 + turn) % nblocks])
+                    .collect(),
+            );
+            let (off, oracle) = (off_norm_blocks(&blocks, &layout), off_norm_full_square(&blocks));
+            prop_assert!(close(off, oracle, &a0), "m={} d={}: {} vs {}", m, d, off, oracle);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! private rotation loop.
 
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::offnorm::{diagonal_blocks, off_norm_blocks};
+use crate::offnorm::{diagonal_blocks, residual_sq};
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::block::ColumnBlock;
 use mph_linalg::Matrix;
@@ -22,7 +22,7 @@ pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     let m = a0.cols();
     let mut blk = ColumnBlock::from_matrix_with_identity(a0, 0..m, m);
     let norm_a = a0.frobenius_norm();
-    let mut off_history = vec![off_norm_blocks(std::slice::from_ref(&blk), opts.kernel)];
+    let mut off_history = vec![residual_sq(&blk).sqrt()];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
     let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
@@ -37,7 +37,7 @@ pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
         let acc: SweepAccumulator = kern.within(&mut tour, [&mut blk]);
         rotations += acc.rotations;
         sweeps += 1;
-        let off = off_norm_blocks(std::slice::from_ref(&blk), opts.kernel);
+        let off = residual_sq(&blk).sqrt();
         off_history.push(off);
         if opts.force_sweeps.is_none() {
             converged = off <= opts.tol * norm_a;

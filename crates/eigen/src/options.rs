@@ -55,7 +55,16 @@ pub enum Adaptation {
 /// Options shared by all one-sided Jacobi drivers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JacobiOptions {
-    /// Convergence tolerance: stop when `off(UᵀAU) ≤ tol · ‖A‖_F`.
+    /// Convergence tolerance: stop when `off(UᵀAU) ≤ tol · ‖A‖_F`, `off`
+    /// measured after each sweep as the eigen-residual of the columns
+    /// ([`crate::offnorm`]) — one rule for the logical, threaded, batch
+    /// and served eigensolvers (the SVD drivers stop when every pair's
+    /// cosine is `≤ tol`).
+    ///
+    /// The measure has a floor of about `m · ε · ‖A‖_F` (orthogonality
+    /// drift of `U` and cancellation in `a − λu`; `≈ 1e-13 · ‖A‖_F` at
+    /// `m = 256`): a `tol` below that is never met and the solve runs
+    /// out `max_sweeps`.
     ///
     /// The paper does not state its Table-2 tolerance (DESIGN.md §6.7);
     /// `1e-8` reproduces sweep counts in the same 3–6 band.
@@ -117,10 +126,8 @@ pub struct JacobiOptions {
     /// across releases: every inner product is the portable `dot` to the
     /// bit, computed by exact vector kernels. `Lanes` keeps the rotations
     /// bitwise identical but takes reassociated FMA reductions (the
-    /// pairing's fused inner products, and the Gram tiles of the per-sweep
-    /// off-norm the logical drivers record in `off_history`; ≤1e-12
-    /// relative per inner product), so it is opt-in like
-    /// `cache_diagonals`.
+    /// pairing's fused inner products; ≤1e-12 relative per inner
+    /// product), so it is opt-in like `cache_diagonals`.
     pub kernel: KernelPath,
     /// Intra-node parallel pairing: how many threads apply a sub-sweep's
     /// column-disjoint pairings concurrently.
@@ -198,7 +205,16 @@ pub struct EigenResult {
     pub sweeps: usize,
     /// Rotations actually applied (pairs above threshold).
     pub rotations: u64,
-    /// `off(UᵀAU)` after each sweep (index 0 = before any sweep).
+    /// `off(UᵀAU)` after each sweep, as [`crate::offnorm`] measures it.
+    ///
+    /// The logical drivers record it from index 0 = before any sweep. A
+    /// threaded, batch or served job records what each sweep's vote agreed
+    /// on — the logical solve's `off_history[1..]`, to the bit — and has
+    /// **no pre-sweep entry**: a vote before the first sweep would add `d`
+    /// control messages per node and move the solve's virtual time (so
+    /// already-diagonal input stops a logical solve at 0 sweeps, a threaded
+    /// one at 1). A forced job (`force_sweeps`) casts no vote and leaves
+    /// it empty.
     pub off_history: Vec<f64>,
     /// Whether the tolerance was met within `max_sweeps`.
     pub converged: bool,

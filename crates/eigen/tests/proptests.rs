@@ -266,6 +266,80 @@ proptest! {
     }
 }
 
+// ---- convergence parity: one measure, every execution mode --------------
+
+/// Every bit an unforced threaded solve shares with its logical solve: the
+/// threaded `off_history` is the values its sweeps' votes agreed on, so it
+/// has no pre-sweep entry.
+fn assert_stops_like_logical(threaded: &EigenResult, logical: &EigenResult, what: &str) {
+    let mut want = eigen_bits(logical);
+    want.2.remove(0);
+    assert!(eigen_bits(threaded) == want, "{what}: threaded and logical solves differ");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn unforced_threaded_solves_equal_the_logical_solve_bit_for_bit(
+        a in prop_oneof![ragged_symmetric(), symmetric(16), symmetric(32)],
+        d in 0usize..=3,
+        family in family_strategy(),
+        cache in any::<bool>(),
+        pooled in any::<bool>(),
+        auto in any::<bool>(),
+        fabric in fabric_strategy(),
+    ) {
+        // Convergence is one post-sweep measure: the nodes' eigen-residual
+        // partials summed by dimension exchange, which the logical solver
+        // folds in the same order over the sweep's final layout. So a
+        // solve run to convergence — not only a forced one — stops at the
+        // same sweep with the same bits, on even partitions (16 and 32
+        // columns) and ragged ones with single-column and empty blocks,
+        // whole-block or priced packets, any fabric.
+        let pipe = if auto { Pipelining::Auto(Machine::all_port(1000.0, 100.0)) } else { Pipelining::Off };
+        let opts = JacobiOptions {
+            cache_diagonals: cache,
+            workers: if pooled { 2 } else { 0 },
+            pipelining: pipe,
+            tail_pipelining: pipe,
+            fabric,
+            ..Default::default()
+        };
+        let logical = block_jacobi(&a, d, family, &opts);
+        prop_assert!(logical.converged && logical.sweeps >= 1, "m={} d={}", a.cols(), d);
+        let threaded = block_jacobi_threaded(&a, d, family, &opts).result;
+        assert_stops_like_logical(&threaded, &logical, &format!("{family} m={} d={d}", a.cols()));
+    }
+}
+
+#[test]
+fn the_residual_vote_survives_a_dead_link_like_the_max_vote_did() {
+    // A 3-cube whose edge (0, dim 1) is dead from the first sweep on: every
+    // vote's dim-1 exchange between nodes 0 and 2 is relayed around it, and
+    // the sum still reaches every node with the logical solve's bits.
+    let a = mph_linalg::symmetric::random_symmetric(24, 9);
+    let d = 3;
+    let spec = ScenarioSpec {
+        epochs: 4,
+        hetero_spread: 1.0,
+        deaths: vec![LinkDeath { node: 0, dim: 1, epoch: 0 }],
+        ..ScenarioSpec::clean(5, Machine::all_port(500.0, 10.0))
+    };
+    let scenario = Arc::new(Scenario::new(d, spec).expect("one death leaves a 3-cube connected"));
+    for adaptation in [Adaptation::Off, Adaptation::Reactive] {
+        let opts = JacobiOptions {
+            fabric: FabricModel::Degraded(scenario.clone()),
+            adaptation,
+            ..Default::default()
+        };
+        let logical = block_jacobi(&a, d, OrderingFamily::PermutedBr, &opts);
+        let run = block_jacobi_threaded(&a, d, OrderingFamily::PermutedBr, &opts);
+        assert!(run.adaptive.reroutes > 0, "{adaptation:?}: the dead edge carried traffic");
+        assert_stops_like_logical(&run.result, &logical, &format!("{adaptation:?}"));
+    }
+}
+
 // ---- degraded-fabric scenario properties -------------------------------
 
 use mph_eigen::{Adaptation, ThreadedRun};

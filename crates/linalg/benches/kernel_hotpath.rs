@@ -2,11 +2,9 @@
 //! vector kernels that reproduce their bits, and the reassociated lane
 //! reductions: the inner products that feed `symmetric_schur` (dot / fused
 //! triple) and the 4-stream rotation that applies it, at the column lengths
-//! the block drivers actually see — plus the per-sweep convergence
-//! measure's inner products (one `dot` per entry vs exact 4×2 tiles vs 4×4
-//! Gram tiles) over a whole m = 256 upper triangle. The last group keeps the
-//! price of a misaligned column on record: the same two kernels on the same
-//! data, 0 and 2 elements past a cache-line boundary.
+//! the block drivers actually see. The last group keeps the price of a
+//! misaligned column on record: the same two kernels on the same data, 0
+//! and 2 elements past a cache-line boundary.
 //!
 //! These are the micro-counterparts of the repository benchmark's
 //! `eigen.kernel_ns_per_rotation` and `eigen.lanes_speedup`: those measure
@@ -17,8 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mph_linalg::vecops::{
-    dot, dot_lanes, dot_tile_exact, exact_tier, fused_triple, fused_triple_exact, gram_tile,
-    pair_rotate, pair_rotate_lanes,
+    dot, dot_lanes, exact_tier, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -43,11 +40,6 @@ fn bench_dot(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("lanes", m), &m, |b, _| {
             b.iter(|| black_box(dot_lanes(black_box(&x), black_box(&y))))
-        });
-        // Eight entries per call: divide by 8 to compare with the rows above.
-        let u: Vec<Vec<f64>> = (0..4).map(|k| filled(m, 20 + k)).collect();
-        g.bench_with_input(BenchmarkId::new("exact_tile_of_8", m), &m, |b, _| {
-            b.iter(|| black_box(dot_tile_exact(black_box([&u[0], &u[1], &u[2], &u[3]]), [&x, &y])))
         });
     }
     g.finish();
@@ -135,73 +127,6 @@ fn bench_rotate(c: &mut Criterion) {
     g.finish();
 }
 
-/// The off-norm's work at m = 256: every `u_i·a_j` of the strict upper
-/// triangle, squared and summed — as 32 640 scalar dots (the definition of
-/// the `Scalar` measure), as exact 4×2 tiles with the rows short of a tile
-/// through `dot` (how `Scalar` computes those same bits), and as 2 080 Gram
-/// tiles (`Lanes`). `mph_eigen::off_norm_blocks` adds only the column
-/// lookup and the fixed summation order to these loops.
-fn bench_off_norm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("off_norm");
-    g.sample_size(20).measurement_time(Duration::from_secs(2));
-    let m = 256;
-    let u: Vec<Vec<f64>> = (0..m).map(|k| filled(m, 11 + k as u64)).collect();
-    let a: Vec<Vec<f64>> = (0..m).map(|k| filled(m, 1011 + k as u64)).collect();
-    g.bench_with_input(BenchmarkId::new("scalar", m), &m, |b, _| {
-        b.iter(|| {
-            let mut s = 0.0;
-            for j in 0..m {
-                for i in 0..j {
-                    let mij = dot(black_box(&u[i]), &a[j]);
-                    s += mij * mij;
-                }
-            }
-            black_box(s)
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("scalar_exact_tiles", m), &m, |b, _| {
-        b.iter(|| {
-            let mut s = 0.0;
-            for j in (0..m).step_by(2) {
-                let tiled = j - j % 4;
-                for i in (0..tiled).step_by(4) {
-                    let rows = black_box([&u[i][..], &u[i + 1], &u[i + 2], &u[i + 3]]);
-                    for [l, r] in dot_tile_exact(rows, [&a[j], &a[j + 1]]) {
-                        s += l * l + r * r;
-                    }
-                }
-                for i in tiled..=j {
-                    let (l, r) = (dot(&u[i], &a[j]), dot(&u[i], &a[j + 1]));
-                    s += if i < j { l * l + r * r } else { r * r };
-                }
-            }
-            black_box(s)
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("lanes", m), &m, |b, _| {
-        fn four(cols: &[Vec<f64>], at: usize) -> [&[f64]; 4] {
-            [&cols[at], &cols[at + 1], &cols[at + 2], &cols[at + 3]]
-        }
-        b.iter(|| {
-            let mut s = 0.0;
-            for j in (0..m).step_by(4) {
-                for i in (0..=j).step_by(4) {
-                    let tile = gram_tile(black_box(four(&u, i)), four(&a, j));
-                    for (r, row) in tile.iter().enumerate() {
-                        for (c, mij) in row.iter().enumerate() {
-                            if i < j || r < c {
-                                s += mij * mij;
-                            }
-                        }
-                    }
-                }
-            }
-            black_box(s)
-        })
-    });
-    g.finish();
-}
-
 /// What `ColumnBlock`'s aligned storage buys: the pairing's two kernels at
 /// n = 256 on four columns one 2 KiB stride apart, every column starting
 /// `offset` elements past a 64-byte boundary. At offset 0 (what a block
@@ -245,12 +170,5 @@ fn bench_alignment(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_dot,
-    bench_fused_triple,
-    bench_rotate,
-    bench_off_norm,
-    bench_alignment
-);
+criterion_group!(benches, bench_dot, bench_fused_triple, bench_rotate, bench_alignment);
 criterion_main!(benches);

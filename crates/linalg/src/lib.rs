@@ -34,6 +34,6 @@ pub use matrix::Matrix;
 pub use rotation::{symmetric_schur, JacobiRotation};
 pub use symmetric::{frank_matrix, off_diagonal_frobenius, random_symmetric, wilkinson_matrix};
 pub use vecops::{
-    axpy, dot, dot_lanes, dot_tile_exact, fused_triple, fused_triple_exact, gram_tile, nrm2,
-    pair_rotate, pair_rotate_lanes, rotate_pair, KernelPath,
+    axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
+    rotate_pair, KernelPath,
 };

@@ -8,14 +8,13 @@
 //! offers (AVX-512F, then AVX2 — with FMA for the kernels that use it —
 //! then a portable loop), of two kinds:
 //!
-//! * *exact* kernels — [`fused_triple_exact`], [`dot_tile_exact`],
-//!   [`pair_rotate_lanes`] — compute the reference bits: every result is
+//! * *exact* kernels — [`fused_triple_exact`], [`pair_rotate_lanes`] —
+//!   compute the reference bits: every result is
 //!   `to_bits`-equal to [`dot`] / [`pair_rotate`], at any width, because a
 //!   vector register doing a multiply and then an add (never an FMA), lane
 //!   `l` holding partial sum `l`, performs exactly the scalar operations;
-//! * *reassociated* reductions — [`fused_triple`], [`dot_lanes`],
-//!   [`gram_tile`] — use wider partial sums and FMA, ≤1e-12 relative of
-//!   [`dot`] per entry.
+//! * *reassociated* reductions — [`fused_triple`], [`dot_lanes`] — use
+//!   wider partial sums and FMA, ≤1e-12 relative of [`dot`] per entry.
 //!
 //! [`KernelPath`] selects between the two kinds of *reduction*; it promises
 //! bits, not an instruction mix:
@@ -40,9 +39,9 @@ pub enum KernelPath {
     #[default]
     Scalar,
     /// Reassociated reductions. Rotations stay bitwise identical to
-    /// `Scalar`; the reductions — the pairing's fused inner products and the
-    /// Gram tile of the off-norm — use wider partial sums and FMA, ≤1e-12
-    /// relative of the scalar `dot` per entry.
+    /// `Scalar`; the reductions — the pairing's fused inner products — use
+    /// wider partial sums and FMA, ≤1e-12 relative of the scalar `dot` per
+    /// entry.
     Lanes,
 }
 
@@ -226,84 +225,6 @@ pub fn fused_triple_exact(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f
         },
         LaneTier::Portable => fused_triple_portable(x, a, y, b),
     }
-}
-
-/// The 4×2 tile of inner products `g[r][c] = u[r]·a[c]` over six
-/// equal-length columns in one pass, every entry `to_bits`-equal to
-/// [`dot`]`(u[r], a[c])`.
-///
-/// The exact counterpart of [`gram_tile`], behind the
-/// [`KernelPath::Scalar`] convergence measure: eight accumulators are as
-/// many independent add chains as keep the adder busy while each entry is
-/// still summed in `dot`'s order, and six loads feed eight multiply-adds
-/// where eight separate dots pay two loads each.
-///
-/// # Panics
-/// Panics if the six slices do not all have one common length.
-#[inline]
-pub fn dot_tile_exact(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
-    let n = u[0].len();
-    assert!(u.iter().chain(&a).all(|col| col.len() == n), "dot_tile_exact: column lengths differ");
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: as in `fused_triple_exact`.
-        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
-            x86::dot_tile_exact_avx2(u, a)
-        },
-        LaneTier::Portable => dot_tile_exact_portable(u, a),
-    }
-}
-
-/// Portable exact tile: the eight [`dot`]s themselves.
-fn dot_tile_exact_portable(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
-    u.map(|ur| a.map(|ac| dot(ur, ac)))
-}
-
-/// The 4×4 tile of inner products `g[r][c] = u[r]·a[c]` over eight
-/// equal-length columns, in one pass.
-///
-/// This is the register tile of the convergence measure: `off(UᵀA₀U)` needs
-/// every `u_i·a_j`, and sixteen of them share eight column streams — 8 loads
-/// per 16 multiply-adds where sixteen separate dots pay 2 loads each. Like
-/// [`fused_triple`] it is a lane reduction: each tier accumulates in its own
-/// fixed order (FMA on the AVX tiers), so an entry is ≤1e-12 relative of
-/// [`dot`]`(u[r], a[c])` rather than bitwise equal, and repeatable run to
-/// run on one host.
-///
-/// # Panics
-/// Panics if the eight slices do not all have one common length.
-#[inline]
-pub fn gram_tile(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
-    let n = u[0].len();
-    assert!(u.iter().chain(&a).all(|col| col.len() == n), "gram_tile: column lengths differ");
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: tier implies the feature was detected (see `lane_tier`);
-        // the common length was asserted above.
-        LaneTier::Avx512 => unsafe { x86::gram_tile_avx512(u, a) },
-        #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2Fma => unsafe { x86::gram_tile_avx2(u, a) },
-        _ => gram_tile_portable(u, a),
-    }
-}
-
-/// Portable Gram tile: sixteen running sums over one walk of the eight
-/// streams, each entry accumulated in plain index order.
-fn gram_tile_portable(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
-    let n = u[0].len();
-    // One reslice per stream lets the loop below run without bounds checks.
-    let (u, a) = (u.map(|col| &col[..n]), a.map(|col| &col[..n]));
-    let mut g = [[0.0f64; 4]; 4];
-    for k in 0..n {
-        let ak = [a[0][k], a[1][k], a[2][k], a[3][k]];
-        for r in 0..4 {
-            let urk = u[r][k];
-            for c in 0..4 {
-                g[r][c] += urk * ak[c];
-            }
-        }
-    }
-    g
 }
 
 /// `y ← a·x + y`.
@@ -670,126 +591,6 @@ mod x86 {
         (pp, pq, qq)
     }
 
-    /// 4×2 exact dot tile: eight accumulators, four `u` loads and two `a`
-    /// loads per eight multiply-then-adds, every entry in
-    /// [`super::dot`]'s exact operation order (see
-    /// [`fused_triple_exact_avx2`]).
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` via cpuid; all six slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_tile_exact_avx2(u: [&[f64]; 4], a: [&[f64]; 2]) -> [[f64; 2]; 4] {
-        let n = u[0].len();
-        let chunks = n / 4;
-        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
-        for k in 0..chunks {
-            let i = 4 * k;
-            let va0 = _mm256_loadu_pd(a[0].as_ptr().add(i));
-            let va1 = _mm256_loadu_pd(a[1].as_ptr().add(i));
-            for r in 0..4 {
-                let vu = _mm256_loadu_pd(u[r].as_ptr().add(i));
-                acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(vu, va0));
-                acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(vu, va1));
-            }
-        }
-        let mut g = [[0.0f64; 2]; 4];
-        for r in 0..4 {
-            for c in 0..2 {
-                g[r][c] = dot_tree256(acc[r][c]);
-            }
-        }
-        for i in 4 * chunks..n {
-            for r in 0..4 {
-                for c in 0..2 {
-                    g[r][c] += u[r][i] * a[c][i];
-                }
-            }
-        }
-        g
-    }
-
-    /// 4×4 Gram tile, 8 lanes at a time: sixteen vector accumulators, four
-    /// `u` loads and four `a` loads per sixteen FMAs.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx512f` via cpuid; all eight slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gram_tile_avx512(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
-        let n = u[0].len();
-        let mut acc = [[_mm512_setzero_pd(); 4]; 4];
-        let chunks = n / 8;
-        for k in 0..chunks {
-            let i = 8 * k;
-            let vu = [
-                _mm512_loadu_pd(u[0].as_ptr().add(i)),
-                _mm512_loadu_pd(u[1].as_ptr().add(i)),
-                _mm512_loadu_pd(u[2].as_ptr().add(i)),
-                _mm512_loadu_pd(u[3].as_ptr().add(i)),
-            ];
-            for c in 0..4 {
-                let va = _mm512_loadu_pd(a[c].as_ptr().add(i));
-                for r in 0..4 {
-                    acc[r][c] = _mm512_fmadd_pd(vu[r], va, acc[r][c]);
-                }
-            }
-        }
-        let mut g = [[0.0f64; 4]; 4];
-        for r in 0..4 {
-            for c in 0..4 {
-                g[r][c] = _mm512_reduce_add_pd(acc[r][c]);
-            }
-        }
-        for i in 8 * chunks..n {
-            for r in 0..4 {
-                for c in 0..4 {
-                    g[r][c] += u[r][i] * a[c][i];
-                }
-            }
-        }
-        g
-    }
-
-    /// 4×4 Gram tile on 16 vector registers: two 4×2 half tiles (eight
-    /// accumulators, four `u` loads, two `a` loads each), 4 lanes at a time.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid; all eight
-    /// slices must share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gram_tile_avx2(u: [&[f64]; 4], a: [&[f64]; 4]) -> [[f64; 4]; 4] {
-        let n = u[0].len();
-        let chunks = n / 4;
-        let mut g = [[0.0f64; 4]; 4];
-        for half in 0..2 {
-            let (a0, a1) = (a[2 * half], a[2 * half + 1]);
-            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
-            for k in 0..chunks {
-                let i = 4 * k;
-                let va0 = _mm256_loadu_pd(a0.as_ptr().add(i));
-                let va1 = _mm256_loadu_pd(a1.as_ptr().add(i));
-                for r in 0..4 {
-                    let vu = _mm256_loadu_pd(u[r].as_ptr().add(i));
-                    acc[r][0] = _mm256_fmadd_pd(vu, va0, acc[r][0]);
-                    acc[r][1] = _mm256_fmadd_pd(vu, va1, acc[r][1]);
-                }
-            }
-            for r in 0..4 {
-                g[r][2 * half] = hsum256(acc[r][0]);
-                g[r][2 * half + 1] = hsum256(acc[r][1]);
-            }
-        }
-        for i in 4 * chunks..n {
-            for r in 0..4 {
-                for c in 0..4 {
-                    g[r][c] += u[r][i] * a[c][i];
-                }
-            }
-        }
-        g
-    }
-
     /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
     /// FMA — so every element's bits match the scalar loop exactly.
     ///
@@ -1136,25 +937,18 @@ mod tests {
 
     type DotFn = fn(&[f64], &[f64]) -> f64;
     type TripleFn = fn(&[f64], &[f64], &[f64], &[f64]) -> (f64, f64, f64);
-    type TileFn = fn([&[f64]; 4], [&[f64]; 4]) -> [[f64; 4]; 4];
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
     struct Tier {
         name: &'static str,
         dot: DotFn,
         triple: TripleFn,
-        tile: TileFn,
         rotate: RotateFn,
     }
 
     fn tiers() -> Vec<Tier> {
-        let mut tiers = vec![Tier {
-            name: "portable",
-            dot,
-            triple: fused_triple_portable,
-            tile: gram_tile_portable,
-            rotate: rotate4,
-        }];
+        let mut tiers =
+            vec![Tier { name: "portable", dot, triple: fused_triple_portable, rotate: rotate4 }];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
@@ -1165,33 +959,25 @@ mod tests {
                 // equal-length slices.
                 let rotate: RotateFn =
                     |ai, aj, ui, uj, c, s| unsafe { x86::pair_rotate_avx2(ai, aj, ui, uj, c, s) };
-                tiers.push(Tier {
-                    name: "avx2",
-                    dot,
-                    triple: fused_triple_portable,
-                    tile: gram_tile_portable,
-                    rotate,
-                });
+                tiers.push(Tier { name: "avx2", dot, triple: fused_triple_portable, rotate });
                 if is_x86_feature_detected!("fma") {
-                    // SAFETY (the three closures): avx2 and fma were just
+                    // SAFETY (both closures): avx2 and fma were just
                     // detected; the tests pass equal-length slices.
                     tiers.push(Tier {
                         name: "avx2+fma",
                         dot: |x, y| unsafe { x86::dot_avx2(x, y) },
                         triple: |x, a, y, b| unsafe { x86::fused_triple_avx2(x, a, y, b) },
-                        tile: |u, a| unsafe { x86::gram_tile_avx2(u, a) },
                         rotate,
                     });
                 }
             }
             if is_x86_feature_detected!("avx512f") {
-                // SAFETY (the four closures): avx512f was just detected;
+                // SAFETY (the three closures): avx512f was just detected;
                 // the tests pass equal-length slices.
                 tiers.push(Tier {
                     name: "avx512",
                     dot: |x, y| unsafe { x86::dot_avx512(x, y) },
                     triple: |x, a, y, b| unsafe { x86::fused_triple_avx512(x, a, y, b) },
-                    tile: |u, a| unsafe { x86::gram_tile_avx512(u, a) },
                     rotate: |ai, aj, ui, uj, c, s| unsafe {
                         x86::pair_rotate_avx512(ai, aj, ui, uj, c, s)
                     },
@@ -1225,74 +1011,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_tier_of_the_gram_tile_meets_the_reduction_contract() {
-        for t in tiers() {
-            for n in (0..=40usize).chain([101, 256, 1001]) {
-                let cols: Vec<Vec<f64>> = (0..8).map(|k| stream(k, n)).collect();
-                let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
-                let a: [&[f64]; 4] = std::array::from_fn(|c| &cols[4 + c][..]);
-                let g = (t.tile)(u, a);
-                for r in 0..4 {
-                    for c in 0..4 {
-                        let want = dot(u[r], a[c]);
-                        assert!(
-                            within_contract(g[r][c], want),
-                            "{} tile n={n} ({r},{c}): {} vs {want}",
-                            t.name,
-                            g[r][c]
-                        );
-                    }
-                }
-                // The Gram rule's aliasing: the same columns in both roles.
-                let gram = (t.tile)(u, u);
-                for r in 0..4 {
-                    for c in 0..4 {
-                        assert!(within_contract(gram[r][c], dot(u[r], u[c])), "{} n={n}", t.name);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_dispatched_gram_tile_is_one_of_the_tiers_bit_for_bit() {
-        let cols: Vec<Vec<f64>> = (0..8).map(|k| stream(k, 37)).collect();
-        let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
-        let a: [&[f64]; 4] = std::array::from_fn(|c| &cols[4 + c][..]);
-        let got = gram_tile(u, a);
-        assert!(tiers().iter().any(|t| (t.tile)(u, a) == got));
-        assert_eq!(gram_tile(u, a), got, "repeatable run to run");
-    }
-
-    #[test]
-    #[should_panic(expected = "column lengths differ")]
-    fn gram_tile_rejects_mismatched_column_lengths() {
-        let (long, short) = (stream(0, 9), stream(1, 8));
-        gram_tile([&long, &long, &long, &long], [&long, &long, &short, &long]);
-    }
-
     // --- The exact kernels: `to_bits`-equal to `dot`, tier by tier ----------
-
-    type ExactTileFn = fn([&[f64]; 4], [&[f64]; 2]) -> [[f64; 2]; 4];
 
     /// Every form of the exact kernels this host can run: the portable tier
     /// always, the AVX2 tier called directly once cpuid reports it, and the
     /// public dispatch.
-    fn exact_tiers() -> Vec<(&'static str, TripleFn, ExactTileFn)> {
-        let mut tiers: Vec<(&'static str, TripleFn, ExactTileFn)> = vec![
-            ("portable", fused_triple_portable, dot_tile_exact_portable),
-            ("dispatch", fused_triple_exact, dot_tile_exact),
-        ];
+    fn exact_tiers() -> Vec<(&'static str, TripleFn)> {
+        let mut tiers: Vec<(&'static str, TripleFn)> =
+            vec![("portable", fused_triple_portable), ("dispatch", fused_triple_exact)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY (both closures): avx2 was just detected; the tests pass
-            // equal-length slices.
-            tiers.push((
-                "avx2",
-                |x, a, y, b| unsafe { x86::fused_triple_exact_avx2(x, a, y, b) },
-                |u, a| unsafe { x86::dot_tile_exact_avx2(u, a) },
-            ));
+            // SAFETY: avx2 was just detected; the tests pass equal-length
+            // slices.
+            tiers.push(("avx2", |x, a, y, b| unsafe { x86::fused_triple_exact_avx2(x, a, y, b) }));
         }
         tiers
     }
@@ -1302,19 +1033,17 @@ mod tests {
         (0..=67usize).chain([255, 256, 257, 259])
     }
 
-    /// Six columns of length `n` drawn from `draw`.
-    fn six_columns(n: usize, mut draw: impl FnMut() -> f64) -> Vec<Vec<f64>> {
-        (0..6).map(|_| (0..n).map(|_| draw()).collect()).collect()
+    /// Four columns of length `n` drawn from `draw`.
+    fn four_columns(n: usize, mut draw: impl FnMut() -> f64) -> Vec<Vec<f64>> {
+        (0..4).map(|_| (0..n).map(|_| draw()).collect()).collect()
     }
 
-    /// Checks every exact tier against `dot` on `cols` (`x, a, y, b` for the
-    /// triple; four `u` then two `a` for the tile) with `same`.
+    /// Checks every exact tier against `dot` on `cols` (`x, a, y, b`) with
+    /// `same`.
     fn check_exact_tiers(cols: &[Vec<f64>], same: impl Fn(f64, f64) -> bool, what: &str) {
         let n = cols[0].len();
         let (x, a, y, b) = (&cols[0][..], &cols[1][..], &cols[2][..], &cols[3][..]);
-        let u: [&[f64]; 4] = std::array::from_fn(|r| &cols[r][..]);
-        let pair: [&[f64]; 2] = [&cols[4], &cols[5]];
-        for (name, triple, tile) in exact_tiers() {
+        for (name, triple) in exact_tiers() {
             let (pp, pq, qq) = triple(x, a, y, b);
             for (got, want) in [(pp, dot(x, a)), (pq, dot(x, b)), (qq, dot(y, b))] {
                 assert!(same(got, want), "{name} triple, {what}, n={n}: {got:e} vs {want:e}");
@@ -1323,17 +1052,6 @@ mod tests {
             let (pp, pq, qq) = triple(x, x, y, y);
             for (got, want) in [(pp, dot(x, x)), (pq, dot(x, y)), (qq, dot(y, y))] {
                 assert!(same(got, want), "{name} gram triple, {what}, n={n}");
-            }
-            let g = tile(u, pair);
-            for r in 0..4 {
-                for c in 0..2 {
-                    let want = dot(u[r], pair[c]);
-                    assert!(
-                        same(g[r][c], want),
-                        "{name} tile ({r},{c}), {what}, n={n}: {:e} vs {want:e}",
-                        g[r][c]
-                    );
-                }
             }
         }
     }
@@ -1345,7 +1063,7 @@ mod tests {
         assert!(exact_tiers().iter().any(|(name, ..)| *name == exact_tier()), "{}", exact_tier());
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         for n in exact_lengths() {
-            let cols = six_columns(n, || rng.gen_range(-1.0..=1.0));
+            let cols = four_columns(n, || rng.gen_range(-1.0..=1.0));
             check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "random");
         }
     }
@@ -1360,12 +1078,12 @@ mod tests {
             [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160, 1.0, -1.0];
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         for n in exact_lengths() {
-            let cols = six_columns(n, || POOL[rng.gen_range(0..POOL.len())]);
+            let cols = four_columns(n, || POOL[rng.gen_range(0..POOL.len())]);
             check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "tiny");
         }
         // All-negative-zero columns: every partial sum is `0.0 + -0.0`.
         for n in [0usize, 3, 4, 9] {
-            let cols = vec![vec![-0.0; n]; 6];
+            let cols = vec![vec![-0.0; n]; 4];
             check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "-0");
         }
     }
@@ -1387,7 +1105,7 @@ mod tests {
             for n in [1usize, 4, 7, 33, 256, 259] {
                 // One bad entry per column, in the vector body and the tail.
                 for at in [0, n / 2, n - 1] {
-                    let mut cols = six_columns(n, || rng.gen_range(-1.0..=1.0));
+                    let mut cols = four_columns(n, || rng.gen_range(-1.0..=1.0));
                     for (k, col) in cols.iter_mut().enumerate() {
                         if k % 2 == 0 {
                             col[at] = bad;
@@ -1422,13 +1140,6 @@ mod tests {
         // The pairing pool's panic-propagation test reads this message.
         let (short, long) = (stream(0, 8), stream(1, 9));
         fused_triple_exact(&short, &short, &long, &long);
-    }
-
-    #[test]
-    #[should_panic(expected = "column lengths differ")]
-    fn dot_tile_exact_rejects_mismatched_column_lengths() {
-        let (long, short) = (stream(0, 9), stream(1, 8));
-        dot_tile_exact([&long, &long, &long, &long], [&long, &short]);
     }
 
     #[test]
@@ -1467,7 +1178,7 @@ mod tests {
 
     #[test]
     fn alignment_moves_time_never_a_bit() {
-        // Every tier of every kernel, on the same eight columns placed at
+        // Every tier of every kernel, on the same four columns placed at
         // each of the eight element offsets from a cache line — column `k`
         // one element further than column `k − 1`, so the streams of one
         // call are also misaligned against each other. Offset 0 is what
@@ -1480,18 +1191,15 @@ mod tests {
             for off in 0..8 {
                 let place = |k: usize| placed(&stream(k, n), (off + k) % 8);
                 let mut got: Vec<Vec<u64>> = Vec::new();
-                let cols: Vec<_> = (0..8).map(place).collect();
-                let col: [&[f64]; 8] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
-                let (u, a) = ([col[0], col[1], col[2], col[3]], [col[4], col[5], col[6], col[7]]);
+                let cols: Vec<_> = (0..4).map(place).collect();
+                let col: [&[f64]; 4] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
                 for t in tiers() {
                     let (pp, pq, qq) = (t.triple)(col[0], col[1], col[2], col[3]);
                     got.push(bits(&[(t.dot)(col[0], col[1]), pp, pq, qq]));
-                    got.push(bits((t.tile)(u, a).as_flattened()));
                 }
-                for (_, triple, tile) in exact_tiers() {
+                for (_, triple) in exact_tiers() {
                     let (pp, pq, qq) = triple(col[0], col[1], col[2], col[3]);
                     got.push(bits(&[pp, pq, qq]));
-                    got.push(bits(tile(u, [a[0], a[1]]).as_flattened()));
                 }
                 for t in tiers() {
                     let mut quad: Vec<_> = (0..4).map(place).collect();
