@@ -69,6 +69,29 @@ impl BatchOrder {
             assert!(*stride >= 1, "a round-robin stride must grant at least one op");
         }
     }
+
+    /// The grant walk: calls `turn(job, grant)` — run up to `grant` of the
+    /// job's micro-ops, say whether any ran — until every job is through.
+    /// The engine's nodes and the schedule clock both merge their jobs'
+    /// programs with it.
+    pub fn walk(&self, mut turn: impl FnMut(usize, usize) -> bool) {
+        match self {
+            BatchOrder::Serial(order) => {
+                for &j in order {
+                    turn(j, usize::MAX);
+                }
+            }
+            BatchOrder::RoundRobin { order, stride } => loop {
+                let mut ran = false;
+                for &j in order {
+                    ran |= turn(j, *stride);
+                }
+                if !ran {
+                    break;
+                }
+            },
+        }
+    }
 }
 
 /// One lowered job as the cost model sees it: its sweep-chained plans and

@@ -7,10 +7,12 @@
 //! barrier-free dataflow in which a packet departs on its own arrival
 //! stamp, the serial tail is chained packet by packet across phases, and
 //! several jobs' micro-ops interleave on one set of links. This module
-//! prices that schedule by running it: [`executed_cost`] merges the jobs'
-//! micro-op streams in the order the engine's `run_nodes` does and charges
-//! every op to one [`NodeClock`] — the type the throttled fabric charges
-//! its live sends to, so there is one recurrence and both round alike.
+//! prices that schedule by running it. The order is not written here: a
+//! sweep's program is [`CommPlan::program`] and the jobs' programs merge by
+//! [`BatchOrder::walk`], the two definitions the engine executes too.
+//! [`executed_cost`] is their second interpreter — it charges every op to
+//! one [`NodeClock`], the type the throttled fabric charges its live sends
+//! to, so there is one recurrence and both round alike.
 //!
 //! SPMD symmetry is what makes one clock enough: on a uniform partition
 //! every node issues the same ops with the same sizes, so a node's
@@ -23,111 +25,41 @@
 
 use crate::batchcost::{BatchOrder, PlannedJob};
 use crate::machine::Machine;
-use mph_core::{CommPlan, Frame, PlanPhase};
+use mph_core::{CommPlan, Framing, MicroOp, OpKind};
 use mph_runtime::NodeClock;
 use std::ops::Range;
 
-/// One scheduler micro-op as the clock sees it. A job keeps one arrival
-/// stamp per packet *lane*; a send departs on its lane's stamp and leaves
-/// its own arrival there, which by symmetry is the stamp the node's next
-/// receive on that lane carries.
-enum Op {
-    /// A slot that moves no clock: sweep start and end (pairings are free
-    /// on the virtual clock) and the receives inside a chained tail run.
-    Slot,
-    /// `entry` marks the first send of a phase or tail run: every lane
-    /// becomes ready now. (A whole-block send is its own entry — a ready
-    /// time not after `now` never binds.)
-    Send { dim: usize, elems: f64, lane: usize, entry: bool },
-    /// Consumes the arrivals of these lanes.
-    Wait(Range<usize>),
-}
-
-/// One job's micro-ops in program order, with the cursor and lane stamps
-/// of their execution.
-#[derive(Default)]
-struct OpStream {
-    ops: Vec<Op>,
-    pc: usize,
+/// One job's state on the clock: an arrival stamp per packet *lane* — a
+/// send departs on its lane's stamp and leaves its own arrival there,
+/// which by symmetry is the stamp the node's next receive on that lane
+/// carries — and the size the round in hand is priced at.
+#[derive(Default, Clone)]
+struct Lanes {
     stamps: Vec<f64>,
+    block_elems: u64,
 }
 
-impl OpStream {
-    /// The `q` packet sends of transition `k` of `ph`, sized as the
-    /// phase's largest block split into balanced column packets.
-    fn sends(&mut self, plan: &CommPlan, ph: &PlanPhase, k: usize, q: usize, entry: bool) {
-        if self.stamps.len() < q {
-            self.stamps.resize(q, 0.0);
+/// Runs `op` of `plan` on `clock`, every link charging `machine`: a
+/// charging op sends its packet of the phase's largest block, a consuming
+/// one waits for its lane, the rest move no clock (pairings are free on the
+/// virtual clock, and inside a chained run only the last receive waits).
+fn charge(plan: &CommPlan, op: MicroOp, lanes: &mut Lanes, clock: &mut NodeClock, m: &Machine) {
+    let stamps = &mut lanes.stamps;
+    if op.charges() {
+        let ph = &plan.phases()[op.phase];
+        if op.entry {
+            stamps.clear();
+            stamps.resize(op.of, clock.now());
         }
-        let dim = ph.links[k];
-        for (lane, elems) in plan.packet_elems(ph.max_message_elems(), q).enumerate() {
-            self.ops.push(Op::Send { dim, elems: elems as f64, lane, entry: entry && lane == 0 });
+        if op.q == 0 {
+            lanes.block_elems = ph.max_message_elems();
         }
-    }
-
-    /// Phases `run` of `plan` chained at degree `q`: each phase ships its
-    /// `q` packets on their predecessors' stamps and takes `q` receive
-    /// slots; only the run's last receive waits, on every lane.
-    fn chained(&mut self, plan: &CommPlan, run: Range<usize>, q: usize) {
-        for idx in run.clone() {
-            self.sends(plan, &plan.phases()[idx], 0, q, idx == run.start);
-            self.ops.extend((1..q).map(|_| Op::Slot));
-            self.ops.push(if idx + 1 == run.end { Op::Wait(0..q) } else { Op::Slot });
-        }
-    }
-
-    /// One sweep as the engine's `JobNode` steps it under `qs`/`tail_q`.
-    fn sweep(&mut self, plan: &CommPlan, qs: &[usize], tail_q: usize) {
-        let framing = plan.framing(qs, tail_q);
-        self.ops.push(Op::Slot);
-        let mut idx = 0;
-        while let Some(ph) = plan.phases().get(idx) {
-            idx = match framing.frame(idx) {
-                Frame::Whole => {
-                    for k in 0..ph.k() {
-                        self.sends(plan, ph, k, 1, true);
-                        self.ops.push(Op::Wait(0..1));
-                    }
-                    idx + 1
-                }
-                Frame::Packets(q) => {
-                    for k in 0..ph.k() {
-                        self.sends(plan, ph, k, q, k == 0);
-                    }
-                    self.ops.extend((0..q).map(|lane| Op::Wait(lane..lane + 1)));
-                    idx + 1
-                }
-                Frame::Chained { q, start, end } => {
-                    self.chained(plan, start..end, q);
-                    end
-                }
-            };
-        }
-        self.ops.push(Op::Slot);
-    }
-
-    fn done(&self) -> bool {
-        self.pc == self.ops.len()
-    }
-
-    /// Executes the next op on `clock`, every link charging `machine`.
-    fn step(&mut self, clock: &mut NodeClock, machine: &Machine) {
-        match &self.ops[self.pc] {
-            Op::Slot => {}
-            &Op::Send { dim, elems, lane, entry } => {
-                if entry {
-                    self.stamps.fill(clock.now());
-                }
-                self.stamps[lane] =
-                    clock.send(machine.ts, machine.tw, dim, elems, self.stamps[lane]).end;
-            }
-            Op::Wait(lanes) => {
-                for &stamp in &self.stamps[lanes.clone()] {
-                    clock.wait(stamp);
-                }
-            }
-        }
-        self.pc += 1;
+        let elems = plan.packet_size(lanes.block_elems, op.of, op.q) as f64;
+        stamps[op.q] = clock.send(m.ts, m.tw, ph.links[op.k], elems, stamps[op.q]).end;
+    } else if op.last {
+        stamps.iter().for_each(|&stamp| clock.wait(stamp));
+    } else if matches!(op.kind, OpKind::Recv | OpKind::Drain) {
+        clock.wait(stamps[op.q]);
     }
 }
 
@@ -139,11 +71,10 @@ pub(crate) fn chained_run_cost(
     run: Range<usize>,
     q: usize,
 ) -> f64 {
-    let mut stream = OpStream::default();
-    stream.chained(plan, run, q);
     let mut clock = NodeClock::new(machine.ports, plan.d());
-    while !stream.done() {
-        stream.step(&mut clock, machine);
+    let mut lanes = Lanes::default();
+    for op in plan.chained_run(run, q) {
+        charge(plan, op, &mut lanes, &mut clock, machine);
     }
     clock.now()
 }
@@ -165,45 +96,33 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
     order.validate(jobs.len());
     let d = jobs.iter().flat_map(|job| job.plans).map(CommPlan::d).max().unwrap_or(0);
     let mut clock = NodeClock::new(machine.ports, d);
-    let mut streams: Vec<OpStream> = jobs
+    let framings: Vec<Vec<Framing>> = jobs
         .iter()
         .map(|job| {
             assert_eq!(job.plans.len(), job.qs.len(), "one qs vector per sweep plan");
-            let mut stream = OpStream::default();
-            for (plan, qs) in job.plans.iter().zip(job.qs) {
-                stream.sweep(plan, qs, job.tail_q);
-            }
-            stream
+            job.plans.iter().zip(job.qs).map(|(plan, qs)| plan.framing(qs, job.tail_q)).collect()
         })
         .collect();
+    // Each job's sweep programs end to end, consumed a grant at a time.
+    let mut programs: Vec<_> = jobs
+        .iter()
+        .zip(&framings)
+        .map(|(job, framings)| {
+            let sweeps = job.plans.iter().zip(framings);
+            sweeps.flat_map(|(plan, framing)| plan.program(framing).map(move |op| (plan, op)))
+        })
+        .collect();
+    let mut lanes = vec![Lanes::default(); jobs.len()];
     let mut finish = vec![0.0; jobs.len()];
-    // One turn of job `j`, as `run_nodes` grants it: up to `grant`
-    // micro-ops; whether any ran.
-    let mut turn = |j: usize, grant: usize| {
-        let stream = &mut streams[j];
-        let before = stream.pc;
-        while !stream.done() && stream.pc - before < grant {
-            stream.step(&mut clock, machine);
+    order.walk(|j, grant| {
+        let mut ran = false;
+        for (plan, op) in programs[j].by_ref().take(grant) {
+            charge(plan, op, &mut lanes[j], &mut clock, machine);
             finish[j] = clock.now();
+            ran = true;
         }
-        stream.pc > before
-    };
-    match order {
-        BatchOrder::Serial(order) => {
-            for &j in order {
-                turn(j, usize::MAX);
-            }
-        }
-        BatchOrder::RoundRobin { order, stride } => loop {
-            let mut active = false;
-            for &j in order {
-                active |= turn(j, *stride);
-            }
-            if !active {
-                break;
-            }
-        },
-    }
+        ran
+    });
     ExecutedCost { makespan: clock.now(), finish }
 }
 

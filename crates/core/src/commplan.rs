@@ -29,7 +29,9 @@
 //!
 //! How a phase crosses the links under given degrees — whole blocks,
 //! packets, or a chained tail run — is decided once, in
-//! [`CommPlan::framing`], for all of them.
+//! [`CommPlan::framing`], for all of them; and the order in which a framed
+//! sweep's micro-ops run is written once, as [`CommPlan::op_after`] — the
+//! engine executes that program, the schedule clock prices it.
 //!
 //! Because all three read the same object, the metered traffic of an
 //! execution, the simulated traffic of the network model and the volume
@@ -39,6 +41,7 @@
 use crate::coverage::BlockLayout;
 use crate::partition::BlockPartition;
 use crate::sweep::{SweepSchedule, TransitionKind};
+use std::ops::Range;
 
 /// What a plan phase is, in the sweep's phase structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +83,6 @@ impl PlanPhase {
     /// as the phase's message size).
     pub fn max_message_elems(&self) -> u64 {
         self.sends.iter().flatten().copied().max().unwrap_or(0)
-    }
-
-    /// The common message size when every send of the phase is equal
-    /// (always true for power-of-two column counts), `None` otherwise.
-    pub fn uniform_message_elems(&self) -> Option<u64> {
-        let mut it = self.sends.iter().flatten().copied();
-        let first = it.next()?;
-        it.all(|x| x == first).then_some(first)
     }
 
     /// Total data elements the phase moves (all transitions, all nodes).
@@ -250,12 +245,6 @@ impl CommPlan {
         self.phases.iter().filter(|ph| !ph.is_exchange()).map(PlanPhase::volume).sum()
     }
 
-    /// Serial-tail messages per node (`d` divisions + the last transition
-    /// for a full sweep): the start-up count of the unpipelinable part.
-    pub fn tail_messages_per_node(&self) -> u64 {
-        self.phases.iter().filter(|ph| !ph.is_exchange()).map(|ph| ph.k() as u64).sum()
-    }
-
     /// The plan's **tail runs**: maximal runs of consecutive
     /// single-transition phases (`k() == 1` — the divisions, the last
     /// transition, and the `e = 1` exchange phase sandwiched between
@@ -266,7 +255,7 @@ impl CommPlan {
     /// pipelining. For a full sweep on `d ≥ 2` the runs are
     /// `[Div_d]`, …, `[Div_2, X_1, Div_1, Last]`; on `d = 1` the whole
     /// plan is one run.
-    pub fn tail_runs(&self) -> Vec<std::ops::Range<usize>> {
+    pub fn tail_runs(&self) -> Vec<Range<usize>> {
         let mut runs = Vec::new();
         let mut start = None;
         for (i, ph) in self.phases.iter().enumerate() {
@@ -317,11 +306,16 @@ impl CommPlan {
     /// this plan's columns split `q` ways: balanced column groups, larger
     /// first — what `ColumnBlock::split_columns` cuts, and what the engine
     /// charges the clock packet by packet.
-    pub fn packet_elems(&self, block_elems: u64, q: usize) -> impl Iterator<Item = u64> {
+    pub fn packet_elems(&self, block_elems: u64, q: usize) -> impl Iterator<Item = u64> + '_ {
+        (0..q).map(move |p| self.packet_size(block_elems, q, p))
+    }
+
+    /// Packet `q` of [`CommPlan::packet_elems`]`(block_elems, of)`.
+    pub fn packet_size(&self, block_elems: u64, of: usize, q: usize) -> u64 {
         let epc = self.elems_per_col.max(1) as u64;
         let cols = block_elems / epc;
-        let (base, extra) = (cols / q as u64, cols % q as u64);
-        (0..q as u64).map(move |p| (base + u64::from(p < extra)) * epc)
+        let (base, extra) = (cols / of as u64, cols % of as u64);
+        (base + u64::from((q as u64) < extra)) * epc
     }
 
     /// Data-plane messages of the sweep under [`CommPlan::framing`]`(qs,
@@ -337,6 +331,133 @@ impl CommPlan {
             .map(|(idx, ph)| ph.k() as u64 * p * framing.frame(idx).packets() as u64)
             .sum()
     }
+
+    /// The first op of phase `idx` framed `frame`.
+    fn first_op(idx: usize, frame: Frame) -> MicroOp {
+        let (kind, of, entry) = match frame {
+            Frame::Whole => (OpKind::Send, 1, true),
+            Frame::Packets(q) => (OpKind::Pipe, q, true),
+            Frame::Chained { q, start, .. } => (OpKind::TailSend, q, idx == start),
+        };
+        MicroOp::first(kind, idx, of, entry)
+    }
+
+    /// The op after `op` while the program stays in `op`'s phase — for a
+    /// chained `frame`, in its run; `None` once that is through.
+    fn next_in(&self, op: MicroOp, frame: Frame) -> Option<MicroOp> {
+        use OpKind::*;
+        let k_total = self.phases[op.phase].k();
+        let more = op.q + 1 < op.of;
+        let (kind, phase, k, q) = match op.kind {
+            Send => (Recv, op.phase, op.k, 0),
+            Recv if op.k + 1 < k_total => (Send, op.phase, op.k + 1, 0),
+            Pipe | Drain | TailSend | TailRecv if more => (op.kind, op.phase, op.k, op.q + 1),
+            // Iteration `k + 1` forwards the round iteration `k` receives;
+            // the epilogue drains the last round, `k = K − 1`.
+            Pipe if op.k + 1 < k_total => (Pipe, op.phase, op.k + 1, 0),
+            Pipe => (Drain, op.phase, op.k, 0),
+            TailSend => (TailRecv, op.phase, 0, 0),
+            // An in-run K = 1 exchange rides the chain at the run's degree.
+            TailRecv if !op.last => (TailSend, op.phase + 1, 0, 0),
+            SweepStart | Recv | Drain | TailRecv | SweepEnd => return None,
+        };
+        let last = kind == TailRecv
+            && q + 1 == op.of
+            && matches!(frame, Frame::Chained { end, .. } if phase + 1 == end);
+        Some(MicroOp { kind, phase, k, q, of: op.of, entry: kind == Send, last })
+    }
+
+    /// The successor function of the sweep's program under `framing`: the
+    /// micro-op that runs after `op`, `None` after [`OpKind::SweepEnd`].
+    /// Start from [`MicroOp::SWEEP_START`]. This is the order the engine
+    /// (`mph_eigen`) executes and the schedule clock
+    /// (`mph_ccpipe::executed_cost`) charges; nothing is built or allocated.
+    pub fn op_after(&self, op: MicroOp, framing: &Framing) -> Option<MicroOp> {
+        let idx = match op.kind {
+            OpKind::SweepStart => 0,
+            OpKind::SweepEnd => return None,
+            _ => match self.next_in(op, framing.frame(op.phase)) {
+                Some(next) => return Some(next),
+                None => op.phase + 1,
+            },
+        };
+        Some(match self.phases.get(idx) {
+            Some(_) => Self::first_op(idx, framing.frame(idx)),
+            None => MicroOp::first(OpKind::SweepEnd, idx, 1, false),
+        })
+    }
+
+    /// One sweep's micro-ops under `framing`, in execution order.
+    pub fn program<'a>(&'a self, framing: &'a Framing) -> impl Iterator<Item = MicroOp> + 'a {
+        std::iter::successors(Some(MicroOp::SWEEP_START), move |&op| self.op_after(op, framing))
+    }
+
+    /// The ops of phases `run` (a [`CommPlan::tail_runs`] entry) chained at
+    /// degree `q ≥ 1` — [`CommPlan::framing`] chains only above 1, but the
+    /// tail chooser also prices the whole-block chain.
+    pub fn chained_run(&self, run: Range<usize>, q: usize) -> impl Iterator<Item = MicroOp> + '_ {
+        let frame = Frame::Chained { q, start: run.start, end: run.end };
+        let first = Self::first_op(run.start, frame);
+        std::iter::successors(Some(first), move |&op| self.next_in(op, frame))
+    }
+}
+
+/// What a micro-op is in the schedule. What it *does* is its interpreter's
+/// business: the engine pairs, moves blocks and votes; the schedule clock
+/// sends on the charging kinds, waits on the consuming ones, skips the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    SweepStart,
+    /// A whole block leaves across `links[k]`.
+    Send,
+    /// The partner's whole block arrives.
+    Recv,
+    /// Packet `q` of a packetized phase's iteration `k` is charged: the
+    /// paper's stage `k + q` wavefront (§2.4).
+    Pipe,
+    /// Packet `q` of the phase's last round is consumed.
+    Drain,
+    /// Packet `q` of a chained single-link transition is charged, on the
+    /// stamp its predecessor arrived with.
+    TailSend,
+    /// That packet is consumed; the clock waits at the run's `last` only.
+    TailRecv,
+    SweepEnd,
+}
+
+/// One step of a sweep's program ([`CommPlan::op_after`]). `(phase, k, q)`
+/// is the identity the meter, the trace and the schedule clock key on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MicroOp {
+    pub kind: OpKind,
+    /// Index into [`CommPlan::phases`] (its length at `SweepEnd`).
+    pub phase: usize,
+    /// Transition of the phase; for `Drain`, the last one.
+    pub k: usize,
+    /// Packet of the round, `< of`.
+    pub q: usize,
+    /// Packets per round of the op's phase.
+    pub of: usize,
+    /// The first charge of a phase or chained run, when every lane is
+    /// ready. A whole `Send` is always its own.
+    pub entry: bool,
+    /// The last receive of a chained run.
+    pub last: bool,
+}
+
+impl MicroOp {
+    /// Where every sweep's program starts.
+    pub const SWEEP_START: MicroOp = MicroOp::first(OpKind::SweepStart, 0, 1, false);
+
+    const fn first(kind: OpKind, phase: usize, of: usize, entry: bool) -> MicroOp {
+        MicroOp { kind, phase, k: 0, q: 0, of, entry, last: false }
+    }
+
+    /// Whether the op puts a message on the clock: one per
+    /// [`CommPlan::messages_with_tail`] count and node.
+    pub fn charges(self) -> bool {
+        matches!(self.kind, OpKind::Send | OpKind::Pipe | OpKind::TailSend)
+    }
 }
 
 /// How one phase of a plan crosses the links.
@@ -349,7 +470,7 @@ pub enum Frame {
     Packets(usize),
     /// A single-link transition of the tail run `start..end` (phase
     /// indices, see [`CommPlan::tail_runs`]), whose phases are chained
-    /// packet by packet at degree `q` (> 1).
+    /// packet by packet at degree `q` (> 1 out of [`CommPlan::framing`]).
     Chained { q: usize, start: usize, end: usize },
 }
 
@@ -424,7 +545,6 @@ mod tests {
         // m = 32 on d = 2: 8 blocks of 4 columns, 2·32 elems per column.
         let p = plan(32, 2, OrderingFamily::Degree4, 0);
         for ph in p.phases() {
-            assert_eq!(ph.uniform_message_elems(), Some(4 * 64));
             assert_eq!(ph.max_message_elems(), 4 * 64);
         }
         // Every transition moves one block per node: volume is exact.
@@ -452,7 +572,6 @@ mod tests {
         // After division: node 0 = [b0, b1], node 1 = [b3, b2].
         // Last transition: slot-1 blocks b1 (3 cols) and b2 (2 cols).
         assert_eq!(p.phases()[2].sends[0], vec![3 * epc, 2 * epc]);
-        assert!(p.phases()[2].uniform_message_elems().is_none());
         // Whole-sweep volume: every transition's sends summed.
         assert_eq!(p.total_volume(), (2 + 2 + 2 + 3 + 3 + 2) * epc);
     }
@@ -486,7 +605,6 @@ mod tests {
             let nodes = 1u64 << d;
             let want = (d as u64 + 1) * nodes * block;
             assert_eq!(p.tail_volume(), want, "d={d}");
-            assert_eq!(p.tail_messages_per_node(), d as u64 + 1, "d={d}");
             // Tail + exchange phases = the whole sweep.
             let exchange: u64 = p.exchange_phases().map(|ph| ph.volume()).sum();
             assert_eq!(exchange + p.tail_volume(), p.total_volume(), "d={d}");

@@ -60,7 +60,7 @@ pub use analysis::{
 };
 pub use br::{br_alpha, br_sequence};
 pub use columns::{column_ordering, validate_column_ordering, ColumnOrdering, ColumnOrderingError};
-pub use commplan::{CommPlan, Frame, Framing, PhaseKind, PlanPhase};
+pub use commplan::{CommPlan, Frame, Framing, MicroOp, OpKind, PhaseKind, PlanPhase};
 pub use coverage::{trace_sweep, validate_sweep_coverage, BlockId, BlockLayout, SweepTrace};
 pub use d4::{d4_alpha, d4_sequence, e_sequence};
 pub use family::OrderingFamily;

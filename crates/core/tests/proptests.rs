@@ -1,15 +1,17 @@
 //! Property-based tests for the ordering core: every family must produce
 //! valid `e`-sequences, the permutation algebra must satisfy group laws,
 //! and — the paper's correctness core — every sweep must pair every block
-//! pair exactly once from any placement, under any sweep rotation.
+//! pair exactly once from any placement, under any sweep rotation. And the
+//! laws of the sweep's micro-op program, the order every executor reads.
 
 use mph_core::{
     alpha, alpha_lower_bound, pbr_sequence_with, sequence_degree, trace_sweep,
-    validate_sweep_coverage, BlockLayout, OrderingFamily, PbrConvention, Permutation,
-    SweepSchedule,
+    validate_sweep_coverage, BlockLayout, BlockPartition, CommPlan, MicroOp, OpKind,
+    OrderingFamily, PbrConvention, Permutation, SweepSchedule,
 };
 use mph_hypercube::is_link_sequence_hamiltonian;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashSet};
 
 fn family_strategy() -> impl Strategy<Value = OrderingFamily> {
     prop_oneof![
@@ -159,6 +161,93 @@ proptest! {
         let c = m / (2 << d);
         if m % (2 << d) == 0 && c % 2 == 0 {
             prop_assert_eq!(ordering.steps.len(), m - 1, "{} d={} m={}", family, d, m);
+        }
+    }
+
+    #[test]
+    fn the_sweep_program_obeys_its_laws(
+        family in family_strategy(),
+        d in 0usize..=4,
+        m_factor in 1usize..=3,
+        ragged in 0usize..=3,
+        sweep in 0usize..4,
+        degrees in proptest::collection::vec(0usize..=6, 4),
+        tail_q in 0usize..=5,
+    ) {
+        use OpKind::*;
+        let m = (m_factor << (d + 1)) + ragged;
+        let plan = CommPlan::lower(
+            &SweepSchedule::sweep(d, family, sweep),
+            &BlockPartition::new(m, 2 << d),
+            &BlockLayout::canonical(d),
+            2 * m,
+        );
+        let qs = &degrees[..d];
+        let framing = plan.framing(qs, tail_q);
+        let ops: Vec<MicroOp> = plan.program(&framing).collect();
+        let what = format!("{family} d={d} m={m} s={sweep} qs={qs:?} tail_q={tail_q}");
+
+        // One sweep, start to end; every op has its own identity and the
+        // phases run in plan order.
+        prop_assert_eq!(ops[0], MicroOp::SWEEP_START, "{}", what);
+        let end = ops[ops.len() - 1];
+        prop_assert_eq!((end.kind, end.phase), (SweepEnd, plan.phases().len()), "{}", what);
+        let ids: HashSet<_> = ops.iter().map(|op| (op.phase, op.k, op.q, op.kind)).collect();
+        prop_assert_eq!(ids.len(), ops.len(), "an op repeats: {}", what);
+        prop_assert!(ops.windows(2).all(|w| w[0].phase <= w[1].phase), "{}", what);
+        let body = &ops[1..ops.len() - 1];
+        prop_assert!(body.iter().all(|op| !matches!(op.kind, SweepStart | SweepEnd)), "{}", what);
+        prop_assert!(d > 0 || body.is_empty(), "d = 0 is [SweepStart, SweepEnd]: {}", what);
+
+        // The closed-form message count is the program's charging ops.
+        let charging = body.iter().filter(|op| op.charges()).count() as u64;
+        prop_assert_eq!(charging << d, plan.messages_with_tail(qs, tail_q), "{}", what);
+
+        // Each phase has the shape of its frame. A chained tail takes every
+        // single-transition phase; otherwise a degree above 1 packetizes.
+        for (idx, ph) in plan.phases().iter().enumerate() {
+            let (k_total, q_total) = (ph.k(), framing.frame(idx).packets());
+            let phase: Vec<MicroOp> = body.iter().filter(|op| op.phase == idx).copied().collect();
+            let got: Vec<_> = phase.iter().map(|op| (op.kind, op.k, op.q)).collect();
+            let round = |kind, k| (0..q_total).map(move |q| (kind, k, q));
+            let entries = phase.iter().filter(|op| op.entry).count();
+            prop_assert!(phase.iter().all(|op| op.of == q_total), "{} phase {}", what, idx);
+            if tail_q > 1 && k_total == 1 {
+                let want: Vec<_> = round(TailSend, 0).chain(round(TailRecv, 0)).collect();
+                prop_assert_eq!(got, want, "{} chained phase {}", what, idx);
+            } else if q_total > 1 {
+                let pipes = (0..k_total).flat_map(|k| round(Pipe, k));
+                let want: Vec<_> = pipes.chain(round(Drain, k_total - 1)).collect();
+                prop_assert_eq!(got, want, "{} packetized phase {}", what, idx);
+                prop_assert!(entries == 1 && phase[0].entry, "{} phase {}", what, idx);
+
+                // The §2.4 wavefront: stage s holds packets (k, s − k), the
+                // membership `mph_simnet`'s stage builder iterates.
+                let mut stages: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+                for op in phase.iter().filter(|op| op.kind == Pipe) {
+                    stages.entry(op.k + op.q).or_default().push((op.k, op.q));
+                }
+                prop_assert_eq!(stages.len(), k_total + q_total - 1, "{} phase {}", what, idx);
+                for (&s, members) in &stages {
+                    let (lo, hi) = (s.saturating_sub(q_total - 1), s.min(k_total - 1));
+                    let want: Vec<_> = (lo..=hi).map(|k| (k, s - k)).collect();
+                    prop_assert_eq!(members, &want, "{} phase {} stage {}", what, idx, s);
+                }
+            } else {
+                let want: Vec<_> = (0..k_total).flat_map(|k| [(Send, k, 0), (Recv, k, 0)]).collect();
+                prop_assert_eq!(got, want, "{} whole phase {}", what, idx);
+                prop_assert_eq!(entries, k_total, "{} phase {}", what, idx);
+                prop_assert!(phase.iter().all(|op| op.entry == (op.kind == Send)), "{}", what);
+            }
+        }
+
+        // A chained run is entered once and waited for once, at its end.
+        let runs = if tail_q > 1 { plan.tail_runs() } else { Vec::new() };
+        prop_assert_eq!(body.iter().filter(|op| op.last).count(), runs.len(), "{}", what);
+        for run in runs {
+            let ops: Vec<_> = body.iter().filter(|op| run.contains(&op.phase)).collect();
+            prop_assert_eq!(ops.iter().filter(|op| op.entry).count(), 1, "{} run {:?}", what, run);
+            prop_assert!(ops[0].entry && ops[ops.len() - 1].last, "{} run {:?}", what, run);
         }
     }
 }

@@ -2,16 +2,19 @@
 //! one job's [`CommPlan`] chain or several chains at once over ONE shared
 //! link fabric.
 //!
-//! Each job becomes an explicit per-node state machine (`JobNode`) whose
-//! `step` advances exactly one scheduler micro-op — pair-and-send a
-//! transition, consume a received block, charge one pipeline packet to the
-//! clock, drain an epilogue packet, or cast a convergence vote — and a
+//! The *order* of a sweep's micro-ops is not written here: it is the
+//! program of the sweep's plan under its framing ([`CommPlan::op_after`]),
+//! which this engine executes and `mph_ccpipe::executed_cost` prices. Each
+//! job becomes an explicit per-node state machine (`JobNode`) whose `step`
+//! executes the program's next [`MicroOp`] — pair-and-send a transition,
+//! consume a received block, charge one pipeline packet to the clock,
+//! drain an epilogue packet, or cast a convergence vote — and a
 //! deterministic interleaving order ([`BatchOrder`], produced by the
-//! `mph-batch` policies) merges the jobs' op streams. Every node executes
-//! the *same* merged sequence, so sends and receives pair up exactly as in
-//! a solo SPMD program; the messages carry job tags and each node
-//! demultiplexes arrivals through [`JobMux`], so per-`(link, job)` FIFO
-//! order survives any interleaving.
+//! `mph-batch` policies, walked by [`BatchOrder::walk`]) merges the jobs'
+//! programs. Every node executes the *same* merged sequence, so sends and
+//! receives pair up exactly as in a solo SPMD program; the messages carry
+//! job tags and each node demultiplexes arrivals through [`JobMux`], so
+//! per-`(link, job)` FIFO order survives any interleaving.
 //!
 //! # The phase machine
 //!
@@ -37,10 +40,10 @@
 //! whose `Ts` and `Tw` are real. Here that machine is the fabric's virtual
 //! clock; the host moves a block by pointer, and every node is busy with
 //! its own pairings in every iteration, so cutting the block up buys the
-//! host nothing. The engine therefore keeps one micro-op per packet — the
-//! op order, the meter, the trace and `mph_ccpipe::executed_cost` all key
-//! on them — and separates what each one *charges* from what the
-//! iteration *moves*:
+//! host nothing. The program therefore has one micro-op per packet — the
+//! meter, the trace and `mph_ccpipe::executed_cost` all key on them — and
+//! the engine separates what each one *charges* from what the iteration
+//! *moves*:
 //!
 //! * **per packet** (`Pipe{k, q}`, `TailSend{q}`): one
 //!   [`NodeCtx::charge`] — a metered message and a transmission on the
@@ -130,7 +133,7 @@ use crate::threaded::{
     choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport, ThreadedRun,
 };
 use mph_ccpipe::BatchOrder;
-use mph_core::{BlockPartition, CommPlan, Frame, Framing, OrderingFamily, PhaseKind};
+use mph_core::{BlockPartition, CommPlan, Framing, MicroOp, OpKind, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
 use mph_linalg::block::ColumnBlock;
 use mph_linalg::vecops::dot;
@@ -450,53 +453,9 @@ pub struct BatchRun {
     pub fabric: FabricReport,
 }
 
-/// Where a job's state machine currently stands (see `step`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pos {
-    SweepStart,
-    Send {
-        phase: usize,
-        t: usize,
-    },
-    Recv {
-        phase: usize,
-        t: usize,
-    },
-    /// Pipelined exchange: charge packet `q` of iteration `k`'s round. At
-    /// `q = 0` the upstream round is received and the whole mobile block
-    /// paired; at `q = Q − 1` the block crosses the channel.
-    Pipe {
-        phase: usize,
-        k: usize,
-        q: usize,
-    },
-    /// Pipelined exchange epilogue: consume packet `q` of the last round,
-    /// advancing the clock to its arrival.
-    Drain {
-        phase: usize,
-        q: usize,
-    },
-    /// Tail run: charge one packet of a chained single-link transition
-    /// (the packet departs on its readiness stamp, threaded from the
-    /// previous transition's arrival). The transition's pairing runs once,
-    /// at `q = 0`, before anything is charged.
-    TailSend {
-        phase: usize,
-        q: usize,
-    },
-    /// Tail run: consume one arrived packet, whose stamp is the next
-    /// transition's readiness — the clock only advances at the run's end.
-    TailRecv {
-        phase: usize,
-        q: usize,
-    },
-    SweepEnd,
-    Done,
-}
-
 /// Per-node state machine of one job: the two resident blocks plus the
-/// cursor into its plan chain. `step` advances one micro-op; the merged
-/// schedule across jobs is produced by `run_job_batch`'s order walk.
+/// cursor into its plan chain's programs. `step` executes one micro-op;
+/// the merged schedule across jobs is [`BatchOrder::walk`]'s.
 struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec<'a>,
@@ -506,7 +465,6 @@ struct JobNode<'a> {
     kern: SweepKernel,
     d: usize,
     node: usize,
-    budget: usize,
     slot0: ColumnBlock,
     slot1: ColumnBlock,
     acc: SweepAccumulator,
@@ -516,7 +474,9 @@ struct JobNode<'a> {
     /// every node).
     off_history: Vec<f64>,
     converged: bool,
-    pos: Pos,
+    /// The op `step` executes next ([`CommPlan::op_after`] of the last
+    /// one); `None` once the job has finished.
+    next: Option<MicroOp>,
     /// One stamp per packet of the round in hand: the packet's readiness
     /// (phase entry, or its arrival from upstream) until it is charged,
     /// its own arrival stamp after. The vector travels with the round, and
@@ -534,7 +494,6 @@ struct JobNode<'a> {
     machine: Machine,
     /// This node's share of the solve's [`AdaptiveReport`].
     adaptive: AdaptiveReport,
-    started: bool,
     start: f64,
     finish: f64,
 }
@@ -581,7 +540,6 @@ impl<'a> JobNode<'a> {
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
             d,
             node,
-            budget: spec.budget(),
             slot0,
             slot1,
             acc: SweepAccumulator::default(),
@@ -589,7 +547,7 @@ impl<'a> JobNode<'a> {
             rotations: 0,
             off_history: Vec::new(),
             converged: false,
-            pos: if spec.budget() == 0 { Pos::Done } else { Pos::SweepStart },
+            next: (spec.budget() > 0).then_some(MicroOp::SWEEP_START),
             stamps: Vec::new(),
             repriced: None,
             outbox: None,
@@ -597,54 +555,13 @@ impl<'a> JobNode<'a> {
                 .and_then(|solo| solo.scenario.as_ref())
                 .map_or_else(Machine::paper_figure2, |sc| sc.base()),
             adaptive: AdaptiveReport::default(),
-            started: false,
             start: 0.0,
             finish: 0.0,
         }
     }
 
     fn done(&self) -> bool {
-        self.pos == Pos::Done
-    }
-
-    /// How phase `idx` of the current sweep moves.
-    fn frame(&self, idx: usize) -> Frame {
-        self.repriced.as_ref().unwrap_or(&self.shared.framings[self.sweeps]).frame(idx)
-    }
-
-    /// The chained tail run holding phase `idx` of the current sweep, as
-    /// `(degree, start, end)`.
-    fn tail_run(&self, idx: usize) -> (usize, usize, usize) {
-        match self.frame(idx) {
-            Frame::Chained { q, start, end } => (q, start, end),
-            frame => panic!("tail op in a {frame:?} phase"),
-        }
-    }
-
-    /// Whether the resident block (slot0) is the one travelling in serial
-    /// phase `idx` — the division slot asymmetry: its bit = 0 endpoint
-    /// sends its mobile (slot1) and receives the partner's resident into
-    /// slot1; its bit = 1 endpoint sends its resident and receives the
-    /// partner's mobile into slot0. Everywhere else the mobile travels.
-    fn resident_out(&self, idx: usize) -> bool {
-        let ph = &self.plans[self.sweeps].phases()[idx];
-        matches!(ph.kind, PhaseKind::Division { .. }) && self.node & (1 << ph.links[0]) != 0
-    }
-
-    fn start_of_phase(&self, idx: usize) -> Pos {
-        match self.frame(idx) {
-            Frame::Whole => Pos::Send { phase: idx, t: 0 },
-            Frame::Packets(_) => Pos::Pipe { phase: idx, k: 0, q: 0 },
-            Frame::Chained { .. } => Pos::TailSend { phase: idx, q: 0 },
-        }
-    }
-
-    fn after_phase(&self, idx: usize) -> Pos {
-        if idx + 1 < self.plans[self.sweeps].phases().len() {
-            self.start_of_phase(idx + 1)
-        } else {
-            Pos::SweepEnd
-        }
+        self.next.is_none()
     }
 
     /// The relay table of the current sweep (until its vote is cast):
@@ -670,10 +587,14 @@ impl<'a> JobNode<'a> {
         msg
     }
 
-    /// The slot whose block travels in phase `idx` (see
-    /// [`Self::resident_out`]).
+    /// The slot whose block travels in phase `idx`: the mobile (slot1),
+    /// but for the division slot asymmetry — a division's bit = 0 endpoint
+    /// sends its mobile and receives the partner's resident into slot1; its
+    /// bit = 1 endpoint sends its resident (slot0) and receives the
+    /// partner's mobile into slot0.
     fn travelling(&mut self, idx: usize) -> &mut ColumnBlock {
-        if self.resident_out(idx) {
+        let ph = &self.plans[self.sweeps].phases()[idx];
+        if matches!(ph.kind, PhaseKind::Division { .. }) && self.node & (1 << ph.links[0]) != 0 {
             &mut self.slot0
         } else {
             &mut self.slot1
@@ -696,47 +617,40 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// The link round `k` of phase `idx` crosses and the elements of its
-    /// packet `q`: the size `mph_ccpipe::executed_cost` prices, and the
+    /// The link round `k` of `op`'s phase crosses and the elements of
+    /// `op`'s packet: the size `mph_ccpipe::executed_cost` prices, and the
     /// payload of the `q`-th block [`ColumnBlock::split_columns`] would
     /// cut from the travelling one (pinned in `tests/pipeline_traffic.rs`).
-    fn packet(&mut self, idx: usize, k: usize, q: usize) -> (usize, u64) {
+    fn packet(&mut self, op: MicroOp, k: usize) -> (usize, u64) {
         let plan = &self.plans[self.sweeps];
-        let block_elems = self.travelling(idx).payload_elems() as u64;
-        let mut sizes = plan.packet_elems(block_elems, self.stamps.len());
-        (plan.phases()[idx].links[k], sizes.nth(q).expect("one stamp per packet of the round"))
+        let block_elems = self.travelling(op.phase).payload_elems() as u64;
+        (plan.phases()[op.phase].links[k], plan.packet_size(block_elems, op.of, op.q))
     }
 
-    /// Consumes packet `q` of the received round `k`: records its arrival
-    /// and returns the stamp, which the caller forwards as a readiness or
-    /// advances the clock to.
-    fn consume_packet(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        idx: usize,
-        k: usize,
-        q: usize,
-    ) -> f64 {
+    /// Consumes `op`'s packet of the received round `k`: records its
+    /// arrival and returns the stamp, which the caller forwards as a
+    /// readiness or advances the clock to.
+    fn consume_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp, k: usize) -> f64 {
         if ctx.trace().is_enabled() {
-            let (link, elems) = self.packet(idx, k, q);
-            let kq = Some((k as u32, q as u32));
-            ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[q]);
+            let (link, elems) = self.packet(op, k);
+            let kq = Some((k as u32, op.q as u32));
+            ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[op.q]);
         }
-        self.stamps[q]
+        self.stamps[op.q]
     }
 
-    /// Charges packet `q` of round `k` to the clock: a transmission of
-    /// that packet's share of the travelling block, departing on the
+    /// Charges `op`'s packet of round `op.k` to the clock: a transmission
+    /// of that packet's share of the travelling block, departing on the
     /// packet's own readiness stamp — which its arrival stamp replaces.
     /// Nothing moves until the round's last packet is charged; then block
     /// and stamps cross the channel once.
-    fn charge_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize, q: usize) {
-        let (link, elems) = self.packet(idx, k, q);
-        let kq = Some((k as u32, q as u32));
-        self.stamps[q] = ctx.charge(link, elems, self.job, kq, false, self.stamps[q]);
-        if q + 1 == self.stamps.len() {
-            let (job, k) = (self.job, k as u32);
-            let block = self.travelling(idx).take();
+    fn charge_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp) {
+        let (link, elems) = self.packet(op, op.k);
+        let kq = Some((op.k as u32, op.q as u32));
+        self.stamps[op.q] = ctx.charge(link, elems, self.job, kq, false, self.stamps[op.q]);
+        if op.q + 1 == op.of {
+            let (job, k) = (self.job, op.k as u32);
+            let block = self.travelling(op.phase).take();
             let stamps = std::mem::take(&mut self.stamps);
             ctx.ship(link, BatchMsg::Round { job, k, block, stamps });
         }
@@ -853,22 +767,23 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// Executes one micro-op, pairing on the node thread's shared `tour`.
-    /// The caller guarantees every node invokes every job's steps in the
-    /// same merged order.
+    /// Executes the job's next micro-op — the arms say what each kind
+    /// *does*; which op follows is [`CommPlan::op_after`]'s to say — pairing
+    /// on the node thread's shared `tour`. The caller guarantees every node
+    /// invokes every job's steps in the same merged order.
     fn step(
         &mut self,
         ctx: &NodeCtx<'_, BatchMsg>,
         mux: &mut JobMux<'_, '_, BatchMsg>,
         tour: &mut Tournament,
     ) {
-        if !self.started {
-            self.started = true;
-            self.start = ctx.virtual_now();
-        }
-        match self.pos {
-            Pos::SweepStart => {
-                let plan = &self.plans[self.sweeps];
+        let op = self.next.take().expect("the order walk steps unfinished jobs only");
+        let plan = &self.plans[self.sweeps];
+        match op.kind {
+            OpKind::SweepStart => {
+                if self.sweeps == 0 {
+                    self.start = ctx.virtual_now();
+                }
                 if let Some(solo) = self.solo {
                     let sweep = self.sweeps;
                     ctx.trace().emit(self.node, || TraceEvent::SweepBegin {
@@ -893,115 +808,59 @@ impl<'a> JobNode<'a> {
                 if plan.phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
                     self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
-                    self.pos = Pos::SweepEnd;
-                } else {
-                    self.pos = self.start_of_phase(0);
                 }
             }
-            Pos::Send { phase, t } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
-                let link = ph.links[t];
+            OpKind::Send => {
+                let link = plan.phases()[op.phase].links[op.k];
                 self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
-                let block = self.travelling(phase).take();
+                let block = self.travelling(op.phase).take();
                 self.send_via(ctx, link, BatchMsg::Block { job: self.job, block });
-                self.pos = Pos::Recv { phase, t };
             }
-            Pos::Recv { phase, t } => {
-                let ph = &self.plans[self.sweeps].phases()[phase];
-                let link = ph.links[t];
-                *self.travelling(phase) = expect_block(self.recv_via(ctx, mux, link));
-                self.pos = if ph.is_exchange() && t + 1 < ph.k() {
-                    Pos::Send { phase, t: t + 1 }
-                } else {
-                    self.after_phase(phase)
-                };
+            OpKind::Recv => {
+                let link = plan.phases()[op.phase].links[op.k];
+                *self.travelling(op.phase) = expect_block(self.recv_via(ctx, mux, link));
             }
-            Pos::Pipe { phase, k, q } => {
-                let q_total = self.frame(phase).packets();
-                if q == 0 {
-                    if k == 0 {
-                        // Phase entry: every local packet is ready now.
+            OpKind::Pipe | OpKind::TailSend => {
+                if op.q == 0 {
+                    if op.entry {
+                        // Phase or run entry: every local packet is ready now.
                         self.stamps.clear();
-                        self.stamps.resize(q_total, ctx.virtual_now());
-                    } else {
-                        self.recv_round(mux, phase, k - 1);
+                        self.stamps.resize(op.of, ctx.virtual_now());
+                    } else if op.k > 0 {
+                        self.recv_round(mux, op.phase, op.k - 1);
                     }
-                    // One pairing of the whole mobile block — the per-packet
-                    // pairings, which share no mobile column (module docs).
+                    // One pairing of the whole mobile block, before anything
+                    // is charged — the per-packet pairings, which share no
+                    // mobile column (module docs).
                     self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
                 }
                 // Each packet's forwarding departs when *its own* input
                 // has arrived (the fabric's stamp), not when the node's
                 // program counter gets there — the comm-processor model.
-                if k > 0 {
-                    self.consume_packet(ctx, phase, k - 1, q);
+                if op.k > 0 {
+                    self.consume_packet(ctx, op, op.k - 1);
                 }
-                self.charge_packet(ctx, phase, k, q);
-                self.pos = if q + 1 < q_total {
-                    Pos::Pipe { phase, k, q: q + 1 }
-                } else if k + 1 < self.plans[self.sweeps].phases()[phase].k() {
-                    Pos::Pipe { phase, k: k + 1, q: 0 }
-                } else {
-                    Pos::Drain { phase, q: 0 }
-                };
+                self.charge_packet(ctx, op);
             }
-            Pos::Drain { phase, q } => {
-                let k = self.plans[self.sweeps].phases()[phase].k() - 1;
-                if q == 0 {
-                    self.recv_round(mux, phase, k);
+            OpKind::Drain | OpKind::TailRecv => {
+                if op.q == 0 {
+                    self.recv_round(mux, op.phase, op.k);
                 }
-                // The phase completes for this packet when the node holds
-                // it: consuming the arrival advances the virtual clock.
-                ctx.advance_clock_to(self.consume_packet(ctx, phase, k, q));
-                self.pos = if q + 1 < self.stamps.len() {
-                    Pos::Drain { phase, q: q + 1 }
-                } else {
-                    self.after_phase(phase)
-                };
-            }
-            Pos::TailSend { phase, q } => {
-                let (tq, run_start, _) = self.tail_run(phase);
-                if q == 0 {
-                    if phase == run_start {
-                        // Run entry: every packet is ready now.
-                        self.stamps.clear();
-                        self.stamps.resize(tq, ctx.virtual_now());
-                    }
-                    // Pair before anything is charged: the transition's one
-                    // whole-block pairing, as in a `Send`.
-                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
-                }
-                self.charge_packet(ctx, phase, 0, q);
-                self.pos = if q + 1 < tq {
-                    Pos::TailSend { phase, q: q + 1 }
-                } else {
-                    Pos::TailRecv { phase, q: 0 }
-                };
-            }
-            Pos::TailRecv { phase, q } => {
-                let (tq, _, run_end) = self.tail_run(phase);
-                if q == 0 {
-                    self.recv_round(mux, phase, 0);
-                }
-                // The stamp is next transition's readiness, not a clock
-                // advance: the node only waits at the run's end.
-                self.consume_packet(ctx, phase, 0, q);
-                self.pos = if q + 1 < tq {
-                    Pos::TailRecv { phase, q: q + 1 }
-                } else if phase + 1 < run_end {
-                    // An in-run K = 1 exchange rides the tail pipeline at
-                    // the run's degree, whatever its own planned Q.
-                    Pos::TailSend { phase: phase + 1, q: 0 }
-                } else {
-                    // One clock advance for the whole run: the node is
-                    // done when its last packets have landed.
+                let stamp = self.consume_packet(ctx, op, op.k);
+                if op.kind == OpKind::Drain {
+                    // The phase completes for this packet when the node
+                    // holds it: consuming the arrival advances the clock.
+                    ctx.advance_clock_to(stamp);
+                } else if op.last {
+                    // In a chained run the stamp is the next transition's
+                    // readiness; one clock advance for the whole run, when
+                    // its last packets have landed.
                     for &s in &self.stamps {
                         ctx.advance_clock_to(s);
                     }
-                    self.after_phase(phase)
-                };
+                }
             }
-            Pos::SweepEnd => {
+            OpKind::SweepEnd => {
                 if self.solo.is_some() {
                     let sweep = self.sweeps;
                     ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
@@ -1029,29 +888,22 @@ impl<'a> JobNode<'a> {
                 }
                 self.sweeps += 1;
                 self.repriced = None;
-                if self.converged {
-                    self.finish(ctx);
-                    return;
-                }
-                if self.solo.is_some_and(|solo| solo.scenario.is_some()) {
+                if !self.converged && self.solo.is_some_and(|solo| solo.scenario.is_some()) {
                     // End-of-sweep barrier: advances the fabric epoch, so
                     // sweep s runs at scenario epoch s on every node — the
                     // deterministic clock the impairment timelines key on.
                     ctx.barrier();
                 }
-                if self.sweeps >= self.budget {
-                    self.finish(ctx);
+                if self.converged || self.sweeps >= self.spec.budget() {
+                    self.finish = ctx.virtual_now();
                 } else {
-                    self.pos = Pos::SweepStart;
+                    self.next = Some(MicroOp::SWEEP_START);
                 }
+                return;
             }
-            Pos::Done => panic!("stepped a finished job"),
         }
-    }
-
-    fn finish(&mut self, ctx: &NodeCtx<'_, BatchMsg>) {
-        self.finish = ctx.virtual_now();
-        self.pos = Pos::Done;
+        let framing = self.repriced.as_ref().unwrap_or(&self.shared.framings[self.sweeps]);
+        self.next = plan.op_after(op, framing);
     }
 
     fn into_output(self) -> JobNodeOutput {
@@ -1192,30 +1044,14 @@ fn run_nodes(
                 .collect();
             let mut mux = JobMux::new(ctx);
             let mut tour = node_tournament(jobs, d);
-            match order {
-                BatchOrder::Serial(ord) => {
-                    for &j in ord {
-                        while !nodes[j].done() {
-                            nodes[j].step(ctx, &mut mux, &mut tour);
-                        }
-                    }
+            order.walk(|j, grant| {
+                let mut ran = 0;
+                while ran < grant && !nodes[j].done() {
+                    nodes[j].step(ctx, &mut mux, &mut tour);
+                    ran += 1;
                 }
-                BatchOrder::RoundRobin { order: ord, stride } => loop {
-                    let mut active = false;
-                    for &j in ord {
-                        for _ in 0..*stride {
-                            if nodes[j].done() {
-                                break;
-                            }
-                            nodes[j].step(ctx, &mut mux, &mut tour);
-                            active = true;
-                        }
-                    }
-                    if !active {
-                        break;
-                    }
-                },
-            }
+                ran > 0
+            });
             assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
             nodes.into_iter().map(JobNode::into_output).collect()
         },

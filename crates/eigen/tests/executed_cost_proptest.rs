@@ -7,6 +7,12 @@
 //! bound the measurement from above when it is not (every message is then
 //! priced at its phase's largest block).
 //!
+//! Both sides read one order — a sweep's program is
+//! `CommPlan::op_after`, the jobs merge by `BatchOrder::walk` — so what
+//! this witnesses is that its two interpreters agree on the *clock*: the
+//! engine's charges through the fabric's `LinkClock` and the schedule
+//! clock's `charge` put the same sends and waits on `NodeClock`.
+//!
 //! This is the witness that lets every measured-vs-predicted assertion on
 //! the *executed* schedule read 1e-9; comparisons against the paper's
 //! stage model keep their bands and are labelled cross-model where they

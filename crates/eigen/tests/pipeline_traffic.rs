@@ -10,9 +10,11 @@
 //! the engine pairs a round's block once. And the clock's: a packet is
 //! charged, not moved — a pipelined solve meters `Q` messages per
 //! transition, of the sizes `split_columns` would have cut, and ships one.
+//! And the trace's: a node's data-plane sends are its job's programs'
+//! charging ops, one for one.
 
 use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
-use mph_core::{CommPlan, OrderingFamily};
+use mph_core::{CommPlan, OpKind, OrderingFamily};
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
     lower_sweeps_with, packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock,
@@ -384,4 +386,87 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
         }
     }
     assert_eq!(empties * 5, meter.total_messages() * 3, "3 of every 5 metered messages");
+}
+
+/// A data-plane send as the trace records it: `(dim, kq, elems)`.
+type Charge = (usize, Option<(u32, u32)>, u64);
+
+/// What node 0 charges for a job, by the book: the charging ops of its
+/// sweeps' programs over the lowered plans.
+fn charging_ops(plans: &[CommPlan], qs: &[Vec<usize>], tail_q: usize) -> Vec<Charge> {
+    let mut want = Vec::new();
+    for (plan, qs) in plans.iter().zip(qs) {
+        let framing = plan.framing(qs, tail_q);
+        want.extend(plan.program(&framing).filter(|op| op.charges()).map(|op| {
+            let ph = &plan.phases()[op.phase];
+            let kq = (op.kind != OpKind::Send).then_some((op.k as u32, op.q as u32));
+            (ph.links[op.k], kq, plan.packet_size(ph.sends[op.k][0], op.of, op.q))
+        }));
+    }
+    want
+}
+
+/// Job `job`'s data-plane sends in one node's lane.
+fn traced_sends(lane: &[TraceEvent], job: u32) -> Vec<Charge> {
+    let send = |e: &TraceEvent| match *e {
+        TraceEvent::Send { dim, elems, job: j, kq, control: false, .. } if j == job => {
+            Some((dim, kq, elems))
+        }
+        _ => None,
+    };
+    lane.iter().filter_map(send).collect()
+}
+
+/// The trace is the program: on a throttled fabric over a uniform
+/// partition, node 0's data-plane `Send` events are — in lane order, link,
+/// packet header and size — exactly the charging ops of
+/// `CommPlan::program` over the lowered plans, whole-block, packetized and
+/// with a chained tail; and under an interleaved batch each job's
+/// subsequence is its own program's. A `MicroOp`'s `(phase, k, q)` is
+/// therefore an identity the trace can be keyed on.
+#[test]
+fn a_nodes_traced_sends_are_its_programs_charging_ops() {
+    let (m, d) = (24usize, 2usize);
+    let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
+    let q_cap = packetization_cap(m, d);
+    let a = random_symmetric(m, 31);
+    let opts = |pipelining, tail_pipelining| JacobiOptions {
+        force_sweeps: Some(2),
+        pipelining,
+        tail_pipelining,
+        fabric: fabric.clone(),
+        ..Default::default()
+    };
+    let framings = [
+        opts(Pipelining::Off, Pipelining::Off),
+        opts(Pipelining::Fixed(3), Pipelining::Off),
+        opts(Pipelining::Fixed(2), Pipelining::Fixed(4)),
+    ];
+    for base in &framings {
+        let what = format!("{:?} tail {:?}", base.pipelining, base.tail_pipelining);
+        let ring = std::sync::Arc::new(RingSink::new(d, 1 << 14));
+        let opts = JacobiOptions { trace: SinkHandle::new(ring.clone()), ..base.clone() };
+        block_jacobi_threaded(&a, d, OrderingFamily::PermutedBr, &opts);
+        let (plans, qs) = lower_job(&JobSpec::eigen(&a, OrderingFamily::PermutedBr, opts), d);
+        let tail_q = choose_tail_qs(&plans[0], &base.tail_pipelining, q_cap);
+        let want = charging_ops(&plans, &qs, tail_q);
+        assert_eq!(traced_sends(&ring.drain()[0], 0), want, "{what}");
+        let framed = want.iter().any(|(_, kq, _)| kq.is_some());
+        assert_eq!(framed, base.pipelining != Pipelining::Off, "{what}: a vacuous case");
+    }
+
+    // Two jobs, two framings, one op at a time in turn.
+    let jobs = [
+        JobSpec::eigen(&a, OrderingFamily::Br, framings[1].clone()),
+        JobSpec::eigen(&a, OrderingFamily::Degree4, framings[2].clone()),
+    ];
+    let lowered = [lower_job(&jobs[0], d), lower_job(&jobs[1], d)];
+    let ring = std::sync::Arc::new(RingSink::new(d, 1 << 14));
+    let order = BatchOrder::RoundRobin { order: vec![1, 0], stride: 1 };
+    run_job_batch(d, &jobs, &lowered, fabric.clone(), &order, SinkHandle::new(ring.clone()));
+    let lane = &ring.drain()[0];
+    for (j, (plans, qs)) in lowered.iter().enumerate() {
+        let tail_q = choose_tail_qs(&plans[0], &jobs[j].opts.tail_pipelining, q_cap);
+        assert_eq!(traced_sends(lane, j as u32), charging_ops(plans, qs, tail_q), "job {j}");
+    }
 }

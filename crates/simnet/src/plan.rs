@@ -168,7 +168,7 @@ mod tests {
         let d = 3usize;
         let plan = lower(m, d, OrderingFamily::PermutedBr, 0);
         let first = &plan.phases()[0]; // exchange phase e = 3, 4-col blocks
-        let elems = first.uniform_message_elems().unwrap() as f64;
+        let elems = first.max_message_elems() as f64;
         let cc = CcCube { link_seq: first.links.clone(), message_elems: elems };
         for q in [1usize, 2, 4] {
             let via_cc = pipelined_phase_schedule(d, &cc, q);
