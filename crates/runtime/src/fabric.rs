@@ -20,8 +20,11 @@
 //!   time spent.
 //!
 //! That recurrence is [`NodeClock`]'s, which the cost layer's
-//! `executed_cost` drives too; this module adds what only a live run has:
-//! the lock, the barrier epoch, per-link scenario machines and tracing.
+//! `executed_cost` drives too; [`LinkClock`] adds what only a live run has
+//! — the barrier epoch, per-link scenario machines, the node's traffic
+//! counters and tracing — and is owned by its node's thread, so charging a
+//! send locks nothing. Nodes share the barrier and the two slots its
+//! virtual time is agreed through, and nothing else.
 //!
 //! The clocks are max-plus dataflow over the FIFO channel order, so the
 //! measured makespan (`max` over the nodes' final clocks, reported in
@@ -43,8 +46,9 @@
 //! is a protocol error (it panics): adaptive drivers route around dead
 //! edges instead. Each send's *service time* (`Ts_eff + S·Tw_eff`, no
 //! queueing) is also recorded into a bounded per-node sample window
-//! ([`LinkClock::take_window`]) — live [`FabricStats`] an adaptive driver
-//! feeds back into [`Machine::calibrate`] mid-run.
+//! ([`NodeCtx::take_fabric_window`](crate::spmd::NodeCtx::take_fabric_window))
+//! — live [`FabricStats`] an adaptive driver feeds back into
+//! [`Machine::calibrate`] mid-run.
 //!
 //! Computation is deliberately *free* on the virtual clock: the fabric
 //! measures communication, so measured-vs-predicted comparisons against
@@ -59,12 +63,13 @@
 //! [`measure_channel_fabric`], whose samples [`Machine::calibrate`] fits.
 
 use crate::machine::{FabricStats, Machine, PortModel};
+use crate::meter::TrafficMeter;
 use crate::nodeclock::NodeClock;
 use crate::scenario::Scenario;
 use crate::spmd::{run_spmd, Spmd};
 use crate::trace::{SinkHandle, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// What the link layer enforces.
@@ -161,67 +166,50 @@ pub struct FabricReport {
 /// dropped once full, so an un-drained degraded run stays bounded.
 const WINDOW_CAP: usize = 4096;
 
-/// Per-node clock state: the node's [`NodeClock`] plus what a live run
-/// adds to it.
-struct ClockState {
+/// A node's one book: the model its links run under, its virtual clock
+/// and what a live run adds to it, and its own traffic counters. Its
+/// node's thread owns it — every method that writes takes `&mut self` —
+/// and hands it back at join, where [`run_spmd`] reads the final clock
+/// and sums the meters.
+pub struct LinkClock {
+    model: FabricModel,
+    node: usize,
     clock: NodeClock,
     /// Barriers passed so far; its parity selects the [`SharedClock`]
     /// slot for the next synchronization, and its value is the **epoch**
     /// at which a degraded scenario is evaluated — a deterministic,
-    /// node-consistent virtual-time index.
+    /// node-consistent virtual-time index: every node that has passed the
+    /// same barriers agrees on it, whatever the OS scheduler did.
     barrier_gen: usize,
     /// Live `(elems, service time)` samples of this node's sends under a
     /// degraded fabric — the mid-run calibration feed.
-    window: Vec<(f64, f64)>,
-}
-
-/// Per-send metadata a message declares for metering and tracing: the
-/// trace's (job, k, q) headers ride here so the clock can stamp them
-/// onto its [`TraceEvent::Send`] spans.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SendMeta {
-    pub elems: u64,
-    pub job: u32,
-    pub kq: Option<(u32, u32)>,
-    pub control: bool,
-}
-
-/// A node's view of the fabric: the model plus (when throttled) its clock.
-pub struct LinkClock {
-    model: FabricModel,
-    node: usize,
-    state: Mutex<ClockState>,
+    window: FabricStats,
+    /// What this node sent and shipped.
+    meter: TrafficMeter,
     sink: SinkHandle,
 }
 
 impl LinkClock {
-    /// A clock for node `node` of a `d`-cube under `model`, untraced.
-    /// (The runtime proper always goes through [`LinkClock::with_sink`];
-    /// this shorthand serves the clock unit tests.)
-    #[cfg(test)]
-    pub(crate) fn new(model: FabricModel, node: usize, d: usize) -> Self {
-        LinkClock::with_sink(model, node, d, SinkHandle::nop())
-    }
-
-    /// [`LinkClock::new`] recording its link activity into `sink`.
-    pub(crate) fn with_sink(model: FabricModel, node: usize, d: usize, sink: SinkHandle) -> Self {
+    /// The book of node `node` of a `d`-cube under `model`, counting for
+    /// `njobs` jobs and recording its link activity into `sink`.
+    pub(crate) fn new(
+        model: FabricModel,
+        node: usize,
+        d: usize,
+        njobs: usize,
+        sink: SinkHandle,
+    ) -> Self {
         // A free fabric never charges its clock; any port model will do.
         let ports = model.machine().map_or(PortModel::AllPort, |m| m.ports);
         LinkClock {
             model,
             node,
-            state: Mutex::new(ClockState {
-                clock: NodeClock::new(ports, d),
-                barrier_gen: 0,
-                window: Vec::new(),
-            }),
+            clock: NodeClock::new(ports, d),
+            barrier_gen: 0,
+            window: FabricStats::new(),
+            meter: TrafficMeter::with_jobs(d, njobs),
             sink,
         }
-    }
-
-    /// The trace sink this clock (and its node) records into.
-    pub(crate) fn trace(&self) -> &SinkHandle {
-        &self.sink
     }
 
     /// Whether this clock runs at all (false on a free fabric).
@@ -229,40 +217,39 @@ impl LinkClock {
         self.model.is_throttled()
     }
 
-    /// The clock-state lock, recovering from poison: the state is a plain
-    /// bag of `f64` horizons that is valid after any panic, and mapping
-    /// poison to a second panic would cascade one worker's failure into
-    /// every peer, masking the root cause in the thread scope's report.
-    fn lock_state(&self) -> MutexGuard<'_, ClockState> {
-        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// What this node has sent and shipped so far.
+    pub(crate) fn meter(&self) -> &TrafficMeter {
+        &self.meter
     }
 
-    /// Charges one `elems`-element send across `dim`; returns the arrival
-    /// stamp to travel with the message (0 when free). Untagged test
-    /// shorthand for [`LinkClock::on_send_meta`].
-    #[cfg(test)]
-    pub(crate) fn on_send(&self, dim: usize, elems: u64) -> f64 {
-        self.on_send_meta(dim, 0.0, &SendMeta { elems, ..SendMeta::default() })
-    }
-
-    /// The full send charge, with an explicit *data-readiness* time and
-    /// the message's trace metadata: the transmission starts no earlier
-    /// than `ready` — the arrival stamp of the received packet this
-    /// message forwards (see [`NodeClock::send`]) — and is charged at the
-    /// `Ts`/`Tw` of the link it crosses at the current epoch.
+    /// Books one transmission of `elems` elements across `dim`, once: the
+    /// meter counts it for `job` on its plane, the clock charges it, the
+    /// trace records the span under its pipeline header `kq`. The
+    /// transmission starts no earlier than `ready` — the arrival stamp of
+    /// the received packet this message forwards (see [`NodeClock::send`])
+    /// — and is charged at the `Ts`/`Tw` of the link it crosses at the
+    /// current epoch. Returns the arrival stamp to travel with the message
+    /// (0 when free).
     ///
     /// # Panics
     /// Under [`FabricModel::Degraded`], sending across an edge that is
     /// dead at the current epoch is a protocol error: the adaptive layer
     /// must route around dead edges, never through them.
-    pub(crate) fn on_send_meta(&self, dim: usize, ready: f64, meta: &SendMeta) -> f64 {
-        let elems = meta.elems;
-        let mut st = self.lock_state();
+    pub(crate) fn charge(
+        &mut self,
+        dim: usize,
+        elems: u64,
+        job: u32,
+        kq: Option<(u32, u32)>,
+        control: bool,
+        ready: f64,
+    ) -> f64 {
+        self.meter.record(dim, elems, control, job);
+        let epoch = self.barrier_gen;
         let link = match &self.model {
             FabricModel::Free => return 0.0,
             FabricModel::Throttled(m) => *m,
             FabricModel::Degraded(sc) => {
-                let epoch = st.barrier_gen;
                 assert!(
                     sc.edge_alive(self.node, dim, epoch),
                     "send across dead link (node {}, dim {dim}) at epoch {epoch}: \
@@ -270,22 +257,20 @@ impl LinkClock {
                     self.node
                 );
                 let link = sc.machine_for(self.node, dim, epoch);
-                if st.window.len() < WINDOW_CAP {
-                    st.window.push((elems as f64, link.single_message_cost(elems as f64)));
+                if self.window.len() < WINDOW_CAP {
+                    self.window.record(elems as f64, link.single_message_cost(elems as f64));
                 }
                 link
             }
         };
-        let sent = st.clock.send(link.ts, link.tw, dim, elems as f64, ready);
+        let sent = self.clock.send(link.ts, link.tw, dim, elems as f64, ready);
         if self.sink.is_enabled() {
-            let epoch = st.barrier_gen;
-            drop(st);
             self.sink.emit(self.node, || TraceEvent::Send {
                 dim,
                 elems,
-                job: meta.job,
-                kq: meta.kq,
-                control: meta.control,
+                job,
+                kq,
+                control,
                 epoch,
                 issued: sent.issued,
                 ready,
@@ -296,52 +281,40 @@ impl LinkClock {
         sent.end
     }
 
+    /// Counts one channel message, whatever it carries.
+    pub(crate) fn count_shipment(&mut self) {
+        self.meter.record_shipment();
+    }
+
     /// Advances the clock to a received message's arrival stamp.
-    pub(crate) fn on_recv(&self, stamp: f64) {
-        if !self.model.is_throttled() {
-            return;
+    pub(crate) fn wait(&mut self, stamp: f64) {
+        if self.model.is_throttled() {
+            self.clock.wait(stamp);
         }
-        self.lock_state().clock.wait(stamp);
     }
 
     /// This node's current virtual time (0 under [`FabricModel::Free`]).
-    pub fn now(&self) -> f64 {
-        if !self.model.is_throttled() {
-            return 0.0;
-        }
-        self.lock_state().clock.now()
-    }
-
-    /// The current epoch: barriers passed so far. This is the index a
-    /// degraded scenario is evaluated at — every node that has passed the
-    /// same barriers agrees on it, whatever the OS scheduler did.
-    pub fn epoch(&self) -> usize {
-        self.lock_state().barrier_gen
+    pub(crate) fn now(&self) -> f64 {
+        self.clock.now()
     }
 
     /// Drains the degraded-send calibration window gathered since the
     /// last drain: live [`FabricStats`] for [`Machine::calibrate`].
     /// Always empty on free and uniformly-throttled fabrics.
-    pub fn take_window(&self) -> FabricStats {
-        let mut st = self.lock_state();
-        let mut stats = FabricStats::new();
-        for (elems, secs) in st.window.drain(..) {
-            stats.record(elems, secs);
-        }
-        stats
+    pub(crate) fn take_window(&mut self) -> FabricStats {
+        std::mem::take(&mut self.window)
     }
 
     /// First half of a barrier's virtual-time synchronization: folds this
     /// node's clock into the current generation's slot and returns that
     /// slot. `None` on a free fabric (no sync needed).
-    pub(crate) fn begin_barrier(&self, shared: &SharedClock) -> Option<usize> {
+    pub(crate) fn begin_barrier(&mut self, shared: &SharedClock) -> Option<usize> {
         if !self.model.is_throttled() {
             return None;
         }
-        let mut st = self.lock_state();
-        let slot = st.barrier_gen & 1;
-        st.barrier_gen += 1;
-        shared.fold_in(slot, st.clock.now());
+        let slot = self.barrier_gen & 1;
+        self.barrier_gen += 1;
+        shared.fold_in(slot, self.clock.now());
         Some(slot)
     }
 
@@ -351,14 +324,12 @@ impl LinkClock {
     /// can reach its next `begin_barrier` — that wait is what makes the
     /// two-slot scheme race-free: a fast node cannot fold generation
     /// `g + 1` into a slot a slow node is still reading or resetting.
-    pub(crate) fn finish_barrier(&self, shared: &SharedClock, slot: usize) {
+    pub(crate) fn finish_barrier(&mut self, shared: &SharedClock, slot: usize) {
         let t = shared.read(slot);
         shared.reset(slot ^ 1);
-        let mut st = self.lock_state();
-        st.clock.wait(t);
+        self.clock.wait(t);
         if self.sink.is_enabled() {
-            let (epoch, time) = (st.barrier_gen, st.clock.now());
-            drop(st);
+            let (epoch, time) = (self.barrier_gen, self.clock.now());
             self.sink.emit(self.node, || TraceEvent::Barrier { epoch, time });
         }
     }
@@ -447,15 +418,25 @@ mod tests {
     use super::*;
     use crate::scenario::{LinkDeath, ScenarioSpec};
 
-    fn stamps(clock: &LinkClock, sends: &[(usize, u64)]) -> Vec<f64> {
-        sends.iter().map(|&(dim, elems)| clock.on_send(dim, elems)).collect()
+    /// The untraced, solo-job book of node `node` of a `d`-cube.
+    fn book(model: FabricModel, node: usize, d: usize) -> LinkClock {
+        LinkClock::new(model, node, d, 1, SinkHandle::nop())
+    }
+
+    /// One fresh, untagged data send.
+    fn send(clock: &mut LinkClock, dim: usize, elems: u64) -> f64 {
+        clock.charge(dim, elems, 0, None, false, 0.0)
+    }
+
+    fn stamps(clock: &mut LinkClock, sends: &[(usize, u64)]) -> Vec<f64> {
+        sends.iter().map(|&(dim, elems)| send(clock, dim, elems)).collect()
     }
 
     #[test]
     fn free_fabric_keeps_the_clock_at_zero() {
-        let clock = LinkClock::new(FabricModel::Free, 0, 3);
-        assert_eq!(clock.on_send(0, 1000), 0.0);
-        clock.on_recv(42.0);
+        let mut clock = book(FabricModel::Free, 0, 3);
+        assert_eq!(send(&mut clock, 0, 1000), 0.0);
+        clock.wait(42.0);
         assert_eq!(clock.now(), 0.0);
     }
 
@@ -464,33 +445,33 @@ mod tests {
         // Ts = 1, Tw = 1, 5-element messages on distinct links: start-ups
         // serialize on the CPU (1, 2, 3), transmissions overlap fully.
         let m = Machine::all_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 3);
-        assert_eq!(stamps(&clock, &[(0, 5), (1, 5), (2, 5)]), vec![6.0, 7.0, 8.0]);
+        let mut clock = book(FabricModel::Throttled(m), 0, 3);
+        assert_eq!(stamps(&mut clock, &[(0, 5), (1, 5), (2, 5)]), vec![6.0, 7.0, 8.0]);
     }
 
     #[test]
     fn same_link_transmissions_serialize_under_every_port_model() {
         let m = Machine::all_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 2);
+        let mut clock = book(FabricModel::Throttled(m), 0, 2);
         // Second send on link 0 waits for the first to clear the wire.
-        assert_eq!(stamps(&clock, &[(0, 5), (0, 5)]), vec![6.0, 11.0]);
+        assert_eq!(stamps(&mut clock, &[(0, 5), (0, 5)]), vec![6.0, 11.0]);
     }
 
     #[test]
     fn one_port_serializes_across_links() {
         let m = Machine::one_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 3);
+        let mut clock = book(FabricModel::Throttled(m), 0, 3);
         // The single transmit port is busy until 6; the second message
         // (distinct link!) still queues behind it.
-        assert_eq!(stamps(&clock, &[(0, 5), (1, 5)]), vec![6.0, 11.0]);
+        assert_eq!(stamps(&mut clock, &[(0, 5), (1, 5)]), vec![6.0, 11.0]);
     }
 
     #[test]
     fn k_port_runs_k_transmissions_then_queues() {
         let m = Machine { ts: 1.0, tw: 1.0, ports: PortModel::KPort(2) };
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 3);
+        let mut clock = book(FabricModel::Throttled(m), 0, 3);
         // Ports free at 6 and 7; the third message takes the earliest (6).
-        assert_eq!(stamps(&clock, &[(0, 5), (1, 5), (2, 5)]), vec![6.0, 7.0, 11.0]);
+        assert_eq!(stamps(&mut clock, &[(0, 5), (1, 5), (2, 5)]), vec![6.0, 7.0, 11.0]);
     }
 
     #[test]
@@ -510,41 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_clock_state_is_recovered_not_cascaded() {
-        // A worker that panics while holding its clock lock must not turn
-        // every later clock touch into a poison-panic: the state is plain
-        // horizon data, so the lock is recovered and the original panic
-        // stays the only one.
-        let m = Machine::all_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 2);
-        assert_eq!(clock.on_send(0, 5), 6.0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = clock.state.lock().unwrap();
-            panic!("original worker failure");
-        }));
-        assert!(caught.is_err());
-        assert!(clock.state.is_poisoned(), "the panic above must have poisoned the lock");
-        // Every API entry must keep working on the recovered state.
-        assert_eq!(clock.on_send(0, 5), 11.0);
-        clock.on_recv(100.0);
-        assert_eq!(clock.now(), 100.0);
-        assert_eq!(clock.epoch(), 0);
-        let shared = SharedClock::new();
-        let slot = clock.begin_barrier(&shared).expect("throttled");
-        clock.finish_barrier(&shared, slot);
-        assert!(clock.take_window().is_empty());
-    }
-
-    #[test]
     fn recv_advances_to_the_stamp_monotonically() {
         let m = Machine::all_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 1);
-        clock.on_recv(10.0);
+        let mut clock = book(FabricModel::Throttled(m), 0, 1);
+        clock.wait(10.0);
         assert_eq!(clock.now(), 10.0);
-        clock.on_recv(4.0); // late-arriving stamp from the past: no rewind
+        clock.wait(4.0); // late-arriving stamp from the past: no rewind
         assert_eq!(clock.now(), 10.0);
         // Next send starts from the advanced clock.
-        assert_eq!(clock.on_send(0, 2), 13.0);
+        assert_eq!(send(&mut clock, 0, 2), 13.0);
     }
 
     #[test]
@@ -564,8 +519,8 @@ mod tests {
     fn barrier_halves_alternate_slots_and_reset_the_other() {
         let shared = SharedClock::new();
         let m = Machine::all_port(1.0, 1.0);
-        let clock = LinkClock::new(FabricModel::Throttled(m), 0, 1);
-        clock.on_recv(10.0);
+        let mut clock = book(FabricModel::Throttled(m), 0, 1);
+        clock.wait(10.0);
         let s0 = clock.begin_barrier(&shared).expect("throttled");
         assert_eq!(s0, 0);
         clock.finish_barrier(&shared, s0);
@@ -576,7 +531,7 @@ mod tests {
         clock.finish_barrier(&shared, s1);
         // Generation 2 reuses slot 0, which generation 1 reset: it must
         // hold only this generation's fold, not the stale 10.0.
-        clock.on_recv(3.0); // below current now; no effect
+        clock.wait(3.0); // below current now; no effect
         let s2 = clock.begin_barrier(&shared).expect("throttled");
         assert_eq!(s2, 0);
         assert_eq!(shared.read(0), 10.0, "fold carries the node's own now");
@@ -588,8 +543,8 @@ mod tests {
         // one charges the per-link factors — and replays identically.
         let base = Machine::all_port(1.0, 1.0);
         let clean = Arc::new(Scenario::new(2, ScenarioSpec::clean(9, base)).expect("clean"));
-        let clock = LinkClock::new(FabricModel::Degraded(clean), 0, 2);
-        assert_eq!(stamps(&clock, &[(0, 5), (1, 5)]), vec![6.0, 7.0]);
+        let mut clock = book(FabricModel::Degraded(clean), 0, 2);
+        assert_eq!(stamps(&mut clock, &[(0, 5), (1, 5)]), vec![6.0, 7.0]);
 
         let spec = ScenarioSpec {
             hetero_spread: 1.0,
@@ -597,13 +552,13 @@ mod tests {
         };
         let sc = Arc::new(Scenario::new(2, spec).expect("hetero"));
         let (fts, ftw) = sc.factors(1, 0, 0);
-        let clock = LinkClock::new(FabricModel::Degraded(sc.clone()), 1, 2);
-        let stamp = clock.on_send(0, 5);
+        let mut clock = book(FabricModel::Degraded(sc.clone()), 1, 2);
+        let stamp = send(&mut clock, 0, 5);
         let want = 10.0 * fts + 5.0 * 2.0 * ftw;
         assert!((stamp - want).abs() < 1e-12, "stamp {stamp} vs {want}");
         // Replay: a fresh clock over the same scenario charges the same.
-        let clock2 = LinkClock::new(FabricModel::Degraded(sc), 1, 2);
-        assert_eq!(clock2.on_send(0, 5), stamp);
+        let mut clock2 = book(FabricModel::Degraded(sc), 1, 2);
+        assert_eq!(send(&mut clock2, 0, 5), stamp);
     }
 
     #[test]
@@ -613,9 +568,9 @@ mod tests {
         // machine to rounding.
         let base = Machine::all_port(7.0, 3.0);
         let sc = Arc::new(Scenario::new(2, ScenarioSpec::clean(1, base)).expect("clean"));
-        let clock = LinkClock::new(FabricModel::Degraded(sc), 0, 2);
+        let mut clock = book(FabricModel::Degraded(sc), 0, 2);
         for &(dim, elems) in &[(0usize, 10u64), (1, 100), (0, 1000), (1, 10)] {
-            clock.on_send(dim, elems);
+            send(&mut clock, dim, elems);
         }
         let window = clock.take_window();
         assert_eq!(window.len(), 4);
@@ -625,8 +580,8 @@ mod tests {
         // Draining empties the window.
         assert!(clock.take_window().is_empty());
         // Throttled fabrics never record.
-        let clock = LinkClock::new(FabricModel::Throttled(base), 0, 2);
-        clock.on_send(0, 10);
+        let mut clock = book(FabricModel::Throttled(base), 0, 2);
+        send(&mut clock, 0, 10);
         assert!(clock.take_window().is_empty());
     }
 
@@ -639,16 +594,16 @@ mod tests {
             ..ScenarioSpec::clean(5, Machine::all_port(1.0, 1.0))
         };
         let sc = Arc::new(Scenario::new(2, spec).expect("one death on a 2-cube"));
-        let clock = LinkClock::new(FabricModel::Degraded(sc), 0, 2);
-        assert_eq!(clock.epoch(), 0);
-        clock.on_send(0, 5); // alive at epoch 0
+        let mut clock = book(FabricModel::Degraded(sc), 0, 2);
+        assert_eq!(clock.barrier_gen, 0);
+        send(&mut clock, 0, 5); // alive at epoch 0
         let shared = SharedClock::new();
         let slot = clock.begin_barrier(&shared).expect("degraded fabrics are throttled");
         clock.finish_barrier(&shared, slot);
-        assert_eq!(clock.epoch(), 1);
-        clock.on_send(1, 5); // the *other* edge stays alive
+        assert_eq!(clock.barrier_gen, 1);
+        send(&mut clock, 1, 5); // the *other* edge stays alive
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            clock.on_send(0, 5);
+            send(&mut clock, 0, 5);
         }));
         assert!(died.is_err(), "sending across a dead edge must be a protocol error");
     }

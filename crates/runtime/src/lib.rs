@@ -3,10 +3,13 @@
 //! The paper's algorithms run on a message-passing multicomputer; this
 //! crate is the executable substitute (DESIGN.md §3): every node of the
 //! `d`-cube is an OS thread, every link is a pair of directed channels, and
-//! the only primitives are neighbor send/receive/exchange, barriers, and
-//! dimension-exchange collectives. Nothing is shared between nodes except
-//! the traffic meter (atomics) — a program written against [`NodeCtx`]
-//! would port to MPI on a real hypercube unchanged in structure.
+//! the only primitives are neighbor send/receive/exchange and barriers.
+//! Nothing is shared between nodes except the barrier and the clock slot
+//! its virtual time is agreed through: a node's thread owns its
+//! [`NodeCtx`] — channel ends, virtual clock, traffic counters — and the
+//! run's [`TrafficMeter`] is the nodes' counts summed once at join. A
+//! program written against [`NodeCtx`] would port to MPI on a real
+//! hypercube unchanged in structure.
 //!
 //! The crate also owns the machine *model* ([`Machine`], [`PortModel`] —
 //! re-exported by `mph_ccpipe` for the analytic cost layer) and its two
@@ -20,7 +23,6 @@
 //!   to the samples, so schedulers can optimize for the machine they
 //!   actually run on.
 
-pub mod collectives;
 pub mod fabric;
 pub mod jobmux;
 pub mod machine;
@@ -30,7 +32,6 @@ pub mod scenario;
 pub mod spmd;
 pub mod trace;
 
-pub use collectives::{all_gather, all_reduce, broadcast, gather};
 pub use fabric::{
     calibrate_channel_machine, measure_channel_fabric, FabricConfigError, FabricModel, FabricReport,
 };

@@ -276,22 +276,6 @@ impl FabricStats {
         self.samples.extend_from_slice(&other.samples);
     }
 
-    /// `(elems, sample count)` per distinct size, sizes ascending — the
-    /// diagnostic behind [`CalibrationError`]'s sample counts: when a fit
-    /// fails, this says how the probe mass was actually distributed.
-    pub fn counts_by_size(&self) -> Vec<(f64, usize)> {
-        let mut sorted: Vec<f64> = self.samples.iter().map(|&(x, _)| x).collect();
-        sorted.sort_by(f64::total_cmp);
-        let mut out: Vec<(f64, usize)> = Vec::new();
-        for x in sorted {
-            match out.last_mut() {
-                Some((size, n)) if size.total_cmp(&x).is_eq() => *n += 1,
-                _ => out.push((x, 1)),
-            }
-        }
-        out
-    }
-
     /// `(elems, median secs)` per distinct size, sizes ascending.
     ///
     /// Total-order sort (`f64::total_cmp`), so non-finite samples — a
@@ -516,19 +500,6 @@ mod tests {
             single.to_string().contains("7 samples"),
             "a failed fit must say how many samples it had: {single}"
         );
-    }
-
-    #[test]
-    fn counts_by_size_histograms_the_probe_mass() {
-        let mut stats = FabricStats::new();
-        for _ in 0..3 {
-            stats.record(64.0, 1e-6);
-        }
-        stats.record(8.0, 2e-6);
-        stats.record(4096.0, 3e-6);
-        stats.record(8.0, 4e-6);
-        assert_eq!(stats.counts_by_size(), vec![(8.0, 2), (64.0, 3), (4096.0, 1)]);
-        assert!(FabricStats::new().counts_by_size().is_empty());
     }
 
     #[test]

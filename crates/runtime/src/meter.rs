@@ -32,54 +32,60 @@
 //! control traffic is reported separately instead of blending all jobs
 //! into one number. Solo programs tag everything job 0 and see exactly the
 //! historical totals.
+//!
+//! Nothing here is shared while a run is in flight. Every node counts its
+//! own sends in the meter of its own book
+//! ([`LinkClock`](crate::fabric::LinkClock), which its thread owns), and
+//! the [`TrafficMeter`] a run returns is the sum of those, taken once
+//! when the threads are joined.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One job's traffic totals: data/control messages and elements.
-#[derive(Debug, Default)]
-struct JobCounters {
-    messages: AtomicU64,
-    elems: AtomicU64,
-    control_messages: AtomicU64,
-    control_elems: AtomicU64,
+/// Messages and elements on each plane, of one dimension or of one job.
+#[derive(Debug, Default, Clone)]
+struct Counters {
+    messages: u64,
+    elems: u64,
+    control_messages: u64,
+    control_elems: u64,
 }
 
-/// Lock-free per-dimension traffic counters (shared by all node threads),
-/// kept separately for the data and control planes, plus per-job totals.
-#[derive(Debug)]
-pub struct TrafficMeter {
-    messages: Vec<AtomicU64>,
-    elems: Vec<AtomicU64>,
-    control_messages: Vec<AtomicU64>,
-    control_elems: Vec<AtomicU64>,
-    jobs: Vec<JobCounters>,
-    shipments: AtomicU64,
-}
-
-impl TrafficMeter {
-    /// A meter for a `d`-cube carrying a single (solo) job.
-    pub fn new(d: usize) -> Self {
-        TrafficMeter::with_jobs(d, 1)
-    }
-
-    /// A meter for a `d`-cube shared by `njobs` batch jobs (ids
-    /// `0..njobs`).
-    pub fn with_jobs(d: usize, njobs: usize) -> Self {
-        let counters = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let n = d.max(1);
-        TrafficMeter {
-            messages: counters(n),
-            elems: counters(n),
-            control_messages: counters(n),
-            control_elems: counters(n),
-            jobs: (0..njobs.max(1)).map(|_| JobCounters::default()).collect(),
-            shipments: AtomicU64::new(0),
+impl Counters {
+    fn count(&mut self, elems: u64, control: bool) {
+        if control {
+            self.control_messages += 1;
+            self.control_elems += elems;
+        } else {
+            self.messages += 1;
+            self.elems += elems;
         }
     }
 
-    /// Number of jobs this meter tracks separately.
-    pub fn jobs(&self) -> usize {
-        self.jobs.len()
+    fn absorb(&mut self, other: &Counters) {
+        self.messages += other.messages;
+        self.elems += other.elems;
+        self.control_messages += other.control_messages;
+        self.control_elems += other.control_elems;
+    }
+}
+
+/// Per-dimension traffic totals, kept separately for the data and control
+/// planes, plus per-job totals and the host's shipment count: one node's
+/// while it runs, the whole run's once the nodes' meters are merged.
+#[derive(Debug)]
+pub struct TrafficMeter {
+    dims: Vec<Counters>,
+    jobs: Vec<Counters>,
+    shipments: u64,
+}
+
+impl TrafficMeter {
+    /// An empty meter for a `d`-cube shared by `njobs` batch jobs (ids
+    /// `0..njobs`; a solo run is one job).
+    pub(crate) fn with_jobs(d: usize, njobs: usize) -> Self {
+        TrafficMeter {
+            dims: vec![Counters::default(); d.max(1)],
+            jobs: vec![Counters::default(); njobs.max(1)],
+            shipments: 0,
+        }
     }
 
     /// Records one message of `elems` elements on dimension `dim` for
@@ -89,98 +95,91 @@ impl TrafficMeter {
     /// # Panics
     /// Panics if `job` is outside the meter's job range — a message tagged
     /// for a job the run never registered means the framing is corrupt.
-    pub fn record(&self, dim: usize, elems: u64, control: bool, job: u32) {
+    pub(crate) fn record(&mut self, dim: usize, elems: u64, control: bool, job: u32) {
+        let njobs = self.jobs.len();
         let jc = self
             .jobs
-            .get(job as usize)
-            .unwrap_or_else(|| panic!("message tagged job {job}, meter tracks {}", self.jobs()));
-        if control {
-            self.control_messages[dim].fetch_add(1, Ordering::Relaxed);
-            self.control_elems[dim].fetch_add(elems, Ordering::Relaxed);
-            jc.control_messages.fetch_add(1, Ordering::Relaxed);
-            jc.control_elems.fetch_add(elems, Ordering::Relaxed);
-        } else {
-            self.messages[dim].fetch_add(1, Ordering::Relaxed);
-            self.elems[dim].fetch_add(elems, Ordering::Relaxed);
-            jc.messages.fetch_add(1, Ordering::Relaxed);
-            jc.elems.fetch_add(elems, Ordering::Relaxed);
-        }
+            .get_mut(job as usize)
+            .unwrap_or_else(|| panic!("message tagged job {job}, meter tracks {njobs}"));
+        jc.count(elems, control);
+        self.dims[dim].count(elems, control);
     }
 
     /// Counts one channel message, whatever it carries.
-    pub(crate) fn record_shipment(&self) {
-        self.shipments.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_shipment(&mut self) {
+        self.shipments += 1;
     }
 
-    /// Channel messages moved so far, both planes: what the host did,
-    /// where every other counter here is what the model was charged.
+    /// Adds everything `node` counted to this meter: the merge at join.
+    pub(crate) fn absorb(&mut self, node: &TrafficMeter) {
+        for (mine, theirs) in self.dims.iter_mut().zip(&node.dims) {
+            mine.absorb(theirs);
+        }
+        for (mine, theirs) in self.jobs.iter_mut().zip(&node.jobs) {
+            mine.absorb(theirs);
+        }
+        self.shipments += node.shipments;
+    }
+
+    /// Channel messages moved, both planes: what the host did, where
+    /// every other counter here is what the model was charged.
     pub fn shipments(&self) -> u64 {
-        self.shipments.load(Ordering::Relaxed)
+        self.shipments
     }
 
-    /// Data-plane messages sent on `dim` so far.
+    /// Data-plane messages sent on `dim`.
     pub fn messages(&self, dim: usize) -> u64 {
-        self.messages[dim].load(Ordering::Relaxed)
+        self.dims[dim].messages
     }
 
-    /// Data-plane elements sent on `dim` so far.
+    /// Data-plane elements sent on `dim`.
     pub fn volume(&self, dim: usize) -> u64 {
-        self.elems[dim].load(Ordering::Relaxed)
+        self.dims[dim].elems
     }
 
     /// Total data-plane messages across dimensions.
     pub fn total_messages(&self) -> u64 {
-        self.messages.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        self.dims.iter().map(|c| c.messages).sum()
     }
 
     /// Total data-plane volume across dimensions.
     pub fn total_volume(&self) -> u64 {
-        self.elems.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        self.dims.iter().map(|c| c.elems).sum()
     }
 
-    /// Per-dimension data-plane volume snapshot.
+    /// Per-dimension data-plane volume.
     pub fn volume_by_dim(&self) -> Vec<u64> {
-        self.elems.iter().map(|a| a.load(Ordering::Relaxed)).collect()
+        self.dims.iter().map(|c| c.elems).collect()
     }
 
-    /// Control-plane messages sent on `dim` so far.
-    pub fn control_messages(&self, dim: usize) -> u64 {
-        self.control_messages[dim].load(Ordering::Relaxed)
-    }
-
-    /// Control-plane elements sent on `dim` so far.
+    /// Control-plane elements sent on `dim`.
     pub fn control_volume(&self, dim: usize) -> u64 {
-        self.control_elems[dim].load(Ordering::Relaxed)
+        self.dims[dim].control_elems
     }
 
     /// Total control-plane messages across dimensions.
     pub fn total_control_messages(&self) -> u64 {
-        self.control_messages.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        self.dims.iter().map(|c| c.control_messages).sum()
     }
 
     /// Total control-plane volume across dimensions.
     pub fn total_control_volume(&self) -> u64 {
-        self.control_elems.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        self.dims.iter().map(|c| c.control_elems).sum()
     }
 
-    /// Data-plane messages sent so far by `job`.
+    /// Data-plane messages sent by `job`.
     pub fn job_messages(&self, job: usize) -> u64 {
-        self.jobs[job].messages.load(Ordering::Relaxed)
+        self.jobs[job].messages
     }
 
-    /// Data-plane elements sent so far by `job`.
+    /// Data-plane elements sent by `job`.
     pub fn job_volume(&self, job: usize) -> u64 {
-        self.jobs[job].elems.load(Ordering::Relaxed)
+        self.jobs[job].elems
     }
 
-    /// Control-plane messages sent so far by `job`.
+    /// Control-plane messages sent by `job`.
     pub fn job_control_messages(&self, job: usize) -> u64 {
-        self.jobs[job].control_messages.load(Ordering::Relaxed)
-    }
-
-    /// Control-plane elements sent so far by `job`.
-    pub fn job_control_volume(&self, job: usize) -> u64 {
-        self.jobs[job].control_elems.load(Ordering::Relaxed)
+        self.jobs[job].control_messages
     }
 }
 
@@ -190,7 +189,7 @@ mod tests {
 
     #[test]
     fn records_accumulate() {
-        let m = TrafficMeter::new(3);
+        let mut m = TrafficMeter::with_jobs(3, 1);
         m.record(0, 10, false, 0);
         m.record(0, 5, false, 0);
         m.record(2, 7, false, 0);
@@ -201,21 +200,18 @@ mod tests {
         assert_eq!(m.total_volume(), 22);
         assert_eq!(m.volume_by_dim(), vec![15, 0, 7]);
         // A solo meter tracks one job, and everything lands on it.
-        assert_eq!(m.jobs(), 1);
         assert_eq!(m.job_messages(0), 3);
         assert_eq!(m.job_volume(0), 22);
     }
 
     #[test]
     fn control_plane_is_kept_out_of_data_totals() {
-        let m = TrafficMeter::new(2);
+        let mut m = TrafficMeter::with_jobs(2, 1);
         m.record(0, 100, false, 0); // a block
         m.record(0, 1, true, 0); // a convergence vote
         m.record(1, 1, true, 0);
         assert_eq!(m.total_volume(), 100, "votes must not pollute block volume");
         assert_eq!(m.total_messages(), 1);
-        assert_eq!(m.control_messages(0), 1);
-        assert_eq!(m.control_messages(1), 1);
         assert_eq!(m.total_control_messages(), 2);
         assert_eq!(m.total_control_volume(), 2);
         assert_eq!(m.control_volume(0), 1);
@@ -223,44 +219,27 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_recording_is_consistent() {
-        let m = std::sync::Arc::new(TrafficMeter::new(2));
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let m = m.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    m.record(1, 3, i % 2 == 0, 0);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.messages(1), 4000);
-        assert_eq!(m.volume(1), 12000);
-        assert_eq!(m.control_messages(1), 4000);
-        assert_eq!(m.control_volume(1), 12000);
-    }
-
-    #[test]
     fn per_job_totals_split_the_planes() {
         // Two jobs on one meter: the per-dimension totals blend, the
         // per-job accessors keep every job's data and control traffic
-        // apart — the batch scheduler's reporting invariant.
-        let m = TrafficMeter::with_jobs(2, 2);
+        // apart — the batch scheduler's reporting invariant. Two nodes'
+        // meters merge into the run's without blending either split.
+        let mut m = TrafficMeter::with_jobs(2, 2);
         m.record(0, 100, false, 0);
-        m.record(1, 40, false, 1);
         m.record(0, 1, true, 1);
-        assert_eq!(m.jobs(), 2);
+        let mut other = TrafficMeter::with_jobs(2, 2);
+        other.record(1, 40, false, 1);
+        other.record_shipment();
+        m.absorb(&other);
         assert_eq!(m.total_volume(), 140);
+        assert_eq!(m.volume_by_dim(), vec![100, 40]);
         assert_eq!(m.job_volume(0), 100);
         assert_eq!(m.job_volume(1), 40);
         assert_eq!(m.job_messages(0), 1);
         assert_eq!(m.job_messages(1), 1);
         assert_eq!(m.job_control_messages(0), 0);
         assert_eq!(m.job_control_messages(1), 1);
-        assert_eq!(m.job_control_volume(1), 1);
+        assert_eq!(m.shipments(), 1);
         // Per-job sums reproduce the blended totals exactly.
         assert_eq!(m.job_volume(0) + m.job_volume(1), m.total_volume());
     }
@@ -268,7 +247,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "meter tracks")]
     fn unregistered_job_panics() {
-        let m = TrafficMeter::with_jobs(1, 2);
+        let mut m = TrafficMeter::with_jobs(1, 2);
         m.record(0, 1, false, 2);
     }
 }

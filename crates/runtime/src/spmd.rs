@@ -18,6 +18,19 @@
 //!
 //! # Books and channels
 //!
+//! A node owns its books. Its [`NodeCtx`] — channel ends and one
+//! [`LinkClock`]: virtual clock, barrier epoch, calibration window,
+//! traffic counters — is moved into its thread, so booking a send shares
+//! nothing and locks nothing (`NodeCtx` is `Send` and not `Sync`: the
+//! compiler rejects lending it to a second thread). What the nodes do
+//! share is the barrier and the two slots its virtual time is agreed
+//! through. At join every thread hands its book back, and
+//! [`SpmdRun::meter`] and [`FabricReport::node_times`] are read off them
+//! once. Because a node also owns its channel ends, one that panics
+//! drops them as it unwinds: its peers' sends and receives see the
+//! hang-up and end, and [`run_spmd`] re-raises the failed node's own
+//! payload, not a peer's report of the hang-up.
+//!
 //! What the model charges and what the host moves are separate calls.
 //! [`NodeCtx::charge`] keeps the books of one modelled transmission —
 //! meter, link clock, send span — and moves nothing; [`NodeCtx::ship`]
@@ -31,10 +44,12 @@
 //! [`NodeCtx::trace_recv`] records one consumed arrival, and
 //! [`NodeCtx::recv`] is both plus the clock advance.
 
-use crate::fabric::{FabricModel, FabricReport, LinkClock, SendMeta, SharedClock};
+use crate::fabric::{FabricModel, FabricReport, LinkClock, SharedClock};
 use crate::meter::TrafficMeter;
 use crate::trace::{SinkHandle, TraceEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::cell::RefCell;
+use std::panic::{panic_any, resume_unwind};
 use std::sync::Barrier;
 
 /// The number of elements a message contributes to traffic accounting,
@@ -87,8 +102,16 @@ struct Envelope<M> {
     stamp: f64,
 }
 
-/// Per-node handle: identity, neighbor channels, barrier, traffic meter,
-/// and the node's fabric clock.
+/// The panic of a node whose neighbor dropped its end of their link: a
+/// consequence of that neighbor's failure, never the cause of the run's.
+/// A payload type of its own lets [`run_spmd`] tell the two apart.
+struct NeighborHungUp {
+    node: usize,
+    dim: usize,
+}
+
+/// Per-node handle: identity, neighbor channels, barrier, and the node's
+/// book (fabric clock and traffic counters). Owned by the node's thread.
 pub struct NodeCtx<'a, M: Send> {
     id: usize,
     d: usize,
@@ -97,9 +120,9 @@ pub struct NodeCtx<'a, M: Send> {
     /// `rx[dim]` receives from the neighbor across `dim`.
     rx: Vec<Receiver<Envelope<M>>>,
     barrier: &'a Barrier,
-    meter: &'a TrafficMeter,
-    clock: LinkClock,
     shared_clock: &'a SharedClock,
+    sink: SinkHandle,
+    book: RefCell<LinkClock>,
 }
 
 impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
@@ -121,7 +144,7 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// This node's virtual clock, in machine time units (always 0 on a
     /// [`FabricModel::Free`] fabric).
     pub fn virtual_now(&self) -> f64 {
-        self.clock.now()
+        self.book.borrow().now()
     }
 
     /// Sends `msg` to the neighbor across `dim` (non-blocking in real
@@ -139,7 +162,7 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// arrival stamp — waiting for data is virtual time spent).
     pub fn recv(&self, dim: usize) -> M {
         let (msg, stamp) = self.recv_stamped(dim);
-        self.clock.on_recv(stamp);
+        self.advance_clock_to(stamp);
         self.trace_recv(dim, msg.elems(), msg.job(), None, msg.is_control(), stamp);
         msg
     }
@@ -171,8 +194,7 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         control: bool,
         ready: f64,
     ) -> f64 {
-        self.meter.record(dim, elems, control, job);
-        self.clock.on_send_meta(dim, ready, &SendMeta { elems, job, kq, control })
+        self.book.borrow_mut().charge(dim, elems, job, kq, control, ready)
     }
 
     /// Moves `msg` to the neighbor across `dim` and keeps no books beyond
@@ -185,8 +207,14 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
 
     /// One channel message, stamped.
     fn post(&self, dim: usize, msg: M, stamp: f64) {
-        self.meter.record_shipment();
-        self.tx[dim].send(Envelope { msg, stamp }).expect("neighbor hung up");
+        self.book.borrow_mut().count_shipment();
+        if self.tx[dim].send(Envelope { msg, stamp }).is_err() {
+            self.hung_up(dim);
+        }
+    }
+
+    fn hung_up(&self, dim: usize) -> ! {
+        panic_any(NeighborHungUp { node: self.id, dim })
     }
 
     /// Like [`NodeCtx::recv`], but returns the message's virtual arrival
@@ -196,8 +224,10 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// the stamps it ultimately consumes, and [`NodeCtx::trace_recv`] each
     /// arrival where it consumes it). On a free fabric the stamp is 0.
     pub fn recv_stamped(&self, dim: usize) -> (M, f64) {
-        let env = self.rx[dim].recv().expect("neighbor hung up");
-        (env.msg, env.stamp)
+        match self.rx[dim].recv() {
+            Ok(env) => (env.msg, env.stamp),
+            Err(_) => self.hung_up(dim),
+        }
     }
 
     /// The node's trace sink handle, for drivers that record their own
@@ -206,7 +236,7 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// (the default [`crate::trace::NopSink`]) unless the run was given a
     /// live [`Spmd::trace`].
     pub fn trace(&self) -> &SinkHandle {
-        self.clock.trace()
+        &self.sink
     }
 
     /// Records one consumed arrival — the receive-side counterpart of the
@@ -223,23 +253,22 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         control: bool,
         stamp: f64,
     ) {
-        let sink = self.clock.trace();
-        if sink.is_enabled() && self.clock.throttled() {
-            sink.emit(self.id, || TraceEvent::Recv { dim, elems, job, kq, control, stamp });
+        if self.sink.is_enabled() && self.book.borrow().throttled() {
+            self.sink.emit(self.id, || TraceEvent::Recv { dim, elems, job, kq, control, stamp });
         }
     }
 
     /// Advances this node's virtual clock to `t` (no-op if already past,
     /// or on a free fabric): the moment a stamped arrival is consumed.
     pub fn advance_clock_to(&self, t: f64) {
-        self.clock.on_recv(t);
+        self.book.borrow_mut().wait(t);
     }
 
     /// Drains this node's live send-cost window (degraded fabrics only;
     /// always empty otherwise): `(elems, service time)` samples an
     /// adaptive driver feeds to `Machine::calibrate` mid-run.
     pub fn take_fabric_window(&self) -> crate::machine::FabricStats {
-        self.clock.take_window()
+        self.book.borrow_mut().take_window()
     }
 
     /// Waits until all `2^d` nodes reach the barrier. On a throttled
@@ -250,15 +279,11 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
     /// its *next* barrier's time into a slot a slow node is still
     /// adopting — virtual times stay scheduling-independent.
     pub fn barrier(&self) {
-        match self.clock.begin_barrier(self.shared_clock) {
-            None => {
-                self.barrier.wait();
-            }
-            Some(slot) => {
-                self.barrier.wait();
-                self.clock.finish_barrier(self.shared_clock, slot);
-                self.barrier.wait();
-            }
+        let slot = self.book.borrow_mut().begin_barrier(self.shared_clock);
+        self.barrier.wait();
+        if let Some(slot) = slot {
+            self.book.borrow_mut().finish_barrier(self.shared_clock, slot);
+            self.barrier.wait();
         }
     }
 }
@@ -307,7 +332,12 @@ pub struct SpmdRun<R> {
 /// Runs `body` on every node of a `d`-cube, one thread each, under `spmd`.
 ///
 /// `M` is the message type carried by the links; `body` receives the node's
-/// [`NodeCtx`]. Panics in any node propagate (the whole computation aborts).
+/// [`NodeCtx`]. A panic in any node ends the run: the node's channel ends
+/// drop as it unwinds, peers that wait on it (or send to it) end with it,
+/// every thread is joined, and the panic of the first node in label order
+/// that failed on its own account is re-raised. (A peer already parked in
+/// [`NodeCtx::barrier`] stays parked — `std::sync::Barrier` cannot be
+/// interrupted.)
 pub fn run_spmd<M, R, F>(d: usize, spmd: Spmd, body: F) -> SpmdRun<R>
 where
     M: Send + Meterable,
@@ -323,63 +353,67 @@ where
         panic!("invalid fabric model: {err}");
     }
     let p = 1usize << d;
-    let meter = TrafficMeter::with_jobs(d, njobs);
     let barrier = Barrier::new(p);
     let shared_clock = SharedClock::new();
 
-    // chan[n][dim] = (sender towards n, receiver at n).
-    let mut senders: Vec<Vec<Option<Sender<Envelope<M>>>>> =
-        (0..p).map(|_| vec![None; d]).collect();
-    let mut receivers: Vec<Vec<Option<Receiver<Envelope<M>>>>> =
-        (0..p).map(|_| vec![None; d]).collect();
-    for n in 0..p {
-        for dim in 0..d {
-            // One directed channel delivering to n across dim; its sender
-            // belongs to n's neighbor. (n, dim) ↦ (n ^ 2^dim, dim) is a
-            // bijection, so every slot is filled exactly once.
-            let (tx, rx) = unbounded::<Envelope<M>>();
-            senders[n ^ (1 << dim)][dim] = Some(tx);
-            receivers[n][dim] = Some(rx);
+    // One directed channel delivering to n across dim, for every (n, dim);
+    // its sender belongs to n's neighbor. Dimension by dimension, so each
+    // node's ends are pushed in `dim` order: (n, dim) ↦ (n ^ 2^dim, dim)
+    // is a bijection, one sender per node per round.
+    let mut tx: Vec<Vec<Sender<Envelope<M>>>> = (0..p).map(|_| Vec::with_capacity(d)).collect();
+    let mut rx: Vec<Vec<Receiver<Envelope<M>>>> = (0..p).map(|_| Vec::with_capacity(d)).collect();
+    for dim in 0..d {
+        for n in 0..p {
+            let (to_n, at_n) = unbounded();
+            tx[n ^ (1 << dim)].push(to_n);
+            rx[n].push(at_n);
         }
     }
-    let mut ctxs: Vec<NodeCtx<'_, M>> = Vec::with_capacity(p);
-    let sender_lists: Vec<Vec<Sender<Envelope<M>>>> = senders
-        .into_iter()
-        .map(|row| row.into_iter().map(|s| s.expect("sender wired")).collect())
-        .collect();
-    let receiver_lists: Vec<Vec<Receiver<Envelope<M>>>> = receivers
-        .into_iter()
-        .map(|row| row.into_iter().map(|r| r.expect("receiver wired")).collect())
-        .collect();
-    for (n, (tx, rx)) in sender_lists.into_iter().zip(receiver_lists).enumerate() {
-        ctxs.push(NodeCtx {
-            id: n,
-            d,
-            tx,
-            rx,
-            barrier: &barrier,
-            meter: &meter,
-            clock: LinkClock::with_sink(fabric.clone(), n, d, trace.clone()),
-            shared_clock: &shared_clock,
-        });
-    }
+    // Every channel end moves into its node here and nothing keeps a
+    // clone: a sender that outlived its node would leave the node's peers
+    // waiting on a link nobody will ever write to.
+    let ctxs = tx.into_iter().zip(rx).enumerate().map(|(n, (tx, rx))| NodeCtx {
+        id: n,
+        d,
+        tx,
+        rx,
+        barrier: &barrier,
+        shared_clock: &shared_clock,
+        sink: trace.clone(),
+        book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.clone())),
+    });
 
     let body = &body;
-    let results: Vec<R> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ctxs.iter().map(|ctx| scope.spawn(move |_| body(ctx))).collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise the worker's own panic payload rather than a
-                // generic "node thread panicked": with the clock locks
-                // recovering from poison, the root cause is the only
-                // panic left and it should read that way.
-                h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+    let joined: Vec<std::thread::Result<(R, LinkClock)>> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> =
+            ctxs.map(|ctx| scope.spawn(move |_| (body(&ctx), ctx.book.into_inner()))).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    let node_times: Vec<f64> = ctxs.iter().map(|ctx| ctx.clock.now()).collect();
+    .unwrap_or_else(|payload| resume_unwind(payload));
+
+    let mut results = Vec::with_capacity(p);
+    let mut meter = TrafficMeter::with_jobs(d, njobs);
+    let mut node_times = Vec::with_capacity(p);
+    let mut hung_up = None;
+    for node in joined {
+        match node {
+            Ok((result, book)) => {
+                results.push(result);
+                meter.absorb(book.meter());
+                node_times.push(book.now());
+            }
+            Err(payload) => match payload.downcast::<NeighborHungUp>() {
+                Ok(peer) => hung_up = hung_up.or(Some(peer)),
+                // The root cause, re-raised as the node raised it.
+                Err(root) => resume_unwind(root),
+            },
+        }
+    }
+    if let Some(peer) = hung_up {
+        // No node failed on its own account: one returned while a
+        // neighbor still had a message to exchange with it.
+        panic!("node {}: the neighbor across dimension {} hung up", peer.node, peer.dim);
+    }
     let makespan = node_times.iter().fold(0.0f64, |a, &b| a.max(b));
     SpmdRun { results, meter, fabric: FabricReport { model: fabric, makespan, node_times } }
 }
@@ -387,11 +421,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::all_reduce;
     use crate::machine::Machine;
 
     fn on(fabric: FabricModel) -> Spmd {
         Spmd { fabric, ..Spmd::default() }
+    }
+
+    /// Dimension-exchange fold: `d` exchanges leave the fold of every
+    /// node's `value` at every node.
+    fn all_reduce(ctx: &NodeCtx<'_, f64>, mut value: f64, fold: fn(f64, f64) -> f64) -> f64 {
+        for dim in 0..ctx.dim() {
+            value = fold(value, ctx.exchange(dim, value));
+        }
+        value
+    }
+
+    fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
     }
 
     #[test]
@@ -616,6 +666,66 @@ mod tests {
     }
 
     #[test]
+    fn a_node_that_dies_before_it_sends_ends_the_run_with_its_own_payload() {
+        // Node 1 is parked in `recv` on a link only node 0 writes to. When
+        // node 0 unwinds it drops that link's sender, node 1 sees the
+        // hang-up, and the payload that escapes is node 0's — not node 1's
+        // consequence of it. Run from a watchdog thread: if any clone of the
+        // sender outlives node 0, `run_spmd` never returns, and this fails
+        // at the timeout instead of hanging the suite.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(|| {
+                run_spmd::<u64, (), _>(1, Spmd::default(), |ctx| {
+                    if ctx.id() == 0 {
+                        panic!("node 0 died before its first send");
+                    }
+                    let _ = ctx.recv(0);
+                });
+            });
+            let _ = done.send(caught);
+        });
+        let caught = watchdog
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("run_spmd is still blocked 5 s after node 0 died");
+        run.join().expect("the run's panic was caught on its own thread");
+        let msg = panic_text(&*caught.expect_err("node 0's panic must escape"));
+        assert!(msg.contains("node 0 died before its first send"), "got: {msg:?}");
+    }
+
+    #[test]
+    fn a_node_that_returns_early_is_reported_when_no_node_failed() {
+        // No root cause to re-raise: node 0 simply returns while node 1
+        // still expects a message. The run ends and says which link.
+        let caught = std::panic::catch_unwind(|| {
+            run_spmd::<u64, (), _>(1, Spmd::default(), |ctx| {
+                if ctx.id() == 1 {
+                    let _ = ctx.recv(0);
+                }
+            });
+        });
+        let msg = panic_text(&*caught.expect_err("a hung-up link must end the run"));
+        assert!(msg.contains("node 1: the neighbor across dimension 0 hung up"), "got: {msg:?}");
+    }
+
+    #[test]
+    fn a_node_ctx_is_send_and_not_sync() {
+        // Checked by the compiler: a context moves into its node's thread
+        // (`Send`) and cannot be lent to a second one (`!Sync`), which is
+        // why nothing in a node's book is atomic or locked. If `NodeCtx`
+        // were `Sync`, both impls below would apply and `_` would be
+        // ambiguous.
+        trait AmbiguousIfSync<A> {
+            fn check() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+        impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+        fn is_send<T: Send>() {}
+        is_send::<NodeCtx<'_, Vec<f64>>>();
+        <NodeCtx<'_, Vec<f64>> as AmbiguousIfSync<_>>::check();
+    }
+
+    #[test]
     fn degraded_fabric_replays_and_charges_per_link() {
         use crate::scenario::{Scenario, ScenarioSpec};
         use std::sync::Arc;
@@ -654,12 +764,7 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             run_spmd::<u64, (), _>(1, on(FabricModel::Throttled(bad)), |_| {});
         });
-        let payload = caught.expect_err("KPort(0) must be rejected");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = panic_text(&*caught.expect_err("KPort(0) must be rejected"));
         assert!(msg.contains("invalid fabric model"), "got: {msg:?}");
     }
 

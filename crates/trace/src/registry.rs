@@ -30,11 +30,6 @@ impl MetricsRegistry {
         *self.counters.entry(name.to_string()).or_default() += by;
     }
 
-    /// Increments counter `name` by 1.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Sets gauge `name`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
@@ -43,11 +38,6 @@ impl MetricsRegistry {
     /// Appends one sample to histogram `name`.
     pub fn observe(&mut self, name: &str, sample: f64) {
         self.histograms.entry(name.to_string()).or_default().push(sample);
-    }
-
-    /// Appends many samples to histogram `name`.
-    pub fn observe_all(&mut self, name: &str, samples: &[f64]) {
-        self.histograms.entry(name.to_string()).or_default().extend_from_slice(samples);
     }
 
     /// Counter value; 0 when never touched.
@@ -111,11 +101,12 @@ mod tests {
     fn counters_gauges_and_histograms_round_trip() {
         let mut r = MetricsRegistry::new();
         assert!(r.is_empty());
-        r.inc("jobs.admitted");
+        r.add("jobs.admitted", 1);
         r.add("jobs.admitted", 2);
         r.set_gauge("queue.depth", 4.0);
-        r.observe("latency", 10.0);
-        r.observe_all("latency", &[20.0, 30.0]);
+        for sample in [10.0, 20.0, 30.0] {
+            r.observe("latency", sample);
+        }
         assert_eq!(r.counter("jobs.admitted"), 3);
         assert_eq!(r.counter("never"), 0);
         assert_eq!(r.gauge("queue.depth"), Some(4.0));
@@ -130,8 +121,8 @@ mod tests {
     #[test]
     fn render_is_sorted_and_deterministic() {
         let mut r = MetricsRegistry::new();
-        r.inc("b.count");
-        r.inc("a.count");
+        r.add("b.count", 1);
+        r.add("a.count", 1);
         r.set_gauge("g", 1.5);
         r.observe("h", 2.0);
         let text = r.render();
