@@ -39,8 +39,8 @@
 use crate::options::JacobiOptions;
 use crate::pool::PairingPool;
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
-use mph_linalg::rotation::{apply_to_block, symmetric_schur};
-use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact};
+use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
+use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact, fused_triple_exact_x2};
 use mph_linalg::KernelPath;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -101,16 +101,57 @@ pub fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairO
 /// the scalar loop — so `Lanes` differs from `Scalar` only in the last bits
 /// of the inner products feeding the rotation angle.
 pub fn pair_view_with(
-    mut v: PairViewMut<'_>,
+    v: PairViewMut<'_>,
     rule: PairingRule,
     threshold: f64,
     path: KernelPath,
 ) -> PairOutcome {
+    let block = pair_block(&v, rule, path);
+    pair_rotate_by(v, block, pair_angle(block, rule, threshold))
+}
+
+/// [`pair_view_with`] for two pairings that share no column, the three
+/// stages of a pairing taken two abreast: both 2×2 blocks, then both
+/// rotation angles, then both rotations — the bits of one call after the
+/// other, since neither pairing reads what the other writes.
+///
+/// Alone, a pairing is one dependent chain — the reduction, then the
+/// divide / square-root chain of [`symmetric_schur`], then the rotate —
+/// and too long for the core to overlap with the next one by itself, so
+/// the angle's latency is paid in full. Abreast, the two angle chains run
+/// in each other's shadow; the uncached `Scalar` blocks come from one pass
+/// over both pairings' columns ([`fused_triple_exact_x2`]).
+pub(crate) fn pair_view2_with(
+    [v0, v1]: [PairViewMut<'_>; 2],
+    rule: PairingRule,
+    threshold: f64,
+    path: KernelPath,
+) -> [PairOutcome; 2] {
+    let cached = |v: &PairViewMut<'_>| v.di.is_some() && v.dj.is_some();
+    let [b0, b1] = if path == KernelPath::Scalar && !cached(&v0) && !cached(&v1) {
+        match rule {
+            PairingRule::Implicit => {
+                fused_triple_exact_x2([v0.ui, v0.ai, v0.uj, v0.aj], [v1.ui, v1.ai, v1.uj, v1.aj])
+            }
+            PairingRule::Gram => {
+                fused_triple_exact_x2([v0.ai, v0.ai, v0.aj, v0.aj], [v1.ai, v1.ai, v1.aj, v1.aj])
+            }
+        }
+    } else {
+        [pair_block(&v0, rule, path), pair_block(&v1, rule, path)]
+    };
+    let (r0, r1) = (pair_angle(b0, rule, threshold), pair_angle(b1, rule, threshold));
+    [pair_rotate_by(v0, b0, r0), pair_rotate_by(v1, b1, r1)]
+}
+
+/// The 2×2 block `(app, apq, aqq)` of a pairing, by `path`'s reductions.
+#[inline(always)]
+fn pair_block(v: &PairViewMut<'_>, rule: PairingRule, path: KernelPath) -> (f64, f64, f64) {
     // One arm per path, the rule matched innermost, as the pairing was
     // always laid out: flattening the three matches into one reads better
     // and cost `logical_pool` (the Lanes arm, which this function's Scalar
     // arm must not disturb) ≈ 3 % in the repository benchmark.
-    let (app, apq, aqq) = match path {
+    match path {
         KernelPath::Scalar => match (&v.di, &v.dj) {
             (Some(di), Some(dj)) => {
                 let apq = match rule {
@@ -140,7 +181,18 @@ pub fn pair_view_with(
                 PairingRule::Gram => fused_triple(v.ai, v.ai, v.aj, v.aj),
             },
         },
-    };
+    }
+}
+
+/// What a pairing's 2×2 block asks for: the off-diagonal measure it shows,
+/// and the rotation annihilating it unless the measure is within
+/// `threshold`.
+#[inline(always)]
+fn pair_angle(
+    (app, apq, aqq): (f64, f64, f64),
+    rule: PairingRule,
+    threshold: f64,
+) -> (f64, Option<JacobiRotation>) {
     let off_before = match rule {
         PairingRule::Implicit => apq.abs(),
         PairingRule::Gram => {
@@ -154,10 +206,21 @@ pub fn pair_view_with(
             }
         }
     };
-    if off_before <= threshold || apq == 0.0 {
+    let skip = off_before <= threshold || apq == 0.0;
+    (off_before, (!skip).then(|| symmetric_schur(app, apq, aqq)))
+}
+
+/// Applies what [`pair_angle`] decided for the block `(app, apq, aqq)` to
+/// the pairing's columns and cache slots.
+#[inline(always)]
+fn pair_rotate_by(
+    mut v: PairViewMut<'_>,
+    (app, apq, aqq): (f64, f64, f64),
+    (off_before, rot): (f64, Option<JacobiRotation>),
+) -> PairOutcome {
+    let Some(rot) = rot else {
         return PairOutcome { off_before, rotated: false };
-    }
-    let rot = symmetric_schur(app, apq, aqq);
+    };
     v.rotate_with(rot.c, rot.s);
     if v.di.is_some() || v.dj.is_some() {
         // The rotation annihilates the off-diagonal; the new diagonal is
@@ -221,11 +284,16 @@ pub fn pair_across_blocks(
     acc
 }
 
-/// Right-column tile width of the serial sweep loops: with `m = 256` rows
-/// a `(A|U)` unit is 4 KiB, so an 8-column tile plus the walking left
-/// column is 36 KiB — resident in a 48 KiB L1d across the pairings that
-/// reuse it, not in a 32 KiB one. A 4-column tile (20 KiB) measured no
-/// different from 8 on the CI host, so L1 capacity is not the limit there.
+/// Columns per tile of every sweep, serial or tournament. What bounds it is
+/// L1 *associativity*, not capacity: with `m = 256` rows a `(A|U)` unit is
+/// exactly 4 KiB, so every column maps its lines onto the same sets and a
+/// 12-way L1d holds 12 columns, whatever its size. A rectangle's walk
+/// ([`two_row_steps`]) keeps two left columns and the right tile live —
+/// 10 columns (9 before the walk took two rows at a time), with room for
+/// the next two left columns to arrive before the last two are dropped.
+/// Walking whole anti-diagonals of an 8 × 8 tile pair instead (16 columns
+/// live) read `logical_solve` 4.62 against 4.08 — 13 % *slower* than one
+/// pairing at a time — so a wider walk needs a narrower tile.
 const ACROSS_TILE: usize = 8;
 
 /// Rounds of the circle-method tournament among `b` indices: `b − 1` for
@@ -347,16 +415,17 @@ impl Tournament {
 /// so the logical, threaded, and batch drivers keep performing identical
 /// floating-point work for identical options.
 ///
-/// With `workers == 0` (the default) the sweeps run the legacy serial
-/// row-major pairing order, tiled over right columns for cache residency —
-/// a pure reordering of *commuting* operations that preserves every bit of
-/// the untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
+/// Every sweep is made of one routine: the rectangle of pairings between
+/// two `ACROSS_TILE`-wide column tiles, walked two rows at a time with two
+/// column-disjoint pairings in flight (`two_row_steps`). With
+/// `workers == 0` (the default) the sweeps visit the tile pairs in the
+/// legacy serial row-major order — with the walk inside a rectangle, a pure
+/// reordering of *commuting* operations that preserves every bit of the
+/// untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
 /// asserted in tests). With `workers ≥ 1` the sweeps run the deterministic
-/// *tile tournament*: columns are grouped into `ACROSS_TILE`-wide tiles,
-/// `push_within_round`/`push_across_round` schedule rounds of
-/// column-disjoint tile tasks, and each task is a serial row-major
-/// micro-sweep of its tile pair (the L1-resident inner loop of the serial
-/// path). A call takes every block it may touch at once — all blocks'
+/// *tile tournament*: `push_within_round`/`push_across_round` schedule
+/// rounds of column-disjoint tile tasks, each task one such rectangle (or
+/// one tile's triangle). A call takes every block it may touch at once — all blocks'
 /// `within`, a whole step's node-disjoint block pairs — and merges round
 /// `r` of all of them into one round, so the synchronisations per call are
 /// those of its *largest* block pair, whatever the block count.
@@ -577,56 +646,43 @@ impl SweepKernel {
         total.into_inner().expect("merging accumulators cannot panic")
     }
 
-    /// Serial within-block sweep, tiled over the `j` columns. For ops
-    /// sharing a column the row-major relative order is preserved (for a
-    /// shared left column, `j` still ascends across tiles; for a shared
-    /// right column, `i` still ascends inside its tile), and ops sharing no
-    /// column commute exactly — so the tiling is bitwise invisible.
+    /// Serial within-block sweep: the block's tiles in row-major order — for
+    /// each tile, its rectangles against the tiles to its left, then its
+    /// own triangle. For ops sharing a column the row-major relative order
+    /// is preserved (for a shared left column, `j` still ascends across
+    /// tiles; for a shared right column, `i` still ascends across the left
+    /// tiles and inside each — [`two_row_steps`]), and ops sharing no column
+    /// commute exactly — so the tiling is bitwise invisible.
     fn within_serial(&self, block: &mut ColumnBlock) -> SweepAccumulator {
         let mut acc = SweepAccumulator::default();
-        let b = block.len();
-        let mut t0 = 0usize;
-        while t0 < b {
-            let t1 = (t0 + ACROSS_TILE).min(b);
-            for i in 0..t1.saturating_sub(1) {
-                for j in (i + 1).max(t0)..t1 {
-                    acc.absorb(pair_view_with(
-                        block.pair_mut(i, j),
-                        self.rule,
-                        self.threshold,
-                        self.path,
-                    ));
-                }
+        for t0 in (0..block.len()).step_by(ACROSS_TILE) {
+            for s0 in (0..t0).step_by(ACROSS_TILE) {
+                let [mut left, mut right] = block.tiles_mut::<ACROSS_TILE, 2>([s0, t0]);
+                self.sweep_tile_pair(&mut left, &mut right, &mut acc);
             }
-            t0 = t1;
+            let [mut tile] = block.tiles_mut::<ACROSS_TILE, 1>([t0]);
+            self.sweep_tile(&mut tile, &mut acc);
         }
         acc
     }
 
-    /// Serial cross-block sweep, tiled over the right block's columns —
-    /// same bitwise-invisible reordering argument as [`Self::within_serial`].
+    /// Serial cross-block sweep: for each tile of the right block, the
+    /// rectangles against the left block's tiles in order — same
+    /// bitwise-invisible reordering argument as [`Self::within_serial`].
     fn across_serial(&self, left: &mut ColumnBlock, right: &mut ColumnBlock) -> SweepAccumulator {
         let mut acc = SweepAccumulator::default();
-        let br = right.len();
-        let mut t0 = 0usize;
-        while t0 < br {
-            let t1 = (t0 + ACROSS_TILE).min(br);
-            for i in 0..left.len() {
-                for j in t0..t1 {
-                    acc.absorb(pair_view_with(
-                        cross_pair_mut(left, i, right, j),
-                        self.rule,
-                        self.threshold,
-                        self.path,
-                    ));
-                }
+        for t0 in (0..right.len()).step_by(ACROSS_TILE) {
+            let [mut rcols] = right.tiles_mut::<ACROSS_TILE, 1>([t0]);
+            for s0 in (0..left.len()).step_by(ACROSS_TILE) {
+                let [mut lcols] = left.tiles_mut::<ACROSS_TILE, 1>([s0]);
+                self.sweep_tile_pair(&mut lcols, &mut rcols, &mut acc);
             }
-            t0 = t1;
         }
         acc
     }
 
-    /// Serially sweeps one tile's internal pairs, row-major `i < j`.
+    /// Serially sweeps one tile's internal pairs, row-major `i < j`: row
+    /// `i` is a one-row rectangle, which [`two_row_steps`] walks singly.
     fn sweep_tile(&self, cols: &mut [ColumnViewMut<'_>], acc: &mut SweepAccumulator) {
         for i in 0..cols.len().saturating_sub(1) {
             let (lo, hi) = cols.split_at_mut(i + 1);
@@ -634,26 +690,64 @@ impl SweepKernel {
         }
     }
 
-    /// Serially sweeps a left tile × right tile task in row-major order —
-    /// the L1-resident inner loop of the serial path (each left column is
-    /// reused against the whole right tile before moving on). The views
-    /// are reborrowed per pairing ([`ColumnViewMut::pair_mut`]).
-    fn sweep_tile_pair<'a>(
+    /// Sweeps a left tile × right tile rectangle in the order of
+    /// [`two_row_steps`] — the L1-resident inner loop of every sweep, serial
+    /// or tournament: two left columns walk the right tile, each reused
+    /// against all of it before the next two. The views are reborrowed per
+    /// pairing ([`ColumnViewMut::pair_mut`]).
+    fn sweep_tile_pair(
         &self,
-        lcols: &mut [ColumnViewMut<'a>],
-        rcols: &mut [ColumnViewMut<'a>],
+        lcols: &mut [ColumnViewMut<'_>],
+        rcols: &mut [ColumnViewMut<'_>],
         acc: &mut SweepAccumulator,
     ) {
-        for ci in lcols.iter_mut() {
-            for cj in rcols.iter_mut() {
-                acc.absorb(pair_view_with(
-                    ColumnViewMut::pair_mut(ci, cj),
-                    self.rule,
-                    self.threshold,
-                    self.path,
-                ));
+        let SweepKernel { rule, threshold, path, .. } = *self;
+        two_row_steps(lcols.len(), rcols.len(), |(i, j), abreast| match abreast {
+            None => {
+                let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
+                acc.absorb(pair_view_with(pair, rule, threshold, path));
             }
+            Some((i1, j1)) => {
+                let [ci, ci1] = lcols.get_disjoint_mut([i, i1]).expect("a step's rows differ");
+                let [cj, cj1] = rcols.get_disjoint_mut([j, j1]).expect("a step's columns differ");
+                let pairs = [ColumnViewMut::pair_mut(ci, cj), ColumnViewMut::pair_mut(ci1, cj1)];
+                for outcome in pair_view2_with(pairs, rule, threshold, path) {
+                    acc.absorb(outcome);
+                }
+            }
+        });
+    }
+}
+
+/// The order every sweep walks an `nl × nr` rectangle of pairings in:
+/// `step((i, j), abreast)` per step, `abreast` a second pairing that shares
+/// no column with the first.
+///
+/// Rows are taken two at a time, the odd row one step behind the even one:
+/// `(2r, j)` goes abreast of `(2r + 1, j − 1)`, and `(2r + 2, 0)` of
+/// `(2r + 1, nr − 1)`. Pairing `(i, j)` still comes after `(i, j − 1)` and
+/// `(i − 1, j)`, so each column meets its partners in row-major order —
+/// which, column-disjoint pairings commuting exactly, makes this walk
+/// bitwise the row-major one. An odd last row goes singly, as does all of a
+/// one-column rectangle, whose pairings all share that column.
+fn two_row_steps(
+    nl: usize,
+    nr: usize,
+    mut step: impl FnMut((usize, usize), Option<(usize, usize)>),
+) {
+    if nr == 1 {
+        return (0..nl).for_each(|i| step((i, 0), None));
+    }
+    // The odd-row pairing below the previous step's even-row one.
+    let mut behind = None;
+    for i in (0..nl).step_by(2) {
+        for j in 0..nr {
+            step((i, j), behind);
+            behind = (i + 1 < nl).then_some((i + 1, j));
         }
+    }
+    if let Some(last) = behind {
+        step(last, None);
     }
 }
 
@@ -1077,38 +1171,119 @@ mod tests {
         }
     }
 
+    /// The untiled row-major sweep of a two-block problem on `path` —
+    /// [`pair_within_block`] / [`pair_across_blocks`] themselves on
+    /// `Scalar`, which is all they compute.
+    fn sweep_two_untiled(
+        left: &mut ColumnBlock,
+        right: &mut ColumnBlock,
+        rule: PairingRule,
+        path: KernelPath,
+    ) -> SweepAccumulator {
+        if path == KernelPath::Scalar {
+            let mut acc = pair_within_block(left, rule, 0.0);
+            acc.merge(pair_within_block(right, rule, 0.0));
+            acc.merge(pair_across_blocks(left, right, rule, 0.0));
+            return acc;
+        }
+        let mut acc = SweepAccumulator::default();
+        for block in [&mut *left, &mut *right] {
+            for i in 0..block.len() {
+                for j in i + 1..block.len() {
+                    acc.absorb(pair_view_with(block.pair_mut(i, j), rule, 0.0, path));
+                }
+            }
+        }
+        for i in 0..left.len() {
+            for j in 0..right.len() {
+                acc.absorb(pair_view_with(cross_pair_mut(left, i, right, j), rule, 0.0, path));
+            }
+        }
+        acc
+    }
+
     #[test]
     fn tiled_serial_kernel_is_bitwise_the_untiled_reference() {
         // The default-path guarantee: SweepKernel with workers == 0 must
-        // reproduce pair_within_block / pair_across_blocks exactly, tiling
-        // included, across block sizes straddling the tile width and both
-        // cache modes.
-        let m = 24;
+        // reproduce pair_within_block / pair_across_blocks exactly — the
+        // tiling and the two-row walk included — blocks and accumulator,
+        // for every pair of block widths up to two tiles and a bit: none,
+        // one column, odd, the 2-, 4- and 8-column blocks the service
+        // solves, a full tile, a tile and a column. Both rules; no cache,
+        // both caches, and the mixed cache of a cross-block pair; both
+        // paths, `Lanes` against the same row-major order on its own
+        // reductions.
+        let m = 38;
         let a0 = random_symmetric(m, 91);
-        for rule in [PairingRule::Implicit, PairingRule::Gram] {
-            for cached in [false, true] {
-                for split in [5usize, 8, 12, 17] {
-                    let mut l_ref = ColumnBlock::from_matrix_with_identity(&a0, 0..split, m);
-                    let mut r_ref = ColumnBlock::from_matrix_with_identity(&a0, split..m, m);
-                    if cached {
+        for (nl, nr) in (0..=19usize).flat_map(|nl| (0..=19usize).map(move |nr| (nl, nr))) {
+            for rule in [PairingRule::Implicit, PairingRule::Gram] {
+                for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
+                    let mut l_ref = ColumnBlock::from_matrix_with_identity(&a0, 0..nl, m);
+                    let mut r_ref = ColumnBlock::from_matrix_with_identity(&a0, nl..nl + nr, m);
+                    if cache_left {
                         refresh_block_diag(&mut l_ref, rule);
+                    }
+                    if cache_right {
                         refresh_block_diag(&mut r_ref, rule);
                     }
-                    let mut l_new = l_ref.clone();
-                    let mut r_new = r_ref.clone();
-
-                    let mut acc_ref = pair_within_block(&mut l_ref, rule, 0.0);
-                    acc_ref.merge(pair_within_block(&mut r_ref, rule, 0.0));
-                    acc_ref.merge(pair_across_blocks(&mut l_ref, &mut r_ref, rule, 0.0));
-
-                    let kern = SweepKernel::reference(rule, 0.0);
-                    let acc_new = sweep_two(&kern, &mut l_new, &mut r_new);
-
-                    assert_eq!(acc_ref, acc_new, "{rule:?} cached={cached} split={split}");
-                    assert_eq!(l_ref, l_new, "{rule:?} cached={cached} split={split}");
-                    assert_eq!(r_ref, r_new, "{rule:?} cached={cached} split={split}");
+                    for path in [KernelPath::Scalar, KernelPath::Lanes] {
+                        let (mut l_ref, mut r_ref) = (l_ref.clone(), r_ref.clone());
+                        let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
+                        let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule, path);
+                        let kern = SweepKernel { path, ..SweepKernel::reference(rule, 0.0) };
+                        let acc_new = sweep_two(&kern, &mut l_new, &mut r_new);
+                        let what = || {
+                            format!(
+                                "{nl}x{nr} {rule:?} {path:?} cache=({cache_left},{cache_right})"
+                            )
+                        };
+                        assert_eq!(acc_ref, acc_new, "{}", what());
+                        assert_eq!(l_ref, l_new, "{}", what());
+                        assert_eq!(r_ref, r_new, "{}", what());
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn two_row_steps_keep_every_columns_pairings_in_row_major_order() {
+        // The law that makes the walk bitwise the row-major one, checked on
+        // the schedule itself: every pairing of the rectangle exactly once,
+        // the two pairings of a step on four different columns, and — per
+        // left column and per right column — the partners met in ascending
+        // order.
+        for (nl, nr) in (0..=9usize).flat_map(|nl| (0..=9usize).map(move |nr| (nl, nr))) {
+            let mut order = Vec::new();
+            let mut abreast_steps = 0;
+            two_row_steps(nl, nr, |first, abreast| {
+                order.push(first);
+                if let Some(second) = abreast {
+                    assert!(
+                        first.0 != second.0 && first.1 != second.1,
+                        "{nl}x{nr}: {first:?} {second:?}"
+                    );
+                    order.push(second);
+                    abreast_steps += 1;
+                }
+            });
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            let all: Vec<_> = (0..nl).flat_map(|i| (0..nr).map(move |j| (i, j))).collect();
+            assert_eq!(sorted, all, "{nl}x{nr}: not every pairing exactly once");
+            for i in 0..nl {
+                let met: Vec<_> = order.iter().filter(|p| p.0 == i).map(|p| p.1).collect();
+                assert!(met.is_sorted(), "{nl}x{nr}: left column {i} meets {met:?}");
+            }
+            for j in 0..nr {
+                let met: Vec<_> = order.iter().filter(|p| p.1 == j).map(|p| p.0).collect();
+                assert!(met.is_sorted(), "{nl}x{nr}: right column {j} meets {met:?}");
+            }
+            // The odd rows' stream runs one step behind the even rows';
+            // wherever both have a pairing, the two go abreast.
+            let (even, odd) = (nl.div_ceil(2) * nr, nl / 2 * nr);
+            let want = if nr >= 2 { odd.min(even.saturating_sub(1)) } else { 0 };
+            assert_eq!(abreast_steps, want, "{nl}x{nr}");
         }
     }
 

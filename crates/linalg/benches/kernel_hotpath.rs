@@ -2,9 +2,11 @@
 //! vector kernels that reproduce their bits, and the reassociated lane
 //! reductions: the inner products that feed `symmetric_schur` (dot / fused
 //! triple) and the 4-stream rotation that applies it, at the column lengths
-//! the block drivers actually see. The last group keeps the price of a
-//! misaligned column on record: the same two kernels on the same data, 0
-//! and 2 elements past a cache-line boundary.
+//! the block drivers actually see. The `alignment` group keeps the price of
+//! a misaligned column on record: the same two kernels on the same data, 0
+//! and 2 elements past a cache-line boundary. The last group, `pairing_chain`,
+//! times the whole dependent chain of a pairing — reduction, rotation angle,
+//! rotate — over a rectangle of pairings, one at a time against two abreast.
 //!
 //! These are the micro-counterparts of the repository benchmark's
 //! `eigen.kernel_ns_per_rotation` and `eigen.lanes_speedup`: those measure
@@ -13,9 +15,11 @@
 //! vector tier the exact kernels run on, since their timings mean nothing
 //! without it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mph_linalg::rotation::symmetric_schur;
 use mph_linalg::vecops::{
-    dot, dot_lanes, exact_tier, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes,
+    dot, dot_lanes, exact_tier, fused_triple, fused_triple_exact, fused_triple_exact_x2,
+    pair_rotate, pair_rotate_lanes,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -79,6 +83,21 @@ fn bench_fused_triple(c: &mut Criterion) {
                     black_box(&ai),
                     black_box(&uj),
                     black_box(&aj),
+                ))
+            })
+        });
+    }
+    // Two pairings a call: read the time per element against
+    // `fused_exact`'s time per call.
+    g.throughput(Throughput::Elements(2));
+    for m in SIZES {
+        let cols: [Vec<f64>; 8] = std::array::from_fn(|k| filled(m, 3 + k as u64));
+        let [ui, ai, uj, aj, uk, ak, ul, al] = &cols;
+        g.bench_with_input(BenchmarkId::new("fused_exact_x2", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(fused_triple_exact_x2(
+                    black_box([ui, ai, uj, aj]),
+                    black_box([uk, ak, ul, al]),
                 ))
             })
         });
@@ -170,5 +189,81 @@ fn bench_alignment(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_fused_triple, bench_rotate, bench_alignment);
+/// One pairing of the chain: its block, its angle, its rotation — each
+/// waiting for the one before.
+fn pairing([ui, ai]: [&mut [f64]; 2], [uj, aj]: [&mut [f64]; 2]) {
+    let (app, apq, aqq) = fused_triple_exact(ui, ai, uj, aj);
+    let rot = symmetric_schur(app, apq, aqq);
+    pair_rotate_lanes(ai, aj, ui, uj, rot.c, rot.s);
+}
+
+/// Two column-disjoint pairings, stage by stage.
+fn pairing_x2(p: [[&mut [f64]; 2]; 2], q: [[&mut [f64]; 2]; 2]) {
+    let ([[ui, ai], [uj, aj]], [[uk, ak], [ul, al]]) = (p, q);
+    let [(app, apq, aqq), (arr, ars, ass)] =
+        fused_triple_exact_x2([ui, ai, uj, aj], [uk, ak, ul, al]);
+    let (rot, rot1) = (symmetric_schur(app, apq, aqq), symmetric_schur(arr, ars, ass));
+    pair_rotate_lanes(ai, aj, ui, uj, rot.c, rot.s);
+    pair_rotate_lanes(ak, al, uk, ul, rot1.c, rot1.s);
+}
+
+/// What walking a tile pair two rows at a time buys: the 16 pairings of two
+/// left columns against an 8-column right tile, in row-major order one at a
+/// time — each waits for the one before, which rotated its left column —
+/// against the kernel's order, row 1 one step behind row 0 and the two
+/// pairings of a step taken abreast. The ten columns are `m = 256` units of
+/// a block: `[A | U]`, 4 KiB apart on cache lines, as the solver meets them.
+fn bench_pairing_chain(c: &mut Criterion) {
+    const N: usize = 256;
+    const NR: usize = 8;
+    let mut g = c.benchmark_group("pairing_chain");
+    g.sample_size(20).measurement_time(Duration::from_secs(2));
+    g.throughput(Throughput::Elements(2 * NR as u64));
+    let mut arena = filled((2 + NR) * 2 * N + 8, 40);
+    let to_line = (arena.as_ptr() as usize).wrapping_neg() % 64 / 8;
+    // Column `k` as `[U, A]`; 0 and 1 are the left columns.
+    let mut cols: Vec<[&mut [f64]; 2]> = arena[to_line..]
+        .chunks_exact_mut(2 * N)
+        .map(|unit| {
+            let (a, u) = unit.split_at_mut(N);
+            [u, a]
+        })
+        .collect();
+    fn reborrow<'b>(col: &'b mut [&mut [f64]; 2]) -> [&'b mut [f64]; 2] {
+        let [u, a] = col;
+        [u, a]
+    }
+    g.bench_function("one_at_a_time", |b| {
+        b.iter(|| {
+            for i in 0..2 {
+                for j in 2..2 + NR {
+                    let [ci, cj] = cols.get_disjoint_mut([i, j]).expect("distinct");
+                    pairing(reborrow(ci), reborrow(cj));
+                }
+            }
+        })
+    });
+    g.bench_function("two_abreast", |b| {
+        b.iter(|| {
+            let [c0, first] = cols.get_disjoint_mut([0, 2]).expect("distinct");
+            pairing(reborrow(c0), reborrow(first));
+            for j in 3..2 + NR {
+                let [c0, cj, c1, cj1] = cols.get_disjoint_mut([0, j, 1, j - 1]).expect("distinct");
+                pairing_x2([reborrow(c0), reborrow(cj)], [reborrow(c1), reborrow(cj1)]);
+            }
+            let [c1, last] = cols.get_disjoint_mut([1, 1 + NR]).expect("distinct");
+            pairing(reborrow(c1), reborrow(last));
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dot,
+    bench_fused_triple,
+    bench_rotate,
+    bench_alignment,
+    bench_pairing_chain
+);
 criterion_main!(benches);

@@ -214,8 +214,8 @@ impl<'a> PairViewMut<'a> {
 /// views produced by [`ColumnBlock::columns_mut`] can be carved into
 /// per-pair [`PairViewMut`]s (the fields are public precisely so the
 /// pairing kernel can assemble them) and shared out among threads without
-/// any further borrow gymnastics.
-#[derive(Debug)]
+/// any further borrow gymnastics. The default is the view of no rows.
+#[derive(Debug, Default)]
 pub struct ColumnViewMut<'a> {
     /// The column's `A`-slice.
     pub a: &'a mut [f64],
@@ -241,7 +241,7 @@ impl<'a> ColumnViewMut<'a> {
     #[inline]
     pub fn pair_mut<'b>(
         i: &'b mut ColumnViewMut<'a>,
-        j: &'b mut ColumnViewMut<'a>,
+        j: &'b mut ColumnViewMut<'_>,
     ) -> PairViewMut<'b> {
         PairViewMut {
             ai: &mut *i.a,
@@ -251,6 +251,32 @@ impl<'a> ColumnViewMut<'a> {
             di: i.d.as_deref_mut(),
             dj: j.d.as_deref_mut(),
         }
+    }
+}
+
+/// The views of up to `N` consecutive columns, held inline — what a serial
+/// sweep borrows from a block tile by tile, where a `Vec` of views would be
+/// an allocation per call. Dereferences to the views; produced by
+/// [`ColumnBlock::tiles_mut`].
+#[derive(Debug)]
+pub struct ColumnTileMut<'a, const N: usize> {
+    /// The first `len` are columns, the rest views of no rows.
+    views: [ColumnViewMut<'a>; N],
+    len: usize,
+}
+
+impl<'a, const N: usize> std::ops::Deref for ColumnTileMut<'a, N> {
+    type Target = [ColumnViewMut<'a>];
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.views[..self.len]
+    }
+}
+
+impl<const N: usize> std::ops::DerefMut for ColumnTileMut<'_, N> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.views[..self.len]
     }
 }
 
@@ -414,6 +440,44 @@ impl ColumnBlock {
         self.data.chunks_exact_mut(unit).take(self.ncols).map(move |chunk| {
             let (a, u) = split_unit(chunk, shape);
             ColumnViewMut { a, u, d: diag.next() }
+        })
+    }
+
+    /// Split-borrow access to `K` tiles of the block at once: tile `k` views
+    /// the columns `firsts[k]..firsts[k] + N`, cut off at the block's end —
+    /// the per-tile counterpart of [`ColumnBlock::columns_mut`], which needs
+    /// no table to collect into.
+    ///
+    /// # Panics
+    /// Panics if two of the tiles share a column.
+    pub fn tiles_mut<const N: usize, const K: usize>(
+        &mut self,
+        firsts: [usize; K],
+    ) -> [ColumnTileMut<'_, N>; K] {
+        self.debug_assert_aligned();
+        let (shape, unit) = ((self.arows, self.urows), self.unit());
+        let span = |first: usize, len: usize| first.min(len)..(first + N).min(len);
+        let units = firsts.map(|first| {
+            let cols = span(first, self.ncols);
+            cols.start * unit..cols.end * unit
+        });
+        // `diag` is empty when the cache is off, so every slot reads `None`.
+        let slots = firsts.map(|first| span(first, self.diag.len()));
+        let runs = self.data.get_disjoint_mut(units).expect("tiles share a column");
+        let mut slots =
+            self.diag.get_disjoint_mut(slots).expect("tiles share a column").into_iter();
+        runs.map(|run| {
+            // A taken (default) block has a zero-length unit and no columns.
+            let mut cols = run.chunks_exact_mut(unit.max(1));
+            let mut diag = slots.next().expect("one run of slots per tile").iter_mut();
+            let len = cols.len();
+            let views = std::array::from_fn(|_| {
+                cols.next().map_or_else(ColumnViewMut::default, |chunk| {
+                    let (a, u) = split_unit(chunk, shape);
+                    ColumnViewMut { a, u, d: diag.next() }
+                })
+            });
+            ColumnTileMut { views, len }
         })
     }
 
@@ -854,6 +918,50 @@ mod tests {
                 assert_eq!(b.diag()[3], -7.0);
             }
         }
+    }
+
+    #[test]
+    fn tiles_mut_views_runs_of_columns_disjointly() {
+        let a0 = random_symmetric(7, 19);
+        for cached in [false, true] {
+            let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..7, 7);
+            if cached {
+                b.refresh_diag(|a, u| dot(u, a));
+            }
+            let want = b.clone();
+            // Tiles in any order; the one reaching past the block is cut
+            // off at its end, the one starting there is empty.
+            let [mut hi, lo, past] = b.tiles_mut::<3, 3>([5, 1, 7]);
+            assert_eq!((hi.len(), lo.len(), past.len()), (2, 3, 0));
+            for (tile, first) in [(&hi, 5), (&lo, 1)] {
+                for (k, col) in tile.iter().enumerate() {
+                    assert_eq!(col.a, want.a_col(first + k), "col {}", first + k);
+                    assert_eq!(col.u, want.u_col(first + k), "col {}", first + k);
+                    assert_eq!(col.d.as_deref(), want.diag().get(first + k), "col {}", first + k);
+                }
+            }
+            // Writes through a tile land in the block.
+            hi[1].a[0] = 99.0;
+            if let Some(d) = hi[0].d.as_deref_mut() {
+                *d = -7.0;
+            }
+            assert_eq!(b.a_col(6)[0], 99.0);
+            if cached {
+                assert_eq!(b.diag()[5], -7.0);
+            }
+        }
+        // A taken block has no columns to view.
+        let mut taken = ColumnBlock::default();
+        let [none] = taken.tiles_mut::<8, 1>([0]);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "tiles share a column")]
+    fn tiles_mut_rejects_overlapping_tiles() {
+        let a0 = random_symmetric(6, 19);
+        let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..6, 6);
+        let _ = b.tiles_mut::<4, 2>([0, 3]);
     }
 
     #[test]

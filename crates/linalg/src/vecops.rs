@@ -227,6 +227,38 @@ pub fn fused_triple_exact(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f
     }
 }
 
+/// The four streams `[x, a, y, b]` of one [`fused_triple_exact`] call.
+pub type TripleStreams<'a> = [&'a [f64]; 4];
+
+/// Two [`fused_triple_exact`]s in one pass: the 2×2 blocks of two pairings
+/// that share no column, each of the six products `to_bits`-equal to
+/// [`dot`].
+///
+/// The AVX2 form walks both pairings' streams together — six 4-lane
+/// accumulators, multiply then add, `dot`'s tree and tail per product — so
+/// six add chains are in flight where one pairing has three. Pairings of
+/// different column lengths, and the portable tier, take the two blocks one
+/// after the other.
+///
+/// # Panics
+/// Panics if the four streams of either pairing do not share one length.
+#[inline]
+pub fn fused_triple_exact_x2(p: TripleStreams<'_>, q: TripleStreams<'_>) -> [(f64, f64, f64); 2] {
+    #[cfg(target_arch = "x86_64")]
+    if lane_tier() != LaneTier::Portable && p[0].len() == q[0].len() {
+        for [x, a, y, b] in [p, q] {
+            assert_eq!(x.len(), a.len());
+            assert_eq!(y.len(), b.len());
+            assert_eq!(x.len(), y.len());
+        }
+        // Safety: every tier but the portable one implies avx2 (rustc's
+        // `avx512f` includes it); the common length of all eight streams
+        // was just checked.
+        return unsafe { x86::fused_triple_exact_x2_avx2(p, q) };
+    }
+    [fused_triple_exact(p[0], p[1], p[2], p[3]), fused_triple_exact(q[0], q[1], q[2], q[3])]
+}
+
 /// `y ← a·x + y`.
 #[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
@@ -589,6 +621,60 @@ mod x86 {
             qq += y[i] * b[i];
         }
         (pp, pq, qq)
+    }
+
+    /// [`fused_triple_exact_avx2`] for two pairings at once: the same
+    /// operations per product — multiply then add, NO FMA, lane
+    /// `index mod 4`, `dot`'s tree, the tail in index order — with six
+    /// accumulators in flight instead of three.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` via cpuid; all eight slices must
+    /// share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fused_triple_exact_x2_avx2(
+        p: super::TripleStreams<'_>,
+        q: super::TripleStreams<'_>,
+    ) -> [(f64, f64, f64); 2] {
+        let ([x0, a0, y0, b0], [x1, a1, y1, b1]) = (p, q);
+        let n = x0.len();
+        let mut spp0 = _mm256_setzero_pd();
+        let mut spq0 = _mm256_setzero_pd();
+        let mut sqq0 = _mm256_setzero_pd();
+        let mut spp1 = _mm256_setzero_pd();
+        let mut spq1 = _mm256_setzero_pd();
+        let mut sqq1 = _mm256_setzero_pd();
+        let chunks = n / 4;
+        for k in 0..chunks {
+            let i = 4 * k;
+            let vx0 = _mm256_loadu_pd(x0.as_ptr().add(i));
+            let va0 = _mm256_loadu_pd(a0.as_ptr().add(i));
+            let vy0 = _mm256_loadu_pd(y0.as_ptr().add(i));
+            let vb0 = _mm256_loadu_pd(b0.as_ptr().add(i));
+            let vx1 = _mm256_loadu_pd(x1.as_ptr().add(i));
+            let va1 = _mm256_loadu_pd(a1.as_ptr().add(i));
+            let vy1 = _mm256_loadu_pd(y1.as_ptr().add(i));
+            let vb1 = _mm256_loadu_pd(b1.as_ptr().add(i));
+            spp0 = _mm256_add_pd(spp0, _mm256_mul_pd(vx0, va0));
+            spq0 = _mm256_add_pd(spq0, _mm256_mul_pd(vx0, vb0));
+            sqq0 = _mm256_add_pd(sqq0, _mm256_mul_pd(vy0, vb0));
+            spp1 = _mm256_add_pd(spp1, _mm256_mul_pd(vx1, va1));
+            spq1 = _mm256_add_pd(spq1, _mm256_mul_pd(vx1, vb1));
+            sqq1 = _mm256_add_pd(sqq1, _mm256_mul_pd(vy1, vb1));
+        }
+        let mut out = [
+            (dot_tree256(spp0), dot_tree256(spq0), dot_tree256(sqq0)),
+            (dot_tree256(spp1), dot_tree256(spq1), dot_tree256(sqq1)),
+        ];
+        for i in 4 * chunks..n {
+            out[0].0 += x0[i] * a0[i];
+            out[0].1 += x0[i] * b0[i];
+            out[0].2 += y0[i] * b0[i];
+            out[1].0 += x1[i] * a1[i];
+            out[1].1 += x1[i] * b1[i];
+            out[1].2 += y1[i] * b1[i];
+        }
+        out
     }
 
     /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
@@ -1115,6 +1201,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    // --- The two-pairing exact reduction --------------------------------------
+
+    type TripleX2Fn = fn(TripleStreams<'_>, TripleStreams<'_>) -> [(f64, f64, f64); 2];
+
+    /// Every form of [`fused_triple_exact_x2`] this host can run: the public
+    /// dispatch, and the AVX2 form called directly once cpuid reports it.
+    /// (The portable tier is two [`fused_triple_portable`]s, checked above.)
+    fn exact_x2_tiers() -> Vec<(&'static str, TripleX2Fn)> {
+        let mut tiers: Vec<(&'static str, TripleX2Fn)> = vec![("dispatch", fused_triple_exact_x2)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was just detected; the tests pass eight
+            // equal-length slices.
+            tiers.push(("avx2", |p, q| unsafe { x86::fused_triple_exact_x2_avx2(p, q) }));
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_x2_tier_is_bitwise_dot_in_all_six_products() {
+        // Lengths of every remainder mod 4 (the tails), the eight columns 0
+        // and 2 elements past a cache line, and the Gram rule's aliasing.
+        for n in exact_lengths() {
+            for off in [0usize, 2] {
+                let cols: Vec<_> = (0..8).map(|k| placed(&stream(k, n), off)).collect();
+                let c: [&[f64]; 8] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
+                for (name, x2) in exact_x2_tiers() {
+                    for (p, q) in [
+                        ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]]),
+                        ([c[0], c[0], c[2], c[2]], [c[5], c[5], c[7], c[7]]),
+                    ] {
+                        let got = x2(p, q);
+                        for (h, [x, a, y, b]) in [p, q].into_iter().enumerate() {
+                            let want = (dot(x, a), dot(x, b), dot(y, b));
+                            let same = got[h].0.to_bits() == want.0.to_bits()
+                                && got[h].1.to_bits() == want.1.to_bits()
+                                && got[h].2.to_bits() == want.2.to_bits();
+                            assert!(same, "{name} pairing {h}, n={n} offset={off}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn x2_of_pairings_of_different_lengths_takes_them_one_at_a_time() {
+        // No caller pairs columns of two heights in one step; the answer is
+        // still each pairing's own, not a panic.
+        let short: Vec<_> = (0..4).map(|k| stream(k, 9)).collect();
+        let long: Vec<_> = (4..8).map(|k| stream(k, 67)).collect();
+        let p: TripleStreams<'_> = [&short[0], &short[1], &short[2], &short[3]];
+        let q: TripleStreams<'_> = [&long[0], &long[1], &long[2], &long[3]];
+        let want = [
+            fused_triple_exact(p[0], p[1], p[2], p[3]),
+            fused_triple_exact(q[0], q[1], q[2], q[3]),
+        ];
+        assert_eq!(fused_triple_exact_x2(p, q), want);
+        assert_eq!(fused_triple_exact_x2(q, p), [want[1], want[0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn x2_rejects_a_pairing_of_mismatched_streams_with_dots_message() {
+        let (short, long) = (stream(0, 8), stream(1, 9));
+        fused_triple_exact_x2([&short, &short, &short, &short], [&short, &short, &long, &long]);
     }
 
     #[test]
