@@ -36,7 +36,7 @@ impl Default for AdmissionConfig {
 /// De-phasing keys: two jobs share a key iff they share an ordering
 /// family and a column count — the signature of an identical link walk,
 /// which is exactly what the service staggers apart.
-pub fn stagger_keys(jobs: &[Job]) -> Vec<u32> {
+fn stagger_keys(jobs: &[Job]) -> Vec<u32> {
     let mut classes: Vec<(mph_core::OrderingFamily, usize)> = Vec::new();
     jobs.iter()
         .map(|job| {
@@ -55,7 +55,7 @@ pub fn stagger_keys(jobs: &[Job]) -> Vec<u32> {
 /// Admission priorities under `policy`: [`Policy::ShortestPlanFirst`]
 /// prices each job's whole plan chain on `machine` (smaller cost admits
 /// first); FIFO and interleaving admit in arrival order.
-pub fn admission_priorities(
+fn admission_priorities(
     policy: &Policy,
     planned: &[PlannedJob<'_>],
     machine: &Machine,

@@ -33,7 +33,7 @@ pub mod job;
 pub mod policy;
 pub mod scheduler;
 
-pub use admission::{admission_priorities, service_plan, stagger_keys, AdmissionConfig};
+pub use admission::{service_plan, AdmissionConfig};
 pub use job::Job;
 pub use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, PlannedJob};
 pub use mph_eigen::{JobResult, JobSpan, JobSpec, ServicePlan};

@@ -179,13 +179,6 @@ impl BatchReport {
     pub fn mean_finish(&self) -> f64 {
         self.spans.iter().map(|s| s.finish).sum::<f64>() / self.spans.len().max(1) as f64
     }
-
-    /// Measured throughput gain of this run over the cost sheet's
-    /// FIFO-serial prediction... precisely: `serial_total / makespan`
-    /// (`None` on a free fabric).
-    pub fn measured_gain(&self) -> Option<f64> {
-        (self.makespan > 0.0).then(|| self.cost.serial_total / self.makespan)
-    }
 }
 
 /// The cost model's view of `lowered[j]` = [`lower_job`]`(specs[j], d)`:
@@ -402,7 +395,6 @@ mod tests {
         assert_eq!(report.results.len(), 3);
         assert!(report.throughput.is_none());
         assert_eq!(report.makespan, 0.0);
-        assert!(report.measured_gain().is_none());
         // Per-job traffic still splits.
         assert!(report.meter.job_volume(0) > 0);
         assert_eq!(
@@ -432,7 +424,6 @@ mod tests {
             inter.makespan,
             fifo.makespan
         );
-        assert!(inter.measured_gain().expect("throttled") > 1.0);
         let t_fifo = fifo.throughput.expect("throttled");
         let t_inter = inter.throughput.expect("throttled");
         assert!(t_inter.jobs_per_time > t_fifo.jobs_per_time);

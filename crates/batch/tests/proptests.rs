@@ -137,7 +137,7 @@ proptest! {
 
         // 3. On the virtual clock, the batch never exceeds the sum of the
         //    solo makespans (each measured on the same fabric).
-        if fabric.is_throttled() {
+        if !matches!(fabric, FabricModel::Free) {
             let solo_sum: f64 = jobs
                 .iter()
                 .map(|job| {

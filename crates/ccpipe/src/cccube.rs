@@ -31,36 +31,18 @@ impl CcCube {
     pub fn k(&self) -> usize {
         self.link_seq.len()
     }
-
-    /// Number of distinct dimensions used (the `e` of an `e`-sequence).
-    pub fn distinct_links(&self) -> usize {
-        let mut seen = vec![false; self.link_seq.iter().map(|&l| l + 1).max().unwrap_or(0)];
-        let mut n = 0;
-        for &l in &self.link_seq {
-            if !seen[l] {
-                seen[l] = true;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// α of the link sequence.
-    pub fn alpha(&self) -> usize {
-        mph_hypercube::link_sequence_alpha(&self.link_seq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mph_hypercube::link_sequence_alpha;
 
     #[test]
     fn exchange_phase_wraps_the_family_sequence() {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 4, 128.0);
         assert_eq!(cc.k(), 15);
-        assert_eq!(cc.distinct_links(), 4);
-        assert_eq!(cc.alpha(), 8);
+        assert_eq!(link_sequence_alpha(&cc.link_seq), 8);
         assert_eq!(cc.message_elems, 128.0);
     }
 
@@ -69,7 +51,6 @@ mod tests {
         // §2.4 example: K = 7, links 0,1,0,2,0,1,0.
         let cc = CcCube { link_seq: vec![0, 1, 0, 2, 0, 1, 0], message_elems: 1.0 };
         assert_eq!(cc.k(), 7);
-        assert_eq!(cc.distinct_links(), 3);
-        assert_eq!(cc.alpha(), 4);
+        assert_eq!(link_sequence_alpha(&cc.link_seq), 4);
     }
 }

@@ -112,16 +112,6 @@ impl PhaseCostModel {
         }
     }
 
-    /// α of the sequence (the full-window transmission makespan under
-    /// all-port is exactly α).
-    pub fn alpha(&self) -> usize {
-        let mut hist = vec![0usize; self.e];
-        for &l in &self.link_seq {
-            hist[l] += 1;
-        }
-        hist.into_iter().max().unwrap()
-    }
-
     /// Cost of the original (unpipelined) CC-cube: `K` single messages.
     pub fn unpipelined_cost(&self) -> f64 {
         self.k as f64 * self.machine.single_message_cost(self.elems)
@@ -243,11 +233,6 @@ impl PhaseCostModel {
             Some((c / a).sqrt())
         }
     }
-
-    /// The machine this model was built for.
-    pub fn machine(&self) -> Machine {
-        self.machine
-    }
 }
 
 #[cfg(test)]
@@ -327,10 +312,9 @@ mod tests {
         for family in [OrderingFamily::Br, OrderingFamily::PermutedBr, OrderingFamily::Degree4] {
             for e in [4usize, 5, 6] {
                 let cc = CcCube::exchange_phase(family, e, 6200.0);
-                let model = PhaseCostModel::new(&cc, machine);
                 let q = 2 * cc.k(); // comfortably deep
                 let s_elems = cc.message_elems / q as f64;
-                let alpha = model.alpha() as f64;
+                let alpha = mph_hypercube::link_sequence_alpha(&cc.link_seq) as f64;
                 let want = e as f64 * machine.ts + alpha * s_elems * machine.tw;
                 // Evaluate one genuine kernel stage of the explicit schedule.
                 let sched = pipelined_schedule(&cc, q);

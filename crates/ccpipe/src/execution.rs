@@ -32,20 +32,20 @@ pub struct ComputeModel {
 
 impl ComputeModel {
     /// Cost of one column pairing for an `m`-row problem.
-    pub fn pairing_cost(&self, m: f64) -> f64 {
+    fn pairing_cost(&self, m: f64) -> f64 {
         ROT_FLOPS_PER_ROW * m * self.tc
     }
 
     /// Total computation of one sweep executed sequentially:
     /// `m(m−1)/2` pairings.
-    pub fn sweep_total(&self, m: f64) -> f64 {
+    fn sweep_total(&self, m: f64) -> f64 {
         m * (m - 1.0) / 2.0 * self.pairing_cost(m)
     }
 
     /// Per-node computation of one parallel sweep: the sweep's pairings
     /// divide evenly over `2^d` nodes (perfect load balance — the paper's
     /// property (a) of minimum-step orderings).
-    pub fn sweep_per_node(&self, w: &Workload) -> f64 {
+    fn sweep_per_node(&self, w: &Workload) -> f64 {
         self.sweep_total(w.m) / (1u64 << w.d) as f64
     }
 }
@@ -58,7 +58,7 @@ pub struct SweepTime {
 }
 
 impl SweepTime {
-    pub fn total(&self) -> f64 {
+    fn total(&self) -> f64 {
         self.computation + self.communication
     }
 
@@ -88,7 +88,7 @@ pub fn unpipelined_sweep_time(
 /// overlapped with transmission in this model (the paper's models compare
 /// communication costs; overlap would only amplify the orderings'
 /// advantage).
-pub fn pipelined_sweep_time(
+fn pipelined_sweep_time(
     family: OrderingFamily,
     w: &Workload,
     machine: &Machine,

@@ -47,9 +47,7 @@ pub mod sweepcost;
 pub use batchcost::{batch_cost, solo_plan_costs, BatchCost, BatchOrder, PlannedJob};
 pub use cccube::CcCube;
 pub use cost::PhaseCostModel;
-pub use execution::{
-    efficiency, pipelined_sweep_time, speedup, unpipelined_sweep_time, ComputeModel, SweepTime,
-};
+pub use execution::{efficiency, speedup, unpipelined_sweep_time, ComputeModel, SweepTime};
 pub use lowerbound::{strict_stage_lower_bound, LowerBoundModel};
 pub use machine::FabricStats;
 pub use machine::{CalibrationError, Machine, PortModel};
@@ -63,8 +61,8 @@ pub use plancost::{
 };
 pub use schedclock::{executed_cost, ExecutedCost};
 pub use sweepcost::{
-    elems_per_transfer, figure2_point, lower_bound_sweep_cost, pipelined_sweep_cost,
-    unpipelined_sweep_cost, Figure2Point, PhaseOutcome, SweepCost, Workload,
+    figure2_point, pipelined_sweep_cost, unpipelined_sweep_cost, Figure2Point, PhaseOutcome,
+    SweepCost, Workload,
 };
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ impl LowerBoundModel {
 
     /// Phase cost of the ideal sequence at pipelining degree `q`
     /// (all-port model: start-ups serialize, transmissions overlap).
-    pub fn cost(&self, q: usize) -> f64 {
+    fn cost(&self, q: usize) -> f64 {
         assert!(q >= 1);
         let k = self.k;
         let e = self.e;
@@ -80,7 +80,7 @@ impl LowerBoundModel {
         self.k as f64 * self.machine.single_message_cost(self.elems)
     }
 
-    /// Minimizes [`Self::cost`] over `Q ∈ [1, q_max]`.
+    /// Minimizes the phase cost over `Q ∈ [1, q_max]`.
     pub fn optimize(&self, q_max: f64) -> (usize, f64, PipelineMode) {
         let cap = q_max.min(2f64.powi(40)).max(1.0) as usize;
         let mut candidates: Vec<usize> = (1..=64.min(cap)).collect();

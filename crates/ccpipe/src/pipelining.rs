@@ -40,13 +40,6 @@ pub struct Stage {
     pub phase: StagePhase,
 }
 
-impl Stage {
-    /// Window width (number of packets communicated).
-    pub fn width(&self) -> usize {
-        self.hi - self.lo + 1
-    }
-}
-
 /// The full stage schedule of a pipelined CC-cube with degree `Q`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelinedSchedule {
@@ -107,7 +100,7 @@ pub fn pipelined_schedule(cc: &CcCube, q: usize) -> PipelinedSchedule {
 impl PipelinedSchedule {
     /// The links used at stage `s` (with repetitions), resolved against the
     /// CC-cube's sequence.
-    pub fn stage_links<'a>(&self, cc: &'a CcCube, s: usize) -> &'a [usize] {
+    fn stage_links<'a>(&self, cc: &'a CcCube, s: usize) -> &'a [usize] {
         let st = &self.stages[s];
         &cc.link_seq[st.lo..=st.hi]
     }
@@ -173,7 +166,7 @@ mod tests {
         let sched = pipelined_schedule(&cc, 1);
         assert_eq!(sched.stages.len(), 7);
         for (s, st) in sched.stages.iter().enumerate() {
-            assert_eq!(st.width(), 1);
+            assert_eq!((st.lo, st.hi), (s, s));
             assert_eq!(sched.stage_links(&cc, s), &cc.link_seq[s..=s]);
         }
     }
@@ -184,7 +177,7 @@ mod tests {
         let cc = paper_example();
         for q in 1..=20 {
             let sched = pipelined_schedule(&cc, q);
-            let total: usize = sched.stages.iter().map(|st| st.width()).sum();
+            let total: usize = sched.stages.iter().map(|st| st.hi - st.lo + 1).sum();
             assert_eq!(total, cc.k() * q, "q={q}");
         }
     }

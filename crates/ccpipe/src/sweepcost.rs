@@ -19,7 +19,7 @@ use mph_core::OrderingFamily;
 /// one block of `m / 2^{d+1}` columns from each of the two matrices `A` and
 /// `U`, each column `m` elements — `m² / 2^d` in total (real-valued; the
 /// paper's analytic models treat sizes continuously).
-pub fn elems_per_transfer(m: f64, d: usize) -> f64 {
+fn elems_per_transfer(m: f64, d: usize) -> f64 {
     m * m / (1u64 << d) as f64
 }
 
@@ -45,12 +45,12 @@ impl Workload {
     }
 
     /// Elements moved per transition (`m²/2^d`).
-    pub fn elems_per_transfer(&self) -> f64 {
+    fn elems_per_transfer(&self) -> f64 {
         elems_per_transfer(self.m, self.d)
     }
 
     /// Column pairs per block — the maximum pipelining degree.
-    pub fn max_pipelining_degree(&self) -> f64 {
+    pub(crate) fn max_pipelining_degree(&self) -> f64 {
         (self.m / (1u64 << (self.d + 1)) as f64).max(1.0)
     }
 }
@@ -88,7 +88,7 @@ impl SweepCost {
     /// paper marks the permuted-BR series with filled symbols when deep
     /// pipelining was used and unfilled when "shallow pipelining is used in
     /// the first (the most time consuming) exchange phases".
-    pub fn first_phase_mode(&self) -> PipelineMode {
+    fn first_phase_mode(&self) -> PipelineMode {
         self.phases.first().map(|p| p.mode).unwrap_or(PipelineMode::Unpipelined)
     }
 }
@@ -120,7 +120,7 @@ pub fn pipelined_sweep_cost(family: OrderingFamily, w: &Workload, machine: &Mach
 
 /// Lower-bound sweep cost (ideal sequences in every phase; division/last
 /// transitions are unavoidable single messages).
-pub fn lower_bound_sweep_cost(w: &Workload, machine: &Machine) -> SweepCost {
+fn lower_bound_sweep_cost(w: &Workload, machine: &Machine) -> SweepCost {
     let d = w.d;
     let elems = w.elems_per_transfer();
     let q_max = w.max_pipelining_degree();

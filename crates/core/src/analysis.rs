@@ -123,13 +123,6 @@ pub fn sequence_degree(seq: &[usize], e: usize) -> usize {
     degree
 }
 
-/// Imbalance ratio `α / ⌈len/e⌉`: 1.0 means perfectly balanced link usage.
-pub fn imbalance(seq: &[usize], e: usize) -> f64 {
-    let a = alpha(seq, e) as f64;
-    let ideal = (seq.len() as f64 / e as f64).ceil();
-    a / ideal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,11 +182,13 @@ mod tests {
 
     #[test]
     fn imbalance_ordering() {
+        // Imbalance α / ⌈len/e⌉ (1 = perfectly balanced link usage):
         // BR ≫ pBR ≥ 1; degree-4 sits in between.
         let e = 10;
-        let br = imbalance(&br_sequence(e), e);
-        let pbr = imbalance(&pbr_sequence(e), e);
-        let d4 = imbalance(&d4_sequence(e), e);
+        let imbalance = |seq: &[usize]| alpha(seq, e) as f64 / (seq.len() as f64 / e as f64).ceil();
+        let br = imbalance(&br_sequence(e));
+        let pbr = imbalance(&pbr_sequence(e));
+        let d4 = imbalance(&d4_sequence(e));
         assert!(br > d4 && d4 > pbr, "br={br} d4={d4} pbr={pbr}");
         assert!(pbr >= 1.0);
     }

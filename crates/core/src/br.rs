@@ -29,17 +29,6 @@ pub fn br_sequence(e: usize) -> Vec<usize> {
     seq
 }
 
-/// Number of occurrences of link `i` in `D_e^BR`: `2^{e-1-i}`.
-pub fn br_link_count(e: usize, link: usize) -> usize {
-    assert!(link < e);
-    1usize << (e - 1 - link)
-}
-
-/// α of `D_e^BR` = `2^{e-1}` (paper §3.1).
-pub fn br_alpha(e: usize) -> usize {
-    1usize << (e - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,19 +71,21 @@ mod tests {
 
     #[test]
     fn link_counts_are_powers_of_two() {
+        // Link `i` appears `2^{e-1-i}` times in `D_e^BR`.
         for e in 1..=10 {
             let seq = br_sequence(e);
             for link in 0..e {
                 let count = seq.iter().filter(|&&l| l == link).count();
-                assert_eq!(count, br_link_count(e, link), "e={e}, link={link}");
+                assert_eq!(count, 1 << (e - 1 - link), "e={e}, link={link}");
             }
         }
     }
 
     #[test]
     fn alpha_is_two_to_e_minus_one() {
+        // Paper §3.1: α(D_e^BR) = 2^{e-1}.
         for e in 1..=12 {
-            assert_eq!(link_sequence_alpha(&br_sequence(e)), br_alpha(e));
+            assert_eq!(link_sequence_alpha(&br_sequence(e)), 1 << (e - 1));
         }
     }
 

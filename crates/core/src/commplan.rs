@@ -184,11 +184,6 @@ impl CommPlan {
         self.d
     }
 
-    /// Elements per column used by the lowering.
-    pub fn elems_per_col(&self) -> usize {
-        self.elems_per_col
-    }
-
     /// The phases, in execution order.
     pub fn phases(&self) -> &[PlanPhase] {
         &self.phases
@@ -232,17 +227,6 @@ impl CommPlan {
     /// Total data volume of the sweep.
     pub fn total_volume(&self) -> u64 {
         self.volume_by_dim().iter().sum()
-    }
-
-    /// Data volume of the sweep's **serial tail** — the division and last
-    /// transitions, which cross the links as single whole-block messages
-    /// and cannot be pipelined (paper §2.4 leaves them serial). This is
-    /// the traffic whose `Ts + S·Tw` latency a solo solve eats as pure
-    /// bubble time, and exactly the link idle time multi-problem batching
-    /// fills with another job's packets — which is why the batch cost
-    /// model (`mph_ccpipe::batch_cost`) accounts it separately.
-    pub fn tail_volume(&self) -> u64 {
-        self.phases.iter().filter(|ph| !ph.is_exchange()).map(PlanPhase::volume).sum()
     }
 
     /// The plan's **tail runs**: maximal runs of consecutive
@@ -532,9 +516,11 @@ mod tests {
         for family in OrderingFamily::ALL {
             for s in 0..d {
                 let p = plan(16, d, family, s);
-                let sched = SweepSchedule::sweep(d, family, s);
+                let sigma = crate::sweep::sweep_link_permutation(d, s);
                 for (ph, e) in p.exchange_phases().zip((1..=d).rev()) {
-                    assert_eq!(ph.links, sched.exchange_phase_links(e), "{family} s={s} e={e}");
+                    let want: Vec<usize> =
+                        family.sequence(e).iter().map(|&l| sigma.apply(l)).collect();
+                    assert_eq!(ph.links, want, "{family} s={s} e={e}");
                 }
             }
         }
@@ -594,6 +580,12 @@ mod tests {
         assert_eq!(p.total_volume(), 15 * nodes * block);
     }
 
+    /// Data volume of the sweep's serial tail: the division and last
+    /// transitions, single whole-block messages paper §2.4 leaves serial.
+    fn tail_volume(p: &CommPlan) -> u64 {
+        p.phases.iter().filter(|ph| !ph.is_exchange()).map(PlanPhase::volume).sum()
+    }
+
     #[test]
     fn tail_volume_counts_exactly_the_serial_phases() {
         // Uniform partition: the tail is d divisions + the last transition,
@@ -604,10 +596,10 @@ mod tests {
             let block = (m / (2 << d)) as u64 * (2 * m) as u64;
             let nodes = 1u64 << d;
             let want = (d as u64 + 1) * nodes * block;
-            assert_eq!(p.tail_volume(), want, "d={d}");
+            assert_eq!(tail_volume(&p), want, "d={d}");
             // Tail + exchange phases = the whole sweep.
             let exchange: u64 = p.exchange_phases().map(|ph| ph.volume()).sum();
-            assert_eq!(exchange + p.tail_volume(), p.total_volume(), "d={d}");
+            assert_eq!(exchange + tail_volume(&p), p.total_volume(), "d={d}");
         }
     }
 
@@ -618,7 +610,7 @@ mod tests {
         // 2 — the tail must charge the blocks actually moved.
         let p = plan(10, 1, OrderingFamily::Br, 0);
         let epc = 2 * 10u64;
-        assert_eq!(p.tail_volume(), (2 + 3 + 3 + 2) * epc);
+        assert_eq!(tail_volume(&p), (2 + 3 + 3 + 2) * epc);
     }
 
     #[test]

@@ -41,8 +41,7 @@ pub fn d4_sequence(e: usize) -> Vec<usize> {
 }
 
 /// Number of occurrences of link `l` in `D_e^D4` (closed form, used to
-/// cross-check the generator and to compute α without materializing the
-/// sequence).
+/// cross-check the generator).
 ///
 /// In `E_{e-1}`: links 0,1,2 appear `2^{e-4}·2 = 2^{e-3}` times... derived
 /// from the doubling recursion: counts in `E_3` are (2,2,2,1) for links
@@ -66,13 +65,6 @@ pub fn d4_link_count(e: usize, l: usize) -> usize {
     } else {
         base
     }
-}
-
-/// α of `D_e^D4`: the paper's headline property is that this is roughly
-/// half of BR's `2^{e-1}` — links 0 and 2 tie at `2^{e-2}` (link 1 has one
-/// more, `2^{e-2}+1`).
-pub fn d4_alpha(e: usize) -> usize {
-    (0..e).map(|l| d4_link_count(e, l)).max().unwrap()
 }
 
 #[cfg(test)]
@@ -147,11 +139,10 @@ mod tests {
 
     #[test]
     fn alpha_is_about_half_of_br() {
+        // The paper's headline property: links 0 and 2 tie at 2^{e-2} and
+        // link 1 has one more, so α(D4) = 2^{e-2}+1 vs α(BR) = 2^{e-1}.
         for e in 4..=14 {
-            let a = d4_alpha(e);
-            assert_eq!(a, link_sequence_alpha(&d4_sequence(e)));
-            // α(D4) = 2^{e-2}+1 vs α(BR) = 2^{e-1}.
-            assert_eq!(a, (1usize << (e - 2)) + 1);
+            assert_eq!(link_sequence_alpha(&d4_sequence(e)), (1usize << (e - 2)) + 1);
         }
     }
 

@@ -55,17 +55,16 @@ pub mod permutation;
 pub mod sweep;
 
 pub use analysis::{
-    alpha, distinct_window_fraction, imbalance, link_histogram, sequence_degree, window_stats,
-    WindowStats,
+    alpha, distinct_window_fraction, link_histogram, sequence_degree, window_stats, WindowStats,
 };
-pub use br::{br_alpha, br_sequence};
+pub use br::br_sequence;
 pub use columns::{column_ordering, validate_column_ordering, ColumnOrdering, ColumnOrderingError};
 pub use commplan::{CommPlan, Frame, Framing, MicroOp, OpKind, PhaseKind, PlanPhase};
 pub use coverage::{trace_sweep, validate_sweep_coverage, BlockId, BlockLayout, SweepTrace};
-pub use d4::{d4_alpha, d4_sequence, e_sequence};
+pub use d4::{d4_sequence, e_sequence};
 pub use family::OrderingFamily;
 pub use minalpha::{alpha_lower_bound, min_alpha_sequence, published_min_alpha_sequence};
 pub use partition::BlockPartition;
-pub use pbr::{pbr_alpha, pbr_sequence, pbr_sequence_with, pbr_transformations, PbrConvention};
+pub use pbr::{pbr_sequence, pbr_sequence_with, pbr_transformations, PbrConvention};
 pub use permutation::Permutation;
-pub use sweep::{sweep_link_permutation, SweepSchedule, Transition, TransitionKind};
+pub use sweep::{SweepSchedule, Transition, TransitionKind};

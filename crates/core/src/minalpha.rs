@@ -9,9 +9,8 @@
 //! Hamiltonian paths is NP-hard in general, which is the whole motivation
 //! for the constructive permuted-BR ordering.
 
-use mph_hypercube::search_hamiltonian_with_budget;
 #[cfg(test)]
-use mph_hypercube::{link_sequence_alpha, validate_e_sequence};
+use mph_hypercube::{link_sequence_alpha, search_hamiltonian_with_budget, validate_e_sequence};
 
 /// `⌈(2^e − 1)/e⌉` — the lower bound on α for any `e`-sequence.
 pub fn alpha_lower_bound(e: usize) -> usize {
@@ -44,16 +43,6 @@ pub fn min_alpha_sequence(e: usize) -> Option<Vec<usize>> {
         return Some(vec![0]);
     }
     published_min_alpha_sequence(e)
-}
-
-/// Re-derives a minimum-α sequence by branch-and-bound search instead of
-/// using the published table. Because the lower bound is attainable for
-/// `e ≤ 6`, searching with `budget = alpha_lower_bound(e)` suffices; the
-/// scarcest-link-first move ordering finds witnesses for every `e ≤ 6` in
-/// milliseconds (the problem is NP-hard, so larger `e` may still blow up —
-/// pass a `max_steps` cap).
-pub fn search_min_alpha_sequence(e: usize, max_steps: u64) -> Option<Vec<usize>> {
-    search_hamiltonian_with_budget(e, alpha_lower_bound(e), max_steps)
 }
 
 #[cfg(test)]
@@ -100,10 +89,11 @@ mod tests {
 
     #[test]
     fn search_rederives_optimal_alpha_small() {
-        // The scarcest-link-first branch-and-bound re-derives the optimum
-        // for every size the paper solved (e ≤ 6) in milliseconds.
+        // The lower bound is attainable for e ≤ 6, so a search budgeted at
+        // it suffices: the scarcest-link-first branch-and-bound re-derives
+        // the optimum for every size the paper solved in milliseconds.
         for e in 2..=6 {
-            let seq = search_min_alpha_sequence(e, 200_000_000)
+            let seq = search_hamiltonian_with_budget(e, alpha_lower_bound(e), 200_000_000)
                 .unwrap_or_else(|| panic!("search failed for e={e}"));
             assert!(validate_e_sequence(&seq, e).is_ok());
             assert_eq!(link_sequence_alpha(&seq), alpha_lower_bound(e));

@@ -51,11 +51,6 @@ impl BlockPartition {
     pub fn size(&self, b: usize) -> usize {
         self.starts[b + 1] - self.starts[b]
     }
-
-    /// Total columns.
-    pub fn total(&self) -> usize {
-        *self.starts.last().unwrap()
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +72,6 @@ mod tests {
         let p = BlockPartition::new(10, 4);
         let sizes: Vec<usize> = (0..4).map(|b| p.size(b)).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
-        assert_eq!(p.total(), 10);
     }
 
     #[test]

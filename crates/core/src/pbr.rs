@@ -72,7 +72,7 @@ impl PbrConvention {
     ];
 
     /// Number of transformations for a given `e`.
-    pub fn transform_count(&self, e: usize) -> usize {
+    fn transform_count(&self, e: usize) -> usize {
         if e <= 2 {
             return 0;
         }
@@ -86,7 +86,7 @@ impl PbrConvention {
     }
 
     /// Mirror span `B_k` of transformation `k`.
-    pub fn span(&self, e: usize, k: usize) -> usize {
+    fn span(&self, e: usize, k: usize) -> usize {
         let n = e - 1;
         let div = 1usize << k;
         if self.ceil_span {
@@ -99,7 +99,7 @@ impl PbrConvention {
 
 /// The base permutation of transformation `k` — the mirror applied to the
 /// *second* `(e−k−1)`-subsequence (before compounding).
-pub fn pbr_base_permutation(e: usize, k: usize, conv: PbrConvention) -> Permutation {
+fn pbr_base_permutation(e: usize, k: usize, conv: PbrConvention) -> Permutation {
     Permutation::mirror(e, conv.span(e, k))
 }
 
@@ -194,8 +194,7 @@ pub fn pbr_transformations(e: usize, conv: PbrConvention) -> Vec<Vec<AppliedPerm
 
 /// Literal re-implementation following the paper's prose: apply
 /// transformation k to the flattened sequence, subsequence by subsequence.
-/// Quadratic-ish and only used for cross-validation in tests and the
-/// experiment binaries.
+/// Quadratic-ish and only used for cross-validation in tests.
 pub fn pbr_sequence_literal(e: usize, conv: PbrConvention) -> Vec<usize> {
     let mut seq = br_sequence(e);
     let t = conv.transform_count(e);
@@ -231,11 +230,6 @@ fn region_start(n: usize, depth: usize, p: usize, span: usize) -> usize {
     }
     debug_assert_eq!(hi - lo, span);
     lo
-}
-
-/// α of `D_e^{p-BR}` under the default convention.
-pub fn pbr_alpha(e: usize) -> usize {
-    mph_hypercube::link_sequence_alpha(&pbr_sequence(e))
 }
 
 /// Theorem 2's upper bound on α (exact for `e − 1 = 2^S`, asymptotic
@@ -381,7 +375,7 @@ mod tests {
         // α(pBR) ≈ 1.25·2^e/e vs α(BR) = 2^{e−1}: the gain is ≈ e/2.5 and
         // grows with e — at least 2× from e = 5 and at least 4× from e = 10.
         for e in 5..=14 {
-            let a = pbr_alpha(e);
+            let a = link_sequence_alpha(&pbr_sequence(e));
             let br = 1usize << (e - 1);
             assert!(a * 2 <= br, "e={e}: α(pBR)={a} not 2× below α(BR)={br}");
             if e >= 11 {
@@ -419,7 +413,7 @@ mod tests {
     fn theorem2_bound_holds_for_power_of_two_plus_one() {
         // e = 2^S + 1: the appendix derivation is exact.
         for e in [3usize, 5, 9, 17] {
-            let a = pbr_alpha(e) as f64;
+            let a = link_sequence_alpha(&pbr_sequence(e)) as f64;
             let bound = theorem2_alpha_bound(e);
             assert!(a <= bound + 1e-9, "e={e}: α={a} exceeds Theorem-2 bound {bound}");
         }
@@ -429,7 +423,7 @@ mod tests {
     fn theorem3_ratio_tends_to_1_25() {
         // α / lower-bound for e = 2^S + 1 should approach 1.25 from below-ish.
         let e = 17;
-        let a = pbr_alpha(e) as f64;
+        let a = link_sequence_alpha(&pbr_sequence(e)) as f64;
         let lb = (((1u64 << e) - 1) as f64 / e as f64).ceil();
         let ratio = a / lb;
         assert!(ratio < 1.35, "ratio {ratio} too far above 1.25");

@@ -54,11 +54,6 @@ impl Permutation {
         self.map.len()
     }
 
-    /// True when this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &v)| i == v)
-    }
-
     /// True when the underlying set is empty (degree 0).
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
@@ -84,7 +79,7 @@ impl Permutation {
     }
 
     /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
+    fn inverse(&self) -> Permutation {
         let mut inv = vec![0; self.map.len()];
         for (i, &v) in self.map.iter().enumerate() {
             inv[v] = i;
@@ -103,7 +98,7 @@ impl Permutation {
     /// The transpositions `(a, b)` with `a < b` moved by this permutation,
     /// when the permutation is an involution; `None` otherwise. Used to
     /// render Figure 3.
-    pub fn as_transpositions(&self) -> Option<Vec<(usize, usize)>> {
+    pub(crate) fn as_transpositions(&self) -> Option<Vec<(usize, usize)>> {
         let mut out = Vec::new();
         for (i, &v) in self.map.iter().enumerate() {
             if self.map[v] != i {
@@ -114,11 +109,6 @@ impl Permutation {
             }
         }
         Some(out)
-    }
-
-    /// Image table view.
-    pub fn as_slice(&self) -> &[usize] {
-        &self.map
     }
 }
 
@@ -142,7 +132,6 @@ mod tests {
     #[test]
     fn identity_laws() {
         let id = Permutation::identity(5);
-        assert!(id.is_identity());
         let p = Permutation::from_map(vec![2, 0, 1, 4, 3]);
         assert_eq!(id.compose(&p), p);
         assert_eq!(p.compose(&id), p);
@@ -151,8 +140,8 @@ mod tests {
     #[test]
     fn inverse_composes_to_identity() {
         let p = Permutation::from_map(vec![2, 0, 1, 4, 3]);
-        assert!(p.compose(&p.inverse()).is_identity());
-        assert!(p.inverse().compose(&p).is_identity());
+        assert_eq!(p.compose(&p.inverse()), Permutation::identity(5));
+        assert_eq!(p.inverse().compose(&p), Permutation::identity(5));
     }
 
     #[test]
@@ -170,17 +159,17 @@ mod tests {
     fn mirror_full_and_partial() {
         // Full mirror on 0..4 of span 4: (0,3)(1,2).
         let m = Permutation::mirror(5, 4);
-        assert_eq!(m.as_slice(), &[3, 2, 1, 0, 4]);
+        assert_eq!(m.map, [3, 2, 1, 0, 4]);
         // Odd span fixes the middle.
         let m3 = Permutation::mirror(5, 3);
-        assert_eq!(m3.as_slice(), &[2, 1, 0, 3, 4]);
+        assert_eq!(m3.map, [2, 1, 0, 3, 4]);
     }
 
     #[test]
     fn mirror_is_involution() {
         for span in 0..=6 {
             let m = Permutation::mirror(6, span);
-            assert!(m.compose(&m).is_identity());
+            assert_eq!(m.compose(&m), Permutation::identity(6));
         }
     }
 
@@ -212,5 +201,19 @@ mod tests {
     #[should_panic(expected = "bijection")]
     fn from_map_rejects_repeats() {
         let _ = Permutation::from_map(vec![0, 0, 1]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn permutation_inverse_law(seed in proptest::collection::vec(0u64..u64::MAX, 8)) {
+            // Build a permutation of 0..8 by sorting indices by random keys.
+            let mut idx: Vec<usize> = (0..8).collect();
+            idx.sort_by_key(|&i| seed[i]);
+            let p = Permutation::from_map(idx);
+            prop_assert_eq!(p.compose(&p.inverse()), Permutation::identity(8));
+            prop_assert_eq!(p.inverse().compose(&p), Permutation::identity(8));
+        }
     }
 }

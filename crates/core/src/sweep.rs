@@ -96,7 +96,7 @@ impl SweepSchedule {
     }
 
     /// Applies an arbitrary link permutation to every transition.
-    pub fn permuted(&self, sigma: &Permutation) -> Self {
+    pub(crate) fn permuted(&self, sigma: &Permutation) -> Self {
         assert_eq!(sigma.len(), self.d.max(1));
         SweepSchedule {
             d: self.d,
@@ -122,22 +122,12 @@ impl SweepSchedule {
     pub fn steps(&self) -> usize {
         (1usize << (self.d + 1)) - 1
     }
-
-    /// The links of exchange phase `e`, in order (useful for the pipelining
-    /// cost models, which pipeline each exchange phase independently).
-    pub fn exchange_phase_links(&self, e: usize) -> Vec<usize> {
-        self.transitions
-            .iter()
-            .filter(|t| matches!(t.kind, TransitionKind::Exchange { phase } if phase == e))
-            .map(|t| t.link)
-            .collect()
-    }
 }
 
 /// The paper's sweep-`s` link rotation: `σ_0 = id`,
 /// `σ_s(i) = (σ_{s−1}(i) − 1) mod d`, hence `σ_s(i) = (i − s) mod d`.
 /// After `d` sweeps the links repeat.
-pub fn sweep_link_permutation(d: usize, s: usize) -> Permutation {
+pub(crate) fn sweep_link_permutation(d: usize, s: usize) -> Permutation {
     assert!(d >= 1);
     Permutation::from_map((0..d).map(|i| (i + d - (s % d)) % d).collect())
 }
@@ -202,10 +192,10 @@ mod tests {
     #[test]
     fn sigma_is_rotation_and_periodic() {
         let d = 5;
-        assert!(sweep_link_permutation(d, 0).is_identity());
+        assert_eq!(sweep_link_permutation(d, 0), Permutation::identity(d));
         let s1 = sweep_link_permutation(d, 1);
         // σ_1(i) = (i − 1) mod d.
-        assert_eq!(s1.as_slice(), &[4, 0, 1, 2, 3]);
+        assert_eq!(s1, Permutation::from_map(vec![4, 0, 1, 2, 3]));
         assert_eq!(sweep_link_permutation(d, d), sweep_link_permutation(d, 0));
         assert_eq!(sweep_link_permutation(d, d + 2), sweep_link_permutation(d, 2));
     }
@@ -228,7 +218,13 @@ mod tests {
         for family in OrderingFamily::ALL {
             let sched = SweepSchedule::first_sweep(d, family);
             for e in 1..=d {
-                assert_eq!(sched.exchange_phase_links(e), family.sequence(e), "{family} e={e}");
+                let links: Vec<usize> = sched
+                    .transitions()
+                    .iter()
+                    .filter(|t| matches!(t.kind, TransitionKind::Exchange { phase } if phase == e))
+                    .map(|t| t.link)
+                    .collect();
+                assert_eq!(links, family.sequence(e), "{family} e={e}");
             }
         }
     }

@@ -73,7 +73,7 @@ impl PairingRule {
     /// The exact diagonal entry for one column — what the cache refresh
     /// computes and what uncached pairings recompute per pairing.
     #[inline]
-    pub fn diag_entry(self, a: &[f64], u: &[f64]) -> f64 {
+    fn diag_entry(self, a: &[f64], u: &[f64]) -> f64 {
         match self {
             PairingRule::Implicit => dot(u, a),
             PairingRule::Gram => dot(a, a),
@@ -86,7 +86,7 @@ impl PairingRule {
 /// cache slots when present (maintaining them under rotation), recomputes
 /// them otherwise. Computes the reference bits ([`KernelPath::Scalar`]);
 /// see [`pair_view_with`] for the path-selected form.
-pub fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
+fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
     pair_view_with(v, rule, threshold, KernelPath::Scalar)
 }
 
@@ -100,7 +100,7 @@ pub fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairO
 /// relative). The rotation is the same for both — the lane rotator, bitwise
 /// the scalar loop — so `Lanes` differs from `Scalar` only in the last bits
 /// of the inner products feeding the rotation angle.
-pub fn pair_view_with(
+fn pair_view_with(
     v: PairViewMut<'_>,
     rule: PairingRule,
     threshold: f64,
@@ -765,7 +765,7 @@ pub struct SweepAccumulator {
 }
 
 impl SweepAccumulator {
-    pub fn absorb(&mut self, o: PairOutcome) {
+    fn absorb(&mut self, o: PairOutcome) {
         self.pairings += 1;
         if o.rotated {
             self.rotations += 1;

@@ -47,8 +47,8 @@ pub mod twosided;
 pub use blockjacobi::block_jacobi;
 pub use harness::{convergence_stats, table2_grid, ConvergenceStats};
 pub use kernel::{
-    pair_across_blocks, pair_view, pair_view_with, pair_within_block, refresh_block_diag,
-    PairOutcome, PairingRule, SweepAccumulator, SweepKernel, Tournament,
+    pair_across_blocks, pair_within_block, refresh_block_diag, PairOutcome, PairingRule,
+    SweepAccumulator, SweepKernel, Tournament,
 };
 pub use mph_core::BlockPartition;
 pub use mph_linalg::block::ColumnBlock;

@@ -431,13 +431,6 @@ pub struct JobSpan {
     pub finish: f64,
 }
 
-impl JobSpan {
-    /// The job's own wall on the virtual clock.
-    pub fn makespan(&self) -> f64 {
-        self.finish - self.start
-    }
-}
-
 /// Outcome of a batch run.
 #[derive(Debug)]
 pub struct BatchRun {
@@ -1257,7 +1250,7 @@ impl JobOutcome {
     }
 
     /// Whether the job was shed.
-    pub fn is_rejected(&self) -> bool {
+    fn is_rejected(&self) -> bool {
         matches!(self, JobOutcome::Rejected(_))
     }
 }
@@ -1677,8 +1670,6 @@ mod tests {
                 assert!(got.converged, "{what} job {j}");
                 assert_eq!(got.off_history, logical.off_history[1..], "{what} job {j}");
             }
-            let votes = run.meter.job_control_messages(j);
-            assert_eq!(votes, (d << d) as u64 * logical.sweeps as u64, "job {j}: d·2^d a sweep");
         }
     }
 
@@ -1913,7 +1904,6 @@ mod tests {
         {
             let solo_meter = block_jacobi_threaded(a, d, *family, &opts).meter;
             assert_eq!(run.meter.job_volume(j), solo_meter.total_volume(), "job {j}");
-            assert_eq!(run.meter.job_messages(j), solo_meter.total_messages(), "job {j}");
         }
         assert_eq!(
             run.meter.job_volume(0) + run.meter.job_volume(1),
@@ -1950,7 +1940,7 @@ mod tests {
         );
         for span in &inter.spans {
             assert!(span.finish <= inter.fabric.makespan + 1e-9);
-            assert!(span.start >= 0.0 && span.makespan() > 0.0);
+            assert!(span.start >= 0.0 && span.finish > span.start);
         }
         // Serial spans tile the serial makespan: job 1 starts where job 0
         // ended (up to barrier-free node skew).

@@ -2,7 +2,7 @@
 
 use mph_ccpipe::Machine;
 use mph_linalg::{KernelPath, Matrix};
-use mph_runtime::{FabricConfigError, FabricModel, SinkHandle};
+use mph_runtime::{FabricModel, SinkHandle};
 
 /// Communication pipelining of the threaded driver's exchange phases
 /// (paper §2.4): each exchange phase splits its block payload into `Q`
@@ -183,16 +183,6 @@ impl Default for JacobiOptions {
     }
 }
 
-impl JacobiOptions {
-    /// Validates the option set, surfacing fabric misconfigurations (e.g.
-    /// a `KPort(0)` machine) as the typed [`FabricConfigError`] at
-    /// configuration time — the checked-constructor pattern of
-    /// `BatchConfigError` — instead of a panic inside driver spawn.
-    pub fn validate(&self) -> Result<(), FabricConfigError> {
-        self.fabric.validate()
-    }
-}
-
 /// Outcome of an eigensolve.
 #[derive(Debug, Clone)]
 pub struct EigenResult {
@@ -234,6 +224,7 @@ impl EigenResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mph_runtime::FabricConfigError;
 
     #[test]
     fn defaults_are_sane() {
@@ -250,7 +241,7 @@ mod tests {
         assert_eq!(o.kernel, KernelPath::Scalar, "the reference bits must be the default");
         assert_eq!(o.workers, 0, "serial legacy pairing order must be the default");
         assert!(!o.trace.is_enabled(), "tracing must default to the nop sink");
-        assert!(o.validate().is_ok(), "the default option set must validate");
+        assert!(o.fabric.validate().is_ok(), "the default option set must validate");
     }
 
     #[test]
@@ -264,7 +255,7 @@ mod tests {
             }),
             ..JacobiOptions::default()
         };
-        assert_eq!(opts.validate(), Err(FabricConfigError::ZeroPorts));
+        assert_eq!(opts.fabric.validate(), Err(FabricConfigError::ZeroPorts));
     }
 
     #[test]

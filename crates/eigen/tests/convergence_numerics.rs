@@ -59,7 +59,8 @@ fn with_spectrum(spectrum: &[f64]) -> Matrix {
         Matrix::from_fn(m, m, |r, c| f64::from(u8::from(r == c)) - 2.0 * v[r] * v[c] / vv)
     };
     let q = matmul(&reflector(0.7), &reflector(1.9));
-    let a = matmul(&matmul(&q, &diagonal(spectrum)), &q.transpose());
+    let qt = Matrix::from_fn(m, m, |r, c| q[(c, r)]);
+    let a = matmul(&matmul(&q, &diagonal(spectrum)), &qt);
     // Symmetric to the bit, as the solvers assume.
     Matrix::from_fn(m, m, |r, c| 0.5 * (a[(r, c)] + a[(c, r)]))
 }
@@ -93,7 +94,7 @@ fn a_rank_deficient_matrix_converges_with_its_null_space_resolved() {
     let (m, rank) = (24, 5);
     let dense = random_symmetric(m, 5);
     let b = Matrix::from_fn(m, rank, |r, c| dense[(r, c)]);
-    let a = matmul(&b, &b.transpose());
+    let a = matmul(&b, &Matrix::from_fn(rank, m, |r, c| b[(c, r)]));
     let a = Matrix::from_fn(m, m, |r, c| 0.5 * (a[(r, c)] + a[(c, r)]));
     let r = solve_everywhere(&a, "rank 5 of 24");
     let null = r.eigenvalues.iter().filter(|l| l.abs() <= 1e-9 * a.frobenius_norm()).count();

@@ -1,4 +1,4 @@
-//! Binary-reflected Gray codes.
+//! The binary-reflected Gray code's link sequence.
 //!
 //! The binary-reflected Gray code enumerates all `2^d` node labels of a
 //! `d`-cube so that consecutive labels differ in one bit — i.e. it is a
@@ -7,33 +7,6 @@
 //! it lives here in the topology crate: `mph-core` re-derives the same
 //! sequence from the Jacobi-ordering recursion and the two constructions are
 //! cross-checked in tests.
-
-use crate::topology::NodeId;
-
-/// The `i`-th codeword of the `d`-bit binary-reflected Gray code.
-#[inline]
-pub fn gray_code(i: usize) -> NodeId {
-    i ^ (i >> 1)
-}
-
-/// Inverse of [`gray_code`]: the rank of codeword `g`.
-#[inline]
-pub fn gray_rank(g: NodeId) -> usize {
-    let mut n = g;
-    let mut shift = 1;
-    // usize is at most 64 bits; fold the prefix XOR.
-    while shift < usize::BITS as usize {
-        n ^= n >> shift;
-        shift <<= 1;
-    }
-    n
-}
-
-/// Alias of [`gray_code`] with the conventional "unrank" name.
-#[inline]
-pub fn gray_unrank(i: usize) -> NodeId {
-    gray_code(i)
-}
 
 /// The link sequence of the `d`-bit Gray code path: element `i` is the
 /// dimension flipped between codewords `i` and `i+1`. Length `2^d - 1`.
@@ -51,40 +24,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_codewords() {
-        let got: Vec<_> = (0..8).map(gray_code).collect();
-        assert_eq!(got, vec![0, 1, 3, 2, 6, 7, 5, 4]);
-    }
-
-    #[test]
-    fn rank_is_inverse_of_unrank() {
-        for i in 0..(1 << 12) {
-            assert_eq!(gray_rank(gray_code(i)), i);
-            assert_eq!(gray_unrank(gray_rank(i)), i);
-        }
-    }
-
-    #[test]
-    fn consecutive_codewords_differ_in_one_bit() {
-        for i in 0..((1 << 10) - 1) {
-            let x = gray_code(i) ^ gray_code(i + 1);
-            assert_eq!(x.count_ones(), 1);
-        }
-    }
-
-    #[test]
-    fn gray_code_is_a_bijection() {
-        let d = 10;
-        let mut seen = vec![false; 1 << d];
-        for i in 0..(1 << d) {
-            let g = gray_code(i);
-            assert!(!seen[g]);
-            seen[g] = true;
-        }
-    }
-
-    #[test]
     fn link_sequence_matches_codeword_deltas() {
+        // Codeword `i` of the binary-reflected Gray code is `i ^ (i >> 1)`.
+        let gray_code = |i: usize| i ^ (i >> 1);
         for d in 1..=10 {
             let seq = gray_link_sequence(d);
             assert_eq!(seq.len(), (1 << d) - 1);

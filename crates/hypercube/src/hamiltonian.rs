@@ -12,7 +12,7 @@
 //! implements that search as a depth-first branch-and-bound with a per-link
 //! budget, enough to re-derive the published sequences for `e ≤ 6`.
 
-use crate::topology::NodeId;
+use crate::NodeId;
 
 /// Why a candidate sequence failed `e`-sequence validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,20 +54,6 @@ pub fn link_sequence_to_path(seq: &[usize], start: NodeId) -> Vec<NodeId> {
         path.push(cur);
     }
     path
-}
-
-/// Converts a node path into the link sequence it crosses.
-///
-/// # Panics
-/// Panics if consecutive nodes are not hypercube neighbors.
-pub fn path_to_link_sequence(path: &[NodeId]) -> Vec<usize> {
-    path.windows(2)
-        .map(|w| {
-            let x = w[0] ^ w[1];
-            assert!(x != 0 && x & (x - 1) == 0, "nodes {} and {} are not neighbors", w[0], w[1]);
-            x.trailing_zeros() as usize
-        })
-        .collect()
 }
 
 /// Checks that `seq` is an `e`-sequence: a Hamiltonian-path link sequence of
@@ -203,14 +189,6 @@ mod tests {
         for e in 1..=12 {
             assert!(is_link_sequence_hamiltonian(&gray_link_sequence(e), e));
         }
-    }
-
-    #[test]
-    fn path_roundtrip() {
-        let seq = gray_link_sequence(5);
-        let path = link_sequence_to_path(&seq, 13);
-        assert_eq!(path.len(), 32);
-        assert_eq!(path_to_link_sequence(&path), seq);
     }
 
     #[test]

@@ -1,23 +1,22 @@
-//! Hypercube topology substrate for the multi-port Jacobi-ordering system.
+//! Hypercube link sequences for the multi-port Jacobi-ordering system.
 //!
 //! A *hypercube multicomputer* of dimension `d` (a `d`-cube) has `2^d` nodes
 //! labelled `0..2^d`. Two nodes are neighbors (joined by a *link*) iff their
 //! labels differ in exactly one bit; the link joining nodes that differ in
 //! bit `i` is called *link `i`* (equivalently, *dimension `i`*).
 //!
-//! This crate provides everything the ordering and simulation layers need to
-//! reason about that topology:
+//! This crate provides what the ordering and simulation layers need from
+//! that topology:
 //!
-//! * [`Hypercube`] — node/link enumeration, neighbor queries, subcube
-//!   decomposition, Hamming distances;
-//! * [`gray`] — binary-reflected Gray codes (the canonical Hamiltonian cycle
-//!   of a hypercube) and their link sequences;
-//! * [`hamiltonian`] — conversions between *link sequences* and node paths,
-//!   Hamiltonicity validation, and bounded search for Hamiltonian paths with
-//!   a per-link usage budget (the "α budget" of the paper's minimum-α
+//! * [`gray`] — the binary-reflected Gray code's link sequence (the
+//!   canonical Hamiltonian path of a hypercube), the reference `mph-core`'s
+//!   BR sequence is tested against;
+//! * [`hamiltonian`] — link sequences as node paths, Hamiltonicity
+//!   validation, α, and bounded search for Hamiltonian paths with a
+//!   per-link usage budget (the "α budget" of the paper's minimum-α
 //!   ordering);
-//! * [`routing`] — deterministic e-cube (dimension-ordered) routing;
-//! * [`trees`] — spanning binomial trees used by collective operations.
+//! * [`routing`] — the relay route around dead links ([`surviving_route`]),
+//!   which on a clean cube is the e-cube (dimension-ordered) route.
 //!
 //! The central object shared with `mph-core` is the **link sequence**: a
 //! `Vec<usize>` of link identifiers. A link sequence `s` of length
@@ -29,14 +28,14 @@
 pub mod gray;
 pub mod hamiltonian;
 pub mod routing;
-pub mod topology;
-pub mod trees;
 
-pub use gray::{gray_code, gray_link_sequence, gray_rank, gray_unrank};
+/// Node identifier inside a hypercube. Labels run from `0` to `2^d - 1` and
+/// neighbor labels differ in exactly one bit.
+pub type NodeId = usize;
+
+pub use gray::gray_link_sequence;
 pub use hamiltonian::{
     is_link_sequence_hamiltonian, link_sequence_alpha, link_sequence_to_path,
-    path_to_link_sequence, search_hamiltonian_with_budget, validate_e_sequence, HamiltonianError,
+    search_hamiltonian_with_budget, validate_e_sequence, HamiltonianError,
 };
-pub use routing::{ecube_route, surviving_route};
-pub use topology::{Hypercube, NodeId};
-pub use trees::binomial_tree;
+pub use routing::surviving_route;

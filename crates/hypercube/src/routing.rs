@@ -1,38 +1,13 @@
-//! Deterministic e-cube (dimension-ordered) routing.
+//! Routes between hypercube nodes, around dead links.
 //!
-//! Wormhole-routed hypercubes of the paper's era (\[14\] Ni & McKinley) route
-//! messages by correcting address bits in increasing dimension order, which
-//! is deadlock-free. The Jacobi algorithms in this repository only ever talk
-//! to direct neighbors, but the simulator exposes general routing so that
-//! non-neighbor traffic (used by a few tests and by the broadcast trees) is
-//! well defined.
+//! The Jacobi algorithms in this repository only ever talk to direct
+//! neighbors; a route of more than one hop exists for the relay the engine
+//! scripts around a dead link ([`surviving_route`]). On a clean cube that
+//! route is the e-cube route of wormhole-routed hypercubes of the paper's
+//! era (\[14\] Ni & McKinley): address bits corrected in increasing
+//! dimension order, which is deadlock-free.
 
-use crate::topology::NodeId;
-
-/// The e-cube route from `src` to `dst`: the sequence of dimensions crossed,
-/// in increasing dimension order. Empty when `src == dst`.
-pub fn ecube_route(src: NodeId, dst: NodeId) -> Vec<usize> {
-    let mut diff = src ^ dst;
-    let mut dims = Vec::with_capacity(diff.count_ones() as usize);
-    while diff != 0 {
-        let dim = diff.trailing_zeros() as usize;
-        dims.push(dim);
-        diff &= diff - 1;
-    }
-    dims
-}
-
-/// Expands an e-cube route into the node path (inclusive of endpoints).
-pub fn ecube_path(src: NodeId, dst: NodeId) -> Vec<NodeId> {
-    let mut path = vec![src];
-    let mut cur = src;
-    for dim in ecube_route(src, dst) {
-        cur ^= 1 << dim;
-        path.push(cur);
-    }
-    debug_assert_eq!(*path.last().unwrap(), dst);
-    path
-}
+use crate::NodeId;
 
 /// The shortest route from `src` to `dst` avoiding `dead_edges`
 /// (undirected, `(either endpoint, dim)` pairs), as the dimension sequence
@@ -43,8 +18,8 @@ pub fn ecube_path(src: NodeId, dst: NodeId) -> Vec<NodeId> {
 /// dimension sequence wins — every node planning a relay around the same
 /// dead set computes the *same* route, which is what lets a distributed
 /// relay script run without negotiation. With no dead edges on the route's
-/// span this degenerates to [`ecube_route`] (dimensions in increasing
-/// order).
+/// span this degenerates to the e-cube route: the bits of `src ^ dst` in
+/// increasing dimension order.
 pub fn surviving_route(
     d: usize,
     src: NodeId,
@@ -96,45 +71,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn route_length_is_hamming_distance() {
+    fn surviving_route_without_deaths_is_the_ecube_route() {
         for src in 0..32usize {
             for dst in 0..32usize {
-                assert_eq!(ecube_route(src, dst).len(), (src ^ dst).count_ones() as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn route_is_dimension_ordered() {
-        let r = ecube_route(0b00000, 0b10110);
-        assert_eq!(r, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn path_endpoints() {
-        let p = ecube_path(5, 26);
-        assert_eq!(*p.first().unwrap(), 5);
-        assert_eq!(*p.last().unwrap(), 26);
-        for w in p.windows(2) {
-            assert_eq!((w[0] ^ w[1]).count_ones(), 1);
-        }
-    }
-
-    #[test]
-    fn empty_route_for_same_node() {
-        assert!(ecube_route(7, 7).is_empty());
-        assert_eq!(ecube_path(7, 7), vec![7]);
-    }
-
-    #[test]
-    fn surviving_route_without_deaths_is_the_ecube_route() {
-        for src in 0..8usize {
-            for dst in 0..8usize {
-                assert_eq!(
-                    surviving_route(3, src, dst, &[]),
-                    Some(ecube_route(src, dst)),
-                    "clean fabric: {src} -> {dst}"
-                );
+                let ecube: Vec<usize> = (0..5).filter(|dim| (src ^ dst) >> dim & 1 == 1).collect();
+                assert_eq!(surviving_route(5, src, dst, &[]), Some(ecube), "{src} -> {dst}");
             }
         }
     }

@@ -1,67 +1,9 @@
 //! Property-based tests for the hypercube substrate.
 
-use mph_hypercube::{
-    binomial_tree, ecube_route, gray_code, gray_link_sequence, gray_rank,
-    is_link_sequence_hamiltonian, link_sequence_to_path, path_to_link_sequence, Hypercube,
-};
+use mph_hypercube::{gray_link_sequence, is_link_sequence_hamiltonian};
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn gray_rank_roundtrips(i in 0usize..1 << 16) {
-        prop_assert_eq!(gray_rank(gray_code(i)), i);
-    }
-
-    #[test]
-    fn gray_neighbors_differ_in_one_bit(i in 0usize..(1 << 16) - 1) {
-        let x = gray_code(i) ^ gray_code(i + 1);
-        prop_assert_eq!(x.count_ones(), 1);
-    }
-
-    #[test]
-    fn neighbor_relation_is_symmetric(d in 1usize..=10, n in 0usize..1024, dim in 0usize..10) {
-        let h = Hypercube::new(d);
-        let n = n % h.nodes();
-        let dim = dim % d;
-        let m = h.neighbor(n, dim);
-        prop_assert!(h.are_neighbors(n, m));
-        prop_assert_eq!(h.neighbor(m, dim), n);
-        prop_assert_eq!(h.link_between(n, m), Some(dim));
-    }
-
-    #[test]
-    fn distance_equals_popcount_of_xor(d in 1usize..=12, a in 0usize..4096, b in 0usize..4096) {
-        let h = Hypercube::new(d);
-        let (a, b) = (a % h.nodes(), b % h.nodes());
-        prop_assert_eq!(h.distance(a, b), (a ^ b).count_ones() as usize);
-    }
-
-    #[test]
-    fn ecube_route_reaches_destination(src in 0usize..1024, dst in 0usize..1024) {
-        let mut cur = src;
-        for dim in ecube_route(src, dst) {
-            cur ^= 1 << dim;
-        }
-        prop_assert_eq!(cur, dst);
-    }
-
-    #[test]
-    fn ecube_route_is_sorted_and_minimal(src in 0usize..1024, dst in 0usize..1024) {
-        let r = ecube_route(src, dst);
-        prop_assert!(r.windows(2).all(|w| w[0] < w[1]));
-        prop_assert_eq!(r.len(), (src ^ dst).count_ones() as usize);
-    }
-
-    #[test]
-    fn walk_roundtrips_through_paths(
-        links in proptest::collection::vec(0usize..8, 0..200),
-        start in 0usize..256,
-    ) {
-        let path = link_sequence_to_path(&links, start);
-        prop_assert_eq!(path.len(), links.len() + 1);
-        prop_assert_eq!(path_to_link_sequence(&path), links);
-    }
-
     #[test]
     fn random_sequences_rarely_hamiltonian_but_validation_never_panics(
         e in 2usize..=6,
@@ -75,30 +17,5 @@ proptest! {
     #[test]
     fn gray_sequence_is_always_hamiltonian(e in 1usize..=14) {
         prop_assert!(is_link_sequence_hamiltonian(&gray_link_sequence(e), e));
-    }
-
-    #[test]
-    fn binomial_tree_parent_chains_terminate(d in 1usize..=8, root in 0usize..256, node in 0usize..256) {
-        let n = 1usize << d;
-        let (root, node) = (root % n, node % n);
-        let parents = binomial_tree(d, root);
-        let mut cur = node;
-        let mut hops = 0;
-        while cur != root {
-            cur = parents[cur];
-            hops += 1;
-            prop_assert!(hops <= d, "chain longer than d");
-        }
-    }
-
-    #[test]
-    fn subcube_sizes_are_powers_of_two(d in 1usize..=8, mask in 0usize..256, pat in 0usize..256) {
-        let h = Hypercube::new(d);
-        let mask = mask % h.nodes();
-        let nodes = h.subcube_nodes(mask, pat % h.nodes());
-        prop_assert_eq!(nodes.len(), 1 << (d - (mask.count_ones() as usize)));
-        for w in nodes.windows(2) {
-            prop_assert!(w[0] < w[1]);
-        }
     }
 }

@@ -226,18 +226,10 @@ pub struct ColumnViewMut<'a> {
 }
 
 impl<'a> ColumnViewMut<'a> {
-    /// Assembles the pairing view of two column views — the parallel
-    /// counterpart of [`ColumnBlock::pair_mut`]/[`cross_pair_mut`], used
-    /// once a round's disjoint pairs have been distributed to workers.
-    #[inline]
-    pub fn pair(i: ColumnViewMut<'a>, j: ColumnViewMut<'a>) -> PairViewMut<'a> {
-        PairViewMut { ai: i.a, ui: i.u, aj: j.a, uj: j.u, di: i.d, dj: j.d }
-    }
-
-    /// Reborrowing form of [`ColumnViewMut::pair`]: pairs two column views
-    /// without consuming them, so a serial tile sweep can pair the same
-    /// column repeatedly — the primitive behind the tournament's tile
-    /// tasks.
+    /// Assembles the pairing view of two column views without consuming
+    /// them — the counterpart of [`ColumnBlock::pair_mut`]/[`cross_pair_mut`]
+    /// over views, so a serial tile sweep can pair the same column
+    /// repeatedly; the primitive behind the tournament's tile tasks.
     #[inline]
     pub fn pair_mut<'b>(
         i: &'b mut ColumnViewMut<'a>,
@@ -341,12 +333,6 @@ impl ColumnBlock {
     pub fn global_col(&self, k: usize) -> usize {
         debug_assert!(k < self.ncols);
         self.start + k
-    }
-
-    /// The global column range the block covers.
-    #[inline]
-    pub fn cols(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.ncols
     }
 
     /// Total `f64` payload (A-columns + U-columns + cached diagonals) —
@@ -500,7 +486,7 @@ impl ColumnBlock {
 
     /// Whether the cached-diagonal side array is populated.
     #[inline]
-    pub fn has_diag(&self) -> bool {
+    fn has_diag(&self) -> bool {
         !self.diag.is_empty()
     }
 
@@ -676,7 +662,7 @@ mod tests {
                 assert_eq!(b.u_col(k)[r], if r == 2 + k { 1.0 } else { 0.0 });
             }
         }
-        assert_eq!(b.cols(), 2..5);
+        assert_eq!(b.len(), 3);
         assert_eq!(b.payload_elems(), 3 * 12);
     }
 
@@ -973,9 +959,9 @@ mod tests {
         reference.pair_mut(1, 4).rotate(c, s);
         {
             let mut slots: Vec<Option<ColumnViewMut<'_>>> = b.columns_mut().map(Some).collect();
-            let ci = slots[1].take().unwrap();
-            let cj = slots[4].take().unwrap();
-            ColumnViewMut::pair(ci, cj).rotate(c, s);
+            let mut ci = slots[1].take().unwrap();
+            let mut cj = slots[4].take().unwrap();
+            ColumnViewMut::pair_mut(&mut ci, &mut cj).rotate(c, s);
         }
         assert_eq!(b, reference);
     }
@@ -1000,11 +986,11 @@ mod tests {
             .collect();
         {
             let (x, y) = two_blocks_mut(&mut blocks, 0, 2);
-            assert_eq!((x.cols(), y.cols()), (0..2, 4..6));
+            assert_eq!((x.global_col(0), y.global_col(0)), (0, 4));
         }
         {
             let (x, y) = two_blocks_mut(&mut blocks, 2, 0);
-            assert_eq!((x.cols(), y.cols()), (4..6, 0..2));
+            assert_eq!((x.global_col(0), y.global_col(0)), (4, 0));
         }
     }
 

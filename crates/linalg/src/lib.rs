@@ -11,8 +11,8 @@
 //!   with zero-copy views, split-borrow pair access, and cached diagonals —
 //!   the unit every parallel driver pairs locally and ships across links;
 //! * [`vecops`] — the handful of BLAS-1 kernels the solver needs (`dot`,
-//!   `axpy`, `nrm2`, fused column-pair rotation, the dot tiles of the
-//!   convergence measure): a portable definition of each result's bits,
+//!   the fused inner products of a pairing, fused column-pair rotation):
+//!   a portable definition of each result's bits,
 //!   vector kernels that reproduce those bits exactly, and opt-in
 //!   reassociated reductions selected by [`KernelPath`];
 //! * [`rotation`] — the symmetric 2×2 Schur decomposition that produces the
@@ -34,6 +34,6 @@ pub use matrix::Matrix;
 pub use rotation::{symmetric_schur, JacobiRotation};
 pub use symmetric::{frank_matrix, off_diagonal_frobenius, random_symmetric, wilkinson_matrix};
 pub use vecops::{
-    axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
-    rotate_pair, KernelPath,
+    dot, dot_lanes, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes, rotate_pair,
+    KernelPath,
 };

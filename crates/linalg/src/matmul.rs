@@ -83,8 +83,8 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = Matrix::from_column_major(2, 2, vec![1.0, 3.0, 2.0, 4.0]); // [[1,2],[3,4]]
-        let b = Matrix::from_column_major(2, 2, vec![5.0, 7.0, 6.0, 8.0]); // [[5,6],[7,8]]
+        let a = Matrix::from_fn(2, 2, |r, c| [[1.0, 2.0], [3.0, 4.0]][r][c]);
+        let b = Matrix::from_fn(2, 2, |r, c| [[5.0, 6.0], [7.0, 8.0]][r][c]);
         let c = matmul(&a, &b);
         assert_eq!(c[(0, 0)], 19.0);
         assert_eq!(c[(0, 1)], 22.0);
@@ -97,7 +97,7 @@ mod tests {
         let a = random_symmetric(5, 2);
         let b = random_symmetric(5, 3);
         let lhs = at_b(&a, &b);
-        let rhs = matmul(&a.transpose(), &b);
+        let rhs = matmul(&Matrix::from_fn(5, 5, |r, c| a[(c, r)]), &b);
         for j in 0..5 {
             for i in 0..5 {
                 assert!((lhs[(i, j)] - rhs[(i, j)]).abs() < 1e-12);

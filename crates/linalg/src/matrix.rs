@@ -45,15 +45,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from column-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_column_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "column-major data has the wrong length");
-        Matrix { rows, cols, data }
-    }
-
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
@@ -105,28 +96,9 @@ impl Matrix {
         vecops::rotate_pair(ci, cj, c, s);
     }
 
-    /// Swaps columns `i` and `j`.
-    pub fn swap_columns(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        let (ci, cj) = self.col_pair_mut(i, j);
-        ci.swap_with_slice(cj);
-    }
-
-    /// The transpose (used by verification helpers only).
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
     }
 
     /// Raw column-major data.
@@ -184,11 +156,9 @@ mod tests {
 
     #[test]
     fn index_is_column_major() {
-        let m = Matrix::from_column_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(1, 0)], 2.0);
-        assert_eq!(m[(0, 1)], 3.0);
-        assert_eq!(m[(1, 1)], 4.0);
+        let m = Matrix::from_fn(2, 2, |r, c| (1 + r + 2 * c) as f64);
+        assert_eq!(m.data, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.col(1), &[3.0, 4.0]);
     }
 
     #[test]
@@ -228,22 +198,6 @@ mod tests {
         let copy = m.clone();
         m.rotate_columns(0, 1, 1.0, 0.0);
         assert_eq!(m, copy);
-    }
-
-    #[test]
-    fn swap_columns_twice_is_identity() {
-        let mut m = Matrix::from_fn(3, 4, |r, c| (r * 7 + c) as f64);
-        let copy = m.clone();
-        m.swap_columns(1, 3);
-        assert_ne!(m, copy);
-        m.swap_columns(1, 3);
-        assert_eq!(m, copy);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64);
-        assert_eq!(m.transpose().transpose(), m);
     }
 
     #[test]

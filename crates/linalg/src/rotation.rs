@@ -20,16 +20,6 @@ pub struct JacobiRotation {
 impl JacobiRotation {
     /// The identity rotation (used when the off-diagonal is already zero).
     pub const IDENTITY: JacobiRotation = JacobiRotation { c: 1.0, s: 0.0 };
-
-    /// `tan` of the rotation angle.
-    pub fn t(&self) -> f64 {
-        self.s / self.c
-    }
-
-    /// Whether this rotation actually does anything.
-    pub fn is_identity(&self) -> bool {
-        self.s == 0.0 && self.c == 1.0
-    }
 }
 
 /// Computes the Jacobi rotation diagonalizing `[[app, apq], [apq, aqq]]`.
@@ -97,7 +87,7 @@ mod tests {
 
     #[test]
     fn zero_off_diagonal_gives_identity() {
-        assert!(symmetric_schur(4.0, 0.0, -2.0).is_identity());
+        assert_eq!(symmetric_schur(4.0, 0.0, -2.0), JacobiRotation::IDENTITY);
     }
 
     #[test]
@@ -113,7 +103,8 @@ mod tests {
         // |t| ≤ 1 ⟺ |θ| ≤ π/4: required for Jacobi convergence proofs.
         for &(a, b, c) in &[(2.0, 1.0, 3.0), (3.0, 1.0, 2.0), (-1.0, 4.0, 2.0), (0.0, 1.0, 0.0)] {
             let r = symmetric_schur(a, b, c);
-            assert!(r.t().abs() <= 1.0 + 1e-15, "tan θ = {} too large", r.t());
+            let t = r.s / r.c;
+            assert!(t.abs() <= 1.0 + 1e-15, "tan θ = {t} too large");
         }
     }
 

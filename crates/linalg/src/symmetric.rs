@@ -81,7 +81,7 @@ mod tests {
     fn random_symmetric_is_symmetric_and_bounded() {
         let m = random_symmetric(17, 42);
         assert!(m.is_symmetric(0.0));
-        assert!(m.max_abs() <= 1.0);
+        assert!(m.as_slice().iter().all(|x| x.abs() <= 1.0));
     }
 
     #[test]

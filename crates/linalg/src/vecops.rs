@@ -259,44 +259,6 @@ pub fn fused_triple_exact_x2(p: TripleStreams<'_>, q: TripleStreams<'_>) -> [(f6
     [fused_triple_exact(p[0], p[1], p[2], p[3]), fused_triple_exact(q[0], q[1], q[2], q[3])]
 }
 
-/// `y ← a·x + y`.
-#[inline]
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    let mut yc = y.chunks_exact_mut(4);
-    let mut xc = x.chunks_exact(4);
-    for (yk, xk) in (&mut yc).zip(&mut xc) {
-        yk[0] += a * xk[0];
-        yk[1] += a * xk[1];
-        yk[2] += a * xk[2];
-        yk[3] += a * xk[3];
-    }
-    for (yi, xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi += a * xi;
-    }
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn nrm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// Scales a slice in place: `x ← a·x`.
-#[inline]
-pub fn scal(a: f64, x: &mut [f64]) {
-    let mut xc = x.chunks_exact_mut(4);
-    for xk in &mut xc {
-        xk[0] *= a;
-        xk[1] *= a;
-        xk[2] *= a;
-        xk[3] *= a;
-    }
-    for xi in xc.into_remainder() {
-        *xi *= a;
-    }
-}
-
 /// Applies the plane rotation to a column pair in one fused pass:
 /// `(xi, yi) ← (c·xi − s·yi, s·xi + c·yi)`.
 ///
@@ -787,50 +749,6 @@ mod tests {
             let y: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
             let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
             assert!((dot(&x, &y) - naive).abs() < 1e-12, "n={n}");
-        }
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn axpy_matches_elementwise_on_lengths_0_to_16() {
-        for n in 0..=16usize {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let y0: Vec<f64> = (0..n).map(|i| i as f64 * 0.3 - 1.0).collect();
-            let mut y = y0.clone();
-            axpy(-1.75, &x, &mut y);
-            let want: Vec<f64> = y0.iter().zip(&x).map(|(yi, xi)| yi + -1.75 * xi).collect();
-            assert_eq!(y, want, "n={n}");
-        }
-    }
-
-    #[test]
-    fn nrm2_of_unit_vectors() {
-        assert!((nrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(nrm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn scal_scales() {
-        let mut x = [1.0, -2.0, 4.0];
-        scal(-0.5, &mut x);
-        assert_eq!(x, [-0.5, 1.0, -2.0]);
-    }
-
-    #[test]
-    fn scal_matches_elementwise_on_lengths_0_to_16() {
-        for n in 0..=16usize {
-            let x0: Vec<f64> = (0..n).map(|i| (i as f64).cos() * 2.0).collect();
-            let mut x = x0.clone();
-            scal(0.37, &mut x);
-            let want: Vec<f64> = x0.iter().map(|xi| xi * 0.37).collect();
-            assert_eq!(x, want, "n={n}");
         }
     }
 

@@ -4,8 +4,7 @@
 use mph_linalg::block::{ColumnBlock, COLUMN_ALIGN_BYTES};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
-    axpy, dot, dot_lanes, fused_triple, fused_triple_exact, nrm2, pair_rotate, pair_rotate_lanes,
-    rotate_pair,
+    dot, dot_lanes, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes, rotate_pair,
 };
 use mph_linalg::Matrix;
 use proptest::prelude::*;
@@ -118,15 +117,6 @@ proptest! {
         prop_assert!((xy - yx).abs() <= 1e-9 * xy.abs().max(1.0));
         let ax: Vec<f64> = x.iter().map(|v| a * v).collect();
         prop_assert!((dot(&ax, &y) - a * xy).abs() <= 1e-6 * (a * xy).abs().max(1.0));
-    }
-
-    #[test]
-    fn axpy_matches_definition(x in finite_vec(9), y in finite_vec(9), a in -100f64..100.0) {
-        let mut z = y.clone();
-        axpy(a, &x, &mut z);
-        for i in 0..9 {
-            prop_assert!((z[i] - (a * x[i] + y[i])).abs() <= 1e-9 * z[i].abs().max(1.0));
-        }
     }
 
     #[test]
@@ -270,24 +260,9 @@ proptest! {
         i in 0usize..6, j in 0usize..6, theta in -3.2f64..3.2,
     ) {
         prop_assume!(i != j);
-        let mut m = Matrix::from_column_major(6, 6, vals);
+        let mut m = Matrix::from_fn(6, 6, |r, c| vals[c * 6 + r]);
         let before = m.frobenius_norm();
         m.rotate_columns(i, j, theta.cos(), theta.sin());
         prop_assert!((m.frobenius_norm() - before).abs() <= 1e-9 * before.max(1.0));
-    }
-
-    #[test]
-    fn nrm2_triangle_inequality(x in finite_vec(11), y in finite_vec(11)) {
-        let sum: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        prop_assert!(nrm2(&sum) <= nrm2(&x) + nrm2(&y) + 1e-6);
-    }
-
-    #[test]
-    fn swap_columns_is_involution(vals in proptest::collection::vec(-1e3f64..1e3, 20), i in 0usize..4, j in 0usize..4) {
-        let mut m = Matrix::from_column_major(5, 4, vals);
-        let orig = m.clone();
-        m.swap_columns(i, j);
-        m.swap_columns(i, j);
-        prop_assert_eq!(m, orig);
     }
 }

@@ -91,7 +91,7 @@ pub enum FabricModel {
 
 impl FabricModel {
     /// Whether this fabric runs a virtual clock.
-    pub fn is_throttled(&self) -> bool {
+    fn is_throttled(&self) -> bool {
         !matches!(self, FabricModel::Free)
     }
 
@@ -128,9 +128,8 @@ impl FabricModel {
 }
 
 /// Why a [`FabricModel`] cannot be enforced. Surface this from checked
-/// option constructors (`JacobiOptions::validate`, `BatchOptions::new`)
-/// so misconfigurations fail at configuration time with a typed error,
-/// not mid-spawn with an assert.
+/// option constructors (`BatchOptions::new`) so misconfigurations fail at
+/// configuration time with a typed error, not mid-spawn with an assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricConfigError {
     /// `PortModel::KPort(0)`: a k-port fabric needs at least one port.

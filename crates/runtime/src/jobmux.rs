@@ -44,11 +44,6 @@ impl<'c, 'n, M: Send + Meterable> JobMux<'c, 'n, M> {
         JobMux { ctx, stash: (0..d).map(|_| VecDeque::new()).collect() }
     }
 
-    /// The wrapped node context.
-    pub fn ctx(&self) -> &'c NodeCtx<'n, M> {
-        self.ctx
-    }
-
     /// Receives the next message of `job` from the neighbor across `dim`,
     /// together with its virtual arrival stamp. Messages of other jobs
     /// encountered on the way are stashed for their own `recv_for` calls.
@@ -122,8 +117,6 @@ mod tests {
             },
         );
         // Two messages per job per node, one element each, metered apart.
-        assert_eq!(meter.job_messages(0), 4);
-        assert_eq!(meter.job_messages(1), 4);
         assert_eq!(meter.job_volume(0), 4);
         let peer = |n: usize| ((n ^ 1) as f64) * 10.0;
         for (n, got) in results.iter().enumerate() {

@@ -94,7 +94,7 @@ impl Machine {
     /// used, `total` packets, `max_mult` packets on the busiest link.
     /// `mults` is consulted only by the k-port model (may be empty for
     /// one-port/all-port).
-    pub fn stage_cost(
+    fn stage_cost(
         &self,
         n_distinct: usize,
         total: usize,
@@ -257,7 +257,7 @@ impl FabricStats {
     }
 
     /// All samples, in recording order.
-    pub fn samples(&self) -> &[(f64, f64)] {
+    fn samples(&self) -> &[(f64, f64)] {
         &self.samples
     }
 
@@ -282,7 +282,7 @@ impl FabricStats {
     /// jittery link's wall clock can hand back NaN or Inf — never panic
     /// here; [`Machine::calibrate`] rejects them with the typed
     /// [`CalibrationError::NonFiniteSample`] before fitting.
-    pub fn median_by_size(&self) -> Vec<(f64, f64)> {
+    fn median_by_size(&self) -> Vec<(f64, f64)> {
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let mut out: Vec<(f64, f64)> = Vec::new();

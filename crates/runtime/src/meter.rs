@@ -12,9 +12,10 @@
 //!   and Figure 2 count; reported by [`TrafficMeter::volume`],
 //!   [`TrafficMeter::messages`] and friends;
 //! * the **control plane** — protocol messages that carry no block data
-//!   (convergence-vote scalars, acknowledgements); reported by the
-//!   `control_*` accessors and kept out of the data totals so a
-//!   convergence vote can never pollute a block-traffic comparison.
+//!   (convergence-vote scalars, acknowledgements); counted by
+//!   [`TrafficMeter::total_control_messages`] and kept out of the data
+//!   totals so a convergence vote can never pollute a block-traffic
+//!   comparison.
 //!
 //! A message's plane is declared by its type via
 //! [`Meterable::is_control`](crate::spmd::Meterable::is_control).
@@ -28,9 +29,9 @@
 //! When several independent problems share one fabric (the batch
 //! scheduler), every message also carries a *job id*
 //! ([`Meterable::job`](crate::spmd::Meterable::job)) and the meter keeps
-//! per-job totals next to the per-dimension ones, so each job's data and
-//! control traffic is reported separately instead of blending all jobs
-//! into one number. Solo programs tag everything job 0 and see exactly the
+//! each job's data volume next to the per-dimension totals
+//! ([`TrafficMeter::job_volume`]) instead of blending all jobs into one
+//! number. Solo programs tag everything job 0 and see exactly the
 //! historical totals.
 //!
 //! Nothing here is shared while a run is in flight. Every node counts its
@@ -39,20 +40,18 @@
 //! the [`TrafficMeter`] a run returns is the sum of those, taken once
 //! when the threads are joined.
 
-/// Messages and elements on each plane, of one dimension or of one job.
+/// Data messages and elements, and control messages, of one dimension.
 #[derive(Debug, Default, Clone)]
 struct Counters {
     messages: u64,
     elems: u64,
     control_messages: u64,
-    control_elems: u64,
 }
 
 impl Counters {
     fn count(&mut self, elems: u64, control: bool) {
         if control {
             self.control_messages += 1;
-            self.control_elems += elems;
         } else {
             self.messages += 1;
             self.elems += elems;
@@ -63,17 +62,17 @@ impl Counters {
         self.messages += other.messages;
         self.elems += other.elems;
         self.control_messages += other.control_messages;
-        self.control_elems += other.control_elems;
     }
 }
 
 /// Per-dimension traffic totals, kept separately for the data and control
-/// planes, plus per-job totals and the host's shipment count: one node's
-/// while it runs, the whole run's once the nodes' meters are merged.
+/// planes, plus each job's data elements and the host's shipment count:
+/// one node's while it runs, the whole run's once the nodes' meters are
+/// merged.
 #[derive(Debug)]
 pub struct TrafficMeter {
     dims: Vec<Counters>,
-    jobs: Vec<Counters>,
+    job_elems: Vec<u64>,
     shipments: u64,
 }
 
@@ -83,7 +82,7 @@ impl TrafficMeter {
     pub(crate) fn with_jobs(d: usize, njobs: usize) -> Self {
         TrafficMeter {
             dims: vec![Counters::default(); d.max(1)],
-            jobs: vec![Counters::default(); njobs.max(1)],
+            job_elems: vec![0; njobs.max(1)],
             shipments: 0,
         }
     }
@@ -96,12 +95,14 @@ impl TrafficMeter {
     /// Panics if `job` is outside the meter's job range — a message tagged
     /// for a job the run never registered means the framing is corrupt.
     pub(crate) fn record(&mut self, dim: usize, elems: u64, control: bool, job: u32) {
-        let njobs = self.jobs.len();
-        let jc = self
-            .jobs
+        let njobs = self.job_elems.len();
+        let job_elems = self
+            .job_elems
             .get_mut(job as usize)
             .unwrap_or_else(|| panic!("message tagged job {job}, meter tracks {njobs}"));
-        jc.count(elems, control);
+        if !control {
+            *job_elems += elems;
+        }
         self.dims[dim].count(elems, control);
     }
 
@@ -115,8 +116,8 @@ impl TrafficMeter {
         for (mine, theirs) in self.dims.iter_mut().zip(&node.dims) {
             mine.absorb(theirs);
         }
-        for (mine, theirs) in self.jobs.iter_mut().zip(&node.jobs) {
-            mine.absorb(theirs);
+        for (mine, theirs) in self.job_elems.iter_mut().zip(&node.job_elems) {
+            *mine += theirs;
         }
         self.shipments += node.shipments;
     }
@@ -152,34 +153,14 @@ impl TrafficMeter {
         self.dims.iter().map(|c| c.elems).collect()
     }
 
-    /// Control-plane elements sent on `dim`.
-    pub fn control_volume(&self, dim: usize) -> u64 {
-        self.dims[dim].control_elems
-    }
-
     /// Total control-plane messages across dimensions.
     pub fn total_control_messages(&self) -> u64 {
         self.dims.iter().map(|c| c.control_messages).sum()
     }
 
-    /// Total control-plane volume across dimensions.
-    pub fn total_control_volume(&self) -> u64 {
-        self.dims.iter().map(|c| c.control_elems).sum()
-    }
-
-    /// Data-plane messages sent by `job`.
-    pub fn job_messages(&self, job: usize) -> u64 {
-        self.jobs[job].messages
-    }
-
     /// Data-plane elements sent by `job`.
     pub fn job_volume(&self, job: usize) -> u64 {
-        self.jobs[job].elems
-    }
-
-    /// Control-plane messages sent by `job`.
-    pub fn job_control_messages(&self, job: usize) -> u64 {
-        self.jobs[job].control_messages
+        self.job_elems[job]
     }
 }
 
@@ -200,7 +181,6 @@ mod tests {
         assert_eq!(m.total_volume(), 22);
         assert_eq!(m.volume_by_dim(), vec![15, 0, 7]);
         // A solo meter tracks one job, and everything lands on it.
-        assert_eq!(m.job_messages(0), 3);
         assert_eq!(m.job_volume(0), 22);
     }
 
@@ -213,17 +193,16 @@ mod tests {
         assert_eq!(m.total_volume(), 100, "votes must not pollute block volume");
         assert_eq!(m.total_messages(), 1);
         assert_eq!(m.total_control_messages(), 2);
-        assert_eq!(m.total_control_volume(), 2);
-        assert_eq!(m.control_volume(0), 1);
         assert_eq!(m.volume_by_dim(), vec![100, 0]);
     }
 
     #[test]
     fn per_job_totals_split_the_planes() {
         // Two jobs on one meter: the per-dimension totals blend, the
-        // per-job accessors keep every job's data and control traffic
-        // apart — the batch scheduler's reporting invariant. Two nodes'
-        // meters merge into the run's without blending either split.
+        // per-job volume keeps every job's data apart and a job's control
+        // traffic out of it — the batch scheduler's reporting invariant.
+        // Two nodes' meters merge into the run's without blending either
+        // split.
         let mut m = TrafficMeter::with_jobs(2, 2);
         m.record(0, 100, false, 0);
         m.record(0, 1, true, 1);
@@ -235,10 +214,7 @@ mod tests {
         assert_eq!(m.volume_by_dim(), vec![100, 40]);
         assert_eq!(m.job_volume(0), 100);
         assert_eq!(m.job_volume(1), 40);
-        assert_eq!(m.job_messages(0), 1);
-        assert_eq!(m.job_messages(1), 1);
-        assert_eq!(m.job_control_messages(0), 0);
-        assert_eq!(m.job_control_messages(1), 1);
+        assert_eq!(m.total_control_messages(), 1);
         assert_eq!(m.shipments(), 1);
         // Per-job sums reproduce the blended totals exactly.
         assert_eq!(m.job_volume(0) + m.job_volume(1), m.total_volume());

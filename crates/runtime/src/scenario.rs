@@ -257,24 +257,9 @@ impl Scenario {
         })
     }
 
-    /// Cube dimension this scenario was compiled for.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
     /// The clean per-link machine (fixes the port model too).
     pub fn base(&self) -> Machine {
         self.base
-    }
-
-    /// The precomputed epoch horizon (later epochs clamp to the last).
-    pub fn epochs(&self) -> usize {
-        self.epochs
-    }
-
-    /// The seed the impairment stream was drawn from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// `(Ts factor, Tw factor)` of directed link `(node, dim)` at `epoch`.
@@ -395,7 +380,7 @@ mod tests {
         let sc = Scenario::new(2, impaired_spec(42)).expect("valid spec");
         for node in 0..4 {
             for dim in 0..2 {
-                for epoch in 0..sc.epochs() {
+                for epoch in 0..sc.epochs {
                     let (fts, ftw) = sc.factors(node, dim, epoch);
                     assert!(fts.is_finite() && (1.0..=FACTOR_CAP).contains(&fts));
                     assert!(ftw.is_finite() && (1.0..=FACTOR_CAP).contains(&ftw));
@@ -403,7 +388,7 @@ mod tests {
             }
         }
         // Past-horizon epochs clamp to the last precomputed one.
-        assert_eq!(sc.factors(0, 0, 10_000), sc.factors(0, 0, sc.epochs() - 1));
+        assert_eq!(sc.factors(0, 0, 10_000), sc.factors(0, 0, sc.epochs - 1));
     }
 
     #[test]
@@ -503,7 +488,7 @@ mod tests {
     #[test]
     fn worst_alive_machine_tracks_the_slowest_alive_link() {
         let sc = Scenario::new(2, impaired_spec(11)).expect("valid spec");
-        for epoch in 0..sc.epochs() {
+        for epoch in 0..sc.epochs {
             let worst = sc.worst_alive_machine(epoch);
             assert!(worst.ts >= sc.base().ts && worst.tw >= sc.base().tw);
             for node in 0..4 {
@@ -523,7 +508,7 @@ mod tests {
         let mut max_factor = 0.0f64;
         for node in 0..4 {
             for dim in 0..2 {
-                for epoch in 0..sc.epochs() {
+                for epoch in 0..sc.epochs {
                     max_factor = max_factor.max(sc.factors(node, dim, epoch).1);
                 }
             }

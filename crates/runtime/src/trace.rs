@@ -147,16 +147,6 @@ impl RingSink {
         }
     }
 
-    /// Events currently held across all lanes (≤ `nodes · cap`).
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| lock(l).buf.len()).sum()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| lock(l).buf.is_empty())
-    }
-
     /// Events recorded in total, including any the ring overwrote.
     pub fn total_recorded(&self) -> u64 {
         self.lanes.iter().map(|l| lock(l).total).sum()
@@ -295,16 +285,14 @@ mod tests {
     #[test]
     fn ring_records_per_node_in_program_order() {
         let ring = RingSink::new(1, 8);
-        assert!(ring.is_empty());
         ring.record(0, ev(1.0));
         ring.record(1, ev(2.0));
         ring.record(0, ev(3.0));
-        assert_eq!(ring.len(), 3);
         let lanes = ring.drain();
         assert_eq!(lanes.len(), 2);
         assert_eq!(lanes[0], vec![ev(1.0), ev(3.0)]);
         assert_eq!(lanes[1], vec![ev(2.0)]);
-        assert!(ring.is_empty(), "drain empties the lanes");
+        assert!(ring.drain().iter().all(Vec::is_empty), "drain empties the lanes");
         assert_eq!(ring.total_recorded(), 3);
     }
 
@@ -314,7 +302,6 @@ mod tests {
         for i in 0..5 {
             ring.record(0, ev(i as f64));
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_recorded(), 5);
         let lanes = ring.drain();
         assert_eq!(lanes[0], vec![ev(2.0), ev(3.0), ev(4.0)], "oldest first, oldest dropped");
@@ -324,7 +311,7 @@ mod tests {
     fn out_of_range_nodes_are_ignored_not_panicked() {
         let ring = RingSink::new(0, 4);
         ring.record(7, ev(0.0));
-        assert!(ring.is_empty());
+        assert!(ring.drain().iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod scenario;
 pub mod service;
 
-pub use metrics::{latency_stats, percentile, LatencyStats};
+pub use metrics::{latency_stats, LatencyStats};
 pub use mph_batch::{AdmissionConfig, Policy, Throughput};
 pub use mph_eigen::{BoundarySample, JobOutcome, Rejected, ServiceRun};
 pub use scenario::{JobClass, Scenario, ScenarioGen};

@@ -2,9 +2,7 @@
 //!
 //! The order statistics themselves live in [`mph_trace::quantiles`] —
 //! the one nearest-rank implementation the whole workspace shares —
-//! and this module keeps the serve-flavored shape ([`LatencyStats`])
-//! plus the historical `percentile`/`latency_stats` entry points as
-//! thin delegations.
+//! and this module keeps the serve-flavored shape ([`LatencyStats`]).
 
 /// Order statistics of a latency sample, virtual-clock units.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,14 +21,6 @@ pub struct LatencyStats {
     pub max: f64,
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample:
-/// `sorted[ceil(p/100 · n) - 1]`, the standard inclusive definition —
-/// `percentile(s, 100)` is the max, `percentile(s, 50)` of `[1,2,3,4]`
-/// is `2`. Delegates to [`mph_trace::percentile`].
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    mph_trace::percentile(sorted, p)
-}
-
 /// Summarizes a latency sample; `None` when it is empty (a run where
 /// everything was shed has no latency distribution, not a zero one).
 pub fn latency_stats(latencies: &[f64]) -> Option<LatencyStats> {
@@ -47,16 +37,6 @@ pub fn latency_stats(latencies: &[f64]) -> Option<LatencyStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nearest_rank_matches_the_textbook_cases() {
-        let s = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&s, 50.0), 2.0);
-        assert_eq!(percentile(&s, 75.0), 3.0);
-        assert_eq!(percentile(&s, 100.0), 4.0);
-        assert_eq!(percentile(&s, 0.0), 1.0, "rank clamps to the first sample");
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-    }
 
     #[test]
     fn stats_summarize_and_order_their_percentiles() {

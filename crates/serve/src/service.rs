@@ -9,7 +9,6 @@ use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
 use mph_eigen::{lower_job, run_job_service, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
-use mph_trace::MetricsRegistry;
 
 /// Service-level options: the shared fabric, the admission discipline,
 /// and the pricing machine behind both.
@@ -98,31 +97,6 @@ impl ServeReport {
     /// Peak admission-queue depth over the run.
     pub fn peak_queue_depth(&self) -> usize {
         self.backlog.iter().map(|p| p.queue_depth).max().unwrap_or(0)
-    }
-
-    /// Projects the report into the workspace's shared metric shape:
-    /// counters for served/rejected, gauges for makespan/backlog/
-    /// throughput, histograms (raw samples, summarizable on demand) for
-    /// latency and queue wait.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        r.add("serve.served", self.served() as u64);
-        r.add("serve.rejected", self.rejected() as u64);
-        r.set_gauge("serve.makespan", self.makespan);
-        r.set_gauge("serve.peak_queue_depth", self.peak_queue_depth() as f64);
-        if let Some(t) = &self.throughput {
-            r.set_gauge("serve.jobs_per_time", t.jobs_per_time);
-            r.set_gauge("serve.elems_per_time", t.elems_per_time);
-        }
-        for o in &self.run.outcomes {
-            if let Some(l) = o.latency() {
-                r.observe("serve.latency", l);
-            }
-            if let Some(w) = o.queue_wait() {
-                r.observe("serve.queue_wait", w);
-            }
-        }
-        r
     }
 }
 
@@ -239,13 +213,6 @@ mod tests {
         assert!(report.backlog.iter().any(|p| p.remaining_cost > 0.0));
         let makespan = report.makespan;
         assert!(report.backlog.iter().all(|p| p.time <= makespan));
-        // The metrics projection draws from the same run.
-        let m = report.metrics();
-        assert_eq!(m.counter("serve.served"), 4);
-        assert_eq!(m.counter("serve.rejected"), 0);
-        assert_eq!(m.gauge("serve.makespan"), Some(makespan));
-        let lat_m = m.summary("serve.latency").expect("latency histogram populated");
-        assert_eq!((lat_m.count, lat_m.p50, lat_m.max), (lat.count, lat.p50, lat.max));
     }
 
     #[test]

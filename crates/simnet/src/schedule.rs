@@ -49,7 +49,7 @@ impl CommStage {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         match self {
             CommStage::Spmd { nodes, .. } => *nodes,
             CommStage::PerNode { sends } => sends.len(),
@@ -73,7 +73,7 @@ impl CommStage {
     }
 
     /// Total messages in the stage.
-    pub fn message_count(&self) -> usize {
+    fn message_count(&self) -> usize {
         match self {
             CommStage::Spmd { nodes, bundle } => nodes * bundle.len(),
             CommStage::PerNode { sends } => sends.iter().map(|s| s.len()).sum(),
@@ -81,7 +81,7 @@ impl CommStage {
     }
 
     /// Total element volume in the stage.
-    pub fn volume(&self) -> f64 {
+    fn volume(&self) -> f64 {
         match self {
             CommStage::Spmd { nodes, bundle } => {
                 *nodes as f64 * bundle.iter().map(|m| m.elems).sum::<f64>()

@@ -8,10 +8,8 @@
 //! * [`chrome_trace_json`] — a Chrome trace-event document: one process
 //!   per node, one track per link, transmissions split into port-wait
 //!   and wire-time spans. Load it in `chrome://tracing` or Perfetto.
-//! * [`UtilizationMatrix`] — per-(link, epoch) busy virtual time and
-//!   occupancy (busy ÷ makespan), with a markdown heatmap table.
-//! * [`MetricsRegistry`] — named counters/gauges/histograms the report
-//!   structs (`ServeReport`, `AdaptiveReport`) project into.
+//! * [`UtilizationMatrix`] — per-(link, epoch) busy virtual time, with a
+//!   markdown heatmap table of occupancy (busy ÷ makespan).
 //! * [`quantiles`] — the one nearest-rank percentile implementation the
 //!   workspace shares.
 //!
@@ -21,10 +19,8 @@
 
 pub mod chrome;
 pub mod quantiles;
-pub mod registry;
 pub mod utilization;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace};
-pub use quantiles::{percentile, summarize, Summary};
-pub use registry::MetricsRegistry;
+pub use quantiles::{summarize, Summary};
 pub use utilization::{LinkLoad, UtilizationMatrix};

@@ -2,8 +2,7 @@
 //!
 //! `mph-serve` grew three private copies of the same p50/p90/p99
 //! arithmetic; this module is the single definition they all delegate
-//! to now, and the one the [`MetricsRegistry`](crate::MetricsRegistry)
-//! histograms summarize with.
+//! to now.
 
 /// Order statistics of a sample, in whatever unit the sample carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +30,7 @@ pub struct Summary {
 ///
 /// Panics on an empty sample (an empty distribution has no order
 /// statistics, not zero ones) and on `p` outside `[0, 100]`.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     assert!((0.0..=100.0).contains(&p), "percentile rank out of range: {p}");
     let n = sorted.len();

@@ -71,43 +71,14 @@ impl UtilizationMatrix {
         self.makespan
     }
 
-    /// Load of one (node, dim, epoch) cell; zeros when it never sent.
-    pub fn load(&self, node: usize, dim: usize, epoch: usize) -> LinkLoad {
-        self.cells.get(&(node, dim, epoch)).copied().unwrap_or_default()
-    }
-
-    /// Busy wire time of one cell.
-    pub fn busy(&self, node: usize, dim: usize, epoch: usize) -> f64 {
-        self.load(node, dim, epoch).busy
-    }
-
-    /// Fraction of the makespan one cell's link spent busy (0 when the
-    /// stream is empty).
-    pub fn occupancy(&self, node: usize, dim: usize, epoch: usize) -> f64 {
-        if self.makespan == 0.0 {
-            0.0
-        } else {
-            self.busy(node, dim, epoch) / self.makespan
-        }
-    }
-
     /// All non-empty cells as `((node, dim, epoch), load)`, in
     /// deterministic key order.
     pub fn cells(&self) -> impl Iterator<Item = ((usize, usize, usize), LinkLoad)> + '_ {
         self.cells.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Σ busy wire time across nodes and epochs, per dimension.
-    pub fn busy_by_dim(&self) -> BTreeMap<usize, f64> {
-        let mut by_dim: BTreeMap<usize, f64> = BTreeMap::new();
-        for ((_, dim, _), load) in self.cells() {
-            *by_dim.entry(dim).or_default() += load.busy;
-        }
-        by_dim
-    }
-
     /// Load aggregated over nodes, per (dim, epoch), in key order.
-    pub fn by_dim_epoch(&self) -> BTreeMap<(usize, usize), LinkLoad> {
+    fn by_dim_epoch(&self) -> BTreeMap<(usize, usize), LinkLoad> {
         let mut agg: BTreeMap<(usize, usize), LinkLoad> = BTreeMap::new();
         for ((_, dim, epoch), load) in self.cells() {
             let cell = agg.entry((dim, epoch)).or_default();
@@ -173,14 +144,11 @@ mod tests {
         ];
         let m = UtilizationMatrix::from_lanes(&lanes);
         assert_eq!(m.makespan(), 6.0);
-        assert_eq!(m.busy(0, 0, 0), 5.0);
-        assert_eq!(m.busy(0, 1, 1), 1.0);
-        assert_eq!(m.busy(1, 0, 0), 4.0);
-        assert_eq!(m.busy(1, 1, 0), 0.0, "silent cells read as zero");
-        assert_eq!(m.occupancy(1, 0, 0), 4.0 / 6.0);
-        assert_eq!(m.load(0, 0, 0).sends, 2);
-        assert_eq!(m.load(0, 0, 0).elems, 20);
-        assert_eq!(m.busy_by_dim().get(&0), Some(&9.0));
+        let load = |cell| m.cells[&cell];
+        assert_eq!(load((0, 0, 0)), LinkLoad { busy: 5.0, port_wait: 0.0, sends: 2, elems: 20 });
+        assert_eq!(load((0, 1, 1)).busy, 1.0);
+        assert_eq!(load((1, 0, 0)).busy, 4.0);
+        assert!(!m.cells.contains_key(&(1, 1, 0)), "silent cells hold nothing");
     }
 
     #[test]
@@ -198,14 +166,13 @@ mod tests {
             end: 4.0,
         };
         let m = UtilizationMatrix::from_lanes(&[vec![queued]]);
-        assert_eq!(m.load(0, 0, 0).port_wait, 2.0);
+        assert_eq!(m.cells[&(0, 0, 0)].port_wait, 2.0);
     }
 
     #[test]
     fn empty_streams_have_zero_makespan_and_occupancy() {
         let m = UtilizationMatrix::from_lanes(&[vec![], vec![]]);
         assert_eq!(m.makespan(), 0.0);
-        assert_eq!(m.occupancy(0, 0, 0), 0.0);
         assert_eq!(m.cells().count(), 0);
     }
 

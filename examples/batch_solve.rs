@@ -72,11 +72,11 @@ fn main() {
         ("spf       ", Policy::ShortestPlanFirst),
         ("interleave", Policy::Interleave { stride: 1 }),
     ] {
-        let report = solve_batch(
-            d,
-            &jobs,
-            &BatchOptions { fabric: fabric.clone(), policy, ..Default::default() },
-        );
+        // The checked constructor: a zero stride or a fabric the batch
+        // cannot share is a typed error here, not a panic mid-run.
+        let batch = BatchOptions::new(fabric.clone(), policy, Machine::paper_figure2())
+            .expect("a death-free throttled fabric is batchable");
+        let report = solve_batch(d, &jobs, &batch);
         if fifo_makespan == 0.0 {
             fifo_makespan = report.makespan;
         }
@@ -110,7 +110,7 @@ fn main() {
     }
     println!(
         "\nSerial tail the interleave fills: {:.0} vtime of whole-block division/last\n\
-         transitions per FIFO batch (CommPlan::tail_volume priced by batch_cost).",
+         transitions per FIFO batch (the serial phases, priced by batch_cost).",
         solve_batch(d, &jobs, &BatchOptions { fabric: fabric.clone(), ..Default::default() })
             .cost
             .tail

@@ -11,8 +11,10 @@
 //! 3. **The books balance** — per dimension, the element volume the
 //!    traced send spans carry equals the traffic meter's per-dim
 //!    volume, and each (link, epoch) cell's busy virtual time equals
-//!    its element volume priced at that cell's effective `Tw` — the
-//!    utilization matrix is the meter re-derived from the timeline.
+//!    its element volume priced at that cell's effective `Tw`, and on a
+//!    uniform machine each dimension's Σ busy is the meter's volume
+//!    priced at `Tw` — the utilization matrix is the meter re-derived
+//!    from the timeline.
 
 use mph::core::OrderingFamily;
 use mph::eigen::{block_jacobi_threaded, Adaptation, JacobiOptions, Pipelining, ThreadedRun};
@@ -47,7 +49,7 @@ fn degraded_fabric(d: usize, seed: u64, with_death: bool) -> FabricModel {
 }
 
 /// The effective per-element wire time the fabric charged a send on
-/// `(node, dim)` at `epoch` — the pricing law `on_send_meta` applies.
+/// `(node, dim)` at `epoch` — the pricing law `LinkClock::charge` applies.
 fn effective_tw(fabric: &FabricModel, node: usize, dim: usize, epoch: usize) -> f64 {
     match fabric {
         FabricModel::Free => 0.0,
@@ -176,25 +178,27 @@ proptest! {
         let lanes = ring.drain();
 
         // 1. Volume: the data elements the traced send spans carry are
-        //    exactly the meter's per-dim data volume (control likewise).
-        let mut data = vec![0u64; d];
-        let mut control = vec![0u64; d];
+        //    exactly the meter's per-dim data volume, and the spans of
+        //    each plane are the meter's messages of that plane.
+        let (mut data, mut control) = (vec![0u64; d], vec![0u64; d]);
+        let (mut data_sends, mut control_sends) = (0u64, 0u64);
         for lane in &lanes {
             for e in lane {
                 if let TraceEvent::Send { dim, elems, control: c, .. } = e {
                     if *c {
                         control[*dim] += elems;
+                        control_sends += 1;
                     } else {
                         data[*dim] += elems;
+                        data_sends += 1;
                     }
                 }
             }
         }
         let by_dim = meter.volume_by_dim();
-        for dim in 0..d {
-            prop_assert_eq!(data[dim], by_dim[dim], "data volume, dim {}", dim);
-            prop_assert_eq!(control[dim], meter.control_volume(dim), "control volume, dim {}", dim);
-        }
+        prop_assert_eq!(&data, &by_dim, "data volume by dim");
+        prop_assert_eq!(data_sends, meter.total_messages(), "data messages");
+        prop_assert_eq!(control_sends, meter.total_control_messages(), "control messages");
 
         // 1b. Arrivals: every charged data transmission is consumed, as
         //     itself — per directed link, the receiver's Recvs carry the
@@ -242,12 +246,16 @@ proptest! {
         // And the per-dim totals reconcile with the meter under a
         // uniform machine, where Σ busy = volume · Tw exactly.
         if let FabricModel::Throttled(machine) = &fabric {
-            for (dim, busy) in util.busy_by_dim() {
+            let mut busy = vec![0.0; d];
+            for ((_, dim, _), load) in util.cells() {
+                busy[dim] += load.busy;
+            }
+            for dim in 0..d {
                 let want = (by_dim[dim] + control[dim]) as f64 * machine.tw;
                 prop_assert!(
-                    (busy - want).abs() <= 1e-9 * want.max(1.0),
+                    (busy[dim] - want).abs() <= 1e-9 * want.max(1.0),
                     "dim {}: Σ busy {} vs volume·Tw {}",
-                    dim, busy, want
+                    dim, busy[dim], want
                 );
             }
         }
