@@ -72,8 +72,9 @@ impl BatchOrder {
 
     /// The grant walk: calls `turn(job, grant)` — run up to `grant` of the
     /// job's micro-ops, say whether any ran — until every job is through.
-    /// The engine's nodes and the schedule clock both merge their jobs'
-    /// programs with it.
+    /// The schedule clock merges its jobs' programs with it; the engine's
+    /// nodes, which may stop in the middle of a turn, keep an
+    /// [`OrderCursor`] instead, which takes the same turns (tested).
     pub fn walk(&self, mut turn: impl FnMut(usize, usize) -> bool) {
         match self {
             BatchOrder::Serial(order) => {
@@ -90,6 +91,46 @@ impl BatchOrder {
                     break;
                 }
             },
+        }
+    }
+}
+
+/// Where a walk of a [`BatchOrder`] stands: [`BatchOrder::walk`]'s loop as
+/// data, for a caller that stops in the middle of a turn and comes back.
+/// A serial order grants each job all of its ops in turn; a round-robin
+/// one grants every job `stride` per pass, until a pass in which none ran.
+#[derive(Debug, Clone, Default)]
+pub struct OrderCursor {
+    /// Turns taken.
+    turns: usize,
+    /// Whether a turn of the round-robin pass in hand ran an op.
+    ran: bool,
+    /// A round-robin pass ran nothing: the walk is through.
+    through: bool,
+}
+
+impl OrderCursor {
+    /// The turn in hand — the job, and how many of its ops the turn grants
+    /// — or `None` once the walk is through.
+    pub fn turn(&self, order: &BatchOrder) -> Option<(usize, usize)> {
+        match order {
+            _ if self.through => None,
+            BatchOrder::Serial(order) => order.get(self.turns).map(|&j| (j, usize::MAX)),
+            BatchOrder::RoundRobin { order, stride } => {
+                let slot = self.turns.checked_rem(order.len())?;
+                Some((order[slot], *stride))
+            }
+        }
+    }
+
+    /// Ends the turn in hand; `ran` says whether any of its ops ran.
+    pub fn end_turn(&mut self, order: &BatchOrder, ran: bool) {
+        self.turns += 1;
+        if let BatchOrder::RoundRobin { order, .. } = order {
+            self.ran |= ran;
+            if self.turns.is_multiple_of(order.len()) {
+                self.through = !std::mem::take(&mut self.ran);
+            }
         }
     }
 }
@@ -175,6 +216,40 @@ mod tests {
 
     fn ones(plans: &[CommPlan]) -> Vec<Vec<usize>> {
         plans.iter().map(|p| p.exchange_phases().map(|_| 1).collect()).collect()
+    }
+
+    #[test]
+    fn the_cursor_takes_the_turns_of_the_walk() {
+        // Jobs of 0, 1, 4 and 7 ops, each turn running what its grant and
+        // the job's ops left allow: the cursor, driven turn by turn, grants
+        // the same jobs the same ops in the same order as the walk, down to
+        // the last pass that ran nothing.
+        let orders = [
+            BatchOrder::Serial(vec![]),
+            BatchOrder::Serial(vec![2, 0, 3, 1]),
+            BatchOrder::RoundRobin { order: vec![], stride: 2 },
+            BatchOrder::RoundRobin { order: vec![1], stride: 3 },
+            BatchOrder::RoundRobin { order: vec![3, 1, 0, 2], stride: 1 },
+            BatchOrder::RoundRobin { order: vec![2, 3, 1, 0], stride: 3 },
+            BatchOrder::RoundRobin { order: vec![0, 1, 2, 3], stride: usize::MAX },
+        ];
+        for order in &orders {
+            let turn = |left: &mut [usize], turns: &mut Vec<_>, j: usize, grant: usize| {
+                let ran = grant.min(left[j]);
+                left[j] -= ran;
+                turns.push((j, grant, ran));
+                ran > 0
+            };
+            let (mut left, mut walked) = (vec![0, 1, 4, 7], Vec::new());
+            order.walk(|j, grant| turn(&mut left, &mut walked, j, grant));
+            let (mut left, mut stepped) = (vec![0, 1, 4, 7], Vec::new());
+            let mut cursor = OrderCursor::default();
+            while let Some((j, grant)) = cursor.turn(order) {
+                let ran = turn(&mut left, &mut stepped, j, grant);
+                cursor.end_turn(order, ran);
+            }
+            assert_eq!(stepped, walked, "{order:?}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod plancost;
 pub mod schedclock;
 pub mod sweepcost;
 
-pub use batchcost::{batch_cost, solo_plan_costs, BatchCost, BatchOrder, PlannedJob};
+pub use batchcost::{batch_cost, solo_plan_costs, BatchCost, BatchOrder, OrderCursor, PlannedJob};
 pub use cccube::CcCube;
 pub use cost::PhaseCostModel;
 pub use execution::{efficiency, speedup, unpipelined_sweep_time, ComputeModel, SweepTime};

@@ -30,7 +30,7 @@
 //! is the bitwise reference; with `workers ≥ 1` it runs a tournament of
 //! column-disjoint tile tasks whose rounds are shared out among a pool of
 //! threads. The pool belongs to a [`Tournament`], which a driver builds
-//! once per solve (once per node thread) and passes to every call: helper
+//! once per solve (once per node) and passes to every call: helper
 //! threads are spawned there, sleep between rounds, and are joined when it
 //! drops — no call spawns a thread, and no round allocates. A call takes
 //! everything a solver step may pair at once, so one round covers round
@@ -377,7 +377,7 @@ fn claim<'g, 't, 'a>(
     tiles[t].try_lock().expect("tournament tiles are column-disjoint")
 }
 
-/// The state one solve (or one node thread) carries between the kernel's
+/// The state one solve (or one node) carries between the kernel's
 /// tournament calls: the parked helper pool and the round scratch buffer,
 /// so that a call spawns no thread and a round allocates nothing. Built by
 /// [`SweepKernel::tournament`]; a `workers ≤ 1` tournament owns no thread.

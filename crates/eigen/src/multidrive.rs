@@ -16,6 +16,22 @@
 //! job tags and each node demultiplexes arrivals through [`JobMux`], so
 //! per-`(link, job)` FIFO order survives any interleaving.
 //!
+//! # Steps that yield
+//!
+//! A node is a program [`run_spmd`] resumes (`mph_runtime::spmd`: the
+//! `2^d` programs on `min(2^d, available CPUs)` worker threads), so
+//! nothing here parks. `JobNode::step` runs one micro-op or says it would
+//! block — a receive found nothing, or the barrier is still gathering —
+//! and the next call resumes it where it stopped. Most ops receive before they do
+//! anything else, so they simply run again. The two that issue several
+//! exchanges keep a cursor: a sweep boundary's all-reduce (`Reduce`: the
+//! vote, or a reactive sweep's machine agreement), and the relay script
+//! around a dead link (`Via`). The merge of the jobs' programs is a
+//! cursor too (`Round`, over [`OrderCursor`]), and so is the service loop
+//! of [`run_job_service`]. Virtual time is max-plus dataflow over each
+//! link's FIFO order, so no worker count or step order moves a bit or a
+//! clock.
+//!
 //! # The phase machine
 //!
 //! A node owns two [`ColumnBlock`]s per job (the A- and U-columns of its
@@ -132,7 +148,7 @@ use crate::svd::{sigma_and_u_col, SvdResult};
 use crate::threaded::{
     choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport, ThreadedRun,
 };
-use mph_ccpipe::BatchOrder;
+use mph_ccpipe::{BatchOrder, OrderCursor};
 use mph_core::{BlockPartition, CommPlan, Framing, MicroOp, OpKind, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
 use mph_linalg::block::ColumnBlock;
@@ -143,6 +159,7 @@ use mph_runtime::{
     Spmd, SpmdRun, TraceEvent, TrafficMeter,
 };
 use std::sync::Arc;
+use std::task::{ready, Poll};
 
 /// What kind of factorization a job asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,7 +244,7 @@ fn once_per_distinct<T: Clone>(
 }
 
 /// What the `2^d` nodes of one job share: worked out once, before the node
-/// threads spawn, and borrowed by all of them.
+/// programs start, and borrowed by all of them.
 struct JobShared {
     /// The job's schedule: the [`Framing`] of each lowered plan — the tail
     /// degree ([`choose_tail_qs`]) is priced once per plan rather than on
@@ -446,9 +463,66 @@ pub struct BatchRun {
     pub fabric: FabricReport,
 }
 
+/// An all-reduce in progress: `vals` combined by `op` one after another,
+/// each by relay-aware exchanges over dims `0..d` — resumable at any
+/// receive.
+struct Reduce {
+    vals: Vec<f64>,
+    op: fn(f64, f64) -> f64,
+    /// Exchanges done, over all values: value `done / d` is at dimension
+    /// `done % d`.
+    done: usize,
+    /// Whether the exchange in hand has sent this node's value.
+    sent: bool,
+}
+
+impl Reduce {
+    fn new(vals: Vec<f64>, op: fn(f64, f64) -> f64) -> Self {
+        Reduce { vals, op, done: 0, sent: false }
+    }
+}
+
+/// How far a sweep-boundary op got before it blocked.
+#[derive(Default)]
+enum Stage {
+    #[default]
+    Fresh,
+    /// An all-reduce in progress: a reactive sweep start's machine
+    /// agreement, or a sweep end's vote.
+    Reduce(Reduce),
+    /// A sweep end past its vote, waiting at its epoch barrier.
+    Voted,
+}
+
+/// One hop of a dead edge's relay script that this node plays a part in.
+#[derive(Clone, Copy)]
+enum Hop {
+    /// Send across `dim`: the parked payload if this node is its origin,
+    /// else the one it carries.
+    Send { dim: usize, origin: bool },
+    /// Receive across `dim`: the exchange's incoming payload if this node
+    /// is its destination, else one to carry on.
+    Recv { dim: usize, delivers: bool },
+}
+
+/// A relay-aware receive in progress ([`JobNode::recv_via`]): the direct
+/// receive, then this node's hops of the relays around every dead edge of
+/// the link, resumable at any receive.
+struct Via {
+    /// Whether the direct receive is still to come (never, if this node's
+    /// own edge is the dead one).
+    direct: bool,
+    hops: Vec<Hop>,
+    /// Hops done.
+    at: usize,
+    incoming: Option<BatchMsg>,
+    carried: Option<BatchMsg>,
+}
+
 /// Per-node state machine of one job: the two resident blocks plus the
-/// cursor into its plan chain's programs. `step` executes one micro-op;
-/// the merged schedule across jobs is [`BatchOrder::walk`]'s.
+/// cursor into its plan chain's programs. `step` executes one micro-op, or
+/// says it would block; the merged schedule across jobs is
+/// [`BatchOrder::walk`]'s, kept as an [`OrderCursor`] (`Round`).
 struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec<'a>,
@@ -482,6 +556,10 @@ struct JobNode<'a> {
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
     outbox: Option<BatchMsg>,
+    /// The relay-aware receive in hand, if it blocked part-way.
+    via: Option<Via>,
+    /// How far the sweep-boundary op in hand got.
+    stage: Stage,
     /// The machine Reactive re-pricing last agreed on: the scenario's
     /// clean base (the spec sheet) until live windows re-fit it.
     machine: Machine,
@@ -544,6 +622,8 @@ impl<'a> JobNode<'a> {
             stamps: Vec::new(),
             repriced: None,
             outbox: None,
+            via: None,
+            stage: Stage::Fresh,
             machine: solo
                 .and_then(|solo| solo.scenario.as_ref())
                 .map_or_else(Machine::paper_figure2, |sc| sc.base()),
@@ -566,18 +646,18 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// Receives this job's next message from `link`; consuming the arrival
-    /// advances the virtual clock.
+    /// Takes this job's next message from `link`, or `Poll::Pending` if it
+    /// has not come; consuming the arrival advances the virtual clock.
     fn recv(
         &self,
         ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<'_, '_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
         link: usize,
-    ) -> BatchMsg {
-        let (msg, stamp) = mux.recv_for(link, self.job);
+    ) -> Poll<BatchMsg> {
+        let (msg, stamp) = ready!(mux.try_recv_for(ctx, link, self.job));
         ctx.advance_clock_to(stamp);
         ctx.trace_recv(link, msg.elems(), self.job, None, msg.is_control(), stamp);
-        msg
+        Poll::Ready(msg)
     }
 
     /// The slot whose block travels in phase `idx`: the mobile (slot1),
@@ -597,14 +677,21 @@ impl<'a> JobNode<'a> {
     /// Receives round `k` of phase `idx` into the travelling slot, and
     /// into `stamps` the arrival of each of its packets — consumed one per
     /// micro-op by [`Self::consume_packet`], the clock untouched here.
-    fn recv_round(&mut self, mux: &mut JobMux<'_, '_, BatchMsg>, idx: usize, k: usize) {
+    fn recv_round(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
+        idx: usize,
+        k: usize,
+    ) -> Poll<()> {
         let link = self.plans[self.sweeps].phases()[idx].links[k];
-        match mux.recv_for(link, self.job).0 {
+        match ready!(mux.try_recv_for(ctx, link, self.job)).0 {
             BatchMsg::Round { job, k: sent_k, block, stamps } => {
                 assert_eq!((job, sent_k), (self.job, k as u32), "batch round protocol violation");
                 debug_assert_eq!(block.misaligned_columns(), 0);
                 *self.travelling(idx) = block;
                 self.stamps = stamps;
+                Poll::Ready(())
             }
             other => panic!("batch protocol error: expected a round, got {other:?}"),
         }
@@ -636,7 +723,7 @@ impl<'a> JobNode<'a> {
     /// of that packet's share of the travelling block, departing on the
     /// packet's own readiness stamp — which its arrival stamp replaces.
     /// Nothing moves until the round's last packet is charged; then block
-    /// and stamps cross the channel once.
+    /// and stamps cross the link once.
     fn charge_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp) {
         let (link, elems) = self.packet(op, op.k);
         let kq = Some((op.k as u32, op.q as u32));
@@ -661,92 +748,158 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// Second half: returns the partner's message across `link`, then
-    /// plays this node's part in the relays around every dead `link`-edge.
-    ///
-    /// Each dead edge's two payloads hop their surviving routes, one
-    /// scripted direction at a time; every node walks the same script (it
-    /// is pure scenario data) and plays its own part — origin, relay,
-    /// destination, or bystander. Sends never block, each receive's
-    /// producer appears strictly earlier in the global script order, and
-    /// the per-(node, dim, job) channels are FIFO, so the script is
-    /// deadlock-free and deterministic. With no dead edge on `link` this
-    /// is a plain receive.
-    fn recv_via(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<'_, '_, BatchMsg>,
-        link: usize,
-    ) -> BatchMsg {
+    /// This node's part, in script order, of the relays around every dead
+    /// `link`-edge: each dead edge's two payloads hop their surviving
+    /// routes, one scripted direction at a time, and a node is origin,
+    /// relay, destination or bystander of each hop. Every node derives its
+    /// part from the same scenario data, so the script needs no
+    /// negotiation. Empty with no dead edge on `link`.
+    fn relay_script(&self, link: usize) -> Vec<Hop> {
         let n = self.node;
-        // A parked payload means the direct edge is dead: nothing crosses it.
-        let mut incoming = self.outbox.is_none().then(|| self.recv(ctx, mux, link));
+        let mut hops = Vec::new();
         for r in self.relays().iter().filter(|r| r.dim == link) {
             for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
                 let mut cur = src;
-                let mut carried: Option<BatchMsg> = None;
-                for &hop in route {
-                    let nxt = cur ^ (1 << hop);
+                for &dim in route {
+                    let nxt = cur ^ (1 << dim);
                     if n == cur {
-                        let m = if cur == src {
-                            let m = self.outbox.take().expect("one relayed payload per direction");
-                            self.adaptive.reroutes += 1;
-                            self.adaptive.rerouted_elems += m.elems();
-                            ctx.trace().emit(n, || TraceEvent::Relay {
-                                dim: r.dim,
-                                elems: m.elems(),
-                                time: ctx.virtual_now(),
-                            });
-                            m
-                        } else {
-                            carried.take().expect("relay hop carries the payload")
-                        };
-                        ctx.send(hop, m);
+                        hops.push(Hop::Send { dim, origin: cur == src });
                     } else if n == nxt {
-                        let got = self.recv(ctx, mux, hop);
-                        if nxt == dst {
-                            incoming = Some(got);
-                        } else {
-                            carried = Some(got);
-                        }
+                        hops.push(Hop::Recv { dim, delivers: nxt == dst });
                     }
                     cur = nxt;
                 }
             }
         }
-        incoming.expect("every exchange delivers: scenarios reject disconnecting death schedules")
+        hops
     }
 
-    /// All-reduce of a scalar under a commutative `op` (`max`, `+`) by
-    /// recursive dimension exchange over dims `0..d`: every node combines
-    /// its running value with its partner's, so all end on the same bits.
-    /// Every hop is relay-aware — convergence votes and machine agreement
-    /// survive dead links like any other exchange.
-    fn allreduce(
+    /// Second half: returns the partner's message across `link`, then
+    /// plays this node's part in the relays around every dead `link`-edge
+    /// ([`Self::relay_script`]) — or `Poll::Pending` at whichever receive
+    /// has not come, to resume there.
+    ///
+    /// Sends never block, each receive's producer appears strictly earlier
+    /// in the global script order, and the per-(node, dim, job) links are
+    /// FIFO, so the script is deadlock-free and deterministic. With no dead
+    /// edge on `link` this is a plain receive.
+    fn recv_via(
         &mut self,
         ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<'_, '_, BatchMsg>,
-        mut v: f64,
-        op: fn(f64, f64) -> f64,
-    ) -> f64 {
-        for dim in 0..self.d {
-            self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v });
-            v = op(v, expect_scalar(self.recv_via(ctx, mux, dim)));
+        mux: &mut JobMux<BatchMsg>,
+        link: usize,
+    ) -> Poll<BatchMsg> {
+        let mut via = self.via.take().unwrap_or_else(|| Via {
+            // A parked payload means the direct edge is dead: nothing
+            // crosses it.
+            direct: self.outbox.is_none(),
+            hops: self.relay_script(link),
+            at: 0,
+            incoming: None,
+            carried: None,
+        });
+        let got = self.relay(ctx, mux, link, &mut via);
+        if got.is_pending() {
+            self.via = Some(via);
         }
-        v
+        got
     }
 
-    /// Reactive re-calibration at the start of a degraded solo sweep: fit
-    /// a machine to the service times the link clock measured last sweep,
-    /// then agree with the peers — max-allreduce of `Ts` then `Tw`, so
-    /// every node prices against the same (slowest-observed) machine.
-    fn recalibrate(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mux: &mut JobMux<'_, '_, BatchMsg>) {
-        let ports = self.machine.ports;
-        let local = Machine::calibrate(&ctx.take_fabric_window())
-            .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
-        let ts = self.allreduce(ctx, mux, local.ts, f64::max);
-        let tw = self.allreduce(ctx, mux, local.tw, f64::max);
-        let agreed = Machine { ts, tw, ports };
+    /// Runs `via` on from where it stopped; see [`Self::recv_via`].
+    fn relay(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
+        link: usize,
+        via: &mut Via,
+    ) -> Poll<BatchMsg> {
+        if via.direct {
+            via.incoming = Some(ready!(self.recv(ctx, mux, link)));
+            via.direct = false;
+        }
+        while let Some(&hop) = via.hops.get(via.at) {
+            match hop {
+                Hop::Send { dim, origin: true } => {
+                    let m = self.outbox.take().expect("one relayed payload per direction");
+                    self.adaptive.reroutes += 1;
+                    self.adaptive.rerouted_elems += m.elems();
+                    ctx.trace().emit(self.node, || TraceEvent::Relay {
+                        dim: link,
+                        elems: m.elems(),
+                        time: ctx.virtual_now(),
+                    });
+                    ctx.send(dim, m);
+                }
+                Hop::Send { dim, origin: false } => {
+                    ctx.send(dim, via.carried.take().expect("relay hop carries the payload"));
+                }
+                Hop::Recv { dim, delivers } => {
+                    let got = ready!(self.recv(ctx, mux, dim));
+                    if delivers {
+                        via.incoming = Some(got);
+                    } else {
+                        via.carried = Some(got);
+                    }
+                }
+            }
+            via.at += 1;
+        }
+        let incoming = via.incoming.take();
+        Poll::Ready(
+            incoming.expect("every exchange delivers: scenarios reject disconnecting deaths"),
+        )
+    }
+
+    /// Drives the all-reduce `r` on: every node combines its running value
+    /// with its partner's across each dimension in turn, so all end on the
+    /// same bits. Every hop is relay-aware — convergence votes and machine
+    /// agreement survive dead links like any other exchange. `Err` hands
+    /// the reduction back, to resume from once a receive can go on.
+    fn reduce(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
+        mut r: Reduce,
+    ) -> Result<Vec<f64>, Reduce> {
+        while r.done < r.vals.len() * self.d {
+            let (k, dim) = (r.done / self.d, r.done % self.d);
+            if !r.sent {
+                self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v: r.vals[k] });
+                r.sent = true;
+            }
+            let Poll::Ready(got) = self.recv_via(ctx, mux, dim) else { return Err(r) };
+            r.vals[k] = (r.op)(r.vals[k], expect_scalar(got));
+            (r.done, r.sent) = (r.done + 1, false);
+        }
+        Ok(r.vals)
+    }
+
+    /// What a sweep start does before its pairings: stamps the job's start,
+    /// marks a solo sweep in the trace, and — at a reactive degraded solo
+    /// sweep after the first — returns the machine agreement to reduce: a
+    /// machine fitted to the service times the link clock measured last
+    /// sweep, whose `Ts` and `Tw` the nodes then max-reduce, so every node
+    /// prices against the same (slowest-observed) machine.
+    fn open_sweep(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Option<Reduce> {
+        if self.sweeps == 0 {
+            self.start = ctx.virtual_now();
+        }
+        let solo = self.solo?;
+        let sweep = self.sweeps;
+        ctx.trace().emit(self.node, || TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
+        let reactive = solo.scenario.is_some() && solo.adaptation == Adaptation::Reactive;
+        (reactive && sweep > 0).then(|| {
+            let ports = self.machine.ports;
+            let local = Machine::calibrate(&ctx.take_fabric_window())
+                .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
+            Reduce::new(vec![local.ts, local.tw], f64::max)
+        })
+    }
+
+    /// Adopts the machine the nodes agreed on, counting and tracing a
+    /// change.
+    fn adopt(&mut self, ctx: &NodeCtx<'_, BatchMsg>, ts: f64, tw: f64) {
+        let agreed = Machine { ts, tw, ports: self.machine.ports };
         if agreed != self.machine {
             self.machine = agreed;
             self.adaptive.recalibrations += 1;
@@ -760,37 +913,69 @@ impl<'a> JobNode<'a> {
         }
     }
 
+    /// The convergence vote a sweep ends with, unless the job is forced:
+    /// one dimension-exchange all-reduce, demultiplexed by job tag and
+    /// relayed like the sweep's blocks (module docs) — the sum of the
+    /// nodes' eigen-residuals, or the max of their SVD cosines.
+    fn vote(&self) -> Option<Reduce> {
+        self.shared.bar?;
+        Some(match self.spec.kind {
+            JobKind::Eigen => {
+                Reduce::new(vec![node_residual_sq(&self.slot0, &self.slot1)], |a, b| a + b)
+            }
+            JobKind::Svd => Reduce::new(vec![self.acc.max_off], f64::max),
+        })
+    }
+
+    /// Holds the agreed vote against the bar. The decision is global, so
+    /// every node finishes (or goes on) together.
+    fn count_vote(&mut self, v: f64) {
+        let Some(bar) = self.shared.bar else { return };
+        let v = match self.spec.kind {
+            JobKind::Eigen => {
+                let off = v.sqrt();
+                self.off_history.push(off);
+                off
+            }
+            JobKind::Svd => v,
+        };
+        self.converged = v <= bar;
+    }
+
     /// Executes the job's next micro-op — the arms say what each kind
     /// *does*; which op follows is [`CommPlan::op_after`]'s to say — pairing
-    /// on the node thread's shared `tour`. The caller guarantees every node
-    /// invokes every job's steps in the same merged order.
+    /// on the node's shared `tour`. `Poll::Ready(())`: the op ran.
+    /// `Poll::Pending`: it would block on a receive or the barrier, and the
+    /// next call resumes it where it stopped — an op's receive comes before
+    /// anything it does, or its cursor (`via`, `stage`) remembers how far it
+    /// got. The caller guarantees every node invokes every job's steps in
+    /// the same merged order.
     fn step(
         &mut self,
         ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<'_, '_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
         tour: &mut Tournament,
-    ) {
-        let op = self.next.take().expect("the order walk steps unfinished jobs only");
+    ) -> Poll<()> {
+        let op = self.next.expect("the order walk steps unfinished jobs only");
         let plan = &self.plans[self.sweeps];
         match op.kind {
             OpKind::SweepStart => {
-                if self.sweeps == 0 {
-                    self.start = ctx.virtual_now();
+                let agreement = match std::mem::take(&mut self.stage) {
+                    Stage::Reduce(r) => Some(r),
+                    Stage::Fresh | Stage::Voted => self.open_sweep(ctx),
+                };
+                if let Some(r) = agreement {
+                    match self.reduce(ctx, mux, r) {
+                        Ok(agreed) => self.adopt(ctx, agreed[0], agreed[1]),
+                        Err(r) => {
+                            self.stage = Stage::Reduce(r);
+                            return Poll::Pending;
+                        }
+                    }
                 }
                 if let Some(solo) = self.solo {
-                    let sweep = self.sweeps;
-                    ctx.trace().emit(self.node, || TraceEvent::SweepBegin {
-                        sweep,
-                        time: ctx.virtual_now(),
-                    });
-                    if solo.scenario.is_some()
-                        && solo.adaptation == Adaptation::Reactive
-                        && sweep > 0
-                    {
-                        self.recalibrate(ctx, mux);
-                    }
                     let q_cap = packetization_cap(self.spec.a.cols(), self.d);
-                    self.repriced = solo.reprice(plan, sweep, self.machine, q_cap);
+                    self.repriced = solo.reprice(plan, self.sweeps, self.machine, q_cap);
                 }
                 self.acc = SweepAccumulator::default();
                 if self.spec.opts.cache_diagonals {
@@ -811,7 +996,8 @@ impl<'a> JobNode<'a> {
             }
             OpKind::Recv => {
                 let link = plan.phases()[op.phase].links[op.k];
-                *self.travelling(op.phase) = expect_block(self.recv_via(ctx, mux, link));
+                let block = expect_block(ready!(self.recv_via(ctx, mux, link)));
+                *self.travelling(op.phase) = block;
             }
             OpKind::Pipe | OpKind::TailSend => {
                 if op.q == 0 {
@@ -820,7 +1006,7 @@ impl<'a> JobNode<'a> {
                         self.stamps.clear();
                         self.stamps.resize(op.of, ctx.virtual_now());
                     } else if op.k > 0 {
-                        self.recv_round(mux, op.phase, op.k - 1);
+                        ready!(self.recv_round(ctx, mux, op.phase, op.k - 1));
                     }
                     // One pairing of the whole mobile block, before anything
                     // is charged — the per-packet pairings, which share no
@@ -837,7 +1023,7 @@ impl<'a> JobNode<'a> {
             }
             OpKind::Drain | OpKind::TailRecv => {
                 if op.q == 0 {
-                    self.recv_round(mux, op.phase, op.k);
+                    ready!(self.recv_round(ctx, mux, op.phase, op.k));
                 }
                 let stamp = self.consume_packet(ctx, op, op.k);
                 if op.kind == OpKind::Drain {
@@ -854,49 +1040,49 @@ impl<'a> JobNode<'a> {
                 }
             }
             OpKind::SweepEnd => {
-                if self.solo.is_some() {
-                    let sweep = self.sweeps;
-                    ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
-                        sweep,
-                        time: ctx.virtual_now(),
-                    });
+                let mut stage = std::mem::take(&mut self.stage);
+                if let Stage::Fresh = stage {
+                    if self.solo.is_some() {
+                        let sweep = self.sweeps;
+                        ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
+                            sweep,
+                            time: ctx.virtual_now(),
+                        });
+                    }
+                    self.rotations += self.acc.rotations;
+                    stage = self.vote().map_or(Stage::Voted, Stage::Reduce);
                 }
-                self.rotations += self.acc.rotations;
-                if let Some(bar) = self.shared.bar {
-                    // The vote: one dimension-exchange all-reduce,
-                    // demultiplexed by job tag and relayed like the
-                    // sweep's blocks (module docs). The decision is
-                    // global, so every node finishes (or continues to the
-                    // barrier) together.
-                    let v = match self.spec.kind {
-                        JobKind::Eigen => {
-                            let partial = node_residual_sq(&self.slot0, &self.slot1);
-                            let off = self.allreduce(ctx, mux, partial, |a, b| a + b).sqrt();
-                            self.off_history.push(off);
-                            off
+                if let Stage::Reduce(r) = stage {
+                    match self.reduce(ctx, mux, r) {
+                        Ok(v) => self.count_vote(v[0]),
+                        Err(r) => {
+                            self.stage = Stage::Reduce(r);
+                            return Poll::Pending;
                         }
-                        JobKind::Svd => self.allreduce(ctx, mux, self.acc.max_off, f64::max),
-                    };
-                    self.converged = v <= bar;
+                    }
+                }
+                // End-of-sweep barrier: advances the fabric epoch, so sweep
+                // s runs at scenario epoch s on every node — the
+                // deterministic clock the impairment timelines key on.
+                let degraded = self.solo.is_some_and(|solo| solo.scenario.is_some());
+                if degraded && !self.converged && ctx.barrier().is_pending() {
+                    self.stage = Stage::Voted;
+                    return Poll::Pending;
                 }
                 self.sweeps += 1;
                 self.repriced = None;
-                if !self.converged && self.solo.is_some_and(|solo| solo.scenario.is_some()) {
-                    // End-of-sweep barrier: advances the fabric epoch, so
-                    // sweep s runs at scenario epoch s on every node — the
-                    // deterministic clock the impairment timelines key on.
-                    ctx.barrier();
-                }
                 if self.converged || self.sweeps >= self.spec.budget() {
                     self.finish = ctx.virtual_now();
+                    self.next = None;
                 } else {
                     self.next = Some(MicroOp::SWEEP_START);
                 }
-                return;
+                return Poll::Ready(());
             }
         }
         let framing = self.repriced.as_ref().unwrap_or(&self.shared.framings[self.sweeps]);
         self.next = plan.op_after(op, framing);
+        Poll::Ready(())
     }
 
     fn into_output(self) -> JobNodeOutput {
@@ -933,7 +1119,7 @@ impl<'a> JobNode<'a> {
     }
 }
 
-/// The one [`Tournament`] a node thread shares among all its jobs: its
+/// The one [`Tournament`] a node shares among all its jobs: its
 /// micro-ops run one at a time, so one set of parked helpers serves every
 /// job, sized for the job that can use the most (`workers` against the
 /// tiles of the two blocks it keeps at a node).
@@ -946,7 +1132,7 @@ fn node_tournament(jobs: &[JobSpec<'_>], d: usize) -> Tournament {
     Tournament::with_lanes(lanes.max().unwrap_or(0))
 }
 
-/// Runs `jobs` concurrently on one `d`-cube of threads over one `fabric`,
+/// Runs `jobs` concurrently on one `d`-cube over one `fabric`,
 /// interleaving their communication per `order`. Returns per-job results
 /// (each bitwise identical to the job's solo threaded run), per-job
 /// virtual-clock spans, the shared per-job-metered traffic meter, and the
@@ -1026,29 +1212,85 @@ fn run_nodes(
     assert_square_eigen_jobs(jobs);
     let shared = job_shared(jobs, d, lowered);
 
-    run_spmd::<BatchMsg, Vec<JobNodeOutput>, _>(
+    run_spmd::<BatchMsg, Vec<JobNodeOutput>, _, _>(
         d,
         Spmd { fabric, njobs: jobs.len(), trace: sink },
         |ctx| {
-            let mut nodes: Vec<JobNode> = (0..jobs.len())
+            let mut nodes: Vec<Option<JobNode>> = (0..jobs.len())
                 .map(|j| {
-                    JobNode::new(j as u32, &jobs[j], &lowered[j].0, &shared[j], solo, d, ctx.id())
+                    let (plans, shared) = (&lowered[j].0, &shared[j]);
+                    Some(JobNode::new(j as u32, &jobs[j], plans, shared, solo, d, ctx.id()))
                 })
                 .collect();
-            let mut mux = JobMux::new(ctx);
+            let mut mux = JobMux::new(d);
             let mut tour = node_tournament(jobs, d);
-            order.walk(|j, grant| {
-                let mut ran = 0;
-                while ran < grant && !nodes[j].done() {
-                    nodes[j].step(ctx, &mut mux, &mut tour);
-                    ran += 1;
-                }
-                ran > 0
-            });
-            assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
-            nodes.into_iter().map(JobNode::into_output).collect()
+            let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
+            move |ctx| {
+                ready!(walk.resume(&mut nodes, ctx, &mut mux, &mut tour));
+                assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
+                Poll::Ready(nodes.drain(..).flatten().map(JobNode::into_output).collect())
+            }
         },
     )
+}
+
+/// A resumable walk of `order` over some of a node's jobs — a batch's whole
+/// run, or one service round — stepping each granted job until the grant
+/// is spent, the job is done, or its part of the round is over.
+struct Round {
+    order: BatchOrder,
+    /// `jobs[i]`: the job `order` calls `i`.
+    jobs: Vec<usize>,
+    /// Turns job `i` burns before its first op (a service round's
+    /// de-phasing); each counts against its grants.
+    skip: Vec<usize>,
+    /// The sweep count at which job `i`'s part ends: one more sweep in a
+    /// service round, never in a batch.
+    until: Vec<usize>,
+    cursor: OrderCursor,
+    /// Ops run or skipped in the turn in hand.
+    used: usize,
+}
+
+impl Round {
+    /// The whole of `jobs`' programs, merged by `order`.
+    fn new(order: BatchOrder, jobs: Vec<usize>) -> Self {
+        let n = jobs.len();
+        Round {
+            order,
+            jobs,
+            skip: vec![0; n],
+            until: vec![usize::MAX; n],
+            cursor: OrderCursor::default(),
+            used: 0,
+        }
+    }
+
+    /// Runs the walk on from where it stopped until it is through, or
+    /// `Poll::Pending` where a step would block.
+    fn resume(
+        &mut self,
+        nodes: &mut [Option<JobNode<'_>>],
+        ctx: &NodeCtx<'_, BatchMsg>,
+        mux: &mut JobMux<BatchMsg>,
+        tour: &mut Tournament,
+    ) -> Poll<()> {
+        while let Some((i, grant)) = self.cursor.turn(&self.order) {
+            if let Some(node) = nodes[self.jobs[i]].as_mut() {
+                while self.used < grant && !node.done() && node.sweeps < self.until[i] {
+                    if self.skip[i] > 0 {
+                        self.skip[i] -= 1;
+                    } else {
+                        ready!(node.step(ctx, mux, tour));
+                    }
+                    self.used += 1;
+                }
+            }
+            self.cursor.end_turn(&self.order, self.used > 0);
+            self.used = 0;
+        }
+        Poll::Ready(())
+    }
 }
 
 fn assert_square_eigen_jobs(jobs: &[JobSpec<'_>]) {
@@ -1309,6 +1551,7 @@ impl ServiceRun {
 
 /// One node's record of a service run: per-job outputs plus the admission
 /// trace, which must come out identical on every node.
+#[derive(Default)]
 struct NodeService {
     outputs: Vec<Option<JobNodeOutput>>,
     admitted_at: Vec<Option<f64>>,
@@ -1316,7 +1559,148 @@ struct NodeService {
     boundaries: Vec<BoundarySample>,
 }
 
-/// Runs an *online* job service on one `d`-cube of threads sharing one
+/// One node's service loop (see [`run_job_service`]) as a resumable
+/// program: a sweep-boundary barrier, intake and admission, then one
+/// service round, until the service drains.
+struct ServiceNode<'a> {
+    jobs: &'a [JobSpec<'a>],
+    lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
+    shared: &'a [JobShared],
+    plan: &'a ServicePlan,
+    d: usize,
+    /// Whether the fabric runs a clock arrivals are read against.
+    throttled: bool,
+    nodes: Vec<Option<JobNode<'a>>>,
+    mux: JobMux<BatchMsg>,
+    tour: Tournament,
+    queue: Vec<usize>,
+    active: Vec<usize>,
+    next_arrival: usize,
+    completed: usize,
+    log: NodeService,
+    /// The service round in hand; `None` at a sweep boundary.
+    round: Option<Round>,
+}
+
+impl<'a> ServiceNode<'a> {
+    fn resume(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<NodeService> {
+        loop {
+            if let Some(round) = &mut self.round {
+                ready!(round.resume(&mut self.nodes, ctx, &mut self.mux, &mut self.tour));
+                self.round = None;
+                self.retire();
+            }
+            // 1. Sweep boundary: one shared clock across the cube.
+            ready!(ctx.barrier());
+            if self.active.is_empty() && self.queue.is_empty() {
+                let Some(&arrival) = self.plan.arrivals.get(self.next_arrival) else {
+                    // Drained.
+                    assert_eq!(
+                        self.mux.stashed(),
+                        0,
+                        "service framing corrupt: unconsumed messages"
+                    );
+                    let outputs = self.nodes.drain(..).map(|n| n.map(JobNode::into_output));
+                    self.log.outputs = outputs.collect();
+                    return Poll::Ready(std::mem::take(&mut self.log));
+                };
+                ctx.advance_clock_to(arrival);
+            }
+            self.round = Some(self.admit(ctx));
+        }
+    }
+
+    /// Steps 2 and 3 of a boundary, intake and admission, and the round
+    /// they leave: every active job one sweep further, same-key jobs
+    /// burning `plan.stagger_slots` skip turns per rank first.
+    fn admit(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Round {
+        let plan = self.plan;
+        let now = ctx.virtual_now();
+        // A free fabric runs no clock: every job has "arrived".
+        let horizon = if self.throttled { now } else { f64::INFINITY };
+        let trace = |event: &dyn Fn() -> TraceEvent| {
+            if ctx.id() == 0 {
+                ctx.trace().emit(0, event);
+            }
+        };
+
+        // Intake and admission, interleaved in arrival order: an arrival
+        // finding the active set with room is admitted straight through
+        // (the queue never holds it); one finding the queue full is shed.
+        // Between arrivals the queued job with the smallest priority (ties
+        // to the earlier arrival) takes any freed capacity — the
+        // preemption-free SPF discipline.
+        let mut admitted: Vec<usize> = Vec::new();
+        loop {
+            while self.active.len() < plan.max_active && !self.queue.is_empty() {
+                let pick = (0..self.queue.len())
+                    .min_by(|&a, &b| {
+                        let (ja, jb) = (self.queue[a], self.queue[b]);
+                        plan.priority[ja].total_cmp(&plan.priority[jb]).then(ja.cmp(&jb))
+                    })
+                    .expect("non-empty queue");
+                let j = self.queue.remove(pick);
+                let (spec, plans, shared) = (&self.jobs[j], &self.lowered[j].0, &self.shared[j]);
+                self.nodes[j] =
+                    Some(JobNode::new(j as u32, spec, plans, shared, None, self.d, ctx.id()));
+                self.log.admitted_at[j] = Some(now);
+                self.active.push(j);
+                admitted.push(j);
+                let queue_depth = self.queue.len();
+                trace(&|| TraceEvent::Admit { job: j as u32, time: now, queue_depth });
+            }
+            let j = self.next_arrival;
+            match plan.arrivals.get(j) {
+                Some(&arrival) if arrival <= horizon => self.next_arrival += 1,
+                _ => break,
+            }
+            let queue_depth = self.queue.len();
+            if queue_depth >= plan.queue_cap {
+                let arrival = plan.arrivals[j];
+                self.log.rejected[j] = Some(Rejected::QueueFull { arrival, queue_depth });
+                trace(&|| TraceEvent::Reject { job: j as u32, time: arrival, queue_depth });
+            } else {
+                self.queue.push(j);
+            }
+        }
+
+        let sweeps = |j: usize| self.nodes[j].as_ref().map_or(0, |node| node.sweeps);
+        self.log.boundaries.push(BoundarySample {
+            time: now,
+            queued: self.queue.clone(),
+            admitted,
+            active: self.active.iter().map(|&j| (j, sweeps(j))).collect(),
+            completed: self.completed,
+        });
+
+        let mut round = Round::new(
+            BatchOrder::RoundRobin { order: (0..self.active.len()).collect(), stride: plan.stride },
+            self.active.clone(),
+        );
+        for (i, &j) in self.active.iter().enumerate() {
+            let key = plan.stagger_key[j];
+            let rank = self.active[..i].iter().filter(|&&o| plan.stagger_key[o] == key).count();
+            let slots = rank * plan.stagger_slots;
+            if slots > 0 {
+                trace(&|| TraceEvent::Stagger { job: j as u32, slots, time: now });
+            }
+            round.skip[i] = slots;
+            round.until[i] = sweeps(j) + 1;
+        }
+        round
+    }
+
+    /// Step 4's end: jobs that finished (convergence vote or budget) leave
+    /// the active set.
+    fn retire(&mut self) {
+        let nodes = &self.nodes;
+        let before = self.active.len();
+        self.active.retain(|&j| !nodes[j].as_ref().is_some_and(JobNode::done));
+        self.completed += before - self.active.len();
+    }
+}
+
+/// Runs an *online* job service on one `d`-cube sharing one
 /// `fabric`: jobs arrive on the virtual clock per `plan.arrivals`, wait in
 /// a bounded queue, and join the running mix at sweep boundaries.
 ///
@@ -1366,173 +1750,32 @@ pub fn run_job_service(
     let njobs = jobs.len();
     let throttled = matches!(fabric, FabricModel::Throttled(_));
 
-    let SpmdRun { results: node_logs, meter, fabric } =
-        run_spmd::<BatchMsg, NodeService, _>(d, Spmd { fabric, njobs, trace: sink }, |ctx| {
-            let mut mux = JobMux::new(ctx);
-            let mut tour = node_tournament(jobs, d);
-            let mut nodes: Vec<Option<JobNode>> = (0..njobs).map(|_| None).collect();
-            let mut queue: Vec<usize> = Vec::new();
-            let mut active: Vec<usize> = Vec::new();
-            let mut admitted_at: Vec<Option<f64>> = vec![None; njobs];
-            let mut rejected: Vec<Option<Rejected>> = vec![None; njobs];
-            let mut boundaries: Vec<BoundarySample> = Vec::new();
-            let mut next_arrival = 0usize;
-            let mut completed = 0usize;
-
-            loop {
-                // 1. Sweep boundary: one shared clock across the cube.
-                ctx.barrier();
-                if active.is_empty() && queue.is_empty() {
-                    if next_arrival >= njobs {
-                        break; // drained
-                    }
-                    ctx.advance_clock_to(plan.arrivals[next_arrival]);
-                }
-                let now = ctx.virtual_now();
-                // A free fabric runs no clock: every job has "arrived".
-                let horizon = if throttled { now } else { f64::INFINITY };
-
-                // 2 + 3. Intake and admission, interleaved in arrival
-                // order: an arrival finding the active set with room is
-                // admitted straight through (the queue never holds it);
-                // one finding the queue full is shed. Between arrivals
-                // the queued job with the smallest priority (ties to the
-                // earlier arrival) takes any freed capacity — the
-                // preemption-free SPF discipline.
-                let mut admitted: Vec<usize> = Vec::new();
-                loop {
-                    while active.len() < plan.max_active && !queue.is_empty() {
-                        let pick = (0..queue.len())
-                            .min_by(|&a, &b| {
-                                plan.priority[queue[a]]
-                                    .total_cmp(&plan.priority[queue[b]])
-                                    .then(queue[a].cmp(&queue[b]))
-                            })
-                            .expect("non-empty queue");
-                        let j = queue.remove(pick);
-                        nodes[j] = Some(JobNode::new(
-                            j as u32,
-                            &jobs[j],
-                            &lowered[j].0,
-                            &shared[j],
-                            None,
-                            d,
-                            ctx.id(),
-                        ));
-                        admitted_at[j] = Some(now);
-                        active.push(j);
-                        admitted.push(j);
-                        if ctx.id() == 0 {
-                            ctx.trace().emit(0, || TraceEvent::Admit {
-                                job: j as u32,
-                                time: now,
-                                queue_depth: queue.len(),
-                            });
-                        }
-                    }
-                    if next_arrival >= njobs || plan.arrivals[next_arrival] > horizon {
-                        break;
-                    }
-                    let j = next_arrival;
-                    next_arrival += 1;
-                    if queue.len() >= plan.queue_cap {
-                        rejected[j] = Some(Rejected::QueueFull {
-                            arrival: plan.arrivals[j],
-                            queue_depth: queue.len(),
-                        });
-                        if ctx.id() == 0 {
-                            ctx.trace().emit(0, || TraceEvent::Reject {
-                                job: j as u32,
-                                time: plan.arrivals[j],
-                                queue_depth: queue.len(),
-                            });
-                        }
-                    } else {
-                        queue.push(j);
-                    }
-                }
-
-                boundaries.push(BoundarySample {
-                    time: now,
-                    queued: queue.clone(),
-                    admitted,
-                    active: active
-                        .iter()
-                        .map(|&j| (j, nodes[j].as_ref().expect("active job lowered").sweeps))
-                        .collect(),
-                    completed,
-                });
-
-                // 4. One service round: each active job advances exactly
-                // one sweep. Same-key jobs burn `stagger_slots` skip
-                // turns per rank first, de-phasing their link walks.
-                let mut skip: Vec<usize> = active
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &j)| {
-                        let rank = active[..i]
-                            .iter()
-                            .filter(|&&o| plan.stagger_key[o] == plan.stagger_key[j])
-                            .count();
-                        rank * plan.stagger_slots
-                    })
-                    .collect();
-                if ctx.id() == 0 {
-                    for (i, &j) in active.iter().enumerate() {
-                        if skip[i] > 0 {
-                            ctx.trace().emit(0, || TraceEvent::Stagger {
-                                job: j as u32,
-                                slots: skip[i],
-                                time: now,
-                            });
-                        }
-                    }
-                }
-                let mut crossed: Vec<bool> = active
-                    .iter()
-                    .map(|&j| nodes[j].as_ref().expect("active job lowered").done())
-                    .collect();
-                loop {
-                    let mut in_flight = false;
-                    for (i, &j) in active.iter().enumerate() {
-                        for _ in 0..plan.stride {
-                            if crossed[i] {
-                                break;
-                            }
-                            in_flight = true;
-                            if skip[i] > 0 {
-                                skip[i] -= 1;
-                                continue;
-                            }
-                            let node = nodes[j].as_mut().expect("active job lowered");
-                            let before = node.sweeps;
-                            node.step(ctx, &mut mux, &mut tour);
-                            if node.done() || node.sweeps > before {
-                                crossed[i] = true;
-                            }
-                        }
-                    }
-                    if !in_flight {
-                        break;
-                    }
-                }
-                for i in (0..active.len()).rev() {
-                    let j = active[i];
-                    if nodes[j].as_ref().expect("active job lowered").done() {
-                        active.remove(i);
-                        completed += 1;
-                    }
-                }
-            }
-            assert_eq!(mux.stashed(), 0, "service framing corrupt: unconsumed messages");
-
-            NodeService {
-                outputs: nodes.into_iter().map(|n| n.map(JobNode::into_output)).collect(),
-                admitted_at,
-                rejected,
-                boundaries,
-            }
-        });
+    let spmd = Spmd { fabric, njobs, trace: sink };
+    let SpmdRun { results: node_logs, meter, fabric } = run_spmd(d, spmd, |_| {
+        let mut node = ServiceNode {
+            jobs,
+            lowered,
+            shared: &shared,
+            plan,
+            d,
+            throttled,
+            nodes: (0..njobs).map(|_| None).collect(),
+            mux: JobMux::new(d),
+            tour: node_tournament(jobs, d),
+            queue: Vec::new(),
+            active: Vec::new(),
+            next_arrival: 0,
+            completed: 0,
+            log: NodeService {
+                outputs: Vec::new(),
+                admitted_at: vec![None; njobs],
+                rejected: vec![None; njobs],
+                boundaries: Vec::new(),
+            },
+            round: None,
+        };
+        move |ctx: &NodeCtx<'_, BatchMsg>| node.resume(ctx)
+    });
 
     // The admission trace is a function of barrier-synced state, so every
     // node must have recorded the same one; node 0's is the record.
@@ -1735,7 +1978,7 @@ mod tests {
     fn interleaved_jobs_on_one_node_share_one_pool() {
         // d = 0: one node holds both blocks of every job (m = 40 → 20
         // columns, 3 tiles each). Jobs ask for 1, 3 and 2 workers; the node
-        // thread's tournament is sized once, for the widest of them — its
+        // node's tournament is sized once, for the widest of them — its
         // thread count does not grow with the number of jobs.
         let mats: Vec<Matrix> = (0..3).map(|i| random_symmetric(40, 300 + i)).collect();
         let job = |i: usize, workers| {

@@ -143,7 +143,7 @@ pub struct JacobiOptions {
     /// `0` and `≥ 1`.
     ///
     /// The threads are a pool that lives as long as the solve (as long as
-    /// the node thread, in the threaded and batch drivers, where every job
+    /// the node, in the threaded and batch drivers, where every job
     /// on the node shares it): `workers − 1` helpers are spawned once and
     /// sleep between rounds, and the calling thread works through each
     /// round alongside them. `workers ≤ 1` spawns nothing; a count above

@@ -4,7 +4,7 @@
 //! (paper §2.2: pairings on disjoint columns commute exactly); only the
 //! edge *between* rounds needs a synchronisation. [`PairingPool`] pays for
 //! exactly that: its helper threads are created once — per solve by the
-//! logical drivers, per node thread by the threaded and batch drivers —
+//! logical drivers, per node by the threaded and batch drivers —
 //! and sleep on a condition variable between rounds. [`PairingPool::run`]
 //! publishes one round's job, wakes the helpers the round seats, **runs
 //! the job on the calling thread too**, and returns once every helper that

@@ -4,7 +4,9 @@
 //! each returning a [`ThreadedRun`].
 //!
 //! The solve itself runs on the micro-op engine in [`crate::multidrive`] —
-//! one thread per hypercube node, blocks exchanged over channels, the
+//! one program per hypercube node, stepped on `min(2^d, available CPUs)`
+//! worker threads (one thread per node when the CPUs allow, all of them on
+//! the calling thread on one CPU), blocks exchanged over the links, the
 //! paper's communication pipelining (§2.4) when enabled — as a batch of
 //! one; see that module for the phase machine and for why every
 //! [`Pipelining`] degree, fabric and impairment yields the same bits as
@@ -214,7 +216,7 @@ pub fn svd_block_threaded(
 }
 
 /// [`block_jacobi_threaded`] as the 3-tuple `benchmark/src/api.rs` names.
-/// The benchmark-correcting PR of ROADMAP item 7 re-points `api.rs` and
+/// The benchmark-correcting PR of ROADMAP item 1 re-points `api.rs` and
 /// deletes this.
 #[doc(hidden)]
 pub fn block_jacobi_threaded_fabric(

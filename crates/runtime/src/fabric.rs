@@ -22,15 +22,17 @@
 //! That recurrence is [`NodeClock`]'s, which the cost layer's
 //! `executed_cost` drives too; [`LinkClock`] adds what only a live run has
 //! — the barrier epoch, per-link scenario machines, the node's traffic
-//! counters and tracing — and is owned by its node's thread, so charging a
-//! send locks nothing. Nodes share the barrier and the two slots its
-//! virtual time is agreed through, and nothing else.
+//! counters and tracing — and lives on its node's worker, so charging a
+//! send locks nothing. Nodes share the links and the barrier, whose last
+//! arrival folds the maximum of their clocks (`sched.rs`), and nothing
+//! else.
 //!
 //! The clocks are max-plus dataflow over the FIFO channel order, so the
 //! measured makespan (`max` over the nodes' final clocks, reported in
 //! [`SpmdRun::fabric`](crate::spmd::SpmdRun::fabric)) is **deterministic**:
 //! it depends only on the program's message pattern and the machine
-//! parameters, never on OS scheduling. That is what lets tests and benches
+//! parameters, never on OS scheduling, the number of workers or the order
+//! they step the nodes in. That is what lets tests and benches
 //! compare *measured* phase times against the analytic model and the
 //! network simulator to tight tolerances, and what finally makes ordering
 //! experiments (degree-4 vs BR under shallow pipelining) a measurable
@@ -68,8 +70,8 @@ use crate::nodeclock::NodeClock;
 use crate::scenario::Scenario;
 use crate::spmd::{run_spmd, Spmd};
 use crate::trace::{SinkHandle, TraceEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::task::{ready, Poll};
 use std::time::Instant;
 
 /// What the link layer enforces.
@@ -167,18 +169,17 @@ const WINDOW_CAP: usize = 4096;
 
 /// A node's one book: the model its links run under, its virtual clock
 /// and what a live run adds to it, and its own traffic counters. Its
-/// node's thread owns it — every method that writes takes `&mut self` —
-/// and hands it back at join, where [`run_spmd`] reads the final clock
+/// node's worker owns it — every method that writes takes `&mut self` —
+/// and hands it back at the end, where [`run_spmd`] reads the final clock
 /// and sums the meters.
 pub struct LinkClock {
     model: FabricModel,
     node: usize,
     clock: NodeClock,
-    /// Barriers passed so far; its parity selects the [`SharedClock`]
-    /// slot for the next synchronization, and its value is the **epoch**
-    /// at which a degraded scenario is evaluated — a deterministic,
-    /// node-consistent virtual-time index: every node that has passed the
-    /// same barriers agrees on it, whatever the OS scheduler did.
+    /// Barriers passed so far: the **epoch** at which a degraded scenario
+    /// is evaluated — a deterministic, node-consistent virtual-time index:
+    /// every node that has passed the same barriers agrees on it, whatever
+    /// the scheduler did.
     barrier_gen: usize,
     /// Live `(elems, service time)` samples of this node's sends under a
     /// degraded fabric — the mid-run calibration feed.
@@ -304,28 +305,14 @@ impl LinkClock {
         std::mem::take(&mut self.window)
     }
 
-    /// First half of a barrier's virtual-time synchronization: folds this
-    /// node's clock into the current generation's slot and returns that
-    /// slot. `None` on a free fabric (no sync needed).
-    pub(crate) fn begin_barrier(&mut self, shared: &SharedClock) -> Option<usize> {
+    /// Leaves a barrier every node has reached, at `t`, the latest of
+    /// their clocks: the clock adopts it and the epoch advances. A free
+    /// fabric keeps neither.
+    pub(crate) fn pass_barrier(&mut self, t: f64) {
         if !self.model.is_throttled() {
-            return None;
+            return;
         }
-        let slot = self.barrier_gen & 1;
         self.barrier_gen += 1;
-        shared.fold_in(slot, self.clock.now());
-        Some(slot)
-    }
-
-    /// Second half, after the real barrier wait: adopts the generation's
-    /// maximum and zeroes the *other* slot for the next generation. The
-    /// caller must pass a second barrier wait after this before any node
-    /// can reach its next `begin_barrier` — that wait is what makes the
-    /// two-slot scheme race-free: a fast node cannot fold generation
-    /// `g + 1` into a slot a slow node is still reading or resetting.
-    pub(crate) fn finish_barrier(&mut self, shared: &SharedClock, slot: usize) {
-        let t = shared.read(slot);
-        shared.reset(slot ^ 1);
         self.clock.wait(t);
         if self.sink.is_enabled() {
             let (epoch, time) = (self.barrier_gen, self.clock.now());
@@ -334,38 +321,12 @@ impl LinkClock {
     }
 }
 
-/// The barrier clock: one max-only slot per barrier-generation parity.
-/// Non-negative `f64`s order identically to their IEEE-754 bit patterns,
-/// so `fetch_max` on the bits is an atomic floating-point max. Two slots
-/// alternate so one generation's maximum can be read while the next
-/// generation's slot is already zeroed — see
-/// [`LinkClock::finish_barrier`] for the protocol.
-#[derive(Debug, Default)]
-pub(crate) struct SharedClock([AtomicU64; 2]);
-
-impl SharedClock {
-    pub(crate) fn new() -> Self {
-        SharedClock::default()
-    }
-
-    fn fold_in(&self, slot: usize, t: f64) {
-        debug_assert!(t >= 0.0, "virtual time went negative");
-        self.0[slot].fetch_max(t.to_bits(), Ordering::Relaxed);
-    }
-
-    fn read(&self, slot: usize) -> f64 {
-        f64::from_bits(self.0[slot].load(Ordering::Relaxed))
-    }
-
-    fn reset(&self, slot: usize) {
-        self.0[slot].store(0, Ordering::Relaxed);
-    }
-}
-
 /// Measures the live channel transport with a wall clock: every node pair
 /// exchanges messages of each size across dimension 0, the exchange plus
 /// one read pass over the received payload is timed, and every node's
-/// samples are pooled. Feed the result to [`Machine::calibrate`].
+/// samples are pooled. Feed the result to [`Machine::calibrate`]. What is
+/// timed is what a message costs a node program end to end: where both
+/// nodes share a worker, the partner's turn is inside it.
 ///
 /// The read pass matters: the channels ship pointers, so the bytes only
 /// cross the cache hierarchy when the receiver touches them — which is
@@ -373,31 +334,46 @@ impl SharedClock {
 /// (`Tw`) would be indistinguishable from scheduler noise.
 pub fn measure_channel_fabric(d: usize, sizes: &[usize], reps: usize) -> FabricStats {
     assert!(!sizes.is_empty() && reps >= 1);
-    let pooled = Mutex::new(FabricStats::new());
-    run_spmd::<Vec<f64>, (), _>(d, Spmd::default(), |ctx| {
+    let run = run_spmd::<Vec<f64>, FabricStats, _, _>(d, Spmd::default(), |_| {
+        // Every (size, rep) probe in order; rep 0 of a size is its warm-up
+        // exchange, which primes the link and caches and is not recorded.
+        let mut probes =
+            sizes.iter().flat_map(move |&elems| (0..=reps).map(move |rep| (elems, rep)));
+        let mut probe = probes.next();
+        let mut outgoing: Option<Vec<f64>> = None;
+        let mut sent: Option<Instant> = None;
         let mut local = FabricStats::new();
-        for &elems in sizes {
-            // Pre-build the payloads: allocation/zeroing is message
-            // *assembly*, not transport, so it stays outside the timer.
-            let mut payloads: Vec<Vec<f64>> = (0..=reps).map(|_| vec![0.0; elems]).collect();
-            // One warm-up exchange per size primes the channel and caches.
-            let warm = ctx.exchange(0, payloads.pop().expect("warm-up payload"));
-            std::hint::black_box(warm.iter().sum::<f64>());
-            for payload in payloads {
-                ctx.barrier();
-                let t0 = Instant::now();
-                let got = ctx.exchange(0, payload);
+        move |ctx| {
+            while let Some((elems, rep)) = probe {
+                if sent.is_none() {
+                    // Building the payload is message *assembly*, not
+                    // transport, and the barrier only lines the pair up:
+                    // both stay outside the timer.
+                    let payload = outgoing.take().unwrap_or_else(|| vec![0.0; elems]);
+                    if rep > 0 && ctx.barrier().is_pending() {
+                        outgoing = Some(payload);
+                        return Poll::Pending;
+                    }
+                    sent = Some(Instant::now());
+                    ctx.send(0, payload);
+                }
+                let (got, _) = ready!(ctx.try_recv(0));
                 let sum: f64 = got.iter().sum();
-                let secs = t0.elapsed().as_secs_f64();
+                let secs = sent.take().map_or(0.0, |t0| t0.elapsed().as_secs_f64());
                 std::hint::black_box(sum);
-                local.record(elems as f64, secs);
+                if rep > 0 {
+                    local.record(elems as f64, secs);
+                }
+                probe = probes.next();
             }
+            Poll::Ready(std::mem::take(&mut local))
         }
-        // The pool is append-only sample data — valid after any panic, so
-        // recover the lock instead of cascading a peer's failure.
-        pooled.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).merge(&local);
     });
-    pooled.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
+    let mut pooled = FabricStats::new();
+    for stats in &run.results {
+        pooled.merge(stats);
+    }
+    pooled
 }
 
 /// One-call calibration of the channel runtime: probes dimension-0
@@ -502,38 +478,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_clock_is_a_per_slot_float_max() {
-        let shared = SharedClock::new();
-        shared.fold_in(0, 1.5);
-        shared.fold_in(0, 100.25);
-        shared.fold_in(1, 7.0);
-        assert_eq!(shared.read(0), 100.25);
-        assert_eq!(shared.read(1), 7.0, "slots are independent");
-        shared.reset(0);
-        assert_eq!(shared.read(0), 0.0);
-        assert_eq!(shared.read(1), 7.0);
-    }
-
-    #[test]
-    fn barrier_halves_alternate_slots_and_reset_the_other() {
-        let shared = SharedClock::new();
+    fn passing_a_barrier_adopts_its_time_and_advances_the_epoch() {
+        // The barrier hands every node the latest clock among them: a node
+        // behind it jumps forward, one at it stays, and each pass is one
+        // epoch. A free fabric keeps no clock and no epoch.
         let m = Machine::all_port(1.0, 1.0);
         let mut clock = book(FabricModel::Throttled(m), 0, 1);
         clock.wait(10.0);
-        let s0 = clock.begin_barrier(&shared).expect("throttled");
-        assert_eq!(s0, 0);
-        clock.finish_barrier(&shared, s0);
-        assert_eq!(clock.now(), 10.0);
-        // Next generation uses the other (freshly zeroed) slot.
-        let s1 = clock.begin_barrier(&shared).expect("throttled");
-        assert_eq!(s1, 1);
-        clock.finish_barrier(&shared, s1);
-        // Generation 2 reuses slot 0, which generation 1 reset: it must
-        // hold only this generation's fold, not the stale 10.0.
-        clock.wait(3.0); // below current now; no effect
-        let s2 = clock.begin_barrier(&shared).expect("throttled");
-        assert_eq!(s2, 0);
-        assert_eq!(shared.read(0), 10.0, "fold carries the node's own now");
+        clock.pass_barrier(25.0);
+        assert_eq!((clock.now(), clock.barrier_gen), (25.0, 1));
+        clock.pass_barrier(25.0);
+        assert_eq!((clock.now(), clock.barrier_gen), (25.0, 2));
+        // The next send departs from the adopted time.
+        assert_eq!(send(&mut clock, 0, 2), 28.0);
+        let mut free = book(FabricModel::Free, 0, 1);
+        free.pass_barrier(25.0);
+        assert_eq!((free.now(), free.barrier_gen), (0.0, 0));
     }
 
     #[test]
@@ -596,9 +556,7 @@ mod tests {
         let mut clock = book(FabricModel::Degraded(sc), 0, 2);
         assert_eq!(clock.barrier_gen, 0);
         send(&mut clock, 0, 5); // alive at epoch 0
-        let shared = SharedClock::new();
-        let slot = clock.begin_barrier(&shared).expect("degraded fabrics are throttled");
-        clock.finish_barrier(&shared, slot);
+        clock.pass_barrier(clock.now());
         assert_eq!(clock.barrier_gen, 1);
         send(&mut clock, 1, 5); // the *other* edge stays alive
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -9,15 +9,15 @@
 //! [`Meterable::job`] (the batch drivers' block/round/vote frames all
 //! carry the tag), and each node routes arrivals through a [`JobMux`]:
 //!
-//! * [`JobMux::recv_for`] returns the next message *of the requested job*
-//!   from a dimension, pulling from the channel and stashing any other
+//! * [`JobMux::try_recv_for`] returns the next message *of the requested
+//!   job* from a dimension, taking from the link and stashing any other
 //!   job's messages it passes over — so per-`(dimension, job)` FIFO order
-//!   is preserved exactly even when the nodes' interleaving schedules
-//!   drift apart in real time;
+//!   is preserved exactly however the nodes' interleaving schedules drift
+//!   apart — or `Poll::Pending` if that job's message has not come yet;
 //! * arrival stamps travel with the stashed messages
-//!   ([`NodeCtx::recv_stamped`] semantics), so a stashed message charges
+//!   ([`NodeCtx::try_recv`] semantics), so a stashed message charges
 //!   the virtual clock — and is recorded as an arrival — when *its* job
-//!   consumes it, not when it happened to be pulled off the wire. Waiting
+//!   consumes it, not when it happened to be taken off the link. Waiting
 //!   for another job's data never bills this job's clock.
 //!
 //! Link arbitration on the virtual clock needs no extra machinery: the
@@ -28,37 +28,39 @@
 
 use crate::spmd::{Meterable, NodeCtx};
 use std::collections::VecDeque;
+use std::task::Poll;
 
 /// A job-demultiplexing view of one node's links. See the module docs.
-pub struct JobMux<'c, 'n, M: Send + Meterable> {
-    ctx: &'c NodeCtx<'n, M>,
-    /// `stash[dim]`: arrivals pulled past while looking for another job,
+pub struct JobMux<M> {
+    /// `stash[dim]`: arrivals taken past while looking for another job,
     /// in arrival order, with their virtual-time stamps.
     stash: Vec<VecDeque<(M, f64)>>,
 }
 
-impl<'c, 'n, M: Send + Meterable> JobMux<'c, 'n, M> {
-    /// A demultiplexer over `ctx`'s links.
-    pub fn new(ctx: &'c NodeCtx<'n, M>) -> Self {
-        let d = ctx.dim().max(1);
-        JobMux { ctx, stash: (0..d).map(|_| VecDeque::new()).collect() }
+impl<M: Send + Meterable> JobMux<M> {
+    /// A demultiplexer over the links of a node of a `d`-cube.
+    pub fn new(d: usize) -> Self {
+        JobMux { stash: (0..d.max(1)).map(|_| VecDeque::new()).collect() }
     }
 
-    /// Receives the next message of `job` from the neighbor across `dim`,
-    /// together with its virtual arrival stamp. Messages of other jobs
-    /// encountered on the way are stashed for their own `recv_for` calls.
-    /// The node's clock is *not* advanced — the caller owns the dependency
-    /// bookkeeping, exactly as with [`NodeCtx::recv_stamped`].
-    pub fn recv_for(&mut self, dim: usize, job: u32) -> (M, f64) {
-        if let Some(pos) = self.stash[dim].iter().position(|(m, _)| m.job() == job) {
-            return self.stash[dim].remove(pos).expect("position just found");
+    /// Takes the next message of `job` from the neighbor across `dim`,
+    /// together with its virtual arrival stamp, or `Poll::Pending` if it
+    /// has not come: a blocked node is reported waiting on `(dim, job)`.
+    /// Messages of other jobs met on the way are stashed for their own
+    /// calls. The node's clock is *not* advanced — the caller owns the
+    /// dependency bookkeeping, exactly as with [`NodeCtx::try_recv`].
+    pub fn try_recv_for(&mut self, ctx: &NodeCtx<'_, M>, dim: usize, job: u32) -> Poll<(M, f64)> {
+        let stash = &mut self.stash[dim];
+        let stashed = stash.iter().position(|(m, _)| m.job() == job);
+        if let Some(found) = stashed.and_then(|pos| stash.remove(pos)) {
+            return Poll::Ready(found);
         }
         loop {
-            let (msg, stamp) = self.ctx.recv_stamped(dim);
+            let (msg, stamp) = std::task::ready!(ctx.take(dim, Some(job)));
             if msg.job() == job {
-                return (msg, stamp);
+                return Poll::Ready((msg, stamp));
             }
-            self.stash[dim].push_back((msg, stamp));
+            stash.push_back((msg, stamp));
         }
     }
 
@@ -75,6 +77,7 @@ mod tests {
     use super::*;
     use crate::fabric::FabricModel;
     use crate::spmd::{run_spmd, Spmd, SpmdRun};
+    use std::task::ready;
 
     /// A two-job wire protocol: every message is one tagged f64.
     #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +101,7 @@ mod tests {
         // Sender order on dim 0: job1, job0, job1, job0. The receiver asks
         // job 0 first: the mux must stash job 1's messages and hand each
         // job its own messages in send order.
-        let SpmdRun { results, meter, .. } = run_spmd::<Tagged, Vec<(u32, f64)>, _>(
+        let SpmdRun { results, meter, .. } = run_spmd::<Tagged, Vec<(u32, f64)>, _, _>(
             1,
             Spmd { njobs: 2, ..Spmd::default() },
             |ctx| {
@@ -106,14 +109,16 @@ mod tests {
                 for (job, v) in [(1u32, 0.0), (0, 1.0), (1, 2.0), (0, 3.0)] {
                     ctx.send(0, Tagged { job, v: base + v });
                 }
-                let mut mux = JobMux::new(ctx);
+                let mut mux = JobMux::new(ctx.dim());
                 let mut got = Vec::new();
-                for job in [0u32, 0, 1, 1] {
-                    let (m, _) = mux.recv_for(0, job);
-                    got.push((m.job, m.v));
+                move |ctx| {
+                    for job in [0u32, 0, 1, 1].into_iter().skip(got.len()) {
+                        let (m, _) = ready!(mux.try_recv_for(ctx, 0, job));
+                        got.push((m.job, m.v));
+                    }
+                    assert_eq!(mux.stashed(), 0, "clean runs drain the stash");
+                    Poll::Ready(got.clone())
                 }
-                assert_eq!(mux.stashed(), 0, "clean runs drain the stash");
-                got
             },
         );
         // Two messages per job per node, one element each, metered apart.
@@ -132,16 +137,21 @@ mod tests {
         // job 0's second. Receiving job 0 first must not lose or reorder
         // job 1's stamp.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 1.0));
-        let results = run_spmd::<Tagged, (f64, f64), _>(
+        let results = run_spmd::<Tagged, (f64, f64), _, _>(
             1,
             Spmd { fabric, njobs: 2, ..Spmd::default() },
             |ctx| {
                 ctx.send(0, Tagged { job: 1, v: 1.0 }); // stamp 10 + 1 = 11
                 ctx.send(0, Tagged { job: 0, v: 0.0 }); // stamp 20 + 1 = 21
-                let mut mux = JobMux::new(ctx);
-                let (_, s0) = mux.recv_for(0, 0);
-                let (_, s1) = mux.recv_for(0, 1);
-                (s0, s1)
+                let mut mux = JobMux::new(ctx.dim());
+                let mut s0 = None;
+                move |ctx| {
+                    if s0.is_none() {
+                        s0 = Some(ready!(mux.try_recv_for(ctx, 0, 0)).1);
+                    }
+                    let (_, s1) = ready!(mux.try_recv_for(ctx, 0, 1));
+                    Poll::Ready((s0.unwrap_or_default(), s1))
+                }
             },
         )
         .results;

@@ -2,13 +2,14 @@
 //!
 //! The paper's algorithms run on a message-passing multicomputer; this
 //! crate is the executable substitute (DESIGN.md §3): every node of the
-//! `d`-cube is an OS thread, every link is a pair of directed channels, and
-//! the only primitives are neighbor send/receive/exchange and barriers.
-//! Nothing is shared between nodes except the barrier and the clock slot
-//! its virtual time is agreed through: a node's thread owns its
-//! [`NodeCtx`] — channel ends, virtual clock, traffic counters — and the
-//! run's [`TrafficMeter`] is the nodes' counts summed once at join. A
-//! program written against [`NodeCtx`] would port to MPI on a real
+//! `d`-cube is a program that steps until it must wait, every link is a
+//! pair of directed FIFO queues, and the only primitives are neighbor
+//! send, non-blocking receive and the barrier. [`run_spmd`] steps the
+//! `2^d` programs on `min(2^d, available_parallelism())` worker threads.
+//! Nothing is shared between nodes except the links and the barrier: a
+//! node's worker owns its [`NodeCtx`] — virtual clock, traffic counters —
+//! and the run's [`TrafficMeter`] is the nodes' counts summed once at the
+//! end. A program written against [`NodeCtx`] would port to MPI on a real
 //! hypercube unchanged in structure.
 //!
 //! The crate also owns the machine *model* ([`Machine`], [`PortModel`] —
@@ -29,6 +30,7 @@ pub mod machine;
 pub mod meter;
 pub mod nodeclock;
 pub mod scenario;
+mod sched;
 pub mod spmd;
 pub mod trace;
 

@@ -1,56 +1,74 @@
-//! SPMD execution: one OS thread per hypercube node, one channel per link
-//! direction.
+//! SPMD execution: `2^d` node programs stepped on no more worker threads
+//! than the process has CPUs, one FIFO queue per link direction.
 //!
-//! [`run_spmd`] spawns `2^d` threads, each handed a [`NodeCtx`] that can
-//! exchange messages with its `d` neighbors and synchronize at barriers.
-//! Channels are unbounded, so the symmetric send-then-receive pattern of
-//! the Jacobi transitions cannot deadlock. All communication is
-//! neighbor-to-neighbor — exactly the discipline the paper's algorithms
-//! obey on a real hypercube multicomputer — which is what makes this
-//! runtime a faithful stand-in for an MPI-on-hypercube deployment.
+//! A node is a *program* — a closure [`run_spmd`] resumes with the node's
+//! [`NodeCtx`] — that runs on from where it stopped until it finishes
+//! (`Poll::Ready` with its result) or cannot go on (`Poll::Pending`): a
+//! receive found nothing queued ([`NodeCtx::try_recv`]) or the barrier is
+//! still gathering ([`NodeCtx::barrier`]). Nothing in a node parks. The run
+//! puts its `2^d` nodes on `W = min(2^d, available_parallelism())`
+//! workers, read afresh on every run: each worker steps a contiguous range
+//! of labels (so the low dimensions' links stay inside one worker), running
+//! each node until it blocks, and parks only when all of its nodes are
+//! blocked and nothing has come for them. The calling thread is worker 0.
+//! `W = 2^d` is one thread per node; `W = 1` steps every node on the
+//! calling thread and never wakes anything.
+//!
+//! Sends never block: queues are unbounded, so the symmetric
+//! send-then-receive pattern of the Jacobi transitions cannot deadlock. All
+//! communication is neighbor-to-neighbor — exactly the discipline the
+//! paper's algorithms obey on a real hypercube multicomputer — which is
+//! what makes this runtime a faithful stand-in for an MPI-on-hypercube
+//! deployment.
 //!
 //! Every message travels in an envelope carrying a virtual-time arrival
 //! stamp from the sender's [`LinkClock`]. Under the default
 //! [`FabricModel::Free`] the stamps are zero and the clocks idle; under
 //! [`FabricModel::Throttled`] ([`Spmd::fabric`]) each send is charged
 //! `Ts + S·Tw` against the machine's port configuration, and barriers
-//! synchronize the nodes' clocks — see [`crate::fabric`].
+//! synchronize the nodes' clocks — see [`crate::fabric`]. The clocks are
+//! max-plus dataflow over each link's FIFO order, so virtual time, like
+//! every result, is the same under any `W` and any step order.
 //!
 //! # Books and channels
 //!
-//! A node owns its books. Its [`NodeCtx`] — channel ends and one
+//! A node owns its books. Its [`NodeCtx`] — its view of the links and one
 //! [`LinkClock`]: virtual clock, barrier epoch, calibration window,
-//! traffic counters — is moved into its thread, so booking a send shares
+//! traffic counters — lives on its worker, so booking a send shares
 //! nothing and locks nothing (`NodeCtx` is `Send` and not `Sync`: the
-//! compiler rejects lending it to a second thread). What the nodes do
-//! share is the barrier and the two slots its virtual time is agreed
-//! through. At join every thread hands its book back, and
+//! compiler rejects lending it to a second thread). What crosses workers —
+//! the queues, the barrier, the park books — is the scheduler's
+//! (`sched.rs`). At the end every worker hands its nodes' books back, and
 //! [`SpmdRun::meter`] and [`FabricReport::node_times`] are read off them
-//! once. Because a node also owns its channel ends, one that panics
-//! drops them as it unwinds: its peers' sends and receives see the
-//! hang-up and end, and [`run_spmd`] re-raises the failed node's own
-//! payload, not a peer's report of the hang-up.
+//! once.
+//!
+//! A node that panics ends the run: its worker catches the payload and
+//! stops every worker, and [`run_spmd`] re-raises the payload of the
+//! lowest label that panicked, whatever its peers were waiting on. A run
+//! whose nodes are all blocked with nothing in flight — a protocol slip —
+//! panics too, naming what each node waits on.
 //!
 //! What the model charges and what the host moves are separate calls.
 //! [`NodeCtx::charge`] keeps the books of one modelled transmission —
 //! meter, link clock, send span — and moves nothing; [`NodeCtx::ship`]
-//! puts one message on the channel and writes nothing down but the
-//! shipment count. [`NodeCtx::send`] is both, for a message that is one
-//! transmission. A program whose model splits a payload into packets
-//! the host has no reason to move apart charges each packet, collects the
+//! puts one message on the link and writes nothing down but the shipment
+//! count. [`NodeCtx::send`] is both, for a message that is one
+//! transmission. A program whose model splits a payload into packets the
+//! host has no reason to move apart charges each packet, collects the
 //! stamps, and ships payload and stamps once (the micro-op engine's
 //! pipeline rounds, `mph_eigen::multidrive`). The receive side mirrors it:
-//! [`NodeCtx::recv_stamped`] takes a message off the channel,
+//! [`NodeCtx::try_recv`] takes a message and its stamp off the link,
 //! [`NodeCtx::trace_recv`] records one consumed arrival, and
-//! [`NodeCtx::recv`] is both plus the clock advance.
+//! [`NodeCtx::advance_clock_to`] spends the wait.
 
-use crate::fabric::{FabricModel, FabricReport, LinkClock, SharedClock};
+use crate::fabric::{FabricModel, FabricReport, LinkClock};
 use crate::meter::TrafficMeter;
+use crate::sched::{Arrival, Links, Sched};
 use crate::trace::{SinkHandle, TraceEvent};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::cell::RefCell;
-use std::panic::{panic_any, resume_unwind};
-use std::sync::Barrier;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::task::Poll;
 
 /// The number of elements a message contributes to traffic accounting,
 /// and which accounting plane it belongs to.
@@ -102,30 +120,34 @@ struct Envelope<M> {
     stamp: f64,
 }
 
-/// The panic of a node whose neighbor dropped its end of their link: a
-/// consequence of that neighbor's failure, never the cause of the run's.
-/// A payload type of its own lets [`run_spmd`] tell the two apart.
-struct NeighborHungUp {
-    node: usize,
-    dim: usize,
+/// What a blocked node waits on: reported by a run that deadlocks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wait {
+    /// A message across `dim` — of `job`, when a [`crate::JobMux`] asked.
+    Recv {
+        dim: usize,
+        job: Option<u32>,
+    },
+    Barrier,
 }
 
-/// Per-node handle: identity, neighbor channels, barrier, and the node's
-/// book (fabric clock and traffic counters). Owned by the node's thread.
-pub struct NodeCtx<'a, M: Send> {
+/// Per-node handle: identity, links, barrier, and the node's book (fabric
+/// clock and traffic counters). Lives on the node's worker.
+pub struct NodeCtx<'r, M> {
     id: usize,
     d: usize,
-    /// `tx[dim]` sends to the neighbor across `dim`.
-    tx: Vec<Sender<Envelope<M>>>,
-    /// `rx[dim]` receives from the neighbor across `dim`.
-    rx: Vec<Receiver<Envelope<M>>>,
-    barrier: &'a Barrier,
-    shared_clock: &'a SharedClock,
+    worker: usize,
+    links: &'r Links<Envelope<M>>,
+    sched: &'r Sched,
     sink: SinkHandle,
     book: RefCell<LinkClock>,
+    /// The barrier generation this node arrived at and waits to see pass.
+    at_barrier: Cell<Option<u64>>,
+    /// What the node last found it could not take.
+    wait: Cell<Option<Wait>>,
 }
 
-impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
+impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
     /// This node's label (`0..2^d`).
     pub fn id(&self) -> usize {
         self.id
@@ -147,44 +169,28 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.book.borrow().now()
     }
 
-    /// Sends `msg` to the neighbor across `dim` (non-blocking in real
-    /// time; on a throttled fabric the message is charged `Ts + S·Tw`
-    /// against this node's ports and outgoing link on the virtual clock):
-    /// one [`NodeCtx::charge`] of the whole message, then its shipment
-    /// under the stamp that returned.
+    /// Sends `msg` to the neighbor across `dim` (never blocks; on a
+    /// throttled fabric the message is charged `Ts + S·Tw` against this
+    /// node's ports and outgoing link on the virtual clock): one
+    /// [`NodeCtx::charge`] of the whole message, then its shipment under
+    /// the stamp that returned.
     pub fn send(&self, dim: usize, msg: M) {
         let stamp = self.charge(dim, msg.elems(), msg.job(), None, msg.is_control(), 0.0);
         self.post(dim, msg, stamp);
-    }
-
-    /// Receives the next message from the neighbor across `dim` (blocking;
-    /// on a throttled fabric this node's clock advances to the message's
-    /// arrival stamp — waiting for data is virtual time spent).
-    pub fn recv(&self, dim: usize) -> M {
-        let (msg, stamp) = self.recv_stamped(dim);
-        self.advance_clock_to(stamp);
-        self.trace_recv(dim, msg.elems(), msg.job(), None, msg.is_control(), stamp);
-        msg
-    }
-
-    /// Symmetric exchange: send `msg` across `dim` and receive the
-    /// neighbor's counterpart — the primitive behind every transition.
-    pub fn exchange(&self, dim: usize, msg: M) -> M {
-        self.send(dim, msg);
-        self.recv(dim)
     }
 
     /// The books of one transmission of `elems` elements across `dim`, and
     /// nothing else: the meter counts it for `job` on its plane, the link
     /// clock charges it `Ts + S·Tw` departing no earlier than `ready`
     /// (typically the arrival stamp of the packet this transmission
-    /// forwards, from [`NodeCtx::recv_stamped`]: the CPU issues start-ups
+    /// forwards, from [`NodeCtx::try_recv`]: the CPU issues start-ups
     /// serially in program order but does not wait for the data — the
     /// comm-processor model that lets a software pipeline overlap
-    /// iterations on the virtual clock), and the trace records the send span under its pipeline header `kq`
-    /// (`None` for a whole message). Returns the arrival stamp (0 on a
-    /// free fabric). No message moves: whoever charges a payload piece by
-    /// piece [`NodeCtx::ship`]s it once, with the stamps inside.
+    /// iterations on the virtual clock), and the trace records the send
+    /// span under its pipeline header `kq` (`None` for a whole message).
+    /// Returns the arrival stamp (0 on a free fabric). No message moves:
+    /// whoever charges a payload piece by piece [`NodeCtx::ship`]s it once,
+    /// with the stamps inside.
     pub fn charge(
         &self,
         dim: usize,
@@ -205,28 +211,34 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.post(dim, msg, 0.0);
     }
 
-    /// One channel message, stamped.
+    /// One link message, stamped.
     fn post(&self, dim: usize, msg: M, stamp: f64) {
         self.book.borrow_mut().count_shipment();
-        if self.tx[dim].send(Envelope { msg, stamp }).is_err() {
-            self.hung_up(dim);
-        }
+        let to = self.neighbor(dim);
+        self.links.push(to, dim, Envelope { msg, stamp });
+        self.sched.stir(self.worker, self.sched.worker_of(to));
     }
 
-    fn hung_up(&self, dim: usize) -> ! {
-        panic_any(NeighborHungUp { node: self.id, dim })
+    /// Takes the next message from the neighbor across `dim` with its
+    /// virtual arrival stamp, or `Poll::Pending` if none has come: the
+    /// program returns `Pending` too, and is resumed once one may have.
+    /// The clock is *not* advanced and the arrival not recorded: the
+    /// caller owns the dependency bookkeeping (forward the stamp into
+    /// [`NodeCtx::charge`], [`NodeCtx::advance_clock_to`] the stamps it
+    /// ultimately consumes, and [`NodeCtx::trace_recv`] each arrival where
+    /// it consumes it). On a free fabric the stamp is 0.
+    pub fn try_recv(&self, dim: usize) -> Poll<(M, f64)> {
+        self.take(dim, None)
     }
 
-    /// Like [`NodeCtx::recv`], but returns the message's virtual arrival
-    /// stamp *without* advancing this node's clock or recording the
-    /// arrival: the caller owns the dependency bookkeeping (forward the
-    /// stamp into [`NodeCtx::charge`], [`NodeCtx::advance_clock_to`]
-    /// the stamps it ultimately consumes, and [`NodeCtx::trace_recv`] each
-    /// arrival where it consumes it). On a free fabric the stamp is 0.
-    pub fn recv_stamped(&self, dim: usize) -> (M, f64) {
-        match self.rx[dim].recv() {
-            Ok(env) => (env.msg, env.stamp),
-            Err(_) => self.hung_up(dim),
+    /// [`NodeCtx::try_recv`], noting `job` as what a blocked node waits for.
+    pub(crate) fn take(&self, dim: usize, job: Option<u32>) -> Poll<(M, f64)> {
+        match self.links.pop(self.id, dim) {
+            Some(env) => Poll::Ready((env.msg, env.stamp)),
+            None => {
+                self.wait.set(Some(Wait::Recv { dim, job }));
+                Poll::Pending
+            }
         }
     }
 
@@ -271,20 +283,33 @@ impl<'a, M: Send + Meterable> NodeCtx<'a, M> {
         self.book.borrow_mut().take_window()
     }
 
-    /// Waits until all `2^d` nodes reach the barrier. On a throttled
-    /// fabric the nodes also synchronize their virtual clocks: everyone
-    /// leaves at the latest participant's time, as a real barrier would
-    /// make them. The sync is two-phase over per-generation slots (fold →
-    /// wait → adopt + reset-other → wait), so a fast node can never fold
-    /// its *next* barrier's time into a slot a slow node is still
-    /// adopting — virtual times stay scheduling-independent.
-    pub fn barrier(&self) {
-        let slot = self.book.borrow_mut().begin_barrier(self.shared_clock);
-        self.barrier.wait();
-        if let Some(slot) = slot {
-            self.book.borrow_mut().finish_barrier(self.shared_clock, slot);
-            self.barrier.wait();
+    /// The barrier, as a step: `Poll::Ready` once all `2^d` nodes have
+    /// reached it, `Poll::Pending` until then — call it again on resuming
+    /// until it is through. On a throttled fabric the nodes also
+    /// synchronize their virtual clocks: everyone leaves at the latest
+    /// participant's time, as a real barrier would make them.
+    pub fn barrier(&self) -> Poll<()> {
+        let generation = match self.at_barrier.get() {
+            Some(generation) => generation,
+            None => match self.sched.arrive(self.worker, self.virtual_now()) {
+                Arrival::Released(t) => return self.leave_barrier(t),
+                Arrival::Waits(generation) => generation,
+            },
+        };
+        match self.sched.passed(generation) {
+            Some(t) => self.leave_barrier(t),
+            None => {
+                self.at_barrier.set(Some(generation));
+                self.wait.set(Some(Wait::Barrier));
+                Poll::Pending
+            }
         }
+    }
+
+    fn leave_barrier(&self, t: f64) -> Poll<()> {
+        self.at_barrier.set(None);
+        self.book.borrow_mut().pass_barrier(t);
+        Poll::Ready(())
     }
 }
 
@@ -305,10 +330,10 @@ pub struct Spmd {
     /// ones.
     pub njobs: usize,
     /// Every node's link clock records its transmissions, arrivals, and
-    /// barrier crossings here (see [`crate::trace`]), and `body` can
-    /// record driver-level events through [`NodeCtx::trace`]. Tracing is
-    /// observational only — results are bitwise-identical to the untraced
-    /// run ([`SinkHandle::nop`]).
+    /// barrier crossings here (see [`crate::trace`]), and a node program
+    /// can record driver-level events through [`NodeCtx::trace`]. Tracing
+    /// is observational only — results are bitwise-identical to the
+    /// untraced run ([`SinkHandle::nop`]).
     pub trace: SinkHandle,
 }
 
@@ -321,7 +346,7 @@ impl Default for Spmd {
 /// What an SPMD run returns.
 #[derive(Debug)]
 pub struct SpmdRun<R> {
-    /// The per-node results of `body`, in label order.
+    /// The per-node results, in label order.
     pub results: Vec<R>,
     /// The run's traffic meter.
     pub meter: TrafficMeter,
@@ -329,111 +354,317 @@ pub struct SpmdRun<R> {
     pub fabric: FabricReport,
 }
 
-/// Runs `body` on every node of a `d`-cube, one thread each, under `spmd`.
+/// How a node's program ended when its worker stopped.
+enum End<R> {
+    Done(R),
+    Panicked(Box<dyn Any + Send>),
+    /// The run stopped with the node blocked, on what it last waited for.
+    Blocked(Option<Wait>),
+}
+
+/// Runs a node program on every node of a `d`-cube under `spmd`.
 ///
-/// `M` is the message type carried by the links; `body` receives the node's
-/// [`NodeCtx`]. A panic in any node ends the run: the node's channel ends
-/// drop as it unwinds, peers that wait on it (or send to it) end with it,
-/// every thread is joined, and the panic of the first node in label order
-/// that failed on its own account is re-raised. (A peer already parked in
-/// [`NodeCtx::barrier`] stays parked — `std::sync::Barrier` cannot be
-/// interrupted.)
-pub fn run_spmd<M, R, F>(d: usize, spmd: Spmd, body: F) -> SpmdRun<R>
+/// `init` builds each node's program from its [`NodeCtx`]; the program is
+/// resumed with the same context until it returns `Poll::Ready` with the
+/// node's result, and returns `Poll::Pending` only after a
+/// [`NodeCtx::try_recv`] or [`NodeCtx::barrier`] did (the module docs say
+/// who resumes it, on how many threads). `M` is the message type the links
+/// carry.
+///
+/// A panic in any node ends the run: every worker stops, and the payload of
+/// the lowest label that panicked is re-raised, whatever its peers were
+/// waiting on — a message or the barrier. A run in which every node left is
+/// blocked and nothing is in flight panics, naming what each one waits on;
+/// a node waiting on a neighbor that has returned is reported as hung up.
+pub fn run_spmd<M, R, P, F>(d: usize, spmd: Spmd, init: F) -> SpmdRun<R>
 where
     M: Send + Meterable,
     R: Send,
-    F: Fn(&NodeCtx<'_, M>) -> R + Sync,
+    P: FnMut(&NodeCtx<'_, M>) -> Poll<R>,
+    F: Fn(&NodeCtx<'_, M>) -> P + Sync,
 {
     let Spmd { fabric, njobs, trace } = spmd;
     // Misconfigured fabrics are rejected by the checked option
     // constructors upstream; this is the last line of defense for callers
-    // that skipped them — one clear failure before any thread spawns
-    // instead of 2^d asserts racing inside the workers.
+    // that skipped them — one clear failure before any node starts instead
+    // of 2^d asserts racing inside the workers.
     if let Err(err) = fabric.validate() {
         panic!("invalid fabric model: {err}");
     }
     let p = 1usize << d;
-    let barrier = Barrier::new(p);
-    let shared_clock = SharedClock::new();
-
-    // One directed channel delivering to n across dim, for every (n, dim);
-    // its sender belongs to n's neighbor. Dimension by dimension, so each
-    // node's ends are pushed in `dim` order: (n, dim) ↦ (n ^ 2^dim, dim)
-    // is a bijection, one sender per node per round.
-    let mut tx: Vec<Vec<Sender<Envelope<M>>>> = (0..p).map(|_| Vec::with_capacity(d)).collect();
-    let mut rx: Vec<Vec<Receiver<Envelope<M>>>> = (0..p).map(|_| Vec::with_capacity(d)).collect();
-    for dim in 0..d {
-        for n in 0..p {
-            let (to_n, at_n) = unbounded();
-            tx[n ^ (1 << dim)].push(to_n);
-            rx[n].push(at_n);
+    let sched = Sched::new(p, workers(p));
+    let links = Links::new(p, d);
+    let work = |w: usize| {
+        let ctxs = sched.nodes_of(w).map(|n| NodeCtx {
+            id: n,
+            d,
+            worker: w,
+            links: &links,
+            sched: &sched,
+            sink: trace.clone(),
+            book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.clone())),
+            at_barrier: Cell::new(None),
+            wait: Cell::new(None),
+        });
+        step_nodes(&sched, w, ctxs.collect(), &init)
+    };
+    let work = &work;
+    let ends: Vec<(End<R>, LinkClock)> = crossbeam::thread::scope(|scope| {
+        let others: Vec<_> = (1..sched.workers()).map(|w| scope.spawn(move |_| work(w))).collect();
+        let mut ends = work(0);
+        for worker in others {
+            ends.extend(worker.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
-    }
-    // Every channel end moves into its node here and nothing keeps a
-    // clone: a sender that outlived its node would leave the node's peers
-    // waiting on a link nobody will ever write to.
-    let ctxs = tx.into_iter().zip(rx).enumerate().map(|(n, (tx, rx))| NodeCtx {
-        id: n,
-        d,
-        tx,
-        rx,
-        barrier: &barrier,
-        shared_clock: &shared_clock,
-        sink: trace.clone(),
-        book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.clone())),
-    });
-
-    let body = &body;
-    let joined: Vec<std::thread::Result<(R, LinkClock)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> =
-            ctxs.map(|ctx| scope.spawn(move |_| (body(&ctx), ctx.book.into_inner()))).collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        ends
     })
     .unwrap_or_else(|payload| resume_unwind(payload));
 
     let mut results = Vec::with_capacity(p);
     let mut meter = TrafficMeter::with_jobs(d, njobs);
     let mut node_times = Vec::with_capacity(p);
-    let mut hung_up = None;
-    for node in joined {
-        match node {
-            Ok((result, book)) => {
-                results.push(result);
-                meter.absorb(book.meter());
-                node_times.push(book.now());
-            }
-            Err(payload) => match payload.downcast::<NeighborHungUp>() {
-                Ok(peer) => hung_up = hung_up.or(Some(peer)),
-                // The root cause, re-raised as the node raised it.
-                Err(root) => resume_unwind(root),
-            },
+    let mut stuck = Vec::new();
+    for (n, (end, book)) in ends.into_iter().enumerate() {
+        match end {
+            // The root cause, re-raised as the node raised it.
+            End::Panicked(payload) => resume_unwind(payload),
+            End::Blocked(wait) => stuck.push((n, wait)),
+            End::Done(result) => results.push(result),
         }
+        meter.absorb(book.meter());
+        node_times.push(book.now());
     }
-    if let Some(peer) = hung_up {
-        // No node failed on its own account: one returned while a
-        // neighbor still had a message to exchange with it.
-        panic!("node {}: the neighbor across dimension {} hung up", peer.node, peer.dim);
+    if !stuck.is_empty() {
+        panic!("{}", deadlock_report(&stuck));
     }
     let makespan = node_times.iter().fold(0.0f64, |a, &b| a.max(b));
     SpmdRun { results, meter, fabric: FabricReport { model: fabric, makespan, node_times } }
 }
 
+/// `W`: one worker per CPU the process may run on, and never more than
+/// nodes. Read on every run — what a process may use can change between
+/// runs (the repository benchmark confines its timed runs to one CPU).
+fn workers(p: usize) -> usize {
+    #[cfg(test)]
+    if let Some(w) = step_order::workers() {
+        return w.min(p);
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(p)
+}
+
+/// Worker `w`'s loop: step every node it owns, each until it finishes or
+/// blocks, pass after pass; park when a whole pass found every node
+/// blocked and nothing was posted to them or released since the pass
+/// began. Hands back each node's end and book, in label order.
+fn step_nodes<M, R, P, F>(
+    sched: &Sched,
+    w: usize,
+    ctxs: Vec<NodeCtx<'_, M>>,
+    init: &F,
+) -> Vec<(End<R>, LinkClock)>
+where
+    M: Send + Meterable,
+    P: FnMut(&NodeCtx<'_, M>) -> Poll<R>,
+    F: Fn(&NodeCtx<'_, M>) -> P,
+{
+    sched.register(w);
+    let mut programs: Vec<Option<P>> = Vec::with_capacity(ctxs.len());
+    let mut ends: Vec<Option<End<R>>> = Vec::with_capacity(ctxs.len());
+    for ctx in &ctxs {
+        match catch_unwind(AssertUnwindSafe(|| init(ctx))) {
+            Ok(program) => {
+                programs.push(Some(program));
+                ends.push(None);
+            }
+            Err(payload) => {
+                sched.abort();
+                programs.push(None);
+                ends.push(Some(End::Panicked(payload)));
+            }
+        }
+    }
+    let mut running = programs.iter().flatten().count();
+    // The order a pass visits the nodes in: by label, but under the test
+    // hook (`step_order`).
+    #[cfg_attr(not(test), allow(unused_mut))]
+    let mut order: Vec<usize> = (0..ctxs.len()).collect();
+    while running > 0 && !sched.is_over() {
+        #[cfg(test)]
+        step_order::shuffle(&mut order);
+        for &i in &order {
+            let (ctx, Some(program)) = (&ctxs[i], programs[i].as_mut()) else { continue };
+            let end = match catch_unwind(AssertUnwindSafe(|| program(ctx))) {
+                Ok(Poll::Pending) => None,
+                Ok(Poll::Ready(result)) => Some(End::Done(result)),
+                Err(payload) => {
+                    sched.abort();
+                    Some(End::Panicked(payload))
+                }
+            };
+            if end.is_some() {
+                programs[i] = None;
+                ends[i] = end;
+                running -= 1;
+            }
+        }
+        if running > 0 && !sched.idle(w) {
+            break;
+        }
+    }
+    if running == 0 {
+        sched.retire(w);
+    }
+    let ends = ctxs.into_iter().zip(ends).map(|(ctx, end)| {
+        let end = end.unwrap_or_else(|| End::Blocked(ctx.wait.get()));
+        (end, ctx.book.into_inner())
+    });
+    ends.collect()
+}
+
+/// The panic of a run whose nodes are all finished or blocked for good.
+fn deadlock_report(stuck: &[(usize, Option<Wait>)]) -> String {
+    let finished = |n: usize| !stuck.iter().any(|&(s, _)| s == n);
+    let waits: Vec<String> = stuck
+        .iter()
+        .map(|&(n, wait)| match wait {
+            Some(Wait::Recv { dim, .. }) if finished(n ^ (1 << dim)) => {
+                format!("node {n}: the neighbor across dimension {dim} hung up")
+            }
+            Some(Wait::Recv { dim, job: Some(job) }) => {
+                format!("node {n} waits on (dim {dim}, job {job})")
+            }
+            Some(Wait::Recv { dim, job: None }) => {
+                format!("node {n} waits on (dim {dim}, any job)")
+            }
+            Some(Wait::Barrier) => format!("node {n} waits at the barrier"),
+            None => format!("node {n} is blocked"),
+        })
+        .collect();
+    format!(
+        "deadlock, every node left is blocked and no message is in flight: {}",
+        waits.join("; ")
+    )
+}
+
+/// The test hooks that sweep schedules the host never produces: under a
+/// seed, a run steps its nodes on one worker, visiting them in an order
+/// drawn afresh each pass; under a worker count, it uses that many workers
+/// whatever the CPUs. Not an option of the runtime — they exist only in
+/// its own test build.
+#[cfg(test)]
+pub(crate) mod step_order {
+    use std::cell::Cell;
+
+    thread_local! {
+        static SEED: Cell<Option<u64>> = const { Cell::new(None) };
+        static WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every `run_spmd` it makes on this thread stepped in
+    /// the order `seed` draws.
+    pub(crate) fn with_seed<T>(seed: u64, f: impl FnOnce() -> T) -> T {
+        SEED.set(Some(seed));
+        let out = f();
+        SEED.set(None);
+        out
+    }
+
+    /// Runs `f` with every `run_spmd` it makes on this thread on `w`
+    /// workers (at most one per node).
+    pub(crate) fn with_workers<T>(w: usize, f: impl FnOnce() -> T) -> T {
+        WORKERS.set(Some(w));
+        let out = f();
+        WORKERS.set(None);
+        out
+    }
+
+    pub(super) fn workers() -> Option<usize> {
+        SEED.get().map(|_| 1).or(WORKERS.get())
+    }
+
+    /// Shuffles one pass's visiting order (Fisher–Yates on a splitmix64
+    /// stream) when a seed is set.
+    pub(super) fn shuffle(order: &mut [usize]) {
+        let Some(mut state) = SEED.get() else { return };
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            order.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        SEED.set(Some(state));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobmux::JobMux;
     use crate::machine::Machine;
+    use std::task::ready;
 
     fn on(fabric: FabricModel) -> Spmd {
         Spmd { fabric, ..Spmd::default() }
     }
 
+    /// Takes the next message across `dim` and spends its wait: the
+    /// receive half of a plain exchange.
+    fn recv<M: Send + Meterable>(ctx: &NodeCtx<'_, M>, dim: usize) -> Poll<M> {
+        let (msg, stamp) = ready!(ctx.try_recv(dim));
+        ctx.advance_clock_to(stamp);
+        Poll::Ready(msg)
+    }
+
+    /// What a scripted node does next.
+    enum Op<M, R> {
+        /// Send the message across the dimension, then take the neighbor's.
+        Swap(usize, M),
+        Barrier,
+        Done(R),
+    }
+
+    /// A node program written as a script: `next` is asked for each op with
+    /// everything received so far, and the program resumes wherever the
+    /// last op blocked.
+    fn script<M: Send + Meterable, R>(
+        mut next: impl FnMut(&NodeCtx<'_, M>, &[M]) -> Op<M, R>,
+    ) -> impl FnMut(&NodeCtx<'_, M>) -> Poll<R> {
+        let mut got = Vec::new();
+        // The op in hand: the dimension of an exchange, or `None` at a
+        // barrier.
+        let mut blocked: Option<Option<usize>> = None;
+        move |ctx| loop {
+            if let Some(at) = blocked {
+                match at {
+                    Some(dim) => got.push(ready!(recv(ctx, dim))),
+                    None => ready!(ctx.barrier()),
+                }
+            }
+            blocked = Some(match next(ctx, &got) {
+                Op::Swap(dim, msg) => {
+                    ctx.send(dim, msg);
+                    Some(dim)
+                }
+                Op::Barrier => None,
+                Op::Done(result) => return Poll::Ready(result),
+            });
+        }
+    }
+
     /// Dimension-exchange fold: `d` exchanges leave the fold of every
     /// node's `value` at every node.
-    fn all_reduce(ctx: &NodeCtx<'_, f64>, mut value: f64, fold: fn(f64, f64) -> f64) -> f64 {
-        for dim in 0..ctx.dim() {
-            value = fold(value, ctx.exchange(dim, value));
-        }
-        value
+    fn all_reduce(
+        value: fn(usize) -> f64,
+        fold: fn(f64, f64) -> f64,
+    ) -> impl FnMut(&NodeCtx<'_, f64>) -> Poll<f64> {
+        script(move |ctx, got| {
+            let v = got.iter().fold(value(ctx.id()), |a, &b| fold(a, b));
+            if got.len() < ctx.dim() {
+                Op::Swap(got.len(), v)
+            } else {
+                Op::Done(v)
+            }
+        })
     }
 
     fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -444,10 +675,27 @@ mod tests {
             .unwrap_or_default()
     }
 
+    /// Runs `f` on a thread of its own and returns its panic's text, or
+    /// fails if it has neither panicked nor returned in 5 s — a run that
+    /// hangs fails here instead of hanging the suite.
+    fn panics_within_5s(f: impl FnOnce() + Send + 'static) -> String {
+        let run = std::thread::spawn(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        let start = std::time::Instant::now();
+        while !run.is_finished() {
+            assert!(start.elapsed().as_secs() < 5, "run_spmd is still running 5 s later");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let caught = run.join().expect("the run's panic was caught on its own thread");
+        panic_text(&*caught.expect_err("the run must panic"))
+    }
+
     #[test]
     fn neighbors_identify_each_other() {
-        let results = run_spmd::<u64, Vec<u64>, _>(3, Spmd::default(), |ctx| {
-            (0..3).map(|dim| ctx.exchange(dim, ctx.id() as u64)).collect()
+        let results = run_spmd::<u64, Vec<u64>, _, _>(3, Spmd::default(), |_| {
+            script(|ctx, got: &[u64]| match got.len() {
+                k if k < 3 => Op::Swap(k, ctx.id() as u64),
+                _ => Op::Done(got.to_vec()),
+            })
         })
         .results;
         for (n, got) in results.iter().enumerate() {
@@ -460,10 +708,8 @@ mod tests {
     #[test]
     fn allreduce_sum_over_cube() {
         for d in 0..=4 {
-            let results = run_spmd::<f64, f64, _>(d, Spmd::default(), |ctx| {
-                all_reduce(ctx, ctx.id() as f64, |a, b| a + b)
-            })
-            .results;
+            let results =
+                run_spmd(d, Spmd::default(), |_| all_reduce(|n| n as f64, |a, b| a + b)).results;
             let expect = ((1usize << d) * ((1usize << d) - 1) / 2) as f64;
             for r in results {
                 assert_eq!(r, expect);
@@ -473,11 +719,9 @@ mod tests {
 
     #[test]
     fn allreduce_max_over_cube() {
-        let results = run_spmd::<f64, f64, _>(3, Spmd::default(), |ctx| {
-            let v = (ctx.id() as f64 * 7.0) % 5.0;
-            all_reduce(ctx, v, f64::max)
-        })
-        .results;
+        let results =
+            run_spmd(3, Spmd::default(), |_| all_reduce(|n| (n as f64 * 7.0) % 5.0, f64::max))
+                .results;
         let expect = (0..8).map(|n| (n as f64 * 7.0) % 5.0).fold(0.0f64, f64::max);
         for r in results {
             assert_eq!(r, expect);
@@ -486,9 +730,12 @@ mod tests {
 
     #[test]
     fn meter_counts_volume() {
-        let meter = run_spmd::<Vec<f64>, (), _>(2, Spmd::default(), |ctx| {
-            let _ = ctx.exchange(0, vec![0.0; 10]);
-            let _ = ctx.exchange(1, vec![0.0; 3]);
+        let meter = run_spmd::<Vec<f64>, (), _, _>(2, Spmd::default(), |_| {
+            script(|_, got| match got.len() {
+                0 => Op::Swap(0, vec![0.0; 10]),
+                1 => Op::Swap(1, vec![0.0; 3]),
+                _ => Op::Done(()),
+            })
         })
         .meter;
         assert_eq!(meter.messages(0), 4);
@@ -501,11 +748,17 @@ mod tests {
         // Without the barrier a fast node could lap a slow one; the
         // per-dimension FIFO still keeps exchanges paired, so this test
         // checks the barrier API plus two sequential exchange rounds.
-        let results = run_spmd::<u64, (u64, u64), _>(2, Spmd::default(), |ctx| {
-            let first = ctx.exchange(0, ctx.id() as u64);
-            ctx.barrier();
-            let second = ctx.exchange(0, first);
-            (first, second)
+        let results = run_spmd::<u64, (u64, u64), _, _>(2, Spmd::default(), |_| {
+            let mut ops = 0;
+            script(move |ctx, got| {
+                ops += 1;
+                match ops {
+                    1 => Op::Swap(0, ctx.id() as u64),
+                    2 => Op::Barrier,
+                    3 => Op::Swap(0, got[0]),
+                    _ => Op::Done((got[0], got[1])),
+                }
+            })
         })
         .results;
         for (n, (first, second)) in results.iter().enumerate() {
@@ -516,7 +769,11 @@ mod tests {
 
     #[test]
     fn d0_single_node_runs() {
-        let results = run_spmd::<(), usize, _>(0, Spmd::default(), |ctx| ctx.id() + 100).results;
+        let results = run_spmd::<(), usize, _, _>(0, Spmd::default(), |ctx| {
+            let result = ctx.id() + 100;
+            move |_| Poll::Ready(result)
+        })
+        .results;
         assert_eq!(results, vec![100]);
     }
 
@@ -527,8 +784,7 @@ mod tests {
         let spmd = Spmd::default();
         assert_eq!((&spmd.fabric, spmd.njobs), (&FabricModel::Free, 1));
         assert!(!spmd.trace.is_enabled());
-        let report =
-            run_spmd::<f64, f64, _>(2, spmd, |ctx| all_reduce(ctx, 1.0, |a, b| a + b)).fabric;
+        let report = run_spmd(2, spmd, |_| all_reduce(|_| 1.0, |a, b| a + b)).fabric;
         assert_eq!(report.model, FabricModel::Free);
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.node_times, vec![0.0; 4]);
@@ -541,10 +797,11 @@ mod tests {
         // Ts + S·Tw, and the makespan is deterministic.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
         let run = || {
-            run_spmd::<Vec<f64>, (), _>(2, on(fabric.clone()), |ctx| {
-                for dim in [0usize, 1, 0] {
-                    let _ = ctx.exchange(dim, vec![0.0; 5]);
-                }
+            run_spmd::<Vec<f64>, (), _, _>(2, on(fabric.clone()), |_| {
+                script(|_, got| match got.len() {
+                    k if k < 3 => Op::Swap([0, 1, 0][k], vec![0.0; 5]),
+                    _ => Op::Done(()),
+                })
             })
             .fabric
         };
@@ -560,11 +817,17 @@ mod tests {
         // Two sends on distinct links before any receive: all-port
         // overlaps the transmissions, one-port queues them.
         let time_with = |machine: Machine| {
-            run_spmd::<Vec<f64>, (), _>(2, on(FabricModel::Throttled(machine)), |ctx| {
+            run_spmd::<Vec<f64>, (), _, _>(2, on(FabricModel::Throttled(machine)), |ctx| {
                 ctx.send(0, vec![0.0; 100]);
                 ctx.send(1, vec![0.0; 100]);
-                let _ = ctx.recv(0);
-                let _ = ctx.recv(1);
+                let mut taken = 0;
+                move |ctx| {
+                    while taken < 2 {
+                        ready!(recv(ctx, taken));
+                        taken += 1;
+                    }
+                    Poll::Ready(())
+                }
             })
             .fabric
             .makespan
@@ -581,22 +844,30 @@ mod tests {
     fn charging_piecewise_and_shipping_once_keeps_the_books_of_separate_sends() {
         // Three 5-element transmissions per node across dim 0: moved as
         // three messages, or charged as three and shipped as one with the
-        // stamps inside. Same stamps, same meter — a third of the channel
+        // stamps inside. Same stamps, same meter — a third of the link
         // messages, and the bare shipment is itself neither metered nor
         // stamped.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
-        let sent = run_spmd::<Vec<f64>, Vec<f64>, _>(1, on(fabric.clone()), |ctx| {
+        let sent = run_spmd::<Vec<f64>, Vec<f64>, _, _>(1, on(fabric.clone()), |ctx| {
             for _ in 0..3 {
                 ctx.send(0, vec![0.0; 5]);
             }
-            (0..3).map(|_| ctx.recv_stamped(0).1).collect()
+            let mut stamps = Vec::new();
+            move |ctx| {
+                while stamps.len() < 3 {
+                    stamps.push(ready!(ctx.try_recv(0)).1);
+                }
+                Poll::Ready(stamps.clone())
+            }
         });
-        let charged = run_spmd::<Vec<f64>, Vec<f64>, _>(1, on(fabric), |ctx| {
+        let charged = run_spmd::<Vec<f64>, Vec<f64>, _, _>(1, on(fabric), |ctx| {
             let stamps = (0..3).map(|q| ctx.charge(0, 5, 0, Some((0, q)), false, 0.0)).collect();
             ctx.ship(0, stamps);
-            let (stamps, envelope) = ctx.recv_stamped(0);
-            assert_eq!(envelope, 0.0);
-            stamps
+            |ctx| {
+                let (stamps, envelope) = ready!(ctx.try_recv(0));
+                assert_eq!(envelope, 0.0);
+                Poll::Ready(stamps)
+            }
         });
         assert_eq!(sent.results, vec![vec![20.0, 30.0, 40.0]; 2]);
         assert_eq!(charged.results, sent.results);
@@ -609,24 +880,28 @@ mod tests {
     #[test]
     fn repeated_throttled_barriers_resync_deterministically() {
         // The review repro: a fast pair races ahead to its next barrier
-        // while a slow pair is still adopting the previous one. With
-        // per-generation slots the adopted times are exact and identical
-        // across runs regardless of scheduling.
+        // while a slow pair is still leaving the previous one. The times
+        // each barrier releases are exact and identical across runs
+        // regardless of scheduling.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
         let run = || {
-            run_spmd::<Vec<f64>, Vec<f64>, _>(2, on(fabric.clone()), |ctx| {
+            run_spmd::<Vec<f64>, Vec<f64>, _, _>(2, on(fabric.clone()), |_| {
+                let mut ops = 0;
                 let mut times = Vec::new();
-                // Round 1: pair (0,1) heavy, pair (2,3) light.
-                let elems = if ctx.id() < 2 { 1000 } else { 10 };
-                let _ = ctx.exchange(0, vec![0.0; elems]);
-                ctx.barrier();
-                times.push(ctx.virtual_now());
-                // Round 2: roles swapped.
-                let elems = if ctx.id() < 2 { 10 } else { 1000 };
-                let _ = ctx.exchange(0, vec![0.0; elems]);
-                ctx.barrier();
-                times.push(ctx.virtual_now());
-                times
+                script(move |ctx, _| {
+                    ops += 1;
+                    if ops == 3 || ops == 5 {
+                        times.push(ctx.virtual_now());
+                    }
+                    // Round 1: pair (0,1) heavy, pair (2,3) light; round 2:
+                    // roles swapped.
+                    let heavy = (ctx.id() < 2) == (ops == 1);
+                    match ops {
+                        1 | 3 => Op::Swap(0, vec![0.0; if heavy { 1000 } else { 10 }]),
+                        2 | 4 => Op::Barrier,
+                        _ => Op::Done(times.clone()),
+                    }
+                })
             })
             .results
         };
@@ -638,27 +913,25 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_their_own_payload() {
-        // The root-cause contract behind the poison-recovery fix: when one
-        // node fails, the panic that escapes the runtime is *that node's*,
-        // not a generic join/poison cascade from its peers.
+        // The root-cause contract: when one node fails, the panic that
+        // escapes the runtime is *that node's*, not a report from its peers.
         let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _>(2, Spmd::default(), |ctx| {
-                let _ = ctx.exchange(0, ctx.id() as u64);
-                if ctx.id() == 3 {
-                    panic!("original failure in node 3");
-                }
-                // Peers keep touching their clocks/channels after the
-                // panic; none of that may replace the payload below.
-                let _ = ctx.virtual_now();
+            run_spmd::<u64, (), _, _>(2, Spmd::default(), |_| {
+                script(|ctx, got| {
+                    if got.is_empty() {
+                        return Op::Swap(0, ctx.id() as u64);
+                    }
+                    if ctx.id() == 3 {
+                        panic!("original failure in node 3");
+                    }
+                    // Peers keep touching their clocks after the panic;
+                    // none of that may replace the payload below.
+                    let _ = ctx.virtual_now();
+                    Op::Done(())
+                })
             });
         });
-        let payload = caught.expect_err("the node panic must escape");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let msg = panic_text(&*caught.expect_err("the node panic must escape"));
         assert!(
             msg.contains("original failure in node 3"),
             "expected the worker's own payload, got: {msg:?}"
@@ -667,54 +940,107 @@ mod tests {
 
     #[test]
     fn a_node_that_dies_before_it_sends_ends_the_run_with_its_own_payload() {
-        // Node 1 is parked in `recv` on a link only node 0 writes to. When
-        // node 0 unwinds it drops that link's sender, node 1 sees the
-        // hang-up, and the payload that escapes is node 0's — not node 1's
-        // consequence of it. Run from a watchdog thread: if any clone of the
-        // sender outlives node 0, `run_spmd` never returns, and this fails
-        // at the timeout instead of hanging the suite.
-        let (done, watchdog) = std::sync::mpsc::channel();
-        let run = std::thread::spawn(move || {
-            let caught = std::panic::catch_unwind(|| {
-                run_spmd::<u64, (), _>(1, Spmd::default(), |ctx| {
+        // Node 1 waits on a link only node 0 writes to. Node 0's panic ends
+        // the run, and the payload that escapes is node 0's — not a report
+        // of node 1 left waiting.
+        let msg = panics_within_5s(|| {
+            run_spmd::<u64, (), _, _>(1, Spmd::default(), |_| {
+                |ctx: &NodeCtx<'_, u64>| {
                     if ctx.id() == 0 {
                         panic!("node 0 died before its first send");
                     }
-                    let _ = ctx.recv(0);
+                    recv(ctx, 0).map(drop)
+                }
+            });
+        });
+        assert!(msg.contains("node 0 died before its first send"), "got: {msg:?}");
+    }
+
+    #[test]
+    fn a_node_that_dies_while_its_peers_wait_at_a_barrier_ends_the_run_with_its_own_payload() {
+        // The last hang: three nodes reach the barrier, the fourth dies
+        // first. A barrier that is a step cannot park its waiters, so the
+        // run ends with the dead node's own payload.
+        for fabric in [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1.0, 1.0))] {
+            let msg = panics_within_5s(move || {
+                run_spmd::<u64, (), _, _>(2, on(fabric), |_| {
+                    |ctx: &NodeCtx<'_, u64>| {
+                        if ctx.id() == 2 {
+                            panic!("node 2 died on its way to the barrier");
+                        }
+                        ctx.barrier()
+                    }
                 });
             });
-            let _ = done.send(caught);
-        });
-        let caught = watchdog
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("run_spmd is still blocked 5 s after node 0 died");
-        run.join().expect("the run's panic was caught on its own thread");
-        let msg = panic_text(&*caught.expect_err("node 0's panic must escape"));
-        assert!(msg.contains("node 0 died before its first send"), "got: {msg:?}");
+            assert!(msg.contains("node 2 died on its way to the barrier"), "got: {msg:?}");
+        }
     }
 
     #[test]
     fn a_node_that_returns_early_is_reported_when_no_node_failed() {
         // No root cause to re-raise: node 0 simply returns while node 1
         // still expects a message. The run ends and says which link.
-        let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _>(1, Spmd::default(), |ctx| {
-                if ctx.id() == 1 {
-                    let _ = ctx.recv(0);
+        let msg = panics_within_5s(|| {
+            run_spmd::<u64, (), _, _>(1, Spmd::default(), |_| {
+                |ctx: &NodeCtx<'_, u64>| match ctx.id() {
+                    1 => recv(ctx, 0).map(drop),
+                    _ => Poll::Ready(()),
                 }
             });
         });
-        let msg = panic_text(&*caught.expect_err("a hung-up link must end the run"));
         assert!(msg.contains("node 1: the neighbor across dimension 0 hung up"), "got: {msg:?}");
     }
 
     #[test]
+    fn a_post_to_a_node_that_returned_on_another_worker_wakes_nothing() {
+        // Node 0's worker retires as soon as node 0 returns; node 1, on a
+        // worker of its own, then sends to it and waits for a reply. The
+        // post marks the retired worker, and that mark must not keep the
+        // run from seeing that nothing can ever wake node 1.
+        let msg = panics_within_5s(|| {
+            step_order::with_workers(2, || {
+                run_spmd::<u64, (), _, _>(1, Spmd::default(), |ctx| {
+                    if ctx.id() == 1 {
+                        ctx.send(0, 1);
+                    }
+                    |ctx: &NodeCtx<'_, u64>| match ctx.id() {
+                        1 => recv(ctx, 0).map(drop),
+                        _ => Poll::Ready(()),
+                    }
+                });
+            });
+        });
+        assert!(msg.contains("node 1: the neighbor across dimension 0 hung up"), "got: {msg:?}");
+    }
+
+    #[test]
+    fn two_nodes_that_both_receive_first_deadlock_and_the_panic_names_their_waits() {
+        // Each node asks for job 1's message before it sends its own: every
+        // node is blocked and nothing is in flight. The run panics, naming
+        // what each node waits on, instead of hanging.
+        let msg = panics_within_5s(|| {
+            run_spmd::<u64, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |ctx| {
+                let mut mux = JobMux::new(ctx.dim());
+                move |ctx| {
+                    ready!(mux.try_recv_for(ctx, 0, 1));
+                    ctx.send(0, 7);
+                    Poll::Ready(())
+                }
+            });
+        });
+        assert!(msg.contains("deadlock"), "got: {msg:?}");
+        for node in 0..2 {
+            assert!(msg.contains(&format!("node {node} waits on (dim 0, job 1)")), "got: {msg:?}");
+        }
+    }
+
+    #[test]
     fn a_node_ctx_is_send_and_not_sync() {
-        // Checked by the compiler: a context moves into its node's thread
-        // (`Send`) and cannot be lent to a second one (`!Sync`), which is
-        // why nothing in a node's book is atomic or locked. If `NodeCtx`
-        // were `Sync`, both impls below would apply and `_` would be
-        // ambiguous.
+        // Checked by the compiler: a context lives on its node's worker and
+        // could move to another (`Send`) but cannot be lent to a second one
+        // (`!Sync`), which is why nothing in a node's book is atomic or
+        // locked. If `NodeCtx` were `Sync`, both impls below would apply
+        // and `_` would be ambiguous.
         trait AmbiguousIfSync<A> {
             fn check() {}
         }
@@ -737,11 +1063,16 @@ mod tests {
         let spec = ScenarioSpec { hetero_spread: 2.0, ..ScenarioSpec::clean(77, base) };
         let sc = Arc::new(Scenario::new(2, spec).expect("valid spec"));
         let run = |fabric: FabricModel| {
-            run_spmd::<Vec<f64>, (), _>(2, on(fabric), |ctx| {
-                for dim in [0usize, 1, 0] {
-                    let _ = ctx.exchange(dim, vec![0.0; 5]);
-                }
-                ctx.barrier();
+            run_spmd::<Vec<f64>, (), _, _>(2, on(fabric), |_| {
+                let mut ops = 0;
+                script(move |_, got| {
+                    ops += 1;
+                    match got.len() {
+                        k if k < 3 => Op::Swap([0, 1, 0][k], vec![0.0; 5]),
+                        _ if ops == 4 => Op::Barrier,
+                        _ => Op::Done(()),
+                    }
+                })
             })
             .fabric
         };
@@ -762,7 +1093,9 @@ mod tests {
         use crate::machine::PortModel;
         let bad = Machine { ts: 1.0, tw: 1.0, ports: PortModel::KPort(0) };
         let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _>(1, on(FabricModel::Throttled(bad)), |_| {});
+            run_spmd::<u64, (), _, _>(1, on(FabricModel::Throttled(bad)), |_| {
+                |_: &NodeCtx<'_, u64>| Poll::Ready(())
+            });
         });
         let msg = panic_text(&*caught.expect_err("KPort(0) must be rejected"));
         assert!(msg.contains("invalid fabric model"), "got: {msg:?}");
@@ -773,13 +1106,147 @@ mod tests {
         // Node pairs across dim 0 exchange unequal payloads; after a
         // barrier every node's clock sits at the slowest participant.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
-        let report = run_spmd::<Vec<f64>, f64, _>(2, on(fabric), |ctx| {
-            let elems = if ctx.id() < 2 { 10 } else { 1000 };
-            let _ = ctx.exchange(0, vec![0.0; elems]);
-            ctx.barrier();
-            ctx.virtual_now()
+        let report = run_spmd::<Vec<f64>, f64, _, _>(2, on(fabric), |_| {
+            let mut ops = 0;
+            script(move |ctx, _| {
+                ops += 1;
+                match ops {
+                    1 => Op::Swap(0, vec![0.0; if ctx.id() < 2 { 10 } else { 1000 }]),
+                    2 => Op::Barrier,
+                    _ => Op::Done(ctx.virtual_now()),
+                }
+            })
         })
         .fabric;
         assert_eq!(report.node_times, vec![1000.0; 4]);
+    }
+
+    /// A job-tagged payload: the seeded-order program's message.
+    struct Tagged {
+        job: u32,
+        v: Vec<f64>,
+    }
+
+    impl Meterable for Tagged {
+        fn elems(&self) -> u64 {
+            self.v.len() as u64
+        }
+
+        fn job(&self) -> u32 {
+            self.job
+        }
+    }
+
+    /// What a node of the seeded-order program returns: its all-reduced
+    /// sum, `(job, elems, stamp)` of each tagged arrival, and its clock past
+    /// the barrier.
+    type Mixed = (f64, Vec<(u32, usize, f64)>, f64);
+
+    /// A `d`-cube program of every kind of wait a step can meet: an
+    /// all-reduce over every dimension; then, per dimension, two jobs
+    /// interleaved through a [`JobMux`] — job 1's message out before job
+    /// 0's, job 0's taken first, so job 1's waits in the stash while the
+    /// neighbor's second one may or may not have come; then a throttled
+    /// barrier.
+    fn mixed(ctx: &NodeCtx<'_, Tagged>) -> impl FnMut(&NodeCtx<'_, Tagged>) -> Poll<Mixed> {
+        let id = ctx.id();
+        let mut mux = JobMux::new(ctx.dim());
+        // Phase `k` (all-reduce over dimension `k`, then the two jobs over
+        // dimension `k - d`), and the op of it in hand.
+        let (mut k, mut at) = (0, 0);
+        let mut sum = id as f64;
+        let mut got = Vec::new();
+        move |ctx| {
+            let d = ctx.dim();
+            while k < 2 * d {
+                let (dim, reduce) = (k % d, k < d);
+                // `(job, Some(elems))` sends, `(job, None)` takes the job's
+                // next message.
+                let ops: Vec<(u32, Option<usize>)> = if reduce {
+                    vec![(0, Some(1)), (0, None)]
+                } else {
+                    let (first, second) = (Some(3 + id), Some(5 + id));
+                    vec![
+                        (1, first),
+                        (0, Some(1 + 2 * id)),
+                        (0, None),
+                        (1, second),
+                        (1, None),
+                        (1, None),
+                    ]
+                };
+                while let Some(&(job, send)) = ops.get(at) {
+                    if let Some(elems) = send {
+                        ctx.send(dim, Tagged { job, v: vec![sum; elems] });
+                    } else {
+                        let (msg, stamp) = ready!(mux.try_recv_for(ctx, dim, job));
+                        ctx.advance_clock_to(stamp);
+                        if reduce {
+                            sum += msg.v[0];
+                        } else {
+                            got.push((msg.job, msg.v.len(), stamp));
+                        }
+                    }
+                    at += 1;
+                }
+                (k, at) = (k + 1, 0);
+            }
+            ready!(ctx.barrier());
+            assert_eq!(mux.stashed(), 0);
+            Poll::Ready((sum, std::mem::take(&mut got), ctx.virtual_now()))
+        }
+    }
+
+    #[test]
+    fn every_seeded_step_order_gives_the_results_meter_and_clocks_of_the_default_one() {
+        // Virtual time is a max-plus recurrence over each link's FIFO order,
+        // so no order of steps may move a result, a count or a clock: 64
+        // seeded orders on one worker against the default schedule.
+        let fabric = FabricModel::Throttled(Machine::one_port(100.0, 3.0));
+        let run =
+            || run_spmd(3, Spmd { fabric: fabric.clone(), njobs: 2, ..Spmd::default() }, mixed);
+        let books = |run: &SpmdRun<Mixed>| {
+            let m = &run.meter;
+            let jobs = (m.job_volume(0), m.job_volume(1));
+            (m.total_messages(), m.volume_by_dim(), jobs, m.shipments(), run.fabric.clone())
+        };
+        let want = run();
+        assert!(want.results.iter().all(|r| r.0 == 28.0), "the sum of 0..8 everywhere");
+        assert!(want.fabric.node_times.iter().all(|&t| t == want.fabric.makespan));
+        for seed in 0..64 {
+            let got = step_order::with_seed(seed, run);
+            assert_eq!(got.results, want.results, "seed {seed}: results");
+            assert_eq!(books(&got), books(&want), "seed {seed}: meter and clocks");
+        }
+    }
+
+    #[test]
+    fn every_worker_count_gives_the_results_meter_and_clocks_of_one_worker() {
+        // From one worker stepping all eight nodes to one thread per node:
+        // the workers wake one another across the cube's top dimensions
+        // (and, with three, mid-range), and nothing they do may move a
+        // result, a count or a clock.
+        let fabric = FabricModel::Throttled(Machine::one_port(100.0, 3.0));
+        let run =
+            || run_spmd(3, Spmd { fabric: fabric.clone(), njobs: 2, ..Spmd::default() }, mixed);
+        let want = step_order::with_workers(1, run);
+        for w in [2, 3, 8, 8, 8] {
+            let got = step_order::with_workers(w, run);
+            assert_eq!(got.results, want.results, "{w} workers: results");
+            assert_eq!(got.meter.volume_by_dim(), want.meter.volume_by_dim(), "{w} workers");
+            assert_eq!(got.meter.shipments(), want.meter.shipments(), "{w} workers");
+            assert_eq!(got.fabric, want.fabric, "{w} workers: clocks");
+        }
+        // A protocol slip stays a panic, not a hang, on every worker count.
+        for w in [2, 8] {
+            let msg = panics_within_5s(move || {
+                step_order::with_workers(w, || {
+                    run_spmd::<u64, (), _, _>(3, Spmd::default(), |_| {
+                        |ctx: &NodeCtx<'_, u64>| ctx.try_recv(0).map(drop)
+                    });
+                });
+            });
+            assert!(msg.contains("node 7 waits on (dim 0, any job)"), "{w} workers: {msg:?}");
+        }
     }
 }

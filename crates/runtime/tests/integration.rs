@@ -1,24 +1,42 @@
 //! Integration tests for the threaded multicomputer: the traffic meter —
-//! every node's own counts, merged at join — must report
-//! schedule-independent totals at every cube size (thread count), and
+//! every node's own counts, merged at the end — must report
+//! schedule-independent totals at every cube size, and
 //! wall-clock calibration of the channel fabric must be finite, positive,
 //! and stable.
 
-use mph_runtime::{measure_channel_fabric, run_spmd, Machine, Spmd};
+use mph_runtime::{measure_channel_fabric, run_spmd, Machine, Meterable, NodeCtx, Spmd};
+use std::task::{ready, Poll};
+
+/// A node program of one symmetric exchange per dimension, lowest first:
+/// round `dim` sends `msg(dim, what came back so far)` and takes the
+/// neighbor's. Returns what came back.
+fn exchanges<M: Send + Meterable>(
+    msg: impl Fn(usize, &[M]) -> M,
+) -> impl FnMut(&NodeCtx<'_, M>) -> Poll<Vec<M>> {
+    let (mut got, mut sent) = (Vec::new(), false);
+    move |ctx| {
+        while got.len() < ctx.dim() {
+            let dim = got.len();
+            if !sent {
+                ctx.send(dim, msg(dim, &got));
+                sent = true;
+            }
+            got.push(ready!(ctx.try_recv(dim)).0);
+            sent = false;
+        }
+        Poll::Ready(std::mem::take(&mut got))
+    }
+}
 
 #[test]
 fn meter_counts_are_exact_at_every_thread_count() {
     // One symmetric exchange of `10 + dim` elements per dimension: every
     // node sends exactly one message per dimension, so the totals are a
-    // closed-form function of d — independent of thread scheduling.
+    // closed-form function of d — independent of how many workers step
+    // the nodes and in what order.
     for d in 1..=5 {
         let p = 1u64 << d;
-        let meter = run_spmd::<Vec<f64>, (), _>(d, Spmd::default(), move |ctx| {
-            for dim in 0..d {
-                let _ = ctx.exchange(dim, vec![0.0; 10 + dim]);
-            }
-        })
-        .meter;
+        let meter = run_spmd(d, Spmd::default(), |_| exchanges(|dim, _| vec![0.0; 10 + dim])).meter;
         for dim in 0..d {
             assert_eq!(meter.messages(dim), p, "d={d} dim={dim} messages");
             assert_eq!(meter.volume(dim), p * (10 + dim as u64), "d={d} dim={dim} volume");
@@ -34,8 +52,9 @@ fn meter_counts_are_reproducible_across_runs() {
     // Same program, different nondeterministic thread interleavings — the
     // meter must not depend on who won which race.
     let run = || {
-        let meter = run_spmd::<f64, f64, _>(4, Spmd::default(), |ctx| {
-            (0..ctx.dim()).fold(ctx.id() as f64, |sum, dim| sum + ctx.exchange(dim, sum))
+        let meter = run_spmd(4, Spmd::default(), |ctx| {
+            let id = ctx.id() as f64;
+            exchanges(move |_, got: &[f64]| id + got.iter().sum::<f64>())
         })
         .meter;
         (meter.total_messages(), meter.total_volume(), meter.volume_by_dim())

@@ -108,8 +108,8 @@ impl ServeReport {
 /// Before anything is lowered, on a fabric [`check_shared_fabric`]
 /// refuses (with that error's message): served jobs carry no relay
 /// tables, and the service's per-round barrier advances the fabric epoch,
-/// so a scheduled link death would otherwise panic in every node thread
-/// at the epoch it lands.
+/// so a scheduled link death would otherwise panic in every node at the
+/// epoch it lands.
 pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport {
     assert_eq!(scenario.jobs.len(), scenario.arrivals.len(), "one arrival per job");
     check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));

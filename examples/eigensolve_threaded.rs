@@ -1,5 +1,5 @@
-//! Distributed eigensolve on the threaded multicomputer: 8 node threads
-//! (a 3-cube) exchange column blocks over channels, following the degree-4
+//! Distributed eigensolve on the threaded multicomputer: 8 nodes (a
+//! 3-cube) exchange column blocks over channels, following the degree-4
 //! ordering, and the assembled eigensystem is verified against the
 //! sequential solver and by residual checks.
 //!
@@ -19,7 +19,7 @@ fn main() {
     let a = random_symmetric(m, 7);
 
     println!("solving a {m}×{m} random symmetric eigenproblem on a {d}-cube");
-    println!("({} node threads, ordering: {})\n", 1 << d, family.name());
+    println!("({} nodes, ordering: {})\n", 1 << d, family.name());
 
     let t0 = std::time::Instant::now();
     let ThreadedRun { result: r, meter, .. } =
