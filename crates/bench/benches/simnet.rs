@@ -1,10 +1,10 @@
-//! Simulator throughput: pricing pipelined exchange-phase schedules (the
-//! X1 validation workload).
+//! Simulator throughput: building and pricing pipelined exchange-phase
+//! schedules (the `validate_simnet` workload).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mph_ccpipe::{CcCube, Machine};
 use mph_core::OrderingFamily;
-use mph_simnet::{pipelined_phase_schedule, simulate_async, simulate_synchronized, StartupModel};
+use mph_simnet::{pipelined_phase_schedule, simulate_synchronized, StartupModel};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -29,9 +29,6 @@ fn bench_simnet(c: &mut Criterion) {
                     StartupModel::SerializedThenParallel,
                 ))
             })
-        });
-        g.bench_with_input(BenchmarkId::new("simulate_async", q), &sched, |b, sched| {
-            b.iter(|| black_box(simulate_async(sched, &machine, StartupModel::Overlapped)))
         });
     }
     g.finish();

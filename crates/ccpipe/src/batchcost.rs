@@ -69,36 +69,14 @@ impl BatchOrder {
             assert!(*stride >= 1, "a round-robin stride must grant at least one op");
         }
     }
-
-    /// The grant walk: calls `turn(job, grant)` — run up to `grant` of the
-    /// job's micro-ops, say whether any ran — until every job is through.
-    /// The schedule clock merges its jobs' programs with it; the engine's
-    /// nodes, which may stop in the middle of a turn, keep an
-    /// [`OrderCursor`] instead, which takes the same turns (tested).
-    pub fn walk(&self, mut turn: impl FnMut(usize, usize) -> bool) {
-        match self {
-            BatchOrder::Serial(order) => {
-                for &j in order {
-                    turn(j, usize::MAX);
-                }
-            }
-            BatchOrder::RoundRobin { order, stride } => loop {
-                let mut ran = false;
-                for &j in order {
-                    ran |= turn(j, *stride);
-                }
-                if !ran {
-                    break;
-                }
-            },
-        }
-    }
 }
 
-/// Where a walk of a [`BatchOrder`] stands: [`BatchOrder::walk`]'s loop as
-/// data, for a caller that stops in the middle of a turn and comes back.
-/// A serial order grants each job all of its ops in turn; a round-robin
-/// one grants every job `stride` per pass, until a pass in which none ran.
+/// Where the grant walk of a [`BatchOrder`] stands — the one walk both
+/// interpreters merge their jobs' programs by: the schedule clock turn by
+/// turn, the engine's nodes stopping in the middle of a turn and coming
+/// back. A serial order grants each job all of its ops in turn; a
+/// round-robin one grants every job `stride` per pass, until a pass in
+/// which none ran.
 #[derive(Debug, Clone, Default)]
 pub struct OrderCursor {
     /// Turns taken.
@@ -221,34 +199,51 @@ mod tests {
     #[test]
     fn the_cursor_takes_the_turns_of_the_walk() {
         // Jobs of 0, 1, 4 and 7 ops, each turn running what its grant and
-        // the job's ops left allow: the cursor, driven turn by turn, grants
-        // the same jobs the same ops in the same order as the walk, down to
-        // the last pass that ran nothing.
+        // the job's ops left allow. Each order with the grant of its every
+        // turn and, turn by turn, the job and the ops it ran — the walk
+        // written out by hand, down to the last round-robin pass, which ran
+        // nothing.
+        const ALL: usize = usize::MAX;
         let orders = [
-            BatchOrder::Serial(vec![]),
-            BatchOrder::Serial(vec![2, 0, 3, 1]),
-            BatchOrder::RoundRobin { order: vec![], stride: 2 },
-            BatchOrder::RoundRobin { order: vec![1], stride: 3 },
-            BatchOrder::RoundRobin { order: vec![3, 1, 0, 2], stride: 1 },
-            BatchOrder::RoundRobin { order: vec![2, 3, 1, 0], stride: 3 },
-            BatchOrder::RoundRobin { order: vec![0, 1, 2, 3], stride: usize::MAX },
+            (BatchOrder::Serial(vec![]), ALL, vec![]),
+            (BatchOrder::Serial(vec![2, 0, 3, 1]), ALL, vec![(2, 4), (0, 0), (3, 7), (1, 1)]),
+            (BatchOrder::RoundRobin { order: vec![], stride: 2 }, 2, vec![]),
+            (
+                BatchOrder::RoundRobin { order: vec![2, 1, 3], stride: 3 },
+                3,
+                vec![
+                    (2, 3),
+                    (1, 1),
+                    (3, 3),
+                    (2, 1),
+                    (1, 0),
+                    (3, 3),
+                    (2, 0),
+                    (1, 0),
+                    (3, 1),
+                    (2, 0),
+                    (1, 0),
+                    (3, 0),
+                ],
+            ),
+            (
+                BatchOrder::RoundRobin { order: vec![3, 1, 0, 2], stride: ALL },
+                ALL,
+                vec![(3, 7), (1, 1), (0, 0), (2, 4), (3, 0), (1, 0), (0, 0), (2, 0)],
+            ),
         ];
-        for order in &orders {
-            let turn = |left: &mut [usize], turns: &mut Vec<_>, j: usize, grant: usize| {
-                let ran = grant.min(left[j]);
-                left[j] -= ran;
-                turns.push((j, grant, ran));
-                ran > 0
-            };
-            let (mut left, mut walked) = (vec![0, 1, 4, 7], Vec::new());
-            order.walk(|j, grant| turn(&mut left, &mut walked, j, grant));
-            let (mut left, mut stepped) = (vec![0, 1, 4, 7], Vec::new());
+        for (order, every_grant, want) in &orders {
+            let mut left = [0, 1, 4, 7];
+            let mut turns = Vec::new();
             let mut cursor = OrderCursor::default();
             while let Some((j, grant)) = cursor.turn(order) {
-                let ran = turn(&mut left, &mut stepped, j, grant);
-                cursor.end_turn(order, ran);
+                assert_eq!(grant, *every_grant, "{order:?}");
+                let ran = grant.min(left[j]);
+                left[j] -= ran;
+                turns.push((j, ran));
+                cursor.end_turn(order, ran > 0);
             }
-            assert_eq!(stepped, walked, "{order:?}");
+            assert_eq!(&turns, want, "{order:?}");
         }
     }
 

@@ -243,7 +243,7 @@ mod tests {
 
     /// Brute-force stage-by-stage evaluation for cross-checking.
     fn naive_cost(cc: &CcCube, q: usize, machine: Machine) -> f64 {
-        let sched = pipelined_schedule(cc, q);
+        let sched = pipelined_schedule(cc.k(), q);
         let s_elems = cc.message_elems / q as f64;
         let e = cc.link_seq.iter().map(|&l| l + 1).max().unwrap();
         sched
@@ -317,7 +317,7 @@ mod tests {
                 let alpha = mph_hypercube::link_sequence_alpha(&cc.link_seq) as f64;
                 let want = e as f64 * machine.ts + alpha * s_elems * machine.tw;
                 // Evaluate one genuine kernel stage of the explicit schedule.
-                let sched = pipelined_schedule(&cc, q);
+                let sched = pipelined_schedule(cc.k(), q);
                 let kernel_stage = sched
                     .stages
                     .iter()

@@ -1,13 +1,14 @@
 //! Lower bound on the communication cost of *any* pipelined Jacobi ordering
 //! (the "Lower bound" series of Figure 2).
 //!
-//! Reconstruction (DESIGN.md §6.6): an ideal `e`-sequence would make every
-//! window of width `w` use `min(w, e)` distinct links with the busiest link
-//! carrying `⌈w/e⌉` packets — the best any Hamiltonian-path sequence could
-//! possibly do (only `e` links exist; pigeonhole forces `⌈w/e⌉`). Pricing
-//! the pipelined schedule of such a hypothetical sequence, minimized over
-//! `Q`, bounds every real ordering's phase cost from below on an all-port
-//! machine whose start-ups serialize.
+//! Reconstruction (pinned by `lower_bound_is_below_every_family` and
+//! `tests/paper_claims.rs`'s `claim_pbr_near_lower_bound_in_deep_mode`): an
+//! ideal `e`-sequence would make every window of width `w` use `min(w, e)`
+//! distinct links with the busiest link carrying `⌈w/e⌉` packets — the best
+//! any Hamiltonian-path sequence could possibly do (only `e` links exist;
+//! pigeonhole forces `⌈w/e⌉`). Pricing the pipelined schedule of such a
+//! hypothetical sequence, minimized over `Q`, bounds every real ordering's
+//! phase cost from below on an all-port machine whose start-ups serialize.
 //!
 //! A second, strictly safer per-stage bound `min_n (n·Ts + ⌈w/n⌉·S·Tw)` —
 //! which also lets a sequence *concentrate* traffic to save start-ups — is
@@ -15,6 +16,7 @@
 //! model is the one plotted, matching the paper's curve shape.
 
 use crate::machine::Machine;
+use crate::optimum::search_degree;
 use crate::pipelining::{mode_of, PipelineMode};
 
 /// Σ_{w=1}^{W} min(w, e).
@@ -80,51 +82,14 @@ impl LowerBoundModel {
         self.k as f64 * self.machine.single_message_cost(self.elems)
     }
 
-    /// Minimizes the phase cost over `Q ∈ [1, q_max]`.
+    /// Minimizes the phase cost over `Q ∈ [1, q_max]` by ref \[9\]'s
+    /// search, with the mode boundary `Q = K` and its neighbors as extra
+    /// candidates.
     pub fn optimize(&self, q_max: f64) -> (usize, f64, PipelineMode) {
-        let cap = q_max.min(2f64.powi(40)).max(1.0) as usize;
-        let mut candidates: Vec<usize> = (1..=64.min(cap)).collect();
-        let mut q = 64f64;
-        while (q as usize) < cap {
-            q *= 1.25;
-            candidates.push((q as usize).min(cap));
-        }
-        for c in [self.k.saturating_sub(1), self.k, self.k + 1, cap] {
-            if c >= 1 && c <= cap {
-                candidates.push(c);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut best = (1usize, f64::INFINITY);
-        let mut best_idx = 0usize;
-        for (i, &qc) in candidates.iter().enumerate() {
-            let c = self.cost(qc);
-            if c < best.1 {
-                best = (qc, c);
-                best_idx = i;
-            }
-        }
-        let (mut lo, mut hi) = (
-            candidates[best_idx.saturating_sub(1)],
-            candidates[(best_idx + 1).min(candidates.len() - 1)],
-        );
-        while hi - lo > 2 {
-            let m1 = lo + (hi - lo) / 3;
-            let m2 = hi - (hi - lo) / 3;
-            if self.cost(m1) <= self.cost(m2) {
-                hi = m2;
-            } else {
-                lo = m1;
-            }
-        }
-        for qc in lo..=hi {
-            let c = self.cost(qc);
-            if c < best.1 {
-                best = (qc, c);
-            }
-        }
-        (best.0, best.1, mode_of(self.k, best.0))
+        let k = self.k;
+        let extra = [k.saturating_sub(1), k, k + 1];
+        let (q, cost) = search_degree(q_max, 2f64.powi(40), extra, true, |q| self.cost(q));
+        (q, cost, mode_of(k, q))
     }
 }
 

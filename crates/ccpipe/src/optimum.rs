@@ -9,6 +9,10 @@
 //! `Q* = √(c/a)`; the best grid point is then refined by integer ternary
 //! search between its neighbors. The cost curve is piecewise smooth and
 //! near-unimodal in each mode, so this matches exhaustive search in tests.
+//!
+//! `search_degree` is that procedure, written once: the lower-bound model
+//! and the chained-tail degree run it too, each with its own extra
+//! candidates and hard cap.
 
 use crate::cost::PhaseCostModel;
 use crate::pipelining::{mode_of, PipelineMode};
@@ -28,76 +32,67 @@ pub struct OptimalQ {
 /// Figure 2's block sizes exceed `usize` on no machine we care about, but
 /// may exceed what is worth scanning; values above `2^40` are clamped).
 pub fn optimize_q(model: &PhaseCostModel, q_max: f64) -> OptimalQ {
-    let hard_cap: f64 = 2f64.powi(40);
-    let q_max = q_max.min(hard_cap).max(1.0) as usize;
     let k = model.k;
+    // The mode boundary and its neighbors, and the closed-form deep minimum.
+    let qstar = model.deep_optimum_candidate().map(|q| [q.floor() as usize, q.ceil() as usize]);
+    let deep = qstar.into_iter().flatten().filter(|&q| q >= k);
+    let extra = [k.saturating_sub(1), k, k + 1].into_iter().chain(deep);
+    let (q, cost) = search_degree(q_max, 2f64.powi(40), extra, true, |q| model.cost(q));
+    OptimalQ { q, cost, mode: mode_of(k, q) }
+}
 
-    let mut candidates: Vec<usize> = Vec::with_capacity(256);
-    // All small Q exactly.
-    for q in 1..=64.min(q_max) {
-        candidates.push(q);
+/// The integer `Q ∈ [1, cap]` of least `cost`, `cap` being `q_max` clamped
+/// to `[1, hard_cap]`. The candidates are every `Q ≤ 64`, a ×1.25
+/// geometric grid up to `cap`, `cap` itself and whichever of `extra` lie in
+/// range; of equal costs the smallest candidate wins. With `refine`, an
+/// integer ternary search between the winner's grid neighbors then
+/// replaces it wherever it finds a strictly cheaper `Q`.
+pub(crate) fn search_degree(
+    q_max: f64,
+    hard_cap: f64,
+    extra: impl IntoIterator<Item = usize>,
+    refine: bool,
+    cost: impl Fn(usize) -> f64,
+) -> (usize, f64) {
+    let cap = q_max.min(hard_cap).max(1.0) as usize;
+    let mut candidates: Vec<usize> = (1..=64.min(cap)).collect();
+    let mut grid = 64f64;
+    while (grid as usize) < cap {
+        grid *= 1.25;
+        candidates.push((grid as usize).min(cap));
     }
-    // Geometric grid.
-    let mut q = 64f64;
-    while (q as usize) < q_max {
-        q *= 1.25;
-        candidates.push((q as usize).min(q_max));
-    }
-    // Mode boundary and its neighborhood.
-    for cand in [k.saturating_sub(1), k, k + 1] {
-        if cand >= 1 && cand <= q_max {
-            candidates.push(cand);
-        }
-    }
-    // Closed-form deep minimum.
-    if let Some(qstar) = model.deep_optimum_candidate() {
-        for cand in [qstar.floor() as usize, qstar.ceil() as usize] {
-            if cand >= k && cand <= q_max {
-                candidates.push(cand);
-            }
-        }
-    }
-    candidates.push(q_max);
+    candidates.extend(extra.into_iter().filter(|q| (1..=cap).contains(q)));
+    candidates.push(cap);
     candidates.sort_unstable();
     candidates.dedup();
 
-    let mut best_idx = 0;
-    let mut best_cost = f64::INFINITY;
+    let (mut best_idx, mut best) = (0, (candidates[0], f64::INFINITY));
     for (i, &q) in candidates.iter().enumerate() {
-        let c = model.cost(q);
-        if c < best_cost {
-            best_cost = c;
-            best_idx = i;
+        let c = cost(q);
+        if c < best.1 {
+            (best_idx, best) = (i, (q, c));
         }
     }
-
-    // Integer ternary refinement between the grid neighbors of the best.
-    let lo = if best_idx == 0 { candidates[0] } else { candidates[best_idx - 1] };
-    let hi = if best_idx + 1 == candidates.len() {
-        candidates[best_idx]
-    } else {
-        candidates[best_idx + 1]
-    };
-    let (mut lo, mut hi) = (lo, hi);
-    while hi - lo > 2 {
-        let m1 = lo + (hi - lo) / 3;
-        let m2 = hi - (hi - lo) / 3;
-        if model.cost(m1) <= model.cost(m2) {
-            hi = m2;
-        } else {
-            lo = m1;
+    if refine {
+        let mut lo = candidates[best_idx.saturating_sub(1)];
+        let mut hi = candidates[(best_idx + 1).min(candidates.len() - 1)];
+        while hi - lo > 2 {
+            let m1 = lo + (hi - lo) / 3;
+            let m2 = hi - (hi - lo) / 3;
+            if cost(m1) <= cost(m2) {
+                hi = m2;
+            } else {
+                lo = m1;
+            }
+        }
+        for q in lo..=hi {
+            let c = cost(q);
+            if c < best.1 {
+                best = (q, c);
+            }
         }
     }
-    let mut best_q = candidates[best_idx];
-    for q in lo..=hi {
-        let c = model.cost(q);
-        if c < best_cost {
-            best_cost = c;
-            best_q = q;
-        }
-    }
-
-    OptimalQ { q: best_q, cost: best_cost, mode: mode_of(k, best_q) }
+    best
 }
 
 #[cfg(test)]

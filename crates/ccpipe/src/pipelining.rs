@@ -18,7 +18,9 @@
 //!
 //! The paper counts the kernel as `K − Q` stages where this formulation has
 //! `K − Q + 1`; its own K=7/Q=3 example lists windows consistent with the
-//! sliding-window count (DESIGN.md §6.1).
+//! sliding-window count (pinned by `shallow_example_matches_paper`).
+//! [`pipelined_schedule`] is the one writing of the windows; the
+//! simulator's stage builder reads them.
 
 use crate::cccube::CcCube;
 
@@ -70,10 +72,10 @@ pub fn mode_of(k: usize, q: usize) -> PipelineMode {
     }
 }
 
-/// Builds the stage schedule for pipelining degree `q ≥ 1`.
-pub fn pipelined_schedule(cc: &CcCube, q: usize) -> PipelinedSchedule {
+/// Builds the stage schedule of a `k`-iteration CC-cube for pipelining
+/// degree `q ≥ 1`.
+pub fn pipelined_schedule(k: usize, q: usize) -> PipelinedSchedule {
     assert!(q >= 1, "pipelining degree must be ≥ 1");
-    let k = cc.k();
     assert!(k >= 1);
     let n_stages = k + q - 1;
     let mut stages = Vec::with_capacity(n_stages);
@@ -124,7 +126,7 @@ mod tests {
         // §2.4: K=7, Q=3 → prologue "0", "0-1"; kernel windows
         // "0-1-0", "1-0-2", "0-2-0", "2-0-1", "0-1-0"; epilogue "1-0", "0".
         let cc = paper_example();
-        let sched = pipelined_schedule(&cc, 3);
+        let sched = pipelined_schedule(cc.k(), 3);
         assert_eq!(sched.stages.len(), 7 + 3 - 1);
         let notes: Vec<String> =
             (0..sched.stages.len()).map(|s| sched.stage_notation(&cc, s)).collect();
@@ -145,7 +147,7 @@ mod tests {
         // §2.4: K=3 (links 0,1,0), Q=100 → prologue "0", "0-1";
         // kernel 98 stages of "0-1-0"; epilogue "1-0", "0".
         let cc = CcCube { link_seq: vec![0, 1, 0], message_elems: 1.0 };
-        let sched = pipelined_schedule(&cc, 100);
+        let sched = pipelined_schedule(cc.k(), 100);
         assert_eq!(sched.stages.len(), 102);
         assert_eq!(sched.stage_notation(&cc, 0), "0");
         assert_eq!(sched.stage_notation(&cc, 1), "0-1");
@@ -163,7 +165,7 @@ mod tests {
     #[test]
     fn q1_is_the_original_cccube() {
         let cc = paper_example();
-        let sched = pipelined_schedule(&cc, 1);
+        let sched = pipelined_schedule(cc.k(), 1);
         assert_eq!(sched.stages.len(), 7);
         for (s, st) in sched.stages.iter().enumerate() {
             assert_eq!((st.lo, st.hi), (s, s));
@@ -176,7 +178,7 @@ mod tests {
         // Sum of window widths = K·Q (each (iteration, packet) pair once).
         let cc = paper_example();
         for q in 1..=20 {
-            let sched = pipelined_schedule(&cc, q);
+            let sched = pipelined_schedule(cc.k(), q);
             let total: usize = sched.stages.iter().map(|st| st.hi - st.lo + 1).sum();
             assert_eq!(total, cc.k() * q, "q={q}");
         }

@@ -23,7 +23,7 @@
 use crate::cccube::CcCube;
 use crate::cost::PhaseCostModel;
 use crate::machine::Machine;
-use crate::optimum::{optimize_q, OptimalQ};
+use crate::optimum::{optimize_q, search_degree, OptimalQ};
 use crate::pipelining::mode_of;
 use crate::schedclock::chained_run_cost;
 use crate::sweepcost::{PhaseOutcome, SweepCost};
@@ -172,28 +172,12 @@ pub fn plan_cost_with_tail(
 }
 
 /// The optimal tail packet degree for `plan` on `machine`: the integer
-/// `Q ∈ [1, q_max]` minimizing the chained tail's price, scanned over the
-/// same candidate structure as [`optimize_q`] (all small `Q`, a geometric
-/// grid, the cap). This is what `Pipelining::Auto` tail scheduling calls.
+/// `Q ∈ [1, q_max]` (at most `2^20`) minimizing the chained tail's price,
+/// scanned over [`optimize_q`]'s candidate grid without its refinement.
+/// This is what `Pipelining::Auto` tail scheduling calls.
 pub fn plan_tail_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> usize {
-    let q_max = q_max.min(2f64.powi(20)).max(1.0) as usize;
-    let mut candidates: Vec<usize> = (1..=64.min(q_max)).collect();
-    let mut g = 64f64;
-    while (g as usize) < q_max {
-        g *= 1.25;
-        candidates.push((g as usize).min(q_max));
-    }
-    candidates.push(q_max);
-    candidates.sort_unstable();
-    candidates.dedup();
-    let mut best = (1usize, f64::INFINITY);
-    for &c in &candidates {
-        let cost = chained_tail_cost(plan, machine, c);
-        if cost < best.1 {
-            best = (c, cost);
-        }
-    }
-    best.0
+    let cost = |q| chained_tail_cost(plan, machine, q);
+    search_degree(q_max, 2f64.powi(20), [], false, cost).0
 }
 
 /// Communication cost of executing `plan` with per-phase optimal

@@ -9,7 +9,7 @@
 //! several jobs' micro-ops interleave on one set of links. This module
 //! prices that schedule by running it. The order is not written here: a
 //! sweep's program is [`CommPlan::program`] and the jobs' programs merge by
-//! [`BatchOrder::walk`], the two definitions the engine executes too.
+//! an [`OrderCursor`], the two definitions the engine executes too.
 //! [`executed_cost`] is their second interpreter — it charges every op to
 //! one [`NodeClock`], the type the throttled fabric charges its live sends
 //! to, so there is one recurrence and both round alike.
@@ -23,7 +23,7 @@
 //! from above. Convergence votes are control traffic the clock does not
 //! price: compare against forced-sweep runs.
 
-use crate::batchcost::{BatchOrder, PlannedJob};
+use crate::batchcost::{BatchOrder, OrderCursor, PlannedJob};
 use crate::machine::Machine;
 use mph_core::{CommPlan, Framing, MicroOp, OpKind};
 use mph_runtime::NodeClock;
@@ -114,15 +114,16 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
         .collect();
     let mut lanes = vec![Lanes::default(); jobs.len()];
     let mut finish = vec![0.0; jobs.len()];
-    order.walk(|j, grant| {
+    let mut cursor = OrderCursor::default();
+    while let Some((j, grant)) = cursor.turn(order) {
         let mut ran = false;
         for (plan, op) in programs[j].by_ref().take(grant) {
             charge(plan, op, &mut lanes[j], &mut clock, machine);
             finish[j] = clock.now();
             ran = true;
         }
-        ran
-    });
+        cursor.end_turn(order, ran);
+    }
     ExecutedCost { makespan: clock.now(), finish }
 }
 

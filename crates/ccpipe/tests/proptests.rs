@@ -32,7 +32,7 @@ fn machine_strategy() -> impl Strategy<Value = Machine> {
 }
 
 fn naive_cost(cc: &CcCube, q: usize, machine: &Machine) -> f64 {
-    let sched = pipelined_schedule(cc, q);
+    let sched = pipelined_schedule(cc.k(), q);
     let s_elems = cc.message_elems / q as f64;
     let e = cc.link_seq.iter().map(|&l| l + 1).max().unwrap();
     sched

@@ -286,15 +286,10 @@ impl CommPlan {
         Framing(frames)
     }
 
-    /// The packet sizes, in elements, of a `block_elems`-element block of
-    /// this plan's columns split `q` ways: balanced column groups, larger
-    /// first — what `ColumnBlock::split_columns` cuts, and what the engine
+    /// Packet `q`, in elements, of a `block_elems`-element block of this
+    /// plan's columns split `of` ways: balanced column groups, larger first
+    /// — what `ColumnBlock::split_columns` cuts, and what the engine
     /// charges the clock packet by packet.
-    pub fn packet_elems(&self, block_elems: u64, q: usize) -> impl Iterator<Item = u64> + '_ {
-        (0..q).map(move |p| self.packet_size(block_elems, q, p))
-    }
-
-    /// Packet `q` of [`CommPlan::packet_elems`]`(block_elems, of)`.
     pub fn packet_size(&self, block_elems: u64, of: usize, q: usize) -> u64 {
         let epc = self.elems_per_col.max(1) as u64;
         let cols = block_elems / epc;
@@ -707,9 +702,10 @@ mod tests {
         // 5 columns of 20 elements: 3 ways is 2 + 2 + 1 columns, 7 ways
         // leaves two empty packets; the split conserves the block.
         let p = plan(10, 1, OrderingFamily::Br, 0);
-        assert_eq!(p.packet_elems(100, 3).collect::<Vec<_>>(), [40, 40, 20]);
-        assert_eq!(p.packet_elems(100, 7).collect::<Vec<_>>(), [20, 20, 20, 20, 20, 0, 0]);
-        assert_eq!(p.packet_elems(100, 1).collect::<Vec<_>>(), [100]);
+        let split = |of| (0..of).map(|q| p.packet_size(100, of, q)).collect::<Vec<_>>();
+        assert_eq!(split(3), [40, 40, 20]);
+        assert_eq!(split(7), [20, 20, 20, 20, 20, 0, 0]);
+        assert_eq!(split(1), [100]);
     }
 
     #[test]

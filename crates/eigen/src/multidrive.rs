@@ -10,7 +10,7 @@
 //! consume a received block, charge one pipeline packet to the clock,
 //! drain an epilogue packet, or cast a convergence vote — and a
 //! deterministic interleaving order ([`BatchOrder`], produced by the
-//! `mph-batch` policies, walked by [`BatchOrder::walk`]) merges the jobs'
+//! `mph-batch` policies, walked by an [`OrderCursor`]) merges the jobs'
 //! programs. Every node executes the *same* merged sequence, so sends and
 //! receives pair up exactly as in a solo SPMD program; the messages carry
 //! job tags and each node demultiplexes arrivals through [`JobMux`], so
@@ -65,7 +65,7 @@
 //!   [`NodeCtx::charge`] — a metered message and a transmission on the
 //!   link clock, traced under its `(k, q)` header, departing on that
 //!   packet's own readiness stamp, of the size
-//!   [`CommPlan::packet_elems`] gives packet `q` of the block (what
+//!   [`CommPlan::packet_size`] gives packet `q` of the block (what
 //!   `ColumnBlock::split_columns` would have cut; an empty packet is a
 //!   `Ts`-only transmission). The arrival stamp it returns is kept;
 //! * **per round** (the `Q` packets of one iteration): at `q = 0` the
@@ -521,8 +521,8 @@ struct Via {
 
 /// Per-node state machine of one job: the two resident blocks plus the
 /// cursor into its plan chain's programs. `step` executes one micro-op, or
-/// says it would block; the merged schedule across jobs is
-/// [`BatchOrder::walk`]'s, kept as an [`OrderCursor`] (`Round`).
+/// says it would block; the merged schedule across jobs is the order's
+/// grant walk, kept as an [`OrderCursor`] (`Round`).
 struct JobNode<'a> {
     job: u32,
     spec: &'a JobSpec<'a>,

@@ -8,7 +8,7 @@
 //! priced at its phase's largest block).
 //!
 //! Both sides read one order — a sweep's program is
-//! `CommPlan::op_after`, the jobs merge by `BatchOrder::walk` — so what
+//! `CommPlan::op_after`, the jobs merge by `OrderCursor` — so what
 //! this witnesses is that its two interpreters agree on the *clock*: the
 //! engine's charges through the fabric's `LinkClock` and the schedule
 //! clock's `charge` put the same sends and waits on `NodeClock`.

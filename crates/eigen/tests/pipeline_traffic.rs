@@ -325,7 +325,7 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
 }
 
 /// The engine never cuts a block: it charges packet `i` of a `q`-packet
-/// round `CommPlan::packet_elems(block.payload_elems(), q)[i]` elements
+/// round `CommPlan::packet_size(block.payload_elems(), q, i)` elements
 /// and trusts that to be what `split_columns(q)[i]` would have shipped —
 /// uneven splits, `q > ncols` empty packets, diagonal cache and the SVD's
 /// rectangular units included. And an empty packet is still a packet: a
@@ -344,8 +344,9 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
                     block.refresh_diag(|a, u| a[0] + u[0]);
                 }
                 for q in 1..=12usize {
+                    let block_elems = block.payload_elems() as u64;
                     let charged: Vec<u64> =
-                        plan.packet_elems(block.payload_elems() as u64, q).collect();
+                        (0..q).map(|i| plan.packet_size(block_elems, q, i)).collect();
                     let shipped: Vec<u64> = (block.clone().split_columns(q).iter())
                         .map(|p| p.payload_elems() as u64)
                         .collect();

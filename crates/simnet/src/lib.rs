@@ -9,16 +9,16 @@
 //! semantics, reporting makespans, per-stage spans and per-dimension link
 //! utilization.
 //!
-//! Two results make it more than a calculator:
-//!
-//! * with barrier-synchronized stages and serialized start-ups the
-//!   simulated makespan equals the closed-form phase cost *exactly* (this
-//!   is asserted in tests and measured in the `validate_simnet`
-//!   experiment), grounding the analytic models used for Figure 2;
-//! * relaxations the closed form cannot express — overlapped start-ups
-//!   ([`StartupModel::Overlapped`]) and barrier-free dependency-driven
-//!   execution ([`simulate_async`]) — quantify how conservative the
-//!   paper's model is.
+//! It has one stage builder and one simulator. The builder
+//! ([`pipelined_phase_schedule`] for a CC-cube phase, and the plan
+//! lowering of [`plan`] through it) reads the §2.4 windows of
+//! [`mph_ccpipe::pipelined_schedule`]. The simulator is
+//! [`simulate_synchronized`]: barrier-separated stages, start-ups
+//! serialized or, as a relaxation the closed form cannot express,
+//! overlapped with transmissions ([`StartupModel::Overlapped`]). With
+//! serialized start-ups the simulated makespan equals the closed-form phase
+//! cost *exactly* (asserted in tests and measured in the `validate_simnet`
+//! experiment), grounding the analytic models used for Figure 2.
 //!
 //! It is the witness of the *paper's* stage model and lowers only what
 //! that model defines. The schedule the threaded engine executes
@@ -26,9 +26,9 @@
 //! `mph_ccpipe::executed_cost` and witnessed by the throttled fabric.
 //!
 //! * [`schedule`] — communication stages and schedules, and the stage
-//!   lowering of one CC-cube phase;
+//!   builder;
 //! * [`plan`] — the stage lowering of a whole [`mph_core::CommPlan`];
-//! * [`sim`] — the synchronized and asynchronous simulators;
+//! * [`sim`] — the synchronized simulator;
 //! * [`validate`] — simulator-vs-closed-form samples for the
 //!   `validate_simnet` experiment.
 
@@ -38,8 +38,6 @@ pub mod sim;
 pub mod validate;
 
 pub use plan::{plan_pipelined_schedule, plan_unpipelined_schedule};
-pub use schedule::{
-    pipelined_phase_schedule, unpipelined_phase_schedule, CommSchedule, CommStage, NodeSend,
-};
-pub use sim::{simulate_async, simulate_synchronized, SimReport, StartupModel};
+pub use schedule::{pipelined_phase_schedule, CommSchedule, CommStage, NodeSend};
+pub use sim::{simulate_synchronized, SimReport, StartupModel};
 pub use validate::{validate_phase, ValidationSample};

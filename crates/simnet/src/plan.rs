@@ -2,7 +2,8 @@
 //! of the one communication description the whole workspace shares.
 //!
 //! The plan already carries exact per-node message sizes for every
-//! transition; this module turns it into [`CommStage`]s:
+//! transition; this module turns it into
+//! [`CommStage`](crate::schedule::CommStage)s:
 //!
 //! * [`plan_unpipelined_schedule`] — one stage per transition, every node
 //!   sending its block whole;
@@ -11,17 +12,18 @@
 //!   (one entry of `qs` per exchange phase); division and last
 //!   transitions stay single whole-block stages.
 //!
-//! Packet sizes are tracked exactly: each node's block is split into `Q`
-//! balanced column packets, and as packets hop along the phase's link path
-//! their (possibly unequal) sizes travel with them — so even for matrix
-//! sizes that don't divide evenly, the simulated traffic is element-exact
-//! against the threaded runtime's meter. Message *counts* differ by
-//! design: the simulator combines the packets a stage sends through one
-//! link into a single message (the paper's combining assumption), while
-//! the runtime sends each packet separately.
+//! Packet sizes are exact: node `n`'s block at transition `k` is split
+//! into `Q` balanced column packets ([`CommPlan::packet_size`]), and
+//! because a block's packets travel together, those are the packets it
+//! sends at iteration `k` — so even for matrix sizes that don't divide
+//! evenly, the simulated traffic is element-exact against the threaded
+//! runtime's meter. Message *counts* differ by design: the simulator
+//! combines the packets a stage sends through one link into a single
+//! message (the paper's combining assumption), while the runtime sends
+//! each packet separately.
 
-use crate::schedule::{CommSchedule, CommStage, NodeSend};
-use mph_core::{CommPlan, PlanPhase};
+use crate::schedule::{phase_stages, CommSchedule};
+use mph_core::CommPlan;
 
 /// One stage per transition; node `n` sends exactly the plan's
 /// `sends[t][n]` elements across the transition's link.
@@ -33,92 +35,24 @@ pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
 /// Pipelined lowering: exchange phase `i` is packetized into `qs[i]`
 /// packets (`qs` has one entry per exchange phase, in execution order);
 /// serial phases stay whole-block stages — [`CommPlan::framing`] with a
-/// whole-block tail, which is all the paper's stage model defines.
+/// whole-block tail, which is all the paper's stage model defines. A phase
+/// in which every node sends the same sizes lowers to shared SPMD stages.
 pub fn plan_pipelined_schedule(plan: &CommPlan, qs: &[usize]) -> CommSchedule {
     let framing = plan.framing(qs, 1);
     let mut stages = Vec::new();
     for (idx, ph) in plan.phases().iter().enumerate() {
-        match framing.frame(idx).packets() {
-            1 => stages.extend(ph.links.iter().zip(&ph.sends).map(|(&dim, sends)| {
-                per_node_stage(sends.iter().map(|&e| vec![(dim, e as f64)]).collect())
-            })),
-            q => stages.extend(pipelined_phase_stages(plan, ph, q)),
-        }
+        let q = framing.frame(idx).packets();
+        let spmd = ph.sends.iter().all(|row| row.windows(2).all(|w| w[0] == w[1]));
+        let size = |k: usize, n: usize, p| plan.packet_size(ph.sends[k][n], q, p);
+        stages.extend(phase_stages(plan.d(), &ph.links, q, spmd, 1.0, size));
     }
     CommSchedule::new(plan.d(), stages)
-}
-
-/// Builds the `K + Q − 1` stages of one packetized exchange phase,
-/// tracking per-packet sizes as they travel the link path.
-fn pipelined_phase_stages(plan: &CommPlan, ph: &PlanPhase, q: usize) -> Vec<CommStage> {
-    let p = 1usize << plan.d();
-    let k_total = ph.k();
-    // Initial packet sizes: node n's phase-entry block, split into q
-    // balanced column packets (the runtime's ColumnBlock::split_columns).
-    let mut pkt: Vec<Vec<f64>> = ph.sends[0]
-        .iter()
-        .map(|&block| plan.packet_elems(block, q).map(|e| e as f64).collect())
-        .collect();
-    let mut stages = Vec::with_capacity(k_total + q - 1);
-    for s in 0..(k_total + q - 1) {
-        let lo = s.saturating_sub(q - 1);
-        let hi = s.min(k_total - 1);
-        // Sends: iteration k's packet q' = s − k goes through links[k];
-        // same-link packets of one stage combine into one message, in
-        // first-appearance (k ascending) order.
-        let sends: Vec<Vec<(usize, f64)>> = (0..p)
-            .map(|n| {
-                let mut bundle: Vec<(usize, f64)> = Vec::new();
-                for k in lo..=hi {
-                    let dim = ph.links[k];
-                    let elems = pkt[n][s - k];
-                    match bundle.iter_mut().find(|(d, _)| *d == dim) {
-                        Some((_, e)) => *e += elems,
-                        None => bundle.push((dim, elems)),
-                    }
-                }
-                bundle
-            })
-            .collect();
-        stages.push(per_node_stage(sends));
-        // The stage's packets hop: swap each (k, s − k) packet across
-        // links[k]. Distinct k ⇒ distinct packet slots, so swap order
-        // within the stage does not matter.
-        for k in lo..=hi {
-            let mask = 1usize << ph.links[k];
-            let j = s - k;
-            for n in 0..p {
-                if n & mask == 0 {
-                    let partner = n | mask;
-                    let tmp = pkt[n][j];
-                    pkt[n][j] = pkt[partner][j];
-                    pkt[partner][j] = tmp;
-                }
-            }
-        }
-    }
-    stages
-}
-
-/// Helper: a per-node stage from `(dim, elems)` bundles, collapsing to the
-/// shared SPMD representation when every node sends the same bundle.
-fn per_node_stage(bundles: Vec<Vec<(usize, f64)>>) -> CommStage {
-    let to_sends = |b: &[(usize, f64)]| -> Vec<NodeSend> {
-        b.iter().map(|&(dim, elems)| NodeSend { dim, elems }).collect()
-    };
-    let uniform = bundles.windows(2).all(|w| w[0] == w[1]);
-    if uniform && bundles.len().is_power_of_two() {
-        let d = bundles.len().trailing_zeros() as usize;
-        CommStage::spmd(d, to_sends(&bundles[0]))
-    } else {
-        CommStage::per_node(bundles.iter().map(|b| to_sends(b)).collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{pipelined_phase_schedule, unpipelined_phase_schedule};
+    use crate::schedule::{pipelined_phase_schedule, CommStage};
     use crate::sim::{simulate_synchronized, StartupModel};
     use mph_ccpipe::{CcCube, Machine};
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
@@ -159,31 +93,53 @@ mod tests {
     }
 
     #[test]
-    fn uniform_plan_phase_matches_the_continuous_builder() {
+    fn a_plans_first_phase_is_the_continuous_builders_phase() {
         // The continuous CcCube builder splits element counts evenly; the
         // plan lowering splits *columns*. When Q divides the block's
-        // column count the two agree stage by stage; otherwise they agree
-        // on volume (the column split is what the runtime really ships).
-        let m = 64usize;
+        // column count (4 here) the plan's first exchange phase is the
+        // CcCube phase stage by stage, whole blocks (Q = 1) included.
         let d = 3usize;
-        let plan = lower(m, d, OrderingFamily::PermutedBr, 0);
-        let first = &plan.phases()[0]; // exchange phase e = 3, 4-col blocks
+        let plan = lower(64, d, OrderingFamily::PermutedBr, 0);
+        let first = &plan.phases()[0];
         let elems = first.max_message_elems() as f64;
         let cc = CcCube { link_seq: first.links.clone(), message_elems: elems };
         for q in [1usize, 2, 4] {
-            let via_cc = pipelined_phase_schedule(d, &cc, q);
-            let via_plan = CommSchedule::new(d, pipelined_phase_stages(&plan, first, q));
-            assert_eq!(via_plan, via_cc, "q={q}");
+            let mut stages = plan_pipelined_schedule(&plan, &[q, 1, 1]).stages;
+            stages.truncate(first.k() + q - 1);
+            assert_eq!(CommSchedule::new(d, stages), pipelined_phase_schedule(d, &cc, q), "q={q}");
         }
-        for q in [3usize, 7] {
-            let via_cc = pipelined_phase_schedule(d, &cc, q);
-            let via_plan = CommSchedule::new(d, pipelined_phase_stages(&plan, first, q));
-            assert_eq!(via_plan.stages.len(), via_cc.stages.len(), "q={q}");
-            assert!((via_plan.volume() - via_cc.volume()).abs() < 1e-9, "q={q}");
+    }
+
+    #[test]
+    fn every_node_puts_its_own_sends_on_each_link() {
+        // Ragged partitions (and one even), two sweeps, degrees up to 7:
+        // node n's volume on each dimension is exactly its plan sends on
+        // that link — the per-node reading of the stateless packet-size
+        // rule. A uniform plan lowers to shared SPMD stages only.
+        for (m, d, sweep) in [(9, 2), (10, 1), (18, 2), (10, 3), (64, 3)]
+            .into_iter()
+            .flat_map(|(m, d)| [(m, d, 0), (m, d, 1)])
+        {
+            let plan = lower(m, d, OrderingFamily::Degree4, sweep);
+            let mut want = vec![vec![0u64; d]; 1 << d];
+            for ph in plan.phases() {
+                for (&link, row) in ph.links.iter().zip(&ph.sends) {
+                    row.iter().enumerate().for_each(|(n, &e)| want[n][link] += e);
+                }
+            }
+            for q in 1..=7usize {
+                let sched = plan_pipelined_schedule(&plan, &vec![q; d]);
+                let mut got = vec![vec![0u64; d]; 1 << d];
+                for stage in &sched.stages {
+                    for (n, sends) in stage.iter().enumerate() {
+                        sends.iter().for_each(|s| got[n][s.dim] += s.elems as u64);
+                    }
+                }
+                assert_eq!(got, want, "m={m} d={d} sweep={sweep} q={q}");
+                let spmd = sched.stages.iter().all(|st| matches!(st, CommStage::Spmd { .. }));
+                assert!(spmd || m % (2 << d) != 0, "m={m} d={d} sweep={sweep} q={q}");
+            }
         }
-        let unpiped = unpipelined_phase_schedule(d, &cc);
-        let via_plan = CommSchedule::new(d, pipelined_phase_stages(&plan, first, 1));
-        assert_eq!(via_plan, unpiped);
     }
 
     #[test]

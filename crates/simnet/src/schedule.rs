@@ -3,15 +3,14 @@
 //! The simulator consumes a list of [`CommStage`]s. Within a stage each
 //! node issues a set of messages to neighbors (one per hypercube dimension
 //! at most — messages sharing a link have already been combined, as the
-//! paper prescribes). The builders produce the two schedule shapes the
-//! Jacobi algorithms generate: the unpipelined sweep (one block message per
-//! transition) and the pipelined exchange phase (windowed packet bundles).
+//! paper prescribes). One builder produces every stage the Jacobi
+//! algorithms generate: a phase pipelined at degree `Q` (windowed packet
+//! bundles), whose `Q = 1` case is one whole-block message per transition.
 //!
 //! The paper's schedules are SPMD — every node sends the same bundle — so
 //! a stage stores the bundle **once** behind an [`Arc`] rather than
-//! cloning it `2^d` times; irregular per-node stages remain available for
-//! the simulator's relaxation studies. Access is uniform through
-//! [`CommStage::sends`]/[`CommStage::iter`].
+//! cloning it `2^d` times; per-node stages carry the phases of uneven
+//! partitions. Access is uniform through [`CommStage::iter`].
 
 use mph_ccpipe::{pipelined_schedule, CcCube};
 use std::sync::Arc;
@@ -27,7 +26,7 @@ pub struct NodeSend {
 ///
 /// In the SPMD algorithms of the paper all nodes send the same bundle
 /// (stored once, shared); the simulator also accepts arbitrary per-node
-/// lists for irregular studies.
+/// lists.
 #[derive(Debug, Clone)]
 pub enum CommStage {
     /// Every one of `nodes` nodes sends the same shared bundle.
@@ -39,13 +38,8 @@ pub enum CommStage {
 impl CommStage {
     /// An SPMD stage: every one of the `2^d` nodes sends `bundle` —
     /// stored once, not cloned per node.
-    pub fn spmd(d: usize, bundle: Vec<NodeSend>) -> Self {
+    pub(crate) fn spmd(d: usize, bundle: Vec<NodeSend>) -> Self {
         CommStage::Spmd { nodes: 1 << d, bundle: bundle.into() }
-    }
-
-    /// An irregular stage with explicit per-node bundles.
-    pub fn per_node(sends: Vec<Vec<NodeSend>>) -> Self {
-        CommStage::PerNode { sends }
     }
 
     /// Number of nodes.
@@ -57,7 +51,7 @@ impl CommStage {
     }
 
     /// Node `n`'s outgoing messages, in issue order.
-    pub fn sends(&self, n: usize) -> &[NodeSend] {
+    fn sends(&self, n: usize) -> &[NodeSend] {
         match self {
             CommStage::Spmd { nodes, bundle } => {
                 assert!(n < *nodes, "node {n} out of range");
@@ -143,46 +137,51 @@ impl CommSchedule {
     }
 }
 
-/// The unpipelined exchange phase: each transition is one stage in which
-/// every node sends the whole block (`cc.message_elems`) across the
-/// transition's link.
-pub fn unpipelined_phase_schedule(d: usize, cc: &CcCube) -> CommSchedule {
-    let stages = cc
-        .link_seq
-        .iter()
-        .map(|&dim| CommStage::spmd(d, vec![NodeSend { dim, elems: cc.message_elems }]))
-        .collect();
-    CommSchedule::new(d, stages)
+/// The pipelined exchange phase with degree `q` (`q = 1`: one whole-block
+/// stage per transition): stage `s` sends, for every distinct link of the
+/// window, one combined message of `multiplicity × (elems/q)` elements.
+/// Issue order follows first appearance in the window (the paper's `a-b-c`
+/// notation order).
+pub fn pipelined_phase_schedule(d: usize, cc: &CcCube, q: usize) -> CommSchedule {
+    let unit = cc.message_elems / q as f64;
+    CommSchedule::new(d, phase_stages(d, &cc.link_seq, q, true, unit, |_, _, _| 1).collect())
 }
 
-/// The pipelined exchange phase with degree `q`: stage `s` sends, for every
-/// distinct link of the window, one combined message of
-/// `multiplicity × (elems/q)` elements. Issue order follows first
-/// appearance in the window (the paper's `a-b-c` notation order).
-pub fn pipelined_phase_schedule(d: usize, cc: &CcCube, q: usize) -> CommSchedule {
-    let sched = pipelined_schedule(cc, q);
-    let s_elems = cc.message_elems / q as f64;
-    let stages = sched
-        .stages
-        .iter()
-        .map(|st| {
-            let window = &cc.link_seq[st.lo..=st.hi];
-            let mut order: Vec<usize> = Vec::new();
-            let mut mult = vec![0usize; d];
-            for &l in window {
-                if mult[l] == 0 {
-                    order.push(l);
+/// The one stage builder of the paper's pipelined phase (§2.4): over
+/// `links` at degree `q`, stage `s` of [`pipelined_schedule`] carries
+/// packet `s − k` of every iteration `k` in its window, and node `n` puts
+/// the packets of a stage that share a link into one message, in
+/// first-appearance order. Packet `p` of iteration `k` at node `n` is
+/// `size(k, n, p)` units of `unit` elements; a message is its units'
+/// integer sum times `unit`, so a continuous phase's message is exactly
+/// `multiplicity × (elems/q)`. With `spmd` every node sends node 0's sizes
+/// and each stage is one shared bundle.
+pub(crate) fn phase_stages<'a>(
+    d: usize,
+    links: &'a [usize],
+    q: usize,
+    spmd: bool,
+    unit: f64,
+    size: impl Fn(usize, usize, usize) -> u64 + 'a,
+) -> impl Iterator<Item = CommStage> + 'a {
+    let stages = pipelined_schedule(links.len(), q).stages.into_iter().enumerate();
+    stages.map(move |(s, st)| {
+        let bundle = |n| {
+            let mut units: Vec<(usize, u64)> = Vec::new();
+            for k in st.lo..=st.hi {
+                match units.iter_mut().find(|(dim, _)| *dim == links[k]) {
+                    Some((_, u)) => *u += size(k, n, s - k),
+                    None => units.push((links[k], size(k, n, s - k))),
                 }
-                mult[l] += 1;
             }
-            let bundle = order
-                .into_iter()
-                .map(|dim| NodeSend { dim, elems: mult[dim] as f64 * s_elems })
-                .collect();
-            CommStage::spmd(d, bundle)
-        })
-        .collect();
-    CommSchedule::new(d, stages)
+            units.into_iter().map(|(dim, u)| NodeSend { dim, elems: u as f64 * unit }).collect()
+        };
+        if spmd {
+            CommStage::spmd(d, bundle(0))
+        } else {
+            CommStage::PerNode { sends: (0..1 << d).map(bundle).collect() }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -193,7 +192,7 @@ mod tests {
     #[test]
     fn unpipelined_schedule_shape() {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 3, 64.0);
-        let s = unpipelined_phase_schedule(3, &cc);
+        let s = pipelined_phase_schedule(3, &cc, 1);
         assert_eq!(s.stages.len(), 7);
         assert_eq!(s.message_count(), 7 * 8);
         assert_eq!(s.volume(), 7.0 * 8.0 * 64.0);
@@ -231,12 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn q1_pipelined_equals_unpipelined() {
-        let cc = CcCube::exchange_phase(OrderingFamily::PermutedBr, 4, 44.0);
-        assert_eq!(pipelined_phase_schedule(4, &cc, 1), unpipelined_phase_schedule(4, &cc));
-    }
-
-    #[test]
     fn spmd_stage_stores_the_bundle_once() {
         // The 2^d nodes share one allocation; equality still sees through
         // the representation.
@@ -254,7 +247,7 @@ mod tests {
         }
         assert_eq!(spmd.message_count(), 16);
         assert_eq!(spmd.volume(), 8.0 * 7.0);
-        let explicit = CommStage::per_node(vec![bundle; 8]);
+        let explicit = CommStage::PerNode { sends: vec![bundle; 8] };
         assert_eq!(spmd, explicit, "representation must not affect equality");
     }
 
@@ -264,12 +257,14 @@ mod tests {
             2,
             vec![
                 CommStage::spmd(2, vec![NodeSend { dim: 0, elems: 5.0 }]),
-                CommStage::per_node(vec![
-                    vec![NodeSend { dim: 1, elems: 2.0 }],
-                    vec![],
-                    vec![NodeSend { dim: 0, elems: 1.0 }],
-                    vec![],
-                ]),
+                CommStage::PerNode {
+                    sends: vec![
+                        vec![NodeSend { dim: 1, elems: 2.0 }],
+                        vec![],
+                        vec![NodeSend { dim: 0, elems: 1.0 }],
+                        vec![],
+                    ],
+                },
             ],
         );
         assert_eq!(s.volume_by_dim(), vec![4.0 * 5.0 + 1.0, 2.0]);

@@ -1,15 +1,8 @@
-//! The virtual-time network simulator.
-//!
-//! Two execution semantics are provided:
-//!
-//! * [`simulate_synchronized`] — a barrier separates stages: stage `s+1`
-//!   starts when every node has finished sending *and* receiving stage `s`.
-//!   This is the semantics the analytic cost models price.
-//! * [`simulate_async`] — no barriers: a node starts its stage `s` as soon
-//!   as its own CPU is free and every packet it needs from stage `s−1`
-//!   (those of its stage-`s−1` partners) has arrived. For the paper's SPMD
-//!   schedules (every node sends the same bundle) this coincides with the
-//!   synchronized semantics; for irregular schedules it is faster.
+//! The virtual-time network simulator: [`simulate_synchronized`], in which
+//! a barrier separates stages — stage `s+1` starts when every node has
+//! finished sending *and* receiving stage `s`. This is the semantics the
+//! analytic cost models price. (The barrier-free schedule the engine runs
+//! is priced exactly by `mph_ccpipe::executed_cost`.)
 //!
 //! Within a stage, a node's behaviour follows the machine model:
 //! start-ups are issued serially by the CPU (`Ts` each), then transmissions
@@ -40,8 +33,7 @@ pub enum StartupModel {
 pub struct SimReport {
     /// Total virtual time from first stage start to last completion.
     pub makespan: f64,
-    /// Per-stage `(start, end)` (synchronized mode) or per-stage completion
-    /// envelope (async mode: min start, max end).
+    /// Per-stage `(start, end)`.
     pub stage_spans: Vec<(f64, f64)>,
     /// Busy time accumulated per dimension (transmissions, both directions).
     pub dim_busy: Vec<f64>,
@@ -140,62 +132,10 @@ pub fn simulate_synchronized(
     }
 }
 
-/// Barrier-free execution: node `n` may start stage `s` once it has
-/// finished its own stage `s−1` and the stage-`s−1` transmissions *to* `n`
-/// have arrived.
-pub fn simulate_async(
-    schedule: &CommSchedule,
-    machine: &Machine,
-    startup: StartupModel,
-) -> SimReport {
-    let d = schedule.d;
-    let p = 1usize << d;
-    let mut dim_busy = vec![0.0; d.max(1)];
-    // ready[n]: when node n may begin its next stage.
-    let mut ready = vec![0.0f64; p];
-    let mut stage_spans = Vec::with_capacity(schedule.stages.len());
-    let mut makespan = 0.0f64;
-    for stage in &schedule.stages {
-        let mut completion = vec![0.0f64; p];
-        let mut span = (f64::INFINITY, 0.0f64);
-        for n in 0..p {
-            let t0 = ready[n];
-            let c = node_stage_completion(stage.sends(n), machine, startup, t0, &mut dim_busy);
-            completion[n] = c;
-            span.0 = span.0.min(t0);
-            span.1 = span.1.max(c);
-            makespan = makespan.max(c);
-        }
-        // Next-stage readiness: own completion plus arrivals from partners.
-        let mut next_ready = completion.clone();
-        for n in 0..p {
-            for s in stage.sends(n) {
-                let partner = n ^ (1 << s.dim);
-                // The data this node sent arrives at `partner` when the
-                // node's stage completes (per-message completion would be
-                // tighter; stage completion is a safe, simple bound).
-                next_ready[partner] = next_ready[partner].max(completion[n]);
-            }
-        }
-        ready = next_ready;
-        if span.0.is_infinite() {
-            span.0 = 0.0;
-        }
-        stage_spans.push(span);
-    }
-    SimReport {
-        makespan,
-        stage_spans,
-        dim_busy,
-        messages: schedule.message_count(),
-        volume: schedule.volume(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{pipelined_phase_schedule, unpipelined_phase_schedule, CommStage};
+    use crate::schedule::{pipelined_phase_schedule, CommStage};
     use mph_ccpipe::CcCube;
     use mph_core::OrderingFamily;
 
@@ -215,7 +155,7 @@ mod tests {
     #[test]
     fn unpipelined_phase_matches_closed_form() {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 4, 500.0);
-        let sched = unpipelined_phase_schedule(4, &cc);
+        let sched = pipelined_phase_schedule(4, &cc, 1);
         let r = simulate_synchronized(&sched, &machine(), StartupModel::SerializedThenParallel);
         let expect = 15.0 * (1000.0 + 500.0 * 100.0);
         assert!((r.makespan - expect).abs() < 1e-9);
@@ -262,41 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn async_equals_sync_for_spmd_schedules() {
-        let cc = CcCube::exchange_phase(OrderingFamily::PermutedBr, 4, 77.0);
-        let m = machine();
-        for q in [1usize, 3, 9] {
-            let sched = pipelined_phase_schedule(4, &cc, q);
-            let sync = simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
-            let asy = simulate_async(&sched, &m, StartupModel::SerializedThenParallel);
-            assert!(
-                (sync.makespan - asy.makespan).abs() < 1e-9,
-                "q={q}: sync {} vs async {}",
-                sync.makespan,
-                asy.makespan
-            );
-        }
-    }
-
-    #[test]
-    fn async_beats_sync_for_irregular_schedules() {
-        // Node 0 is busy in stage 0; the others idle. In stage 1 only node
-        // 3 sends (to node 2). Node 3 need not wait for node 0's stage-0
-        // completion in async mode.
-        let d = 2;
-        let heavy = vec![NodeSend { dim: 0, elems: 1000.0 }];
-        let idle: Vec<NodeSend> = vec![];
-        let light = vec![NodeSend { dim: 0, elems: 1.0 }];
-        let stage0 = CommStage::per_node(vec![heavy, idle.clone(), idle.clone(), light.clone()]);
-        let stage1 = CommStage::per_node(vec![idle.clone(), idle.clone(), idle.clone(), light]);
-        let sched = CommSchedule::new(d, vec![stage0, stage1]);
-        let m = machine();
-        let sync = simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
-        let asy = simulate_async(&sched, &m, StartupModel::SerializedThenParallel);
-        assert!(asy.makespan < sync.makespan, "async {} sync {}", asy.makespan, sync.makespan);
-    }
-
-    #[test]
     fn one_port_simulation_serializes() {
         let m = Machine::one_port(10.0, 1.0);
         let bundle = vec![NodeSend { dim: 0, elems: 5.0 }, NodeSend { dim: 1, elems: 7.0 }];
@@ -308,7 +213,7 @@ mod tests {
     #[test]
     fn dim_busy_accounts_all_traffic() {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 3, 10.0);
-        let sched = unpipelined_phase_schedule(3, &cc);
+        let sched = pipelined_phase_schedule(3, &cc, 1);
         let m = machine();
         let r = simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
         // BR e=3 = <0102010>: 4 transitions on dim 0, 2 on dim 1, 1 on dim 2,
@@ -325,7 +230,7 @@ mod tests {
         let e = 8;
         let busy = |family: OrderingFamily| {
             let cc = CcCube::exchange_phase(family, e, 10.0);
-            let sched = unpipelined_phase_schedule(e, &cc);
+            let sched = pipelined_phase_schedule(e, &cc, 1);
             simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel).dim_busy
         };
         // Spread = busiest dimension / mean. (The top dimension e−1 always

@@ -1,12 +1,12 @@
 //! Property-based tests for the network simulator: conformance with the
-//! analytic model on arbitrary phases, and the semantic orderings between
-//! execution modes (strict ≥ overlapped, sync ≥ async).
+//! analytic model on arbitrary phases, and the semantic ordering between
+//! start-up models (strict ≥ overlapped).
 
 use mph_ccpipe::{CcCube, Machine, PhaseCostModel, PortModel};
 use mph_core::OrderingFamily;
 use mph_simnet::{
-    pipelined_phase_schedule, simulate_async, simulate_synchronized, CommSchedule, CommStage,
-    NodeSend, StartupModel,
+    pipelined_phase_schedule, simulate_synchronized, CommSchedule, CommStage, NodeSend,
+    StartupModel,
 };
 use proptest::prelude::*;
 
@@ -26,26 +26,24 @@ fn random_schedule() -> impl Strategy<Value = CommSchedule> {
             proptest::collection::vec((0usize..d, 0.0f64..500.0), 0..=d),
             p..=p,
         )
-        .prop_map(move |sends| {
-            CommStage::per_node(
-                sends
-                    .into_iter()
-                    .map(|node| {
-                        // At most one message per dimension (combined messages).
-                        let mut seen = [false; 8];
-                        node.into_iter()
-                            .filter_map(|(dim, elems)| {
-                                if seen[dim] {
-                                    None
-                                } else {
-                                    seen[dim] = true;
-                                    Some(NodeSend { dim, elems })
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            )
+        .prop_map(move |sends| CommStage::PerNode {
+            sends: sends
+                .into_iter()
+                .map(|node| {
+                    // At most one message per dimension (combined messages).
+                    let mut seen = [false; 8];
+                    node.into_iter()
+                        .filter_map(|(dim, elems)| {
+                            if seen[dim] {
+                                None
+                            } else {
+                                seen[dim] = true;
+                                Some(NodeSend { dim, elems })
+                            }
+                        })
+                        .collect()
+                })
+                .collect(),
         });
         proptest::collection::vec(stage, 1..6).prop_map(move |stages| CommSchedule::new(d, stages))
     })
@@ -87,21 +85,12 @@ proptest! {
     }
 
     #[test]
-    fn async_never_slower_than_sync(sched in random_schedule(), ts in 0.0f64..2000.0, tw in 0.1f64..100.0) {
-        let machine = Machine::all_port(ts, tw);
-        let sync = simulate_synchronized(&sched, &machine, StartupModel::SerializedThenParallel);
-        let asy = simulate_async(&sched, &machine, StartupModel::SerializedThenParallel);
-        prop_assert!(asy.makespan <= sync.makespan + 1e-9,
-            "async {} > sync {}", asy.makespan, sync.makespan);
-    }
-
-    #[test]
     fn busy_time_is_mode_invariant(sched in random_schedule(), ts in 0.0f64..2000.0, tw in 0.1f64..100.0) {
         // Total per-dimension busy time is traffic accounting — identical
-        // in every execution mode.
+        // under strict and overlapped start-ups.
         let machine = Machine::all_port(ts, tw);
         let a = simulate_synchronized(&sched, &machine, StartupModel::SerializedThenParallel);
-        let b = simulate_async(&sched, &machine, StartupModel::Overlapped);
+        let b = simulate_synchronized(&sched, &machine, StartupModel::Overlapped);
         for (x, y) in a.dim_busy.iter().zip(&b.dim_busy) {
             prop_assert!((x - y).abs() <= 1e-9 * x.max(1.0));
         }

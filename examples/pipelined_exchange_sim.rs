@@ -19,7 +19,7 @@ fn main() {
 
     for family in [OrderingFamily::Br, OrderingFamily::Degree4] {
         let cc = CcCube::exchange_phase(family, e, elems);
-        let stages = pipelined_schedule(&cc, q);
+        let stages = pipelined_schedule(cc.k(), q);
         println!("\n== {} exchange phase e = {e}, K = {}, Q = {q}", family.name(), cc.k());
         if stages.stages.len() <= 40 {
             for (s, st) in stages.stages.iter().enumerate() {
