@@ -5,40 +5,157 @@
 //! textbook reference (\[15\] Wilkinson). It is implemented here purely as an
 //! independent oracle: both solvers must produce the same spectrum, and
 //! their sweep counts should be comparable.
+//!
+//! # The row half, deferred
+//!
+//! Rotation `(p, q)` is `A ← JᵀAJ`: a column half on columns `p` and `q`,
+//! then a row half `(a_pk, a_qk) ← (c·a_pk − s·a_qk, s·a_pk + c·a_qk)` in
+//! every column `k`. On a column-major iterate the row half costs a cache
+//! line per element, so it is deferred. Within row `p`, the entries
+//! `(p, k)` and `(q, k)` of a column `k ∉ {p, q}` are read or written by
+//! nothing but later row halves of the same row — until `k` becomes a pivot
+//! `q` itself, whose column half and pivot `a_pk` read the whole column.
+//! So the row's applied rotations `(q, c, s)` form a chain:
+//!
+//! - column `p` takes every rotation at once: the column half, and the row
+//!   half's 2×2 block `a_pp ← c·a_pp − s·a_qp`, `a_qq ← s·a_pq + c·a_qq`
+//!   from the column-pass values, with the pivot pair zeroed;
+//! - a pivot column `q` is brought through the chain so far, in chain order,
+//!   before its pivot is read: four pivots abreast on the chain known when
+//!   the first of them comes up, then each alone through the turns of the
+//!   pivots before it in its group;
+//! - at the end of the row, every other column is brought through what it
+//!   still owes, four columns abreast so that four independent dependency
+//!   chains overlap.
+//!
+//! Each entry then sees the same operations in the same order as under the
+//! eager two loops, so every output bit is theirs — `off_history` included.
+//! Nothing assumes symmetry, so that holds for an input the solver accepts at
+//! only `1e-12` symmetry as well. `tests::the_deferred_sweep_is_bitwise_the_eager_one`
+//! pins it against the eager sweep.
 
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::rotation::symmetric_schur;
-use mph_linalg::symmetric::off_diagonal_frobenius;
+use mph_linalg::vecops::rotate_pair;
 use mph_linalg::Matrix;
 
-/// Applies the rotation to rows/columns `(p, q)` of the symmetric iterate
-/// and accumulates it into `u`.
-fn rotate_two_sided(a: &mut Matrix, u: &mut Matrix, p: usize, q: usize) -> bool {
-    let apq = a[(p, q)];
-    if apq == 0.0 {
-        return false;
+/// One applied rotation of the current row `p`: its pivot column `q` and
+/// its `(c, s)`. A row's chain is in increasing `q`.
+type Turn = (usize, f64, f64);
+
+/// Applies the row halves of `chain`, in chain order, to rows `p` and `q`
+/// of each of the `N` consecutive `m`-element columns of `cols`. The
+/// columns are independent dependency chains, so they run abreast.
+fn catch_up<const N: usize>(cols: &mut [f64], m: usize, p: usize, chain: &[Turn]) {
+    let mut rest = cols;
+    let mut cols: [&mut [f64]; N] = std::array::from_fn(|_| {
+        let (col, tail) = std::mem::take(&mut rest).split_at_mut(m);
+        rest = tail;
+        col
+    });
+    let mut x: [f64; N] = std::array::from_fn(|i| cols[i][p]);
+    for &(q, c, s) in chain {
+        for (col, x) in cols.iter_mut().zip(&mut x) {
+            let y = col[q];
+            col[q] = s * *x + c * y;
+            *x = c * *x - s * y;
+        }
     }
-    let rot = symmetric_schur(a[(p, p)], apq, a[(q, q)]);
-    let (c, s) = (rot.c, rot.s);
-    let m = a.cols();
-    // A ← JᵀAJ with J the rotation in the (p,q) plane.
-    for k in 0..m {
-        let akp = a[(k, p)];
-        let akq = a[(k, q)];
-        a[(k, p)] = c * akp - s * akq;
-        a[(k, q)] = s * akp + c * akq;
+    for (col, x) in cols.iter_mut().zip(x) {
+        col[p] = x;
     }
-    for k in 0..m {
-        let apk = a[(p, k)];
-        let aqk = a[(q, k)];
-        a[(p, k)] = c * apk - s * aqk;
-        a[(q, k)] = s * apk + c * aqk;
+}
+
+/// [`catch_up`] on the one to four columns `cols` holds.
+fn catch_up_abreast(cols: &mut [f64], m: usize, p: usize, chain: &[Turn]) {
+    match cols.len() / m {
+        1 => catch_up::<1>(cols, m, p, chain),
+        2 => catch_up::<2>(cols, m, p, chain),
+        3 => catch_up::<3>(cols, m, p, chain),
+        _ => catch_up::<4>(cols, m, p, chain),
     }
-    // Clean the annihilated pair explicitly (fp hygiene).
-    a[(p, q)] = 0.0;
-    a[(q, p)] = 0.0;
-    u.rotate_columns(p, q, c, s);
-    true
+}
+
+/// Ends row `p` on the consecutive columns `cols`, the first of which is
+/// column `first` (none of them `p`): column `k` still owes the turns whose
+/// pivot lies right of it. Four at a time, each column is brought to the
+/// last one's start, then the four run abreast.
+fn flush(cols: &mut [f64], first: usize, m: usize, p: usize, chain: &[Turn]) {
+    // `chain[..owed]` are the turns with pivot at most the current column.
+    let mut owed = 0;
+    let mut k = first;
+    for group in cols.chunks_mut(4 * m) {
+        let mut starts = [0; 4];
+        for start in &mut starts[..group.len() / m] {
+            while chain.get(owed).is_some_and(|&(q, ..)| q <= k) {
+                owed += 1;
+            }
+            *start = owed;
+            k += 1;
+        }
+        for (col, &start) in group.chunks_exact_mut(m).zip(&starts) {
+            catch_up::<1>(col, m, p, &chain[start..owed]);
+        }
+        catch_up_abreast(group, m, p, &chain[owed..]);
+    }
+}
+
+/// One cyclic sweep over the column-major `m × m` iterate `a`, accumulating
+/// every rotation into `u`. Returns the rotations applied.
+fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, threshold: f64, chain: &mut Vec<Turn>) -> u64 {
+    let mut rotations = 0;
+    for p in 0..m {
+        chain.clear();
+        // Pivot columns are caught up four abreast, a group at a time, on the
+        // chain known when the group's first comes up; each then owes only
+        // the turns of the pivots before it in its group. Columns below
+        // `ahead` have been brought through `chain[..caught]`.
+        let (mut ahead, mut caught) = (p + 1, 0);
+        for q in (p + 1)..m {
+            if q == ahead {
+                ahead = m.min(q + 4);
+                catch_up_abreast(&mut a[q * m..ahead * m], m, p, chain);
+                caught = chain.len();
+            }
+            let (head, tail) = a.split_at_mut(q * m);
+            let (colp, colq) = (&mut head[p * m..(p + 1) * m], &mut tail[..m]);
+            catch_up::<1>(colq, m, p, &chain[caught..]);
+            let apq = colq[p];
+            if apq.abs() > threshold && apq != 0.0 {
+                let rot = symmetric_schur(colp[p], apq, colq[q]);
+                let (c, s) = (rot.c, rot.s);
+                rotate_pair(colp, colq, c, s);
+                // The row half's 2×2 block, from the column-pass values; the
+                // annihilated pair is cleaned explicitly (fp hygiene).
+                colp[p] = c * colp[p] - s * colp[q];
+                colq[q] = s * colq[p] + c * colq[q];
+                colp[q] = 0.0;
+                colq[p] = 0.0;
+                u.rotate_columns(p, q, c, s);
+                chain.push((q, c, s));
+                rotations += 1;
+            }
+        }
+        if let Some(&(last, ..)) = chain.last() {
+            flush(&mut a[..p * m], 0, m, p, chain);
+            flush(&mut a[(p + 1) * m..last * m], p + 1, m, p, chain);
+        }
+    }
+    rotations
+}
+
+/// `‖A − diag(A)‖_F` of the column-major `m × m` iterate, summed in
+/// [`mph_linalg::off_diagonal_frobenius`]'s order.
+fn off_norm(a: &[f64], m: usize) -> f64 {
+    let mut s = 0.0;
+    for (c, col) in a.chunks_exact(m.max(1)).enumerate() {
+        for (r, x) in col.iter().enumerate() {
+            if r != c {
+                s += x * x;
+            }
+        }
+    }
+    s.sqrt()
 }
 
 /// Solves the symmetric eigenproblem by two-sided cyclic Jacobi.
@@ -46,36 +163,32 @@ pub fn two_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     assert_eq!(a0.rows(), a0.cols());
     assert!(a0.is_symmetric(1e-12 * a0.frobenius_norm().max(1.0)), "input must be symmetric");
     let m = a0.cols();
-    let mut a = a0.clone();
+    let mut a = a0.as_slice().to_vec();
     let mut u = Matrix::identity(m);
+    let mut chain = Vec::with_capacity(m);
     let norm_a = a0.frobenius_norm();
-    let mut off_history = vec![off_diagonal_frobenius(&a)];
+    let mut off = off_norm(&a, m);
+    let mut off_history = vec![off];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
-    let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
+    let mut converged = off <= opts.tol * norm_a && opts.force_sweeps.is_none();
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     while !converged && sweeps < budget {
-        for p in 0..m {
-            for q in (p + 1)..m {
-                if a[(p, q)].abs() > opts.threshold && rotate_two_sided(&mut a, &mut u, p, q) {
-                    rotations += 1;
-                }
-            }
-        }
+        rotations += sweep(&mut a, m, &mut u, opts.threshold, &mut chain);
         sweeps += 1;
-        let off = off_diagonal_frobenius(&a);
+        off = off_norm(&a, m);
         off_history.push(off);
         if opts.force_sweeps.is_none() {
             converged = off <= opts.tol * norm_a;
         }
     }
     if opts.force_sweeps.is_some() {
-        converged = *off_history.last().unwrap() <= opts.tol * norm_a;
+        converged = off <= opts.tol * norm_a;
     }
 
     EigenResult {
-        eigenvalues: (0..m).map(|i| a[(i, i)]).collect(),
+        eigenvalues: (0..m).map(|i| a[i * m + i]).collect(),
         eigenvectors: u,
         sweeps,
         rotations,
@@ -89,7 +202,123 @@ mod tests {
     use super::*;
     use crate::onesided::one_sided_cyclic;
     use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
-    use mph_linalg::symmetric::{frank_matrix, random_symmetric};
+    use mph_linalg::off_diagonal_frobenius;
+    use mph_linalg::symmetric::{diagonal, frank_matrix, random_symmetric, wilkinson_matrix};
+
+    /// The eager rotation: the column loop, then the row loop over every
+    /// column — the reference the deferred sweep is held to the bit.
+    fn rotate_two_sided(a: &mut Matrix, u: &mut Matrix, p: usize, q: usize) -> bool {
+        let apq = a[(p, q)];
+        if apq == 0.0 {
+            return false;
+        }
+        let rot = symmetric_schur(a[(p, p)], apq, a[(q, q)]);
+        let (c, s) = (rot.c, rot.s);
+        let m = a.cols();
+        for k in 0..m {
+            let akp = a[(k, p)];
+            let akq = a[(k, q)];
+            a[(k, p)] = c * akp - s * akq;
+            a[(k, q)] = s * akp + c * akq;
+        }
+        for k in 0..m {
+            let apk = a[(p, k)];
+            let aqk = a[(q, k)];
+            a[(p, k)] = c * apk - s * aqk;
+            a[(q, k)] = s * apk + c * aqk;
+        }
+        a[(p, q)] = 0.0;
+        a[(q, p)] = 0.0;
+        u.rotate_columns(p, q, c, s);
+        true
+    }
+
+    /// [`two_sided_cyclic`] as it was before the row half was deferred.
+    fn eager_two_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
+        let m = a0.cols();
+        let mut a = a0.clone();
+        let mut u = Matrix::identity(m);
+        let norm_a = a0.frobenius_norm();
+        let mut off_history = vec![off_diagonal_frobenius(&a)];
+        let mut rotations = 0u64;
+        let mut sweeps = 0usize;
+        let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
+        let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
+        while !converged && sweeps < budget {
+            for p in 0..m {
+                for q in (p + 1)..m {
+                    if a[(p, q)].abs() > opts.threshold && rotate_two_sided(&mut a, &mut u, p, q) {
+                        rotations += 1;
+                    }
+                }
+            }
+            sweeps += 1;
+            let off = off_diagonal_frobenius(&a);
+            off_history.push(off);
+            if opts.force_sweeps.is_none() {
+                converged = off <= opts.tol * norm_a;
+            }
+        }
+        if opts.force_sweeps.is_some() {
+            converged = *off_history.last().unwrap() <= opts.tol * norm_a;
+        }
+        EigenResult {
+            eigenvalues: (0..m).map(|i| a[(i, i)]).collect(),
+            eigenvectors: u,
+            sweeps,
+            rotations,
+            off_history,
+            converged,
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_bitwise_eager(a: &Matrix, opts: &JacobiOptions, case: &str) {
+        let (got, want) = (two_sided_cyclic(a, opts), eager_two_sided_cyclic(a, opts));
+        assert_eq!(bits(&got.eigenvalues), bits(&want.eigenvalues), "{case}: eigenvalues");
+        assert_eq!(
+            bits(got.eigenvectors.as_slice()),
+            bits(want.eigenvectors.as_slice()),
+            "{case}: eigenvectors"
+        );
+        assert_eq!(bits(&got.off_history), bits(&want.off_history), "{case}: off_history");
+        assert_eq!(got.sweeps, want.sweeps, "{case}: sweeps");
+        assert_eq!(got.rotations, want.rotations, "{case}: rotations");
+        assert_eq!(got.converged, want.converged, "{case}: converged");
+    }
+
+    #[test]
+    fn the_deferred_sweep_is_bitwise_the_eager_one() {
+        let tight = JacobiOptions { tol: 1e-12, ..Default::default() };
+        let option_sets = [
+            ("tol 1e-12", tight.clone()),
+            ("threshold 1e-3", JacobiOptions { threshold: 1e-3, ..tight.clone() }),
+            ("force 3", JacobiOptions { force_sweeps: Some(3), ..tight.clone() }),
+        ];
+        for m in [1usize, 2, 3, 4, 5, 7, 8, 33, 64, 100] {
+            let mut perturbed = random_symmetric(m, 5);
+            for c in 0..m {
+                for r in 0..c {
+                    perturbed[(r, c)] += 1e-13 * ((r + 2 * c) % 3) as f64;
+                }
+            }
+            let inputs = [
+                ("random", random_symmetric(m, m as u64)),
+                ("wilkinson", wilkinson_matrix(m)),
+                ("frank", frank_matrix(m)),
+                ("diagonal", diagonal(&(0..m).map(|i| i as f64 - 1.5).collect::<Vec<_>>())),
+                ("upper +1e-13", perturbed),
+            ];
+            for (name, a) in &inputs {
+                for (opt_name, opts) in &option_sets {
+                    assert_bitwise_eager(a, opts, &format!("m={m} {name} {opt_name}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn known_2x2() {

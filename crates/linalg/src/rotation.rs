@@ -45,8 +45,9 @@ pub fn symmetric_schur(app: f64, apq: f64, aqq: f64) -> JacobiRotation {
 }
 
 /// Applies the similarity transform to the 2×2 block and returns the new
-/// `(app', apq', aqq')`. Used by tests and by the two-sided baseline; the
-/// one-sided solver never materializes the block.
+/// `(app', apq', aqq')`. Used by the sweep kernel's diagonal cache
+/// (`mph-eigen`'s `kernel.rs`) and by tests; the one-sided solver otherwise
+/// never materializes the block.
 pub fn apply_to_block(rot: JacobiRotation, app: f64, apq: f64, aqq: f64) -> (f64, f64, f64) {
     let (c, s) = (rot.c, rot.s);
     let new_pp = c * c * app - 2.0 * s * c * apq + s * s * aqq;

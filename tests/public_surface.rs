@@ -39,6 +39,7 @@ const KEEP: &[(&str, &str)] = &[
     ("at_b", "u_stays_orthogonal"),
     ("Matrix::col_pair_mut", "block_kernel_is_bitwise_equal_to_matrix_kernel"),
     ("matmul", "pairing_preserves_the_invariant_a_equals_a0_u"),
+    ("off_diagonal_frobenius", "the_deferred_sweep_is_bitwise_the_eager_one"),
     ("column_ordering", "paper_step_count_identity"),
     ("d4_link_count", "link_counts_closed_form_matches"),
     ("gray_link_sequence", "br_equals_gray_code_link_sequence"),
