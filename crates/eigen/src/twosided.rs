@@ -15,18 +15,22 @@
 //! `(p, k)` and `(q, k)` of a column `k ∉ {p, q}` are read or written by
 //! nothing but later row halves of the same row — until `k` becomes a pivot
 //! `q` itself, whose column half and pivot `a_pk` read the whole column.
-//! So the row's applied rotations `(q, c, s)` form a chain:
+//! So the row's applied rotations `(q, c, s)` form a chain, and bringing a
+//! column through a stretch of it is a top-pivot rotation sequence
+//! (`dlasr`'s shape), [`rotate_top_pivot`], which runs up to eight columns
+//! abreast in AVX2 lanes:
 //!
-//! - column `p` takes every rotation at once: the column half, and the row
-//!   half's 2×2 block `a_pp ← c·a_pp − s·a_qp`, `a_qq ← s·a_pq + c·a_qq`
-//!   from the column-pass values, with the pivot pair zeroed;
+//! - column `p` takes every rotation at once: the column half, fused with
+//!   the same rotation of `U`'s columns `p` and `q` into one
+//!   [`pair_rotate_lanes`] pass, and the row half's 2×2 block
+//!   `a_pp ← c·a_pp − s·a_qp`, `a_qq ← s·a_pq + c·a_qq` from the column-pass
+//!   values, with the pivot pair zeroed;
 //! - a pivot column `q` is brought through the chain so far, in chain order,
-//!   before its pivot is read: four pivots abreast on the chain known when
+//!   before its pivot is read: eight pivots abreast on the chain known when
 //!   the first of them comes up, then each alone through the turns of the
 //!   pivots before it in its group;
 //! - at the end of the row, every other column is brought through what it
-//!   still owes, four columns abreast so that four independent dependency
-//!   chains overlap.
+//!   still owes, eight columns abreast.
 //!
 //! Each entry then sees the same operations in the same order as under the
 //! eager two loops, so every output bit is theirs — `off_history` included.
@@ -36,56 +40,26 @@
 
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::rotation::symmetric_schur;
-use mph_linalg::vecops::rotate_pair;
+use mph_linalg::vecops::{pair_rotate_lanes, rotate_top_pivot};
 use mph_linalg::Matrix;
 
 /// One applied rotation of the current row `p`: its pivot column `q` and
 /// its `(c, s)`. A row's chain is in increasing `q`.
 type Turn = (usize, f64, f64);
 
-/// Applies the row halves of `chain`, in chain order, to rows `p` and `q`
-/// of each of the `N` consecutive `m`-element columns of `cols`. The
-/// columns are independent dependency chains, so they run abreast.
-fn catch_up<const N: usize>(cols: &mut [f64], m: usize, p: usize, chain: &[Turn]) {
-    let mut rest = cols;
-    let mut cols: [&mut [f64]; N] = std::array::from_fn(|_| {
-        let (col, tail) = std::mem::take(&mut rest).split_at_mut(m);
-        rest = tail;
-        col
-    });
-    let mut x: [f64; N] = std::array::from_fn(|i| cols[i][p]);
-    for &(q, c, s) in chain {
-        for (col, x) in cols.iter_mut().zip(&mut x) {
-            let y = col[q];
-            col[q] = s * *x + c * y;
-            *x = c * *x - s * y;
-        }
-    }
-    for (col, x) in cols.iter_mut().zip(x) {
-        col[p] = x;
-    }
-}
-
-/// [`catch_up`] on the one to four columns `cols` holds.
-fn catch_up_abreast(cols: &mut [f64], m: usize, p: usize, chain: &[Turn]) {
-    match cols.len() / m {
-        1 => catch_up::<1>(cols, m, p, chain),
-        2 => catch_up::<2>(cols, m, p, chain),
-        3 => catch_up::<3>(cols, m, p, chain),
-        _ => catch_up::<4>(cols, m, p, chain),
-    }
-}
+/// Columns brought through a chain together: two lane groups of four.
+const ABREAST: usize = 8;
 
 /// Ends row `p` on the consecutive columns `cols`, the first of which is
 /// column `first` (none of them `p`): column `k` still owes the turns whose
-/// pivot lies right of it. Four at a time, each column is brought to the
-/// last one's start, then the four run abreast.
+/// pivot lies right of it. [`ABREAST`] at a time, each column is brought to
+/// the last one's start, then the group runs abreast.
 fn flush(cols: &mut [f64], first: usize, m: usize, p: usize, chain: &[Turn]) {
     // `chain[..owed]` are the turns with pivot at most the current column.
     let mut owed = 0;
     let mut k = first;
-    for group in cols.chunks_mut(4 * m) {
-        let mut starts = [0; 4];
+    for group in cols.chunks_mut(ABREAST * m) {
+        let mut starts = [0; ABREAST];
         for start in &mut starts[..group.len() / m] {
             while chain.get(owed).is_some_and(|&(q, ..)| q <= k) {
                 owed += 1;
@@ -94,9 +68,9 @@ fn flush(cols: &mut [f64], first: usize, m: usize, p: usize, chain: &[Turn]) {
             k += 1;
         }
         for (col, &start) in group.chunks_exact_mut(m).zip(&starts) {
-            catch_up::<1>(col, m, p, &chain[start..owed]);
+            rotate_top_pivot(col, m, p, &chain[start..owed]);
         }
-        catch_up_abreast(group, m, p, &chain[owed..]);
+        rotate_top_pivot(group, m, p, &chain[owed..]);
     }
 }
 
@@ -106,32 +80,32 @@ fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, threshold: f64, chain: &mut Ve
     let mut rotations = 0;
     for p in 0..m {
         chain.clear();
-        // Pivot columns are caught up four abreast, a group at a time, on the
-        // chain known when the group's first comes up; each then owes only
-        // the turns of the pivots before it in its group. Columns below
-        // `ahead` have been brought through `chain[..caught]`.
+        // Pivot columns are caught up `ABREAST` at a time, on the chain
+        // known when the group's first comes up; each then owes only the
+        // turns of the pivots before it in its group. Columns below `ahead`
+        // have been brought through `chain[..caught]`.
         let (mut ahead, mut caught) = (p + 1, 0);
         for q in (p + 1)..m {
             if q == ahead {
-                ahead = m.min(q + 4);
-                catch_up_abreast(&mut a[q * m..ahead * m], m, p, chain);
+                ahead = m.min(q + ABREAST);
+                rotate_top_pivot(&mut a[q * m..ahead * m], m, p, chain);
                 caught = chain.len();
             }
             let (head, tail) = a.split_at_mut(q * m);
             let (colp, colq) = (&mut head[p * m..(p + 1) * m], &mut tail[..m]);
-            catch_up::<1>(colq, m, p, &chain[caught..]);
+            rotate_top_pivot(colq, m, p, &chain[caught..]);
             let apq = colq[p];
             if apq.abs() > threshold && apq != 0.0 {
                 let rot = symmetric_schur(colp[p], apq, colq[q]);
                 let (c, s) = (rot.c, rot.s);
-                rotate_pair(colp, colq, c, s);
+                let (up, uq) = u.col_pair_mut(p, q);
+                pair_rotate_lanes(colp, colq, up, uq, c, s);
                 // The row half's 2×2 block, from the column-pass values; the
                 // annihilated pair is cleaned explicitly (fp hygiene).
                 colp[p] = c * colp[p] - s * colp[q];
                 colq[q] = s * colq[p] + c * colq[q];
                 colp[q] = 0.0;
                 colq[p] = 0.0;
-                u.rotate_columns(p, q, c, s);
                 chain.push((q, c, s));
                 rotations += 1;
             }
@@ -163,11 +137,18 @@ pub fn two_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     assert_eq!(a0.rows(), a0.cols());
     assert!(a0.is_symmetric(1e-12 * a0.frobenius_norm().max(1.0)), "input must be symmetric");
     let m = a0.cols();
-    let mut a = a0.as_slice().to_vec();
+    // The iterate starts a cache line, so for `m` a multiple of 8 every
+    // column does and no lane load or store of either half straddles two
+    // lines. (Should `align_offset` give no offset, it is only slower.)
+    let mut store: Vec<f64> = Vec::with_capacity(m * m + 7);
+    let head = store.as_ptr().align_offset(64).min(7);
+    store.resize(head, 0.0);
+    store.extend_from_slice(a0.as_slice());
+    let a = &mut store[head..];
     let mut u = Matrix::identity(m);
     let mut chain = Vec::with_capacity(m);
     let norm_a = a0.frobenius_norm();
-    let mut off = off_norm(&a, m);
+    let mut off = off_norm(a, m);
     let mut off_history = vec![off];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
@@ -175,9 +156,9 @@ pub fn two_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     while !converged && sweeps < budget {
-        rotations += sweep(&mut a, m, &mut u, opts.threshold, &mut chain);
+        rotations += sweep(a, m, &mut u, opts.threshold, &mut chain);
         sweeps += 1;
-        off = off_norm(&a, m);
+        off = off_norm(a, m);
         off_history.push(off);
         if opts.force_sweeps.is_none() {
             converged = off <= opts.tol * norm_a;
@@ -204,6 +185,7 @@ mod tests {
     use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
     use mph_linalg::off_diagonal_frobenius;
     use mph_linalg::symmetric::{diagonal, frank_matrix, random_symmetric, wilkinson_matrix};
+    use mph_linalg::vecops::rotate_pair;
 
     /// The eager rotation: the column loop, then the row loop over every
     /// column — the reference the deferred sweep is held to the bit.
@@ -229,7 +211,8 @@ mod tests {
         }
         a[(p, q)] = 0.0;
         a[(q, p)] = 0.0;
-        u.rotate_columns(p, q, c, s);
+        let (up, uq) = u.col_pair_mut(p, q);
+        rotate_pair(up, uq, c, s);
         true
     }
 
@@ -298,7 +281,7 @@ mod tests {
             ("threshold 1e-3", JacobiOptions { threshold: 1e-3, ..tight.clone() }),
             ("force 3", JacobiOptions { force_sweeps: Some(3), ..tight.clone() }),
         ];
-        for m in [1usize, 2, 3, 4, 5, 7, 8, 33, 64, 100] {
+        for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 17, 31, 33, 64, 100] {
             let mut perturbed = random_symmetric(m, 5);
             for c in 0..m {
                 for r in 0..c {

@@ -647,7 +647,7 @@ pub fn cross_pair_mut<'a>(
 mod tests {
     use super::*;
     use crate::symmetric::random_symmetric;
-    use crate::vecops::dot;
+    use crate::vecops::{dot, rotate_pair};
 
     #[test]
     fn from_matrix_copies_a_and_builds_identity_u() {
@@ -708,8 +708,10 @@ mod tests {
         let (mut a, mut u) = (a0.clone(), Matrix::identity(5));
         let (c, s) = (0.6, 0.8);
         b.pair_mut(0, 3).rotate(c, s);
-        a.rotate_columns(0, 3, c, s);
-        u.rotate_columns(0, 3, c, s);
+        for m in [&mut a, &mut u] {
+            let (x, y) = m.col_pair_mut(0, 3);
+            rotate_pair(x, y, c, s);
+        }
         for k in 0..5 {
             assert_eq!(b.a_col(k), a.col(k), "A col {k}");
             assert_eq!(b.u_col(k), u.col(k), "U col {k}");
@@ -729,8 +731,10 @@ mod tests {
             v.rotate(c, s);
         }
         let (mut a, mut u) = (a0.clone(), Matrix::identity(6));
-        a.rotate_columns(2, 3, c, s);
-        u.rotate_columns(2, 3, c, s);
+        for m in [&mut a, &mut u] {
+            let (x, y) = m.col_pair_mut(2, 3);
+            rotate_pair(x, y, c, s);
+        }
         assert_eq!(left.a_col(2), a.col(2));
         assert_eq!(right.a_col(0), a.col(3));
         assert_eq!(left.u_col(2), u.col(2));

@@ -1,7 +1,5 @@
 //! Column-major dense matrix.
 
-use crate::vecops;
-
 /// A dense `rows × cols` matrix of `f64` stored column-major, so that a
 /// column is a contiguous slice — the access pattern of one-sided Jacobi.
 ///
@@ -87,15 +85,6 @@ impl Matrix {
         }
     }
 
-    /// Applies the rotation `[ci' cj'] = [ci cj]·[[c, s], [-s, c]]` to
-    /// columns `i` and `j` — the one-sided Jacobi column update
-    /// `a_i ← c·a_i − s·a_j`, `a_j ← s·a_i + c·a_j` (with the original
-    /// `a_i`).
-    pub fn rotate_columns(&mut self, i: usize, j: usize, c: f64, s: f64) {
-        let (ci, cj) = self.col_pair_mut(i, j);
-        vecops::rotate_pair(ci, cj, c, s);
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -142,6 +131,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vecops::rotate_pair;
 
     #[test]
     fn identity_columns_are_unit_vectors() {
@@ -188,7 +178,8 @@ mod tests {
         let mut m = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64 - 7.5);
         let before = m.frobenius_norm();
         let theta = 0.7f64;
-        m.rotate_columns(1, 3, theta.cos(), theta.sin());
+        let (x, y) = m.col_pair_mut(1, 3);
+        rotate_pair(x, y, theta.cos(), theta.sin());
         assert!((m.frobenius_norm() - before).abs() < 1e-12);
     }
 
@@ -196,7 +187,8 @@ mod tests {
     fn rotation_by_zero_angle_is_identity() {
         let mut m = Matrix::from_fn(3, 3, |r, c| (r + c) as f64);
         let copy = m.clone();
-        m.rotate_columns(0, 1, 1.0, 0.0);
+        let (x, y) = m.col_pair_mut(0, 1);
+        rotate_pair(x, y, 1.0, 0.0);
         assert_eq!(m, copy);
     }
 

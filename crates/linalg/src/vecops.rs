@@ -357,9 +357,17 @@ pub fn pair_rotate(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64
     rotate_pair(u_tail.0, u_tail.1, c, s);
 }
 
+/// The shortest prefix [`pair_rotate_lanes`] gives the AVX-512 form: four
+/// of its vectors. On an AVX-512 Xeon (Sapphire Rapids class) the two-sided
+/// oracle ran 7–10 % quicker at m = 10 and 20 with the AVX2 form, and
+/// 6–9 % slower at m = 33, 48 and 64.
+#[cfg(target_arch = "x86_64")]
+const AVX512_MIN_ROTATE: usize = 32;
+
 /// [`pair_rotate`] on the lane path: the common prefix of all four streams
 /// is rotated by the widest vector unit available, the excess (mismatched
-/// lengths, plus the sub-width tail) by the scalar loop.
+/// lengths, plus the sub-width tail) by the scalar loop. On an AVX-512
+/// host a prefix shorter than 32 elements runs the AVX2 form.
 ///
 /// Bitwise identical to [`pair_rotate`] on every tier: the lane rotate
 /// multiplies then adds/subtracts exactly as the scalar loop does — no FMA —
@@ -383,17 +391,133 @@ pub fn pair_rotate_lanes(
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
         // Safety: tier implies the feature was detected (see `lane_tier`).
-        LaneTier::Avx512 => unsafe {
+        LaneTier::Avx512 if head.0.len() >= AVX512_MIN_ROTATE => unsafe {
             x86::pair_rotate_avx512(head.0, head.1, head.2, head.3, c, s)
         },
         #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
+        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
+        // includes it).
+        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
             x86::pair_rotate_avx2(head.0, head.1, head.2, head.3, c, s)
         },
         LaneTier::Portable => rotate4(head.0, head.1, head.2, head.3, c, s),
     }
     rotate_pair(a_tail.0, a_tail.1, c, s);
     rotate_pair(u_tail.0, u_tail.1, c, s);
+}
+
+/// Applies a top-pivot rotation sequence to each of the consecutive
+/// `m`-element columns of `cols`: per column, `x = col[p]`, then for each
+/// turn `(q, c, s)` of `chain` in order
+/// `(x, col[q]) ← (c·x − s·col[q], s·x + c·col[q])`, then `col[p] = x`.
+///
+/// This is the shape of LAPACK's `dlasr` with SIDE = 'L', PIVOT = 'T' —
+/// every rotation pairs the pivot row with another row — over an arbitrary
+/// row sequence and in [`rotate_pair`]'s sign (`dlasr`'s `s` is `−s` here).
+/// It is the deferred row half of two-sided Jacobi: the turns are the
+/// rotations of pivot row `p`, and the columns are independent dependency
+/// chains.
+///
+/// Every result is `to_bits`-equal to the scalar loop on every tier. The
+/// AVX2 form holds four columns in one register, lane `l` column `l`: a
+/// run of four consecutive pivot rows is one 4×4 tile (four loads, a
+/// transpose, four turns, the transpose back, four stores), any other turn
+/// loads its four entries lane by lane, and every turn multiplies then
+/// adds — no FMA — so each entry sees the scalar operations in the scalar
+/// order. It runs two four-column groups abreast, so their `x` chains
+/// overlap; leftover columns, and the portable tier, take the scalar loop
+/// a few columns abreast.
+///
+/// # Panics
+/// Panics unless `p < m`, `cols` is whole columns and every `q < m`.
+#[inline]
+pub fn rotate_top_pivot(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f64, f64)]) {
+    assert!(p < m, "pivot row {p} outside a column of {m}");
+    // One column fills no lanes. It is the call a pivot's catch-up makes
+    // once per pivot, so it stays small enough to inline.
+    if cols.len() == m {
+        top_pivot_column(cols, p, chain);
+    } else {
+        rotate_top_pivot_columns(cols, m, p, chain);
+    }
+}
+
+/// [`rotate_top_pivot`] on more than one column.
+fn rotate_top_pivot_columns(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f64, f64)]) {
+    let n = cols.len() / m;
+    assert_eq!(n * m, cols.len(), "not whole columns of {m}");
+    if chain.is_empty() {
+        return;
+    }
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
+        // includes it); `p < m` and `cols` being `n` columns were asserted
+        // above.
+        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 if n >= 4 => unsafe {
+            x86::rotate_top_pivot_avx2(cols, n, m, p, chain)
+        },
+        _ => rotate_top_pivot_portable(cols, n, m, p, chain),
+    }
+}
+
+/// The scalar loop of [`rotate_top_pivot`] on the `n` columns of `cols`,
+/// four abreast, then the one to three left over abreast.
+fn rotate_top_pivot_portable(
+    cols: &mut [f64],
+    n: usize,
+    m: usize,
+    p: usize,
+    chain: &[(usize, f64, f64)],
+) {
+    for g in 0..n / 4 {
+        top_pivot_abreast::<4>(&mut cols[4 * g * m..4 * (g + 1) * m], m, p, chain);
+    }
+    let rest = &mut cols[n / 4 * 4 * m..];
+    match n % 4 {
+        0 => {}
+        1 => top_pivot_column(rest, p, chain),
+        2 => top_pivot_abreast::<2>(rest, m, p, chain),
+        _ => top_pivot_abreast::<3>(rest, m, p, chain),
+    }
+}
+
+/// [`rotate_top_pivot`] on one column.
+#[inline]
+fn top_pivot_column(col: &mut [f64], p: usize, chain: &[(usize, f64, f64)]) {
+    let mut x = col[p];
+    for &(q, c, s) in chain {
+        let y = col[q];
+        col[q] = s * x + c * y;
+        x = c * x - s * y;
+    }
+    col[p] = x;
+}
+
+/// [`rotate_top_pivot`] on exactly `N` columns, one scalar chain each.
+fn top_pivot_abreast<const N: usize>(
+    cols: &mut [f64],
+    m: usize,
+    p: usize,
+    chain: &[(usize, f64, f64)],
+) {
+    let mut rest = cols;
+    let mut cols: [&mut [f64]; N] = std::array::from_fn(|_| {
+        let (col, tail) = std::mem::take(&mut rest).split_at_mut(m);
+        rest = tail;
+        col
+    });
+    let mut x: [f64; N] = std::array::from_fn(|i| cols[i][p]);
+    for &(q, c, s) in chain {
+        for (col, x) in cols.iter_mut().zip(&mut x) {
+            let y = col[q];
+            col[q] = s * *x + c * y;
+            *x = c * *x - s * y;
+        }
+    }
+    for (col, x) in cols.iter_mut().zip(x) {
+        col[p] = x;
+    }
 }
 
 /// Explicit x86-64 lane kernels. Every function here carries a
@@ -728,6 +852,161 @@ mod x86 {
             aj[i] = s * a0 + c * a1;
             ui[i] = c * u0 - s * u1;
             uj[i] = s * u0 + c * u1;
+        }
+    }
+
+    /// [`super::rotate_top_pivot`] with four columns to a register: eight
+    /// columns at a time as two groups abreast, then a group of four, then
+    /// the one to three left over on the portable loop. Multiplies then
+    /// adds — NO FMA — so every entry's bits match the scalar chain.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` via cpuid, and that `p < m` and
+    /// `cols` is `n` columns of `m` (checked by the safe wrapper).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rotate_top_pivot_avx2(
+        cols: &mut [f64],
+        n: usize,
+        m: usize,
+        p: usize,
+        chain: &[(usize, f64, f64)],
+    ) {
+        let base = cols.as_mut_ptr();
+        let group = |j: usize| -> [*mut f64; 4] { std::array::from_fn(|l| base.add((j + l) * m)) };
+        let mut j = 0;
+        while j + 8 <= n {
+            top_pivot_groups([group(j), group(j + 4)], m, p, chain);
+            j += 8;
+        }
+        if j + 4 <= n {
+            top_pivot_groups([group(j)], m, p, chain);
+            j += 4;
+        }
+        super::rotate_top_pivot_portable(&mut cols[j * m..], n - j, m, p, chain);
+    }
+
+    /// Entry `r` of each of the four columns `c`, lane `l` column `l`.
+    ///
+    /// # Safety
+    /// Requires AVX; `r` must be in bounds of every column.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather4(c: [*mut f64; 4], r: usize) -> __m256d {
+        _mm256_set_pd(*c[3].add(r), *c[2].add(r), *c[1].add(r), *c[0].add(r))
+    }
+
+    /// Stores lane `l` of `v` to entry `r` of column `c[l]`.
+    ///
+    /// # Safety
+    /// Requires AVX; `r` must be in bounds of every column.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scatter4(c: [*mut f64; 4], r: usize, v: __m256d) {
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+        _mm_storel_pd(c[0].add(r), lo);
+        _mm_storeh_pd(c[1].add(r), lo);
+        _mm_storel_pd(c[2].add(r), hi);
+        _mm_storeh_pd(c[3].add(r), hi);
+    }
+
+    /// The 4×4 transpose: four columns' four consecutive rows in, the four
+    /// rows' four columns out — and back, as it is its own inverse.
+    ///
+    /// # Safety
+    /// Requires AVX.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose4(v: [__m256d; 4]) -> [__m256d; 4] {
+        let t0 = _mm256_unpacklo_pd(v[0], v[1]);
+        let t1 = _mm256_unpackhi_pd(v[0], v[1]);
+        let t2 = _mm256_unpacklo_pd(v[2], v[3]);
+        let t3 = _mm256_unpackhi_pd(v[2], v[3]);
+        [
+            _mm256_permute2f128_pd(t0, t2, 0x20),
+            _mm256_permute2f128_pd(t1, t3, 0x20),
+            _mm256_permute2f128_pd(t0, t2, 0x31),
+            _mm256_permute2f128_pd(t1, t3, 0x31),
+        ]
+    }
+
+    /// One turn on a register of four columns: `(x, y) ← (c·x − s·y,
+    /// s·x + c·y)`, multiply then add as the scalar loop does.
+    ///
+    /// # Safety
+    /// Requires AVX.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn turn4(x: &mut __m256d, y: &mut __m256d, vc: __m256d, vs: __m256d) {
+        let (x0, y0) = (*x, *y);
+        *y = _mm256_add_pd(_mm256_mul_pd(vs, x0), _mm256_mul_pd(vc, y0));
+        *x = _mm256_sub_pd(_mm256_mul_pd(vc, x0), _mm256_mul_pd(vs, y0));
+    }
+
+    /// The whole chain on `G` groups of four columns abreast: each group's
+    /// pivot entries in one register, the groups' turns interleaved.
+    ///
+    /// # Safety
+    /// Requires AVX; every column must hold `m` elements and `p < m`.
+    /// Pivot rows are checked here.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn top_pivot_groups<const G: usize>(
+        cols: [[*mut f64; 4]; G],
+        m: usize,
+        p: usize,
+        chain: &[(usize, f64, f64)],
+    ) {
+        // No closures below: a closure would not inherit this function's
+        // target feature, and the helpers would not inline into it.
+        let mut x = [_mm256_setzero_pd(); G];
+        for (x, &c) in x.iter_mut().zip(&cols) {
+            *x = gather4(c, p);
+        }
+        let mut t = 0;
+        while t < chain.len() {
+            let q = chain[t].0;
+            assert!(q < m, "pivot row {q} outside a column of {m}");
+            let run = q + 3 < m
+                && chain
+                    .get(t + 1..t + 4)
+                    .is_some_and(|r| r[0].0 == q + 1 && r[1].0 == q + 2 && r[2].0 == q + 3);
+            if run {
+                // Rows q..q + 4 lie in every column: q + 3 < m.
+                let mut tiles = [[_mm256_setzero_pd(); 4]; G];
+                for (tile, &c) in tiles.iter_mut().zip(&cols) {
+                    *tile = transpose4([
+                        _mm256_loadu_pd(c[0].add(q)),
+                        _mm256_loadu_pd(c[1].add(q)),
+                        _mm256_loadu_pd(c[2].add(q)),
+                        _mm256_loadu_pd(c[3].add(q)),
+                    ]);
+                }
+                for (k, &(_, c, s)) in chain[t..t + 4].iter().enumerate() {
+                    let (vc, vs) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+                    for (x, tile) in x.iter_mut().zip(&mut tiles) {
+                        turn4(x, &mut tile[k], vc, vs);
+                    }
+                }
+                for (&tile, &c) in tiles.iter().zip(&cols) {
+                    let rows = transpose4(tile);
+                    for (&col, row) in c.iter().zip(rows) {
+                        _mm256_storeu_pd(col.add(q), row);
+                    }
+                }
+                t += 4;
+            } else {
+                let (_, c, s) = chain[t];
+                let (vc, vs) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+                for (x, &c) in x.iter_mut().zip(&cols) {
+                    let mut y = gather4(c, q);
+                    turn4(x, &mut y, vc, vs);
+                    scatter4(c, q, y);
+                }
+                t += 1;
+            }
+        }
+        for (&x, &c) in x.iter().zip(&cols) {
+            scatter4(c, p, x);
         }
     }
 }
@@ -1292,6 +1571,127 @@ mod tests {
                 }
             }
         }
+    }
+
+    // --- The top-pivot rotation sequence ------------------------------------
+
+    type TopPivotFn = fn(&mut [f64], usize, usize, &[(usize, f64, f64)]);
+
+    /// Every form of [`rotate_top_pivot`] this host can run besides the
+    /// portable one: the public dispatch, and the AVX2 form called directly
+    /// once cpuid reports it.
+    fn top_pivot_tiers() -> Vec<(&'static str, TopPivotFn)> {
+        let mut tiers: Vec<(&'static str, TopPivotFn)> = vec![("dispatch", rotate_top_pivot)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was just detected; the test passes whole
+            // columns and `p < m`.
+            tiers.push(("avx2", |cols, m, p, chain| unsafe {
+                x86::rotate_top_pivot_avx2(cols, cols.len() / m, m, p, chain)
+            }));
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_tier_of_the_top_pivot_sequence_is_bitwise_the_portable_form() {
+        // Chains of 0–9 and 60 turns whose pivot rows count up through the
+        // rows other than `p`, from the first row and from four before the
+        // last (whose first run ends at row m − 1). At turn `gap` the count
+        // either skips a row for good, or takes the row two further for that
+        // one turn, so that a run of consecutive pivots — the lane form's
+        // 4×4 tile — is broken at every offset, also where its first, second
+        // and fourth rows still fit one. One to eight columns: two lane
+        // groups, one, and every leftover. Entries ±0, subnormal and 1e±150
+        // mixed with ordinary ones, where a fused multiply-add would round
+        // differently.
+        use rand::{Rng, SeedableRng};
+        const POOL: [f64; 8] = [0.0, -0.0, 5e-324, -1e-310, 1e150, -1e150, 1e-150, -1e-150];
+        // How far past the count turn `i` lands, given the break at `gap`.
+        type Shift = fn(usize, usize) -> usize;
+        let breaks: [(&str, Shift); 2] = [
+            ("skip", |i, gap| usize::from(i >= gap)),
+            ("jump", |i, gap| 2 * usize::from(i == gap)),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut tiles_at_the_last_row = 0;
+        for m in [4usize, 5, 8, 33] {
+            for p in [0, m / 2] {
+                let rows: Vec<usize> = (0..m).filter(|&r| r != p).collect();
+                for len in (0..=9).chain([60]) {
+                    for (start, gap, (how, shift)) in [0, rows.len().saturating_sub(4)]
+                        .into_iter()
+                        .flat_map(|s| (0..=len).map(move |g| (s, g)))
+                        .flat_map(|(s, g)| breaks.map(|b| (s, g, b)))
+                    {
+                        let chain: Vec<(usize, f64, f64)> = (0..len)
+                            .map(|i| {
+                                let q = rows[(start + i + shift(i, gap)) % rows.len()];
+                                let theta: f64 = rng.gen_range(-3.2..3.2);
+                                (q, theta.cos(), theta.sin())
+                            })
+                            .collect();
+                        tiles_at_the_last_row += chain
+                            .windows(4)
+                            .filter(|w| (0..4).all(|k| w[k].0 + 4 == m + k))
+                            .count();
+                        for ncols in 1..=8 {
+                            let cols: Vec<f64> = (0..ncols * m)
+                                .map(|_| match rng.gen_range(0..3) {
+                                    0 => POOL[rng.gen_range(0..POOL.len())],
+                                    _ => rng.gen_range(-1.0..=1.0),
+                                })
+                                .collect();
+                            let mut want = cols.clone();
+                            rotate_top_pivot_portable(&mut want, ncols, m, p, &chain);
+                            let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+                            for (name, tier) in top_pivot_tiers() {
+                                let mut got = cols.clone();
+                                tier(&mut got, m, p, &chain);
+                                let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                                let case =
+                                    format!("m={m} p={p} len={len} start={start} {how} at {gap}");
+                                assert_eq!(got, want, "{name} {case} columns={ncols}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tiles_at_the_last_row > 0);
+    }
+
+    #[test]
+    fn the_top_pivot_sequence_is_the_scalar_chain_per_column() {
+        // The definition, written out on one column at a time.
+        let (m, p) = (7usize, 2usize);
+        let chain = [(3usize, 0.6f64, 0.8f64), (4, 0.28, -0.96), (5, -0.8, 0.6), (6, 1.0, 0.0)];
+        let chain = [&chain[..], &chain[..], &[(0, 0.352, -0.936), (1, 0.0, 1.0)]].concat();
+        for ncols in [1usize, 4, 5, 9] {
+            let cols: Vec<f64> = (0..ncols * m).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut want = cols.clone();
+            for col in want.chunks_exact_mut(m) {
+                let mut x = col[p];
+                for &(q, c, s) in &chain {
+                    let y = col[q];
+                    col[q] = s * x + c * y;
+                    x = c * x - s * y;
+                }
+                col[p] = x;
+            }
+            let mut got = cols.clone();
+            rotate_top_pivot(&mut got, m, p, &chain);
+            assert_eq!(got, want, "columns={ncols}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn the_top_pivot_sequence_rejects_a_pivot_row_past_the_column() {
+        // The lane form's loads are unchecked, so it asserts every pivot row
+        // itself; the portable form's indexing panics.
+        let mut cols = vec![1.0; 4 * 5];
+        rotate_top_pivot(&mut cols, 5, 0, &[(1, 0.6, 0.8), (5, 0.6, 0.8)]);
     }
 
     #[test]

@@ -262,7 +262,8 @@ proptest! {
         prop_assume!(i != j);
         let mut m = Matrix::from_fn(6, 6, |r, c| vals[c * 6 + r]);
         let before = m.frobenius_norm();
-        m.rotate_columns(i, j, theta.cos(), theta.sin());
+        let (x, y) = m.col_pair_mut(i, j);
+        rotate_pair(x, y, theta.cos(), theta.sin());
         prop_assert!((m.frobenius_norm() - before).abs() <= 1e-9 * before.max(1.0));
     }
 }

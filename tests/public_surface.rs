@@ -37,7 +37,6 @@ use std::path::Path;
 const KEEP: &[(&str, &str)] = &[
     // References a reached item is compared against.
     ("at_b", "u_stays_orthogonal"),
-    ("Matrix::col_pair_mut", "block_kernel_is_bitwise_equal_to_matrix_kernel"),
     ("matmul", "pairing_preserves_the_invariant_a_equals_a0_u"),
     ("off_diagonal_frobenius", "the_deferred_sweep_is_bitwise_the_eager_one"),
     ("column_ordering", "paper_step_count_identity"),
