@@ -68,12 +68,22 @@ pub fn block_jacobi(
         converged = *off_history.last().unwrap() <= opts.tol * norm_a;
     }
 
-    let eigenvalues = diagonal_blocks(&blocks);
+    let (eigenvalues, eigenvectors) = eigenpairs(&blocks);
+    EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
+}
+
+/// The eigenpairs the blocks hold: `λ_c = u_c · a_c` ([`diagonal_blocks`])
+/// and `U` gathered from their `U`-columns. The one eigen answer assembly:
+/// [`block_jacobi`], `one_sided_cyclic` and the engine
+/// ([`crate::multidrive`]) all read their result off their blocks with it.
+pub(crate) fn eigenpairs(blocks: &[ColumnBlock]) -> (Vec<f64>, Matrix) {
+    let eigenvalues = diagonal_blocks(blocks);
+    let m = eigenvalues.len();
     let mut u = Matrix::zeros(m, m);
-    for b in &blocks {
+    for b in blocks {
         b.store_u_into(&mut u);
     }
-    EigenResult { eigenvalues, eigenvectors: u, sweeps, rotations, off_history, converged }
+    (eigenvalues, u)
 }
 
 /// One sweep of the logical block algorithm, eigen or SVD by `kern.rule`:
@@ -143,9 +153,9 @@ mod tests {
 
     #[test]
     fn first_sweep_performs_all_pairings() {
-        // One sweep must touch all m(m−1)/2 pairs exactly once: with
-        // threshold 0 every pairing that sees a nonzero entry rotates, and
-        // the pairing count is exact.
+        // One sweep must touch all m(m−1)/2 pairs exactly once: every
+        // pairing that sees a nonzero entry rotates, and the pairing count
+        // is exact.
         let m = 16;
         let a = random_symmetric(m, 55);
         let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };

@@ -53,19 +53,19 @@ pub struct PairOutcome {
     /// [`PairingRule::Gram`] — the quantity sweep-level convergence
     /// tracking aggregates.
     pub off_before: f64,
-    /// Whether a rotation was applied (false when below threshold).
+    /// Whether a rotation was applied (false when the off-diagonal measure
+    /// is already zero).
     pub rotated: bool,
 }
 
 /// How a pairing derives its 2×2 block from the pair's columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairingRule {
-    /// Symmetric eigensolver: `M_ij = u_i · a_j`, skip when
-    /// `|M_ij| ≤ threshold`.
+    /// Symmetric eigensolver: `M_ij = u_i · a_j`, skip when `M_ij = 0`.
     Implicit,
     /// Hestenes SVD: `G_ij = w_i · w_j` (the `A` slots hold `W`-columns,
-    /// the `U` slots hold `V`-columns), skip when the cosine
-    /// `|G_ij|/√(G_ii·G_jj) ≤ threshold`.
+    /// the `U` slots hold `V`-columns), skip when `G_ij = 0` or the cosine
+    /// `|G_ij|/√(G_ii·G_jj)` is 0.
     Gram,
 }
 
@@ -86,8 +86,8 @@ impl PairingRule {
 /// cache slots when present (maintaining them under rotation), recomputes
 /// them otherwise. Computes the reference bits ([`KernelPath::Scalar`]);
 /// see [`pair_view_with`] for the path-selected form.
-fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
-    pair_view_with(v, rule, threshold, KernelPath::Scalar)
+fn pair_view(v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
+    pair_view_with(v, rule, KernelPath::Scalar)
 }
 
 /// [`pair_view`] with the inner products `path` selects.
@@ -100,14 +100,9 @@ fn pair_view(v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutco
 /// relative). The rotation is the same for both — the lane rotator, bitwise
 /// the scalar loop — so `Lanes` differs from `Scalar` only in the last bits
 /// of the inner products feeding the rotation angle.
-fn pair_view_with(
-    v: PairViewMut<'_>,
-    rule: PairingRule,
-    threshold: f64,
-    path: KernelPath,
-) -> PairOutcome {
+fn pair_view_with(v: PairViewMut<'_>, rule: PairingRule, path: KernelPath) -> PairOutcome {
     let block = pair_block(&v, rule, path);
-    pair_rotate_by(v, block, pair_angle(block, rule, threshold))
+    pair_rotate_by(v, block, pair_angle(block, rule))
 }
 
 /// [`pair_view_with`] for two pairings that share no column, the three
@@ -124,7 +119,6 @@ fn pair_view_with(
 pub(crate) fn pair_view2_with(
     [v0, v1]: [PairViewMut<'_>; 2],
     rule: PairingRule,
-    threshold: f64,
     path: KernelPath,
 ) -> [PairOutcome; 2] {
     let cached = |v: &PairViewMut<'_>| v.di.is_some() && v.dj.is_some();
@@ -140,7 +134,7 @@ pub(crate) fn pair_view2_with(
     } else {
         [pair_block(&v0, rule, path), pair_block(&v1, rule, path)]
     };
-    let (r0, r1) = (pair_angle(b0, rule, threshold), pair_angle(b1, rule, threshold));
+    let (r0, r1) = (pair_angle(b0, rule), pair_angle(b1, rule));
     [pair_rotate_by(v0, b0, r0), pair_rotate_by(v1, b1, r1)]
 }
 
@@ -185,13 +179,11 @@ fn pair_block(v: &PairViewMut<'_>, rule: PairingRule, path: KernelPath) -> (f64,
 }
 
 /// What a pairing's 2×2 block asks for: the off-diagonal measure it shows,
-/// and the rotation annihilating it unless the measure is within
-/// `threshold`.
+/// and the rotation annihilating it unless there is nothing to annihilate.
 #[inline(always)]
 fn pair_angle(
     (app, apq, aqq): (f64, f64, f64),
     rule: PairingRule,
-    threshold: f64,
 ) -> (f64, Option<JacobiRotation>) {
     let off_before = match rule {
         PairingRule::Implicit => apq.abs(),
@@ -206,7 +198,9 @@ fn pair_angle(
             }
         }
     };
-    let skip = off_before <= threshold || apq == 0.0;
+    // `off_before <= 0.0` also skips a Gram pair whose cosine is undefined
+    // (a zero or NaN norm reads 0) although `apq` is not zero.
+    let skip = off_before <= 0.0 || apq == 0.0;
     (off_before, (!skip).then(|| symmetric_schur(app, apq, aqq)))
 }
 
@@ -249,16 +243,12 @@ pub fn refresh_block_diag(block: &mut ColumnBlock, rule: PairingRule) {
 /// Pairs every column pair within `block` (ascending `(i, j)`, `i < j`) —
 /// the paper's step (1): "pair each column of a block with the remaining
 /// columns of the same block".
-pub fn pair_within_block(
-    block: &mut ColumnBlock,
-    rule: PairingRule,
-    threshold: f64,
-) -> SweepAccumulator {
+pub fn pair_within_block(block: &mut ColumnBlock, rule: PairingRule) -> SweepAccumulator {
     let mut acc = SweepAccumulator::default();
     let b = block.len();
     for i in 0..b {
         for j in (i + 1)..b {
-            acc.absorb(pair_view(block.pair_mut(i, j), rule, threshold));
+            acc.absorb(pair_view(block.pair_mut(i, j), rule));
         }
     }
     acc
@@ -273,12 +263,11 @@ pub fn pair_across_blocks(
     left: &mut ColumnBlock,
     right: &mut ColumnBlock,
     rule: PairingRule,
-    threshold: f64,
 ) -> SweepAccumulator {
     let mut acc = SweepAccumulator::default();
     for i in 0..left.len() {
         for j in 0..right.len() {
-            acc.absorb(pair_view(cross_pair_mut(left, i, right, j), rule, threshold));
+            acc.absorb(pair_view(cross_pair_mut(left, i, right, j), rule));
         }
     }
     acc
@@ -410,9 +399,9 @@ impl Tournament {
     }
 }
 
-/// One sub-sweep's pairing configuration — rule, threshold, kernel path,
-/// and worker count — threaded from `JacobiOptions` through every driver
-/// so the logical, threaded, and batch drivers keep performing identical
+/// One sub-sweep's pairing configuration — rule, kernel path and worker
+/// count — threaded from `JacobiOptions` through every driver so the
+/// logical, threaded, and batch drivers keep performing identical
 /// floating-point work for identical options.
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
@@ -441,8 +430,6 @@ impl Tournament {
 pub struct SweepKernel {
     /// How pairings derive their 2×2 block.
     pub rule: PairingRule,
-    /// Rotation threshold (see `JacobiOptions::threshold`).
-    pub threshold: f64,
     /// Which inner products the pairings take: the reference bits or the
     /// reassociated reductions.
     pub path: KernelPath,
@@ -453,12 +440,12 @@ pub struct SweepKernel {
 impl SweepKernel {
     /// The kernel a driver derives from its options.
     pub fn from_options(rule: PairingRule, opts: &JacobiOptions) -> Self {
-        SweepKernel { rule, threshold: opts.threshold, path: opts.kernel, workers: opts.workers }
+        SweepKernel { rule, path: opts.kernel, workers: opts.workers }
     }
 
-    /// The scalar serial reference kernel at `threshold`.
-    pub fn reference(rule: PairingRule, threshold: f64) -> Self {
-        SweepKernel { rule, threshold, path: KernelPath::Scalar, workers: 0 }
+    /// The scalar serial reference kernel.
+    pub fn reference(rule: PairingRule) -> Self {
+        SweepKernel { rule, path: KernelPath::Scalar, workers: 0 }
     }
 
     /// The [`Tournament`] a solve with this kernel runs its calls on;
@@ -701,17 +688,17 @@ impl SweepKernel {
         rcols: &mut [ColumnViewMut<'_>],
         acc: &mut SweepAccumulator,
     ) {
-        let SweepKernel { rule, threshold, path, .. } = *self;
+        let SweepKernel { rule, path, .. } = *self;
         two_row_steps(lcols.len(), rcols.len(), |(i, j), abreast| match abreast {
             None => {
                 let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
-                acc.absorb(pair_view_with(pair, rule, threshold, path));
+                acc.absorb(pair_view_with(pair, rule, path));
             }
             Some((i1, j1)) => {
                 let [ci, ci1] = lcols.get_disjoint_mut([i, i1]).expect("a step's rows differ");
                 let [cj, cj1] = rcols.get_disjoint_mut([j, j1]).expect("a step's columns differ");
                 let pairs = [ColumnViewMut::pair_mut(ci, cj), ColumnViewMut::pair_mut(ci1, cj1)];
-                for outcome in pair_view2_with(pairs, rule, threshold, path) {
+                for outcome in pair_view2_with(pairs, rule, path) {
                     acc.absorb(outcome);
                 }
             }
@@ -791,21 +778,11 @@ mod tests {
 
     /// Pairs columns `i` and `j` of the full matrices `(a, u)`, annihilating
     /// `M_ij` — the whole-matrix oracle the block pairings are checked against.
-    fn pair_columns(
-        a: &mut Matrix,
-        u: &mut Matrix,
-        i: usize,
-        j: usize,
-        threshold: f64,
-    ) -> PairOutcome {
+    fn pair_columns(a: &mut Matrix, u: &mut Matrix, i: usize, j: usize) -> PairOutcome {
         debug_assert!(i != j);
         let (ai, aj) = a.col_pair_mut(i, j);
         let (ui, uj) = u.col_pair_mut(i, j);
-        pair_view(
-            PairViewMut { ai, ui, aj, uj, di: None, dj: None },
-            PairingRule::Implicit,
-            threshold,
-        )
+        pair_view(PairViewMut { ai, ui, aj, uj, di: None, dj: None }, PairingRule::Implicit)
     }
 
     /// Pairs every column pair within `cols` (ascending `(i, j)`, `i < j`) on
@@ -814,12 +791,11 @@ mod tests {
         a: &mut Matrix,
         u: &mut Matrix,
         cols: std::ops::Range<usize>,
-        threshold: f64,
     ) -> SweepAccumulator {
         let mut acc = SweepAccumulator::default();
         for i in cols.clone() {
             for j in (i + 1)..cols.end {
-                acc.absorb(pair_columns(a, u, i, j, threshold));
+                acc.absorb(pair_columns(a, u, i, j));
             }
         }
         acc
@@ -832,13 +808,12 @@ mod tests {
         u: &mut Matrix,
         left: std::ops::Range<usize>,
         right: std::ops::Range<usize>,
-        threshold: f64,
     ) -> SweepAccumulator {
         debug_assert!(left.end <= right.start || right.end <= left.start);
         let mut acc = SweepAccumulator::default();
         for i in left {
             for j in right.clone() {
-                acc.absorb(pair_columns(a, u, i, j, threshold));
+                acc.absorb(pair_columns(a, u, i, j));
             }
         }
         acc
@@ -884,7 +859,7 @@ mod tests {
     /// The reference pairing as it was executed before the exact kernels,
     /// kept as the oracle `pair_view_with(.., Scalar)` must match bit for
     /// bit: one `dot` per inner product and the portable scalar rotation.
-    fn pair_view_oracle(mut v: PairViewMut<'_>, rule: PairingRule, threshold: f64) -> PairOutcome {
+    fn pair_view_oracle(mut v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
         let (app, aqq) = match (&v.di, &v.dj) {
             (Some(di), Some(dj)) => (**di, **dj),
             _ => (rule.diag_entry(v.ai, v.ui), rule.diag_entry(v.aj, v.uj)),
@@ -904,7 +879,7 @@ mod tests {
                 }
             }
         };
-        if off_before <= threshold || apq == 0.0 {
+        if off_before <= 0.0 || apq == 0.0 {
             return PairOutcome { off_before, rotated: false };
         }
         let rot = symmetric_schur(app, apq, aqq);
@@ -925,8 +900,7 @@ mod tests {
         // cross-block pair; column lengths of every remainder mod 4; the
         // Gram rule on tall rectangular blocks, where the `W`-columns are
         // longer than the `V`-columns. Two sweeps, so the second runs on
-        // generic (not identity) `U`-columns, and a threshold that skips
-        // some pairings.
+        // generic (not identity) `U`-columns.
         for (rule, extra_rows) in [(PairingRule::Implicit, 0), (PairingRule::Gram, 9)] {
             for n in [8usize, 9, 10, 11] {
                 let square = random_symmetric(n + extra_rows, 40 + n as u64);
@@ -941,24 +915,19 @@ mod tests {
                         refresh_block_diag(&mut right, rule);
                     }
                     let (mut want_left, mut want_right) = (left.clone(), right.clone());
-                    for threshold in [0.0, 0.05] {
+                    for _sweep in 0..2 {
                         for i in 0..left.len() {
                             for j in i + 1..left.len() {
-                                let got = pair_view(left.pair_mut(i, j), rule, threshold);
-                                let want =
-                                    pair_view_oracle(want_left.pair_mut(i, j), rule, threshold);
+                                let got = pair_view(left.pair_mut(i, j), rule);
+                                let want = pair_view_oracle(want_left.pair_mut(i, j), rule);
                                 assert_eq!(got, want, "{rule:?} n={n} within ({i},{j})");
                             }
                             for j in 0..right.len() {
-                                let got = pair_view(
-                                    cross_pair_mut(&mut left, i, &mut right, j),
-                                    rule,
-                                    threshold,
-                                );
+                                let got =
+                                    pair_view(cross_pair_mut(&mut left, i, &mut right, j), rule);
                                 let want = pair_view_oracle(
                                     cross_pair_mut(&mut want_left, i, &mut want_right, j),
                                     rule,
-                                    threshold,
                                 );
                                 assert_eq!(got, want, "{rule:?} n={n} across ({i},{j})");
                             }
@@ -979,7 +948,7 @@ mod tests {
         let mut u = Matrix::identity(6);
         let before = implicit_entry(&a, &u, 1, 4).abs();
         assert!(before > 0.0);
-        let out = pair_columns(&mut a, &mut u, 1, 4, 0.0);
+        let out = pair_columns(&mut a, &mut u, 1, 4);
         assert!(out.rotated);
         assert!((out.off_before - before).abs() < 1e-15);
         let after = implicit_entry(&a, &u, 1, 4).abs();
@@ -993,7 +962,7 @@ mod tests {
         let mut a = a0.clone();
         let mut u = Matrix::identity(5);
         for (i, j) in [(0, 1), (2, 4), (1, 3), (0, 4), (3, 4)] {
-            pair_columns(&mut a, &mut u, i, j, 0.0);
+            pair_columns(&mut a, &mut u, i, j);
         }
         let a0u = mph_linalg::matmul::matmul(&a0, &u);
         for c in 0..5 {
@@ -1010,7 +979,7 @@ mod tests {
         let mut u = Matrix::identity(7);
         for i in 0..7 {
             for j in (i + 1)..7 {
-                pair_columns(&mut a, &mut u, i, j, 0.0);
+                pair_columns(&mut a, &mut u, i, j);
             }
         }
         let g = at_b(&u, &u);
@@ -1023,21 +992,11 @@ mod tests {
     }
 
     #[test]
-    fn threshold_skips_small_entries() {
-        let a0 = random_symmetric(4, 5);
-        let mut a = a0.clone();
-        let mut u = Matrix::identity(4);
-        let out = pair_columns(&mut a, &mut u, 0, 1, 10.0); // everything < 10
-        assert!(!out.rotated);
-        assert_eq!(a, a0); // untouched
-    }
-
-    #[test]
     fn pair_within_covers_all_internal_pairs() {
         let a0 = random_symmetric(6, 21);
         let mut a = a0.clone();
         let mut u = Matrix::identity(6);
-        let acc = pair_within(&mut a, &mut u, 1..4, 0.0);
+        let acc = pair_within(&mut a, &mut u, 1..4);
         assert_eq!(acc.pairings, 3); // (1,2) (1,3) (2,3)
     }
 
@@ -1046,7 +1005,7 @@ mod tests {
         let a0 = random_symmetric(6, 22);
         let mut a = a0.clone();
         let mut u = Matrix::identity(6);
-        let acc = pair_across(&mut a, &mut u, 0..2, 3..6, 0.0);
+        let acc = pair_across(&mut a, &mut u, 0..2, 3..6);
         assert_eq!(acc.pairings, 6);
     }
 
@@ -1061,13 +1020,13 @@ mod tests {
         let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..4, m);
         let mut right = ColumnBlock::from_matrix_with_identity(&a0, 4..8, m);
 
-        let mut acc_m = pair_within(&mut a, &mut u, 0..4, 0.0);
-        acc_m.merge(pair_within(&mut a, &mut u, 4..8, 0.0));
-        acc_m.merge(pair_across(&mut a, &mut u, 0..4, 4..8, 0.0));
+        let mut acc_m = pair_within(&mut a, &mut u, 0..4);
+        acc_m.merge(pair_within(&mut a, &mut u, 4..8));
+        acc_m.merge(pair_across(&mut a, &mut u, 0..4, 4..8));
 
-        let mut acc_b = pair_within_block(&mut left, PairingRule::Implicit, 0.0);
-        acc_b.merge(pair_within_block(&mut right, PairingRule::Implicit, 0.0));
-        acc_b.merge(pair_across_blocks(&mut left, &mut right, PairingRule::Implicit, 0.0));
+        let mut acc_b = pair_within_block(&mut left, PairingRule::Implicit);
+        acc_b.merge(pair_within_block(&mut right, PairingRule::Implicit));
+        acc_b.merge(pair_across_blocks(&mut left, &mut right, PairingRule::Implicit));
 
         assert_eq!(acc_m, acc_b);
         for k in 0..4 {
@@ -1084,7 +1043,7 @@ mod tests {
         let a0 = random_symmetric(m, 77);
         let mut blk = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
         refresh_block_diag(&mut blk, PairingRule::Implicit);
-        let _ = pair_within_block(&mut blk, PairingRule::Implicit, 0.0);
+        let _ = pair_within_block(&mut blk, PairingRule::Implicit);
         for k in 0..m {
             let exact = dot(blk.u_col(k), blk.a_col(k));
             let cached = blk.diag()[k];
@@ -1104,7 +1063,7 @@ mod tests {
         let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..4, m);
         let mut right = ColumnBlock::from_matrix_with_identity(&a0, 4..8, m);
         refresh_block_diag(&mut left, PairingRule::Implicit);
-        let acc = pair_across_blocks(&mut left, &mut right, PairingRule::Implicit, 0.0);
+        let acc = pair_across_blocks(&mut left, &mut right, PairingRule::Implicit);
         assert!(acc.rotations > 0);
         for k in 0..4 {
             let exact = dot(left.u_col(k), left.a_col(k));
@@ -1121,7 +1080,7 @@ mod tests {
         let a0 = random_symmetric(6, 41);
         let mut blk = ColumnBlock::from_matrix_with_identity(&a0, 0..6, 6);
         for _ in 0..8 {
-            let acc = pair_within_block(&mut blk, PairingRule::Gram, 0.0);
+            let acc = pair_within_block(&mut blk, PairingRule::Gram);
             if acc.rotations == 0 {
                 break;
             }
@@ -1181,22 +1140,22 @@ mod tests {
         path: KernelPath,
     ) -> SweepAccumulator {
         if path == KernelPath::Scalar {
-            let mut acc = pair_within_block(left, rule, 0.0);
-            acc.merge(pair_within_block(right, rule, 0.0));
-            acc.merge(pair_across_blocks(left, right, rule, 0.0));
+            let mut acc = pair_within_block(left, rule);
+            acc.merge(pair_within_block(right, rule));
+            acc.merge(pair_across_blocks(left, right, rule));
             return acc;
         }
         let mut acc = SweepAccumulator::default();
         for block in [&mut *left, &mut *right] {
             for i in 0..block.len() {
                 for j in i + 1..block.len() {
-                    acc.absorb(pair_view_with(block.pair_mut(i, j), rule, 0.0, path));
+                    acc.absorb(pair_view_with(block.pair_mut(i, j), rule, path));
                 }
             }
         }
         for i in 0..left.len() {
             for j in 0..right.len() {
-                acc.absorb(pair_view_with(cross_pair_mut(left, i, right, j), rule, 0.0, path));
+                acc.absorb(pair_view_with(cross_pair_mut(left, i, right, j), rule, path));
             }
         }
         acc
@@ -1230,7 +1189,7 @@ mod tests {
                         let (mut l_ref, mut r_ref) = (l_ref.clone(), r_ref.clone());
                         let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
                         let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule, path);
-                        let kern = SweepKernel { path, ..SweepKernel::reference(rule, 0.0) };
+                        let kern = SweepKernel { path, ..SweepKernel::reference(rule) };
                         let acc_new = sweep_two(&kern, &mut l_new, &mut r_new);
                         let what = || {
                             format!(
@@ -1296,8 +1255,7 @@ mod tests {
             for workers in [1usize, 2, 3, 4, 8] {
                 let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..9, m);
                 let mut right = ColumnBlock::from_matrix_with_identity(&a0, 9..m, m);
-                let kern =
-                    SweepKernel { rule: PairingRule::Implicit, threshold: 0.0, path, workers };
+                let kern = SweepKernel { rule: PairingRule::Implicit, path, workers };
                 let acc = sweep_two(&kern, &mut left, &mut right);
                 match &want {
                     None => want = Some((left, right, acc)),
@@ -1323,12 +1281,8 @@ mod tests {
             let mut right = ColumnBlock::from_matrix_with_identity(&a0, m / 2..m, m);
             refresh_block_diag(&mut left, PairingRule::Implicit);
             refresh_block_diag(&mut right, PairingRule::Implicit);
-            let kern = SweepKernel {
-                rule: PairingRule::Implicit,
-                threshold: 0.0,
-                path: KernelPath::Lanes,
-                workers,
-            };
+            let kern =
+                SweepKernel { rule: PairingRule::Implicit, path: KernelPath::Lanes, workers };
             let acc = sweep_two(&kern, &mut left, &mut right);
             (left, right, acc)
         };
@@ -1348,12 +1302,8 @@ mod tests {
         let bounds = [0usize, 20, 29, 30, 47, 47, 64]; // widths 20 9 1 17 0 17
         let pairs = [(3usize, 0usize), (1, 5), (4, 2)];
         for workers in [1usize, 3] {
-            let kern = SweepKernel {
-                rule: PairingRule::Implicit,
-                threshold: 0.0,
-                path: KernelPath::Scalar,
-                workers,
-            };
+            let kern =
+                SweepKernel { rule: PairingRule::Implicit, path: KernelPath::Scalar, workers };
             let mut merged: Vec<ColumnBlock> = bounds
                 .windows(2)
                 .map(|w| ColumnBlock::from_matrix_with_identity(&a0, w[0]..w[1], m))
@@ -1387,7 +1337,7 @@ mod tests {
         let mut blocks: Vec<ColumnBlock> = (0..3)
             .map(|b| ColumnBlock::from_matrix_with_identity(&a0, 4 * b..4 * b + 4, 12))
             .collect();
-        let kern = SweepKernel { workers: 1, ..SweepKernel::reference(PairingRule::Implicit, 0.0) };
+        let kern = SweepKernel { workers: 1, ..SweepKernel::reference(PairingRule::Implicit) };
         kern.across_step(&mut kern.tournament([4; 3]), &mut blocks, &[(0, 1), (1, 2)]);
     }
 
@@ -1403,8 +1353,7 @@ mod tests {
         let raise = |workers: usize| {
             let mut left = ColumnBlock::from_matrix_with_identity(&short, 0..128, 248);
             let mut right = ColumnBlock::from_matrix_with_identity(&tall, 0..128, 256);
-            let kern =
-                SweepKernel { workers, ..SweepKernel::reference(PairingRule::Implicit, 0.0) };
+            let kern = SweepKernel { workers, ..SweepKernel::reference(PairingRule::Implicit) };
             let mut tour = kern.tournament([128, 128]);
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 kern.across(&mut tour, &mut left, &mut right)
@@ -1417,7 +1366,7 @@ mod tests {
         assert!(inline.contains("left == right"), "{inline}");
         assert_eq!(raise(3), inline);
 
-        let kern = SweepKernel { workers: 3, ..SweepKernel::reference(PairingRule::Implicit, 0.0) };
+        let kern = SweepKernel { workers: 3, ..SweepKernel::reference(PairingRule::Implicit) };
         let mut left = ColumnBlock::from_matrix_with_identity(&tall, 0..128, 256);
         let mut right = ColumnBlock::from_matrix_with_identity(&tall, 128..256, 256);
         let acc = sweep_two(&kern, &mut left, &mut right);
@@ -1432,7 +1381,7 @@ mod tests {
         let a0 = random_symmetric(m, 63);
         let mut serial = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
         let mut tourney = serial.clone();
-        let reference = SweepKernel::reference(PairingRule::Implicit, 0.0);
+        let reference = SweepKernel::reference(PairingRule::Implicit);
         let acc_s = reference.within(&mut reference.tournament([m]), [&mut serial]);
         let kern = SweepKernel { workers: 2, ..reference };
         let acc_t = kern.within(&mut kern.tournament([m]), [&mut tourney]);
@@ -1452,7 +1401,7 @@ mod tests {
                 refresh_block_diag(&mut scalar, PairingRule::Implicit);
             }
             let mut lanes = scalar.clone();
-            let reference = SweepKernel::reference(PairingRule::Implicit, 0.0);
+            let reference = SweepKernel::reference(PairingRule::Implicit);
             let _ = reference.within(&mut reference.tournament([m]), [&mut scalar]);
             let kern = SweepKernel { path: KernelPath::Lanes, ..reference };
             let _ = kern.within(&mut kern.tournament([m]), [&mut lanes]);

@@ -13,8 +13,9 @@
 //! `mph-batch` policies, walked by an [`OrderCursor`]) merges the jobs'
 //! programs. Every node executes the *same* merged sequence, so sends and
 //! receives pair up exactly as in a solo SPMD program; the messages carry
-//! job tags and each node demultiplexes arrivals through [`JobMux`], so
-//! per-`(link, job)` FIFO order survives any interleaving.
+//! job tags, every link keeps one FIFO queue per job, and a job's receive
+//! takes from its own ([`NodeCtx::try_recv`]), so per-`(link, job)` FIFO
+//! order survives any interleaving.
 //!
 //! # Steps that yield
 //!
@@ -141,10 +142,11 @@
 //! [`svd_block`]: crate::svd::svd_block
 //! [`Pipelining`]: crate::options::Pipelining
 
+use crate::blockjacobi::eigenpairs;
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
 use crate::offnorm::node_residual_sq;
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
-use crate::svd::{sigma_and_u_col, SvdResult};
+use crate::svd::{extract_usv_blocks, SvdResult};
 use crate::threaded::{
     choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport, ThreadedRun,
 };
@@ -152,11 +154,10 @@ use mph_ccpipe::{BatchOrder, OrderCursor};
 use mph_core::{BlockPartition, CommPlan, Framing, MicroOp, OpKind, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
 use mph_linalg::block::ColumnBlock;
-use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{
-    run_spmd, FabricModel, FabricReport, JobMux, Machine, Meterable, NodeCtx, Scenario, SinkHandle,
-    Spmd, SpmdRun, TraceEvent, TrafficMeter,
+    run_spmd, FabricModel, FabricReport, Machine, Meterable, NodeCtx, Scenario, SinkHandle, Spmd,
+    SpmdRun, TraceEvent, TrafficMeter,
 };
 use std::sync::Arc;
 use std::task::{ready, Poll};
@@ -361,8 +362,8 @@ impl Solo {
 }
 
 /// The batch wire protocol: every frame carries its job tag, so N
-/// problems' blocks, pipeline rounds, and convergence votes multiplex one
-/// set of links and demultiplex losslessly at the receiver.
+/// problems' blocks, pipeline rounds, and convergence votes share one set
+/// of links, each job's frames in a queue of their own.
 ///
 /// A `Round` is the block that iteration `k` of a packetized phase (0 in a
 /// chained tail) forwards, whole, with the arrival stamp of each of the
@@ -578,10 +579,8 @@ struct JobNodeOutput {
     start: f64,
     finish: f64,
     adaptive: AdaptiveReport,
-    /// Eigen: `(global column, λ, u-column)`.
-    eigen_cols: Vec<(usize, f64, Vec<f64>)>,
-    /// SVD: `(global column, w-column, v-column)`.
-    svd_cols: Vec<(usize, Vec<f64>, Vec<f64>)>,
+    /// The node's two blocks as the job left them, moved out of its slots.
+    blocks: [ColumnBlock; 2],
 }
 
 impl<'a> JobNode<'a> {
@@ -648,13 +647,8 @@ impl<'a> JobNode<'a> {
 
     /// Takes this job's next message from `link`, or `Poll::Pending` if it
     /// has not come; consuming the arrival advances the virtual clock.
-    fn recv(
-        &self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        link: usize,
-    ) -> Poll<BatchMsg> {
-        let (msg, stamp) = ready!(mux.try_recv_for(ctx, link, self.job));
+    fn recv(&self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> Poll<BatchMsg> {
+        let (msg, stamp) = ready!(ctx.try_recv(link, self.job));
         ctx.advance_clock_to(stamp);
         ctx.trace_recv(link, msg.elems(), self.job, None, msg.is_control(), stamp);
         Poll::Ready(msg)
@@ -677,15 +671,9 @@ impl<'a> JobNode<'a> {
     /// Receives round `k` of phase `idx` into the travelling slot, and
     /// into `stamps` the arrival of each of its packets — consumed one per
     /// micro-op by [`Self::consume_packet`], the clock untouched here.
-    fn recv_round(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        idx: usize,
-        k: usize,
-    ) -> Poll<()> {
+    fn recv_round(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize) -> Poll<()> {
         let link = self.plans[self.sweeps].phases()[idx].links[k];
-        match ready!(mux.try_recv_for(ctx, link, self.job)).0 {
+        match ready!(ctx.try_recv(link, self.job)).0 {
             BatchMsg::Round { job, k: sent_k, block, stamps } => {
                 assert_eq!((job, sent_k), (self.job, k as u32), "batch round protocol violation");
                 debug_assert_eq!(block.misaligned_columns(), 0);
@@ -783,12 +771,7 @@ impl<'a> JobNode<'a> {
     /// in the global script order, and the per-(node, dim, job) links are
     /// FIFO, so the script is deadlock-free and deterministic. With no dead
     /// edge on `link` this is a plain receive.
-    fn recv_via(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        link: usize,
-    ) -> Poll<BatchMsg> {
+    fn recv_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> Poll<BatchMsg> {
         let mut via = self.via.take().unwrap_or_else(|| Via {
             // A parked payload means the direct edge is dead: nothing
             // crosses it.
@@ -798,7 +781,7 @@ impl<'a> JobNode<'a> {
             incoming: None,
             carried: None,
         });
-        let got = self.relay(ctx, mux, link, &mut via);
+        let got = self.relay(ctx, link, &mut via);
         if got.is_pending() {
             self.via = Some(via);
         }
@@ -806,15 +789,9 @@ impl<'a> JobNode<'a> {
     }
 
     /// Runs `via` on from where it stopped; see [`Self::recv_via`].
-    fn relay(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        link: usize,
-        via: &mut Via,
-    ) -> Poll<BatchMsg> {
+    fn relay(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize, via: &mut Via) -> Poll<BatchMsg> {
         if via.direct {
-            via.incoming = Some(ready!(self.recv(ctx, mux, link)));
+            via.incoming = Some(ready!(self.recv(ctx, link)));
             via.direct = false;
         }
         while let Some(&hop) = via.hops.get(via.at) {
@@ -834,7 +811,7 @@ impl<'a> JobNode<'a> {
                     ctx.send(dim, via.carried.take().expect("relay hop carries the payload"));
                 }
                 Hop::Recv { dim, delivers } => {
-                    let got = ready!(self.recv(ctx, mux, dim));
+                    let got = ready!(self.recv(ctx, dim));
                     if delivers {
                         via.incoming = Some(got);
                     } else {
@@ -855,19 +832,14 @@ impl<'a> JobNode<'a> {
     /// same bits. Every hop is relay-aware — convergence votes and machine
     /// agreement survive dead links like any other exchange. `Err` hands
     /// the reduction back, to resume from once a receive can go on.
-    fn reduce(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        mut r: Reduce,
-    ) -> Result<Vec<f64>, Reduce> {
+    fn reduce(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mut r: Reduce) -> Result<Vec<f64>, Reduce> {
         while r.done < r.vals.len() * self.d {
             let (k, dim) = (r.done / self.d, r.done % self.d);
             if !r.sent {
                 self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v: r.vals[k] });
                 r.sent = true;
             }
-            let Poll::Ready(got) = self.recv_via(ctx, mux, dim) else { return Err(r) };
+            let Poll::Ready(got) = self.recv_via(ctx, dim) else { return Err(r) };
             r.vals[k] = (r.op)(r.vals[k], expect_scalar(got));
             (r.done, r.sent) = (r.done + 1, false);
         }
@@ -914,7 +886,7 @@ impl<'a> JobNode<'a> {
     }
 
     /// The convergence vote a sweep ends with, unless the job is forced:
-    /// one dimension-exchange all-reduce, demultiplexed by job tag and
+    /// one dimension-exchange all-reduce on the job's own link queues,
     /// relayed like the sweep's blocks (module docs) — the sum of the
     /// nodes' eigen-residuals, or the max of their SVD cosines.
     fn vote(&self) -> Option<Reduce> {
@@ -950,12 +922,7 @@ impl<'a> JobNode<'a> {
     /// anything it does, or its cursor (`via`, `stage`) remembers how far it
     /// got. The caller guarantees every node invokes every job's steps in
     /// the same merged order.
-    fn step(
-        &mut self,
-        ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
-        tour: &mut Tournament,
-    ) -> Poll<()> {
+    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>, tour: &mut Tournament) -> Poll<()> {
         let op = self.next.expect("the order walk steps unfinished jobs only");
         let plan = &self.plans[self.sweeps];
         match op.kind {
@@ -965,7 +932,7 @@ impl<'a> JobNode<'a> {
                     Stage::Fresh | Stage::Voted => self.open_sweep(ctx),
                 };
                 if let Some(r) = agreement {
-                    match self.reduce(ctx, mux, r) {
+                    match self.reduce(ctx, r) {
                         Ok(agreed) => self.adopt(ctx, agreed[0], agreed[1]),
                         Err(r) => {
                             self.stage = Stage::Reduce(r);
@@ -996,7 +963,7 @@ impl<'a> JobNode<'a> {
             }
             OpKind::Recv => {
                 let link = plan.phases()[op.phase].links[op.k];
-                let block = expect_block(ready!(self.recv_via(ctx, mux, link)));
+                let block = expect_block(ready!(self.recv_via(ctx, link)));
                 *self.travelling(op.phase) = block;
             }
             OpKind::Pipe | OpKind::TailSend => {
@@ -1006,7 +973,7 @@ impl<'a> JobNode<'a> {
                         self.stamps.clear();
                         self.stamps.resize(op.of, ctx.virtual_now());
                     } else if op.k > 0 {
-                        ready!(self.recv_round(ctx, mux, op.phase, op.k - 1));
+                        ready!(self.recv_round(ctx, op.phase, op.k - 1));
                     }
                     // One pairing of the whole mobile block, before anything
                     // is charged — the per-packet pairings, which share no
@@ -1023,7 +990,7 @@ impl<'a> JobNode<'a> {
             }
             OpKind::Drain | OpKind::TailRecv => {
                 if op.q == 0 {
-                    ready!(self.recv_round(ctx, mux, op.phase, op.k));
+                    ready!(self.recv_round(ctx, op.phase, op.k));
                 }
                 let stamp = self.consume_packet(ctx, op, op.k);
                 if op.kind == OpKind::Drain {
@@ -1053,7 +1020,7 @@ impl<'a> JobNode<'a> {
                     stage = self.vote().map_or(Stage::Voted, Stage::Reduce);
                 }
                 if let Stage::Reduce(r) = stage {
-                    match self.reduce(ctx, mux, r) {
+                    match self.reduce(ctx, r) {
                         Ok(v) => self.count_vote(v[0]),
                         Err(r) => {
                             self.stage = Stage::Reduce(r);
@@ -1087,7 +1054,7 @@ impl<'a> JobNode<'a> {
 
     fn into_output(self) -> JobNodeOutput {
         assert!(self.done(), "collecting an unfinished job");
-        let mut out = JobNodeOutput {
+        JobNodeOutput {
             sweeps: self.sweeps,
             rotations: self.rotations,
             off_history: self.off_history,
@@ -1095,27 +1062,8 @@ impl<'a> JobNode<'a> {
             start: self.start,
             finish: self.finish,
             adaptive: self.adaptive,
-            eigen_cols: Vec::new(),
-            svd_cols: Vec::new(),
-        };
-        for b in [&self.slot0, &self.slot1] {
-            for k in 0..b.len() {
-                match self.spec.kind {
-                    JobKind::Eigen => {
-                        let lambda = dot(b.u_col(k), b.a_col(k));
-                        out.eigen_cols.push((b.global_col(k), lambda, b.u_col(k).to_vec()));
-                    }
-                    JobKind::Svd => {
-                        out.svd_cols.push((
-                            b.global_col(k),
-                            b.a_col(k).to_vec(),
-                            b.u_col(k).to_vec(),
-                        ));
-                    }
-                }
-            }
+            blocks: [self.slot0, self.slot1],
         }
-        out
     }
 }
 
@@ -1174,22 +1122,24 @@ fn run_jobs(
     let SpmdRun { results: outputs, meter, fabric } =
         run_nodes(d, jobs, lowered, fabric, order, sink, solo);
 
-    // Assemble per-job global results from the per-node column shares.
+    // Assemble per-job global results from the per-node shares.
+    let mut per_node: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
     let mut results = Vec::with_capacity(jobs.len());
     let mut spans = Vec::with_capacity(jobs.len());
     let mut adaptive = AdaptiveReport::default();
-    for (j, spec) in jobs.iter().enumerate() {
-        let per_node: Vec<&JobNodeOutput> = outputs.iter().map(|o| &o[j]).collect();
-        let (result, span) = assemble_job(spec, &per_node);
-        results.push(result);
-        spans.push(span);
-        for o in per_node {
+    for spec in jobs {
+        let shares: Vec<JobNodeOutput> =
+            per_node.iter_mut().map(|o| o.next().expect("one share per job")).collect();
+        for o in &shares {
             // Recalibrations are globally agreed (same count everywhere);
             // reroute work is per-origin and sums.
             adaptive.recalibrations = adaptive.recalibrations.max(o.adaptive.recalibrations);
             adaptive.reroutes += o.adaptive.reroutes;
             adaptive.rerouted_elems += o.adaptive.rerouted_elems;
         }
+        let (result, span) = assemble_job(spec, shares);
+        results.push(result);
+        spans.push(span);
     }
     (BatchRun { results, spans, meter, fabric }, adaptive)
 }
@@ -1222,12 +1172,10 @@ fn run_nodes(
                     Some(JobNode::new(j as u32, &jobs[j], plans, shared, solo, d, ctx.id()))
                 })
                 .collect();
-            let mut mux = JobMux::new(d);
             let mut tour = node_tournament(jobs, d);
             let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
             move |ctx| {
-                ready!(walk.resume(&mut nodes, ctx, &mut mux, &mut tour));
-                assert_eq!(mux.stashed(), 0, "batch framing corrupt: unconsumed messages");
+                ready!(walk.resume(&mut nodes, ctx, &mut tour));
                 Poll::Ready(nodes.drain(..).flatten().map(JobNode::into_output).collect())
             }
         },
@@ -1272,7 +1220,6 @@ impl Round {
         &mut self,
         nodes: &mut [Option<JobNode<'_>>],
         ctx: &NodeCtx<'_, BatchMsg>,
-        mux: &mut JobMux<BatchMsg>,
         tour: &mut Tournament,
     ) -> Poll<()> {
         while let Some((i, grant)) = self.cursor.turn(&self.order) {
@@ -1281,7 +1228,7 @@ impl Round {
                     if self.skip[i] > 0 {
                         self.skip[i] -= 1;
                     } else {
-                        ready!(node.step(ctx, mux, tour));
+                        ready!(node.step(ctx, tour));
                     }
                     self.used += 1;
                 }
@@ -1320,59 +1267,40 @@ pub(crate) fn solve_solo(spec: &JobSpec<'_>, d: usize) -> ThreadedRun<JobResult>
     ThreadedRun { result, meter: run.meter, fabric: run.fabric, adaptive }
 }
 
-/// Merges one job's per-node column shares into its global result and
+/// Merges one job's per-node shares into its global result and
 /// virtual-clock span — the assembly both the batch and the service
-/// drivers perform once their SPMD run returns.
-fn assemble_job(spec: &JobSpec<'_>, per_node: &[&JobNodeOutput]) -> (JobResult, JobSpan) {
-    let mut sweeps = 0usize;
-    let mut rotations = 0u64;
-    let mut converged = true;
-    let mut start = f64::INFINITY;
-    let mut finish = 0.0f64;
-    for o in per_node {
+/// drivers perform once their SPMD run returns. The answer is read off the
+/// nodes' blocks by the logical drivers' own assembly ([`eigenpairs`],
+/// [`extract_usv_blocks`]), so it is theirs to the bit.
+fn assemble_job(spec: &JobSpec<'_>, mut shares: Vec<JobNodeOutput>) -> (JobResult, JobSpan) {
+    let (mut sweeps, mut rotations, mut converged) = (0usize, 0u64, true);
+    let mut span = JobSpan { start: f64::INFINITY, finish: 0.0 };
+    // Every node holds the votes' agreed values.
+    let off_history = std::mem::take(&mut shares[0].off_history);
+    let mut blocks = Vec::with_capacity(2 * shares.len());
+    for o in shares {
         sweeps = sweeps.max(o.sweeps);
         rotations += o.rotations;
         converged &= o.converged;
-        start = start.min(o.start);
-        finish = finish.max(o.finish);
+        span.start = span.start.min(o.start);
+        span.finish = span.finish.max(o.finish);
+        blocks.extend(o.blocks);
     }
-    let span = JobSpan { start, finish };
-    let n = spec.a.cols();
     let result = match spec.kind {
         JobKind::Eigen => {
-            let mut eigenvalues = vec![0.0; n];
-            let mut u = Matrix::zeros(n, n);
-            for o in per_node {
-                for (c, lambda, ucol) in &o.eigen_cols {
-                    eigenvalues[*c] = *lambda;
-                    u.col_mut(*c).copy_from_slice(ucol);
-                }
-            }
-            JobResult::Eigen(EigenResult {
+            let (eigenvalues, eigenvectors) = eigenpairs(&blocks);
+            let result = EigenResult {
                 eigenvalues,
-                eigenvectors: u,
+                eigenvectors,
                 sweeps,
                 rotations,
-                // Every node holds the votes' agreed values.
-                off_history: per_node[0].off_history.clone(),
+                off_history,
                 converged,
-            })
+            };
+            JobResult::Eigen(result)
         }
         JobKind::Svd => {
-            let rows = spec.a.rows();
-            let mut w = Matrix::zeros(rows, n);
-            let mut v = Matrix::zeros(n, n);
-            for o in per_node {
-                for (c, wcol, vcol) in &o.svd_cols {
-                    w.col_mut(*c).copy_from_slice(wcol);
-                    v.col_mut(*c).copy_from_slice(vcol);
-                }
-            }
-            let mut singular_values = vec![0.0; n];
-            let mut u = Matrix::zeros(rows, n);
-            for c in 0..n {
-                singular_values[c] = sigma_and_u_col(w.col(c), u.col_mut(c));
-            }
+            let (singular_values, u, v) = extract_usv_blocks(&blocks, spec.a.rows(), spec.a.cols());
             JobResult::Svd(SvdResult { singular_values, u, v, sweeps, rotations, converged })
         }
     };
@@ -1393,10 +1321,10 @@ fn assemble_job(spec: &JobSpec<'_>, per_node: &[&JobNodeOutput]) -> (JobResult, 
 #[derive(Debug, Clone)]
 pub struct ServicePlan {
     /// Arrival time of job `j` on the virtual clock, finite and
-    /// non-decreasing in `j`. A [`FabricModel::Free`] fabric runs no
-    /// clock, so there every job is treated as already arrived (the
-    /// service still bounds its queue and active set, but latencies
-    /// collapse to 0).
+    /// non-decreasing in `j`. Throttled and degraded fabrics run that
+    /// clock; a [`FabricModel::Free`] fabric runs none, so there every job
+    /// is treated as already arrived (the service still bounds its queue
+    /// and active set, but latencies collapse to 0).
     pub arrivals: Vec<f64>,
     /// Bounded admission queue: an arrival finding this many jobs queued
     /// is shed with [`Rejected::QueueFull`] — the backpressure signal.
@@ -1568,10 +1496,9 @@ struct ServiceNode<'a> {
     shared: &'a [JobShared],
     plan: &'a ServicePlan,
     d: usize,
-    /// Whether the fabric runs a clock arrivals are read against.
-    throttled: bool,
+    /// Whether the fabric has a machine, and so a clock to read arrivals on.
+    clocked: bool,
     nodes: Vec<Option<JobNode<'a>>>,
-    mux: JobMux<BatchMsg>,
     tour: Tournament,
     queue: Vec<usize>,
     active: Vec<usize>,
@@ -1586,7 +1513,7 @@ impl<'a> ServiceNode<'a> {
     fn resume(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<NodeService> {
         loop {
             if let Some(round) = &mut self.round {
-                ready!(round.resume(&mut self.nodes, ctx, &mut self.mux, &mut self.tour));
+                ready!(round.resume(&mut self.nodes, ctx, &mut self.tour));
                 self.round = None;
                 self.retire();
             }
@@ -1595,11 +1522,6 @@ impl<'a> ServiceNode<'a> {
             if self.active.is_empty() && self.queue.is_empty() {
                 let Some(&arrival) = self.plan.arrivals.get(self.next_arrival) else {
                     // Drained.
-                    assert_eq!(
-                        self.mux.stashed(),
-                        0,
-                        "service framing corrupt: unconsumed messages"
-                    );
                     let outputs = self.nodes.drain(..).map(|n| n.map(JobNode::into_output));
                     self.log.outputs = outputs.collect();
                     return Poll::Ready(std::mem::take(&mut self.log));
@@ -1616,8 +1538,8 @@ impl<'a> ServiceNode<'a> {
     fn admit(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Round {
         let plan = self.plan;
         let now = ctx.virtual_now();
-        // A free fabric runs no clock: every job has "arrived".
-        let horizon = if self.throttled { now } else { f64::INFINITY };
+        // Only a free fabric runs no clock: there every job has "arrived".
+        let horizon = if self.clocked { now } else { f64::INFINITY };
         let trace = |event: &dyn Fn() -> TraceEvent| {
             if ctx.id() == 0 {
                 ctx.trace().emit(0, event);
@@ -1711,8 +1633,9 @@ impl<'a> ServiceNode<'a> {
 ///    forward to the next arrival.
 /// 2. **Intake** — every job with `arrival ≤ now` joins the bounded
 ///    queue; arrivals finding it full are shed with
-///    [`Rejected::QueueFull`]. (On a free fabric the clock never moves,
-///    so all arrivals are taken at the first boundary.)
+///    [`Rejected::QueueFull`]. (A throttled or degraded fabric runs the
+///    clock; on a free fabric it never moves, so all arrivals are taken at
+///    the first boundary.)
 /// 3. **Admission** — while the active set has room, the queued job with
 ///    the smallest `plan.priority` (ties to the earlier arrival) is
 ///    admitted, preemption-free: its `JobNode` state machine is built
@@ -1748,29 +1671,27 @@ pub fn run_job_service(
     assert_square_eigen_jobs(jobs);
     let shared = job_shared(jobs, d, lowered);
     let njobs = jobs.len();
-    let throttled = matches!(fabric, FabricModel::Throttled(_));
+    let clocked = fabric.machine().is_some();
 
     let spmd = Spmd { fabric, njobs, trace: sink };
-    let SpmdRun { results: node_logs, meter, fabric } = run_spmd(d, spmd, |_| {
+    let SpmdRun { results: mut node_logs, meter, fabric } = run_spmd(d, spmd, |_| {
         let mut node = ServiceNode {
             jobs,
             lowered,
             shared: &shared,
             plan,
             d,
-            throttled,
+            clocked,
             nodes: (0..njobs).map(|_| None).collect(),
-            mux: JobMux::new(d),
             tour: node_tournament(jobs, d),
             queue: Vec::new(),
             active: Vec::new(),
             next_arrival: 0,
             completed: 0,
             log: NodeService {
-                outputs: Vec::new(),
                 admitted_at: vec![None; njobs],
                 rejected: vec![None; njobs],
-                boundaries: Vec::new(),
+                ..NodeService::default()
             },
             round: None,
         };
@@ -1786,6 +1707,9 @@ pub fn run_job_service(
         assert_eq!(log.boundaries, log0.boundaries, "node {n} saw different boundaries");
     }
 
+    let mut outputs: Vec<_> =
+        node_logs.iter_mut().map(|log| std::mem::take(&mut log.outputs)).collect();
+    let log0 = node_logs.swap_remove(0);
     let mut results: Vec<Option<JobResult>> = Vec::with_capacity(njobs);
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(njobs);
     for (j, spec) in jobs.iter().enumerate() {
@@ -1794,23 +1718,19 @@ pub fn run_job_service(
             outcomes.push(JobOutcome::Rejected(rej));
             continue;
         }
-        let per_node: Vec<&JobNodeOutput> = node_logs
-            .iter()
-            .map(|log| log.outputs[j].as_ref().expect("admitted job ran on every node"))
-            .collect();
-        let (result, span) = assemble_job(spec, &per_node);
+        let shares = outputs.iter_mut().map(|o| o[j].take().expect("admitted on every node"));
+        let (result, span) = assemble_job(spec, shares.collect());
         let admitted = log0.admitted_at[j].expect("a job is admitted or rejected");
         // A zero-budget job never steps, so its span is empty; it
         // finishes the moment it is admitted.
         let finish = span.finish.max(admitted);
-        // Served instants live on the virtual clock; a free fabric runs
-        // none, so there everything happens at 0 and latencies vanish.
-        let arrival = if throttled { plan.arrivals[j] } else { 0.0 };
+        // Served instants live on the virtual clock; only a free fabric
+        // runs none, so there everything happens at 0 and latencies vanish.
+        let arrival = if clocked { plan.arrivals[j] } else { 0.0 };
         results.push(Some(result));
         outcomes.push(JobOutcome::Served { arrival, admitted, finish });
     }
-    let boundaries = node_logs.into_iter().next().expect("at least one node").boundaries;
-    ServiceRun { results, outcomes, boundaries, meter, fabric }
+    ServiceRun { results, outcomes, boundaries: log0.boundaries, meter, fabric }
 }
 
 #[cfg(test)]
@@ -2055,6 +1975,39 @@ mod tests {
     }
 
     #[test]
+    fn a_tall_svd_job_is_bitwise_its_logical_solve_solo_batched_and_served() {
+        // Every other engine input is square. Here the `W`-columns are 7
+        // elements longer than the `V`-columns, so a block's payload, its
+        // packets and the assembled `U` are rectangular: solo, interleaved
+        // with an eigen job, and served, the job keeps its logical bits.
+        let n = 12;
+        let square = random_symmetric(n + 7, 37);
+        let tall = Matrix::from_fn(n + 7, n, |r, c| square[(r, c)]);
+        let a = random_symmetric(16, 38);
+        let (d, family) = (2, OrderingFamily::PermutedBr);
+        let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
+        for pipelining in [Pipelining::Off, Pipelining::Fixed(2)] {
+            let opts = JacobiOptions { force_sweeps: Some(2), pipelining, ..Default::default() };
+            let logical = svd_block(&tall, d, family, &opts);
+            assert_eq!((logical.u.rows(), logical.u.cols()), (n + 7, n));
+            let solo = svd_block_threaded(&tall, d, family, &opts).result;
+            assert_svd_bitwise(&solo, &logical, &format!("solo {pipelining:?}"));
+            let jobs = [
+                JobSpec::eigen(&a, OrderingFamily::Br, opts.clone()),
+                JobSpec::svd(&tall, family, opts.clone()),
+            ];
+            let order = BatchOrder::RoundRobin { order: vec![0, 1], stride: 1 };
+            let run = batch(d, &jobs, fabric.clone(), &order);
+            let got = run.results[1].svd().expect("svd");
+            assert_svd_bitwise(got, &logical, &format!("batch {pipelining:?}"));
+            let plan = ServicePlan::fifo(vec![0.0, 0.0]);
+            let served = service(d, &jobs, &lower_all(&jobs, d), fabric.clone(), &plan);
+            let got = served.results[1].as_ref().and_then(JobResult::svd).expect("served");
+            assert_svd_bitwise(got, &logical, &format!("service {pipelining:?}"));
+        }
+    }
+
+    #[test]
     fn solo_svd_on_a_degraded_fabric_runs_sweep_s_at_epoch_s() {
         // The SVD rides the same solo hooks as the eigensolver: with a
         // link death scheduled at epoch 1, sweep 0 crosses the edge
@@ -2243,7 +2196,10 @@ mod tests {
     fn mid_flight_admission_keeps_every_job_bitwise_solo() {
         // Job 1 arrives while job 0 is mid-run: it must join at a sweep
         // boundary (admitted strictly after its arrival and after the
-        // service started job 0), and both results stay bitwise solo.
+        // service started job 0), and both results stay bitwise solo. A
+        // death-free degraded fabric runs a clock too, and the service
+        // reads arrivals against it exactly as on a throttled one.
+        use mph_runtime::ScenarioSpec;
         let a0 = random_symmetric(16, 71);
         let a1 = random_symmetric(12, 72);
         let opts = JacobiOptions { force_sweeps: Some(3), ..Default::default() };
@@ -2254,38 +2210,44 @@ mod tests {
         ];
         let lowered = lower_all(&jobs, d);
         let machine = Machine::all_port(1000.0, 100.0);
-        let fabric = FabricModel::Throttled(machine);
-        // First measure job 0 alone to place job 1's arrival mid-run.
-        let probe =
-            service(d, &jobs[..1], &lowered[..1], fabric.clone(), &ServicePlan::fifo(vec![0.0]));
-        let solo_makespan = run_outcome_finish(&probe.outcomes[0]);
-        let mid = solo_makespan * 0.4;
-        let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0, mid]));
-        assert_eq!(run.served(), 2);
-        match run.outcomes[1] {
-            JobOutcome::Served { arrival, admitted, finish } => {
-                assert_eq!(arrival, mid);
-                assert!(admitted >= arrival, "admission waits for the arrival");
-                assert!(
-                    run.boundaries.iter().any(|b| b.admitted.contains(&1) && b.time > 0.0),
-                    "job 1 joined at a later sweep boundary"
-                );
-                assert!(finish > admitted);
-            }
-            ref other => panic!("job 1 should be served, got {other:?}"),
-        }
+        let spec = ScenarioSpec { hetero_spread: 1.0, ..ScenarioSpec::clean(5, machine) };
+        let degraded = Scenario::new(d, spec).expect("a death-free scenario");
         let solo_e = block_jacobi_threaded(&a0, d, OrderingFamily::Br, &opts).result;
         let solo_s = svd_block(&a1, d, OrderingFamily::Degree4, &opts);
-        assert_eigen_bitwise(
-            run.results[0].as_ref().and_then(JobResult::eigen).expect("eigen"),
-            &solo_e,
-            "mid-flight eigen",
-        );
-        assert_svd_bitwise(
-            run.results[1].as_ref().and_then(JobResult::svd).expect("svd"),
-            &solo_s,
-            "mid-flight svd",
-        );
+        let fabrics = [
+            ("throttled", FabricModel::Throttled(machine)),
+            ("degraded", FabricModel::Degraded(Arc::new(degraded))),
+        ];
+        for (what, fabric) in fabrics {
+            // First measure job 0 alone to place job 1's arrival mid-run.
+            let probe = ServicePlan::fifo(vec![0.0]);
+            let probe = service(d, &jobs[..1], &lowered[..1], fabric.clone(), &probe);
+            let mid = run_outcome_finish(&probe.outcomes[0]) * 0.4;
+            let run = service(d, &jobs, &lowered, fabric, &ServicePlan::fifo(vec![0.0, mid]));
+            assert_eq!(run.served(), 2, "{what}");
+            match run.outcomes[1] {
+                JobOutcome::Served { arrival, admitted, finish } => {
+                    assert_eq!(arrival, mid, "{what}");
+                    assert!(admitted >= arrival, "{what}: admission waits for the arrival");
+                    assert!(
+                        run.boundaries.iter().any(|b| b.admitted.contains(&1) && b.time > 0.0),
+                        "{what}: job 1 joined at a later sweep boundary"
+                    );
+                    assert!(finish > admitted, "{what}");
+                }
+                ref other => panic!("{what}: job 1 should be served, got {other:?}"),
+            }
+            assert_eigen_bitwise(
+                run.results[0].as_ref().and_then(JobResult::eigen).expect("eigen"),
+                &solo_e,
+                &format!("mid-flight eigen, {what}"),
+            );
+            assert_svd_bitwise(
+                run.results[1].as_ref().and_then(JobResult::svd).expect("svd"),
+                &solo_s,
+                &format!("mid-flight svd, {what}"),
+            );
+        }
     }
 
     fn run_outcome_finish(o: &JobOutcome) -> f64 {

@@ -150,12 +150,12 @@ mod tests {
     /// One full sweep in block-cyclic order: every column pair once.
     fn sweep(blocks: &mut [ColumnBlock]) {
         for b in blocks.iter_mut() {
-            pair_within_block(b, PairingRule::Implicit, 0.0);
+            pair_within_block(b, PairingRule::Implicit);
         }
         for l in 0..blocks.len() {
             for r in l + 1..blocks.len() {
                 let (bl, br) = two_blocks_mut(blocks, l, r);
-                pair_across_blocks(bl, br, PairingRule::Implicit, 0.0);
+                pair_across_blocks(bl, br, PairingRule::Implicit);
             }
         }
     }
@@ -216,9 +216,9 @@ mod tests {
             .map(|r| ColumnBlock::from_matrix_with_identity(&a0, r, m))
             .collect();
         assert_eq!(diagonal_blocks(&blocks), (0..m).map(|i| a0[(i, i)]).collect::<Vec<_>>());
-        pair_within_block(&mut blocks[0], PairingRule::Implicit, 0.0);
+        pair_within_block(&mut blocks[0], PairingRule::Implicit);
         let (b0, b1) = two_blocks_mut(&mut blocks, 0, 1);
-        pair_across_blocks(b0, b1, PairingRule::Implicit, 0.0);
+        pair_across_blocks(b0, b1, PairingRule::Implicit);
         let oracle = off_norm_full_square(&blocks);
         assert!(oracle > 0.0);
         // Whichever node holds which block, the value is the oracle's to

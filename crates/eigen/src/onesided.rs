@@ -7,8 +7,9 @@
 //! sequential reference exercises the one shared kernel rather than a
 //! private rotation loop.
 
+use crate::blockjacobi::eigenpairs;
 use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::offnorm::{diagonal_blocks, residual_sq};
+use crate::offnorm::residual_sq;
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::block::ColumnBlock;
 use mph_linalg::Matrix;
@@ -47,10 +48,8 @@ pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
         converged = *off_history.last().unwrap() <= opts.tol * norm_a;
     }
 
-    let eigenvalues = diagonal_blocks(std::slice::from_ref(&blk));
-    let mut u = Matrix::zeros(m, m);
-    blk.store_u_into(&mut u);
-    EigenResult { eigenvalues, eigenvectors: u, sweeps, rotations, off_history, converged }
+    let (eigenvalues, eigenvectors) = eigenpairs(std::slice::from_ref(&blk));
+    EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
 }
 
 #[cfg(test)]

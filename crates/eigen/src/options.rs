@@ -71,9 +71,6 @@ pub struct JacobiOptions {
     pub tol: f64,
     /// Hard sweep limit.
     pub max_sweeps: usize,
-    /// Rotation threshold: skip pairs with `|a_pq| ≤ threshold` (absolute).
-    /// Zero means "rotate unless exactly zero".
-    pub threshold: f64,
     /// When set, run exactly this many sweeps and skip convergence checks —
     /// used by the equivalence tests between the logical and threaded
     /// drivers.
@@ -169,7 +166,6 @@ impl Default for JacobiOptions {
         JacobiOptions {
             tol: 1e-8,
             max_sweeps: 30,
-            threshold: 0.0,
             force_sweeps: None,
             cache_diagonals: false,
             pipelining: Pipelining::Off,
@@ -193,7 +189,7 @@ pub struct EigenResult {
     pub eigenvectors: Matrix,
     /// Sweeps executed.
     pub sweeps: usize,
-    /// Rotations actually applied (pairs above threshold).
+    /// Rotations actually applied (pairs whose off-diagonal was not zero).
     pub rotations: u64,
     /// `off(UᵀAU)` after each sweep, as [`crate::offnorm`] measures it.
     ///
@@ -231,7 +227,6 @@ mod tests {
         let o = JacobiOptions::default();
         assert!(o.tol > 0.0 && o.tol < 1e-4);
         assert!(o.max_sweeps >= 10);
-        assert_eq!(o.threshold, 0.0);
         assert!(o.force_sweeps.is_none());
         assert!(!o.cache_diagonals, "bitwise-parity recompute mode must be the default");
         assert_eq!(o.pipelining, Pipelining::Off, "whole-block protocol must be the default");

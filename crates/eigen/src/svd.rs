@@ -76,10 +76,7 @@ impl SvdResult {
 
 /// Normalizes one orthogonalized `W`-column into `dst` and returns its
 /// norm `σ = ‖w‖` (zero columns leave `dst` untouched — rank deficiency).
-/// This is *the* extraction arithmetic, shared by the logical drivers here
-/// and the threaded/batched drivers in [`crate::multidrive`], so every
-/// path produces bitwise-identical factors from the same column bits.
-pub(crate) fn sigma_and_u_col(col: &[f64], dst: &mut [f64]) -> f64 {
+fn sigma_and_u_col(col: &[f64], dst: &mut [f64]) -> f64 {
     let norm = dot(col, col).sqrt();
     if norm > 0.0 {
         let inv = 1.0 / norm;
@@ -92,8 +89,15 @@ pub(crate) fn sigma_and_u_col(col: &[f64], dst: &mut [f64]) -> f64 {
 
 /// Extracts `(Σ, U, V)` from orthogonalized blocks: `σ_k = ‖w_k‖`,
 /// `u_k = w_k/σ_k` (zero columns get a zero vector — rank deficiency), and
-/// `V` reassembled from the blocks' `U` slots.
-fn extract_usv_blocks(blocks: &[ColumnBlock], rows: usize, n: usize) -> (Vec<f64>, Matrix, Matrix) {
+/// `V` reassembled from the blocks' `U` slots. The one SVD answer
+/// assembly, shared by the logical drivers here and the engine
+/// ([`crate::multidrive`]), so every path produces bitwise-identical
+/// factors from the same column bits.
+pub(crate) fn extract_usv_blocks(
+    blocks: &[ColumnBlock],
+    rows: usize,
+    n: usize,
+) -> (Vec<f64>, Matrix, Matrix) {
     let mut sigma = vec![0.0; n];
     let mut u = Matrix::zeros(rows, n);
     let mut v = Matrix::zeros(n, n);

@@ -76,7 +76,7 @@ fn flush(cols: &mut [f64], first: usize, m: usize, p: usize, chain: &[Turn]) {
 
 /// One cyclic sweep over the column-major `m × m` iterate `a`, accumulating
 /// every rotation into `u`. Returns the rotations applied.
-fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, threshold: f64, chain: &mut Vec<Turn>) -> u64 {
+fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, chain: &mut Vec<Turn>) -> u64 {
     let mut rotations = 0;
     for p in 0..m {
         chain.clear();
@@ -95,7 +95,8 @@ fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, threshold: f64, chain: &mut Ve
             let (colp, colq) = (&mut head[p * m..(p + 1) * m], &mut tail[..m]);
             rotate_top_pivot(colq, m, p, &chain[caught..]);
             let apq = colq[p];
-            if apq.abs() > threshold && apq != 0.0 {
+            // Not `apq != 0.0`: that would rotate a NaN pivot.
+            if apq.abs() > 0.0 {
                 let rot = symmetric_schur(colp[p], apq, colq[q]);
                 let (c, s) = (rot.c, rot.s);
                 let (up, uq) = u.col_pair_mut(p, q);
@@ -156,7 +157,7 @@ pub fn two_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     while !converged && sweeps < budget {
-        rotations += sweep(a, m, &mut u, opts.threshold, &mut chain);
+        rotations += sweep(a, m, &mut u, &mut chain);
         sweeps += 1;
         off = off_norm(a, m);
         off_history.push(off);
@@ -230,7 +231,7 @@ mod tests {
         while !converged && sweeps < budget {
             for p in 0..m {
                 for q in (p + 1)..m {
-                    if a[(p, q)].abs() > opts.threshold && rotate_two_sided(&mut a, &mut u, p, q) {
+                    if a[(p, q)].abs() > 0.0 && rotate_two_sided(&mut a, &mut u, p, q) {
                         rotations += 1;
                     }
                 }
@@ -278,7 +279,6 @@ mod tests {
         let tight = JacobiOptions { tol: 1e-12, ..Default::default() };
         let option_sets = [
             ("tol 1e-12", tight.clone()),
-            ("threshold 1e-3", JacobiOptions { threshold: 1e-3, ..tight.clone() }),
             ("force 3", JacobiOptions { force_sweeps: Some(3), ..tight.clone() }),
         ];
         for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 17, 31, 33, 64, 100] {

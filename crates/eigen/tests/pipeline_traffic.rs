@@ -143,11 +143,11 @@ proptest! {
             res_a.refresh_diag(|av, uv| mph_linalg::vecops::dot(uv, av));
             res_b.refresh_diag(|av, uv| mph_linalg::vecops::dot(uv, av));
         }
-        let acc_whole = pair_across_blocks(&mut res_a, &mut mob_a, PairingRule::Implicit, 0.0);
+        let acc_whole = pair_across_blocks(&mut res_a, &mut mob_a, PairingRule::Implicit);
         let mut packets = mob_b.split_columns(q);
         let mut acc_split = mph_eigen::SweepAccumulator::default();
         for pkt in packets.iter_mut() {
-            acc_split.merge(pair_across_blocks(&mut res_b, pkt, PairingRule::Implicit, 0.0));
+            acc_split.merge(pair_across_blocks(&mut res_b, pkt, PairingRule::Implicit));
         }
         let mob_b = ColumnBlock::from_packets(packets);
         prop_assert_eq!(acc_whole.rotations, acc_split.rotations);

@@ -357,7 +357,7 @@ pub fn measure_channel_fabric(d: usize, sizes: &[usize], reps: usize) -> FabricS
                     sent = Some(Instant::now());
                     ctx.send(0, payload);
                 }
-                let (got, _) = ready!(ctx.try_recv(0));
+                let (got, _) = ready!(ctx.try_recv(0, 0));
                 let sum: f64 = got.iter().sum();
                 let secs = sent.take().map_or(0.0, |t0| t0.elapsed().as_secs_f64());
                 std::hint::black_box(sum);

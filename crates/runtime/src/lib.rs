@@ -3,8 +3,10 @@
 //! The paper's algorithms run on a message-passing multicomputer; this
 //! crate is the executable substitute (DESIGN.md §3): every node of the
 //! `d`-cube is a program that steps until it must wait, every link is a
-//! pair of directed FIFO queues, and the only primitives are neighbor
-//! send, non-blocking receive and the barrier. [`run_spmd`] steps the
+//! pair of directed FIFO queues — one per job in each direction when
+//! several jobs share the cube ([`Spmd::njobs`]) — and the only primitives
+//! are neighbor send, non-blocking receive of one job's next message and
+//! the barrier. [`run_spmd`] steps the
 //! `2^d` programs on `min(2^d, available_parallelism())` worker threads.
 //! Nothing is shared between nodes except the links and the barrier: a
 //! node's worker owns its [`NodeCtx`] — virtual clock, traffic counters —
@@ -25,7 +27,6 @@
 //!   actually run on.
 
 pub mod fabric;
-pub mod jobmux;
 pub mod machine;
 pub mod meter;
 pub mod nodeclock;
@@ -37,7 +38,6 @@ pub mod trace;
 pub use fabric::{
     calibrate_channel_machine, measure_channel_fabric, FabricConfigError, FabricModel, FabricReport,
 };
-pub use jobmux::JobMux;
 pub use machine::{CalibrationError, FabricStats, Machine, PortModel};
 pub use meter::TrafficMeter;
 pub use nodeclock::{NodeClock, SendTimes};

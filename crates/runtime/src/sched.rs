@@ -8,8 +8,8 @@
 //! file holds everything that crosses workers, and is the one file of the
 //! runtime with locks and atomics in it:
 //!
-//! * [`Links`]: one FIFO queue per `(node, dimension)`, written by the
-//!   neighbor across that dimension and taken from by the node;
+//! * [`Links`]: one FIFO queue per `(node, dimension, job)`, written by
+//!   the neighbor across that dimension and taken from by the node;
 //! * [`Sched`]'s barrier: each arrival folds its virtual clock into the
 //!   generation's maximum, and the last one releases every node at it;
 //! * [`Sched`]'s idle books: every post to a node and every barrier
@@ -32,26 +32,47 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The links of a `d`-cube: `queue[node · d + dim]` holds what the neighbor
-/// across `dim` sent `node` and `node` has not yet taken, in send order.
+/// The links of a `d`-cube carrying `njobs` jobs: `queue[(node · d + dim) ·
+/// njobs + job]` holds what the neighbor across `dim` sent `node` for `job`
+/// and `node` has not yet taken, in send order. A queue allocates only
+/// once something is posted to it, so a run of a thousand jobs holds a
+/// thousand empty queues per link and nothing more.
 pub(crate) struct Links<M> {
     d: usize,
+    njobs: usize,
     queues: Vec<Mutex<VecDeque<M>>>,
 }
 
 impl<M> Links<M> {
-    pub(crate) fn new(p: usize, d: usize) -> Self {
-        Links { d, queues: (0..p * d).map(|_| Mutex::new(VecDeque::new())).collect() }
+    pub(crate) fn new(p: usize, d: usize, njobs: usize) -> Self {
+        let queues = (0..p * d * njobs).map(|_| Mutex::new(VecDeque::new())).collect();
+        Links { d, njobs, queues }
     }
 
-    /// Queues `msg` for `node`, arriving across `dim`.
-    pub(crate) fn push(&self, node: usize, dim: usize, msg: M) {
-        lock(&self.queues[node * self.d + dim]).push_back(msg);
+    fn queue(&self, node: usize, dim: usize, job: u32) -> &Mutex<VecDeque<M>> {
+        let njobs = self.njobs;
+        assert!((job as usize) < njobs, "message tagged job {job}, the run carries {njobs}");
+        &self.queues[(node * self.d + dim) * njobs + job as usize]
     }
 
-    /// The oldest message queued for `node` across `dim`, if any.
-    pub(crate) fn pop(&self, node: usize, dim: usize) -> Option<M> {
-        lock(&self.queues[node * self.d + dim]).pop_front()
+    /// Queues `msg` of `job` for `node`, arriving across `dim`.
+    pub(crate) fn push(&self, node: usize, dim: usize, job: u32, msg: M) {
+        lock(self.queue(node, dim, job)).push_back(msg);
+    }
+
+    /// The oldest message of `job` queued for `node` across `dim`, if any.
+    pub(crate) fn pop(&self, node: usize, dim: usize, job: u32) -> Option<M> {
+        lock(self.queue(node, dim, job)).pop_front()
+    }
+
+    /// The first `(node, dim, job)` with a message still queued, if any.
+    pub(crate) fn first_queued(&mut self) -> Option<(usize, usize, u32)> {
+        let queued = |q: &mut Mutex<VecDeque<M>>| {
+            !q.get_mut().unwrap_or_else(PoisonError::into_inner).is_empty()
+        };
+        let at = self.queues.iter_mut().position(queued)?;
+        let (link, job) = (at / self.njobs, at % self.njobs);
+        Some((link / self.d, link % self.d, job as u32))
     }
 }
 

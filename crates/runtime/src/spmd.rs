@@ -1,5 +1,5 @@
 //! SPMD execution: `2^d` node programs stepped on no more worker threads
-//! than the process has CPUs, one FIFO queue per link direction.
+//! than the process has CPUs, one FIFO queue per link direction and job.
 //!
 //! A node is a *program* — a closure [`run_spmd`] resumes with the node's
 //! [`NodeCtx`] — that runs on from where it stopped until it finishes
@@ -15,11 +15,16 @@
 //! calling thread and never wakes anything.
 //!
 //! Sends never block: queues are unbounded, so the symmetric
-//! send-then-receive pattern of the Jacobi transitions cannot deadlock. All
-//! communication is neighbor-to-neighbor — exactly the discipline the
-//! paper's algorithms obey on a real hypercube multicomputer — which is
-//! what makes this runtime a faithful stand-in for an MPI-on-hypercube
-//! deployment.
+//! send-then-receive pattern of the Jacobi transitions cannot deadlock.
+//! Several jobs may share the links ([`Spmd::njobs`]): every message
+//! declares its job ([`Meterable::job`]), each link direction keeps one
+//! FIFO queue per job, and a receive names the job it takes
+//! ([`NodeCtx::try_recv`]) — so per-`(link, job)` order survives any
+//! interleaving of the jobs, and a job never waits behind another's
+//! message. All communication is neighbor-to-neighbor — exactly the
+//! discipline the paper's algorithms obey on a real hypercube
+//! multicomputer — which is what makes this runtime a faithful stand-in
+//! for an MPI-on-hypercube deployment.
 //!
 //! Every message travels in an envelope carrying a virtual-time arrival
 //! stamp from the sender's [`LinkClock`]. Under the default
@@ -87,10 +92,10 @@ pub trait Meterable {
     }
 
     /// Which batch job this message belongs to, when several independent
-    /// problems share one fabric (see [`Spmd::njobs`]). The
-    /// meter keeps per-job totals and the job demultiplexer
-    /// ([`crate::jobmux::JobMux`]) routes by this tag. Solo programs use
-    /// the default job 0.
+    /// problems share one fabric (see [`Spmd::njobs`]): the meter keeps
+    /// per-job totals, and the message waits in its link's queue for this
+    /// job, taken only by a [`NodeCtx::try_recv`] of the same job. Solo
+    /// programs use the default job 0.
     fn job(&self) -> u32 {
         0
     }
@@ -123,10 +128,10 @@ struct Envelope<M> {
 /// What a blocked node waits on: reported by a run that deadlocks.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Wait {
-    /// A message across `dim` — of `job`, when a [`crate::JobMux`] asked.
+    /// A message of `job` across `dim`.
     Recv {
         dim: usize,
-        job: Option<u32>,
+        job: u32,
     },
     Barrier,
 }
@@ -215,25 +220,23 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
     fn post(&self, dim: usize, msg: M, stamp: f64) {
         self.book.borrow_mut().count_shipment();
         let to = self.neighbor(dim);
-        self.links.push(to, dim, Envelope { msg, stamp });
+        self.links.push(to, dim, msg.job(), Envelope { msg, stamp });
         self.sched.stir(self.worker, self.sched.worker_of(to));
     }
 
-    /// Takes the next message from the neighbor across `dim` with its
-    /// virtual arrival stamp, or `Poll::Pending` if none has come: the
-    /// program returns `Pending` too, and is resumed once one may have.
-    /// The clock is *not* advanced and the arrival not recorded: the
-    /// caller owns the dependency bookkeeping (forward the stamp into
-    /// [`NodeCtx::charge`], [`NodeCtx::advance_clock_to`] the stamps it
-    /// ultimately consumes, and [`NodeCtx::trace_recv`] each arrival where
-    /// it consumes it). On a free fabric the stamp is 0.
-    pub fn try_recv(&self, dim: usize) -> Poll<(M, f64)> {
-        self.take(dim, None)
-    }
-
-    /// [`NodeCtx::try_recv`], noting `job` as what a blocked node waits for.
-    pub(crate) fn take(&self, dim: usize, job: Option<u32>) -> Poll<(M, f64)> {
-        match self.links.pop(self.id, dim) {
+    /// Takes the next message of `job` ([`Meterable::job`]) from the
+    /// neighbor across `dim` with its virtual arrival stamp, or
+    /// `Poll::Pending` if none has come: the program returns `Pending` too,
+    /// and is resumed once one may have. Each job has its own FIFO queue on
+    /// every link, so the jobs' messages never overtake their own kind and
+    /// never wait behind another's. The clock is *not* advanced and the
+    /// arrival not recorded: the caller owns the dependency bookkeeping
+    /// (forward the stamp into [`NodeCtx::charge`],
+    /// [`NodeCtx::advance_clock_to`] the stamps it ultimately consumes, and
+    /// [`NodeCtx::trace_recv`] each arrival where it consumes it). On a free
+    /// fabric the stamp is 0.
+    pub fn try_recv(&self, dim: usize, job: u32) -> Poll<(M, f64)> {
+        match self.links.pop(self.id, dim, job) {
             Some(env) => Poll::Ready((env.msg, env.stamp)),
             None => {
                 self.wait.set(Some(Wait::Recv { dim, job }));
@@ -325,8 +328,9 @@ pub struct Spmd {
     /// measured virtual makespan.
     pub fabric: FabricModel,
     /// How many independent batch jobs the program multiplexes over the
-    /// links: the traffic meter keeps per-job totals (messages declare
-    /// their job via [`Meterable::job`]) next to the blended per-dimension
+    /// links, which bounds the job tag messages declare via
+    /// [`Meterable::job`]: every link keeps one FIFO queue per job, and the
+    /// traffic meter keeps per-job totals next to the blended per-dimension
     /// ones.
     pub njobs: usize,
     /// Every node's link clock records its transmissions, arrivals, and
@@ -376,6 +380,9 @@ enum End<R> {
 /// waiting on — a message or the barrier. A run in which every node left is
 /// blocked and nothing is in flight panics, naming what each one waits on;
 /// a node waiting on a neighbor that has returned is reported as hung up.
+/// A run whose nodes all returned with a message still queued — one sent
+/// that no receive took, a protocol slip — panics naming its
+/// `(node, dim, job)`.
 pub fn run_spmd<M, R, P, F>(d: usize, spmd: Spmd, init: F) -> SpmdRun<R>
 where
     M: Send + Meterable,
@@ -393,7 +400,7 @@ where
     }
     let p = 1usize << d;
     let sched = Sched::new(p, workers(p));
-    let links = Links::new(p, d);
+    let mut links = Links::new(p, d, njobs.max(1));
     let work = |w: usize| {
         let ctxs = sched.nodes_of(w).map(|n| NodeCtx {
             id: n,
@@ -435,6 +442,9 @@ where
     }
     if !stuck.is_empty() {
         panic!("{}", deadlock_report(&stuck));
+    }
+    if let Some((n, dim, job)) = links.first_queued() {
+        panic!("every node returned, yet node {n} has a message queued on (dim {dim}, job {job})");
     }
     let makespan = node_times.iter().fold(0.0f64, |a, &b| a.max(b));
     SpmdRun { results, meter, fabric: FabricReport { model: fabric, makespan, node_times } }
@@ -529,12 +539,7 @@ fn deadlock_report(stuck: &[(usize, Option<Wait>)]) -> String {
             Some(Wait::Recv { dim, .. }) if finished(n ^ (1 << dim)) => {
                 format!("node {n}: the neighbor across dimension {dim} hung up")
             }
-            Some(Wait::Recv { dim, job: Some(job) }) => {
-                format!("node {n} waits on (dim {dim}, job {job})")
-            }
-            Some(Wait::Recv { dim, job: None }) => {
-                format!("node {n} waits on (dim {dim}, any job)")
-            }
+            Some(Wait::Recv { dim, job }) => format!("node {n} waits on (dim {dim}, job {job})"),
             Some(Wait::Barrier) => format!("node {n} waits at the barrier"),
             None => format!("node {n} is blocked"),
         })
@@ -599,7 +604,6 @@ pub(crate) mod step_order {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobmux::JobMux;
     use crate::machine::Machine;
     use std::task::ready;
 
@@ -610,7 +614,7 @@ mod tests {
     /// Takes the next message across `dim` and spends its wait: the
     /// receive half of a plain exchange.
     fn recv<M: Send + Meterable>(ctx: &NodeCtx<'_, M>, dim: usize) -> Poll<M> {
-        let (msg, stamp) = ready!(ctx.try_recv(dim));
+        let (msg, stamp) = ready!(ctx.try_recv(dim, 0));
         ctx.advance_clock_to(stamp);
         Poll::Ready(msg)
     }
@@ -855,7 +859,7 @@ mod tests {
             let mut stamps = Vec::new();
             move |ctx| {
                 while stamps.len() < 3 {
-                    stamps.push(ready!(ctx.try_recv(0)).1);
+                    stamps.push(ready!(ctx.try_recv(0, 0)).1);
                 }
                 Poll::Ready(stamps.clone())
             }
@@ -864,7 +868,7 @@ mod tests {
             let stamps = (0..3).map(|q| ctx.charge(0, 5, 0, Some((0, q)), false, 0.0)).collect();
             ctx.ship(0, stamps);
             |ctx| {
-                let (stamps, envelope) = ready!(ctx.try_recv(0));
+                let (stamps, envelope) = ready!(ctx.try_recv(0, 0));
                 assert_eq!(envelope, 0.0);
                 Poll::Ready(stamps)
             }
@@ -1019,10 +1023,9 @@ mod tests {
         // node is blocked and nothing is in flight. The run panics, naming
         // what each node waits on, instead of hanging.
         let msg = panics_within_5s(|| {
-            run_spmd::<u64, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |ctx| {
-                let mut mux = JobMux::new(ctx.dim());
-                move |ctx| {
-                    ready!(mux.try_recv_for(ctx, 0, 1));
+            run_spmd::<u64, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |_| {
+                |ctx: &NodeCtx<'_, u64>| {
+                    ready!(ctx.try_recv(0, 1));
                     ctx.send(0, 7);
                     Poll::Ready(())
                 }
@@ -1144,13 +1147,12 @@ mod tests {
 
     /// A `d`-cube program of every kind of wait a step can meet: an
     /// all-reduce over every dimension; then, per dimension, two jobs
-    /// interleaved through a [`JobMux`] — job 1's message out before job
-    /// 0's, job 0's taken first, so job 1's waits in the stash while the
+    /// interleaved on the same link — job 1's message out before job 0's,
+    /// job 0's taken first, so job 1's waits in its own queue while the
     /// neighbor's second one may or may not have come; then a throttled
     /// barrier.
     fn mixed(ctx: &NodeCtx<'_, Tagged>) -> impl FnMut(&NodeCtx<'_, Tagged>) -> Poll<Mixed> {
         let id = ctx.id();
-        let mut mux = JobMux::new(ctx.dim());
         // Phase `k` (all-reduce over dimension `k`, then the two jobs over
         // dimension `k - d`), and the op of it in hand.
         let (mut k, mut at) = (0, 0);
@@ -1179,7 +1181,7 @@ mod tests {
                     if let Some(elems) = send {
                         ctx.send(dim, Tagged { job, v: vec![sum; elems] });
                     } else {
-                        let (msg, stamp) = ready!(mux.try_recv_for(ctx, dim, job));
+                        let (msg, stamp) = ready!(ctx.try_recv(dim, job));
                         ctx.advance_clock_to(stamp);
                         if reduce {
                             sum += msg.v[0];
@@ -1192,7 +1194,6 @@ mod tests {
                 (k, at) = (k + 1, 0);
             }
             ready!(ctx.barrier());
-            assert_eq!(mux.stashed(), 0);
             Poll::Ready((sum, std::mem::take(&mut got), ctx.virtual_now()))
         }
     }
@@ -1242,11 +1243,88 @@ mod tests {
             let msg = panics_within_5s(move || {
                 step_order::with_workers(w, || {
                     run_spmd::<u64, (), _, _>(3, Spmd::default(), |_| {
-                        |ctx: &NodeCtx<'_, u64>| ctx.try_recv(0).map(drop)
+                        |ctx: &NodeCtx<'_, u64>| ctx.try_recv(0, 0).map(drop)
                     });
                 });
             });
-            assert!(msg.contains("node 7 waits on (dim 0, any job)"), "{w} workers: {msg:?}");
+            assert!(msg.contains("node 7 waits on (dim 0, job 0)"), "{w} workers: {msg:?}");
         }
+    }
+
+    #[test]
+    fn each_job_takes_its_own_messages_in_send_order_across_interleavings() {
+        // Sender order on dim 0: job 1, job 0, job 1, job 0. The receiver
+        // asks for job 0's first: each job's queue hands it its own
+        // messages in send order, and nothing of job 1 is in the way.
+        let SpmdRun { results, meter, .. } = run_spmd::<Tagged, Vec<(u32, f64)>, _, _>(
+            1,
+            Spmd { njobs: 2, ..Spmd::default() },
+            |ctx| {
+                let base = ctx.id() as f64 * 10.0;
+                for (job, v) in [(1u32, 0.0), (0, 1.0), (1, 2.0), (0, 3.0)] {
+                    ctx.send(0, Tagged { job, v: vec![base + v] });
+                }
+                let mut got = Vec::new();
+                move |ctx| {
+                    for job in [0u32, 0, 1, 1].into_iter().skip(got.len()) {
+                        let (m, _) = ready!(ctx.try_recv(0, job));
+                        got.push((m.job, m.v[0]));
+                    }
+                    Poll::Ready(got.clone())
+                }
+            },
+        );
+        // Two messages per job per node, one element each, metered apart.
+        assert_eq!(meter.job_volume(0), 4);
+        let peer = |n: usize| ((n ^ 1) as f64) * 10.0;
+        for (n, got) in results.iter().enumerate() {
+            let b = peer(n);
+            assert_eq!(got, &vec![(0, b + 1.0), (0, b + 3.0), (1, b + 0.0), (1, b + 2.0)]);
+        }
+    }
+
+    #[test]
+    fn a_message_taken_after_another_jobs_keeps_its_own_stamp() {
+        // Throttled fabric: job 1's message is sent first (earlier stamp),
+        // job 0's second. Receiving job 0 first must not lose or reorder
+        // job 1's stamp.
+        let fabric = FabricModel::Throttled(Machine::all_port(10.0, 1.0));
+        let results = run_spmd::<Tagged, (f64, f64), _, _>(
+            1,
+            Spmd { fabric, njobs: 2, ..Spmd::default() },
+            |ctx| {
+                ctx.send(0, Tagged { job: 1, v: vec![1.0] }); // stamp 10 + 1 = 11
+                ctx.send(0, Tagged { job: 0, v: vec![0.0] }); // stamp 20 + 1 = 21
+                let mut s0 = None;
+                move |ctx| {
+                    if s0.is_none() {
+                        s0 = Some(ready!(ctx.try_recv(0, 0)).1);
+                    }
+                    let (_, s1) = ready!(ctx.try_recv(0, 1));
+                    Poll::Ready((s0.unwrap_or_default(), s1))
+                }
+            },
+        )
+        .results;
+        for (s0, s1) in results {
+            assert_eq!(s1, 11.0, "job 1's stamp is its own send time");
+            assert_eq!(s0, 21.0);
+        }
+    }
+
+    #[test]
+    fn a_run_that_ends_with_a_message_queued_panics_naming_it() {
+        // Every node returns, but node 1 sent job 1 a message across
+        // dimension 0 that node 0 never took: the framing is corrupt, and
+        // the run says where the message waits.
+        let msg = panics_within_5s(|| {
+            run_spmd::<Tagged, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |ctx| {
+                if ctx.id() == 1 {
+                    ctx.send(0, Tagged { job: 1, v: vec![0.0] });
+                }
+                |_: &NodeCtx<'_, Tagged>| Poll::Ready(())
+            });
+        });
+        assert!(msg.contains("node 0 has a message queued on (dim 0, job 1)"), "got: {msg:?}");
     }
 }

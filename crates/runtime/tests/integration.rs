@@ -21,7 +21,7 @@ fn exchanges<M: Send + Meterable>(
                 ctx.send(dim, msg(dim, &got));
                 sent = true;
             }
-            got.push(ready!(ctx.try_recv(dim)).0);
+            got.push(ready!(ctx.try_recv(dim, 0)).0);
             sent = false;
         }
         Poll::Ready(std::mem::take(&mut got))
