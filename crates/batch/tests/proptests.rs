@@ -213,53 +213,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn worker_counts_are_bitwise_identical_through_solve_batch(
-        d in 1usize..=2,
-        seed in 0u64..1000,
-        cache in any::<bool>(),
-        q2 in any::<bool>(),
-    ) {
-        // Intra-node worker pools split pair work by pair index, so the
-        // whole batch — eigen and SVD jobs alike — produces identical bits
-        // for every worker count, under caching and pipelining.
-        let mk = |workers: usize| JacobiOptions {
-            force_sweeps: Some(1),
-            cache_diagonals: cache,
-            pipelining: if q2 { Pipelining::Fixed(2) } else { Pipelining::Off },
-            workers,
-            ..Default::default()
-        };
-        let base = solve_batch(d, &job_mix(2, d, seed, mk(1)), &BatchOptions::default());
-        for workers in [2usize, 4, 8] {
-            let run = solve_batch(d, &job_mix(2, d, seed, mk(workers)), &BatchOptions::default());
-            for (i, (x, y)) in base.results.iter().zip(&run.results).enumerate() {
-                match (x.eigen(), y.eigen()) {
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.rotations, b.rotations, "workers={} job {}", workers, i);
-                        for c in 0..a.eigenvalues.len() {
-                            prop_assert_eq!(a.eigenvalues[c], b.eigenvalues[c],
-                                "workers={} job {} λ_{}", workers, i, c);
-                            prop_assert_eq!(a.eigenvectors.col(c), b.eigenvectors.col(c),
-                                "workers={} job {} u_{}", workers, i, c);
-                        }
-                    }
-                    _ => {
-                        let a = x.svd().expect("svd result");
-                        let b = y.svd().expect("svd result");
-                        prop_assert_eq!(a.rotations, b.rotations, "workers={} job {}", workers, i);
-                        for c in 0..a.singular_values.len() {
-                            prop_assert_eq!(a.singular_values[c], b.singular_values[c],
-                                "workers={} job {} σ_{}", workers, i, c);
-                            prop_assert_eq!(a.u.col(c), b.u.col(c),
-                                "workers={} job {} u_{}", workers, i, c);
-                            prop_assert_eq!(a.v.col(c), b.v.col(c),
-                                "workers={} job {} v_{}", workers, i, c);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }

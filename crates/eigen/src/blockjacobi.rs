@@ -12,7 +12,7 @@
 //! is the convergence-measurement workhorse for Table 2: deterministic,
 //! fast, and faithful to the ordering's rotation sequence.
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
+use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
 use crate::offnorm::{diagonal_blocks, off_norm_blocks};
 use crate::options::{EigenResult, JacobiOptions};
 use mph_core::BlockPartition;
@@ -22,7 +22,13 @@ use mph_linalg::Matrix;
 
 /// Solves the symmetric eigenproblem of `a0` with the block one-sided
 /// Jacobi algorithm of the paper on a (logical) `d`-cube, using `family`'s
-/// link sequences.
+/// link sequences, on the calling thread.
+///
+/// For the same solve on several threads, call
+/// [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded): on
+/// its default fabric, [`mph_runtime::FabricModel::Free`], the engine
+/// steps the `2^d` nodes on `min(2^d, CPUs)` workers, charges no clock,
+/// and returns these bits.
 pub fn block_jacobi(
     a0: &Matrix,
     d: usize,
@@ -49,11 +55,9 @@ pub fn block_jacobi(
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
-    // One helper pool for the whole solve; every call below reuses it.
-    let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
     while !converged && sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let acc = logical_sweep(&kern, &mut tour, &mut blocks, &schedule, &mut layout, opts);
+        let acc = logical_sweep(&kern, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
         // Post-sweep, over the layout the sweep ended in: the value the
@@ -91,7 +95,6 @@ pub(crate) fn eigenpairs(blocks: &[ColumnBlock]) -> (Vec<f64>, Matrix) {
 /// final layout), every node's pairings applied in node order.
 pub(crate) fn logical_sweep(
     kern: &SweepKernel,
-    tour: &mut Tournament,
     blocks: &mut [ColumnBlock],
     schedule: &SweepSchedule,
     layout: &mut BlockLayout,
@@ -109,11 +112,11 @@ pub(crate) fn logical_sweep(
     for (step_idx, step) in trace.steps.iter().enumerate() {
         if step_idx == 0 {
             // Paper step (1): intra-block pairings, every block.
-            acc.merge(kern.within(tour, blocks.iter_mut()));
+            acc.merge(kern.within(blocks.iter_mut()));
         }
-        // Paper step (2): pair the two co-located blocks at each node —
-        // node-disjoint, so the whole step is one kernel call.
-        acc.merge(kern.across_step(tour, blocks, step));
+        // Paper step (2): pair the two co-located blocks at each node, in
+        // node order.
+        acc.merge(kern.across_step(blocks, step));
     }
     *layout = trace.final_layout;
     acc
@@ -170,66 +173,29 @@ mod tests {
     }
 
     #[test]
-    fn a_solve_spawns_its_helpers_once_whatever_the_sweep_count() {
-        // m = 40 on 4 blocks of 10 columns: 2 tiles each, so the largest
-        // round (every tile's internal pairs) holds cap = 8 tasks.
-        let (a, cap) = (random_symmetric(40, 17), 8usize);
-        for workers in [0usize, 1, 2, 3, 8, 64, usize::MAX] {
-            for sweeps in [1usize, 4] {
-                let opts =
-                    JacobiOptions { workers, force_sweeps: Some(sweeps), ..Default::default() };
-                let spawned = crate::pool::spawned_by(|| {
-                    block_jacobi(&a, 1, OrderingFamily::Br, &opts);
-                });
-                assert_eq!(
-                    spawned,
-                    workers.min(cap).saturating_sub(1),
-                    "workers={workers} sweeps={sweeps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn an_unbounded_worker_count_solves_and_equals_one_worker_bit_for_bit() {
-        let a = random_symmetric(40, 18);
-        let solve = |workers| {
-            block_jacobi(
-                &a,
-                1,
-                OrderingFamily::Degree4,
-                &JacobiOptions { workers, ..Default::default() },
-            )
-        };
-        let (one, max) = (solve(1), solve(usize::MAX));
-        assert!(max.converged);
-        assert_eq!(max.eigenvalues, one.eigenvalues);
-        assert_eq!(max.eigenvectors, one.eigenvectors);
-        assert_eq!(max.off_history, one.off_history);
-        assert_eq!((max.sweeps, max.rotations), (one.sweeps, one.rotations));
-    }
-
-    #[test]
     fn the_benchmark_shape_is_bitwise_worker_count_invariant() {
-        // m = 256 on a 3-cube: every merged round holds 16 tile tasks of
-        // 512-element columns — enough work that helpers are seated, which
-        // the small-matrix tests never reach.
+        // The parallel logical solve is the engine on a free fabric: at
+        // m = 256 on a 3-cube, lane kernels and cached diagonals (32-column
+        // blocks, four tiles each, so every node's every step pairs whole
+        // tile rectangles through the lane kernel), its 2^3 nodes on the
+        // runtime's `min(8, CPUs)` workers give the bits of the logical
+        // solve on the calling thread alone.
         let a = random_symmetric(256, 19);
-        let solve = |workers| {
-            let opts = JacobiOptions {
-                workers,
-                kernel: mph_linalg::KernelPath::Lanes,
-                cache_diagonals: true,
-                force_sweeps: Some(2),
-                ..Default::default()
-            };
-            block_jacobi(&a, 3, OrderingFamily::PermutedBr, &opts)
+        let opts = JacobiOptions {
+            kernel: mph_linalg::KernelPath::Lanes,
+            cache_diagonals: true,
+            force_sweeps: Some(2),
+            ..Default::default()
         };
-        let (one, four) = (solve(1), solve(4));
-        assert_eq!(four.eigenvalues, one.eigenvalues);
-        assert_eq!(four.eigenvectors, one.eigenvectors);
-        assert_eq!(four.off_history, one.off_history);
-        assert_eq!(four.rotations, one.rotations);
+        assert_eq!(opts.fabric, mph_runtime::FabricModel::Free);
+        let logical = block_jacobi(&a, 3, OrderingFamily::PermutedBr, &opts);
+        let engine =
+            crate::threaded::block_jacobi_threaded(&a, 3, OrderingFamily::PermutedBr, &opts);
+        assert_eq!(engine.fabric.makespan, 0.0, "a free fabric charges no clock");
+        let engine = engine.result;
+        assert_eq!(engine.eigenvalues, logical.eigenvalues);
+        assert_eq!(engine.eigenvectors, logical.eigenvectors);
+        assert_eq!((engine.sweeps, engine.rotations), (logical.sweeps, logical.rotations));
     }
 
     #[test]

@@ -26,24 +26,18 @@
 //! from three to one; the per-sweep [`refresh_block_diag`] recomputes them
 //! exactly so rounding drift cannot accumulate.
 //!
-//! [`SweepKernel`] runs the sub-sweeps. Its serial order (`workers == 0`)
-//! is the bitwise reference; with `workers ≥ 1` it runs a tournament of
-//! column-disjoint tile tasks whose rounds are shared out among a pool of
-//! threads. The pool belongs to a [`Tournament`], which a driver builds
-//! once per solve (once per node) and passes to every call: helper
-//! threads are spawned there, sleep between rounds, and are joined when it
-//! drops — no call spawns a thread, and no round allocates. A call takes
-//! everything a solver step may pair at once, so one round covers round
-//! `r` of every block pair of the step.
+//! [`SweepKernel`] runs the sub-sweeps on the calling thread, in one
+//! order: the serial row-major tile walk, bitwise the untiled reference.
+//! A solve that wants threads runs on the engine ([`crate::multidrive`]),
+//! whose `2^d` node programs pair disjoint column blocks and are stepped
+//! on the runtime's `min(2^d, CPUs)` workers — bitwise the logical solve,
+//! and on [`mph_runtime::FabricModel::Free`] charging no clock.
 
 use crate::options::JacobiOptions;
-use crate::pool::PairingPool;
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
 use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact, fused_triple_exact_x2};
 use mph_linalg::KernelPath;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Outcome of one pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,7 +267,7 @@ pub fn pair_across_blocks(
     acc
 }
 
-/// Columns per tile of every sweep, serial or tournament. What bounds it is
+/// Columns per tile of every sweep. What bounds it is
 /// L1 *associativity*, not capacity: with `m = 256` rows a `(A|U)` unit is
 /// exactly 4 KiB, so every column maps its lines onto the same sets and a
 /// 12-way L1d holds 12 columns, whatever its size. A rectangle's walk
@@ -285,147 +279,18 @@ pub fn pair_across_blocks(
 /// pairing at a time — so a wider walk needs a narrower tile.
 const ACROSS_TILE: usize = 8;
 
-/// Rounds of the circle-method tournament among `b` indices: `b − 1` for
-/// even `b`, `b` (one bye per round) for odd `b`, none below two.
-fn within_round_count(b: usize) -> usize {
-    if b < 2 {
-        0
-    } else {
-        b + b % 2 - 1
-    }
-}
-
-/// Appends round `r` of the circle-method tournament for all pairs among
-/// `b` indices, each index shifted by `offset`: `⌊b/2⌋` disjoint pairs (one
-/// fewer in a bye round), every unordered pair `{i, j}` appearing in
-/// exactly one of the [`within_round_count`] rounds, oriented `(min, max)`.
-/// The kernel schedules *column tiles* with it: because a round's pairs
-/// share no index — hence no column — they commute exactly, which is what
-/// lets the pool apply them concurrently with bits independent of the
-/// worker count.
-fn push_within_round(b: usize, r: usize, offset: usize, out: &mut Vec<(usize, usize)>) {
-    debug_assert!(r < within_round_count(b));
-    let n = b + b % 2; // pad to even with a bye index (n − 1 ≥ b)
-    let ring = |k: usize| 1 + k % (n - 1);
-    let mut push = |x: usize, y: usize| {
-        if x < b && y < b {
-            out.push((offset + x.min(y), offset + x.max(y)));
-        }
-    };
-    push(0, ring(r + n - 2));
-    for k in 0..n / 2 - 1 {
-        push(ring(r + k), ring(r + n - 3 - k));
-    }
-}
-
-/// Appends round `r` of the cross tournament on `bl` left × `br` right
-/// indices (shifted by `loff` / `roff`): the pairs `(i, (i + r) mod max)`
-/// that land inside the right range. Over the `max(bl, br)` rounds each of
-/// the `bl·br` cross pairs appears exactly once (`r = (j − i) mod max`),
-/// and a round's pairs are disjoint on both sides. The kernel schedules
-/// left/right *column tiles* with it.
-fn push_across_round(
-    (bl, br): (usize, usize),
-    r: usize,
-    (loff, roff): (usize, usize),
-    out: &mut Vec<(usize, usize)>,
-) {
-    let rmax = bl.max(br);
-    debug_assert!(r < rmax);
-    out.extend((0..bl).filter_map(|i| {
-        let j = (i + r) % rmax;
-        (j < br).then_some((loff + i, roff + j))
-    }));
-}
-
-/// Least work a thread must be given in a round — in pairings × column
-/// elements, a tile task counted as `ACROSS_TILE²` pairings — before the
-/// round is shared out. Waking a parked helper on another CPU and waiting
-/// for it to finish costs ≈ 25 µs where this was measured (two virtual
-/// CPUs), in which the lane kernels pair ≈ 55 000 column elements; a lane
-/// is seated only for more than twice that. Rounds below it (one 16-column
-/// block pair at `m = 256` is half a grain) run on the calling thread, so
-/// the pool is never a loss; a solver step of eight such pairs seats four
-/// lanes.
-const LANE_GRAIN: usize = 1 << 17;
-
-/// One tile of a tournament call's tile table: up to [`ACROSS_TILE`]
-/// column views of one block. A round's tasks name tiles by index; the
-/// thread that claims a task locks its tiles for the task's duration. The
-/// schedules never put a tile in two tasks of one round, so the lock is
-/// never contended — it is what lets the table be built once per call and
-/// shared by reference across every round and thread.
-type Tile<'t, 'a> = Mutex<&'t mut [ColumnViewMut<'a>]>;
-
-/// Locks tile `t` for one task — panicking if another task of the round
-/// holds it, which the tournament schedules rule out.
-fn claim<'g, 't, 'a>(
-    tiles: &'g [Tile<'t, 'a>],
-    t: usize,
-) -> MutexGuard<'g, &'t mut [ColumnViewMut<'a>]> {
-    tiles[t].try_lock().expect("tournament tiles are column-disjoint")
-}
-
-/// The state one solve (or one node) carries between the kernel's
-/// tournament calls: the parked helper pool and the round scratch buffer,
-/// so that a call spawns no thread and a round allocates nothing. Built by
-/// [`SweepKernel::tournament`]; a `workers ≤ 1` tournament owns no thread.
-pub struct Tournament {
-    pool: PairingPool,
-    /// The round being run: `(u, v)` tile-index pairs, `u == v` for a
-    /// tile's internal pairs.
-    round: Vec<(usize, usize)>,
-    /// One claim cursor per lane of the pool, into that lane's segment of
-    /// `round`.
-    cursors: Vec<AtomicUsize>,
-}
-
-impl Tournament {
-    /// The threads a `workers`-wide kernel can keep busy on calls over
-    /// blocks of `block_cols` columns: `workers`, clamped to the tile count
-    /// of the blocks — the tasks of the first round of
-    /// [`SweepKernel::within`], the largest any call schedules.
-    pub(crate) fn lanes(workers: usize, block_cols: impl IntoIterator<Item = usize>) -> usize {
-        workers.min(block_cols.into_iter().map(|c| c.div_ceil(ACROSS_TILE)).sum())
-    }
-
-    /// A tournament whose pool is the caller plus `lanes − 1` helpers.
-    pub(crate) fn with_lanes(lanes: usize) -> Self {
-        Tournament {
-            pool: PairingPool::new(lanes),
-            round: Vec::new(),
-            cursors: (0..lanes.max(1)).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-}
-
-/// One sub-sweep's pairing configuration — rule, kernel path and worker
-/// count — threaded from `JacobiOptions` through every driver so the
-/// logical, threaded, and batch drivers keep performing identical
-/// floating-point work for identical options.
+/// One sub-sweep's pairing configuration — rule and kernel path — threaded
+/// from `JacobiOptions` through every driver so the logical, threaded, and
+/// batch drivers keep performing identical floating-point work for
+/// identical options.
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
 /// two `ACROSS_TILE`-wide column tiles, walked two rows at a time with two
-/// column-disjoint pairings in flight (`two_row_steps`). With
-/// `workers == 0` (the default) the sweeps visit the tile pairs in the
-/// legacy serial row-major order — with the walk inside a rectangle, a pure
-/// reordering of *commuting* operations that preserves every bit of the
-/// untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
-/// asserted in tests). With `workers ≥ 1` the sweeps run the deterministic
-/// *tile tournament*: `push_within_round`/`push_across_round` schedule
-/// rounds of column-disjoint tile tasks, each task one such rectangle (or
-/// one tile's triangle). A call takes every block it may touch at once — all blocks'
-/// `within`, a whole step's node-disjoint block pairs — and merges round
-/// `r` of all of them into one round, so the synchronisations per call are
-/// those of its *largest* block pair, whatever the block count.
-///
-/// Tasks of a round share no column, so they commute exactly, and the
-/// accumulator is a sum/max: the threads of the [`Tournament`]'s pool claim
-/// the round's tasks from shared cursors — whichever thread is free takes
-/// the next one — and the bits are identical for every worker count, every
-/// claim order, and every grouping of blocks into calls. `workers == 1`
-/// runs the same rounds on the calling thread, as does any round too small
-/// to repay waking a helper (`LANE_GRAIN`).
+/// column-disjoint pairings in flight (`two_row_steps`). The sweeps visit
+/// the tile pairs in row-major order — with the walk inside a rectangle, a
+/// pure reordering of *commuting* operations that preserves every bit of
+/// the untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
+/// asserted in tests).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepKernel {
     /// How pairings derive their 2×2 block.
@@ -433,230 +298,52 @@ pub struct SweepKernel {
     /// Which inner products the pairings take: the reference bits or the
     /// reassociated reductions.
     pub path: KernelPath,
-    /// Threads a tournament round may use (0 = legacy serial order).
-    pub workers: usize,
 }
 
 impl SweepKernel {
     /// The kernel a driver derives from its options.
     pub fn from_options(rule: PairingRule, opts: &JacobiOptions) -> Self {
-        SweepKernel { rule, path: opts.kernel, workers: opts.workers }
+        SweepKernel { rule, path: opts.kernel }
     }
 
-    /// The scalar serial reference kernel.
+    /// The scalar reference kernel.
     pub fn reference(rule: PairingRule) -> Self {
-        SweepKernel { rule, path: KernelPath::Scalar, workers: 0 }
-    }
-
-    /// The [`Tournament`] a solve with this kernel runs its calls on;
-    /// `block_cols` are the column counts of the blocks one call can hold.
-    /// It owns `workers − 1` helper threads, clamped to the most tasks one
-    /// round over such blocks can hold, so any `workers` is safe.
-    pub fn tournament(&self, block_cols: impl IntoIterator<Item = usize>) -> Tournament {
-        Tournament::with_lanes(Tournament::lanes(self.workers, block_cols))
+        SweepKernel { rule, path: KernelPath::Scalar }
     }
 
     /// Pairs every column pair within each of `blocks` —
-    /// [`pair_within_block`] per block on this kernel's path/worker
-    /// configuration, the blocks' tournaments merged round by round.
+    /// [`pair_within_block`] per block on this kernel's path, block by
+    /// block. Within a block, the tiles in row-major order: for each tile,
+    /// its rectangles against the tiles to its left, then its own
+    /// triangle. For ops sharing a column the row-major relative order is
+    /// preserved (for a shared left column, `j` still ascends across tiles;
+    /// for a shared right column, `i` still ascends across the left tiles
+    /// and inside each — `two_row_steps`), and ops sharing no column
+    /// commute exactly — so the tiling is bitwise invisible.
     pub fn within<'b>(
         &self,
-        tour: &mut Tournament,
         blocks: impl IntoIterator<Item = &'b mut ColumnBlock>,
     ) -> SweepAccumulator {
-        if self.workers == 0 {
-            let mut acc = SweepAccumulator::default();
-            for block in blocks {
-                acc.merge(self.within_serial(block));
-            }
-            return acc;
-        }
-        let mut blocks: Vec<&mut ColumnBlock> = blocks.into_iter().collect();
-        self.run_tournament(tour, &mut blocks, |first, r, round| match r {
-            // Round 0: every tile's internal pairs — the tiles are disjoint.
-            0 => round.extend((0..first[first.len() - 1]).map(|t| (t, t))),
-            // Then each block's tile tournament: rounds of disjoint tile
-            // pairs, each a row-major micro-sweep (tile u < tile v ⇒ every
-            // i < every j).
-            _ => {
-                for w in first.windows(2) {
-                    let nt = w[1] - w[0];
-                    if r - 1 < within_round_count(nt) {
-                        push_within_round(nt, r - 1, w[0], round);
-                    }
-                }
-            }
-        })
-    }
-
-    /// Pairs every column of `left` with every column of `right` —
-    /// [`pair_across_blocks`] on this kernel's path/worker configuration.
-    /// `left` plays the `i` role, exactly as in the serial form.
-    pub fn across(
-        &self,
-        tour: &mut Tournament,
-        left: &mut ColumnBlock,
-        right: &mut ColumnBlock,
-    ) -> SweepAccumulator {
-        if self.workers == 0 {
-            return self.across_serial(left, right);
-        }
-        self.across_merged(tour, &mut [left, right], &[(0, 1)])
-    }
-
-    /// [`Self::across`] for every `(left, right)` index pair of one solver
-    /// step at once. The pairs must be block-disjoint (a step pairs the two
-    /// blocks co-located at each node, so they are): round `r` of every
-    /// pair's tournament then runs as one merged round.
-    ///
-    /// # Panics
-    /// Panics if a block index repeats within `pairs` or is out of range.
-    pub fn across_step(
-        &self,
-        tour: &mut Tournament,
-        blocks: &mut [ColumnBlock],
-        pairs: &[(usize, usize)],
-    ) -> SweepAccumulator {
-        if self.workers == 0 {
-            let mut acc = SweepAccumulator::default();
-            for &(b0, b1) in pairs {
-                let (left, right) = two_blocks_mut(blocks, b0, b1);
-                acc.merge(self.across_serial(left, right));
-            }
-            return acc;
-        }
-        let mut blocks: Vec<&mut ColumnBlock> = blocks.iter_mut().collect();
-        self.across_merged(tour, &mut blocks, pairs)
-    }
-
-    fn across_merged(
-        &self,
-        tour: &mut Tournament,
-        blocks: &mut [&mut ColumnBlock],
-        pairs: &[(usize, usize)],
-    ) -> SweepAccumulator {
-        let mut paired = vec![false; blocks.len()];
-        for &(b0, b1) in pairs {
-            for b in [b0, b1] {
-                assert!(!std::mem::replace(&mut paired[b], true), "block {b} paired twice");
-            }
-        }
-        self.run_tournament(tour, blocks, |first, r, round| {
-            for &(b0, b1) in pairs {
-                let shape = (first[b0 + 1] - first[b0], first[b1 + 1] - first[b1]);
-                if r < shape.0.max(shape.1) {
-                    push_across_round(shape, r, (first[b0], first[b1]), round);
-                }
-            }
-        })
-    }
-
-    /// Runs the rounds `fill` schedules over the tiles of `blocks` until it
-    /// schedules an empty one. `fill(first, r, round)` appends round `r`'s
-    /// tasks as tile-index pairs (`(t, t)` = tile `t`'s internal pairs),
-    /// where block `b` owns tiles `first[b]..first[b + 1]`.
-    ///
-    /// The column views and the tile table are built once for the whole
-    /// call; a round is one [`PairingPool::run`].
-    fn run_tournament(
-        &self,
-        tour: &mut Tournament,
-        blocks: &mut [&mut ColumnBlock],
-        fill: impl Fn(&[usize], usize, &mut Vec<(usize, usize)>),
-    ) -> SweepAccumulator {
-        let lens: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
-        // Upper bound of one tile task's work, in units of `LANE_GRAIN`.
-        let column = blocks.iter().map(|b| b.arows() + b.urows()).max().unwrap_or(0);
-        let task_work = ACROSS_TILE * ACROSS_TILE * column;
-        let mut cols: Vec<ColumnViewMut<'_>> = Vec::with_capacity(lens.iter().sum());
-        for block in blocks.iter_mut() {
-            cols.extend(block.columns_mut());
-        }
-        let mut first = Vec::with_capacity(lens.len() + 1);
-        let mut tiles: Vec<Tile<'_, '_>> = Vec::new();
-        let mut rest = cols.as_mut_slice();
-        for &len in &lens {
-            let (block_cols, tail) = rest.split_at_mut(len);
-            rest = tail;
-            first.push(tiles.len());
-            tiles.extend(block_cols.chunks_mut(ACROSS_TILE).map(Mutex::new));
-        }
-        first.push(tiles.len());
-
-        let total = Mutex::new(SweepAccumulator::default());
-        let Tournament { pool, round, cursors } = tour;
-        for r in 0.. {
-            round.clear();
-            fill(&first, r, round);
-            if round.is_empty() {
-                break;
-            }
-            // As many lanes as the round has grains of work for. Lane `l`
-            // owns the `l`-th of `lanes` equal segments of the round; rounds
-            // list their tasks block by block, so a lane keeps meeting the
-            // same blocks — whose columns then stay in its core's cache
-            // from one round to the next.
-            let grains = (round.len() * task_work / LANE_GRAIN).max(1);
-            let lanes = self.workers.min(round.len()).min(cursors.len()).min(grains);
-            let segment = |l: usize| l * round.len() / lanes;
-            for (l, cursor) in cursors[..lanes].iter().enumerate() {
-                cursor.store(segment(l), Ordering::Relaxed);
-            }
-            let (round, tiles, cursors) = (&*round, &tiles, &*cursors);
-            pool.run(lanes, &|lane| {
-                let mut acc = SweepAccumulator::default();
-                // Own segment first, then whatever the other lanes have not
-                // claimed yet: no thread idles while tasks remain, and a
-                // lane whose thread never got scheduled loses its segment
-                // to the others. The cursors publish no data — a task's
-                // columns were last written before this round began, which
-                // `PairingPool::run` orders through its lock — so `Relaxed`
-                // suffices.
-                for l in (lane..lanes).chain(0..lane) {
-                    loop {
-                        let t = cursors[l].fetch_add(1, Ordering::Relaxed);
-                        if t >= segment(l + 1) {
-                            break;
-                        }
-                        let (u, v) = round[t];
-                        let mut left = claim(tiles, u);
-                        if u == v {
-                            self.sweep_tile(&mut left, &mut acc);
-                        } else {
-                            self.sweep_tile_pair(&mut left, &mut claim(tiles, v), &mut acc);
-                        }
-                    }
-                }
-                total.lock().expect("merging accumulators cannot panic").merge(acc);
-            });
-        }
-        total.into_inner().expect("merging accumulators cannot panic")
-    }
-
-    /// Serial within-block sweep: the block's tiles in row-major order — for
-    /// each tile, its rectangles against the tiles to its left, then its
-    /// own triangle. For ops sharing a column the row-major relative order
-    /// is preserved (for a shared left column, `j` still ascends across
-    /// tiles; for a shared right column, `i` still ascends across the left
-    /// tiles and inside each — [`two_row_steps`]), and ops sharing no column
-    /// commute exactly — so the tiling is bitwise invisible.
-    fn within_serial(&self, block: &mut ColumnBlock) -> SweepAccumulator {
         let mut acc = SweepAccumulator::default();
-        for t0 in (0..block.len()).step_by(ACROSS_TILE) {
-            for s0 in (0..t0).step_by(ACROSS_TILE) {
-                let [mut left, mut right] = block.tiles_mut::<ACROSS_TILE, 2>([s0, t0]);
-                self.sweep_tile_pair(&mut left, &mut right, &mut acc);
+        for block in blocks {
+            for t0 in (0..block.len()).step_by(ACROSS_TILE) {
+                for s0 in (0..t0).step_by(ACROSS_TILE) {
+                    let [mut left, mut right] = block.tiles_mut::<ACROSS_TILE, 2>([s0, t0]);
+                    self.sweep_tile_pair(&mut left, &mut right, &mut acc);
+                }
+                let [mut tile] = block.tiles_mut::<ACROSS_TILE, 1>([t0]);
+                self.sweep_tile(&mut tile, &mut acc);
             }
-            let [mut tile] = block.tiles_mut::<ACROSS_TILE, 1>([t0]);
-            self.sweep_tile(&mut tile, &mut acc);
         }
         acc
     }
 
-    /// Serial cross-block sweep: for each tile of the right block, the
-    /// rectangles against the left block's tiles in order — same
-    /// bitwise-invisible reordering argument as [`Self::within_serial`].
-    fn across_serial(&self, left: &mut ColumnBlock, right: &mut ColumnBlock) -> SweepAccumulator {
+    /// Pairs every column of `left` with every column of `right` —
+    /// [`pair_across_blocks`] on this kernel's path. `left` plays the `i`
+    /// role, exactly as in the untiled form. For each tile of the right
+    /// block, the rectangles against the left block's tiles in order — the
+    /// same bitwise-invisible reordering as [`Self::within`].
+    pub fn across(&self, left: &mut ColumnBlock, right: &mut ColumnBlock) -> SweepAccumulator {
         let mut acc = SweepAccumulator::default();
         for t0 in (0..right.len()).step_by(ACROSS_TILE) {
             let [mut rcols] = right.tiles_mut::<ACROSS_TILE, 1>([t0]);
@@ -664,6 +351,24 @@ impl SweepKernel {
                 let [mut lcols] = left.tiles_mut::<ACROSS_TILE, 1>([s0]);
                 self.sweep_tile_pair(&mut lcols, &mut rcols, &mut acc);
             }
+        }
+        acc
+    }
+
+    /// [`Self::across`] for every `(left, right)` index pair of one solver
+    /// step, in order.
+    ///
+    /// # Panics
+    /// Panics if a pair's two indices are equal or out of range.
+    pub fn across_step(
+        &self,
+        blocks: &mut [ColumnBlock],
+        pairs: &[(usize, usize)],
+    ) -> SweepAccumulator {
+        let mut acc = SweepAccumulator::default();
+        for &(b0, b1) in pairs {
+            let (left, right) = two_blocks_mut(blocks, b0, b1);
+            acc.merge(self.across(left, right));
         }
         acc
     }
@@ -678,17 +383,17 @@ impl SweepKernel {
     }
 
     /// Sweeps a left tile × right tile rectangle in the order of
-    /// [`two_row_steps`] — the L1-resident inner loop of every sweep, serial
-    /// or tournament: two left columns walk the right tile, each reused
-    /// against all of it before the next two. The views are reborrowed per
-    /// pairing ([`ColumnViewMut::pair_mut`]).
+    /// [`two_row_steps`] — the L1-resident inner loop of every sweep: two
+    /// left columns walk the right tile, each reused against all of it
+    /// before the next two. The views are reborrowed per pairing
+    /// ([`ColumnViewMut::pair_mut`]).
     fn sweep_tile_pair(
         &self,
         lcols: &mut [ColumnViewMut<'_>],
         rcols: &mut [ColumnViewMut<'_>],
         acc: &mut SweepAccumulator,
     ) {
-        let SweepKernel { rule, path, .. } = *self;
+        let SweepKernel { rule, path } = *self;
         two_row_steps(lcols.len(), rcols.len(), |(i, j), abreast| match abreast {
             None => {
                 let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
@@ -823,26 +528,6 @@ mod tests {
         dot(u.col(i), a.col(j))
     }
 
-    fn within_rounds(b: usize) -> Vec<Vec<(usize, usize)>> {
-        (0..within_round_count(b))
-            .map(|r| {
-                let mut round = Vec::new();
-                push_within_round(b, r, 0, &mut round);
-                round
-            })
-            .collect()
-    }
-
-    fn across_rounds(bl: usize, br: usize) -> Vec<Vec<(usize, usize)>> {
-        (0..bl.max(br))
-            .map(|r| {
-                let mut round = Vec::new();
-                push_across_round((bl, br), r, (0, 0), &mut round);
-                round
-            })
-            .collect()
-    }
-
     /// One kernel sweep of a two-block problem: both `within`s, then the
     /// cross pairing.
     fn sweep_two(
@@ -850,9 +535,8 @@ mod tests {
         left: &mut ColumnBlock,
         right: &mut ColumnBlock,
     ) -> SweepAccumulator {
-        let mut tour = kern.tournament([left.len(), right.len()]);
-        let mut acc = kern.within(&mut tour, [&mut *left, &mut *right]);
-        acc.merge(kern.across(&mut tour, left, right));
+        let mut acc = kern.within([&mut *left, &mut *right]);
+        acc.merge(kern.across(left, right));
         acc
     }
 
@@ -1095,41 +779,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn within_rounds_cover_every_pair_once_with_disjoint_rounds() {
-        for b in 0..=9usize {
-            let rounds = within_rounds(b);
-            let mut seen = std::collections::HashSet::new();
-            for round in &rounds {
-                let mut used = std::collections::HashSet::new();
-                for &(i, j) in round {
-                    assert!(i < j && j < b, "b={b}: bad pair ({i},{j})");
-                    assert!(used.insert(i) && used.insert(j), "b={b}: round reuses a column");
-                    assert!(seen.insert((i, j)), "b={b}: pair ({i},{j}) repeated");
-                }
-            }
-            assert_eq!(seen.len(), b * b.saturating_sub(1) / 2, "b={b}");
-        }
-    }
-
-    #[test]
-    fn across_rounds_cover_the_product_once_with_disjoint_rounds() {
-        for (bl, br) in [(0, 0), (1, 1), (3, 3), (4, 4), (2, 5), (5, 2), (4, 7), (7, 4)] {
-            let rounds = across_rounds(bl, br);
-            let mut seen = std::collections::HashSet::new();
-            for round in &rounds {
-                let mut li = std::collections::HashSet::new();
-                let mut rj = std::collections::HashSet::new();
-                for &(i, j) in round {
-                    assert!(i < bl && j < br, "{bl}x{br}: bad pair ({i},{j})");
-                    assert!(li.insert(i) && rj.insert(j), "{bl}x{br}: round reuses a column");
-                    assert!(seen.insert((i, j)), "{bl}x{br}: pair repeated");
-                }
-            }
-            assert_eq!(seen.len(), bl * br, "{bl}x{br}");
-        }
-    }
-
     /// The untiled row-major sweep of a two-block problem on `path` —
     /// [`pair_within_block`] / [`pair_across_blocks`] themselves on
     /// `Scalar`, which is all they compute.
@@ -1163,8 +812,8 @@ mod tests {
 
     #[test]
     fn tiled_serial_kernel_is_bitwise_the_untiled_reference() {
-        // The default-path guarantee: SweepKernel with workers == 0 must
-        // reproduce pair_within_block / pair_across_blocks exactly — the
+        // The kernel's guarantee: SweepKernel must reproduce
+        // pair_within_block / pair_across_blocks exactly — the
         // tiling and the two-row walk included — blocks and accumulator,
         // for every pair of block widths up to two tiles and a bit: none,
         // one column, odd, the 2-, 4- and 8-column blocks the service
@@ -1247,146 +896,37 @@ mod tests {
     }
 
     #[test]
-    fn tournament_bits_are_identical_for_every_worker_count() {
-        let m = 20;
-        let a0 = random_symmetric(m, 57);
-        for path in [KernelPath::Scalar, KernelPath::Lanes] {
-            let mut want: Option<(ColumnBlock, ColumnBlock, SweepAccumulator)> = None;
-            for workers in [1usize, 2, 3, 4, 8] {
-                let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..9, m);
-                let mut right = ColumnBlock::from_matrix_with_identity(&a0, 9..m, m);
-                let kern = SweepKernel { rule: PairingRule::Implicit, path, workers };
-                let acc = sweep_two(&kern, &mut left, &mut right);
-                match &want {
-                    None => want = Some((left, right, acc)),
-                    Some((wl, wr, wa)) => {
-                        assert_eq!(&left, wl, "{path:?} workers={workers}");
-                        assert_eq!(&right, wr, "{path:?} workers={workers}");
-                        assert_eq!(&acc, wa, "{path:?} workers={workers}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rounds_shared_out_among_threads_are_bitwise_the_inline_rounds() {
-        // Blocks wide enough that every round clears `LANE_GRAIN` several
-        // times over (16 tile tasks of 512-element columns), so helpers are
-        // really seated — the small cases above all run inline.
-        let m = 256;
-        let a0 = random_symmetric(m, 59);
-        let sweep = |workers: usize| {
-            let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..m / 2, m);
-            let mut right = ColumnBlock::from_matrix_with_identity(&a0, m / 2..m, m);
-            refresh_block_diag(&mut left, PairingRule::Implicit);
-            refresh_block_diag(&mut right, PairingRule::Implicit);
-            let kern =
-                SweepKernel { rule: PairingRule::Implicit, path: KernelPath::Lanes, workers };
-            let acc = sweep_two(&kern, &mut left, &mut right);
-            (left, right, acc)
-        };
-        let inline = sweep(1);
-        assert_eq!(sweep(2), inline);
-        assert_eq!(sweep(4), inline);
-    }
-
-    #[test]
     fn step_merged_calls_are_bitwise_the_per_block_calls() {
-        // Merging round r of every block (pair) of a step into one round
-        // must not move a bit against one call per block (pair): 6 blocks
-        // of uneven width, so the merged tournaments differ in length and
-        // the shorter ones sit out the last rounds.
+        // One call over a whole step — every block's `within`, every block
+        // pair's `across` — must not move a bit against one call per block
+        // (pair): 6 blocks of uneven width, one of them empty.
         let m = 64;
         let a0 = random_symmetric(m, 71);
         let bounds = [0usize, 20, 29, 30, 47, 47, 64]; // widths 20 9 1 17 0 17
         let pairs = [(3usize, 0usize), (1, 5), (4, 2)];
-        for workers in [1usize, 3] {
-            let kern =
-                SweepKernel { rule: PairingRule::Implicit, path: KernelPath::Scalar, workers };
-            let mut merged: Vec<ColumnBlock> = bounds
-                .windows(2)
-                .map(|w| ColumnBlock::from_matrix_with_identity(&a0, w[0]..w[1], m))
-                .collect();
-            for b in merged.iter_mut() {
-                refresh_block_diag(b, PairingRule::Implicit);
-            }
-            let mut single = merged.clone();
-            let mut tour = kern.tournament(merged.iter().map(ColumnBlock::len));
-
-            let mut acc_merged = kern.within(&mut tour, &mut merged);
-            acc_merged.merge(kern.across_step(&mut tour, &mut merged, &pairs));
-
-            let mut acc_single = SweepAccumulator::default();
-            for b in single.iter_mut() {
-                acc_single.merge(kern.within(&mut tour, [b]));
-            }
-            for &(b0, b1) in &pairs {
-                let (left, right) = two_blocks_mut(&mut single, b0, b1);
-                acc_single.merge(kern.across(&mut tour, left, right));
-            }
-            assert_eq!(acc_merged, acc_single, "workers={workers}");
-            assert_eq!(merged, single, "workers={workers}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block 1 paired twice")]
-    fn a_step_may_not_pair_a_block_twice() {
-        let a0 = random_symmetric(12, 3);
-        let mut blocks: Vec<ColumnBlock> = (0..3)
-            .map(|b| ColumnBlock::from_matrix_with_identity(&a0, 4 * b..4 * b + 4, 12))
+        let kern = SweepKernel::reference(PairingRule::Implicit);
+        let mut merged: Vec<ColumnBlock> = bounds
+            .windows(2)
+            .map(|w| ColumnBlock::from_matrix_with_identity(&a0, w[0]..w[1], m))
             .collect();
-        let kern = SweepKernel { workers: 1, ..SweepKernel::reference(PairingRule::Implicit) };
-        kern.across_step(&mut kern.tournament([4; 3]), &mut blocks, &[(0, 1), (1, 2)]);
-    }
+        for b in merged.iter_mut() {
+            refresh_block_diag(b, PairingRule::Implicit);
+        }
+        let mut single = merged.clone();
 
-    #[test]
-    fn a_panicking_task_surfaces_its_own_message_and_a_fresh_pool_still_solves() {
-        // Blocks of different heights make every cross pairing trip the
-        // length assertion inside `dot`. With helpers in play the caller
-        // must see that very message — as `workers: 1` raises it inline —
-        // neither hang nor a generic "worker panicked".
-        // (128-column blocks: the rounds are large enough to seat helpers.)
-        let short = random_symmetric(248, 1);
-        let tall = random_symmetric(256, 2);
-        let raise = |workers: usize| {
-            let mut left = ColumnBlock::from_matrix_with_identity(&short, 0..128, 248);
-            let mut right = ColumnBlock::from_matrix_with_identity(&tall, 0..128, 256);
-            let kern = SweepKernel { workers, ..SweepKernel::reference(PairingRule::Implicit) };
-            let mut tour = kern.tournament([128, 128]);
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                kern.across(&mut tour, &mut left, &mut right)
-            }))
-            .unwrap_err();
-            crate::pool::panic_message(payload)
-            // `tour` drops here: its helpers are woken and joined.
-        };
-        let inline = raise(1);
-        assert!(inline.contains("left == right"), "{inline}");
-        assert_eq!(raise(3), inline);
+        let mut acc_merged = kern.within(&mut merged);
+        acc_merged.merge(kern.across_step(&mut merged, &pairs));
 
-        let kern = SweepKernel { workers: 3, ..SweepKernel::reference(PairingRule::Implicit) };
-        let mut left = ColumnBlock::from_matrix_with_identity(&tall, 0..128, 256);
-        let mut right = ColumnBlock::from_matrix_with_identity(&tall, 128..256, 256);
-        let acc = sweep_two(&kern, &mut left, &mut right);
-        assert_eq!(acc.pairings, 256 * 255 / 2);
-    }
-
-    #[test]
-    fn tournament_covers_the_same_pairs_as_the_serial_order() {
-        // Same pair set ⇒ same pairing count; the off-diagonal mass after a
-        // full sweep must drop comparably even though the order differs.
-        let m = 12;
-        let a0 = random_symmetric(m, 63);
-        let mut serial = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
-        let mut tourney = serial.clone();
-        let reference = SweepKernel::reference(PairingRule::Implicit);
-        let acc_s = reference.within(&mut reference.tournament([m]), [&mut serial]);
-        let kern = SweepKernel { workers: 2, ..reference };
-        let acc_t = kern.within(&mut kern.tournament([m]), [&mut tourney]);
-        assert_eq!(acc_s.pairings, acc_t.pairings);
-        assert_eq!(acc_s.pairings, (m * (m - 1) / 2) as u64);
+        let mut acc_single = SweepAccumulator::default();
+        for b in single.iter_mut() {
+            acc_single.merge(kern.within([b]));
+        }
+        for &(b0, b1) in &pairs {
+            let (left, right) = two_blocks_mut(&mut single, b0, b1);
+            acc_single.merge(kern.across(left, right));
+        }
+        assert_eq!(acc_merged, acc_single);
+        assert_eq!(merged, single);
     }
 
     #[test]
@@ -1402,9 +942,9 @@ mod tests {
             }
             let mut lanes = scalar.clone();
             let reference = SweepKernel::reference(PairingRule::Implicit);
-            let _ = reference.within(&mut reference.tournament([m]), [&mut scalar]);
+            let _ = reference.within([&mut scalar]);
             let kern = SweepKernel { path: KernelPath::Lanes, ..reference };
-            let _ = kern.within(&mut kern.tournament([m]), [&mut lanes]);
+            let _ = kern.within([&mut lanes]);
             for k in 0..m {
                 for (g, w) in lanes.a_col(k).iter().zip(scalar.a_col(k)) {
                     assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "cached={cached} col {k}");

@@ -39,7 +39,6 @@ pub mod multidrive;
 pub mod offnorm;
 pub mod onesided;
 pub mod options;
-mod pool;
 pub mod svd;
 pub mod threaded;
 pub mod twosided;
@@ -48,7 +47,7 @@ pub use blockjacobi::block_jacobi;
 pub use harness::{convergence_stats, table2_grid, ConvergenceStats};
 pub use kernel::{
     pair_across_blocks, pair_within_block, refresh_block_diag, PairOutcome, PairingRule,
-    SweepAccumulator, SweepKernel, Tournament,
+    SweepAccumulator, SweepKernel,
 };
 pub use mph_core::BlockPartition;
 pub use mph_linalg::block::ColumnBlock;

@@ -143,7 +143,7 @@
 //! [`Pipelining`]: crate::options::Pipelining
 
 use crate::blockjacobi::eigenpairs;
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel, Tournament};
+use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
 use crate::offnorm::node_residual_sq;
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{extract_usv_blocks, SvdResult};
@@ -916,13 +916,13 @@ impl<'a> JobNode<'a> {
 
     /// Executes the job's next micro-op — the arms say what each kind
     /// *does*; which op follows is [`CommPlan::op_after`]'s to say — pairing
-    /// on the node's shared `tour`. `Poll::Ready(())`: the op ran.
+    /// on the node's worker. `Poll::Ready(())`: the op ran.
     /// `Poll::Pending`: it would block on a receive or the barrier, and the
     /// next call resumes it where it stopped — an op's receive comes before
     /// anything it does, or its cursor (`via`, `stage`) remembers how far it
     /// got. The caller guarantees every node invokes every job's steps in
     /// the same merged order.
-    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>, tour: &mut Tournament) -> Poll<()> {
+    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<()> {
         let op = self.next.expect("the order walk steps unfinished jobs only");
         let plan = &self.plans[self.sweeps];
         match op.kind {
@@ -949,15 +949,15 @@ impl<'a> JobNode<'a> {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
-                self.acc.merge(self.kern.within(tour, [&mut self.slot0, &mut self.slot1]));
+                self.acc.merge(self.kern.within([&mut self.slot0, &mut self.slot1]));
                 if plan.phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
-                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
+                    self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
                 }
             }
             OpKind::Send => {
                 let link = plan.phases()[op.phase].links[op.k];
-                self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
+                self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
                 let block = self.travelling(op.phase).take();
                 self.send_via(ctx, link, BatchMsg::Block { job: self.job, block });
             }
@@ -978,7 +978,7 @@ impl<'a> JobNode<'a> {
                     // One pairing of the whole mobile block, before anything
                     // is charged — the per-packet pairings, which share no
                     // mobile column (module docs).
-                    self.acc.merge(self.kern.across(tour, &mut self.slot0, &mut self.slot1));
+                    self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
                 }
                 // Each packet's forwarding departs when *its own* input
                 // has arrived (the fabric's stamp), not when the node's
@@ -1065,19 +1065,6 @@ impl<'a> JobNode<'a> {
             blocks: [self.slot0, self.slot1],
         }
     }
-}
-
-/// The one [`Tournament`] a node shares among all its jobs: its
-/// micro-ops run one at a time, so one set of parked helpers serves every
-/// job, sized for the job that can use the most (`workers` against the
-/// tiles of the two blocks it keeps at a node).
-fn node_tournament(jobs: &[JobSpec<'_>], d: usize) -> Tournament {
-    let lanes = jobs.iter().map(|spec| {
-        // Block 0 is the largest of the balanced partition.
-        let block = BlockPartition::new(spec.a.cols(), 2 << d).size(0);
-        Tournament::lanes(spec.opts.workers, [block; 2])
-    });
-    Tournament::with_lanes(lanes.max().unwrap_or(0))
 }
 
 /// Runs `jobs` concurrently on one `d`-cube over one `fabric`,
@@ -1172,10 +1159,9 @@ fn run_nodes(
                     Some(JobNode::new(j as u32, &jobs[j], plans, shared, solo, d, ctx.id()))
                 })
                 .collect();
-            let mut tour = node_tournament(jobs, d);
             let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
             move |ctx| {
-                ready!(walk.resume(&mut nodes, ctx, &mut tour));
+                ready!(walk.resume(&mut nodes, ctx));
                 Poll::Ready(nodes.drain(..).flatten().map(JobNode::into_output).collect())
             }
         },
@@ -1220,7 +1206,6 @@ impl Round {
         &mut self,
         nodes: &mut [Option<JobNode<'_>>],
         ctx: &NodeCtx<'_, BatchMsg>,
-        tour: &mut Tournament,
     ) -> Poll<()> {
         while let Some((i, grant)) = self.cursor.turn(&self.order) {
             if let Some(node) = nodes[self.jobs[i]].as_mut() {
@@ -1228,7 +1213,7 @@ impl Round {
                     if self.skip[i] > 0 {
                         self.skip[i] -= 1;
                     } else {
-                        ready!(node.step(ctx, tour));
+                        ready!(node.step(ctx));
                     }
                     self.used += 1;
                 }
@@ -1499,7 +1484,6 @@ struct ServiceNode<'a> {
     /// Whether the fabric has a machine, and so a clock to read arrivals on.
     clocked: bool,
     nodes: Vec<Option<JobNode<'a>>>,
-    tour: Tournament,
     queue: Vec<usize>,
     active: Vec<usize>,
     next_arrival: usize,
@@ -1513,7 +1497,7 @@ impl<'a> ServiceNode<'a> {
     fn resume(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<NodeService> {
         loop {
             if let Some(round) = &mut self.round {
-                ready!(round.resume(&mut self.nodes, ctx, &mut self.tour));
+                ready!(round.resume(&mut self.nodes, ctx));
                 self.round = None;
                 self.retire();
             }
@@ -1683,7 +1667,6 @@ pub fn run_job_service(
             d,
             clocked,
             nodes: (0..njobs).map(|_| None).collect(),
-            tour: node_tournament(jobs, d),
             queue: Vec::new(),
             active: Vec::new(),
             next_arrival: 0,
@@ -1895,30 +1878,17 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_jobs_on_one_node_share_one_pool() {
+    fn interleaved_jobs_on_one_node_each_equal_their_logical_solve() {
         // d = 0: one node holds both blocks of every job (m = 40 → 20
-        // columns, 3 tiles each). Jobs ask for 1, 3 and 2 workers; the node
-        // node's tournament is sized once, for the widest of them — its
-        // thread count does not grow with the number of jobs.
+        // columns, 3 tiles each). Interleaved micro-op by micro-op on that
+        // node, every job still equals its solo logical solve bit for bit.
         let mats: Vec<Matrix> = (0..3).map(|i| random_symmetric(40, 300 + i)).collect();
-        let job = |i: usize, workers| {
-            let opts = JacobiOptions { workers, force_sweeps: Some(2), ..Default::default() };
-            if i == 1 {
-                JobSpec::svd(&mats[i], OrderingFamily::Br, opts)
-            } else {
-                JobSpec::eigen(&mats[i], OrderingFamily::Br, opts)
-            }
-        };
-        let spawned_for =
-            |jobs: &[JobSpec]| crate::pool::spawned_by(|| drop(node_tournament(jobs, 0)));
-        let jobs = [job(0, 1), job(1, 3), job(2, 2)];
-        assert_eq!(spawned_for(&jobs), 2);
-        assert_eq!(spawned_for(&jobs[1..2]), 2);
-        assert_eq!(spawned_for(&[job(0, 1)]), 0);
-        assert_eq!(spawned_for(&[job(0, usize::MAX), job(2, 0)]), 5, "clamped to 6 tiles");
-
-        // Interleaved micro-op by micro-op through that one shared pool,
-        // every job still equals its solo logical solve bit for bit.
+        let opts = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
+        let jobs = [
+            JobSpec::eigen(&mats[0], OrderingFamily::Br, opts.clone()),
+            JobSpec::svd(&mats[1], OrderingFamily::Br, opts.clone()),
+            JobSpec::eigen(&mats[2], OrderingFamily::Br, opts),
+        ];
         let order = BatchOrder::RoundRobin { order: vec![2, 0, 1], stride: 1 };
         let run = batch(0, &jobs, FabricModel::Free, &order);
         for (i, spec) in jobs.iter().enumerate() {

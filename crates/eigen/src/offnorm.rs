@@ -35,9 +35,9 @@
 //!
 //! The value therefore depends, in its last bits, on how the columns are
 //! cut into blocks and on which node holds which block (the sweep's final
-//! [`BlockLayout`]) — and on nothing else: not `workers`, the pipelining
-//! degree, the fabric or the interleaving. The serial Gram measure it
-//! replaced was block-cut independent; its test of that
+//! [`BlockLayout`]) — and on nothing else: not the runtime's worker count,
+//! the pipelining degree, the fabric or the interleaving. The serial Gram
+//! measure it replaced was block-cut independent; its test of that
 //! (`the_measure_matches_the_oracle_and_ignores_the_block_cut`) went with
 //! the definition, and what it guarded — one value whoever computes it —
 //! is `tests/proptests.rs::unforced_threaded_solves_equal_the_logical_solve_bit_for_bit`.

@@ -126,29 +126,17 @@ pub struct JacobiOptions {
     /// pairing's fused inner products; ≤1e-12 relative per inner
     /// product), so it is opt-in like `cache_diagonals`.
     pub kernel: KernelPath,
-    /// Intra-node parallel pairing: how many threads apply a sub-sweep's
-    /// column-disjoint pairings concurrently.
+    /// Ignored: no solver reads it, and every value gives the bits of the
+    /// default. Kept only because the repository benchmark (`benchmark/src`)
+    /// still sets it; the benchmark-correcting change of ROADMAP item 1
+    /// deletes it.
     ///
-    /// `0` (the default) is the legacy serial path — row-major pairing
-    /// order, bitwise parity with previous releases. Any value ≥ 1 switches
-    /// to the deterministic tournament-round schedule, whose pairing order
-    /// is fixed by pair index (never by the scheduler): a round's pairs
-    /// touch disjoint columns and therefore commute *exactly*, so every
-    /// worker count ≥ 1 produces identical bits. The tournament order
-    /// visits the same pair set as the serial order, so convergence
-    /// behavior matches; only last-bit rotation angles may differ between
-    /// `0` and `≥ 1`.
-    ///
-    /// The threads are a pool that lives as long as the solve (as long as
-    /// the node, in the threaded and batch drivers, where every job
-    /// on the node shares it): `workers − 1` helpers are spawned once and
-    /// sleep between rounds, and the calling thread works through each
-    /// round alongside them. `workers ≤ 1` spawns nothing; a count above
-    /// the number of 8-column tile tasks a round can hold is clamped to
-    /// it, so any value is safe. The logical drivers hand the kernel a
-    /// whole solver step at once, so the threads synchronise once per
-    /// tournament round of the step's largest block pair — twice per step
-    /// at `m = 256, d = 3` — whatever the number of blocks.
+    /// For a parallel logical solve, call
+    /// [`block_jacobi_threaded`](crate::threaded::block_jacobi_threaded):
+    /// its default fabric, [`FabricModel::Free`], runs the `2^d` nodes on
+    /// the runtime's workers, charges no clock, and returns
+    /// [`block_jacobi`](crate::blockjacobi::block_jacobi)'s bits.
+    #[doc(hidden)]
     pub workers: usize,
     /// Trace sink for the threaded driver (ignored by the logical
     /// drivers): when enabled — e.g.
@@ -234,7 +222,6 @@ mod tests {
         assert_eq!(o.fabric, FabricModel::Free, "the raw channel fabric must be the default");
         assert_eq!(o.adaptation, Adaptation::Off, "no mid-run adaptation by default");
         assert_eq!(o.kernel, KernelPath::Scalar, "the reference bits must be the default");
-        assert_eq!(o.workers, 0, "serial legacy pairing order must be the default");
         assert!(!o.trace.is_enabled(), "tracing must default to the nop sink");
         assert!(o.fabric.validate().is_ok(), "the default option set must validate");
     }

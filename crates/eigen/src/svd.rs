@@ -125,12 +125,11 @@ pub fn svd_cyclic(a: &Matrix, opts: &JacobiOptions) -> SvdResult {
     let mut converged = false;
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
     let kern = SweepKernel::from_options(PairingRule::Gram, opts);
-    let mut tour = kern.tournament([n]);
     while sweeps < budget {
         if opts.cache_diagonals {
             refresh_block_diag(&mut blk, PairingRule::Gram);
         }
-        let acc = kern.within(&mut tour, [&mut blk]);
+        let acc = kern.within([&mut blk]);
         rotations += acc.rotations;
         sweeps += 1;
         if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {
@@ -163,10 +162,9 @@ pub fn svd_block(a: &Matrix, d: usize, family: OrderingFamily, opts: &JacobiOpti
     let mut converged = false;
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
     let kern = SweepKernel::from_options(PairingRule::Gram, opts);
-    let mut tour = kern.tournament(blocks.iter().map(ColumnBlock::len));
     while sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let acc = logical_sweep(&kern, &mut tour, &mut blocks, &schedule, &mut layout, opts);
+        let acc = logical_sweep(&kern, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
         if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {

@@ -161,6 +161,11 @@ impl<R> ThreadedRun<R> {
 /// Distributed eigensolve on a `d`-cube of threads, over
 /// [`JacobiOptions::fabric`].
 ///
+/// On the default fabric, [`mph_runtime::FabricModel::Free`], this is the
+/// parallel form of [`block_jacobi`](crate::blockjacobi::block_jacobi):
+/// the `2^d` node programs run on `min(2^d, available CPUs)` workers and
+/// no other thread, charge no clock, and return its bits.
+///
 /// On a [`mph_runtime::FabricModel::Degraded`] fabric the driver becomes
 /// scenario-aware:
 ///

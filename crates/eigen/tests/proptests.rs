@@ -5,8 +5,8 @@
 use mph_ccpipe::{Machine, PortModel};
 use mph_core::OrderingFamily;
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, one_sided_cyclic, svd_block, svd_cyclic, two_sided_cyclic,
-    EigenResult, JacobiOptions, KernelPath, Pipelining, SvdResult,
+    block_jacobi, block_jacobi_threaded, one_sided_cyclic, two_sided_cyclic, EigenResult,
+    JacobiOptions, Pipelining,
 };
 use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
 use mph_linalg::Matrix;
@@ -68,62 +68,8 @@ fn eigen_bits(r: &EigenResult) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize, u64, boo
     )
 }
 
-/// Every output bit of an SVD.
-fn svd_bits(r: &SvdResult) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize, u64, bool) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    (
-        bits(&r.singular_values),
-        bits(r.u.as_slice()),
-        bits(r.v.as_slice()),
-        r.sweeps,
-        r.rotations,
-        r.converged,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn worker_counts_are_bitwise_identical_through_the_logical_drivers(
-        a in ragged_symmetric(),
-        d in 0usize..=3,
-        family in family_strategy(),
-        cache in any::<bool>(),
-        lanes in any::<bool>(),
-        forced in any::<bool>(),
-    ) {
-        // One pool per solve, rounds merged across a step's blocks, tasks
-        // claimed by whichever thread is free: none of it may move a bit,
-        // a rotation, a sweep or an off-norm against `workers: 1`, which
-        // runs the same rounds on the calling thread alone.
-        let n = a.cols();
-        // A tall factor for the SVD drivers: `A` stacked on its top rows.
-        let tall = Matrix::from_fn(n + 3, n, |r, c| a[(r % n, c)]);
-        let opts = |workers: usize| JacobiOptions {
-            workers,
-            cache_diagonals: cache,
-            kernel: if lanes { KernelPath::Lanes } else { KernelPath::Scalar },
-            force_sweeps: forced.then_some(2),
-            ..Default::default()
-        };
-        let one = opts(1);
-        let block = eigen_bits(&block_jacobi(&a, d, family, &one));
-        let cyclic = eigen_bits(&one_sided_cyclic(&a, &one));
-        let svd = svd_bits(&svd_block(&tall, d, family, &one));
-        let svd_cyc = svd_bits(&svd_cyclic(&tall, &one));
-        for workers in [2usize, 3, 8] {
-            let w = opts(workers);
-            prop_assert!(eigen_bits(&block_jacobi(&a, d, family, &w)) == block,
-                "block_jacobi m={} d={} workers={}", n, d, workers);
-            prop_assert!(eigen_bits(&one_sided_cyclic(&a, &w)) == cyclic,
-                "one_sided_cyclic m={} workers={}", n, workers);
-            prop_assert!(svd_bits(&svd_block(&tall, d, family, &w)) == svd,
-                "svd_block m={} d={} workers={}", n, d, workers);
-            prop_assert!(svd_bits(&svd_cyclic(&tall, &w)) == svd_cyc,
-                "svd_cyclic m={} workers={}", n, workers);
-        }
-    }
 
     #[test]
     fn one_sided_matches_two_sided(a in symmetric(8)) {
@@ -192,42 +138,6 @@ proptest! {
     }
 
     #[test]
-    fn worker_counts_are_bitwise_identical_through_the_threaded_driver(
-        a in symmetric(12),
-        family in family_strategy(),
-        cache in any::<bool>(),
-        q2 in any::<bool>(),
-        lanes in any::<bool>(),
-        sweeps in 1usize..=2,
-    ) {
-        // The tournament partitioning contract: pair work is split by pair
-        // index, so EVERY worker count executes the identical rotation
-        // sequence — bits and all — under diagonal caching, pipelining, and
-        // both kernel paths.
-        let base = JacobiOptions {
-            force_sweeps: Some(sweeps),
-            cache_diagonals: cache,
-            pipelining: if q2 { Pipelining::Fixed(2) } else { Pipelining::Off },
-            kernel: if lanes { KernelPath::Lanes } else { KernelPath::Scalar },
-            workers: 1,
-            ..Default::default()
-        };
-        let reference = block_jacobi_threaded(&a, 1, family, &base).result;
-        for workers in [2usize, 4, 8] {
-            let opts = JacobiOptions { workers, ..base.clone() };
-            let r = block_jacobi_threaded(&a, 1, family, &opts).result;
-            prop_assert_eq!(r.rotations, reference.rotations, "workers={}", workers);
-            prop_assert_eq!(r.sweeps, reference.sweeps, "workers={}", workers);
-            for c in 0..12 {
-                prop_assert_eq!(r.eigenvalues[c], reference.eigenvalues[c],
-                    "workers={} λ_{}", workers, c);
-                prop_assert_eq!(r.eigenvectors.col(c), reference.eigenvectors.col(c),
-                    "workers={} u_{}", workers, c);
-            }
-        }
-    }
-
-    #[test]
     fn tail_packetization_is_bitwise_invisible_through_the_threaded_driver(
         a in symmetric(12),
         family in family_strategy(),
@@ -286,7 +196,6 @@ proptest! {
         d in 0usize..=3,
         family in family_strategy(),
         cache in any::<bool>(),
-        pooled in any::<bool>(),
         auto in any::<bool>(),
         fabric in fabric_strategy(),
     ) {
@@ -300,7 +209,6 @@ proptest! {
         let pipe = if auto { Pipelining::Auto(Machine::all_port(1000.0, 100.0)) } else { Pipelining::Off };
         let opts = JacobiOptions {
             cache_diagonals: cache,
-            workers: if pooled { 2 } else { 0 },
             pipelining: pipe,
             tail_pipelining: pipe,
             fabric,
@@ -416,36 +324,5 @@ proptest! {
         prop_assert_eq!(f1.makespan.to_bits(), f2.makespan.to_bits(), "replay makespan");
         prop_assert_eq!(ad1, ad2, "replay adaptive report");
         prop_assert_eq!(r1.rotations, r2.rotations);
-    }
-
-    #[test]
-    fn degraded_timelines_are_worker_count_invariant(
-        a in symmetric(16),
-        scenario in scenario_strategy(),
-    ) {
-        // The virtual clock is driven by the message protocol, which the
-        // intra-node worker count never alters: any workers ≥ 1 runs the
-        // same deterministic tournament pairing order, so the degraded
-        // makespan (and the bits) are identical across worker counts.
-        let d = 2;
-        let run = |workers: usize| {
-            let opts = JacobiOptions {
-                force_sweeps: Some(2),
-                workers,
-                fabric: FabricModel::Degraded(scenario.clone()),
-                adaptation: Adaptation::Reactive,
-                ..Default::default()
-            };
-            block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts)
-        };
-        let ThreadedRun { result: r1, fabric: f1, adaptive: ad1, .. } = run(1);
-        let ThreadedRun { result: r2, fabric: f2, adaptive: ad2, .. } = run(2);
-        prop_assert_eq!(f1.makespan.to_bits(), f2.makespan.to_bits());
-        prop_assert_eq!(ad1, ad2);
-        prop_assert_eq!(r1.rotations, r2.rotations);
-        for c in 0..16 {
-            prop_assert_eq!(r1.eigenvalues[c], r2.eigenvalues[c], "λ_{}", c);
-            prop_assert_eq!(r1.eigenvectors.col(c), r2.eigenvectors.col(c), "u_{}", c);
-        }
     }
 }

@@ -209,12 +209,11 @@ impl<'a> PairViewMut<'a> {
     }
 }
 
-/// One column's mutable slices — the unit of work a *parallel* pairing
-/// round hands to a worker. A round's pairs touch disjoint columns, so the
-/// views produced by [`ColumnBlock::columns_mut`] can be carved into
-/// per-pair [`PairViewMut`]s (the fields are public precisely so the
-/// pairing kernel can assemble them) and shared out among threads without
-/// any further borrow gymnastics. The default is the view of no rows.
+/// One column's mutable slices, as a tile of [`ColumnBlock::tiles_mut`]
+/// holds them: the views can be carved into per-pair [`PairViewMut`]s (the
+/// fields are public precisely so the pairing kernel can assemble them)
+/// without any further borrow gymnastics. The default is the view of no
+/// rows.
 #[derive(Debug, Default)]
 pub struct ColumnViewMut<'a> {
     /// The column's `A`-slice.
@@ -228,8 +227,7 @@ pub struct ColumnViewMut<'a> {
 impl<'a> ColumnViewMut<'a> {
     /// Assembles the pairing view of two column views without consuming
     /// them — the counterpart of [`ColumnBlock::pair_mut`]/[`cross_pair_mut`]
-    /// over views, so a serial tile sweep can pair the same column
-    /// repeatedly; the primitive behind the tournament's tile tasks.
+    /// over views, so a tile sweep can pair the same column repeatedly.
     #[inline]
     pub fn pair_mut<'b>(
         i: &'b mut ColumnViewMut<'a>,
@@ -316,18 +314,6 @@ impl ColumnBlock {
         self.ncols == 0
     }
 
-    /// Rows per `A`-column.
-    #[inline]
-    pub fn arows(&self) -> usize {
-        self.arows
-    }
-
-    /// Rows per `U`-column.
-    #[inline]
-    pub fn urows(&self) -> usize {
-        self.urows
-    }
-
     /// Global column index of block column `k`.
     #[inline]
     pub fn global_col(&self, k: usize) -> usize {
@@ -412,27 +398,9 @@ impl ColumnBlock {
         }
     }
 
-    /// Splits the whole block into one disjoint mutable view per column, in
-    /// block-column order — the distribution primitive for intra-node
-    /// parallel pairing, where a round of column-disjoint pairs is shared
-    /// out among a pool of threads. An iterator, so a caller tabulating the
-    /// views of several blocks fills one table without a `Vec` per block.
-    pub fn columns_mut(&mut self) -> impl Iterator<Item = ColumnViewMut<'_>> {
-        self.debug_assert_aligned();
-        // A taken (default) block has a zero-length unit and no columns.
-        let (shape, unit) = ((self.arows, self.urows), self.unit().max(1));
-        // `diag` is empty when the cache is off, so every slot reads `None`.
-        let mut diag = self.diag.iter_mut();
-        self.data.chunks_exact_mut(unit).take(self.ncols).map(move |chunk| {
-            let (a, u) = split_unit(chunk, shape);
-            ColumnViewMut { a, u, d: diag.next() }
-        })
-    }
-
     /// Split-borrow access to `K` tiles of the block at once: tile `k` views
-    /// the columns `firsts[k]..firsts[k] + N`, cut off at the block's end —
-    /// the per-tile counterpart of [`ColumnBlock::columns_mut`], which needs
-    /// no table to collect into.
+    /// the columns `firsts[k]..firsts[k] + N`, cut off at the block's end,
+    /// held inline so a sweep needs no table to collect them into.
     ///
     /// # Panics
     /// Panics if two of the tiles share a column.
@@ -654,7 +622,7 @@ mod tests {
         let a0 = random_symmetric(6, 1);
         let b = ColumnBlock::from_matrix_with_identity(&a0, 2..5, 6);
         assert_eq!(b.len(), 3);
-        assert_eq!((b.arows(), b.urows()), (6, 6));
+        assert_eq!((b.arows, b.urows), (6, 6));
         for k in 0..3 {
             assert_eq!(b.global_col(k), 2 + k);
             assert_eq!(b.a_col(k), a0.col(2 + k));
@@ -670,7 +638,7 @@ mod tests {
     fn rectangular_blocks_carry_different_row_counts() {
         let a0 = Matrix::from_fn(7, 4, |r, c| (r * 4 + c) as f64);
         let b = ColumnBlock::from_matrix_with_identity(&a0, 1..3, 4);
-        assert_eq!((b.arows(), b.urows()), (7, 4));
+        assert_eq!((b.arows, b.urows), (7, 4));
         assert_eq!(b.a_col(0), a0.col(1));
         assert_eq!(b.u_col(0), &[0.0, 1.0, 0.0, 0.0]);
     }
@@ -828,7 +796,9 @@ mod tests {
         assert_eq!(b.payload_elems(), 3 * 12);
         b.pair_mut(0, 2).rotate(0.6, 0.8);
         cross_pair_mut(&mut b.clone(), 1, &mut b, 0).rotate(0.8, 0.6);
-        for view in b.columns_mut() {
+        let [tile] = b.tiles_mut::<3, 1>([0]);
+        assert_eq!(tile.len(), 3);
+        for view in tile.iter() {
             assert_eq!((view.a.len(), view.u.len()), (7, 5));
             assert!(is_aligned(view.a) && is_aligned(view.u));
         }
@@ -859,7 +829,7 @@ mod tests {
         let packets = b.split_columns(3);
         let back = ColumnBlock::from_packets(packets);
         assert!(back.is_empty());
-        assert_eq!((back.arows(), back.urows()), (3, 3));
+        assert_eq!((back.arows, back.urows), (3, 3));
     }
 
     #[test]
@@ -878,36 +848,6 @@ mod tests {
         let b = ColumnBlock::from_matrix_with_identity(&a0, 2..2, 3);
         assert!(b.is_empty());
         assert_eq!(b.payload_elems(), 0);
-    }
-
-    #[test]
-    fn columns_mut_views_every_column_disjointly() {
-        let a0 = random_symmetric(5, 17);
-        for cached in [false, true] {
-            let mut b = ColumnBlock::from_matrix_with_identity(&a0, 1..5, 5);
-            if cached {
-                b.refresh_diag(|a, u| dot(u, a));
-            }
-            let want: Vec<(Vec<f64>, Vec<f64>)> =
-                (0..4).map(|k| (b.a_col(k).to_vec(), b.u_col(k).to_vec())).collect();
-            let mut cols: Vec<ColumnViewMut<'_>> = b.columns_mut().collect();
-            assert_eq!(cols.len(), 4);
-            for (k, col) in cols.iter().enumerate() {
-                assert_eq!(col.a, want[k].0, "col {k}");
-                assert_eq!(col.u, want[k].1, "col {k}");
-                assert_eq!(col.d.is_some(), cached, "col {k}");
-            }
-            // Writes through the views land in the block.
-            cols[2].a[0] = 99.0;
-            if let Some(d) = cols[3].d.as_deref_mut() {
-                *d = -7.0;
-            }
-            drop(cols);
-            assert_eq!(b.a_col(2)[0], 99.0);
-            if cached {
-                assert_eq!(b.diag()[3], -7.0);
-            }
-        }
     }
 
     #[test]
@@ -962,10 +902,9 @@ mod tests {
         let (c, s) = (0.96, 0.28);
         reference.pair_mut(1, 4).rotate(c, s);
         {
-            let mut slots: Vec<Option<ColumnViewMut<'_>>> = b.columns_mut().map(Some).collect();
-            let mut ci = slots[1].take().unwrap();
-            let mut cj = slots[4].take().unwrap();
-            ColumnViewMut::pair_mut(&mut ci, &mut cj).rotate(c, s);
+            let [mut tile] = b.tiles_mut::<6, 1>([0]);
+            let [ci, cj] = tile.get_disjoint_mut([1, 4]).expect("distinct columns");
+            ColumnViewMut::pair_mut(ci, cj).rotate(c, s);
         }
         assert_eq!(b, reference);
     }

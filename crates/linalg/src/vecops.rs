@@ -1488,7 +1488,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "left == right")]
     fn fused_triple_exact_rejects_mismatched_lengths_with_dots_message() {
-        // The pairing pool's panic-propagation test reads this message.
+        // A pairing of columns of different heights fails with `dot`'s own
+        // message, whichever kernel computes it.
         let (short, long) = (stream(0, 8), stream(1, 9));
         fused_triple_exact(&short, &short, &long, &long);
     }

@@ -28,12 +28,17 @@ fn quad_vecs_laned() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec
     })
 }
 
-/// The storage invariant on one block: every `A`- and `U`-column slice has
-/// its logical length and starts on a cache line, and the payload is the
-/// logical count — the alignment pads are in neither.
-fn check_storage(b: &ColumnBlock, what: &str) -> Result<(), TestCaseError> {
+/// The storage invariant on one block of `arows`-row `A`-columns and
+/// `urows`-row `U`-columns: every column slice has its logical length and
+/// starts on a cache line, and the payload is the logical count — the
+/// alignment pads are in neither.
+fn check_storage(
+    b: &ColumnBlock,
+    (arows, urows): (usize, usize),
+    what: &str,
+) -> Result<(), TestCaseError> {
     for k in 0..b.len() {
-        for (col, rows) in [(b.a_col(k), b.arows()), (b.u_col(k), b.urows())] {
+        for (col, rows) in [(b.a_col(k), arows), (b.u_col(k), urows)] {
             prop_assert_eq!(col.len(), rows, "{}: column {} length", what, k);
             prop_assert_eq!(
                 col.as_ptr() as usize % COLUMN_ALIGN_BYTES,
@@ -41,13 +46,13 @@ fn check_storage(b: &ColumnBlock, what: &str) -> Result<(), TestCaseError> {
                 "{}: column {} of a {}x{} block is misaligned",
                 what,
                 k,
-                b.arows(),
-                b.urows()
+                arows,
+                urows
             );
         }
     }
     prop_assert_eq!(b.misaligned_columns(), 0, "{}", what);
-    let logical = b.len() * (b.arows() + b.urows()) + b.diag().len();
+    let logical = b.len() * (arows + urows) + b.diag().len();
     prop_assert_eq!(b.payload_elems(), logical, "{}: payload counts pads", what);
     Ok(())
 }
@@ -70,8 +75,9 @@ proptest! {
         let a0 = Matrix::from_fn(arows, total, |r, c| (r * total + c) as f64 * 0.25 - 3.0);
         let (lo, hi) = (cut.0.min(cut.1).min(total), cut.0.max(cut.1).min(total));
         let urows = total + extra_urows;
+        let shape = (arows, urows);
         let mut block = ColumnBlock::from_matrix_with_identity(&a0, lo..hi, urows);
-        check_storage(&block, "from_matrix_with_identity")?;
+        check_storage(&block, shape, "from_matrix_with_identity")?;
         for k in 0..block.len() {
             prop_assert_eq!(block.a_col(k), a0.col(lo + k));
             let unit: Vec<f64> = (0..urows).map(|r| f64::from(r == lo + k)).collect();
@@ -80,32 +86,32 @@ proptest! {
         let diag = |a: &[f64], u: &[f64]| a[0] + u.len() as f64;
         if cached {
             block.refresh_diag(diag);
-            check_storage(&block, "refresh_diag")?;
+            check_storage(&block, shape, "refresh_diag")?;
         }
         let copy = block.clone();
-        check_storage(&copy, "clone")?;
+        check_storage(&copy, shape, "clone")?;
         prop_assert_eq!(&copy, &block);
 
         // Plain packet round trip.
         let packets = copy.split_columns(q);
         for p in &packets {
-            check_storage(p, "split_columns")?;
+            check_storage(p, shape, "split_columns")?;
         }
         let payload: usize = packets.iter().map(ColumnBlock::payload_elems).sum();
         prop_assert_eq!(payload, block.payload_elems());
         let back = ColumnBlock::from_packets(packets);
-        check_storage(&back, "from_packets")?;
+        check_storage(&back, shape, "from_packets")?;
         prop_assert_eq!(&back, &block);
 
         // Out of a slot and back: `take` moves the store, it copies nothing.
         let mut slot = back;
         let moved = slot.take();
         prop_assert_eq!(&slot, &ColumnBlock::default());
-        check_storage(&moved, "take")?;
+        check_storage(&moved, shape, "take")?;
         slot = moved;
         if cached {
             slot.refresh_diag(diag);
-            check_storage(&slot, "refresh_diag of a reassembled block")?;
+            check_storage(&slot, shape, "refresh_diag of a reassembled block")?;
             prop_assert_eq!(&slot, &block);
         }
     }

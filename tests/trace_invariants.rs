@@ -67,7 +67,6 @@ proptest! {
         seed in 0u64..1000,
         fsel in 0usize..=4,
         qsel in 0usize..=2,
-        workers in 0usize..=2,
         adaptive in any::<bool>(),
         sweeps in 1usize..=2,
     ) {
@@ -91,7 +90,6 @@ proptest! {
             pipelining: [Pipelining::Off, Pipelining::Fixed(2), Pipelining::Fixed(4)][qsel],
             fabric,
             adaptation,
-            workers,
             ..Default::default()
         };
         let ThreadedRun { result: plain, meter: plain_meter, fabric: plain_fab, adaptive: plain_adaptive } = block_jacobi_threaded(&a, d, family, &base);
