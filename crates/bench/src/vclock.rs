@@ -1,7 +1,6 @@
-//! Regenerates the **virtual-clock tables** the README cites: one fixed
-//! geometry (m = 256 on a d = 3 cube, permuted-BR, the `Ts = 1000`,
-//! `Tw = 100` machine) run through the real threaded solver on the
-//! throttled fabric —
+//! The **virtual-clock tables** README links: one fixed geometry (m = 256
+//! on a d = 3 cube, permuted-BR, the `Ts = 1000`, `Tw = 100` machine) run
+//! through the real threaded solver on the throttled fabric —
 //!
 //! * `fabric`: unpipelined vs `Auto`-pipelined, per port model, measured
 //!   next to the schedule clock's prediction (`executed_cost`);
@@ -10,18 +9,16 @@
 //! * `degraded`: three seeded impairment classes, reactive vs oracle.
 //!
 //! Every number is a virtual time, a count or a bit comparison, so the
-//! output is a pure function of the commit: two runs print the same bytes.
-//! Nothing here is a gate — the contracts behind the rows (measured ==
-//! predicted, port ordering, bitwise equality, reactive/oracle ≤ 1.25) are
-//! tier-1 tests — and nothing here reads a wall clock: host time belongs
-//! to the repository benchmark (`BENCHMARK.json`).
-//!
-//! Usage:
-//!   vclock_tables            # full size (m=256, d=3) → results/vclock_*.csv
-//!   vclock_tables --smoke    # reduced size (m=64, d=2), print-only (CI)
+//! output is a pure function of the commit, and it is tracked: the full
+//! size (m = 256, d = 3, text and CSVs) in `paper/vclock_tables/`, the
+//! `--smoke` size (m = 64, d = 2, text only) in `paper/vclock_tables_smoke/`.
+//! The contracts behind the rows (measured == predicted, port ordering,
+//! bitwise equality, reactive/oracle ≤ 1.25) are their own tier-1 tests,
+//! and nothing here reads a wall clock: host time belongs to the
+//! repository benchmark (`BENCHMARK.json`).
 
+use crate::Report;
 use mph_batch::{solve_batch, BatchOptions, Job, JobResult, Policy};
-use mph_bench::{banner, write_csv};
 use mph_ccpipe::{
     executed_cost, plan_cost_with_tail, plan_sweep_cost, plan_unpipelined_cost, BatchOrder,
     Machine, PlannedJob, PortModel,
@@ -67,17 +64,14 @@ fn same_job(a: &JobResult, b: &JobResult) -> bool {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// The four tables at full size, or at the smoke size with `--smoke`.
+pub fn vclock_tables(args: &[String]) -> Report {
+    let smoke = args.iter().any(|a| a == "--smoke");
     let (m, d) = if smoke { (64, 2) } else { (256, 3) };
     let a = random_symmetric(m, SEED);
-    let save = |name: &str, header: &str, rows: &[String]| {
-        if !smoke {
-            write_csv(name, header, rows);
-        }
-    };
+    let mut r = Report::default();
 
-    banner(&format!("vclock_tables (m={m}, d={d}, smoke={smoke})"));
+    r.banner(&format!("vclock_tables (m={m}, d={d}, smoke={smoke})"));
 
     // --- Throttled fabric: measured vs predicted, per port model --------
     // One forced sweep, whole blocks against the `Q` per phase `Auto`
@@ -103,37 +97,35 @@ fn main() {
         let predicted =
             executed_vtime(plan, &ones, 1, &fmachine) / executed_vtime(plan, &qs, 1, &fmachine);
         let ratio = measured / predicted;
-        println!(
-            "  fabric {name:<9}: unpipelined {:>12.0} | pipelined {:>12.0} vtime | \
+        let (u, p) = (ru.makespan, rp.makespan);
+        let (msgs, elems) =
+            ((mu.total_messages(), mp.total_messages()), (mu.total_volume(), mp.total_volume()));
+        say!(
+            r,
+            "  fabric {name:<9}: unpipelined {u:>12.0} | pipelined {p:>12.0} vtime | \
              {measured:.3}x measured vs {predicted:.3}x predicted ({ratio:.3}) | q {qs:?} | \
              messages {} -> {} | elems {} -> {}",
-            ru.makespan,
-            rp.makespan,
-            mu.total_messages(),
-            mp.total_messages(),
-            mu.total_volume(),
-            mp.total_volume(),
+            msgs.0,
+            msgs.1,
+            elems.0,
+            elems.1
         );
         let q_cell = qs.iter().map(|q| q.to_string()).collect::<Vec<_>>().join(" ");
         rows.push(format!(
-            "{name},{q_cell},{:.3},{:.3},{measured:.4},{predicted:.4},{},{},{},{}",
-            ru.makespan,
-            rp.makespan,
-            mu.total_messages(),
-            mp.total_messages(),
-            mu.total_volume(),
-            mp.total_volume(),
+            "{name},{q_cell},{u:.3},{p:.3},{measured:.4},{predicted:.4},{},{},{},{}",
+            msgs.0, msgs.1, elems.0, elems.1
         ));
     }
     let figure2 = Machine::paper_figure2();
     let stage_ratio =
         plan_sweep_cost(plan, &figure2, q_cap as f64).total / plan_unpipelined_cost(plan, &figure2);
-    println!(
+    say!(
+        r,
         "  fabric paper model: pipelined/unpipelined communication {stage_ratio:.4} \
          ({:.3}x, barrier-synchronized stages)",
         1.0 / stage_ratio
     );
-    save(
+    r.csv(
         "vclock_fabric.csv",
         "ports,q_per_phase,unpipelined_vtime,pipelined_vtime,measured_speedup,predicted_speedup,\
          unpipelined_messages,pipelined_messages,unpipelined_elems,pipelined_elems",
@@ -172,19 +164,19 @@ fn main() {
         let measured = f_off.makespan / f_on.makespan;
         let ratio = measured / predicted;
         let bitwise = same_eigen(&r_off, &r_on);
-        println!(
+        let (off, on) = (f_off.makespan, f_on.makespan);
+        say!(
+            r,
             "  tail m={tm:<5}: share {share_before:.3} -> {share_after:.3} (Q={tq}) | \
-             off {:>12.0} | on {:>12.0} vtime | {measured:.3}x measured vs {predicted:.3}x \
-             predicted ({ratio:.3}) | bitwise {bitwise}",
-            f_off.makespan, f_on.makespan,
+             off {off:>12.0} | on {on:>12.0} vtime | {measured:.3}x measured vs {predicted:.3}x \
+             predicted ({ratio:.3}) | bitwise {bitwise}"
         );
         rows.push(format!(
-            "{tm},{tq},{share_before:.4},{share_after:.4},{:.3},{:.3},{measured:.4},\
-             {predicted:.4},{bitwise}",
-            f_off.makespan, f_on.makespan,
+            "{tm},{tq},{share_before:.4},{share_after:.4},{off:.3},{on:.3},{measured:.4},\
+             {predicted:.4},{bitwise}"
         ));
     }
-    save(
+    r.csv(
         "vclock_tail.csv",
         "m,tail_q,tail_share_before,tail_share_after,tail_off_vtime,tail_on_vtime,\
          measured_speedup,predicted_speedup,bitwise_identical",
@@ -232,30 +224,21 @@ fn main() {
         }
         let gain = fifo.makespan / inter.makespan;
         let ratio = inter.makespan / inter.cost.predicted;
-        println!(
-            "  batch {name:<9}: fifo {:>13.0} | interleave {:>13.0} | spf {:>13.0} vtime | \
+        let (f, i, s) = (fifo.makespan, inter.makespan, spf.makespan);
+        let (tail, f_finish, s_finish) = (inter.cost.tail, fifo.mean_finish(), spf.mean_finish());
+        say!(
+            r,
+            "  batch {name:<9}: fifo {f:>13.0} | interleave {i:>13.0} | spf {s:>13.0} vtime | \
              {gain:.3}x interleave gain | measured/predicted {ratio:.3} | \
-             serial tail {:.0} | mean finish fifo {:.0} spf {:.0}",
-            fifo.makespan,
-            inter.makespan,
-            spf.makespan,
-            inter.cost.tail,
-            fifo.mean_finish(),
-            spf.mean_finish(),
+             serial tail {tail:.0} | mean finish fifo {f_finish:.0} spf {s_finish:.0}"
         );
         rows.push(format!(
-            "{name},{:.3},{:.3},{:.3},{gain:.4},{:.3},{:.3},{:.3},{:.3}",
-            fifo.makespan,
-            inter.makespan,
-            spf.makespan,
-            inter.cost.predicted,
-            inter.cost.tail,
-            fifo.mean_finish(),
-            spf.mean_finish(),
+            "{name},{f:.3},{i:.3},{s:.3},{gain:.4},{:.3},{tail:.3},{f_finish:.3},{s_finish:.3}",
+            inter.cost.predicted
         ));
     }
-    println!("  batch bitwise    : every batched job == its solo run: {bitwise}");
-    save(
+    say!(r, "  batch bitwise    : every batched job == its solo run: {bitwise}");
+    r.csv(
         "vclock_batch.csv",
         "ports,fifo_vtime,interleave_vtime,spf_vtime,interleave_gain_vs_fifo,\
          predicted_interleave_vtime,serial_tail_vtime,fifo_mean_finish,spf_mean_finish",
@@ -316,31 +299,28 @@ fn main() {
         let f_oracle = run(Adaptation::Oracle).fabric;
         let over_oracle = f_adaptive.makespan / f_oracle.makespan;
         let bitwise = same_eigen(&r_adaptive, &clean);
-        println!(
-            "  degraded {name:<9}: clean {:>12.0} | adaptive {:>12.0} | oracle {:>12.0} vtime \
-             | adaptive/oracle {over_oracle:.4} | recal {} | reroutes {} | rerouted {} elems | \
-             bitwise {bitwise}",
-            clean_fab.makespan,
-            f_adaptive.makespan,
-            f_oracle.makespan,
-            rep.recalibrations,
-            rep.reroutes,
-            rep.rerouted_elems,
+        let (vc, va, vo) = (clean_fab.makespan, f_adaptive.makespan, f_oracle.makespan);
+        let (recal, reroutes, rerouted) = (rep.recalibrations, rep.reroutes, rep.rerouted_elems);
+        say!(
+            r,
+            "  degraded {name:<9}: clean {vc:>12.0} | adaptive {va:>12.0} | oracle {vo:>12.0} \
+             vtime | adaptive/oracle {over_oracle:.4} | recal {recal} | reroutes {reroutes} | \
+             rerouted {rerouted} elems | bitwise {bitwise}"
         );
         rows.push(format!(
-            "{name},{:.3},{:.3},{:.3},{over_oracle:.4},{},{},{},{bitwise}",
-            clean_fab.makespan,
-            f_adaptive.makespan,
-            f_oracle.makespan,
-            rep.recalibrations,
-            rep.reroutes,
-            rep.rerouted_elems,
+            "{name},{vc:.3},{va:.3},{vo:.3},{over_oracle:.4},{recal},{reroutes},{rerouted},\
+             {bitwise}"
         ));
     }
-    save(
+    r.csv(
         "vclock_degraded.csv",
         "class,clean_vtime,adaptive_vtime,oracle_vtime,adaptive_over_oracle,recalibrations,\
          reroutes,rerouted_elems,bitwise_identical",
         &rows,
     );
+    if smoke {
+        // The smoke size prints only.
+        r.files.clear();
+    }
+    r
 }

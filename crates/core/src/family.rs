@@ -20,8 +20,8 @@ pub enum OrderingFamily {
     /// under deep pipelining.
     PermutedBr,
     /// Degree-4 ordering (paper §3.3) — best under shallow pipelining.
-    /// Defined for `e ≥ 4`; smaller phases fall back to BR (documented in
-    /// DESIGN.md §6.8).
+    /// Defined for `e ≥ 4`; smaller phases fall back to BR
+    /// (`tests::degree4_fallback_below_four`).
     Degree4,
     /// Minimum-α ordering (paper §3.1) — optimal but only known for
     /// `e ≤ 6`; larger phases fall back to permuted-BR, matching the

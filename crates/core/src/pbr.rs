@@ -32,7 +32,7 @@
 //! convention is required; [`PbrConvention`] captures the choice. The
 //! default (`floor` spans, `floor(log2(e−1))` transformations) is the
 //! convention that best matches the α values published in Table 1 — the
-//! `table1` experiment binary prints the comparison for all conventions.
+//! `table1` experiment prints the comparison for all conventions.
 
 use crate::br::br_sequence;
 use crate::permutation::Permutation;
@@ -60,7 +60,7 @@ impl PbrConvention {
     /// reproduces the paper's worked D5 example and Figure-3 transposition
     /// tables exactly — so Table 1 was evidently derived from the
     /// appendix's closed-form bookkeeping rather than measured on generated
-    /// sequences (see EXPERIMENTS.md, T1).
+    /// sequences (the tracked `crates/bench/paper/table1/` output).
     pub const DEFAULT: PbrConvention = PbrConvention { ceil_span: false, ceil_count: false };
 
     /// All four conventions, for calibration sweeps.

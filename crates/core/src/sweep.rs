@@ -8,9 +8,11 @@
 //!   ("mobile") block of every node tours its `e`-subcube;
 //! * a **division phase** after each exchange phase: one slot-asymmetric
 //!   transition along link `e − 1` that splits the subcube's block
-//!   population into two independent halves (see DESIGN.md §6.3–6.4 for why
-//!   the split dimension must be `e − 1`, not the paper's literal "link
-//!   `e`", which does not exist for `e = d`);
+//!   population into two independent halves. The split dimension is
+//!   `e − 1`, not the paper's literal "link `e`", which does not exist for
+//!   `e = d` (`tests::phase_structure_for_d3_br` pins it, and
+//!   `coverage::tests::coverage_holds_for_every_sweep_rotation` shows every
+//!   pair still meets);
 //! * a final **last transition** along link `d − 1` that rearranges blocks
 //!   for the next sweep.
 //!

@@ -69,7 +69,8 @@ pub fn convergence_stats(
 }
 
 /// The `(m, P)` grid of Table 2: every `m ∈ {8,16,32,64}` with every power
-/// of two `P` satisfying `2 ≤ P ≤ m/2` (14 rows; DESIGN.md §6.9).
+/// of two `P` satisfying `2 ≤ P ≤ m/2` (14 rows, pinned by
+/// `tests::grid_matches_paper_row_count`).
 pub fn table2_grid() -> Vec<(usize, usize)> {
     let mut rows = Vec::new();
     for m in [8usize, 16, 32, 64] {

@@ -8,10 +8,11 @@
 //! after Ni & McKinley \[14\]).
 //!
 //! From the paper's kernel-stage cost `e·Ts + α·S·Tw` we adopt the standard
-//! interpretation (DESIGN.md §6.2): start-ups are issued serially by the
-//! node CPU (one `Ts` per distinct link used in a stage), transmissions then
-//! proceed concurrently on as many links as the port model allows, and
-//! packets sharing a link coalesce into one message.
+//! interpretation: start-ups are issued serially by the node CPU (one `Ts`
+//! per distinct link used in a stage), transmissions then proceed
+//! concurrently on as many links as the port model allows, and packets
+//! sharing a link coalesce into one message
+//! (`fabric::tests::all_port_serializes_startups_but_overlaps_links`).
 //!
 //! The model lives in the runtime crate because the runtime both *enforces*
 //! it (the throttled link fabric of [`crate::fabric`] charges every message

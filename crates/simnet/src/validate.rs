@@ -1,5 +1,6 @@
 //! Cross-validation of the analytic cost models against the simulator —
-//! the machinery behind the `validate_simnet` experiment (X1 in DESIGN.md).
+//! the machinery behind the `validate_simnet` experiment, whose output is
+//! tracked in `crates/bench/paper/validate_simnet/`.
 
 use crate::schedule::pipelined_phase_schedule;
 use crate::sim::{simulate_synchronized, SimReport, StartupModel};

@@ -2,10 +2,11 @@
 //!
 //! Every `pub fn` of the ten library crates (`crates/*` but `mph-bench`)
 //! must be reached: its name appears, outside `use` declarations, in the
-//! non-test code of a *root* — `crates/bench` (the paper's table and
-//! figure bins), a micro-benchmark under `crates/*/benches`, `examples/`,
-//! `benchmark/src/` (the frozen names the repository benchmark calls) or
-//! `tests/paper_claims.rs` — or of library code that is itself reached.
+//! non-test code of a *root* — `crates/bench/src` (the paper's experiments
+//! and the `mph-bench` CLI that runs them), a micro-benchmark under
+//! `crates/*/benches`, `examples/`, `benchmark/src/` (the frozen names the
+//! repository benchmark calls) or `tests/paper_claims.rs` — or of library
+//! code that is itself reached.
 //! Library code outside a `pub fn` (private functions, trait impls,
 //! constants) reaches what it names; rustc's dead-code lint keeps that
 //! honest. A `pub fn` that only tests reach is deleted with its tests; one
