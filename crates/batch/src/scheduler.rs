@@ -18,10 +18,6 @@ pub struct BatchOptions {
     pub fabric: FabricModel,
     /// How the jobs share it.
     pub policy: Policy,
-    /// Machine used to *price* jobs (shortest-plan-first ordering, the
-    /// [`BatchCost`] sheet) when the fabric is [`FabricModel::Free`]; a
-    /// throttled fabric prices on its own enforced machine.
-    pub pricing: Machine,
     /// Trace sink the batch run records into (default: the zero-cost nop
     /// sink). When enabled, the fabric stamps every job's link/barrier
     /// events — tagged with job ids and packet (k, q) headers — on the
@@ -32,12 +28,7 @@ pub struct BatchOptions {
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions {
-            fabric: FabricModel::Free,
-            policy: Policy::Fifo,
-            pricing: Machine::paper_figure2(),
-            trace: SinkHandle::nop(),
-        }
+        BatchOptions { fabric: FabricModel::Free, policy: Policy::Fifo, trace: SinkHandle::nop() }
     }
 }
 
@@ -113,16 +104,12 @@ impl BatchOptions {
     /// fabrics ([`BatchConfigError::InvalidFabric`]), and link-death
     /// scenarios the batch driver cannot route around
     /// ([`BatchConfigError::DeadLinksUnsupported`]).
-    pub fn new(
-        fabric: FabricModel,
-        policy: Policy,
-        pricing: Machine,
-    ) -> Result<BatchOptions, BatchConfigError> {
+    pub fn new(fabric: FabricModel, policy: Policy) -> Result<BatchOptions, BatchConfigError> {
         if matches!(policy, Policy::Interleave { stride: 0 }) {
             return Err(BatchConfigError::ZeroStride);
         }
         check_shared_fabric(&fabric)?;
-        Ok(BatchOptions { fabric, policy, pricing, trace: SinkHandle::nop() })
+        Ok(BatchOptions { fabric, policy, trace: SinkHandle::nop() })
     }
 }
 
@@ -204,9 +191,11 @@ pub fn planned_jobs<'a>(
 }
 
 /// Solves `jobs` on a `d`-cube of threads sharing one fabric. Lowers each
-/// job to its [`CommPlan`] chain, prices the batch, lowers the policy to a
-/// concrete order, executes everything on one `run_spmd` instance,
-/// and assembles the report.
+/// job to its [`CommPlan`] chain, prices the batch (shortest-plan-first
+/// ordering, the [`BatchCost`] sheet) on the fabric's enforced machine —
+/// the paper's Figure-2 machine on a free fabric — lowers the policy to a
+/// concrete order, executes everything on one `run_spmd` instance, and
+/// assembles the report.
 ///
 /// # Panics
 /// On an empty batch, and — before anything is lowered — on a fabric
@@ -219,7 +208,7 @@ pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
     let planned = planned_jobs(&specs, &lowered, d);
-    let machine = opts.fabric.machine().unwrap_or(opts.pricing);
+    let machine = opts.fabric.machine().unwrap_or(Machine::paper_figure2());
     let order = opts.policy.order(&planned, &machine);
     let cost = batch_cost(&planned, &machine, &order);
     // The lowering that priced the batch is the one that runs it.
@@ -267,25 +256,15 @@ mod tests {
 
     #[test]
     fn checked_options_reject_a_zero_interleave_stride() {
-        let err = BatchOptions::new(
-            FabricModel::Free,
-            Policy::Interleave { stride: 0 },
-            Machine::paper_figure2(),
-        )
-        .expect_err("stride 0 grants no micro-ops");
+        let err = BatchOptions::new(FabricModel::Free, Policy::Interleave { stride: 0 })
+            .expect_err("stride 0 grants no micro-ops");
         assert_eq!(err, BatchConfigError::ZeroStride);
         assert!(err.to_string().contains("stride"));
         // Any stride >= 1 (and the non-interleaved policies) pass through.
-        let ok = BatchOptions::new(
-            FabricModel::Free,
-            Policy::Interleave { stride: 1 },
-            Machine::paper_figure2(),
-        )
-        .expect("stride 1 is the minimal legal interleave");
+        let ok = BatchOptions::new(FabricModel::Free, Policy::Interleave { stride: 1 })
+            .expect("stride 1 is the minimal legal interleave");
         assert_eq!(ok.policy, Policy::Interleave { stride: 1 });
-        assert!(
-            BatchOptions::new(FabricModel::Free, Policy::Fifo, Machine::paper_figure2()).is_ok()
-        );
+        assert!(BatchOptions::new(FabricModel::Free, Policy::Fifo).is_ok());
     }
 
     #[test]
@@ -295,8 +274,7 @@ mod tests {
         use std::sync::Arc;
         // KPort(0) surfaces as the wrapped fabric error...
         let bad = FabricModel::Throttled(Machine { ts: 1.0, tw: 1.0, ports: PortModel::KPort(0) });
-        let err = BatchOptions::new(bad, Policy::Fifo, Machine::paper_figure2())
-            .expect_err("KPort(0) cannot be enforced");
+        let err = BatchOptions::new(bad, Policy::Fifo).expect_err("KPort(0) cannot be enforced");
         assert_eq!(err, BatchConfigError::InvalidFabric(FabricConfigError::ZeroPorts));
         assert!(err.to_string().contains("KPort(0)"));
         // ...a death schedule is refused (the batch driver has no relay),
@@ -311,7 +289,7 @@ mod tests {
             };
             let sc = Scenario::new(2, deadly).expect("a single death keeps the 2-cube connected");
             let fabric = FabricModel::Degraded(Arc::new(sc));
-            let err = BatchOptions::new(fabric.clone(), Policy::Fifo, Machine::paper_figure2())
+            let err = BatchOptions::new(fabric.clone(), Policy::Fifo)
                 .expect_err("the batch driver cannot route around dead links");
             assert_eq!(err, BatchConfigError::DeadLinksUnsupported);
             assert!(err.to_string().contains("reroute"));
@@ -329,12 +307,7 @@ mod tests {
             ..ScenarioSpec::clean(1, Machine::paper_figure2())
         };
         let sc = Scenario::new(2, jittery).expect("valid scenario");
-        assert!(BatchOptions::new(
-            FabricModel::Degraded(Arc::new(sc)),
-            Policy::Fifo,
-            Machine::paper_figure2(),
-        )
-        .is_ok());
+        assert!(BatchOptions::new(FabricModel::Degraded(Arc::new(sc)), Policy::Fifo).is_ok());
     }
 
     #[test]
@@ -352,8 +325,8 @@ mod tests {
         };
         let fabric =
             FabricModel::Degraded(Arc::new(Scenario::new(2, spec).expect("valid scenario")));
-        let opts = BatchOptions::new(fabric, Policy::Fifo, Machine::paper_figure2())
-            .expect("death-free scenarios are batchable");
+        let opts =
+            BatchOptions::new(fabric, Policy::Fifo).expect("death-free scenarios are batchable");
         let report = solve_batch(2, &jobs, &opts);
         assert!(report.makespan > 0.0, "a degraded fabric ticks the clock");
         for (i, job) in jobs.iter().enumerate() {

@@ -74,7 +74,6 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("minalpha_report", orderings::minalpha_report),
     ("sequences_dump", orderings::sequences_dump),
     ("exec_speedup", model::exec_speedup),
-    ("threaded_scaling", solver::threaded_scaling),
     ("validate_simnet", model::validate_simnet),
     ("ablation_ports", model::ablation_ports),
     ("ablation_q", model::ablation_q),
@@ -103,9 +102,6 @@ pub const TRACKED: &[&[&str]] = &[
 
 /// The experiments whose output is not committed.
 pub const UNTRACKED: &[&str] = &[
-    // Wall-clock medians of the host it runs on: host time is the
-    // repository benchmark's.
-    "threaded_scaling",
     // ≈ 275 KB of digits that `crates/core/tests/golden.rs` already pins.
     "sequences_dump",
 ];

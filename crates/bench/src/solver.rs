@@ -1,14 +1,9 @@
-//! The eigensolver itself: Table 2's sweep counts, their dependence on the
-//! stopping tolerance, and the threaded solver's wall-clock scaling.
+//! The eigensolver itself: Table 2's sweep counts and their dependence on
+//! the stopping tolerance. Host time is the repository benchmark's.
 
 use crate::Report;
 use mph_core::OrderingFamily;
-use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, convergence_stats, table2_grid, JacobiOptions,
-};
-use mph_linalg::symmetric::random_symmetric;
-use std::hint::black_box;
-use std::time::Instant;
+use mph_eigen::{convergence_stats, table2_grid, JacobiOptions};
 
 /// **Table 2**: sweeps to convergence of the BR, permuted-BR and degree-4
 /// orderings over the paper's `(m, P)` grid, the mean over `trials`
@@ -75,55 +70,6 @@ pub fn ablation_tolerance(_: &[String]) -> Report {
         "\nThe paper's Table-2 band (3.23–6.03) corresponds to tol ≈ 1e-3…1e-4;\n\
          each 10⁴× tightening costs roughly one extra sweep (quadratic\n\
          convergence), and the ordering-insensitivity holds at every tolerance."
-    );
-    r
-}
-
-/// Median wall time of `reps` calls of `f`, in seconds.
-fn median_time<T>(mut f: impl FnMut() -> T, reps: usize) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
-}
-
-/// Wall-clock scaling of the threaded solver on the host it runs on: one
-/// forced sweep of an `m × m` problem (argument 1, default 256) per cube
-/// dimension, the median of five runs. Not tracked: host time is the
-/// repository benchmark's.
-pub fn threaded_scaling(args: &[String]) -> Report {
-    let m = args.first().and_then(|s| s.parse::<usize>().ok()).unwrap_or(256);
-    let reps = 5;
-    let a = random_symmetric(m, 99);
-    let opts = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
-    let mut r = Report::default();
-    r.banner(&format!("threaded solver wall-clock, one sweep of m = {m}"));
-
-    let seq = median_time(|| block_jacobi(&a, 0, OrderingFamily::Br, &opts), reps);
-    say!(r, "logical single-thread reference: {:.1} ms\n", seq * 1e3);
-    say!(r, "  d    nodes  median (ms)    speedup  efficiency");
-    let mut rows = Vec::new();
-    for d in 0..=4usize {
-        let t = median_time(|| block_jacobi_threaded(&a, d, OrderingFamily::Degree4, &opts), reps);
-        let speedup = seq / t;
-        let eff = speedup / (1usize << d) as f64;
-        say!(r, "{d:>3} {:>8} {:>12.1} {:>10.2} {:>11.2}", 1 << d, t * 1e3, speedup, eff);
-        rows.push(format!("{d},{},{:.6},{:.3},{:.3}", 1 << d, t, speedup, eff));
-    }
-    r.csv("threaded_scaling.csv", "d,nodes,median_s,speedup,efficiency", &rows);
-    say!(
-        r,
-        "\nNotes: the logical and threaded drivers execute identical rotations; the\n\
-         gap is the engine's own work — stepping the 2^d node programs on at most\n\
-         one worker per CPU, their link queues and the convergence all-reduce.\n\
-         Both stop on the same O(m²) post-sweep measure (column eigen-residuals),\n\
-         so they run the same sweeps. Attainable speedup is capped by the\n\
-         machine's core count."
     );
     r
 }

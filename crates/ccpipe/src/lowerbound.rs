@@ -77,11 +77,6 @@ impl LowerBoundModel {
         kernel + edges
     }
 
-    /// Unpipelined phase cost (identical for every ordering).
-    pub fn unpipelined_cost(&self) -> f64 {
-        self.k as f64 * self.machine.single_message_cost(self.elems)
-    }
-
     /// Minimizes the phase cost over `Q ∈ [1, q_max]` by ref \[9\]'s
     /// search, with the mode boundary `Q = K` and its neighbors as extra
     /// candidates.
@@ -176,7 +171,9 @@ mod tests {
     fn unpipelined_q1_consistency() {
         let machine = Machine::paper_figure2();
         let lb = LowerBoundModel::new(5, 1000.0, machine);
-        // q = 1: K stages of width 1 → K·(Ts + S·Tw) = unpipelined cost.
-        assert!((lb.cost(1) - lb.unpipelined_cost()).abs() < 1e-9);
+        // q = 1: K = 31 stages of width 1 → K·(Ts + S·Tw), the unpipelined
+        // cost of every ordering.
+        let unpipelined = 31.0 * (machine.ts + 1000.0 * machine.tw);
+        assert!((lb.cost(1) - unpipelined).abs() < 1e-9);
     }
 }

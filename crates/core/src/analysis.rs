@@ -23,76 +23,31 @@ pub fn alpha(seq: &[usize], e: usize) -> usize {
     link_histogram(seq, e).into_iter().max().unwrap_or(0)
 }
 
-/// Per-window statistics for all length-`q` windows of `seq`, computed with
-/// an O(len) sliding pass. `distinct[i]` and `max_mult[i]` describe the
-/// window starting at `i`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowStats {
-    pub q: usize,
-    pub distinct: Vec<usize>,
-    pub max_mult: Vec<usize>,
-}
-
-/// Computes [`WindowStats`] for window length `q` (1 ≤ q ≤ seq.len()).
-pub fn window_stats(seq: &[usize], e: usize, q: usize) -> WindowStats {
+/// The number of distinct links in each length-`q` window of `seq`, the
+/// window starting at `i` at index `i`, by one O(len) sliding pass
+/// (1 ≤ q ≤ seq.len()).
+fn distinct_per_window(seq: &[usize], e: usize, q: usize) -> Vec<usize> {
     assert!(q >= 1 && q <= seq.len());
-    let n_windows = seq.len() - q + 1;
     let mut counts = vec![0usize; e];
-    // mult_of_count[c] = how many links currently have multiplicity c.
-    let mut mult_hist = vec![0usize; q + 2];
-    let mut distinct_now = 0usize;
-    let mut max_now = 0usize;
-    let mut distinct = Vec::with_capacity(n_windows);
-    let mut max_mult = Vec::with_capacity(n_windows);
-
-    let add = |l: usize,
-               counts: &mut Vec<usize>,
-               mult_hist: &mut Vec<usize>,
-               distinct_now: &mut usize,
-               max_now: &mut usize| {
-        let c = counts[l];
-        if c == 0 {
-            *distinct_now += 1;
-        } else {
-            mult_hist[c] -= 1;
+    let mut distinct = 0;
+    let mut out = Vec::with_capacity(seq.len() - q + 1);
+    for (i, &l) in seq.iter().enumerate() {
+        if counts[l] == 0 {
+            distinct += 1;
         }
-        counts[l] = c + 1;
-        mult_hist[c + 1] += 1;
-        if c + 1 > *max_now {
-            *max_now = c + 1;
+        counts[l] += 1;
+        if i >= q {
+            let gone = seq[i - q];
+            counts[gone] -= 1;
+            if counts[gone] == 0 {
+                distinct -= 1;
+            }
         }
-    };
-    let remove = |l: usize,
-                  counts: &mut Vec<usize>,
-                  mult_hist: &mut Vec<usize>,
-                  distinct_now: &mut usize,
-                  max_now: &mut usize| {
-        let c = counts[l];
-        mult_hist[c] -= 1;
-        counts[l] = c - 1;
-        if c == 1 {
-            *distinct_now -= 1;
-        } else {
-            mult_hist[c - 1] += 1;
+        if i + 1 >= q {
+            out.push(distinct);
         }
-        // The max can only drop when the last link at the max level leaves.
-        while *max_now > 0 && mult_hist[*max_now] == 0 {
-            *max_now -= 1;
-        }
-    };
-
-    for &l in &seq[..q] {
-        add(l, &mut counts, &mut mult_hist, &mut distinct_now, &mut max_now);
     }
-    distinct.push(distinct_now);
-    max_mult.push(max_now);
-    for i in q..seq.len() {
-        remove(seq[i - q], &mut counts, &mut mult_hist, &mut distinct_now, &mut max_now);
-        add(seq[i], &mut counts, &mut mult_hist, &mut distinct_now, &mut max_now);
-        distinct.push(distinct_now);
-        max_mult.push(max_now);
-    }
-    WindowStats { q, distinct, max_mult }
+    out
 }
 
 /// Fraction of length-`q` windows whose elements are pairwise distinct.
@@ -100,9 +55,9 @@ pub fn distinct_window_fraction(seq: &[usize], e: usize, q: usize) -> f64 {
     if q > seq.len() {
         return 0.0;
     }
-    let stats = window_stats(seq, e, q);
-    let all = stats.distinct.len() as f64;
-    let good = stats.distinct.iter().filter(|&&d| d == q).count() as f64;
+    let distinct = distinct_per_window(seq, e, q);
+    let all = distinct.len() as f64;
+    let good = distinct.iter().filter(|&&d| d == q).count() as f64;
     good / all
 }
 
@@ -141,16 +96,15 @@ mod tests {
     fn window_stats_match_naive() {
         let seq = br_sequence(6);
         for q in [1, 2, 3, 5, 8, 13, 31, 63] {
-            let fast = window_stats(&seq, 6, q);
+            let fast = distinct_per_window(&seq, 6, q);
+            assert_eq!(fast.len(), seq.len() - q + 1, "q={q}");
             for (i, w) in seq.windows(q).enumerate() {
                 let mut counts = [0usize; 6];
                 for &l in w {
                     counts[l] += 1;
                 }
                 let distinct = counts.iter().filter(|&&c| c > 0).count();
-                let maxm = *counts.iter().max().unwrap();
-                assert_eq!(fast.distinct[i], distinct, "q={q} i={i}");
-                assert_eq!(fast.max_mult[i], maxm, "q={q} i={i}");
+                assert_eq!(fast[i], distinct, "q={q} i={i}");
             }
         }
     }

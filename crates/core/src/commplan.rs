@@ -84,11 +84,6 @@ impl PlanPhase {
     pub fn max_message_elems(&self) -> u64 {
         self.sends.iter().flatten().copied().max().unwrap_or(0)
     }
-
-    /// Total data elements the phase moves (all transitions, all nodes).
-    pub fn volume(&self) -> u64 {
-        self.sends.iter().flatten().sum()
-    }
 }
 
 /// The lowered communication plan of one sweep.
@@ -222,11 +217,6 @@ impl CommPlan {
             }
         }
         v
-    }
-
-    /// Total data volume of the sweep.
-    pub fn total_volume(&self) -> u64 {
-        self.volume_by_dim().iter().sum()
     }
 
     /// The plan's **tail runs**: maximal runs of consecutive
@@ -485,6 +475,11 @@ mod tests {
         CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(d), 2 * m)
     }
 
+    /// Data volume of the whole sweep.
+    fn total_volume(p: &CommPlan) -> u64 {
+        p.volume_by_dim().iter().sum()
+    }
+
     #[test]
     fn phase_structure_matches_the_sweep() {
         // d exchange phases (e = d..1), d divisions, one last transition.
@@ -530,7 +525,7 @@ mod tests {
         }
         // Every transition moves one block per node: volume is exact.
         let transitions = (2usize << 2) - 1; // 2^{d+1} − 1
-        assert_eq!(p.total_volume(), (transitions * 4 * (4 * 64)) as u64);
+        assert_eq!(total_volume(&p), (transitions * 4 * (4 * 64)) as u64);
     }
 
     #[test]
@@ -554,7 +549,7 @@ mod tests {
         // Last transition: slot-1 blocks b1 (3 cols) and b2 (2 cols).
         assert_eq!(p.phases()[2].sends[0], vec![3 * epc, 2 * epc]);
         // Whole-sweep volume: every transition's sends summed.
-        assert_eq!(p.total_volume(), (2 + 2 + 2 + 3 + 3 + 2) * epc);
+        assert_eq!(total_volume(&p), (2 + 2 + 2 + 3 + 3 + 2) * epc);
     }
 
     #[test]
@@ -572,13 +567,17 @@ mod tests {
             p.volume_by_dim(),
             vec![8 * nodes * block, 4 * nodes * block, 3 * nodes * block]
         );
-        assert_eq!(p.total_volume(), 15 * nodes * block);
+        assert_eq!(total_volume(&p), 15 * nodes * block);
     }
 
     /// Data volume of the sweep's serial tail: the division and last
     /// transitions, single whole-block messages paper §2.4 leaves serial.
     fn tail_volume(p: &CommPlan) -> u64 {
-        p.phases.iter().filter(|ph| !ph.is_exchange()).map(PlanPhase::volume).sum()
+        p.phases
+            .iter()
+            .filter(|ph| !ph.is_exchange())
+            .flat_map(|ph| ph.sends.iter().flatten())
+            .sum()
     }
 
     #[test]
@@ -593,8 +592,8 @@ mod tests {
             let want = (d as u64 + 1) * nodes * block;
             assert_eq!(tail_volume(&p), want, "d={d}");
             // Tail + exchange phases = the whole sweep.
-            let exchange: u64 = p.exchange_phases().map(|ph| ph.volume()).sum();
-            assert_eq!(exchange + tail_volume(&p), p.total_volume(), "d={d}");
+            let exchange: u64 = p.exchange_phases().flat_map(|ph| ph.sends.iter().flatten()).sum();
+            assert_eq!(exchange + tail_volume(&p), total_volume(&p), "d={d}");
         }
     }
 
@@ -725,7 +724,7 @@ mod tests {
         let partition = BlockPartition::new(8, 2);
         let p = CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(0), 16);
         assert!(p.phases().is_empty());
-        assert_eq!(p.total_volume(), 0);
+        assert_eq!(total_volume(&p), 0);
         assert_eq!(p.messages_with_tail(&[], 1), 0);
     }
 
@@ -737,6 +736,6 @@ mod tests {
         let zero_sends =
             p.phases().iter().flat_map(|ph| ph.sends.iter().flatten()).filter(|&&e| e == 0).count();
         assert!(zero_sends > 0, "the empty block must appear in the plan");
-        assert_eq!(p.total_volume() % (2 * 3) as u64, 0);
+        assert_eq!(total_volume(&p) % (2 * 3) as u64, 0);
     }
 }

@@ -54,9 +54,7 @@ pub mod pbr;
 pub mod permutation;
 pub mod sweep;
 
-pub use analysis::{
-    alpha, distinct_window_fraction, link_histogram, sequence_degree, window_stats, WindowStats,
-};
+pub use analysis::{alpha, distinct_window_fraction, link_histogram, sequence_degree};
 pub use br::br_sequence;
 pub use columns::{column_ordering, validate_column_ordering, ColumnOrdering, ColumnOrderingError};
 pub use commplan::{CommPlan, Frame, Framing, MicroOp, OpKind, PhaseKind, PlanPhase};

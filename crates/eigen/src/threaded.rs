@@ -17,7 +17,7 @@
 //!   [`CommPlan`] — the same plan the cost model prices and the network
 //!   simulator replays;
 //! * [`packetization_cap`], [`choose_qs`] and [`choose_tail_qs`] pick the
-//!   packet degrees the engine executes, so benches and conformance tests
+//!   packet degrees the engine executes, so experiments and conformance tests
 //!   predict traffic for the schedule the solver runs, not a near copy;
 //! * [`AdaptiveReport`] is what a degraded solve reports back, in
 //!   [`ThreadedRun::adaptive`].
@@ -48,7 +48,7 @@ pub struct AdaptiveReport {
 /// The paper's packetization ceiling for an `m × m` problem on a
 /// `d`-cube: a packet must carry at least one column pair, so
 /// `Q ≤ m / 2^{d+1}` (at least 1). This is the cap the solver hands the
-/// cost model in [`Pipelining::Auto`] mode — benches and examples that
+/// cost model in [`Pipelining::Auto`] mode — experiments and examples that
 /// report the solver's schedule must use this same function.
 pub fn packetization_cap(m: usize, d: usize) -> usize {
     (m / (2 << d)).max(1)
@@ -59,7 +59,7 @@ pub fn packetization_cap(m: usize, d: usize) -> usize {
 /// stay exact even when the partition is uneven. This is the exact plan
 /// chain [`block_jacobi_threaded`] executes (including the per-column
 /// payload: `2m` elements, plus one when the diagonal cache travels) —
-/// public so benches and conformance tests predict traffic for the same
+/// public so experiments and conformance tests predict traffic for the same
 /// plans the solver runs, not a near copy.
 pub fn lower_sweeps(
     m: usize,

@@ -32,7 +32,7 @@
 //! [`SpmdRun::fabric`](crate::spmd::SpmdRun::fabric)) is **deterministic**:
 //! it depends only on the program's message pattern and the machine
 //! parameters, never on OS scheduling, the number of workers or the order
-//! they step the nodes in. That is what lets tests and benches
+//! they step the nodes in. That is what lets tests and experiments
 //! compare *measured* phase times against the analytic model and the
 //! network simulator to tight tolerances, and what finally makes ordering
 //! experiments (degree-4 vs BR under shallow pipelining) a measurable
@@ -153,8 +153,6 @@ impl std::error::Error for FabricConfigError {}
 /// Outcome of a fabric run: the virtual times at which each node finished.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricReport {
-    /// The model that was enforced.
-    pub model: FabricModel,
     /// `max` over nodes of their final virtual clock (0 under
     /// [`FabricModel::Free`]).
     pub makespan: f64,

@@ -447,7 +447,7 @@ where
         panic!("every node returned, yet node {n} has a message queued on (dim {dim}, job {job})");
     }
     let makespan = node_times.iter().fold(0.0f64, |a, &b| a.max(b));
-    SpmdRun { results, meter, fabric: FabricReport { model: fabric, makespan, node_times } }
+    SpmdRun { results, meter, fabric: FabricReport { makespan, node_times } }
 }
 
 /// `W`: one worker per CPU the process may run on, and never more than
@@ -789,7 +789,6 @@ mod tests {
         assert_eq!((&spmd.fabric, spmd.njobs), (&FabricModel::Free, 1));
         assert!(!spmd.trace.is_enabled());
         let report = run_spmd(2, spmd, |_| all_reduce(|_| 1.0, |a, b| a + b)).fabric;
-        assert_eq!(report.model, FabricModel::Free);
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.node_times, vec![0.0; 4]);
     }

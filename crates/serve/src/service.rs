@@ -1,6 +1,5 @@
 //! The serving front end: lower, plan admission, run, measure.
 
-use crate::metrics::{latency_stats, LatencyStats};
 use crate::scenario::Scenario;
 use mph_batch::{
     check_shared_fabric, planned_jobs, service_plan, AdmissionConfig, Policy, Throughput,
@@ -9,9 +8,11 @@ use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
 use mph_eigen::{lower_job, run_job_service, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
+use mph_trace::{summarize, Summary};
 
-/// Service-level options: the shared fabric, the admission discipline,
-/// and the pricing machine behind both.
+/// Service-level options: the shared fabric and the admission discipline.
+/// Jobs are priced on the fabric's enforced machine, the paper's Figure-2
+/// machine on a free fabric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
     /// The one fabric all served jobs share.
@@ -20,10 +21,6 @@ pub struct ServeOptions {
     /// jobs and admits the cheapest; the others admit in arrival order)
     /// and the service round's interleaving stride.
     pub policy: Policy,
-    /// Machine used to price jobs when the fabric is
-    /// [`FabricModel::Free`]; a throttled fabric prices on its own
-    /// enforced machine.
-    pub pricing: Machine,
     /// Queue bound, interleaving width, and de-phasing stagger.
     pub admission: AdmissionConfig,
     /// Trace sink the service records into (default: the zero-cost nop
@@ -39,7 +36,6 @@ impl Default for ServeOptions {
         ServeOptions {
             fabric: FabricModel::Free,
             policy: Policy::Fifo,
-            pricing: Machine::paper_figure2(),
             admission: AdmissionConfig::default(),
             trace: SinkHandle::nop(),
         }
@@ -71,9 +67,9 @@ pub struct ServeReport {
     pub run: ServiceRun,
     /// Arrival→finish latency distribution over served jobs; `None` if
     /// nothing was served.
-    pub latency: Option<LatencyStats>,
+    pub latency: Option<Summary>,
     /// Arrival→admission queue-wait distribution over served jobs.
-    pub queue_wait: Option<LatencyStats>,
+    pub queue_wait: Option<Summary>,
     /// Served jobs/s and moved elements/s on the virtual clock; `None`
     /// on a free fabric.
     pub throughput: Option<Throughput>,
@@ -117,7 +113,7 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
     let planned = planned_jobs(&specs, &lowered, d);
-    let machine = opts.fabric.machine().unwrap_or(opts.pricing);
+    let machine = opts.fabric.machine().unwrap_or(Machine::paper_figure2());
     let plan = service_plan(
         &scenario.jobs,
         &planned,
@@ -161,8 +157,8 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
     let makespan = run.fabric.makespan;
     let throughput = Throughput::measure(run.served(), run.meter.total_volume(), makespan);
     ServeReport {
-        latency: latency_stats(&latencies),
-        queue_wait: latency_stats(&waits),
+        latency: summarize(&latencies),
+        queue_wait: summarize(&waits),
         throughput,
         backlog,
         makespan,

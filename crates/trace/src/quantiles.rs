@@ -1,8 +1,6 @@
-//! Nearest-rank quantiles shared by every report in the workspace.
-//!
-//! `mph-serve` grew three private copies of the same p50/p90/p99
-//! arithmetic; this module is the single definition they all delegate
-//! to now.
+//! Nearest-rank quantiles shared by every report in the workspace: the
+//! one p50/p90/p99 definition, whose [`Summary`] `mph-serve` reports its
+//! latency and queue-wait distributions in.
 
 /// Order statistics of a sample, in whatever unit the sample carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +98,9 @@ mod tests {
         assert_eq!(percentile(&s, 100.0), 4.0);
         let hundred: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         let s = summarize(&hundred).expect("non-empty");
-        assert_eq!((s.p50, s.p90, s.p99, s.max, s.mean), (50.0, 90.0, 99.0, 100.0, 50.5));
+        assert_eq!(
+            (s.count, s.p50, s.p90, s.p99, s.max, s.mean),
+            (100, 50.0, 90.0, 99.0, 100.0, 50.5)
+        );
     }
 }

@@ -74,7 +74,7 @@ fn main() {
     ] {
         // The checked constructor: a zero stride or a fabric the batch
         // cannot share is a typed error here, not a panic mid-run.
-        let batch = BatchOptions::new(fabric.clone(), policy, Machine::paper_figure2())
+        let batch = BatchOptions::new(fabric.clone(), policy)
             .expect("a death-free throttled fabric is batchable");
         let report = solve_batch(d, &jobs, &batch);
         if fifo_makespan == 0.0 {

@@ -3,10 +3,9 @@
 //! Every `pub fn` of the ten library crates (`crates/*` but `mph-bench`)
 //! must be reached: its name appears, outside `use` declarations, in the
 //! non-test code of a *root* — `crates/bench/src` (the paper's experiments
-//! and the `mph-bench` CLI that runs them), a micro-benchmark under
-//! `crates/*/benches`, `examples/`, `benchmark/src/` (the frozen names the
-//! repository benchmark calls) or `tests/paper_claims.rs` — or of library
-//! code that is itself reached.
+//! and the `mph-bench` CLI that runs them), `examples/`, `benchmark/src/`
+//! (the frozen names the repository benchmark calls) or
+//! `tests/paper_claims.rs` — or of library code that is itself reached.
 //! Library code outside a `pub fn` (private functions, trait impls,
 //! constants) reaches what it names; rustc's dead-code lint keeps that
 //! honest. A `pub fn` that only tests reach is deleted with its tests; one
@@ -19,11 +18,12 @@
 //! name. A `pub fn` is *keyed* by its `impl` block's self type —
 //! `Type::name` for a method, `name` for a free function. `Type::name`
 //! reaches the one function of that key, `.name(` every method of the
-//! name, `.name` alone (a field) nothing, and a bare name the free
-//! functions of it; so a method only ever called where the receiver's
-//! type is not written counts as reached if another method of its name
-//! is (ROADMAP item 10 lists those). A keep-list entry must key exactly
-//! one function, so an exception covers one item.
+//! name but a kept one, `.name` alone (a field) nothing, and a bare name
+//! the free functions of it; so a method only ever called where the
+//! receiver's type is not written counts as reached if another method of
+//! its name is (ROADMAP item 10), and a method kept for a test is reached
+//! only where its type is written. A keep-list entry must key exactly one
+//! function, so an exception covers one item.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -69,6 +69,7 @@ const KEEP: &[(&str, &str)] = &[
     // Probes: the one observable of a contract a test holds a solve to.
     ("BatchOrder::jobs", "shortest_plan_first_minimizes_mean_completion"),
     ("ColumnBlock::diag", "cached_diagonals_track_exact_recomputation"),
+    ("CommSchedule::volume_by_dim", "metered_traffic_equals_simulated_and_predicted"),
     ("JobResult::eigen", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
     ("JobResult::svd", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
     ("TrafficMeter::shipments", "a_pipelined_solve_ships_whole_block_messages_and_charges_packets"),
@@ -85,7 +86,7 @@ enum Role {
 fn role(path: &str) -> Role {
     let parts: Vec<&str> = path.split('/').collect();
     match parts[..] {
-        ["crates", "bench", "src", ..] | ["crates", _, "benches", ..] => Role::Root,
+        ["crates", "bench", "src", ..] => Role::Root,
         ["crates", _, "src", ..] => Role::Library,
         ["examples", ..] | ["benchmark", "src", ..] | ["tests", "paper_claims.rs"] => Role::Root,
         _ => Role::Test,
@@ -299,10 +300,13 @@ fn audit(sources: &[(String, String)], keep: &[(&str, &str)]) -> BTreeSet<Findin
     }
     // Which defs each use reaches, by the tokens around the name:
     // `Type::` (or `Self::`) the one keyed `Type::name`, `module::` the
-    // free functions, `.name(` the methods, `.name` alone (a field)
-    // nothing, a bare name the free functions. A trait's, a generic
-    // parameter's or an alias's `T::name` reaches nothing: trait items are
-    // never `pub fn`s, and an alias hides its type (write the type).
+    // free functions, `.name(` the methods but the kept ones, `.name` alone
+    // (a field) nothing, a bare name the free functions. A trait's, a
+    // generic parameter's or an alias's `T::name` reaches nothing: trait
+    // items are never `pub fn`s, and an alias hides its type (write the
+    // type). A kept method is an exception written for one method the
+    // receiver's type of a `.name(` call cannot be told from.
+    let kept = |d: &Def| keep.iter().any(|&(k, _)| k == d.key);
     let mut reach: Vec<Vec<(usize, usize)>> = vec![Vec::new(); defs.len()];
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, d) in defs.iter().enumerate() {
@@ -328,7 +332,7 @@ fn audit(sources: &[(String, String)], keep: &[(&str, &str)]) -> BTreeSet<Findin
             }
             let reaches = |i: usize| match q.chars().next() {
                 Some(c) if c.is_uppercase() => defs[i].key == format!("{q}::{id}"),
-                _ if before == "." => matches!(at(k + 1), "(" | ":") && !free(i),
+                _ if before == "." => matches!(at(k + 1), "(" | ":") && !free(i) && !kept(&defs[i]),
                 _ => free(i),
             };
             for &i in named.iter().filter(|&&i| reaches(i)) {
@@ -339,7 +343,6 @@ fn audit(sources: &[(String, String)], keep: &[(&str, &str)]) -> BTreeSet<Findin
     // The files that name def `i` outside its own item and the items of
     // dead defs. A def no file names is dead; repeat, so what only dead
     // code reaches dies too.
-    let kept = |d: &Def| keep.iter().any(|&(k, _)| k == d.key);
     let users = |i: usize, dead: &[bool]| -> BTreeSet<usize> {
         let muted = |f: usize, k: usize| {
             (0..defs.len())
@@ -565,5 +568,21 @@ fn a_method_is_reached_by_a_call_not_by_a_field_or_a_generic_path() {
             unreached("crates/runtime/src/a.rs:6", "S::epochs"),
             own("crates/runtime/src/a.rs:14", "S::width"),
         ])
+    );
+}
+
+#[test]
+fn a_kept_method_is_reached_only_where_its_type_is_written() {
+    // `.volume(` may be any type's method, so it does not overturn a kept
+    // one; `S::volume` does.
+    let lib = file("crates/simnet/src/a.rs", "impl S {\n    pub fn volume(&self) {}\n}\n");
+    let test = file("crates/simnet/tests/t.rs", "#[test]\nfn holds() {}\n");
+    let keep = [("S::volume", "holds")];
+    let call = file("examples/demo.rs", "fn main() {\n    s.volume();\n}\n");
+    assert_eq!(audit(&[lib.clone(), test.clone(), call], &keep), BTreeSet::new());
+    let typed = file("examples/demo.rs", "fn main() {\n    S::volume(&s);\n}\n");
+    assert_eq!(
+        audit(&[lib, test, typed], &keep),
+        BTreeSet::from([Finding::KeptButReached("S::volume".into())])
     );
 }
