@@ -39,6 +39,5 @@ pub use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, PlannedJob};
 pub use mph_eigen::{JobResult, JobSpan, JobSpec, ServicePlan};
 pub use policy::Policy;
 pub use scheduler::{
-    check_shared_fabric, planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport,
-    Throughput,
+    planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput,
 };

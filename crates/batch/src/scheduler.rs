@@ -43,34 +43,6 @@ pub enum BatchConfigError {
     /// The fabric itself cannot be enforced (see
     /// [`mph_runtime::FabricConfigError`]).
     InvalidFabric(FabricConfigError),
-    /// The fabric is a [`FabricModel::Degraded`] scenario that schedules
-    /// link deaths. Deaths take effect at scenario epochs, and the engine
-    /// advances the epoch (and switches to the relay script around the
-    /// dead links) at a sweep boundary every node shares. The jobs of a
-    /// batch cross their sweep boundaries at different times, so a batch
-    /// has no such boundary: it runs entirely at epoch 0, would send
-    /// across a link dead from the start and would ignore a later death.
-    /// A service passes one barrier per round, so its epoch does advance —
-    /// and its jobs, which carry no relay tables either, would send across
-    /// the link the moment it dies. Only a solo solve
-    /// (`block_jacobi_threaded`, `svd_block_threaded` in `mph-eigen`)
-    /// hands the engine per-sweep relay tables. Jitter, episode, and
-    /// heterogeneity scenarios are fine; death schedules are rejected up
-    /// front instead of asserting inside the fabric clock mid-run.
-    DeadLinksUnsupported,
-}
-
-/// Whether `fabric` can carry several jobs at once: it must be enforceable
-/// ([`BatchConfigError::InvalidFabric`]) and schedule no link death
-/// ([`BatchConfigError::DeadLinksUnsupported`]). The one check of
-/// [`BatchOptions::new`], [`solve_batch`] and `mph_serve::serve`, made
-/// before anything is lowered or spawned.
-pub fn check_shared_fabric(fabric: &FabricModel) -> Result<(), BatchConfigError> {
-    fabric.validate()?;
-    if fabric.scenario().is_some_and(|sc| sc.has_deaths()) {
-        return Err(BatchConfigError::DeadLinksUnsupported);
-    }
-    Ok(())
 }
 
 impl std::fmt::Display for BatchConfigError {
@@ -80,11 +52,6 @@ impl std::fmt::Display for BatchConfigError {
                 write!(f, "Policy::Interleave stride must be >= 1 (0 grants no micro-ops)")
             }
             BatchConfigError::InvalidFabric(e) => write!(f, "invalid fabric: {e}"),
-            BatchConfigError::DeadLinksUnsupported => write!(
-                f,
-                "a batch does not reroute around dead links; \
-                 use a death-free scenario or a solo solve"
-            ),
         }
     }
 }
@@ -100,15 +67,13 @@ impl From<FabricConfigError> for BatchConfigError {
 impl BatchOptions {
     /// Checked constructor: rejects configurations the direct struct
     /// literal would only clamp or that would assert mid-run — zero-stride
-    /// interleaving ([`BatchConfigError::ZeroStride`]), unenforceable
-    /// fabrics ([`BatchConfigError::InvalidFabric`]), and link-death
-    /// scenarios the batch driver cannot route around
-    /// ([`BatchConfigError::DeadLinksUnsupported`]).
+    /// interleaving ([`BatchConfigError::ZeroStride`]) and unenforceable
+    /// fabrics ([`BatchConfigError::InvalidFabric`]).
     pub fn new(fabric: FabricModel, policy: Policy) -> Result<BatchOptions, BatchConfigError> {
         if matches!(policy, Policy::Interleave { stride: 0 }) {
             return Err(BatchConfigError::ZeroStride);
         }
-        check_shared_fabric(&fabric)?;
+        fabric.validate()?;
         Ok(BatchOptions { fabric, policy, trace: SinkHandle::nop() })
     }
 }
@@ -197,13 +162,15 @@ pub fn planned_jobs<'a>(
 /// concrete order, executes everything on one `run_spmd` instance, and
 /// assembles the report.
 ///
+/// The batch passes no barrier, so on a degraded fabric it runs at
+/// scenario epoch 0 throughout, as it does for every impairment: its
+/// sweeps relay around the links dead at epoch 0, and a later death is
+/// never reached.
+///
 /// # Panics
-/// On an empty batch, and — before anything is lowered — on a fabric
-/// [`check_shared_fabric`] refuses, with that error's message
-/// ([`BatchOptions::new`] returns it instead).
+/// On an empty batch.
 pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
-    check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));
     let specs: Vec<JobSpec<'_>> = jobs.iter().map(Job::to_spec).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
@@ -268,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_and_death_fabrics_are_typed_construction_errors() {
+    fn invalid_fabrics_are_typed_errors_and_death_schedules_batch() {
         use mph_ccpipe::PortModel;
         use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
         use std::sync::Arc;
@@ -277,10 +244,10 @@ mod tests {
         let err = BatchOptions::new(bad, Policy::Fifo).expect_err("KPort(0) cannot be enforced");
         assert_eq!(err, BatchConfigError::InvalidFabric(FabricConfigError::ZeroPorts));
         assert!(err.to_string().contains("KPort(0)"));
-        // ...a death schedule is refused (the batch driver has no relay),
-        // dead from the start or dying later, by the checked constructor
-        // and — for options built by struct literal — by `solve_batch`
-        // itself, before anything is spawned...
+        // ...while a death schedule, dead from the start or dying later,
+        // constructs and runs: the batch stays at epoch 0, relaying around
+        // the link dead there, and every job keeps its logical bits.
+        let jobs = mixed_jobs(16);
         for epoch in [0, 1] {
             let deadly = ScenarioSpec {
                 epochs: 2,
@@ -288,26 +255,12 @@ mod tests {
                 ..ScenarioSpec::clean(1, Machine::paper_figure2())
             };
             let sc = Scenario::new(2, deadly).expect("a single death keeps the 2-cube connected");
-            let fabric = FabricModel::Degraded(Arc::new(sc));
-            let err = BatchOptions::new(fabric.clone(), Policy::Fifo)
-                .expect_err("the batch driver cannot route around dead links");
-            assert_eq!(err, BatchConfigError::DeadLinksUnsupported);
-            assert!(err.to_string().contains("reroute"));
-            let literal = BatchOptions { fabric, ..Default::default() };
-            let run = || solve_batch(2, &mixed_jobs(16), &literal);
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                .expect_err("a scheduled death must not run");
-            let msg = panic.downcast_ref::<String>().expect("the typed error's Display");
-            assert!(msg.contains("reroute"), "epoch {epoch}: {msg}");
+            let opts = BatchOptions::new(FabricModel::Degraded(Arc::new(sc)), Policy::Fifo)
+                .expect("a batch relays around dead links");
+            let report = solve_batch(2, &jobs, &opts);
+            assert!(report.makespan > 0.0, "epoch {epoch}: a degraded fabric ticks the clock");
+            assert_logical_bits(&jobs, &report, 2);
         }
-        // ...but a death-free degraded scenario passes.
-        let jittery = ScenarioSpec {
-            epochs: 2,
-            hetero_spread: 1.0,
-            ..ScenarioSpec::clean(1, Machine::paper_figure2())
-        };
-        let sc = Scenario::new(2, jittery).expect("valid scenario");
-        assert!(BatchOptions::new(FabricModel::Degraded(Arc::new(sc)), Policy::Fifo).is_ok());
     }
 
     #[test]
@@ -329,10 +282,16 @@ mod tests {
             BatchOptions::new(fabric, Policy::Fifo).expect("death-free scenarios are batchable");
         let report = solve_batch(2, &jobs, &opts);
         assert!(report.makespan > 0.0, "a degraded fabric ticks the clock");
+        assert_logical_bits(&jobs, &report, 2);
+    }
+
+    /// Every job of `report` carries its logical solve's values and
+    /// rotation count.
+    fn assert_logical_bits(jobs: &[Job], report: &BatchReport, d: usize) {
         for (i, job) in jobs.iter().enumerate() {
             match job {
                 Job::Eigen { a, family, opts } => {
-                    let solo = mph_eigen::block_jacobi(a, 2, *family, opts);
+                    let solo = mph_eigen::block_jacobi(a, d, *family, opts);
                     let got = report.results[i].eigen().expect("eigen result");
                     assert_eq!(got.rotations, solo.rotations, "job {i}");
                     for c in 0..a.cols() {
@@ -340,7 +299,7 @@ mod tests {
                     }
                 }
                 Job::Svd { a, family, opts } => {
-                    let solo = mph_eigen::svd_block(a, 2, *family, opts);
+                    let solo = mph_eigen::svd_block(a, d, *family, opts);
                     let got = report.results[i].svd().expect("svd result");
                     assert_eq!(got.rotations, solo.rotations, "job {i}");
                     for c in 0..a.cols() {

@@ -1,10 +1,10 @@
 //! The batch subsystem's load-bearing invariant, property-tested: for
 //! random job mixes (sizes, dimensions, eigen/SVD kinds, diagonal cache
 //! on/off, pipelining degrees) under every scheduling policy and fabric
-//! model, **every job's output is bitwise equal to its solo run**, and on
-//! a throttled fabric the batch's virtual makespan never exceeds the sum
-//! of the jobs' solo makespans — interleaving can only fill bubbles,
-//! never add work.
+//! model, link deaths included, **every job's output is bitwise equal to
+//! its solo run**, and on a throttled fabric the batch's virtual makespan
+//! never exceeds the sum of the jobs' solo makespans — interleaving can
+//! only fill bubbles, never add work.
 //!
 //! Solo references are the *logical* drivers (`block_jacobi`,
 //! `svd_block`), which the threaded drivers are proven bitwise-equal to in
@@ -15,15 +15,17 @@ use mph_ccpipe::{Machine, PortModel};
 use mph_core::OrderingFamily;
 use mph_eigen::{block_jacobi, svd_block, JacobiOptions, Pipelining};
 use mph_linalg::symmetric::random_symmetric;
-use mph_runtime::{FabricModel, Scenario, ScenarioSpec};
+use mph_runtime::{FabricModel, LinkDeath, Scenario, ScenarioSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A death-free degraded scenario (heterogeneity × jitter × episodes) —
-/// the impairment classes the batch driver supports (death schedules are
-/// rejected by `BatchOptions::new`: the relays live in the engine's
-/// `JobNode`, but only a solo run carries relay tables).
-fn degraded_fabric(seed: u64) -> FabricModel {
+/// A degraded `d`-cube scenario (heterogeneity × jitter × episodes) with
+/// an optional link death `(node, dim, epoch)`. A batch runs at epoch 0,
+/// so it relays around a death at epoch 0 and never reaches a later one.
+/// One death never disconnects a cube of `d ≥ 2`; a 1-cube has no death
+/// to spare, so there it is dropped.
+fn degraded_fabric(d: usize, seed: u64, death: Option<(usize, usize, usize)>) -> FabricModel {
+    let deaths = death.filter(|_| d >= 2).map(|(node, dim, epoch)| LinkDeath { node, dim, epoch });
     let spec = ScenarioSpec {
         epochs: 3,
         hetero_spread: 2.0,
@@ -32,21 +34,27 @@ fn degraded_fabric(seed: u64) -> FabricModel {
         episode_rate: 0.3,
         episode_recovery: 0.5,
         episode_severity: 4.0,
+        deaths: deaths.into_iter().collect(),
         ..ScenarioSpec::clean(seed, Machine::all_port(1000.0, 100.0))
     };
     FabricModel::Degraded(Arc::new(
-        Scenario::new(2, spec).expect("death-free scenarios always compile"),
+        Scenario::new(d, spec).expect("one death never disconnects a cube of d ≥ 2"),
     ))
 }
 
-fn fabric_strategy() -> impl Strategy<Value = FabricModel> {
-    prop_oneof![
-        Just(FabricModel::Free),
-        Just(FabricModel::Throttled(Machine::all_port(1000.0, 100.0))),
-        Just(FabricModel::Throttled(Machine::one_port(1000.0, 100.0))),
-        Just(FabricModel::Throttled(Machine { ts: 50.0, tw: 3.0, ports: PortModel::KPort(2) })),
-        (0u64..500).prop_map(degraded_fabric),
-    ]
+/// A cube dimension in `1..=2` and a fabric for it.
+fn cube_and_fabric() -> impl Strategy<Value = (usize, FabricModel)> {
+    (1usize..=2).prop_flat_map(|d| {
+        let death = prop_oneof![Just(None), (0..1usize << d, 0..d, 0usize..=1).prop_map(Some)];
+        let fabric = prop_oneof![
+            Just(FabricModel::Free),
+            Just(FabricModel::Throttled(Machine::all_port(1000.0, 100.0))),
+            Just(FabricModel::Throttled(Machine::one_port(1000.0, 100.0))),
+            Just(FabricModel::Throttled(Machine { ts: 50.0, tw: 3.0, ports: PortModel::KPort(2) })),
+            (0u64..500, death).prop_map(move |(seed, death)| degraded_fabric(d, seed, death)),
+        ];
+        (Just(d), fabric)
+    })
 }
 
 fn policy_strategy() -> impl Strategy<Value = Policy> {
@@ -83,15 +91,15 @@ proptest! {
 
     #[test]
     fn batched_jobs_are_bitwise_solo_and_never_slower_than_serial(
-        d in 1usize..=2,
+        cube in cube_and_fabric(),
         njobs in 1usize..=3,
-        fabric in fabric_strategy(),
         policy in policy_strategy(),
         seed in 0u64..1000,
         cache in any::<bool>(),
         qsel in 0usize..=2,
         sweeps in 1usize..=2,
     ) {
+        let (d, fabric) = cube;
         let pipelining = [Pipelining::Off, Pipelining::Fixed(2), Pipelining::Fixed(5)][qsel];
         let opts = JacobiOptions {
             force_sweeps: Some(sweeps),
@@ -161,10 +169,9 @@ proptest! {
 
     #[test]
     fn tail_packetization_is_bitwise_invisible_through_solve_batch(
-        d in 1usize..=2,
+        cube in cube_and_fabric(),
         seed in 0u64..1000,
         cache in any::<bool>(),
-        fabric in fabric_strategy(),
         tsel in 0usize..=4,
     ) {
         // The batch driver's tail machine (TailSend/TailRecv) pairs each
@@ -172,6 +179,7 @@ proptest! {
         // re-tiled by packet boundary — so every tail degree (including Q
         // larger than any chained run and the cost-driven Auto choice)
         // reproduces the tail-off batch bit for bit on every fabric.
+        let (d, fabric) = cube;
         let tail = [
             Pipelining::Fixed(1),
             Pipelining::Fixed(2),

@@ -7,8 +7,8 @@ use mph_core::{
     pbr_transformations, published_min_alpha_sequence, OrderingFamily, PbrConvention,
 };
 use mph_hypercube::{
-    is_link_sequence_hamiltonian, link_sequence_alpha, link_sequence_to_path,
-    search_hamiltonian_with_budget, validate_e_sequence,
+    is_link_sequence_hamiltonian, link_sequence_to_path, search_hamiltonian_with_budget,
+    validate_e_sequence,
 };
 
 const PAPER_ALPHA: [(usize, usize); 8] =
@@ -26,7 +26,7 @@ pub fn table1(_: &[String]) -> Report {
     say!(r, "  e   α (ours)   α (paper)  lower bound    ours/bound    paper/bound");
     let mut rows = Vec::new();
     for &(e, paper) in &PAPER_ALPHA {
-        let ours = link_sequence_alpha(&pbr_sequence_with(e, PbrConvention::DEFAULT));
+        let ours = alpha(&pbr_sequence_with(e, PbrConvention::DEFAULT), e);
         let lb = alpha_lower_bound(e);
         let (ours_ratio, paper_ratio) = (ours as f64 / lb as f64, paper as f64 / lb as f64);
         say!(r, "{e:>3} {ours:>10} {paper:>11} {lb:>12} {ours_ratio:>13.2} {paper_ratio:>14.2}");
@@ -36,8 +36,7 @@ pub fn table1(_: &[String]) -> Report {
 
     r.banner("generalization conventions (e−1 not a power of two)");
     for conv in PbrConvention::ALL {
-        let got =
-            PAPER_ALPHA.map(|(e, paper)| (link_sequence_alpha(&pbr_sequence_with(e, conv)), paper));
+        let got = PAPER_ALPHA.map(|(e, paper)| (alpha(&pbr_sequence_with(e, conv), e), paper));
         let exact = got.iter().filter(|(g, p)| g == p).count();
         let within_one = got.iter().filter(|(g, p)| g.abs_diff(*p) <= 1).count();
         say!(
@@ -127,7 +126,7 @@ pub fn figure3_transforms(_: &[String]) -> Report {
         r,
         "\nResulting D_17^{{p-BR}}: {} elements, α = {} (lower bound {}, Theorem-2 bound {:.0})",
         seq.len(),
-        link_sequence_alpha(&seq),
+        alpha(&seq, e),
         alpha_lower_bound(e),
         mph_core::pbr::theorem2_alpha_bound(e)
     );
@@ -144,11 +143,11 @@ pub fn minalpha_report(_: &[String]) -> Report {
     let mut rows = Vec::new();
     for e in 2..=6usize {
         let seq = published_min_alpha_sequence(e).expect("published for e ≤ 6");
-        let a = link_sequence_alpha(&seq);
+        let a = alpha(&seq, e);
         let lb = alpha_lower_bound(e);
         let valid = validate_e_sequence(&seq, e).is_ok();
         let search = match search_hamiltonian_with_budget(e, lb, 500_000_000) {
-            Some(s) => format!("α={}", link_sequence_alpha(&s)),
+            Some(s) => format!("α={}", alpha(&s, e)),
             None => "not found".into(),
         };
         say!(r, "{e:>3} {a:>12} {lb:>12} {valid:>10} {search:>16}");

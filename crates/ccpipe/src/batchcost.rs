@@ -29,8 +29,9 @@
 //! compare against forced-sweep runs, as every conformance test does.
 
 use crate::machine::Machine;
-use crate::plancost::{chained_tail_cost, plan_cost_with_tail};
+use crate::plancost::plan_cost_with_tail;
 use crate::schedclock::executed_cost;
+use crate::sweepcost::SweepCost;
 use mph_core::CommPlan;
 
 /// How a batch of jobs shares the fabric — the schedule shape the batch
@@ -140,46 +141,42 @@ pub struct BatchCost {
     pub tail: f64,
 }
 
+/// [`plan_cost_with_tail`] of each sweep of `job`, in chain order: the
+/// one pricing of a job's plans.
+fn sweep_prices(job: &PlannedJob, machine: &Machine) -> Vec<SweepCost> {
+    job.plans
+        .iter()
+        .zip(job.qs)
+        .map(|(plan, qs)| plan_cost_with_tail(plan, machine, qs, job.tail_q))
+        .collect()
+}
+
+/// A job's solo cost from its [`sweep_prices`]: their totals, summed.
+fn solo_of(prices: &[SweepCost]) -> f64 {
+    prices.iter().map(|c| c.total).sum()
+}
+
 /// Plan-priced solo cost of each job — the communication makespan of
 /// running it alone with the degrees its driver will use
 /// ([`plan_cost_with_tail`] summed over the sweep chain). This is *the*
 /// solo pricing: [`batch_cost`]'s `solo` column and the shortest-plan-first
 /// policy order both come from here, so they can never diverge.
 pub fn solo_plan_costs(jobs: &[PlannedJob], machine: &Machine) -> Vec<f64> {
-    jobs.iter()
-        .map(|job| {
-            job.plans
-                .iter()
-                .zip(job.qs)
-                .map(|(plan, qs)| plan_cost_with_tail(plan, machine, qs, job.tail_q).total)
-                .sum()
-        })
-        .collect()
+    jobs.iter().map(|job| solo_of(&sweep_prices(job, machine))).collect()
 }
 
 /// Prices a batch of lowered jobs under `machine` for a given
-/// interleaving order. See the module docs for the exact model.
+/// interleaving order. See the module docs for the exact model. Each plan
+/// is priced once: its `total` counts toward its job's `solo`, its
+/// `serial` toward `tail`.
 pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) -> BatchCost {
     assert!(!jobs.is_empty(), "an empty batch has no cost");
     order.validate(jobs.len());
 
-    let solo = solo_plan_costs(jobs, machine);
+    let prices: Vec<Vec<SweepCost>> = jobs.iter().map(|job| sweep_prices(job, machine)).collect();
+    let solo: Vec<f64> = prices.iter().map(|p| solo_of(p)).collect();
     let serial_total: f64 = solo.iter().sum();
-
-    let mut tail = 0.0f64;
-    for job in jobs {
-        for plan in job.plans {
-            tail += if job.tail_q > 1 {
-                chained_tail_cost(plan, machine, job.tail_q)
-            } else {
-                plan.phases()
-                    .iter()
-                    .filter(|ph| !ph.is_exchange())
-                    .map(|ph| machine.single_message_cost(ph.max_message_elems() as f64))
-                    .sum::<f64>()
-            };
-        }
-    }
+    let tail = prices.iter().flatten().fold(0.0f64, |tail, c| tail + c.serial);
     let predicted = executed_cost(jobs, machine, order).makespan;
 
     BatchCost { solo, serial_total, predicted, tail }
@@ -188,7 +185,7 @@ pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plancost::plan_unpipelined_cost;
+    use crate::plancost::{chained_tail_cost, plan_unpipelined_cost};
     use crate::testutil::lower_chain;
     use mph_core::OrderingFamily;
 

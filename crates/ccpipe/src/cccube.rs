@@ -36,13 +36,13 @@ impl CcCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mph_hypercube::link_sequence_alpha;
+    use mph_core::alpha;
 
     #[test]
     fn exchange_phase_wraps_the_family_sequence() {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 4, 128.0);
         assert_eq!(cc.k(), 15);
-        assert_eq!(link_sequence_alpha(&cc.link_seq), 8);
+        assert_eq!(alpha(&cc.link_seq, 4), 8);
         assert_eq!(cc.message_elems, 128.0);
     }
 
@@ -51,6 +51,6 @@ mod tests {
         // §2.4 example: K = 7, links 0,1,0,2,0,1,0.
         let cc = CcCube { link_seq: vec![0, 1, 0, 2, 0, 1, 0], message_elems: 1.0 };
         assert_eq!(cc.k(), 7);
-        assert_eq!(link_sequence_alpha(&cc.link_seq), 4);
+        assert_eq!(alpha(&cc.link_seq, 3), 4);
     }
 }

@@ -314,7 +314,7 @@ mod tests {
                 let cc = CcCube::exchange_phase(family, e, 6200.0);
                 let q = 2 * cc.k(); // comfortably deep
                 let s_elems = cc.message_elems / q as f64;
-                let alpha = mph_hypercube::link_sequence_alpha(&cc.link_seq) as f64;
+                let alpha = mph_core::alpha(&cc.link_seq, e) as f64;
                 let want = e as f64 * machine.ts + alpha * s_elems * machine.tw;
                 // Evaluate one genuine kernel stage of the explicit schedule.
                 let sched = pipelined_schedule(cc.k(), q);

@@ -89,7 +89,9 @@ mod tests {
     fn histogram_and_alpha() {
         let seq = [0, 1, 0, 2, 0, 1, 0];
         assert_eq!(link_histogram(&seq, 3), vec![4, 2, 1]);
-        assert_eq!(alpha(&seq, 3), 4);
+        assert_eq!(alpha(&seq, 3), 4); // BR e=3
+        assert_eq!(alpha(&[0, 1, 0, 2, 1, 0, 1], 3), 3); // min-α e=3
+        assert_eq!(alpha(&[], 3), 0);
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub fn br_sequence(e: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mph_hypercube::{gray_link_sequence, is_link_sequence_hamiltonian, link_sequence_alpha};
+    use crate::analysis::alpha;
+    use mph_hypercube::{gray_link_sequence, is_link_sequence_hamiltonian};
 
     #[test]
     fn d1_through_d4_explicit() {
@@ -85,7 +86,7 @@ mod tests {
     fn alpha_is_two_to_e_minus_one() {
         // Paper §3.1: α(D_e^BR) = 2^{e-1}.
         for e in 1..=12 {
-            assert_eq!(link_sequence_alpha(&br_sequence(e)), 1 << (e - 1));
+            assert_eq!(alpha(&br_sequence(e), e), 1 << (e - 1));
         }
     }
 

@@ -70,7 +70,8 @@ pub fn d4_link_count(e: usize, l: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mph_hypercube::{is_link_sequence_hamiltonian, link_sequence_alpha, link_sequence_to_path};
+    use crate::analysis::alpha;
+    use mph_hypercube::{is_link_sequence_hamiltonian, link_sequence_to_path};
 
     #[test]
     fn e3_is_paper_literal() {
@@ -142,7 +143,7 @@ mod tests {
         // The paper's headline property: links 0 and 2 tie at 2^{e-2} and
         // link 1 has one more, so α(D4) = 2^{e-2}+1 vs α(BR) = 2^{e-1}.
         for e in 4..=14 {
-            assert_eq!(link_sequence_alpha(&d4_sequence(e)), (1usize << (e - 2)) + 1);
+            assert_eq!(alpha(&d4_sequence(e), e), (1usize << (e - 2)) + 1);
         }
     }
 

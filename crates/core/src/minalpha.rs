@@ -10,7 +10,7 @@
 //! for the constructive permuted-BR ordering.
 
 #[cfg(test)]
-use mph_hypercube::{link_sequence_alpha, search_hamiltonian_with_budget, validate_e_sequence};
+use mph_hypercube::{search_hamiltonian_with_budget, validate_e_sequence};
 
 /// `⌈(2^e − 1)/e⌉` — the lower bound on α for any `e`-sequence.
 pub fn alpha_lower_bound(e: usize) -> usize {
@@ -48,6 +48,7 @@ pub fn min_alpha_sequence(e: usize) -> Option<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::alpha;
 
     #[test]
     fn lower_bound_values() {
@@ -82,7 +83,7 @@ mod tests {
         // Paper: α = 2, 3, 4, 7, 11 for e = 2..6.
         for (e, want) in [(2, 2), (3, 3), (4, 4), (5, 7), (6, 11)] {
             let seq = published_min_alpha_sequence(e).unwrap();
-            assert_eq!(link_sequence_alpha(&seq), want, "e={e}");
+            assert_eq!(alpha(&seq, e), want, "e={e}");
             assert_eq!(want, alpha_lower_bound(e), "e={e}");
         }
     }
@@ -96,7 +97,7 @@ mod tests {
             let seq = search_hamiltonian_with_budget(e, alpha_lower_bound(e), 200_000_000)
                 .unwrap_or_else(|| panic!("search failed for e={e}"));
             assert!(validate_e_sequence(&seq, e).is_ok());
-            assert_eq!(link_sequence_alpha(&seq), alpha_lower_bound(e));
+            assert_eq!(alpha(&seq, e), alpha_lower_bound(e));
         }
     }
 

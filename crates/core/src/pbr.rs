@@ -243,7 +243,8 @@ pub fn theorem2_alpha_bound(e: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mph_hypercube::{is_link_sequence_hamiltonian, link_sequence_alpha};
+    use crate::analysis::alpha;
+    use mph_hypercube::is_link_sequence_hamiltonian;
 
     fn seq_from_str(s: &str) -> Vec<usize> {
         s.chars().map(|c| c.to_digit(10).unwrap() as usize).collect()
@@ -375,7 +376,7 @@ mod tests {
         // α(pBR) ≈ 1.25·2^e/e vs α(BR) = 2^{e−1}: the gain is ≈ e/2.5 and
         // grows with e — at least 2× from e = 5 and at least 4× from e = 10.
         for e in 5..=14 {
-            let a = link_sequence_alpha(&pbr_sequence(e));
+            let a = alpha(&pbr_sequence(e), e);
             let br = 1usize << (e - 1);
             assert!(a * 2 <= br, "e={e}: α(pBR)={a} not 2× below α(BR)={br}");
             if e >= 11 {
@@ -396,7 +397,7 @@ mod tests {
             println!("convention {conv:?}");
             let mut exact = 0;
             for &(e, want) in &paper {
-                let got = link_sequence_alpha(&pbr_sequence_with(e, conv));
+                let got = alpha(&pbr_sequence_with(e, conv), e);
                 if got == want {
                     exact += 1;
                 }
@@ -413,7 +414,7 @@ mod tests {
     fn theorem2_bound_holds_for_power_of_two_plus_one() {
         // e = 2^S + 1: the appendix derivation is exact.
         for e in [3usize, 5, 9, 17] {
-            let a = link_sequence_alpha(&pbr_sequence(e)) as f64;
+            let a = alpha(&pbr_sequence(e), e) as f64;
             let bound = theorem2_alpha_bound(e);
             assert!(a <= bound + 1e-9, "e={e}: α={a} exceeds Theorem-2 bound {bound}");
         }
@@ -423,7 +424,7 @@ mod tests {
     fn theorem3_ratio_tends_to_1_25() {
         // α / lower-bound for e = 2^S + 1 should approach 1.25 from below-ish.
         let e = 17;
-        let a = link_sequence_alpha(&pbr_sequence(e)) as f64;
+        let a = alpha(&pbr_sequence(e), e) as f64;
         let lb = (((1u64 << e) - 1) as f64 / e as f64).ceil();
         let ratio = a / lb;
         assert!(ratio < 1.35, "ratio {ratio} too far above 1.25");

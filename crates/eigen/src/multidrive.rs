@@ -87,9 +87,15 @@
 //! [`run_job_service`] and, for [`crate::threaded`]'s two solo solvers
 //! ([`block_jacobi_threaded`], [`svd_block_threaded`]), `solve_solo`: a
 //! batch of one plus what only a solo run has (`Solo`, built from the
-//! job's own [`JacobiOptions::fabric`] and `adaptation`): sweep markers in
-//! the trace and, on a degraded fabric, an epoch barrier per sweep, relays
-//! around dead links and mid-run re-pricing.
+//! job's own [`JacobiOptions::adaptation`]): sweep markers in the trace
+//! and, on a degraded fabric, an epoch barrier per sweep and mid-run
+//! re-pricing.
+//!
+//! Dead links are every door's: a run builds its relay tables once
+//! (`Relays`), keyed by fabric epoch ([`NodeCtx::epoch`]), and a sweep
+//! relays around the links dead at the epoch it starts at. Only what moves
+//! the epoch is the door's: a solo solve passes a barrier per sweep, a
+//! service one per round, a batch none.
 //!
 //! # Why interleave at micro-op granularity
 //!
@@ -249,8 +255,8 @@ fn once_per_distinct<T: Clone>(
 struct JobShared {
     /// The job's schedule: the [`Framing`] of each lowered plan — the tail
     /// degree ([`choose_tail_qs`]) is priced once per plan rather than on
-    /// every node. A degraded solo sweep replaces its entry
-    /// (`Solo::reprice`).
+    /// every node. A sweep that meets a dead link, or a re-priced degraded
+    /// solo sweep, replaces its entry (`JobNode::reprice`).
     framings: Vec<Framing>,
     /// The convergence bar a sweep's vote is held against: `tol · ‖A‖` for
     /// an eigen job, `tol` (an absolute cosine) for an SVD. `None` for a
@@ -281,7 +287,7 @@ fn job_shared(
     jobs.iter().zip(lowered).map(shared).collect()
 }
 
-/// One dead undirected edge's relay plan for a sweep: who its endpoints
+/// One dead undirected edge's relay plan at an epoch: who its endpoints
 /// are and the surviving multi-hop routes replacing the direct exchange,
 /// one per direction. Pure scenario data — every node holds the same
 /// table, so the relay runs as a fixed global script with no negotiation.
@@ -298,66 +304,69 @@ struct RelayEntry {
     rev: Vec<usize>,
 }
 
+/// The relay tables of one run, built once from its fabric's death
+/// schedule and read by every node: one table per stretch of fabric epochs
+/// with the same dead edges, keyed by the stretch's first epoch,
+/// ascending. None before the first death, so none on a clean fabric.
+struct Relays(Vec<(usize, Vec<RelayEntry>)>);
+
+impl Relays {
+    fn new(d: usize, scenario: Option<&Scenario>) -> Self {
+        let Some(sc) = scenario else { return Relays(Vec::new()) };
+        let table = |epoch| {
+            let dead = sc.dead_edges(epoch);
+            let route = |a, b| {
+                surviving_route(d, a, b, &dead)
+                    .expect("scenarios reject disconnecting death schedules")
+            };
+            let entries = dead
+                .iter()
+                .map(|&(u, dim)| {
+                    let v = u ^ (1 << dim);
+                    RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
+                })
+                .collect();
+            (epoch, entries)
+        };
+        Relays(sc.death_epochs().into_iter().map(table).collect())
+    }
+
+    /// The edges dead at `epoch` and the route around each: empty before
+    /// the first death.
+    fn at(&self, epoch: usize) -> &[RelayEntry] {
+        match self.0.partition_point(|&(from, _)| from <= epoch).checked_sub(1) {
+            Some(i) => &self.0[i].1,
+            None => &[],
+        }
+    }
+}
+
 /// What only a solo solve hands the engine (batch and serve pass none):
 /// its presence marks sweeps in the trace, and on a
-/// [`FabricModel::Degraded`] fabric it makes sweep `s` run at scenario
-/// epoch `s`, relayed around that epoch's dead links and re-priced per
-/// [`Adaptation`]. Jobs of a batch share no epoch, which is why deaths
-/// stay solo-only.
+/// [`FabricModel::Degraded`] fabric it passes an epoch barrier at every
+/// sweep end — so sweep `s` runs at scenario epoch `s` — and re-prices
+/// each sweep per [`Adaptation`]. The jobs of a batch or a service share
+/// no sweep end, so they have neither.
 struct Solo {
-    /// The degraded fabric's scenario; `None` on free and throttled ones.
-    scenario: Option<Arc<Scenario>>,
-    /// `relays[s]`: the dead edges of sweep (= epoch) `s` and the route
-    /// around each. Empty on clean sweeps, where every exchange is direct.
-    relays: Vec<Vec<RelayEntry>>,
     adaptation: Adaptation,
 }
 
-impl Solo {
-    fn new(d: usize, opts: &JacobiOptions, budget: usize) -> Self {
-        let scenario = opts.fabric.scenario().cloned();
-        let relays = (0..budget)
-            .map(|s| {
-                let dead = scenario.as_ref().map_or_else(Vec::new, |sc| sc.dead_edges(s));
-                let route = |a, b| {
-                    surviving_route(d, a, b, &dead)
-                        .expect("scenarios reject disconnecting death schedules")
-                };
-                dead.iter()
-                    .map(|&(u, dim)| {
-                        let v = u ^ (1 << dim);
-                        RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
-                    })
-                    .collect()
-            })
-            .collect();
-        Solo { scenario, relays, adaptation: opts.adaptation }
-    }
+/// What every node of one run shares across its jobs: the cube, the
+/// degraded fabric's scenario with the relay tables built from it, and a
+/// solo solve's [`Solo`] data.
+struct RunShared {
+    d: usize,
+    /// The degraded fabric's scenario; `None` on free and throttled ones.
+    scenario: Option<Arc<Scenario>>,
+    relays: Relays,
+    solo: Option<Solo>,
+}
 
-    /// Sweep `sweep`'s schedule when the scenario overrides the pre-run
-    /// one. Dead-link sweeps run whole-block: the packet pipelines assume
-    /// direct links, and `Q` never changes bits. Otherwise Reactive prices
-    /// every phase against `agreed` (the machine the nodes last agreed on)
-    /// and Oracle against the scenario's worst alive machine.
-    fn reprice(
-        &self,
-        plan: &CommPlan,
-        sweep: usize,
-        agreed: Machine,
-        q_cap: usize,
-    ) -> Option<Framing> {
-        let scenario = self.scenario.as_ref()?;
-        let pricing = if !self.relays[sweep].is_empty() {
-            Pipelining::Off
-        } else {
-            Pipelining::Auto(match self.adaptation {
-                Adaptation::Off => return None,
-                Adaptation::Reactive => agreed,
-                Adaptation::Oracle => scenario.worst_alive_machine(sweep),
-            })
-        };
-        let tail_q = choose_tail_qs(plan, &pricing, q_cap);
-        Some(plan.framing(&choose_qs(plan, &pricing, q_cap), tail_q))
+impl RunShared {
+    fn new(d: usize, fabric: &FabricModel, solo: Option<Solo>) -> Self {
+        let scenario = fabric.scenario().cloned();
+        let relays = Relays::new(d, scenario.as_deref());
+        RunShared { d, scenario, relays, solo }
     }
 }
 
@@ -462,6 +471,9 @@ pub struct BatchRun {
     /// The fabric report; `fabric.makespan` is the whole batch's measured
     /// virtual makespan.
     pub fabric: FabricReport,
+    /// The relay work around dead links, summed over jobs
+    /// (`recalibrations` is a solo solve's: always 0 here).
+    pub adaptive: AdaptiveReport,
 }
 
 /// An all-reduce in progress: `vals` combined by `op` one after another,
@@ -529,9 +541,8 @@ struct JobNode<'a> {
     spec: &'a JobSpec<'a>,
     plans: &'a [CommPlan],
     shared: &'a JobShared,
-    solo: Option<&'a Solo>,
+    run: &'a RunShared,
     kern: SweepKernel,
-    d: usize,
     node: usize,
     slot0: ColumnBlock,
     slot1: ColumnBlock,
@@ -551,9 +562,13 @@ struct JobNode<'a> {
     /// the one a received round brings is the next to leave, so a steady
     /// pipeline allocates none.
     stamps: Vec<f64>,
-    /// The current sweep's schedule where a degraded solo sweep overrides
-    /// `shared.framings` ([`Solo::reprice`]).
+    /// The current sweep's schedule where it overrides `shared.framings`
+    /// ([`Self::reprice`]).
     repriced: Option<Framing>,
+    /// The relay table of the epoch the current sweep started at
+    /// ([`Relays::at`]), kept until the next sweep starts: empty on every
+    /// clean epoch.
+    relays: &'a [RelayEntry],
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
     outbox: Option<BatchMsg>,
@@ -589,11 +604,10 @@ impl<'a> JobNode<'a> {
         spec: &'a JobSpec<'a>,
         plans: &'a [CommPlan],
         shared: &'a JobShared,
-        solo: Option<&'a Solo>,
-        d: usize,
+        run: &'a RunShared,
         node: usize,
     ) -> Self {
-        let p = 1usize << d;
+        let p = 1usize << run.d;
         let n = spec.a.cols();
         let partition = BlockPartition::new(n, 2 * p);
         // The accumulated factor is n × n for both kinds: U for the
@@ -606,9 +620,8 @@ impl<'a> JobNode<'a> {
             spec,
             plans,
             shared,
-            solo,
+            run,
             kern: SweepKernel::from_options(spec.rule(), &spec.opts),
-            d,
             node,
             slot0,
             slot1,
@@ -620,12 +633,11 @@ impl<'a> JobNode<'a> {
             next: (spec.budget() > 0).then_some(MicroOp::SWEEP_START),
             stamps: Vec::new(),
             repriced: None,
+            relays: &[],
             outbox: None,
             via: None,
             stage: Stage::Fresh,
-            machine: solo
-                .and_then(|solo| solo.scenario.as_ref())
-                .map_or_else(Machine::paper_figure2, |sc| sc.base()),
+            machine: run.scenario.as_ref().map_or_else(Machine::paper_figure2, |sc| sc.base()),
             adaptive: AdaptiveReport::default(),
             start: 0.0,
             finish: 0.0,
@@ -634,15 +646,6 @@ impl<'a> JobNode<'a> {
 
     fn done(&self) -> bool {
         self.next.is_none()
-    }
-
-    /// The relay table of the current sweep (until its vote is cast):
-    /// empty for batch and serve jobs and on every clean sweep.
-    fn relays(&self) -> &'a [RelayEntry] {
-        match self.solo {
-            Some(solo) => &solo.relays[self.sweeps],
-            None => &[],
-        }
     }
 
     /// Takes this job's next message from `link`, or `Poll::Pending` if it
@@ -729,7 +732,7 @@ impl<'a> JobNode<'a> {
     /// the payload waits for the relay script of [`Self::recv_via`].
     fn send_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize, msg: BatchMsg) {
         let key = self.node.min(ctx.neighbor(link));
-        if self.relays().iter().any(|r| r.dim == link && r.u == key) {
+        if self.relays.iter().any(|r| r.dim == link && r.u == key) {
             self.outbox = Some(msg);
         } else {
             ctx.send(link, msg);
@@ -745,7 +748,7 @@ impl<'a> JobNode<'a> {
     fn relay_script(&self, link: usize) -> Vec<Hop> {
         let n = self.node;
         let mut hops = Vec::new();
-        for r in self.relays().iter().filter(|r| r.dim == link) {
+        for r in self.relays.iter().filter(|r| r.dim == link) {
             for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
                 let mut cur = src;
                 for &dim in route {
@@ -833,8 +836,9 @@ impl<'a> JobNode<'a> {
     /// agreement survive dead links like any other exchange. `Err` hands
     /// the reduction back, to resume from once a receive can go on.
     fn reduce(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mut r: Reduce) -> Result<Vec<f64>, Reduce> {
-        while r.done < r.vals.len() * self.d {
-            let (k, dim) = (r.done / self.d, r.done % self.d);
+        let d = self.run.d;
+        while r.done < r.vals.len() * d {
+            let (k, dim) = (r.done / d, r.done % d);
             if !r.sent {
                 self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v: r.vals[k] });
                 r.sent = true;
@@ -846,20 +850,22 @@ impl<'a> JobNode<'a> {
         Ok(r.vals)
     }
 
-    /// What a sweep start does before its pairings: stamps the job's start,
-    /// marks a solo sweep in the trace, and — at a reactive degraded solo
-    /// sweep after the first — returns the machine agreement to reduce: a
+    /// What a sweep start does before its pairings: takes the relay table
+    /// of the epoch the node stands at, stamps the job's start, marks a
+    /// solo sweep in the trace, and — at a reactive degraded solo sweep
+    /// after the first — returns the machine agreement to reduce: a
     /// machine fitted to the service times the link clock measured last
     /// sweep, whose `Ts` and `Tw` the nodes then max-reduce, so every node
     /// prices against the same (slowest-observed) machine.
     fn open_sweep(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Option<Reduce> {
+        self.relays = self.run.relays.at(ctx.epoch());
         if self.sweeps == 0 {
             self.start = ctx.virtual_now();
         }
-        let solo = self.solo?;
+        let solo = self.run.solo.as_ref()?;
         let sweep = self.sweeps;
         ctx.trace().emit(self.node, || TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
-        let reactive = solo.scenario.is_some() && solo.adaptation == Adaptation::Reactive;
+        let reactive = self.run.scenario.is_some() && solo.adaptation == Adaptation::Reactive;
         (reactive && sweep > 0).then(|| {
             let ports = self.machine.ports;
             let local = Machine::calibrate(&ctx.take_fabric_window())
@@ -883,6 +889,28 @@ impl<'a> JobNode<'a> {
                 time: ctx.virtual_now(),
             });
         }
+    }
+
+    /// The current sweep's schedule where it overrides the pre-run one. A
+    /// sweep that meets a dead link runs whole-block, whichever door its
+    /// job came in by: the packet pipelines assume direct links, and `Q`
+    /// never changes bits. Otherwise a degraded solo sweep is re-priced:
+    /// Reactive against the machine the nodes last agreed on, Oracle
+    /// against the scenario's worst alive machine.
+    fn reprice(&self, plan: &CommPlan) -> Option<Framing> {
+        let pricing = if self.relays.is_empty() {
+            let (solo, scenario) = (self.run.solo.as_ref()?, self.run.scenario.as_ref()?);
+            Pipelining::Auto(match solo.adaptation {
+                Adaptation::Off => return None,
+                Adaptation::Reactive => self.machine,
+                Adaptation::Oracle => scenario.worst_alive_machine(self.sweeps),
+            })
+        } else {
+            Pipelining::Off
+        };
+        let q_cap = packetization_cap(self.spec.a.cols(), self.run.d);
+        let tail_q = choose_tail_qs(plan, &pricing, q_cap);
+        Some(plan.framing(&choose_qs(plan, &pricing, q_cap), tail_q))
     }
 
     /// The convergence vote a sweep ends with, unless the job is forced:
@@ -940,10 +968,7 @@ impl<'a> JobNode<'a> {
                         }
                     }
                 }
-                if let Some(solo) = self.solo {
-                    let q_cap = packetization_cap(self.spec.a.cols(), self.d);
-                    self.repriced = solo.reprice(plan, self.sweeps, self.machine, q_cap);
-                }
+                self.repriced = self.reprice(plan);
                 self.acc = SweepAccumulator::default();
                 if self.spec.opts.cache_diagonals {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
@@ -1009,7 +1034,7 @@ impl<'a> JobNode<'a> {
             OpKind::SweepEnd => {
                 let mut stage = std::mem::take(&mut self.stage);
                 if let Stage::Fresh = stage {
-                    if self.solo.is_some() {
+                    if self.run.solo.is_some() {
                         let sweep = self.sweeps;
                         ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
                             sweep,
@@ -1028,10 +1053,11 @@ impl<'a> JobNode<'a> {
                         }
                     }
                 }
-                // End-of-sweep barrier: advances the fabric epoch, so sweep
-                // s runs at scenario epoch s on every node — the
-                // deterministic clock the impairment timelines key on.
-                let degraded = self.solo.is_some_and(|solo| solo.scenario.is_some());
+                // A degraded solo run's end-of-sweep barrier: advances the
+                // fabric epoch, so sweep s runs at scenario epoch s on
+                // every node — the deterministic clock the impairment
+                // timelines key on.
+                let degraded = self.run.solo.is_some() && self.run.scenario.is_some();
                 if degraded && !self.converged && ctx.barrier().is_pending() {
                     self.stage = Stage::Voted;
                     return Poll::Pending;
@@ -1082,7 +1108,8 @@ impl<'a> JobNode<'a> {
 ///
 /// Jobs of a batch share no sweep boundary, so the run passes no barrier:
 /// on a [`FabricModel::Degraded`] fabric every sweep runs at scenario
-/// epoch 0.
+/// epoch 0, relayed around the links dead at epoch 0 — a later death is
+/// never reached.
 pub fn run_job_batch(
     d: usize,
     jobs: &[JobSpec<'_>],
@@ -1091,49 +1118,24 @@ pub fn run_job_batch(
     order: &BatchOrder,
     sink: SinkHandle,
 ) -> BatchRun {
-    run_jobs(d, jobs, lowered, fabric, order, sink, None).0
+    let SpmdRun { results: outputs, meter, fabric } =
+        run_nodes(d, jobs, lowered, fabric, order, sink, None);
+    let mut per_node: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
+    let mut adaptive = AdaptiveReport::default();
+    let (results, spans) = jobs
+        .iter()
+        .map(|spec| {
+            let shares = per_node.iter_mut().map(|o| o.next().expect("one share per job"));
+            assemble_job(spec, shares.collect(), &mut adaptive, job_answer)
+        })
+        .unzip();
+    BatchRun { results, spans, meter, fabric, adaptive }
 }
 
 /// The engine pass behind every batch and — as a batch of one carrying
-/// its [`Solo`] data — every solo solve. The [`AdaptiveReport`] is all
-/// zeros without one.
-fn run_jobs(
-    d: usize,
-    jobs: &[JobSpec<'_>],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-    fabric: FabricModel,
-    order: &BatchOrder,
-    sink: SinkHandle,
-    solo: Option<&Solo>,
-) -> (BatchRun, AdaptiveReport) {
-    let SpmdRun { results: outputs, meter, fabric } =
-        run_nodes(d, jobs, lowered, fabric, order, sink, solo);
-
-    // Assemble per-job global results from the per-node shares.
-    let mut per_node: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut spans = Vec::with_capacity(jobs.len());
-    let mut adaptive = AdaptiveReport::default();
-    for spec in jobs {
-        let shares: Vec<JobNodeOutput> =
-            per_node.iter_mut().map(|o| o.next().expect("one share per job")).collect();
-        for o in &shares {
-            // Recalibrations are globally agreed (same count everywhere);
-            // reroute work is per-origin and sums.
-            adaptive.recalibrations = adaptive.recalibrations.max(o.adaptive.recalibrations);
-            adaptive.reroutes += o.adaptive.reroutes;
-            adaptive.rerouted_elems += o.adaptive.rerouted_elems;
-        }
-        let (result, span) = assemble_job(spec, shares);
-        results.push(result);
-        spans.push(span);
-    }
-    (BatchRun { results, spans, meter, fabric }, adaptive)
-}
-
-/// The SPMD run of [`run_jobs`]: every node steps its [`JobNode`]s to
-/// completion in `order` and returns each job's share, indexed
-/// `[node][job]`.
+/// its [`Solo`] data — every solo solve: every node steps its
+/// [`JobNode`]s to completion in `order` and returns each job's share,
+/// indexed `[node][job]`.
 fn run_nodes(
     d: usize,
     jobs: &[JobSpec<'_>],
@@ -1141,13 +1143,14 @@ fn run_nodes(
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
-    solo: Option<&Solo>,
+    solo: Option<Solo>,
 ) -> SpmdRun<Vec<JobNodeOutput>> {
     assert!(!jobs.is_empty(), "an empty batch solves nothing");
     assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
     order.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
     let shared = job_shared(jobs, d, lowered);
+    let run = RunShared::new(d, &fabric, solo);
 
     run_spmd::<BatchMsg, Vec<JobNodeOutput>, _, _>(
         d,
@@ -1156,7 +1159,7 @@ fn run_nodes(
             let mut nodes: Vec<Option<JobNode>> = (0..jobs.len())
                 .map(|j| {
                     let (plans, shared) = (&lowered[j].0, &shared[j]);
-                    Some(JobNode::new(j as u32, &jobs[j], plans, shared, solo, d, ctx.id()))
+                    Some(JobNode::new(j as u32, &jobs[j], plans, shared, &run, ctx.id()))
                 })
                 .collect();
             let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
@@ -1234,62 +1237,91 @@ fn assert_square_eigen_jobs(jobs: &[JobSpec<'_>]) {
 }
 
 /// The one solo entry: `spec` as a batch of one on the engine, on its own
-/// options' fabric and trace sink, with the [`Solo`] data its fabric calls
-/// for. Both solo solvers of [`crate::threaded`] are this.
-pub(crate) fn solve_solo(spec: &JobSpec<'_>, d: usize) -> ThreadedRun<JobResult> {
-    let lowered = [lower_job(spec, d)];
-    let solo = Solo::new(d, &spec.opts, spec.budget());
-    let (mut run, adaptive) = run_jobs(
+/// options' fabric and trace sink, with the [`Solo`] data its options call
+/// for, its answer read off its blocks by `answer` ([`eigen_answer`] or
+/// [`svd_answer`], after `spec`'s kind). Both solo solvers of
+/// [`crate::threaded`] are this.
+pub(crate) fn solve_solo<R>(
+    spec: &JobSpec<'_>,
+    d: usize,
+    answer: impl FnOnce(&JobSpec<'_>, &[ColumnBlock], Tally) -> R,
+) -> ThreadedRun<R> {
+    let SpmdRun { results, meter, fabric } = run_nodes(
         d,
         std::slice::from_ref(spec),
-        &lowered,
+        &[lower_job(spec, d)],
         spec.opts.fabric.clone(),
         &BatchOrder::Serial(vec![0]),
         spec.opts.trace.clone(),
-        Some(&solo),
+        Some(Solo { adaptation: spec.opts.adaptation }),
     );
-    let result = run.results.pop().expect("one job, one result");
-    ThreadedRun { result, meter: run.meter, fabric: run.fabric, adaptive }
+    let mut adaptive = AdaptiveReport::default();
+    let (result, _) =
+        assemble_job(spec, results.into_iter().flatten().collect(), &mut adaptive, answer);
+    ThreadedRun { result, meter, fabric, adaptive }
 }
 
-/// Merges one job's per-node shares into its global result and
-/// virtual-clock span — the assembly both the batch and the service
-/// drivers perform once their SPMD run returns. The answer is read off the
-/// nodes' blocks by the logical drivers' own assembly ([`eigenpairs`],
-/// [`extract_usv_blocks`]), so it is theirs to the bit.
-fn assemble_job(spec: &JobSpec<'_>, mut shares: Vec<JobNodeOutput>) -> (JobResult, JobSpan) {
-    let (mut sweeps, mut rotations, mut converged) = (0usize, 0u64, true);
-    let mut span = JobSpan { start: f64::INFINITY, finish: 0.0 };
+/// What one job's nodes agree on or sum to besides its blocks: the
+/// counters every answer carries.
+pub(crate) struct Tally {
+    sweeps: usize,
+    rotations: u64,
+    off_history: Vec<f64>,
+    converged: bool,
+}
+
+/// Merges one job's per-node shares into its answer and virtual-clock
+/// span — the assembly every door performs once its SPMD run returns —
+/// and adds the job's relay work to `adaptive`. The answer is read off the
+/// nodes' blocks by `answer`, which is the logical drivers' own assembly
+/// ([`eigenpairs`], [`extract_usv_blocks`]), so it is theirs to the bit.
+fn assemble_job<R>(
+    spec: &JobSpec<'_>,
+    mut shares: Vec<JobNodeOutput>,
+    adaptive: &mut AdaptiveReport,
+    answer: impl FnOnce(&JobSpec<'_>, &[ColumnBlock], Tally) -> R,
+) -> (R, JobSpan) {
     // Every node holds the votes' agreed values.
     let off_history = std::mem::take(&mut shares[0].off_history);
+    let mut tally = Tally { sweeps: 0, rotations: 0, off_history, converged: true };
+    let mut span = JobSpan { start: f64::INFINITY, finish: 0.0 };
     let mut blocks = Vec::with_capacity(2 * shares.len());
     for o in shares {
-        sweeps = sweeps.max(o.sweeps);
-        rotations += o.rotations;
-        converged &= o.converged;
+        tally.sweeps = tally.sweeps.max(o.sweeps);
+        tally.rotations += o.rotations;
+        tally.converged &= o.converged;
         span.start = span.start.min(o.start);
         span.finish = span.finish.max(o.finish);
+        // Recalibrations are globally agreed (same count everywhere);
+        // reroute work is per-origin and sums.
+        adaptive.recalibrations = adaptive.recalibrations.max(o.adaptive.recalibrations);
+        adaptive.reroutes += o.adaptive.reroutes;
+        adaptive.rerouted_elems += o.adaptive.rerouted_elems;
         blocks.extend(o.blocks);
     }
-    let result = match spec.kind {
-        JobKind::Eigen => {
-            let (eigenvalues, eigenvectors) = eigenpairs(&blocks);
-            let result = EigenResult {
-                eigenvalues,
-                eigenvectors,
-                sweeps,
-                rotations,
-                off_history,
-                converged,
-            };
-            JobResult::Eigen(result)
-        }
-        JobKind::Svd => {
-            let (singular_values, u, v) = extract_usv_blocks(&blocks, spec.a.rows(), spec.a.cols());
-            JobResult::Svd(SvdResult { singular_values, u, v, sweeps, rotations, converged })
-        }
-    };
-    (result, span)
+    (answer(spec, &blocks, tally), span)
+}
+
+/// An eigen job's answer: [`eigenpairs`] of its blocks.
+pub(crate) fn eigen_answer(_: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> EigenResult {
+    let (eigenvalues, eigenvectors) = eigenpairs(blocks);
+    let Tally { sweeps, rotations, off_history, converged } = t;
+    EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
+}
+
+/// An SVD job's answer: [`extract_usv_blocks`] of its blocks.
+pub(crate) fn svd_answer(spec: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> SvdResult {
+    let (singular_values, u, v) = extract_usv_blocks(blocks, spec.a.rows(), spec.a.cols());
+    let Tally { sweeps, rotations, converged, .. } = t;
+    SvdResult { singular_values, u, v, sweeps, rotations, converged }
+}
+
+/// A batch or service job's answer, of its spec's kind.
+fn job_answer(spec: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> JobResult {
+    match spec.kind {
+        JobKind::Eigen => JobResult::Eigen(eigen_answer(spec, blocks, t)),
+        JobKind::Svd => JobResult::Svd(svd_answer(spec, blocks, t)),
+    }
 }
 
 /// The admission script of an online service run (see
@@ -1448,6 +1480,9 @@ pub struct ServiceRun {
     pub meter: TrafficMeter,
     /// Fabric report; its makespan is when the service drained.
     pub fabric: FabricReport,
+    /// The relay work around dead links, summed over served jobs
+    /// (`recalibrations` is a solo solve's: always 0 here).
+    pub adaptive: AdaptiveReport,
 }
 
 impl ServiceRun {
@@ -1480,7 +1515,7 @@ struct ServiceNode<'a> {
     lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
     shared: &'a [JobShared],
     plan: &'a ServicePlan,
-    d: usize,
+    run: &'a RunShared,
     /// Whether the fabric has a machine, and so a clock to read arrivals on.
     clocked: bool,
     nodes: Vec<Option<JobNode<'a>>>,
@@ -1548,7 +1583,7 @@ impl<'a> ServiceNode<'a> {
                 let j = self.queue.remove(pick);
                 let (spec, plans, shared) = (&self.jobs[j], &self.lowered[j].0, &self.shared[j]);
                 self.nodes[j] =
-                    Some(JobNode::new(j as u32, spec, plans, shared, None, self.d, ctx.id()));
+                    Some(JobNode::new(j as u32, spec, plans, shared, self.run, ctx.id()));
                 self.log.admitted_at[j] = Some(now);
                 self.active.push(j);
                 admitted.push(j);
@@ -1635,6 +1670,11 @@ impl<'a> ServiceNode<'a> {
 /// batch driver's pairing guarantees carry over unchanged — including
 /// bitwise equality of every served job with its solo run.
 ///
+/// Each boundary's barrier advances the fabric epoch, so a service runs
+/// one epoch per round: on a [`FabricModel::Degraded`] fabric a round's
+/// sweeps relay around the links dead at its epoch, a death scheduled
+/// mid-service taking effect at the round it lands in.
+///
 /// Besides the fabric's link/barrier events, `sink` receives every
 /// admission decision — [`TraceEvent::Admit`] / [`TraceEvent::Reject`] at
 /// sweep boundaries and [`TraceEvent::Stagger`] skip assignments.
@@ -1654,6 +1694,7 @@ pub fn run_job_service(
     plan.validate(jobs.len());
     assert_square_eigen_jobs(jobs);
     let shared = job_shared(jobs, d, lowered);
+    let run = RunShared::new(d, &fabric, None);
     let njobs = jobs.len();
     let clocked = fabric.machine().is_some();
 
@@ -1664,7 +1705,7 @@ pub fn run_job_service(
             lowered,
             shared: &shared,
             plan,
-            d,
+            run: &run,
             clocked,
             nodes: (0..njobs).map(|_| None).collect(),
             queue: Vec::new(),
@@ -1695,6 +1736,7 @@ pub fn run_job_service(
     let log0 = node_logs.swap_remove(0);
     let mut results: Vec<Option<JobResult>> = Vec::with_capacity(njobs);
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(njobs);
+    let mut adaptive = AdaptiveReport::default();
     for (j, spec) in jobs.iter().enumerate() {
         if let Some(rej) = log0.rejected[j] {
             results.push(None);
@@ -1702,7 +1744,7 @@ pub fn run_job_service(
             continue;
         }
         let shares = outputs.iter_mut().map(|o| o[j].take().expect("admitted on every node"));
-        let (result, span) = assemble_job(spec, shares.collect());
+        let (result, span) = assemble_job(spec, shares.collect(), &mut adaptive, job_answer);
         let admitted = log0.admitted_at[j].expect("a job is admitted or rejected");
         // A zero-budget job never steps, so its span is empty; it
         // finishes the moment it is admitted.
@@ -1713,7 +1755,7 @@ pub fn run_job_service(
         results.push(Some(result));
         outcomes.push(JobOutcome::Served { arrival, admitted, finish });
     }
-    ServiceRun { results, outcomes, boundaries: log0.boundaries, meter, fabric }
+    ServiceRun { results, outcomes, boundaries: log0.boundaries, meter, fabric, adaptive }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! * [`AdaptiveReport`] is what a degraded solve reports back, in
 //!   [`ThreadedRun::adaptive`].
 
-use crate::multidrive::{solve_solo, JobResult, JobSpec};
+use crate::multidrive::{eigen_answer, solve_solo, svd_answer, JobSpec};
 use crate::options::{EigenResult, JacobiOptions, Pipelining};
 use crate::svd::SvdResult;
 use mph_ccpipe::{plan_pipelining, plan_tail_pipelining};
@@ -30,8 +30,9 @@ use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSched
 use mph_linalg::Matrix;
 use mph_runtime::{FabricReport, TrafficMeter};
 
-/// What the adaptive layer did during a degraded solve — all zeros on
-/// clean fabrics. See [`block_jacobi_threaded`].
+/// What the adaptive layer did during a degraded run — all zeros on
+/// clean fabrics. See [`block_jacobi_threaded`]; batch and service runs
+/// report their relays too (`BatchRun::adaptive`, `ServiceRun::adaptive`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdaptiveReport {
     /// Times the solver re-priced against a newly agreed machine
@@ -151,13 +152,6 @@ pub struct ThreadedRun<R> {
     pub adaptive: AdaptiveReport,
 }
 
-impl<R> ThreadedRun<R> {
-    fn map<S>(self, f: impl FnOnce(R) -> S) -> ThreadedRun<S> {
-        let ThreadedRun { result, meter, fabric, adaptive } = self;
-        ThreadedRun { result: f(result), meter, fabric, adaptive }
-    }
-}
-
 /// Distributed eigensolve on a `d`-cube of threads, over
 /// [`JacobiOptions::fabric`].
 ///
@@ -197,10 +191,7 @@ pub fn block_jacobi_threaded(
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> ThreadedRun<EigenResult> {
-    solve_solo(&JobSpec::eigen(a0, family, opts.clone()), d).map(|r| match r {
-        JobResult::Eigen(r) => r,
-        JobResult::Svd(_) => unreachable!("an eigen job returns an eigen result"),
-    })
+    solve_solo(&JobSpec::eigen(a0, family, opts.clone()), d, eigen_answer)
 }
 
 /// The block one-sided Jacobi SVD on the same engine: the phase walk,
@@ -214,10 +205,7 @@ pub fn svd_block_threaded(
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> ThreadedRun<SvdResult> {
-    solve_solo(&JobSpec::svd(a, family, opts.clone()), d).map(|r| match r {
-        JobResult::Svd(r) => r,
-        JobResult::Eigen(_) => unreachable!("an SVD job returns an SVD result"),
-    })
+    solve_solo(&JobSpec::svd(a, family, opts.clone()), d, svd_answer)
 }
 
 /// [`block_jacobi_threaded`] as the 3-tuple `benchmark/src/api.rs` names.

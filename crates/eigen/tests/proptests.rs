@@ -248,10 +248,85 @@ fn the_residual_vote_survives_a_dead_link_like_the_max_vote_did() {
     }
 }
 
+#[test]
+fn deaths_ride_the_engine_through_batch_and_serve_with_logical_bits() {
+    // Pipelined jobs on a degraded fabric whose links die at epoch 0 and
+    // mid-service. A batch stays at epoch 0 and relays around the links
+    // dead there; a service runs one epoch per round, from epoch 1, so a
+    // death at epoch 2 lands in its second round. Either way a sweep that
+    // meets a dead link runs whole-block, and every job keeps its logical
+    // solve's bits — the eigen jobs' votes, relayed too, agreeing on its
+    // `off_history`.
+    let death = |node, dim, epoch| LinkDeath { node, dim, epoch };
+    let schedules = [
+        (2, vec![death(0, 0, 0)]),
+        (2, vec![death(1, 1, 2)]),
+        (3, vec![death(0, 0, 0), death(6, 1, 2)]),
+    ];
+    for (d, deaths) in schedules {
+        let m = 4 << d;
+        let (e, s) = (random_symmetric(m, 81), random_symmetric(m - 3, 82));
+        let piped = JacobiOptions {
+            pipelining: Pipelining::Fixed(2),
+            tail_pipelining: Pipelining::Fixed(2),
+            ..Default::default()
+        };
+        let forced = JacobiOptions { force_sweeps: Some(3), ..piped.clone() };
+        let cached = JacobiOptions { cache_diagonals: true, ..piped.clone() };
+        let jobs = [
+            JobSpec::eigen(&e, OrderingFamily::PermutedBr, cached),
+            JobSpec::svd(&s, OrderingFamily::Degree4, forced),
+            JobSpec::eigen(&s, OrderingFamily::Br, piped),
+        ];
+        let at_zero = deaths.iter().any(|x| x.epoch == 0);
+        let spec = ScenarioSpec {
+            epochs: 4,
+            hetero_spread: 1.0,
+            deaths,
+            ..ScenarioSpec::clean(9, Machine::all_port(1000.0, 100.0))
+        };
+        let sc = Scenario::new(d, spec).expect("the deaths keep the cube connected");
+        let fabric = FabricModel::Degraded(Arc::new(sc));
+        let lowered: Vec<_> = jobs.iter().map(|job| lower_job(job, d)).collect();
+        let order = BatchOrder::RoundRobin { order: vec![0, 1, 2], stride: 1 };
+        let run = run_job_batch(d, &jobs, &lowered, fabric.clone(), &order, SinkHandle::nop());
+        let plan = ServicePlan::fifo(vec![0.0; 3]);
+        let served = run_job_service(d, &jobs, &lowered, fabric, &plan, SinkHandle::nop());
+        let what = format!("d={d} epoch-0 death {at_zero}");
+        assert_eq!(run.adaptive.reroutes > 0, at_zero, "{what}: a batch relays at epoch 0 only");
+        assert!(served.adaptive.reroutes > 0, "{what}: the service reaches every death");
+        assert!(served.boundaries.len() > 3, "{what}: the last death lands mid-service");
+        for (j, spec) in jobs.iter().enumerate() {
+            let served = served.results[j].as_ref().expect("served");
+            for (door, got) in [("batch", &run.results[j]), ("service", served)] {
+                let what = format!("{what} {door} job {j}");
+                match got {
+                    JobResult::Eigen(got) => {
+                        let logical = block_jacobi(spec.a, d, spec.family, &spec.opts);
+                        assert_stops_like_logical(got, &logical, &what);
+                    }
+                    JobResult::Svd(got) => {
+                        let logical = svd_block(spec.a, d, spec.family, &spec.opts);
+                        let bits =
+                            |r: &SvdResult| (r.sweeps, r.rotations, r.u.clone(), r.v.clone());
+                        assert_eq!(got.singular_values, logical.singular_values, "{what}");
+                        assert!(bits(got) == bits(&logical), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---- degraded-fabric scenario properties -------------------------------
 
-use mph_eigen::{Adaptation, ThreadedRun};
-use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
+use mph_ccpipe::BatchOrder;
+use mph_eigen::{
+    lower_job, run_job_batch, run_job_service, svd_block, Adaptation, JobResult, JobSpec,
+    ServicePlan, SvdResult, ThreadedRun,
+};
+use mph_linalg::symmetric::random_symmetric;
+use mph_runtime::{LinkDeath, Scenario, ScenarioSpec, SinkHandle};
 use std::sync::Arc;
 
 /// An arbitrary impaired (possibly deadly) scenario on a 2-cube: static

@@ -86,21 +86,6 @@ pub fn is_link_sequence_hamiltonian(seq: &[usize], e: usize) -> bool {
     validate_e_sequence(seq, e).is_ok()
 }
 
-/// α of a link sequence: the maximum number of repetitions of any single
-/// link identifier (paper §3.1). For a valid `e`-sequence this is the number
-/// of packets that must share the busiest link under deep pipelining.
-pub fn link_sequence_alpha(seq: &[usize]) -> usize {
-    let e = match seq.iter().max() {
-        Some(&m) => m + 1,
-        None => return 0,
-    };
-    let mut counts = vec![0usize; e];
-    for &l in seq {
-        counts[l] += 1;
-    }
-    counts.into_iter().max().unwrap_or(0)
-}
-
 /// Depth-first search for a Hamiltonian path of the `e`-cube whose link
 /// sequence uses every link at most `budget` times. Returns the first link
 /// sequence found, or `None` when no such path exists (or `max_steps` search
@@ -218,9 +203,15 @@ mod tests {
 
     #[test]
     fn alpha_counts_max_repetitions() {
-        assert_eq!(link_sequence_alpha(&[0, 1, 0, 2, 0, 1, 0]), 4); // BR e=3
-        assert_eq!(link_sequence_alpha(&[0, 1, 0, 2, 1, 0, 1]), 3); // min-α e=3
-        assert_eq!(link_sequence_alpha(&[]), 0);
+        // The budget the search enforces is α: the largest number of
+        // repetitions of any single link in the sequence.
+        let max_reps = |seq: &[usize], e: usize| {
+            (0..e).map(|l| seq.iter().filter(|&&x| x == l).count()).max().unwrap_or(0)
+        };
+        assert_eq!(max_reps(&gray_link_sequence(3), 3), 4); // BR e=3
+        let seq = search_hamiltonian_with_budget(3, 3, 1_000_000).expect("e=3 has an α=3 path");
+        assert_eq!(max_reps(&seq, 3), 3); // min-α e=3: 7 steps over 3 links
+        assert_eq!(max_reps(&[], 3), 0);
     }
 
     #[test]
@@ -230,7 +221,7 @@ mod tests {
             let seq = search_hamiltonian_with_budget(e, want_alpha, 50_000_000)
                 .unwrap_or_else(|| panic!("no α≤{want_alpha} path found for e={e}"));
             assert!(is_link_sequence_hamiltonian(&seq, e));
-            assert!(link_sequence_alpha(&seq) <= want_alpha);
+            assert!((0..e).all(|l| seq.iter().filter(|&&x| x == l).count() <= want_alpha));
         }
     }
 

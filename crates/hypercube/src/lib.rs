@@ -12,7 +12,7 @@
 //!   canonical Hamiltonian path of a hypercube), the reference `mph-core`'s
 //!   BR sequence is tested against;
 //! * [`hamiltonian`] — link sequences as node paths, Hamiltonicity
-//!   validation, α, and bounded search for Hamiltonian paths with a
+//!   validation, and bounded search for Hamiltonian paths with a
 //!   per-link usage budget (the "α budget" of the paper's minimum-α
 //!   ordering);
 //! * [`routing`] — the relay route around dead links ([`surviving_route`]),
@@ -35,7 +35,7 @@ pub type NodeId = usize;
 
 pub use gray::gray_link_sequence;
 pub use hamiltonian::{
-    is_link_sequence_hamiltonian, link_sequence_alpha, link_sequence_to_path,
-    search_hamiltonian_with_budget, validate_e_sequence, HamiltonianError,
+    is_link_sequence_hamiltonian, link_sequence_to_path, search_hamiltonian_with_budget,
+    validate_e_sequence, HamiltonianError,
 };
 pub use routing::surviving_route;

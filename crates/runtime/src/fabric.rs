@@ -291,6 +291,12 @@ impl LinkClock {
         }
     }
 
+    /// Barriers passed so far: the scenario epoch (0 under
+    /// [`FabricModel::Free`]).
+    pub(crate) fn epoch(&self) -> usize {
+        self.barrier_gen
+    }
+
     /// This node's current virtual time (0 under [`FabricModel::Free`]).
     pub(crate) fn now(&self) -> f64 {
         self.clock.now()

@@ -283,10 +283,15 @@ impl Scenario {
         epoch < self.dead_from[u][dim]
     }
 
-    /// Whether any link death is scheduled at all (drivers that cannot
-    /// reroute reject such scenarios up front).
-    pub fn has_deaths(&self) -> bool {
-        self.dead_from.iter().any(|dims| dims.iter().any(|&e| e != usize::MAX))
+    /// The epochs at which some link dies, ascending and distinct: the
+    /// dead edges ([`Self::dead_edges`]) change there and nowhere else.
+    /// Empty when no death is scheduled.
+    pub fn death_epochs(&self) -> Vec<usize> {
+        let mut epochs: Vec<usize> =
+            self.dead_from.iter().flatten().copied().filter(|&e| e != usize::MAX).collect();
+        epochs.sort_unstable();
+        epochs.dedup();
+        epochs
     }
 
     /// The dead undirected edges at `epoch`, as `(smaller endpoint, dim)`
@@ -402,18 +407,23 @@ mod tests {
                 assert!(sc.edge_alive(node, dim, 0));
             }
         }
-        assert!(!sc.has_deaths());
+        assert!(sc.death_epochs().is_empty());
         assert_eq!(sc.worst_alive_machine(0), Machine::all_port(10.0, 2.0));
     }
 
     #[test]
     fn deaths_follow_the_schedule_and_normalize_endpoints() {
         let spec = ScenarioSpec {
-            deaths: vec![LinkDeath { node: 5, dim: 0, epoch: 2 }],
+            deaths: vec![
+                LinkDeath { node: 5, dim: 0, epoch: 2 },
+                LinkDeath { node: 4, dim: 0, epoch: 9 },
+            ],
             ..ScenarioSpec::clean(3, Machine::paper_figure2())
         };
         let sc = Scenario::new(3, spec).expect("one death keeps a 3-cube connected");
-        assert!(sc.has_deaths());
+        // Edge (4, 5) is scheduled twice, from either endpoint: the first
+        // death counts.
+        assert_eq!(sc.death_epochs(), vec![2]);
         // Edge (4, 5): alive at epochs 0 and 1, dead from 2 on — queried
         // from either endpoint.
         for epoch in 0..2 {

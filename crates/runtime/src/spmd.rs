@@ -286,6 +286,12 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
         self.book.borrow_mut().take_window()
     }
 
+    /// The fabric epoch this node's sends are charged at: the barriers it
+    /// has passed (always 0 on a [`FabricModel::Free`] fabric).
+    pub fn epoch(&self) -> usize {
+        self.book.borrow().epoch()
+    }
+
     /// The barrier, as a step: `Poll::Ready` once all `2^d` nodes have
     /// reached it, `Poll::Pending` until then — call it again on resuming
     /// until it is through. On a throttled fabric the nodes also

@@ -1,9 +1,7 @@
 //! The serving front end: lower, plan admission, run, measure.
 
 use crate::scenario::Scenario;
-use mph_batch::{
-    check_shared_fabric, planned_jobs, service_plan, AdmissionConfig, Policy, Throughput,
-};
+use mph_batch::{planned_jobs, service_plan, AdmissionConfig, Policy, Throughput};
 use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
 use mph_eigen::{lower_job, run_job_service, JobSpec, ServiceRun};
@@ -100,15 +98,11 @@ impl ServeReport {
 /// every job once, prices admission with the same plans the driver
 /// executes, runs the online service, and assembles the SLO report.
 ///
-/// # Panics
-/// Before anything is lowered, on a fabric [`check_shared_fabric`]
-/// refuses (with that error's message): served jobs carry no relay
-/// tables, and the service's per-round barrier advances the fabric epoch,
-/// so a scheduled link death would otherwise panic in every node at the
-/// epoch it lands.
+/// On a degraded fabric the service runs one scenario epoch per round:
+/// each round's sweeps relay around the links dead at its epoch, so a
+/// death scheduled mid-service takes effect at the round it lands in.
 pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport {
     assert_eq!(scenario.jobs.len(), scenario.arrivals.len(), "one arrival per job");
-    check_shared_fabric(&opts.fabric).unwrap_or_else(|e| panic!("{e}"));
     let specs: Vec<JobSpec> = scenario.jobs.iter().map(|j| j.to_spec()).collect();
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|s| lower_job(s, d)).collect();
@@ -171,7 +165,7 @@ mod tests {
     use super::*;
     use crate::scenario::{JobClass, ScenarioGen};
     use mph_core::OrderingFamily;
-    use mph_eigen::JacobiOptions;
+    use mph_eigen::{JacobiOptions, JobResult};
 
     fn small_scenario(seed: u64, n: usize, gap: f64) -> Scenario {
         let mut gen = ScenarioGen::new(
@@ -236,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn a_scheduled_link_death_is_refused_up_front_and_a_death_free_scenario_serves() {
+    fn a_scheduled_link_death_is_relayed_and_a_death_free_scenario_serves() {
         use mph_runtime::{LinkDeath, Scenario as Impairments, ScenarioSpec};
         use std::sync::Arc;
         let degraded = |deaths: Vec<LinkDeath>| {
@@ -250,18 +244,24 @@ mod tests {
             ServeOptions { fabric: FabricModel::Degraded(Arc::new(sc)), ..Default::default() }
         };
         let scenario = small_scenario(5, 3, 0.0);
-        // The service's round barrier advances the epoch, so a death at
-        // epoch 1 would be reached mid-service by jobs that cannot relay.
-        let deadly = degraded(vec![LinkDeath { node: 0, dim: 0, epoch: 1 }]);
-        let run = || serve(2, &scenario, &deadly);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-            .expect_err("served jobs cannot route around a dead link");
-        let msg = panic.downcast_ref::<String>().expect("the typed error's Display");
-        assert!(msg.contains("reroute"), "{msg}");
-        // Heterogeneity alone re-times the service and sheds nothing.
+        // The service's round barrier advances the epoch, so the death at
+        // epoch 1 lands in its first round: every round relays around it,
+        // and every job keeps the bits heterogeneity alone leaves it.
+        let deadly = serve(2, &scenario, &degraded(vec![LinkDeath { node: 0, dim: 0, epoch: 1 }]));
         let report = serve(2, &scenario, &degraded(Vec::new()));
-        assert_eq!((report.served(), report.rejected()), (3, 0));
-        assert!(report.makespan > 0.0, "a degraded fabric ticks the clock");
+        for r in [&deadly, &report] {
+            assert_eq!((r.served(), r.rejected()), (3, 0));
+            assert!(r.makespan > 0.0, "a degraded fabric ticks the clock");
+        }
+        assert!(deadly.run.adaptive.reroutes > 0 && report.run.adaptive.reroutes == 0);
+        let values = |r: &ServeReport| -> Vec<Vec<f64>> {
+            let values = |r: &JobResult| match r {
+                JobResult::Eigen(e) => e.eigenvalues.clone(),
+                JobResult::Svd(s) => s.singular_values.clone(),
+            };
+            r.run.results.iter().flatten().map(values).collect()
+        };
+        assert_eq!(values(&deadly), values(&report), "a relay moves blocks, never bits");
     }
 
     #[test]

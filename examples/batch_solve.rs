@@ -72,10 +72,10 @@ fn main() {
         ("spf       ", Policy::ShortestPlanFirst),
         ("interleave", Policy::Interleave { stride: 1 }),
     ] {
-        // The checked constructor: a zero stride or a fabric the batch
-        // cannot share is a typed error here, not a panic mid-run.
-        let batch = BatchOptions::new(fabric.clone(), policy)
-            .expect("a death-free throttled fabric is batchable");
+        // The checked constructor: a zero stride or a fabric the links
+        // cannot enforce is a typed error here, not a panic mid-run.
+        let batch =
+            BatchOptions::new(fabric.clone(), policy).expect("an enforceable fabric is batchable");
         let report = solve_batch(d, &jobs, &batch);
         if fifo_makespan == 0.0 {
             fifo_makespan = report.makespan;

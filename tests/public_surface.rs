@@ -52,7 +52,7 @@ const KEEP: &[(&str, &str)] = &[
     ("Scenario::factors", "busy_vtime_reconciles_with_the_meter"),
     ("Machine::stage_cost_from_mults", "fast_cost_equals_naive_cost"),
     ("strict_stage_lower_bound", "strict_bound_is_below_ideal_window_cost"),
-    ("svd_block_threaded", "every_served_job_is_bitwise_its_solo_run_and_nobody_starves"),
+    ("svd_block_threaded", "svd_block_threaded_equals_logical_svd_block_bitwise"),
     ("validate_column_ordering", "column_ordering_is_valid_for_arbitrary_m"),
     ("validate_sweep_coverage", "coverage_holds_for_every_sweep_rotation"),
     // Fixtures: the inputs and schedules those tests are built from.
