@@ -38,6 +38,4 @@ pub use job::Job;
 pub use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, PlannedJob};
 pub use mph_eigen::{JobResult, JobSpan, JobSpec, ServicePlan};
 pub use policy::Policy;
-pub use scheduler::{
-    planned_jobs, solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput,
-};
+pub use scheduler::{solve_batch, BatchConfigError, BatchOptions, BatchReport, Throughput};

@@ -52,20 +52,7 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSchedule};
-
-    fn chain(m: usize, d: usize, sweeps: usize) -> Vec<CommPlan> {
-        let partition = BlockPartition::new(m, 2 << d);
-        let mut layout = BlockLayout::canonical(d);
-        (0..sweeps)
-            .map(|s| {
-                let schedule = SweepSchedule::sweep(d, OrderingFamily::Br, s);
-                let plan = CommPlan::lower(&schedule, &partition, &layout, 2 * m);
-                layout = plan.final_layout().clone();
-                plan
-            })
-            .collect()
-    }
+    use mph_core::{CommPlan, OrderingFamily};
 
     fn ones(plans: &[CommPlan]) -> Vec<Vec<usize>> {
         plans.iter().map(|p| p.exchange_phases().map(|_| 1).collect()).collect()
@@ -73,8 +60,8 @@ mod tests {
 
     #[test]
     fn shortest_plan_first_sorts_by_priced_cost() {
-        let big = chain(64, 2, 1);
-        let small = chain(16, 2, 1);
+        let big = CommPlan::chain(64, 2, OrderingFamily::Br, 128, 1);
+        let small = CommPlan::chain(16, 2, OrderingFamily::Br, 32, 1);
         let (qb, qs) = (ones(&big), ones(&small));
         let planned = [
             PlannedJob { plans: &big, qs: &qb, tail_q: 1 },
@@ -89,7 +76,7 @@ mod tests {
 
     #[test]
     fn fifo_and_interleave_keep_submission_order() {
-        let a = chain(16, 1, 1);
+        let a = CommPlan::chain(16, 1, OrderingFamily::Br, 32, 1);
         let qa = ones(&a);
         let planned = [
             PlannedJob { plans: &a, qs: &qa, tail_q: 1 },

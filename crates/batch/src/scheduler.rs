@@ -2,11 +2,9 @@
 
 use crate::job::Job;
 use crate::policy::Policy;
-use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, Machine, PlannedJob};
+use mph_ccpipe::{batch_cost, BatchCost, BatchOrder, Machine};
 use mph_core::CommPlan;
-use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_batch, JobResult, JobSpan, JobSpec,
-};
+use mph_eigen::{lower_job, planned_jobs, run_job_batch, JobResult, JobSpan, JobSpec};
 use mph_runtime::{FabricConfigError, FabricModel, FabricReport, SinkHandle, TrafficMeter};
 
 /// Batch-level options.
@@ -131,28 +129,6 @@ impl BatchReport {
     pub fn mean_finish(&self) -> f64 {
         self.spans.iter().map(|s| s.finish).sum::<f64>() / self.spans.len().max(1) as f64
     }
-}
-
-/// The cost model's view of `lowered[j]` = [`lower_job`]`(specs[j], d)`:
-/// the plans and exchange degrees as lowered, plus the tail degree the
-/// engine will execute. The engine makes that choice per plan; plans of
-/// one job share it for `Off`/`Fixed`, `Auto` converges per plan, and the
-/// first plan's choice prices the job.
-pub fn planned_jobs<'a>(
-    specs: &[JobSpec<'_>],
-    lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
-    d: usize,
-) -> Vec<PlannedJob<'a>> {
-    lowered
-        .iter()
-        .zip(specs)
-        .map(|((plans, qs), spec)| {
-            let q_cap = packetization_cap(spec.a.cols(), d);
-            let tail = &spec.opts.tail_pipelining;
-            let tail_q = plans.first().map_or(1, |plan| choose_tail_qs(plan, tail, q_cap));
-            PlannedJob { plans, qs, tail_q }
-        })
-        .collect()
 }
 
 /// Solves `jobs` on a `d`-cube of threads sharing one fabric. Lowers each

@@ -186,7 +186,6 @@ pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) ->
 mod tests {
     use super::*;
     use crate::plancost::{chained_tail_cost, plan_unpipelined_cost};
-    use crate::testutil::lower_chain;
     use mph_core::OrderingFamily;
 
     fn ones(plans: &[CommPlan]) -> Vec<Vec<usize>> {
@@ -250,7 +249,7 @@ mod tests {
         // equal the chained plan_unpipelined_cost — an unpipelined solo
         // run is where the paper model and the schedule clock coincide.
         let machine = Machine::all_port(1000.0, 100.0);
-        let plans = lower_chain(32, 2, OrderingFamily::Br, 2);
+        let plans = CommPlan::chain(32, 2, OrderingFamily::Br, 64, 2);
         let qs = ones(&plans);
         let job = PlannedJob { plans: &plans, qs: &qs, tail_q: 1 };
         let want: f64 = plans.iter().map(|p| plan_unpipelined_cost(p, &machine)).sum();
@@ -270,8 +269,8 @@ mod tests {
         // interleave buys no wire time: all it can hide is one job's
         // start-ups under the other's transmissions.
         let machine = Machine::one_port(1000.0, 100.0);
-        let plans_a = lower_chain(32, 2, OrderingFamily::Br, 1);
-        let plans_b = lower_chain(32, 2, OrderingFamily::Degree4, 1);
+        let plans_a = CommPlan::chain(32, 2, OrderingFamily::Br, 64, 1);
+        let plans_b = CommPlan::chain(32, 2, OrderingFamily::Degree4, 64, 1);
         let (qa, qb) = (ones(&plans_a), ones(&plans_b));
         let jobs = [
             PlannedJob { plans: &plans_a, qs: &qa, tail_q: 1 },
@@ -300,7 +299,7 @@ mod tests {
         let machine = Machine::all_port(1000.0, 100.0);
         let families = [OrderingFamily::Br, OrderingFamily::Degree4, OrderingFamily::PermutedBr];
         let chains: Vec<Vec<CommPlan>> =
-            families.iter().map(|&f| lower_chain(64, 3, f, 1)).collect();
+            families.iter().map(|&f| CommPlan::chain(64, 3, f, 128, 1)).collect();
         let qss: Vec<Vec<Vec<usize>>> = chains.iter().map(|c| ones(c)).collect();
         let jobs: Vec<PlannedJob> = chains
             .iter()
@@ -330,7 +329,7 @@ mod tests {
         let machine = Machine::all_port(1000.0, 100.0);
         let d = 2usize;
         let m = 32usize;
-        let plans = lower_chain(m, d, OrderingFamily::Br, 2);
+        let plans = CommPlan::chain(m, d, OrderingFamily::Br, 2 * m, 2);
         let qs = ones(&plans);
         let job = PlannedJob { plans: &plans, qs: &qs, tail_q: 1 };
         let c = batch_cost(&[job, job], &machine, &BatchOrder::Serial(vec![0, 1]));
@@ -344,7 +343,7 @@ mod tests {
         // tail_q > 1 swaps the whole-block serial sum for the chained-run
         // price in the solo column, the tail line and the prediction.
         let machine = Machine::all_port(1000.0, 100.0);
-        let plans = lower_chain(256, 3, OrderingFamily::Br, 1);
+        let plans = CommPlan::chain(256, 3, OrderingFamily::Br, 512, 1);
         let qs = ones(&plans);
         let base = PlannedJob { plans: &plans, qs: &qs, tail_q: 1 };
         let piped = PlannedJob { plans: &plans, qs: &qs, tail_q: 4 };
@@ -363,7 +362,7 @@ mod tests {
     #[should_panic(expected = "lists job 0 twice")]
     fn duplicate_order_is_rejected() {
         let machine = Machine::paper_figure2();
-        let plans = lower_chain(16, 1, OrderingFamily::Br, 1);
+        let plans = CommPlan::chain(16, 1, OrderingFamily::Br, 32, 1);
         let qs = ones(&plans);
         let job = PlannedJob { plans: &plans, qs: &qs, tail_q: 1 };
         let _ = batch_cost(&[job, job], &machine, &BatchOrder::Serial(vec![0, 0]));

@@ -64,27 +64,3 @@ pub use sweepcost::{
     figure2_point, pipelined_sweep_cost, unpipelined_sweep_cost, Figure2Point, PhaseOutcome,
     SweepCost, Workload,
 };
-
-#[cfg(test)]
-pub(crate) mod testutil {
-    use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSchedule};
-
-    /// Sweeps `0..sweeps` of an `m`-column eigensolve on a `d`-cube, each
-    /// lowered from its predecessor's final layout.
-    pub(crate) fn lower_chain(
-        m: usize,
-        d: usize,
-        family: OrderingFamily,
-        sweeps: usize,
-    ) -> Vec<CommPlan> {
-        let partition = BlockPartition::new(m, 2 << d);
-        let mut layout = BlockLayout::canonical(d);
-        let mut lower = |s| {
-            let schedule = SweepSchedule::sweep(d, family, s);
-            let plan = CommPlan::lower(&schedule, &partition, &layout, 2 * m);
-            layout = plan.final_layout().clone();
-            plan
-        };
-        (0..sweeps).map(&mut lower).collect()
-    }
-}

@@ -57,11 +57,14 @@ pub struct PhaseChoice {
 /// (e = d down to 1). This is the function that turns the cost model into
 /// the threaded solver's scheduler.
 pub fn plan_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> Vec<PhaseChoice> {
-    plan.exchange_phases()
-        .map(|ph| {
-            let PhaseKind::Exchange { e } = ph.kind else { unreachable!() };
-            let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-            PhaseChoice { e, opt: optimize_q(&model, q_max) }
+    plan.phases()
+        .iter()
+        .filter_map(|ph| match ph.kind {
+            PhaseKind::Exchange { e } => {
+                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
+                Some(PhaseChoice { e, opt: optimize_q(&model, q_max) })
+            }
+            _ => None,
         })
         .collect()
 }

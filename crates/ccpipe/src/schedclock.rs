@@ -130,7 +130,6 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::lower_chain;
     use mph_core::OrderingFamily;
 
     #[test]
@@ -138,7 +137,7 @@ mod tests {
         // m = 8 on d = 1: X_1, Div_1, Last, each one 32-element block over
         // link 0; Ts = 10, Tw = 1.
         let machine = Machine::all_port(10.0, 1.0);
-        let plans = lower_chain(8, 1, OrderingFamily::Br, 1);
+        let plans = CommPlan::chain(8, 1, OrderingFamily::Br, 16, 1);
         let run = |q: usize, tail_q: usize| {
             let qs = [vec![q]];
             let job = PlannedJob { plans: &plans, qs: &qs, tail_q };
@@ -162,8 +161,8 @@ mod tests {
     fn orders_merge_the_streams_as_the_engine_does() {
         let machine = Machine::all_port(1000.0, 100.0);
         let (a, b) = (
-            lower_chain(32, 2, OrderingFamily::Br, 2),
-            lower_chain(16, 2, OrderingFamily::Degree4, 1),
+            CommPlan::chain(32, 2, OrderingFamily::Br, 64, 2),
+            CommPlan::chain(16, 2, OrderingFamily::Degree4, 32, 1),
         );
         let qs = |plans: &[CommPlan], q: usize| -> Vec<Vec<usize>> {
             plans.iter().map(|p| p.exchange_phases().map(|_| q).collect()).collect()

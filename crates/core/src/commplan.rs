@@ -39,6 +39,7 @@
 //! cross-crate in `mph-eigen`'s pipeline-traffic tests.
 
 use crate::coverage::BlockLayout;
+use crate::family::OrderingFamily;
 use crate::partition::BlockPartition;
 use crate::sweep::{SweepSchedule, TransitionKind};
 use std::ops::Range;
@@ -172,6 +173,29 @@ impl CommPlan {
             layout.apply(t);
         }
         CommPlan { d, elems_per_col, phases, final_layout: layout }
+    }
+
+    /// Lowers sweeps `0..sweeps` of an `n_cols`-column solve on a `d`-cube
+    /// under `family`, sweep `s` from sweep `s − 1`'s final layout, so
+    /// message sizes stay exact on uneven partitions too: the plan chain a
+    /// solve executes and the cost model prices.
+    pub fn chain(
+        n_cols: usize,
+        d: usize,
+        family: OrderingFamily,
+        elems_per_col: usize,
+        sweeps: usize,
+    ) -> Vec<CommPlan> {
+        let partition = BlockPartition::new(n_cols, 2 << d);
+        let mut layout = BlockLayout::canonical(d);
+        (0..sweeps)
+            .map(|s| {
+                let schedule = SweepSchedule::sweep(d, family, s);
+                let plan = CommPlan::lower(&schedule, &partition, &layout, elems_per_col);
+                layout = plan.final_layout().clone();
+                plan
+            })
+            .collect()
     }
 
     /// Cube dimension.

@@ -48,29 +48,26 @@ pub fn block_jacobi(
         .collect();
     let norm_a = a0.frobenius_norm();
     let mut layout = BlockLayout::canonical(d);
-    let mut off_history = vec![off_norm_blocks(&blocks, &layout)];
+    let mut off = off_norm_blocks(&blocks, &layout);
+    let mut off_history = vec![off];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
-    let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
+    // A forced solve runs its sweeps whatever the residual.
+    let stop_early = opts.force_sweeps.is_none();
     let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
 
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
-    while !converged && sweeps < budget {
+    while !(stop_early && off <= opts.tol * norm_a) && sweeps < budget {
         let schedule = SweepSchedule::sweep(d, family, sweeps);
         let acc = logical_sweep(&kern, &mut blocks, &schedule, &mut layout, opts);
         rotations += acc.rotations;
         sweeps += 1;
         // Post-sweep, over the layout the sweep ended in: the value the
         // threaded driver's nodes vote on, to the bit.
-        let off = off_norm_blocks(&blocks, &layout);
+        off = off_norm_blocks(&blocks, &layout);
         off_history.push(off);
-        if opts.force_sweeps.is_none() {
-            converged = off <= opts.tol * norm_a;
-        }
     }
-    if opts.force_sweeps.is_some() {
-        converged = *off_history.last().unwrap() <= opts.tol * norm_a;
-    }
+    let converged = off <= opts.tol * norm_a;
 
     let (eigenvalues, eigenvectors) = eigenpairs(&blocks);
     EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }

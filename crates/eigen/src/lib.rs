@@ -54,7 +54,7 @@ pub use mph_linalg::block::ColumnBlock;
 pub use mph_linalg::KernelPath;
 pub use mph_runtime::{FabricModel, FabricReport};
 pub use multidrive::{
-    lower_job, run_job_batch, run_job_service, BatchMsg, BatchRun, BoundarySample, JobKind,
+    lower_job, planned_jobs, run_job_batch, run_job_service, BatchRun, BoundarySample, JobKind,
     JobOutcome, JobResult, JobSpan, JobSpec, Rejected, ServicePlan, ServiceRun,
 };
 pub use offnorm::{diagonal_blocks, off_norm_blocks};
@@ -63,6 +63,6 @@ pub use options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 pub use svd::{svd_block, svd_cyclic, SvdResult};
 pub use threaded::{
     block_jacobi_threaded, block_jacobi_threaded_fabric, choose_qs, choose_tail_qs, lower_sweeps,
-    lower_sweeps_with, packetization_cap, svd_block_threaded, AdaptiveReport, ThreadedRun,
+    packetization_cap, svd_block_threaded, AdaptiveReport, ThreadedRun,
 };
 pub use twosided::two_sided_cyclic;

@@ -72,7 +72,7 @@
 //! * **per round** (the `Q` packets of one iteration): at `q = 0` the
 //!   upstream round is received and the whole block paired once; at
 //!   `q = Q − 1` the block and its `Q` stamps cross the channel as one
-//!   [`BatchMsg::Round`] ([`NodeCtx::ship`]: no books). A chained tail
+//!   `BatchMsg::Round` ([`NodeCtx::ship`]: no books). A chained tail
 //!   transition pairs once at `q = 0`, before anything is charged;
 //! * **per consumed packet** (`Pipe{k ≥ 1, q}`, `Drain{q}`,
 //!   `TailRecv{q}`): its `TraceEvent::Recv`, and its stamp put to use —
@@ -153,10 +153,8 @@ use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKern
 use crate::offnorm::node_residual_sq;
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{extract_usv_blocks, SvdResult};
-use crate::threaded::{
-    choose_qs, choose_tail_qs, lower_sweeps_with, packetization_cap, AdaptiveReport, ThreadedRun,
-};
-use mph_ccpipe::{BatchOrder, OrderCursor};
+use crate::threaded::{choose_qs, choose_tail_qs, packetization_cap, AdaptiveReport, ThreadedRun};
+use mph_ccpipe::{BatchOrder, OrderCursor, PlannedJob};
 use mph_core::{BlockPartition, CommPlan, Framing, MicroOp, OpKind, OrderingFamily, PhaseKind};
 use mph_hypercube::surviving_route;
 use mph_linalg::block::ColumnBlock;
@@ -222,7 +220,7 @@ impl<'a> JobSpec<'a> {
 pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     let n = spec.a.cols();
     let elems_per_col = spec.a.rows() + n + usize::from(spec.opts.cache_diagonals);
-    let plans = lower_sweeps_with(n, d, spec.family, elems_per_col, spec.budget());
+    let plans = CommPlan::chain(n, d, spec.family, elems_per_col, spec.budget());
     let q_cap = packetization_cap(n, d);
     let qs = once_per_distinct(
         plans.len(),
@@ -230,6 +228,37 @@ pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>
         |s| choose_qs(&plans[s], &spec.opts.pipelining, q_cap),
     );
     (plans, qs)
+}
+
+/// The cost model's view of `lowered[j]` = [`lower_job`]`(specs[j], d)`:
+/// the plans and exchange degrees as lowered, plus the tail degree the
+/// job's first plan picks ([`choose_tail_qs`]) — how batch, serve and the
+/// executed-cost proptest price a job.
+///
+/// The engine picks the tail degree per plan. `Off` and `Fixed` pick one
+/// per job; `Auto` may pick others on later plans of an uneven partition,
+/// which this price does not describe. In one sample (`Auto` on the paper
+/// machine and on one- and all-port machines at `Ts = 1000`, `Tw = 100`;
+/// d = 1–4; 14 sizes of 16–130 columns; four families; six sweeps) 60 of
+/// 624 jobs did, all uneven; forcing the first plan's degree moved their
+/// virtual makespan on the paper machine by −0.6 % to +0.8 %.
+/// `mph_ccpipe::executed_cost` still bounds these runs: it prices every
+/// message at its phase's largest block.
+pub fn planned_jobs<'a>(
+    specs: &[JobSpec<'_>],
+    lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
+    d: usize,
+) -> Vec<PlannedJob<'a>> {
+    lowered
+        .iter()
+        .zip(specs)
+        .map(|((plans, qs), spec)| {
+            let q_cap = packetization_cap(spec.a.cols(), d);
+            let tail = &spec.opts.tail_pipelining;
+            let tail_q = plans.first().map_or(1, |plan| choose_tail_qs(plan, tail, q_cap));
+            PlannedJob { plans, qs, tail_q }
+        })
+        .collect()
 }
 
 /// `price(s)` for every sweep `s < n`, computed for the first of each run
@@ -379,7 +408,7 @@ impl RunShared {
 /// packets the sender's clock was charged for it. Receivers assert the
 /// header, turning a protocol slip into an immediate panic.
 #[derive(Debug, Clone)]
-pub enum BatchMsg {
+pub(crate) enum BatchMsg {
     Block { job: u32, block: ColumnBlock },
     Round { job: u32, k: u32, block: ColumnBlock, stamps: Vec<f64> },
     Scalar { job: u32, v: f64 },
@@ -702,11 +731,9 @@ impl<'a> JobNode<'a> {
     /// arrival and returns the stamp, which the caller forwards as a
     /// readiness or advances the clock to.
     fn consume_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp, k: usize) -> f64 {
-        if ctx.trace().is_enabled() {
-            let (link, elems) = self.packet(op, k);
-            let kq = Some((k as u32, op.q as u32));
-            ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[op.q]);
-        }
+        let (link, elems) = self.packet(op, k);
+        let kq = Some((k as u32, op.q as u32));
+        ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[op.q]);
         self.stamps[op.q]
     }
 
@@ -803,7 +830,7 @@ impl<'a> JobNode<'a> {
                     let m = self.outbox.take().expect("one relayed payload per direction");
                     self.adaptive.reroutes += 1;
                     self.adaptive.rerouted_elems += m.elems();
-                    ctx.trace().emit(self.node, || TraceEvent::Relay {
+                    ctx.trace_event(|| TraceEvent::Relay {
                         dim: link,
                         elems: m.elems(),
                         time: ctx.virtual_now(),
@@ -864,7 +891,7 @@ impl<'a> JobNode<'a> {
         }
         let solo = self.run.solo.as_ref()?;
         let sweep = self.sweeps;
-        ctx.trace().emit(self.node, || TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
+        ctx.trace_event(|| TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
         let reactive = self.run.scenario.is_some() && solo.adaptation == Adaptation::Reactive;
         (reactive && sweep > 0).then(|| {
             let ports = self.machine.ports;
@@ -882,12 +909,7 @@ impl<'a> JobNode<'a> {
             self.machine = agreed;
             self.adaptive.recalibrations += 1;
             let sweep = self.sweeps;
-            ctx.trace().emit(self.node, || TraceEvent::Recalibrate {
-                sweep,
-                ts,
-                tw,
-                time: ctx.virtual_now(),
-            });
+            ctx.trace_event(|| TraceEvent::Recalibrate { sweep, ts, tw, time: ctx.virtual_now() });
         }
     }
 
@@ -1036,10 +1058,7 @@ impl<'a> JobNode<'a> {
                 if let Stage::Fresh = stage {
                     if self.run.solo.is_some() {
                         let sweep = self.sweeps;
-                        ctx.trace().emit(self.node, || TraceEvent::SweepEnd {
-                            sweep,
-                            time: ctx.virtual_now(),
-                        });
+                        ctx.trace_event(|| TraceEvent::SweepEnd { sweep, time: ctx.virtual_now() });
                     }
                     self.rotations += self.acc.rotations;
                     stage = self.vote().map_or(Stage::Voted, Stage::Reduce);
@@ -1561,7 +1580,7 @@ impl<'a> ServiceNode<'a> {
         let horizon = if self.clocked { now } else { f64::INFINITY };
         let trace = |event: &dyn Fn() -> TraceEvent| {
             if ctx.id() == 0 {
-                ctx.trace().emit(0, event);
+                ctx.trace_event(event);
             }
         };
 
@@ -1573,13 +1592,13 @@ impl<'a> ServiceNode<'a> {
         // preemption-free SPF discipline.
         let mut admitted: Vec<usize> = Vec::new();
         loop {
-            while self.active.len() < plan.max_active && !self.queue.is_empty() {
-                let pick = (0..self.queue.len())
-                    .min_by(|&a, &b| {
-                        let (ja, jb) = (self.queue[a], self.queue[b]);
-                        plan.priority[ja].total_cmp(&plan.priority[jb]).then(ja.cmp(&jb))
-                    })
-                    .expect("non-empty queue");
+            while self.active.len() < plan.max_active {
+                let Some(pick) = (0..self.queue.len()).min_by(|&a, &b| {
+                    let (ja, jb) = (self.queue[a], self.queue[b]);
+                    plan.priority[ja].total_cmp(&plan.priority[jb]).then(ja.cmp(&jb))
+                }) else {
+                    break;
+                };
                 let j = self.queue.remove(pick);
                 let (spec, plans, shared) = (&self.jobs[j], &self.lowered[j].0, &self.shared[j]);
                 self.nodes[j] =
@@ -2058,6 +2077,49 @@ mod tests {
             lanes.iter().map(|lane| count(lane, |e| matches!(e, TraceEvent::Relay { .. }))).sum();
         assert!(relays >= 1, "sweeps at epochs ≥ 1 must relay around the dead edge");
         assert_eq!(adaptive.reroutes, relays as u64, "the SVD reports its relays like the eigen");
+    }
+
+    #[test]
+    fn two_traced_runs_into_a_small_ring_keep_the_tail_of_each_nodes_stream() {
+        // Each node's book records into its own lane, bounded at the ring's
+        // cap, and the run appends it to the ring's lane when it returns. A
+        // pipelined solve that overflows the cap, then a whole-block one
+        // that does not, leave every node the last `cap` events of its two
+        // streams and count all of them — what the same two solves leave
+        // in a ring that keeps everything.
+        use mph_runtime::RingSink;
+        let (d, cap) = (2usize, 40usize);
+        let a = random_symmetric(16, 41);
+        let solve = |sweeps, pipelining, ring: &Arc<RingSink>| {
+            let opts = JacobiOptions {
+                force_sweeps: Some(sweeps),
+                pipelining,
+                fabric: FabricModel::Throttled(Machine::paper_figure2()),
+                trace: SinkHandle::new(ring.clone()),
+                ..Default::default()
+            };
+            block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts);
+        };
+        let runs = [(2, Pipelining::Fixed(2)), (1, Pipelining::Off)];
+        let new_ring = |cap| Arc::new(RingSink::new(d, cap));
+        let (small, whole) = (new_ring(cap), new_ring(1 << 16));
+        let mut alone = Vec::new();
+        for (sweeps, pipelining) in runs {
+            let ring = new_ring(1 << 16);
+            solve(sweeps, pipelining, &ring);
+            alone.push(ring.drain());
+            solve(sweeps, pipelining, &small);
+            solve(sweeps, pipelining, &whole);
+        }
+        let whole = whole.drain();
+        let recorded: usize = whole.iter().map(Vec::len).sum();
+        assert_eq!(small.total_recorded(), recorded as u64, "the count spans both runs");
+        for (n, lane) in small.drain().iter().enumerate() {
+            let (one, two) = (&alone[0][n], &alone[1][n]);
+            assert!(one.len() > cap && two.len() < cap, "node {n}: {} {}", one.len(), two.len());
+            assert_eq!(whole[n], [&one[..], &two[..]].concat(), "node {n}: run one, then two");
+            assert_eq!(lane[..], whole[n][whole[n].len() - cap..], "node {n}");
+        }
     }
 
     #[test]

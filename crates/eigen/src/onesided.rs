@@ -23,29 +23,26 @@ pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
     let m = a0.cols();
     let mut blk = ColumnBlock::from_matrix_with_identity(a0, 0..m, m);
     let norm_a = a0.frobenius_norm();
-    let mut off_history = vec![residual_sq(&blk).sqrt()];
+    let mut off = residual_sq(&blk).sqrt();
+    let mut off_history = vec![off];
     let mut rotations = 0u64;
     let mut sweeps = 0usize;
-    let mut converged = off_history[0] <= opts.tol * norm_a && opts.force_sweeps.is_none();
+    // A forced solve runs its sweeps whatever the residual.
+    let stop_early = opts.force_sweeps.is_none();
 
     let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
     let sweep_budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-    while !converged && sweeps < sweep_budget {
+    while !(stop_early && off <= opts.tol * norm_a) && sweeps < sweep_budget {
         if opts.cache_diagonals {
             refresh_block_diag(&mut blk, PairingRule::Implicit);
         }
         let acc: SweepAccumulator = kern.within([&mut blk]);
         rotations += acc.rotations;
         sweeps += 1;
-        let off = residual_sq(&blk).sqrt();
+        off = residual_sq(&blk).sqrt();
         off_history.push(off);
-        if opts.force_sweeps.is_none() {
-            converged = off <= opts.tol * norm_a;
-        }
     }
-    if opts.force_sweeps.is_some() {
-        converged = *off_history.last().unwrap() <= opts.tol * norm_a;
-    }
+    let converged = off <= opts.tol * norm_a;
 
     let (eigenvalues, eigenvectors) = eigenpairs(std::slice::from_ref(&blk));
     EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }

@@ -13,9 +13,8 @@
 //! the logical driver ([`block_jacobi`](crate::blockjacobi::block_jacobi)).
 //! What lives here is what callers outside the engine share with it:
 //!
-//! * [`lower_sweeps`] / [`lower_sweeps_with`] lower every sweep to its
-//!   [`CommPlan`] — the same plan the cost model prices and the network
-//!   simulator replays;
+//! * [`lower_sweeps`] lowers every sweep to its [`CommPlan`] — the same
+//!   plan the cost model prices and the network simulator replays;
 //! * [`packetization_cap`], [`choose_qs`] and [`choose_tail_qs`] pick the
 //!   packet degrees the engine executes, so experiments and conformance tests
 //!   predict traffic for the schedule the solver runs, not a near copy;
@@ -26,7 +25,7 @@ use crate::multidrive::{eigen_answer, solve_solo, svd_answer, JobSpec};
 use crate::options::{EigenResult, JacobiOptions, Pipelining};
 use crate::svd::SvdResult;
 use mph_ccpipe::{plan_pipelining, plan_tail_pipelining};
-use mph_core::{BlockLayout, BlockPartition, CommPlan, OrderingFamily, SweepSchedule};
+use mph_core::{CommPlan, OrderingFamily};
 use mph_linalg::Matrix;
 use mph_runtime::{FabricReport, TrafficMeter};
 
@@ -55,13 +54,12 @@ pub fn packetization_cap(m: usize, d: usize) -> usize {
     (m / (2 << d)).max(1)
 }
 
-/// Lowers every sweep's communication of a threaded solve up front: plan
-/// `s` starts from plan `s − 1`'s final block layout, so message sizes
-/// stay exact even when the partition is uneven. This is the exact plan
-/// chain [`block_jacobi_threaded`] executes (including the per-column
-/// payload: `2m` elements, plus one when the diagonal cache travels) —
-/// public so experiments and conformance tests predict traffic for the same
-/// plans the solver runs, not a near copy.
+/// Lowers every sweep's communication of a threaded solve up front: the
+/// exact plan chain ([`CommPlan::chain`]) [`block_jacobi_threaded`]
+/// executes, including the per-column payload — `2m` elements, plus one
+/// when the diagonal cache travels — public so experiments and
+/// conformance tests predict traffic for the same plans the solver runs,
+/// not a near copy.
 pub fn lower_sweeps(
     m: usize,
     d: usize,
@@ -69,31 +67,7 @@ pub fn lower_sweeps(
     cache_diagonals: bool,
     budget: usize,
 ) -> Vec<CommPlan> {
-    lower_sweeps_with(m, d, family, 2 * m + usize::from(cache_diagonals), budget)
-}
-
-/// [`lower_sweeps`] with an explicit per-column payload — the one
-/// sweep-chaining path shared by the solo threaded solver (square eigen:
-/// `2m` elements per column, plus the diagonal cache) and the batch
-/// driver's SVD jobs (`rows + n`): whatever the payload, the plans the
-/// cost model prices are the plans the runtime executes.
-pub fn lower_sweeps_with(
-    n_cols: usize,
-    d: usize,
-    family: OrderingFamily,
-    elems_per_col: usize,
-    budget: usize,
-) -> Vec<CommPlan> {
-    let partition = BlockPartition::new(n_cols, 2 << d);
-    let mut plans = Vec::with_capacity(budget);
-    let mut layout = BlockLayout::canonical(d);
-    for s in 0..budget {
-        let schedule = SweepSchedule::sweep(d, family, s);
-        let plan = CommPlan::lower(&schedule, &partition, &layout, elems_per_col);
-        layout = plan.final_layout().clone();
-        plans.push(plan);
-    }
-    plans
+    CommPlan::chain(m, d, family, 2 * m + usize::from(cache_diagonals), budget)
 }
 
 /// Picks each exchange phase's packet count for one sweep's plan — the

@@ -18,11 +18,10 @@
 //! stage model keep their bands and are labelled cross-model where they
 //! stand (`fabric_conformance.rs`, `d4_window_runtime.rs`).
 
-use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
+use mph_ccpipe::{executed_cost, BatchOrder, Machine, PortModel};
 use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
-    choose_tail_qs, lower_job, packetization_cap, run_job_batch, FabricModel, JacobiOptions,
-    JobSpec, Pipelining,
+    lower_job, planned_jobs, run_job_batch, FabricModel, JacobiOptions, JobSpec, Pipelining,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_linalg::Matrix;
@@ -112,16 +111,7 @@ fn measure_and_predict(
 ) -> (Vec<f64>, Vec<f64>) {
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|spec| lower_job(spec, d)).collect();
-    let planned: Vec<PlannedJob> = lowered
-        .iter()
-        .zip(specs)
-        .map(|((plans, qs), spec)| {
-            let q_cap = packetization_cap(spec.a.cols(), d);
-            let tail_q = choose_tail_qs(&plans[0], &spec.opts.tail_pipelining, q_cap);
-            PlannedJob { plans, qs, tail_q }
-        })
-        .collect();
-    let predicted = executed_cost(&planned, &machine, order);
+    let predicted = executed_cost(&planned_jobs(specs, &lowered, d), &machine, order);
     let fabric = FabricModel::Throttled(machine);
     let run = run_job_batch(d, specs, &lowered, fabric, order, SinkHandle::nop());
     let measured =

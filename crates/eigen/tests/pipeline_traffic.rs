@@ -17,8 +17,8 @@ use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
 use mph_core::{CommPlan, OpKind, OrderingFamily};
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
-    lower_sweeps_with, packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock,
-    FabricModel, JacobiOptions, JobSpec, PairingRule, Pipelining, ThreadedRun,
+    packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock, FabricModel, JacobiOptions,
+    JobSpec, PairingRule, Pipelining, ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_linalg::Matrix;
@@ -337,7 +337,7 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
         let a0 = Matrix::from_fn(arows, 9, |r, c| (r * 9 + c) as f64 + 1.0);
         for cache in [false, true] {
             let elems_per_col = arows + urows + usize::from(cache);
-            let plan = &lower_sweeps_with(9, 1, OrderingFamily::Br, elems_per_col, 1)[0];
+            let plan = &CommPlan::chain(9, 1, OrderingFamily::Br, elems_per_col, 1)[0];
             for ncols in 0..=9usize {
                 let mut block = ColumnBlock::from_matrix_with_identity(&a0, 0..ncols, urows);
                 if cache {

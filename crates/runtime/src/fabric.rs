@@ -22,10 +22,10 @@
 //! That recurrence is [`NodeClock`]'s, which the cost layer's
 //! `executed_cost` drives too; [`LinkClock`] adds what only a live run has
 //! — the barrier epoch, per-link scenario machines, the node's traffic
-//! counters and tracing — and lives on its node's worker, so charging a
-//! send locks nothing. Nodes share the links and the barrier, whose last
-//! arrival folds the maximum of their clocks (`sched.rs`), and nothing
-//! else.
+//! counters and its trace lane — and lives on its node's worker, so
+//! charging or recording a send locks nothing. Nodes share the links and
+//! the barrier, whose last arrival folds the maximum of their clocks
+//! (`sched.rs`), and nothing else.
 //!
 //! The clocks are max-plus dataflow over the FIFO channel order, so the
 //! measured makespan (`max` over the nodes' final clocks, reported in
@@ -69,7 +69,7 @@ use crate::meter::TrafficMeter;
 use crate::nodeclock::NodeClock;
 use crate::scenario::Scenario;
 use crate::spmd::{run_spmd, Spmd};
-use crate::trace::{SinkHandle, TraceEvent};
+use crate::trace::{Lane, TraceEvent};
 use std::sync::Arc;
 use std::task::{ready, Poll};
 use std::time::Instant;
@@ -166,10 +166,11 @@ pub struct FabricReport {
 const WINDOW_CAP: usize = 4096;
 
 /// A node's one book: the model its links run under, its virtual clock
-/// and what a live run adds to it, and its own traffic counters. Its
-/// node's worker owns it — every method that writes takes `&mut self` —
-/// and hands it back at the end, where [`run_spmd`] reads the final clock
-/// and sums the meters.
+/// and what a live run adds to it, its own traffic counters and, on a
+/// traced run, its own trace lane. Its node's worker owns it — every
+/// method that writes takes `&mut self` — and hands it back at the end,
+/// where [`run_spmd`] reads the final clock, sums the meters and hands the
+/// lanes to the run's `RingSink`.
 pub struct LinkClock {
     model: FabricModel,
     node: usize,
@@ -184,18 +185,20 @@ pub struct LinkClock {
     window: FabricStats,
     /// What this node sent and shipped.
     meter: TrafficMeter,
-    sink: SinkHandle,
+    /// What this node recorded, bounded at the run's ring cap; `None`
+    /// when the run is not traced. [`run_spmd`] takes it at the end.
+    pub(crate) lane: Option<Lane>,
 }
 
 impl LinkClock {
     /// The book of node `node` of a `d`-cube under `model`, counting for
-    /// `njobs` jobs and recording its link activity into `sink`.
+    /// `njobs` jobs and recording its events into `lane`, if any.
     pub(crate) fn new(
         model: FabricModel,
         node: usize,
         d: usize,
         njobs: usize,
-        sink: SinkHandle,
+        lane: Option<Lane>,
     ) -> Self {
         // A free fabric never charges its clock; any port model will do.
         let ports = model.machine().map_or(PortModel::AllPort, |m| m.ports);
@@ -206,7 +209,7 @@ impl LinkClock {
             barrier_gen: 0,
             window: FabricStats::new(),
             meter: TrafficMeter::with_jobs(d, njobs),
-            sink,
+            lane,
         }
     }
 
@@ -262,8 +265,8 @@ impl LinkClock {
             }
         };
         let sent = self.clock.send(link.ts, link.tw, dim, elems as f64, ready);
-        if self.sink.is_enabled() {
-            self.sink.emit(self.node, || TraceEvent::Send {
+        if let Some(lane) = &mut self.lane {
+            lane.push(TraceEvent::Send {
                 dim,
                 elems,
                 job,
@@ -318,9 +321,8 @@ impl LinkClock {
         }
         self.barrier_gen += 1;
         self.clock.wait(t);
-        if self.sink.is_enabled() {
-            let (epoch, time) = (self.barrier_gen, self.clock.now());
-            self.sink.emit(self.node, || TraceEvent::Barrier { epoch, time });
+        if let Some(lane) = &mut self.lane {
+            lane.push(TraceEvent::Barrier { epoch: self.barrier_gen, time: self.clock.now() });
         }
     }
 }
@@ -385,11 +387,11 @@ pub fn measure_channel_fabric(d: usize, sizes: &[usize], reps: usize) -> FabricS
 /// the machine to hand `Pipelining::Auto` when the solve will run on the
 /// channel runtime itself rather than the paper's Figure-2 hardware.
 pub fn calibrate_channel_machine(d: usize) -> Machine {
-    // Three distinct probe sizes with finite wall-clock timings: the fit
-    // cannot hit a degenerate-input error, so the shim's fallback is dead
-    // code here — but an infallible signature is the right contract for a
-    // one-call convenience.
-    Machine::calibrate_or_default(&measure_channel_fabric(d, &[256, 4096, 32768], 9))
+    // Three distinct probe sizes with finite wall-clock timings cannot hit
+    // a degenerate-input error; were one to slip through, the paper's
+    // machine keeps this convenience infallible.
+    Machine::calibrate(&measure_channel_fabric(d, &[256, 4096, 32768], 9))
+        .unwrap_or_else(|_| Machine::paper_figure2())
 }
 
 #[cfg(test)]
@@ -399,7 +401,7 @@ mod tests {
 
     /// The untraced, solo-job book of node `node` of a `d`-cube.
     fn book(model: FabricModel, node: usize, d: usize) -> LinkClock {
-        LinkClock::new(model, node, d, 1, SinkHandle::nop())
+        LinkClock::new(model, node, d, 1, None)
     }
 
     /// One fresh, untagged data send.

@@ -44,4 +44,4 @@ pub use meter::TrafficMeter;
 pub use nodeclock::{NodeClock, SendTimes};
 pub use scenario::{LinkDeath, Scenario, ScenarioError, ScenarioSpec};
 pub use spmd::{run_spmd, Meterable, NodeCtx, Spmd, SpmdRun};
-pub use trace::{NopSink, RingSink, SinkHandle, TraceEvent, TraceSink};
+pub use trace::{RingSink, SinkHandle, TraceEvent};

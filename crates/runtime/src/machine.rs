@@ -161,8 +161,6 @@ impl Machine {
     /// ([`CalibrationError::NonFiniteSample`]), or fewer than two
     /// distinct message sizes — a slope needs two abscissae — including
     /// the all-identical-samples case ([`CalibrationError::SingleSize`]).
-    /// Callers that want the old infallible behavior use
-    /// [`Machine::calibrate_or_default`].
     pub fn calibrate(stats: &FabricStats) -> Result<Machine, CalibrationError> {
         if stats.is_empty() {
             return Err(CalibrationError::Empty);
@@ -192,16 +190,6 @@ impl Machine {
         let ts = if intercept > 0.0 { intercept } else { (smallest_median * 0.5).max(1e-12) };
         let tw = slope.max(1e-15);
         Ok(Machine { ts, tw, ports: PortModel::AllPort })
-    }
-
-    /// Infallible [`Machine::calibrate`]: degenerate probe data falls back
-    /// to the paper's Figure-2 constants ([`Machine::paper_figure2`])
-    /// instead of an error — a *modeled* machine, clearly labeled as such
-    /// by being exactly the paper's, rather than a half-fitted one. Use
-    /// this where a calibration failure should degrade to analytic
-    /// pricing, and [`Machine::calibrate`] where it should be surfaced.
-    pub fn calibrate_or_default(stats: &FabricStats) -> Machine {
-        Machine::calibrate(stats).unwrap_or_else(|_| Machine::paper_figure2())
     }
 }
 
@@ -471,23 +459,6 @@ mod tests {
         inf.record(f64::INFINITY, 1e-6);
         inf.record(4096.0, 2e-6);
         assert_eq!(Machine::calibrate(&inf), Err(CalibrationError::NonFiniteSample));
-    }
-
-    #[test]
-    fn calibrate_or_default_degrades_to_the_paper_machine() {
-        // The infallible shim: every degenerate input maps to Figure 2...
-        assert_eq!(Machine::calibrate_or_default(&FabricStats::new()), Machine::paper_figure2());
-        let mut single = FabricStats::new();
-        single.record(64.0, 1e-6);
-        assert_eq!(Machine::calibrate_or_default(&single), Machine::paper_figure2());
-        // ...while well-formed probes still fit.
-        let mut good = FabricStats::new();
-        for &elems in &[100.0, 1000.0] {
-            good.record(elems, 2e-6 + 3e-9 * elems);
-        }
-        let m = Machine::calibrate_or_default(&good);
-        assert!((m.ts - 2e-6).abs() < 1e-12);
-        assert_ne!(m, Machine::paper_figure2());
     }
 
     #[test]

@@ -39,13 +39,15 @@
 //!
 //! A node owns its books. Its [`NodeCtx`] — its view of the links and one
 //! [`LinkClock`]: virtual clock, barrier epoch, calibration window,
-//! traffic counters — lives on its worker, so booking a send shares
-//! nothing and locks nothing (`NodeCtx` is `Send` and not `Sync`: the
-//! compiler rejects lending it to a second thread). What crosses workers —
-//! the queues, the barrier, the park books — is the scheduler's
-//! (`sched.rs`). At the end every worker hands its nodes' books back, and
-//! [`SpmdRun::meter`] and [`FabricReport::node_times`] are read off them
-//! once.
+//! traffic counters and, on a traced run, its trace lane — lives on its
+//! worker, so booking or recording a send shares nothing and locks nothing
+//! (`NodeCtx` is `Send` and not `Sync`: the compiler rejects lending it to
+//! a second thread). What crosses workers — the queues, the barrier, the
+//! park books — is the scheduler's (`sched.rs`). At the end every worker
+//! hands its nodes' books back: [`SpmdRun::meter`] and
+//! [`FabricReport::node_times`] are read off them once, and each lane goes
+//! to [`Spmd::trace`]'s ring once — before a node's panic is re-raised or
+//! a deadlock reported, so a run that fails keeps the events it recorded.
 //!
 //! A node that panics ends the run: its worker catches the payload and
 //! stops every worker, and [`run_spmd`] re-raises the payload of the
@@ -144,7 +146,6 @@ pub struct NodeCtx<'r, M> {
     worker: usize,
     links: &'r Links<Envelope<M>>,
     sched: &'r Sched,
-    sink: SinkHandle,
     book: RefCell<LinkClock>,
     /// The barrier generation this node arrived at and waits to see pass.
     at_barrier: Cell<Option<u64>>,
@@ -245,13 +246,17 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
         }
     }
 
-    /// The node's trace sink handle, for drivers that record their own
-    /// span boundaries (sweeps, recalibrations, relay hops, admission
-    /// decisions) next to the link events the clock records. Disabled
-    /// (the default [`crate::trace::NopSink`]) unless the run was given a
-    /// live [`Spmd::trace`].
-    pub fn trace(&self) -> &SinkHandle {
-        &self.sink
+    /// Records the event `event` builds into this node's trace lane, next
+    /// to the link events its book records: a driver's own span boundaries
+    /// (sweeps, recalibrations, relay hops, admission decisions). `event`
+    /// runs only on a traced run, before the book is borrowed to record.
+    pub fn trace_event(&self, event: impl FnOnce() -> TraceEvent) {
+        if self.book.borrow().lane.is_some() {
+            let event = event();
+            if let Some(lane) = &mut self.book.borrow_mut().lane {
+                lane.push(event);
+            }
+        }
     }
 
     /// Records one consumed arrival — the receive-side counterpart of the
@@ -268,8 +273,11 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
         control: bool,
         stamp: f64,
     ) {
-        if self.sink.is_enabled() && self.book.borrow().throttled() {
-            self.sink.emit(self.id, || TraceEvent::Recv { dim, elems, job, kq, control, stamp });
+        let mut book = self.book.borrow_mut();
+        if book.throttled() {
+            if let Some(lane) = &mut book.lane {
+                lane.push(TraceEvent::Recv { dim, elems, job, kq, control, stamp });
+            }
         }
     }
 
@@ -339,11 +347,11 @@ pub struct Spmd {
     /// traffic meter keeps per-job totals next to the blended per-dimension
     /// ones.
     pub njobs: usize,
-    /// Every node's link clock records its transmissions, arrivals, and
-    /// barrier crossings here (see [`crate::trace`]), and a node program
-    /// can record driver-level events through [`NodeCtx::trace`]. Tracing
-    /// is observational only — results are bitwise-identical to the
-    /// untraced run ([`SinkHandle::nop`]).
+    /// Where the run's events end up (see [`crate::trace`]): each node's
+    /// book records its transmissions, arrivals, barrier crossings and
+    /// [`NodeCtx::trace_event`]s into a lane of its own, handed to the ring
+    /// when the run returns. Tracing is observational only — results are
+    /// bitwise-identical to the untraced run ([`SinkHandle::nop`]).
     pub trace: SinkHandle,
 }
 
@@ -414,15 +422,14 @@ where
             worker: w,
             links: &links,
             sched: &sched,
-            sink: trace.clone(),
-            book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.clone())),
+            book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.lane())),
             at_barrier: Cell::new(None),
             wait: Cell::new(None),
         });
         step_nodes(&sched, w, ctxs.collect(), &init)
     };
     let work = &work;
-    let ends: Vec<(End<R>, LinkClock)> = crossbeam::thread::scope(|scope| {
+    let mut ends: Vec<(End<R>, LinkClock)> = crossbeam::thread::scope(|scope| {
         let others: Vec<_> = (1..sched.workers()).map(|w| scope.spawn(move |_| work(w))).collect();
         let mut ends = work(0);
         for worker in others {
@@ -436,6 +443,9 @@ where
     let mut meter = TrafficMeter::with_jobs(d, njobs);
     let mut node_times = Vec::with_capacity(p);
     let mut stuck = Vec::new();
+    // Before a panic is re-raised or a deadlock reported: a run that fails
+    // keeps what it recorded.
+    trace.collect(ends.iter_mut().filter_map(|(_, book)| book.lane.take()));
     for (n, (end, book)) in ends.into_iter().enumerate() {
         match end {
             // The root cause, re-raised as the node raised it.

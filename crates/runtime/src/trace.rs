@@ -3,30 +3,32 @@
 //! Every layer of the stack already *computes* on the fabric's
 //! deterministic virtual clock — link transmissions, barrier epochs,
 //! sweep boundaries, admission decisions. This module records those
-//! moments as typed [`TraceEvent`]s behind a [`TraceSink`] so they can be
+//! moments as typed [`TraceEvent`]s into a [`RingSink`] so they can be
 //! exported (Chrome trace JSON, utilization matrices — see the
 //! `mph-trace` crate) without changing a single bit of the run:
 //!
 //! * events are stamped on the **virtual clock**, never the wall clock,
 //!   so a traced degraded run is a forensic artifact: replaying the same
 //!   seed replays the identical event stream, byte for byte;
-//! * recording is strictly **observational** — sinks receive copies of
+//! * recording is strictly **observational** — events are copies of
 //!   values the runtime computed anyway, so traced runs are
 //!   bitwise-identical to untraced runs (proptested at the workspace
 //!   root);
-//! * each node records into its **own lane** ([`RingSink`]), in program
-//!   order. Cross-node interleaving is reconstructed from the virtual
-//!   stamps at export time, not from racy append order — that is what
-//!   keeps the recorded stream scheduling-independent.
+//! * each node records into its **own lane**, in program order. The lane
+//!   is part of the node's book ([`LinkClock`](crate::fabric::LinkClock)),
+//!   like its meter, so recording shares nothing and locks nothing; the
+//!   run hands every lane to the ring once, when its workers return — a
+//!   run that fails included. Cross-node interleaving is reconstructed
+//!   from the virtual stamps at export time, not from racy append order —
+//!   that is what keeps the recorded stream scheduling-independent.
 //!
-//! The default sink is [`NopSink`]: disabled, zero-allocation, and
-//! skipped behind a cached boolean ([`SinkHandle::is_enabled`]) so the
-//! untraced hot path never constructs an event.
+//! Tracing is off by default ([`SinkHandle::nop`]): no book gets a lane,
+//! and the untraced hot path never constructs an event.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One recorded moment, stamped on the virtual clock. The recording
-/// node is implicit (it is the sink lane the event lands in).
+/// node is implicit (it is the lane the event lands in).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// One charged transmission on a throttled/degraded fabric: the link
@@ -89,35 +91,12 @@ impl TraceEvent {
     }
 }
 
-/// Where trace events go. Implementations must be cheap and must never
-/// observe or mutate run state: tracing is read-only by contract (the
-/// workspace proptests hold traced runs bitwise-equal to untraced ones).
-pub trait TraceSink: Send + Sync {
-    /// Whether this sink wants events at all. `false` lets the runtime
-    /// skip event construction entirely (the [`NopSink`] fast path).
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event from `node`'s program order.
-    fn record(&self, node: usize, event: TraceEvent);
-}
-
-/// The default sink: disabled, records nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NopSink;
-
-impl TraceSink for NopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _node: usize, _event: TraceEvent) {}
-}
-
 /// One node's bounded recording lane: a ring that overwrites the oldest
-/// event once `cap` is reached, counting everything it ever saw.
-struct Lane {
+/// event once `cap` is reached, counting everything it ever saw. A node's
+/// book ([`LinkClock`](crate::fabric::LinkClock)) owns one for the length
+/// of a run; the run hands it to the [`RingSink`] when its workers return.
+pub(crate) struct Lane {
+    cap: usize,
     buf: Vec<TraceEvent>,
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
@@ -125,142 +104,170 @@ struct Lane {
     total: u64,
 }
 
+impl Lane {
+    fn new(cap: usize) -> Self {
+        Lane { cap, buf: Vec::new(), head: 0, total: 0 }
+    }
+
+    /// Records one event, in program order.
+    pub(crate) fn push(&mut self, event: TraceEvent) {
+        self.total += 1;
+        self.put(event);
+    }
+
+    fn put(&mut self, event: TraceEvent) {
+        if self.buf.len() < self.cap {
+            self.buf.push(event);
+        } else {
+            self.buf[self.head] = event;
+            self.head = (self.head + 1) % self.cap;
+        }
+    }
+
+    /// Appends `later`'s events after this lane's, as if this lane had
+    /// recorded them: the ring keeps the last `cap` of the two streams,
+    /// and the count is their sum.
+    fn append(&mut self, mut later: Lane) {
+        self.total += later.total;
+        for event in later.take() {
+            self.put(event);
+        }
+    }
+
+    /// Empties the ring, oldest event first; the count stays.
+    fn take(&mut self) -> Vec<TraceEvent> {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.rotate_left(std::mem::take(&mut self.head));
+        buf
+    }
+}
+
 /// A bounded in-memory recorder: one lane per node, each a ring of at
 /// most `cap` events in program order. Per-node lanes are the
 /// determinism trick — a single shared buffer would interleave nodes in
 /// OS-scheduler order, while per-node program order is a pure function
-/// of the program and the seed.
+/// of the program and the seed. A run records into its nodes' own lanes
+/// and hands them over once, when it returns: the ring's lock is taken
+/// once per run, never per event.
 pub struct RingSink {
     cap: usize,
-    lanes: Vec<Mutex<Lane>>,
+    lanes: Mutex<Vec<Lane>>,
 }
 
 impl RingSink {
     /// A recorder for a `d`-cube keeping at most `cap` events per node.
     pub fn new(d: usize, cap: usize) -> Self {
         assert!(cap > 0, "a zero-capacity ring records nothing");
-        RingSink {
-            cap,
-            lanes: (0..1usize << d)
-                .map(|_| Mutex::new(Lane { buf: Vec::new(), head: 0, total: 0 }))
-                .collect(),
-        }
+        RingSink { cap, lanes: Mutex::new((0..1usize << d).map(|_| Lane::new(cap)).collect()) }
     }
 
     /// Events recorded in total, including any the ring overwrote.
     pub fn total_recorded(&self) -> u64 {
-        self.lanes.iter().map(|l| lock(l).total).sum()
+        self.lanes().iter().map(|l| l.total).sum()
     }
 
     /// Drains every lane, oldest event first, returning `lanes[node]` in
     /// node order — the deterministic stream the exporters consume.
     pub fn drain(&self) -> Vec<Vec<TraceEvent>> {
-        self.lanes
-            .iter()
-            .map(|l| {
-                let mut lane = lock(l);
-                let head = lane.head;
-                let mut buf = std::mem::take(&mut lane.buf);
-                lane.head = 0;
-                buf.rotate_left(head);
-                buf
-            })
-            .collect()
+        self.lanes().iter_mut().map(Lane::take).collect()
+    }
+
+    fn lanes(&self) -> MutexGuard<'_, Vec<Lane>> {
+        // Lanes are plain recorded data, valid after any panic; recover
+        // rather than cascade.
+        self.lanes.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
-fn lock(l: &Mutex<Lane>) -> std::sync::MutexGuard<'_, Lane> {
-    // Lane state is plain recorded data, valid after any panic; recover
-    // rather than cascade (same contract as the clock locks).
-    l.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, node: usize, event: TraceEvent) {
-        let Some(l) = self.lanes.get(node) else { return };
-        let mut lane = lock(l);
-        lane.total += 1;
-        if lane.buf.len() < self.cap {
-            lane.buf.push(event);
-        } else {
-            let head = lane.head;
-            lane.buf[head] = event;
-            lane.head = (head + 1) % self.cap;
-        }
-    }
-}
-
-/// A cloneable handle to a [`TraceSink`], carried by the option structs
-/// (`JacobiOptions`, `BatchOptions`, `ServeOptions`) and threaded through
-/// the runtime. The enabled flag is cached at construction so the
-/// disabled fast path is one branch, no virtual call.
-#[derive(Clone)]
-pub struct SinkHandle {
-    sink: Arc<dyn TraceSink>,
-    enabled: bool,
-}
+/// Where a run records: a [`RingSink`], or nowhere. Carried by the
+/// option structs (`JacobiOptions`, `BatchOptions`, `ServeOptions`) and
+/// [`Spmd::trace`](crate::spmd::Spmd::trace); the run gives each node's
+/// book a lane of the ring's cap and hands the lanes back to the ring when
+/// its workers return.
+#[derive(Clone, Default)]
+pub struct SinkHandle(Option<Arc<RingSink>>);
 
 impl SinkHandle {
-    /// The default handle: a [`NopSink`] — tracing off.
+    /// The default handle: tracing off.
     pub fn nop() -> Self {
-        SinkHandle { sink: Arc::new(NopSink), enabled: false }
+        SinkHandle(None)
     }
 
-    /// Wraps a live sink. The sink's [`TraceSink::enabled`] is sampled
-    /// once, here.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        let enabled = sink.enabled();
-        SinkHandle { sink, enabled }
+    /// Records into `ring`.
+    pub fn new(ring: Arc<RingSink>) -> Self {
+        SinkHandle(Some(ring))
     }
 
     /// Whether events should be constructed and recorded at all.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.0.is_some()
     }
 
-    /// Records the event built by `f` for `node`, constructing it only
-    /// when the sink is enabled.
-    pub fn emit(&self, node: usize, f: impl FnOnce() -> TraceEvent) {
-        if self.enabled {
-            self.sink.record(node, f());
+    /// An empty lane of the ring's cap for one node's book, or `None` when
+    /// tracing is off.
+    pub(crate) fn lane(&self) -> Option<Lane> {
+        self.0.as_ref().map(|ring| Lane::new(ring.cap))
+    }
+
+    /// Hands a run's lanes to the ring, in label order, each appended
+    /// after what the ring's lane for that node already holds. A node the
+    /// ring has no lane for is ignored.
+    pub(crate) fn collect(&self, lanes: impl IntoIterator<Item = Lane>) {
+        let Some(ring) = &self.0 else { return };
+        for (kept, lane) in ring.lanes().iter_mut().zip(lanes) {
+            kept.append(lane);
         }
-    }
-}
-
-impl Default for SinkHandle {
-    fn default() -> Self {
-        SinkHandle::nop()
     }
 }
 
 impl std::fmt::Debug for SinkHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.enabled { "SinkHandle(enabled)" } else { "SinkHandle(nop)" })
+        f.write_str(if self.is_enabled() { "SinkHandle(enabled)" } else { "SinkHandle(nop)" })
     }
 }
 
-/// Two handles are equal when they are the *same* sink, or both
-/// disabled — so option structs carrying the default nop handle keep
-/// their `PartialEq` semantics (`Options::default() == Options::default()`).
+/// Two handles are equal when they hold the *same* ring, or both are off
+/// — so option structs carrying the default handle keep their `PartialEq`
+/// semantics (`Options::default() == Options::default()`).
 impl PartialEq for SinkHandle {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.sink, &other.sink) || (!self.enabled && !other.enabled)
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmd::{run_spmd, Spmd};
+    use std::task::Poll;
 
     fn ev(time: f64) -> TraceEvent {
         TraceEvent::Barrier { epoch: 0, time }
+    }
+
+    /// A free-fabric run of a `d`-cube traced into `trace`, in which node
+    /// `n` records `events(n)` in order and returns.
+    fn record(d: usize, trace: SinkHandle, events: impl Fn(usize) -> Vec<TraceEvent> + Sync) {
+        run_spmd::<(), (), _, _>(d, Spmd { trace, ..Spmd::default() }, |ctx| {
+            for event in events(ctx.id()) {
+                ctx.trace_event(|| event);
+            }
+            |_| Poll::Ready(())
+        });
     }
 
     #[test]
     fn nop_handle_is_disabled_and_never_constructs() {
         let h = SinkHandle::nop();
         assert!(!h.is_enabled());
-        h.emit(0, || panic!("a disabled handle must not construct events"));
+        assert!(h.lane().is_none(), "an untraced run gives its books no lane");
+        run_spmd::<(), (), _, _>(1, Spmd::default(), |ctx| {
+            ctx.trace_event(|| panic!("an untraced run must not construct events"));
+            |_| Poll::Ready(())
+        });
         assert_eq!(format!("{h:?}"), "SinkHandle(nop)");
     }
 
@@ -272,36 +279,36 @@ mod tests {
         assert_eq!(a, a.clone());
         let ring = Arc::new(RingSink::new(1, 8));
         let live = SinkHandle::new(ring.clone());
-        assert_eq!(live, live.clone(), "clones share the sink");
+        assert_eq!(live, live.clone(), "clones share the ring");
         assert_ne!(live, a, "a live handle differs from a nop");
-        assert_eq!(live, SinkHandle::new(ring), "handles over one sink allocation are equal");
+        assert_eq!(live, SinkHandle::new(ring), "handles over one ring allocation are equal");
         assert_ne!(
             live,
             SinkHandle::new(Arc::new(RingSink::new(1, 8))),
-            "handles over distinct live sinks differ"
+            "handles over distinct rings differ"
         );
     }
 
     #[test]
     fn ring_records_per_node_in_program_order() {
-        let ring = RingSink::new(1, 8);
-        ring.record(0, ev(1.0));
-        ring.record(1, ev(2.0));
-        ring.record(0, ev(3.0));
+        let ring = Arc::new(RingSink::new(1, 8));
+        record(1, SinkHandle::new(ring.clone()), |n| match n {
+            0 => vec![ev(1.0), ev(3.0)],
+            _ => vec![ev(2.0)],
+        });
+        assert_eq!(ring.total_recorded(), 3);
         let lanes = ring.drain();
         assert_eq!(lanes.len(), 2);
         assert_eq!(lanes[0], vec![ev(1.0), ev(3.0)]);
         assert_eq!(lanes[1], vec![ev(2.0)]);
         assert!(ring.drain().iter().all(Vec::is_empty), "drain empties the lanes");
-        assert_eq!(ring.total_recorded(), 3);
+        assert_eq!(ring.total_recorded(), 3, "the count outlives the drain");
     }
 
     #[test]
     fn ring_caps_each_lane_by_overwriting_the_oldest() {
-        let ring = RingSink::new(0, 3);
-        for i in 0..5 {
-            ring.record(0, ev(i as f64));
-        }
+        let ring = Arc::new(RingSink::new(0, 3));
+        record(0, SinkHandle::new(ring.clone()), |_| (0..5).map(|i| ev(i as f64)).collect());
         assert_eq!(ring.total_recorded(), 5);
         let lanes = ring.drain();
         assert_eq!(lanes[0], vec![ev(2.0), ev(3.0), ev(4.0)], "oldest first, oldest dropped");
@@ -309,9 +316,26 @@ mod tests {
 
     #[test]
     fn out_of_range_nodes_are_ignored_not_panicked() {
-        let ring = RingSink::new(0, 4);
-        ring.record(7, ev(0.0));
+        // A ring for one node, a run of eight: only node 0 has a lane.
+        let ring = Arc::new(RingSink::new(0, 4));
+        record(3, SinkHandle::new(ring.clone()), |n| if n == 7 { vec![ev(0.0)] } else { vec![] });
+        assert_eq!(ring.total_recorded(), 0);
         assert!(ring.drain().iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_run_that_panics_still_hands_its_lanes_to_the_ring() {
+        let ring = Arc::new(RingSink::new(1, 8));
+        let trace = SinkHandle::new(ring.clone());
+        let run = std::panic::catch_unwind(|| {
+            run_spmd::<(), (), _, _>(1, Spmd { trace, ..Spmd::default() }, |ctx| {
+                ctx.trace_event(|| ev(ctx.id() as f64));
+                let id = ctx.id();
+                move |_| if id == 1 { panic!("node 1 fails") } else { Poll::Ready(()) }
+            })
+        });
+        assert!(run.is_err(), "the node's panic is re-raised");
+        assert_eq!(ring.drain(), vec![vec![ev(0.0)], vec![ev(1.0)]]);
     }
 
     #[test]

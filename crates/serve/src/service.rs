@@ -1,10 +1,10 @@
 //! The serving front end: lower, plan admission, run, measure.
 
 use crate::scenario::Scenario;
-use mph_batch::{planned_jobs, service_plan, AdmissionConfig, Policy, Throughput};
+use mph_batch::{service_plan, AdmissionConfig, Policy, Throughput};
 use mph_ccpipe::{plan_cost_with_tail, Machine};
 use mph_core::CommPlan;
-use mph_eigen::{lower_job, run_job_service, JobSpec, ServiceRun};
+use mph_eigen::{lower_job, planned_jobs, run_job_service, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
 use mph_trace::{summarize, Summary};
 

@@ -8,10 +8,10 @@
 //! (The load test that does fill the queue is the repository benchmark's
 //! `serve_load` workload.)
 
-use mph_batch::{planned_jobs, AdmissionConfig, Policy};
+use mph_batch::{AdmissionConfig, Policy};
 use mph_ccpipe::{solo_plan_costs, Machine};
 use mph_core::OrderingFamily;
-use mph_eigen::{lower_job, JacobiOptions, JobSpec};
+use mph_eigen::{lower_job, planned_jobs, JacobiOptions, JobSpec};
 use mph_runtime::FabricModel;
 use mph_serve::{serve, JobClass, ScenarioGen, ServeOptions};
 

@@ -59,6 +59,7 @@ const KEEP: &[(&str, &str)] = &[
     ("diagonal", "already_diagonal_input_stops_at_once_a_threaded_solve_after_one_sweep"),
     ("frank_matrix", "frank_matrix_spectrum_is_positive"),
     ("BlockLayout::from_slots", "e1_covers_from_swapped_slots_too"),
+    ("CommPlan::lower", "the_sweep_program_obeys_its_laws"),
     ("Job::eigen", "stagger_keys_class_jobs_by_family_and_size"),
     ("Job::svd", "stagger_keys_class_jobs_by_family_and_size"),
     ("Machine::one_port", "busy_vtime_reconciles_with_the_meter"),
@@ -69,9 +70,11 @@ const KEEP: &[(&str, &str)] = &[
     // Probes: the one observable of a contract a test holds a solve to.
     ("BatchOrder::jobs", "shortest_plan_first_minimizes_mean_completion"),
     ("ColumnBlock::diag", "cached_diagonals_track_exact_recomputation"),
+    ("CommPlan::final_layout", "final_layout_chains_sweeps"),
     ("CommSchedule::volume_by_dim", "metered_traffic_equals_simulated_and_predicted"),
     ("JobResult::eigen", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
     ("JobResult::svd", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
+    ("SinkHandle::is_enabled", "free_fabric_reports_zero_makespan"),
     ("TrafficMeter::shipments", "a_pipelined_solve_ships_whole_block_messages_and_charges_packets"),
 ];
 
