@@ -20,13 +20,14 @@
 //!   prices: total sweep times, speedup and efficiency.
 //!
 //! All of the above is the **paper's model**: stage-synchronous, witnessed
-//! at 1e-9 by `mph_simnet::simulate_synchronized`. Two modules price what
+//! at 1e-9 by `mph_simnet::simulate_synchronized`, which replays each
+//! stage on `NodeClock` ([`machine::NodeClock`]). Two modules price what
 //! the engine *executes* — barrier-free dataflow pipelining, chained
 //! serial tails, several jobs interleaved on one fabric — which the paper
 //! does not define:
 //!
 //! * [`schedclock`] — [`executed_cost`], which runs the engine's micro-op
-//!   order on one `mph_runtime::NodeClock`; its witness is the throttled
+//!   order on one `NodeClock`; its witness is the throttled
 //!   fabric's measurement — the same clock type, driven by live sends —
 //!   also at 1e-9;
 //! * [`batchcost`] — the batch price sheet: paper-model solo prices (what

@@ -7,6 +7,10 @@
 //! probes of the live transport). This module re-exports it so the
 //! analytic cost layer and the runtime price with one vocabulary: a
 //! [`Machine`] calibrated from the channel runtime drops straight into
-//! [`crate::optimize_q`] and `Pipelining::Auto`.
+//! [`crate::optimize_q`] and `Pipelining::Auto`. [`NodeClock`], the one
+//! send/wait recurrence of that machine, is re-exported beside it: the
+//! schedule clock and the paper's stage simulator (`mph_simnet`) both
+//! price on it.
 
 pub use mph_runtime::machine::{CalibrationError, FabricStats, Machine, PortModel};
+pub use mph_runtime::NodeClock;

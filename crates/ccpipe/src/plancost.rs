@@ -8,7 +8,8 @@
 //! calls to *schedule* itself), and [`plan_sweep_cost`] composes the priced
 //! phases with the serial division/last transitions into a [`SweepCost`].
 //! These are the **paper-model** prices: stage-synchronous, witnessed by
-//! `mph_simnet::simulate_synchronized`. The chained serial tail, which the
+//! `mph_simnet::simulate_synchronized`, which replays every stage on the
+//! engine's own `NodeClock`. The chained serial tail, which the
 //! paper does not define, is priced by running it on the schedule clock
 //! ([`crate::schedclock`]); the price of a whole executed schedule is
 //! [`crate::executed_cost`].

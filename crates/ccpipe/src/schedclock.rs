@@ -1,8 +1,9 @@
 //! The schedule clock: the price of the schedule the engine *executes*.
 //!
 //! The paper's stage-synchronous model ([`crate::cost`], witnessed by
-//! `mph_simnet::simulate_synchronized`) prices a phase as a sequence of
-//! barrier-separated stages. The engine (`mph_eigen`'s micro-op machine on
+//! `mph_simnet::simulate_synchronized`, a stage-by-stage replay on
+//! [`NodeClock`]) prices a phase as a sequence of barrier-separated
+//! stages. The engine (`mph_eigen`'s micro-op machine on
 //! the throttled fabric) runs something the paper does not define: a
 //! barrier-free dataflow in which a packet departs on its own arrival
 //! stamp, the serial tail is chained packet by packet across phases, and
@@ -24,9 +25,8 @@
 //! price: compare against forced-sweep runs.
 
 use crate::batchcost::{BatchOrder, OrderCursor, PlannedJob};
-use crate::machine::Machine;
+use crate::machine::{Machine, NodeClock};
 use mph_core::{CommPlan, Framing, MicroOp, OpKind};
-use mph_runtime::NodeClock;
 use std::ops::Range;
 
 /// One job's state on the clock: an arrival stamp per packet *lane* — a

@@ -7,13 +7,15 @@
 //!   port;
 //! * a **wait** advances `now` to an arrival stamp.
 //!
-//! Two drivers run it. The throttled fabric's
+//! Three drivers run it. The throttled fabric's
 //! [`LinkClock`](crate::fabric::LinkClock) charges every message a node
 //! thread really sends, at the `Ts`/`Tw` of the link and epoch it crosses;
 //! `mph_ccpipe::executed_cost` charges the micro-ops of a lowered schedule
-//! without running a thread. Because both drive this type, a predicted and
-//! a measured makespan are the same arithmetic in the same order and round
-//! alike.
+//! without running a thread; `mph_simnet::simulate_synchronized` replays
+//! each barrier-separated stage of the paper's model on an idle clock.
+//! Because all three drive this type, a predicted and a measured makespan
+//! are the same arithmetic in the same order and round alike, and the
+//! port model is written nowhere else.
 
 use crate::machine::PortModel;
 

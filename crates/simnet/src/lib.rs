@@ -13,31 +13,37 @@
 //! ([`pipelined_phase_schedule`] for a CC-cube phase, and the plan
 //! lowering of [`plan`] through it) reads the §2.4 windows of
 //! [`mph_ccpipe::pipelined_schedule`]. The simulator is
-//! [`simulate_synchronized`]: barrier-separated stages, start-ups
-//! serialized or, as a relaxation the closed form cannot express,
-//! overlapped with transmissions ([`StartupModel::Overlapped`]). With
-//! serialized start-ups the simulated makespan equals the closed-form phase
-//! cost *exactly* (asserted in tests and measured in the `validate_simnet`
-//! experiment), grounding the analytic models used for Figure 2.
+//! [`simulate_synchronized`]: barrier-separated stages, each replayed on
+//! `NodeClock` — the one send/wait recurrence of the machine, which the
+//! throttled fabric and `mph_ccpipe::executed_cost` drive too — with
+//! start-ups serialized or, as a relaxation the closed form cannot
+//! express, overlapped with transmissions ([`StartupModel::Overlapped`]).
+//! With serialized start-ups the simulated makespan equals the closed-form
+//! phase cost *exactly* (asserted in tests and measured in the
+//! `validate_simnet` experiment), grounding the analytic models used for
+//! Figure 2.
 //!
 //! It is the witness of the *paper's* stage model and lowers only what
 //! that model defines. The schedule the threaded engine executes
 //! (dataflow packets, chained tails, interleaved batches) is priced by
 //! `mph_ccpipe::executed_cost` and witnessed by the throttled fabric.
 //!
+//! A stage is not a slice of `CommPlan::program`. The stage model combines
+//! the packets a stage sends over one link into one message, which pays
+//! one `Ts` — the paper's combining assumption — while the program, like
+//! the engine, charges one `Ts` per packet. The builders therefore emit at
+//! most one message per link per stage; a hand-built bundle with two sends
+//! on one link serializes them on that link, as the fabric does.
+//!
 //! * [`schedule`] — communication stages and schedules, and the stage
 //!   builder;
 //! * [`plan`] — the stage lowering of a whole [`mph_core::CommPlan`];
-//! * [`sim`] — the synchronized simulator;
-//! * [`validate`] — simulator-vs-closed-form samples for the
-//!   `validate_simnet` experiment.
+//! * [`sim`] — the synchronized simulator.
 
 pub mod plan;
 pub mod schedule;
 pub mod sim;
-pub mod validate;
 
 pub use plan::{plan_pipelined_schedule, plan_unpipelined_schedule};
 pub use schedule::{pipelined_phase_schedule, CommSchedule, CommStage, NodeSend};
 pub use sim::{simulate_synchronized, SimReport, StartupModel};
-pub use validate::{validate_phase, ValidationSample};

@@ -73,16 +73,6 @@ impl CommStage {
             CommStage::PerNode { sends } => sends.iter().map(|s| s.len()).sum(),
         }
     }
-
-    /// Total element volume in the stage.
-    fn volume(&self) -> f64 {
-        match self {
-            CommStage::Spmd { nodes, bundle } => {
-                *nodes as f64 * bundle.iter().map(|m| m.elems).sum::<f64>()
-            }
-            CommStage::PerNode { sends } => sends.iter().flatten().map(|m| m.elems).sum(),
-        }
-    }
 }
 
 impl PartialEq for CommStage {
@@ -116,10 +106,6 @@ impl CommSchedule {
 
     pub fn message_count(&self) -> usize {
         self.stages.iter().map(|s| s.message_count()).sum()
-    }
-
-    pub fn volume(&self) -> f64 {
-        self.stages.iter().map(|s| s.volume()).sum()
     }
 
     /// Per-dimension element volume — the prediction the runtime's traffic
@@ -195,7 +181,7 @@ mod tests {
         let s = pipelined_phase_schedule(3, &cc, 1);
         assert_eq!(s.stages.len(), 7);
         assert_eq!(s.message_count(), 7 * 8);
-        assert_eq!(s.volume(), 7.0 * 8.0 * 64.0);
+        assert_eq!(s.volume_by_dim().iter().sum::<f64>(), 7.0 * 8.0 * 64.0);
     }
 
     #[test]
@@ -205,8 +191,8 @@ mod tests {
             let s = pipelined_phase_schedule(4, &cc, q);
             // Every packet of every iteration crosses the network once:
             // volume = K · elems per node.
-            let expect = 15.0 * 120.0 * 16.0;
-            assert!((s.volume() - expect).abs() < 1e-6, "q={q}: {}", s.volume());
+            let volume: f64 = s.volume_by_dim().iter().sum();
+            assert!((volume - 15.0 * 120.0 * 16.0).abs() < 1e-6, "q={q}: {volume}");
         }
     }
 
@@ -246,7 +232,6 @@ mod tests {
             assert_eq!(spmd.sends(n), &bundle[..]);
         }
         assert_eq!(spmd.message_count(), 16);
-        assert_eq!(spmd.volume(), 8.0 * 7.0);
         let explicit = CommStage::PerNode { sends: vec![bundle; 8] };
         assert_eq!(spmd, explicit, "representation must not affect equality");
     }

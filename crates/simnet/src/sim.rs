@@ -4,18 +4,20 @@
 //! analytic cost models price. (The barrier-free schedule the engine runs
 //! is priced exactly by `mph_ccpipe::executed_cost`.)
 //!
-//! Within a stage, a node's behaviour follows the machine model:
-//! start-ups are issued serially by the CPU (`Ts` each), then transmissions
-//! occupy ports according to [`PortModel`]. Two start-up/transmission
-//! interleavings are supported (see [`StartupModel`]): the closed-form one
-//! used by the paper's model, and an overlapped one that lets early
-//! transmissions begin while later start-ups are still being issued — the
-//! gap between them is measured by the `validate_simnet` experiment.
+//! Within a stage a node's sends are replayed on a [`NodeClock`], the one
+//! statement of the `Ts`/`Tw`/port machine that the throttled fabric and
+//! `executed_cost` drive too: start-ups are issued serially by the CPU
+//! (`Ts` each), and transmissions take their link and, under a port
+//! limit, the earliest free port. [`StartupModel`] says when a
+//! transmission's data is ready: after the stage's last start-up (the
+//! closed form the paper prices) or at once, so early transmissions
+//! overlap later start-ups — the gap between them is measured by the
+//! `validate_simnet` experiment.
 
-use crate::schedule::{CommSchedule, NodeSend};
-use mph_ccpipe::{Machine, PortModel};
+use crate::schedule::{CommSchedule, CommStage, NodeSend};
+use mph_ccpipe::machine::{Machine, NodeClock};
 
-/// How start-up issue and transmission overlap within one node's stage.
+/// When a transmission may begin within one node's stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartupModel {
     /// All start-ups complete before any transmission begins: a stage with
@@ -24,7 +26,9 @@ pub enum StartupModel {
     SerializedThenParallel,
     /// Message `i`'s transmission may begin as soon as its own start-up
     /// completes (at `(i+1)·Ts`), overlapping later start-ups. Never slower
-    /// than the closed form.
+    /// than the closed form. On a one-port machine this is the
+    /// comm-processor model the engine runs: start-up `i+1` overlaps
+    /// transmission `i`, and only the transmissions queue for the port.
     Overlapped,
 }
 
@@ -39,71 +43,13 @@ pub struct SimReport {
     pub dim_busy: Vec<f64>,
     /// Total messages.
     pub messages: usize,
-    /// Total element volume.
-    pub volume: f64,
 }
 
-/// Completion time of one node's sends within a stage starting at `t0`,
-/// also accumulating per-dimension busy time.
-fn node_stage_completion(
-    sends: &[NodeSend],
-    machine: &Machine,
-    startup: StartupModel,
-    t0: f64,
-    dim_busy: &mut [f64],
-) -> f64 {
-    if sends.is_empty() {
-        return t0;
-    }
-    let ts = machine.ts;
-    let tw = machine.tw;
-    let n = sends.len() as f64;
-    for s in sends {
-        dim_busy[s.dim] += s.elems * tw;
-    }
-    match machine.ports {
-        PortModel::AllPort => match startup {
-            StartupModel::SerializedThenParallel => {
-                let tx_max = sends.iter().map(|s| s.elems * tw).fold(0.0f64, f64::max);
-                t0 + n * ts + tx_max
-            }
-            StartupModel::Overlapped => sends
-                .iter()
-                .enumerate()
-                .map(|(i, s)| t0 + (i as f64 + 1.0) * ts + s.elems * tw)
-                .fold(0.0f64, f64::max),
-        },
-        PortModel::OnePort => {
-            // Single port: start-up, transmit, repeat.
-            let mut t = t0;
-            for s in sends {
-                t += ts + s.elems * tw;
-            }
-            t
-        }
-        PortModel::KPort(k) => {
-            let k = k.max(1);
-            let mut engines = vec![t0; k];
-            let mut t_cpu = t0;
-            let mut done = t0;
-            for s in sends {
-                t_cpu += ts;
-                let issue = match startup {
-                    StartupModel::SerializedThenParallel => t0 + n * ts,
-                    StartupModel::Overlapped => t_cpu,
-                };
-                // Earliest-available engine.
-                let idx = (0..k).min_by(|&a, &b| engines[a].total_cmp(&engines[b])).unwrap();
-                let start = engines[idx].max(issue);
-                engines[idx] = start + s.elems * tw;
-                done = done.max(engines[idx]);
-            }
-            done.max(t_cpu)
-        }
-    }
-}
-
-/// Barrier-synchronized execution.
+/// Barrier-synchronized execution. Each stage replays every distinct
+/// bundle once on an idle [`NodeClock`] that waits for the stage's start:
+/// an SPMD stage's one shared bundle stands for all its nodes, a per-node
+/// stage replays each node. The stage ends when its slowest node has
+/// issued every start-up and finished every transmission.
 pub fn simulate_synchronized(
     schedule: &CommSchedule,
     machine: &Machine,
@@ -115,27 +61,35 @@ pub fn simulate_synchronized(
     let mut stage_spans = Vec::with_capacity(schedule.stages.len());
     for stage in &schedule.stages {
         let start = t;
-        let mut end = t;
-        for sends in stage.iter() {
-            let c = node_stage_completion(sends, machine, startup, start, &mut dim_busy);
-            end = end.max(c);
-        }
-        stage_spans.push((start, end));
-        t = end;
+        let mut replay = |sends: &[NodeSend], copies: usize| {
+            let mut clock = NodeClock::new(machine.ports, d);
+            clock.wait(start);
+            let ready = match startup {
+                StartupModel::SerializedThenParallel => start + sends.len() as f64 * machine.ts,
+                StartupModel::Overlapped => start,
+            };
+            let mut end = start;
+            for s in sends {
+                dim_busy[s.dim] += copies as f64 * (s.elems * machine.tw);
+                end = end.max(clock.send(machine.ts, machine.tw, s.dim, s.elems, ready).end);
+            }
+            end.max(clock.now())
+        };
+        t = match stage {
+            CommStage::Spmd { nodes, bundle } => replay(bundle, *nodes),
+            CommStage::PerNode { sends } => {
+                sends.iter().map(|s| replay(s, 1)).fold(start, f64::max)
+            }
+        };
+        stage_spans.push((start, t));
     }
-    SimReport {
-        makespan: t,
-        stage_spans,
-        dim_busy,
-        messages: schedule.message_count(),
-        volume: schedule.volume(),
-    }
+    SimReport { makespan: t, stage_spans, dim_busy, messages: schedule.message_count() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{pipelined_phase_schedule, CommStage};
+    use crate::schedule::pipelined_phase_schedule;
     use mph_ccpipe::CcCube;
     use mph_core::OrderingFamily;
 
@@ -202,12 +156,30 @@ mod tests {
     }
 
     #[test]
+    fn overlap_saving_is_bounded_by_startups() {
+        // Overlap saves at most (n−1)·Ts per stage: on a deep phase of
+        // large messages, under half of the closed form.
+        let m = machine();
+        let cc = CcCube::exchange_phase(OrderingFamily::PermutedBr, 6, 5000.0);
+        let analytic = mph_ccpipe::PhaseCostModel::new(&cc, m).cost(63);
+        let sched = pipelined_phase_schedule(6, &cc, 63);
+        let relaxed = simulate_synchronized(&sched, &m, StartupModel::Overlapped);
+        let saving = (analytic - relaxed.makespan) / analytic;
+        assert!((0.0..0.5).contains(&saving), "saving {saving}");
+    }
+
+    #[test]
     fn one_port_simulation_serializes() {
+        // One port carries one transmission at a time. Strict start-ups
+        // come first, then both transmissions: 2·10 + 5 + 7. Overlapped,
+        // start-up 2 runs during transmission 1 (ends 15), and
+        // transmission 2 starts when its start-up ends: 20 + 7.
         let m = Machine::one_port(10.0, 1.0);
         let bundle = vec![NodeSend { dim: 0, elems: 5.0 }, NodeSend { dim: 1, elems: 7.0 }];
         let sched = CommSchedule::new(2, vec![CommStage::spmd(2, bundle)]);
-        let r = simulate_synchronized(&sched, &m, StartupModel::Overlapped);
-        assert_eq!(r.makespan, (10.0 + 5.0) + (10.0 + 7.0));
+        let strict = simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
+        assert_eq!(strict.makespan, 32.0);
+        assert_eq!(simulate_synchronized(&sched, &m, StartupModel::Overlapped).makespan, 27.0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the network simulator: conformance with the
-//! analytic model on arbitrary phases, and the semantic ordering between
-//! start-up models (strict ≥ overlapped).
+//! analytic model on arbitrary phases, the semantic ordering between
+//! start-up models (strict ≥ overlapped), and an SPMD stage priced like
+//! its per-node spelling.
 
 use mph_ccpipe::{CcCube, Machine, PhaseCostModel, PortModel};
 use mph_core::OrderingFamily;
@@ -49,6 +50,16 @@ fn random_schedule() -> impl Strategy<Value = CommSchedule> {
     })
 }
 
+/// A cube dimension and the shared bundles of a few SPMD stages on it,
+/// two sends on one link included.
+fn spmd_stages() -> impl Strategy<Value = (usize, Vec<Vec<NodeSend>>)> {
+    (1usize..=3).prop_flat_map(|d| {
+        let send = (0..d, 0.0f64..500.0).prop_map(|(dim, elems)| NodeSend { dim, elems });
+        let bundle = proptest::collection::vec(send, 0..=2 * d);
+        (Just(d), proptest::collection::vec(bundle, 1..4))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -60,8 +71,9 @@ proptest! {
         elems in 1.0f64..1e4,
         ts in 0.0f64..3000.0,
         tw in 0.1f64..300.0,
+        ports in prop_oneof![Just(PortModel::AllPort), Just(PortModel::OnePort)],
     ) {
-        let machine = Machine::all_port(ts, tw);
+        let machine = Machine { ts, tw, ports };
         let cc = CcCube::exchange_phase(family, e, elems);
         let model = PhaseCostModel::new(&cc, machine);
         let sched = pipelined_phase_schedule(e, &cc, q);
@@ -69,9 +81,36 @@ proptest! {
         let want = model.cost(q);
         prop_assert!(
             (sim.makespan - want).abs() <= 1e-6 * want.max(1.0),
-            "{family} e={e} q={q}: sim {} vs model {want}",
+            "{family} e={e} q={q} {ports:?}: sim {} vs model {want}",
             sim.makespan
         );
+    }
+
+    #[test]
+    fn an_spmd_stage_prices_like_its_per_node_spelling(
+        spmd_stages in spmd_stages(),
+        ts in 0.0f64..2000.0,
+        tw in 0.1f64..100.0,
+    ) {
+        // One replay of the shared bundle stands for all 2^d nodes.
+        let (d, bundles) = spmd_stages;
+        let spmd = bundles.iter().map(|b| CommStage::Spmd { nodes: 1 << d, bundle: b[..].into() });
+        let spmd = CommSchedule::new(d, spmd.collect());
+        let per_node = bundles.iter().map(|b| CommStage::PerNode { sends: vec![b.clone(); 1 << d] });
+        let per_node = CommSchedule::new(d, per_node.collect());
+        for ports in [PortModel::AllPort, PortModel::OnePort, PortModel::KPort(2)] {
+            for startup in [StartupModel::SerializedThenParallel, StartupModel::Overlapped] {
+                let machine = Machine { ts, tw, ports };
+                let a = simulate_synchronized(&spmd, &machine, startup);
+                let b = simulate_synchronized(&per_node, &machine, startup);
+                prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{:?} {:?}", ports, startup);
+                prop_assert_eq!(&a.stage_spans, &b.stage_spans);
+                prop_assert_eq!(a.messages, b.messages);
+                for (x, y) in a.dim_busy.iter().zip(&b.dim_busy) {
+                    prop_assert!((x - y).abs() <= 1e-12 * x.abs().max(y.abs()), "{x} vs {y}");
+                }
+            }
+        }
     }
 
     #[test]
