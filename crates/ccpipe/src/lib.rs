@@ -11,7 +11,8 @@
 //! * [`machine`] — the `Ts`/`Tw`/port machine model;
 //! * [`cost`] — analytic phase costs with O(1) deep-mode evaluation;
 //! * [`optimum`] — the optimal pipelining degree;
-//! * [`lowerbound`] — the ideal-sequence lower bound of Figure 2;
+//! * [`lowerbound`] — the ideal sequence whose phases bound Figure 2 from
+//!   below: one more CC-cube for the phase model;
 //! * [`sweepcost`] — full-sweep composition and the Figure-2 data points;
 //! * [`plancost`] — the same pricing applied to a lowered
 //!   [`mph_core::CommPlan`], which is how the cost model schedules the
@@ -49,7 +50,7 @@ pub use batchcost::{batch_cost, solo_plan_costs, BatchCost, BatchOrder, OrderCur
 pub use cccube::CcCube;
 pub use cost::PhaseCostModel;
 pub use execution::{efficiency, speedup, unpipelined_sweep_time, ComputeModel, SweepTime};
-pub use lowerbound::{strict_stage_lower_bound, LowerBoundModel};
+pub use lowerbound::{ideal_phase, strict_stage_lower_bound};
 pub use machine::FabricStats;
 pub use machine::{CalibrationError, Machine, PortModel};
 pub use optimum::{optimize_q, OptimalQ};

@@ -10,9 +10,10 @@
 //! search between its neighbors. The cost curve is piecewise smooth and
 //! near-unimodal in each mode, so this matches exhaustive search in tests.
 //!
-//! `search_degree` is that procedure, written once: the lower-bound model
-//! and the chained-tail degree run it too, each with its own extra
-//! candidates and hard cap.
+//! `search_degree` is that procedure, written once: [`optimize_q`] runs it
+//! for every phase — Figure 2's lower bound included, which is one more
+//! sequence ([`crate::lowerbound`]) — and the chained-tail degree with its
+//! own candidates and hard cap.
 
 use crate::cost::PhaseCostModel;
 use crate::pipelining::{mode_of, PipelineMode};

@@ -5,23 +5,18 @@
 //! `Q`) plus the `d` division transitions and the final last transition,
 //! which are single unpipelined block exchanges. Costs are reported both
 //! absolutely and relative to the unpipelined BR CC-cube algorithm — the
-//! paper's baseline (`"communication cost relative to BR"`).
+//! paper's baseline (`"communication cost relative to BR"`). Every
+//! pipelined series of Figure 2 — the three families and the lower bound
+//! ([`ideal_phase`]) — is that one composition over a different CC-cube
+//! per phase.
 
 use crate::cccube::CcCube;
 use crate::cost::PhaseCostModel;
-use crate::lowerbound::LowerBoundModel;
+use crate::lowerbound::ideal_phase;
 use crate::machine::Machine;
 use crate::optimum::{optimize_q, OptimalQ};
 use crate::pipelining::PipelineMode;
 use mph_core::OrderingFamily;
-
-/// Elements exchanged per transition for an `m × m` problem on a `d`-cube:
-/// one block of `m / 2^{d+1}` columns from each of the two matrices `A` and
-/// `U`, each column `m` elements — `m² / 2^d` in total (real-valued; the
-/// paper's analytic models treat sizes continuously).
-fn elems_per_transfer(m: f64, d: usize) -> f64 {
-    m * m / (1u64 << d) as f64
-}
 
 /// A Jacobi workload: `m × m` symmetric problem on a `d`-cube.
 ///
@@ -44,9 +39,12 @@ impl Workload {
         Workload { m, d }
     }
 
-    /// Elements moved per transition (`m²/2^d`).
+    /// Elements exchanged per transition: one block of `m / 2^{d+1}`
+    /// columns from each of the two matrices `A` and `U`, each column `m`
+    /// elements — `m² / 2^d` in total (real-valued; the paper's analytic
+    /// models treat sizes continuously).
     fn elems_per_transfer(&self) -> f64 {
-        elems_per_transfer(self.m, self.d)
+        self.m * self.m / (1u64 << self.d) as f64
     }
 
     /// Column pairs per block — the maximum pipelining degree.
@@ -103,33 +101,25 @@ pub fn unpipelined_sweep_cost(w: &Workload, machine: &Machine) -> f64 {
 /// Pipelined sweep cost for `family` with per-phase optimal `Q` (capped by
 /// the workload's packetization ceiling).
 pub fn pipelined_sweep_cost(family: OrderingFamily, w: &Workload, machine: &Machine) -> SweepCost {
-    let d = w.d;
-    let elems = w.elems_per_transfer();
-    let q_max = w.max_pipelining_degree();
-    let mut phases = Vec::with_capacity(d);
-    for e in (1..=d).rev() {
-        let cc = CcCube::exchange_phase(family, e, elems);
-        let model = PhaseCostModel::new(&cc, *machine);
-        let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
-        phases.push(PhaseOutcome { e, q, mode, cost });
-    }
-    let serial = (d as f64 + 1.0) * machine.single_message_cost(elems);
-    let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d, phases, serial, tail_q: 1, total }
+    sweep_cost(w, machine, |e, elems| CcCube::exchange_phase(family, e, elems))
 }
 
-/// Lower-bound sweep cost (ideal sequences in every phase; division/last
-/// transitions are unavoidable single messages).
-fn lower_bound_sweep_cost(w: &Workload, machine: &Machine) -> SweepCost {
+/// A sweep whose exchange phase `e` is the CC-cube `phase(e, elems)`, each
+/// pipelined at its own optimal `Q` (capped by the workload's
+/// packetization ceiling), followed by the division and last transitions:
+/// `d + 1` single whole-block messages, which no sequence avoids.
+fn sweep_cost(w: &Workload, machine: &Machine, phase: impl Fn(usize, f64) -> CcCube) -> SweepCost {
     let d = w.d;
     let elems = w.elems_per_transfer();
     let q_max = w.max_pipelining_degree();
-    let mut phases = Vec::with_capacity(d);
-    for e in (1..=d).rev() {
-        let lb = LowerBoundModel::new(e, elems, *machine);
-        let (q, cost, mode) = lb.optimize(q_max);
-        phases.push(PhaseOutcome { e, q, mode, cost });
-    }
+    let phases: Vec<PhaseOutcome> = (1..=d)
+        .rev()
+        .map(|e| {
+            let model = PhaseCostModel::new(&phase(e, elems), *machine);
+            let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
+            PhaseOutcome { e, q, mode, cost }
+        })
+        .collect();
     let serial = (d as f64 + 1.0) * machine.single_message_cost(elems);
     let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
     SweepCost { d, phases, serial, tail_q: 1, total }
@@ -165,7 +155,9 @@ pub fn figure2_point(d: usize, m: f64, machine: &Machine) -> Figure2Point {
         degree4: pipelined_sweep_cost(OrderingFamily::Degree4, &w, machine).total / base,
         permuted_br_deep: pbr.first_phase_mode() == PipelineMode::Deep,
         permuted_br: pbr.total / base,
-        lower_bound: lower_bound_sweep_cost(&w, machine).total / base,
+        // Ideal sequences in every phase, priced all-port as defined.
+        lower_bound: sweep_cost(&w, &Machine::all_port(machine.ts, machine.tw), ideal_phase).total
+            / base,
     }
 }
 
@@ -177,8 +169,8 @@ mod tests {
     fn elems_per_transfer_matches_block_algebra() {
         // m columns split into 2^{d+1} blocks; a transition moves one block
         // of A plus one block of U: 2 · (m/2^{d+1}) · m = m²/2^d.
-        assert_eq!(elems_per_transfer(16.0, 2), 64.0);
-        assert_eq!(elems_per_transfer(1024.0, 5), 1024.0 * 1024.0 / 32.0);
+        assert_eq!(Workload::new(16.0, 2).elems_per_transfer(), 64.0);
+        assert_eq!(Workload::new(1024.0, 5).elems_per_transfer(), 1024.0 * 1024.0 / 32.0);
     }
 
     #[test]

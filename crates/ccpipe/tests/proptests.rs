@@ -4,7 +4,7 @@
 //! sampled competitor.
 
 use mph_ccpipe::{
-    optimize_q, pipelined_schedule, CcCube, LowerBoundModel, Machine, PhaseCostModel, PortModel,
+    ideal_phase, optimize_q, pipelined_schedule, CcCube, Machine, PhaseCostModel, PortModel,
 };
 use mph_core::OrderingFamily;
 use proptest::prelude::*;
@@ -96,9 +96,10 @@ proptest! {
         elems in 1.0f64..1e6,
         machine in machine_strategy(),
     ) {
-        let cc = CcCube::exchange_phase(family, e, elems);
-        let model = PhaseCostModel::new(&cc, machine);
-        prop_assert!((model.cost(1) - model.unpipelined_cost()).abs() <= 1e-9 * model.cost(1));
+        for cc in [CcCube::exchange_phase(family, e, elems), ideal_phase(e, elems)] {
+            let model = PhaseCostModel::new(&cc, machine);
+            prop_assert!((model.cost(1) - model.unpipelined_cost()).abs() <= 1e-9 * model.cost(1));
+        }
     }
 
     #[test]
@@ -110,8 +111,7 @@ proptest! {
         tw in 0.1f64..500.0,
     ) {
         let machine = Machine::all_port(ts, tw);
-        let lb = LowerBoundModel::new(e, elems, machine);
-        let (_, lb_cost, _) = lb.optimize(elems);
+        let lb_cost = optimize_q(&PhaseCostModel::new(&ideal_phase(e, elems), machine), elems).cost;
         let cc = CcCube::exchange_phase(family, e, elems);
         let opt = optimize_q(&PhaseCostModel::new(&cc, machine), elems);
         prop_assert!(lb_cost <= opt.cost * (1.0 + 1e-9), "{family}: {lb_cost} > {}", opt.cost);

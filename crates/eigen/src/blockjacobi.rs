@@ -1,6 +1,7 @@
 //! The parallel block one-sided Jacobi algorithm, executed *logically*:
 //! a single thread follows the sweep schedule's block movements and applies
-//! every node's pairings in node order.
+//! every node's pairings in node order — in the loop every logical driver
+//! runs (`solve_logical`).
 //!
 //! The column data lives in the same contiguous [`ColumnBlock`] storage the
 //! threaded driver ships across links, and every pairing goes through the
@@ -8,12 +9,14 @@
 //! nodes are disjoint column sets, the node-by-node serialization performs
 //! exactly the same floating-point operations as a true parallel run — the
 //! bitwise equivalence asserted in `threaded.rs` is now structural: both
-//! drivers call the same functions on the same storage layout. This driver
-//! is the convergence-measurement workhorse for Table 2: deterministic,
-//! fast, and faithful to the ordering's rotation sequence.
+//! drivers call the same functions on the same storage layout and stop on
+//! the same rule, [`JobKind`]'s. This driver is the convergence-measurement
+//! workhorse for Table 2: deterministic, fast, and faithful to the
+//! ordering's rotation sequence.
 
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::offnorm::{diagonal_blocks, off_norm_blocks};
+use crate::kernel::{refresh_block_diag, SweepAccumulator, SweepKernel};
+use crate::multidrive::{eigen_answer, JobKind, Tally};
+use crate::offnorm::{diagonal_blocks, off_norm_blocks, residual_sq};
 use crate::options::{EigenResult, JacobiOptions};
 use mph_core::BlockPartition;
 use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
@@ -35,48 +38,82 @@ pub fn block_jacobi(
     family: OrderingFamily,
     opts: &JacobiOptions,
 ) -> EigenResult {
-    assert_eq!(a0.rows(), a0.cols());
-    let m = a0.cols();
-    let p = 1usize << d;
-    let nblocks = 2 * p;
-    let partition = BlockPartition::new(m, nblocks);
+    solve_logical(JobKind::Eigen, a0, opts, Some((d, family)), eigen_answer)
+}
 
-    // Block-resident column data: block `b` owns partition.cols(b) of both
-    // A (initially A₀) and U (initially I), in flat contiguous storage.
-    let mut blocks: Vec<ColumnBlock> = (0..nblocks)
-        .map(|b| ColumnBlock::from_matrix_with_identity(a0, partition.cols(b), m))
-        .collect();
-    let norm_a = a0.frobenius_norm();
-    let mut layout = BlockLayout::canonical(d);
-    let mut off = off_norm_blocks(&blocks, &layout);
-    let mut off_history = vec![off];
-    let mut rotations = 0u64;
-    let mut sweeps = 0usize;
-    // A forced solve runs its sweeps whatever the residual.
-    let stop_early = opts.force_sweeps.is_none();
-    let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-
-    let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
-    while !(stop_early && off <= opts.tol * norm_a) && sweeps < budget {
-        let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let acc = logical_sweep(&kern, &mut blocks, &schedule, &mut layout, opts);
-        rotations += acc.rotations;
-        sweeps += 1;
-        // Post-sweep, over the layout the sweep ended in: the value the
-        // threaded driver's nodes vote on, to the bit.
-        off = off_norm_blocks(&blocks, &layout);
-        off_history.push(off);
+/// The loop of every logical driver: a solve of `kind` on the `2^{d+1}`
+/// blocks of a `d`-cube swept in `family`'s schedule when `cube` is
+/// `Some((d, family))`, else on the whole matrix as one block swept
+/// row-cyclic; it stops on `kind`'s rule, and `answer`, the engine's
+/// assembly, reads the result off the blocks. An eigen solve measures
+/// `off(M)` before the first sweep too, so it may run none.
+pub(crate) fn solve_logical<R>(
+    kind: JobKind,
+    a: &Matrix,
+    opts: &JacobiOptions,
+    cube: Option<(usize, OrderingFamily)>,
+    answer: impl FnOnce(&Matrix, &[ColumnBlock], Tally) -> R,
+) -> R {
+    if kind == JobKind::Eigen {
+        assert_eq!(a.rows(), a.cols(), "eigenproblem requires a square matrix");
     }
-    let converged = off <= opts.tol * norm_a;
-
-    let (eigenvalues, eigenvectors) = eigenpairs(&blocks);
-    EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
+    let n = a.cols();
+    let (d, nblocks) = cube.map_or((0, 1), |(d, _)| (d, 2 << d));
+    // Block `b` owns partition.cols(b) of both A (initially A₀) and U
+    // (initially I), in flat contiguous storage.
+    let partition = BlockPartition::new(n, nblocks);
+    let mut blocks: Vec<ColumnBlock> = (0..nblocks)
+        .map(|b| ColumnBlock::from_matrix_with_identity(a, partition.cols(b), n))
+        .collect();
+    let mut layout = BlockLayout::canonical(d);
+    // `off(M)`, folded as the cube's nodes fold their vote.
+    let off_norm = |blocks: &[ColumnBlock], layout: &BlockLayout| match cube {
+        Some(_) => off_norm_blocks(blocks, layout),
+        None => residual_sq(&blocks[0]).sqrt(),
+    };
+    let (bar, budget) = (kind.bar(a, opts), kind.budget(opts));
+    let kern = SweepKernel::from_options(kind.rule(), opts);
+    let mut tally = Tally::default();
+    let mut met = false;
+    if kind == JobKind::Eigen {
+        let off = off_norm(&blocks, &layout);
+        tally.off_history.push(off);
+        met = bar.met(off);
+    }
+    while !met && tally.sweeps < budget {
+        if opts.cache_diagonals {
+            // The exact refresh of every cached diagonal (M_ii or ‖w_i‖²).
+            for b in &mut blocks {
+                refresh_block_diag(b, kern.rule);
+            }
+        }
+        let acc = match cube {
+            Some((d, family)) => {
+                let schedule = SweepSchedule::sweep(d, family, tally.sweeps);
+                logical_sweep(&kern, &mut blocks, &schedule, &mut layout)
+            }
+            None => kern.within(&mut blocks),
+        };
+        tally.rotations += acc.rotations;
+        tally.sweeps += 1;
+        let measure = match kind {
+            JobKind::Eigen => {
+                let off = off_norm(&blocks, &layout);
+                tally.off_history.push(off);
+                off
+            }
+            JobKind::Svd => acc.max_off,
+        };
+        met = bar.met(measure);
+    }
+    tally.converged = bar.converged(met);
+    answer(a, &blocks, tally)
 }
 
 /// The eigenpairs the blocks hold: `λ_c = u_c · a_c` ([`diagonal_blocks`])
 /// and `U` gathered from their `U`-columns. The one eigen answer assembly:
-/// [`block_jacobi`], `one_sided_cyclic` and the engine
-/// ([`crate::multidrive`]) all read their result off their blocks with it.
+/// every eigen driver, logical or engine, reads its result off its blocks
+/// with it ([`eigen_answer`]).
 pub(crate) fn eigenpairs(blocks: &[ColumnBlock]) -> (Vec<f64>, Matrix) {
     let eigenvalues = diagonal_blocks(blocks);
     let m = eigenvalues.len();
@@ -90,22 +127,14 @@ pub(crate) fn eigenpairs(blocks: &[ColumnBlock]) -> (Vec<f64>, Matrix) {
 /// One sweep of the logical block algorithm, eigen or SVD by `kern.rule`:
 /// `schedule`'s block movements traced from `layout` (left at the sweep's
 /// final layout), every node's pairings applied in node order.
-pub(crate) fn logical_sweep(
+fn logical_sweep(
     kern: &SweepKernel,
     blocks: &mut [ColumnBlock],
     schedule: &SweepSchedule,
     layout: &mut BlockLayout,
-    opts: &JacobiOptions,
 ) -> SweepAccumulator {
     let trace = mph_core::trace_sweep(schedule, layout);
     let mut acc = SweepAccumulator::default();
-    if opts.cache_diagonals {
-        // Periodic exact refresh: recompute every cached diagonal (M_ii or
-        // ‖w_i‖²) once per sweep.
-        for b in blocks.iter_mut() {
-            refresh_block_diag(b, kern.rule);
-        }
-    }
     for (step_idx, step) in trace.steps.iter().enumerate() {
         if step_idx == 0 {
             // Paper step (1): intra-block pairings, every block.

@@ -1,14 +1,17 @@
 //! One-sided Jacobi symmetric eigensolver driven by multi-port hypercube
 //! Jacobi orderings.
 //!
-//! Four drivers share one rotation kernel:
+//! The drivers share one rotation kernel and one stop rule per
+//! [`JobKind`]: its bar (`tol·‖A‖_F` for eigen, `tol` for SVD, none when
+//! forced), its sweep budget, and `converged` = no bar, or the bar met.
 //!
-//! * [`one_sided_cyclic`] — sequential reference (row-cyclic ordering);
+//! * the logical drivers, one call each into one loop on the calling
+//!   thread: [`block_jacobi`] and [`svd_block`] — the paper's parallel
+//!   block algorithm following the sweep schedule, used for the Table-2
+//!   convergence measurements — and the sequential references
+//!   [`one_sided_cyclic`] and [`svd_cyclic`] (row-cyclic ordering);
 //! * [`two_sided_cyclic`] — the classical two-sided baseline (independent
-//!   oracle for spectra);
-//! * [`block_jacobi`] — the paper's parallel block algorithm executed
-//!   logically (single thread following the sweep schedule), used for the
-//!   Table-2 convergence measurements;
+//!   oracle for spectra: its own sweep and measure, the shared rule);
 //! * the micro-op engine in [`multidrive`] — the same algorithm on the
 //!   threaded multicomputer of `mph-runtime`, with real block messages:
 //!   N independent eigen/SVD problems interleaved over one link fabric
@@ -17,10 +20,10 @@
 //!   solve, run to convergence or for a fixed sweep count (an eigen
 //!   job's convergence is one measure, [`offnorm`], in every mode).
 //!
-//! All of them, and the logical SVD drivers in [`svd`], store their
-//! columns in the contiguous [`ColumnBlock`] layout of `mph-linalg` and
-//! pair through the single kernel in [`kernel`]: one rotation path, one
-//! storage layout, shared end to end.
+//! All of them but the oracle store their columns in the contiguous
+//! [`ColumnBlock`] layout of `mph-linalg` and pair through the single
+//! kernel in [`kernel`]: one rotation path, one storage layout, shared end
+//! to end.
 //!
 //! ```
 //! use mph_eigen::{block_jacobi, JacobiOptions};

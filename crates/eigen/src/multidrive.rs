@@ -140,7 +140,8 @@
 //! convergence stops at the sweep its logical solve stops at and carries
 //! the same bits, `off_history` included. An SVD job takes the **max** of
 //! the largest cosine its pairings met, the rule of
-//! [`svd_block`](crate::svd::svd_block).
+//! [`svd_block`](crate::svd::svd_block). Either is held to the bar of the
+//! job's [`JobKind`], the rule every logical driver stops on too.
 //!
 //! [`block_jacobi_threaded`]: crate::threaded::block_jacobi_threaded
 //! [`svd_block_threaded`]: crate::threaded::svd_block_threaded
@@ -166,13 +167,55 @@ use mph_runtime::{
 use std::sync::Arc;
 use std::task::{ready, Poll};
 
-/// What kind of factorization a job asks for.
+/// What kind of factorization a job asks for — and so how every driver,
+/// logical or engine, pairs, stops and reports `converged` on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     /// Symmetric eigendecomposition (`A` must be square symmetric).
     Eigen,
     /// One-sided Jacobi SVD of a `rows × n` matrix.
     Svd,
+}
+
+impl JobKind {
+    /// The pairing rule its sweeps rotate by.
+    pub(crate) fn rule(self) -> PairingRule {
+        match self {
+            JobKind::Eigen => PairingRule::Implicit,
+            JobKind::Svd => PairingRule::Gram,
+        }
+    }
+
+    /// The bar a sweep's measure is held to: `tol · ‖A‖_F` for `off(M)`,
+    /// `tol` for the largest SVD pair cosine; none when forced (so its
+    /// norm, a serial m² add chain, is never computed).
+    pub(crate) fn bar(self, a: &Matrix, opts: &JacobiOptions) -> Bar {
+        Bar(opts.force_sweeps.is_none().then(|| match self {
+            JobKind::Eigen => opts.tol * a.frobenius_norm(),
+            JobKind::Svd => opts.tol,
+        }))
+    }
+
+    /// The most sweeps a solve runs: `force_sweeps`, else `max_sweeps`.
+    pub(crate) fn budget(self, opts: &JacobiOptions) -> usize {
+        opts.force_sweeps.unwrap_or(opts.max_sweeps)
+    }
+}
+
+/// A solve's stop bar ([`JobKind::bar`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Bar(Option<f64>);
+
+impl Bar {
+    /// Whether a sweep's measure `v` ends the solve: never when forced.
+    pub(crate) fn met(self, v: f64) -> bool {
+        self.0.is_some_and(|bar| v <= bar)
+    }
+
+    /// What a solve reports as `converged`: forced, or its bar `met`.
+    pub(crate) fn converged(self, met: bool) -> bool {
+        self.0.is_none() || met
+    }
 }
 
 /// One problem of a batch: a view of the caller's matrix, its ordering
@@ -197,17 +240,6 @@ impl<'a> JobSpec<'a> {
     pub fn svd(a: &'a Matrix, family: OrderingFamily, opts: JacobiOptions) -> Self {
         JobSpec { kind: JobKind::Svd, a, family, opts }
     }
-
-    fn rule(&self) -> PairingRule {
-        match self.kind {
-            JobKind::Eigen => PairingRule::Implicit,
-            JobKind::Svd => PairingRule::Gram,
-        }
-    }
-
-    fn budget(&self) -> usize {
-        self.opts.force_sweeps.unwrap_or(self.opts.max_sweeps)
-    }
 }
 
 /// Lowers one job's full communication up front: the sweep-chained plans
@@ -220,7 +252,7 @@ impl<'a> JobSpec<'a> {
 pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     let n = spec.a.cols();
     let elems_per_col = spec.a.rows() + n + usize::from(spec.opts.cache_diagonals);
-    let plans = CommPlan::chain(n, d, spec.family, elems_per_col, spec.budget());
+    let plans = CommPlan::chain(n, d, spec.family, elems_per_col, spec.kind.budget(&spec.opts));
     let q_cap = packetization_cap(n, d);
     let qs = once_per_distinct(
         plans.len(),
@@ -287,11 +319,8 @@ struct JobShared {
     /// every node. A sweep that meets a dead link, or a re-priced degraded
     /// solo sweep, replaces its entry (`JobNode::reprice`).
     framings: Vec<Framing>,
-    /// The convergence bar a sweep's vote is held against: `tol · ‖A‖` for
-    /// an eigen job, `tol` (an absolute cosine) for an SVD. `None` for a
-    /// forced job, which casts no vote — so its norm, a serial m² add
-    /// chain, is never computed.
-    bar: Option<f64>,
+    /// The bar a sweep's vote is held to; a forced job casts none.
+    bar: Bar,
 }
 
 fn job_shared(
@@ -307,11 +336,7 @@ fn job_shared(
             |t, s| plans[t].same_traffic(&plans[s]) && qs[t] == qs[s],
             |s| plans[s].framing(&qs[s], choose_tail_qs(&plans[s], tail, q_cap)),
         );
-        let bar = spec.opts.force_sweeps.is_none().then(|| match spec.kind {
-            JobKind::Eigen => spec.opts.tol * spec.a.frobenius_norm(),
-            JobKind::Svd => spec.opts.tol,
-        });
-        JobShared { framings, bar }
+        JobShared { framings, bar: spec.kind.bar(spec.a, &spec.opts) }
     };
     jobs.iter().zip(lowered).map(shared).collect()
 }
@@ -581,7 +606,8 @@ struct JobNode<'a> {
     /// The value each sweep's vote agreed on (eigen jobs; the same on
     /// every node).
     off_history: Vec<f64>,
-    converged: bool,
+    /// Whether a sweep's vote met the job's bar.
+    met: bool,
     /// The op `step` executes next ([`CommPlan::op_after`] of the last
     /// one); `None` once the job has finished.
     next: Option<MicroOp>,
@@ -650,7 +676,7 @@ impl<'a> JobNode<'a> {
             plans,
             shared,
             run,
-            kern: SweepKernel::from_options(spec.rule(), &spec.opts),
+            kern: SweepKernel::from_options(spec.kind.rule(), &spec.opts),
             node,
             slot0,
             slot1,
@@ -658,8 +684,8 @@ impl<'a> JobNode<'a> {
             sweeps: 0,
             rotations: 0,
             off_history: Vec::new(),
-            converged: false,
-            next: (spec.budget() > 0).then_some(MicroOp::SWEEP_START),
+            met: false,
+            next: (spec.kind.budget(&spec.opts) > 0).then_some(MicroOp::SWEEP_START),
             stamps: Vec::new(),
             repriced: None,
             relays: &[],
@@ -940,7 +966,7 @@ impl<'a> JobNode<'a> {
     /// relayed like the sweep's blocks (module docs) — the sum of the
     /// nodes' eigen-residuals, or the max of their SVD cosines.
     fn vote(&self) -> Option<Reduce> {
-        self.shared.bar?;
+        self.shared.bar.0?;
         Some(match self.spec.kind {
             JobKind::Eigen => {
                 Reduce::new(vec![node_residual_sq(&self.slot0, &self.slot1)], |a, b| a + b)
@@ -952,7 +978,6 @@ impl<'a> JobNode<'a> {
     /// Holds the agreed vote against the bar. The decision is global, so
     /// every node finishes (or goes on) together.
     fn count_vote(&mut self, v: f64) {
-        let Some(bar) = self.shared.bar else { return };
         let v = match self.spec.kind {
             JobKind::Eigen => {
                 let off = v.sqrt();
@@ -961,7 +986,7 @@ impl<'a> JobNode<'a> {
             }
             JobKind::Svd => v,
         };
-        self.converged = v <= bar;
+        self.met = self.shared.bar.met(v);
     }
 
     /// Executes the job's next micro-op — the arms say what each kind
@@ -1077,13 +1102,13 @@ impl<'a> JobNode<'a> {
                 // every node — the deterministic clock the impairment
                 // timelines key on.
                 let degraded = self.run.solo.is_some() && self.run.scenario.is_some();
-                if degraded && !self.converged && ctx.barrier().is_pending() {
+                if degraded && !self.met && ctx.barrier().is_pending() {
                     self.stage = Stage::Voted;
                     return Poll::Pending;
                 }
                 self.sweeps += 1;
                 self.repriced = None;
-                if self.converged || self.sweeps >= self.spec.budget() {
+                if self.met || self.sweeps >= self.spec.kind.budget(&self.spec.opts) {
                     self.finish = ctx.virtual_now();
                     self.next = None;
                 } else {
@@ -1103,7 +1128,7 @@ impl<'a> JobNode<'a> {
             sweeps: self.sweeps,
             rotations: self.rotations,
             off_history: self.off_history,
-            converged: self.converged || self.shared.bar.is_none(),
+            converged: self.shared.bar.converged(self.met),
             start: self.start,
             finish: self.finish,
             adaptive: self.adaptive,
@@ -1145,7 +1170,7 @@ pub fn run_job_batch(
         .iter()
         .map(|spec| {
             let shares = per_node.iter_mut().map(|o| o.next().expect("one share per job"));
-            assemble_job(spec, shares.collect(), &mut adaptive, job_answer)
+            assemble_job(spec, shares.collect(), &mut adaptive, job_answer(spec.kind))
         })
         .unzip();
     BatchRun { results, spans, meter, fabric, adaptive }
@@ -1263,7 +1288,7 @@ fn assert_square_eigen_jobs(jobs: &[JobSpec<'_>]) {
 pub(crate) fn solve_solo<R>(
     spec: &JobSpec<'_>,
     d: usize,
-    answer: impl FnOnce(&JobSpec<'_>, &[ColumnBlock], Tally) -> R,
+    answer: impl FnOnce(&Matrix, &[ColumnBlock], Tally) -> R,
 ) -> ThreadedRun<R> {
     let SpmdRun { results, meter, fabric } = run_nodes(
         d,
@@ -1280,13 +1305,14 @@ pub(crate) fn solve_solo<R>(
     ThreadedRun { result, meter, fabric, adaptive }
 }
 
-/// What one job's nodes agree on or sum to besides its blocks: the
-/// counters every answer carries.
+/// What one job's nodes agree on or sum to besides its blocks, or a
+/// logical solve counts: the counters every answer carries.
+#[derive(Default)]
 pub(crate) struct Tally {
-    sweeps: usize,
-    rotations: u64,
-    off_history: Vec<f64>,
-    converged: bool,
+    pub(crate) sweeps: usize,
+    pub(crate) rotations: u64,
+    pub(crate) off_history: Vec<f64>,
+    pub(crate) converged: bool,
 }
 
 /// Merges one job's per-node shares into its answer and virtual-clock
@@ -1298,7 +1324,7 @@ fn assemble_job<R>(
     spec: &JobSpec<'_>,
     mut shares: Vec<JobNodeOutput>,
     adaptive: &mut AdaptiveReport,
-    answer: impl FnOnce(&JobSpec<'_>, &[ColumnBlock], Tally) -> R,
+    answer: impl FnOnce(&Matrix, &[ColumnBlock], Tally) -> R,
 ) -> (R, JobSpan) {
     // Every node holds the votes' agreed values.
     let off_history = std::mem::take(&mut shares[0].off_history);
@@ -1318,28 +1344,28 @@ fn assemble_job<R>(
         adaptive.rerouted_elems += o.adaptive.rerouted_elems;
         blocks.extend(o.blocks);
     }
-    (answer(spec, &blocks, tally), span)
+    (answer(spec.a, &blocks, tally), span)
 }
 
-/// An eigen job's answer: [`eigenpairs`] of its blocks.
-pub(crate) fn eigen_answer(_: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> EigenResult {
+/// An eigen solve's answer: [`eigenpairs`] of its blocks.
+pub(crate) fn eigen_answer(_: &Matrix, blocks: &[ColumnBlock], t: Tally) -> EigenResult {
     let (eigenvalues, eigenvectors) = eigenpairs(blocks);
     let Tally { sweeps, rotations, off_history, converged } = t;
     EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
 }
 
-/// An SVD job's answer: [`extract_usv_blocks`] of its blocks.
-pub(crate) fn svd_answer(spec: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> SvdResult {
-    let (singular_values, u, v) = extract_usv_blocks(blocks, spec.a.rows(), spec.a.cols());
+/// An SVD solve's answer: [`extract_usv_blocks`] of its blocks.
+pub(crate) fn svd_answer(a: &Matrix, blocks: &[ColumnBlock], t: Tally) -> SvdResult {
+    let (singular_values, u, v) = extract_usv_blocks(blocks, a.rows(), a.cols());
     let Tally { sweeps, rotations, converged, .. } = t;
     SvdResult { singular_values, u, v, sweeps, rotations, converged }
 }
 
-/// A batch or service job's answer, of its spec's kind.
-fn job_answer(spec: &JobSpec<'_>, blocks: &[ColumnBlock], t: Tally) -> JobResult {
-    match spec.kind {
-        JobKind::Eigen => JobResult::Eigen(eigen_answer(spec, blocks, t)),
-        JobKind::Svd => JobResult::Svd(svd_answer(spec, blocks, t)),
+/// A batch or service job's answer, of its `kind`.
+fn job_answer(kind: JobKind) -> impl FnOnce(&Matrix, &[ColumnBlock], Tally) -> JobResult {
+    move |a, blocks, t| match kind {
+        JobKind::Eigen => JobResult::Eigen(eigen_answer(a, blocks, t)),
+        JobKind::Svd => JobResult::Svd(svd_answer(a, blocks, t)),
     }
 }
 
@@ -1763,7 +1789,8 @@ pub fn run_job_service(
             continue;
         }
         let shares = outputs.iter_mut().map(|o| o[j].take().expect("admitted on every node"));
-        let (result, span) = assemble_job(spec, shares.collect(), &mut adaptive, job_answer);
+        let (result, span) =
+            assemble_job(spec, shares.collect(), &mut adaptive, job_answer(spec.kind));
         let admitted = log0.admitted_at[j].expect("a job is admitted or rejected");
         // A zero-budget job never steps, so its span is empty; it
         // finishes the moment it is admitted.

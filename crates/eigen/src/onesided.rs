@@ -1,17 +1,15 @@
 //! Sequential one-sided Jacobi with the row-cyclic ordering — the
 //! single-node reference against which every parallel driver is validated.
 //!
-//! The whole matrix is held as a single [`ColumnBlock`] and swept with the
+//! The whole matrix is held as a single `ColumnBlock` and swept with the
 //! same `pair_within_block` kernel the distributed drivers use: the
 //! row-cyclic ordering *is* the intra-block pairing order, so the
 //! sequential reference exercises the one shared kernel rather than a
-//! private rotation loop.
+//! private rotation loop — in the loop of the logical drivers.
 
-use crate::blockjacobi::eigenpairs;
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
-use crate::offnorm::residual_sq;
+use crate::blockjacobi::solve_logical;
+use crate::multidrive::{eigen_answer, JobKind};
 use crate::options::{EigenResult, JacobiOptions};
-use mph_linalg::block::ColumnBlock;
 use mph_linalg::Matrix;
 
 /// Solves the symmetric eigenproblem of `a0` by cyclic one-sided Jacobi.
@@ -19,33 +17,7 @@ use mph_linalg::Matrix;
 /// # Panics
 /// Panics if `a0` is not square.
 pub fn one_sided_cyclic(a0: &Matrix, opts: &JacobiOptions) -> EigenResult {
-    assert_eq!(a0.rows(), a0.cols(), "eigenproblem requires a square matrix");
-    let m = a0.cols();
-    let mut blk = ColumnBlock::from_matrix_with_identity(a0, 0..m, m);
-    let norm_a = a0.frobenius_norm();
-    let mut off = residual_sq(&blk).sqrt();
-    let mut off_history = vec![off];
-    let mut rotations = 0u64;
-    let mut sweeps = 0usize;
-    // A forced solve runs its sweeps whatever the residual.
-    let stop_early = opts.force_sweeps.is_none();
-
-    let kern = SweepKernel::from_options(PairingRule::Implicit, opts);
-    let sweep_budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-    while !(stop_early && off <= opts.tol * norm_a) && sweeps < sweep_budget {
-        if opts.cache_diagonals {
-            refresh_block_diag(&mut blk, PairingRule::Implicit);
-        }
-        let acc: SweepAccumulator = kern.within([&mut blk]);
-        rotations += acc.rotations;
-        sweeps += 1;
-        off = residual_sq(&blk).sqrt();
-        off_history.push(off);
-    }
-    let converged = off <= opts.tol * norm_a;
-
-    let (eigenvalues, eigenvectors) = eigenpairs(std::slice::from_ref(&blk));
-    EigenResult { eigenvalues, eigenvectors, sweeps, rotations, off_history, converged }
+    solve_logical(JobKind::Eigen, a0, opts, None, eigen_answer)
 }
 
 #[cfg(test)]

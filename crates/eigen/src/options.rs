@@ -75,7 +75,8 @@ pub struct JacobiOptions {
     pub max_sweeps: usize,
     /// When set, run exactly this many sweeps and skip convergence checks —
     /// used by the equivalence tests between the logical and threaded
-    /// drivers.
+    /// drivers. Every driver, eigen or SVD, then runs them all and reports
+    /// `converged`.
     pub force_sweeps: Option<usize>,
     /// Opt-in diagonal caching: maintain each block's diagonal entries
     /// (`M_ii`, or `‖w_i‖²` for the SVD) under rotation instead of
@@ -192,7 +193,9 @@ pub struct EigenResult {
     /// one at 1). A forced job (`force_sweeps`) casts no vote and leaves
     /// it empty.
     pub off_history: Vec<f64>,
-    /// Whether the tolerance was met within `max_sweeps`.
+    /// Whether `off` met `tol · ‖A‖_F` within `max_sweeps` (a logical solve
+    /// also checks its input); always for a forced solve
+    /// ([`JacobiOptions::force_sweeps`]). One rule for every driver.
     pub converged: bool,
 }
 

@@ -12,17 +12,17 @@
 //! Like the eigensolver, the SVD comes in a sequential cyclic driver and a
 //! block driver that follows any [`OrderingFamily`] sweep schedule; both
 //! are verified against each other and by reconstruction residuals. Both
-//! store their columns in the same contiguous [`ColumnBlock`] layout as the
-//! eigensolver drivers (`A` slots holding `W`-columns, `U` slots holding
-//! `V`-columns) and pair through the shared kernel under
-//! [`PairingRule::Gram`] — the SVD is the third consumer of the one pairing
-//! kernel, not a reimplementation.
+//! run the eigensolvers' logical loop with [`JobKind::Svd`](crate::JobKind):
+//! the same contiguous [`ColumnBlock`] layout (`A` slots holding
+//! `W`-columns, `U` slots holding `V`-columns), the shared kernel under
+//! [`PairingRule::Gram`](crate::kernel::PairingRule::Gram) and the one stop
+//! rule — the SVD is the third consumer of the one pairing kernel, not a
+//! reimplementation.
 
-use crate::blockjacobi::logical_sweep;
-use crate::kernel::{refresh_block_diag, PairingRule, SweepKernel};
+use crate::blockjacobi::solve_logical;
+use crate::multidrive::{svd_answer, JobKind};
 use crate::options::JacobiOptions;
-use mph_core::BlockPartition;
-use mph_core::{BlockLayout, OrderingFamily, SweepSchedule};
+use mph_core::OrderingFamily;
 use mph_linalg::block::ColumnBlock;
 use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
@@ -38,6 +38,8 @@ pub struct SvdResult {
     pub v: Matrix,
     pub sweeps: usize,
     pub rotations: u64,
+    /// Whether a sweep's largest pair cosine met `tol` within
+    /// `max_sweeps`; always for a forced solve. One rule for every driver.
     pub converged: bool,
 }
 
@@ -116,67 +118,14 @@ pub(crate) fn extract_usv_blocks(
 ///
 /// Convergence: every column pair's cosine `|w_i·w_j|/(‖w_i‖‖w_j‖) ≤ tol`.
 pub fn svd_cyclic(a: &Matrix, opts: &JacobiOptions) -> SvdResult {
-    let n = a.cols();
-    let rows = a.rows();
-    // One block holding all of W (the `A` slots) and V (the `U` slots).
-    let mut blk = ColumnBlock::from_matrix_with_identity(a, 0..n, n);
-    let mut sweeps = 0usize;
-    let mut rotations = 0u64;
-    let mut converged = false;
-    let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-    let kern = SweepKernel::from_options(PairingRule::Gram, opts);
-    while sweeps < budget {
-        if opts.cache_diagonals {
-            refresh_block_diag(&mut blk, PairingRule::Gram);
-        }
-        let acc = kern.within([&mut blk]);
-        rotations += acc.rotations;
-        sweeps += 1;
-        if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {
-            converged = true;
-            break;
-        }
-    }
-    if opts.force_sweeps.is_some() {
-        converged = true;
-    }
-    let (singular_values, u, v) = extract_usv_blocks(std::slice::from_ref(&blk), rows, n);
-    SvdResult { singular_values, u, v, sweeps, rotations, converged }
+    solve_logical(JobKind::Svd, a, opts, None, svd_answer)
 }
 
 /// Block one-sided Jacobi SVD following `family`'s sweep schedule on a
 /// logical `d`-cube — identical block movement and storage to the
 /// eigensolver, with `(W, V)` in place of `(A, U)`.
 pub fn svd_block(a: &Matrix, d: usize, family: OrderingFamily, opts: &JacobiOptions) -> SvdResult {
-    let n = a.cols();
-    let rows = a.rows();
-    let p = 1usize << d;
-    let nblocks = 2 * p;
-    let partition = BlockPartition::new(n, nblocks);
-    let mut blocks: Vec<ColumnBlock> = (0..nblocks)
-        .map(|b| ColumnBlock::from_matrix_with_identity(a, partition.cols(b), n))
-        .collect();
-    let mut layout = BlockLayout::canonical(d);
-    let mut sweeps = 0usize;
-    let mut rotations = 0u64;
-    let mut converged = false;
-    let budget = opts.force_sweeps.unwrap_or(opts.max_sweeps);
-    let kern = SweepKernel::from_options(PairingRule::Gram, opts);
-    while sweeps < budget {
-        let schedule = SweepSchedule::sweep(d, family, sweeps);
-        let acc = logical_sweep(&kern, &mut blocks, &schedule, &mut layout, opts);
-        rotations += acc.rotations;
-        sweeps += 1;
-        if opts.force_sweeps.is_none() && acc.max_off <= opts.tol {
-            converged = true;
-            break;
-        }
-    }
-    if opts.force_sweeps.is_some() {
-        converged = true;
-    }
-    let (singular_values, u, v) = extract_usv_blocks(&blocks, rows, n);
-    SvdResult { singular_values, u, v, sweeps, rotations, converged }
+    solve_logical(JobKind::Svd, a, opts, Some((d, family)), svd_answer)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 use mph_ccpipe::{Machine, PortModel};
 use mph_core::OrderingFamily;
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, one_sided_cyclic, two_sided_cyclic, EigenResult,
-    JacobiOptions, Pipelining,
+    block_jacobi, block_jacobi_threaded, one_sided_cyclic, svd_block, svd_block_threaded,
+    svd_cyclic, two_sided_cyclic, EigenResult, JacobiOptions, Pipelining,
 };
 use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
 use mph_linalg::Matrix;
@@ -219,6 +219,40 @@ proptest! {
         let threaded = block_jacobi_threaded(&a, d, family, &opts).result;
         assert_stops_like_logical(&threaded, &logical, &format!("{family} m={} d={d}", a.cols()));
     }
+
+    #[test]
+    fn forced_solves_stop_and_report_alike_in_every_mode(
+        a in prop_oneof![ragged_symmetric(), symmetric(16)],
+        d in 0usize..=2,
+        family in family_strategy(),
+        k in 1usize..=3,
+    ) {
+        // One stop rule: a forced solve runs exactly its sweeps and reports
+        // converged, eigen or SVD, logical or on the engine — free fabric
+        // or throttled — and so do the whole-matrix drivers and the
+        // two-sided oracle.
+        let opts = JacobiOptions { force_sweeps: Some(k), ..Default::default() };
+        let throttled = JacobiOptions {
+            fabric: FabricModel::Throttled(Machine::all_port(1000.0, 100.0)),
+            ..opts.clone()
+        };
+        let eigen = [
+            block_jacobi(&a, d, family, &opts),
+            block_jacobi_threaded(&a, d, family, &opts).result,
+            block_jacobi_threaded(&a, d, family, &throttled).result,
+        ];
+        let svd = [svd_block(&a, d, family, &opts), svd_block_threaded(&a, d, family, &opts).result];
+        let what = format!("{family} m={} d={d} k={k}", a.cols());
+        for r in &eigen {
+            prop_assert_eq!((r.converged, r.sweeps, r.rotations), (true, k, eigen[0].rotations), "{}", what);
+        }
+        for r in &svd {
+            prop_assert_eq!((r.converged, r.sweeps, r.rotations), (true, k, svd[0].rotations), "{}", what);
+        }
+        prop_assert!(one_sided_cyclic(&a, &opts).converged, "{}", what);
+        prop_assert!(svd_cyclic(&a, &opts).converged, "{}", what);
+        prop_assert!(two_sided_cyclic(&a, &opts).converged, "{}", what);
+    }
 }
 
 #[test]
@@ -322,8 +356,8 @@ fn deaths_ride_the_engine_through_batch_and_serve_with_logical_bits() {
 
 use mph_ccpipe::BatchOrder;
 use mph_eigen::{
-    lower_job, run_job_batch, run_job_service, svd_block, Adaptation, JobResult, JobSpec,
-    ServicePlan, SvdResult, ThreadedRun,
+    lower_job, run_job_batch, run_job_service, Adaptation, JobResult, JobSpec, ServicePlan,
+    SvdResult, ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec, SinkHandle};
