@@ -15,6 +15,12 @@
 //! * one single-transition [`PlanPhase`] per **division** transition and
 //!   for the **last transition** — the serial, unpipelinable block moves.
 //!
+//! A phase's sizes are one `K × 2^d` table, and lowering is the one pass
+//! that scans it: as it writes each row it records the phase's largest
+//! message and whether every row is the same on every node. The pricer
+//! and the simulator read those two facts; none of them rescans `2^d`
+//! nodes per transition.
+//!
 //! The plan is the single source of truth the three downstream layers
 //! consume:
 //!
@@ -56,19 +62,46 @@ pub enum PhaseKind {
 }
 
 /// One phase of the plan: its links and exact per-node message sizes.
+///
+/// The sizes are one row-major `K × 2^d` table, row `t` read by
+/// [`PlanPhase::sends`]. Lowering writes it row by row and records, in
+/// the same pass, the two facts every reader of the phase asks for: its
+/// largest message ([`PlanPhase::max_message_elems`]) and whether every
+/// row is the same size on every node ([`PlanPhase::is_uniform`]). No
+/// reader rescans the table for either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanPhase {
     pub kind: PhaseKind,
     /// The link of each transition of the phase, in order (`2^e − 1` links
     /// for an exchange phase, one for a serial phase).
     pub links: Vec<usize>,
-    /// `sends[t][n]`: the elements node `n` puts on `links[t]` at
-    /// transition `t` of this phase. Zero for empty blocks — the message
-    /// still crosses the link (the protocol is position-based).
-    pub sends: Vec<Vec<u64>>,
+    /// `sends[t · nodes + n]`: the elements node `n` puts on `links[t]`.
+    sends: Vec<u64>,
+    nodes: usize,
+    max_message_elems: u64,
+    uniform: bool,
 }
 
 impl PlanPhase {
+    /// An empty phase of `kind` on `nodes` nodes, its table reserved for
+    /// `k` transitions.
+    fn open(kind: PhaseKind, nodes: usize, k: usize) -> PlanPhase {
+        let (links, sends) = (Vec::with_capacity(k), Vec::with_capacity(k * nodes));
+        PlanPhase { kind, links, sends, nodes, max_message_elems: 0, uniform: true }
+    }
+
+    /// Appends transition `link`, node `n` sending `row`'s `n`-th size,
+    /// and folds the row into the phase's two recorded facts.
+    fn push(&mut self, link: usize, row: impl Iterator<Item = u64>) {
+        self.links.push(link);
+        let mut first = None;
+        for elems in row {
+            self.max_message_elems = self.max_message_elems.max(elems);
+            self.uniform &= *first.get_or_insert(elems) == elems;
+            self.sends.push(elems);
+        }
+    }
+
     /// Number of transitions (`K` of the CC-cube for exchange phases).
     pub fn k(&self) -> usize {
         self.links.len()
@@ -79,15 +112,31 @@ impl PlanPhase {
         matches!(self.kind, PhaseKind::Exchange { .. })
     }
 
+    /// `sends(t)[n]`: the elements node `n` puts on `links[t]` at
+    /// transition `t` of this phase. Zero for empty blocks — the message
+    /// still crosses the link (the protocol is position-based).
+    pub fn sends(&self, t: usize) -> &[u64] {
+        &self.sends[t * self.nodes..(t + 1) * self.nodes]
+    }
+
     /// The largest single message of the phase — the block size that
     /// bounds every transition's transmission (what the cost model prices
-    /// as the phase's message size).
+    /// as the phase's message size). Recorded at lowering.
     pub fn max_message_elems(&self) -> u64 {
-        self.sends.iter().flatten().copied().max().unwrap_or(0)
+        self.max_message_elems
+    }
+
+    /// Whether every node sends the same size at every transition (each
+    /// row of the table is constant) — a phase the simulator lowers to
+    /// shared SPMD stages. Recorded at lowering.
+    pub fn is_uniform(&self) -> bool {
+        self.uniform
     }
 }
 
-/// The lowered communication plan of one sweep.
+/// The lowered communication plan of one sweep: its phases in execution
+/// order, each with its per-node size table and the two facts recorded as
+/// it was written (see [`PlanPhase`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommPlan {
     d: usize,
@@ -99,7 +148,8 @@ pub struct CommPlan {
 impl CommPlan {
     /// Lowers one sweep: walks `schedule`'s transitions from `layout`,
     /// grouping consecutive exchange transitions into phases and recording
-    /// the exact message size of every (transition, node) pair. A block of
+    /// the exact message size of every (transition, node) pair — and, in
+    /// the same pass, each phase's largest message and uniformity. A block of
     /// `b` columns crosses a link as `b · elems_per_col` elements
     /// (`elems_per_col` is `arows + urows`, plus one when a cached
     /// diagonal travels with each column).
@@ -120,58 +170,41 @@ impl CommPlan {
 
         let mut layout = layout.clone();
         let mut phases: Vec<PlanPhase> = Vec::new();
+        // The phase being filled: an exchange phase takes every transition
+        // of its `e`, a serial phase is closed by the next transition.
+        let mut open: Option<PlanPhase> = None;
         for t in schedule.transitions() {
-            // Message sizes are read from the layout *before* the move.
-            let sends: Vec<u64> = (0..p)
-                .map(|n| {
-                    let slots = layout.at(n);
-                    let sent = match t.kind {
-                        TransitionKind::Exchange { .. } | TransitionKind::LastTransition => {
-                            slots[1]
-                        }
-                        TransitionKind::Division { .. } => {
-                            // bit = 0 endpoint sends its mobile, bit = 1
-                            // endpoint its resident (slot asymmetry).
-                            if n & (1 << t.link) == 0 {
-                                slots[1]
-                            } else {
-                                slots[0]
-                            }
-                        }
-                    };
-                    block_elems(sent)
-                })
-                .collect();
-            match t.kind {
+            let (kind, k) = match t.kind {
                 TransitionKind::Exchange { phase } => {
-                    let extend = matches!(
-                        phases.last(),
-                        Some(PlanPhase { kind: PhaseKind::Exchange { e }, .. }) if *e == phase
-                    );
-                    if !extend {
-                        phases.push(PlanPhase {
-                            kind: PhaseKind::Exchange { e: phase },
-                            links: Vec::new(),
-                            sends: Vec::new(),
-                        });
-                    }
-                    let ph = phases.last_mut().unwrap();
-                    ph.links.push(t.link);
-                    ph.sends.push(sends);
+                    (PhaseKind::Exchange { e: phase }, (1 << phase.min(d)) - 1)
                 }
-                TransitionKind::Division { phase } => phases.push(PlanPhase {
-                    kind: PhaseKind::Division { e: phase },
-                    links: vec![t.link],
-                    sends: vec![sends],
-                }),
-                TransitionKind::LastTransition => phases.push(PlanPhase {
-                    kind: PhaseKind::Last,
-                    links: vec![t.link],
-                    sends: vec![sends],
-                }),
+                TransitionKind::Division { phase } => (PhaseKind::Division { e: phase }, 1),
+                TransitionKind::LastTransition => (PhaseKind::Last, 1),
+            };
+            if open.as_ref().is_some_and(|ph| !ph.is_exchange() || ph.kind != kind) {
+                phases.extend(open.take());
             }
+            // Message sizes are read from the layout *before* the move.
+            let row = (0..p).map(|n| {
+                let slots = layout.at(n);
+                let sent = match t.kind {
+                    TransitionKind::Exchange { .. } | TransitionKind::LastTransition => slots[1],
+                    TransitionKind::Division { .. } => {
+                        // bit = 0 endpoint sends its mobile, bit = 1
+                        // endpoint its resident (slot asymmetry).
+                        if n & (1 << t.link) == 0 {
+                            slots[1]
+                        } else {
+                            slots[0]
+                        }
+                    }
+                };
+                block_elems(sent)
+            });
+            open.get_or_insert_with(|| PlanPhase::open(kind, p, k)).push(t.link, row);
             layout.apply(t);
         }
+        phases.extend(open);
         CommPlan { d, elems_per_col, phases, final_layout: layout }
     }
 
@@ -237,7 +270,7 @@ impl CommPlan {
         let mut v = vec![0u64; self.d.max(1)];
         for ph in &self.phases {
             for (t, &link) in ph.links.iter().enumerate() {
-                v[link] += ph.sends[t].iter().sum::<u64>();
+                v[link] += ph.sends(t).iter().sum::<u64>();
             }
         }
         v
@@ -499,6 +532,11 @@ mod tests {
         CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(d), 2 * m)
     }
 
+    /// Every message of phase `ph`, transition by transition.
+    fn messages(ph: &PlanPhase) -> impl Iterator<Item = &u64> {
+        (0..ph.k()).flat_map(|t| ph.sends(t))
+    }
+
     /// Data volume of the whole sweep.
     fn total_volume(p: &CommPlan) -> u64 {
         p.volume_by_dim().iter().sum()
@@ -564,14 +602,14 @@ mod tests {
         // Canonical layout: node 0 = [b0, b2], node 1 = [b1, b3].
         // Exchange phase e=1 (one transition, link 0): both nodes send
         // slot 1 → sizes of b2 (2 cols) and b3 (2 cols).
-        assert_eq!(p.phases()[0].sends[0], vec![2 * epc, 2 * epc]);
+        assert_eq!(p.phases()[0].sends(0), [2 * epc, 2 * epc]);
         // After the exchange: node 0 = [b0, b3], node 1 = [b1, b2].
         // Division (link 0): node 0 sends slot 1 (b3, 2 cols), node 1
         // sends slot 0 (b1, 3 cols).
-        assert_eq!(p.phases()[1].sends[0], vec![2 * epc, 3 * epc]);
+        assert_eq!(p.phases()[1].sends(0), [2 * epc, 3 * epc]);
         // After division: node 0 = [b0, b1], node 1 = [b3, b2].
         // Last transition: slot-1 blocks b1 (3 cols) and b2 (2 cols).
-        assert_eq!(p.phases()[2].sends[0], vec![3 * epc, 2 * epc]);
+        assert_eq!(p.phases()[2].sends(0), [3 * epc, 2 * epc]);
         // Whole-sweep volume: every transition's sends summed.
         assert_eq!(total_volume(&p), (2 + 2 + 2 + 3 + 3 + 2) * epc);
     }
@@ -597,11 +635,7 @@ mod tests {
     /// Data volume of the sweep's serial tail: the division and last
     /// transitions, single whole-block messages paper §2.4 leaves serial.
     fn tail_volume(p: &CommPlan) -> u64 {
-        p.phases
-            .iter()
-            .filter(|ph| !ph.is_exchange())
-            .flat_map(|ph| ph.sends.iter().flatten())
-            .sum()
+        p.phases.iter().filter(|ph| !ph.is_exchange()).flat_map(messages).sum()
     }
 
     #[test]
@@ -616,7 +650,7 @@ mod tests {
             let want = (d as u64 + 1) * nodes * block;
             assert_eq!(tail_volume(&p), want, "d={d}");
             // Tail + exchange phases = the whole sweep.
-            let exchange: u64 = p.exchange_phases().flat_map(|ph| ph.sends.iter().flatten()).sum();
+            let exchange: u64 = p.exchange_phases().flat_map(messages).sum();
             assert_eq!(exchange + tail_volume(&p), total_volume(&p), "d={d}");
         }
     }
@@ -757,8 +791,7 @@ mod tests {
         // m = 3 on d = 1 (4 blocks): blocks of 1,1,1,0 columns. The empty
         // block still crosses links as zero-element messages.
         let p = plan(3, 1, OrderingFamily::Br, 0);
-        let zero_sends =
-            p.phases().iter().flat_map(|ph| ph.sends.iter().flatten()).filter(|&&e| e == 0).count();
+        let zero_sends = p.phases().iter().flat_map(messages).filter(|&&e| e == 0).count();
         assert!(zero_sends > 0, "the empty block must appear in the plan");
         assert_eq!(total_volume(&p) % (2 * 3) as u64, 0);
     }

@@ -240,4 +240,31 @@ proptest! {
             prop_assert!(ops[0].entry && ops[ops.len() - 1].last, "{} run {:?}", what, run);
         }
     }
+
+    #[test]
+    fn lowering_records_each_phases_largest_message_and_uniformity(
+        family in family_strategy(),
+        d in 0usize..=5,
+        shape in 0usize..3,
+        m_factor in 1usize..=3,
+        r in any::<usize>(),
+        sweeps in 1usize..=3,
+    ) {
+        // Even, ragged, and fewer columns than blocks (empty blocks).
+        let blocks = 2usize << d;
+        let short = r % (blocks - 1) + 1;
+        let m = [m_factor * blocks, m_factor * blocks + short, short][shape];
+        for (s, plan) in CommPlan::chain(m, d, family, 2 * m, sweeps).iter().enumerate() {
+            for (idx, ph) in plan.phases().iter().enumerate() {
+                let what = format!("{family} d={d} m={m} sweep {s} phase {idx}");
+                let rows: Vec<&[u64]> = (0..ph.k()).map(|t| ph.sends(t)).collect();
+                prop_assert!(rows.iter().all(|row| row.len() == 1 << d), "{}", what);
+                let max = rows.iter().flat_map(|row| row.iter()).copied().max().unwrap_or(0);
+                prop_assert_eq!(ph.max_message_elems(), max, "{}", what);
+                let constant = rows.iter().all(|row| row.iter().all(|&e| e == row[0]));
+                prop_assert_eq!(ph.is_uniform(), constant, "{}", what);
+                prop_assert!(ph.is_uniform() || !m.is_multiple_of(blocks), "equal blocks: {}", what);
+            }
+        }
+    }
 }

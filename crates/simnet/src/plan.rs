@@ -26,7 +26,7 @@ use crate::schedule::{phase_stages, CommSchedule};
 use mph_core::CommPlan;
 
 /// One stage per transition; node `n` sends exactly the plan's
-/// `sends[t][n]` elements across the transition's link.
+/// `sends(t)[n]` elements across the transition's link.
 pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
     let ones: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
     plan_pipelined_schedule(plan, &ones)
@@ -36,15 +36,15 @@ pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
 /// packets (`qs` has one entry per exchange phase, in execution order);
 /// serial phases stay whole-block stages — [`CommPlan::framing`] with a
 /// whole-block tail, which is all the paper's stage model defines. A phase
-/// in which every node sends the same sizes lowers to shared SPMD stages.
+/// lowering found uniform ([`mph_core::PlanPhase::is_uniform`]: every node
+/// sends the same sizes) lowers to shared SPMD stages.
 pub fn plan_pipelined_schedule(plan: &CommPlan, qs: &[usize]) -> CommSchedule {
     let framing = plan.framing(qs, 1);
     let mut stages = Vec::new();
     for (idx, ph) in plan.phases().iter().enumerate() {
         let q = framing.frame(idx).packets();
-        let spmd = ph.sends.iter().all(|row| row.windows(2).all(|w| w[0] == w[1]));
-        let size = |k: usize, n: usize, p| plan.packet_size(ph.sends[k][n], q, p);
-        stages.extend(phase_stages(plan.d(), &ph.links, q, spmd, 1.0, size));
+        let size = |k: usize, n: usize, p| plan.packet_size(ph.sends(k)[n], q, p);
+        stages.extend(phase_stages(plan.d(), &ph.links, q, ph.is_uniform(), 1.0, size));
     }
     CommSchedule::new(plan.d(), stages)
 }
@@ -123,8 +123,8 @@ mod tests {
             let plan = lower(m, d, OrderingFamily::Degree4, sweep);
             let mut want = vec![vec![0u64; d]; 1 << d];
             for ph in plan.phases() {
-                for (&link, row) in ph.links.iter().zip(&ph.sends) {
-                    row.iter().enumerate().for_each(|(n, &e)| want[n][link] += e);
+                for (t, &link) in ph.links.iter().enumerate() {
+                    ph.sends(t).iter().enumerate().for_each(|(n, &e)| want[n][link] += e);
                 }
             }
             for q in 1..=7usize {

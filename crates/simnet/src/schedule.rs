@@ -9,8 +9,10 @@
 //!
 //! The paper's schedules are SPMD — every node sends the same bundle — so
 //! a stage stores the bundle **once** behind an [`Arc`] rather than
-//! cloning it `2^d` times; per-node stages carry the phases of uneven
-//! partitions. Access is uniform through [`CommStage::iter`].
+//! cloning it `2^d` times, and [`CommSchedule::new`] checks it once, not
+//! once per node; per-node stages carry the phases of uneven partitions,
+//! and every node's own list is checked. Access is uniform through
+//! [`CommStage::iter`].
 
 use mph_ccpipe::{pipelined_schedule, CcCube};
 use std::sync::Arc;
@@ -66,6 +68,16 @@ impl CommStage {
         (0..self.nodes()).map(move |n| self.sends(n))
     }
 
+    /// Each stored bundle once: an SPMD stage's shared one, a per-node
+    /// stage's every node's.
+    fn bundles(&self) -> impl Iterator<Item = &[NodeSend]> {
+        let (shared, own) = match self {
+            CommStage::Spmd { bundle, .. } => (Some(&bundle[..]), &[][..]),
+            CommStage::PerNode { sends } => (None, &sends[..]),
+        };
+        shared.into_iter().chain(own.iter().map(Vec::as_slice))
+    }
+
     /// Total messages in the stage.
     fn message_count(&self) -> usize {
         match self {
@@ -94,11 +106,9 @@ impl CommSchedule {
     pub fn new(d: usize, stages: Vec<CommStage>) -> Self {
         for st in &stages {
             assert_eq!(st.nodes(), 1 << d, "stage node count must be 2^d");
-            for sends in st.iter() {
-                for s in sends {
-                    assert!(s.dim < d, "dimension {} out of range", s.dim);
-                    assert!(s.elems >= 0.0);
-                }
+            for s in st.bundles().flatten() {
+                assert!(s.dim < d, "dimension {} out of range", s.dim);
+                assert!(s.elems >= 0.0, "negative message of {} elements", s.elems);
             }
         }
         CommSchedule { d, stages }
@@ -211,8 +221,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn schedule_rejects_bad_dimension() {
-        let stage = CommStage::spmd(2, vec![NodeSend { dim: 5, elems: 1.0 }]);
-        let _ = CommSchedule::new(2, vec![stage]);
+        // A shared bundle is checked once, and still checked; a per-node
+        // stage checks every node's own list, the last one included. The
+        // caught rejections' assertions carry messages of their own, so
+        // only the last, uncaught one can meet `expected`.
+        let rejection = |stage: CommStage| {
+            let err = std::panic::catch_unwind(|| CommSchedule::new(2, vec![stage])).err();
+            err.and_then(|e| e.downcast_ref::<String>().cloned()).unwrap_or_default()
+        };
+        let ok = NodeSend { dim: 1, elems: 1.0 };
+        let bad_dim = NodeSend { dim: 5, elems: 1.0 };
+        let negative = NodeSend { dim: 0, elems: -1.0 };
+        let last =
+            |bad| CommStage::PerNode { sends: vec![vec![ok], vec![ok], vec![], vec![ok, bad]] };
+        let valid = rejection(last(ok)) + &rejection(CommStage::spmd(2, vec![ok, ok]));
+        assert!(valid.is_empty(), "a valid stage was rejected");
+        assert!(rejection(last(bad_dim)).contains("out of range"), "the last node went unchecked");
+        assert!(rejection(last(negative)).contains("negative"), "a negative size got through");
+        let shared = rejection(CommStage::spmd(2, vec![negative]));
+        assert!(shared.contains("negative"), "a negative shared size got through");
+        let _ = CommSchedule::new(2, vec![CommStage::spmd(2, vec![ok, bad_dim])]);
     }
 
     #[test]
