@@ -86,13 +86,15 @@
 //! This module is the engine only. Its three doors are [`run_job_batch`],
 //! [`run_job_service`] and, for [`crate::threaded`]'s two solo solvers
 //! ([`block_jacobi_threaded`], [`svd_block_threaded`]), `solve_solo`: a
-//! batch of one plus what only a solo run has (`Solo`, built from the
-//! job's own [`JacobiOptions::adaptation`]): sweep markers in the trace
-//! and, on a degraded fabric, an epoch barrier per sweep and mid-run
-//! re-pricing.
+//! batch of one plus what only a solo run has, the job's own
+//! [`JacobiOptions::adaptation`]: sweep markers in the trace and, on a
+//! degraded fabric, an epoch barrier per sweep and mid-run re-pricing.
 //!
-//! Dead links are every door's: a run builds its relay tables once
-//! (`Relays`), keyed by fabric epoch ([`NodeCtx::epoch`]), and a sweep
+//! Every door sets a run up the same way, once, before the node programs
+//! start (`Run::new`): it checks the jobs, frames each job's plans, and
+//! cuts every node's relay script for each dimension from the fabric's
+//! death schedule (`Relays`, one table per stretch of fabric epochs,
+//! [`NodeCtx::epoch`]). A node only reads what the run holds: a sweep
 //! relays around the links dead at the epoch it starts at. Only what moves
 //! the epoch is the door's: a solo solve passes a barrier per sweep, a
 //! service one per round, a batch none.
@@ -311,116 +313,124 @@ fn once_per_distinct<T: Clone>(
     out
 }
 
-/// What the `2^d` nodes of one job share: worked out once, before the node
-/// programs start, and borrowed by all of them.
-struct JobShared {
+/// What the nodes of one run read: the jobs with what each is priced
+/// at, the degraded fabric's scenario with the relay scripts cut from it,
+/// and a solo solve's adaptation — worked out once by [`Run::new`], before
+/// the node programs start, and borrowed by all of them. Every door's one
+/// setup.
+struct Run<'a> {
+    d: usize,
+    jobs: Vec<JobRun<'a>>,
+    /// The degraded fabric's scenario; `None` on free and throttled ones.
+    scenario: Option<Arc<Scenario>>,
+    relays: Relays,
+    /// What only a solo solve has, its [`Adaptation`] (batch and serve
+    /// pass none): it marks sweeps in the trace, and on a
+    /// [`FabricModel::Degraded`] fabric it passes an epoch barrier at every
+    /// sweep end — so sweep `s` runs at scenario epoch `s` — and re-prices
+    /// each sweep. The jobs of a batch or a service share no sweep end.
+    solo: Option<Adaptation>,
+}
+
+/// One job of a run, as its `2^d` nodes read it.
+struct JobRun<'a> {
+    spec: &'a JobSpec<'a>,
+    plans: &'a [CommPlan],
     /// The job's schedule: the [`Framing`] of each lowered plan — the tail
     /// degree ([`choose_tail_qs`]) is priced once per plan rather than on
     /// every node. A sweep that meets a dead link, or a re-priced degraded
-    /// solo sweep, replaces its entry (`JobNode::reprice`).
+    /// solo sweep, overrides its entry (`JobNode::reprice`).
     framings: Vec<Framing>,
     /// The bar a sweep's vote is held to; a forced job casts none.
     bar: Bar,
 }
 
-fn job_shared(
-    jobs: &[JobSpec<'_>],
-    d: usize,
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
-) -> Vec<JobShared> {
-    let shared = |(spec, (plans, qs)): (&JobSpec<'_>, &(Vec<CommPlan>, Vec<Vec<usize>>))| {
-        let q_cap = packetization_cap(spec.a.cols(), d);
-        let tail = &spec.opts.tail_pipelining;
-        let framings = once_per_distinct(
-            plans.len(),
-            |t, s| plans[t].same_traffic(&plans[s]) && qs[t] == qs[s],
-            |s| plans[s].framing(&qs[s], choose_tail_qs(&plans[s], tail, q_cap)),
-        );
-        JobShared { framings, bar: spec.kind.bar(spec.a, &spec.opts) }
-    };
-    jobs.iter().zip(lowered).map(shared).collect()
+impl<'a> Run<'a> {
+    /// Checks `jobs` against `lowered[j]` = [`lower_job`]`(jobs[j], d)` and
+    /// works out what their nodes read on `fabric`.
+    fn new(
+        d: usize,
+        jobs: &'a [JobSpec<'a>],
+        lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
+        fabric: &FabricModel,
+        solo: Option<Adaptation>,
+    ) -> Self {
+        assert!(!jobs.is_empty(), "a run needs at least one job");
+        assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+        let jobs = jobs.iter().zip(lowered).enumerate().map(|(j, (spec, (plans, qs)))| {
+            if spec.kind == JobKind::Eigen {
+                assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
+            }
+            let q_cap = packetization_cap(spec.a.cols(), d);
+            let tail = &spec.opts.tail_pipelining;
+            let framings = once_per_distinct(
+                plans.len(),
+                |t, s| plans[t].same_traffic(&plans[s]) && qs[t] == qs[s],
+                |s| plans[s].framing(&qs[s], choose_tail_qs(&plans[s], tail, q_cap)),
+            );
+            JobRun { spec, plans, framings, bar: spec.kind.bar(spec.a, &spec.opts) }
+        });
+        let scenario = fabric.scenario().cloned();
+        let relays = Relays::new(d, scenario.as_deref());
+        Run { d, jobs: jobs.collect(), scenario, relays, solo }
+    }
 }
 
-/// One dead undirected edge's relay plan at an epoch: who its endpoints
-/// are and the surviving multi-hop routes replacing the direct exchange,
-/// one per direction. Pure scenario data — every node holds the same
-/// table, so the relay runs as a fixed global script with no negotiation.
-struct RelayEntry {
-    /// Smaller endpoint of the dead edge.
-    u: usize,
-    /// `u ^ 2^dim` — the other endpoint.
-    v: usize,
-    /// Dimension the dead edge crosses.
-    dim: usize,
-    /// Dimension sequence of the surviving route `u -> v`.
-    fwd: Vec<usize>,
-    /// Dimension sequence of the surviving route `v -> u`.
-    rev: Vec<usize>,
+/// One node's part, across one dimension, in the relays around the edges
+/// dead there at a stretch of epochs: pure scenario data, cut once per run,
+/// so the relay runs as a fixed global script with no negotiation.
+#[derive(Default)]
+struct Script {
+    /// Whether the node's own edge across the dimension is dead: its
+    /// payload waits for the relay instead of crossing.
+    dead: bool,
+    /// The node's hops in script order — dead edges ascending, each one's
+    /// forward route then its reverse, hop by hop — as origin, relay or
+    /// destination of each.
+    hops: Vec<Hop>,
 }
 
-/// The relay tables of one run, built once from its fabric's death
-/// schedule and read by every node: one table per stretch of fabric epochs
-/// with the same dead edges, keyed by the stretch's first epoch,
-/// ascending. None before the first death, so none on a clean fabric.
-struct Relays(Vec<(usize, Vec<RelayEntry>)>);
+/// The relay scripts of one run, cut once from its fabric's death schedule
+/// and read by every node: one table per stretch of fabric epochs with the
+/// same dead edges, keyed by the stretch's first epoch, ascending, holding
+/// each node's [`Script`] for each dimension. None before the first death,
+/// so none on a clean fabric.
+struct Relays(Vec<(usize, Vec<Vec<Script>>)>);
 
 impl Relays {
     fn new(d: usize, scenario: Option<&Scenario>) -> Self {
         let Some(sc) = scenario else { return Relays(Vec::new()) };
         let table = |epoch| {
             let dead = sc.dead_edges(epoch);
-            let route = |a, b| {
-                surviving_route(d, a, b, &dead)
-                    .expect("scenarios reject disconnecting death schedules")
-            };
-            let entries = dead
-                .iter()
-                .map(|&(u, dim)| {
-                    let v = u ^ (1 << dim);
-                    RelayEntry { u, v, dim, fwd: route(u, v), rev: route(v, u) }
-                })
-                .collect();
-            (epoch, entries)
+            let mut scripts: Vec<Vec<Script>> =
+                (0..1usize << d).map(|_| (0..d).map(|_| Script::default()).collect()).collect();
+            for &(u, link) in &dead {
+                let v = u ^ (1 << link);
+                for (src, dst) in [(u, v), (v, u)] {
+                    scripts[src][link].dead = true;
+                    let route = surviving_route(d, src, dst, &dead)
+                        .expect("scenarios reject disconnecting death schedules");
+                    let mut cur = src;
+                    for dim in route {
+                        let nxt = cur ^ (1 << dim);
+                        scripts[cur][link].hops.push(Hop::Send { dim, origin: cur == src });
+                        scripts[nxt][link].hops.push(Hop::Recv { dim, delivers: nxt == dst });
+                        cur = nxt;
+                    }
+                }
+            }
+            (epoch, scripts)
         };
         Relays(sc.death_epochs().into_iter().map(table).collect())
     }
 
-    /// The edges dead at `epoch` and the route around each: empty before
-    /// the first death.
-    fn at(&self, epoch: usize) -> &[RelayEntry] {
+    /// `node`'s scripts at `epoch`, one per dimension: empty before the
+    /// first death, and only then, on every node alike.
+    fn at(&self, epoch: usize, node: usize) -> &[Script] {
         match self.0.partition_point(|&(from, _)| from <= epoch).checked_sub(1) {
-            Some(i) => &self.0[i].1,
+            Some(i) => &self.0[i].1[node],
             None => &[],
         }
-    }
-}
-
-/// What only a solo solve hands the engine (batch and serve pass none):
-/// its presence marks sweeps in the trace, and on a
-/// [`FabricModel::Degraded`] fabric it passes an epoch barrier at every
-/// sweep end — so sweep `s` runs at scenario epoch `s` — and re-prices
-/// each sweep per [`Adaptation`]. The jobs of a batch or a service share
-/// no sweep end, so they have neither.
-struct Solo {
-    adaptation: Adaptation,
-}
-
-/// What every node of one run shares across its jobs: the cube, the
-/// degraded fabric's scenario with the relay tables built from it, and a
-/// solo solve's [`Solo`] data.
-struct RunShared {
-    d: usize,
-    /// The degraded fabric's scenario; `None` on free and throttled ones.
-    scenario: Option<Arc<Scenario>>,
-    relays: Relays,
-    solo: Option<Solo>,
-}
-
-impl RunShared {
-    fn new(d: usize, fabric: &FabricModel, solo: Option<Solo>) -> Self {
-        let scenario = fabric.scenario().cloned();
-        let relays = Relays::new(d, scenario.as_deref());
-        RunShared { d, scenario, relays, solo }
     }
 }
 
@@ -574,13 +584,12 @@ enum Hop {
 
 /// A relay-aware receive in progress ([`JobNode::recv_via`]): the direct
 /// receive, then this node's hops of the relays around every dead edge of
-/// the link, resumable at any receive.
+/// the link (its [`Script`]), resumable at any receive.
 struct Via {
     /// Whether the direct receive is still to come (never, if this node's
     /// own edge is the dead one).
     direct: bool,
-    hops: Vec<Hop>,
-    /// Hops done.
+    /// Hops of the script done.
     at: usize,
     incoming: Option<BatchMsg>,
     carried: Option<BatchMsg>,
@@ -591,11 +600,10 @@ struct Via {
 /// says it would block; the merged schedule across jobs is the order's
 /// grant walk, kept as an [`OrderCursor`] (`Round`).
 struct JobNode<'a> {
-    job: u32,
-    spec: &'a JobSpec<'a>,
-    plans: &'a [CommPlan],
-    shared: &'a JobShared,
-    run: &'a RunShared,
+    /// The job's tag on the wire: its index in the run.
+    tag: u32,
+    job: &'a JobRun<'a>,
+    run: &'a Run<'a>,
     kern: SweepKernel,
     node: usize,
     slot0: ColumnBlock,
@@ -617,13 +625,13 @@ struct JobNode<'a> {
     /// the one a received round brings is the next to leave, so a steady
     /// pipeline allocates none.
     stamps: Vec<f64>,
-    /// The current sweep's schedule where it overrides `shared.framings`
+    /// The current sweep's schedule where it overrides `job.framings`
     /// ([`Self::reprice`]).
     repriced: Option<Framing>,
-    /// The relay table of the epoch the current sweep started at
-    /// ([`Relays::at`]), kept until the next sweep starts: empty on every
-    /// clean epoch.
-    relays: &'a [RelayEntry],
+    /// This node's relay scripts at the epoch the current sweep started
+    /// at ([`Relays::at`]), kept until the next sweep starts: empty on
+    /// every clean epoch.
+    relays: &'a [Script],
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
     outbox: Option<BatchMsg>,
@@ -654,14 +662,10 @@ struct JobNodeOutput {
 }
 
 impl<'a> JobNode<'a> {
-    fn new(
-        job: u32,
-        spec: &'a JobSpec<'a>,
-        plans: &'a [CommPlan],
-        shared: &'a JobShared,
-        run: &'a RunShared,
-        node: usize,
-    ) -> Self {
+    /// Node `node`'s part of job `job` of `run`, its blocks cut from the
+    /// job's matrix.
+    fn new(job: usize, run: &'a Run<'a>, node: usize) -> Self {
+        let (tag, spec) = (job as u32, run.jobs[job].spec);
         let p = 1usize << run.d;
         let n = spec.a.cols();
         let partition = BlockPartition::new(n, 2 * p);
@@ -671,10 +675,8 @@ impl<'a> JobNode<'a> {
         let slot0 = ColumnBlock::from_matrix_with_identity(spec.a, partition.cols(node), urows);
         let slot1 = ColumnBlock::from_matrix_with_identity(spec.a, partition.cols(node + p), urows);
         JobNode {
-            job,
-            spec,
-            plans,
-            shared,
+            tag,
+            job: &run.jobs[job],
             run,
             kern: SweepKernel::from_options(spec.kind.rule(), &spec.opts),
             node,
@@ -706,9 +708,9 @@ impl<'a> JobNode<'a> {
     /// Takes this job's next message from `link`, or `Poll::Pending` if it
     /// has not come; consuming the arrival advances the virtual clock.
     fn recv(&self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> Poll<BatchMsg> {
-        let (msg, stamp) = ready!(ctx.try_recv(link, self.job));
+        let (msg, stamp) = ready!(ctx.try_recv(link, self.tag));
         ctx.advance_clock_to(stamp);
-        ctx.trace_recv(link, msg.elems(), self.job, None, msg.is_control(), stamp);
+        ctx.trace_recv(link, msg.elems(), self.tag, None, msg.is_control(), stamp);
         Poll::Ready(msg)
     }
 
@@ -718,7 +720,7 @@ impl<'a> JobNode<'a> {
     /// bit = 1 endpoint sends its resident (slot0) and receives the
     /// partner's mobile into slot0.
     fn travelling(&mut self, idx: usize) -> &mut ColumnBlock {
-        let ph = &self.plans[self.sweeps].phases()[idx];
+        let ph = &self.job.plans[self.sweeps].phases()[idx];
         if matches!(ph.kind, PhaseKind::Division { .. }) && self.node & (1 << ph.links[0]) != 0 {
             &mut self.slot0
         } else {
@@ -730,10 +732,10 @@ impl<'a> JobNode<'a> {
     /// into `stamps` the arrival of each of its packets — consumed one per
     /// micro-op by [`Self::consume_packet`], the clock untouched here.
     fn recv_round(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize) -> Poll<()> {
-        let link = self.plans[self.sweeps].phases()[idx].links[k];
-        match ready!(ctx.try_recv(link, self.job)).0 {
+        let link = self.job.plans[self.sweeps].phases()[idx].links[k];
+        match ready!(ctx.try_recv(link, self.tag)).0 {
             BatchMsg::Round { job, k: sent_k, block, stamps } => {
-                assert_eq!((job, sent_k), (self.job, k as u32), "batch round protocol violation");
+                assert_eq!((job, sent_k), (self.tag, k as u32), "batch round protocol violation");
                 debug_assert_eq!(block.misaligned_columns(), 0);
                 *self.travelling(idx) = block;
                 self.stamps = stamps;
@@ -748,7 +750,7 @@ impl<'a> JobNode<'a> {
     /// payload of the `q`-th block [`ColumnBlock::split_columns`] would
     /// cut from the travelling one (pinned in `tests/pipeline_traffic.rs`).
     fn packet(&mut self, op: MicroOp, k: usize) -> (usize, u64) {
-        let plan = &self.plans[self.sweeps];
+        let plan = &self.job.plans[self.sweeps];
         let block_elems = self.travelling(op.phase).payload_elems() as u64;
         (plan.phases()[op.phase].links[k], plan.packet_size(block_elems, op.of, op.q))
     }
@@ -759,7 +761,7 @@ impl<'a> JobNode<'a> {
     fn consume_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp, k: usize) -> f64 {
         let (link, elems) = self.packet(op, k);
         let kq = Some((k as u32, op.q as u32));
-        ctx.trace_recv(link, elems, self.job, kq, false, self.stamps[op.q]);
+        ctx.trace_recv(link, elems, self.tag, kq, false, self.stamps[op.q]);
         self.stamps[op.q]
     }
 
@@ -771,9 +773,9 @@ impl<'a> JobNode<'a> {
     fn charge_packet(&mut self, ctx: &NodeCtx<'_, BatchMsg>, op: MicroOp) {
         let (link, elems) = self.packet(op, op.k);
         let kq = Some((op.k as u32, op.q as u32));
-        self.stamps[op.q] = ctx.charge(link, elems, self.job, kq, false, self.stamps[op.q]);
+        self.stamps[op.q] = ctx.charge(link, elems, self.tag, kq, false, self.stamps[op.q]);
         if op.q + 1 == op.of {
-            let (job, k) = (self.job, op.k as u32);
+            let (job, k) = (self.tag, op.k as u32);
             let block = self.travelling(op.phase).take();
             let stamps = std::mem::take(&mut self.stamps);
             ctx.ship(link, BatchMsg::Round { job, k, block, stamps });
@@ -784,43 +786,16 @@ impl<'a> JobNode<'a> {
     /// — unless this node's `link`-edge is dead this sweep, in which case
     /// the payload waits for the relay script of [`Self::recv_via`].
     fn send_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize, msg: BatchMsg) {
-        let key = self.node.min(ctx.neighbor(link));
-        if self.relays.iter().any(|r| r.dim == link && r.u == key) {
+        if self.relays.get(link).is_some_and(|script| script.dead) {
             self.outbox = Some(msg);
         } else {
             ctx.send(link, msg);
         }
     }
 
-    /// This node's part, in script order, of the relays around every dead
-    /// `link`-edge: each dead edge's two payloads hop their surviving
-    /// routes, one scripted direction at a time, and a node is origin,
-    /// relay, destination or bystander of each hop. Every node derives its
-    /// part from the same scenario data, so the script needs no
-    /// negotiation. Empty with no dead edge on `link`.
-    fn relay_script(&self, link: usize) -> Vec<Hop> {
-        let n = self.node;
-        let mut hops = Vec::new();
-        for r in self.relays.iter().filter(|r| r.dim == link) {
-            for (src, dst, route) in [(r.u, r.v, &r.fwd), (r.v, r.u, &r.rev)] {
-                let mut cur = src;
-                for &dim in route {
-                    let nxt = cur ^ (1 << dim);
-                    if n == cur {
-                        hops.push(Hop::Send { dim, origin: cur == src });
-                    } else if n == nxt {
-                        hops.push(Hop::Recv { dim, delivers: nxt == dst });
-                    }
-                    cur = nxt;
-                }
-            }
-        }
-        hops
-    }
-
     /// Second half: returns the partner's message across `link`, then
     /// plays this node's part in the relays around every dead `link`-edge
-    /// ([`Self::relay_script`]) — or `Poll::Pending` at whichever receive
+    /// (its [`Script`]'s hops) — or `Poll::Pending` at whichever receive
     /// has not come, to resume there.
     ///
     /// Sends never block, each receive's producer appears strictly earlier
@@ -832,7 +807,6 @@ impl<'a> JobNode<'a> {
             // A parked payload means the direct edge is dead: nothing
             // crosses it.
             direct: self.outbox.is_none(),
-            hops: self.relay_script(link),
             at: 0,
             incoming: None,
             carried: None,
@@ -850,7 +824,8 @@ impl<'a> JobNode<'a> {
             via.incoming = Some(ready!(self.recv(ctx, link)));
             via.direct = false;
         }
-        while let Some(&hop) = via.hops.get(via.at) {
+        let hops = self.relays.get(link).map_or(&[][..], |script| &script.hops);
+        while let Some(&hop) = hops.get(via.at) {
             match hop {
                 Hop::Send { dim, origin: true } => {
                     let m = self.outbox.take().expect("one relayed payload per direction");
@@ -893,7 +868,7 @@ impl<'a> JobNode<'a> {
         while r.done < r.vals.len() * d {
             let (k, dim) = (r.done / d, r.done % d);
             if !r.sent {
-                self.send_via(ctx, dim, BatchMsg::Scalar { job: self.job, v: r.vals[k] });
+                self.send_via(ctx, dim, BatchMsg::Scalar { job: self.tag, v: r.vals[k] });
                 r.sent = true;
             }
             let Poll::Ready(got) = self.recv_via(ctx, dim) else { return Err(r) };
@@ -903,22 +878,22 @@ impl<'a> JobNode<'a> {
         Ok(r.vals)
     }
 
-    /// What a sweep start does before its pairings: takes the relay table
-    /// of the epoch the node stands at, stamps the job's start, marks a
+    /// What a sweep start does before its pairings: takes the node's relay
+    /// scripts at the epoch it stands at, stamps the job's start, marks a
     /// solo sweep in the trace, and — at a reactive degraded solo sweep
     /// after the first — returns the machine agreement to reduce: a
     /// machine fitted to the service times the link clock measured last
     /// sweep, whose `Ts` and `Tw` the nodes then max-reduce, so every node
     /// prices against the same (slowest-observed) machine.
     fn open_sweep(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Option<Reduce> {
-        self.relays = self.run.relays.at(ctx.epoch());
+        self.relays = self.run.relays.at(ctx.epoch(), self.node);
         if self.sweeps == 0 {
             self.start = ctx.virtual_now();
         }
-        let solo = self.run.solo.as_ref()?;
+        let adaptation = self.run.solo?;
         let sweep = self.sweeps;
         ctx.trace_event(|| TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
-        let reactive = self.run.scenario.is_some() && solo.adaptation == Adaptation::Reactive;
+        let reactive = self.run.scenario.is_some() && adaptation == Adaptation::Reactive;
         (reactive && sweep > 0).then(|| {
             let ports = self.machine.ports;
             let local = Machine::calibrate(&ctx.take_fabric_window())
@@ -947,8 +922,8 @@ impl<'a> JobNode<'a> {
     /// against the scenario's worst alive machine.
     fn reprice(&self, plan: &CommPlan) -> Option<Framing> {
         let pricing = if self.relays.is_empty() {
-            let (solo, scenario) = (self.run.solo.as_ref()?, self.run.scenario.as_ref()?);
-            Pipelining::Auto(match solo.adaptation {
+            let (adaptation, scenario) = (self.run.solo?, self.run.scenario.as_ref()?);
+            Pipelining::Auto(match adaptation {
                 Adaptation::Off => return None,
                 Adaptation::Reactive => self.machine,
                 Adaptation::Oracle => scenario.worst_alive_machine(self.sweeps),
@@ -956,7 +931,7 @@ impl<'a> JobNode<'a> {
         } else {
             Pipelining::Off
         };
-        let q_cap = packetization_cap(self.spec.a.cols(), self.run.d);
+        let q_cap = packetization_cap(self.job.spec.a.cols(), self.run.d);
         let tail_q = choose_tail_qs(plan, &pricing, q_cap);
         Some(plan.framing(&choose_qs(plan, &pricing, q_cap), tail_q))
     }
@@ -966,8 +941,8 @@ impl<'a> JobNode<'a> {
     /// relayed like the sweep's blocks (module docs) — the sum of the
     /// nodes' eigen-residuals, or the max of their SVD cosines.
     fn vote(&self) -> Option<Reduce> {
-        self.shared.bar.0?;
-        Some(match self.spec.kind {
+        self.job.bar.0?;
+        Some(match self.job.spec.kind {
             JobKind::Eigen => {
                 Reduce::new(vec![node_residual_sq(&self.slot0, &self.slot1)], |a, b| a + b)
             }
@@ -978,7 +953,7 @@ impl<'a> JobNode<'a> {
     /// Holds the agreed vote against the bar. The decision is global, so
     /// every node finishes (or goes on) together.
     fn count_vote(&mut self, v: f64) {
-        let v = match self.spec.kind {
+        let v = match self.job.spec.kind {
             JobKind::Eigen => {
                 let off = v.sqrt();
                 self.off_history.push(off);
@@ -986,7 +961,7 @@ impl<'a> JobNode<'a> {
             }
             JobKind::Svd => v,
         };
-        self.met = self.shared.bar.met(v);
+        self.met = self.job.bar.met(v);
     }
 
     /// Executes the job's next micro-op — the arms say what each kind
@@ -999,7 +974,7 @@ impl<'a> JobNode<'a> {
     /// the same merged order.
     fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<()> {
         let op = self.next.expect("the order walk steps unfinished jobs only");
-        let plan = &self.plans[self.sweeps];
+        let plan = &self.job.plans[self.sweeps];
         match op.kind {
             OpKind::SweepStart => {
                 let agreement = match std::mem::take(&mut self.stage) {
@@ -1017,7 +992,7 @@ impl<'a> JobNode<'a> {
                 }
                 self.repriced = self.reprice(plan);
                 self.acc = SweepAccumulator::default();
-                if self.spec.opts.cache_diagonals {
+                if self.job.spec.opts.cache_diagonals {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
@@ -1031,7 +1006,7 @@ impl<'a> JobNode<'a> {
                 let link = plan.phases()[op.phase].links[op.k];
                 self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
                 let block = self.travelling(op.phase).take();
-                self.send_via(ctx, link, BatchMsg::Block { job: self.job, block });
+                self.send_via(ctx, link, BatchMsg::Block { job: self.tag, block });
             }
             OpKind::Recv => {
                 let link = plan.phases()[op.phase].links[op.k];
@@ -1108,7 +1083,7 @@ impl<'a> JobNode<'a> {
                 }
                 self.sweeps += 1;
                 self.repriced = None;
-                if self.met || self.sweeps >= self.spec.kind.budget(&self.spec.opts) {
+                if self.met || self.sweeps >= self.job.spec.kind.budget(&self.job.spec.opts) {
                     self.finish = ctx.virtual_now();
                     self.next = None;
                 } else {
@@ -1117,7 +1092,7 @@ impl<'a> JobNode<'a> {
                 return Poll::Ready(());
             }
         }
-        let framing = self.repriced.as_ref().unwrap_or(&self.shared.framings[self.sweeps]);
+        let framing = self.repriced.as_ref().unwrap_or(&self.job.framings[self.sweeps]);
         self.next = plan.op_after(op, framing);
         Poll::Ready(())
     }
@@ -1128,7 +1103,7 @@ impl<'a> JobNode<'a> {
             sweeps: self.sweeps,
             rotations: self.rotations,
             off_history: self.off_history,
-            converged: self.shared.bar.converged(self.met),
+            converged: self.job.bar.converged(self.met),
             start: self.start,
             finish: self.finish,
             adaptive: self.adaptive,
@@ -1177,7 +1152,7 @@ pub fn run_job_batch(
 }
 
 /// The engine pass behind every batch and — as a batch of one carrying
-/// its [`Solo`] data — every solo solve: every node steps its
+/// its [`Adaptation`] — every solo solve: every node steps its
 /// [`JobNode`]s to completion in `order` and returns each job's share,
 /// indexed `[node][job]`.
 fn run_nodes(
@@ -1187,25 +1162,17 @@ fn run_nodes(
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
-    solo: Option<Solo>,
+    solo: Option<Adaptation>,
 ) -> SpmdRun<Vec<JobNodeOutput>> {
-    assert!(!jobs.is_empty(), "an empty batch solves nothing");
-    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    let run = Run::new(d, jobs, lowered, &fabric, solo);
     order.validate(jobs.len());
-    assert_square_eigen_jobs(jobs);
-    let shared = job_shared(jobs, d, lowered);
-    let run = RunShared::new(d, &fabric, solo);
 
     run_spmd::<BatchMsg, Vec<JobNodeOutput>, _, _>(
         d,
         Spmd { fabric, njobs: jobs.len(), trace: sink },
         |ctx| {
-            let mut nodes: Vec<Option<JobNode>> = (0..jobs.len())
-                .map(|j| {
-                    let (plans, shared) = (&lowered[j].0, &shared[j]);
-                    Some(JobNode::new(j as u32, &jobs[j], plans, shared, &run, ctx.id()))
-                })
-                .collect();
+            let mut nodes: Vec<Option<JobNode>> =
+                (0..jobs.len()).map(|j| Some(JobNode::new(j, &run, ctx.id()))).collect();
             let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
             move |ctx| {
                 ready!(walk.resume(&mut nodes, ctx));
@@ -1272,17 +1239,9 @@ impl Round {
     }
 }
 
-fn assert_square_eigen_jobs(jobs: &[JobSpec<'_>]) {
-    for (j, spec) in jobs.iter().enumerate() {
-        if spec.kind == JobKind::Eigen {
-            assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
-        }
-    }
-}
-
 /// The one solo entry: `spec` as a batch of one on the engine, on its own
-/// options' fabric and trace sink, with the [`Solo`] data its options call
-/// for, its answer read off its blocks by `answer` ([`eigen_answer`] or
+/// options' fabric and trace sink, with the [`Adaptation`] its options
+/// call for, its answer read off its blocks by `answer` ([`eigen_answer`] or
 /// [`svd_answer`], after `spec`'s kind). Both solo solvers of
 /// [`crate::threaded`] are this.
 pub(crate) fn solve_solo<R>(
@@ -1297,7 +1256,7 @@ pub(crate) fn solve_solo<R>(
         spec.opts.fabric.clone(),
         &BatchOrder::Serial(vec![0]),
         spec.opts.trace.clone(),
-        Some(Solo { adaptation: spec.opts.adaptation }),
+        Some(spec.opts.adaptation),
     );
     let mut adaptive = AdaptiveReport::default();
     let (result, _) =
@@ -1556,11 +1515,8 @@ struct NodeService {
 /// program: a sweep-boundary barrier, intake and admission, then one
 /// service round, until the service drains.
 struct ServiceNode<'a> {
-    jobs: &'a [JobSpec<'a>],
-    lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
-    shared: &'a [JobShared],
     plan: &'a ServicePlan,
-    run: &'a RunShared,
+    run: &'a Run<'a>,
     /// Whether the fabric has a machine, and so a clock to read arrivals on.
     clocked: bool,
     nodes: Vec<Option<JobNode<'a>>>,
@@ -1626,9 +1582,7 @@ impl<'a> ServiceNode<'a> {
                     break;
                 };
                 let j = self.queue.remove(pick);
-                let (spec, plans, shared) = (&self.jobs[j], &self.lowered[j].0, &self.shared[j]);
-                self.nodes[j] =
-                    Some(JobNode::new(j as u32, spec, plans, shared, self.run, ctx.id()));
+                self.nodes[j] = Some(JobNode::new(j, self.run, ctx.id()));
                 self.log.admitted_at[j] = Some(now);
                 self.active.push(j);
                 admitted.push(j);
@@ -1734,21 +1688,14 @@ pub fn run_job_service(
     plan: &ServicePlan,
     sink: SinkHandle,
 ) -> ServiceRun {
-    assert!(!jobs.is_empty(), "an empty service serves nothing");
-    assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
+    let run = Run::new(d, jobs, lowered, &fabric, None);
     plan.validate(jobs.len());
-    assert_square_eigen_jobs(jobs);
-    let shared = job_shared(jobs, d, lowered);
-    let run = RunShared::new(d, &fabric, None);
     let njobs = jobs.len();
     let clocked = fabric.machine().is_some();
 
     let spmd = Spmd { fabric, njobs, trace: sink };
     let SpmdRun { results: mut node_logs, meter, fabric } = run_spmd(d, spmd, |_| {
         let mut node = ServiceNode {
-            jobs,
-            lowered,
-            shared: &shared,
             plan,
             run: &run,
             clocked,
@@ -1835,12 +1782,13 @@ mod tests {
             for family in OrderingFamily::ALL {
                 let spec = JobSpec::eigen(&a, family, opts.clone());
                 let lowered = [lower_job(&spec, d)];
-                let shared = job_shared(std::slice::from_ref(&spec), d, &lowered);
+                let run =
+                    Run::new(d, std::slice::from_ref(&spec), &lowered, &FabricModel::Free, None);
                 let (plans, qs) = &lowered[0];
                 for (s, plan) in plans.iter().enumerate() {
                     assert_eq!(qs[s], choose_qs(plan, &auto, q_cap), "{family} m={m} sweep {s}");
                     let framing = plan.framing(&qs[s], choose_tail_qs(plan, &auto, q_cap));
-                    assert_eq!(shared[0].framings[s], framing, "{family} m={m} sweep {s}");
+                    assert_eq!(run.jobs[0].framings[s], framing, "{family} m={m} sweep {s}");
                 }
                 let mut priced = 0;
                 let same = |t: usize, s: usize| plans[t].same_traffic(&plans[s]);
@@ -1848,6 +1796,65 @@ mod tests {
                 assert!(priced == d || m % (2 << d) != 0, "{family} m={m} d={d}: {priced}");
             }
         }
+    }
+
+    #[test]
+    fn every_stretch_cuts_each_node_a_script_its_neighbors_match() {
+        // Seeded death schedules on d = 2..=4. At every stretch of epochs:
+        // exactly the two endpoints of each dead edge park their payload
+        // across its dimension; every hop a node sends across `h` is one
+        // its neighbor across `h` receives; and each direction of each
+        // dead edge leaves its origin once and is delivered once.
+        use mph_runtime::{LinkDeath, ScenarioSpec};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn count(hops: &[Hop], pick: impl Fn(Hop) -> bool) -> usize {
+            hops.iter().filter(|&&hop| pick(hop)).count()
+        }
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut stretches = 0;
+        for d in 2..=4usize {
+            for _ in 0..24 {
+                let deaths = (0..rng.gen_range(1..=d)).map(|_| LinkDeath {
+                    node: rng.gen_range(0..1 << d),
+                    dim: rng.gen_range(0..d),
+                    epoch: rng.gen_range(0..3),
+                });
+                let machine = Machine::all_port(1000.0, 100.0);
+                let spec =
+                    ScenarioSpec { deaths: deaths.collect(), ..ScenarioSpec::clean(1, machine) };
+                // A schedule that disconnects the cube is refused up front.
+                let Ok(sc) = Scenario::new(d, spec) else { continue };
+                let relays = Relays::new(d, Some(&sc));
+                let keys: Vec<usize> = relays.0.iter().map(|&(epoch, _)| epoch).collect();
+                assert_eq!(keys, sc.death_epochs(), "d={d}: one table per stretch");
+                for (epoch, scripts) in &relays.0 {
+                    stretches += 1;
+                    let dead = sc.dead_edges(*epoch);
+                    for (n, node) in scripts.iter().enumerate() {
+                        for (link, script) in node.iter().enumerate() {
+                            let what = format!("d={d} epoch {epoch} node {n} link {link}");
+                            let own = dead.contains(&(n.min(n ^ (1 << link)), link));
+                            assert_eq!(script.dead, own, "{what}: dead");
+                            let hops = &script.hops;
+                            let origins =
+                                count(hops, |h| matches!(h, Hop::Send { origin: true, .. }));
+                            let delivered =
+                                count(hops, |h| matches!(h, Hop::Recv { delivers: true, .. }));
+                            assert_eq!((origins, delivered), (own.into(), own.into()), "{what}");
+                            for h in 0..d {
+                                let peer = &scripts[n ^ (1 << h)][link].hops;
+                                let sends =
+                                    count(hops, |x| matches!(x, Hop::Send { dim, .. } if dim == h));
+                                let recvs =
+                                    count(peer, |x| matches!(x, Hop::Recv { dim, .. } if dim == h));
+                                assert_eq!(sends, recvs, "{what}: hops across {h}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stretches >= 40, "only {stretches} stretches drawn");
     }
 
     /// An untraced batch of freshly lowered `jobs`.

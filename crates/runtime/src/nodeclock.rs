@@ -14,8 +14,11 @@
 //! without running a thread; `mph_simnet::simulate_synchronized` replays
 //! each barrier-separated stage of the paper's model on an idle clock.
 //! Because all three drive this type, a predicted and a measured makespan
-//! are the same arithmetic in the same order and round alike, and the
-//! port model is written nowhere else.
+//! are the same arithmetic in the same order and round alike. The paper's
+//! closed form (`mph_ccpipe::PhaseCostModel`) writes the port model once
+//! more: the same on all-port and one-port machines, but on `k` ports it
+//! packs a stage's messages largest first, where this clock takes them in
+//! issue order on the earliest free port.
 
 use crate::machine::PortModel;
 

@@ -165,7 +165,7 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
     }
 
     /// The neighbor across `dim`.
-    pub fn neighbor(&self, dim: usize) -> usize {
+    fn neighbor(&self, dim: usize) -> usize {
         self.id ^ (1 << dim)
     }
 

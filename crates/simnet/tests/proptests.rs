@@ -71,7 +71,11 @@ proptest! {
         elems in 1.0f64..1e4,
         ts in 0.0f64..3000.0,
         tw in 0.1f64..300.0,
-        ports in prop_oneof![Just(PortModel::AllPort), Just(PortModel::OnePort)],
+        ports in prop_oneof![
+            Just(PortModel::AllPort),
+            Just(PortModel::OnePort),
+            (2usize..=4).prop_map(PortModel::KPort),
+        ],
     ) {
         let machine = Machine { ts, tw, ports };
         let cc = CcCube::exchange_phase(family, e, elems);
@@ -79,11 +83,20 @@ proptest! {
         let sched = pipelined_phase_schedule(e, &cc, q);
         let sim = simulate_synchronized(&sched, &machine, StartupModel::SerializedThenParallel);
         let want = model.cost(q);
-        prop_assert!(
-            (sim.makespan - want).abs() <= 1e-6 * want.max(1.0),
-            "{family} e={e} q={q} {ports:?}: sim {} vs model {want}",
-            sim.makespan
-        );
+        let what = format!("{family} e={e} q={q} {ports:?}: sim {} vs model {want}", sim.makespan);
+        match ports {
+            PortModel::KPort(k) => {
+                // The closed form packs a stage's per-link messages onto
+                // the k ports largest first (LPT); the replay takes them in
+                // issue order on the earliest free port (list scheduling).
+                // With equal start-ups, list scheduling is within
+                // [3/4, 2 − 1/k] of LPT's transmission time.
+                let slack = 1e-9 * want;
+                prop_assert!(sim.makespan >= 0.75 * want - slack, "{}", what);
+                prop_assert!(sim.makespan <= (2.0 - 1.0 / k as f64) * want + slack, "{}", what);
+            }
+            _ => prop_assert!((sim.makespan - want).abs() <= 1e-6 * want.max(1.0), "{}", what),
+        }
     }
 
     #[test]
