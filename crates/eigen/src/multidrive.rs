@@ -5,33 +5,27 @@
 //! The *order* of a sweep's micro-ops is not written here: it is the
 //! program of the sweep's plan under its framing ([`CommPlan::op_after`]),
 //! which this engine executes and `mph_ccpipe::executed_cost` prices. Each
-//! job becomes an explicit per-node state machine (`JobNode`) whose `step`
-//! executes the program's next [`MicroOp`] — pair-and-send a transition,
-//! consume a received block, charge one pipeline packet to the clock,
-//! drain an epilogue packet, or cast a convergence vote — and a
+//! job becomes a per-node `JobNode` whose `step` executes the program's
+//! next [`MicroOp`] — pair-and-send a transition, consume a received
+//! block, charge one pipeline packet to the clock, drain an epilogue
+//! packet, or cast a convergence vote — and a
 //! deterministic interleaving order ([`BatchOrder`], produced by the
 //! `mph-batch` policies, walked by an [`OrderCursor`]) merges the jobs'
 //! programs. Every node executes the *same* merged sequence, so sends and
 //! receives pair up exactly as in a solo SPMD program; the messages carry
 //! job tags, every link keeps one FIFO queue per job, and a job's receive
-//! takes from its own ([`NodeCtx::try_recv`]), so per-`(link, job)` FIFO
+//! takes from its own ([`NodeCtx::recv`]), so per-`(link, job)` FIFO
 //! order survives any interleaving.
 //!
 //! # Steps that yield
 //!
-//! A node is a program [`run_spmd`] resumes (`mph_runtime::spmd`: the
-//! `2^d` programs on `min(2^d, available CPUs)` worker threads), so
-//! nothing here parks. `JobNode::step` runs one micro-op or says it would
-//! block — a receive found nothing, or the barrier is still gathering —
-//! and the next call resumes it where it stopped. Most ops receive before they do
-//! anything else, so they simply run again. The two that issue several
-//! exchanges keep a cursor: a sweep boundary's all-reduce (`Reduce`: the
-//! vote, or a reactive sweep's machine agreement), and the relay script
-//! around a dead link (`Via`). The merge of the jobs' programs is a
-//! cursor too (`Round`, over [`OrderCursor`]), and so is the service loop
-//! of [`run_job_service`]. Virtual time is max-plus dataflow over each
-//! link's FIFO order, so no worker count or step order moves a bit or a
-//! clock.
+//! A node is an `async` program [`run_spmd`] polls (`mph_runtime::spmd`:
+//! the `2^d` programs on `min(2^d, available CPUs)` worker threads), so
+//! nothing here parks: each wait is one `.await` on [`NodeCtx::recv`] or
+//! [`NodeCtx::barrier`], and the node goes on from there once the message
+//! has come or the barrier has gathered. Virtual time is max-plus dataflow
+//! over each link's FIFO order, so no worker count or step order moves a
+//! bit or a clock.
 //!
 //! # The phase machine
 //!
@@ -167,7 +161,6 @@ use mph_runtime::{
     SpmdRun, TraceEvent, TrafficMeter,
 };
 use std::sync::Arc;
-use std::task::{ready, Poll};
 
 /// What kind of factorization a job asks for — and so how every driver,
 /// logical or engine, pairs, stops and reports `converged` on it.
@@ -540,37 +533,6 @@ pub struct BatchRun {
     pub adaptive: AdaptiveReport,
 }
 
-/// An all-reduce in progress: `vals` combined by `op` one after another,
-/// each by relay-aware exchanges over dims `0..d` — resumable at any
-/// receive.
-struct Reduce {
-    vals: Vec<f64>,
-    op: fn(f64, f64) -> f64,
-    /// Exchanges done, over all values: value `done / d` is at dimension
-    /// `done % d`.
-    done: usize,
-    /// Whether the exchange in hand has sent this node's value.
-    sent: bool,
-}
-
-impl Reduce {
-    fn new(vals: Vec<f64>, op: fn(f64, f64) -> f64) -> Self {
-        Reduce { vals, op, done: 0, sent: false }
-    }
-}
-
-/// How far a sweep-boundary op got before it blocked.
-#[derive(Default)]
-enum Stage {
-    #[default]
-    Fresh,
-    /// An all-reduce in progress: a reactive sweep start's machine
-    /// agreement, or a sweep end's vote.
-    Reduce(Reduce),
-    /// A sweep end past its vote, waiting at its epoch barrier.
-    Voted,
-}
-
 /// One hop of a dead edge's relay script that this node plays a part in.
 #[derive(Clone, Copy)]
 enum Hop {
@@ -582,23 +544,10 @@ enum Hop {
     Recv { dim: usize, delivers: bool },
 }
 
-/// A relay-aware receive in progress ([`JobNode::recv_via`]): the direct
-/// receive, then this node's hops of the relays around every dead edge of
-/// the link (its [`Script`]), resumable at any receive.
-struct Via {
-    /// Whether the direct receive is still to come (never, if this node's
-    /// own edge is the dead one).
-    direct: bool,
-    /// Hops of the script done.
-    at: usize,
-    incoming: Option<BatchMsg>,
-    carried: Option<BatchMsg>,
-}
-
-/// Per-node state machine of one job: the two resident blocks plus the
-/// cursor into its plan chain's programs. `step` executes one micro-op, or
-/// says it would block; the merged schedule across jobs is the order's
-/// grant walk, kept as an [`OrderCursor`] (`Round`).
+/// One node's part of one job: the two resident blocks plus the cursor
+/// into its plan chain's programs. `step` executes one micro-op, awaiting
+/// whatever it receives; the merged schedule across jobs is the order's
+/// grant walk over an [`OrderCursor`] (`Round::walk`).
 struct JobNode<'a> {
     /// The job's tag on the wire: its index in the run.
     tag: u32,
@@ -635,10 +584,6 @@ struct JobNode<'a> {
     /// A payload whose direct edge is dead, parked between `send_via` and
     /// the relay script of `recv_via`.
     outbox: Option<BatchMsg>,
-    /// The relay-aware receive in hand, if it blocked part-way.
-    via: Option<Via>,
-    /// How far the sweep-boundary op in hand got.
-    stage: Stage,
     /// The machine Reactive re-pricing last agreed on: the scenario's
     /// clean base (the spec sheet) until live windows re-fit it.
     machine: Machine,
@@ -692,8 +637,6 @@ impl<'a> JobNode<'a> {
             repriced: None,
             relays: &[],
             outbox: None,
-            via: None,
-            stage: Stage::Fresh,
             machine: run.scenario.as_ref().map_or_else(Machine::paper_figure2, |sc| sc.base()),
             adaptive: AdaptiveReport::default(),
             start: 0.0,
@@ -705,13 +648,13 @@ impl<'a> JobNode<'a> {
         self.next.is_none()
     }
 
-    /// Takes this job's next message from `link`, or `Poll::Pending` if it
-    /// has not come; consuming the arrival advances the virtual clock.
-    fn recv(&self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> Poll<BatchMsg> {
-        let (msg, stamp) = ready!(ctx.try_recv(link, self.tag));
+    /// Takes this job's next message from `link`; consuming the arrival
+    /// advances the virtual clock.
+    async fn recv(&self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> BatchMsg {
+        let (msg, stamp) = ctx.recv(link, self.tag).await;
         ctx.advance_clock_to(stamp);
         ctx.trace_recv(link, msg.elems(), self.tag, None, msg.is_control(), stamp);
-        Poll::Ready(msg)
+        msg
     }
 
     /// The slot whose block travels in phase `idx`: the mobile (slot1),
@@ -731,15 +674,14 @@ impl<'a> JobNode<'a> {
     /// Receives round `k` of phase `idx` into the travelling slot, and
     /// into `stamps` the arrival of each of its packets — consumed one per
     /// micro-op by [`Self::consume_packet`], the clock untouched here.
-    fn recv_round(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize) -> Poll<()> {
+    async fn recv_round(&mut self, ctx: &NodeCtx<'_, BatchMsg>, idx: usize, k: usize) {
         let link = self.job.plans[self.sweeps].phases()[idx].links[k];
-        match ready!(ctx.try_recv(link, self.tag)).0 {
+        match ctx.recv(link, self.tag).await.0 {
             BatchMsg::Round { job, k: sent_k, block, stamps } => {
                 assert_eq!((job, sent_k), (self.tag, k as u32), "batch round protocol violation");
                 debug_assert_eq!(block.misaligned_columns(), 0);
                 *self.travelling(idx) = block;
                 self.stamps = stamps;
-                Poll::Ready(())
             }
             other => panic!("batch protocol error: expected a round, got {other:?}"),
         }
@@ -793,39 +735,23 @@ impl<'a> JobNode<'a> {
         }
     }
 
-    /// Second half: returns the partner's message across `link`, then
-    /// plays this node's part in the relays around every dead `link`-edge
-    /// (its [`Script`]'s hops) — or `Poll::Pending` at whichever receive
-    /// has not come, to resume there.
+    /// Second half: returns the partner's message across `link`, once this
+    /// node has played its part in the relays around every dead `link`-edge
+    /// (its [`Script`]'s hops).
     ///
     /// Sends never block, each receive's producer appears strictly earlier
     /// in the global script order, and the per-(node, dim, job) links are
     /// FIFO, so the script is deadlock-free and deterministic. With no dead
     /// edge on `link` this is a plain receive.
-    fn recv_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> Poll<BatchMsg> {
-        let mut via = self.via.take().unwrap_or_else(|| Via {
-            // A parked payload means the direct edge is dead: nothing
-            // crosses it.
-            direct: self.outbox.is_none(),
-            at: 0,
-            incoming: None,
-            carried: None,
-        });
-        let got = self.relay(ctx, link, &mut via);
-        if got.is_pending() {
-            self.via = Some(via);
-        }
-        got
-    }
-
-    /// Runs `via` on from where it stopped; see [`Self::recv_via`].
-    fn relay(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize, via: &mut Via) -> Poll<BatchMsg> {
-        if via.direct {
-            via.incoming = Some(ready!(self.recv(ctx, link)));
-            via.direct = false;
-        }
-        let hops = self.relays.get(link).map_or(&[][..], |script| &script.hops);
-        while let Some(&hop) = hops.get(via.at) {
+    async fn recv_via(&mut self, ctx: &NodeCtx<'_, BatchMsg>, link: usize) -> BatchMsg {
+        // A parked payload means the direct edge is dead: nothing crosses it.
+        let mut incoming = match self.outbox {
+            None => Some(self.recv(ctx, link).await),
+            Some(_) => None,
+        };
+        let mut carried = None;
+        let relays = self.relays;
+        for &hop in relays.get(link).map_or(&[][..], |script| &script.hops) {
             match hop {
                 Hop::Send { dim, origin: true } => {
                     let m = self.outbox.take().expect("one relayed payload per direction");
@@ -839,77 +765,68 @@ impl<'a> JobNode<'a> {
                     ctx.send(dim, m);
                 }
                 Hop::Send { dim, origin: false } => {
-                    ctx.send(dim, via.carried.take().expect("relay hop carries the payload"));
+                    ctx.send(dim, carried.take().expect("relay hop carries the payload"));
                 }
                 Hop::Recv { dim, delivers } => {
-                    let got = ready!(self.recv(ctx, dim));
+                    let got = Some(self.recv(ctx, dim).await);
                     if delivers {
-                        via.incoming = Some(got);
+                        incoming = got;
                     } else {
-                        via.carried = Some(got);
+                        carried = got;
                     }
                 }
             }
-            via.at += 1;
         }
-        let incoming = via.incoming.take();
-        Poll::Ready(
-            incoming.expect("every exchange delivers: scenarios reject disconnecting deaths"),
-        )
+        incoming.expect("every exchange delivers: scenarios reject disconnecting deaths")
     }
 
-    /// Drives the all-reduce `r` on: every node combines its running value
-    /// with its partner's across each dimension in turn, so all end on the
-    /// same bits. Every hop is relay-aware — convergence votes and machine
-    /// agreement survive dead links like any other exchange. `Err` hands
-    /// the reduction back, to resume from once a receive can go on.
-    fn reduce(&mut self, ctx: &NodeCtx<'_, BatchMsg>, mut r: Reduce) -> Result<Vec<f64>, Reduce> {
-        let d = self.run.d;
-        while r.done < r.vals.len() * d {
-            let (k, dim) = (r.done / d, r.done % d);
-            if !r.sent {
-                self.send_via(ctx, dim, BatchMsg::Scalar { job: self.tag, v: r.vals[k] });
-                r.sent = true;
+    /// All-reduces `vals` by `op`, one value after another: every node
+    /// combines its running value with its partner's across each dimension
+    /// in turn, so all end on the same bits. Every hop is relay-aware —
+    /// convergence votes and machine agreement survive dead links like any
+    /// other exchange.
+    async fn reduce(
+        &mut self,
+        ctx: &NodeCtx<'_, BatchMsg>,
+        vals: &mut [f64],
+        op: fn(f64, f64) -> f64,
+    ) {
+        for v in vals {
+            for dim in 0..self.run.d {
+                self.send_via(ctx, dim, BatchMsg::Scalar { job: self.tag, v: *v });
+                *v = op(*v, expect_scalar(self.recv_via(ctx, dim).await));
             }
-            let Poll::Ready(got) = self.recv_via(ctx, dim) else { return Err(r) };
-            r.vals[k] = (r.op)(r.vals[k], expect_scalar(got));
-            (r.done, r.sent) = (r.done + 1, false);
         }
-        Ok(r.vals)
     }
 
     /// What a sweep start does before its pairings: takes the node's relay
     /// scripts at the epoch it stands at, stamps the job's start, marks a
     /// solo sweep in the trace, and — at a reactive degraded solo sweep
-    /// after the first — returns the machine agreement to reduce: a
-    /// machine fitted to the service times the link clock measured last
-    /// sweep, whose `Ts` and `Tw` the nodes then max-reduce, so every node
-    /// prices against the same (slowest-observed) machine.
-    fn open_sweep(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Option<Reduce> {
+    /// after the first — agrees on a machine: each node fits one to the
+    /// service times its link clock measured last sweep, and the nodes
+    /// max-reduce its `Ts` and `Tw`, so every node prices against the same
+    /// (slowest-observed) machine. A change is counted and traced.
+    async fn open_sweep(&mut self, ctx: &NodeCtx<'_, BatchMsg>) {
         self.relays = self.run.relays.at(ctx.epoch(), self.node);
         if self.sweeps == 0 {
             self.start = ctx.virtual_now();
         }
-        let adaptation = self.run.solo?;
+        let Some(adaptation) = self.run.solo else { return };
         let sweep = self.sweeps;
         ctx.trace_event(|| TraceEvent::SweepBegin { sweep, time: ctx.virtual_now() });
-        let reactive = self.run.scenario.is_some() && adaptation == Adaptation::Reactive;
-        (reactive && sweep > 0).then(|| {
-            let ports = self.machine.ports;
-            let local = Machine::calibrate(&ctx.take_fabric_window())
-                .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
-            Reduce::new(vec![local.ts, local.tw], f64::max)
-        })
-    }
-
-    /// Adopts the machine the nodes agreed on, counting and tracing a
-    /// change.
-    fn adopt(&mut self, ctx: &NodeCtx<'_, BatchMsg>, ts: f64, tw: f64) {
-        let agreed = Machine { ts, tw, ports: self.machine.ports };
+        if self.run.scenario.is_none() || adaptation != Adaptation::Reactive || sweep == 0 {
+            return;
+        }
+        let ports = self.machine.ports;
+        let local = Machine::calibrate(&ctx.take_fabric_window())
+            .map_or(self.machine, |fit| Machine { ts: fit.ts, tw: fit.tw, ports });
+        let mut agreed = [local.ts, local.tw];
+        self.reduce(ctx, &mut agreed, f64::max).await;
+        let [ts, tw] = agreed;
+        let agreed = Machine { ts, tw, ports };
         if agreed != self.machine {
             self.machine = agreed;
             self.adaptive.recalibrations += 1;
-            let sweep = self.sweeps;
             ctx.trace_event(|| TraceEvent::Recalibrate { sweep, ts, tw, time: ctx.virtual_now() });
         }
     }
@@ -939,78 +856,79 @@ impl<'a> JobNode<'a> {
     /// The convergence vote a sweep ends with, unless the job is forced:
     /// one dimension-exchange all-reduce on the job's own link queues,
     /// relayed like the sweep's blocks (module docs) — the sum of the
-    /// nodes' eigen-residuals, or the max of their SVD cosines.
-    fn vote(&self) -> Option<Reduce> {
-        self.job.bar.0?;
-        Some(match self.job.spec.kind {
+    /// nodes' eigen-residuals, or the max of their SVD cosines — held
+    /// against the bar. The decision is global, so every node finishes (or
+    /// goes on) together.
+    async fn vote(&mut self, ctx: &NodeCtx<'_, BatchMsg>) {
+        if self.job.bar.0.is_none() {
+            return;
+        }
+        let kind = self.job.spec.kind;
+        let (mut v, op): ([f64; 1], fn(f64, f64) -> f64) = match kind {
+            JobKind::Eigen => ([node_residual_sq(&self.slot0, &self.slot1)], |a, b| a + b),
+            JobKind::Svd => ([self.acc.max_off], f64::max),
+        };
+        self.reduce(ctx, &mut v, op).await;
+        let v = match kind {
             JobKind::Eigen => {
-                Reduce::new(vec![node_residual_sq(&self.slot0, &self.slot1)], |a, b| a + b)
-            }
-            JobKind::Svd => Reduce::new(vec![self.acc.max_off], f64::max),
-        })
-    }
-
-    /// Holds the agreed vote against the bar. The decision is global, so
-    /// every node finishes (or goes on) together.
-    fn count_vote(&mut self, v: f64) {
-        let v = match self.job.spec.kind {
-            JobKind::Eigen => {
-                let off = v.sqrt();
+                let off = v[0].sqrt();
                 self.off_history.push(off);
                 off
             }
-            JobKind::Svd => v,
+            JobKind::Svd => v[0],
         };
         self.met = self.job.bar.met(v);
     }
 
+    /// Pairs the resident block against the mobile one. This and
+    /// [`Self::pair_within`] keep the kernel out of the state machine the
+    /// compiler writes for [`Self::step`]: with both inlined there, ten
+    /// alternating benchmark pairs (seed 7, one CPU of a 2-CPU AVX-512 VM)
+    /// read `threaded_blocks` 1.6 % slower, the out-of-line form winning 7
+    /// of 10, and `threaded_packets` 0.4 % slower.
+    #[inline(never)]
+    fn pair_across(&mut self) {
+        self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+    }
+
+    /// Pairs the columns within each of the two blocks.
+    #[inline(never)]
+    fn pair_within(&mut self) {
+        self.acc.merge(self.kern.within([&mut self.slot0, &mut self.slot1]));
+    }
+
     /// Executes the job's next micro-op — the arms say what each kind
     /// *does*; which op follows is [`CommPlan::op_after`]'s to say — pairing
-    /// on the node's worker. `Poll::Ready(())`: the op ran.
-    /// `Poll::Pending`: it would block on a receive or the barrier, and the
-    /// next call resumes it where it stopped — an op's receive comes before
-    /// anything it does, or its cursor (`via`, `stage`) remembers how far it
-    /// got. The caller guarantees every node invokes every job's steps in
-    /// the same merged order.
-    fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<()> {
+    /// on the node's worker and awaiting whatever the op receives. The
+    /// caller guarantees every node invokes every job's steps in the same
+    /// merged order.
+    async fn step(&mut self, ctx: &NodeCtx<'_, BatchMsg>) {
         let op = self.next.expect("the order walk steps unfinished jobs only");
         let plan = &self.job.plans[self.sweeps];
         match op.kind {
             OpKind::SweepStart => {
-                let agreement = match std::mem::take(&mut self.stage) {
-                    Stage::Reduce(r) => Some(r),
-                    Stage::Fresh | Stage::Voted => self.open_sweep(ctx),
-                };
-                if let Some(r) = agreement {
-                    match self.reduce(ctx, r) {
-                        Ok(agreed) => self.adopt(ctx, agreed[0], agreed[1]),
-                        Err(r) => {
-                            self.stage = Stage::Reduce(r);
-                            return Poll::Pending;
-                        }
-                    }
-                }
+                self.open_sweep(ctx).await;
                 self.repriced = self.reprice(plan);
                 self.acc = SweepAccumulator::default();
                 if self.job.spec.opts.cache_diagonals {
                     refresh_block_diag(&mut self.slot0, self.kern.rule);
                     refresh_block_diag(&mut self.slot1, self.kern.rule);
                 }
-                self.acc.merge(self.kern.within([&mut self.slot0, &mut self.slot1]));
+                self.pair_within();
                 if plan.phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
-                    self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+                    self.pair_across();
                 }
             }
             OpKind::Send => {
                 let link = plan.phases()[op.phase].links[op.k];
-                self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+                self.pair_across();
                 let block = self.travelling(op.phase).take();
                 self.send_via(ctx, link, BatchMsg::Block { job: self.tag, block });
             }
             OpKind::Recv => {
                 let link = plan.phases()[op.phase].links[op.k];
-                let block = expect_block(ready!(self.recv_via(ctx, link)));
+                let block = expect_block(self.recv_via(ctx, link).await);
                 *self.travelling(op.phase) = block;
             }
             OpKind::Pipe | OpKind::TailSend => {
@@ -1020,12 +938,12 @@ impl<'a> JobNode<'a> {
                         self.stamps.clear();
                         self.stamps.resize(op.of, ctx.virtual_now());
                     } else if op.k > 0 {
-                        ready!(self.recv_round(ctx, op.phase, op.k - 1));
+                        self.recv_round(ctx, op.phase, op.k - 1).await;
                     }
                     // One pairing of the whole mobile block, before anything
                     // is charged — the per-packet pairings, which share no
                     // mobile column (module docs).
-                    self.acc.merge(self.kern.across(&mut self.slot0, &mut self.slot1));
+                    self.pair_across();
                 }
                 // Each packet's forwarding departs when *its own* input
                 // has arrived (the fabric's stamp), not when the node's
@@ -1037,7 +955,7 @@ impl<'a> JobNode<'a> {
             }
             OpKind::Drain | OpKind::TailRecv => {
                 if op.q == 0 {
-                    ready!(self.recv_round(ctx, op.phase, op.k));
+                    self.recv_round(ctx, op.phase, op.k).await;
                 }
                 let stamp = self.consume_packet(ctx, op, op.k);
                 if op.kind == OpKind::Drain {
@@ -1054,32 +972,19 @@ impl<'a> JobNode<'a> {
                 }
             }
             OpKind::SweepEnd => {
-                let mut stage = std::mem::take(&mut self.stage);
-                if let Stage::Fresh = stage {
-                    if self.run.solo.is_some() {
-                        let sweep = self.sweeps;
-                        ctx.trace_event(|| TraceEvent::SweepEnd { sweep, time: ctx.virtual_now() });
-                    }
-                    self.rotations += self.acc.rotations;
-                    stage = self.vote().map_or(Stage::Voted, Stage::Reduce);
+                if self.run.solo.is_some() {
+                    let sweep = self.sweeps;
+                    ctx.trace_event(|| TraceEvent::SweepEnd { sweep, time: ctx.virtual_now() });
                 }
-                if let Stage::Reduce(r) = stage {
-                    match self.reduce(ctx, r) {
-                        Ok(v) => self.count_vote(v[0]),
-                        Err(r) => {
-                            self.stage = Stage::Reduce(r);
-                            return Poll::Pending;
-                        }
-                    }
-                }
+                self.rotations += self.acc.rotations;
+                self.vote(ctx).await;
                 // A degraded solo run's end-of-sweep barrier: advances the
                 // fabric epoch, so sweep s runs at scenario epoch s on
                 // every node — the deterministic clock the impairment
                 // timelines key on.
                 let degraded = self.run.solo.is_some() && self.run.scenario.is_some();
-                if degraded && !self.met && ctx.barrier().is_pending() {
-                    self.stage = Stage::Voted;
-                    return Poll::Pending;
+                if degraded && !self.met {
+                    ctx.barrier().await;
                 }
                 self.sweeps += 1;
                 self.repriced = None;
@@ -1089,12 +994,11 @@ impl<'a> JobNode<'a> {
                 } else {
                     self.next = Some(MicroOp::SWEEP_START);
                 }
-                return Poll::Ready(());
+                return;
             }
         }
         let framing = self.repriced.as_ref().unwrap_or(&self.job.framings[self.sweeps]);
         self.next = plan.op_after(op, framing);
-        Poll::Ready(())
     }
 
     fn into_output(self) -> JobNodeOutput {
@@ -1167,24 +1071,18 @@ fn run_nodes(
     let run = Run::new(d, jobs, lowered, &fabric, solo);
     order.validate(jobs.len());
 
-    run_spmd::<BatchMsg, Vec<JobNodeOutput>, _, _>(
-        d,
-        Spmd { fabric, njobs: jobs.len(), trace: sink },
-        |ctx| {
-            let mut nodes: Vec<Option<JobNode>> =
-                (0..jobs.len()).map(|j| Some(JobNode::new(j, &run, ctx.id()))).collect();
-            let mut walk = Round::new(order.clone(), (0..jobs.len()).collect());
-            move |ctx| {
-                ready!(walk.resume(&mut nodes, ctx));
-                Poll::Ready(nodes.drain(..).flatten().map(JobNode::into_output).collect())
-            }
-        },
-    )
+    let spmd = Spmd { fabric, njobs: jobs.len(), trace: sink };
+    run_spmd(d, spmd, async |ctx: &NodeCtx<'_, BatchMsg>| {
+        let mut nodes: Vec<Option<JobNode>> =
+            (0..jobs.len()).map(|j| Some(JobNode::new(j, &run, ctx.id()))).collect();
+        Round::new(order.clone(), (0..jobs.len()).collect()).walk(&mut nodes, ctx).await;
+        nodes.into_iter().flatten().map(JobNode::into_output).collect()
+    })
 }
 
-/// A resumable walk of `order` over some of a node's jobs — a batch's whole
-/// run, or one service round — stepping each granted job until the grant
-/// is spent, the job is done, or its part of the round is over.
+/// A walk of `order` over some of a node's jobs — a batch's whole run, or
+/// one service round — stepping each granted job until the grant is spent,
+/// the job is done, or its part of the round is over.
 struct Round {
     order: BatchOrder,
     /// `jobs[i]`: the job `order` calls `i`.
@@ -1195,47 +1093,33 @@ struct Round {
     /// The sweep count at which job `i`'s part ends: one more sweep in a
     /// service round, never in a batch.
     until: Vec<usize>,
-    cursor: OrderCursor,
-    /// Ops run or skipped in the turn in hand.
-    used: usize,
 }
 
 impl Round {
     /// The whole of `jobs`' programs, merged by `order`.
     fn new(order: BatchOrder, jobs: Vec<usize>) -> Self {
         let n = jobs.len();
-        Round {
-            order,
-            jobs,
-            skip: vec![0; n],
-            until: vec![usize::MAX; n],
-            cursor: OrderCursor::default(),
-            used: 0,
-        }
+        Round { order, jobs, skip: vec![0; n], until: vec![usize::MAX; n] }
     }
 
-    /// Runs the walk on from where it stopped until it is through, or
-    /// `Poll::Pending` where a step would block.
-    fn resume(
-        &mut self,
-        nodes: &mut [Option<JobNode<'_>>],
-        ctx: &NodeCtx<'_, BatchMsg>,
-    ) -> Poll<()> {
-        while let Some((i, grant)) = self.cursor.turn(&self.order) {
+    /// Runs the walk through.
+    async fn walk(mut self, nodes: &mut [Option<JobNode<'_>>], ctx: &NodeCtx<'_, BatchMsg>) {
+        let mut cursor = OrderCursor::default();
+        while let Some((i, grant)) = cursor.turn(&self.order) {
+            // Ops run or skipped in this turn.
+            let mut used = 0;
             if let Some(node) = nodes[self.jobs[i]].as_mut() {
-                while self.used < grant && !node.done() && node.sweeps < self.until[i] {
+                while used < grant && !node.done() && node.sweeps < self.until[i] {
                     if self.skip[i] > 0 {
                         self.skip[i] -= 1;
                     } else {
-                        ready!(node.step(ctx));
+                        node.step(ctx).await;
                     }
-                    self.used += 1;
+                    used += 1;
                 }
             }
-            self.cursor.end_turn(&self.order, self.used > 0);
-            self.used = 0;
+            cursor.end_turn(&self.order, used > 0);
         }
-        Poll::Ready(())
     }
 }
 
@@ -1511,9 +1395,9 @@ struct NodeService {
     boundaries: Vec<BoundarySample>,
 }
 
-/// One node's service loop (see [`run_job_service`]) as a resumable
-/// program: a sweep-boundary barrier, intake and admission, then one
-/// service round, until the service drains.
+/// One node's service loop (see [`run_job_service`]): a sweep-boundary
+/// barrier, intake and admission, then one service round, until the
+/// service drains.
 struct ServiceNode<'a> {
     plan: &'a ServicePlan,
     run: &'a Run<'a>,
@@ -1525,31 +1409,23 @@ struct ServiceNode<'a> {
     next_arrival: usize,
     completed: usize,
     log: NodeService,
-    /// The service round in hand; `None` at a sweep boundary.
-    round: Option<Round>,
 }
 
 impl<'a> ServiceNode<'a> {
-    fn resume(&mut self, ctx: &NodeCtx<'_, BatchMsg>) -> Poll<NodeService> {
+    async fn serve(mut self, ctx: &NodeCtx<'_, BatchMsg>) -> NodeService {
         loop {
-            if let Some(round) = &mut self.round {
-                ready!(round.resume(&mut self.nodes, ctx));
-                self.round = None;
-                self.retire();
-            }
             // 1. Sweep boundary: one shared clock across the cube.
-            ready!(ctx.barrier());
+            ctx.barrier().await;
             if self.active.is_empty() && self.queue.is_empty() {
-                let Some(&arrival) = self.plan.arrivals.get(self.next_arrival) else {
-                    // Drained.
-                    let outputs = self.nodes.drain(..).map(|n| n.map(JobNode::into_output));
-                    self.log.outputs = outputs.collect();
-                    return Poll::Ready(std::mem::take(&mut self.log));
-                };
+                let Some(&arrival) = self.plan.arrivals.get(self.next_arrival) else { break };
                 ctx.advance_clock_to(arrival);
             }
-            self.round = Some(self.admit(ctx));
+            self.admit(ctx).walk(&mut self.nodes, ctx).await;
+            self.retire();
         }
+        // Drained.
+        self.log.outputs = self.nodes.into_iter().map(|n| n.map(JobNode::into_output)).collect();
+        self.log
     }
 
     /// Steps 2 and 3 of a boundary, intake and admission, and the round
@@ -1656,8 +1532,8 @@ impl<'a> ServiceNode<'a> {
 ///    the first boundary.)
 /// 3. **Admission** — while the active set has room, the queued job with
 ///    the smallest `plan.priority` (ties to the earlier arrival) is
-///    admitted, preemption-free: its `JobNode` state machine is built
-///    and joins the interleave at the *next* micro-op, never mid-sweep.
+///    admitted, preemption-free: its `JobNode` is built and joins the
+///    interleave at the *next* micro-op, never mid-sweep.
 /// 4. **Service round** — every active job advances exactly one sweep,
 ///    round-robin with `plan.stride` micro-ops per turn; same-key jobs
 ///    are staggered by `plan.stagger_slots` micro-ops per rank, which
@@ -1694,8 +1570,8 @@ pub fn run_job_service(
     let clocked = fabric.machine().is_some();
 
     let spmd = Spmd { fabric, njobs, trace: sink };
-    let SpmdRun { results: mut node_logs, meter, fabric } = run_spmd(d, spmd, |_| {
-        let mut node = ServiceNode {
+    let SpmdRun { results: mut node_logs, meter, fabric } = run_spmd(d, spmd, async |ctx| {
+        let node = ServiceNode {
             plan,
             run: &run,
             clocked,
@@ -1709,9 +1585,8 @@ pub fn run_job_service(
                 rejected: vec![None; njobs],
                 ..NodeService::default()
             },
-            round: None,
         };
-        move |ctx: &NodeCtx<'_, BatchMsg>| node.resume(ctx)
+        node.serve(ctx).await
     });
 
     // The admission trace is a function of barrier-synced state, so every

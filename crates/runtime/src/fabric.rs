@@ -71,7 +71,6 @@ use crate::scenario::Scenario;
 use crate::spmd::{run_spmd, Spmd};
 use crate::trace::{Lane, TraceEvent};
 use std::sync::Arc;
-use std::task::{ready, Poll};
 use std::time::Instant;
 
 /// What the link layer enforces.
@@ -340,40 +339,31 @@ impl LinkClock {
 /// (`Tw`) would be indistinguishable from scheduler noise.
 pub fn measure_channel_fabric(d: usize, sizes: &[usize], reps: usize) -> FabricStats {
     assert!(!sizes.is_empty() && reps >= 1);
-    let run = run_spmd::<Vec<f64>, FabricStats, _, _>(d, Spmd::default(), |_| {
-        // Every (size, rep) probe in order; rep 0 of a size is its warm-up
-        // exchange, which primes the link and caches and is not recorded.
-        let mut probes =
-            sizes.iter().flat_map(move |&elems| (0..=reps).map(move |rep| (elems, rep)));
-        let mut probe = probes.next();
-        let mut outgoing: Option<Vec<f64>> = None;
-        let mut sent: Option<Instant> = None;
+    let run = run_spmd(d, Spmd::default(), async |ctx| {
         let mut local = FabricStats::new();
-        move |ctx| {
-            while let Some((elems, rep)) = probe {
-                if sent.is_none() {
-                    // Building the payload is message *assembly*, not
-                    // transport, and the barrier only lines the pair up:
-                    // both stay outside the timer.
-                    let payload = outgoing.take().unwrap_or_else(|| vec![0.0; elems]);
-                    if rep > 0 && ctx.barrier().is_pending() {
-                        outgoing = Some(payload);
-                        return Poll::Pending;
-                    }
-                    sent = Some(Instant::now());
-                    ctx.send(0, payload);
+        for &elems in sizes {
+            // Rep 0 of a size is its warm-up exchange, which primes the
+            // link and caches and is not recorded.
+            for rep in 0..=reps {
+                // Building the payload is message *assembly*, not
+                // transport, and the barrier only lines the pair up: both
+                // stay outside the timer.
+                let payload = vec![0.0; elems];
+                if rep > 0 {
+                    ctx.barrier().await;
                 }
-                let (got, _) = ready!(ctx.try_recv(0, 0));
+                let sent = Instant::now();
+                ctx.send(0, payload);
+                let (got, _): (Vec<f64>, _) = ctx.recv(0, 0).await;
                 let sum: f64 = got.iter().sum();
-                let secs = sent.take().map_or(0.0, |t0| t0.elapsed().as_secs_f64());
+                let secs = sent.elapsed().as_secs_f64();
                 std::hint::black_box(sum);
                 if rep > 0 {
                     local.record(elems as f64, secs);
                 }
-                probe = probes.next();
             }
-            Poll::Ready(std::mem::take(&mut local))
         }
+        local
     });
     let mut pooled = FabricStats::new();
     for stats in &run.results {

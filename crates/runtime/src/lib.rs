@@ -2,12 +2,12 @@
 //!
 //! The paper's algorithms run on a message-passing multicomputer; this
 //! crate is the executable substitute (`tests/end_to_end.rs` runs the
-//! solvers on it across the crates): every node of the `d`-cube is a
-//! program that steps until it must wait, every link is a pair of directed
-//! FIFO queues — one per job in each direction when several jobs share the
-//! cube ([`Spmd::njobs`]) — and the only primitives are neighbor send,
-//! non-blocking receive of one job's next message and the barrier.
-//! [`run_spmd`] steps the `2^d` programs on
+//! solvers on it across the crates): every node of the `d`-cube is an
+//! `async` program that runs until it awaits, every link is a pair of
+//! directed FIFO queues — one per job in each direction when several jobs
+//! share the cube ([`Spmd::njobs`]) — and the only primitives are neighbor
+//! send, an awaited receive of one job's next message and the awaited
+//! barrier. [`run_spmd`] polls the `2^d` programs on
 //! `min(2^d, available_parallelism())` worker threads.
 //! Nothing is shared between nodes except the links and the barrier: a
 //! node's worker owns its [`NodeCtx`] — virtual clock, traffic counters —

@@ -1,25 +1,27 @@
 //! SPMD execution: `2^d` node programs stepped on no more worker threads
 //! than the process has CPUs, one FIFO queue per link direction and job.
 //!
-//! A node is a *program* — a closure [`run_spmd`] resumes with the node's
-//! [`NodeCtx`] — that runs on from where it stopped until it finishes
-//! (`Poll::Ready` with its result) or cannot go on (`Poll::Pending`): a
-//! receive found nothing queued ([`NodeCtx::try_recv`]) or the barrier is
-//! still gathering ([`NodeCtx::barrier`]). Nothing in a node parks. The run
-//! puts its `2^d` nodes on `W = min(2^d, available_parallelism())`
-//! workers, read afresh on every run: each worker steps a contiguous range
-//! of labels (so the low dimensions' links stay inside one worker), running
-//! each node until it blocks, and parks only when all of its nodes are
-//! blocked and nothing has come for them. The calling thread is worker 0.
-//! `W = 2^d` is one thread per node; `W = 1` steps every node on the
-//! calling thread and never wakes anything.
+//! A node is a *program* — an `async` closure [`run_spmd`] calls with the
+//! node's [`NodeCtx`] — that runs until it finishes with its result or
+//! awaits what has not happened yet: a message not yet queued
+//! ([`NodeCtx::recv`]) or a barrier still gathering ([`NodeCtx::barrier`]).
+//! Those two are the only things a program may `.await`: the runtime
+//! polls each node's future with a no-op waker and registers no wake-up, so
+//! any other future would never be polled again at the right time. Nothing
+//! in a node parks. The run puts its `2^d` nodes on
+//! `W = min(2^d, available_parallelism())` workers, read afresh on every
+//! run: each worker polls a contiguous range of labels (so the low
+//! dimensions' links stay inside one worker), each node until it waits,
+//! and parks only when all of its nodes wait and nothing has come for them.
+//! The calling thread is worker 0. `W = 2^d` is one thread per node;
+//! `W = 1` steps every node on the calling thread and never wakes anything.
 //!
 //! Sends never block: queues are unbounded, so the symmetric
 //! send-then-receive pattern of the Jacobi transitions cannot deadlock.
 //! Several jobs may share the links ([`Spmd::njobs`]): every message
 //! declares its job ([`Meterable::job`]), each link direction keeps one
 //! FIFO queue per job, and a receive names the job it takes
-//! ([`NodeCtx::try_recv`]) — so per-`(link, job)` order survives any
+//! ([`NodeCtx::recv`]) — so per-`(link, job)` order survives any
 //! interleaving of the jobs, and a job never waits behind another's
 //! message. All communication is neighbor-to-neighbor — exactly the
 //! discipline the paper's algorithms obey on a real hypercube
@@ -64,7 +66,7 @@
 //! host has no reason to move apart charges each packet, collects the
 //! stamps, and ships payload and stamps once (the micro-op engine's
 //! pipeline rounds, `mph_eigen::multidrive`). The receive side mirrors it:
-//! [`NodeCtx::try_recv`] takes a message and its stamp off the link,
+//! [`NodeCtx::recv`] takes a message and its stamp off the link,
 //! [`NodeCtx::trace_recv`] records one consumed arrival, and
 //! [`NodeCtx::advance_clock_to`] spends the wait.
 
@@ -74,8 +76,9 @@ use crate::sched::{Arrival, Links, Sched};
 use crate::trace::{SinkHandle, TraceEvent};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::task::Poll;
+use std::task::{Context, Poll, Waker};
 
 /// The number of elements a message contributes to traffic accounting,
 /// and which accounting plane it belongs to.
@@ -96,7 +99,7 @@ pub trait Meterable {
     /// Which batch job this message belongs to, when several independent
     /// problems share one fabric (see [`Spmd::njobs`]): the meter keeps
     /// per-job totals, and the message waits in its link's queue for this
-    /// job, taken only by a [`NodeCtx::try_recv`] of the same job. Solo
+    /// job, taken only by a [`NodeCtx::recv`] of the same job. Solo
     /// programs use the default job 0.
     fn job(&self) -> u32 {
         0
@@ -147,8 +150,6 @@ pub struct NodeCtx<'r, M> {
     links: &'r Links<Envelope<M>>,
     sched: &'r Sched,
     book: RefCell<LinkClock>,
-    /// The barrier generation this node arrived at and waits to see pass.
-    at_barrier: Cell<Option<u64>>,
     /// What the node last found it could not take.
     wait: Cell<Option<Wait>>,
 }
@@ -189,7 +190,7 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
     /// nothing else: the meter counts it for `job` on its plane, the link
     /// clock charges it `Ts + S·Tw` departing no earlier than `ready`
     /// (typically the arrival stamp of the packet this transmission
-    /// forwards, from [`NodeCtx::try_recv`]: the CPU issues start-ups
+    /// forwards, from [`NodeCtx::recv`]: the CPU issues start-ups
     /// serially in program order but does not wait for the data — the
     /// comm-processor model that lets a software pipeline overlap
     /// iterations on the virtual clock), and the trace records the send
@@ -226,24 +227,23 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
     }
 
     /// Takes the next message of `job` ([`Meterable::job`]) from the
-    /// neighbor across `dim` with its virtual arrival stamp, or
-    /// `Poll::Pending` if none has come: the program returns `Pending` too,
-    /// and is resumed once one may have. Each job has its own FIFO queue on
-    /// every link, so the jobs' messages never overtake their own kind and
-    /// never wait behind another's. The clock is *not* advanced and the
-    /// arrival not recorded: the caller owns the dependency bookkeeping
-    /// (forward the stamp into [`NodeCtx::charge`],
-    /// [`NodeCtx::advance_clock_to`] the stamps it ultimately consumes, and
-    /// [`NodeCtx::trace_recv`] each arrival where it consumes it). On a free
-    /// fabric the stamp is 0.
-    pub fn try_recv(&self, dim: usize, job: u32) -> Poll<(M, f64)> {
-        match self.links.pop(self.id, dim, job) {
+    /// neighbor across `dim` with its virtual arrival stamp, waiting until
+    /// one has come. Each job has its own FIFO queue on every link, so the
+    /// jobs' messages never overtake their own kind and never wait behind
+    /// another's. The clock is *not* advanced and the arrival not recorded:
+    /// the caller owns the dependency bookkeeping (forward the stamp into
+    /// [`NodeCtx::charge`], [`NodeCtx::advance_clock_to`] the stamps it
+    /// ultimately consumes, and [`NodeCtx::trace_recv`] each arrival where
+    /// it consumes it). On a free fabric the stamp is 0.
+    pub async fn recv(&self, dim: usize, job: u32) -> (M, f64) {
+        poll_fn(|_| match self.links.pop(self.id, dim, job) {
             Some(env) => Poll::Ready((env.msg, env.stamp)),
             None => {
                 self.wait.set(Some(Wait::Recv { dim, job }));
                 Poll::Pending
             }
-        }
+        })
+        .await
     }
 
     /// Records the event `event` builds into this node's trace lane, next
@@ -300,33 +300,25 @@ impl<'r, M: Send + Meterable> NodeCtx<'r, M> {
         self.book.borrow().epoch()
     }
 
-    /// The barrier, as a step: `Poll::Ready` once all `2^d` nodes have
-    /// reached it, `Poll::Pending` until then — call it again on resuming
-    /// until it is through. On a throttled fabric the nodes also
-    /// synchronize their virtual clocks: everyone leaves at the latest
-    /// participant's time, as a real barrier would make them.
-    pub fn barrier(&self) -> Poll<()> {
-        let generation = match self.at_barrier.get() {
-            Some(generation) => generation,
-            None => match self.sched.arrive(self.worker, self.virtual_now()) {
-                Arrival::Released(t) => return self.leave_barrier(t),
-                Arrival::Waits(generation) => generation,
-            },
-        };
-        match self.sched.passed(generation) {
-            Some(t) => self.leave_barrier(t),
-            None => {
-                self.at_barrier.set(Some(generation));
-                self.wait.set(Some(Wait::Barrier));
-                Poll::Pending
+    /// The barrier: through once all `2^d` nodes have reached it. On a
+    /// throttled fabric the nodes also synchronize their virtual clocks:
+    /// everyone leaves at the latest participant's time, as a real barrier
+    /// would make them.
+    pub async fn barrier(&self) {
+        let t = match self.sched.arrive(self.worker, self.virtual_now()) {
+            Arrival::Released(t) => t,
+            Arrival::Waits(generation) => {
+                poll_fn(|_| match self.sched.passed(generation) {
+                    Some(t) => Poll::Ready(t),
+                    None => {
+                        self.wait.set(Some(Wait::Barrier));
+                        Poll::Pending
+                    }
+                })
+                .await
             }
-        }
-    }
-
-    fn leave_barrier(&self, t: f64) -> Poll<()> {
-        self.at_barrier.set(None);
+        };
         self.book.borrow_mut().pass_barrier(t);
-        Poll::Ready(())
     }
 }
 
@@ -382,11 +374,12 @@ enum End<R> {
 
 /// Runs a node program on every node of a `d`-cube under `spmd`.
 ///
-/// `init` builds each node's program from its [`NodeCtx`]; the program is
-/// resumed with the same context until it returns `Poll::Ready` with the
-/// node's result, and returns `Poll::Pending` only after a
-/// [`NodeCtx::try_recv`] or [`NodeCtx::barrier`] did (the module docs say
-/// who resumes it, on how many threads). `M` is the message type the links
+/// `program` is called once per node with its [`NodeCtx`], and the future
+/// it returns is polled until it finishes with the node's result (the
+/// module docs say who polls it, on how many threads). It may await only
+/// its context's [`NodeCtx::recv`] and [`NodeCtx::barrier`]: the runtime
+/// registers no waker, and polls a node again only once a message or a
+/// barrier release may let it go on. `M` is the message type the links
 /// carry.
 ///
 /// A panic in any node ends the run: every worker stops, and the payload of
@@ -397,12 +390,11 @@ enum End<R> {
 /// A run whose nodes all returned with a message still queued — one sent
 /// that no receive took, a protocol slip — panics naming its
 /// `(node, dim, job)`.
-pub fn run_spmd<M, R, P, F>(d: usize, spmd: Spmd, init: F) -> SpmdRun<R>
+pub fn run_spmd<M, R, F>(d: usize, spmd: Spmd, program: F) -> SpmdRun<R>
 where
     M: Send + Meterable,
     R: Send,
-    P: FnMut(&NodeCtx<'_, M>) -> Poll<R>,
-    F: Fn(&NodeCtx<'_, M>) -> P + Sync,
+    F: AsyncFn(&NodeCtx<'_, M>) -> R + Sync,
 {
     let Spmd { fabric, njobs, trace } = spmd;
     // Misconfigured fabrics are rejected by the checked option
@@ -423,10 +415,9 @@ where
             links: &links,
             sched: &sched,
             book: RefCell::new(LinkClock::new(fabric.clone(), n, d, njobs, trace.lane())),
-            at_barrier: Cell::new(None),
             wait: Cell::new(None),
         });
-        step_nodes(&sched, w, ctxs.collect(), &init)
+        step_nodes(&sched, w, ctxs.collect(), &program)
     };
     let work = &work;
     let mut ends: Vec<(End<R>, LinkClock)> = crossbeam::thread::scope(|scope| {
@@ -477,38 +468,31 @@ fn workers(p: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).min(p)
 }
 
-/// Worker `w`'s loop: step every node it owns, each until it finishes or
-/// blocks, pass after pass; park when a whole pass found every node
-/// blocked and nothing was posted to them or released since the pass
-/// began. Hands back each node's end and book, in label order.
-fn step_nodes<M, R, P, F>(
+/// Worker `w`'s loop: poll every node it owns, each until it finishes or
+/// waits, pass after pass; park when a whole pass found every node waiting
+/// and nothing was posted to them or released since the pass began. Hands
+/// back each node's end and book, in label order.
+fn step_nodes<M, R, F>(
     sched: &Sched,
     w: usize,
     ctxs: Vec<NodeCtx<'_, M>>,
-    init: &F,
+    program: &F,
 ) -> Vec<(End<R>, LinkClock)>
 where
     M: Send + Meterable,
-    P: FnMut(&NodeCtx<'_, M>) -> Poll<R>,
-    F: Fn(&NodeCtx<'_, M>) -> P,
+    F: AsyncFn(&NodeCtx<'_, M>) -> R,
 {
     sched.register(w);
-    let mut programs: Vec<Option<P>> = Vec::with_capacity(ctxs.len());
-    let mut ends: Vec<Option<End<R>>> = Vec::with_capacity(ctxs.len());
-    for ctx in &ctxs {
-        match catch_unwind(AssertUnwindSafe(|| init(ctx))) {
-            Ok(program) => {
-                programs.push(Some(program));
-                ends.push(None);
-            }
-            Err(payload) => {
-                sched.abort();
-                programs.push(None);
-                ends.push(Some(End::Panicked(payload)));
-            }
-        }
-    }
-    let mut running = programs.iter().flatten().count();
+    // No program registers a wake-up: the scheduler's books say when a
+    // node may go on.
+    let mut cx = Context::from_waker(Waker::noop());
+    // Each node's program, pinned once. The call sits inside the future, so
+    // whatever `program` runs before it first awaits — the node's setup —
+    // runs in the first poll, under that poll's `catch_unwind`.
+    let mut programs: Vec<_> =
+        ctxs.iter().map(|ctx| Some(Box::pin(async move { program(ctx).await }))).collect();
+    let mut ends: Vec<Option<End<R>>> = ctxs.iter().map(|_| None).collect();
+    let mut running = ctxs.len();
     // The order a pass visits the nodes in: by label, but under the test
     // hook (`step_order`).
     #[cfg_attr(not(test), allow(unused_mut))]
@@ -517,20 +501,18 @@ where
         #[cfg(test)]
         step_order::shuffle(&mut order);
         for &i in &order {
-            let (ctx, Some(program)) = (&ctxs[i], programs[i].as_mut()) else { continue };
-            let end = match catch_unwind(AssertUnwindSafe(|| program(ctx))) {
-                Ok(Poll::Pending) => None,
-                Ok(Poll::Ready(result)) => Some(End::Done(result)),
+            let Some(node) = programs[i].as_mut() else { continue };
+            let end = match catch_unwind(AssertUnwindSafe(|| node.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(result)) => End::Done(result),
                 Err(payload) => {
                     sched.abort();
-                    Some(End::Panicked(payload))
+                    End::Panicked(payload)
                 }
             };
-            if end.is_some() {
-                programs[i] = None;
-                ends[i] = end;
-                running -= 1;
-            }
+            programs[i] = None;
+            ends[i] = Some(end);
+            running -= 1;
         }
         if running > 0 && !sched.idle(w) {
             break;
@@ -539,6 +521,7 @@ where
     if running == 0 {
         sched.retire(w);
     }
+    drop(programs);
     let ends = ctxs.into_iter().zip(ends).map(|(ctx, end)| {
         let end = end.unwrap_or_else(|| End::Blocked(ctx.wait.get()));
         (end, ctx.book.into_inner())
@@ -621,7 +604,6 @@ pub(crate) mod step_order {
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use std::task::ready;
 
     fn on(fabric: FabricModel) -> Spmd {
         Spmd { fabric, ..Spmd::default() }
@@ -629,62 +611,26 @@ mod tests {
 
     /// Takes the next message across `dim` and spends its wait: the
     /// receive half of a plain exchange.
-    fn recv<M: Send + Meterable>(ctx: &NodeCtx<'_, M>, dim: usize) -> Poll<M> {
-        let (msg, stamp) = ready!(ctx.try_recv(dim, 0));
+    async fn recv<M: Send + Meterable>(ctx: &NodeCtx<'_, M>, dim: usize) -> M {
+        let (msg, stamp) = ctx.recv(dim, 0).await;
         ctx.advance_clock_to(stamp);
-        Poll::Ready(msg)
+        msg
     }
 
-    /// What a scripted node does next.
-    enum Op<M, R> {
-        /// Send the message across the dimension, then take the neighbor's.
-        Swap(usize, M),
-        Barrier,
-        Done(R),
-    }
-
-    /// A node program written as a script: `next` is asked for each op with
-    /// everything received so far, and the program resumes wherever the
-    /// last op blocked.
-    fn script<M: Send + Meterable, R>(
-        mut next: impl FnMut(&NodeCtx<'_, M>, &[M]) -> Op<M, R>,
-    ) -> impl FnMut(&NodeCtx<'_, M>) -> Poll<R> {
-        let mut got = Vec::new();
-        // The op in hand: the dimension of an exchange, or `None` at a
-        // barrier.
-        let mut blocked: Option<Option<usize>> = None;
-        move |ctx| loop {
-            if let Some(at) = blocked {
-                match at {
-                    Some(dim) => got.push(ready!(recv(ctx, dim))),
-                    None => ready!(ctx.barrier()),
-                }
-            }
-            blocked = Some(match next(ctx, &got) {
-                Op::Swap(dim, msg) => {
-                    ctx.send(dim, msg);
-                    Some(dim)
-                }
-                Op::Barrier => None,
-                Op::Done(result) => return Poll::Ready(result),
-            });
-        }
+    /// Sends `msg` across `dim`, then takes the neighbor's.
+    async fn swap<M: Send + Meterable>(ctx: &NodeCtx<'_, M>, dim: usize, msg: M) -> M {
+        ctx.send(dim, msg);
+        recv(ctx, dim).await
     }
 
     /// Dimension-exchange fold: `d` exchanges leave the fold of every
     /// node's `value` at every node.
-    fn all_reduce(
-        value: fn(usize) -> f64,
-        fold: fn(f64, f64) -> f64,
-    ) -> impl FnMut(&NodeCtx<'_, f64>) -> Poll<f64> {
-        script(move |ctx, got| {
-            let v = got.iter().fold(value(ctx.id()), |a, &b| fold(a, b));
-            if got.len() < ctx.dim() {
-                Op::Swap(got.len(), v)
-            } else {
-                Op::Done(v)
-            }
-        })
+    async fn all_reduce(ctx: &NodeCtx<'_, f64>, value: f64, fold: fn(f64, f64) -> f64) -> f64 {
+        let mut v = value;
+        for dim in 0..ctx.dim() {
+            v = fold(v, swap(ctx, dim, v).await);
+        }
+        v
     }
 
     fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -711,11 +657,12 @@ mod tests {
 
     #[test]
     fn neighbors_identify_each_other() {
-        let results = run_spmd::<u64, Vec<u64>, _, _>(3, Spmd::default(), |_| {
-            script(|ctx, got: &[u64]| match got.len() {
-                k if k < 3 => Op::Swap(k, ctx.id() as u64),
-                _ => Op::Done(got.to_vec()),
-            })
+        let results = run_spmd(3, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+            let mut got = Vec::new();
+            for dim in 0..3 {
+                got.push(swap(ctx, dim, ctx.id() as u64).await);
+            }
+            got
         })
         .results;
         for (n, got) in results.iter().enumerate() {
@@ -728,8 +675,10 @@ mod tests {
     #[test]
     fn allreduce_sum_over_cube() {
         for d in 0..=4 {
-            let results =
-                run_spmd(d, Spmd::default(), |_| all_reduce(|n| n as f64, |a, b| a + b)).results;
+            let results = run_spmd(d, Spmd::default(), async |ctx| {
+                all_reduce(ctx, ctx.id() as f64, |a, b| a + b).await
+            })
+            .results;
             let expect = ((1usize << d) * ((1usize << d) - 1) / 2) as f64;
             for r in results {
                 assert_eq!(r, expect);
@@ -739,9 +688,10 @@ mod tests {
 
     #[test]
     fn allreduce_max_over_cube() {
-        let results =
-            run_spmd(3, Spmd::default(), |_| all_reduce(|n| (n as f64 * 7.0) % 5.0, f64::max))
-                .results;
+        let results = run_spmd(3, Spmd::default(), async |ctx| {
+            all_reduce(ctx, (ctx.id() as f64 * 7.0) % 5.0, f64::max).await
+        })
+        .results;
         let expect = (0..8).map(|n| (n as f64 * 7.0) % 5.0).fold(0.0f64, f64::max);
         for r in results {
             assert_eq!(r, expect);
@@ -750,12 +700,9 @@ mod tests {
 
     #[test]
     fn meter_counts_volume() {
-        let meter = run_spmd::<Vec<f64>, (), _, _>(2, Spmd::default(), |_| {
-            script(|_, got| match got.len() {
-                0 => Op::Swap(0, vec![0.0; 10]),
-                1 => Op::Swap(1, vec![0.0; 3]),
-                _ => Op::Done(()),
-            })
+        let meter = run_spmd(2, Spmd::default(), async |ctx: &NodeCtx<'_, Vec<f64>>| {
+            swap(ctx, 0, vec![0.0; 10]).await;
+            swap(ctx, 1, vec![0.0; 3]).await;
         })
         .meter;
         assert_eq!(meter.messages(0), 4);
@@ -768,17 +715,10 @@ mod tests {
         // Without the barrier a fast node could lap a slow one; the
         // per-dimension FIFO still keeps exchanges paired, so this test
         // checks the barrier API plus two sequential exchange rounds.
-        let results = run_spmd::<u64, (u64, u64), _, _>(2, Spmd::default(), |_| {
-            let mut ops = 0;
-            script(move |ctx, got| {
-                ops += 1;
-                match ops {
-                    1 => Op::Swap(0, ctx.id() as u64),
-                    2 => Op::Barrier,
-                    3 => Op::Swap(0, got[0]),
-                    _ => Op::Done((got[0], got[1])),
-                }
-            })
+        let results = run_spmd(2, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+            let first = swap(ctx, 0, ctx.id() as u64).await;
+            ctx.barrier().await;
+            (first, swap(ctx, 0, first).await)
         })
         .results;
         for (n, (first, second)) in results.iter().enumerate() {
@@ -789,11 +729,8 @@ mod tests {
 
     #[test]
     fn d0_single_node_runs() {
-        let results = run_spmd::<(), usize, _, _>(0, Spmd::default(), |ctx| {
-            let result = ctx.id() + 100;
-            move |_| Poll::Ready(result)
-        })
-        .results;
+        let results =
+            run_spmd(0, Spmd::default(), async |ctx: &NodeCtx<'_, ()>| ctx.id() + 100).results;
         assert_eq!(results, vec![100]);
     }
 
@@ -804,7 +741,7 @@ mod tests {
         let spmd = Spmd::default();
         assert_eq!((&spmd.fabric, spmd.njobs), (&FabricModel::Free, 1));
         assert!(!spmd.trace.is_enabled());
-        let report = run_spmd(2, spmd, |_| all_reduce(|_| 1.0, |a, b| a + b)).fabric;
+        let report = run_spmd(2, spmd, async |ctx| all_reduce(ctx, 1.0, |a, b| a + b).await).fabric;
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.node_times, vec![0.0; 4]);
     }
@@ -816,11 +753,10 @@ mod tests {
         // Ts + S·Tw, and the makespan is deterministic.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
         let run = || {
-            run_spmd::<Vec<f64>, (), _, _>(2, on(fabric.clone()), |_| {
-                script(|_, got| match got.len() {
-                    k if k < 3 => Op::Swap([0, 1, 0][k], vec![0.0; 5]),
-                    _ => Op::Done(()),
-                })
+            run_spmd(2, on(fabric.clone()), async |ctx: &NodeCtx<'_, Vec<f64>>| {
+                for dim in [0, 1, 0] {
+                    swap(ctx, dim, vec![0.0; 5]).await;
+                }
             })
             .fabric
         };
@@ -836,16 +772,12 @@ mod tests {
         // Two sends on distinct links before any receive: all-port
         // overlaps the transmissions, one-port queues them.
         let time_with = |machine: Machine| {
-            run_spmd::<Vec<f64>, (), _, _>(2, on(FabricModel::Throttled(machine)), |ctx| {
+            let fabric = FabricModel::Throttled(machine);
+            run_spmd(2, on(fabric), async |ctx: &NodeCtx<'_, Vec<f64>>| {
                 ctx.send(0, vec![0.0; 100]);
                 ctx.send(1, vec![0.0; 100]);
-                let mut taken = 0;
-                move |ctx| {
-                    while taken < 2 {
-                        ready!(recv(ctx, taken));
-                        taken += 1;
-                    }
-                    Poll::Ready(())
+                for dim in 0..2 {
+                    recv(ctx, dim).await;
                 }
             })
             .fabric
@@ -867,26 +799,22 @@ mod tests {
         // messages, and the bare shipment is itself neither metered nor
         // stamped.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 2.0));
-        let sent = run_spmd::<Vec<f64>, Vec<f64>, _, _>(1, on(fabric.clone()), |ctx| {
+        let sent = run_spmd(1, on(fabric.clone()), async |ctx: &NodeCtx<'_, Vec<f64>>| {
             for _ in 0..3 {
                 ctx.send(0, vec![0.0; 5]);
             }
             let mut stamps = Vec::new();
-            move |ctx| {
-                while stamps.len() < 3 {
-                    stamps.push(ready!(ctx.try_recv(0, 0)).1);
-                }
-                Poll::Ready(stamps.clone())
+            for _ in 0..3 {
+                stamps.push(ctx.recv(0, 0).await.1);
             }
+            stamps
         });
-        let charged = run_spmd::<Vec<f64>, Vec<f64>, _, _>(1, on(fabric), |ctx| {
+        let charged = run_spmd(1, on(fabric), async |ctx: &NodeCtx<'_, Vec<f64>>| {
             let stamps = (0..3).map(|q| ctx.charge(0, 5, 0, Some((0, q)), false, 0.0)).collect();
             ctx.ship(0, stamps);
-            |ctx| {
-                let (stamps, envelope) = ready!(ctx.try_recv(0, 0));
-                assert_eq!(envelope, 0.0);
-                Poll::Ready(stamps)
-            }
+            let (stamps, envelope) = ctx.recv(0, 0).await;
+            assert_eq!(envelope, 0.0);
+            stamps
         });
         assert_eq!(sent.results, vec![vec![20.0, 30.0, 40.0]; 2]);
         assert_eq!(charged.results, sent.results);
@@ -904,23 +832,17 @@ mod tests {
         // regardless of scheduling.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
         let run = || {
-            run_spmd::<Vec<f64>, Vec<f64>, _, _>(2, on(fabric.clone()), |_| {
-                let mut ops = 0;
+            run_spmd(2, on(fabric.clone()), async |ctx: &NodeCtx<'_, Vec<f64>>| {
                 let mut times = Vec::new();
-                script(move |ctx, _| {
-                    ops += 1;
-                    if ops == 3 || ops == 5 {
-                        times.push(ctx.virtual_now());
-                    }
-                    // Round 1: pair (0,1) heavy, pair (2,3) light; round 2:
-                    // roles swapped.
-                    let heavy = (ctx.id() < 2) == (ops == 1);
-                    match ops {
-                        1 | 3 => Op::Swap(0, vec![0.0; if heavy { 1000 } else { 10 }]),
-                        2 | 4 => Op::Barrier,
-                        _ => Op::Done(times.clone()),
-                    }
-                })
+                // Round 1: pair (0,1) heavy, pair (2,3) light; round 2:
+                // roles swapped.
+                for round in 0..2 {
+                    let heavy = (ctx.id() < 2) == (round == 0);
+                    swap(ctx, 0, vec![0.0; if heavy { 1000 } else { 10 }]).await;
+                    ctx.barrier().await;
+                    times.push(ctx.virtual_now());
+                }
+                times
             })
             .results
         };
@@ -935,19 +857,14 @@ mod tests {
         // The root-cause contract: when one node fails, the panic that
         // escapes the runtime is *that node's*, not a report from its peers.
         let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _, _>(2, Spmd::default(), |_| {
-                script(|ctx, got| {
-                    if got.is_empty() {
-                        return Op::Swap(0, ctx.id() as u64);
-                    }
-                    if ctx.id() == 3 {
-                        panic!("original failure in node 3");
-                    }
-                    // Peers keep touching their clocks after the panic;
-                    // none of that may replace the payload below.
-                    let _ = ctx.virtual_now();
-                    Op::Done(())
-                })
+            run_spmd(2, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+                swap(ctx, 0, ctx.id() as u64).await;
+                if ctx.id() == 3 {
+                    panic!("original failure in node 3");
+                }
+                // Peers keep touching their clocks after the panic; none of
+                // that may replace the payload below.
+                let _ = ctx.virtual_now();
             });
         });
         let msg = panic_text(&*caught.expect_err("the node panic must escape"));
@@ -963,13 +880,11 @@ mod tests {
         // the run, and the payload that escapes is node 0's — not a report
         // of node 1 left waiting.
         let msg = panics_within_5s(|| {
-            run_spmd::<u64, (), _, _>(1, Spmd::default(), |_| {
-                |ctx: &NodeCtx<'_, u64>| {
-                    if ctx.id() == 0 {
-                        panic!("node 0 died before its first send");
-                    }
-                    recv(ctx, 0).map(drop)
+            run_spmd(1, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+                if ctx.id() == 0 {
+                    panic!("node 0 died before its first send");
                 }
+                recv(ctx, 0).await;
             });
         });
         assert!(msg.contains("node 0 died before its first send"), "got: {msg:?}");
@@ -978,17 +893,15 @@ mod tests {
     #[test]
     fn a_node_that_dies_while_its_peers_wait_at_a_barrier_ends_the_run_with_its_own_payload() {
         // The last hang: three nodes reach the barrier, the fourth dies
-        // first. A barrier that is a step cannot park its waiters, so the
+        // first. A barrier that is awaited cannot park its waiters, so the
         // run ends with the dead node's own payload.
         for fabric in [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1.0, 1.0))] {
             let msg = panics_within_5s(move || {
-                run_spmd::<u64, (), _, _>(2, on(fabric), |_| {
-                    |ctx: &NodeCtx<'_, u64>| {
-                        if ctx.id() == 2 {
-                            panic!("node 2 died on its way to the barrier");
-                        }
-                        ctx.barrier()
+                run_spmd(2, on(fabric), async |ctx: &NodeCtx<'_, u64>| {
+                    if ctx.id() == 2 {
+                        panic!("node 2 died on its way to the barrier");
                     }
+                    ctx.barrier().await
                 });
             });
             assert!(msg.contains("node 2 died on its way to the barrier"), "got: {msg:?}");
@@ -1000,10 +913,9 @@ mod tests {
         // No root cause to re-raise: node 0 simply returns while node 1
         // still expects a message. The run ends and says which link.
         let msg = panics_within_5s(|| {
-            run_spmd::<u64, (), _, _>(1, Spmd::default(), |_| {
-                |ctx: &NodeCtx<'_, u64>| match ctx.id() {
-                    1 => recv(ctx, 0).map(drop),
-                    _ => Poll::Ready(()),
+            run_spmd(1, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+                if ctx.id() == 1 {
+                    recv(ctx, 0).await;
                 }
             });
         });
@@ -1018,13 +930,10 @@ mod tests {
         // run from seeing that nothing can ever wake node 1.
         let msg = panics_within_5s(|| {
             step_order::with_workers(2, || {
-                run_spmd::<u64, (), _, _>(1, Spmd::default(), |ctx| {
+                run_spmd(1, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
                     if ctx.id() == 1 {
                         ctx.send(0, 1);
-                    }
-                    |ctx: &NodeCtx<'_, u64>| match ctx.id() {
-                        1 => recv(ctx, 0).map(drop),
-                        _ => Poll::Ready(()),
+                        recv(ctx, 0).await;
                     }
                 });
             });
@@ -1038,12 +947,10 @@ mod tests {
         // node is blocked and nothing is in flight. The run panics, naming
         // what each node waits on, instead of hanging.
         let msg = panics_within_5s(|| {
-            run_spmd::<u64, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |_| {
-                |ctx: &NodeCtx<'_, u64>| {
-                    ready!(ctx.try_recv(0, 1));
-                    ctx.send(0, 7);
-                    Poll::Ready(())
-                }
+            let spmd = Spmd { njobs: 2, ..Spmd::default() };
+            run_spmd(1, spmd, async |ctx: &NodeCtx<'_, u64>| {
+                ctx.recv(0, 1).await;
+                ctx.send(0, 7);
             });
         });
         assert!(msg.contains("deadlock"), "got: {msg:?}");
@@ -1081,16 +988,11 @@ mod tests {
         let spec = ScenarioSpec { hetero_spread: 2.0, ..ScenarioSpec::clean(77, base) };
         let sc = Arc::new(Scenario::new(2, spec).expect("valid spec"));
         let run = |fabric: FabricModel| {
-            run_spmd::<Vec<f64>, (), _, _>(2, on(fabric), |_| {
-                let mut ops = 0;
-                script(move |_, got| {
-                    ops += 1;
-                    match got.len() {
-                        k if k < 3 => Op::Swap([0, 1, 0][k], vec![0.0; 5]),
-                        _ if ops == 4 => Op::Barrier,
-                        _ => Op::Done(()),
-                    }
-                })
+            run_spmd(2, on(fabric), async |ctx: &NodeCtx<'_, Vec<f64>>| {
+                for dim in [0, 1, 0] {
+                    swap(ctx, dim, vec![0.0; 5]).await;
+                }
+                ctx.barrier().await;
             })
             .fabric
         };
@@ -1111,9 +1013,7 @@ mod tests {
         use crate::machine::PortModel;
         let bad = Machine { ts: 1.0, tw: 1.0, ports: PortModel::KPort(0) };
         let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u64, (), _, _>(1, on(FabricModel::Throttled(bad)), |_| {
-                |_: &NodeCtx<'_, u64>| Poll::Ready(())
-            });
+            run_spmd(1, on(FabricModel::Throttled(bad)), async |_: &NodeCtx<'_, u64>| {});
         });
         let msg = panic_text(&*caught.expect_err("KPort(0) must be rejected"));
         assert!(msg.contains("invalid fabric model"), "got: {msg:?}");
@@ -1124,16 +1024,10 @@ mod tests {
         // Node pairs across dim 0 exchange unequal payloads; after a
         // barrier every node's clock sits at the slowest participant.
         let fabric = FabricModel::Throttled(Machine::all_port(0.0, 1.0));
-        let report = run_spmd::<Vec<f64>, f64, _, _>(2, on(fabric), |_| {
-            let mut ops = 0;
-            script(move |ctx, _| {
-                ops += 1;
-                match ops {
-                    1 => Op::Swap(0, vec![0.0; if ctx.id() < 2 { 10 } else { 1000 }]),
-                    2 => Op::Barrier,
-                    _ => Op::Done(ctx.virtual_now()),
-                }
-            })
+        let report = run_spmd(2, on(fabric), async |ctx: &NodeCtx<'_, Vec<f64>>| {
+            swap(ctx, 0, vec![0.0; if ctx.id() < 2 { 10 } else { 1000 }]).await;
+            ctx.barrier().await;
+            ctx.virtual_now()
         })
         .fabric;
         assert_eq!(report.node_times, vec![1000.0; 4]);
@@ -1160,57 +1054,41 @@ mod tests {
     /// the barrier.
     type Mixed = (f64, Vec<(u32, usize, f64)>, f64);
 
-    /// A `d`-cube program of every kind of wait a step can meet: an
+    /// A `d`-cube program of every kind of wait a node can meet: an
     /// all-reduce over every dimension; then, per dimension, two jobs
     /// interleaved on the same link — job 1's message out before job 0's,
     /// job 0's taken first, so job 1's waits in its own queue while the
     /// neighbor's second one may or may not have come; then a throttled
     /// barrier.
-    fn mixed(ctx: &NodeCtx<'_, Tagged>) -> impl FnMut(&NodeCtx<'_, Tagged>) -> Poll<Mixed> {
-        let id = ctx.id();
-        // Phase `k` (all-reduce over dimension `k`, then the two jobs over
-        // dimension `k - d`), and the op of it in hand.
-        let (mut k, mut at) = (0, 0);
+    async fn mixed(ctx: &NodeCtx<'_, Tagged>) -> Mixed {
+        let (id, d) = (ctx.id(), ctx.dim());
+        // The next message of `job` across `dim`, its wait spent.
+        let take = async |dim, job| {
+            let (msg, stamp) = ctx.recv(dim, job).await;
+            ctx.advance_clock_to(stamp);
+            (msg, stamp)
+        };
         let mut sum = id as f64;
-        let mut got = Vec::new();
-        move |ctx| {
-            let d = ctx.dim();
-            while k < 2 * d {
-                let (dim, reduce) = (k % d, k < d);
-                // `(job, Some(elems))` sends, `(job, None)` takes the job's
-                // next message.
-                let ops: Vec<(u32, Option<usize>)> = if reduce {
-                    vec![(0, Some(1)), (0, None)]
-                } else {
-                    let (first, second) = (Some(3 + id), Some(5 + id));
-                    vec![
-                        (1, first),
-                        (0, Some(1 + 2 * id)),
-                        (0, None),
-                        (1, second),
-                        (1, None),
-                        (1, None),
-                    ]
-                };
-                while let Some(&(job, send)) = ops.get(at) {
-                    if let Some(elems) = send {
-                        ctx.send(dim, Tagged { job, v: vec![sum; elems] });
-                    } else {
-                        let (msg, stamp) = ready!(ctx.try_recv(dim, job));
-                        ctx.advance_clock_to(stamp);
-                        if reduce {
-                            sum += msg.v[0];
-                        } else {
-                            got.push((msg.job, msg.v.len(), stamp));
-                        }
-                    }
-                    at += 1;
-                }
-                (k, at) = (k + 1, 0);
-            }
-            ready!(ctx.barrier());
-            Poll::Ready((sum, std::mem::take(&mut got), ctx.virtual_now()))
+        for dim in 0..d {
+            ctx.send(dim, Tagged { job: 0, v: vec![sum; 1] });
+            sum += take(dim, 0).await.0.v[0];
         }
+        let mut got = Vec::new();
+        for dim in 0..d {
+            let send = |job, elems| ctx.send(dim, Tagged { job, v: vec![sum; elems] });
+            send(1, 3 + id);
+            send(0, 1 + 2 * id);
+            let mut tally = async |job| {
+                let (msg, stamp) = take(dim, job).await;
+                got.push((msg.job, msg.v.len(), stamp));
+            };
+            tally(0).await;
+            send(1, 5 + id);
+            tally(1).await;
+            tally(1).await;
+        }
+        ctx.barrier().await;
+        (sum, got, ctx.virtual_now())
     }
 
     #[test]
@@ -1257,8 +1135,8 @@ mod tests {
         for w in [2, 8] {
             let msg = panics_within_5s(move || {
                 step_order::with_workers(w, || {
-                    run_spmd::<u64, (), _, _>(3, Spmd::default(), |_| {
-                        |ctx: &NodeCtx<'_, u64>| ctx.try_recv(0, 0).map(drop)
+                    run_spmd(3, Spmd::default(), async |ctx: &NodeCtx<'_, u64>| {
+                        ctx.recv(0, 0).await;
                     });
                 });
             });
@@ -1271,24 +1149,20 @@ mod tests {
         // Sender order on dim 0: job 1, job 0, job 1, job 0. The receiver
         // asks for job 0's first: each job's queue hands it its own
         // messages in send order, and nothing of job 1 is in the way.
-        let SpmdRun { results, meter, .. } = run_spmd::<Tagged, Vec<(u32, f64)>, _, _>(
-            1,
-            Spmd { njobs: 2, ..Spmd::default() },
-            |ctx| {
+        let spmd = Spmd { njobs: 2, ..Spmd::default() };
+        let SpmdRun { results, meter, .. } =
+            run_spmd(1, spmd, async |ctx: &NodeCtx<'_, Tagged>| {
                 let base = ctx.id() as f64 * 10.0;
                 for (job, v) in [(1u32, 0.0), (0, 1.0), (1, 2.0), (0, 3.0)] {
                     ctx.send(0, Tagged { job, v: vec![base + v] });
                 }
                 let mut got = Vec::new();
-                move |ctx| {
-                    for job in [0u32, 0, 1, 1].into_iter().skip(got.len()) {
-                        let (m, _) = ready!(ctx.try_recv(0, job));
-                        got.push((m.job, m.v[0]));
-                    }
-                    Poll::Ready(got.clone())
+                for job in [0u32, 0, 1, 1] {
+                    let (m, _) = ctx.recv(0, job).await;
+                    got.push((m.job, m.v[0]));
                 }
-            },
-        );
+                got
+            });
         // Two messages per job per node, one element each, metered apart.
         assert_eq!(meter.job_volume(0), 4);
         let peer = |n: usize| ((n ^ 1) as f64) * 10.0;
@@ -1304,22 +1178,14 @@ mod tests {
         // job 0's second. Receiving job 0 first must not lose or reorder
         // job 1's stamp.
         let fabric = FabricModel::Throttled(Machine::all_port(10.0, 1.0));
-        let results = run_spmd::<Tagged, (f64, f64), _, _>(
-            1,
-            Spmd { fabric, njobs: 2, ..Spmd::default() },
-            |ctx| {
-                ctx.send(0, Tagged { job: 1, v: vec![1.0] }); // stamp 10 + 1 = 11
-                ctx.send(0, Tagged { job: 0, v: vec![0.0] }); // stamp 20 + 1 = 21
-                let mut s0 = None;
-                move |ctx| {
-                    if s0.is_none() {
-                        s0 = Some(ready!(ctx.try_recv(0, 0)).1);
-                    }
-                    let (_, s1) = ready!(ctx.try_recv(0, 1));
-                    Poll::Ready((s0.unwrap_or_default(), s1))
-                }
-            },
-        )
+        let spmd = Spmd { fabric, njobs: 2, ..Spmd::default() };
+        let results = run_spmd(1, spmd, async |ctx: &NodeCtx<'_, Tagged>| {
+            ctx.send(0, Tagged { job: 1, v: vec![1.0] }); // stamp 10 + 1 = 11
+            ctx.send(0, Tagged { job: 0, v: vec![0.0] }); // stamp 20 + 1 = 21
+            let (_, s0) = ctx.recv(0, 0).await;
+            let (_, s1) = ctx.recv(0, 1).await;
+            (s0, s1)
+        })
         .results;
         for (s0, s1) in results {
             assert_eq!(s1, 11.0, "job 1's stamp is its own send time");
@@ -1333,11 +1199,11 @@ mod tests {
         // dimension 0 that node 0 never took: the framing is corrupt, and
         // the run says where the message waits.
         let msg = panics_within_5s(|| {
-            run_spmd::<Tagged, (), _, _>(1, Spmd { njobs: 2, ..Spmd::default() }, |ctx| {
+            let spmd = Spmd { njobs: 2, ..Spmd::default() };
+            run_spmd(1, spmd, async |ctx: &NodeCtx<'_, Tagged>| {
                 if ctx.id() == 1 {
                     ctx.send(0, Tagged { job: 1, v: vec![0.0] });
                 }
-                |_: &NodeCtx<'_, Tagged>| Poll::Ready(())
             });
         });
         assert!(msg.contains("node 0 has a message queued on (dim 0, job 1)"), "got: {msg:?}");

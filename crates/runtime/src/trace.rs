@@ -241,8 +241,7 @@ impl PartialEq for SinkHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmd::{run_spmd, Spmd};
-    use std::task::Poll;
+    use crate::spmd::{run_spmd, NodeCtx, Spmd};
 
     fn ev(time: f64) -> TraceEvent {
         TraceEvent::Barrier { epoch: 0, time }
@@ -251,11 +250,10 @@ mod tests {
     /// A free-fabric run of a `d`-cube traced into `trace`, in which node
     /// `n` records `events(n)` in order and returns.
     fn record(d: usize, trace: SinkHandle, events: impl Fn(usize) -> Vec<TraceEvent> + Sync) {
-        run_spmd::<(), (), _, _>(d, Spmd { trace, ..Spmd::default() }, |ctx| {
+        run_spmd(d, Spmd { trace, ..Spmd::default() }, async |ctx: &NodeCtx<'_, ()>| {
             for event in events(ctx.id()) {
                 ctx.trace_event(|| event);
             }
-            |_| Poll::Ready(())
         });
     }
 
@@ -264,9 +262,8 @@ mod tests {
         let h = SinkHandle::nop();
         assert!(!h.is_enabled());
         assert!(h.lane().is_none(), "an untraced run gives its books no lane");
-        run_spmd::<(), (), _, _>(1, Spmd::default(), |ctx| {
+        run_spmd(1, Spmd::default(), async |ctx: &NodeCtx<'_, ()>| {
             ctx.trace_event(|| panic!("an untraced run must not construct events"));
-            |_| Poll::Ready(())
         });
         assert_eq!(format!("{h:?}"), "SinkHandle(nop)");
     }
@@ -328,10 +325,11 @@ mod tests {
         let ring = Arc::new(RingSink::new(1, 8));
         let trace = SinkHandle::new(ring.clone());
         let run = std::panic::catch_unwind(|| {
-            run_spmd::<(), (), _, _>(1, Spmd { trace, ..Spmd::default() }, |ctx| {
+            run_spmd(1, Spmd { trace, ..Spmd::default() }, async |ctx: &NodeCtx<'_, ()>| {
                 ctx.trace_event(|| ev(ctx.id() as f64));
-                let id = ctx.id();
-                move |_| if id == 1 { panic!("node 1 fails") } else { Poll::Ready(()) }
+                if ctx.id() == 1 {
+                    panic!("node 1 fails");
+                }
             })
         });
         assert!(run.is_err(), "the node's panic is re-raised");

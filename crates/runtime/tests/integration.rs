@@ -5,27 +5,20 @@
 //! and stable.
 
 use mph_runtime::{measure_channel_fabric, run_spmd, Machine, Meterable, NodeCtx, Spmd};
-use std::task::{ready, Poll};
 
 /// A node program of one symmetric exchange per dimension, lowest first:
 /// round `dim` sends `msg(dim, what came back so far)` and takes the
 /// neighbor's. Returns what came back.
-fn exchanges<M: Send + Meterable>(
+async fn exchanges<M: Send + Meterable>(
+    ctx: &NodeCtx<'_, M>,
     msg: impl Fn(usize, &[M]) -> M,
-) -> impl FnMut(&NodeCtx<'_, M>) -> Poll<Vec<M>> {
-    let (mut got, mut sent) = (Vec::new(), false);
-    move |ctx| {
-        while got.len() < ctx.dim() {
-            let dim = got.len();
-            if !sent {
-                ctx.send(dim, msg(dim, &got));
-                sent = true;
-            }
-            got.push(ready!(ctx.try_recv(dim, 0)).0);
-            sent = false;
-        }
-        Poll::Ready(std::mem::take(&mut got))
+) -> Vec<M> {
+    let mut got = Vec::new();
+    for dim in 0..ctx.dim() {
+        ctx.send(dim, msg(dim, &got));
+        got.push(ctx.recv(dim, 0).await.0);
     }
+    got
 }
 
 #[test]
@@ -36,7 +29,10 @@ fn meter_counts_are_exact_at_every_thread_count() {
     // the nodes and in what order.
     for d in 1..=5 {
         let p = 1u64 << d;
-        let meter = run_spmd(d, Spmd::default(), |_| exchanges(|dim, _| vec![0.0; 10 + dim])).meter;
+        let meter = run_spmd(d, Spmd::default(), async |ctx| {
+            exchanges(ctx, |dim, _| vec![0.0; 10 + dim]).await
+        })
+        .meter;
         for dim in 0..d {
             assert_eq!(meter.messages(dim), p, "d={d} dim={dim} messages");
             assert_eq!(meter.volume(dim), p * (10 + dim as u64), "d={d} dim={dim} volume");
@@ -52,9 +48,9 @@ fn meter_counts_are_reproducible_across_runs() {
     // Same program, different nondeterministic thread interleavings — the
     // meter must not depend on who won which race.
     let run = || {
-        let meter = run_spmd(4, Spmd::default(), |ctx| {
+        let meter = run_spmd(4, Spmd::default(), async |ctx| {
             let id = ctx.id() as f64;
-            exchanges(move |_, got: &[f64]| id + got.iter().sum::<f64>())
+            exchanges(ctx, |_, got: &[f64]| id + got.iter().sum::<f64>()).await
         })
         .meter;
         (meter.total_messages(), meter.total_volume(), meter.volume_by_dim())

@@ -321,6 +321,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                 }
+                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(c) => {
                     s.push(c as char);
                     self.pos += 1;
@@ -329,16 +330,44 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<(), String> {
+    /// How many digits start at the cursor, stepped over.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// JSON's number grammar:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    fn parse_number(&mut self) -> Result<(), String> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        let int = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                1
+            }
+            Some(b'1'..=b'9') => self.digits(),
+            _ => 0,
+        };
+        let frac = self.peek() == Some(b'.') && {
             self.pos += 1;
+            self.digits() == 0
+        };
+        let exp = matches!(self.peek(), Some(b'e' | b'E')) && {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits() == 0
+        };
+        if int == 0 || frac || exp {
+            return Err(self.err("bad number"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>().map(|_| ()).map_err(|_| self.err("bad number"))
+        Ok(())
     }
 
     fn parse_literal(&mut self, lit: &str) -> Result<(), String> {
@@ -562,6 +591,11 @@ mod tests {
         );
         assert!(validate_chrome_trace("{\"traceEvents\":[1]}").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\":[]}  x").is_err(), "trailing content");
+        // Numbers outside JSON's grammar, and a raw control byte in a string.
+        for bad in ["+1", ".5", "1.", "01", "\"a\nb\""] {
+            let doc = format!("{{\"traceEvents\":[{{\"ph\":\"i\",\"pid\":{bad}}}]}}");
+            assert!(validate_chrome_trace(&doc).is_err(), "accepted {doc:?}");
+        }
         assert_eq!(validate_chrome_trace("{\"traceEvents\":[]}"), Ok(0));
         assert_eq!(
             validate_chrome_trace(

@@ -1,7 +1,7 @@
 //! The public surface is what something reaches (ROADMAP item 10).
 //!
-//! Every `pub fn` of the ten library crates (`crates/*` but `mph-bench`)
-//! must be reached: its name appears, outside `use` declarations, in the
+//! Every `pub fn` (or `pub async fn`) of the ten library crates
+//! (`crates/*` but `mph-bench`) must be reached: its name appears, outside `use` declarations, in the
 //! non-test code of a *root* — `crates/bench/src` (the paper's experiments
 //! and the `mph-bench` CLI that runs them), `examples/`, `benchmark/src/`
 //! (the frozen names the repository benchmark calls) or
@@ -292,8 +292,16 @@ fn audit(sources: &[(String, String)], keep: &[(&str, &str)]) -> BTreeSet<Findin
     for file in (0..sources.len()).filter(|&f| roles[f] == Role::Library) {
         let t = &code[file];
         let impls = impl_blocks(t);
-        for k in (0..t.len().saturating_sub(2)).filter(|&k| starts(t, k, &["pub", "fn"])) {
-            let name = t[k + 2].1.clone();
+        for k in 0..t.len() {
+            let at = if starts(t, k, &["pub", "fn"]) {
+                k + 2
+            } else if starts(t, k, &["pub", "async", "fn"]) {
+                k + 3
+            } else {
+                continue;
+            };
+            let Some((_, name)) = t.get(at) else { continue };
+            let name = name.clone();
             let key = match impls.iter().find(|(_, span)| span.contains(&k)) {
                 Some((ty, _)) => format!("{ty}::{name}"),
                 None => name.clone(),
@@ -455,6 +463,19 @@ fn a_pub_fn_named_only_in_test_code_is_reported_with_what_only_it_reaches() {
             unreached("crates/core/src/a.rs:1", "probe"),
             unreached("crates/core/src/a.rs:2", "helper"),
         ])
+    );
+}
+
+#[test]
+fn a_pub_async_fn_is_audited_like_a_pub_fn() {
+    let lib = file(
+        "crates/runtime/src/a.rs",
+        "impl Ctx {\n    pub async fn recv(&self) {}\n\n    pub async fn barrier(&self) {}\n}\n",
+    );
+    let example = file("examples/demo.rs", "async fn main() {\n    ctx.recv().await;\n}\n");
+    assert_eq!(
+        audit(&[lib, example], &[]),
+        BTreeSet::from([unreached("crates/runtime/src/a.rs:4", "Ctx::barrier")])
     );
 }
 
