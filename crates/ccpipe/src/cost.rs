@@ -54,7 +54,8 @@ fn tx_of_hist(hist: &[usize], total: usize, max_mult: usize, ports: PortModel) -
             jobs.sort_unstable_by(|a, b| b.cmp(a));
             let mut loads = vec![0usize; k];
             for j in jobs {
-                let idx = (0..k).min_by_key(|&i| loads[i]).unwrap();
+                // The first least-loaded port (k ≥ 2, so 0 is one).
+                let idx = (1..k).fold(0, |min, i| if loads[i] < loads[min] { i } else { min });
                 loads[idx] += j;
             }
             loads.into_iter().max().unwrap_or(0)
@@ -83,6 +84,10 @@ fn scan(seq: &[usize], e: usize, ports: PortModel) -> (Vec<usize>, Vec<usize>) {
 
 impl PhaseCostModel {
     /// Builds the model for one exchange-phase CC-cube on one machine.
+    ///
+    /// # Panics
+    /// Panics if `cc`'s link sequence is empty: an exchange phase has
+    /// `K = 2^e − 1 ≥ 1` transitions, so an empty one is a caller bug.
     pub fn new(cc: &CcCube, machine: Machine) -> Self {
         let k = cc.k();
         let e = cc.link_seq.iter().map(|&l| l + 1).max().expect("empty link sequence");
@@ -202,7 +207,7 @@ impl PhaseCostModel {
                     hist[seq[i]] += 1;
                     if i + 1 >= q {
                         let nd = hist.iter().filter(|&&c| c > 0).count();
-                        let maxm = *hist.iter().max().unwrap();
+                        let maxm = hist.iter().copied().max().unwrap_or(0);
                         let tx = tx_of_hist(&hist, q, maxm, self.machine.ports);
                         total += nd as f64 * ts + tx as f64 * s_elems * tw;
                         hist[seq[i + 1 - q]] -= 1;

@@ -217,29 +217,30 @@ mod tests {
     fn plan_cost_equals_workload_cost_for_power_of_two_sizes() {
         // The executable plan and the continuous Figure-2 workload price
         // identically when both are defined: block elems m²/2^d, ceiling
-        // m/2^{d+1}, same link sequences.
+        // m/2^{d+1}, same link sequences — up to Figure 2's corners at
+        // d = 15, which a plan reaches because a uniform phase lowers to one
+        // size per transition.
         let machine = Machine::paper_figure2();
-        for d in [2usize, 3, 4] {
-            for m in [64usize, 256] {
-                let w = Workload::new(m as f64, d);
-                for family in OrderingFamily::ALL {
-                    let plan = lower(m, d, family, 0);
-                    let got = plan_sweep_cost(&plan, &machine, w.max_pipelining_degree());
-                    let want = pipelined_sweep_cost(family, &w, &machine);
-                    assert!(
-                        (got.total - want.total).abs() <= 1e-9 * want.total,
-                        "{family} d={d} m={m}: plan {} vs workload {}",
-                        got.total,
-                        want.total
-                    );
-                    assert_eq!(got.phases.len(), want.phases.len());
-                    for (a, b) in got.phases.iter().zip(&want.phases) {
-                        assert_eq!((a.e, a.q, a.mode), (b.e, b.q, b.mode), "{family} d={d}");
-                    }
-                    let base = plan_unpipelined_cost(&plan, &machine);
-                    let base_w = unpipelined_sweep_cost(&w, &machine);
-                    assert!((base - base_w).abs() <= 1e-9 * base_w, "{family} d={d} m={m}");
+        let small = [2usize, 3, 4].into_iter().flat_map(|d| [(d, 64usize), (d, 256)]);
+        for (d, m) in small.chain([(15, 1 << 18), (15, 1 << 32)]) {
+            let w = Workload::new(m as f64, d);
+            for family in OrderingFamily::ALL {
+                let plan = lower(m, d, family, 0);
+                let got = plan_sweep_cost(&plan, &machine, w.max_pipelining_degree());
+                let want = pipelined_sweep_cost(family, &w, &machine);
+                assert!(
+                    (got.total - want.total).abs() <= 1e-9 * want.total,
+                    "{family} d={d} m={m}: plan {} vs workload {}",
+                    got.total,
+                    want.total
+                );
+                assert_eq!(got.phases.len(), want.phases.len());
+                for (a, b) in got.phases.iter().zip(&want.phases) {
+                    assert_eq!((a.e, a.q, a.mode), (b.e, b.q, b.mode), "{family} d={d}");
                 }
+                let base = plan_unpipelined_cost(&plan, &machine);
+                let base_w = unpipelined_sweep_cost(&w, &machine);
+                assert!((base - base_w).abs() <= 1e-9 * base_w, "{family} d={d} m={m}");
             }
         }
     }

@@ -15,11 +15,17 @@
 //! * one single-transition [`PlanPhase`] per **division** transition and
 //!   for the **last transition** — the serial, unpipelinable block moves.
 //!
-//! A phase's sizes are one `K × 2^d` table, and lowering is the one pass
-//! that scans it: as it writes each row it records the phase's largest
-//! message and whether every row is the same on every node. The pricer
-//! and the simulator read those two facts; none of them rescans `2^d`
-//! nodes per transition.
+//! A phase in which every node sends the same size at each transition — a
+//! *uniform* phase, every phase of an even partition — stores one size per
+//! transition; only a phase whose sizes differ across nodes keeps a
+//! `K × 2^d` table. Either is read per node through [`PlanPhase::send`].
+//! Lowering is the one pass that writes the sizes: as it writes each row it
+//! records the phase's largest message and whether it is uniform, and the
+//! pricer and the simulator read those two facts; none of them rescans
+//! `2^d` nodes per transition. Lowering moves the layout once per exchange
+//! phase, not once per transition, and on an even partition it computes no
+//! per-node size at all: such a sweep lowers in `O(d · 2^d)`, not
+//! `O(2^{2d+1})`, so Figure 2's `d = 15` lowers.
 //!
 //! The plan is the single source of truth the three downstream layers
 //! consume:
@@ -47,7 +53,7 @@
 use crate::coverage::BlockLayout;
 use crate::family::OrderingFamily;
 use crate::partition::BlockPartition;
-use crate::sweep::{SweepSchedule, TransitionKind};
+use crate::sweep::{SweepSchedule, Transition, TransitionKind};
 use std::ops::Range;
 
 /// What a plan phase is, in the sweep's phase structure.
@@ -63,43 +69,57 @@ pub enum PhaseKind {
 
 /// One phase of the plan: its links and exact per-node message sizes.
 ///
-/// The sizes are one row-major `K × 2^d` table, row `t` read by
-/// [`PlanPhase::sends`]. Lowering writes it row by row and records, in
-/// the same pass, the two facts every reader of the phase asks for: its
-/// largest message ([`PlanPhase::max_message_elems`]) and whether every
-/// row is the same size on every node ([`PlanPhase::is_uniform`]). No
-/// reader rescans the table for either.
+/// Node `n`'s size at transition `t` is [`PlanPhase::send`]`(t, n)`. A
+/// uniform phase ([`PlanPhase::is_uniform`]: at every transition every node
+/// sends the same) stores one size per transition, any other phase a
+/// row-major `K × 2^d` table. The compact form is the only form of a
+/// uniform phase, whichever way lowering reached it, so `==` compares
+/// phases by their sizes. Lowering writes the sizes row by row and records,
+/// in the same pass, the phase's largest message
+/// ([`PlanPhase::max_message_elems`]) and whether it is uniform; no reader
+/// rescans the sizes for either fact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanPhase {
     pub kind: PhaseKind,
     /// The link of each transition of the phase, in order (`2^e − 1` links
     /// for an exchange phase, one for a serial phase).
     pub links: Vec<usize>,
-    /// `sends[t · nodes + n]`: the elements node `n` puts on `links[t]`.
-    sends: Vec<u64>,
+    /// Uniform: `sizes[t]`, every node's size at transition `t`; otherwise
+    /// `sizes[t · nodes + n]`, node `n`'s.
+    sizes: Vec<u64>,
     nodes: usize,
     max_message_elems: u64,
     uniform: bool,
 }
 
 impl PlanPhase {
-    /// An empty phase of `kind` on `nodes` nodes, its table reserved for
-    /// `k` transitions.
+    /// An empty phase of `kind` on `nodes` nodes, reserved for `k`
+    /// transitions of one size each — all a uniform phase fills.
     fn open(kind: PhaseKind, nodes: usize, k: usize) -> PlanPhase {
-        let (links, sends) = (Vec::with_capacity(k), Vec::with_capacity(k * nodes));
-        PlanPhase { kind, links, sends, nodes, max_message_elems: 0, uniform: true }
+        let (links, sizes) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        PlanPhase { kind, links, sizes, nodes, max_message_elems: 0, uniform: true }
     }
 
-    /// Appends transition `link`, node `n` sending `row`'s `n`-th size,
-    /// and folds the row into the phase's two recorded facts.
-    fn push(&mut self, link: usize, row: impl Iterator<Item = u64>) {
+    /// Appends transition `link`, on which node `n` sends `row[n]` — every
+    /// node `row[0]` when the row has one entry, as every row of an even
+    /// partition does — and folds the row into the phase's two recorded
+    /// facts. The first row whose sizes differ across nodes expands the
+    /// phase into its `K × 2^d` table.
+    fn push(&mut self, link: usize, row: &[u64]) {
         self.links.push(link);
-        let mut first = None;
-        for elems in row {
-            self.max_message_elems = self.max_message_elems.max(elems);
-            self.uniform &= *first.get_or_insert(elems) == elems;
-            self.sends.push(elems);
+        self.max_message_elems = row.iter().fold(self.max_message_elems, |max, &e| max.max(e));
+        if self.uniform && row.iter().all(|&e| e == row[0]) {
+            self.sizes.push(row[0]);
+            return;
         }
+        let nodes = self.nodes;
+        if self.uniform {
+            self.uniform = false;
+            let mut table = Vec::with_capacity(self.links.capacity() * nodes);
+            self.sizes.iter().for_each(|&e| table.extend(std::iter::repeat_n(e, nodes)));
+            self.sizes = table;
+        }
+        self.sizes.extend_from_slice(row);
     }
 
     /// Number of transitions (`K` of the CC-cube for exchange phases).
@@ -112,11 +132,25 @@ impl PlanPhase {
         matches!(self.kind, PhaseKind::Exchange { .. })
     }
 
-    /// `sends(t)[n]`: the elements node `n` puts on `links[t]` at
-    /// transition `t` of this phase. Zero for empty blocks — the message
-    /// still crosses the link (the protocol is position-based).
-    pub fn sends(&self, t: usize) -> &[u64] {
-        &self.sends[t * self.nodes..(t + 1) * self.nodes]
+    /// The elements node `n` puts on `links[t]` at transition `t` of this
+    /// phase. Zero for empty blocks — the message still crosses the link
+    /// (the protocol is position-based).
+    pub fn send(&self, t: usize, n: usize) -> u64 {
+        debug_assert!(n < self.nodes, "node {n} out of range");
+        if self.uniform {
+            self.sizes[t]
+        } else {
+            self.sizes[t * self.nodes + n]
+        }
+    }
+
+    /// The elements every node together puts on `links[t]`.
+    fn volume(&self, t: usize) -> u64 {
+        if self.uniform {
+            self.sizes[t] * self.nodes as u64
+        } else {
+            self.sizes[t * self.nodes..(t + 1) * self.nodes].iter().sum()
+        }
     }
 
     /// The largest single message of the phase — the block size that
@@ -126,17 +160,17 @@ impl PlanPhase {
         self.max_message_elems
     }
 
-    /// Whether every node sends the same size at every transition (each
-    /// row of the table is constant) — a phase the simulator lowers to
-    /// shared SPMD stages. Recorded at lowering.
+    /// Whether every node sends the same size at every transition — a
+    /// phase stored as one size per transition, which the simulator lowers
+    /// to shared SPMD stages. Recorded at lowering.
     pub fn is_uniform(&self) -> bool {
         self.uniform
     }
 }
 
 /// The lowered communication plan of one sweep: its phases in execution
-/// order, each with its per-node size table and the two facts recorded as
-/// it was written (see [`PlanPhase`]).
+/// order, each with its per-node sizes and the two facts recorded as they
+/// were written (see [`PlanPhase`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommPlan {
     d: usize,
@@ -154,6 +188,13 @@ impl CommPlan {
     /// (`elems_per_col` is `arows + urows`, plus one when a cached
     /// diagonal travels with each column).
     ///
+    /// Every exchange transition, and the last one, swaps the mobile blocks
+    /// along its link, so a phase's moves compose to one XOR mask: node
+    /// `n`'s message at transition `t` is the mobile block the phase
+    /// entered with at `n ^ (links[0] ^ … ^ links[t − 1])`, and the layout
+    /// moves once, at the phase's end. Divisions move it one by one. When
+    /// every block has the same size no per-node size is computed at all.
+    ///
     /// The layout must place `2 × 2^d` blocks (two per node); chain sweeps
     /// by passing [`CommPlan::final_layout`] back in.
     pub fn lower(
@@ -167,44 +208,49 @@ impl CommPlan {
         assert_eq!(layout.nodes(), p, "layout does not match the schedule's cube");
         assert_eq!(partition.len(), 2 * p, "partition must have 2^(d+1) blocks");
         let block_elems = |b: usize| -> u64 { (partition.size(b) * elems_per_col) as u64 };
+        // Every node sends the one block size at every transition.
+        let even = (1..2 * p).all(|b| partition.size(b) == partition.size(0));
 
         let mut layout = layout.clone();
         let mut phases: Vec<PlanPhase> = Vec::new();
-        // The phase being filled: an exchange phase takes every transition
-        // of its `e`, a serial phase is closed by the next transition.
-        let mut open: Option<PlanPhase> = None;
-        for t in schedule.transitions() {
-            let (kind, k) = match t.kind {
-                TransitionKind::Exchange { phase } => {
-                    (PhaseKind::Exchange { e: phase }, (1 << phase.min(d)) - 1)
-                }
-                TransitionKind::Division { phase } => (PhaseKind::Division { e: phase }, 1),
-                TransitionKind::LastTransition => (PhaseKind::Last, 1),
+        let mut row: Vec<u64> = Vec::with_capacity(if even { 1 } else { p });
+        // A phase is a run of one exchange phase's transitions, or one
+        // serial transition.
+        let same_exchange = |a: &Transition, b: &Transition| {
+            a.kind == b.kind && matches!(a.kind, TransitionKind::Exchange { .. })
+        };
+        for run in schedule.transitions().chunk_by(same_exchange) {
+            let kind = match run[0].kind {
+                TransitionKind::Exchange { phase } => PhaseKind::Exchange { e: phase },
+                TransitionKind::Division { phase } => PhaseKind::Division { e: phase },
+                TransitionKind::LastTransition => PhaseKind::Last,
             };
-            if open.as_ref().is_some_and(|ph| !ph.is_exchange() || ph.kind != kind) {
-                phases.extend(open.take());
+            let division = matches!(kind, PhaseKind::Division { .. });
+            let mut phase = PlanPhase::open(kind, p, run.len());
+            // The XOR of the links crossed so far in the phase.
+            let mut moved = 0usize;
+            for t in run {
+                row.clear();
+                if even {
+                    row.push(block_elems(0));
+                } else {
+                    row.extend((0..p).map(|n| {
+                        // A division's bit = 1 endpoint sends its resident,
+                        // every other sender its mobile (slot asymmetry).
+                        let resident = division && n & (1 << t.link) != 0;
+                        block_elems(layout.at(n ^ moved)[usize::from(!resident)])
+                    }));
+                }
+                phase.push(t.link, &row);
+                moved ^= 1 << t.link;
             }
-            // Message sizes are read from the layout *before* the move.
-            let row = (0..p).map(|n| {
-                let slots = layout.at(n);
-                let sent = match t.kind {
-                    TransitionKind::Exchange { .. } | TransitionKind::LastTransition => slots[1],
-                    TransitionKind::Division { .. } => {
-                        // bit = 0 endpoint sends its mobile, bit = 1
-                        // endpoint its resident (slot asymmetry).
-                        if n & (1 << t.link) == 0 {
-                            slots[1]
-                        } else {
-                            slots[0]
-                        }
-                    }
-                };
-                block_elems(sent)
-            });
-            open.get_or_insert_with(|| PlanPhase::open(kind, p, k)).push(t.link, row);
-            layout.apply(t);
+            if division {
+                layout.apply(&run[0]);
+            } else {
+                layout.swap_mobiles(moved);
+            }
+            phases.push(phase);
         }
-        phases.extend(open);
         CommPlan { d, elems_per_col, phases, final_layout: layout }
     }
 
@@ -270,7 +316,7 @@ impl CommPlan {
         let mut v = vec![0u64; self.d.max(1)];
         for ph in &self.phases {
             for (t, &link) in ph.links.iter().enumerate() {
-                v[link] += ph.sends(t).iter().sum::<u64>();
+                v[link] += ph.volume(t);
             }
         }
         v
@@ -532,9 +578,14 @@ mod tests {
         CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(d), 2 * m)
     }
 
-    /// Every message of phase `ph`, transition by transition.
-    fn messages(ph: &PlanPhase) -> impl Iterator<Item = &u64> {
-        (0..ph.k()).flat_map(|t| ph.sends(t))
+    /// Every message of phase `ph`, transition by transition, node by node.
+    fn messages(ph: &PlanPhase) -> impl Iterator<Item = u64> + '_ {
+        (0..ph.k()).flat_map(move |t| (0..ph.nodes).map(move |n| ph.send(t, n)))
+    }
+
+    /// Node by node, the sizes of transition `t` of phase `ph`.
+    fn row(ph: &PlanPhase, t: usize) -> Vec<u64> {
+        (0..ph.nodes).map(|n| ph.send(t, n)).collect()
     }
 
     /// Data volume of the whole sweep.
@@ -602,14 +653,21 @@ mod tests {
         // Canonical layout: node 0 = [b0, b2], node 1 = [b1, b3].
         // Exchange phase e=1 (one transition, link 0): both nodes send
         // slot 1 → sizes of b2 (2 cols) and b3 (2 cols).
-        assert_eq!(p.phases()[0].sends(0), [2 * epc, 2 * epc]);
+        assert_eq!(row(&p.phases()[0], 0), [2 * epc, 2 * epc]);
+        // That phase is uniform, so it is stored as an even partition's
+        // would be: `==` sees the sizes, not the path that wrote them.
+        let schedule = SweepSchedule::sweep(d, OrderingFamily::Br, 0);
+        let even = BlockPartition::new(8, 4);
+        let even = CommPlan::lower(&schedule, &even, &BlockLayout::canonical(d), 2 * m);
+        assert!(p.phases()[0].is_uniform() && !p.phases()[1].is_uniform());
+        assert_eq!(p.phases()[0], even.phases()[0]);
         // After the exchange: node 0 = [b0, b3], node 1 = [b1, b2].
         // Division (link 0): node 0 sends slot 1 (b3, 2 cols), node 1
         // sends slot 0 (b1, 3 cols).
-        assert_eq!(p.phases()[1].sends(0), [2 * epc, 3 * epc]);
+        assert_eq!(row(&p.phases()[1], 0), [2 * epc, 3 * epc]);
         // After division: node 0 = [b0, b1], node 1 = [b3, b2].
         // Last transition: slot-1 blocks b1 (3 cols) and b2 (2 cols).
-        assert_eq!(p.phases()[2].sends(0), [3 * epc, 2 * epc]);
+        assert_eq!(row(&p.phases()[2], 0), [3 * epc, 2 * epc]);
         // Whole-sweep volume: every transition's sends summed.
         assert_eq!(total_volume(&p), (2 + 2 + 2 + 3 + 3 + 2) * epc);
     }
@@ -791,7 +849,7 @@ mod tests {
         // m = 3 on d = 1 (4 blocks): blocks of 1,1,1,0 columns. The empty
         // block still crosses links as zero-element messages.
         let p = plan(3, 1, OrderingFamily::Br, 0);
-        let zero_sends = p.phases().iter().flat_map(messages).filter(|&&e| e == 0).count();
+        let zero_sends = p.phases().iter().flat_map(messages).filter(|&e| e == 0).count();
         assert!(zero_sends > 0, "the empty block must appear in the plan");
         assert_eq!(total_volume(&p) % (2 * 3) as u64, 0);
     }

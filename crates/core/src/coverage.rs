@@ -55,26 +55,34 @@ impl BlockLayout {
     /// Applies one transition's movement.
     pub fn apply(&mut self, t: &Transition) {
         let mask = 1usize << t.link;
-        for n in 0..self.slots.len() {
-            if n & mask != 0 {
-                continue; // visit each edge once, from its bit=0 endpoint
+        match t.kind {
+            // Both sides swap their mobile (slot-1) blocks.
+            TransitionKind::Exchange { .. } | TransitionKind::LastTransition => {
+                self.swap_mobiles(mask)
             }
-            let p = n | mask;
-            match t.kind {
-                TransitionKind::Exchange { .. } | TransitionKind::LastTransition => {
-                    // Both sides swap their mobile (slot-1) blocks.
-                    let tmp = self.slots[n][1];
-                    self.slots[n][1] = self.slots[p][1];
-                    self.slots[p][1] = tmp;
-                }
-                TransitionKind::Division { .. } => {
-                    // bit=0 side sends its mobile, bit=1 side its resident:
-                    // afterwards n holds two "resident-class" blocks and p
-                    // two "mobile-class" blocks, splitting the population.
+            TransitionKind::Division { .. } => {
+                // bit=0 side sends its mobile, bit=1 side its resident:
+                // afterwards n holds two "resident-class" blocks and p two
+                // "mobile-class" blocks, splitting the population.
+                for n in (0..self.slots.len()).filter(|n| n & mask == 0) {
+                    let p = n | mask;
                     let tmp = self.slots[n][1];
                     self.slots[n][1] = self.slots[p][0];
                     self.slots[p][0] = tmp;
                 }
+            }
+        }
+    }
+
+    /// Moves every node `n`'s mobile (slot-1) block to node `n ^ mask`: the
+    /// exchange (or last) transitions whose links XOR to `mask`, composed.
+    pub(crate) fn swap_mobiles(&mut self, mask: usize) {
+        for n in 0..self.slots.len() {
+            let p = n ^ mask;
+            if n < p {
+                let tmp = self.slots[n][1];
+                self.slots[n][1] = self.slots[p][1];
+                self.slots[p][1] = tmp;
             }
         }
     }

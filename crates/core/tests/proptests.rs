@@ -7,7 +7,7 @@
 use mph_core::{
     alpha, alpha_lower_bound, pbr_sequence_with, sequence_degree, trace_sweep,
     validate_sweep_coverage, BlockLayout, BlockPartition, CommPlan, MicroOp, OpKind,
-    OrderingFamily, PbrConvention, Permutation, SweepSchedule,
+    OrderingFamily, PbrConvention, Permutation, SweepSchedule, TransitionKind,
 };
 use mph_hypercube::is_link_sequence_hamiltonian;
 use proptest::prelude::*;
@@ -244,7 +244,7 @@ proptest! {
     #[test]
     fn lowering_records_each_phases_largest_message_and_uniformity(
         family in family_strategy(),
-        d in 0usize..=5,
+        d in 0usize..=8,
         shape in 0usize..3,
         m_factor in 1usize..=3,
         r in any::<usize>(),
@@ -254,17 +254,45 @@ proptest! {
         let blocks = 2usize << d;
         let short = r % (blocks - 1) + 1;
         let m = [m_factor * blocks, m_factor * blocks + short, short][shape];
+        let partition = BlockPartition::new(m, blocks);
+        let mut layout = BlockLayout::canonical(d);
         for (s, plan) in CommPlan::chain(m, d, family, 2 * m, sweeps).iter().enumerate() {
+            // The oracle is the per-transition walk: the layout before
+            // transition `g` of the sweep is the trace's step `g`.
+            let schedule = SweepSchedule::sweep(d, family, s);
+            let trace = trace_sweep(&schedule, &layout);
+            let mut g = 0;
             for (idx, ph) in plan.phases().iter().enumerate() {
                 let what = format!("{family} d={d} m={m} sweep {s} phase {idx}");
-                let rows: Vec<&[u64]> = (0..ph.k()).map(|t| ph.sends(t)).collect();
-                prop_assert!(rows.iter().all(|row| row.len() == 1 << d), "{}", what);
-                let max = rows.iter().flat_map(|row| row.iter()).copied().max().unwrap_or(0);
+                let mut max = 0;
+                let mut constant = true;
+                for (t, &link) in ph.links.iter().enumerate() {
+                    let transition = schedule.transitions()[g];
+                    prop_assert_eq!(link, transition.link, "{}", what);
+                    let division = matches!(transition.kind, TransitionKind::Division { .. });
+                    for (n, &(resident, mobile)) in trace.steps[g].iter().enumerate() {
+                        let sender = if division && n & (1 << link) != 0 { resident } else { mobile };
+                        let want = (partition.size(sender) * 2 * m) as u64;
+                        prop_assert_eq!(ph.send(t, n), want, "{} t={} n={}", what, t, n);
+                        max = max.max(want);
+                        constant &= want == ph.send(t, 0);
+                    }
+                    g += 1;
+                }
                 prop_assert_eq!(ph.max_message_elems(), max, "{}", what);
-                let constant = rows.iter().all(|row| row.iter().all(|&e| e == row[0]));
                 prop_assert_eq!(ph.is_uniform(), constant, "{}", what);
                 prop_assert!(ph.is_uniform() || !m.is_multiple_of(blocks), "equal blocks: {}", what);
+                // Debug shows the stored sizes: one per transition exactly
+                // when the phase is uniform, else one per transition and node.
+                let debug = format!("{ph:?}");
+                let sizes = debug.split("sizes: [").nth(1).and_then(|t| t.split(']').next());
+                let stored = sizes.map_or(0, |t| t.split(", ").filter(|e| !e.is_empty()).count());
+                let per_row = if ph.is_uniform() { 1 } else { 1 << d };
+                prop_assert_eq!(stored, ph.k() * per_row, "{}", what);
             }
+            prop_assert_eq!(g, schedule.transitions().len(), "{family} d={d} m={m} sweep {s}");
+            prop_assert_eq!(plan.final_layout(), &trace.final_layout, "{family} d={d} m={m} sweep {s}");
+            layout = trace.final_layout;
         }
     }
 }

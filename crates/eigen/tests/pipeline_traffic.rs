@@ -401,7 +401,7 @@ fn charging_ops(plans: &[CommPlan], qs: &[Vec<usize>], tail_q: usize) -> Vec<Cha
         want.extend(plan.program(&framing).filter(|op| op.charges()).map(|op| {
             let ph = &plan.phases()[op.phase];
             let kq = (op.kind != OpKind::Send).then_some((op.k as u32, op.q as u32));
-            (ph.links[op.k], kq, plan.packet_size(ph.sends(op.k)[0], op.of, op.q))
+            (ph.links[op.k], kq, plan.packet_size(ph.send(op.k, 0), op.of, op.q))
         }));
     }
     want

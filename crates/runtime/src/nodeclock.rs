@@ -12,7 +12,8 @@
 //! thread really sends, at the `Ts`/`Tw` of the link and epoch it crosses;
 //! `mph_ccpipe::executed_cost` charges the micro-ops of a lowered schedule
 //! without running a thread; `mph_simnet::simulate_synchronized` replays
-//! each barrier-separated stage of the paper's model on an idle clock.
+//! each barrier-separated stage of the paper's model on a clock as good
+//! as idle at the stage's start.
 //! Because all three drive this type, a predicted and a measured makespan
 //! are the same arithmetic in the same order and round alike. The paper's
 //! closed form (`mph_ccpipe::PhaseCostModel`) writes the port model once

@@ -26,7 +26,8 @@ use crate::schedule::{phase_stages, CommSchedule};
 use mph_core::CommPlan;
 
 /// One stage per transition; node `n` sends exactly the plan's
-/// `sends(t)[n]` elements across the transition's link.
+/// [`send`](mph_core::PlanPhase::send)`(t, n)` elements across the
+/// transition's link.
 pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
     let ones: Vec<usize> = plan.exchange_phases().map(|_| 1).collect();
     plan_pipelined_schedule(plan, &ones)
@@ -36,14 +37,14 @@ pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
 /// packets (`qs` has one entry per exchange phase, in execution order);
 /// serial phases stay whole-block stages — [`CommPlan::framing`] with a
 /// whole-block tail, which is all the paper's stage model defines. A phase
-/// lowering found uniform ([`mph_core::PlanPhase::is_uniform`]: every node
-/// sends the same sizes) lowers to shared SPMD stages.
+/// lowering found uniform ([`mph_core::PlanPhase::is_uniform`]: one size per
+/// transition, every node's) lowers to shared SPMD stages.
 pub fn plan_pipelined_schedule(plan: &CommPlan, qs: &[usize]) -> CommSchedule {
     let framing = plan.framing(qs, 1);
     let mut stages = Vec::new();
     for (idx, ph) in plan.phases().iter().enumerate() {
         let q = framing.frame(idx).packets();
-        let size = |k: usize, n: usize, p| plan.packet_size(ph.sends(k)[n], q, p);
+        let size = |k: usize, n: usize, p| plan.packet_size(ph.send(k, n), q, p);
         stages.extend(phase_stages(plan.d(), &ph.links, q, ph.is_uniform(), 1.0, size));
     }
     CommSchedule::new(plan.d(), stages)
@@ -124,7 +125,7 @@ mod tests {
             let mut want = vec![vec![0u64; d]; 1 << d];
             for ph in plan.phases() {
                 for (t, &link) in ph.links.iter().enumerate() {
-                    ph.sends(t).iter().enumerate().for_each(|(n, &e)| want[n][link] += e);
+                    (0..1 << d).for_each(|n| want[n][link] += ph.send(t, n));
                 }
             }
             for q in 1..=7usize {

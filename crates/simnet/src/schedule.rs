@@ -39,9 +39,10 @@ pub enum CommStage {
 
 impl CommStage {
     /// An SPMD stage: every one of the `2^d` nodes sends `bundle` —
-    /// stored once, not cloned per node.
-    pub(crate) fn spmd(d: usize, bundle: Vec<NodeSend>) -> Self {
-        CommStage::Spmd { nodes: 1 << d, bundle: bundle.into() }
+    /// stored once, not cloned per node, and collected straight into its
+    /// [`Arc`] (one allocation for a sized iterator).
+    pub(crate) fn spmd(d: usize, bundle: impl IntoIterator<Item = NodeSend>) -> Self {
+        CommStage::Spmd { nodes: 1 << d, bundle: bundle.into_iter().collect() }
     }
 
     /// Number of nodes.
@@ -53,7 +54,7 @@ impl CommStage {
     }
 
     /// Node `n`'s outgoing messages, in issue order.
-    fn sends(&self, n: usize) -> &[NodeSend] {
+    fn bundle(&self, n: usize) -> &[NodeSend] {
         match self {
             CommStage::Spmd { nodes, bundle } => {
                 assert!(n < *nodes, "node {n} out of range");
@@ -65,7 +66,7 @@ impl CommStage {
 
     /// Iterates every node's bundle in node order.
     pub fn iter(&self) -> impl Iterator<Item = &[NodeSend]> {
-        (0..self.nodes()).map(move |n| self.sends(n))
+        (0..self.nodes()).map(move |n| self.bundle(n))
     }
 
     /// Each stored bundle once: an SPMD stage's shared one, a per-node
@@ -151,7 +152,8 @@ pub fn pipelined_phase_schedule(d: usize, cc: &CcCube, q: usize) -> CommSchedule
 /// `size(k, n, p)` units of `unit` elements; a message is its units'
 /// integer sum times `unit`, so a continuous phase's message is exactly
 /// `multiplicity × (elems/q)`. With `spmd` every node sends node 0's sizes
-/// and each stage is one shared bundle.
+/// and each stage is one shared bundle: one allocation per stage, the
+/// window's per-link units summed in one buffer every stage reuses.
 pub(crate) fn phase_stages<'a>(
     d: usize,
     links: &'a [usize],
@@ -161,21 +163,28 @@ pub(crate) fn phase_stages<'a>(
     size: impl Fn(usize, usize, usize) -> u64 + 'a,
 ) -> impl Iterator<Item = CommStage> + 'a {
     let stages = pipelined_schedule(links.len(), q).stages.into_iter().enumerate();
+    let mut units: Vec<(usize, u64)> = Vec::new();
     stages.map(move |(s, st)| {
-        let bundle = |n| {
-            let mut units: Vec<(usize, u64)> = Vec::new();
+        // Node `n`'s units per link of the stage, in issue order.
+        let window = |units: &mut Vec<(usize, u64)>, n| {
+            units.clear();
             for k in st.lo..=st.hi {
                 match units.iter_mut().find(|(dim, _)| *dim == links[k]) {
                     Some((_, u)) => *u += size(k, n, s - k),
                     None => units.push((links[k], size(k, n, s - k))),
                 }
             }
-            units.into_iter().map(|(dim, u)| NodeSend { dim, elems: u as f64 * unit }).collect()
         };
+        let message = |&(dim, u): &(usize, u64)| NodeSend { dim, elems: u as f64 * unit };
         if spmd {
-            CommStage::spmd(d, bundle(0))
+            window(&mut units, 0);
+            CommStage::spmd(d, units.iter().map(message))
         } else {
-            CommStage::PerNode { sends: (0..1 << d).map(bundle).collect() }
+            let node = |n| {
+                window(&mut units, n);
+                units.iter().map(message).collect()
+            };
+            CommStage::PerNode { sends: (0..1 << d).map(node).collect() }
         }
     })
 }
@@ -212,7 +221,7 @@ mod tests {
         let cc = CcCube::exchange_phase(OrderingFamily::Br, 3, 30.0);
         let s = pipelined_phase_schedule(3, &cc, 3);
         // Stage 2 (first kernel stage) has window 0,1,0.
-        let bundle = s.stages[2].sends(0);
+        let bundle = s.stages[2].bundle(0);
         assert_eq!(bundle.len(), 2);
         assert_eq!(bundle[0], NodeSend { dim: 0, elems: 20.0 });
         assert_eq!(bundle[1], NodeSend { dim: 1, elems: 10.0 });
@@ -257,7 +266,7 @@ mod tests {
             CommStage::PerNode { .. } => panic!("spmd() must build the shared representation"),
         }
         for n in 0..8 {
-            assert_eq!(spmd.sends(n), &bundle[..]);
+            assert_eq!(spmd.bundle(n), &bundle[..]);
         }
         assert_eq!(spmd.message_count(), 16);
         let explicit = CommStage::PerNode { sends: vec![bundle; 8] };

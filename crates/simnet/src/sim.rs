@@ -46,8 +46,8 @@ pub struct SimReport {
 }
 
 /// Barrier-synchronized execution. Each stage replays every distinct
-/// bundle once on an idle [`NodeClock`] that waits for the stage's start:
-/// an SPMD stage's one shared bundle stands for all its nodes, a per-node
+/// bundle once on a [`NodeClock`] that waits for the stage's start: an
+/// SPMD stage's one shared bundle stands for all its nodes, a per-node
 /// stage replays each node. The stage ends when its slowest node has
 /// issued every start-up and finished every transmission.
 pub fn simulate_synchronized(
@@ -59,10 +59,21 @@ pub fn simulate_synchronized(
     let mut dim_busy = vec![0.0; d.max(1)];
     let mut t = 0.0;
     let mut stage_spans = Vec::with_capacity(schedule.stages.len());
+    // One clock per bundle index, kept across stages, bit-identical to an
+    // idle one. Every link-free and port-free time a clock holds is at most
+    // the end of the last stage it replayed, so at most this stage's start,
+    // and every time it meets in the stage is a `max` with an issue time
+    // past the start. So after `wait(start)` the held times count only as
+    // `start`, as an idle clock's zeros do; a port picked earliest-free may
+    // have another index, but it is free as early.
+    let mut clocks: Vec<NodeClock> = Vec::new();
     for stage in &schedule.stages {
         let start = t;
-        let mut replay = |sends: &[NodeSend], copies: usize| {
-            let mut clock = NodeClock::new(machine.ports, d);
+        let mut replay = |i: usize, sends: &[NodeSend], copies: usize| {
+            if i == clocks.len() {
+                clocks.push(NodeClock::new(machine.ports, d));
+            }
+            let clock = &mut clocks[i];
             clock.wait(start);
             let ready = match startup {
                 StartupModel::SerializedThenParallel => start + sends.len() as f64 * machine.ts,
@@ -76,9 +87,9 @@ pub fn simulate_synchronized(
             end.max(clock.now())
         };
         t = match stage {
-            CommStage::Spmd { nodes, bundle } => replay(bundle, *nodes),
+            CommStage::Spmd { nodes, bundle } => replay(0, bundle, *nodes),
             CommStage::PerNode { sends } => {
-                sends.iter().map(|s| replay(s, 1)).fold(start, f64::max)
+                sends.iter().enumerate().map(|(n, s)| replay(n, s, 1)).fold(start, f64::max)
             }
         };
         stage_spans.push((start, t));
