@@ -4,14 +4,21 @@
 
 use crate::Report;
 use mph_ccpipe::{
-    efficiency, figure2_point, optimize_q, pipelined_sweep_cost, speedup, unpipelined_sweep_cost,
-    unpipelined_sweep_time, CcCube, ComputeModel, Machine, PhaseCostModel, PortModel, Workload,
+    efficiency, figure2_point, optimize_q, packetization_cap, plan_sweep_cost,
+    plan_unpipelined_cost, speedup, unpipelined_sweep_time, CcCube, ComputeModel, Machine,
+    PhaseCostModel, PortModel,
 };
-use mph_core::OrderingFamily;
+use mph_core::{CommPlan, OrderingFamily};
 use mph_simnet::{pipelined_phase_schedule, simulate_synchronized, StartupModel};
 
 const FAMILIES: [OrderingFamily; 3] =
     [OrderingFamily::Br, OrderingFamily::PermutedBr, OrderingFamily::Degree4];
+
+/// One sweep of an `m × m` problem on a `d`-cube, lowered for each of
+/// [`FAMILIES`].
+fn one_sweep_plans(m: usize, d: usize) -> [CommPlan; 3] {
+    FAMILIES.map(|f| CommPlan::chain(m, d, f, 2 * m, 1).remove(0))
+}
 
 /// **Figure 2** (panels a, b, c): communication cost of the pipelined BR /
 /// degree-4 / permuted-BR algorithms and the lower bound, relative to the
@@ -35,7 +42,7 @@ pub fn figure2(_: &[String]) -> Report {
             say!(
                 r,
                 "{d:>3} {:>6.3} {:>14.3} {:>10.3} {:>14.3} {:>12.3} {:>6}",
-                p.br_relative,
+                1.0,
                 p.pipelined_br,
                 p.degree4,
                 p.permuted_br,
@@ -43,8 +50,8 @@ pub fn figure2(_: &[String]) -> Report {
                 &mode[..4]
             );
             rows.push(format!(
-                "{d},{},{:.5},{:.5},{:.5},{:.5},{mode}",
-                p.br_relative, p.pipelined_br, p.degree4, p.permuted_br, p.lower_bound,
+                "{d},1,{:.5},{:.5},{:.5},{:.5},{mode}",
+                p.pipelined_br, p.degree4, p.permuted_br, p.lower_bound,
             ));
         }
         r.csv(
@@ -69,7 +76,7 @@ pub fn figure2(_: &[String]) -> Report {
 /// result: it reads no clock.
 pub fn exec_speedup(_: &[String]) -> Report {
     let machine = Machine::paper_figure2();
-    let m = 2f64.powi(13);
+    let m = 1usize << 13;
     let mut r = Report::default();
     let mut rows = Vec::new();
     for tc in [100.0f64, 10.0, 1.0] {
@@ -80,10 +87,11 @@ pub fn exec_speedup(_: &[String]) -> Report {
             "  d      P          BR    permuted-BR    degree-4 |   eff(BR)  eff(pBR)   eff(D4)"
         );
         for d in [2usize, 4, 6, 8, 10] {
-            let w = Workload::new(m, d);
-            let [s_br, s_pbr, s_d4] = FAMILIES.map(|f| speedup(f, &w, &machine, &compute));
-            let [e_br, e_pbr, e_d4] = FAMILIES.map(|f| efficiency(f, &w, &machine, &compute));
-            let frac = unpipelined_sweep_time(&w, &machine, &compute).comm_fraction();
+            let plans = one_sweep_plans(m, d);
+            let [s_br, s_pbr, s_d4] = plans.each_ref().map(|p| speedup(p, m, &machine, &compute));
+            let [e_br, e_pbr, e_d4] =
+                plans.each_ref().map(|p| efficiency(p, m, &machine, &compute));
+            let frac = unpipelined_sweep_time(&plans[0], m, &machine, &compute).comm_fraction();
             say!(
                 r,
                 "{d:>3} {:>6} {s_br:>11.1} {s_pbr:>14.1} {s_d4:>11.1} | {e_br:>9.3} {e_pbr:>9.3} \
@@ -166,8 +174,9 @@ pub fn validate_simnet(_: &[String]) -> Report {
 /// and every ordering costs the same; the balanced orderings' advantage
 /// grows with the ports until it saturates at all-port.
 pub fn ablation_ports(_: &[String]) -> Report {
-    let d = 8usize;
-    let w = Workload::new(2f64.powi(23), d);
+    let (m, d) = (1usize << 23, 8usize);
+    let plans = one_sweep_plans(m, d);
+    let q_max = packetization_cap(m, d) as f64;
     let mut r = Report::default();
     r.banner(&format!("port-count ablation (d = {d}, m = 2^23, Ts = 1000, Tw = 100)"));
     say!(r, "    ports   BR (unpip)   pipelined-BR   degree-4    permuted-BR");
@@ -181,11 +190,9 @@ pub fn ablation_ports(_: &[String]) -> Report {
     ];
     for (label, ports) in configs {
         let machine = Machine { ts: 1000.0, tw: 100.0, ports };
-        let base = unpipelined_sweep_cost(&w, &machine);
-        let rel = |family| pipelined_sweep_cost(family, &w, &machine).total / base;
-        let br = rel(OrderingFamily::Br);
-        let d4 = rel(OrderingFamily::Degree4);
-        let pbr = rel(OrderingFamily::PermutedBr);
+        let base = plan_unpipelined_cost(&plans[0], &machine);
+        let [br, pbr, d4] =
+            plans.each_ref().map(|p| plan_sweep_cost(p, &machine, q_max).total / base);
         say!(r, "{label:>9} {:>12.3} {br:>14.3} {d4:>10.3} {pbr:>14.3}", 1.0);
         rows.push(format!("{label},1.0,{br:.5},{d4:.5},{pbr:.5}"));
     }

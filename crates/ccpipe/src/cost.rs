@@ -64,13 +64,17 @@ fn tx_of_hist(hist: &[usize], total: usize, max_mult: usize, ports: PortModel) -
 }
 
 /// Directional scan producing per-prefix (nd, tx) tables.
-fn scan(seq: &[usize], e: usize, ports: PortModel) -> (Vec<usize>, Vec<usize>) {
+fn scan<'a>(
+    seq: impl ExactSizeIterator<Item = &'a usize>,
+    e: usize,
+    ports: PortModel,
+) -> (Vec<usize>, Vec<usize>) {
     let mut hist = vec![0usize; e];
     let mut nd = 0usize;
     let mut maxm = 0usize;
     let mut nds = Vec::with_capacity(seq.len());
     let mut txs = Vec::with_capacity(seq.len());
-    for (i, &l) in seq.iter().enumerate() {
+    for (i, &l) in seq.enumerate() {
         if hist[l] == 0 {
             nd += 1;
         }
@@ -91,9 +95,8 @@ impl PhaseCostModel {
     pub fn new(cc: &CcCube, machine: Machine) -> Self {
         let k = cc.k();
         let e = cc.link_seq.iter().map(|&l| l + 1).max().expect("empty link sequence");
-        let (prefix_nd, prefix_tx) = scan(&cc.link_seq, e, machine.ports);
-        let rev: Vec<usize> = cc.link_seq.iter().rev().copied().collect();
-        let (suffix_nd, suffix_tx) = scan(&rev, e, machine.ports);
+        let (prefix_nd, prefix_tx) = scan(cc.link_seq.iter(), e, machine.ports);
+        let (suffix_nd, suffix_tx) = scan(cc.link_seq.iter().rev(), e, machine.ports);
         let sum_head = |v: &[usize]| v[..k - 1].iter().map(|&x| x as f64).sum::<f64>();
         let (pn, pt, sn, st) = if k >= 2 {
             (sum_head(&prefix_nd), sum_head(&prefix_tx), sum_head(&suffix_nd), sum_head(&suffix_tx))

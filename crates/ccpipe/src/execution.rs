@@ -14,10 +14,15 @@
 //! over `2^{d+1}−1` steps of up to `⌈m/2^{d+1}⌉·…` block pairings per
 //! node; with the paper's balanced blocks every node computes an equal
 //! share, so per-step computation is `pairings_per_step(m, d) · cost`.
+//!
+//! Every function prices a lowered one-sweep [`CommPlan`] of an `m × m`
+//! problem — the plan carries the cube and the ordering, `m` the
+//! computation — through [`crate::plancost`], the same composition that
+//! draws Figure 2 and schedules the solver.
 
 use crate::machine::Machine;
-use crate::sweepcost::{pipelined_sweep_cost, unpipelined_sweep_cost, Workload};
-use mph_core::OrderingFamily;
+use crate::plancost::{packetization_cap, plan_sweep_cost, plan_unpipelined_cost};
+use mph_core::CommPlan;
 
 /// Floating-point operations per matrix row per column pairing (3 dots +
 /// 2 rotations on two matrices ≈ 14 multiply-adds).
@@ -45,8 +50,8 @@ impl ComputeModel {
     /// Per-node computation of one parallel sweep: the sweep's pairings
     /// divide evenly over `2^d` nodes (perfect load balance — the paper's
     /// property (a) of minimum-step orderings).
-    fn sweep_per_node(&self, w: &Workload) -> f64 {
-        self.sweep_total(w.m) / (1u64 << w.d) as f64
+    fn sweep_per_node(&self, m: usize, d: usize) -> f64 {
+        self.sweep_total(m as f64) / (1u64 << d) as f64
     }
 }
 
@@ -58,94 +63,72 @@ pub struct SweepTime {
 }
 
 impl SweepTime {
-    fn total(&self) -> f64 {
-        self.computation + self.communication
-    }
-
     /// Fraction of the sweep spent communicating.
     pub fn comm_fraction(&self) -> f64 {
-        self.communication / self.total()
+        self.communication / (self.computation + self.communication)
     }
 }
 
 /// Total time of one sweep with the *unpipelined* algorithm (computation
 /// and communication strictly alternate, no overlap — the CC-cube model).
 pub fn unpipelined_sweep_time(
-    w: &Workload,
+    plan: &CommPlan,
+    m: usize,
     machine: &Machine,
     compute: &ComputeModel,
 ) -> SweepTime {
     SweepTime {
-        computation: compute.sweep_per_node(w),
-        communication: unpipelined_sweep_cost(w, machine),
+        computation: compute.sweep_per_node(m, plan.d()),
+        communication: plan_unpipelined_cost(plan, machine),
     }
 }
 
-/// Total time of one sweep with pipelined communication for `family`.
+/// Parallel speedup of the pipelined algorithm — each exchange phase at
+/// its optimal degree under the packetization ceiling — over one node
+/// running the whole sweep (no communication).
 ///
 /// Conservative composition: pipelining restructures *communication*
 /// within each phase; computation still happens once per packet and is not
 /// overlapped with transmission in this model (the paper's models compare
 /// communication costs; overlap would only amplify the orderings'
 /// advantage).
-fn pipelined_sweep_time(
-    family: OrderingFamily,
-    w: &Workload,
-    machine: &Machine,
-    compute: &ComputeModel,
-) -> SweepTime {
-    SweepTime {
-        computation: compute.sweep_per_node(w),
-        communication: pipelined_sweep_cost(family, w, machine).total,
-    }
-}
-
-/// Parallel speedup of the pipelined algorithm over one node running the
-/// whole sweep (no communication).
-pub fn speedup(
-    family: OrderingFamily,
-    w: &Workload,
-    machine: &Machine,
-    compute: &ComputeModel,
-) -> f64 {
-    let seq = compute.sweep_total(w.m);
-    let par = pipelined_sweep_time(family, w, machine, compute).total();
-    seq / par
+pub fn speedup(plan: &CommPlan, m: usize, machine: &Machine, compute: &ComputeModel) -> f64 {
+    let q_max = packetization_cap(m, plan.d()) as f64;
+    let par = compute.sweep_per_node(m, plan.d()) + plan_sweep_cost(plan, machine, q_max).total;
+    compute.sweep_total(m as f64) / par
 }
 
 /// Parallel efficiency: speedup / node count.
-pub fn efficiency(
-    family: OrderingFamily,
-    w: &Workload,
-    machine: &Machine,
-    compute: &ComputeModel,
-) -> f64 {
-    speedup(family, w, machine, compute) / (1u64 << w.d) as f64
+pub fn efficiency(plan: &CommPlan, m: usize, machine: &Machine, compute: &ComputeModel) -> f64 {
+    speedup(plan, m, machine, compute) / (1u64 << plan.d()) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mph_core::OrderingFamily;
 
     fn setup() -> (Machine, ComputeModel) {
         (Machine::paper_figure2(), ComputeModel { tc: 10.0 })
     }
 
+    fn plan(m: usize, d: usize, family: OrderingFamily) -> CommPlan {
+        CommPlan::chain(m, d, family, 2 * m, 1).remove(0)
+    }
+
     #[test]
     fn computation_divides_evenly() {
         let (_, compute) = setup();
-        let w = Workload::new(1024.0, 4);
         let total = compute.sweep_total(1024.0);
-        assert!((compute.sweep_per_node(&w) * 16.0 - total).abs() < 1e-6 * total);
+        assert!((compute.sweep_per_node(1024, 4) * 16.0 - total).abs() < 1e-6 * total);
     }
 
     #[test]
     fn speedup_is_bounded_by_node_count() {
         let (machine, compute) = setup();
         for d in [2usize, 4, 6] {
-            let w = Workload::new(4096.0, d);
             for family in OrderingFamily::ALL {
-                let s = speedup(family, &w, &machine, &compute);
+                let s = speedup(&plan(4096, d, family), 4096, &machine, &compute);
                 assert!(s > 0.0 && s <= (1u64 << d) as f64 + 1e-9, "{family} d={d}: {s}");
             }
         }
@@ -156,10 +139,10 @@ mod tests {
         // Where communication matters, degree-4 and permuted-BR must beat
         // BR end to end, not just in the communication column.
         let (machine, compute) = setup();
-        let w = Workload::new(2048.0, 6);
-        let br = speedup(OrderingFamily::Br, &w, &machine, &compute);
-        let d4 = speedup(OrderingFamily::Degree4, &w, &machine, &compute);
-        let pbr = speedup(OrderingFamily::PermutedBr, &w, &machine, &compute);
+        let s = |family| speedup(&plan(2048, 6, family), 2048, &machine, &compute);
+        let br = s(OrderingFamily::Br);
+        let d4 = s(OrderingFamily::Degree4);
+        let pbr = s(OrderingFamily::PermutedBr);
         assert!(d4 > br, "degree-4 {d4} ≤ BR {br}");
         assert!(pbr > br, "permuted-BR {pbr} ≤ BR {br}");
     }
@@ -171,7 +154,8 @@ mod tests {
         // the paper's contribution matters).
         let (machine, compute) = setup();
         let f = |d: usize| {
-            unpipelined_sweep_time(&Workload::new(2048.0, d), &machine, &compute).comm_fraction()
+            let br = plan(2048, d, OrderingFamily::Br);
+            unpipelined_sweep_time(&br, 2048, &machine, &compute).comm_fraction()
         };
         assert!(f(2) < f(5), "{} vs {}", f(2), f(5));
         assert!(f(5) < f(8), "{} vs {}", f(5), f(8));
@@ -181,8 +165,8 @@ mod tests {
     fn zero_flop_time_makes_time_pure_communication() {
         let machine = Machine::paper_figure2();
         let compute = ComputeModel { tc: 0.0 };
-        let w = Workload::new(512.0, 3);
-        let t = unpipelined_sweep_time(&w, &machine, &compute);
+        let br = plan(512, 3, OrderingFamily::Br);
+        let t = unpipelined_sweep_time(&br, 512, &machine, &compute);
         assert_eq!(t.computation, 0.0);
         assert!((t.comm_fraction() - 1.0).abs() < 1e-15);
     }
@@ -190,9 +174,9 @@ mod tests {
     #[test]
     fn efficiency_below_one_and_ordering_sensitive() {
         let (machine, compute) = setup();
-        let w = Workload::new(4096.0, 8);
-        let e_br = efficiency(OrderingFamily::Br, &w, &machine, &compute);
-        let e_d4 = efficiency(OrderingFamily::Degree4, &w, &machine, &compute);
+        let eff = |family| efficiency(&plan(4096, 8, family), 4096, &machine, &compute);
+        let e_br = eff(OrderingFamily::Br);
+        let e_d4 = eff(OrderingFamily::Degree4);
         assert!(e_br < 1.0 && e_d4 < 1.0);
         assert!(e_d4 > e_br);
     }

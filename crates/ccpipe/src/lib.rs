@@ -13,10 +13,12 @@
 //! * [`optimum`] — the optimal pipelining degree;
 //! * [`lowerbound`] — the ideal sequence whose phases bound Figure 2 from
 //!   below: one more CC-cube for the phase model;
-//! * [`sweepcost`] — full-sweep composition and the Figure-2 data points;
-//! * [`plancost`] — the same pricing applied to a lowered
-//!   [`mph_core::CommPlan`], which is how the cost model schedules the
+//! * [`plancost`] — the one sweep composition, on a lowered
+//!   [`mph_core::CommPlan`]: each exchange phase at its optimal `Q`, the
+//!   serial transitions whole; it draws Figure 2 and schedules the
 //!   threaded solver's pipelining degrees;
+//! * [`sweepcost`] — the sweep cost sheet and the Figure-2 data points,
+//!   priced on one lowered sweep per family;
 //! * [`execution`] — the computation term on top of the communication
 //!   prices: total sweep times, speedup and efficiency.
 //!
@@ -62,11 +64,8 @@ pub use pipelining::{
     mode_of, pipelined_schedule, PipelineMode, PipelinedSchedule, Stage, StagePhase,
 };
 pub use plancost::{
-    plan_cost_with_tail, plan_pipelining, plan_sweep_cost, plan_tail_pipelining,
+    packetization_cap, plan_cost_with_tail, plan_pipelining, plan_sweep_cost, plan_tail_pipelining,
     plan_unpipelined_cost, PhaseChoice,
 };
 pub use schedclock::{executed_cost, ExecutedCost};
-pub use sweepcost::{
-    figure2_point, pipelined_sweep_cost, unpipelined_sweep_cost, Figure2Point, PhaseOutcome,
-    SweepCost, Workload,
-};
+pub use sweepcost::{figure2_point, Figure2Point, PhaseOutcome, SweepCost};

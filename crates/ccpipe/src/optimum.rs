@@ -86,7 +86,8 @@ pub(crate) fn search_degree(
                 lo = m1;
             }
         }
-        for q in lo..=hi {
+        // A candidate already lost (or is `best`): only new degrees can win.
+        for q in (lo..=hi).filter(|q| candidates.binary_search(q).is_err()) {
             let c = cost(q);
             if c < best.1 {
                 best = (q, c);

@@ -14,12 +14,13 @@
 //! ([`crate::schedclock`]); the price of a whole executed schedule is
 //! [`crate::executed_cost`].
 //!
-//! The continuous-size path ([`crate::sweepcost`], which Figure 2 uses for
-//! matrices up to `m = 2^32`) and this executable path agree exactly
-//! wherever both are defined — power-of-two column counts — which is
-//! asserted in the tests below: the cost model that draws the paper's
-//! figure and the scheduler that drives the real solver are the same
-//! arithmetic.
+//! Figure 2 ([`crate::sweepcost::figure2_point`], matrices up to
+//! `m = 2^32`) lowers one sweep per family and prices it here too, its
+//! lower bound included ([`crate::lowerbound::ideal_phase`] read on the
+//! plan's sizes): the cost model that draws the paper's figure and the
+//! scheduler that drives the real solver are one composition,
+//! [`plan_sweep_cost`]. The tests below hold it to the paper's closed
+//! form at power-of-two sizes, Figure 2's `d = 15` corners included.
 
 use crate::cccube::CcCube;
 use crate::cost::PhaseCostModel;
@@ -42,6 +43,16 @@ fn phase_cc(phase: &PlanPhase) -> CcCube {
     CcCube { link_seq: phase.links.clone(), message_elems: phase.max_message_elems() as f64 }
 }
 
+/// The paper's packetization ceiling for an `m × m` problem on a
+/// `d`-cube: a packet must carry at least one column pair (an `A`-column
+/// and its `U`-column), so `Q ≤ m / 2^{d+1}` (at least 1) — which forces
+/// shallow pipelining when "the matrix size is not large enough to enable
+/// large values of Q" (paper §3.3). Figure 2 prices at it, and the solver
+/// hands it to the cost model in `Auto` pipelining mode.
+pub fn packetization_cap(m: usize, d: usize) -> usize {
+    (m / (2 << d)).max(1)
+}
+
 /// The chosen pipelining degree of one exchange phase of a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseChoice {
@@ -55,18 +66,13 @@ pub struct PhaseChoice {
 /// `plan`, capping `Q` at `q_max` (the packetization ceiling — a packet
 /// must carry at least one column pair, so callers pass the block column
 /// count). Returns one choice per exchange phase, in execution order
-/// (e = d down to 1). This is the function that turns the cost model into
-/// the threaded solver's scheduler.
+/// (e = d down to 1): [`plan_sweep_cost`]'s choices. This is the function
+/// that turns the cost model into the threaded solver's scheduler.
 pub fn plan_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> Vec<PhaseChoice> {
-    plan.phases()
-        .iter()
-        .filter_map(|ph| match ph.kind {
-            PhaseKind::Exchange { e } => {
-                let model = PhaseCostModel::new(&phase_cc(ph), *machine);
-                Some(PhaseChoice { e, opt: optimize_q(&model, q_max) })
-            }
-            _ => None,
-        })
+    let phases = plan_sweep_cost(plan, machine, q_max).phases;
+    phases
+        .into_iter()
+        .map(|PhaseOutcome { e, q, mode, cost }| PhaseChoice { e, opt: OptimalQ { q, cost, mode } })
         .collect()
 }
 
@@ -185,14 +191,28 @@ pub fn plan_tail_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> u
 }
 
 /// Communication cost of executing `plan` with per-phase optimal
-/// pipelining: exchange phases are pipelined (degree from
-/// [`plan_pipelining`]), division and last transitions stay single
-/// messages. Same composition as
-/// [`pipelined_sweep_cost`](crate::sweepcost::pipelined_sweep_cost), but
-/// computed from the lowered plan instead of the continuous workload.
+/// pipelining: each exchange phase is pipelined at its own optimal degree
+/// (capped at `q_max`), division and last transitions stay single
+/// messages. This is the sweep Figure 2 plots for each family, and its
+/// degrees are [`plan_pipelining`]'s.
 pub fn plan_sweep_cost(plan: &CommPlan, machine: &Machine, q_max: f64) -> SweepCost {
+    optimal_sweep_cost(plan, machine, q_max, |_, ph| phase_cc(ph))
+}
+
+/// The one optimal-`Q` sweep composition: exchange phase `e` of `plan` is
+/// the CC-cube `cc(e, phase)`, pipelined at its own optimal `Q ≤ q_max`;
+/// division and last transitions are whole-block messages. A family's
+/// sweep reads the phase's own links ([`plan_sweep_cost`]); Figure 2's
+/// lower bound reads [`ideal_phase`](crate::lowerbound::ideal_phase) at the
+/// phase's message size.
+pub(crate) fn optimal_sweep_cost(
+    plan: &CommPlan,
+    machine: &Machine,
+    q_max: f64,
+    cc: impl Fn(usize, &PlanPhase) -> CcCube,
+) -> SweepCost {
     let optimal = |_, e, ph: &PlanPhase| {
-        let model = PhaseCostModel::new(&phase_cc(ph), *machine);
+        let model = PhaseCostModel::new(&cc(e, ph), *machine);
         let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
         PhaseOutcome { e, q, mode, cost }
     };
@@ -203,8 +223,8 @@ pub fn plan_sweep_cost(plan: &CommPlan, machine: &Machine, q_max: f64) -> SweepC
 mod tests {
     use super::*;
     use crate::batchcost::{BatchOrder, PlannedJob};
+    use crate::lowerbound::ideal_phase;
     use crate::schedclock::executed_cost;
-    use crate::sweepcost::{pipelined_sweep_cost, unpipelined_sweep_cost, Workload};
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
 
     fn lower(m: usize, d: usize, family: OrderingFamily, sweep: usize) -> CommPlan {
@@ -213,36 +233,86 @@ mod tests {
         CommPlan::lower(&schedule, &partition, &BlockLayout::canonical(d), 2 * m)
     }
 
+    /// The paper's closed form of one sweep of an `m × m` problem on a
+    /// `d`-cube, sizes continuous: every transition moves `m²/2^d`
+    /// elements (one block of `m/2^{d+1}` columns of `A` and of `U`), phase
+    /// `e` is the CC-cube `phase(e, elems)` at its optimal `Q` under the
+    /// packetization ceiling, and the `d + 1` division and last transitions
+    /// are single messages. Returns the sweep and the unpipelined baseline,
+    /// `2^{d+1} − 1` single messages.
+    fn closed_form_sweep(
+        m: usize,
+        d: usize,
+        machine: &Machine,
+        phase: impl Fn(usize, f64) -> CcCube,
+    ) -> (SweepCost, f64) {
+        let elems = (m as f64) * (m as f64) / (1u64 << d) as f64;
+        let q_max = packetization_cap(m, d) as f64;
+        let phases: Vec<PhaseOutcome> = (1..=d)
+            .rev()
+            .map(|e| {
+                let OptimalQ { q, cost, mode } =
+                    optimize_q(&PhaseCostModel::new(&phase(e, elems), *machine), q_max);
+                PhaseOutcome { e, q, mode, cost }
+            })
+            .collect();
+        let message = machine.single_message_cost(elems);
+        let serial = (d as f64 + 1.0) * message;
+        let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
+        let base = ((2u64 << d) - 1) as f64 * message;
+        (SweepCost { d, phases, serial, tail_q: 1, total }, base)
+    }
+
     #[test]
     fn plan_cost_equals_workload_cost_for_power_of_two_sizes() {
-        // The executable plan and the continuous Figure-2 workload price
+        // The lowered plan and the paper's continuous closed form price
         // identically when both are defined: block elems m²/2^d, ceiling
         // m/2^{d+1}, same link sequences — up to Figure 2's corners at
         // d = 15, which a plan reaches because a uniform phase lowers to one
-        // size per transition.
+        // size per transition. Figure 2's lower bound, priced on the plan,
+        // is the closed form's ideal sweep.
         let machine = Machine::paper_figure2();
+        let bound_machine = Machine::all_port(machine.ts, machine.tw);
+        let agree = |got: SweepCost, want: &SweepCost, what: String| {
+            let (a, b) = (got.total, want.total);
+            assert!((a - b).abs() <= 1e-9 * b, "{what}: plan {a} vs closed form {b}");
+            let choices =
+                |c: &SweepCost| -> Vec<_> { c.phases.iter().map(|p| (p.e, p.q, p.mode)).collect() };
+            assert_eq!(choices(&got), choices(want), "{what}");
+        };
         let small = [2usize, 3, 4].into_iter().flat_map(|d| [(d, 64usize), (d, 256)]);
-        for (d, m) in small.chain([(15, 1 << 18), (15, 1 << 32)]) {
-            let w = Workload::new(m as f64, d);
+        let corners = [(15, 1usize << 18), (15, 1 << 23), (15, 1 << 32)];
+        for (d, m) in small.chain(corners) {
+            let q_max = packetization_cap(m, d) as f64;
             for family in OrderingFamily::ALL {
                 let plan = lower(m, d, family, 0);
-                let got = plan_sweep_cost(&plan, &machine, w.max_pipelining_degree());
-                let want = pipelined_sweep_cost(family, &w, &machine);
-                assert!(
-                    (got.total - want.total).abs() <= 1e-9 * want.total,
-                    "{family} d={d} m={m}: plan {} vs workload {}",
-                    got.total,
-                    want.total
-                );
-                assert_eq!(got.phases.len(), want.phases.len());
-                for (a, b) in got.phases.iter().zip(&want.phases) {
-                    assert_eq!((a.e, a.q, a.mode), (b.e, b.q, b.mode), "{family} d={d}");
-                }
-                let base = plan_unpipelined_cost(&plan, &machine);
-                let base_w = unpipelined_sweep_cost(&w, &machine);
-                assert!((base - base_w).abs() <= 1e-9 * base_w, "{family} d={d} m={m}");
+                let block = (m * (m >> d)) as u64;
+                assert!(plan.phases().iter().all(|ph| ph.max_message_elems() == block));
+                let (want, base) = closed_form_sweep(m, d, &machine, |e, elems| {
+                    CcCube::exchange_phase(family, e, elems)
+                });
+                let what = format!("{family} d={d} m={m}");
+                agree(plan_sweep_cost(&plan, &machine, q_max), &want, what.clone());
+                let got = plan_unpipelined_cost(&plan, &machine);
+                assert!((got - base).abs() <= 1e-9 * base, "{what}: base {got} vs {base}");
             }
+            let ideal = |e, ph: &PlanPhase| ideal_phase(e, ph.max_message_elems() as f64);
+            let plan = lower(m, d, OrderingFamily::Br, 0);
+            let (want, _) = closed_form_sweep(m, d, &bound_machine, ideal_phase);
+            let got = optimal_sweep_cost(&plan, &bound_machine, q_max, ideal);
+            agree(got, &want, format!("bound d={d} m={m}"));
         }
+    }
+
+    #[test]
+    fn packetization_cap_is_one_column_pair_per_packet() {
+        // m = 2^18 on d = 14: blocks hold 2^18/2^15 = 8 column pairs, so
+        // Q ≤ 8 — far below K = 2^14 − 1: only shallow pipelining possible.
+        assert_eq!(packetization_cap(1 << 18, 14), 8);
+        // m = 2^32 on d = 10: Q can reach 2^21 ≫ K = 1023: deep possible.
+        assert_eq!(packetization_cap(1 << 32, 10), 1 << 21);
+        // Fewer columns than blocks still leave one packet.
+        assert_eq!(packetization_cap(10, 3), 1);
     }
 
     #[test]

@@ -5,53 +5,21 @@
 //! `Q`) plus the `d` division transitions and the final last transition,
 //! which are single unpipelined block exchanges. Costs are reported both
 //! absolutely and relative to the unpipelined BR CC-cube algorithm — the
-//! paper's baseline (`"communication cost relative to BR"`). Every
-//! pipelined series of Figure 2 — the three families and the lower bound
-//! ([`ideal_phase`]) — is that one composition over a different CC-cube
-//! per phase.
+//! paper's baseline (`"communication cost relative to BR"`). This module
+//! holds the cost sheet ([`SweepCost`]) and the Figure-2 data points;
+//! every series of a point is priced by [`crate::plancost`] on a lowered
+//! one-sweep [`CommPlan`] — the three families by
+//! [`plan_sweep_cost`], the baseline by [`plan_unpipelined_cost`] and the
+//! lower bound ([`ideal_phase`]) by the same composition over the ideal
+//! sequence at each phase's message size.
 
-use crate::cccube::CcCube;
-use crate::cost::PhaseCostModel;
 use crate::lowerbound::ideal_phase;
 use crate::machine::Machine;
-use crate::optimum::{optimize_q, OptimalQ};
 use crate::pipelining::PipelineMode;
-use mph_core::OrderingFamily;
-
-/// A Jacobi workload: `m × m` symmetric problem on a `d`-cube.
-///
-/// Besides the transfer volume, the workload fixes the **packetization
-/// ceiling**: communication pipelining splits a block into `Q` packets, and
-/// the finest unit of computation that produces a sendable result is one
-/// *column pair* (the `A`-column plus its `U`-column — the destination needs
-/// whole columns to form the inner products of the next pairing). Hence
-/// `Q ≤ m / 2^{d+1}`, which is what forces shallow pipelining — and the
-/// degradation of permuted-BR — when "the matrix size is not large enough
-/// to enable large values of Q" (paper §3.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Workload {
-    pub m: f64,
-    pub d: usize,
-}
-
-impl Workload {
-    pub fn new(m: f64, d: usize) -> Self {
-        Workload { m, d }
-    }
-
-    /// Elements exchanged per transition: one block of `m / 2^{d+1}`
-    /// columns from each of the two matrices `A` and `U`, each column `m`
-    /// elements — `m² / 2^d` in total (real-valued; the paper's analytic
-    /// models treat sizes continuously).
-    fn elems_per_transfer(&self) -> f64 {
-        self.m * self.m / (1u64 << self.d) as f64
-    }
-
-    /// Column pairs per block — the maximum pipelining degree.
-    pub(crate) fn max_pipelining_degree(&self) -> f64 {
-        (self.m / (1u64 << (self.d + 1)) as f64).max(1.0)
-    }
-}
+use crate::plancost::{
+    optimal_sweep_cost, packetization_cap, plan_sweep_cost, plan_unpipelined_cost,
+};
+use mph_core::{CommPlan, OrderingFamily, PlanPhase};
 
 /// Per-phase outcome inside a sweep cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,47 +59,11 @@ impl SweepCost {
     }
 }
 
-/// Unpipelined sweep cost: `2^{d+1} − 1` single block messages. This is the
-/// "BR Algorithm" baseline of Figure 2 (identical for every family: all
-/// transitions move the same block volume one link at a time).
-pub fn unpipelined_sweep_cost(w: &Workload, machine: &Machine) -> f64 {
-    (((1u64 << (w.d + 1)) - 1) as f64) * machine.single_message_cost(w.elems_per_transfer())
-}
-
-/// Pipelined sweep cost for `family` with per-phase optimal `Q` (capped by
-/// the workload's packetization ceiling).
-pub fn pipelined_sweep_cost(family: OrderingFamily, w: &Workload, machine: &Machine) -> SweepCost {
-    sweep_cost(w, machine, |e, elems| CcCube::exchange_phase(family, e, elems))
-}
-
-/// A sweep whose exchange phase `e` is the CC-cube `phase(e, elems)`, each
-/// pipelined at its own optimal `Q` (capped by the workload's
-/// packetization ceiling), followed by the division and last transitions:
-/// `d + 1` single whole-block messages, which no sequence avoids.
-fn sweep_cost(w: &Workload, machine: &Machine, phase: impl Fn(usize, f64) -> CcCube) -> SweepCost {
-    let d = w.d;
-    let elems = w.elems_per_transfer();
-    let q_max = w.max_pipelining_degree();
-    let phases: Vec<PhaseOutcome> = (1..=d)
-        .rev()
-        .map(|e| {
-            let model = PhaseCostModel::new(&phase(e, elems), *machine);
-            let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
-            PhaseOutcome { e, q, mode, cost }
-        })
-        .collect();
-    let serial = (d as f64 + 1.0) * machine.single_message_cost(elems);
-    let total = phases.iter().map(|p| p.cost).sum::<f64>() + serial;
-    SweepCost { d, phases, serial, tail_q: 1, total }
-}
-
 /// One point of Figure 2: all five series at `(d, m)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure2Point {
     pub d: usize,
     pub m: f64,
-    /// Always 1.0 (the baseline), kept for completeness.
-    pub br_relative: f64,
     pub pipelined_br: f64,
     pub degree4: f64,
     pub permuted_br: f64,
@@ -142,22 +74,28 @@ pub struct Figure2Point {
 }
 
 /// Computes one Figure-2 point: relative communication costs at cube
-/// dimension `d` for matrix size `m`.
+/// dimension `d` for matrix size `m` (a whole column count, as every panel
+/// of the figure uses). Each family's sweep is lowered to its one-sweep
+/// plan and priced at the packetization ceiling.
 pub fn figure2_point(d: usize, m: f64, machine: &Machine) -> Figure2Point {
-    let w = Workload::new(m, d);
-    let base = unpipelined_sweep_cost(&w, machine);
-    let pbr = pipelined_sweep_cost(OrderingFamily::PermutedBr, &w, machine);
+    let cols = m as usize;
+    let q_max = packetization_cap(cols, d) as f64;
+    let lower = |family| CommPlan::chain(cols, d, family, 2 * cols, 1).remove(0);
+    let br = lower(OrderingFamily::Br);
+    let base = plan_unpipelined_cost(&br, machine);
+    let relative = |plan: &CommPlan| plan_sweep_cost(plan, machine, q_max).total / base;
+    let pbr = plan_sweep_cost(&lower(OrderingFamily::PermutedBr), machine, q_max);
+    // Ideal sequences in every phase, priced all-port as defined.
+    let ideal = |e, ph: &PlanPhase| ideal_phase(e, ph.max_message_elems() as f64);
+    let bound = optimal_sweep_cost(&br, &Machine::all_port(machine.ts, machine.tw), q_max, ideal);
     Figure2Point {
         d,
         m,
-        br_relative: 1.0,
-        pipelined_br: pipelined_sweep_cost(OrderingFamily::Br, &w, machine).total / base,
-        degree4: pipelined_sweep_cost(OrderingFamily::Degree4, &w, machine).total / base,
+        pipelined_br: relative(&br),
+        degree4: relative(&lower(OrderingFamily::Degree4)),
         permuted_br_deep: pbr.first_phase_mode() == PipelineMode::Deep,
         permuted_br: pbr.total / base,
-        // Ideal sequences in every phase, priced all-port as defined.
-        lower_bound: sweep_cost(&w, &Machine::all_port(machine.ts, machine.tw), ideal_phase).total
-            / base,
+        lower_bound: bound.total / base,
     }
 }
 
@@ -168,32 +106,24 @@ mod tests {
     #[test]
     fn elems_per_transfer_matches_block_algebra() {
         // m columns split into 2^{d+1} blocks; a transition moves one block
-        // of A plus one block of U: 2 · (m/2^{d+1}) · m = m²/2^d.
-        assert_eq!(Workload::new(16.0, 2).elems_per_transfer(), 64.0);
-        assert_eq!(Workload::new(1024.0, 5).elems_per_transfer(), 1024.0 * 1024.0 / 32.0);
-    }
-
-    #[test]
-    fn workload_packetization_ceiling() {
-        // m = 2^18 on d = 14: blocks hold 2^18/2^15 = 8 column pairs, so
-        // Q ≤ 8 — far below K = 2^14 − 1: only shallow pipelining possible.
-        let w = Workload::new(2f64.powi(18), 14);
-        assert_eq!(w.max_pipelining_degree(), 8.0);
-        // m = 2^32 on d = 10: Q can reach 2^21 ≫ K = 1023: deep possible.
-        let w = Workload::new(2f64.powi(32), 10);
-        assert_eq!(w.max_pipelining_degree(), 2f64.powi(21));
+        // of A plus one block of U: 2 · (m/2^{d+1}) · m = m²/2^d — the
+        // message every phase of the lowered sweep carries.
+        for (m, d, elems) in [(16usize, 2, 64u64), (1024, 5, 1024 * 1024 / 32)] {
+            let plan = CommPlan::chain(m, d, OrderingFamily::Br, 2 * m, 1).remove(0);
+            assert!(plan.phases().iter().all(|ph| ph.max_message_elems() == elems));
+        }
     }
 
     #[test]
     fn sweep_composition_counts() {
         let machine = Machine::paper_figure2();
         let d = 5;
-        let w = Workload::new(1024.0, d);
-        let sc = pipelined_sweep_cost(OrderingFamily::Br, &w, &machine);
+        let plan = CommPlan::chain(1024, d, OrderingFamily::Br, 2048, 1).remove(0);
+        let sc = plan_sweep_cost(&plan, &machine, packetization_cap(1024, d) as f64);
         assert_eq!(sc.phases.len(), d);
         assert_eq!(sc.phases[0].e, d);
         assert_eq!(sc.phases[d - 1].e, 1);
-        let elems = w.elems_per_transfer();
+        let elems = 1024.0 * 1024.0 / 32.0;
         assert!((sc.serial - 6.0 * machine.single_message_cost(elems)).abs() < 1e-9);
     }
 

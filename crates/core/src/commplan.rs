@@ -213,7 +213,8 @@ impl CommPlan {
 
         let mut layout = layout.clone();
         let mut phases: Vec<PlanPhase> = Vec::new();
-        let mut row: Vec<u64> = Vec::with_capacity(if even { 1 } else { p });
+        // An even partition's every row is its one block size.
+        let mut row: Vec<u64> = if even { vec![block_elems(0)] } else { Vec::with_capacity(p) };
         // A phase is a run of one exchange phase's transitions, or one
         // serial transition.
         let same_exchange = |a: &Transition, b: &Transition| {
@@ -230,10 +231,8 @@ impl CommPlan {
             // The XOR of the links crossed so far in the phase.
             let mut moved = 0usize;
             for t in run {
-                row.clear();
-                if even {
-                    row.push(block_elems(0));
-                } else {
+                if !even {
+                    row.clear();
                     row.extend((0..p).map(|n| {
                         // A division's bit = 1 endpoint sends its resident,
                         // every other sender its mobile (slot asymmetry).
@@ -266,15 +265,15 @@ impl CommPlan {
         sweeps: usize,
     ) -> Vec<CommPlan> {
         let partition = BlockPartition::new(n_cols, 2 << d);
-        let mut layout = BlockLayout::canonical(d);
-        (0..sweeps)
-            .map(|s| {
-                let schedule = SweepSchedule::sweep(d, family, s);
-                let plan = CommPlan::lower(&schedule, &partition, &layout, elems_per_col);
-                layout = plan.final_layout().clone();
-                plan
-            })
-            .collect()
+        let canonical = BlockLayout::canonical(d);
+        let mut plans: Vec<CommPlan> = Vec::with_capacity(sweeps);
+        for s in 0..sweeps {
+            let layout = plans.last().map_or(&canonical, CommPlan::final_layout);
+            let schedule = SweepSchedule::sweep(d, family, s);
+            let plan = CommPlan::lower(&schedule, &partition, layout, elems_per_col);
+            plans.push(plan);
+        }
+        plans
     }
 
     /// Cube dimension.

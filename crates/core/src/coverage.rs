@@ -60,29 +60,33 @@ impl BlockLayout {
             TransitionKind::Exchange { .. } | TransitionKind::LastTransition => {
                 self.swap_mobiles(mask)
             }
-            TransitionKind::Division { .. } => {
-                // bit=0 side sends its mobile, bit=1 side its resident:
-                // afterwards n holds two "resident-class" blocks and p two
-                // "mobile-class" blocks, splitting the population.
-                for n in (0..self.slots.len()).filter(|n| n & mask == 0) {
-                    let p = n | mask;
-                    let tmp = self.slots[n][1];
-                    self.slots[n][1] = self.slots[p][0];
-                    self.slots[p][0] = tmp;
-                }
-            }
+            // bit=0 side sends its mobile, bit=1 side its resident:
+            // afterwards n holds two "resident-class" blocks and p two
+            // "mobile-class" blocks, splitting the population.
+            TransitionKind::Division { .. } => self.swap_across(mask, 1, 0),
         }
     }
 
     /// Moves every node `n`'s mobile (slot-1) block to node `n ^ mask`: the
     /// exchange (or last) transitions whose links XOR to `mask`, composed.
     pub(crate) fn swap_mobiles(&mut self, mask: usize) {
-        for n in 0..self.slots.len() {
-            let p = n ^ mask;
-            if n < p {
-                let tmp = self.slots[n][1];
-                self.slots[n][1] = self.slots[p][1];
-                self.slots[p][1] = tmp;
+        self.swap_across(mask, 1, 1);
+    }
+
+    /// Swaps slot `mine` of every node `n` whose highest `mask` bit is
+    /// clear with slot `theirs` of node `n ^ mask` — each pair once, in
+    /// runs of consecutive nodes.
+    fn swap_across(&mut self, mask: usize, mine: usize, theirs: usize) {
+        if mask == 0 {
+            return;
+        }
+        let high = 1usize << mask.ilog2();
+        for run in (0..self.slots.len()).step_by(2 * high) {
+            for n in run..run + high {
+                let p = n ^ mask;
+                let tmp = self.slots[n][mine];
+                self.slots[n][mine] = self.slots[p][theirs];
+                self.slots[p][theirs] = tmp;
             }
         }
     }
@@ -289,7 +293,7 @@ mod tests {
         let sched = SweepSchedule::first_sweep(d, OrderingFamily::PermutedBr);
         for s in 0..d {
             let sigma = sweep_link_permutation(d, s);
-            let permuted = sched.permuted(&sigma);
+            let permuted = sched.clone().permuted(&sigma);
             validate_sweep_coverage(&permuted, &BlockLayout::canonical(d))
                 .unwrap_or_else(|e| panic!("σ_{s}: {e}"));
         }

@@ -11,30 +11,25 @@
 //! message sizes.
 
 /// Balanced contiguous partition of `0..m` into `nblocks` ranges whose
-/// sizes differ by at most one (larger blocks first).
+/// sizes differ by at most one (larger blocks first): the first `extra`
+/// blocks hold `base + 1` columns, the rest `base`, so a block's range is
+/// arithmetic and the partition stores no table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPartition {
-    starts: Vec<usize>,
+    nblocks: usize,
+    base: usize,
+    extra: usize,
 }
 
 impl BlockPartition {
     pub fn new(m: usize, nblocks: usize) -> Self {
         assert!(nblocks >= 1);
-        let base = m / nblocks;
-        let extra = m % nblocks;
-        let mut starts = Vec::with_capacity(nblocks + 1);
-        let mut s = 0;
-        starts.push(0);
-        for b in 0..nblocks {
-            s += base + usize::from(b < extra);
-            starts.push(s);
-        }
-        BlockPartition { starts }
+        BlockPartition { nblocks, base: m / nblocks, extra: m % nblocks }
     }
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.starts.len() - 1
+        self.nblocks
     }
 
     /// True when there are no blocks (never: `nblocks ≥ 1`).
@@ -42,14 +37,23 @@ impl BlockPartition {
         self.len() == 0
     }
 
+    /// First column of block `b`.
+    fn start(&self, b: usize) -> usize {
+        b * self.base + b.min(self.extra)
+    }
+
     /// Column range of block `b`.
     pub fn cols(&self, b: usize) -> std::ops::Range<usize> {
-        self.starts[b]..self.starts[b + 1]
+        self.start(b)..self.start(b) + self.size(b)
     }
 
     /// Size of block `b`.
+    ///
+    /// # Panics
+    /// Panics if `b` is not a block of the partition.
     pub fn size(&self, b: usize) -> usize {
-        self.starts[b + 1] - self.starts[b]
+        assert!(b < self.nblocks, "block {b} out of range for {} blocks", self.nblocks);
+        self.base + usize::from(b < self.extra)
     }
 }
 

@@ -97,17 +97,13 @@ impl SweepSchedule {
         SweepSchedule { d, transitions }
     }
 
-    /// Applies an arbitrary link permutation to every transition.
-    pub(crate) fn permuted(&self, sigma: &Permutation) -> Self {
+    /// Applies an arbitrary link permutation to every transition, in place.
+    pub(crate) fn permuted(mut self, sigma: &Permutation) -> Self {
         assert_eq!(sigma.len(), self.d.max(1));
-        SweepSchedule {
-            d: self.d,
-            transitions: self
-                .transitions
-                .iter()
-                .map(|t| Transition { link: sigma.apply(t.link), kind: t.kind })
-                .collect(),
+        for t in &mut self.transitions {
+            t.link = sigma.apply(t.link);
         }
+        self
     }
 
     /// Cube dimension.
@@ -207,7 +203,7 @@ mod tests {
         let d = 3;
         let base = SweepSchedule::first_sweep(d, OrderingFamily::Degree4);
         let rot = sweep_link_permutation(d, 1);
-        let permuted = base.permuted(&rot);
+        let permuted = base.clone().permuted(&rot);
         for (a, b) in base.transitions().iter().zip(permuted.transitions()) {
             assert_eq!(b.link, rot.apply(a.link));
             assert_eq!(a.kind, b.kind);

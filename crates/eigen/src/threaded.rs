@@ -45,14 +45,9 @@ pub struct AdaptiveReport {
     pub rerouted_elems: u64,
 }
 
-/// The paper's packetization ceiling for an `m × m` problem on a
-/// `d`-cube: a packet must carry at least one column pair, so
-/// `Q ≤ m / 2^{d+1}` (at least 1). This is the cap the solver hands the
-/// cost model in [`Pipelining::Auto`] mode — experiments and examples that
+/// The cap [`Pipelining::Auto`] hands the cost model: experiments that
 /// report the solver's schedule must use this same function.
-pub fn packetization_cap(m: usize, d: usize) -> usize {
-    (m / (2 << d)).max(1)
-}
+pub use mph_ccpipe::packetization_cap;
 
 /// Lowers every sweep's communication of a threaded solve up front: the
 /// exact plan chain ([`CommPlan::chain`]) [`block_jacobi_threaded`]

@@ -9,8 +9,10 @@
 //! histogram), prices one sweep with communication pipelining, and solves a
 //! small symmetric eigenproblem with each ordering.
 
-use mph::ccpipe::{pipelined_sweep_cost, unpipelined_sweep_cost, Machine, Workload};
-use mph::core::{alpha, alpha_lower_bound, link_histogram, sequence_degree, OrderingFamily};
+use mph::ccpipe::{packetization_cap, plan_sweep_cost, plan_unpipelined_cost, Machine};
+use mph::core::{
+    alpha, alpha_lower_bound, link_histogram, sequence_degree, CommPlan, OrderingFamily,
+};
 use mph::eigen::{block_jacobi, JacobiOptions};
 use mph::linalg::symmetric::random_symmetric;
 
@@ -31,11 +33,12 @@ fn main() {
 
     println!("\n== one-sweep communication cost on an all-port 8-cube (m = 2^23)\n");
     let machine = Machine::paper_figure2();
-    let w = Workload::new(2f64.powi(23), 8);
-    let base = unpipelined_sweep_cost(&w, &machine);
+    let (m, d) = (1usize << 23, 8);
+    let sweep = |family| CommPlan::chain(m, d, family, 2 * m, 1).remove(0);
+    let base = plan_unpipelined_cost(&sweep(OrderingFamily::Br), &machine);
     println!("{:>12}: 1.000 (baseline, no pipelining)", "BR");
     for family in [OrderingFamily::Br, OrderingFamily::PermutedBr, OrderingFamily::Degree4] {
-        let sc = pipelined_sweep_cost(family, &w, &machine);
+        let sc = plan_sweep_cost(&sweep(family), &machine, packetization_cap(m, d) as f64);
         println!(
             "{:>12}: {:.3} with per-phase optimal pipelining degree",
             family.name(),

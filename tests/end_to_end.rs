@@ -2,9 +2,9 @@
 //! pricing/simulation → distributed eigensolve, across crate boundaries.
 
 use mph::ccpipe::{
-    pipelined_sweep_cost, unpipelined_sweep_cost, CcCube, Machine, PhaseCostModel, Workload,
+    packetization_cap, plan_sweep_cost, plan_unpipelined_cost, CcCube, Machine, PhaseCostModel,
 };
-use mph::core::{validate_sweep_coverage, BlockLayout, OrderingFamily, SweepSchedule};
+use mph::core::{validate_sweep_coverage, BlockLayout, CommPlan, OrderingFamily, SweepSchedule};
 use mph::eigen::{block_jacobi, block_jacobi_threaded, two_sided_cyclic, JacobiOptions};
 use mph::linalg::matmul::{eigen_residual, orthogonality_defect};
 use mph::linalg::symmetric::random_symmetric;
@@ -66,9 +66,11 @@ fn pipelining_gain_ranking_holds_for_full_sweeps() {
     // The paper's bottom line, as one inequality chain on a transmission-
     // dominated workload: LB ≤ pBR < D4 < pipelined-BR < 1 (deep regime).
     let machine = Machine::paper_figure2();
-    let w = Workload::new(2f64.powi(26), 9);
-    let base = unpipelined_sweep_cost(&w, &machine);
-    let rel = |family| pipelined_sweep_cost(family, &w, &machine).total / base;
+    let (m, d) = (1usize << 26, 9);
+    let sweep = |family| CommPlan::chain(m, d, family, 2 * m, 1).remove(0);
+    let base = plan_unpipelined_cost(&sweep(OrderingFamily::Br), &machine);
+    let q_max = packetization_cap(m, d) as f64;
+    let rel = |family| plan_sweep_cost(&sweep(family), &machine, q_max).total / base;
     let (br, d4, pbr) =
         (rel(OrderingFamily::Br), rel(OrderingFamily::Degree4), rel(OrderingFamily::PermutedBr));
     assert!(pbr < d4, "pBR {pbr} ≥ D4 {d4}");
