@@ -23,12 +23,10 @@
 //!   prices: total sweep times, speedup and efficiency.
 //!
 //! All of the above is the **paper's model**: stage-synchronous, witnessed
-//! at 1e-9 on all-port and one-port machines by
-//! `mph_simnet::simulate_synchronized`, which replays each stage on
-//! `NodeClock` ([`machine::NodeClock`]). On `k` ports the closed form packs
-//! a stage's per-link messages onto the ports largest first (LPT), the
-//! replay in issue order, so the two differ, within list scheduling's
-//! bounds. Two modules price what
+//! at 1e-9 on every port model by `mph_simnet::simulate_synchronized`,
+//! which replays each stage on `NodeClock` ([`machine::NodeClock`]). Its
+//! stages issue their per-link messages largest first, the order in which
+//! the closed form's LPT packs them onto `k` ports. Two modules price what
 //! the engine *executes* — barrier-free dataflow pipelining, chained
 //! serial tails, several jobs interleaved on one fabric — which the paper
 //! does not define:

@@ -19,6 +19,7 @@
 //! exactly once per sweep, every column in at most one pair per step.
 
 use crate::coverage::{trace_sweep, BlockLayout};
+use crate::partition::BlockPartition;
 use crate::sweep::SweepSchedule;
 
 /// A column-level parallel Jacobi ordering: `steps[s]` lists the disjoint
@@ -27,16 +28,6 @@ use crate::sweep::SweepSchedule;
 pub struct ColumnOrdering {
     pub m: usize,
     pub steps: Vec<Vec<(usize, usize)>>,
-}
-
-/// Balanced contiguous ranges of `0..m` for `2^{d+1}` blocks (sizes differ
-/// by at most one; mirrors `mph-eigen`'s partition).
-fn block_range(m: usize, nblocks: usize, b: usize) -> std::ops::Range<usize> {
-    let base = m / nblocks;
-    let extra = m % nblocks;
-    let start = b * base + b.min(extra);
-    let len = base + usize::from(b < extra);
-    start..start + len
 }
 
 /// Round-robin (circle method) rounds pairing all columns of one range:
@@ -97,14 +88,13 @@ fn bipartite_rounds(
 /// Expands one sweep of `schedule` (from `layout`) into the column-level
 /// parallel ordering for an `m`-column problem.
 pub fn column_ordering(schedule: &SweepSchedule, layout: &BlockLayout, m: usize) -> ColumnOrdering {
-    let d = schedule.dim();
-    let nblocks = 2 << d;
+    let part = BlockPartition::new(m, 2 << schedule.dim());
     let trace = trace_sweep(schedule, layout);
     let mut steps: Vec<Vec<(usize, usize)>> = Vec::new();
 
     // Step (1): intra-block round-robin, all blocks in parallel.
     let per_block: Vec<Vec<Vec<(usize, usize)>>> =
-        (0..nblocks).map(|b| round_robin_rounds(block_range(m, nblocks, b))).collect();
+        (0..part.len()).map(|b| round_robin_rounds(part.cols(b))).collect();
     let intra_rounds = per_block.iter().map(|r| r.len()).max().unwrap_or(0);
     for round in 0..intra_rounds {
         let mut step = Vec::new();
@@ -123,9 +113,7 @@ pub fn column_ordering(schedule: &SweepSchedule, layout: &BlockLayout, m: usize)
     for block_step in &trace.steps {
         let per_node: Vec<Vec<Vec<(usize, usize)>>> = block_step
             .iter()
-            .map(|&(b0, b1)| {
-                bipartite_rounds(block_range(m, nblocks, b0), block_range(m, nblocks, b1))
-            })
+            .map(|&(b0, b1)| bipartite_rounds(part.cols(b0), part.cols(b1)))
             .collect();
         let rounds = per_node.iter().map(|r| r.len()).max().unwrap_or(0);
         for round in 0..rounds {

@@ -17,9 +17,9 @@
 //! Because all three drive this type, a predicted and a measured makespan
 //! are the same arithmetic in the same order and round alike. The paper's
 //! closed form (`mph_ccpipe::PhaseCostModel`) writes the port model once
-//! more: the same on all-port and one-port machines, but on `k` ports it
-//! packs a stage's messages largest first, where this clock takes them in
-//! issue order on the earliest free port.
+//! more, packing a stage's messages onto `k` ports largest first (LPT);
+//! the stage builder issues each stage largest first, so this clock's
+//! earliest free port replays that packing on every port model.
 
 use crate::machine::PortModel;
 
@@ -73,8 +73,8 @@ impl NodeClock {
     /// start-up in program order and does not wait for the data: this is
     /// the comm-processor model a pipelined phase needs, where iteration
     /// `k+1`'s early packets depart while iteration `k`'s late ones are
-    /// still in flight. Ports are acquired earliest-available (a list
-    /// schedule, the dynamic counterpart of the cost model's LPT).
+    /// still in flight. Ports are acquired earliest-available, a list
+    /// schedule: on sends issued largest first it is the cost model's LPT.
     #[inline]
     pub fn send(&mut self, ts: f64, tw: f64, dim: usize, elems: f64, ready: f64) -> SendTimes {
         self.now += ts;

@@ -18,13 +18,12 @@
 //! throttled fabric and `mph_ccpipe::executed_cost` drive too — with
 //! start-ups serialized or, as a relaxation the closed form cannot
 //! express, overlapped with transmissions ([`StartupModel::Overlapped`]).
-//! With serialized start-ups on an all-port or one-port machine the
-//! simulated makespan equals the closed-form phase cost *exactly*
-//! (asserted in tests and measured in the `validate_simnet` experiment),
-//! grounding the analytic models used for Figure 2. On `k` ports it does
-//! not: the closed form packs a stage's messages largest first, the replay
-//! takes them in issue order, and the proptests hold the replay within
-//! `[3/4, 2 − 1/k]` of the closed form.
+//! Each stage issues its messages largest first, the order in which the
+//! closed form's LPT packs them onto `k` ports. So with serialized
+//! start-ups the simulated makespan equals the closed-form phase cost
+//! *exactly* on all-port, one-port and `k`-port machines (asserted in
+//! tests and measured in the `validate_simnet` experiment), grounding the
+//! analytic models used for Figure 2.
 //!
 //! It is the witness of the *paper's* stage model and lowers only what
 //! that model defines. The schedule the threaded engine executes

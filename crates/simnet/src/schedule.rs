@@ -136,9 +136,8 @@ impl CommSchedule {
 
 /// The pipelined exchange phase with degree `q` (`q = 1`: one whole-block
 /// stage per transition): stage `s` sends, for every distinct link of the
-/// window, one combined message of `multiplicity × (elems/q)` elements.
-/// Issue order follows first appearance in the window (the paper's `a-b-c`
-/// notation order).
+/// window, one combined message of `multiplicity × (elems/q)` elements,
+/// issued largest first (ties in the window's `a-b-c` notation order).
 pub fn pipelined_phase_schedule(d: usize, cc: &CcCube, q: usize) -> CommSchedule {
     let unit = cc.message_elems / q as f64;
     CommSchedule::new(d, phase_stages(d, &cc.link_seq, q, true, unit, |_, _, _| 1).collect())
@@ -147,13 +146,16 @@ pub fn pipelined_phase_schedule(d: usize, cc: &CcCube, q: usize) -> CommSchedule
 /// The one stage builder of the paper's pipelined phase (§2.4): over
 /// `links` at degree `q`, stage `s` of [`pipelined_schedule`] carries
 /// packet `s − k` of every iteration `k` in its window, and node `n` puts
-/// the packets of a stage that share a link into one message, in
-/// first-appearance order. Packet `p` of iteration `k` at node `n` is
-/// `size(k, n, p)` units of `unit` elements; a message is its units'
-/// integer sum times `unit`, so a continuous phase's message is exactly
-/// `multiplicity × (elems/q)`. With `spmd` every node sends node 0's sizes
-/// and each stage is one shared bundle: one allocation per stage, the
-/// window's per-link units summed in one buffer every stage reuses.
+/// the packets of a stage that share a link into one message. It issues
+/// them largest first, ties in first-appearance order: the order in which
+/// the closed form's LPT packs a stage onto `k` ports, so `NodeClock`'s
+/// earliest free port replays that packing. Packet `p` of iteration `k`
+/// at node `n` is `size(k, n, p)` units of `unit` elements; a message is
+/// its units' integer sum times `unit`, so a continuous phase's message is
+/// exactly `multiplicity × (elems/q)`. With `spmd` every node sends node
+/// 0's sizes and each stage is one shared bundle: one allocation per
+/// stage, the window's per-link units summed in one buffer every stage
+/// reuses.
 pub(crate) fn phase_stages<'a>(
     d: usize,
     links: &'a [usize],
@@ -165,7 +167,7 @@ pub(crate) fn phase_stages<'a>(
     let stages = pipelined_schedule(links.len(), q).stages.into_iter().enumerate();
     let mut units: Vec<(usize, u64)> = Vec::new();
     stages.map(move |(s, st)| {
-        // Node `n`'s units per link of the stage, in issue order.
+        // Node `n`'s units per link of the stage, largest first.
         let window = |units: &mut Vec<(usize, u64)>, n| {
             units.clear();
             for k in st.lo..=st.hi {
@@ -174,6 +176,7 @@ pub(crate) fn phase_stages<'a>(
                     None => units.push((links[k], size(k, n, s - k))),
                 }
             }
+            units.sort_by_key(|&(_, u)| std::cmp::Reverse(u));
         };
         let message = |&(dim, u): &(usize, u64)| NodeSend { dim, elems: u as f64 * unit };
         if spmd {
@@ -225,6 +228,12 @@ mod tests {
         assert_eq!(bundle.len(), 2);
         assert_eq!(bundle[0], NodeSend { dim: 0, elems: 20.0 });
         assert_eq!(bundle[1], NodeSend { dim: 1, elems: 10.0 });
+        // At Q = 4 stage 4 has window 1,0,2,0: the combined link 0 goes
+        // first, the two single links keep their window order.
+        let s =
+            pipelined_phase_schedule(3, &CcCube::exchange_phase(OrderingFamily::Br, 3, 40.0), 4);
+        let send = |dim, elems| NodeSend { dim, elems };
+        assert_eq!(s.stages[4].bundle(0), [send(0, 20.0), send(1, 10.0), send(2, 10.0)]);
     }
 
     #[test]

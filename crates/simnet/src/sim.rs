@@ -101,7 +101,7 @@ pub fn simulate_synchronized(
 mod tests {
     use super::*;
     use crate::schedule::pipelined_phase_schedule;
-    use mph_ccpipe::CcCube;
+    use mph_ccpipe::{CcCube, PortModel};
     use mph_core::OrderingFamily;
 
     fn machine() -> Machine {
@@ -129,21 +129,27 @@ mod tests {
     #[test]
     fn pipelined_phase_matches_analytic_cost_model() {
         // The synchronized simulator with serialized start-ups must price a
-        // pipelined phase exactly like PhaseCostModel.
-        let m = machine();
-        for family in [OrderingFamily::Br, OrderingFamily::PermutedBr, OrderingFamily::Degree4] {
-            for e in [4usize, 5] {
-                let cc = CcCube::exchange_phase(family, e, 320.0);
-                let model = mph_ccpipe::PhaseCostModel::new(&cc, m);
-                for q in [1usize, 2, 4, 8, 16, 40] {
-                    let sched = pipelined_phase_schedule(e, &cc, q);
-                    let r = simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
-                    let want = model.cost(q);
-                    assert!(
-                        (r.makespan - want).abs() < 1e-6 * want,
-                        "{family} e={e} q={q}: sim {} vs model {want}",
-                        r.makespan
-                    );
+        // pipelined phase exactly like PhaseCostModel, on every port model.
+        for ports in
+            [PortModel::AllPort, PortModel::OnePort, PortModel::KPort(2), PortModel::KPort(3)]
+        {
+            let m = Machine { ports, ..machine() };
+            for family in [OrderingFamily::Br, OrderingFamily::PermutedBr, OrderingFamily::Degree4]
+            {
+                for e in [4usize, 5] {
+                    let cc = CcCube::exchange_phase(family, e, 320.0);
+                    let model = mph_ccpipe::PhaseCostModel::new(&cc, m);
+                    for q in [1usize, 2, 4, 8, 16, 40] {
+                        let sched = pipelined_phase_schedule(e, &cc, q);
+                        let r =
+                            simulate_synchronized(&sched, &m, StartupModel::SerializedThenParallel);
+                        let want = model.cost(q);
+                        assert!(
+                            (r.makespan - want).abs() < 1e-9 * want,
+                            "{family} e={e} q={q} {ports:?}: sim {} vs model {want}",
+                            r.makespan
+                        );
+                    }
                 }
             }
         }
