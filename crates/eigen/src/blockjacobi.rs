@@ -72,7 +72,7 @@ pub(crate) fn solve_logical<R>(
         None => residual_sq(&blocks[0]).sqrt(),
     };
     let (bar, budget) = (kind.bar(a, opts), kind.budget(opts));
-    let kern = SweepKernel::from_options(kind.rule(), opts);
+    let kern = SweepKernel { rule: kind.rule() };
     let mut tally = Tally::default();
     let mut met = false;
     if kind == JobKind::Eigen {
@@ -201,18 +201,14 @@ mod tests {
     #[test]
     fn the_benchmark_shape_is_bitwise_worker_count_invariant() {
         // The parallel logical solve is the engine on a free fabric: at
-        // m = 256 on a 3-cube, lane kernels and cached diagonals (32-column
-        // blocks, four tiles each, so every node's every step pairs whole
-        // tile rectangles through the lane kernel), its 2^3 nodes on the
+        // m = 256 on a 3-cube with cached diagonals (32-column blocks, four
+        // tiles each, so every node's every step pairs whole tile
+        // rectangles two cached pairings abreast), its 2^3 nodes on the
         // runtime's `min(8, CPUs)` workers give the bits of the logical
         // solve on the calling thread alone.
         let a = random_symmetric(256, 19);
-        let opts = JacobiOptions {
-            kernel: mph_linalg::KernelPath::Lanes,
-            cache_diagonals: true,
-            force_sweeps: Some(2),
-            ..Default::default()
-        };
+        let opts =
+            JacobiOptions { cache_diagonals: true, force_sweeps: Some(2), ..Default::default() };
         assert_eq!(opts.fabric, mph_runtime::FabricModel::Free);
         let logical = block_jacobi(&a, 3, OrderingFamily::PermutedBr, &opts);
         let engine =
@@ -233,18 +229,16 @@ mod tests {
             let mut a = random_symmetric(12, 21);
             a[(3, 7)] = bad;
             a[(7, 3)] = bad;
-            for kernel in [mph_linalg::KernelPath::Scalar, mph_linalg::KernelPath::Lanes] {
-                let opts = JacobiOptions { max_sweeps: 3, kernel, ..Default::default() };
-                for r in [
-                    block_jacobi(&a, 1, OrderingFamily::PermutedBr, &opts),
-                    one_sided_cyclic(&a, &opts),
-                ] {
-                    assert!(!r.converged, "{bad} {kernel:?}");
-                    assert_eq!(r.sweeps, 3, "{bad} {kernel:?}");
-                    assert_eq!(r.off_history.len(), 4);
-                    assert!(r.off_history.iter().all(|off| !off.is_finite()));
-                    assert_eq!(r.sorted_eigenvalues().len(), 12);
-                }
+            let opts = JacobiOptions { max_sweeps: 3, ..Default::default() };
+            for r in [
+                block_jacobi(&a, 1, OrderingFamily::PermutedBr, &opts),
+                one_sided_cyclic(&a, &opts),
+            ] {
+                assert!(!r.converged, "{bad}");
+                assert_eq!(r.sweeps, 3, "{bad}");
+                assert_eq!(r.off_history.len(), 4);
+                assert!(r.off_history.iter().all(|off| !off.is_finite()));
+                assert_eq!(r.sorted_eigenvalues().len(), 12);
             }
         }
     }

@@ -12,7 +12,12 @@
 //! Two pairing rules share this machinery (selected by [`PairingRule`]):
 //! the symmetric eigensolver's implicit rule above, and the Hestenes SVD's
 //! Gram rule (`G_ij = w_i · w_j`, convergence measured by the cosine of the
-//! column angle). Both rotate through the same fused rotation kernel
+//! column angle). Both take their inner products from the one inner
+//! product, [`mph_linalg::vecops::dot`] — eight fused multiply-add chains,
+//! a fixed tree and a fused tail, computed a pairing or two at a time by
+//! [`fused_triple`], [`fused_triple_x2`] and [`dot_x2`] on the widest
+//! vector unit the host has, with `dot`'s bits on every one — and rotate
+//! through the same fused rotation kernel
 //! ([`mph_linalg::vecops::pair_rotate_lanes`], bitwise
 //! [`mph_linalg::vecops::pair_rotate`]), so the logical, threaded,
 //! and SVD drivers are *structurally* guaranteed to perform identical
@@ -33,11 +38,9 @@
 //! on the runtime's `min(2^d, CPUs)` workers — bitwise the logical solve,
 //! and on [`mph_runtime::FabricModel::Free`] charging no clock.
 
-use crate::options::JacobiOptions;
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
-use mph_linalg::vecops::{dot, dot_lanes, fused_triple, fused_triple_exact, fused_triple_exact_x2};
-use mph_linalg::KernelPath;
+use mph_linalg::vecops::{dot, dot_x2, fused_triple, fused_triple_x2, TripleStreams};
 
 /// Outcome of one pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,102 +76,70 @@ impl PairingRule {
             PairingRule::Gram => dot(a, a),
         }
     }
+
+    /// The four streams `[x, a, y, b]` whose [`fused_triple`] is a
+    /// pairing's 2×2 block `(x·a, x·b, y·b)`: `[u_i, a_i, u_j, a_j]`, or
+    /// the `W`-columns in both roles. The off-diagonal alone is `x·b`.
+    #[inline(always)]
+    fn streams<'v>(self, v: &'v PairViewMut<'_>) -> TripleStreams<'v> {
+        match self {
+            PairingRule::Implicit => [v.ui, v.ai, v.uj, v.aj],
+            PairingRule::Gram => [v.ai, v.ai, v.aj, v.aj],
+        }
+    }
 }
 
 /// Pairs one column pair presented as raw views — the shared core every
 /// driver funnels through. Reads the diagonal entries from the view's
 /// cache slots when present (maintaining them under rotation), recomputes
-/// them otherwise. Computes the reference bits ([`KernelPath::Scalar`]);
-/// see [`pair_view_with`] for the path-selected form.
-fn pair_view(v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
-    pair_view_with(v, rule, KernelPath::Scalar)
-}
-
-/// [`pair_view`] with the inner products `path` selects.
+/// them otherwise.
 ///
-/// `Scalar` is the reference pairing bit for bit: the uncached 2×2 block is
-/// three [`dot`]s — computed in one pass by [`fused_triple_exact`], whose
-/// every product is `to_bits`-equal to `dot` — and the cached off-diagonal
-/// is one `dot`. `Lanes` takes the reassociated reductions instead
-/// ([`fused_triple`], [`dot_lanes`]: wider partial sums, FMA, ≤1e-12
-/// relative). The rotation is the same for both — the lane rotator, bitwise
-/// the scalar loop — so `Lanes` differs from `Scalar` only in the last bits
-/// of the inner products feeding the rotation angle.
-fn pair_view_with(v: PairViewMut<'_>, rule: PairingRule, path: KernelPath) -> PairOutcome {
-    let block = pair_block(&v, rule, path);
+/// The uncached 2×2 block is three [`dot`]s, computed in one pass by
+/// [`fused_triple`], whose every product is `to_bits`-equal to `dot`; the
+/// cached off-diagonal is one `dot`. The rotation is the lane rotator,
+/// bitwise the scalar loop. So a pairing has one set of bits on every host.
+fn pair_view(v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
+    let block = pair_block(&v, rule);
     pair_rotate_by(v, block, pair_angle(block, rule))
 }
 
-/// [`pair_view_with`] for two pairings that share no column, the three
-/// stages of a pairing taken two abreast: both 2×2 blocks, then both
-/// rotation angles, then both rotations — the bits of one call after the
-/// other, since neither pairing reads what the other writes.
+/// [`pair_view`] for two pairings that share no column, the three stages
+/// of a pairing taken two abreast: both 2×2 blocks, then both rotation
+/// angles, then both rotations — the bits of one call after the other,
+/// since neither pairing reads what the other writes.
 ///
 /// Alone, a pairing is one dependent chain — the reduction, then the
 /// divide / square-root chain of [`symmetric_schur`], then the rotate —
 /// and too long for the core to overlap with the next one by itself, so
 /// the angle's latency is paid in full. Abreast, the two angle chains run
-/// in each other's shadow; the uncached `Scalar` blocks come from one pass
-/// over both pairings' columns ([`fused_triple_exact_x2`]).
-pub(crate) fn pair_view2_with(
-    [v0, v1]: [PairViewMut<'_>; 2],
-    rule: PairingRule,
-    path: KernelPath,
-) -> [PairOutcome; 2] {
-    let cached = |v: &PairViewMut<'_>| v.di.is_some() && v.dj.is_some();
-    let [b0, b1] = if path == KernelPath::Scalar && !cached(&v0) && !cached(&v1) {
-        match rule {
-            PairingRule::Implicit => {
-                fused_triple_exact_x2([v0.ui, v0.ai, v0.uj, v0.aj], [v1.ui, v1.ai, v1.uj, v1.aj])
-            }
-            PairingRule::Gram => {
-                fused_triple_exact_x2([v0.ai, v0.ai, v0.aj, v0.aj], [v1.ai, v1.ai, v1.aj, v1.aj])
-            }
+/// in each other's shadow, and both blocks come from one pass over both
+/// pairings' columns: [`fused_triple_x2`] when neither is cached,
+/// [`dot_x2`] for the two off-diagonals when both are. A cached pairing
+/// beside an uncached one takes its block alone.
+fn pair_view2([v0, v1]: [PairViewMut<'_>; 2], rule: PairingRule) -> [PairOutcome; 2] {
+    let (s0, s1) = (rule.streams(&v0), rule.streams(&v1));
+    let [b0, b1] = match ((&v0.di, &v0.dj), (&v1.di, &v1.dj)) {
+        ((Some(di0), Some(dj0)), (Some(di1), Some(dj1))) => {
+            let [o0, o1] = dot_x2([s0[0], s0[3]], [s1[0], s1[3]]);
+            [(**di0, o0, **dj0), (**di1, o1, **dj1)]
         }
-    } else {
-        [pair_block(&v0, rule, path), pair_block(&v1, rule, path)]
+        ((None, _) | (_, None), (None, _) | (_, None)) => fused_triple_x2(s0, s1),
+        _ => [pair_block(&v0, rule), pair_block(&v1, rule)],
     };
     let (r0, r1) = (pair_angle(b0, rule), pair_angle(b1, rule));
     [pair_rotate_by(v0, b0, r0), pair_rotate_by(v1, b1, r1)]
 }
 
-/// The 2×2 block `(app, apq, aqq)` of a pairing, by `path`'s reductions.
+/// The 2×2 block `(app, apq, aqq)` of a pairing.
 #[inline(always)]
-fn pair_block(v: &PairViewMut<'_>, rule: PairingRule, path: KernelPath) -> (f64, f64, f64) {
-    // One arm per path, the rule matched innermost, as the pairing was
-    // always laid out: flattening the three matches into one reads better
-    // and cost `logical_pool` (the Lanes arm, which this function's Scalar
-    // arm must not disturb) ≈ 3 % in the repository benchmark.
-    match path {
-        KernelPath::Scalar => match (&v.di, &v.dj) {
-            (Some(di), Some(dj)) => {
-                let apq = match rule {
-                    PairingRule::Implicit => dot(v.ui, v.aj),
-                    PairingRule::Gram => dot(v.ai, v.aj),
-                };
-                (**di, apq, **dj)
-            }
-            // Uncached, or a mixed cache (one side of a cross-block pair
-            // carries none): both diagonals are recomputed, in one fused
-            // pass over the pair's columns.
-            _ => match rule {
-                PairingRule::Implicit => fused_triple_exact(v.ui, v.ai, v.uj, v.aj),
-                PairingRule::Gram => fused_triple_exact(v.ai, v.ai, v.aj, v.aj),
-            },
-        },
-        KernelPath::Lanes => match (&v.di, &v.dj) {
-            (Some(di), Some(dj)) => {
-                let apq = match rule {
-                    PairingRule::Implicit => dot_lanes(v.ui, v.aj),
-                    PairingRule::Gram => dot_lanes(v.ai, v.aj),
-                };
-                (**di, apq, **dj)
-            }
-            _ => match rule {
-                PairingRule::Implicit => fused_triple(v.ui, v.ai, v.uj, v.aj),
-                PairingRule::Gram => fused_triple(v.ai, v.ai, v.aj, v.aj),
-            },
-        },
+fn pair_block(v: &PairViewMut<'_>, rule: PairingRule) -> (f64, f64, f64) {
+    let [x, a, y, b] = rule.streams(v);
+    match (&v.di, &v.dj) {
+        (Some(di), Some(dj)) => (**di, dot(x, b), **dj),
+        // Uncached, or a mixed cache (one side of a cross-block pair
+        // carries none): both diagonals are recomputed, in one fused pass
+        // over the pair's columns.
+        _ => fused_triple(x, a, y, b),
     }
 }
 
@@ -279,10 +250,9 @@ pub fn pair_across_blocks(
 /// pairing at a time — so a wider walk needs a narrower tile.
 const ACROSS_TILE: usize = 8;
 
-/// One sub-sweep's pairing configuration — rule and kernel path — threaded
-/// from `JacobiOptions` through every driver so the logical, threaded, and
-/// batch drivers keep performing identical floating-point work for
-/// identical options.
+/// One sub-sweep's pairing configuration, threaded through every driver so
+/// the logical, threaded, and batch drivers keep performing identical
+/// floating-point work.
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
 /// two `ACROSS_TILE`-wide column tiles, walked two rows at a time with two
@@ -295,27 +265,13 @@ const ACROSS_TILE: usize = 8;
 pub struct SweepKernel {
     /// How pairings derive their 2×2 block.
     pub rule: PairingRule,
-    /// Which inner products the pairings take: the reference bits or the
-    /// reassociated reductions.
-    pub path: KernelPath,
 }
 
 impl SweepKernel {
-    /// The kernel a driver derives from its options.
-    pub fn from_options(rule: PairingRule, opts: &JacobiOptions) -> Self {
-        SweepKernel { rule, path: opts.kernel }
-    }
-
-    /// The scalar reference kernel.
-    pub fn reference(rule: PairingRule) -> Self {
-        SweepKernel { rule, path: KernelPath::Scalar }
-    }
-
     /// Pairs every column pair within each of `blocks` —
-    /// [`pair_within_block`] per block on this kernel's path, block by
-    /// block. Within a block, the tiles in row-major order: for each tile,
-    /// its rectangles against the tiles to its left, then its own
-    /// triangle. For ops sharing a column the row-major relative order is
+    /// [`pair_within_block`] per block, block by block. Within a block, the
+    /// tiles in row-major order: for each tile, its rectangles against the
+    /// tiles to its left, then its own triangle. For ops sharing a column the row-major relative order is
     /// preserved (for a shared left column, `j` still ascends across tiles;
     /// for a shared right column, `i` still ascends across the left tiles
     /// and inside each — `two_row_steps`), and ops sharing no column
@@ -339,8 +295,8 @@ impl SweepKernel {
     }
 
     /// Pairs every column of `left` with every column of `right` —
-    /// [`pair_across_blocks`] on this kernel's path. `left` plays the `i`
-    /// role, exactly as in the untiled form. For each tile of the right
+    /// [`pair_across_blocks`], tiled. `left` plays the `i` role, exactly as
+    /// in the untiled form. For each tile of the right
     /// block, the rectangles against the left block's tiles in order — the
     /// same bitwise-invisible reordering as [`Self::within`].
     pub fn across(&self, left: &mut ColumnBlock, right: &mut ColumnBlock) -> SweepAccumulator {
@@ -393,17 +349,17 @@ impl SweepKernel {
         rcols: &mut [ColumnViewMut<'_>],
         acc: &mut SweepAccumulator,
     ) {
-        let SweepKernel { rule, path } = *self;
+        let rule = self.rule;
         two_row_steps(lcols.len(), rcols.len(), |(i, j), abreast| match abreast {
             None => {
                 let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
-                acc.absorb(pair_view_with(pair, rule, path));
+                acc.absorb(pair_view(pair, rule));
             }
             Some((i1, j1)) => {
-                let [ci, ci1] = lcols.get_disjoint_mut([i, i1]).expect("a step's rows differ");
-                let [cj, cj1] = rcols.get_disjoint_mut([j, j1]).expect("a step's columns differ");
+                let (ci, ci1) = two_views_mut(lcols, i, i1);
+                let (cj, cj1) = two_views_mut(rcols, j, j1);
                 let pairs = [ColumnViewMut::pair_mut(ci, cj), ColumnViewMut::pair_mut(ci1, cj1)];
-                for outcome in pair_view2_with(pairs, rule, path) {
+                for outcome in pair_view2(pairs, rule) {
                     acc.absorb(outcome);
                 }
             }
@@ -411,9 +367,26 @@ impl SweepKernel {
     }
 }
 
+/// Views `a` and `b` of a tile, taken by one split at the larger index.
+/// They differ: [`two_row_steps`] never puts a row or a column abreast of
+/// itself.
+fn two_views_mut<'t, 'v>(
+    views: &'t mut [ColumnViewMut<'v>],
+    a: usize,
+    b: usize,
+) -> (&'t mut ColumnViewMut<'v>, &'t mut ColumnViewMut<'v>) {
+    debug_assert_ne!(a, b, "a step's two pairings share a row or a column");
+    let (lo, hi) = views.split_at_mut(a.max(b));
+    if a < b {
+        (&mut lo[a], &mut hi[0])
+    } else {
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
 /// The order every sweep walks an `nl × nr` rectangle of pairings in:
 /// `step((i, j), abreast)` per step, `abreast` a second pairing that shares
-/// no column with the first.
+/// no column with the first: its row is `i ± 1` and its column not `j`.
 ///
 /// Rows are taken two at a time, the odd row one step behind the even one:
 /// `(2r, j)` goes abreast of `(2r + 1, j − 1)`, and `(2r + 2, 0)` of
@@ -540,9 +513,9 @@ mod tests {
         acc
     }
 
-    /// The reference pairing as it was executed before the exact kernels,
-    /// kept as the oracle `pair_view_with(.., Scalar)` must match bit for
-    /// bit: one `dot` per inner product and the portable scalar rotation.
+    /// The pairing written plainly, kept as the oracle `pair_view` must
+    /// match bit for bit: one `dot` per inner product and the portable
+    /// scalar rotation.
     fn pair_view_oracle(mut v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
         let (app, aqq) = match (&v.di, &v.dj) {
             (Some(di), Some(dj)) => (**di, **dj),
@@ -779,34 +752,15 @@ mod tests {
         }
     }
 
-    /// The untiled row-major sweep of a two-block problem on `path` —
-    /// [`pair_within_block`] / [`pair_across_blocks`] themselves on
-    /// `Scalar`, which is all they compute.
+    /// The untiled row-major sweep of a two-block problem.
     fn sweep_two_untiled(
         left: &mut ColumnBlock,
         right: &mut ColumnBlock,
         rule: PairingRule,
-        path: KernelPath,
     ) -> SweepAccumulator {
-        if path == KernelPath::Scalar {
-            let mut acc = pair_within_block(left, rule);
-            acc.merge(pair_within_block(right, rule));
-            acc.merge(pair_across_blocks(left, right, rule));
-            return acc;
-        }
-        let mut acc = SweepAccumulator::default();
-        for block in [&mut *left, &mut *right] {
-            for i in 0..block.len() {
-                for j in i + 1..block.len() {
-                    acc.absorb(pair_view_with(block.pair_mut(i, j), rule, path));
-                }
-            }
-        }
-        for i in 0..left.len() {
-            for j in 0..right.len() {
-                acc.absorb(pair_view_with(cross_pair_mut(left, i, right, j), rule, path));
-            }
-        }
+        let mut acc = pair_within_block(left, rule);
+        acc.merge(pair_within_block(right, rule));
+        acc.merge(pair_across_blocks(left, right, rule));
         acc
     }
 
@@ -818,9 +772,7 @@ mod tests {
         // for every pair of block widths up to two tiles and a bit: none,
         // one column, odd, the 2-, 4- and 8-column blocks the service
         // solves, a full tile, a tile and a column. Both rules; no cache,
-        // both caches, and the mixed cache of a cross-block pair; both
-        // paths, `Lanes` against the same row-major order on its own
-        // reductions.
+        // both caches, and the mixed cache of a cross-block pair.
         let m = 38;
         let a0 = random_symmetric(m, 91);
         for (nl, nr) in (0..=19usize).flat_map(|nl| (0..=19usize).map(move |nr| (nl, nr))) {
@@ -834,21 +786,13 @@ mod tests {
                     if cache_right {
                         refresh_block_diag(&mut r_ref, rule);
                     }
-                    for path in [KernelPath::Scalar, KernelPath::Lanes] {
-                        let (mut l_ref, mut r_ref) = (l_ref.clone(), r_ref.clone());
-                        let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
-                        let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule, path);
-                        let kern = SweepKernel { path, ..SweepKernel::reference(rule) };
-                        let acc_new = sweep_two(&kern, &mut l_new, &mut r_new);
-                        let what = || {
-                            format!(
-                                "{nl}x{nr} {rule:?} {path:?} cache=({cache_left},{cache_right})"
-                            )
-                        };
-                        assert_eq!(acc_ref, acc_new, "{}", what());
-                        assert_eq!(l_ref, l_new, "{}", what());
-                        assert_eq!(r_ref, r_new, "{}", what());
-                    }
+                    let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
+                    let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule);
+                    let acc_new = sweep_two(&SweepKernel { rule }, &mut l_new, &mut r_new);
+                    let what = format!("{nl}x{nr} {rule:?} cache=({cache_left},{cache_right})");
+                    assert_eq!(acc_ref, acc_new, "{what}");
+                    assert_eq!(l_ref, l_new, "{what}");
+                    assert_eq!(r_ref, r_new, "{what}");
                 }
             }
         }
@@ -904,7 +848,7 @@ mod tests {
         let a0 = random_symmetric(m, 71);
         let bounds = [0usize, 20, 29, 30, 47, 47, 64]; // widths 20 9 1 17 0 17
         let pairs = [(3usize, 0usize), (1, 5), (4, 2)];
-        let kern = SweepKernel::reference(PairingRule::Implicit);
+        let kern = SweepKernel { rule: PairingRule::Implicit };
         let mut merged: Vec<ColumnBlock> = bounds
             .windows(2)
             .map(|w| ColumnBlock::from_matrix_with_identity(&a0, w[0]..w[1], m))
@@ -927,30 +871,6 @@ mod tests {
         }
         assert_eq!(acc_merged, acc_single);
         assert_eq!(merged, single);
-    }
-
-    #[test]
-    fn lanes_path_pairs_equivalently_to_scalar() {
-        // Lanes reassociates the inner products (≤1e-12 relative), so the
-        // rotated columns agree to tight tolerance rather than bitwise.
-        let m = 16;
-        let a0 = random_symmetric(m, 29);
-        for cached in [false, true] {
-            let mut scalar = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
-            if cached {
-                refresh_block_diag(&mut scalar, PairingRule::Implicit);
-            }
-            let mut lanes = scalar.clone();
-            let reference = SweepKernel::reference(PairingRule::Implicit);
-            let _ = reference.within([&mut scalar]);
-            let kern = SweepKernel { path: KernelPath::Lanes, ..reference };
-            let _ = kern.within([&mut lanes]);
-            for k in 0..m {
-                for (g, w) in lanes.a_col(k).iter().zip(scalar.a_col(k)) {
-                    assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "cached={cached} col {k}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -623,7 +623,7 @@ impl<'a> JobNode<'a> {
             tag,
             job: &run.jobs[job],
             run,
-            kern: SweepKernel::from_options(spec.kind.rule(), &spec.opts),
+            kern: SweepKernel { rule: spec.kind.rule() },
             node,
             slot0,
             slot1,

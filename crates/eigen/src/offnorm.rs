@@ -22,9 +22,9 @@
 //! definition, and it is the order a `d`-cube computes the sum in:
 //!
 //! 1. a column: `λ = `[`dot`]`(u, a)`, then `(a_i − λ·u_i)²` added in row
-//!    order into one running sum ([`residual_sq`]: portable, no
-//!    [`mph_linalg::KernelPath`] dispatch — the measure is one function of
-//!    the column data);
+//!    order into one running sum ([`residual_sq`]: a plain loop, and
+//!    `dot` has one set of bits on every vector tier — the measure is one
+//!    function of the column data);
 //! 2. a block: its columns' sums in local column order;
 //! 3. a node: slot 0 + slot 1 (`node_residual_sq`);
 //! 4. the cube: the nodes' partials by dimension exchange over dims

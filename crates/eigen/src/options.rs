@@ -119,15 +119,12 @@ pub struct JacobiOptions {
     /// Mid-run reaction to a degraded fabric; see [`Adaptation`]. Ignored
     /// (harmlessly) unless `fabric` is [`FabricModel::Degraded`].
     pub adaptation: Adaptation,
-    /// Which bits the rotation kernels compute (see
-    /// [`mph_linalg::KernelPath`]) — not which instructions: both settings
-    /// run on the widest vector unit the CPU offers that can produce their
-    /// bits. `Scalar` (the default) is the bitwise reference, stable
-    /// across releases: every inner product is the portable `dot` to the
-    /// bit, computed by exact vector kernels. `Lanes` keeps the rotations
-    /// bitwise identical but takes reassociated FMA reductions (the
-    /// pairing's fused inner products; ≤1e-12 relative per inner
-    /// product), so it is opt-in like `cache_diagonals`.
+    /// Ignored: no solver reads it, and every value gives the bits of the
+    /// default — there is one inner product, `mph_linalg::vecops::dot`, on
+    /// every vector tier. Kept only because the repository benchmark
+    /// (`benchmark/src`) still sets it; the benchmark-correcting change of
+    /// ROADMAP item 1 deletes it.
+    #[doc(hidden)]
     pub kernel: KernelPath,
     /// Ignored: no solver reads it, and every value gives the bits of the
     /// default. Kept only because the repository benchmark (`benchmark/src`)
@@ -226,9 +223,32 @@ mod tests {
         assert_eq!(o.tail_pipelining, Pipelining::Off, "whole-block tail must be the default");
         assert_eq!(o.fabric, FabricModel::Free, "the raw channel fabric must be the default");
         assert_eq!(o.adaptation, Adaptation::Off, "no mid-run adaptation by default");
-        assert_eq!(o.kernel, KernelPath::Scalar, "the reference bits must be the default");
         assert!(!o.trace.is_enabled(), "tracing must default to the nop sink");
         assert!(o.fabric.validate().is_ok(), "the default option set must validate");
+    }
+
+    #[test]
+    fn both_kernel_paths_solve_to_identical_bits() {
+        // `kernel` is an inert field: the logical and the engine's
+        // eigensolve and the logical SVD, uncached and cached, are the same
+        // bits whichever path it names.
+        use crate::{block_jacobi, svd::svd_block, threaded::block_jacobi_threaded};
+        use mph_core::OrderingFamily::PermutedBr;
+        let a = mph_linalg::random_symmetric(24, 45);
+        for cache_diagonals in [false, true] {
+            let [scalar, lanes] = [KernelPath::Scalar, KernelPath::Lanes]
+                .map(|kernel| JacobiOptions { kernel, cache_diagonals, ..Default::default() });
+            let want = block_jacobi(&a, 2, PermutedBr, &scalar);
+            for got in [
+                block_jacobi(&a, 2, PermutedBr, &lanes),
+                block_jacobi_threaded(&a, 2, PermutedBr, &lanes).result,
+            ] {
+                assert_eq!(got.eigenvalues, want.eigenvalues, "cache={cache_diagonals}");
+                assert_eq!(got.eigenvectors, want.eigenvectors, "cache={cache_diagonals}");
+            }
+            let [want, got] = [&scalar, &lanes].map(|opts| svd_block(&a, 2, PermutedBr, opts));
+            assert_eq!((got.singular_values, got.v), (want.singular_values, want.v));
+        }
     }
 
     #[test]

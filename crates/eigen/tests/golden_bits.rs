@@ -1,5 +1,5 @@
-//! The committed witness of "`KernelPath::Scalar` is bitwise-stable across
-//! releases": a checksum over every output bit of 24 small solves, pinned to
+//! The committed witness of "the solvers' bits are stable across releases":
+//! a checksum over every output bit of 24 small solves, first pinned to
 //! constants captured at the commit *before* the reference bits were first
 //! executed by vector kernels (PR 15). A kernel change that moves one bit of
 //! one eigenvalue, vector entry, `off_history` value, sweep or rotation
@@ -17,10 +17,17 @@
 //! (`off_history` was empty); in both tables the two of those three that
 //! now stop a sweep earlier, where their logical solves always stopped.
 //!
+//! Both tables were re-captured, all 42 rows, when the inner product's
+//! *definition* moved after commit 850d412: `mph_linalg::vecops::dot` went
+//! from four multiply-then-add partial sums, `(s0+s1)+(s2+s3)`, to eight
+//! fused multiply-add chains, `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, with
+//! a fused tail. The rotations kept their bits. The constants of commit
+//! 850d412 are in CHANGES.md.
+//!
 //! The inputs come from the vendored seeded RNG and the solvers use only
-//! `+ − × ÷ √`, all correctly rounded by IEEE 754, so the constants do not
-//! depend on the host, the vector tier it offers, or the build profile —
-//! CI runs this file in both.
+//! `+ − × ÷ √` and fused multiply-add, all correctly rounded by IEEE 754,
+//! so the constants do not depend on the host, the vector tier it offers,
+//! or the build profile — CI runs this file in both.
 
 use mph_core::OrderingFamily;
 use mph_eigen::{
@@ -101,64 +108,64 @@ const SHAPES: [(usize, usize, bool, bool); 6] = [
 const SOLVERS: [Solver; 4] =
     [Solver::BlockJacobi, Solver::OneSidedCyclic, Solver::SvdBlock, Solver::BlockJacobiThreaded];
 
-/// Checksums at commit a70488e (PR 14), `SOLVERS` outer, `SHAPES` inner;
-/// rows 0–11, 18, 21 and 22 re-captured at PR 21 (file docs).
-/// The last three shapes of every solver (rows 3–5, 9–11, 15–17, 21–23)
-/// ran the tile tournament's pairing order until it was deleted; they hold
-/// the serial order's bits, computed at commit 967c5f6. Of them, rows 3,
-/// 9–11, 15 and 21 are the ones the two orders differ on.
+/// Checksums, `SOLVERS` outer, `SHAPES` inner, re-captured when the inner
+/// product's definition moved (file docs). Before that: first captured at
+/// commit a70488e, rows 0–11, 18, 21 and 22 re-captured when the
+/// convergence measure moved, and the last three shapes of every solver
+/// (rows 3–5, 9–11, 15–17, 21–23) computed in the serial order at commit
+/// 967c5f6, when the tile tournament's pairing order was deleted.
 const GOLDEN: [u64; 24] = [
-    0xb8216f2218ce0c8e,
-    0xc69dafe9eef004d5,
-    0xad67b4eebcdc4c95,
-    0x3a3ba66f4b831cea,
-    0x5f50435d71dc203b,
-    0x8f52f24576e4518a,
-    0x312f76167fe454cd,
-    0xdbd7de14559a195c,
-    0xbd8e2db4277c4430,
-    0x6cb49b85b849c697,
-    0xcc9a1119dd09327a,
-    0x591c0e78ac39a2c3,
-    0x675502d76547aae7,
-    0xc724576f4683819a,
-    0x5d63ad55482535e3,
-    0xfea4c2df5b12b62c,
-    0x7f68bcb4c8aee24b,
-    0x62e211b72f3cf5dd,
-    0xf3c38aee8c07427c,
-    0x1e518701509fe47a,
-    0x3e467a30d02c409c,
-    0xd2ec70873837c53a,
-    0x0027a5b4052d4f72,
-    0xe344400a4c358ab1,
+    0x872d2743f29d57d9,
+    0x4b00c9c14bedfe17,
+    0xd8ffc4adb56af692,
+    0x52758c21dca206bb,
+    0xcd17ed8ea0f5ea47,
+    0xd2f4fd70b0579fac,
+    0x7dc5b1f852a20008,
+    0x9b4af058c27a6974,
+    0xf766d6af54e6934a,
+    0xb14b805e42cdb558,
+    0xa8eba75eb98f3859,
+    0x6cf24c474d718bfe,
+    0x24d05c11874dea86,
+    0xf00585577f36f871,
+    0xac6ee2fe34a54070,
+    0xa45c7869f20f7e76,
+    0xc631949d0c5cbac8,
+    0x7173ad59856a4e09,
+    0xa1ec92e0cbc5ce9e,
+    0x42e894806af632f8,
+    0x784b15017e5694d1,
+    0xe8e09f6c6abf9290,
+    0x75e6d2ead8ff6d3b,
+    0xd8843ddf5f880c7d,
 ];
 
-/// History-less [`eigen_checksum`]s of the 18 eigen rows of `GOLDEN` (the SVD rows
-/// skipped), captured at commit 9f34a1f (PR 20); rows 12 and 16 — the
-/// threaded `(17, 1, false, false)` and `(40, 2, false, false)`, 7 → 6
-/// and 8 → 7 sweeps — re-captured at PR 21.
-/// Rows 3–5, 9–11 and 15–17 hold the serial order's bits, computed at
-/// commit 967c5f6 (see `GOLDEN`).
+/// History-less [`eigen_checksum`]s of the 18 eigen rows of `GOLDEN` (the
+/// SVD rows skipped), re-captured with `GOLDEN`. Before that: first
+/// captured at commit 9f34a1f; rows 12 and 16 — the threaded
+/// `(17, 1, false, false)` and `(40, 2, false, false)`, 7 → 6 and 8 → 7
+/// sweeps — re-captured when the convergence measure moved; rows 3–5, 9–11
+/// and 15–17 from commit 967c5f6 (see `GOLDEN`).
 const GOLDEN_SOLUTION: [u64; 18] = [
-    0x7240d43cf7e95a83,
-    0xd9252dbd62b1d2fa,
-    0x4f70ee97fb2e016e,
-    0x526e50d2e56aab6b,
-    0x09193a9c4a96f914,
-    0x0874bf500a0632a9,
-    0x43c8869a994327b6,
-    0x052739b6f0888320,
-    0x72cce5f96ac7a9da,
-    0x4d3f9f1463ef3a13,
-    0xb8933a6a3b9ac699,
-    0x33c509c63285214e,
-    0xfad526832b50c4de,
-    0x2a76cc8b54c2c03a,
-    0x453be730ac4085fc,
-    0x3e7672c990e3c96f,
-    0xf7f2531a80f81192,
-    0x3bd70738a9644a31,
+    0x2abe735ce2e8b360,
+    0x748729a3b760fe53,
+    0x30931764b5eec954,
+    0xf0ef000c740b49db,
+    0xb0ae461887f4ae0a,
+    0x32e61363c3739af9,
+    0x104c46906ec2d50a,
+    0x448cf3cae67354cf,
+    0xf963d056dc7ba655,
+    0xcb21406845824be6,
+    0x14ce17704ea45b93,
+    0x6946c00c08f18220,
+    0xf4c2c4c64d21887d,
+    0x9b859669f7d322f8,
+    0x18802579307f5051,
+    0xd3d2df7555fd0199,
+    0x2954b2f5bb331b1f,
+    0xe6b5fede43b3867d,
 ];
 
 /// A tall `rows × cols` matrix on `[-1, 1]`: the rectangular SVD case, where

@@ -201,8 +201,7 @@ impl<'a> PairViewMut<'a> {
 
     /// [`PairViewMut::rotate`] on the widest vector unit the host offers
     /// ([`crate::vecops::pair_rotate_lanes`]): the same bits (the lane
-    /// rotate uses no FMA), produced faster — what every pairing of every
-    /// [`crate::vecops::KernelPath`] runs.
+    /// rotate uses no FMA), produced faster — what every pairing runs.
     #[inline]
     pub fn rotate_with(&mut self, c: f64, s: f64) {
         crate::vecops::pair_rotate_lanes(self.ai, self.aj, self.ui, self.uj, c, s);

@@ -12,9 +12,10 @@
 //!   the unit every parallel driver pairs locally and ships across links;
 //! * [`vecops`] — the handful of BLAS-1 kernels the solver needs (`dot`,
 //!   the fused inner products of a pairing, fused column-pair rotation):
-//!   a portable definition of each result's bits,
-//!   vector kernels that reproduce those bits exactly, and opt-in
-//!   reassociated reductions selected by [`KernelPath`];
+//!   one definition of each result's bits — the inner product's eight
+//!   fused multiply-add chains, its fixed tree and fused tail — and vector
+//!   kernels on AVX-512F, AVX2 and a portable loop that reproduce those
+//!   bits exactly;
 //! * [`rotation`] — the symmetric 2×2 Schur decomposition that produces the
 //!   rotation `(c, s)` annihilating an off-diagonal element;
 //! * [`symmetric`] — random and classical symmetric test-matrix generators
@@ -33,7 +34,4 @@ pub use block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, Pair
 pub use matrix::Matrix;
 pub use rotation::{symmetric_schur, JacobiRotation};
 pub use symmetric::{frank_matrix, off_diagonal_frobenius, random_symmetric, wilkinson_matrix};
-pub use vecops::{
-    dot, dot_lanes, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes, rotate_pair,
-    KernelPath,
-};
+pub use vecops::{dot, fused_triple, pair_rotate, pair_rotate_lanes, rotate_pair, KernelPath};

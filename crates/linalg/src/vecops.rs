@@ -1,60 +1,51 @@
 //! BLAS-1 style kernels used by the one-sided Jacobi inner loop.
 //!
-//! These are the only operations on the solver's hot path. [`dot`] is the
-//! portable definition of an inner product — four partial sums by index
-//! mod 4, multiply then add, `(s0+s1)+(s2+s3)`, tail in index order — and
-//! [`pair_rotate`] of a rotation (multiply, multiply, add). Beside them
-//! stand kernels dispatched at runtime to the widest vector unit the CPU
-//! offers (AVX-512F, then AVX2 — with FMA for the kernels that use it —
-//! then a portable loop), of two kinds:
+//! These are the only operations on the solver's hot path: the inner
+//! product and the plane rotation, each with one definition, and kernels
+//! dispatched at runtime to the widest vector unit the CPU offers (AVX-512F,
+//! then AVX2 — with FMA where the kernel uses it — then a portable loop).
+//! Every tier of a kernel computes its definition's bits.
 //!
-//! * *exact* kernels — [`fused_triple_exact`], [`pair_rotate_lanes`] —
-//!   compute the reference bits: every result is
-//!   `to_bits`-equal to [`dot`] / [`pair_rotate`], at any width, because a
-//!   vector register doing a multiply and then an add (never an FMA), lane
-//!   `l` holding partial sum `l`, performs exactly the scalar operations;
-//! * *reassociated* reductions — [`fused_triple`], [`dot_lanes`] — use
-//!   wider partial sums and FMA, ≤1e-12 relative of [`dot`] per entry.
-//!
-//! [`KernelPath`] selects between the two kinds of *reduction*; it promises
-//! bits, not an instruction mix:
-//!
-//! * `Scalar` (the default) is the reference bits — every result produced
-//!   through it is bitwise identical to previous releases — executed by the
-//!   exact kernels.
-//! * `Lanes` keeps the rotations bitwise identical and takes the
-//!   reassociated reductions.
+//! * [`dot`] is the one inner product: eight partial sums by index mod 8,
+//!   each a fused multiply-add chain that starts at 0.0, then the fixed
+//!   tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the `n mod 8` tail
+//!   folded in index order with a fused multiply-add. FMA is a correctly
+//!   rounded IEEE operation, so the bits do not depend on the host.
+//!   AVX-512F holds a product's eight sums in one register, AVX2 with FMA
+//!   in two; the portable form, which is also what an AVX2 host without
+//!   FMA runs, calls `f64::mul_add`. [`dot_x2`], [`fused_triple`] and
+//!   [`fused_triple_x2`] take two, three and six inner products in one
+//!   pass, each product bitwise [`dot`].
+//! * [`pair_rotate`] is the rotation (multiply, multiply, add), and
+//!   [`pair_rotate_lanes`] its vector form: it multiplies then adds — no
+//!   FMA — so it is bitwise the scalar loop at every width.
 
-/// Which bits the rotation stack computes.
+/// Which bits the rotation stack computes — one set, whichever variant.
 ///
-/// Mirrors the `cache_diagonals` contract: the default is bitwise parity
-/// with the reference implementation, the opt-in is a proptest-bounded
-/// equivalent that exists purely for speed. Neither variant names an
-/// instruction set: both run on the widest vector unit that can produce
-/// their bits.
+/// Every inner product is bitwise [`dot`] and every rotation bitwise
+/// [`pair_rotate`] on both variants; neither names an instruction set.
+/// Kept only because the repository benchmark (`benchmark/src`) still
+/// names it; the benchmark-correcting change of ROADMAP item 1 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// The reference bits, stable across releases: every inner product is
-    /// bitwise [`dot`], every rotation bitwise [`pair_rotate`].
+    /// The one set of bits.
     #[default]
     Scalar,
-    /// Reassociated reductions. Rotations stay bitwise identical to
-    /// `Scalar`; the reductions — the pairing's fused inner products — use
-    /// wider partial sums and FMA, ≤1e-12 relative of the scalar `dot` per
-    /// entry.
+    /// The same bits as `Scalar`.
     Lanes,
 }
 
-/// The vector unit the lane kernels dispatch to, detected once per process.
+/// The vector unit the kernels dispatch to, detected once per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneTier {
+    /// AVX-512F, which includes AVX2 and FMA.
     #[cfg(target_arch = "x86_64")]
     Avx512,
     /// AVX2 with FMA: every AVX2 kernel.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
-    /// AVX2 without FMA: the exact kernels and the rotator, which use none;
-    /// the reassociated reductions run portable.
+    /// AVX2 without FMA: the rotators, which use none; the reductions run
+    /// portable.
     #[cfg(target_arch = "x86_64")]
     Avx2,
     Portable,
@@ -84,168 +75,159 @@ fn lane_tier() -> LaneTier {
     LaneTier::Portable
 }
 
-/// Dot product of two equal-length slices.
+/// Which inner products one pass of a reduction takes over its streams:
+/// product `k` is `streams[TABLE[k][0]] · streams[TABLE[k][1]]`.
+trait Products<const P: usize> {
+    const TABLE: [[usize; 2]; P];
+}
+
+/// [`dot`]: `x · y` over `[x, y]`.
+struct One;
+/// [`dot_x2`]: `x0 · y0` and `x1 · y1` over `[x0, y0, x1, y1]`.
+struct Two;
+/// [`fused_triple`]: `x · a`, `x · b` and `y · b` over `[x, a, y, b]`.
+struct Triple;
+/// [`fused_triple_x2`]: a [`Triple`] over each half of eight streams.
+struct TripleX2;
+
+impl Products<1> for One {
+    const TABLE: [[usize; 2]; 1] = [[0, 1]];
+}
+impl Products<2> for Two {
+    const TABLE: [[usize; 2]; 2] = [[0, 1], [2, 3]];
+}
+impl Products<3> for Triple {
+    const TABLE: [[usize; 2]; 3] = [[0, 1], [0, 3], [2, 3]];
+}
+impl Products<6> for TripleX2 {
+    const TABLE: [[usize; 2]; 6] = [[0, 1], [0, 3], [2, 3], [4, 5], [4, 7], [6, 7]];
+}
+
+/// `T`'s products over `streams`, each bitwise [`dot`], on the widest tier
+/// this host has.
+///
+/// # Panics
+/// Panics, with `assert_eq!`'s message, unless every stream has one length.
+#[inline]
+fn dots<const S: usize, const P: usize, T: Products<P>>(streams: [&[f64]; S]) -> [f64; P] {
+    for s in &streams[1..] {
+        assert_eq!(streams[0].len(), s.len());
+    }
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier implies cpuid reported avx512f (`lane_tier`),
+        // and every stream's length was just checked.
+        LaneTier::Avx512 => unsafe { x86::dots_avx512::<S, P, T>(streams) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier implies cpuid reported avx2 and fma, and every
+        // stream's length was just checked.
+        LaneTier::Avx2Fma => unsafe { x86::dots_avx2::<S, P, T>(streams) },
+        _ => dots_portable::<S, P, T>(streams),
+    }
+}
+
+/// The portable tier of [`dots`]: the definition, lane `l` of product `k`
+/// an `f64::mul_add` chain.
+fn dots_portable<const S: usize, const P: usize, T: Products<P>>(streams: [&[f64]; S]) -> [f64; P] {
+    let body = streams[0].len() / 8 * 8;
+    let mut sums = [[0.0f64; 8]; P];
+    for i in (0..body).step_by(8) {
+        for (sums, [x, y]) in sums.iter_mut().zip(T::TABLE) {
+            for (l, sum) in sums.iter_mut().enumerate() {
+                *sum = streams[x][i + l].mul_add(streams[y][i + l], *sum);
+            }
+        }
+    }
+    finish::<S, P, T>(sums, streams, body)
+}
+
+/// The end every tier's reduction shares: each product's eight partial sums
+/// through the fixed tree — written out here once — then the tail from
+/// `body` on, folded in index order with a fused multiply-add.
+#[inline(always)]
+fn finish<const S: usize, const P: usize, T: Products<P>>(
+    sums: [[f64; 8]; P],
+    streams: [&[f64]; S],
+    body: usize,
+) -> [f64; P] {
+    let mut out = sums
+        .map(|[s0, s1, s2, s3, s4, s5, s6, s7]| ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7)));
+    for i in body..streams[0].len() {
+        for (out, [x, y]) in out.iter_mut().zip(T::TABLE) {
+            *out = streams[x][i].mul_add(streams[y][i], *out);
+        }
+    }
+    out
+}
+
+/// The inner product of two equal-length slices: eight partial sums by
+/// index mod 8, each a fused multiply-add chain from 0.0, the tree
+/// `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the `n mod 8` tail in
+/// index order, fused. The same bits on every host.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    // Four independent partial sums break the fp-add dependency chain and
-    // let the compiler keep four accumulators in registers.
-    let mut s0 = 0.0f64;
-    let mut s1 = 0.0f64;
-    let mut s2 = 0.0f64;
-    let mut s3 = 0.0f64;
-    let mut xc = x.chunks_exact(4);
-    let mut yc = y.chunks_exact(4);
-    for (xk, yk) in (&mut xc).zip(&mut yc) {
-        s0 += xk[0] * yk[0];
-        s1 += xk[1] * yk[1];
-        s2 += xk[2] * yk[2];
-        s3 += xk[3] * yk[3];
-    }
-    let mut s = (s0 + s1) + (s2 + s3);
-    for (xi, yi) in xc.remainder().iter().zip(yc.remainder()) {
-        s += xi * yi;
-    }
-    s
+    let [d] = dots::<2, 1, One>([x, y]);
+    d
 }
 
-/// [`dot`] on the lane path: same reduction, dispatched to the widest
-/// vector unit available. Reassociates the accumulation (and may contract
-/// multiply-add with FMA), so the result is ≤1e-12 relative of [`dot`]
-/// rather than bitwise equal.
+/// Two [`dot`]s in one pass, `[x0 · y0, x1 · y1]`, each `to_bits`-equal to
+/// [`dot`]: two independent add chains where one `dot` has one. Products of
+/// different lengths are taken one after the other.
+///
+/// # Panics
+/// Panics if the two slices of either product differ in length.
 #[inline]
-pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: the tier is only ever Avx512/Avx2Fma when cpuid reported
-        // the matching features at process start.
-        LaneTier::Avx512 => unsafe { x86::dot_avx512(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2Fma => unsafe { x86::dot_avx2(x, y) },
-        _ => dot(x, y),
+pub fn dot_x2([x0, y0]: [&[f64]; 2], [x1, y1]: [&[f64]; 2]) -> [f64; 2] {
+    if x0.len() != x1.len() {
+        return [dot(x0, y0), dot(x1, y1)];
     }
+    dots::<4, 2, Two>([x0, y0, x1, y1])
 }
 
 /// The three inner products a Jacobi pairing needs, in one pass:
-/// `(x·a, x·b, y·b)`.
+/// `(x·a, x·b, y·b)`, each `to_bits`-equal to [`dot`].
 ///
 /// A pairing derives its 2×2 block from `app = u_i·a_i`, `apq = u_i·a_j`,
 /// `aqq = u_j·a_j` (or the Gram forms with `a` in both roles) — three dot
 /// products over the same column pair. Walking the four streams once does
-/// 3 multiplies per ~4 loads instead of three separate 2-load traversals.
-///
-/// The portable form keeps each product's accumulation order identical to
-/// [`dot`]; the AVX forms use FMA and wider partial sums, so the contract
-/// across tiers is ≤1e-12 relative of the three separate dots.
+/// 3 multiply-adds per 4 loads instead of three separate 2-load traversals.
 ///
 /// # Panics
 /// Panics if the slices do not all have one common length.
 #[inline]
 pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(x.len(), a.len());
-    assert_eq!(y.len(), b.len());
-    assert_eq!(x.len(), y.len());
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: tier implies the feature was detected (see `lane_tier`).
-        LaneTier::Avx512 => unsafe { x86::fused_triple_avx512(x, a, y, b) },
-        #[cfg(target_arch = "x86_64")]
-        LaneTier::Avx2Fma => unsafe { x86::fused_triple_avx2(x, a, y, b) },
-        _ => fused_triple_portable(x, a, y, b),
-    }
+    let [pp, pq, qq] = dots::<4, 3, Triple>([x, a, y, b]);
+    (pp, pq, qq)
 }
 
-/// Portable fused triple: one pass, but each product accumulated in the
-/// exact partial-sum order of [`dot`], so on the portable tier the fused
-/// form is bitwise equal to the three separate dots.
-fn fused_triple_portable(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    let mut pp = [0.0f64; 4];
-    let mut pq = [0.0f64; 4];
-    let mut qq = [0.0f64; 4];
-    let mut xc = x.chunks_exact(4);
-    let mut ac = a.chunks_exact(4);
-    let mut yc = y.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (((xk, ak), yk), bk) in (&mut xc).zip(&mut ac).zip(&mut yc).zip(&mut bc) {
-        for l in 0..4 {
-            pp[l] += xk[l] * ak[l];
-            pq[l] += xk[l] * bk[l];
-            qq[l] += yk[l] * bk[l];
-        }
-    }
-    let mut spp = (pp[0] + pp[1]) + (pp[2] + pp[3]);
-    let mut spq = (pq[0] + pq[1]) + (pq[2] + pq[3]);
-    let mut sqq = (qq[0] + qq[1]) + (qq[2] + qq[3]);
-    let (xr, ar, yr, br) = (xc.remainder(), ac.remainder(), yc.remainder(), bc.remainder());
-    for i in 0..xr.len() {
-        spp += xr[i] * ar[i];
-        spq += xr[i] * br[i];
-        sqq += yr[i] * br[i];
-    }
-    (spp, spq, sqq)
-}
-
-/// [`fused_triple`] with the reference bits: `(x·a, x·b, y·b)` in one pass,
-/// each product `to_bits`-equal to [`dot`].
-///
-/// The AVX2 form keeps one 4-lane accumulator per product — lane `l` is
-/// `dot`'s partial sum `l` — multiplies then adds, and finishes with `dot`'s
-/// own tree and tail, so it performs the scalar operations exactly; eight
-/// lanes would be eight partial sums, so it serves AVX-512 hosts as well.
-/// This is what a [`KernelPath::Scalar`] pairing runs on.
-///
-/// # Panics
-/// Panics if the slices do not all have one common length.
-#[inline]
-pub fn fused_triple_exact(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(x.len(), a.len());
-    assert_eq!(y.len(), b.len());
-    assert_eq!(x.len(), y.len());
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
-        // includes it); the common length was asserted above.
-        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
-            x86::fused_triple_exact_avx2(x, a, y, b)
-        },
-        LaneTier::Portable => fused_triple_portable(x, a, y, b),
-    }
-}
-
-/// The four streams `[x, a, y, b]` of one [`fused_triple_exact`] call.
+/// The four streams `[x, a, y, b]` of one [`fused_triple`] call.
 pub type TripleStreams<'a> = [&'a [f64]; 4];
 
-/// Two [`fused_triple_exact`]s in one pass: the 2×2 blocks of two pairings
-/// that share no column, each of the six products `to_bits`-equal to
-/// [`dot`].
+/// Two [`fused_triple`]s in one pass: the 2×2 blocks of two pairings that
+/// share no column, each of the six products `to_bits`-equal to [`dot`],
+/// so six add chains are in flight where one pairing has three.
 ///
-/// The AVX2 form walks both pairings' streams together — six 4-lane
-/// accumulators, multiply then add, `dot`'s tree and tail per product — so
-/// six add chains are in flight where one pairing has three. Pairings of
-/// different column lengths, and the portable tier, take the two blocks one
-/// after the other.
+/// Pairings of different column lengths take the two blocks one after the
+/// other, as does the AVX2 tier, whose twelve accumulators would not fit
+/// its sixteen registers beside the loads.
 ///
 /// # Panics
 /// Panics if the four streams of either pairing do not share one length.
 #[inline]
-pub fn fused_triple_exact_x2(p: TripleStreams<'_>, q: TripleStreams<'_>) -> [(f64, f64, f64); 2] {
+pub fn fused_triple_x2(p: TripleStreams<'_>, q: TripleStreams<'_>) -> [(f64, f64, f64); 2] {
+    let apart = p[0].len() != q[0].len();
     #[cfg(target_arch = "x86_64")]
-    if lane_tier() != LaneTier::Portable && p[0].len() == q[0].len() {
-        for [x, a, y, b] in [p, q] {
-            assert_eq!(x.len(), a.len());
-            assert_eq!(y.len(), b.len());
-            assert_eq!(x.len(), y.len());
-        }
-        // Safety: every tier but the portable one implies avx2 (rustc's
-        // `avx512f` includes it); the common length of all eight streams
-        // was just checked.
-        return unsafe { x86::fused_triple_exact_x2_avx2(p, q) };
+    let apart = apart || lane_tier() == LaneTier::Avx2Fma;
+    if apart {
+        let one = |[x, a, y, b]: TripleStreams<'_>| fused_triple(x, a, y, b);
+        return [one(p), one(q)];
     }
-    [fused_triple_exact(p[0], p[1], p[2], p[3]), fused_triple_exact(q[0], q[1], q[2], q[3])]
+    let [pp0, pq0, qq0, pp1, pq1, qq1] =
+        dots::<8, 6, TripleX2>([p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]]);
+    [(pp0, pq0, qq0), (pp1, pq1, qq1)]
 }
 
 /// Applies the plane rotation to a column pair in one fused pass:
@@ -517,239 +499,69 @@ fn top_pivot_abreast<const N: usize>(
 mod x86 {
     use std::arch::x86_64::*;
 
-    /// Horizontal sum of a 4-lane f64 vector.
+    /// [`super::dots`] on AVX-512F: product `k`'s eight partial sums in one
+    /// register, lane `l` the sum of index `l` mod 8, one fused
+    /// multiply-add per eight elements — then [`super::finish`]'s tree and
+    /// tail.
     ///
     /// # Safety
-    /// Requires AVX (implied by the callers' avx2 target features).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        let odd = _mm_unpackhi_pd(s, s);
-        _mm_cvtsd_f64(_mm_add_sd(s, odd))
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx512f` via cpuid.
+    /// Caller must have verified `avx512f` via cpuid (rustc's `avx512f`
+    /// includes `fma`); all `S` streams must share one length (checked by
+    /// [`super::dots`]).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot_avx512(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let mut s0 = _mm512_setzero_pd();
-        let mut s1 = _mm512_setzero_pd();
-        let chunks = n / 16;
-        for k in 0..chunks {
-            let i = 16 * k;
-            let x0 = _mm512_loadu_pd(x.as_ptr().add(i));
-            let y0 = _mm512_loadu_pd(y.as_ptr().add(i));
-            let x1 = _mm512_loadu_pd(x.as_ptr().add(i + 8));
-            let y1 = _mm512_loadu_pd(y.as_ptr().add(i + 8));
-            s0 = _mm512_fmadd_pd(x0, y0, s0);
-            s1 = _mm512_fmadd_pd(x1, y1, s1);
+    pub unsafe fn dots_avx512<const S: usize, const P: usize, T: super::Products<P>>(
+        streams: [&[f64]; S],
+    ) -> [f64; P] {
+        let body = streams[0].len() / 8 * 8;
+        let mut acc = [_mm512_setzero_pd(); P];
+        let mut v = [_mm512_setzero_pd(); S];
+        for i in (0..body).step_by(8) {
+            for (reg, s) in v.iter_mut().zip(streams) {
+                *reg = _mm512_loadu_pd(s.as_ptr().add(i));
+            }
+            for (acc, [x, y]) in acc.iter_mut().zip(T::TABLE) {
+                *acc = _mm512_fmadd_pd(v[x], v[y], *acc);
+            }
         }
-        let mut s = _mm512_reduce_add_pd(s0) + _mm512_reduce_add_pd(s1);
-        for i in 16 * chunks..n {
-            s += x[i] * y[i];
+        let mut sums = [[0.0f64; 8]; P];
+        for (sums, acc) in sums.iter_mut().zip(acc) {
+            _mm512_storeu_pd(sums.as_mut_ptr(), acc);
         }
-        s
+        super::finish::<S, P, T>(sums, streams, body)
     }
 
+    /// [`super::dots`] on AVX2 with FMA: product `k`'s eight partial sums in
+    /// two registers, lanes 0–3 and 4–7, one fused multiply-add each per
+    /// eight elements — then [`super::finish`]'s tree and tail.
+    ///
     /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid.
+    /// Caller must have verified `avx2` and `fma` via cpuid; all `S`
+    /// streams must share one length (checked by [`super::dots`]).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let mut s0 = _mm256_setzero_pd();
-        let mut s1 = _mm256_setzero_pd();
-        let chunks = n / 8;
-        for k in 0..chunks {
-            let i = 8 * k;
-            let x0 = _mm256_loadu_pd(x.as_ptr().add(i));
-            let y0 = _mm256_loadu_pd(y.as_ptr().add(i));
-            let x1 = _mm256_loadu_pd(x.as_ptr().add(i + 4));
-            let y1 = _mm256_loadu_pd(y.as_ptr().add(i + 4));
-            s0 = _mm256_fmadd_pd(x0, y0, s0);
-            s1 = _mm256_fmadd_pd(x1, y1, s1);
+    pub unsafe fn dots_avx2<const S: usize, const P: usize, T: super::Products<P>>(
+        streams: [&[f64]; S],
+    ) -> [f64; P] {
+        let body = streams[0].len() / 8 * 8;
+        let mut lo = [_mm256_setzero_pd(); P];
+        let mut hi = [_mm256_setzero_pd(); P];
+        let mut vlo = [_mm256_setzero_pd(); S];
+        let mut vhi = [_mm256_setzero_pd(); S];
+        for i in (0..body).step_by(8) {
+            for ((rlo, rhi), s) in vlo.iter_mut().zip(&mut vhi).zip(streams) {
+                *rlo = _mm256_loadu_pd(s.as_ptr().add(i));
+                *rhi = _mm256_loadu_pd(s.as_ptr().add(i + 4));
+            }
+            for ((lo, hi), [x, y]) in lo.iter_mut().zip(&mut hi).zip(T::TABLE) {
+                *lo = _mm256_fmadd_pd(vlo[x], vlo[y], *lo);
+                *hi = _mm256_fmadd_pd(vhi[x], vhi[y], *hi);
+            }
         }
-        let mut s = hsum256(_mm256_add_pd(s0, s1));
-        for i in 8 * chunks..n {
-            s += x[i] * y[i];
+        let mut sums = [[0.0f64; 8]; P];
+        for ((sums, lo), hi) in sums.iter_mut().zip(lo).zip(hi) {
+            _mm256_storeu_pd(sums.as_mut_ptr(), lo);
+            _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
         }
-        s
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx512f` via cpuid.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn fused_triple_avx512(
-        x: &[f64],
-        a: &[f64],
-        y: &[f64],
-        b: &[f64],
-    ) -> (f64, f64, f64) {
-        let n = x.len();
-        let mut spp = _mm512_setzero_pd();
-        let mut spq = _mm512_setzero_pd();
-        let mut sqq = _mm512_setzero_pd();
-        let chunks = n / 8;
-        for k in 0..chunks {
-            let i = 8 * k;
-            let vx = _mm512_loadu_pd(x.as_ptr().add(i));
-            let va = _mm512_loadu_pd(a.as_ptr().add(i));
-            let vy = _mm512_loadu_pd(y.as_ptr().add(i));
-            let vb = _mm512_loadu_pd(b.as_ptr().add(i));
-            spp = _mm512_fmadd_pd(vx, va, spp);
-            spq = _mm512_fmadd_pd(vx, vb, spq);
-            sqq = _mm512_fmadd_pd(vy, vb, sqq);
-        }
-        let mut pp = _mm512_reduce_add_pd(spp);
-        let mut pq = _mm512_reduce_add_pd(spq);
-        let mut qq = _mm512_reduce_add_pd(sqq);
-        for i in 8 * chunks..n {
-            pp += x[i] * a[i];
-            pq += x[i] * b[i];
-            qq += y[i] * b[i];
-        }
-        (pp, pq, qq)
-    }
-
-    /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fused_triple_avx2(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
-        let n = x.len();
-        let mut spp = _mm256_setzero_pd();
-        let mut spq = _mm256_setzero_pd();
-        let mut sqq = _mm256_setzero_pd();
-        let chunks = n / 4;
-        for k in 0..chunks {
-            let i = 4 * k;
-            let vx = _mm256_loadu_pd(x.as_ptr().add(i));
-            let va = _mm256_loadu_pd(a.as_ptr().add(i));
-            let vy = _mm256_loadu_pd(y.as_ptr().add(i));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-            spp = _mm256_fmadd_pd(vx, va, spp);
-            spq = _mm256_fmadd_pd(vx, vb, spq);
-            sqq = _mm256_fmadd_pd(vy, vb, sqq);
-        }
-        let mut pp = hsum256(spp);
-        let mut pq = hsum256(spq);
-        let mut qq = hsum256(sqq);
-        for i in 4 * chunks..n {
-            pp += x[i] * a[i];
-            pq += x[i] * b[i];
-            qq += y[i] * b[i];
-        }
-        (pp, pq, qq)
-    }
-
-    /// [`super::dot`]'s final tree over a 4-lane accumulator whose lane `l`
-    /// holds partial sum `l`: `(s0+s1)+(s2+s3)` — not [`hsum256`], whose
-    /// `(s0+s2)+(s1+s3)` is a different sum.
-    ///
-    /// # Safety
-    /// Requires AVX (implied by the callers' avx2 target feature).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_tree256(v: __m256d) -> f64 {
-        let mut s = [0.0f64; 4];
-        _mm256_storeu_pd(s.as_mut_ptr(), v);
-        (s[0] + s[1]) + (s[2] + s[3])
-    }
-
-    /// The three inner products of a pairing, each in [`super::dot`]'s
-    /// exact operation order: multiply then add — NO FMA — into lane
-    /// `index mod 4`, `dot`'s tree, then the tail in index order.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` via cpuid; all four slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fused_triple_exact_avx2(
-        x: &[f64],
-        a: &[f64],
-        y: &[f64],
-        b: &[f64],
-    ) -> (f64, f64, f64) {
-        let n = x.len();
-        let mut spp = _mm256_setzero_pd();
-        let mut spq = _mm256_setzero_pd();
-        let mut sqq = _mm256_setzero_pd();
-        let chunks = n / 4;
-        for k in 0..chunks {
-            let i = 4 * k;
-            let vx = _mm256_loadu_pd(x.as_ptr().add(i));
-            let va = _mm256_loadu_pd(a.as_ptr().add(i));
-            let vy = _mm256_loadu_pd(y.as_ptr().add(i));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-            spp = _mm256_add_pd(spp, _mm256_mul_pd(vx, va));
-            spq = _mm256_add_pd(spq, _mm256_mul_pd(vx, vb));
-            sqq = _mm256_add_pd(sqq, _mm256_mul_pd(vy, vb));
-        }
-        let mut pp = dot_tree256(spp);
-        let mut pq = dot_tree256(spq);
-        let mut qq = dot_tree256(sqq);
-        for i in 4 * chunks..n {
-            pp += x[i] * a[i];
-            pq += x[i] * b[i];
-            qq += y[i] * b[i];
-        }
-        (pp, pq, qq)
-    }
-
-    /// [`fused_triple_exact_avx2`] for two pairings at once: the same
-    /// operations per product — multiply then add, NO FMA, lane
-    /// `index mod 4`, `dot`'s tree, the tail in index order — with six
-    /// accumulators in flight instead of three.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` via cpuid; all eight slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fused_triple_exact_x2_avx2(
-        p: super::TripleStreams<'_>,
-        q: super::TripleStreams<'_>,
-    ) -> [(f64, f64, f64); 2] {
-        let ([x0, a0, y0, b0], [x1, a1, y1, b1]) = (p, q);
-        let n = x0.len();
-        let mut spp0 = _mm256_setzero_pd();
-        let mut spq0 = _mm256_setzero_pd();
-        let mut sqq0 = _mm256_setzero_pd();
-        let mut spp1 = _mm256_setzero_pd();
-        let mut spq1 = _mm256_setzero_pd();
-        let mut sqq1 = _mm256_setzero_pd();
-        let chunks = n / 4;
-        for k in 0..chunks {
-            let i = 4 * k;
-            let vx0 = _mm256_loadu_pd(x0.as_ptr().add(i));
-            let va0 = _mm256_loadu_pd(a0.as_ptr().add(i));
-            let vy0 = _mm256_loadu_pd(y0.as_ptr().add(i));
-            let vb0 = _mm256_loadu_pd(b0.as_ptr().add(i));
-            let vx1 = _mm256_loadu_pd(x1.as_ptr().add(i));
-            let va1 = _mm256_loadu_pd(a1.as_ptr().add(i));
-            let vy1 = _mm256_loadu_pd(y1.as_ptr().add(i));
-            let vb1 = _mm256_loadu_pd(b1.as_ptr().add(i));
-            spp0 = _mm256_add_pd(spp0, _mm256_mul_pd(vx0, va0));
-            spq0 = _mm256_add_pd(spq0, _mm256_mul_pd(vx0, vb0));
-            sqq0 = _mm256_add_pd(sqq0, _mm256_mul_pd(vy0, vb0));
-            spp1 = _mm256_add_pd(spp1, _mm256_mul_pd(vx1, va1));
-            spq1 = _mm256_add_pd(spq1, _mm256_mul_pd(vx1, vb1));
-            sqq1 = _mm256_add_pd(sqq1, _mm256_mul_pd(vy1, vb1));
-        }
-        let mut out = [
-            (dot_tree256(spp0), dot_tree256(spq0), dot_tree256(sqq0)),
-            (dot_tree256(spp1), dot_tree256(spq1), dot_tree256(sqq1)),
-        ];
-        for i in 4 * chunks..n {
-            out[0].0 += x0[i] * a0[i];
-            out[0].1 += x0[i] * b0[i];
-            out[0].2 += y0[i] * b0[i];
-            out[1].0 += x1[i] * a1[i];
-            out[1].1 += x1[i] * b1[i];
-            out[1].2 += y1[i] * b1[i];
-        }
-        out
+        super::finish::<S, P, T>(sums, streams, body)
     }
 
     /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
@@ -1160,100 +972,115 @@ mod tests {
     }
 
     #[test]
-    fn fused_triple_portable_is_bitwise_three_dots() {
-        // The portable tier keeps each product's accumulation order equal to
-        // `dot`'s, so it is exactly the three separate dots.
-        for n in 0..=33usize {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let a: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-            let y: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 2.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-            let (pp, pq, qq) = fused_triple_portable(&x, &a, &y, &b);
-            assert_eq!(pp, dot(&x, &a), "n={n}");
-            assert_eq!(pq, dot(&x, &b), "n={n}");
-            assert_eq!(qq, dot(&y, &b), "n={n}");
-        }
-    }
-
-    #[test]
     fn fused_triple_accepts_aliased_gram_arguments() {
         // The Gram rule passes the A-columns in both roles.
         let a: Vec<f64> = (0..23).map(|i| (i as f64 * 0.5).sin()).collect();
         let b: Vec<f64> = (0..23).map(|i| (i as f64 * 0.2).cos()).collect();
         let (pp, pq, qq) = fused_triple(&a, &a, &b, &b);
-        let scale = 23.0;
-        assert!((pp - dot(&a, &a)).abs() <= 1e-12 * scale);
-        assert!((pq - dot(&a, &b)).abs() <= 1e-12 * scale);
-        assert!((qq - dot(&b, &b)).abs() <= 1e-12 * scale);
+        assert_eq!(
+            [pp, pq, qq].map(f64::to_bits),
+            [dot(&a, &a), dot(&a, &b), dot(&b, &b)].map(f64::to_bits)
+        );
     }
 
-    #[test]
-    fn dot_lanes_matches_dot_within_1e12_relative() {
-        for n in (0..=40usize).chain([255, 256, 1024]) {
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).sin() - 0.3).collect();
-            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.6).cos() + 0.7).collect();
-            let want = dot(&x, &y);
-            let got = dot_lanes(&x, &y);
-            let scale = want.abs().max(1.0);
-            assert!((got - want).abs() <= 1e-12 * scale, "n={n}: {got} vs {want}");
-        }
-    }
-
-    // --- Every lane tier this CPU has, called directly --------------------
+    // --- Every tier this CPU has, called directly -------------------------
     //
-    // The public lane kernels reach exactly one tier per host (`lane_tier`),
-    // so on an AVX-512 machine the AVX2 forms would otherwise never run. The
+    // The public kernels reach exactly one tier per host (`lane_tier`), so
+    // on an AVX-512 machine the AVX2 forms would otherwise never run. The
     // tables below name each tier's function — the portable form always, an
     // x86 form only once cpuid reports its features, which is the safety
     // condition of the `unsafe` calls inside the closures.
 
     type DotFn = fn(&[f64], &[f64]) -> f64;
+    type DotX2Fn = fn([&[f64]; 2], [&[f64]; 2]) -> [f64; 2];
     type TripleFn = fn(&[f64], &[f64], &[f64], &[f64]) -> (f64, f64, f64);
+    type TripleX2Fn = fn(TripleStreams<'_>, TripleStreams<'_>) -> [(f64, f64, f64); 2];
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
-    struct Tier {
+    /// One tier's four reductions.
+    struct Reductions {
         name: &'static str,
         dot: DotFn,
+        dot_x2: DotX2Fn,
         triple: TripleFn,
-        rotate: RotateFn,
+        triple_x2: TripleX2Fn,
     }
 
-    fn tiers() -> Vec<Tier> {
-        let mut tiers =
-            vec![Tier { name: "portable", dot, triple: fused_triple_portable, rotate: rotate4 }];
+    /// [`dots_portable`] as an `unsafe fn`, so that [`reductions!`] calls
+    /// every tier alike.
+    unsafe fn portable<const S: usize, const P: usize, T: Products<P>>(s: [&[f64]; S]) -> [f64; P] {
+        dots_portable::<S, P, T>(s)
+    }
+
+    /// The four reductions of one tier's `dots` kernel.
+    macro_rules! reductions {
+        ($name:literal, $($dots:ident)::+) => {
+            // SAFETY (every closure): the caller detected the tier's
+            // features; the tests pass streams of one length.
+            Reductions {
+                name: $name,
+                dot: |x, y| unsafe { $($dots)::+::<2, 1, One>([x, y])[0] },
+                dot_x2: |[x0, y0], [x1, y1]| unsafe { $($dots)::+::<4, 2, Two>([x0, y0, x1, y1]) },
+                triple: |x, a, y, b| {
+                    let [pp, pq, qq] = unsafe { $($dots)::+::<4, 3, Triple>([x, a, y, b]) };
+                    (pp, pq, qq)
+                },
+                triple_x2: |p, q| {
+                    let s = [p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]];
+                    let [a, b, c, d, e, f] = unsafe { $($dots)::+::<8, 6, TripleX2>(s) };
+                    [(a, b, c), (d, e, f)]
+                },
+            }
+        };
+    }
+
+    /// Every tier of the reductions this host can run: the portable form
+    /// (also the tier of an AVX2 host without FMA), each x86 form once
+    /// cpuid reports its features, and the public dispatch.
+    fn reduction_tiers() -> Vec<Reductions> {
+        let mut tiers = vec![
+            reductions!("portable", portable),
+            Reductions {
+                name: "dispatch",
+                dot,
+                dot_x2,
+                triple: fused_triple,
+                triple_x2: fused_triple_x2,
+            },
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                tiers.push(reductions!("avx2+fma", x86::dots_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(reductions!("avx512", x86::dots_avx512));
+            }
+        }
+        tiers
+    }
+
+    /// Every tier of the rotator this host can run: the portable loop, and
+    /// each x86 form once cpuid reports its features.
+    fn rotate_tiers() -> Vec<(&'static str, RotateFn)> {
+        let mut tiers: Vec<(&'static str, RotateFn)> = vec![("portable", rotate4)];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
             if is_x86_feature_detected!("avx2") {
-                // The tier an AVX2 host without FMA runs: its rotator, and
-                // the portable reductions `lane_tier` leaves it with.
                 // SAFETY: avx2 was just detected; the tests pass
                 // equal-length slices.
-                let rotate: RotateFn =
-                    |ai, aj, ui, uj, c, s| unsafe { x86::pair_rotate_avx2(ai, aj, ui, uj, c, s) };
-                tiers.push(Tier { name: "avx2", dot, triple: fused_triple_portable, rotate });
-                if is_x86_feature_detected!("fma") {
-                    // SAFETY (both closures): avx2 and fma were just
-                    // detected; the tests pass equal-length slices.
-                    tiers.push(Tier {
-                        name: "avx2+fma",
-                        dot: |x, y| unsafe { x86::dot_avx2(x, y) },
-                        triple: |x, a, y, b| unsafe { x86::fused_triple_avx2(x, a, y, b) },
-                        rotate,
-                    });
-                }
+                tiers.push(("avx2", |ai, aj, ui, uj, c, s| unsafe {
+                    x86::pair_rotate_avx2(ai, aj, ui, uj, c, s)
+                }));
             }
             if is_x86_feature_detected!("avx512f") {
-                // SAFETY (the three closures): avx512f was just detected;
-                // the tests pass equal-length slices.
-                tiers.push(Tier {
-                    name: "avx512",
-                    dot: |x, y| unsafe { x86::dot_avx512(x, y) },
-                    triple: |x, a, y, b| unsafe { x86::fused_triple_avx512(x, a, y, b) },
-                    rotate: |ai, aj, ui, uj, c, s| unsafe {
-                        x86::pair_rotate_avx512(ai, aj, ui, uj, c, s)
-                    },
-                });
+                // SAFETY: avx512f was just detected; the tests pass
+                // equal-length slices.
+                tiers.push(("avx512", |ai, aj, ui, uj, c, s| unsafe {
+                    x86::pair_rotate_avx512(ai, aj, ui, uj, c, s)
+                }));
             }
         }
         tiers
@@ -1264,78 +1091,85 @@ mod tests {
         (0..n).map(|i| ((i + 3 * k) as f64 * (0.37 + 0.11 * k as f64)).sin() * 2.0 - 0.2).collect()
     }
 
-    /// The reductions' documented contract: ≤ 1e-12 relative of `dot`.
-    fn within_contract(got: f64, want: f64) -> bool {
-        (got - want).abs() <= 1e-12 * want.abs().max(1.0)
+    // --- The reductions: `to_bits`-equal to the definition, tier by tier -----
+
+    /// The inner product as the module defines it, written out: eight
+    /// `mul_add` chains from 0.0 by index mod 8, the tree, then the tail in
+    /// index order, fused.
+    fn by_definition(x: &[f64], y: &[f64]) -> f64 {
+        let body = x.len() / 8 * 8;
+        let mut s = [0.0f64; 8];
+        for i in 0..body {
+            s[i % 8] = x[i].mul_add(y[i], s[i % 8]);
+        }
+        let mut d = ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+        for i in body..x.len() {
+            d = x[i].mul_add(y[i], d);
+        }
+        d
     }
 
-    #[test]
-    fn every_tier_of_dot_and_fused_triple_meets_the_reduction_contract() {
-        for t in tiers() {
-            for n in (0..=40usize).chain([101, 256]) {
-                let (x, a, y, b) = (stream(0, n), stream(1, n), stream(2, n), stream(3, n));
-                assert!(within_contract((t.dot)(&x, &y), dot(&x, &y)), "{} dot n={n}", t.name);
-                let (pp, pq, qq) = (t.triple)(&x, &a, &y, &b);
-                for (got, want) in [(pp, dot(&x, &a)), (pq, dot(&x, &b)), (qq, dot(&y, &b))] {
-                    assert!(within_contract(got, want), "{} triple n={n}: {got} vs {want}", t.name);
+    /// A pairing's three products by the definition.
+    fn triple_by_definition([x, a, y, b]: TripleStreams<'_>) -> [f64; 3] {
+        [by_definition(x, a), by_definition(x, b), by_definition(y, b)]
+    }
+
+    /// Every length 0–40, and one each side of 64 and 256.
+    fn reduction_lengths() -> impl Iterator<Item = usize> {
+        (0..=40usize).chain(63..=65).chain(255..=257)
+    }
+
+    /// Checks every reduction of every tier on the eight streams `c`
+    /// against the definition, product by product, with `same` — the
+    /// triples also in the Gram rule's aliasing, one column in both roles.
+    fn check_reductions(c: [&[f64]; 8], same: impl Fn(f64, f64) -> bool, what: &str) {
+        let n = c[0].len();
+        let (p, q) = ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]]);
+        let gram = ([c[0], c[0], c[2], c[2]], [c[4], c[4], c[6], c[6]]);
+        for t in reduction_tiers() {
+            let check = |got: &[f64], want: &[f64], which: &str| {
+                for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+                    let name = t.name;
+                    assert!(
+                        same(g, w),
+                        "{name} {which} product {k}, {what}, n={n}: {g:e} vs {w:e}"
+                    );
+                }
+            };
+            check(&[(t.dot)(c[0], c[1])], &[by_definition(c[0], c[1])], "dot");
+            let want = [by_definition(c[0], c[1]), by_definition(c[2], c[3])];
+            check(&(t.dot_x2)([c[0], c[1]], [c[2], c[3]]), &want, "dot_x2");
+            for (p, q) in [(p, q), gram] {
+                let (pp, pq, qq) = (t.triple)(p[0], p[1], p[2], p[3]);
+                check(&[pp, pq, qq], &triple_by_definition(p), "triple");
+                for ((pp, pq, qq), h) in (t.triple_x2)(p, q).into_iter().zip([p, q]) {
+                    check(&[pp, pq, qq], &triple_by_definition(h), "triple_x2");
                 }
             }
         }
     }
 
-    // --- The exact kernels: `to_bits`-equal to `dot`, tier by tier ----------
-
-    /// The vector unit this host runs the exact kernels on: `"avx2"` or
-    /// `"portable"`. [`dot`] has four partial sums, so four lanes is as wide
-    /// as its bits can be reproduced — an AVX-512 host runs the AVX2 forms.
-    fn exact_tier() -> &'static str {
-        match lane_tier() {
-            #[cfg(target_arch = "x86_64")]
-            LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => "avx2",
-            LaneTier::Portable => "portable",
-        }
+    /// Eight columns of length `n` drawn from `draw`.
+    fn eight_columns(n: usize, mut draw: impl FnMut() -> f64) -> Vec<Vec<f64>> {
+        (0..8).map(|_| (0..n).map(|_| draw()).collect()).collect()
     }
 
-    /// Every form of the exact kernels this host can run: the portable tier
-    /// always, the AVX2 tier called directly once cpuid reports it, and the
-    /// public dispatch.
-    fn exact_tiers() -> Vec<(&'static str, TripleFn)> {
-        let mut tiers: Vec<(&'static str, TripleFn)> =
-            vec![("portable", fused_triple_portable), ("dispatch", fused_triple_exact)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was just detected; the tests pass equal-length
-            // slices.
-            tiers.push(("avx2", |x, a, y, b| unsafe { x86::fused_triple_exact_avx2(x, a, y, b) }));
-        }
-        tiers
+    /// The eight columns as the streams of one reduction.
+    fn as_streams(cols: &[Vec<f64>]) -> [&[f64]; 8] {
+        std::array::from_fn(|k| &cols[k][..])
     }
 
-    /// Every remainder 0..=3 below, at and well past one vector.
-    fn exact_lengths() -> impl Iterator<Item = usize> {
-        (0..=67usize).chain([255, 256, 257, 259])
+    fn bitwise(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits()
     }
 
-    /// Four columns of length `n` drawn from `draw`.
-    fn four_columns(n: usize, mut draw: impl FnMut() -> f64) -> Vec<Vec<f64>> {
-        (0..4).map(|_| (0..n).map(|_| draw()).collect()).collect()
-    }
-
-    /// Checks every exact tier against `dot` on `cols` (`x, a, y, b`) with
-    /// `same`.
-    fn check_exact_tiers(cols: &[Vec<f64>], same: impl Fn(f64, f64) -> bool, what: &str) {
-        let n = cols[0].len();
-        let (x, a, y, b) = (&cols[0][..], &cols[1][..], &cols[2][..], &cols[3][..]);
-        for (name, triple) in exact_tiers() {
-            let (pp, pq, qq) = triple(x, a, y, b);
-            for (got, want) in [(pp, dot(x, a)), (pq, dot(x, b)), (qq, dot(y, b))] {
-                assert!(same(got, want), "{name} triple, {what}, n={n}: {got:e} vs {want:e}");
-            }
-            // The Gram rule's aliasing: the same columns in both roles.
-            let (pp, pq, qq) = triple(x, x, y, y);
-            for (got, want) in [(pp, dot(x, x)), (pq, dot(x, y)), (qq, dot(y, y))] {
-                assert!(same(got, want), "{name} gram triple, {what}, n={n}");
-            }
+    #[test]
+    fn every_tier_of_dot_and_fused_triple_meets_the_reduction_contract() {
+        // The contract is the definition: every product of every tier is
+        // its bits, on the deterministic family at every length.
+        for n in reduction_lengths().chain([101, 1001]) {
+            let cols: Vec<_> = (0..8).map(|k| stream(k, n)).collect();
+            check_reductions(as_streams(&cols), bitwise, "streams");
         }
     }
 
@@ -1343,29 +1177,35 @@ mod tests {
     fn every_exact_tier_is_bitwise_dot_on_random_data() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
-        for n in exact_lengths() {
-            let cols = four_columns(n, || rng.gen_range(-1.0..=1.0));
-            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "random");
+        for n in reduction_lengths() {
+            let cols = eight_columns(n, || rng.gen_range(-1.0..=1.0));
+            check_reductions(as_streams(&cols), bitwise, "random");
         }
     }
 
     #[test]
     fn every_exact_tier_is_bitwise_dot_on_signed_zeros_and_subnormals() {
         // Products that underflow to ±0 or to subnormals, sums that cancel
-        // to a signed zero: the sign of a zero and the last subnormal bit
-        // depend on the operation order, which is the thing under test.
+        // to a signed zero, 1e±150 beside ordinary numbers: the sign of a
+        // zero, the last subnormal bit and what a fused multiply-add keeps
+        // of a product depend on the operation order, which is the thing
+        // under test.
         use rand::{Rng, SeedableRng};
-        const POOL: [f64; 10] =
-            [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-160, -1e-160, 1.0, -1.0];
+        const POOL: [f64; 12] = [
+            0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-150, -1e-150, 1e150, -1e150, 1.0, -1.0,
+        ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        for n in exact_lengths() {
-            let cols = four_columns(n, || POOL[rng.gen_range(0..POOL.len())]);
-            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "tiny");
+        for n in reduction_lengths() {
+            let cols = eight_columns(n, || match rng.gen_range(0..3) {
+                0 => rng.gen_range(-1.0..=1.0),
+                _ => POOL[rng.gen_range(0..POOL.len())],
+            });
+            check_reductions(as_streams(&cols), bitwise, "tiny and huge");
         }
         // All-negative-zero columns: every partial sum is `0.0 + -0.0`.
-        for n in [0usize, 3, 4, 9] {
-            let cols = vec![vec![-0.0; n]; 4];
-            check_exact_tiers(&cols, |got, want| got.to_bits() == want.to_bits(), "-0");
+        for n in [0usize, 3, 8, 9, 17] {
+            let cols = vec![vec![-0.0; n]; 8];
+            check_reductions(as_streams(&cols), bitwise, "-0");
         }
     }
 
@@ -1383,62 +1223,30 @@ mod tests {
             }
         };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for n in [1usize, 4, 7, 33, 256, 259] {
+            for n in [1usize, 8, 9, 33, 256, 259] {
                 // One bad entry per column, in the vector body and the tail.
                 for at in [0, n / 2, n - 1] {
-                    let mut cols = four_columns(n, || rng.gen_range(-1.0..=1.0));
-                    for (k, col) in cols.iter_mut().enumerate() {
-                        if k % 2 == 0 {
-                            col[at] = bad;
-                        }
+                    let mut cols = eight_columns(n, || rng.gen_range(-1.0..=1.0));
+                    for col in cols.iter_mut().step_by(2) {
+                        col[at] = bad;
                     }
-                    check_exact_tiers(&cols, agree, "non-finite");
+                    check_reductions(as_streams(&cols), agree, "non-finite");
                 }
             }
         }
     }
 
-    // --- The two-pairing exact reduction --------------------------------------
-
-    type TripleX2Fn = fn(TripleStreams<'_>, TripleStreams<'_>) -> [(f64, f64, f64); 2];
-
-    /// Every form of [`fused_triple_exact_x2`] this host can run: the public
-    /// dispatch, and the AVX2 form called directly once cpuid reports it.
-    /// (The portable tier is two [`fused_triple_portable`]s, checked above.)
-    fn exact_x2_tiers() -> Vec<(&'static str, TripleX2Fn)> {
-        let mut tiers: Vec<(&'static str, TripleX2Fn)> = vec![("dispatch", fused_triple_exact_x2)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was just detected; the tests pass eight
-            // equal-length slices.
-            tiers.push(("avx2", |p, q| unsafe { x86::fused_triple_exact_x2_avx2(p, q) }));
-        }
-        tiers
-    }
-
     #[test]
     fn every_x2_tier_is_bitwise_dot_in_all_six_products() {
-        // Lengths of every remainder mod 4 (the tails), the eight columns 0
-        // and 2 elements past a cache line, and the Gram rule's aliasing.
-        for n in exact_lengths() {
+        // The eight columns 0 and 2 elements past a cache line, so the
+        // vector body starts on and off a line; `check_reductions` holds
+        // every tier's `dot_x2` and `fused_triple_x2`, the Gram aliasing
+        // included, to the definition per product.
+        for n in reduction_lengths() {
             for off in [0usize, 2] {
                 let cols: Vec<_> = (0..8).map(|k| placed(&stream(k, n), off)).collect();
                 let c: [&[f64]; 8] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
-                for (name, x2) in exact_x2_tiers() {
-                    for (p, q) in [
-                        ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]]),
-                        ([c[0], c[0], c[2], c[2]], [c[5], c[5], c[7], c[7]]),
-                    ] {
-                        let got = x2(p, q);
-                        for (h, [x, a, y, b]) in [p, q].into_iter().enumerate() {
-                            let want = (dot(x, a), dot(x, b), dot(y, b));
-                            let same = got[h].0.to_bits() == want.0.to_bits()
-                                && got[h].1.to_bits() == want.1.to_bits()
-                                && got[h].2.to_bits() == want.2.to_bits();
-                            assert!(same, "{name} pairing {h}, n={n} offset={off}");
-                        }
-                    }
-                }
+                check_reductions(c, bitwise, &format!("offset {off}"));
             }
         }
     }
@@ -1451,46 +1259,64 @@ mod tests {
         let long: Vec<_> = (4..8).map(|k| stream(k, 67)).collect();
         let p: TripleStreams<'_> = [&short[0], &short[1], &short[2], &short[3]];
         let q: TripleStreams<'_> = [&long[0], &long[1], &long[2], &long[3]];
-        let want = [
-            fused_triple_exact(p[0], p[1], p[2], p[3]),
-            fused_triple_exact(q[0], q[1], q[2], q[3]),
-        ];
-        assert_eq!(fused_triple_exact_x2(p, q), want);
-        assert_eq!(fused_triple_exact_x2(q, p), [want[1], want[0]]);
+        let want = [fused_triple(p[0], p[1], p[2], p[3]), fused_triple(q[0], q[1], q[2], q[3])];
+        assert_eq!(fused_triple_x2(p, q), want);
+        assert_eq!(fused_triple_x2(q, p), [want[1], want[0]]);
+        let want = [dot(p[0], p[1]), dot(q[0], q[1])];
+        assert_eq!(dot_x2([p[0], p[1]], [q[0], q[1]]), want);
+        assert_eq!(dot_x2([q[0], q[1]], [p[0], p[1]]), [want[1], want[0]]);
     }
 
     #[test]
     #[should_panic(expected = "left == right")]
     fn x2_rejects_a_pairing_of_mismatched_streams_with_dots_message() {
         let (short, long) = (stream(0, 8), stream(1, 9));
-        fused_triple_exact_x2([&short, &short, &short, &short], [&short, &short, &long, &long]);
+        fused_triple_x2([&short, &short, &short, &short], [&short, &short, &long, &long]);
+    }
+
+    /// The vector unit this host runs the reductions on, named as in
+    /// [`reduction_tiers`].
+    fn reduction_tier() -> &'static str {
+        match lane_tier() {
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx2Fma => "avx2+fma",
+            _ => "portable",
+        }
     }
 
     #[test]
     fn the_exact_tier_name_is_one_of_the_tiers() {
         // The tier the host dispatches to is one of the forms checked above.
-        assert!(exact_tiers().iter().any(|(name, ..)| *name == exact_tier()), "{}", exact_tier());
+        let name = reduction_tier();
+        assert!(reduction_tiers().iter().any(|t| t.name == name), "{name}");
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn the_exact_tier_asks_for_avx2_alone() {
-        // The exact kernels and the rotator use no FMA, so FMA must not be
-        // what decides whether the default path runs vectorised.
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        assert_eq!(exact_tier() == "avx2", avx2);
-        if avx2 && !std::arch::is_x86_feature_detected!("fma") {
+    fn the_reduction_tier_asks_for_fma() {
+        // Every multiply-add of a reduction is fused, so a vector tier runs
+        // them only where cpuid reports FMA (AVX-512F includes it); an AVX2
+        // host without it runs the portable reductions beside its AVX2
+        // rotators.
+        use std::arch::is_x86_feature_detected;
+        let avx512 = is_x86_feature_detected!("avx512f");
+        let avx2 = is_x86_feature_detected!("avx2");
+        let fma = is_x86_feature_detected!("fma");
+        assert_eq!(reduction_tier() != "portable", avx512 || (avx2 && fma));
+        if avx2 && !fma && !avx512 {
             assert_eq!(lane_tier(), LaneTier::Avx2);
         }
     }
 
     #[test]
     #[should_panic(expected = "left == right")]
-    fn fused_triple_exact_rejects_mismatched_lengths_with_dots_message() {
+    fn fused_triple_rejects_mismatched_lengths_with_dots_message() {
         // A pairing of columns of different heights fails with `dot`'s own
         // message, whichever kernel computes it.
         let (short, long) = (stream(0, 8), stream(1, 9));
-        fused_triple_exact(&short, &short, &long, &long);
+        fused_triple(&short, &short, &long, &long);
     }
 
     #[test]
@@ -1505,14 +1331,14 @@ mod tests {
             let mut want = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
             rotate_pair(&mut want.0, &mut want.1, c, s);
             rotate_pair(&mut want.2, &mut want.3, c, s);
-            for t in tiers() {
+            for (name, rotate) in rotate_tiers() {
                 let mut got = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
                 let (head, a_tail, u_tail) =
                     split_pair_streams(&mut got.0, &mut got.1, &mut got.2, &mut got.3);
-                (t.rotate)(head.0, head.1, head.2, head.3, c, s);
+                rotate(head.0, head.1, head.2, head.3, c, s);
                 rotate_pair(a_tail.0, a_tail.1, c, s);
                 rotate_pair(u_tail.0, u_tail.1, c, s);
-                assert_eq!(got, want, "{} na={na} nu={nu}", t.name);
+                assert_eq!(got, want, "{name} na={na} nu={nu}");
             }
         }
     }
@@ -1544,18 +1370,15 @@ mod tests {
                 let mut got: Vec<Vec<u64>> = Vec::new();
                 let cols: Vec<_> = (0..4).map(place).collect();
                 let col: [&[f64]; 4] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
-                for t in tiers() {
+                for t in reduction_tiers() {
                     let (pp, pq, qq) = (t.triple)(col[0], col[1], col[2], col[3]);
-                    got.push(bits(&[(t.dot)(col[0], col[1]), pp, pq, qq]));
+                    let [d0, d1] = (t.dot_x2)([col[0], col[1]], [col[2], col[3]]);
+                    got.push(bits(&[(t.dot)(col[0], col[1]), d0, d1, pp, pq, qq]));
                 }
-                for (_, triple) in exact_tiers() {
-                    let (pp, pq, qq) = triple(col[0], col[1], col[2], col[3]);
-                    got.push(bits(&[pp, pq, qq]));
-                }
-                for t in tiers() {
+                for (_, rotate) in rotate_tiers() {
                     let mut quad: Vec<_> = (0..4).map(place).collect();
                     let [ai, aj, ui, uj] = &mut quad[..] else { unreachable!() };
-                    (t.rotate)(
+                    rotate(
                         &mut ai.0[ai.1.clone()],
                         &mut aj.0[aj.1.clone()],
                         &mut ui.0[ui.1.clone()],

@@ -4,7 +4,7 @@
 use mph_linalg::block::{ColumnBlock, COLUMN_ALIGN_BYTES};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
-    dot, dot_lanes, fused_triple, fused_triple_exact, pair_rotate, pair_rotate_lanes, rotate_pair,
+    dot, dot_x2, fused_triple, fused_triple_x2, pair_rotate, pair_rotate_lanes, rotate_pair,
 };
 use mph_linalg::Matrix;
 use proptest::prelude::*;
@@ -211,37 +211,27 @@ proptest! {
     }
 
     #[test]
-    fn fused_triple_is_within_1e12_of_three_dots(quads in quad_vecs_laned()) {
-        // The fused triple MAY re-associate (FMA lanes), so its contract is
-        // ≤ 1e-12 relative error against the three separate dots — at every
-        // tail length the dispatcher can see.
-        let (x, a, y, b) = quads;
-        let (app, apq, aqq) = fused_triple(&x, &a, &y, &b);
-        for (got, want) in [(app, dot(&x, &a)), (apq, dot(&x, &b)), (aqq, dot(&y, &b))] {
-            prop_assert!(
-                (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-                "{got} vs {want}"
-            );
+    fn fused_triple_and_the_x2_reductions_are_bitwise_dots(
+        p in quad_vecs_laned(),
+        q in quad_vecs_laned(),
+    ) {
+        // Every pairing reduction is, product by product, `dot` itself — at
+        // every tail length the dispatcher can see, on whichever vector
+        // tier the host dispatches to. The second pairing is `q`, mostly of
+        // another length (taken one at a time), and `p`'s streams reversed,
+        // of its length (taken in one pass).
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = |[x, a, y, b]: [&[f64]; 4]| bits(&[dot(x, a), dot(x, b), dot(y, b)]);
+        let (p, q): ([&[f64]; 4], [&[f64]; 4]) = ([&p.0, &p.1, &p.2, &p.3], [&q.0, &q.1, &q.2, &q.3]);
+        let (pp, pq, qq) = fused_triple(p[0], p[1], p[2], p[3]);
+        prop_assert_eq!(bits(&[pp, pq, qq]), want(p));
+        for q in [q, [p[3], p[2], p[1], p[0]]] {
+            for (got, streams) in fused_triple_x2(p, q).into_iter().zip([p, q]) {
+                prop_assert_eq!(bits(&[got.0, got.1, got.2]), want(streams));
+            }
+            let got = dot_x2([p[0], p[3]], [q[0], q[3]]);
+            prop_assert_eq!(bits(&got), bits(&[dot(p[0], p[3]), dot(q[0], q[3])]));
         }
-    }
-
-    #[test]
-    fn fused_triple_exact_is_bitwise_three_dots(quads in quad_vecs_laned()) {
-        // The exact triple may NOT re-associate: it is what the reference
-        // (`KernelPath::Scalar`) pairing runs, on whichever vector tier the
-        // host dispatches to, so every product carries `dot`'s bits.
-        let (x, a, y, b) = quads;
-        let (app, apq, aqq) = fused_triple_exact(&x, &a, &y, &b);
-        for (got, want) in [(app, dot(&x, &a)), (apq, dot(&x, &b)), (aqq, dot(&y, &b))] {
-            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
-        }
-    }
-
-    #[test]
-    fn dot_lanes_is_within_1e12_of_dot(quads in quad_vecs_laned()) {
-        let (x, y, _, _) = quads;
-        let (got, want) = (dot_lanes(&x, &y), dot(&x, &y));
-        prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0), "{got} vs {want}");
     }
 
     #[test]
