@@ -14,13 +14,14 @@
 //! Gram rule (`G_ij = w_i · w_j`, convergence measured by the cosine of the
 //! column angle). Both take their inner products from the one inner
 //! product, [`mph_linalg::vecops::dot`] — eight fused multiply-add chains,
-//! a fixed tree and a fused tail, computed a pairing or two at a time by
-//! [`fused_triple`], [`fused_triple_x2`] and [`dot_x2`] on the widest
-//! vector unit the host has, with `dot`'s bits on every one — and rotate
-//! through the same fused rotation kernel
-//! ([`mph_linalg::vecops::pair_rotate_lanes`], bitwise
-//! [`mph_linalg::vecops::pair_rotate`]), so the logical, threaded,
-//! and SVD drivers are *structurally* guaranteed to perform identical
+//! a fixed tree and a fused tail, with `dot`'s bits on every vector unit —
+//! and rotate by the one rotation, [`mph_linalg::vecops::pair_rotate`].
+//! A sweep's walk makes each of its steps one [`pair_step`]: the step's
+//! one or two rotations and, in the same pass over the columns, the next
+//! step's 2×2 blocks reduced from the rotated values; only a rectangle's
+//! first pairing reduces its block on its own ([`fused_triple`], or
+//! [`dot`] for a cached off-diagonal). So the logical, threaded, and SVD
+//! drivers are *structurally* guaranteed to perform identical
 //! floating-point work — the bitwise-equality tests between drivers check
 //! an invariant the code now enforces by construction.
 //!
@@ -40,7 +41,10 @@
 
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
-use mph_linalg::vecops::{dot, dot_x2, fused_triple, fused_triple_x2, TripleStreams};
+use mph_linalg::vecops::{
+    dot, fused_triple, pair_step, Along, AlongTwo, Col, Down, InRow, Last, Open, OpenTwo,
+    StepPairing, Transition, Wrap, WrapTwo,
+};
 
 /// Outcome of one pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +85,7 @@ impl PairingRule {
     /// pairing's 2×2 block `(x·a, x·b, y·b)`: `[u_i, a_i, u_j, a_j]`, or
     /// the `W`-columns in both roles. The off-diagonal alone is `x·b`.
     #[inline(always)]
-    fn streams<'v>(self, v: &'v PairViewMut<'_>) -> TripleStreams<'v> {
+    fn streams<'v>(self, v: &'v PairViewMut<'_>) -> [&'v [f64]; 4] {
         match self {
             PairingRule::Implicit => [v.ui, v.ai, v.uj, v.aj],
             PairingRule::Gram => [v.ai, v.ai, v.aj, v.aj],
@@ -101,33 +105,6 @@ impl PairingRule {
 fn pair_view(v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
     let block = pair_block(&v, rule);
     pair_rotate_by(v, block, pair_angle(block, rule))
-}
-
-/// [`pair_view`] for two pairings that share no column, the three stages
-/// of a pairing taken two abreast: both 2×2 blocks, then both rotation
-/// angles, then both rotations — the bits of one call after the other,
-/// since neither pairing reads what the other writes.
-///
-/// Alone, a pairing is one dependent chain — the reduction, then the
-/// divide / square-root chain of [`symmetric_schur`], then the rotate —
-/// and too long for the core to overlap with the next one by itself, so
-/// the angle's latency is paid in full. Abreast, the two angle chains run
-/// in each other's shadow, and both blocks come from one pass over both
-/// pairings' columns: [`fused_triple_x2`] when neither is cached,
-/// [`dot_x2`] for the two off-diagonals when both are. A cached pairing
-/// beside an uncached one takes its block alone.
-fn pair_view2([v0, v1]: [PairViewMut<'_>; 2], rule: PairingRule) -> [PairOutcome; 2] {
-    let (s0, s1) = (rule.streams(&v0), rule.streams(&v1));
-    let [b0, b1] = match ((&v0.di, &v0.dj), (&v1.di, &v1.dj)) {
-        ((Some(di0), Some(dj0)), (Some(di1), Some(dj1))) => {
-            let [o0, o1] = dot_x2([s0[0], s0[3]], [s1[0], s1[3]]);
-            [(**di0, o0, **dj0), (**di1, o1, **dj1)]
-        }
-        ((None, _) | (_, None), (None, _) | (_, None)) => fused_triple_x2(s0, s1),
-        _ => [pair_block(&v0, rule), pair_block(&v1, rule)],
-    };
-    let (r0, r1) = (pair_angle(b0, rule), pair_angle(b1, rule));
-    [pair_rotate_by(v0, b0, r0), pair_rotate_by(v1, b1, r1)]
 }
 
 /// The 2×2 block `(app, apq, aqq)` of a pairing.
@@ -174,28 +151,37 @@ fn pair_angle(
 #[inline(always)]
 fn pair_rotate_by(
     mut v: PairViewMut<'_>,
-    (app, apq, aqq): (f64, f64, f64),
+    block: (f64, f64, f64),
     (off_before, rot): (f64, Option<JacobiRotation>),
 ) -> PairOutcome {
-    let Some(rot) = rot else {
-        return PairOutcome { off_before, rotated: false };
-    };
-    v.rotate_with(rot.c, rot.s);
-    if v.di.is_some() || v.dj.is_some() {
-        // The rotation annihilates the off-diagonal; the new diagonal is
-        // the exact 2×2 similarity image of the old block. Update every
-        // populated cache slot — including the mixed case where only one
-        // side of a cross-block pair carries a cache (app/aqq were then
-        // recomputed exactly above, so the surviving slot stays current).
+    if let Some(rot) = rot {
+        v.rotate_with(rot.c, rot.s);
+        update_cache([v.di, v.dj], block, rot);
+    }
+    PairOutcome { off_before, rotated: rot.is_some() }
+}
+
+/// Keeps a rotated pairing's cache slots current: the rotation annihilates
+/// the off-diagonal, and the new diagonal is the exact 2×2 similarity image
+/// of the old block. Every populated slot is updated — including the mixed
+/// case where only one side of a cross-block pair carries a cache (`app`
+/// and `aqq` were then recomputed exactly, so the surviving slot stays
+/// current).
+#[inline(always)]
+fn update_cache(
+    [di, dj]: [Option<&mut f64>; 2],
+    (app, apq, aqq): (f64, f64, f64),
+    rot: JacobiRotation,
+) {
+    if di.is_some() || dj.is_some() {
         let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
-        if let Some(di) = v.di {
+        if let Some(di) = di {
             *di = pp;
         }
-        if let Some(dj) = v.dj {
+        if let Some(dj) = dj {
             *dj = qq;
         }
     }
-    PairOutcome { off_before, rotated: true }
 }
 
 /// Exactly recomputes a block's cached diagonals under `rule` — the
@@ -243,11 +229,13 @@ pub fn pair_across_blocks(
 /// exactly 4 KiB, so every column maps its lines onto the same sets and a
 /// 12-way L1d holds 12 columns, whatever its size. A rectangle's walk
 /// ([`two_row_steps`]) keeps two left columns and the right tile live —
-/// 10 columns (9 before the walk took two rows at a time), with room for
-/// the next two left columns to arrive before the last two are dropped.
-/// Walking whole anti-diagonals of an 8 × 8 tile pair instead (16 columns
-/// live) read `logical_solve` 4.62 against 4.08 — 13 % *slower* than one
-/// pairing at a time — so a wider walk needs a narrower tile.
+/// 10 columns (9 before the walk took two rows at a time). A step's pass
+/// reads the next step's columns too, so at a row pair's end the two left
+/// columns of the next pair arrive while the last two are still read: up
+/// to 11 columns in one pass, one short of the 12 ways. Walking whole
+/// anti-diagonals of an 8 × 8 tile pair instead (16 columns live) read
+/// `logical_solve` 4.62 against 4.08 — 13 % *slower* than one pairing at
+/// a time — so a wider walk needs a narrower tile.
 const ACROSS_TILE: usize = 8;
 
 /// One sub-sweep's pairing configuration, threaded through every driver so
@@ -256,11 +244,13 @@ const ACROSS_TILE: usize = 8;
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
 /// two `ACROSS_TILE`-wide column tiles, walked two rows at a time with two
-/// column-disjoint pairings in flight (`two_row_steps`). The sweeps visit
-/// the tile pairs in row-major order — with the walk inside a rectangle, a
-/// pure reordering of *commuting* operations that preserves every bit of
-/// the untiled reference ([`pair_within_block`]/[`pair_across_blocks`],
-/// asserted in tests).
+/// column-disjoint pairings in flight (`two_row_steps`), one pass over the
+/// columns a step ([`pair_step`]): each step rotates its pairings and
+/// reduces the blocks of the next, which it carries forward. The sweeps
+/// visit the tile pairs in row-major order — with the walk inside a
+/// rectangle, a pure reordering of *commuting* operations that preserves
+/// every bit of the untiled reference
+/// ([`pair_within_block`]/[`pair_across_blocks`], asserted in tests).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepKernel {
     /// How pairings derive their 2×2 block.
@@ -341,47 +331,245 @@ impl SweepKernel {
     /// Sweeps a left tile × right tile rectangle in the order of
     /// [`two_row_steps`] — the L1-resident inner loop of every sweep: two
     /// left columns walk the right tile, each reused against all of it
-    /// before the next two. The views are reborrowed per pairing
-    /// ([`ColumnViewMut::pair_mut`]).
+    /// before the next two. One [`walk`], its operand tables fixed for the
+    /// rule and for whether both tiles cache their diagonals.
     fn sweep_tile_pair(
         &self,
         lcols: &mut [ColumnViewMut<'_>],
         rcols: &mut [ColumnViewMut<'_>],
         acc: &mut SweepAccumulator,
     ) {
-        let rule = self.rule;
-        two_row_steps(lcols.len(), rcols.len(), |(i, j), abreast| match abreast {
-            None => {
-                let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
-                acc.absorb(pair_view(pair, rule));
-            }
-            Some((i1, j1)) => {
-                let (ci, ci1) = two_views_mut(lcols, i, i1);
-                let (cj, cj1) = two_views_mut(rcols, j, j1);
-                let pairs = [ColumnViewMut::pair_mut(ci, cj), ColumnViewMut::pair_mut(ci1, cj1)];
-                for outcome in pair_view2(pairs, rule) {
-                    acc.absorb(outcome);
-                }
-            }
-        });
+        let cached = |cols: &[ColumnViewMut<'_>]| cols.first().is_some_and(|c| c.d.is_some());
+        match (self.rule, cached(lcols) && cached(rcols)) {
+            (PairingRule::Implicit, false) => walk::<false, false>(lcols, rcols, acc),
+            (PairingRule::Implicit, true) => walk::<false, true>(lcols, rcols, acc),
+            (PairingRule::Gram, false) => walk::<true, false>(lcols, rcols, acc),
+            (PairingRule::Gram, true) => walk::<true, true>(lcols, rcols, acc),
+        }
     }
 }
 
-/// Views `a` and `b` of a tile, taken by one split at the larger index.
-/// They differ: [`two_row_steps`] never puts a row or a column abreast of
-/// itself.
-fn two_views_mut<'t, 'v>(
-    views: &'t mut [ColumnViewMut<'v>],
-    a: usize,
-    b: usize,
-) -> (&'t mut ColumnViewMut<'v>, &'t mut ColumnViewMut<'v>) {
-    debug_assert_ne!(a, b, "a step's two pairings share a row or a column");
-    let (lo, hi) = views.split_at_mut(a.max(b));
-    if a < b {
-        (&mut lo[a], &mut hi[0])
+/// A step of [`two_row_steps`]: its first pairing `(i, j)` — left column
+/// `i`, right column `j` — and the pairing abreast of it, if any.
+type Step = ((usize, usize), Option<(usize, usize)>);
+
+/// A pairing's 2×2 block `(app, apq, aqq)`.
+type Block = (f64, f64, f64);
+
+/// The rule [`walk`]'s `GRAM` names.
+const fn rule_of<const GRAM: bool>() -> PairingRule {
+    if GRAM {
+        PairingRule::Gram
     } else {
-        (&mut hi[0], &mut lo[b])
+        PairingRule::Implicit
     }
+}
+
+/// Walks a rectangle in the order of [`two_row_steps`], one [`pair_step`]
+/// a step: each step rotates its pairings and reduces the next step's
+/// blocks in the same pass, so only the rectangle's first step — always
+/// one pairing — reduces its block on its own, and the last one only
+/// rotates. Where `CACHED` (both tiles cache their diagonals) a step
+/// reduces the next step's off-diagonals alone and reads the diagonals from
+/// the cache slots, which its own rotations have just updated.
+fn walk<const GRAM: bool, const CACHED: bool>(
+    lcols: &mut [ColumnViewMut<'_>],
+    rcols: &mut [ColumnViewMut<'_>],
+    acc: &mut SweepAccumulator,
+) {
+    let rule = rule_of::<GRAM>();
+    let mut held: Option<(Step, [Block; 2])> = None;
+    two_row_steps(lcols.len(), rcols.len(), |first, abreast| {
+        let next = (first, abreast);
+        let blocks = match held.take() {
+            None => {
+                let pair = ColumnViewMut::pair_mut(&mut lcols[first.0], &mut rcols[first.1]);
+                [pair_block(&pair, rule), NO_BLOCK]
+            }
+            Some((step, blocks)) => {
+                pair_step_then::<GRAM, CACHED>(lcols, rcols, step, blocks, next, acc)
+            }
+        };
+        held = Some((next, blocks));
+    });
+    if let Some(((first, abreast), blocks)) = held {
+        for ((i, j), block) in [Some(first), abreast].into_iter().flatten().zip(blocks) {
+            let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
+            acc.absorb(pair_rotate_by(pair, block, pair_angle(block, rule)));
+        }
+    }
+}
+
+/// Rotates the pairings of `step`, whose blocks are `blocks`, and returns
+/// the blocks of `next`, the step after it, reduced in the same
+/// [`pair_step`] — its [`Transition`] picked by where `next`'s columns are
+/// in `step`. Each arm borrows the step's columns: the ones it rotates,
+/// then the ones the next step adds, in the order the transition numbers
+/// them ([`Col::F0`], [`Col::F1`]).
+fn pair_step_then<const GRAM: bool, const CACHED: bool>(
+    lcols: &mut [ColumnViewMut<'_>],
+    rcols: &mut [ColumnViewMut<'_>],
+    (first, abreast): Step,
+    blocks: [Block; 2],
+    next: Step,
+    acc: &mut SweepAccumulator,
+) -> [Block; 2] {
+    let ((i0, j0), ((ni, nj), next_abreast)) = (first, next);
+    let below = || next_abreast.expect("a two-pairing transition").0;
+    let [b0, _] = blocks;
+    match (abreast, next_columns((first, abreast), next)) {
+        (None, Down::PATTERN) => {
+            let ([l0, lf], [r0]) = (views(lcols, [i0, ni]), views(rcols, [j0]));
+            let [out] = step::<1, 1, GRAM, CACHED, Down>([l0], [r0], [Some(&*lf), None], [b0], acc);
+            [out, NO_BLOCK]
+        }
+        (None, Along::PATTERN) => {
+            let ([l0], [r0, rf]) = (views(lcols, [i0]), views(rcols, [j0, nj]));
+            let [out] =
+                step::<1, 1, GRAM, CACHED, Along>([l0], [r0], [Some(&*rf), None], [b0], acc);
+            [out, NO_BLOCK]
+        }
+        (None, Open::PATTERN) => {
+            let ([l0, lf], [r0, rf]) = (views(lcols, [i0, below()]), views(rcols, [j0, nj]));
+            step::<1, 2, GRAM, CACHED, Open>([l0], [r0], [Some(&*rf), Some(&*lf)], [b0], acc)
+        }
+        (Some((i1, j1)), Along::PATTERN) => {
+            let ([l0, l1], [r0, r1, rf]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1, nj]));
+            let fresh = [Some(&*rf), None];
+            let [out] = step::<2, 1, GRAM, CACHED, Along>([l0, l1], [r0, r1], fresh, blocks, acc);
+            [out, NO_BLOCK]
+        }
+        (Some((i1, j1)), AlongTwo::PATTERN) => {
+            let ([l0, l1], [r0, r1]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1]));
+            let [out] =
+                step::<2, 1, GRAM, CACHED, AlongTwo>([l0, l1], [r0, r1], [None, None], blocks, acc);
+            [out, NO_BLOCK]
+        }
+        (Some((i1, j1)), Open::PATTERN) => {
+            let [l0, l1, lf] = views(lcols, [i0, i1, below()]);
+            let [r0, r1, rf] = views(rcols, [j0, j1, nj]);
+            let fresh = [Some(&*rf), Some(&*lf)];
+            step::<2, 2, GRAM, CACHED, Open>([l0, l1], [r0, r1], fresh, blocks, acc)
+        }
+        (Some((i1, j1)), OpenTwo::PATTERN) => {
+            let ([l0, l1, lf], [r0, r1]) =
+                (views(lcols, [i0, i1, below()]), views(rcols, [j0, j1]));
+            step::<2, 2, GRAM, CACHED, OpenTwo>([l0, l1], [r0, r1], [Some(&*lf), None], blocks, acc)
+        }
+        (Some((i1, j1)), InRow::PATTERN) => {
+            let ([l0, l1], [r0, r1, rf]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1, nj]));
+            step::<2, 2, GRAM, CACHED, InRow>([l0, l1], [r0, r1], [Some(&*rf), None], blocks, acc)
+        }
+        (Some((i1, j1)), Wrap::PATTERN) => {
+            let ([l0, l1, lf], [r0, r1, rf]) =
+                (views(lcols, [i0, i1, ni]), views(rcols, [j0, j1, nj]));
+            step::<2, 2, GRAM, CACHED, Wrap>(
+                [l0, l1],
+                [r0, r1],
+                [Some(&*lf), Some(&*rf)],
+                blocks,
+                acc,
+            )
+        }
+        (Some((i1, j1)), WrapTwo::PATTERN) => {
+            let ([l0, l1, lf], [r0, r1]) = (views(lcols, [i0, i1, ni]), views(rcols, [j0, j1]));
+            step::<2, 2, GRAM, CACHED, WrapTwo>([l0, l1], [r0, r1], [Some(&*lf), None], blocks, acc)
+        }
+        (Some((i1, j1)), Last::PATTERN) => {
+            let ([l0, l1], [r0, r1]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1]));
+            let [out] =
+                step::<2, 1, GRAM, CACHED, Last>([l0, l1], [r0, r1], [None, None], blocks, acc);
+            [out, NO_BLOCK]
+        }
+        (_, pattern) => {
+            unreachable!("no step of the walk follows {:?} with {pattern:?}", (first, abreast))
+        }
+    }
+}
+
+/// The second block of a one-pairing step: none.
+const NO_BLOCK: Block = (0.0, 0.0, 0.0);
+
+/// The views of tile columns `at`, distinct.
+fn views<'t, 'v, const K: usize>(
+    cols: &'t mut [ColumnViewMut<'v>],
+    at: [usize; K],
+) -> [&'t mut ColumnViewMut<'v>; K] {
+    cols.get_disjoint_mut(at).expect("a step's columns are distinct")
+}
+
+/// One [`pair_step`] of transition `T`: rotates the `R` pairings `left[k]`
+/// × `right[k]`, whose blocks are `blocks`, keeps their cache slots
+/// current, books them in `acc`, and returns the blocks of the next step's
+/// `N` pairings — `fresh` the columns it adds, [`Col::F0`] first. Where
+/// `CACHED` the diagonals are read from the cache slots, after this step
+/// has updated them.
+fn step<const R: usize, const N: usize, const GRAM: bool, const CACHED: bool, T: Transition<N>>(
+    mut left: [&mut ColumnViewMut<'_>; R],
+    mut right: [&mut ColumnViewMut<'_>; R],
+    fresh: [Option<&ColumnViewMut<'_>>; 2],
+    blocks: [Block; R],
+    acc: &mut SweepAccumulator,
+) -> [Block; N] {
+    let mut angles = [(0.0, None); R];
+    for (angle, &block) in angles.iter_mut().zip(&blocks) {
+        *angle = pair_angle(block, rule_of::<GRAM>());
+    }
+    let out = {
+        let mut sides = left.iter_mut().zip(right.iter_mut()).zip(&angles);
+        let pairings: [StepPairing<'_>; R] = std::array::from_fn(|_| {
+            let ((l, r), (_, rot)) = sides.next().expect("one right column a left one");
+            let turn = rot.map(|rot| (rot.c, rot.s));
+            ([&mut *l.a, &mut *r.a, &mut *l.u, &mut *r.u], turn)
+        });
+        let streams = |f: usize| fresh[f].map_or([&[][..]; 2], |v| [&*v.a, &*v.u]);
+        pair_step::<R, N, CACHED, GRAM, T>(pairings, [streams(0), streams(1)])
+    };
+    for (k, (l, r)) in left.iter_mut().zip(right.iter_mut()).enumerate() {
+        let (off_before, rot) = angles[k];
+        if let Some(rot) = rot {
+            update_cache([l.d.as_deref_mut(), r.d.as_deref_mut()], blocks[k], rot);
+        }
+        acc.absorb(PairOutcome { off_before, rotated: rot.is_some() });
+    }
+    if !CACHED {
+        return out;
+    }
+    let diag = |col: Col| {
+        let view: &ColumnViewMut<'_> = match col {
+            Col::I0 => left[0],
+            Col::J0 => right[0],
+            Col::I1 => left[R - 1],
+            Col::J1 => right[R - 1],
+            Col::F0 => fresh[0].expect("a fresh column"),
+            Col::F1 => fresh[1].expect("a fresh column"),
+        };
+        *view.d.as_deref().expect("a cached column")
+    };
+    let mut out = out;
+    for ((app, _, aqq), [i, j]) in out.iter_mut().zip(T::NEXT) {
+        (*app, *aqq) = (diag(i), diag(j));
+    }
+    out
+}
+
+/// Where the columns of step `next` are in `step`, as a [`Transition`]'s
+/// pattern: a column `step` rotates by its place there, any other by its
+/// order among them.
+fn next_columns(
+    ((i0, j0), abreast): Step,
+    ((i, j), next_abreast): Step,
+) -> ([Col; 2], Option<[Col; 2]>) {
+    let mut fresh = [Col::F0, Col::F1].into_iter();
+    let mut col = |left: bool, k: usize| match (left, abreast) {
+        (true, _) if k == i0 => Col::I0,
+        (false, _) if k == j0 => Col::J0,
+        (true, Some((i1, _))) if k == i1 => Col::I1,
+        (false, Some((_, j1))) if k == j1 => Col::J1,
+        _ => fresh.next().expect("a step adds at most two columns"),
+    };
+    let first = [col(true, i), col(false, j)];
+    (first, next_abreast.map(|(i, j)| [col(true, i), col(false, j)]))
 }
 
 /// The order every sweep walks an `nl × nr` rectangle of pairings in:
@@ -764,6 +952,62 @@ mod tests {
         acc
     }
 
+    /// Whether two blocks hold the same bits — NaN payloads aside, which
+    /// IEEE 754 does not pin: every column and cache slot.
+    fn same_bits(got: &ColumnBlock, want: &ColumnBlock) -> bool {
+        let agree = |g: &[f64], w: &[f64]| {
+            g.len() == w.len()
+                && g.iter()
+                    .zip(w)
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan())
+        };
+        got.len() == want.len()
+            && (0..got.len())
+                .all(|k| agree(got.a_col(k), want.a_col(k)) && agree(got.u_col(k), want.u_col(k)))
+            && agree(got.diag(), want.diag())
+    }
+
+    /// A 4 × 4 rectangle whose first right column meets every left one with
+    /// an exact zero `M_ij = u_i · a_j`, so the walk skips all four of its
+    /// pairings — the first step, a two-pairing step's second, a wrap
+    /// step's first and the pairing abreast of a row pair's opening — while
+    /// that column holds −0.0 and ±∞: rotated by the identity, `0·∞` would
+    /// put NaN in the left columns and `0·x + 1·(−0)` would turn its −0.0
+    /// into +0.0, where a skip leaves both as they are. Every other entry
+    /// is finite, so the left columns stay finite to the end.
+    fn skipped_pairings_holding_signed_zeros_and_infinities() -> (ColumnBlock, ColumnBlock) {
+        let m = 16;
+        let entry = |k: usize, r: usize| ((r * 7 + k * 13) as f64 * 0.61).sin() + 0.05;
+        let full = |k: usize| (0..m).map(|r| entry(k, r)).collect::<Vec<f64>>();
+        // Left rows 0..8 only: orthogonal to the first right column's `A`.
+        let left_rows = |k: usize| (0..m).map(|r| if r < 8 { entry(k, r) } else { 0.0 }).collect();
+        let mut u2: Vec<f64> = (0..m).map(|r| if r < 4 { entry(2, r) } else { 0.0 }).collect();
+        (u2[8], u2[9]) = (-0.0, -0.0);
+        let mut a2 = full(12);
+        a2[4] = 0.75;
+        let mut a_r0: Vec<f64> = (0..m).map(|r| if r < 8 { 0.0 } else { entry(20, r) }).collect();
+        (a_r0[4], a_r0[10]) = (-0.0, -0.7);
+        let mut u_r0 = full(21);
+        (u_r0[8], u_r0[9], u_r0[12], u_r0[13]) = (-0.5, -0.25, f64::INFINITY, f64::NEG_INFINITY);
+        let left = [
+            (full(10), left_rows(0)),
+            (full(11), left_rows(1)),
+            (a2, u2),
+            (full(13), left_rows(3)),
+        ];
+        let right = [(a_r0, u_r0), (full(22), full(5)), (full(23), full(6)), (full(24), full(7))];
+        let block = |cols: [(Vec<f64>, Vec<f64>); 4]| {
+            let mut block = ColumnBlock::from_matrix_with_identity(&Matrix::zeros(m, 4), 0..4, m);
+            let [mut views] = block.tiles_mut::<ACROSS_TILE, 1>([0]);
+            for (view, (a, u)) in views.iter_mut().zip(cols) {
+                view.a.copy_from_slice(&a);
+                view.u.copy_from_slice(&u);
+            }
+            block
+        };
+        (block(left), block(right))
+    }
+
     #[test]
     fn tiled_serial_kernel_is_bitwise_the_untiled_reference() {
         // The kernel's guarantee: SweepKernel must reproduce
@@ -771,15 +1015,23 @@ mod tests {
         // tiling and the two-row walk included — blocks and accumulator,
         // for every pair of block widths up to two tiles and a bit: none,
         // one column, odd, the 2-, 4- and 8-column blocks the service
-        // solves, a full tile, a tile and a column. Both rules; no cache,
-        // both caches, and the mixed cache of a cross-block pair.
+        // solves, a full tile, a tile and a column. Both rules on a square
+        // matrix, and the Gram rule on a tall one, whose `W`-columns are
+        // longer than its `V`-columns; no cache, both caches, and the mixed
+        // cache of a cross-block pair.
         let m = 38;
-        let a0 = random_symmetric(m, 91);
+        let square = random_symmetric(m, 91);
+        let tall = Matrix::from_fn(m + 9, m, |r, c| ((r * 31 + c * 17) as f64 * 0.37).sin());
+        let inputs = [
+            (PairingRule::Implicit, &square),
+            (PairingRule::Gram, &square),
+            (PairingRule::Gram, &tall),
+        ];
         for (nl, nr) in (0..=19usize).flat_map(|nl| (0..=19usize).map(move |nr| (nl, nr))) {
-            for rule in [PairingRule::Implicit, PairingRule::Gram] {
+            for (rule, a0) in inputs {
                 for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
-                    let mut l_ref = ColumnBlock::from_matrix_with_identity(&a0, 0..nl, m);
-                    let mut r_ref = ColumnBlock::from_matrix_with_identity(&a0, nl..nl + nr, m);
+                    let mut l_ref = ColumnBlock::from_matrix_with_identity(a0, 0..nl, m);
+                    let mut r_ref = ColumnBlock::from_matrix_with_identity(a0, nl..nl + nr, m);
                     if cache_left {
                         refresh_block_diag(&mut l_ref, rule);
                     }
@@ -789,10 +1041,43 @@ mod tests {
                     let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
                     let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule);
                     let acc_new = sweep_two(&SweepKernel { rule }, &mut l_new, &mut r_new);
-                    let what = format!("{nl}x{nr} {rule:?} cache=({cache_left},{cache_right})");
+                    let rows = a0.rows();
+                    let what = format!(
+                        "{nl}x{nr} {rule:?} {rows} rows cache=({cache_left},{cache_right})"
+                    );
                     assert_eq!(acc_ref, acc_new, "{what}");
                     assert_eq!(l_ref, l_new, "{what}");
                     assert_eq!(r_ref, r_new, "{what}");
+                }
+            }
+        }
+        // Skipped pairings mid-rectangle, their columns holding −0.0 and
+        // ±∞ (the rectangle alone: a within-block pairing would spread the
+        // infinities first).
+        for rule in [PairingRule::Implicit, PairingRule::Gram] {
+            for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
+                let (mut l_ref, mut r_ref) = skipped_pairings_holding_signed_zeros_and_infinities();
+                if cache_left {
+                    refresh_block_diag(&mut l_ref, rule);
+                }
+                if cache_right {
+                    refresh_block_diag(&mut r_ref, rule);
+                }
+                let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
+                let acc_ref = pair_across_blocks(&mut l_ref, &mut r_ref, rule);
+                let acc_new = SweepKernel { rule }.across(&mut l_new, &mut r_new);
+                let what = format!("skips {rule:?} cache=({cache_left},{cache_right})");
+                assert_eq!(acc_ref, acc_new, "{what}");
+                assert!(same_bits(&l_new, &l_ref) && same_bits(&r_new, &r_ref), "{what}");
+                if rule == PairingRule::Implicit {
+                    // The input does what it says: four skips, the skipped
+                    // column untouched, the left columns finite.
+                    let (_, r0) = skipped_pairings_holding_signed_zeros_and_infinities();
+                    assert_eq!(acc_ref.pairings - acc_ref.rotations, 4, "{what}: the skips");
+                    let bits = |col: &[f64]| col.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(r_ref.a_col(0)), bits(r0.a_col(0)), "{what}");
+                    assert_eq!(bits(r_ref.u_col(0)), bits(r0.u_col(0)), "{what}");
+                    assert!((0..4).all(|k| l_ref.u_col(k).iter().all(|x| x.is_finite())), "{what}");
                 }
             }
         }

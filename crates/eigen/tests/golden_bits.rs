@@ -234,3 +234,20 @@ fn eigen_solves_reproduce_the_solution_bits_whatever_measures_their_convergence(
     let rows = (0..GOLDEN.len()).map(solve);
     assert_golden(rows.filter_map(|(row, _, sol)| Some((row, sol?))).collect(), &GOLDEN_SOLUTION);
 }
+
+#[test]
+fn every_tier_the_host_reports_reproduces_both_tables() {
+    // The two tests above run on the widest vector unit the host has; the
+    // bits are every tier's, so the 24 solves run once per tier it reports
+    // — portable, AVX2 without and with FMA, AVX-512 — each whole solve,
+    // its worker threads included, dispatched to that tier.
+    for tier in mph_linalg::vecops::host_tiers() {
+        let rows: Vec<_> =
+            mph_linalg::vecops::with_tier(tier, || (0..GOLDEN.len()).map(solve).collect());
+        let full = rows.iter().map(|(row, full, _)| (format!("{tier:?} {row}"), *full)).collect();
+        assert_golden(full, &GOLDEN);
+        let solution =
+            rows.iter().filter_map(|(row, _, sol)| Some((format!("{tier:?} {row}"), (*sol)?)));
+        assert_golden(solution.collect(), &GOLDEN_SOLUTION);
+    }
+}

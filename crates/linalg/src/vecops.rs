@@ -2,9 +2,9 @@
 //!
 //! These are the only operations on the solver's hot path: the inner
 //! product and the plane rotation, each with one definition, and kernels
-//! dispatched at runtime to the widest vector unit the CPU offers (AVX-512F,
-//! then AVX2 — with FMA where the kernel uses it — then a portable loop).
-//! Every tier of a kernel computes its definition's bits.
+//! dispatched at runtime to the widest vector unit the CPU offers (AVX-512F
+//! with VL, then AVX2 — with FMA where the kernel uses it — then a portable
+//! loop). Every tier of a kernel computes its definition's bits.
 //!
 //! * [`dot`] is the one inner product: eight partial sums by index mod 8,
 //!   each a fused multiply-add chain that starts at 0.0, then the fixed
@@ -13,12 +13,20 @@
 //!   rounded IEEE operation, so the bits do not depend on the host.
 //!   AVX-512F holds a product's eight sums in one register, AVX2 with FMA
 //!   in two; the portable form, which is also what an AVX2 host without
-//!   FMA runs, calls `f64::mul_add`. [`dot_x2`], [`fused_triple`] and
-//!   [`fused_triple_x2`] take two, three and six inner products in one
-//!   pass, each product bitwise [`dot`].
+//!   FMA runs, calls `f64::mul_add`. [`fused_triple`] takes a pairing's
+//!   three inner products in one pass, each bitwise [`dot`].
 //! * [`pair_rotate`] is the rotation (multiply, multiply, add), and
 //!   [`pair_rotate_lanes`] its vector form: it multiplies then adds — no
 //!   FMA — so it is bitwise the scalar loop at every width.
+//! * [`pair_step`] is one step of a sweep's two-row walk: it rotates the
+//!   step's one or two pairings, bitwise [`pair_rotate`], and reduces the
+//!   2×2 blocks of the walk's next step from the rotated columns, each
+//!   product bitwise [`dot`]. On AVX-512 that is one pass: each chunk of
+//!   eight rows is loaded, rotated and stored, and the next step's
+//!   multiply-adds take the rotated lanes from the registers that stored
+//!   them. Which columns the next step pairs is a [`Transition`], one
+//!   constant operand table per way one step of the walk follows another.
+//!   The AVX2 and portable tiers rotate, then reduce a block at a time.
 
 /// Which bits the rotation stack computes — one set, whichever variant.
 ///
@@ -35,10 +43,15 @@ pub enum KernelPath {
     Lanes,
 }
 
-/// The vector unit the kernels dispatch to, detected once per process.
+/// A vector unit the kernels run on. A value names a unit cpuid reported:
+/// only [`lane_tier`] and [`lane_tiers`] make one, and the kernels' `unsafe`
+/// tiers rely on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LaneTier {
-    /// AVX-512F, which includes AVX2 and FMA.
+    /// AVX-512F with AVX-512VL, which include AVX2 and FMA. VL lets the
+    /// step pass keep its accumulators in zmm16–31: an AVX-512F function
+    /// zeroes a register with a VEX instruction, which reaches zmm0–15
+    /// only, and its six accumulators spilled there.
     #[cfg(target_arch = "x86_64")]
     Avx512,
     /// AVX2 with FMA: every AVX2 kernel.
@@ -51,110 +64,278 @@ enum LaneTier {
     Portable,
 }
 
-#[cfg(target_arch = "x86_64")]
+/// The widest vector unit this host has, detected once per process — or,
+/// with the `tier-override` feature, the one [`with_tier`] names.
+#[inline]
 fn lane_tier() -> LaneTier {
-    use std::arch::is_x86_feature_detected;
-    static TIER: std::sync::OnceLock<LaneTier> = std::sync::OnceLock::new();
-    *TIER.get_or_init(|| {
-        if is_x86_feature_detected!("avx512f") {
-            LaneTier::Avx512
-        } else if is_x86_feature_detected!("avx2") {
-            if is_x86_feature_detected!("fma") {
-                LaneTier::Avx2Fma
-            } else {
-                LaneTier::Avx2
+    #[cfg(feature = "tier-override")]
+    if let Some(tier) = forced::tier() {
+        return tier;
+    }
+    *lane_tiers().last().expect("the portable tier")
+}
+
+/// Every vector unit this host can run the kernels on, narrowest first: the
+/// portable loop, then each x86 tier whose features cpuid reports —
+/// detected once per process.
+#[inline]
+fn lane_tiers() -> &'static [LaneTier] {
+    static TIERS: std::sync::OnceLock<Vec<LaneTier>> = std::sync::OnceLock::new();
+    TIERS.get_or_init(|| {
+        #[allow(unused_mut)]
+        let mut tiers = vec![LaneTier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected;
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(LaneTier::Avx2);
+                if is_x86_feature_detected!("fma") {
+                    tiers.push(LaneTier::Avx2Fma);
+                }
             }
-        } else {
-            LaneTier::Portable
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                tiers.push(LaneTier::Avx512);
+            }
         }
+        tiers
     })
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn lane_tier() -> LaneTier {
-    LaneTier::Portable
+/// A vector unit this host reports, as [`host_tiers`] lists them: what
+/// [`with_tier`] runs the kernels on.
+#[cfg(feature = "tier-override")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tier(LaneTier);
+
+/// Every vector unit this host reports, narrowest first.
+#[cfg(feature = "tier-override")]
+pub fn host_tiers() -> Vec<Tier> {
+    lane_tiers().iter().copied().map(Tier).collect()
 }
 
-/// Which inner products one pass of a reduction takes over its streams:
-/// product `k` is `streams[TABLE[k][0]] · streams[TABLE[k][1]]`.
-trait Products<const P: usize> {
-    const TABLE: [[usize; 2]; P];
+/// Runs `f` with every kernel, on every thread, dispatched to `tier` — a
+/// test-only override, so that a whole solve can be held to its bits on
+/// each tier the host has. One override at a time: a second caller waits.
+#[cfg(feature = "tier-override")]
+pub fn with_tier<R>(tier: Tier, f: impl FnOnce() -> R) -> R {
+    forced::with(tier.0, f)
 }
 
-/// [`dot`]: `x · y` over `[x, y]`.
-struct One;
-/// [`dot_x2`]: `x0 · y0` and `x1 · y1` over `[x0, y0, x1, y1]`.
-struct Two;
-/// [`fused_triple`]: `x · a`, `x · b` and `y · b` over `[x, a, y, b]`.
+/// The override [`with_tier`] sets.
+#[cfg(feature = "tier-override")]
+mod forced {
+    use super::LaneTier;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// One plus the override's index in [`super::lane_tiers`]; 0 is none.
+    static FORCED: AtomicUsize = AtomicUsize::new(0);
+
+    pub(super) fn tier() -> Option<LaneTier> {
+        match FORCED.load(Ordering::Relaxed) {
+            0 => None,
+            k => Some(super::lane_tiers()[k - 1]),
+        }
+    }
+
+    pub(super) fn with<R>(tier: LaneTier, f: impl FnOnce() -> R) -> R {
+        static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+        /// Lifts the override however `f` returns.
+        struct Lift;
+        impl Drop for Lift {
+            fn drop(&mut self) {
+                FORCED.store(0, Ordering::SeqCst);
+            }
+        }
+        let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        let k = super::lane_tiers().iter().position(|&t| t == tier).expect("a host tier");
+        FORCED.store(k + 1, Ordering::SeqCst);
+        let _lift = Lift;
+        f()
+    }
+}
+
+/// Which 2×2 blocks one reduction takes over its streams: block `n` is
+/// `(x·a, x·b, y·b)` over the streams `TABLE[n] = [x, a, y, b]` — or, for
+/// a reduction of off-diagonals only, `x·b` alone.
+trait Operands<const N: usize> {
+    const TABLE: [[usize; 4]; N];
+}
+
+/// [`dot`]: `x · y` over `[x, y]`, the off-diagonal of the block
+/// `[x, y, x, y]`.
+struct Dot;
+/// [`fused_triple`]: the block over `[x, a, y, b]`.
 struct Triple;
-/// [`fused_triple_x2`]: a [`Triple`] over each half of eight streams.
-struct TripleX2;
 
-impl Products<1> for One {
-    const TABLE: [[usize; 2]; 1] = [[0, 1]];
+impl Operands<1> for Dot {
+    const TABLE: [[usize; 4]; 1] = [[0, 1, 0, 1]];
 }
-impl Products<2> for Two {
-    const TABLE: [[usize; 2]; 2] = [[0, 1], [2, 3]];
-}
-impl Products<3> for Triple {
-    const TABLE: [[usize; 2]; 3] = [[0, 1], [0, 3], [2, 3]];
-}
-impl Products<6> for TripleX2 {
-    const TABLE: [[usize; 2]; 6] = [[0, 1], [0, 3], [2, 3], [4, 5], [4, 7], [6, 7]];
+impl Operands<1> for Triple {
+    const TABLE: [[usize; 4]; 1] = [[0, 1, 2, 3]];
 }
 
-/// `T`'s products over `streams`, each bitwise [`dot`], on the widest tier
-/// this host has.
+/// The two streams of product `p` of the block `[x, a, y, b]`: `x·a`,
+/// `x·b`, `y·b`.
+#[inline(always)]
+const fn product([x, a, y, b]: [usize; 4], p: usize) -> [usize; 2] {
+    [[x, a], [x, b], [y, b]][p]
+}
+
+/// Whether a reduction takes product `p` of its blocks: every one, or the
+/// off-diagonal `x·b` alone where `off`.
+#[inline(always)]
+const fn takes(off: bool, p: usize) -> bool {
+    !off || p == 1
+}
+
+/// The streams `T`'s products read, where `OFF` leaves out the diagonals.
+struct Reads<T, const N: usize, const OFF: bool>(std::marker::PhantomData<T>);
+
+impl<const N: usize, const OFF: bool, T: Operands<N>> Reads<T, N, OFF> {
+    /// Bit `s` set where a product reads stream `s`.
+    const MASK: u64 = {
+        let mut mask = 0;
+        let mut n = 0;
+        while n < N {
+            let mut p = 0;
+            while p < 3 {
+                if takes(OFF, p) {
+                    let [x, y] = product(T::TABLE[n], p);
+                    mask |= 1 << x | 1 << y;
+                }
+                p += 1;
+            }
+            n += 1;
+        }
+        mask
+    };
+}
+
+/// Whether one of `T`'s products reads stream `s`: a constant once `T`
+/// is.
+#[inline(always)]
+fn reads<const N: usize, const OFF: bool, T: Operands<N>>(s: usize) -> bool {
+    Reads::<T, N, OFF>::MASK >> s & 1 == 1
+}
+
+/// The one length of every stream `T`'s products read (0 when they read
+/// none).
 ///
 /// # Panics
-/// Panics, with `assert_eq!`'s message, unless every stream has one length.
+/// Panics, with `assert_eq!`'s message, unless those streams share one
+/// length.
 #[inline]
-fn dots<const S: usize, const P: usize, T: Products<P>>(streams: [&[f64]; S]) -> [f64; P] {
-    for s in &streams[1..] {
-        assert_eq!(streams[0].len(), s.len());
+fn reduced_len<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    streams: &[&[f64]; S],
+) -> usize {
+    let mask = Reads::<T, N, OFF>::MASK;
+    if mask == 0 {
+        return 0;
     }
-    match lane_tier() {
+    let len = streams[mask.trailing_zeros() as usize].len();
+    for s in 0..S {
+        if reads::<N, OFF, T>(s) {
+            assert_eq!(len, streams[s].len());
+        }
+    }
+    len
+}
+
+/// `T`'s blocks over `streams` on `tier`, every product bitwise [`dot`];
+/// a product `OFF` leaves out reads 0.0.
+///
+/// # Panics
+/// Panics, with `assert_eq!`'s message, unless the streams the products
+/// read share one length.
+#[inline]
+fn dots<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    tier: LaneTier,
+    streams: [&[f64]; S],
+) -> [[f64; 3]; N] {
+    let len = reduced_len::<S, N, OFF, T>(&streams);
+    match tier {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier implies cpuid reported avx512f (`lane_tier`),
-        // and every stream's length was just checked.
-        LaneTier::Avx512 => unsafe { x86::dots_avx512::<S, P, T>(streams) },
+        // SAFETY: the tier implies cpuid reported avx512f (`LaneTier`), and
+        // every stream the products read holds `len` elements.
+        LaneTier::Avx512 => unsafe { x86::dots_avx512::<S, N, OFF, T>(streams, len) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier implies cpuid reported avx2 and fma, and every
-        // stream's length was just checked.
-        LaneTier::Avx2Fma => unsafe { x86::dots_avx2::<S, P, T>(streams) },
-        _ => dots_portable::<S, P, T>(streams),
+        // stream the products read holds `len` elements.
+        LaneTier::Avx2Fma => unsafe { x86::dots_avx2::<S, N, OFF, T>(streams, len) },
+        _ => dots_portable::<S, N, OFF, T>(streams, len),
     }
 }
 
-/// The portable tier of [`dots`]: the definition, lane `l` of product `k`
+/// The portable tier of [`dots`]: the definition, lane `l` of each product
 /// an `f64::mul_add` chain.
-fn dots_portable<const S: usize, const P: usize, T: Products<P>>(streams: [&[f64]; S]) -> [f64; P] {
-    let body = streams[0].len() / 8 * 8;
-    let mut sums = [[0.0f64; 8]; P];
-    for i in (0..body).step_by(8) {
-        for (sums, [x, y]) in sums.iter_mut().zip(T::TABLE) {
-            for (l, sum) in sums.iter_mut().enumerate() {
-                *sum = streams[x][i + l].mul_add(streams[y][i + l], *sum);
+fn dots_portable<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    streams: [&[f64]; S],
+    len: usize,
+) -> [[f64; 3]; N] {
+    let body = len / 8 * 8;
+    let mut sums = [[[0.0f64; 8]; 3]; N];
+    reduce_portable(&mut sums, streams, (T::TABLE, OFF), 0..body);
+    finish(sums, streams, (T::TABLE, OFF), body, len)
+}
+
+/// Which products a reduction takes: the blocks' streams, and whether it
+/// takes the off-diagonals only. A constant where the reduction is
+/// monomorphized, so its indices fold; a value on the paths that take one
+/// block at a time.
+type Table<const N: usize> = ([[usize; 4]; N], bool);
+
+/// The lanes of `table`'s products over the chunks starting in `chunks`,
+/// each an `f64::mul_add` chain continued in `sums`.
+#[inline(always)]
+fn reduce_portable<const S: usize, const N: usize>(
+    sums: &mut [[[f64; 8]; 3]; N],
+    streams: [&[f64]; S],
+    (table, off): Table<N>,
+    chunks: std::ops::Range<usize>,
+) {
+    for i in chunks.step_by(8) {
+        for (sums, row) in sums.iter_mut().zip(table) {
+            for (p, sums) in sums.iter_mut().enumerate().filter(|&(p, _)| takes(off, p)) {
+                let [x, y] = product(row, p);
+                for (l, sum) in sums.iter_mut().enumerate() {
+                    *sum = streams[x][i + l].mul_add(streams[y][i + l], *sum);
+                }
             }
         }
     }
-    finish::<S, P, T>(sums, streams, body)
 }
 
 /// The end every tier's reduction shares: each product's eight partial sums
 /// through the fixed tree — written out here once — then the tail from
-/// `body` on, folded in index order with a fused multiply-add.
+/// `body` to `len`, folded in index order with a fused multiply-add.
 #[inline(always)]
-fn finish<const S: usize, const P: usize, T: Products<P>>(
-    sums: [[f64; 8]; P],
+fn finish<const S: usize, const N: usize>(
+    sums: [[[f64; 8]; 3]; N],
     streams: [&[f64]; S],
+    (table, off): Table<N>,
     body: usize,
-) -> [f64; P] {
-    let mut out = sums
-        .map(|[s0, s1, s2, s3, s4, s5, s6, s7]| ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7)));
-    for i in body..streams[0].len() {
-        for (out, [x, y]) in out.iter_mut().zip(T::TABLE) {
-            *out = streams[x][i].mul_add(streams[y][i], *out);
+    len: usize,
+) -> [[f64; 3]; N] {
+    let mut out = tree(sums);
+    for i in body..len {
+        for (out, row) in out.iter_mut().zip(table) {
+            for (p, out) in out.iter_mut().enumerate().filter(|&(p, _)| takes(off, p)) {
+                let [x, y] = product(row, p);
+                *out = streams[x][i].mul_add(streams[y][i], *out);
+            }
+        }
+    }
+    out
+}
+
+/// Each product's eight partial sums through the fixed tree.
+#[inline(always)]
+fn tree<const N: usize>(sums: [[[f64; 8]; 3]; N]) -> [[f64; 3]; N] {
+    let mut out = [[0.0f64; 3]; N];
+    for (out, sums) in out.iter_mut().zip(sums) {
+        for (out, [s0, s1, s2, s3, s4, s5, s6, s7]) in out.iter_mut().zip(sums) {
+            *out = ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7));
         }
     }
     out
@@ -169,22 +350,8 @@ fn finish<const S: usize, const P: usize, T: Products<P>>(
 /// Panics if the slices have different lengths.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    let [d] = dots::<2, 1, One>([x, y]);
+    let [[_, d, _]] = dots::<2, 1, true, Dot>(lane_tier(), [x, y]);
     d
-}
-
-/// Two [`dot`]s in one pass, `[x0 · y0, x1 · y1]`, each `to_bits`-equal to
-/// [`dot`]: two independent add chains where one `dot` has one. Products of
-/// different lengths are taken one after the other.
-///
-/// # Panics
-/// Panics if the two slices of either product differ in length.
-#[inline]
-pub fn dot_x2([x0, y0]: [&[f64]; 2], [x1, y1]: [&[f64]; 2]) -> [f64; 2] {
-    if x0.len() != x1.len() {
-        return [dot(x0, y0), dot(x1, y1)];
-    }
-    dots::<4, 2, Two>([x0, y0, x1, y1])
 }
 
 /// The three inner products a Jacobi pairing needs, in one pass:
@@ -199,35 +366,263 @@ pub fn dot_x2([x0, y0]: [&[f64]; 2], [x1, y1]: [&[f64]; 2]) -> [f64; 2] {
 /// Panics if the slices do not all have one common length.
 #[inline]
 pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    let [pp, pq, qq] = dots::<4, 3, Triple>([x, a, y, b]);
+    let [[pp, pq, qq]] = dots::<4, 1, false, Triple>(lane_tier(), [x, a, y, b]);
     (pp, pq, qq)
 }
 
-/// The four streams `[x, a, y, b]` of one [`fused_triple`] call.
-pub type TripleStreams<'a> = [&'a [f64]; 4];
+/// Where a column of a walk's next step is in the step before it: a column
+/// of one of the two pairings the step rotates, or a column the step does
+/// not touch, which [`pair_step`] reads as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Col {
+    /// Column `i` (the left one) of the step's first pairing.
+    I0,
+    /// Column `j` (the right one) of the step's first pairing.
+    J0,
+    /// Column `i` of the pairing abreast of the first.
+    I1,
+    /// Column `j` of the pairing abreast of the first.
+    J1,
+    /// The first column the step does not rotate: `fresh[0]`.
+    F0,
+    /// The second: `fresh[1]`.
+    F1,
+}
 
-/// Two [`fused_triple`]s in one pass: the 2×2 blocks of two pairings that
-/// share no column, each of the six products `to_bits`-equal to [`dot`],
-/// so six add chains are in flight where one pairing has three.
+/// One way a step of the two-row walk follows another: the next step's
+/// `N` pairings, each `[i, j]`, by where their columns are in the step
+/// before. A walk step is one [`pair_step`], so each transition is one
+/// constant operand table of it.
+pub trait Transition<const N: usize> {
+    /// The next step's pairings.
+    const NEXT: [[Col; 2]; N];
+    /// [`Self::NEXT`] as a pattern of a walk's match: the first pairing, and
+    /// the one abreast of it if any.
+    const PATTERN: ([Col; 2], Option<[Col; 2]>) = pattern(Self::NEXT);
+}
+
+/// [`Transition::PATTERN`] of `next`.
+const fn pattern<const N: usize>(next: [[Col; 2]; N]) -> ([Col; 2], Option<[Col; 2]>) {
+    assert!(N == 1 || N == 2, "a step has one or two pairings");
+    let mut abreast = None;
+    if N == 2 {
+        abreast = Some(next[N - 1]);
+    }
+    (next[0], abreast)
+}
+
+/// Declares the transitions of the two-row walk, one type each.
+macro_rules! transitions {
+    ($($(#[$doc:meta])* $name:ident<$n:literal>: [$([$i:ident, $j:ident]),+];)+) => {$(
+        $(#[$doc])*
+        #[derive(Debug)]
+        pub struct $name;
+        impl Transition<$n> for $name {
+            const NEXT: [[Col; 2]; $n] = [$([Col::$i, Col::$j]),+];
+        }
+    )+};
+}
+
+transitions! {
+    /// Down a one-column rectangle: the next row's pairing with the same
+    /// right column.
+    Down<1>: [[F0, J0]];
+    /// Along one row: the same left column with the next right one — a
+    /// one-row rectangle, and the odd last row of a taller one.
+    Along<1>: [[I0, F0]];
+    /// Along with a right tile of two: the odd last row's second pairing
+    /// takes the right column the step rotated abreast.
+    AlongTwo<1>: [[I0, J1]];
+    /// A row pair's opening: the lead row moves right, and the row below
+    /// starts on the lead's right column.
+    Open<2>: [[I0, F0], [F1, J0]];
+    /// [`Open`] with a right tile of two: the lead row's next right column
+    /// is the one the step rotated abreast.
+    OpenTwo<2>: [[I0, J1], [F0, J0]];
+    /// Inside a row pair: the lead row moves right, the row below takes the
+    /// lead's right column.
+    InRow<2>: [[I0, F0], [I1, J0]];
+    /// From a row pair's end to the next one's start: a new left column on
+    /// the first right column, beside the row below finishing.
+    Wrap<2>: [[F0, F1], [I1, J0]];
+    /// [`Wrap`] with a right tile of two: the first right column is the one
+    /// the step rotated abreast.
+    WrapTwo<2>: [[F0, J1], [I1, J0]];
+    /// The last pairing of an even rectangle: the row below's, alone.
+    Last<1>: [[I1, J0]];
+}
+
+/// A pairing a step rotates: its streams `[ai, aj, ui, uj]`, as
+/// [`pair_rotate`] takes them, and the rotation `(c, s)` — `None` where the
+/// step skips the pairing, whose columns then feed the next step unrotated.
+pub type StepPairing<'a> = ([&'a mut [f64]; 4], Option<(f64, f64)>);
+
+/// The streams of a step, numbered as the operand tables read them:
+/// pairing `r`'s `[ai, aj, ui, uj]` from `4r`, then each fresh column's
+/// `[a, u]` from 8.
+const STEP_STREAMS: usize = 12;
+
+/// The streams `[a, u]` of column `c` of a step.
+const fn column_streams(c: Col) -> [usize; 2] {
+    match c {
+        Col::I0 => [0, 2],
+        Col::J0 => [1, 3],
+        Col::I1 => [4, 6],
+        Col::J1 => [5, 7],
+        Col::F0 => [8, 9],
+        Col::F1 => [10, 11],
+    }
+}
+
+/// The operand table of transition `T`: the next step's block `[x, a, y,
+/// b]` per pairing, `x` and `y` each column's `u` — or its `a` where `GRAM`.
+struct Step<T, const GRAM: bool>(std::marker::PhantomData<T>);
+
+impl<const N: usize, const GRAM: bool, T: Transition<N>> Operands<N> for Step<T, GRAM> {
+    const TABLE: [[usize; 4]; N] = {
+        let mut table = [[0; 4]; N];
+        let mut n = 0;
+        while n < N {
+            let [[ai, ui], [aj, uj]] =
+                [column_streams(T::NEXT[n][0]), column_streams(T::NEXT[n][1])];
+            table[n] = if GRAM { [ai, ai, aj, aj] } else { [ui, ai, uj, aj] };
+            n += 1;
+        }
+        table
+    };
+}
+
+/// One step of a sweep's two-row walk: rotates each of the step's `R`
+/// pairings by its turn, bitwise [`pair_rotate`] (a skipped pairing is left
+/// as it is), and returns the 2×2 blocks `(x·a, x·b, y·b)` of the next
+/// step's `N` pairings — their columns placed by `T`, read after the
+/// rotation — each product bitwise [`dot`]. `x` and `y` are each column's
+/// `u` stream (`M_ij = u_i · a_j`), or its `a` stream where `GRAM`
+/// (`G_ij = w_i · w_j`). Where `OFF_ONLY`, only `x·b` is reduced and the
+/// diagonals read 0.0: the caller keeps them.
 ///
-/// Pairings of different column lengths take the two blocks one after the
-/// other, as does the AVX2 tier, whose twelve accumulators would not fit
-/// its sixteen registers beside the loads.
+/// `fresh` holds the `[a, u]` streams of the next step's columns that this
+/// step does not rotate, [`Col::F0`] then [`Col::F1`]; a slot `T` does not
+/// name is ignored. A block whose `a` streams are longer than its `u`
+/// streams — the Gram rule on a tall matrix — reduces the excess as
+/// [`dot`] does, in its vector body and its tail.
+///
+/// On AVX-512 this is one pass over the columns, the next step's products
+/// reduced from the rotated values in the registers that stored them; the
+/// other tiers, and a step that skips a pairing, rotate and then reduce.
 ///
 /// # Panics
-/// Panics if the four streams of either pairing do not share one length.
+/// Panics unless `R` is 1 or 2 and `T` names only columns that are there,
+/// each pairing's `A` streams and `U` streams are of one length, and the
+/// streams the next step's products read are of one length.
 #[inline]
-pub fn fused_triple_x2(p: TripleStreams<'_>, q: TripleStreams<'_>) -> [(f64, f64, f64); 2] {
-    let apart = p[0].len() != q[0].len();
-    #[cfg(target_arch = "x86_64")]
-    let apart = apart || lane_tier() == LaneTier::Avx2Fma;
-    if apart {
-        let one = |[x, a, y, b]: TripleStreams<'_>| fused_triple(x, a, y, b);
-        return [one(p), one(q)];
+pub fn pair_step<
+    const R: usize,
+    const N: usize,
+    const OFF_ONLY: bool,
+    const GRAM: bool,
+    T: Transition<N>,
+>(
+    pairings: [StepPairing<'_>; R],
+    fresh: [[&[f64]; 2]; 2],
+) -> [(f64, f64, f64); N] {
+    let mut blocks = [(0.0, 0.0, 0.0); N];
+    let reduced = step_on::<R, N, OFF_ONLY, Step<T, GRAM>>(lane_tier(), pairings, fresh);
+    for (block, [pp, pq, qq]) in blocks.iter_mut().zip(reduced) {
+        *block = (pp, pq, qq);
     }
-    let [pp0, pq0, qq0, pp1, pq1, qq1] =
-        dots::<8, 6, TripleX2>([p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]]);
-    [(pp0, pq0, qq0), (pp1, pq1, qq1)]
+    blocks
+}
+
+/// [`pair_step`] on `tier`, over the operand table `O`.
+#[inline(always)]
+fn step_on<const R: usize, const N: usize, const OFF: bool, O: Operands<N>>(
+    tier: LaneTier,
+    pairings: [StepPairing<'_>; R],
+    fresh: [[&[f64]; 2]; 2],
+) -> [[f64; 3]; N] {
+    const {
+        assert!(R == 1 || R == 2, "a step rotates one or two pairings");
+        let absent = if R == 1 { 0xf0 } else { 0 };
+        assert!(Reads::<O, N, OFF>::MASK & absent == 0, "a table reads a pairing not there");
+    }
+    for ([ai, aj, ui, uj], _) in &pairings {
+        assert_eq!(ai.len(), aj.len());
+        assert_eq!(ui.len(), uj.len());
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier == LaneTier::Avx512 && pairings.iter().all(|(_, turn)| turn.is_some()) {
+        let len = reduced_len::<STEP_STREAMS, N, OFF, O>(&step_streams(&pairings, fresh));
+        // SAFETY: the tier implies cpuid reported avx512f and avx512vl
+        // (`LaneTier`); the table reads only the pairings there are, each
+        // pairing's stream pairs match, and every stream the products read
+        // holds `len`.
+        return unsafe { x86::step_avx512::<R, N, OFF, O>(pairings, fresh, len) };
+    }
+    step_in_two_passes::<R, N>(tier, pairings, fresh, (O::TABLE, OFF))
+}
+
+/// [`step_on`] as a rotation pass, then one reduction pass a block — the
+/// block [`fused_triple`]'s, or its off-diagonal [`dot`]'s where `off`,
+/// over the streams `table` names: the AVX2 and portable tiers, and a step
+/// that skips a pairing.
+#[inline(never)]
+fn step_in_two_passes<const R: usize, const N: usize>(
+    tier: LaneTier,
+    mut pairings: [StepPairing<'_>; R],
+    fresh: [[&[f64]; 2]; 2],
+    (table, off): Table<N>,
+) -> [[f64; 3]; N] {
+    for ([ai, aj, ui, uj], turn) in &mut pairings {
+        if let Some((c, s)) = *turn {
+            pair_rotate_on(tier, ai, aj, ui, uj, c, s);
+        }
+    }
+    let streams = step_streams(&pairings, fresh);
+    let mut blocks = [[0.0f64; 3]; N];
+    for (block, [x, a, y, b]) in blocks.iter_mut().zip(table) {
+        *block = if off {
+            let [[_, pq, _]] = dots::<2, 1, true, Dot>(tier, [streams[x], streams[b]]);
+            [0.0, pq, 0.0]
+        } else {
+            let [block] = dots::<4, 1, false, Triple>(tier, [x, a, y, b].map(|s| streams[s]));
+            block
+        };
+    }
+    blocks
+}
+
+/// The end of a one-pass step whose streams outrun its last common chunk:
+/// the chunks from `fused` on, then the tree and the tail — each lane the
+/// chain the pass left in `sums`, continued.
+#[inline(never)]
+fn step_rest<const N: usize>(
+    mut sums: [[[f64; 8]; 3]; N],
+    streams: [&[f64]; STEP_STREAMS],
+    table: Table<N>,
+    fused: usize,
+    len: usize,
+) -> [[f64; 3]; N] {
+    let body = len / 8 * 8;
+    reduce_portable(&mut sums, streams, table, fused..body);
+    finish(sums, streams, table, body, len)
+}
+
+/// The streams of a step, numbered as in [`STEP_STREAMS`]; a pairing the
+/// step does not have is empty.
+#[inline(always)]
+fn step_streams<'s, const R: usize>(
+    pairings: &'s [StepPairing<'_>; R],
+    fresh: [[&'s [f64]; 2]; 2],
+) -> [&'s [f64]; STEP_STREAMS] {
+    let mut streams: [&[f64]; STEP_STREAMS] = [&[]; STEP_STREAMS];
+    for (r, (quad, _)) in pairings.iter().enumerate() {
+        for (k, stream) in quad.iter().enumerate() {
+            streams[4 * r + k] = stream;
+        }
+    }
+    streams[8..].copy_from_slice(&[fresh[0][0], fresh[0][1], fresh[1][0], fresh[1][1]]);
+    streams
 }
 
 /// Applies the plane rotation to a column pair in one fused pass:
@@ -356,12 +751,26 @@ pub fn pair_rotate_lanes(
     c: f64,
     s: f64,
 ) {
+    pair_rotate_on(lane_tier(), ai, aj, ui, uj, c, s);
+}
+
+/// [`pair_rotate_lanes`] on `tier`.
+#[inline]
+fn pair_rotate_on(
+    tier: LaneTier,
+    ai: &mut [f64],
+    aj: &mut [f64],
+    ui: &mut [f64],
+    uj: &mut [f64],
+    c: f64,
+    s: f64,
+) {
     assert_eq!(ai.len(), aj.len());
     assert_eq!(ui.len(), uj.len());
     let (head, a_tail, u_tail) = split_pair_streams(ai, aj, ui, uj);
-    match lane_tier() {
+    match tier {
         #[cfg(target_arch = "x86_64")]
-        // Safety: tier implies the feature was detected (see `lane_tier`).
+        // Safety: tier implies the feature was detected (see `LaneTier`).
         LaneTier::Avx512 if head.0.len() >= AVX512_MIN_ROTATE => unsafe {
             x86::pair_rotate_avx512(head.0, head.1, head.2, head.3, c, s)
         },
@@ -497,71 +906,201 @@ fn top_pivot_abreast<const N: usize>(
 /// of the `unsafe fn`s below.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::Operands;
     use std::arch::x86_64::*;
 
-    /// [`super::dots`] on AVX-512F: product `k`'s eight partial sums in one
-    /// register, lane `l` the sum of index `l` mod 8, one fused
+    /// [`super::dots`] on AVX-512F: each product's eight partial sums in
+    /// one register, lane `l` the sum of index `l` mod 8, one fused
     /// multiply-add per eight elements — then [`super::finish`]'s tree and
     /// tail.
     ///
     /// # Safety
     /// Caller must have verified `avx512f` via cpuid (rustc's `avx512f`
-    /// includes `fma`); all `S` streams must share one length (checked by
-    /// [`super::dots`]).
+    /// includes `fma`); every stream the products read must hold `len`
+    /// elements (checked by [`super::dots`]).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dots_avx512<const S: usize, const P: usize, T: super::Products<P>>(
+    pub unsafe fn dots_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
         streams: [&[f64]; S],
-    ) -> [f64; P] {
-        let body = streams[0].len() / 8 * 8;
-        let mut acc = [_mm512_setzero_pd(); P];
-        let mut v = [_mm512_setzero_pd(); S];
-        for i in (0..body).step_by(8) {
-            for (reg, s) in v.iter_mut().zip(streams) {
-                *reg = _mm512_loadu_pd(s.as_ptr().add(i));
-            }
-            for (acc, [x, y]) in acc.iter_mut().zip(T::TABLE) {
-                *acc = _mm512_fmadd_pd(v[x], v[y], *acc);
-            }
-        }
-        let mut sums = [[0.0f64; 8]; P];
-        for (sums, acc) in sums.iter_mut().zip(acc) {
-            _mm512_storeu_pd(sums.as_mut_ptr(), acc);
-        }
-        super::finish::<S, P, T>(sums, streams, body)
+        len: usize,
+    ) -> [[f64; 3]; N] {
+        let body = len / 8 * 8;
+        let mut acc = [[_mm512_setzero_pd(); 3]; N];
+        reduce_avx512::<S, N, OFF, T>(&mut acc, streams, 0..body);
+        super::finish(spill_avx512(acc), streams, (T::TABLE, OFF), body, len)
     }
 
-    /// [`super::dots`] on AVX2 with FMA: product `k`'s eight partial sums in
-    /// two registers, lanes 0–3 and 4–7, one fused multiply-add each per
-    /// eight elements — then [`super::finish`]'s tree and tail.
+    /// The products' fused multiply-adds over the eight-element chunks
+    /// starting in `chunks`, read from memory.
     ///
     /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid; all `S`
-    /// streams must share one length (checked by [`super::dots`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dots_avx2<const S: usize, const P: usize, T: super::Products<P>>(
+    /// Requires AVX-512F; every stream the products read must hold the
+    /// chunks.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn reduce_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+        acc: &mut [[__m512d; 3]; N],
         streams: [&[f64]; S],
-    ) -> [f64; P] {
-        let body = streams[0].len() / 8 * 8;
-        let mut lo = [_mm256_setzero_pd(); P];
-        let mut hi = [_mm256_setzero_pd(); P];
-        let mut vlo = [_mm256_setzero_pd(); S];
-        let mut vhi = [_mm256_setzero_pd(); S];
-        for i in (0..body).step_by(8) {
-            for ((rlo, rhi), s) in vlo.iter_mut().zip(&mut vhi).zip(streams) {
-                *rlo = _mm256_loadu_pd(s.as_ptr().add(i));
-                *rhi = _mm256_loadu_pd(s.as_ptr().add(i + 4));
+        chunks: std::ops::Range<usize>,
+    ) {
+        let mut v = [_mm512_setzero_pd(); S];
+        for i in chunks.step_by(8) {
+            for (s, reg) in v.iter_mut().enumerate() {
+                if super::reads::<N, OFF, T>(s) {
+                    *reg = _mm512_loadu_pd(streams[s].as_ptr().add(i));
+                }
             }
-            for ((lo, hi), [x, y]) in lo.iter_mut().zip(&mut hi).zip(T::TABLE) {
-                *lo = _mm256_fmadd_pd(vlo[x], vlo[y], *lo);
-                *hi = _mm256_fmadd_pd(vhi[x], vhi[y], *hi);
+            fma_avx512::<S, N, OFF, T>(acc, &v);
+        }
+    }
+
+    /// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fma_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+        acc: &mut [[__m512d; 3]; N],
+        v: &[__m512d; S],
+    ) {
+        for (acc, row) in acc.iter_mut().zip(T::TABLE) {
+            for (p, acc) in acc.iter_mut().enumerate() {
+                if super::takes(OFF, p) {
+                    let [x, y] = super::product(row, p);
+                    *acc = _mm512_fmadd_pd(v[x], v[y], *acc);
+                }
             }
         }
-        let mut sums = [[0.0f64; 8]; P];
-        for ((sums, lo), hi) in sums.iter_mut().zip(lo).zip(hi) {
-            _mm256_storeu_pd(sums.as_mut_ptr(), lo);
-            _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
+    }
+
+    /// The accumulators' lanes, as [`super::finish`] takes them.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn spill_avx512<const N: usize>(acc: [[__m512d; 3]; N]) -> [[[f64; 8]; 3]; N] {
+        let mut sums = [[[0.0f64; 8]; 3]; N];
+        for (sums, acc) in sums.iter_mut().zip(acc) {
+            for (sums, acc) in sums.iter_mut().zip(acc) {
+                _mm512_storeu_pd(sums.as_mut_ptr(), acc);
+            }
         }
-        super::finish::<S, P, T>(sums, streams, body)
+        sums
+    }
+
+    /// [`super::pair_step`] on AVX-512 (F and VL), every pairing turning:
+    /// per chunk of eight rows, each pairing's four streams are loaded,
+    /// rotated (multiply then add, no FMA — [`pair_rotate_avx512`]'s bits)
+    /// and stored, and the next step's products take the rotated values
+    /// from the same registers, beside the fresh columns' loads. What the
+    /// chunks leave — the rows past the last common chunk of every stream —
+    /// is rotated by the scalar loop, then reduced from memory by
+    /// [`super::step_rest`], each lane's chain continued.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx512f` and `avx512vl` via cpuid; `R`
+    /// must be 1 or 2, `T` must read no stream of a pairing past the `R`th,
+    /// each pairing's `A` and `U` stream pairs must match in length, and
+    /// every stream the products read must hold `len` elements (checked by
+    /// [`super::step_on`]).
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub unsafe fn step_avx512<const R: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+        mut pairings: [super::StepPairing<'_>; R],
+        fresh: [[&[f64]; 2]; 2],
+        len: usize,
+    ) -> [[f64; 3]; N] {
+        let mut fused = len;
+        let mut rows = [[std::ptr::null_mut::<f64>(); 4]; R];
+        let mut cs = [(0.0, 0.0); R];
+        let mut turns = [(_mm512_setzero_pd(), _mm512_setzero_pd()); R];
+        for (r, (quad, turn)) in pairings.iter_mut().enumerate() {
+            fused = fused.min(quad[0].len()).min(quad[2].len());
+            for (row, stream) in rows[r].iter_mut().zip(quad.iter_mut()) {
+                *row = stream.as_mut_ptr();
+            }
+            cs[r] = turn.expect("every pairing turns");
+            turns[r] = (_mm512_set1_pd(cs[r].0), _mm512_set1_pd(cs[r].1));
+        }
+        let fused = fused / 8 * 8;
+        let [[a0, u0], [a1, u1]] = fresh;
+        let read = [a0.as_ptr(), u0.as_ptr(), a1.as_ptr(), u1.as_ptr()];
+        let mut acc = [[_mm512_setzero_pd(); 3]; N];
+        for i in (0..fused).step_by(8) {
+            let mut v = [_mm512_setzero_pd(); super::STEP_STREAMS];
+            // Every load of the chunk before any of its stores: a load
+            // after a store whose address matches it in the low twelve bits
+            // waits on the store, and the columns of a 256-row block start
+            // 4 KiB apart.
+            for (f, read) in read.iter().enumerate() {
+                if super::reads::<N, OFF, T>(8 + f) {
+                    v[8 + f] = _mm512_loadu_pd(read.add(i));
+                }
+            }
+            for (r, (&[ai, aj, ui, uj], &(vc, vs))) in rows.iter().zip(&turns).enumerate() {
+                let (a0, a1) = (_mm512_loadu_pd(ai.add(i)), _mm512_loadu_pd(aj.add(i)));
+                let (u0, u1) = (_mm512_loadu_pd(ui.add(i)), _mm512_loadu_pd(uj.add(i)));
+                v[4 * r] = _mm512_sub_pd(_mm512_mul_pd(vc, a0), _mm512_mul_pd(vs, a1));
+                v[4 * r + 1] = _mm512_add_pd(_mm512_mul_pd(vs, a0), _mm512_mul_pd(vc, a1));
+                v[4 * r + 2] = _mm512_sub_pd(_mm512_mul_pd(vc, u0), _mm512_mul_pd(vs, u1));
+                v[4 * r + 3] = _mm512_add_pd(_mm512_mul_pd(vs, u0), _mm512_mul_pd(vc, u1));
+            }
+            fma_avx512::<{ super::STEP_STREAMS }, N, OFF, T>(&mut acc, &v);
+            for (r, rows) in rows.iter().enumerate() {
+                for (k, row) in rows.iter().enumerate() {
+                    _mm512_storeu_pd(row.add(i), v[4 * r + k]);
+                }
+            }
+        }
+        for (([ai, aj, ui, uj], _), (c, s)) in pairings.iter_mut().zip(cs) {
+            if fused < ai.len().max(ui.len()) {
+                let (ai, aj, ui, uj) =
+                    (&mut ai[fused..], &mut aj[fused..], &mut ui[fused..], &mut uj[fused..]);
+                super::pair_rotate(ai, aj, ui, uj, c, s);
+            }
+        }
+        if fused == len {
+            return super::tree(spill_avx512(acc));
+        }
+        let streams = super::step_streams(&pairings, fresh);
+        super::step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, len)
+    }
+
+    /// [`super::dots`] on AVX2 with FMA: each product's eight partial sums
+    /// in two registers, lanes 0–3 and 4–7, one fused multiply-add each per
+    /// eight elements — then [`super::finish`]'s tree and tail. The blocks
+    /// are taken one pass each: two blocks' twelve accumulators would not
+    /// fit sixteen registers beside the loads.
+    ///
+    /// # Safety
+    /// Caller must have verified `avx2` and `fma` via cpuid; every stream
+    /// the products read must hold `len` elements (checked by
+    /// [`super::dots`]).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dots_avx2<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+        streams: [&[f64]; S],
+        len: usize,
+    ) -> [[f64; 3]; N] {
+        let body = len / 8 * 8;
+        let mut sums = [[[0.0f64; 8]; 3]; N];
+        for (sums, row) in sums.iter_mut().zip(T::TABLE) {
+            let (mut lo, mut hi) = ([_mm256_setzero_pd(); 3], [_mm256_setzero_pd(); 3]);
+            for i in (0..body).step_by(8) {
+                for (p, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
+                    if super::takes(OFF, p) {
+                        let [x, y] = super::product(row, p).map(|s| streams[s].as_ptr().add(i));
+                        *lo = _mm256_fmadd_pd(_mm256_loadu_pd(x), _mm256_loadu_pd(y), *lo);
+                        let (x, y) = (x.add(4), y.add(4));
+                        *hi = _mm256_fmadd_pd(_mm256_loadu_pd(x), _mm256_loadu_pd(y), *hi);
+                    }
+                }
+            }
+            for ((sums, lo), hi) in sums.iter_mut().zip(lo).zip(hi) {
+                _mm256_storeu_pd(sums.as_mut_ptr(), lo);
+                _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
+            }
+        }
+        super::finish(sums, streams, (T::TABLE, OFF), body, len)
     }
 
     /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
@@ -987,79 +1526,12 @@ mod tests {
     //
     // The public kernels reach exactly one tier per host (`lane_tier`), so
     // on an AVX-512 machine the AVX2 forms would otherwise never run. The
-    // tables below name each tier's function — the portable form always, an
-    // x86 form only once cpuid reports its features, which is the safety
-    // condition of the `unsafe` calls inside the closures.
+    // reductions and the step pass take the tier as an argument, and
+    // `lane_tiers` lists every tier cpuid reports — the safety condition of
+    // the `unsafe` forms each tier reaches. The rotators' forms are named
+    // below, each x86 one only once cpuid reports its features.
 
-    type DotFn = fn(&[f64], &[f64]) -> f64;
-    type DotX2Fn = fn([&[f64]; 2], [&[f64]; 2]) -> [f64; 2];
-    type TripleFn = fn(&[f64], &[f64], &[f64], &[f64]) -> (f64, f64, f64);
-    type TripleX2Fn = fn(TripleStreams<'_>, TripleStreams<'_>) -> [(f64, f64, f64); 2];
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
-
-    /// One tier's four reductions.
-    struct Reductions {
-        name: &'static str,
-        dot: DotFn,
-        dot_x2: DotX2Fn,
-        triple: TripleFn,
-        triple_x2: TripleX2Fn,
-    }
-
-    /// [`dots_portable`] as an `unsafe fn`, so that [`reductions!`] calls
-    /// every tier alike.
-    unsafe fn portable<const S: usize, const P: usize, T: Products<P>>(s: [&[f64]; S]) -> [f64; P] {
-        dots_portable::<S, P, T>(s)
-    }
-
-    /// The four reductions of one tier's `dots` kernel.
-    macro_rules! reductions {
-        ($name:literal, $($dots:ident)::+) => {
-            // SAFETY (every closure): the caller detected the tier's
-            // features; the tests pass streams of one length.
-            Reductions {
-                name: $name,
-                dot: |x, y| unsafe { $($dots)::+::<2, 1, One>([x, y])[0] },
-                dot_x2: |[x0, y0], [x1, y1]| unsafe { $($dots)::+::<4, 2, Two>([x0, y0, x1, y1]) },
-                triple: |x, a, y, b| {
-                    let [pp, pq, qq] = unsafe { $($dots)::+::<4, 3, Triple>([x, a, y, b]) };
-                    (pp, pq, qq)
-                },
-                triple_x2: |p, q| {
-                    let s = [p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]];
-                    let [a, b, c, d, e, f] = unsafe { $($dots)::+::<8, 6, TripleX2>(s) };
-                    [(a, b, c), (d, e, f)]
-                },
-            }
-        };
-    }
-
-    /// Every tier of the reductions this host can run: the portable form
-    /// (also the tier of an AVX2 host without FMA), each x86 form once
-    /// cpuid reports its features, and the public dispatch.
-    fn reduction_tiers() -> Vec<Reductions> {
-        let mut tiers = vec![
-            reductions!("portable", portable),
-            Reductions {
-                name: "dispatch",
-                dot,
-                dot_x2,
-                triple: fused_triple,
-                triple_x2: fused_triple_x2,
-            },
-        ];
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                tiers.push(reductions!("avx2+fma", x86::dots_avx2));
-            }
-            if is_x86_feature_detected!("avx512f") {
-                tiers.push(reductions!("avx512", x86::dots_avx512));
-            }
-        }
-        tiers
-    }
 
     /// Every tier of the rotator this host can run: the portable loop, and
     /// each x86 form once cpuid reports its features.
@@ -1110,7 +1582,7 @@ mod tests {
     }
 
     /// A pairing's three products by the definition.
-    fn triple_by_definition([x, a, y, b]: TripleStreams<'_>) -> [f64; 3] {
+    fn triple_by_definition([x, a, y, b]: [&[f64]; 4]) -> [f64; 3] {
         [by_definition(x, a), by_definition(x, b), by_definition(y, b)]
     }
 
@@ -1119,31 +1591,44 @@ mod tests {
         (0..=40usize).chain(63..=65).chain(255..=257)
     }
 
+    /// Two pairings' blocks over eight streams: the reduction of a step
+    /// whose next step has two pairings, over plain streams.
+    struct Pairs;
+
+    impl Operands<2> for Pairs {
+        const TABLE: [[usize; 4]; 2] = [[0, 1, 2, 3], [4, 5, 6, 7]];
+    }
+
     /// Checks every reduction of every tier on the eight streams `c`
-    /// against the definition, product by product, with `same` — the
-    /// triples also in the Gram rule's aliasing, one column in both roles.
+    /// against the definition, product by product, with `same`: `dot`, one
+    /// pairing's block, and two pairings' blocks whole and off-diagonals
+    /// only — the blocks also in the Gram rule's aliasing, one column in
+    /// both roles — and the public `dot` and `fused_triple`.
     fn check_reductions(c: [&[f64]; 8], same: impl Fn(f64, f64) -> bool, what: &str) {
         let n = c[0].len();
         let (p, q) = ([c[0], c[1], c[2], c[3]], [c[4], c[5], c[6], c[7]]);
         let gram = ([c[0], c[0], c[2], c[2]], [c[4], c[4], c[6], c[6]]);
-        for t in reduction_tiers() {
-            let check = |got: &[f64], want: &[f64], which: &str| {
-                for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
-                    let name = t.name;
-                    assert!(
-                        same(g, w),
-                        "{name} {which} product {k}, {what}, n={n}: {g:e} vs {w:e}"
-                    );
-                }
-            };
-            check(&[(t.dot)(c[0], c[1])], &[by_definition(c[0], c[1])], "dot");
-            let want = [by_definition(c[0], c[1]), by_definition(c[2], c[3])];
-            check(&(t.dot_x2)([c[0], c[1]], [c[2], c[3]]), &want, "dot_x2");
+        let check = |got: &[f64], want: &[f64], which: &str| {
+            for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+                assert!(same(g, w), "{which} product {k}, {what}, n={n}: {g:e} vs {w:e}");
+            }
+        };
+        check(&[dot(c[0], c[1])], &[by_definition(c[0], c[1])], "dispatch dot");
+        let (pp, pq, qq) = fused_triple(p[0], p[1], p[2], p[3]);
+        check(&[pp, pq, qq], &triple_by_definition(p), "dispatch fused_triple");
+        for &tier in lane_tiers() {
+            let [[_, d, _]] = dots::<2, 1, true, Dot>(tier, [c[0], c[1]]);
+            check(&[d], &[by_definition(c[0], c[1])], &format!("{tier:?} dot"));
             for (p, q) in [(p, q), gram] {
-                let (pp, pq, qq) = (t.triple)(p[0], p[1], p[2], p[3]);
-                check(&[pp, pq, qq], &triple_by_definition(p), "triple");
-                for ((pp, pq, qq), h) in (t.triple_x2)(p, q).into_iter().zip([p, q]) {
-                    check(&[pp, pq, qq], &triple_by_definition(h), "triple_x2");
+                let [block] = dots::<4, 1, false, Triple>(tier, p);
+                check(&block, &triple_by_definition(p), &format!("{tier:?} triple"));
+                let streams = [p[0], p[1], p[2], p[3], q[0], q[1], q[2], q[3]];
+                let want = [triple_by_definition(p), triple_by_definition(q)];
+                let whole = dots::<8, 2, false, Pairs>(tier, streams);
+                let off = dots::<8, 2, true, Pairs>(tier, streams);
+                for ((whole, off), want) in whole.iter().zip(&off).zip(want) {
+                    check(whole, &want, &format!("{tier:?} x2"));
+                    check(off, &[0.0, want[1], 0.0], &format!("{tier:?} x2 off-diagonal"));
                 }
             }
         }
@@ -1162,6 +1647,21 @@ mod tests {
     fn bitwise(got: f64, want: f64) -> bool {
         got.to_bits() == want.to_bits()
     }
+
+    /// NaN payloads are not pinned by IEEE 754, so NaN-ness is compared, and
+    /// every other value to the bit.
+    fn agree(got: f64, want: f64) -> bool {
+        if want.is_nan() {
+            got.is_nan()
+        } else {
+            bitwise(got, want)
+        }
+    }
+
+    /// ±0, subnormals and 1e±150 beside ±1: where a fused multiply-add, a
+    /// reordered sum or a rotation by the identity would show.
+    const EXTREMES: [f64; 12] =
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-150, -1e-150, 1e150, -1e150, 1.0, -1.0];
 
     #[test]
     fn every_tier_of_dot_and_fused_triple_meets_the_reduction_contract() {
@@ -1191,14 +1691,11 @@ mod tests {
         // of a product depend on the operation order, which is the thing
         // under test.
         use rand::{Rng, SeedableRng};
-        const POOL: [f64; 12] = [
-            0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-150, -1e-150, 1e150, -1e150, 1.0, -1.0,
-        ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         for n in reduction_lengths() {
             let cols = eight_columns(n, || match rng.gen_range(0..3) {
                 0 => rng.gen_range(-1.0..=1.0),
-                _ => POOL[rng.gen_range(0..POOL.len())],
+                _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
             });
             check_reductions(as_streams(&cols), bitwise, "tiny and huge");
         }
@@ -1211,17 +1708,8 @@ mod tests {
 
     #[test]
     fn every_exact_tier_agrees_with_dot_on_non_finite_input() {
-        // NaN payloads are not pinned by IEEE 754, so NaN-ness is compared,
-        // and an infinity must match in sign.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let agree = |got: f64, want: f64| {
-            if want.is_nan() {
-                got.is_nan()
-            } else {
-                got == want
-            }
-        };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for n in [1usize, 8, 9, 33, 256, 259] {
                 // One bad entry per column, in the vector body and the tail.
@@ -1240,8 +1728,8 @@ mod tests {
     fn every_x2_tier_is_bitwise_dot_in_all_six_products() {
         // The eight columns 0 and 2 elements past a cache line, so the
         // vector body starts on and off a line; `check_reductions` holds
-        // every tier's `dot_x2` and `fused_triple_x2`, the Gram aliasing
-        // included, to the definition per product.
+        // every tier's two-pairing reduction — whole and off-diagonals
+        // only, the Gram aliasing included — to the definition per product.
         for n in reduction_lengths() {
             for off in [0usize, 2] {
                 let cols: Vec<_> = (0..8).map(|k| placed(&stream(k, n), off)).collect();
@@ -1252,45 +1740,28 @@ mod tests {
     }
 
     #[test]
-    fn x2_of_pairings_of_different_lengths_takes_them_one_at_a_time() {
-        // No caller pairs columns of two heights in one step; the answer is
-        // still each pairing's own, not a panic.
-        let short: Vec<_> = (0..4).map(|k| stream(k, 9)).collect();
-        let long: Vec<_> = (4..8).map(|k| stream(k, 67)).collect();
-        let p: TripleStreams<'_> = [&short[0], &short[1], &short[2], &short[3]];
-        let q: TripleStreams<'_> = [&long[0], &long[1], &long[2], &long[3]];
-        let want = [fused_triple(p[0], p[1], p[2], p[3]), fused_triple(q[0], q[1], q[2], q[3])];
-        assert_eq!(fused_triple_x2(p, q), want);
-        assert_eq!(fused_triple_x2(q, p), [want[1], want[0]]);
-        let want = [dot(p[0], p[1]), dot(q[0], q[1])];
-        assert_eq!(dot_x2([p[0], p[1]], [q[0], q[1]]), want);
-        assert_eq!(dot_x2([q[0], q[1]], [p[0], p[1]]), [want[1], want[0]]);
-    }
-
-    #[test]
     #[should_panic(expected = "left == right")]
     fn x2_rejects_a_pairing_of_mismatched_streams_with_dots_message() {
         let (short, long) = (stream(0, 8), stream(1, 9));
-        fused_triple_x2([&short, &short, &short, &short], [&short, &short, &long, &long]);
-    }
-
-    /// The vector unit this host runs the reductions on, named as in
-    /// [`reduction_tiers`].
-    fn reduction_tier() -> &'static str {
-        match lane_tier() {
-            #[cfg(target_arch = "x86_64")]
-            LaneTier::Avx512 => "avx512",
-            #[cfg(target_arch = "x86_64")]
-            LaneTier::Avx2Fma => "avx2+fma",
-            _ => "portable",
-        }
+        let streams = [&short[..], &short, &short, &short, &short, &short, &long, &long];
+        dots::<8, 2, false, Pairs>(lane_tier(), streams);
     }
 
     #[test]
     fn the_exact_tier_name_is_one_of_the_tiers() {
-        // The tier the host dispatches to is one of the forms checked above.
-        let name = reduction_tier();
-        assert!(reduction_tiers().iter().any(|t| t.name == name), "{name}");
+        // `lane_tiers` lists what the tier tests run; the tier every public
+        // kernel dispatches to is its widest.
+        assert_eq!(Some(&lane_tier()), lane_tiers().last());
+    }
+
+    #[cfg(feature = "tier-override")]
+    #[test]
+    fn with_tier_dispatches_every_kernel_to_the_tier_until_it_returns() {
+        let widest = lane_tier();
+        for tier in host_tiers() {
+            assert_eq!(with_tier(tier, lane_tier), tier.0);
+            assert_eq!(lane_tier(), widest);
+        }
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1304,7 +1775,8 @@ mod tests {
         let avx512 = is_x86_feature_detected!("avx512f");
         let avx2 = is_x86_feature_detected!("avx2");
         let fma = is_x86_feature_detected!("fma");
-        assert_eq!(reduction_tier() != "portable", avx512 || (avx2 && fma));
+        let in_lanes = matches!(lane_tier(), LaneTier::Avx512 | LaneTier::Avx2Fma);
+        assert_eq!(in_lanes, avx512 || (avx2 && fma));
         if avx2 && !fma && !avx512 {
             assert_eq!(lane_tier(), LaneTier::Avx2);
         }
@@ -1317,6 +1789,223 @@ mod tests {
         // message, whichever kernel computes it.
         let (short, long) = (stream(0, 8), stream(1, 9));
         fused_triple(&short, &short, &long, &long);
+    }
+
+    // --- The step pass: `pair_rotate`, then the definition, tier by tier ----
+
+    /// A step's columns `[a, u]`, placed as [`Col`] numbers them: I0, J0,
+    /// I1, J1, F0, F1.
+    type StepColumns = Vec<[Vec<f64>; 2]>;
+
+    /// Where column `c` is in [`StepColumns`].
+    fn at(c: Col) -> usize {
+        [Col::I0, Col::J0, Col::I1, Col::J1, Col::F0, Col::F1]
+            .iter()
+            .position(|&k| k == c)
+            .expect("a column")
+    }
+
+    /// `T`'s step on `tier` over a copy of `cols`, turning pairing `r` by
+    /// `turns[r]`: the columns after it and the next step's blocks.
+    fn step_of<const R: usize, const N: usize, const OFF: bool, const GRAM: bool, T>(
+        tier: LaneTier,
+        cols: &StepColumns,
+        turns: [Option<(f64, f64)>; R],
+    ) -> (StepColumns, [[f64; 3]; N])
+    where
+        T: Transition<N>,
+    {
+        let mut cols = cols.clone();
+        let blocks = {
+            let (rotated, fresh) = cols.split_at_mut(4);
+            let [[ai0, ui0], [aj0, uj0], [ai1, ui1], [aj1, uj1]] = rotated else { unreachable!() };
+            let [[af0, uf0], [af1, uf1]] = fresh else { unreachable!() };
+            let mut quads = [[ai0, aj0, ui0, uj0], [ai1, aj1, ui1, uj1]].into_iter().zip(turns);
+            let pairings: [StepPairing<'_>; R] = std::array::from_fn(|_| {
+                let (quad, turn) = quads.next().expect("a pairing a turn");
+                (quad.map(|s| &mut s[..]), turn)
+            });
+            let fresh = [[&af0[..], &uf0[..]], [&af1[..], &uf1[..]]];
+            step_on::<R, N, OFF, Step<T, GRAM>>(tier, pairings, fresh)
+        };
+        (cols, blocks)
+    }
+
+    /// The same step written plainly: [`pair_rotate`] per turning pairing,
+    /// then each next block by [`by_definition`].
+    fn step_by_definition<const R: usize, const N: usize>(
+        next: [[Col; 2]; N],
+        (off, gram): (bool, bool),
+        cols: &StepColumns,
+        turns: [Option<(f64, f64)>; R],
+    ) -> (StepColumns, [[f64; 3]; N]) {
+        let mut cols = cols.clone();
+        for (r, turn) in turns.into_iter().enumerate() {
+            if let Some((c, s)) = turn {
+                let (i, j) = cols.split_at_mut(2 * r + 1);
+                let ([ai, ui], [aj, uj]) = (&mut i[2 * r], &mut j[0]);
+                pair_rotate(ai, aj, ui, uj, c, s);
+            }
+        }
+        let blocks = next.map(|[i, j]| {
+            let ([ai, ui], [aj, uj]) = (&cols[at(i)], &cols[at(j)]);
+            let (xi, xj) = if gram { (ai, aj) } else { (ui, uj) };
+            let pq = by_definition(xi, aj);
+            if off {
+                [0.0, pq, 0.0]
+            } else {
+                [by_definition(xi, ai), pq, by_definition(xj, aj)]
+            }
+        });
+        (cols, blocks)
+    }
+
+    /// Every way a step of `R` pairings turns them: each one turning or
+    /// skipped.
+    fn turn_sets<const R: usize>(c: f64, s: f64) -> Vec<[Option<(f64, f64)>; R]> {
+        (0..1usize << R)
+            .map(|on| std::array::from_fn(|r| (on >> r & 1 == 1).then_some((c, s))))
+            .collect()
+    }
+
+    /// Holds `T`'s step, `R` pairings turning, on every tier to
+    /// [`step_by_definition`] — columns and blocks, with `same` — under
+    /// both rules, whole blocks and off-diagonals only, every turn set, and
+    /// the columns `draw(rows)` makes at each length `ns` gives: square,
+    /// and for the Gram rule also with `A` columns longer than `U` ones.
+    fn check_transition<const R: usize, const N: usize, T: Transition<N>>(
+        name: &str,
+        ns: &[usize],
+        mut draw: impl FnMut(usize) -> Vec<f64>,
+        same: impl Fn(f64, f64) -> bool + Copy,
+    ) {
+        let (c, s) = (0.6f64.cos(), 0.6f64.sin());
+        for &n in ns {
+            for (gram, na, nu) in [(false, n, n), (true, n, n), (true, n + 9, n), (true, n + 1, n)]
+            {
+                let cols: StepColumns = (0..6).map(|_| [draw(na), draw(nu)]).collect();
+                for turns in turn_sets::<R>(c, s) {
+                    for &tier in lane_tiers() {
+                        let case = format!("{name} R={R} {tier:?} gram={gram} {na}x{nu} {turns:?}");
+                        let check = |(got, want): ((StepColumns, [[f64; 3]; N]), _), off| {
+                            let (got, want): (_, (StepColumns, [[f64; 3]; N])) = (got, want);
+                            let flat = |c: &StepColumns| {
+                                c.iter().flatten().flatten().copied().collect::<Vec<_>>()
+                            };
+                            let (g, w) = (flat(&got.0), flat(&want.0));
+                            assert!(
+                                g.iter().zip(&w).all(|(&g, &w)| same(g, w)),
+                                "{case} off={off}: columns"
+                            );
+                            for (g, w) in got.1.iter().flatten().zip(want.1.iter().flatten()) {
+                                assert!(
+                                    same(*g, *w),
+                                    "{case} off={off}: blocks {:?} vs {:?}",
+                                    got.1,
+                                    want.1
+                                );
+                            }
+                        };
+                        let want =
+                            |off| step_by_definition::<R, N>(T::NEXT, (off, gram), &cols, turns);
+                        if gram {
+                            check(
+                                (step_of::<R, N, false, true, T>(tier, &cols, turns), want(false)),
+                                false,
+                            );
+                            check(
+                                (step_of::<R, N, true, true, T>(tier, &cols, turns), want(true)),
+                                true,
+                            );
+                        } else {
+                            check(
+                                (step_of::<R, N, false, false, T>(tier, &cols, turns), want(false)),
+                                false,
+                            );
+                            check(
+                                (step_of::<R, N, true, false, T>(tier, &cols, turns), want(true)),
+                                true,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`check_transition`] for every transition of the two-row walk, with
+    /// each number of pairings it follows a step of.
+    fn check_every_transition(
+        ns: &[usize],
+        mut draw: impl FnMut(usize) -> Vec<f64>,
+        same: impl Fn(f64, f64) -> bool + Copy,
+    ) {
+        check_transition::<1, 1, Down>("Down", ns, &mut draw, same);
+        check_transition::<1, 1, Along>("Along", ns, &mut draw, same);
+        check_transition::<2, 1, Along>("Along", ns, &mut draw, same);
+        check_transition::<2, 1, AlongTwo>("AlongTwo", ns, &mut draw, same);
+        check_transition::<1, 2, Open>("Open", ns, &mut draw, same);
+        check_transition::<2, 2, Open>("Open", ns, &mut draw, same);
+        check_transition::<2, 2, OpenTwo>("OpenTwo", ns, &mut draw, same);
+        check_transition::<2, 2, InRow>("InRow", ns, &mut draw, same);
+        check_transition::<2, 2, Wrap>("Wrap", ns, &mut draw, same);
+        check_transition::<2, 2, WrapTwo>("WrapTwo", ns, &mut draw, same);
+        check_transition::<2, 1, Last>("Last", ns, &mut draw, same);
+    }
+
+    #[test]
+    fn every_tier_of_the_step_pass_is_pair_rotate_then_the_definition() {
+        // Lengths 0–40, 63–65 and 255–257: every tail of the rotation's
+        // and the reduction's chunks, and a Gram excess of 1 and 9 past
+        // them.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+        let draw = |n: usize| (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        check_every_transition(&reduction_lengths().collect::<Vec<_>>(), draw, bitwise);
+    }
+
+    #[test]
+    fn every_tier_of_the_step_pass_keeps_signed_zeros_subnormals_and_extremes() {
+        // A skipped pairing feeds its columns as they are: rotated by the
+        // identity, `0·x + 1·(−0)` would read +0.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let draw = |n: usize| {
+            (0..n)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => rng.gen_range(-1.0..=1.0),
+                    _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                })
+                .collect()
+        };
+        check_every_transition(&(0..=17).chain([63, 64, 65]).collect::<Vec<_>>(), draw, bitwise);
+    }
+
+    #[test]
+    fn every_tier_of_the_step_pass_agrees_on_non_finite_input() {
+        // ±∞ and NaN in the body and the tail of every column: a skipped
+        // pairing rotated by the identity would turn `0·∞` into NaN.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(48);
+        let draw = |n: usize| {
+            let mut col: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            for at in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|_| n > 0) {
+                col[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+            }
+            col
+        };
+        check_every_transition(&[1, 8, 9, 33, 256, 259], draw, agree);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn a_step_rejects_a_next_pairing_of_mismatched_streams_with_dots_message() {
+        let (mut a, mut u) =
+            (vec![stream(0, 16), stream(1, 16)], vec![stream(2, 16), stream(3, 16)]);
+        let ([ai, aj], [ui, uj]) = (&mut a[..], &mut u[..]) else { unreachable!() };
+        let short = stream(4, 15);
+        let pairing = ([&mut ai[..], &mut aj[..], &mut ui[..], &mut uj[..]], Some((0.8, 0.6)));
+        pair_step::<1, 1, false, false, Along>([pairing], [[&short, &short], [&[], &[]]]);
     }
 
     #[test]
@@ -1370,10 +2059,10 @@ mod tests {
                 let mut got: Vec<Vec<u64>> = Vec::new();
                 let cols: Vec<_> = (0..4).map(place).collect();
                 let col: [&[f64]; 4] = std::array::from_fn(|k| &cols[k].0[cols[k].1.clone()]);
-                for t in reduction_tiers() {
-                    let (pp, pq, qq) = (t.triple)(col[0], col[1], col[2], col[3]);
-                    let [d0, d1] = (t.dot_x2)([col[0], col[1]], [col[2], col[3]]);
-                    got.push(bits(&[(t.dot)(col[0], col[1]), d0, d1, pp, pq, qq]));
+                for &tier in lane_tiers() {
+                    let [[_, d, _]] = dots::<2, 1, true, Dot>(tier, [col[0], col[1]]);
+                    let [[pp, pq, qq]] = dots::<4, 1, false, Triple>(tier, col);
+                    got.push(bits(&[d, pp, pq, qq]));
                 }
                 for (_, rotate) in rotate_tiers() {
                     let mut quad: Vec<_> = (0..4).map(place).collect();

@@ -4,7 +4,7 @@
 use mph_linalg::block::{ColumnBlock, COLUMN_ALIGN_BYTES};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::vecops::{
-    dot, dot_x2, fused_triple, fused_triple_x2, pair_rotate, pair_rotate_lanes, rotate_pair,
+    dot, fused_triple, pair_rotate, pair_rotate_lanes, pair_step, rotate_pair, Open,
 };
 use mph_linalg::Matrix;
 use proptest::prelude::*;
@@ -217,20 +217,36 @@ proptest! {
     ) {
         // Every pairing reduction is, product by product, `dot` itself — at
         // every tail length the dispatcher can see, on whichever vector
-        // tier the host dispatches to. The second pairing is `q`, mostly of
-        // another length (taken one at a time), and `p`'s streams reversed,
-        // of its length (taken in one pass).
+        // tier the host dispatches to: a pairing's three, and the two
+        // blocks a step reduces for a next step of two pairings, after
+        // rotating — or skipping — its own pairing `p`. The next step's
+        // other two columns are `q`'s where it has `p`'s length, else
+        // `p`'s streams reversed.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let want = |[x, a, y, b]: [&[f64]; 4]| bits(&[dot(x, a), dot(x, b), dot(y, b)]);
-        let (p, q): ([&[f64]; 4], [&[f64]; 4]) = ([&p.0, &p.1, &p.2, &p.3], [&q.0, &q.1, &q.2, &q.3]);
-        let (pp, pq, qq) = fused_triple(p[0], p[1], p[2], p[3]);
-        prop_assert_eq!(bits(&[pp, pq, qq]), want(p));
-        for q in [q, [p[3], p[2], p[1], p[0]]] {
-            for (got, streams) in fused_triple_x2(p, q).into_iter().zip([p, q]) {
-                prop_assert_eq!(bits(&[got.0, got.1, got.2]), want(streams));
+        let quad: [&[f64]; 4] = [&p.0, &p.1, &p.2, &p.3];
+        let (pp, pq, qq) = fused_triple(quad[0], quad[1], quad[2], quad[3]);
+        prop_assert_eq!(bits(&[pp, pq, qq]), want(quad));
+        let fresh = if q.0.len() == p.0.len() {
+            [[q.0.clone(), q.1.clone()], [q.2.clone(), q.3.clone()]]
+        } else {
+            [[p.3.clone(), p.2.clone()], [p.1.clone(), p.0.clone()]]
+        };
+        for turn in [None, Some((0.6, -0.8))] {
+            let (mut ai, mut aj, mut ui, mut uj) = p.clone();
+            let (mut ri, mut rj, mut vi, mut vj) = p.clone();
+            if let Some((c, s)) = turn {
+                pair_rotate(&mut ri, &mut rj, &mut vi, &mut vj, c, s);
             }
-            let got = dot_x2([p[0], p[3]], [q[0], q[3]]);
-            prop_assert_eq!(bits(&got), bits(&[dot(p[0], p[3]), dot(q[0], q[3])]));
+            let [[af, uf], [ag, ug]] = &fresh;
+            let got = pair_step::<1, 2, false, false, Open>(
+                [([&mut ai, &mut aj, &mut ui, &mut uj], turn)],
+                [[af, uf], [ag, ug]],
+            );
+            prop_assert_eq!(bits(&[ai.clone(), aj.clone(), ui.clone(), uj.clone()].concat()),
+                bits(&[ri.clone(), rj.clone(), vi.clone(), vj.clone()].concat()));
+            prop_assert_eq!(bits(&[got[0].0, got[0].1, got[0].2]), want([&vi, &ri, uf, af]));
+            prop_assert_eq!(bits(&[got[1].0, got[1].1, got[1].2]), want([ug, ag, &vj, &rj]));
         }
     }
 

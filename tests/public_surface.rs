@@ -67,6 +67,8 @@ const KEEP: &[(&str, &str)] = &[
     ("measure_channel_fabric", "channel_fabric_calibration_is_finite_positive_and_stable"),
     ("wilkinson_matrix", "wilkinson_pairs_resolved"),
     // Probes: the one observable of a contract a test holds a solve to.
+    ("host_tiers", "every_tier_the_host_reports_reproduces_both_tables"),
+    ("with_tier", "every_tier_the_host_reports_reproduces_both_tables"),
     ("BatchOrder::jobs", "shortest_plan_first_minimizes_mean_completion"),
     ("ColumnBlock::diag", "cached_diagonals_track_exact_recomputation"),
     ("CommPlan::final_layout", "final_layout_chains_sweeps"),
