@@ -15,7 +15,9 @@
 //! column angle). Both take their inner products from the one inner
 //! product, [`mph_linalg::vecops::dot`] — eight fused multiply-add chains,
 //! a fixed tree and a fused tail, with `dot`'s bits on every vector unit —
-//! and rotate by the one rotation, [`mph_linalg::vecops::pair_rotate`].
+//! and rotate by the one rotation, [`mph_linalg::vecops::pair_rotate`] — a
+//! multiply and a fused multiply-add per entry, with its bits on every
+//! vector unit too.
 //! A sweep's walk makes each of its steps one [`pair_step`]: the step's
 //! one or two rotations and, in the same pass over the columns, the next
 //! step's 2×2 blocks reduced from the rotated values; only a rectangle's

@@ -11,21 +11,24 @@
 //!
 //! Rotation `(p, q)` is `A ← JᵀAJ`: a column half on columns `p` and `q`,
 //! then a row half `(a_pk, a_qk) ← (c·a_pk − s·a_qk, s·a_pk + c·a_qk)` in
-//! every column `k`. On a column-major iterate the row half costs a cache
-//! line per element, so it is deferred. Within row `p`, the entries
-//! `(p, k)` and `(q, k)` of a column `k ∉ {p, q}` are read or written by
-//! nothing but later row halves of the same row — until `k` becomes a pivot
-//! `q` itself, whose column half and pivot `a_pk` read the whole column.
-//! So the row's applied rotations `(q, c, s)` form a chain, and bringing a
-//! column through a stretch of it is a top-pivot rotation sequence
-//! (`dlasr`'s shape), [`rotate_top_pivot`], which runs up to eight columns
-//! abreast in AVX2 lanes:
+//! every column `k` — both halves the one rotation of `mph_linalg::vecops`,
+//! a multiply and a fused multiply-add per entry: `a_pk' = fma(c, a_pk,
+//! −(s·a_qk))`, `a_qk' = fma(s, a_pk, c·a_qk)`. On a column-major iterate
+//! the row half costs a cache line per element, so it is deferred. Within
+//! row `p`, the entries `(p, k)` and `(q, k)` of a column `k ∉ {p, q}` are
+//! read or written by nothing but later row halves of the same row — until
+//! `k` becomes a pivot `q` itself, whose column half and pivot `a_pk` read
+//! the whole column. So the row's applied rotations `(q, c, s)` form a
+//! chain, and bringing a column through a stretch of it is a top-pivot
+//! rotation sequence (`dlasr`'s shape), [`rotate_top_pivot`], which runs up
+//! to eight columns abreast in AVX2 lanes:
 //!
 //! - column `p` takes every rotation at once: the column half, fused with
 //!   the same rotation of `U`'s columns `p` and `q` into one
-//!   [`pair_rotate_lanes`] pass, and the row half's 2×2 block
-//!   `a_pp ← c·a_pp − s·a_qp`, `a_qq ← s·a_pq + c·a_qq` from the column-pass
-//!   values, with the pivot pair zeroed;
+//!   [`pair_rotate_lanes`] pass, and the row half's 2×2 block from the
+//!   column-pass values — the row half of columns `p` and `q` alone, one
+//!   turn of [`rotate_top_pivot`] each, keeping `a_pp` and `a_qq` — with
+//!   the pivot pair zeroed;
 //! - a pivot column `q` is brought through the chain so far, in chain order,
 //!   before its pivot is read: eight pivots abreast on the chain known when
 //!   the first of them comes up, then each alone through the turns of the
@@ -105,8 +108,8 @@ fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, chain: &mut Vec<Turn>) -> u64 
                 pair_rotate_lanes(colp, colq, up, uq, c, s);
                 // The row half's 2×2 block, from the column-pass values; the
                 // annihilated pair is cleaned explicitly (fp hygiene).
-                colp[p] = c * colp[p] - s * colp[q];
-                colq[q] = s * colq[p] + c * colq[q];
+                rotate_top_pivot(colp, m, p, &[(q, c, s)]);
+                rotate_top_pivot(colq, m, p, &[(q, c, s)]);
                 colp[q] = 0.0;
                 colq[p] = 0.0;
                 chain.push((q, c, s));
@@ -197,14 +200,14 @@ mod tests {
         for k in 0..m {
             let akp = a[(k, p)];
             let akq = a[(k, q)];
-            a[(k, p)] = c * akp - s * akq;
-            a[(k, q)] = s * akp + c * akq;
+            a[(k, p)] = c.mul_add(akp, -(s * akq));
+            a[(k, q)] = s.mul_add(akp, c * akq);
         }
         for k in 0..m {
             let apk = a[(p, k)];
             let aqk = a[(q, k)];
-            a[(p, k)] = c * apk - s * aqk;
-            a[(q, k)] = s * apk + c * aqk;
+            a[(p, k)] = c.mul_add(apk, -(s * aqk));
+            a[(q, k)] = s.mul_add(apk, c * aqk);
         }
         a[(p, q)] = 0.0;
         a[(q, p)] = 0.0;

@@ -191,17 +191,19 @@ pub struct PairViewMut<'a> {
 
 impl<'a> PairViewMut<'a> {
     /// Applies the plane rotation `(c, s)` to the pair's `A`- and
-    /// `U`-columns in one fused pass through the portable scalar loop
-    /// ([`crate::vecops::pair_rotate`]) — the definition
-    /// [`PairViewMut::rotate_with`] is tested against.
+    /// `U`-columns in one fused pass through the scalar loop
+    /// ([`crate::vecops::pair_rotate`]: a multiply and a fused multiply-add
+    /// per entry) — the definition [`PairViewMut::rotate_with`] is tested
+    /// against.
     #[inline]
     pub fn rotate(&mut self, c: f64, s: f64) {
         crate::vecops::pair_rotate(self.ai, self.aj, self.ui, self.uj, c, s);
     }
 
     /// [`PairViewMut::rotate`] on the widest vector unit the host offers
-    /// ([`crate::vecops::pair_rotate_lanes`]): the same bits (the lane
-    /// rotate uses no FMA), produced faster — what every pairing runs.
+    /// ([`crate::vecops::pair_rotate_lanes`]): the same bits (each lane
+    /// takes the loop's multiply and fused multiply-add), produced faster —
+    /// what every pairing runs.
     #[inline]
     pub fn rotate_with(&mut self, c: f64, s: f64) {
         crate::vecops::pair_rotate_lanes(self.ai, self.aj, self.ui, self.uj, c, s);

@@ -3,8 +3,8 @@
 //! These are the only operations on the solver's hot path: the inner
 //! product and the plane rotation, each with one definition, and kernels
 //! dispatched at runtime to the widest vector unit the CPU offers (AVX-512F
-//! with VL, then AVX2 — with FMA where the kernel uses it — then a portable
-//! loop). Every tier of a kernel computes its definition's bits.
+//! with VL, then AVX2 with FMA, then a portable loop). Every tier of a
+//! kernel computes its definition's bits.
 //!
 //! * [`dot`] is the one inner product: eight partial sums by index mod 8,
 //!   each a fused multiply-add chain that starts at 0.0, then the fixed
@@ -15,9 +15,13 @@
 //!   in two; the portable form, which is also what an AVX2 host without
 //!   FMA runs, calls `f64::mul_add`. [`fused_triple`] takes a pairing's
 //!   three inner products in one pass, each bitwise [`dot`].
-//! * [`pair_rotate`] is the rotation (multiply, multiply, add), and
-//!   [`pair_rotate_lanes`] its vector form: it multiplies then adds — no
-//!   FMA — so it is bitwise the scalar loop at every width.
+//! * The one plane rotation is a multiply and a fused multiply-add per
+//!   entry, `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` (`turn`),
+//!   the same bits on every host. [`pair_rotate`] is its loop and
+//!   [`pair_rotate_lanes`] its vector form, bitwise the loop at every
+//!   width. Every scalar loop of `mul_add`s a host with FMA runs is
+//!   compiled with FMA, so each is the instruction there, never a library
+//!   call; only the portable tier, for hosts without FMA, calls `fma`.
 //! * [`pair_step`] is one step of a sweep's two-row walk: it rotates the
 //!   step's one or two pairings, bitwise [`pair_rotate`], and reduces the
 //!   2×2 blocks of the walk's next step from the rotated columns, each
@@ -54,13 +58,10 @@ enum LaneTier {
     /// only, and its six accumulators spilled there.
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// AVX2 with FMA: every AVX2 kernel.
+    /// AVX2 with FMA: every AVX2 kernel. An AVX2 host without FMA runs
+    /// the portable tier: every kernel fuses its multiply-adds.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
-    /// AVX2 without FMA: the rotators, which use none; the reductions run
-    /// portable.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
     Portable,
 }
 
@@ -87,11 +88,8 @@ fn lane_tiers() -> &'static [LaneTier] {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("avx2") {
-                tiers.push(LaneTier::Avx2);
-                if is_x86_feature_detected!("fma") {
-                    tiers.push(LaneTier::Avx2Fma);
-                }
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                tiers.push(LaneTier::Avx2Fma);
             }
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
                 tiers.push(LaneTier::Avx512);
@@ -592,22 +590,6 @@ fn step_in_two_passes<const R: usize, const N: usize>(
     blocks
 }
 
-/// The end of a one-pass step whose streams outrun its last common chunk:
-/// the chunks from `fused` on, then the tree and the tail — each lane the
-/// chain the pass left in `sums`, continued.
-#[inline(never)]
-fn step_rest<const N: usize>(
-    mut sums: [[[f64; 8]; 3]; N],
-    streams: [&[f64]; STEP_STREAMS],
-    table: Table<N>,
-    fused: usize,
-    len: usize,
-) -> [[f64; 3]; N] {
-    let body = len / 8 * 8;
-    reduce_portable(&mut sums, streams, table, fused..body);
-    finish(sums, streams, table, body, len)
-}
-
 /// The streams of a step, numbered as in [`STEP_STREAMS`]; a pairing the
 /// step does not have is empty.
 #[inline(always)]
@@ -625,53 +607,43 @@ fn step_streams<'s, const R: usize>(
     streams
 }
 
-/// Applies the plane rotation to a column pair in one fused pass:
-/// `(xi, yi) ← (c·xi − s·yi, s·xi + c·yi)`.
+/// The one plane rotation, of one entry pair: `(x, y) ← (c·x − s·y,
+/// s·x + c·y)` as `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` — one
+/// product rounded, then one fused multiply-add, so each entry is rounded
+/// twice. Every rotator of every tier computes these bits.
+///
+/// Always inlined, so that a caller compiled with FMA fuses in one
+/// instruction; elsewhere `f64::mul_add` is a library call.
+#[inline(always)]
+fn turn(x: f64, y: f64, c: f64, s: f64) -> (f64, f64) {
+    (c.mul_add(x, -(s * y)), s.mul_add(x, c * y))
+}
+
+/// Applies the plane rotation to a column pair: `(xi, yi) ← (c·xi − s·yi,
+/// s·xi + c·yi)`, each entry a multiply and a fused multiply-add,
+/// `xi' = fma(c, xi, −(s·yi))` and `yi' = fma(s, xi, c·yi)`.
 ///
 /// This is the update the paper performs on the paired columns of both the
 /// `A` and `U` matrices for every similarity transformation.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
 #[inline]
 pub fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
-    assert_eq!(x.len(), y.len());
-    let mut xc = x.chunks_exact_mut(4);
-    let mut yc = y.chunks_exact_mut(4);
-    for (xk, yk) in (&mut xc).zip(&mut yc) {
-        // Written out element by element so each of the four updates is
-        // visibly independent — no loop for the compiler to leave rolled.
-        let (x0, x1, x2, x3) = (xk[0], xk[1], xk[2], xk[3]);
-        let (y0, y1, y2, y3) = (yk[0], yk[1], yk[2], yk[3]);
-        xk[0] = c * x0 - s * y0;
-        xk[1] = c * x1 - s * y1;
-        xk[2] = c * x2 - s * y2;
-        xk[3] = c * x3 - s * y3;
-        yk[0] = s * x0 + c * y0;
-        yk[1] = s * x1 + c * y1;
-        yk[2] = s * x2 + c * y2;
-        yk[3] = s * x3 + c * y3;
-    }
-    for (xi, yi) in xc.into_remainder().iter_mut().zip(yc.into_remainder()) {
-        let (x0, y0) = (*xi, *yi);
-        *xi = c * x0 - s * y0;
-        *yi = s * x0 + c * y0;
-    }
+    pair_rotate(x, y, &mut [], &mut [], c, s);
 }
 
 /// The fused four-stream scalar rotation over equal-length slices: the body
-/// shared by [`pair_rotate`] and the portable tier of
-/// [`pair_rotate_lanes`].
+/// of [`pair_rotate`]'s loop, and the rows past the last chunk of each lane
+/// form.
+#[inline(always)]
 fn rotate4(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64], c: f64, s: f64) {
     debug_assert_eq!(ai.len(), aj.len());
     debug_assert_eq!(ai.len(), ui.len());
     debug_assert_eq!(ai.len(), uj.len());
     for k in 0..ai.len() {
-        let a0 = ai[k];
-        let a1 = aj[k];
-        let u0 = ui[k];
-        let u1 = uj[k];
-        ai[k] = c * a0 - s * a1;
-        aj[k] = s * a0 + c * a1;
-        ui[k] = c * u0 - s * u1;
-        uj[k] = s * u0 + c * u1;
+        (ai[k], aj[k]) = turn(ai[k], aj[k], c, s);
+        (ui[k], uj[k]) = turn(ui[k], uj[k], c, s);
     }
 }
 
@@ -717,10 +689,51 @@ fn split_pair_streams<'a>(
 pub fn pair_rotate(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64], c: f64, s: f64) {
     assert_eq!(ai.len(), aj.len());
     assert_eq!(ui.len(), uj.len());
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: each of these tiers implies cpuid reported fma (rustc's
+        // `avx512f` includes it); the stream pairs' lengths were asserted
+        // above.
+        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
+            x86::pair_rotate_fma(ai, aj, ui, uj, c, s)
+        },
+        LaneTier::Portable => pair_rotate_portable(ai, aj, ui, uj, c, s),
+    }
+}
+
+/// [`pair_rotate`] on the portable tier: its loops, each `f64::mul_add` a
+/// library call — a function of its own, so no caller inlines one.
+#[inline(never)]
+fn pair_rotate_portable(
+    ai: &mut [f64],
+    aj: &mut [f64],
+    ui: &mut [f64],
+    uj: &mut [f64],
+    c: f64,
+    s: f64,
+) {
+    pair_rotate_loop(ai, aj, ui, uj, c, s);
+}
+
+/// [`pair_rotate`]'s loops, inlined into their caller's target features:
+/// the common prefix of the four streams, then the excess of the longer
+/// pair.
+#[inline(always)]
+fn pair_rotate_loop(
+    ai: &mut [f64],
+    aj: &mut [f64],
+    ui: &mut [f64],
+    uj: &mut [f64],
+    c: f64,
+    s: f64,
+) {
     let (head, a_tail, u_tail) = split_pair_streams(ai, aj, ui, uj);
     rotate4(head.0, head.1, head.2, head.3, c, s);
-    rotate_pair(a_tail.0, a_tail.1, c, s);
-    rotate_pair(u_tail.0, u_tail.1, c, s);
+    for (x, y) in [a_tail, u_tail] {
+        for (x, y) in x.iter_mut().zip(y) {
+            (*x, *y) = turn(*x, *y, c, s);
+        }
+    }
 }
 
 /// The shortest prefix [`pair_rotate_lanes`] gives the AVX-512 form: four
@@ -735,10 +748,10 @@ const AVX512_MIN_ROTATE: usize = 32;
 /// lengths, plus the sub-width tail) by the scalar loop. On an AVX-512
 /// host a prefix shorter than 32 elements runs the AVX2 form.
 ///
-/// Bitwise identical to [`pair_rotate`] on every tier: the lane rotate
-/// multiplies then adds/subtracts exactly as the scalar loop does — no FMA —
-/// and element updates are independent, so vector width cannot reorder
-/// anything that affects a result bit.
+/// Bitwise identical to [`pair_rotate`] on every tier: each lane rotates
+/// its entry pair with the loop's multiply and fused multiply-add, in the
+/// loop's operand order, and element updates are independent, so vector
+/// width cannot reorder anything that affects a result bit.
 ///
 /// # Panics
 /// Panics if `ai`/`aj` or `ui`/`uj` have mismatched lengths.
@@ -775,21 +788,23 @@ fn pair_rotate_on(
             x86::pair_rotate_avx512(head.0, head.1, head.2, head.3, c, s)
         },
         #[cfg(target_arch = "x86_64")]
-        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
-        // includes it).
-        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 => unsafe {
+        // Safety: each of these tiers implies avx2 and fma (rustc's
+        // `avx512f` includes both).
+        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
             x86::pair_rotate_avx2(head.0, head.1, head.2, head.3, c, s)
         },
-        LaneTier::Portable => rotate4(head.0, head.1, head.2, head.3, c, s),
+        LaneTier::Portable => pair_rotate_portable(head.0, head.1, head.2, head.3, c, s),
     }
-    rotate_pair(a_tail.0, a_tail.1, c, s);
-    rotate_pair(u_tail.0, u_tail.1, c, s);
+    if !a_tail.0.is_empty() || !u_tail.0.is_empty() {
+        pair_rotate(a_tail.0, a_tail.1, u_tail.0, u_tail.1, c, s);
+    }
 }
 
 /// Applies a top-pivot rotation sequence to each of the consecutive
 /// `m`-element columns of `cols`: per column, `x = col[p]`, then for each
 /// turn `(q, c, s)` of `chain` in order
-/// `(x, col[q]) ← (c·x − s·col[q], s·x + c·col[q])`, then `col[p] = x`.
+/// `(x, col[q]) ← (c·x − s·col[q], s·x + c·col[q])` — each entry the
+/// multiply and fused multiply-add of [`rotate_pair`] — then `col[p] = x`.
 ///
 /// This is the shape of LAPACK's `dlasr` with SIDE = 'L', PIVOT = 'T' —
 /// every rotation pairs the pivot row with another row — over an arbitrary
@@ -802,28 +817,32 @@ fn pair_rotate_on(
 /// AVX2 form holds four columns in one register, lane `l` column `l`: a
 /// run of four consecutive pivot rows is one 4×4 tile (four loads, a
 /// transpose, four turns, the transpose back, four stores), any other turn
-/// loads its four entries lane by lane, and every turn multiplies then
-/// adds — no FMA — so each entry sees the scalar operations in the scalar
-/// order. It runs two four-column groups abreast, so their `x` chains
-/// overlap; leftover columns, and the portable tier, take the scalar loop
-/// a few columns abreast.
+/// loads its four entries lane by lane, and every turn is a multiply and a
+/// fused multiply-add per entry, so each entry sees the scalar operations
+/// in the scalar order. It runs two four-column groups abreast, so their
+/// `x` chains overlap; leftover columns, and the portable tier, take the
+/// scalar loop a few columns abreast.
 ///
 /// # Panics
 /// Panics unless `p < m`, `cols` is whole columns and every `q < m`.
 #[inline]
 pub fn rotate_top_pivot(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f64, f64)]) {
     assert!(p < m, "pivot row {p} outside a column of {m}");
-    // One column fills no lanes. It is the call a pivot's catch-up makes
-    // once per pivot, so it stays small enough to inline.
+    // One column fills no lanes. It is the call a pivot's catch-up and the
+    // two-sided oracle's 2×2 block make once per pivot, so it takes the
+    // shortest road: no division, no grouping.
     if cols.len() == m {
-        top_pivot_column(cols, p, chain);
-    } else {
-        rotate_top_pivot_columns(cols, m, p, chain);
+        match lane_tier() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: each of these tiers implies cpuid reported fma
+            // (rustc's `avx512f` includes it).
+            LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
+                x86::top_pivot_column_fma(cols, p, chain)
+            },
+            LaneTier::Portable => rotate_top_pivot_portable(cols, 1, m, p, chain),
+        }
+        return;
     }
-}
-
-/// [`rotate_top_pivot`] on more than one column.
-fn rotate_top_pivot_columns(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f64, f64)]) {
     let n = cols.len() / m;
     assert_eq!(n * m, cols.len(), "not whole columns of {m}");
     if chain.is_empty() {
@@ -831,19 +850,40 @@ fn rotate_top_pivot_columns(cols: &mut [f64], m: usize, p: usize, chain: &[(usiz
     }
     match lane_tier() {
         #[cfg(target_arch = "x86_64")]
-        // Safety: each of these tiers implies avx2 (rustc's `avx512f`
-        // includes it); `p < m` and `cols` being `n` columns were asserted
-        // above.
-        LaneTier::Avx512 | LaneTier::Avx2Fma | LaneTier::Avx2 if n >= 4 => unsafe {
+        // SAFETY: each of these tiers implies avx2 and fma (rustc's
+        // `avx512f` includes both); `p < m` and `cols` being `n` columns
+        // were asserted above.
+        LaneTier::Avx512 | LaneTier::Avx2Fma if n >= 4 => unsafe {
             x86::rotate_top_pivot_avx2(cols, n, m, p, chain)
         },
-        _ => rotate_top_pivot_portable(cols, n, m, p, chain),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; the scalar loop needs fma only.
+        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
+            x86::rotate_top_pivot_fma(cols, n, m, p, chain)
+        },
+        LaneTier::Portable => rotate_top_pivot_portable(cols, n, m, p, chain),
     }
 }
 
-/// The scalar loop of [`rotate_top_pivot`] on the `n` columns of `cols`,
-/// four abreast, then the one to three left over abreast.
+/// [`rotate_top_pivot`] on the portable tier: its scalar loop, each
+/// `f64::mul_add` a library call — a function of its own, so no caller
+/// inlines one.
+#[inline(never)]
 fn rotate_top_pivot_portable(
+    cols: &mut [f64],
+    n: usize,
+    m: usize,
+    p: usize,
+    chain: &[(usize, f64, f64)],
+) {
+    rotate_top_pivot_loop(cols, n, m, p, chain);
+}
+
+/// The scalar loop of [`rotate_top_pivot`] on the `n` columns of `cols`,
+/// four abreast, then the one to three left over abreast — inlined into
+/// its caller's target features.
+#[inline(always)]
+fn rotate_top_pivot_loop(
     cols: &mut [f64],
     n: usize,
     m: usize,
@@ -862,19 +902,19 @@ fn rotate_top_pivot_portable(
     }
 }
 
-/// [`rotate_top_pivot`] on one column.
-#[inline]
+/// [`rotate_top_pivot`] on one column, inlined into its caller's target
+/// features.
+#[inline(always)]
 fn top_pivot_column(col: &mut [f64], p: usize, chain: &[(usize, f64, f64)]) {
     let mut x = col[p];
     for &(q, c, s) in chain {
-        let y = col[q];
-        col[q] = s * x + c * y;
-        x = c * x - s * y;
+        (x, col[q]) = turn(x, col[q], c, s);
     }
     col[p] = x;
 }
 
 /// [`rotate_top_pivot`] on exactly `N` columns, one scalar chain each.
+#[inline(always)]
 fn top_pivot_abreast<const N: usize>(
     cols: &mut [f64],
     m: usize,
@@ -890,9 +930,7 @@ fn top_pivot_abreast<const N: usize>(
     let mut x: [f64; N] = std::array::from_fn(|i| cols[i][p]);
     for &(q, c, s) in chain {
         for (col, x) in cols.iter_mut().zip(&mut x) {
-            let y = col[q];
-            col[q] = s * *x + c * y;
-            *x = c * *x - s * y;
+            (*x, col[q]) = turn(*x, col[q], c, s);
         }
     }
     for (col, x) in cols.iter_mut().zip(x) {
@@ -991,12 +1029,11 @@ mod x86 {
 
     /// [`super::pair_step`] on AVX-512 (F and VL), every pairing turning:
     /// per chunk of eight rows, each pairing's four streams are loaded,
-    /// rotated (multiply then add, no FMA — [`pair_rotate_avx512`]'s bits)
-    /// and stored, and the next step's products take the rotated values
-    /// from the same registers, beside the fresh columns' loads. What the
-    /// chunks leave — the rows past the last common chunk of every stream —
-    /// is rotated by the scalar loop, then reduced from memory by
-    /// [`super::step_rest`], each lane's chain continued.
+    /// rotated ([`turn8`]) and stored, and the next step's products take
+    /// the rotated values from the same registers, beside the fresh
+    /// columns' loads. What the chunks leave — the rows past the last
+    /// common chunk of every stream — is rotated by the scalar loop, then
+    /// reduced from memory by [`step_rest`], each lane's chain continued.
     ///
     /// # Safety
     /// Caller must have verified `avx512f` and `avx512vl` via cpuid; `R`
@@ -1040,10 +1077,8 @@ mod x86 {
             for (r, (&[ai, aj, ui, uj], &(vc, vs))) in rows.iter().zip(&turns).enumerate() {
                 let (a0, a1) = (_mm512_loadu_pd(ai.add(i)), _mm512_loadu_pd(aj.add(i)));
                 let (u0, u1) = (_mm512_loadu_pd(ui.add(i)), _mm512_loadu_pd(uj.add(i)));
-                v[4 * r] = _mm512_sub_pd(_mm512_mul_pd(vc, a0), _mm512_mul_pd(vs, a1));
-                v[4 * r + 1] = _mm512_add_pd(_mm512_mul_pd(vs, a0), _mm512_mul_pd(vc, a1));
-                v[4 * r + 2] = _mm512_sub_pd(_mm512_mul_pd(vc, u0), _mm512_mul_pd(vs, u1));
-                v[4 * r + 3] = _mm512_add_pd(_mm512_mul_pd(vs, u0), _mm512_mul_pd(vc, u1));
+                (v[4 * r], v[4 * r + 1]) = turn8(a0, a1, vc, vs);
+                (v[4 * r + 2], v[4 * r + 3]) = turn8(u0, u1, vc, vs);
             }
             fma_avx512::<{ super::STEP_STREAMS }, N, OFF, T>(&mut acc, &v);
             for (r, rows) in rows.iter().enumerate() {
@@ -1056,14 +1091,35 @@ mod x86 {
             if fused < ai.len().max(ui.len()) {
                 let (ai, aj, ui, uj) =
                     (&mut ai[fused..], &mut aj[fused..], &mut ui[fused..], &mut uj[fused..]);
-                super::pair_rotate(ai, aj, ui, uj, c, s);
+                pair_rotate_fma(ai, aj, ui, uj, c, s);
             }
         }
         if fused == len {
             return super::tree(spill_avx512(acc));
         }
         let streams = super::step_streams(&pairings, fresh);
-        super::step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, len)
+        step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, len)
+    }
+
+    /// The end of a one-pass step whose streams outrun its last common
+    /// chunk: the chunks from `fused` on, then the tree and the tail — each
+    /// lane the chain the pass left in `sums`, continued.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; every stream `table` reads must hold `len`
+    /// elements.
+    #[inline(never)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn step_rest<const N: usize>(
+        mut sums: [[[f64; 8]; 3]; N],
+        streams: [&[f64]; super::STEP_STREAMS],
+        table: super::Table<N>,
+        fused: usize,
+        len: usize,
+    ) -> [[f64; 3]; N] {
+        let body = len / 8 * 8;
+        super::reduce_portable(&mut sums, streams, table, fused..body);
+        super::finish(sums, streams, table, body, len)
     }
 
     /// [`super::dots`] on AVX2 with FMA: each product's eight partial sums
@@ -1103,8 +1159,20 @@ mod x86 {
         super::finish(sums, streams, (T::TABLE, OFF), body, len)
     }
 
-    /// Four-stream rotate, 8 lanes at a time. Multiplies then adds — NO
-    /// FMA — so every element's bits match the scalar loop exactly.
+    /// [`super::turn`] on eight entry pairs: `(fma(c, x, −(s·y)),
+    /// fma(s, x, c·y))`, lane by lane.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn turn8(x: __m512d, y: __m512d, vc: __m512d, vs: __m512d) -> (__m512d, __m512d) {
+        (_mm512_fmsub_pd(vc, x, _mm512_mul_pd(vs, y)), _mm512_fmadd_pd(vs, x, _mm512_mul_pd(vc, y)))
+    }
+
+    /// Four-stream rotate, 8 lanes at a time ([`turn8`]), then the rows
+    /// past the last chunk by the scalar loop — every entry [`super::turn`]'s
+    /// bits.
     ///
     /// # Safety
     /// Caller must have verified `avx512f` via cpuid; all four slices must
@@ -1121,41 +1189,30 @@ mod x86 {
         let n = ai.len();
         let vc = _mm512_set1_pd(c);
         let vs = _mm512_set1_pd(s);
-        let chunks = n / 8;
-        for k in 0..chunks {
-            let i = 8 * k;
+        let body = n / 8 * 8;
+        for i in (0..body).step_by(8) {
             let a0 = _mm512_loadu_pd(ai.as_ptr().add(i));
             let a1 = _mm512_loadu_pd(aj.as_ptr().add(i));
             let u0 = _mm512_loadu_pd(ui.as_ptr().add(i));
             let u1 = _mm512_loadu_pd(uj.as_ptr().add(i));
-            let na0 = _mm512_sub_pd(_mm512_mul_pd(vc, a0), _mm512_mul_pd(vs, a1));
-            let na1 = _mm512_add_pd(_mm512_mul_pd(vs, a0), _mm512_mul_pd(vc, a1));
-            let nu0 = _mm512_sub_pd(_mm512_mul_pd(vc, u0), _mm512_mul_pd(vs, u1));
-            let nu1 = _mm512_add_pd(_mm512_mul_pd(vs, u0), _mm512_mul_pd(vc, u1));
+            let (na0, na1) = turn8(a0, a1, vc, vs);
+            let (nu0, nu1) = turn8(u0, u1, vc, vs);
             _mm512_storeu_pd(ai.as_mut_ptr().add(i), na0);
             _mm512_storeu_pd(aj.as_mut_ptr().add(i), na1);
             _mm512_storeu_pd(ui.as_mut_ptr().add(i), nu0);
             _mm512_storeu_pd(uj.as_mut_ptr().add(i), nu1);
         }
-        for i in 8 * chunks..n {
-            let a0 = ai[i];
-            let a1 = aj[i];
-            let u0 = ui[i];
-            let u1 = uj[i];
-            ai[i] = c * a0 - s * a1;
-            aj[i] = s * a0 + c * a1;
-            ui[i] = c * u0 - s * u1;
-            uj[i] = s * u0 + c * u1;
-        }
+        super::rotate4(&mut ai[body..], &mut aj[body..], &mut ui[body..], &mut uj[body..], c, s);
     }
 
-    /// Four-stream rotate, 4 lanes at a time; same no-FMA bitwise contract
-    /// as [`pair_rotate_avx512`].
+    /// Four-stream rotate, 4 lanes at a time ([`turn4`]), then the rows
+    /// past the last chunk by the scalar loop — every entry
+    /// [`super::turn`]'s bits.
     ///
     /// # Safety
-    /// Caller must have verified `avx2` via cpuid; all four slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified `avx2` and `fma` via cpuid; all four
+    /// slices must share one length (checked by the safe wrapper).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn pair_rotate_avx2(
         ai: &mut [f64],
         aj: &mut [f64],
@@ -1167,43 +1224,77 @@ mod x86 {
         let n = ai.len();
         let vc = _mm256_set1_pd(c);
         let vs = _mm256_set1_pd(s);
-        let chunks = n / 4;
-        for k in 0..chunks {
-            let i = 4 * k;
-            let a0 = _mm256_loadu_pd(ai.as_ptr().add(i));
-            let a1 = _mm256_loadu_pd(aj.as_ptr().add(i));
-            let u0 = _mm256_loadu_pd(ui.as_ptr().add(i));
-            let u1 = _mm256_loadu_pd(uj.as_ptr().add(i));
-            let na0 = _mm256_sub_pd(_mm256_mul_pd(vc, a0), _mm256_mul_pd(vs, a1));
-            let na1 = _mm256_add_pd(_mm256_mul_pd(vs, a0), _mm256_mul_pd(vc, a1));
-            let nu0 = _mm256_sub_pd(_mm256_mul_pd(vc, u0), _mm256_mul_pd(vs, u1));
-            let nu1 = _mm256_add_pd(_mm256_mul_pd(vs, u0), _mm256_mul_pd(vc, u1));
-            _mm256_storeu_pd(ai.as_mut_ptr().add(i), na0);
-            _mm256_storeu_pd(aj.as_mut_ptr().add(i), na1);
-            _mm256_storeu_pd(ui.as_mut_ptr().add(i), nu0);
-            _mm256_storeu_pd(uj.as_mut_ptr().add(i), nu1);
+        let body = n / 4 * 4;
+        for i in (0..body).step_by(4) {
+            let mut a0 = _mm256_loadu_pd(ai.as_ptr().add(i));
+            let mut a1 = _mm256_loadu_pd(aj.as_ptr().add(i));
+            let mut u0 = _mm256_loadu_pd(ui.as_ptr().add(i));
+            let mut u1 = _mm256_loadu_pd(uj.as_ptr().add(i));
+            turn4(&mut a0, &mut a1, vc, vs);
+            turn4(&mut u0, &mut u1, vc, vs);
+            _mm256_storeu_pd(ai.as_mut_ptr().add(i), a0);
+            _mm256_storeu_pd(aj.as_mut_ptr().add(i), a1);
+            _mm256_storeu_pd(ui.as_mut_ptr().add(i), u0);
+            _mm256_storeu_pd(uj.as_mut_ptr().add(i), u1);
         }
-        for i in 4 * chunks..n {
-            let a0 = ai[i];
-            let a1 = aj[i];
-            let u0 = ui[i];
-            let u1 = uj[i];
-            ai[i] = c * a0 - s * a1;
-            aj[i] = s * a0 + c * a1;
-            ui[i] = c * u0 - s * u1;
-            uj[i] = s * u0 + c * u1;
-        }
+        super::rotate4(&mut ai[body..], &mut aj[body..], &mut ui[body..], &mut uj[body..], c, s);
+    }
+
+    /// [`super::pair_rotate`] compiled with FMA, so that each
+    /// `f64::mul_add` of its loops is the instruction.
+    ///
+    /// # Safety
+    /// Caller must have verified `fma` via cpuid; `ai`/`aj` and `ui`/`uj`
+    /// must each share one length (checked by the safe wrapper).
+    #[target_feature(enable = "fma")]
+    pub unsafe fn pair_rotate_fma(
+        ai: &mut [f64],
+        aj: &mut [f64],
+        ui: &mut [f64],
+        uj: &mut [f64],
+        c: f64,
+        s: f64,
+    ) {
+        super::pair_rotate_loop(ai, aj, ui, uj, c, s);
+    }
+
+    /// [`super::rotate_top_pivot`]'s scalar loop on one column, compiled
+    /// with FMA: every pivot's own catch-up and the oracle's 2×2 block.
+    ///
+    /// # Safety
+    /// Caller must have verified `fma` via cpuid.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn top_pivot_column_fma(col: &mut [f64], p: usize, chain: &[(usize, f64, f64)]) {
+        super::top_pivot_column(col, p, chain);
+    }
+
+    /// [`super::rotate_top_pivot`]'s scalar loop compiled with FMA: two or
+    /// three columns, fewer than fill a register.
+    ///
+    /// # Safety
+    /// Caller must have verified `fma` via cpuid, and that `p < m` and
+    /// `cols` is `n` columns of `m` (checked by the safe wrapper).
+    #[target_feature(enable = "fma")]
+    pub unsafe fn rotate_top_pivot_fma(
+        cols: &mut [f64],
+        n: usize,
+        m: usize,
+        p: usize,
+        chain: &[(usize, f64, f64)],
+    ) {
+        super::rotate_top_pivot_loop(cols, n, m, p, chain);
     }
 
     /// [`super::rotate_top_pivot`] with four columns to a register: eight
     /// columns at a time as two groups abreast, then a group of four, then
-    /// the one to three left over on the portable loop. Multiplies then
-    /// adds — NO FMA — so every entry's bits match the scalar chain.
+    /// the one to three left over on the scalar loop. Every turn is
+    /// [`turn4`], so every entry's bits match the scalar chain.
     ///
     /// # Safety
-    /// Caller must have verified `avx2` via cpuid, and that `p < m` and
-    /// `cols` is `n` columns of `m` (checked by the safe wrapper).
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified `avx2` and `fma` via cpuid, and that
+    /// `p < m` and `cols` is `n` columns of `m` (checked by the safe
+    /// wrapper).
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn rotate_top_pivot_avx2(
         cols: &mut [f64],
         n: usize,
@@ -1222,7 +1313,7 @@ mod x86 {
             top_pivot_groups([group(j)], m, p, chain);
             j += 4;
         }
-        super::rotate_top_pivot_portable(&mut cols[j * m..], n - j, m, p, chain);
+        super::rotate_top_pivot_loop(&mut cols[j * m..], n - j, m, p, chain);
     }
 
     /// Entry `r` of each of the four columns `c`, lane `l` column `l`.
@@ -1269,27 +1360,27 @@ mod x86 {
         ]
     }
 
-    /// One turn on a register of four columns: `(x, y) ← (c·x − s·y,
-    /// s·x + c·y)`, multiply then add as the scalar loop does.
+    /// [`super::turn`] on four entry pairs: `(x, y) ← (fma(c, x, −(s·y)),
+    /// fma(s, x, c·y))`, lane by lane.
     ///
     /// # Safety
-    /// Requires AVX.
+    /// Requires AVX and FMA.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn turn4(x: &mut __m256d, y: &mut __m256d, vc: __m256d, vs: __m256d) {
         let (x0, y0) = (*x, *y);
-        *y = _mm256_add_pd(_mm256_mul_pd(vs, x0), _mm256_mul_pd(vc, y0));
-        *x = _mm256_sub_pd(_mm256_mul_pd(vc, x0), _mm256_mul_pd(vs, y0));
+        *y = _mm256_fmadd_pd(vs, x0, _mm256_mul_pd(vc, y0));
+        *x = _mm256_fmsub_pd(vc, x0, _mm256_mul_pd(vs, y0));
     }
 
     /// The whole chain on `G` groups of four columns abreast: each group's
     /// pivot entries in one register, the groups' turns interleaved.
     ///
     /// # Safety
-    /// Requires AVX; every column must hold `m` elements and `p < m`.
-    /// Pivot rows are checked here.
+    /// Requires AVX2 and FMA; every column must hold `m` elements and
+    /// `p < m`. Pivot rows are checked here.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn top_pivot_groups<const G: usize>(
         cols: [[*mut f64; 4]; G],
         m: usize,
@@ -1399,8 +1490,10 @@ mod tests {
         for n in 0..=8usize {
             let mut x: Vec<f64> = (0..n).map(|i| i as f64 * 0.7 - 2.0).collect();
             let mut y: Vec<f64> = (0..n).map(|i| 1.3 - i as f64 * 0.4).collect();
-            let want_x: Vec<f64> = x.iter().zip(&y).map(|(&xi, &yi)| c * xi - s * yi).collect();
-            let want_y: Vec<f64> = x.iter().zip(&y).map(|(&xi, &yi)| s * xi + c * yi).collect();
+            let want_x: Vec<f64> =
+                x.iter().zip(&y).map(|(&xi, &yi)| c.mul_add(xi, -(s * yi))).collect();
+            let want_y: Vec<f64> =
+                x.iter().zip(&y).map(|(&xi, &yi)| s.mul_add(xi, c * yi)).collect();
             rotate_pair(&mut x, &mut y, c, s);
             assert_eq!(x, want_x, "n={n}");
             assert_eq!(y, want_y, "n={n}");
@@ -1462,8 +1555,9 @@ mod tests {
 
     #[test]
     fn pair_rotate_lanes_is_bitwise_pair_rotate_on_lengths_0_to_40() {
-        // The lane rotate's core contract: no FMA, so identical bits to the
-        // scalar loop at every vector width and tail length.
+        // The lane rotate's core contract: each lane is the scalar loop's
+        // multiply and fused multiply-add, so identical bits at every
+        // vector width and tail length.
         let (c, s) = (0.992f64, -0.126f64);
         for n in 0..=40usize {
             let mut ai: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin() * 3.0).collect();
@@ -1534,14 +1628,22 @@ mod tests {
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
     /// Every tier of the rotator this host can run: the portable loop, and
-    /// each x86 form once cpuid reports its features.
+    /// each x86 form once cpuid reports its features — the scalar loop
+    /// compiled with FMA among them.
     fn rotate_tiers() -> Vec<(&'static str, RotateFn)> {
         let mut tiers: Vec<(&'static str, RotateFn)> = vec![("portable", rotate4)];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2 was just detected; the tests pass
+            if is_x86_feature_detected!("fma") {
+                // SAFETY: fma was just detected; the tests pass
+                // equal-length slices.
+                tiers.push(("fma loop", |ai, aj, ui, uj, c, s| unsafe {
+                    x86::pair_rotate_fma(ai, aj, ui, uj, c, s)
+                }));
+            }
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                // SAFETY: avx2 and fma were just detected; the tests pass
                 // equal-length slices.
                 tiers.push(("avx2", |ai, aj, ui, uj, c, s| unsafe {
                     x86::pair_rotate_avx2(ai, aj, ui, uj, c, s)
@@ -1767,19 +1869,14 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_reduction_tier_asks_for_fma() {
-        // Every multiply-add of a reduction is fused, so a vector tier runs
-        // them only where cpuid reports FMA (AVX-512F includes it); an AVX2
-        // host without it runs the portable reductions beside its AVX2
-        // rotators.
+        // Every multiply-add of a reduction and of a rotation is fused, so a
+        // vector tier runs only where cpuid reports FMA (AVX-512F includes
+        // it); an AVX2 host without it runs every kernel portable.
         use std::arch::is_x86_feature_detected;
         let avx512 = is_x86_feature_detected!("avx512f");
         let avx2 = is_x86_feature_detected!("avx2");
         let fma = is_x86_feature_detected!("fma");
-        let in_lanes = matches!(lane_tier(), LaneTier::Avx512 | LaneTier::Avx2Fma);
-        assert_eq!(in_lanes, avx512 || (avx2 && fma));
-        if avx2 && !fma && !avx512 {
-            assert_eq!(lane_tier(), LaneTier::Avx2);
-        }
+        assert_eq!(lane_tier() != LaneTier::Portable, avx512 || (avx2 && fma));
     }
 
     #[test]
@@ -2090,17 +2187,27 @@ mod tests {
     type TopPivotFn = fn(&mut [f64], usize, usize, &[(usize, f64, f64)]);
 
     /// Every form of [`rotate_top_pivot`] this host can run besides the
-    /// portable one: the public dispatch, and the AVX2 form called directly
-    /// once cpuid reports it.
+    /// portable one: the public dispatch, and the FMA-compiled scalar loop
+    /// and the AVX2 form called directly once cpuid reports them.
     fn top_pivot_tiers() -> Vec<(&'static str, TopPivotFn)> {
         let mut tiers: Vec<(&'static str, TopPivotFn)> = vec![("dispatch", rotate_top_pivot)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 was just detected; the test passes whole
-            // columns and `p < m`.
-            tiers.push(("avx2", |cols, m, p, chain| unsafe {
-                x86::rotate_top_pivot_avx2(cols, cols.len() / m, m, p, chain)
-            }));
+        {
+            use std::arch::is_x86_feature_detected;
+            if is_x86_feature_detected!("fma") {
+                // SAFETY: fma was just detected; the test passes whole
+                // columns and `p < m`.
+                tiers.push(("fma loop", |cols, m, p, chain| unsafe {
+                    x86::rotate_top_pivot_fma(cols, cols.len() / m, m, p, chain)
+                }));
+            }
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                // SAFETY: avx2 and fma were just detected; the test passes
+                // whole columns and `p < m`.
+                tiers.push(("avx2", |cols, m, p, chain| unsafe {
+                    x86::rotate_top_pivot_avx2(cols, cols.len() / m, m, p, chain)
+                }));
+            }
         }
         tiers
     }
@@ -2186,8 +2293,8 @@ mod tests {
                 let mut x = col[p];
                 for &(q, c, s) in &chain {
                     let y = col[q];
-                    col[q] = s * x + c * y;
-                    x = c * x - s * y;
+                    col[q] = s.mul_add(x, c * y);
+                    x = c.mul_add(x, -(s * y));
                 }
                 col[p] = x;
             }
@@ -2204,6 +2311,102 @@ mod tests {
         // itself; the portable form's indexing panics.
         let mut cols = vec![1.0; 4 * 5];
         rotate_top_pivot(&mut cols, 5, 0, &[(1, 0.6, 0.8), (5, 0.6, 0.8)]);
+    }
+
+    /// The rotation as the module defines it, written out: a multiply, then
+    /// a fused multiply-add, per entry.
+    fn turn_by_definition(x: f64, y: f64, c: f64, s: f64) -> (f64, f64) {
+        (c.mul_add(x, -(s * y)), s.mul_add(x, c * y))
+    }
+
+    #[test]
+    fn every_rotator_tier_and_the_top_pivot_sequence_are_the_written_out_rotation() {
+        // Lengths 0–40, 63–65 and 255–257 — every tail of every lane width —
+        // with ±0, subnormals, 1e±150, ±∞ and NaN beside ordinary entries,
+        // where an unfused turn, a swapped operand or a rotation by the
+        // identity would show. Every rotator tier, each public rotator, and
+        // every form of the top-pivot sequence, against the definition.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        let mut draw = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..8) {
+                    0..=2 => rng.gen_range(-1.0..=1.0),
+                    3 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)],
+                    _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                })
+                .collect()
+        };
+        let same = |got: &[f64], want: &[f64]| {
+            got.len() == want.len() && got.iter().zip(want).all(|(&g, &w)| agree(g, w))
+        };
+        let turns = [(0.6f64.cos(), 0.6f64.sin()), (0.0, 1.0), (-0.8, -0.6), (1.0, 0.0)];
+        for n in reduction_lengths() {
+            let cols: [Vec<f64>; 4] = std::array::from_fn(|_| draw(n));
+            for (c, s) in turns {
+                let mut want = cols.clone();
+                for pair in want.chunks_exact_mut(2) {
+                    let [x, y] = pair else { unreachable!() };
+                    for (x, y) in x.iter_mut().zip(y) {
+                        (*x, *y) = turn_by_definition(*x, *y, c, s);
+                    }
+                }
+                let mut rotators = rotate_tiers();
+                rotators.push(("pair_rotate", pair_rotate));
+                rotators.push(("pair_rotate_lanes", pair_rotate_lanes));
+                rotators.push(("rotate_pair twice", |ai, aj, ui, uj, c, s| {
+                    rotate_pair(ai, aj, c, s);
+                    rotate_pair(ui, uj, c, s);
+                }));
+                for (name, rotate) in rotators {
+                    let mut got = cols.clone();
+                    let [ai, aj, ui, uj] = &mut got;
+                    rotate(ai, aj, ui, uj, c, s);
+                    let ok = got.iter().zip(&want).all(|(g, w)| same(g, w));
+                    assert!(ok, "{name} n={n} c={c} s={s}");
+                }
+                for &tier in lane_tiers() {
+                    let mut got = cols.clone();
+                    let [ai, aj, ui, uj] = &mut got;
+                    pair_rotate_on(tier, ai, aj, ui, uj, c, s);
+                    let ok = got.iter().zip(&want).all(|(g, w)| same(g, w));
+                    assert!(ok, "pair_rotate_on {tier:?} n={n} c={c} s={s}");
+                }
+            }
+            // The top-pivot sequence on `m = n`: a chain over every row but
+            // the pivot, each turn its own angle, on one to nine columns.
+            if n == 0 {
+                continue;
+            }
+            let p = n / 2;
+            let chain: Vec<(usize, f64, f64)> = (0..n)
+                .filter(|&q| q != p)
+                .map(|q| {
+                    let theta = (q as f64 * 0.71).sin() * 3.0;
+                    (q, theta.cos(), theta.sin())
+                })
+                .chain([(n - 1, 0.0, 1.0), (0, 1.0, 0.0)].into_iter().filter(|t| t.0 != p))
+                .collect();
+            for ncols in [1usize, 2, 3, 4, 5, 8, 9] {
+                let block: Vec<f64> = (0..ncols).flat_map(|_| draw(n)).collect();
+                let mut want = block.clone();
+                for col in want.chunks_exact_mut(n) {
+                    let mut x = col[p];
+                    for &(q, c, s) in &chain {
+                        (x, col[q]) = turn_by_definition(x, col[q], c, s);
+                    }
+                    col[p] = x;
+                }
+                let mut portable = block.clone();
+                rotate_top_pivot_portable(&mut portable, ncols, n, p, &chain);
+                assert!(same(&portable, &want), "top pivot portable m={n} columns={ncols}");
+                for (name, tier) in top_pivot_tiers() {
+                    let mut got = block.clone();
+                    tier(&mut got, n, p, &chain);
+                    assert!(same(&got, &want), "top pivot {name} m={n} columns={ncols}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,12 @@ fn quad_vecs_laned() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec
     })
 }
 
+/// The plane rotation as `vecops` defines it, written out on a column pair:
+/// `x' = fma(c, x, −(s·y))`, `y' = fma(s, x, c·y)` per entry.
+fn rotated_by_definition(x: &[f64], y: &[f64], c: f64, s: f64) -> (Vec<f64>, Vec<f64>) {
+    x.iter().zip(y).map(|(&x, &y)| (c.mul_add(x, -(s * y)), s.mul_add(x, c * y))).unzip()
+}
+
 /// The storage invariant on one block of `arows`-row `A`-columns and
 /// `urows`-row `U`-columns: every column slice has its logical length and
 /// starts on a cache line, and the payload is the logical count — the
@@ -151,18 +157,22 @@ proptest! {
         // The fused kernel must be ELEMENT-WISE EQUAL (same bits) to the
         // two-call sequence it replaces — that is what lets the drivers
         // adopt it without perturbing any bitwise-equality guarantee.
+        // Both are the rotation's definition, written out below.
         let (ai, aj, ui, uj) = quads;
         let (c, s) = (theta.cos(), theta.sin());
+        let (da, db) = rotated_by_definition(&ai, &aj, c, s);
+        let (du, dv) = rotated_by_definition(&ui, &uj, c, s);
         let (mut fa_i, mut fa_j, mut fu_i, mut fu_j) =
             (ai.clone(), aj.clone(), ui.clone(), uj.clone());
         pair_rotate(&mut fa_i, &mut fa_j, &mut fu_i, &mut fu_j, c, s);
         let (mut ra_i, mut ra_j, mut ru_i, mut ru_j) = (ai, aj, ui, uj);
         rotate_pair(&mut ra_i, &mut ra_j, c, s);
         rotate_pair(&mut ru_i, &mut ru_j, c, s);
-        prop_assert_eq!(fa_i, ra_i);
-        prop_assert_eq!(fa_j, ra_j);
-        prop_assert_eq!(fu_i, ru_i);
-        prop_assert_eq!(fu_j, ru_j);
+        prop_assert_eq!(&fa_i, &ra_i);
+        prop_assert_eq!(&fa_j, &ra_j);
+        prop_assert_eq!(&fu_i, &ru_i);
+        prop_assert_eq!(&fu_j, &ru_j);
+        prop_assert_eq!((fa_i, fa_j, fu_i, fu_j), (da, db, du, dv));
     }
 
     #[test]
@@ -171,19 +181,23 @@ proptest! {
         theta in -3.2f64..3.2,
     ) {
         // The lane path's contract is BITWISE equality for the rotation:
-        // the SIMD body multiplies then adds/subtracts — no FMA — so every
-        // element sees the exact scalar arithmetic, at every tail length.
+        // each lane takes the definition's multiply and fused multiply-add
+        // in its operand order, so every element sees the scalar arithmetic,
+        // at every tail length.
         let (ai, aj, ui, uj) = quads;
         let (c, s) = (theta.cos(), theta.sin());
+        let (da, db) = rotated_by_definition(&ai, &aj, c, s);
+        let (du, dv) = rotated_by_definition(&ui, &uj, c, s);
         let (mut la_i, mut la_j, mut lu_i, mut lu_j) =
             (ai.clone(), aj.clone(), ui.clone(), uj.clone());
         pair_rotate_lanes(&mut la_i, &mut la_j, &mut lu_i, &mut lu_j, c, s);
         let (mut sa_i, mut sa_j, mut su_i, mut su_j) = (ai, aj, ui, uj);
         pair_rotate(&mut sa_i, &mut sa_j, &mut su_i, &mut su_j, c, s);
-        prop_assert_eq!(la_i, sa_i);
-        prop_assert_eq!(la_j, sa_j);
-        prop_assert_eq!(lu_i, su_i);
-        prop_assert_eq!(lu_j, su_j);
+        prop_assert_eq!(&la_i, &sa_i);
+        prop_assert_eq!(&la_j, &sa_j);
+        prop_assert_eq!(&lu_i, &su_i);
+        prop_assert_eq!(&lu_j, &su_j);
+        prop_assert_eq!((la_i, la_j, lu_i, lu_j), (da, db, du, dv));
     }
 
     #[test]
