@@ -18,14 +18,19 @@
 //! and rotate by the one rotation, [`mph_linalg::vecops::pair_rotate`] — a
 //! multiply and a fused multiply-add per entry, with its bits on every
 //! vector unit too.
-//! A sweep's walk makes each of its steps one [`pair_step`]: the step's
-//! one or two rotations and, in the same pass over the columns, the next
-//! step's 2×2 blocks reduced from the rotated values; only a rectangle's
-//! first pairing reduces its block on its own ([`fused_triple`], or
-//! [`dot`] for a cached off-diagonal). So the logical, threaded, and SVD
-//! drivers are *structurally* guaranteed to perform identical
-//! floating-point work — the bitwise-equality tests between drivers check
-//! an invariant the code now enforces by construction.
+//! A sweep's walk is one [`Walk`] per [`SweepKernel`] call: each step
+//! rotates its one or two pairings and, in the same pass over the columns,
+//! reduces the next step's 2×2 blocks from the rotated values — from one
+//! rectangle of pairings to the next too — so a call reduces a block on
+//! its own once, its first ([`fused_triple`]'s products, or [`dot`]'s for a
+//! cached off-diagonal), and rotates a pairing on its own once, its last.
+//! This module keeps the tiling (the rectangles, in order), the rule (the
+//! pairing's angle and its books, [`Pairing`]) and the cache dispatch; the
+//! walk compiles them into each vector tier's instructions. So the
+//! logical, threaded, and SVD drivers are *structurally* guaranteed to
+//! perform identical floating-point work — the bitwise-equality tests
+//! between drivers check an invariant the code now enforces by
+//! construction.
 //!
 //! When a [`ColumnBlock`] carries cached diagonals (`M_ii` or `‖w_i‖²`,
 //! opt-in via `JacobiOptions::cache_diagonals`), the kernel reads the two
@@ -41,12 +46,9 @@
 //! on the runtime's `min(2^d, CPUs)` workers — bitwise the logical solve,
 //! and on [`mph_runtime::FabricModel::Free`] charging no clock.
 
-use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
+use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
-use mph_linalg::vecops::{
-    dot, fused_triple, pair_step, Along, AlongTwo, Col, Down, InRow, Last, Open, OpenTwo,
-    StepPairing, Transition, Wrap, WrapTwo,
-};
+use mph_linalg::vecops::{dot, fused_triple, Pairing, Rect, Walk};
 
 /// Outcome of one pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,14 +232,20 @@ pub fn pair_across_blocks(
 /// L1 *associativity*, not capacity: with `m = 256` rows a `(A|U)` unit is
 /// exactly 4 KiB, so every column maps its lines onto the same sets and a
 /// 12-way L1d holds 12 columns, whatever its size. A rectangle's walk
-/// ([`two_row_steps`]) keeps two left columns and the right tile live —
-/// 10 columns (9 before the walk took two rows at a time). A step's pass
-/// reads the next step's columns too, so at a row pair's end the two left
-/// columns of the next pair arrive while the last two are still read: up
-/// to 11 columns in one pass, one short of the 12 ways. Walking whole
-/// anti-diagonals of an 8 × 8 tile pair instead (16 columns live) read
-/// `logical_solve` 4.62 against 4.08 — 13 % *slower* than one pairing at
-/// a time — so a wider walk needs a narrower tile.
+/// ([`Walk`]) keeps two left columns and the right tile live — 10 columns
+/// (9 before the walk took two rows at a time). A step's pass reads the
+/// next step's columns too, so at a row pair's end the two left columns of
+/// the next pair arrive while the last two are still read: up to 11
+/// columns in one pass, one short of the 12 ways. The walk carries on from
+/// one rectangle into the next: the pass that rotates a rectangle's last
+/// pairing reads the next one's first two columns, 4 columns in the pass.
+/// Live at that boundary are the right tile (kept when the next rectangle
+/// shares it, dead when the walk moves to the next right tile), the last
+/// row pair's two left columns and the next rectangle's first left one —
+/// 11 again; a triangle row's boundary, inside one tile, 8. Walking whole
+/// anti-diagonals of an 8 × 8 tile pair instead (16
+/// columns live) read `logical_solve` 4.62 against 4.08 — 13 % *slower*
+/// than one pairing at a time — so a wider walk needs a narrower tile.
 const ACROSS_TILE: usize = 8;
 
 /// One sub-sweep's pairing configuration, threaded through every driver so
@@ -245,10 +253,11 @@ const ACROSS_TILE: usize = 8;
 /// floating-point work.
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
-/// two `ACROSS_TILE`-wide column tiles, walked two rows at a time with two
-/// column-disjoint pairings in flight (`two_row_steps`), one pass over the
-/// columns a step ([`pair_step`]): each step rotates its pairings and
-/// reduces the blocks of the next, which it carries forward. The sweeps
+/// two `ACROSS_TILE`-wide column tiles, or a row of a tile's triangle,
+/// walked by one [`Walk`] per call — two rows at a time with two
+/// column-disjoint pairings in flight, one pass over the columns a step:
+/// each step rotates its pairings and reduces the blocks of the next,
+/// which it carries forward, also into the next rectangle. The sweeps
 /// visit the tile pairs in row-major order — with the walk inside a
 /// rectangle, a pure reordering of *commuting* operations that preserves
 /// every bit of the untiled reference
@@ -263,44 +272,61 @@ impl SweepKernel {
     /// Pairs every column pair within each of `blocks` —
     /// [`pair_within_block`] per block, block by block. Within a block, the
     /// tiles in row-major order: for each tile, its rectangles against the
-    /// tiles to its left, then its own triangle. For ops sharing a column the row-major relative order is
-    /// preserved (for a shared left column, `j` still ascends across tiles;
-    /// for a shared right column, `i` still ascends across the left tiles
-    /// and inside each — `two_row_steps`), and ops sharing no column
-    /// commute exactly — so the tiling is bitwise invisible.
+    /// tiles to its left, then its own triangle, a row at a time. For ops
+    /// sharing a column the row-major relative order is preserved (for a
+    /// shared left column, `j` still ascends across tiles; for a shared
+    /// right column, `i` still ascends across the left tiles and inside
+    /// each — [`Walk`]), and ops sharing no column commute exactly — so the
+    /// tiling is bitwise invisible. One walk for the call: a rectangle's
+    /// last step reduces the next one's first block.
     pub fn within<'b>(
         &self,
         blocks: impl IntoIterator<Item = &'b mut ColumnBlock>,
     ) -> SweepAccumulator {
-        let mut acc = SweepAccumulator::default();
-        for block in blocks {
-            for t0 in (0..block.len()).step_by(ACROSS_TILE) {
-                for s0 in (0..t0).step_by(ACROSS_TILE) {
-                    let [mut left, mut right] = block.tiles_mut::<ACROSS_TILE, 2>([s0, t0]);
-                    self.sweep_tile_pair(&mut left, &mut right, &mut acc);
+        fn walk<'b, const GRAM: bool>(
+            blocks: impl IntoIterator<Item = &'b mut ColumnBlock>,
+        ) -> SweepAccumulator {
+            let mut walk = Walk::new(Book::<GRAM>::default());
+            for block in blocks {
+                let rects = within_rects(block.len());
+                if cached(block) {
+                    walk.within::<true>(block, rects);
+                } else {
+                    walk.within::<false>(block, rects);
                 }
-                let [mut tile] = block.tiles_mut::<ACROSS_TILE, 1>([t0]);
-                self.sweep_tile(&mut tile, &mut acc);
             }
+            walk.finish().0
         }
-        acc
+        match self.rule {
+            PairingRule::Implicit => walk::<false>(blocks),
+            PairingRule::Gram => walk::<true>(blocks),
+        }
     }
 
     /// Pairs every column of `left` with every column of `right` —
     /// [`pair_across_blocks`], tiled. `left` plays the `i` role, exactly as
     /// in the untiled form. For each tile of the right
     /// block, the rectangles against the left block's tiles in order — the
-    /// same bitwise-invisible reordering as [`Self::within`].
+    /// same bitwise-invisible reordering as [`Self::within`], one walk for
+    /// the call.
     pub fn across(&self, left: &mut ColumnBlock, right: &mut ColumnBlock) -> SweepAccumulator {
-        let mut acc = SweepAccumulator::default();
-        for t0 in (0..right.len()).step_by(ACROSS_TILE) {
-            let [mut rcols] = right.tiles_mut::<ACROSS_TILE, 1>([t0]);
-            for s0 in (0..left.len()).step_by(ACROSS_TILE) {
-                let [mut lcols] = left.tiles_mut::<ACROSS_TILE, 1>([s0]);
-                self.sweep_tile_pair(&mut lcols, &mut rcols, &mut acc);
+        fn walk<const GRAM: bool>(
+            left: &mut ColumnBlock,
+            right: &mut ColumnBlock,
+        ) -> SweepAccumulator {
+            let mut walk = Walk::new(Book::<GRAM>::default());
+            let rects = across_rects(left.len(), right.len());
+            if cached(left) && cached(right) {
+                walk.across::<true>(left, right, rects);
+            } else {
+                walk.across::<false>(left, right, rects);
             }
+            walk.finish().0
         }
-        acc
+        match self.rule {
+            PairingRule::Implicit => walk::<false>(left, right),
+            PairingRule::Gram => walk::<true>(left, right),
+        }
     }
 
     /// [`Self::across`] for every `(left, right)` index pair of one solver
@@ -320,289 +346,60 @@ impl SweepKernel {
         }
         acc
     }
+}
 
-    /// Serially sweeps one tile's internal pairs, row-major `i < j`: row
-    /// `i` is a one-row rectangle, which [`two_row_steps`] walks singly.
-    fn sweep_tile(&self, cols: &mut [ColumnViewMut<'_>], acc: &mut SweepAccumulator) {
-        for i in 0..cols.len().saturating_sub(1) {
-            let (lo, hi) = cols.split_at_mut(i + 1);
-            self.sweep_tile_pair(&mut lo[i..], hi, acc);
-        }
-    }
+/// Whether a block caches its diagonals: then a walk over it alone, or
+/// across it and another that does, reads them from the cache.
+fn cached(block: &ColumnBlock) -> bool {
+    !block.diag().is_empty()
+}
 
-    /// Sweeps a left tile × right tile rectangle in the order of
-    /// [`two_row_steps`] — the L1-resident inner loop of every sweep: two
-    /// left columns walk the right tile, each reused against all of it
-    /// before the next two. One [`walk`], its operand tables fixed for the
-    /// rule and for whether both tiles cache their diagonals.
-    fn sweep_tile_pair(
-        &self,
-        lcols: &mut [ColumnViewMut<'_>],
-        rcols: &mut [ColumnViewMut<'_>],
-        acc: &mut SweepAccumulator,
-    ) {
-        let cached = |cols: &[ColumnViewMut<'_>]| cols.first().is_some_and(|c| c.d.is_some());
-        match (self.rule, cached(lcols) && cached(rcols)) {
-            (PairingRule::Implicit, false) => walk::<false, false>(lcols, rcols, acc),
-            (PairingRule::Implicit, true) => walk::<false, true>(lcols, rcols, acc),
-            (PairingRule::Gram, false) => walk::<true, false>(lcols, rcols, acc),
-            (PairingRule::Gram, true) => walk::<true, true>(lcols, rcols, acc),
-        }
+/// The rectangles of a block's own pairings, in the order of
+/// [`SweepKernel::within`]: for each tile, its rectangles against the tiles
+/// to its left, then its triangle's rows, row `i` the one-row rectangle of
+/// column `i` with the columns after it in the tile.
+fn within_rects(b: usize) -> impl Iterator<Item = Rect> {
+    (0..b).step_by(ACROSS_TILE).flat_map(move |t0| {
+        let tile = t0..(t0 + ACROSS_TILE).min(b);
+        let rects =
+            (0..t0).step_by(ACROSS_TILE).map(move |s0| (s0..s0 + ACROSS_TILE, t0..tile.end));
+        rects.chain((t0..tile.end).map(move |i| (i..i + 1, i + 1..tile.end)))
+    })
+}
+
+/// The rectangles of `nl` left columns with `nr` right ones, in the order
+/// of [`SweepKernel::across`]: for each right tile, the left tiles in
+/// order.
+fn across_rects(nl: usize, nr: usize) -> impl Iterator<Item = Rect> {
+    let tile = |t0: usize, n: usize| t0..(t0 + ACROSS_TILE).min(n);
+    (0..nr).step_by(ACROSS_TILE).flat_map(move |t0| {
+        (0..nl).step_by(ACROSS_TILE).map(move |s0| (tile(s0, nl), tile(t0, nr)))
+    })
+}
+
+/// One sweep call's book under the rule [`rule_of`] names: what the walk
+/// asks of a pairing — its off-diagonal measure and its rotation, or none
+/// ([`pair_angle`]) — booked as the pairing's outcome.
+#[derive(Default)]
+struct Book<const GRAM: bool>(SweepAccumulator);
+
+impl<const GRAM: bool> Pairing for Book<GRAM> {
+    const GRAM: bool = GRAM;
+
+    #[inline(always)]
+    fn angle(&mut self, block: (f64, f64, f64)) -> Option<JacobiRotation> {
+        let (off_before, rot) = pair_angle(block, rule_of::<GRAM>());
+        self.0.absorb(PairOutcome { off_before, rotated: rot.is_some() });
+        rot
     }
 }
 
-/// A step of [`two_row_steps`]: its first pairing `(i, j)` — left column
-/// `i`, right column `j` — and the pairing abreast of it, if any.
-type Step = ((usize, usize), Option<(usize, usize)>);
-
-/// A pairing's 2×2 block `(app, apq, aqq)`.
-type Block = (f64, f64, f64);
-
-/// The rule [`walk`]'s `GRAM` names.
+/// The rule a [`Book`]'s `GRAM` names.
 const fn rule_of<const GRAM: bool>() -> PairingRule {
     if GRAM {
         PairingRule::Gram
     } else {
         PairingRule::Implicit
-    }
-}
-
-/// Walks a rectangle in the order of [`two_row_steps`], one [`pair_step`]
-/// a step: each step rotates its pairings and reduces the next step's
-/// blocks in the same pass, so only the rectangle's first step — always
-/// one pairing — reduces its block on its own, and the last one only
-/// rotates. Where `CACHED` (both tiles cache their diagonals) a step
-/// reduces the next step's off-diagonals alone and reads the diagonals from
-/// the cache slots, which its own rotations have just updated.
-fn walk<const GRAM: bool, const CACHED: bool>(
-    lcols: &mut [ColumnViewMut<'_>],
-    rcols: &mut [ColumnViewMut<'_>],
-    acc: &mut SweepAccumulator,
-) {
-    let rule = rule_of::<GRAM>();
-    let mut held: Option<(Step, [Block; 2])> = None;
-    two_row_steps(lcols.len(), rcols.len(), |first, abreast| {
-        let next = (first, abreast);
-        let blocks = match held.take() {
-            None => {
-                let pair = ColumnViewMut::pair_mut(&mut lcols[first.0], &mut rcols[first.1]);
-                [pair_block(&pair, rule), NO_BLOCK]
-            }
-            Some((step, blocks)) => {
-                pair_step_then::<GRAM, CACHED>(lcols, rcols, step, blocks, next, acc)
-            }
-        };
-        held = Some((next, blocks));
-    });
-    if let Some(((first, abreast), blocks)) = held {
-        for ((i, j), block) in [Some(first), abreast].into_iter().flatten().zip(blocks) {
-            let pair = ColumnViewMut::pair_mut(&mut lcols[i], &mut rcols[j]);
-            acc.absorb(pair_rotate_by(pair, block, pair_angle(block, rule)));
-        }
-    }
-}
-
-/// Rotates the pairings of `step`, whose blocks are `blocks`, and returns
-/// the blocks of `next`, the step after it, reduced in the same
-/// [`pair_step`] — its [`Transition`] picked by where `next`'s columns are
-/// in `step`. Each arm borrows the step's columns: the ones it rotates,
-/// then the ones the next step adds, in the order the transition numbers
-/// them ([`Col::F0`], [`Col::F1`]).
-fn pair_step_then<const GRAM: bool, const CACHED: bool>(
-    lcols: &mut [ColumnViewMut<'_>],
-    rcols: &mut [ColumnViewMut<'_>],
-    (first, abreast): Step,
-    blocks: [Block; 2],
-    next: Step,
-    acc: &mut SweepAccumulator,
-) -> [Block; 2] {
-    let ((i0, j0), ((ni, nj), next_abreast)) = (first, next);
-    let below = || next_abreast.expect("a two-pairing transition").0;
-    let [b0, _] = blocks;
-    match (abreast, next_columns((first, abreast), next)) {
-        (None, Down::PATTERN) => {
-            let ([l0, lf], [r0]) = (views(lcols, [i0, ni]), views(rcols, [j0]));
-            let [out] = step::<1, 1, GRAM, CACHED, Down>([l0], [r0], [Some(&*lf), None], [b0], acc);
-            [out, NO_BLOCK]
-        }
-        (None, Along::PATTERN) => {
-            let ([l0], [r0, rf]) = (views(lcols, [i0]), views(rcols, [j0, nj]));
-            let [out] =
-                step::<1, 1, GRAM, CACHED, Along>([l0], [r0], [Some(&*rf), None], [b0], acc);
-            [out, NO_BLOCK]
-        }
-        (None, Open::PATTERN) => {
-            let ([l0, lf], [r0, rf]) = (views(lcols, [i0, below()]), views(rcols, [j0, nj]));
-            step::<1, 2, GRAM, CACHED, Open>([l0], [r0], [Some(&*rf), Some(&*lf)], [b0], acc)
-        }
-        (Some((i1, j1)), Along::PATTERN) => {
-            let ([l0, l1], [r0, r1, rf]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1, nj]));
-            let fresh = [Some(&*rf), None];
-            let [out] = step::<2, 1, GRAM, CACHED, Along>([l0, l1], [r0, r1], fresh, blocks, acc);
-            [out, NO_BLOCK]
-        }
-        (Some((i1, j1)), AlongTwo::PATTERN) => {
-            let ([l0, l1], [r0, r1]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1]));
-            let [out] =
-                step::<2, 1, GRAM, CACHED, AlongTwo>([l0, l1], [r0, r1], [None, None], blocks, acc);
-            [out, NO_BLOCK]
-        }
-        (Some((i1, j1)), Open::PATTERN) => {
-            let [l0, l1, lf] = views(lcols, [i0, i1, below()]);
-            let [r0, r1, rf] = views(rcols, [j0, j1, nj]);
-            let fresh = [Some(&*rf), Some(&*lf)];
-            step::<2, 2, GRAM, CACHED, Open>([l0, l1], [r0, r1], fresh, blocks, acc)
-        }
-        (Some((i1, j1)), OpenTwo::PATTERN) => {
-            let ([l0, l1, lf], [r0, r1]) =
-                (views(lcols, [i0, i1, below()]), views(rcols, [j0, j1]));
-            step::<2, 2, GRAM, CACHED, OpenTwo>([l0, l1], [r0, r1], [Some(&*lf), None], blocks, acc)
-        }
-        (Some((i1, j1)), InRow::PATTERN) => {
-            let ([l0, l1], [r0, r1, rf]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1, nj]));
-            step::<2, 2, GRAM, CACHED, InRow>([l0, l1], [r0, r1], [Some(&*rf), None], blocks, acc)
-        }
-        (Some((i1, j1)), Wrap::PATTERN) => {
-            let ([l0, l1, lf], [r0, r1, rf]) =
-                (views(lcols, [i0, i1, ni]), views(rcols, [j0, j1, nj]));
-            step::<2, 2, GRAM, CACHED, Wrap>(
-                [l0, l1],
-                [r0, r1],
-                [Some(&*lf), Some(&*rf)],
-                blocks,
-                acc,
-            )
-        }
-        (Some((i1, j1)), WrapTwo::PATTERN) => {
-            let ([l0, l1, lf], [r0, r1]) = (views(lcols, [i0, i1, ni]), views(rcols, [j0, j1]));
-            step::<2, 2, GRAM, CACHED, WrapTwo>([l0, l1], [r0, r1], [Some(&*lf), None], blocks, acc)
-        }
-        (Some((i1, j1)), Last::PATTERN) => {
-            let ([l0, l1], [r0, r1]) = (views(lcols, [i0, i1]), views(rcols, [j0, j1]));
-            let [out] =
-                step::<2, 1, GRAM, CACHED, Last>([l0, l1], [r0, r1], [None, None], blocks, acc);
-            [out, NO_BLOCK]
-        }
-        (_, pattern) => {
-            unreachable!("no step of the walk follows {:?} with {pattern:?}", (first, abreast))
-        }
-    }
-}
-
-/// The second block of a one-pairing step: none.
-const NO_BLOCK: Block = (0.0, 0.0, 0.0);
-
-/// The views of tile columns `at`, distinct.
-fn views<'t, 'v, const K: usize>(
-    cols: &'t mut [ColumnViewMut<'v>],
-    at: [usize; K],
-) -> [&'t mut ColumnViewMut<'v>; K] {
-    cols.get_disjoint_mut(at).expect("a step's columns are distinct")
-}
-
-/// One [`pair_step`] of transition `T`: rotates the `R` pairings `left[k]`
-/// × `right[k]`, whose blocks are `blocks`, keeps their cache slots
-/// current, books them in `acc`, and returns the blocks of the next step's
-/// `N` pairings — `fresh` the columns it adds, [`Col::F0`] first. Where
-/// `CACHED` the diagonals are read from the cache slots, after this step
-/// has updated them.
-fn step<const R: usize, const N: usize, const GRAM: bool, const CACHED: bool, T: Transition<N>>(
-    mut left: [&mut ColumnViewMut<'_>; R],
-    mut right: [&mut ColumnViewMut<'_>; R],
-    fresh: [Option<&ColumnViewMut<'_>>; 2],
-    blocks: [Block; R],
-    acc: &mut SweepAccumulator,
-) -> [Block; N] {
-    let mut angles = [(0.0, None); R];
-    for (angle, &block) in angles.iter_mut().zip(&blocks) {
-        *angle = pair_angle(block, rule_of::<GRAM>());
-    }
-    let out = {
-        let mut sides = left.iter_mut().zip(right.iter_mut()).zip(&angles);
-        let pairings: [StepPairing<'_>; R] = std::array::from_fn(|_| {
-            let ((l, r), (_, rot)) = sides.next().expect("one right column a left one");
-            let turn = rot.map(|rot| (rot.c, rot.s));
-            ([&mut *l.a, &mut *r.a, &mut *l.u, &mut *r.u], turn)
-        });
-        let streams = |f: usize| fresh[f].map_or([&[][..]; 2], |v| [&*v.a, &*v.u]);
-        pair_step::<R, N, CACHED, GRAM, T>(pairings, [streams(0), streams(1)])
-    };
-    for (k, (l, r)) in left.iter_mut().zip(right.iter_mut()).enumerate() {
-        let (off_before, rot) = angles[k];
-        if let Some(rot) = rot {
-            update_cache([l.d.as_deref_mut(), r.d.as_deref_mut()], blocks[k], rot);
-        }
-        acc.absorb(PairOutcome { off_before, rotated: rot.is_some() });
-    }
-    if !CACHED {
-        return out;
-    }
-    let diag = |col: Col| {
-        let view: &ColumnViewMut<'_> = match col {
-            Col::I0 => left[0],
-            Col::J0 => right[0],
-            Col::I1 => left[R - 1],
-            Col::J1 => right[R - 1],
-            Col::F0 => fresh[0].expect("a fresh column"),
-            Col::F1 => fresh[1].expect("a fresh column"),
-        };
-        *view.d.as_deref().expect("a cached column")
-    };
-    let mut out = out;
-    for ((app, _, aqq), [i, j]) in out.iter_mut().zip(T::NEXT) {
-        (*app, *aqq) = (diag(i), diag(j));
-    }
-    out
-}
-
-/// Where the columns of step `next` are in `step`, as a [`Transition`]'s
-/// pattern: a column `step` rotates by its place there, any other by its
-/// order among them.
-fn next_columns(
-    ((i0, j0), abreast): Step,
-    ((i, j), next_abreast): Step,
-) -> ([Col; 2], Option<[Col; 2]>) {
-    let mut fresh = [Col::F0, Col::F1].into_iter();
-    let mut col = |left: bool, k: usize| match (left, abreast) {
-        (true, _) if k == i0 => Col::I0,
-        (false, _) if k == j0 => Col::J0,
-        (true, Some((i1, _))) if k == i1 => Col::I1,
-        (false, Some((_, j1))) if k == j1 => Col::J1,
-        _ => fresh.next().expect("a step adds at most two columns"),
-    };
-    let first = [col(true, i), col(false, j)];
-    (first, next_abreast.map(|(i, j)| [col(true, i), col(false, j)]))
-}
-
-/// The order every sweep walks an `nl × nr` rectangle of pairings in:
-/// `step((i, j), abreast)` per step, `abreast` a second pairing that shares
-/// no column with the first: its row is `i ± 1` and its column not `j`.
-///
-/// Rows are taken two at a time, the odd row one step behind the even one:
-/// `(2r, j)` goes abreast of `(2r + 1, j − 1)`, and `(2r + 2, 0)` of
-/// `(2r + 1, nr − 1)`. Pairing `(i, j)` still comes after `(i, j − 1)` and
-/// `(i − 1, j)`, so each column meets its partners in row-major order —
-/// which, column-disjoint pairings commuting exactly, makes this walk
-/// bitwise the row-major one. An odd last row goes singly, as does all of a
-/// one-column rectangle, whose pairings all share that column.
-fn two_row_steps(
-    nl: usize,
-    nr: usize,
-    mut step: impl FnMut((usize, usize), Option<(usize, usize)>),
-) {
-    if nr == 1 {
-        return (0..nl).for_each(|i| step((i, 0), None));
-    }
-    // The odd-row pairing below the previous step's even-row one.
-    let mut behind = None;
-    for i in (0..nl).step_by(2) {
-        for j in 0..nr {
-            step((i, j), behind);
-            behind = (i + 1 < nl).then_some((i + 1, j));
-        }
-    }
-    if let Some(last) = behind {
-        step(last, None);
     }
 }
 
@@ -620,6 +417,7 @@ pub struct SweepAccumulator {
 }
 
 impl SweepAccumulator {
+    #[inline(always)]
     fn absorb(&mut self, o: PairOutcome) {
         self.pairings += 1;
         if o.rotated {
@@ -1000,10 +798,10 @@ mod tests {
         let right = [(a_r0, u_r0), (full(22), full(5)), (full(23), full(6)), (full(24), full(7))];
         let block = |cols: [(Vec<f64>, Vec<f64>); 4]| {
             let mut block = ColumnBlock::from_matrix_with_identity(&Matrix::zeros(m, 4), 0..4, m);
-            let [mut views] = block.tiles_mut::<ACROSS_TILE, 1>([0]);
-            for (view, (a, u)) in views.iter_mut().zip(cols) {
-                view.a.copy_from_slice(&a);
-                view.u.copy_from_slice(&u);
+            for (k, (a, u)) in cols.into_iter().enumerate() {
+                let view = block.pair_mut(k, (k + 1) % 4);
+                view.ai.copy_from_slice(&a);
+                view.ui.copy_from_slice(&u);
             }
             block
         };
@@ -1082,47 +880,6 @@ mod tests {
                     assert!((0..4).all(|k| l_ref.u_col(k).iter().all(|x| x.is_finite())), "{what}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn two_row_steps_keep_every_columns_pairings_in_row_major_order() {
-        // The law that makes the walk bitwise the row-major one, checked on
-        // the schedule itself: every pairing of the rectangle exactly once,
-        // the two pairings of a step on four different columns, and — per
-        // left column and per right column — the partners met in ascending
-        // order.
-        for (nl, nr) in (0..=9usize).flat_map(|nl| (0..=9usize).map(move |nr| (nl, nr))) {
-            let mut order = Vec::new();
-            let mut abreast_steps = 0;
-            two_row_steps(nl, nr, |first, abreast| {
-                order.push(first);
-                if let Some(second) = abreast {
-                    assert!(
-                        first.0 != second.0 && first.1 != second.1,
-                        "{nl}x{nr}: {first:?} {second:?}"
-                    );
-                    order.push(second);
-                    abreast_steps += 1;
-                }
-            });
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            let all: Vec<_> = (0..nl).flat_map(|i| (0..nr).map(move |j| (i, j))).collect();
-            assert_eq!(sorted, all, "{nl}x{nr}: not every pairing exactly once");
-            for i in 0..nl {
-                let met: Vec<_> = order.iter().filter(|p| p.0 == i).map(|p| p.1).collect();
-                assert!(met.is_sorted(), "{nl}x{nr}: left column {i} meets {met:?}");
-            }
-            for j in 0..nr {
-                let met: Vec<_> = order.iter().filter(|p| p.1 == j).map(|p| p.0).collect();
-                assert!(met.is_sorted(), "{nl}x{nr}: right column {j} meets {met:?}");
-            }
-            // The odd rows' stream runs one step behind the even rows';
-            // wherever both have a pairing, the two go abreast.
-            let (even, odd) = (nl.div_ceil(2) * nr, nl / 2 * nr);
-            let want = if nr >= 2 { odd.min(even.saturating_sub(1)) } else { 0 };
-            assert_eq!(abreast_steps, want, "{nl}x{nr}");
         }
     }
 

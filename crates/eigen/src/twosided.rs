@@ -26,9 +26,9 @@
 //! - column `p` takes every rotation at once: the column half, fused with
 //!   the same rotation of `U`'s columns `p` and `q` into one
 //!   [`pair_rotate_lanes`] pass, and the row half's 2×2 block from the
-//!   column-pass values — the row half of columns `p` and `q` alone, one
-//!   turn of [`rotate_top_pivot`] each, keeping `a_pp` and `a_qq` — with
-//!   the pivot pair zeroed;
+//!   column-pass values — the row half of columns `p` and `q` alone, both
+//!   turned in one [`rotate_pivot_rows`] call, keeping `a_pp` and `a_qq` —
+//!   with the pivot pair zeroed;
 //! - a pivot column `q` is brought through the chain so far, in chain order,
 //!   before its pivot is read: eight pivots abreast on the chain known when
 //!   the first of them comes up, then each alone through the turns of the
@@ -45,7 +45,7 @@
 use crate::multidrive::JobKind;
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::rotation::symmetric_schur;
-use mph_linalg::vecops::{pair_rotate_lanes, rotate_top_pivot};
+use mph_linalg::vecops::{pair_rotate_lanes, rotate_pivot_rows, rotate_top_pivot};
 use mph_linalg::Matrix;
 
 /// One applied rotation of the current row `p`: its pivot column `q` and
@@ -108,8 +108,7 @@ fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, chain: &mut Vec<Turn>) -> u64 
                 pair_rotate_lanes(colp, colq, up, uq, c, s);
                 // The row half's 2×2 block, from the column-pass values; the
                 // annihilated pair is cleaned explicitly (fp hygiene).
-                rotate_top_pivot(colp, m, p, &[(q, c, s)]);
-                rotate_top_pivot(colq, m, p, &[(q, c, s)]);
+                rotate_pivot_rows(colp, colq, (p, q), c, s);
                 colp[q] = 0.0;
                 colq[p] = 0.0;
                 chain.push((q, c, s));

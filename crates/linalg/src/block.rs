@@ -210,65 +210,17 @@ impl<'a> PairViewMut<'a> {
     }
 }
 
-/// One column's mutable slices, as a tile of [`ColumnBlock::tiles_mut`]
-/// holds them: the views can be carved into per-pair [`PairViewMut`]s (the
-/// fields are public precisely so the pairing kernel can assemble them)
-/// without any further borrow gymnastics. The default is the view of no
-/// rows.
-#[derive(Debug, Default)]
-pub struct ColumnViewMut<'a> {
-    /// The column's `A`-slice.
-    pub a: &'a mut [f64],
-    /// The column's `U`-slice.
-    pub u: &'a mut [f64],
-    /// The column's cached-diagonal slot (`None` when the cache is off).
-    pub d: Option<&'a mut f64>,
-}
-
-impl<'a> ColumnViewMut<'a> {
-    /// Assembles the pairing view of two column views without consuming
-    /// them — the counterpart of [`ColumnBlock::pair_mut`]/[`cross_pair_mut`]
-    /// over views, so a tile sweep can pair the same column repeatedly.
-    #[inline]
-    pub fn pair_mut<'b>(
-        i: &'b mut ColumnViewMut<'a>,
-        j: &'b mut ColumnViewMut<'_>,
-    ) -> PairViewMut<'b> {
-        PairViewMut {
-            ai: &mut *i.a,
-            ui: &mut *i.u,
-            aj: &mut *j.a,
-            uj: &mut *j.u,
-            di: i.d.as_deref_mut(),
-            dj: j.d.as_deref_mut(),
-        }
-    }
-}
-
-/// The views of up to `N` consecutive columns, held inline — what a serial
-/// sweep borrows from a block tile by tile, where a `Vec` of views would be
-/// an allocation per call. Dereferences to the views; produced by
-/// [`ColumnBlock::tiles_mut`].
-#[derive(Debug)]
-pub struct ColumnTileMut<'a, const N: usize> {
-    /// The first `len` are columns, the rest views of no rows.
-    views: [ColumnViewMut<'a>; N],
-    len: usize,
-}
-
-impl<'a, const N: usize> std::ops::Deref for ColumnTileMut<'a, N> {
-    type Target = [ColumnViewMut<'a>];
-    #[inline]
-    fn deref(&self) -> &Self::Target {
-        &self.views[..self.len]
-    }
-}
-
-impl<const N: usize> std::ops::DerefMut for ColumnTileMut<'_, N> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.views[..self.len]
-    }
+/// A block's store as a sweep's walk (`vecops::Walk`) addresses it:
+/// `ncols` units of `unit` values, column `k`'s `A`-half of `rows[0]` values
+/// at `k · unit` and its `U`-half of `rows[1]` at `k · unit + ustart`, and
+/// the cached diagonals, empty when the cache is off.
+pub(crate) struct Units<'a> {
+    pub(crate) data: &'a mut [f64],
+    pub(crate) unit: usize,
+    pub(crate) ustart: usize,
+    pub(crate) diag: &'a mut [f64],
+    pub(crate) ncols: usize,
+    pub(crate) rows: [usize; 2],
 }
 
 impl ColumnBlock {
@@ -399,41 +351,12 @@ impl ColumnBlock {
         }
     }
 
-    /// Split-borrow access to `K` tiles of the block at once: tile `k` views
-    /// the columns `firsts[k]..firsts[k] + N`, cut off at the block's end,
-    /// held inline so a sweep needs no table to collect them into.
-    ///
-    /// # Panics
-    /// Panics if two of the tiles share a column.
-    pub fn tiles_mut<const N: usize, const K: usize>(
-        &mut self,
-        firsts: [usize; K],
-    ) -> [ColumnTileMut<'_, N>; K] {
+    /// The block's store, as a sweep's walk addresses its columns.
+    pub(crate) fn units_mut(&mut self) -> Units<'_> {
         self.debug_assert_aligned();
-        let (shape, unit) = ((self.arows, self.urows), self.unit());
-        let span = |first: usize, len: usize| first.min(len)..(first + N).min(len);
-        let units = firsts.map(|first| {
-            let cols = span(first, self.ncols);
-            cols.start * unit..cols.end * unit
-        });
-        // `diag` is empty when the cache is off, so every slot reads `None`.
-        let slots = firsts.map(|first| span(first, self.diag.len()));
-        let runs = self.data.get_disjoint_mut(units).expect("tiles share a column");
-        let mut slots =
-            self.diag.get_disjoint_mut(slots).expect("tiles share a column").into_iter();
-        runs.map(|run| {
-            // A taken (default) block has a zero-length unit and no columns.
-            let mut cols = run.chunks_exact_mut(unit.max(1));
-            let mut diag = slots.next().expect("one run of slots per tile").iter_mut();
-            let len = cols.len();
-            let views = std::array::from_fn(|_| {
-                cols.next().map_or_else(ColumnViewMut::default, |chunk| {
-                    let (a, u) = split_unit(chunk, shape);
-                    ColumnViewMut { a, u, d: diag.next() }
-                })
-            });
-            ColumnTileMut { views, len }
-        })
+        let (unit, ustart, ncols, rows) =
+            (self.unit(), self.ustart(), self.ncols, [self.arows, self.urows]);
+        Units { data: &mut self.data, unit, ustart, diag: &mut self.diag, ncols, rows }
     }
 
     /// Moves the block out of `self` in O(1), leaving an empty block — the
@@ -479,6 +402,22 @@ impl ColumnBlock {
             diag.push(f(self.a_col(k), self.u_col(k)));
         }
         self.diag = diag;
+    }
+
+    /// The block of the columns `cols`, each `(a, u)` of `rows` — a fixture
+    /// for kernels over any column height, which no matrix with an identity
+    /// `U` gives a block of.
+    #[cfg(test)]
+    pub(crate) fn from_columns(cols: &[(Vec<f64>, Vec<f64>)], rows: (usize, usize)) -> ColumnBlock {
+        let (arows, urows) = rows;
+        let (ustart, ncols) = (padded(arows), cols.len());
+        let unit = ustart + padded(urows);
+        let mut data = AlignedStore::zeros(ncols * unit);
+        for (k, (a, u)) in cols.iter().enumerate() {
+            data[k * unit..k * unit + arows].copy_from_slice(a);
+            data[k * unit + ustart..k * unit + ustart + urows].copy_from_slice(u);
+        }
+        ColumnBlock { start: 0, ncols, arows, urows, data, diag: AlignedStore::default() }
     }
 
     /// Splits the block into `q` packets of consecutive columns — the
@@ -797,11 +736,9 @@ mod tests {
         assert_eq!(b.payload_elems(), 3 * 12);
         b.pair_mut(0, 2).rotate(0.6, 0.8);
         cross_pair_mut(&mut b.clone(), 1, &mut b, 0).rotate(0.8, 0.6);
-        let [tile] = b.tiles_mut::<3, 1>([0]);
-        assert_eq!(tile.len(), 3);
-        for view in tile.iter() {
-            assert_eq!((view.a.len(), view.u.len()), (7, 5));
-            assert!(is_aligned(view.a) && is_aligned(view.u));
+        for k in 0..3 {
+            assert_eq!((b.a_col(k).len(), b.u_col(k).len()), (7, 5));
+            assert!(is_aligned(b.a_col(k)) && is_aligned(b.u_col(k)));
         }
         // The pads took no part in any of it.
         let unit = b.unit();
@@ -849,65 +786,6 @@ mod tests {
         let b = ColumnBlock::from_matrix_with_identity(&a0, 2..2, 3);
         assert!(b.is_empty());
         assert_eq!(b.payload_elems(), 0);
-    }
-
-    #[test]
-    fn tiles_mut_views_runs_of_columns_disjointly() {
-        let a0 = random_symmetric(7, 19);
-        for cached in [false, true] {
-            let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..7, 7);
-            if cached {
-                b.refresh_diag(|a, u| dot(u, a));
-            }
-            let want = b.clone();
-            // Tiles in any order; the one reaching past the block is cut
-            // off at its end, the one starting there is empty.
-            let [mut hi, lo, past] = b.tiles_mut::<3, 3>([5, 1, 7]);
-            assert_eq!((hi.len(), lo.len(), past.len()), (2, 3, 0));
-            for (tile, first) in [(&hi, 5), (&lo, 1)] {
-                for (k, col) in tile.iter().enumerate() {
-                    assert_eq!(col.a, want.a_col(first + k), "col {}", first + k);
-                    assert_eq!(col.u, want.u_col(first + k), "col {}", first + k);
-                    assert_eq!(col.d.as_deref(), want.diag().get(first + k), "col {}", first + k);
-                }
-            }
-            // Writes through a tile land in the block.
-            hi[1].a[0] = 99.0;
-            if let Some(d) = hi[0].d.as_deref_mut() {
-                *d = -7.0;
-            }
-            assert_eq!(b.a_col(6)[0], 99.0);
-            if cached {
-                assert_eq!(b.diag()[5], -7.0);
-            }
-        }
-        // A taken block has no columns to view.
-        let mut taken = ColumnBlock::default();
-        let [none] = taken.tiles_mut::<8, 1>([0]);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "tiles share a column")]
-    fn tiles_mut_rejects_overlapping_tiles() {
-        let a0 = random_symmetric(6, 19);
-        let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..6, 6);
-        let _ = b.tiles_mut::<4, 2>([0, 3]);
-    }
-
-    #[test]
-    fn column_view_pair_rotates_like_pair_mut() {
-        let a0 = random_symmetric(6, 23);
-        let mut b = ColumnBlock::from_matrix_with_identity(&a0, 0..6, 6);
-        let mut reference = b.clone();
-        let (c, s) = (0.96, 0.28);
-        reference.pair_mut(1, 4).rotate(c, s);
-        {
-            let [mut tile] = b.tiles_mut::<6, 1>([0]);
-            let [ci, cj] = tile.get_disjoint_mut([1, 4]).expect("distinct columns");
-            ColumnViewMut::pair_mut(ci, cj).rotate(c, s);
-        }
-        assert_eq!(b, reference);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   with zero-copy views, split-borrow pair access, and cached diagonals —
 //!   the unit every parallel driver pairs locally and ships across links;
 //! * [`vecops`] — the handful of BLAS-1 kernels the solver needs (`dot`,
-//!   the fused inner products of a pairing, fused column-pair rotation):
+//!   the fused inner products of a pairing, fused column-pair rotation)
+//!   and the sweep's walk over a block's column pairings, built from them:
 //!   one definition of each result's bits — the inner product's eight
 //!   fused multiply-add chains, its fixed tree and fused tail — and vector
 //!   kernels on AVX-512F, AVX2 and a portable loop that reproduce those
@@ -30,7 +31,7 @@ pub mod rotation;
 pub mod symmetric;
 pub mod vecops;
 
-pub use block::{cross_pair_mut, two_blocks_mut, ColumnBlock, ColumnViewMut, PairViewMut};
+pub use block::{cross_pair_mut, two_blocks_mut, ColumnBlock, PairViewMut};
 pub use matrix::Matrix;
 pub use rotation::{symmetric_schur, JacobiRotation};
 pub use symmetric::{frank_matrix, off_diagonal_frobenius, random_symmetric, wilkinson_matrix};

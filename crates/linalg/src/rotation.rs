@@ -28,6 +28,10 @@ impl JacobiRotation {
 /// The implementation uses the numerically stable small-angle formulas:
 /// `τ = (aqq − app) / (2·apq)`, `t = sign(τ) / (|τ| + sqrt(1 + τ²))`,
 /// `c = 1/sqrt(1+t²)`, `s = t·c`.
+///
+/// Inlined into the sweep walk's vector tiers, which take it once per
+/// pairing.
+#[inline]
 pub fn symmetric_schur(app: f64, apq: f64, aqq: f64) -> JacobiRotation {
     if apq == 0.0 {
         return JacobiRotation::IDENTITY;
@@ -48,6 +52,7 @@ pub fn symmetric_schur(app: f64, apq: f64, aqq: f64) -> JacobiRotation {
 /// `(app', apq', aqq')`. Used by the sweep kernel's diagonal cache
 /// (`mph-eigen`'s `kernel.rs`) and by tests; the one-sided solver otherwise
 /// never materializes the block.
+#[inline]
 pub fn apply_to_block(rot: JacobiRotation, app: f64, apq: f64, aqq: f64) -> (f64, f64, f64) {
     let (c, s) = (rot.c, rot.s);
     let new_pp = c * c * app - 2.0 * s * c * apq + s * s * aqq;

@@ -22,15 +22,21 @@
 //!   width. Every scalar loop of `mul_add`s a host with FMA runs is
 //!   compiled with FMA, so each is the instruction there, never a library
 //!   call; only the portable tier, for hosts without FMA, calls `fma`.
-//! * [`pair_step`] is one step of a sweep's two-row walk: it rotates the
-//!   step's one or two pairings, bitwise [`pair_rotate`], and reduces the
-//!   2×2 blocks of the walk's next step from the rotated columns, each
-//!   product bitwise [`dot`]. On AVX-512 that is one pass: each chunk of
-//!   eight rows is loaded, rotated and stored, and the next step's
-//!   multiply-adds take the rotated lanes from the registers that stored
-//!   them. Which columns the next step pairs is a [`Transition`], one
-//!   constant operand table per way one step of the walk follows another.
-//!   The AVX2 and portable tiers rotate, then reduce a block at a time.
+//! * [`Walk`] is a sweep's walk: each step rotates its one or two pairings,
+//!   bitwise [`pair_rotate`], and reduces the 2×2 blocks of the walk's next
+//!   step from the rotated columns, each product bitwise [`dot`] — a
+//!   rectangle of pairings at a time, from rectangle to rectangle. Each
+//!   vector tier walks a call's rectangles inside one function compiled for
+//!   it, the rule's angles included; on AVX-512 a step is one pass, each
+//!   chunk of eight rows loaded, rotated and stored, the next step's
+//!   multiply-adds taking the rotated lanes from the registers that stored
+//!   them. Which columns the next step pairs is a `Transition`, one
+//!   constant operand table per way one step of the walk follows another,
+//!   named where the walk takes the step. The AVX2 and portable tiers
+//!   rotate, then reduce a block at a time.
+
+use crate::block::ColumnBlock;
+use crate::rotation::{apply_to_block, JacobiRotation};
 
 /// Which bits the rotation stack computes — one set, whichever variant.
 ///
@@ -370,9 +376,9 @@ pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f6
 
 /// Where a column of a walk's next step is in the step before it: a column
 /// of one of the two pairings the step rotates, or a column the step does
-/// not touch, which [`pair_step`] reads as it is.
+/// not touch, which it reads as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Col {
+enum Col {
     /// Column `i` (the left one) of the step's first pairing.
     I0,
     /// Column `j` (the right one) of the step's first pairing.
@@ -387,34 +393,21 @@ pub enum Col {
     F1,
 }
 
-/// One way a step of the two-row walk follows another: the next step's
-/// `N` pairings, each `[i, j]`, by where their columns are in the step
-/// before. A walk step is one [`pair_step`], so each transition is one
-/// constant operand table of it.
-pub trait Transition<const N: usize> {
+/// One way a step of the walk follows another: the next step's `N`
+/// pairings, each `[i, j]`, by where their columns are in the step before.
+/// Every step [`walk_rect`] takes names its transition, so each is one
+/// constant operand table of the step pass.
+trait Transition<const N: usize> {
     /// The next step's pairings.
     const NEXT: [[Col; 2]; N];
-    /// [`Self::NEXT`] as a pattern of a walk's match: the first pairing, and
-    /// the one abreast of it if any.
-    const PATTERN: ([Col; 2], Option<[Col; 2]>) = pattern(Self::NEXT);
 }
 
-/// [`Transition::PATTERN`] of `next`.
-const fn pattern<const N: usize>(next: [[Col; 2]; N]) -> ([Col; 2], Option<[Col; 2]>) {
-    assert!(N == 1 || N == 2, "a step has one or two pairings");
-    let mut abreast = None;
-    if N == 2 {
-        abreast = Some(next[N - 1]);
-    }
-    (next[0], abreast)
-}
-
-/// Declares the transitions of the two-row walk, one type each.
+/// Declares the transitions of the walk, one type each.
 macro_rules! transitions {
     ($($(#[$doc:meta])* $name:ident<$n:literal>: [$([$i:ident, $j:ident]),+];)+) => {$(
         $(#[$doc])*
         #[derive(Debug)]
-        pub struct $name;
+        struct $name;
         impl Transition<$n> for $name {
             const NEXT: [[Col; 2]; $n] = [$([Col::$i, Col::$j]),+];
         }
@@ -422,11 +415,17 @@ macro_rules! transitions {
 }
 
 transitions! {
+    /// From one rectangle's last pairing to the next one's first, which
+    /// shares no column with it: a rectangle or a triangle row after
+    /// another.
+    Fresh<1>: [[F0, F1]];
     /// Down a one-column rectangle: the next row's pairing with the same
-    /// right column.
+    /// right column — also into a rectangle whose first right column is the
+    /// last one's.
     Down<1>: [[F0, J0]];
     /// Along one row: the same left column with the next right one — a
-    /// one-row rectangle, and the odd last row of a taller one.
+    /// one-row rectangle, the odd last row of a taller one, and into a
+    /// rectangle whose first left column is the last one's.
     Along<1>: [[I0, F0]];
     /// Along with a right tile of two: the odd last row's second pairing
     /// takes the right column the step rotated abreast.
@@ -450,11 +449,6 @@ transitions! {
     Last<1>: [[I1, J0]];
 }
 
-/// A pairing a step rotates: its streams `[ai, aj, ui, uj]`, as
-/// [`pair_rotate`] takes them, and the rotation `(c, s)` — `None` where the
-/// step skips the pairing, whose columns then feed the next step unrotated.
-pub type StepPairing<'a> = ([&'a mut [f64]; 4], Option<(f64, f64)>);
-
 /// The streams of a step, numbered as the operand tables read them:
 /// pairing `r`'s `[ai, aj, ui, uj]` from `4r`, then each fresh column's
 /// `[a, u]` from 8.
@@ -472,138 +466,678 @@ const fn column_streams(c: Col) -> [usize; 2] {
     }
 }
 
-/// The operand table of transition `T`: the next step's block `[x, a, y,
-/// b]` per pairing, `x` and `y` each column's `u` — or its `a` where `GRAM`.
-struct Step<T, const GRAM: bool>(std::marker::PhantomData<T>);
+/// The operand table of transition `T` under `P`'s rule: the next step's
+/// block `[x, a, y, b]` per pairing, `x` and `y` each column's `u` — or its
+/// `a` under the Gram rule.
+struct Step<T, P>(std::marker::PhantomData<(T, P)>);
 
-impl<const N: usize, const GRAM: bool, T: Transition<N>> Operands<N> for Step<T, GRAM> {
+impl<const N: usize, T: Transition<N>, P: Pairing> Operands<N> for Step<T, P> {
     const TABLE: [[usize; 4]; N] = {
         let mut table = [[0; 4]; N];
         let mut n = 0;
         while n < N {
             let [[ai, ui], [aj, uj]] =
                 [column_streams(T::NEXT[n][0]), column_streams(T::NEXT[n][1])];
-            table[n] = if GRAM { [ai, ai, aj, aj] } else { [ui, ai, uj, aj] };
+            table[n] = if P::GRAM { [ai, ai, aj, aj] } else { [ui, ai, uj, aj] };
             n += 1;
         }
         table
     };
 }
 
-/// One step of a sweep's two-row walk: rotates each of the step's `R`
-/// pairings by its turn, bitwise [`pair_rotate`] (a skipped pairing is left
-/// as it is), and returns the 2×2 blocks `(x·a, x·b, y·b)` of the next
-/// step's `N` pairings — their columns placed by `T`, read after the
-/// rotation — each product bitwise [`dot`]. `x` and `y` are each column's
-/// `u` stream (`M_ij = u_i · a_j`), or its `a` stream where `GRAM`
-/// (`G_ij = w_i · w_j`). Where `OFF_ONLY`, only `x·b` is reduced and the
-/// diagonals read 0.0: the caller keeps them.
-///
-/// `fresh` holds the `[a, u]` streams of the next step's columns that this
-/// step does not rotate, [`Col::F0`] then [`Col::F1`]; a slot `T` does not
-/// name is ignored. A block whose `a` streams are longer than its `u`
-/// streams — the Gram rule on a tall matrix — reduces the excess as
-/// [`dot`] does, in its vector body and its tail.
-///
-/// On AVX-512 this is one pass over the columns, the next step's products
-/// reduced from the rotated values in the registers that stored them; the
-/// other tiers, and a step that skips a pairing, rotate and then reduce.
-///
-/// # Panics
-/// Panics unless `R` is 1 or 2 and `T` names only columns that are there,
-/// each pairing's `A` streams and `U` streams are of one length, and the
-/// streams the next step's products read are of one length.
-#[inline]
-pub fn pair_step<
-    const R: usize,
-    const N: usize,
-    const OFF_ONLY: bool,
-    const GRAM: bool,
-    T: Transition<N>,
->(
-    pairings: [StepPairing<'_>; R],
-    fresh: [[&[f64]; 2]; 2],
-) -> [(f64, f64, f64); N] {
-    let mut blocks = [(0.0, 0.0, 0.0); N];
-    let reduced = step_on::<R, N, OFF_ONLY, Step<T, GRAM>>(lane_tier(), pairings, fresh);
-    for (block, [pp, pq, qq]) in blocks.iter_mut().zip(reduced) {
-        *block = (pp, pq, qq);
-    }
-    blocks
+/// What a sweep's walk asks of the rule it pairs columns by.
+pub trait Pairing {
+    /// Whether a pairing's products read each column's `A` stream in both
+    /// roles — the Gram rule, `G_ij = w_i · w_j` — rather than one
+    /// column's `U` stream against the other's `A` stream,
+    /// `M_ij = u_i · a_j`.
+    const GRAM: bool;
+
+    /// The rotation that annihilates the off-diagonal of a pairing's 2×2
+    /// block `(app, apq, aqq)`, or `None` where the pairing is skipped —
+    /// its columns then stay as they are. What the pairing shows the rule
+    /// is the rule's to book. Called once per pairing, in walk order, and
+    /// compiled into each vector tier's walk.
+    fn angle(&mut self, block: (f64, f64, f64)) -> Option<JacobiRotation>;
 }
 
-/// [`pair_step`] on `tier`, over the operand table `O`.
-#[inline(always)]
-fn step_on<const R: usize, const N: usize, const OFF: bool, O: Operands<N>>(
-    tier: LaneTier,
-    pairings: [StepPairing<'_>; R],
-    fresh: [[&[f64]; 2]; 2],
-) -> [[f64; 3]; N] {
-    const {
-        assert!(R == 1 || R == 2, "a step rotates one or two pairings");
-        let absent = if R == 1 { 0xf0 } else { 0 };
-        assert!(Reads::<O, N, OFF>::MASK & absent == 0, "a table reads a pairing not there");
-    }
-    for ([ai, aj, ui, uj], _) in &pairings {
-        assert_eq!(ai.len(), aj.len());
-        assert_eq!(ui.len(), uj.len());
-    }
-    #[cfg(target_arch = "x86_64")]
-    if tier == LaneTier::Avx512 && pairings.iter().all(|(_, turn)| turn.is_some()) {
-        let len = reduced_len::<STEP_STREAMS, N, OFF, O>(&step_streams(&pairings, fresh));
-        // SAFETY: the tier implies cpuid reported avx512f and avx512vl
-        // (`LaneTier`); the table reads only the pairings there are, each
-        // pairing's stream pairs match, and every stream the products read
-        // holds `len`.
-        return unsafe { x86::step_avx512::<R, N, OFF, O>(pairings, fresh, len) };
-    }
-    step_in_two_passes::<R, N>(tier, pairings, fresh, (O::TABLE, OFF))
+/// A rectangle of pairings: every column of `.0`, in the `i` role, with
+/// every column of `.1` — column indices of the blocks walked.
+pub type Rect = (std::ops::Range<usize>, std::ops::Range<usize>);
+
+/// One sweep call's walk over its blocks' columns: the rectangles
+/// [`Walk::within`] and [`Walk::across`] are handed, in the order handed,
+/// as one chain of steps. Each step rotates its one or two pairings,
+/// bitwise [`pair_rotate`], and in the same pass over the columns reduces
+/// the 2×2 blocks of the step after it from the rotated values, each
+/// product bitwise [`dot`] — from rectangle to rectangle, triangle row and
+/// block too. So a walk reduces a block on its own once, its first, and
+/// rotates a pairing on its own once, its last, in [`Walk::finish`].
+///
+/// Inside a rectangle the walk takes two rows at a time, the odd row one
+/// step behind the even one: `(2r, j)` goes abreast of `(2r + 1, j − 1)`,
+/// and `(2r + 2, 0)` of `(2r + 1, nr − 1)`. Pairing `(i, j)` still comes
+/// after `(i, j − 1)` and `(i − 1, j)`, so each column meets its partners
+/// in row-major order — which, column-disjoint pairings commuting exactly,
+/// makes the walk bitwise the row-major one. An odd last row goes singly,
+/// as does all of a one-row or one-column rectangle.
+///
+/// A call's rectangles are walked inside one function per vector tier,
+/// compiled for its instructions with the rule's angles, the cache slots'
+/// update and the rule's books; on AVX-512 a step is one pass, each chunk
+/// of eight rows loaded, rotated and stored, the next step's multiply-adds
+/// taking the rotated lanes from the registers that stored them. The AVX2
+/// and portable tiers, and a step that skips a pairing, rotate and then
+/// reduce. A walk dropped before [`Walk::finish`] leaves its last pairing
+/// unrotated.
+#[must_use = "a walk rotates its last pairing in `finish`"]
+pub struct Walk<'b, P> {
+    pairing: P,
+    /// The walk's last pairing, reduced and not yet rotated.
+    last: Option<Held>,
+    /// The blocks whose columns the held pairing is in.
+    _blocks: std::marker::PhantomData<&'b mut ColumnBlock>,
 }
 
-/// [`step_on`] as a rotation pass, then one reduction pass a block — the
-/// block [`fused_triple`]'s, or its off-diagonal [`dot`]'s where `off`,
-/// over the streams `table` names: the AVX2 and portable tiers, and a step
-/// that skips a pairing.
-#[inline(never)]
-fn step_in_two_passes<const R: usize, const N: usize>(
-    tier: LaneTier,
-    mut pairings: [StepPairing<'_>; R],
-    fresh: [[&[f64]; 2]; 2],
-    (table, off): Table<N>,
-) -> [[f64; 3]; N] {
-    for ([ai, aj, ui, uj], turn) in &mut pairings {
-        if let Some((c, s)) = *turn {
-            pair_rotate_on(tier, ai, aj, ui, uj, c, s);
+impl<'b, P: Pairing> Walk<'b, P> {
+    /// A walk that has paired nothing yet.
+    pub fn new(pairing: P) -> Self {
+        Walk { pairing, last: None, _blocks: std::marker::PhantomData }
+    }
+
+    /// Walks `rects` of `block`'s own pairings — each rectangle's two
+    /// ranges disjoint — after whatever the walk has walked. Where
+    /// `CACHED` a pairing's diagonals are read from the block's cache slots
+    /// (kept current under rotation); otherwise they are reduced with the
+    /// off-diagonal and whichever slots there are kept current.
+    ///
+    /// # Panics
+    /// Panics if a rectangle reaches past the block or pairs a column with
+    /// itself, if `CACHED` and the block caches no diagonals, or, under
+    /// the implicit rule, if its `A` and `U` columns differ in length.
+    pub fn within<const CACHED: bool>(
+        &mut self,
+        block: &'b mut ColumnBlock,
+        rects: impl IntoIterator<Item = Rect>,
+    ) {
+        let cols = Columns::of(block, CACHED);
+        self.walk::<CACHED, _>(lane_tier(), [cols, cols], true, rects.into_iter());
+    }
+
+    /// Walks `rects` of `left`'s columns (the `i` role) with `right`'s,
+    /// after whatever the walk has walked; `CACHED` as in [`Self::within`],
+    /// for both blocks.
+    ///
+    /// # Panics
+    /// Panics if a rectangle reaches past its block, if the blocks' columns
+    /// differ in length, if `CACHED` and a block caches no diagonals, or,
+    /// under the implicit rule, if their `A` and `U` columns differ in
+    /// length.
+    pub fn across<const CACHED: bool>(
+        &mut self,
+        left: &'b mut ColumnBlock,
+        right: &'b mut ColumnBlock,
+        rects: impl IntoIterator<Item = Rect>,
+    ) {
+        let cols = [Columns::of(left, CACHED), Columns::of(right, CACHED)];
+        assert_eq!(cols[0].rows, cols[1].rows, "the blocks' columns differ in length");
+        self.walk::<CACHED, _>(lane_tier(), cols, false, rects.into_iter());
+    }
+
+    /// Rotates the walk's last pairing — the one it rotates on its own —
+    /// and hands the rule back.
+    pub fn finish(mut self) -> P {
+        self.close(lane_tier());
+        self.pairing
+    }
+
+    /// [`Self::within`] or [`Self::across`] on `tier`, over `cols` — the
+    /// same block twice where `one_block`.
+    fn walk<const CACHED: bool, I: Iterator<Item = Rect>>(
+        &mut self,
+        tier: LaneTier,
+        cols: [Columns; 2],
+        one_block: bool,
+        rects: I,
+    ) {
+        let [alen, ulen] = cols[0].rows;
+        if !P::GRAM {
+            assert_eq!(alen, ulen, "u_i · a_j pairs columns of one length");
+        }
+        if self.last.as_ref().is_some_and(|last| last.rows != cols[0].rows) {
+            // A block of another height: its first block reads no stream
+            // of the held pairing's length.
+            self.close(tier);
+        }
+        let last = self.last.take();
+        let pairing = &mut self.pairing;
+        self.last = match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier implies cpuid reported avx512f and avx512vl
+            // (`LaneTier`); `cols` and the held pairing address blocks this
+            // walk borrows for as long as it lives (`Columns::of`), and
+            // every column of them holds `cols[0].rows`.
+            LaneTier::Avx512 => unsafe {
+                x86::walk_avx512::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the tier implies cpuid reported avx2 and fma; the
+            // columns as above.
+            LaneTier::Avx2Fma => unsafe {
+                x86::walk_avx2::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+            },
+            // SAFETY: the columns as above.
+            LaneTier::Portable => unsafe {
+                walk_portable::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+            },
+        };
+    }
+
+    /// Rotates the held pairing on its own, if there is one.
+    fn close(&mut self, tier: LaneTier) {
+        if let Some(last) = self.last.take() {
+            // SAFETY: the held pairing's columns are in blocks this walk
+            // borrows, two distinct columns of `last.rows`.
+            unsafe { rotate_alone(tier, &mut self.pairing, last.hand, last.rows) };
         }
     }
-    let streams = step_streams(&pairings, fresh);
+}
+
+/// A column of a walk: its `A` and `U` streams and its cache slot, null
+/// where it has none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Column {
+    a: *mut f64,
+    u: *mut f64,
+    d: *mut f64,
+}
+
+/// A pairing in hand: its columns `i` and `j`, and its 2×2 block.
+#[derive(Debug, Clone, Copy)]
+struct Hand {
+    i: Column,
+    j: Column,
+    block: [f64; 3],
+}
+
+/// The pairing a walk holds between its calls, and the rows of its columns.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    hand: Hand,
+    rows: [usize; 2],
+}
+
+/// The columns of a block, as a walk addresses them: column `k`'s unit
+/// starts `k · unit` values into the store.
+#[derive(Debug, Clone, Copy)]
+struct Columns {
+    data: *mut f64,
+    unit: usize,
+    ustart: usize,
+    /// The cache slots, null where the block has none.
+    diag: *mut f64,
+    ncols: usize,
+    /// The length of every column's `A` stream and `U` stream.
+    rows: [usize; 2],
+}
+
+impl Columns {
+    /// `block`'s columns, for a walk that reads their cache slots where
+    /// `cached`.
+    ///
+    /// # Panics
+    /// Panics if `cached` and the block caches no diagonals.
+    fn of(block: &mut ColumnBlock, cached: bool) -> Columns {
+        let units = block.units_mut();
+        assert!(
+            !cached || units.diag.len() == units.ncols,
+            "a walk reading the cache needs a slot per column"
+        );
+        let diag =
+            if units.diag.is_empty() { std::ptr::null_mut() } else { units.diag.as_mut_ptr() };
+        Columns {
+            data: units.data.as_mut_ptr(),
+            unit: units.unit,
+            ustart: units.ustart,
+            diag,
+            ncols: units.ncols,
+            rows: units.rows,
+        }
+    }
+
+    /// Column `k`: an address only, dereferenced by the walk once `k` is
+    /// checked to be in the block.
+    #[inline(always)]
+    fn at(self, k: usize) -> Column {
+        let a = self.data.wrapping_add(k * self.unit);
+        let d = if self.diag.is_null() { self.diag } else { self.diag.wrapping_add(k) };
+        Column { a, u: a.wrapping_add(self.ustart), d }
+    }
+}
+
+/// What a walk's schedule, [`walk_rect`], drives: the pass over the
+/// columns — or, in the tests, a record of it.
+trait Steps {
+    /// A column.
+    type Col: Copy + PartialEq;
+    /// One side of a rectangle: its column `k` is `Self::col(side, k)`.
+    type Side: Copy;
+
+    /// Column `k` of `side`.
+    fn col(side: Self::Side, k: usize) -> Self::Col;
+
+    /// The pairing in hand between two rectangles, if there is one.
+    fn last(&self) -> Option<[Self::Col; 2]>;
+
+    /// Reduces the block of `first` on its own: a walk's first pairing.
+    fn open(&mut self, first: [Self::Col; 2]);
+
+    /// One step: rotates the `R` pairings in hand and reduces the blocks of
+    /// the next step's `N`, placed by `T`, the columns it adds being
+    /// `fresh` ([`Col::F0`] first; a slot `T` does not name is ignored).
+    fn step<const R: usize, const N: usize, T: Transition<N>>(&mut self, fresh: [Self::Col; 2]);
+
+    /// Rotates the one pairing in hand on its own.
+    fn close(&mut self);
+}
+
+/// Walks the `nl × nr` rectangle of pairings of `left`'s columns with
+/// `right`'s, in the order [`Walk`] describes, after the pairing in hand:
+/// its first block is reduced in the step that rotates that pairing unless
+/// the two share a column in a way no transition places.
+#[inline(always)]
+fn walk_rect<S: Steps>(s: &mut S, (left, nl): (S::Side, usize), (right, nr): (S::Side, usize)) {
+    // No closures below: a closure would not take the target features of
+    // the tier function this is inlined into, and the steps would not
+    // inline into it.
+    let first = [S::col(left, 0), S::col(right, 0)];
+    match s.last() {
+        None => s.open(first),
+        Some([i, j]) => {
+            let shared = [first[0] == i || first[0] == j, first[1] == i || first[1] == j];
+            match shared {
+                [false, false] => s.step::<1, 1, Fresh>(first),
+                [true, false] if first[0] == i => s.step::<1, 1, Along>([first[1]; 2]),
+                [false, true] if first[1] == j => s.step::<1, 1, Down>([first[0]; 2]),
+                _ => {
+                    s.close();
+                    s.open(first);
+                }
+            }
+        }
+    }
+    if nr == 1 {
+        for k in 1..nl {
+            s.step::<1, 1, Down>([S::col(left, k); 2]);
+        }
+        return;
+    }
+    if nl == 1 {
+        for k in 1..nr {
+            s.step::<1, 1, Along>([S::col(right, k); 2]);
+        }
+        return;
+    }
+    s.step::<1, 2, Open>([S::col(right, 1), S::col(left, 1)]);
+    let mut row = 0;
+    loop {
+        // In hand: `(row, 1)` and `(row + 1, 0)`.
+        for k in 2..nr {
+            s.step::<2, 2, InRow>([S::col(right, k); 2]);
+        }
+        // In hand: `(row, nr − 1)` and `(row + 1, nr − 2)`.
+        if row + 2 == nl {
+            return s.step::<2, 1, Last>([S::col(left, row); 2]);
+        }
+        row += 2;
+        if nr == 2 {
+            s.step::<2, 2, WrapTwo>([S::col(left, row); 2]);
+        } else {
+            s.step::<2, 2, Wrap>([S::col(left, row), S::col(right, 0)]);
+        }
+        // In hand: `(row, 0)` and `(row − 1, nr − 1)`.
+        if row + 1 == nl {
+            if nr == 2 {
+                s.step::<2, 1, AlongTwo>([S::col(left, row); 2]);
+            } else {
+                s.step::<2, 1, Along>([S::col(right, 1); 2]);
+            }
+            for k in 2..nr {
+                s.step::<1, 1, Along>([S::col(right, k); 2]);
+            }
+            return;
+        }
+        if nr == 2 {
+            s.step::<2, 2, OpenTwo>([S::col(left, row + 1); 2]);
+        } else {
+            s.step::<2, 2, Open>([S::col(right, 1), S::col(left, row + 1)]);
+        }
+    }
+}
+
+/// A vector tier a walk is compiled for.
+trait OnTier {
+    const TIER: LaneTier;
+}
+
+/// The tiers, one type each.
+#[cfg(target_arch = "x86_64")]
+struct OnAvx512;
+#[cfg(target_arch = "x86_64")]
+struct OnAvx2;
+struct OnPortable;
+
+#[cfg(target_arch = "x86_64")]
+impl OnTier for OnAvx512 {
+    const TIER: LaneTier = LaneTier::Avx512;
+}
+#[cfg(target_arch = "x86_64")]
+impl OnTier for OnAvx2 {
+    const TIER: LaneTier = LaneTier::Avx2Fma;
+}
+impl OnTier for OnPortable {
+    const TIER: LaneTier = LaneTier::Portable;
+}
+
+/// The walk on the portable tier, which a host without FMA runs: a
+/// function of its own, its passes the portable kernels'.
+///
+/// # Safety
+/// As [`walk_on`].
+#[inline(never)]
+unsafe fn walk_portable<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+    pairing: &mut P,
+    last: Option<Held>,
+    cols: [Columns; 2],
+    one_block: bool,
+    rects: I,
+) -> Option<Held> {
+    walk_on::<OnPortable, P, CACHED, I>(pairing, last, cols, one_block, rects)
+}
+
+/// Walks `rects` over `cols` — left, right; the same block twice where
+/// `one_block` — after the held pairing `last`, on tier `K`, and returns
+/// the pairing it then holds. Inlined into each tier's function, so its
+/// steps compile in the tier's instructions.
+///
+/// # Safety
+/// `K`'s features must have been reported by cpuid; `cols` must address
+/// blocks the caller has borrowed for as long as the returned pairing is
+/// held, every column of both holding `cols[0].rows`, and `last` a pairing
+/// of distinct columns of such blocks, of `last.rows`.
+///
+/// # Panics
+/// Panics if a rectangle reaches past its block, or pairs a column with
+/// itself where both sides are one block.
+#[inline(always)]
+unsafe fn walk_on<K: OnTier, P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+    pairing: &mut P,
+    last: Option<Held>,
+    cols: [Columns; 2],
+    one_block: bool,
+    rects: I,
+) -> Option<Held> {
+    let rows = cols[0].rows;
+    let mut walker = Walker::<K, P, CACHED> {
+        pairing,
+        hand: [last.map_or(NO_HAND, |last| last.hand); 2],
+        held: last.is_some(),
+        rows,
+        _tier: std::marker::PhantomData,
+    };
+    for (l, r) in rects {
+        if l.is_empty() || r.is_empty() {
+            continue;
+        }
+        assert!(l.end <= cols[0].ncols && r.end <= cols[1].ncols, "a rectangle past its block");
+        assert!(
+            !one_block || l.end <= r.start || r.end <= l.start,
+            "a rectangle pairs a column with itself"
+        );
+        walk_rect(&mut walker, ((cols[0], l.start), l.len()), ((cols[1], r.start), r.len()));
+    }
+    walker.held.then_some(Held { hand: walker.hand[0], rows })
+}
+
+/// The hand of a walk that holds no pairing.
+const NO_HAND: Hand = {
+    let none = Column { a: std::ptr::null_mut(), u: std::ptr::null_mut(), d: std::ptr::null_mut() };
+    Hand { i: none, j: none, block: [0.0; 3] }
+};
+
+/// The walk's steps on tier `K`: the pairings in hand, `R` of them from
+/// the first, and the rule's books.
+struct Walker<'p, K, P, const CACHED: bool> {
+    pairing: &'p mut P,
+    hand: [Hand; 2],
+    /// Whether `hand[0]` is a pairing — between two rectangles, the one in
+    /// hand.
+    held: bool,
+    rows: [usize; 2],
+    _tier: std::marker::PhantomData<K>,
+}
+
+impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHED> {
+    type Col = Column;
+    type Side = (Columns, usize);
+
+    #[inline(always)]
+    fn col((cols, first): (Columns, usize), k: usize) -> Column {
+        cols.at(first + k)
+    }
+
+    #[inline(always)]
+    fn last(&self) -> Option<[Column; 2]> {
+        self.held.then_some([self.hand[0].i, self.hand[0].j])
+    }
+
+    #[inline(always)]
+    fn open(&mut self, [i, j]: [Column; 2]) {
+        let [alen, _] = self.rows;
+        // SAFETY: the walk checked both columns are in their blocks, every
+        // stream of `alen` (the implicit rule's `U` streams too); no
+        // mutable view of them is alive.
+        let block = unsafe {
+            let stream = |s: *mut f64| std::slice::from_raw_parts(s, alen);
+            let [x, y] = if P::GRAM { [i.a, j.a] } else { [i.u, j.u] }.map(stream);
+            let [a, b] = [i.a, j.a].map(stream);
+            if CACHED {
+                let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [x, b]);
+                [*i.d, pq, *j.d]
+            } else {
+                let [block] = dots::<4, 1, false, Triple>(K::TIER, [x, a, y, b]);
+                block
+            }
+        };
+        self.hand[0] = Hand { i, j, block };
+        self.held = true;
+    }
+
+    #[inline(always)]
+    fn step<const R: usize, const N: usize, T: Transition<N>>(&mut self, fresh: [Column; 2]) {
+        const {
+            assert!(R == 1 || R == 2, "a step rotates one or two pairings");
+            let absent = if R == 1 { 0xf0 } else { 0 };
+            assert!(
+                Reads::<Step<T, P>, N, CACHED>::MASK & absent == 0,
+                "a table reads a pairing not there"
+            );
+        }
+        let now = self.hand;
+        let mut turns = [None; R];
+        for r in 0..R {
+            let [app, apq, aqq] = now[r].block;
+            turns[r] = self.pairing.angle((app, apq, aqq));
+        }
+        let mut rows = [[std::ptr::null_mut(); 4]; R];
+        for r in 0..R {
+            let Hand { i, j, .. } = now[r];
+            rows[r] = [i.a, j.a, i.u, j.u];
+        }
+        let read = [fresh[0].a, fresh[0].u, fresh[1].a, fresh[1].u];
+        // SAFETY: the walk's schedule hands a step distinct columns, each
+        // in a block the walk has borrowed and of `self.rows`: the ones it
+        // rotates and the ones its table reads besides.
+        let blocks = unsafe { pass::<K, R, N, CACHED, Step<T, P>>(rows, turns, read, self.rows) };
+        for r in 0..R {
+            if let Some(rot) = turns[r] {
+                // SAFETY: each slot is null or its column's own.
+                unsafe { keep_slots(now[r], rot) };
+            }
+        }
+        let pick = |c: Col| match c {
+            Col::I0 => now[0].i,
+            Col::J0 => now[0].j,
+            Col::I1 => now[R - 1].i,
+            Col::J1 => now[R - 1].j,
+            Col::F0 => fresh[0],
+            Col::F1 => fresh[1],
+        };
+        for n in 0..N {
+            let [i, j] = T::NEXT[n].map(pick);
+            let mut block = blocks[n];
+            if CACHED {
+                // SAFETY: a walk reading the cache has every column's slot,
+                // which this step's rotations have kept current.
+                unsafe { (block[0], block[2]) = (*i.d, *j.d) };
+            }
+            self.hand[n] = Hand { i, j, block };
+        }
+        self.held = true;
+    }
+
+    #[inline(always)]
+    fn close(&mut self) {
+        // SAFETY: the pairing in hand is two distinct columns of the walk's
+        // blocks, of `self.rows`.
+        unsafe { rotate_alone(K::TIER, self.pairing, self.hand[0], self.rows) };
+        self.held = false;
+    }
+}
+
+/// Rotates `hand` on its own, as `pairing` decides, on `tier`.
+///
+/// # Safety
+/// `hand`'s columns must be distinct, their streams of `rows` and their
+/// slots null or their own.
+#[inline(always)]
+unsafe fn rotate_alone<P: Pairing>(tier: LaneTier, pairing: &mut P, hand: Hand, rows: [usize; 2]) {
+    let [app, apq, aqq] = hand.block;
+    if let Some(rot) = pairing.angle((app, apq, aqq)) {
+        let [alen, ulen] = rows;
+        let (i, j) = (hand.i, hand.j);
+        let stream = |s: *mut f64, len| std::slice::from_raw_parts_mut(s, len);
+        let (ai, aj) = (stream(i.a, alen), stream(j.a, alen));
+        let (ui, uj) = (stream(i.u, ulen), stream(j.u, ulen));
+        pair_rotate_on(tier, ai, aj, ui, uj, rot.c, rot.s);
+        keep_slots(hand, rot);
+    }
+}
+
+/// Keeps a rotated pairing's cache slots current: the rotation annihilates
+/// the off-diagonal, and the new diagonal is the exact 2×2 similarity
+/// image of the old block. Every slot there is is updated — including a
+/// cross-block pairing's where only one side caches (its block was then
+/// reduced whole, so the slot stays exact).
+///
+/// # Safety
+/// Each slot must be null or its column's own.
+#[inline(always)]
+unsafe fn keep_slots(Hand { i, j, block: [app, apq, aqq] }: Hand, rot: JacobiRotation) {
+    if !i.d.is_null() || !j.d.is_null() {
+        let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
+        if !i.d.is_null() {
+            *i.d = pp;
+        }
+        if !j.d.is_null() {
+            *j.d = qq;
+        }
+    }
+}
+
+/// A step's pass on tier `K`: rotates pairing `r`'s streams `rows[r] =
+/// [ai, aj, ui, uj]` by `turns[r]` (a skipped pairing is left as it is),
+/// bitwise [`pair_rotate`], and returns the blocks of `O`'s table over the
+/// step's streams ([`STEP_STREAMS`]) after the rotation, each product
+/// bitwise [`dot`]; where `OFF`, the off-diagonals alone, the diagonals
+/// reading 0.0. On AVX-512 with every pairing turning that is one pass;
+/// otherwise a rotation pass, then one reduction pass a block.
+///
+/// # Safety
+/// `K`'s features must have been reported by cpuid. The rotated streams
+/// and the fresh ones `read` = `[a0, u0, a1, u1]` the table reads must be
+/// distinct columns' streams: `A` streams of `alen` values, `U` streams
+/// of `ulen`. Under the implicit rule (`O` reading `U` streams) both are
+/// one length.
+#[inline(always)]
+unsafe fn pass<K: OnTier, const R: usize, const N: usize, const OFF: bool, O: Operands<N>>(
+    rows: [[*mut f64; 4]; R],
+    turns: [Option<JacobiRotation>; R],
+    read: [*mut f64; 4],
+    [alen, ulen]: [usize; 2],
+) -> [[f64; 3]; N] {
+    #[cfg(target_arch = "x86_64")]
+    if matches!(K::TIER, LaneTier::Avx512) && turns.iter().all(Option::is_some) {
+        let mut cs = [(0.0, 0.0); R];
+        for r in 0..R {
+            if let Some(rot) = turns[r] {
+                cs[r] = (rot.c, rot.s);
+            }
+        }
+        return x86::step_avx512::<R, N, OFF, O>(rows, cs, read, [alen, ulen]);
+    }
+    for r in 0..R {
+        if let Some(rot) = turns[r] {
+            let [ai, aj, ui, uj] = rows[r];
+            let stream = |s: *mut f64, len| std::slice::from_raw_parts_mut(s, len);
+            let (ai, aj, ui, uj) =
+                (stream(ai, alen), stream(aj, alen), stream(ui, ulen), stream(uj, ulen));
+            pair_rotate_on(K::TIER, ai, aj, ui, uj, rot.c, rot.s);
+        }
+    }
+    let streams = step_streams(rows, read, [alen, ulen]);
     let mut blocks = [[0.0f64; 3]; N];
-    for (block, [x, a, y, b]) in blocks.iter_mut().zip(table) {
-        *block = if off {
-            let [[_, pq, _]] = dots::<2, 1, true, Dot>(tier, [streams[x], streams[b]]);
+    for (block, [x, a, y, b]) in blocks.iter_mut().zip(O::TABLE) {
+        *block = if OFF {
+            let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [streams[x], streams[b]]);
             [0.0, pq, 0.0]
         } else {
-            let [block] = dots::<4, 1, false, Triple>(tier, [x, a, y, b].map(|s| streams[s]));
+            let [block] = dots::<4, 1, false, Triple>(K::TIER, [x, a, y, b].map(|s| streams[s]));
             block
         };
     }
     blocks
 }
 
-/// The streams of a step, numbered as in [`STEP_STREAMS`]; a pairing the
-/// step does not have is empty.
+/// The streams of a step as slices, numbered as in [`STEP_STREAMS`]; a
+/// pairing the step does not have is empty.
+///
+/// # Safety
+/// Every pointer must address a stream of its length, `A` streams of
+/// `alen` and `U` streams of `ulen`, with no mutable view of it alive
+/// while the slices are.
 #[inline(always)]
-fn step_streams<'s, const R: usize>(
-    pairings: &'s [StepPairing<'_>; R],
-    fresh: [[&'s [f64]; 2]; 2],
+unsafe fn step_streams<'s, const R: usize>(
+    rows: [[*mut f64; 4]; R],
+    [a0, u0, a1, u1]: [*mut f64; 4],
+    [alen, ulen]: [usize; 2],
 ) -> [&'s [f64]; STEP_STREAMS] {
+    let stream = |s: *mut f64, len| std::slice::from_raw_parts(s, len);
     let mut streams: [&[f64]; STEP_STREAMS] = [&[]; STEP_STREAMS];
-    for (r, (quad, _)) in pairings.iter().enumerate() {
-        for (k, stream) in quad.iter().enumerate() {
-            streams[4 * r + k] = stream;
-        }
+    for (r, [ai, aj, ui, uj]) in rows.into_iter().enumerate() {
+        streams[4 * r..4 * r + 4].copy_from_slice(&[
+            stream(ai, alen),
+            stream(aj, alen),
+            stream(ui, ulen),
+            stream(uj, ulen),
+        ]);
     }
-    streams[8..].copy_from_slice(&[fresh[0][0], fresh[0][1], fresh[1][0], fresh[1][1]]);
+    streams[8..].copy_from_slice(&[
+        stream(a0, alen),
+        stream(u0, ulen),
+        stream(a1, alen),
+        stream(u1, ulen),
+    ]);
     streams
 }
 
@@ -865,6 +1399,42 @@ pub fn rotate_top_pivot(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f
     }
 }
 
+/// Turns rows `p` and `q` of two columns by the one rotation:
+/// `(x[p], x[q])` and `(y[p], y[q])` each as [`rotate_top_pivot`] turns
+/// one column by the turn `(q, c, s)` — a multiply and a fused
+/// multiply-add per entry. It is the row half of a two-sided rotation's
+/// 2×2 block, `x` and `y` its pivot columns `p` and `q`, in one call.
+///
+/// # Panics
+/// Panics unless `p` and `q` are distinct rows of both columns.
+#[inline]
+pub fn rotate_pivot_rows(x: &mut [f64], y: &mut [f64], (p, q): (usize, usize), c: f64, s: f64) {
+    assert!(p != q && p.max(q) < x.len().min(y.len()), "rows {p}, {q} of the columns");
+    match lane_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: each of these tiers implies cpuid reported fma (rustc's
+        // `avx512f` includes it).
+        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe { x86::pivot_rows_fma(x, y, (p, q), c, s) },
+        LaneTier::Portable => pivot_rows_portable(x, y, (p, q), c, s),
+    }
+}
+
+/// [`rotate_pivot_rows`] on the portable tier, each `f64::mul_add` a
+/// library call — a function of its own, so no caller inlines one.
+#[inline(never)]
+fn pivot_rows_portable(x: &mut [f64], y: &mut [f64], rows: (usize, usize), c: f64, s: f64) {
+    pivot_rows(x, y, rows, c, s);
+}
+
+/// [`rotate_pivot_rows`]' turns, inlined into their caller's target
+/// features.
+#[inline(always)]
+fn pivot_rows(x: &mut [f64], y: &mut [f64], (p, q): (usize, usize), c: f64, s: f64) {
+    for col in [x, y] {
+        (col[p], col[q]) = turn(col[p], col[q], c, s);
+    }
+}
+
 /// [`rotate_top_pivot`] on the portable tier: its scalar loop, each
 /// `f64::mul_add` a library call — a function of its own, so no caller
 /// inlines one.
@@ -944,7 +1514,7 @@ fn top_pivot_abreast<const N: usize>(
 /// of the `unsafe fn`s below.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::Operands;
+    use super::{Columns, Held, Operands, Pairing, Rect};
     use std::arch::x86_64::*;
 
     /// [`super::dots`] on AVX-512F: each product's eight partial sums in
@@ -992,11 +1562,11 @@ mod x86 {
     }
 
     /// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
+    /// Always inlined, into an AVX-512 function.
     ///
     /// # Safety
     /// Requires AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
+    #[inline(always)]
     unsafe fn fma_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
         acc: &mut [[__m512d; 3]; N],
         v: &[__m512d; S],
@@ -1011,12 +1581,12 @@ mod x86 {
         }
     }
 
-    /// The accumulators' lanes, as [`super::finish`] takes them.
+    /// The accumulators' lanes, as [`super::finish`] takes them. Always
+    /// inlined, into an AVX-512 function.
     ///
     /// # Safety
     /// Requires AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
+    #[inline(always)]
     unsafe fn spill_avx512<const N: usize>(acc: [[__m512d; 3]; N]) -> [[[f64; 8]; 3]; N] {
         let mut sums = [[[0.0f64; 8]; 3]; N];
         for (sums, acc) in sums.iter_mut().zip(acc) {
@@ -1027,41 +1597,65 @@ mod x86 {
         sums
     }
 
-    /// [`super::pair_step`] on AVX-512 (F and VL), every pairing turning:
-    /// per chunk of eight rows, each pairing's four streams are loaded,
-    /// rotated ([`turn8`]) and stored, and the next step's products take
-    /// the rotated values from the same registers, beside the fresh
-    /// columns' loads. What the chunks leave — the rows past the last
-    /// common chunk of every stream — is rotated by the scalar loop, then
-    /// reduced from memory by [`step_rest`], each lane's chain continued.
+    /// [`super::walk_on`] compiled for AVX-512 (F and VL): every step of
+    /// a call's rectangles in this one function, each pass
+    /// [`step_avx512`] where every pairing of the step turns.
     ///
     /// # Safety
-    /// Caller must have verified `avx512f` and `avx512vl` via cpuid; `R`
-    /// must be 1 or 2, `T` must read no stream of a pairing past the `R`th,
-    /// each pairing's `A` and `U` stream pairs must match in length, and
-    /// every stream the products read must hold `len` elements (checked by
-    /// [`super::step_on`]).
+    /// As [`super::walk_on`], on a host whose cpuid reported avx512f and
+    /// avx512vl.
     #[target_feature(enable = "avx512f,avx512vl")]
+    pub unsafe fn walk_avx512<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+        pairing: &mut P,
+        last: Option<Held>,
+        cols: [Columns; 2],
+        one_block: bool,
+        rects: I,
+    ) -> Option<Held> {
+        super::walk_on::<super::OnAvx512, P, CACHED, I>(pairing, last, cols, one_block, rects)
+    }
+
+    /// [`super::walk_on`] compiled for AVX2 with FMA: every step a
+    /// rotation pass, then a reduction pass a block.
+    ///
+    /// # Safety
+    /// As [`super::walk_on`], on a host whose cpuid reported avx2 and fma.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn walk_avx2<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+        pairing: &mut P,
+        last: Option<Held>,
+        cols: [Columns; 2],
+        one_block: bool,
+        rects: I,
+    ) -> Option<Held> {
+        super::walk_on::<super::OnAvx2, P, CACHED, I>(pairing, last, cols, one_block, rects)
+    }
+
+    /// A step's pass on AVX-512 (F and VL), every pairing turning: per
+    /// chunk of eight rows, each pairing's four streams are loaded,
+    /// rotated ([`turn8`]) and stored, and the next step's products take
+    /// the rotated values from the same registers, beside the fresh
+    /// columns' loads; the products' lanes then go through the tree in
+    /// registers ([`tree_avx512`]). What the chunks leave — the rows past
+    /// the last common chunk of every stream — is rotated by the scalar
+    /// loop, then reduced from memory by [`step_rest`], each lane's chain
+    /// continued. Inlined into [`walk_avx512`], whose instructions it
+    /// takes.
+    ///
+    /// # Safety
+    /// As [`super::pass`], on a host with AVX-512F and VL.
+    #[inline(always)]
     pub unsafe fn step_avx512<const R: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-        mut pairings: [super::StepPairing<'_>; R],
-        fresh: [[&[f64]; 2]; 2],
-        len: usize,
+        rows: [[*mut f64; 4]; R],
+        turns: [(f64, f64); R],
+        read: [*mut f64; 4],
+        [alen, ulen]: [usize; 2],
     ) -> [[f64; 3]; N] {
-        let mut fused = len;
-        let mut rows = [[std::ptr::null_mut::<f64>(); 4]; R];
-        let mut cs = [(0.0, 0.0); R];
-        let mut turns = [(_mm512_setzero_pd(), _mm512_setzero_pd()); R];
-        for (r, (quad, turn)) in pairings.iter_mut().enumerate() {
-            fused = fused.min(quad[0].len()).min(quad[2].len());
-            for (row, stream) in rows[r].iter_mut().zip(quad.iter_mut()) {
-                *row = stream.as_mut_ptr();
-            }
-            cs[r] = turn.expect("every pairing turns");
-            turns[r] = (_mm512_set1_pd(cs[r].0), _mm512_set1_pd(cs[r].1));
+        let fused = alen.min(ulen) / 8 * 8;
+        let mut vt = [(_mm512_setzero_pd(), _mm512_setzero_pd()); R];
+        for r in 0..R {
+            vt[r] = (_mm512_set1_pd(turns[r].0), _mm512_set1_pd(turns[r].1));
         }
-        let fused = fused / 8 * 8;
-        let [[a0, u0], [a1, u1]] = fresh;
-        let read = [a0.as_ptr(), u0.as_ptr(), a1.as_ptr(), u1.as_ptr()];
         let mut acc = [[_mm512_setzero_pd(); 3]; N];
         for i in (0..fused).step_by(8) {
             let mut v = [_mm512_setzero_pd(); super::STEP_STREAMS];
@@ -1069,36 +1663,68 @@ mod x86 {
             // after a store whose address matches it in the low twelve bits
             // waits on the store, and the columns of a 256-row block start
             // 4 KiB apart.
-            for (f, read) in read.iter().enumerate() {
+            for f in 0..4 {
                 if super::reads::<N, OFF, T>(8 + f) {
-                    v[8 + f] = _mm512_loadu_pd(read.add(i));
+                    v[8 + f] = _mm512_loadu_pd(read[f].add(i));
                 }
             }
-            for (r, (&[ai, aj, ui, uj], &(vc, vs))) in rows.iter().zip(&turns).enumerate() {
+            for r in 0..R {
+                let [ai, aj, ui, uj] = rows[r];
+                let (vc, vs) = vt[r];
                 let (a0, a1) = (_mm512_loadu_pd(ai.add(i)), _mm512_loadu_pd(aj.add(i)));
                 let (u0, u1) = (_mm512_loadu_pd(ui.add(i)), _mm512_loadu_pd(uj.add(i)));
                 (v[4 * r], v[4 * r + 1]) = turn8(a0, a1, vc, vs);
                 (v[4 * r + 2], v[4 * r + 3]) = turn8(u0, u1, vc, vs);
             }
             fma_avx512::<{ super::STEP_STREAMS }, N, OFF, T>(&mut acc, &v);
-            for (r, rows) in rows.iter().enumerate() {
-                for (k, row) in rows.iter().enumerate() {
-                    _mm512_storeu_pd(row.add(i), v[4 * r + k]);
+            for r in 0..R {
+                for k in 0..4 {
+                    _mm512_storeu_pd(rows[r][k].add(i), v[4 * r + k]);
                 }
             }
         }
-        for (([ai, aj, ui, uj], _), (c, s)) in pairings.iter_mut().zip(cs) {
-            if fused < ai.len().max(ui.len()) {
-                let (ai, aj, ui, uj) =
-                    (&mut ai[fused..], &mut aj[fused..], &mut ui[fused..], &mut uj[fused..]);
-                pair_rotate_fma(ai, aj, ui, uj, c, s);
+        for r in 0..R {
+            let [ai, aj, ui, uj] = rows[r];
+            let (c, s) = turns[r];
+            for (x, y, len) in [(ai, aj, alen), (ui, uj, ulen)] {
+                for k in fused..len {
+                    (*x.add(k), *y.add(k)) = super::turn(*x.add(k), *y.add(k), c, s);
+                }
             }
         }
-        if fused == len {
-            return super::tree(spill_avx512(acc));
+        if fused == alen {
+            return tree_avx512::<N, OFF>(acc);
         }
-        let streams = super::step_streams(&pairings, fresh);
-        step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, len)
+        let streams = super::step_streams(rows, read, [alen, ulen]);
+        step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, alen)
+    }
+
+    /// Each product's eight partial sums through [`super::tree`]'s fixed
+    /// tree without leaving the registers: the high half added to the low
+    /// one gives `s_l + s_(l+4)`, its high half added to its low one
+    /// `(s0 + s4) + (s2 + s6)` and `(s1 + s5) + (s3 + s7)`, and those two
+    /// the sum — the tree's operations, in its order. A product `OFF`
+    /// leaves out reads 0.0.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline(always)]
+    unsafe fn tree_avx512<const N: usize, const OFF: bool>(
+        acc: [[__m512d; 3]; N],
+    ) -> [[f64; 3]; N] {
+        let mut out = [[0.0f64; 3]; N];
+        for n in 0..N {
+            for p in 0..3 {
+                if super::takes(OFF, p) {
+                    let s = acc[n][p];
+                    let h =
+                        _mm256_add_pd(_mm512_castpd512_pd256(s), _mm512_extractf64x4_pd::<1>(s));
+                    let q = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd::<1>(h));
+                    out[n][p] = _mm_cvtsd_f64(_mm_add_sd(q, _mm_unpackhi_pd(q, q)));
+                }
+            }
+        }
+        out
     }
 
     /// The end of a one-pass step whose streams outrun its last common
@@ -1160,12 +1786,12 @@ mod x86 {
     }
 
     /// [`super::turn`] on eight entry pairs: `(fma(c, x, −(s·y)),
-    /// fma(s, x, c·y))`, lane by lane.
+    /// fma(s, x, c·y))`, lane by lane. Always inlined, into an AVX-512
+    /// function.
     ///
     /// # Safety
     /// Requires AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
+    #[inline(always)]
     unsafe fn turn8(x: __m512d, y: __m512d, vc: __m512d, vs: __m512d) -> (__m512d, __m512d) {
         (_mm512_fmsub_pd(vc, x, _mm512_mul_pd(vs, y)), _mm512_fmadd_pd(vs, x, _mm512_mul_pd(vc, y)))
     }
@@ -1256,6 +1882,21 @@ mod x86 {
         s: f64,
     ) {
         super::pair_rotate_loop(ai, aj, ui, uj, c, s);
+    }
+
+    /// [`super::rotate_pivot_rows`] compiled with FMA.
+    ///
+    /// # Safety
+    /// Caller must have verified `fma` via cpuid.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn pivot_rows_fma(
+        x: &mut [f64],
+        y: &mut [f64],
+        rows: (usize, usize),
+        c: f64,
+        s: f64,
+    ) {
+        super::pivot_rows(x, y, rows, c, s);
     }
 
     /// [`super::rotate_top_pivot`]'s scalar loop on one column, compiled
@@ -1888,141 +2529,365 @@ mod tests {
         fused_triple(&short, &short, &long, &long);
     }
 
-    // --- The step pass: `pair_rotate`, then the definition, tier by tier ----
+    // --- The walk: its schedule, and each tier's pass against the definition
 
-    /// A step's columns `[a, u]`, placed as [`Col`] numbers them: I0, J0,
-    /// I1, J1, F0, F1.
-    type StepColumns = Vec<[Vec<f64>; 2]>;
+    /// A column of [`Record`]: its side (0 for a walk's one block or its
+    /// left one, 1 for the right one) and its index there.
+    type At = (usize, usize);
 
-    /// Where column `c` is in [`StepColumns`].
-    fn at(c: Col) -> usize {
-        [Col::I0, Col::J0, Col::I1, Col::J1, Col::F0, Col::F1]
-            .iter()
-            .position(|&k| k == c)
-            .expect("a column")
+    /// What a walk's schedule does, step by step, with the transition each
+    /// step names: the pairings it rotates (`rotated`, a step's one or two;
+    /// a close's one) and the blocks it reduces (`reduced`), in order.
+    #[derive(Debug, Default)]
+    struct Record {
+        hand: Vec<[At; 2]>,
+        rotated: Vec<Vec<[At; 2]>>,
+        reduced: Vec<[At; 2]>,
+        opens: usize,
+        closes: usize,
+        transitions: std::collections::BTreeSet<&'static str>,
     }
 
-    /// `T`'s step on `tier` over a copy of `cols`, turning pairing `r` by
-    /// `turns[r]`: the columns after it and the next step's blocks.
-    fn step_of<const R: usize, const N: usize, const OFF: bool, const GRAM: bool, T>(
-        tier: LaneTier,
-        cols: &StepColumns,
-        turns: [Option<(f64, f64)>; R],
-    ) -> (StepColumns, [[f64; 3]; N])
-    where
-        T: Transition<N>,
-    {
-        let mut cols = cols.clone();
-        let blocks = {
-            let (rotated, fresh) = cols.split_at_mut(4);
-            let [[ai0, ui0], [aj0, uj0], [ai1, ui1], [aj1, uj1]] = rotated else { unreachable!() };
-            let [[af0, uf0], [af1, uf1]] = fresh else { unreachable!() };
-            let mut quads = [[ai0, aj0, ui0, uj0], [ai1, aj1, ui1, uj1]].into_iter().zip(turns);
-            let pairings: [StepPairing<'_>; R] = std::array::from_fn(|_| {
-                let (quad, turn) = quads.next().expect("a pairing a turn");
-                (quad.map(|s| &mut s[..]), turn)
-            });
-            let fresh = [[&af0[..], &uf0[..]], [&af1[..], &uf1[..]]];
-            step_on::<R, N, OFF, Step<T, GRAM>>(tier, pairings, fresh)
-        };
-        (cols, blocks)
-    }
+    impl Steps for Record {
+        type Col = At;
+        type Side = At;
 
-    /// The same step written plainly: [`pair_rotate`] per turning pairing,
-    /// then each next block by [`by_definition`].
-    fn step_by_definition<const R: usize, const N: usize>(
-        next: [[Col; 2]; N],
-        (off, gram): (bool, bool),
-        cols: &StepColumns,
-        turns: [Option<(f64, f64)>; R],
-    ) -> (StepColumns, [[f64; 3]; N]) {
-        let mut cols = cols.clone();
-        for (r, turn) in turns.into_iter().enumerate() {
-            if let Some((c, s)) = turn {
-                let (i, j) = cols.split_at_mut(2 * r + 1);
-                let ([ai, ui], [aj, uj]) = (&mut i[2 * r], &mut j[0]);
-                pair_rotate(ai, aj, ui, uj, c, s);
-            }
+        fn col((side, first): At, k: usize) -> At {
+            (side, first + k)
         }
-        let blocks = next.map(|[i, j]| {
-            let ([ai, ui], [aj, uj]) = (&cols[at(i)], &cols[at(j)]);
-            let (xi, xj) = if gram { (ai, aj) } else { (ui, uj) };
-            let pq = by_definition(xi, aj);
-            if off {
-                [0.0, pq, 0.0]
-            } else {
-                [by_definition(xi, ai), pq, by_definition(xj, aj)]
+
+        fn last(&self) -> Option<[At; 2]> {
+            assert!(self.hand.len() <= 1, "a rectangle ends on two pairings in hand");
+            self.hand.first().copied()
+        }
+
+        fn open(&mut self, first: [At; 2]) {
+            assert!(self.hand.is_empty(), "an open with a pairing in hand");
+            (self.opens, self.hand) = (self.opens + 1, vec![first]);
+            self.reduced.push(first);
+        }
+
+        fn step<const R: usize, const N: usize, T: Transition<N>>(&mut self, fresh: [At; 2]) {
+            let name = std::any::type_name::<T>().rsplit("::").next().expect("a name");
+            assert_eq!(self.hand.len(), R, "{name} rotates {R} pairings");
+            let now = std::mem::take(&mut self.hand);
+            let pick = |c: Col| match c {
+                Col::I0 => now[0][0],
+                Col::J0 => now[0][1],
+                Col::I1 => now[R - 1][0],
+                Col::J1 => now[R - 1][1],
+                Col::F0 => fresh[0],
+                Col::F1 => fresh[1],
+            };
+            for [i, j] in T::NEXT {
+                for c in [i, j].into_iter().filter(|c| matches!(c, Col::F0 | Col::F1)) {
+                    // The safety of the pass: a column it reads as it is is
+                    // none of those it rotates.
+                    assert!(!now.iter().flatten().any(|&r| r == pick(c)), "{name} reads {c:?}");
+                }
+                self.hand.push([pick(i), pick(j)]);
             }
-        });
-        (cols, blocks)
+            self.reduced.extend(&self.hand);
+            self.rotated.push(now);
+            self.transitions.insert(name);
+        }
+
+        fn close(&mut self) {
+            assert_eq!(self.hand.len(), 1, "a close with other than one pairing in hand");
+            self.closes += 1;
+            self.rotated.push(std::mem::take(&mut self.hand));
+        }
     }
 
-    /// Every way a step of `R` pairings turns them: each one turning or
-    /// skipped.
-    fn turn_sets<const R: usize>(c: f64, s: f64) -> Vec<[Option<(f64, f64)>; R]> {
-        (0..1usize << R)
-            .map(|on| std::array::from_fn(|r| (on >> r & 1 == 1).then_some((c, s))))
+    /// The record of one walk over `rects` — of one block's own columns,
+    /// or of a left block's with a right one's — as [`walk_on`] takes
+    /// them, finished as [`Walk::finish`] finishes it.
+    fn record(one_block: bool, rects: &[Rect]) -> Record {
+        let mut rec = Record::default();
+        for (l, r) in rects.iter().filter(|(l, r)| !l.is_empty() && !r.is_empty()) {
+            let right = (usize::from(!one_block), r.start);
+            walk_rect(&mut rec, ((0, l.start), l.len()), (right, r.len()));
+        }
+        if !rec.hand.is_empty() {
+            rec.close();
+        }
+        rec
+    }
+
+    /// The rectangles of a sweep's pairings of one block of `b` columns, in
+    /// eight-column tiles: for each tile, its rectangles against the tiles
+    /// before it, then its triangle a row at a time.
+    fn within_tiles(b: usize) -> Vec<Rect> {
+        let mut rects = Vec::new();
+        for t0 in (0..b).step_by(8) {
+            let end = (t0 + 8).min(b);
+            rects.extend((0..t0).step_by(8).map(|s0| (s0..s0 + 8, t0..end)));
+            rects.extend((t0..end).map(|i| (i..i + 1, i + 1..end)));
+        }
+        rects
+    }
+
+    /// The rectangles of `nl` left columns with `nr` right ones in
+    /// eight-column tiles: for each right tile, the left tiles in order.
+    fn across_tiles(nl: usize, nr: usize) -> Vec<Rect> {
+        let tile = |t0: usize, n: usize| t0..(t0 + 8).min(n);
+        (0..nr)
+            .step_by(8)
+            .flat_map(|t0| (0..nl).step_by(8).map(move |s0| (tile(s0, nl), tile(t0, nr))))
             .collect()
     }
 
-    /// Holds `T`'s step, `R` pairings turning, on every tier to
-    /// [`step_by_definition`] — columns and blocks, with `same` — under
-    /// both rules, whole blocks and off-diagonals only, every turn set, and
-    /// the columns `draw(rows)` makes at each length `ns` gives: square,
+    /// Holds a record to the walk's laws over the pairings `want`, listed
+    /// in row-major order: every pairing rotated exactly once, each after
+    /// its block was reduced; each column's pairings in `want`'s order; a
+    /// step's pairings on four different columns; and one open and one
+    /// close for the whole walk.
+    fn check_laws(rec: &Record, want: &[[At; 2]], what: &str) {
+        let order: Vec<[At; 2]> = rec.rotated.iter().flatten().copied().collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        let mut all = want.to_vec();
+        all.sort_unstable();
+        assert_eq!(sorted, all, "{what}: not every pairing exactly once");
+        assert_eq!(rec.reduced, order, "{what}: a pairing rotated other than as reduced");
+        let columns: std::collections::BTreeSet<At> = want.iter().flatten().copied().collect();
+        for c in columns {
+            let meets = |pairs: &[[At; 2]]| {
+                pairs.iter().filter(|p| p.contains(&c)).copied().collect::<Vec<_>>()
+            };
+            assert_eq!(meets(&order), meets(want), "{what}: column {c:?} out of row-major order");
+        }
+        for step in &rec.rotated {
+            if let [[i0, j0], [i1, j1]] = step[..] {
+                assert!(i0 != i1 && j0 != j1 && i0 != j1 && j0 != i1, "{what}: {step:?}");
+            }
+        }
+        let one = usize::from(!want.is_empty());
+        assert_eq!((rec.opens, rec.closes), (one, one), "{what}: opens and closes");
+    }
+
+    #[test]
+    fn the_walk_keeps_every_columns_pairings_in_row_major_order() {
+        // The law that makes the walk bitwise the row-major sweep, checked
+        // on the schedule itself: every rectangle of 1..=8 × 1..=8 columns,
+        // the tiled triangle of every block of 1..=17 columns, and tiled
+        // rectangles up to 17 × 17, where the walk carries on from one
+        // rectangle into the next (`Fresh`, `Down`, `Along`) — each as one
+        // walk that opens and closes once.
+        for (nl, nr) in (1..=8usize).flat_map(|nl| (1..=8usize).map(move |nr| (nl, nr))) {
+            let want: Vec<[At; 2]> =
+                (0..nl).flat_map(|i| (0..nr).map(move |j| [(0, i), (1, j)])).collect();
+            check_laws(&record(false, &[(0..nl, 0..nr)]), &want, &format!("{nl}x{nr}"));
+            // The odd rows' pairings go one step behind the even rows';
+            // wherever both have one, the two go abreast.
+            let abreast =
+                record(false, &[(0..nl, 0..nr)]).rotated.iter().filter(|s| s.len() == 2).count();
+            let (even, odd) = (nl.div_ceil(2) * nr, nl / 2 * nr);
+            let wanted = if nr >= 2 { odd.min(even.saturating_sub(1)) } else { 0 };
+            assert_eq!(abreast, wanted, "{nl}x{nr}");
+        }
+        for b in 1..=17usize {
+            let want: Vec<[At; 2]> =
+                (0..b).flat_map(|i| (i + 1..b).map(move |j| [(0, i), (0, j)])).collect();
+            check_laws(&record(true, &within_tiles(b)), &want, &format!("triangle {b}"));
+        }
+        for (nl, nr) in
+            [1usize, 7, 9, 16, 17].iter().flat_map(|&nl| [1usize, 2, 9, 17].map(|nr| (nl, nr)))
+        {
+            let want: Vec<[At; 2]> =
+                (0..nl).flat_map(|i| (0..nr).map(move |j| [(0, i), (1, j)])).collect();
+            check_laws(&record(false, &across_tiles(nl, nr)), &want, &format!("tiled {nl}x{nr}"));
+        }
+    }
+
+    /// The rectangles of [`check_walks`]'s two walks: of a block of six
+    /// columns alone, and of it with a block of four. Between them they
+    /// take every transition and a break, where the next rectangle's first
+    /// pairing shares the last one's columns crosswise or is it.
+    fn tier_walks() -> [(bool, Vec<Rect>); 2] {
+        let within = vec![
+            (0..1, 1..6),
+            (1..2, 2..6),
+            (2..4, 4..6),
+            (0..3, 3..6),
+            (4..5, 5..6),
+            (0..1, 1..2),
+            (1..2, 2..3),
+            (3..5, 0..1),
+        ];
+        let across = vec![
+            (0..6, 0..4),
+            (0..5, 0..2),
+            (4..5, 1..4),
+            (0..3, 3..4),
+            (2..6, 0..1),
+            (5..6, 0..3),
+            (0..4, 1..3),
+        ];
+        [(true, within), (false, across)]
+    }
+
+    #[test]
+    fn the_tier_walks_take_every_transition() {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut breaks = 0;
+        for (one_block, rects) in tier_walks() {
+            let rec = record(one_block, &rects);
+            seen.extend(rec.transitions);
+            breaks += rec.opens - 1;
+        }
+        let every = [
+            "Fresh", "Down", "Along", "AlongTwo", "Open", "OpenTwo", "InRow", "Wrap", "WrapTwo",
+            "Last",
+        ];
+        assert_eq!(seen, every.into_iter().collect(), "transitions");
+        assert!(breaks >= 2, "breaks {breaks}");
+    }
+
+    /// The pairing rule the walk tests pair by: a rotation from the block by
+    /// [`symmetric_schur`], skipped where `apq` is 0.0 or — for about one
+    /// pairing in five — where its bits say so, and every block it is shown
+    /// booked, with its choice.
+    ///
+    /// [`symmetric_schur`]: crate::rotation::symmetric_schur
+    #[derive(Default)]
+    struct Shown<const GRAM: bool>(Vec<[u64; 4]>);
+
+    impl<const GRAM: bool> Pairing for Shown<GRAM> {
+        const GRAM: bool = GRAM;
+
+        fn angle(&mut self, (app, apq, aqq): (f64, f64, f64)) -> Option<JacobiRotation> {
+            let skip = apq == 0.0 || apq.is_finite() && apq.to_bits() % 5 == 0;
+            let rot = (!skip).then(|| crate::rotation::symmetric_schur(app, apq, aqq));
+            // NaN payloads are not pinned: every NaN books as one.
+            let bits = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+            self.0.push([bits(app), bits(apq), bits(aqq), u64::from(skip)]);
+            rot
+        }
+    }
+
+    /// A column of a block, `(a, u)`, and its cache slot if it has one.
+    type Written = (Vec<f64>, Vec<f64>, Option<f64>);
+
+    /// Column `k` of `block`, as the definition pairs it.
+    fn written(block: &ColumnBlock, k: usize) -> Written {
+        (block.a_col(k).to_vec(), block.u_col(k).to_vec(), block.diag().get(k).copied())
+    }
+
+    /// The walk over `rects` written plainly: each rectangle's pairings in
+    /// row-major order, each block three products by [`by_definition`] —
+    /// or the off-diagonal alone and the slots where `cached` — turned by
+    /// [`pair_rotate`] as `pairing` decides, the slots kept current.
+    fn walk_by_definition<P: Pairing>(
+        pairing: &mut P,
+        cols: &mut [Vec<Written>; 2],
+        one_block: bool,
+        rects: &[Rect],
+        cached: bool,
+    ) {
+        let right = usize::from(!one_block);
+        for (l, r) in rects {
+            for (i, j) in l.clone().flat_map(|i| r.clone().map(move |j| (i, j))) {
+                let (mut ci, mut cj) = (cols[0][i].clone(), cols[right][j].clone());
+                let (x, y) = if P::GRAM { (&ci.0, &cj.0) } else { (&ci.1, &cj.1) };
+                let apq = by_definition(x, &cj.0);
+                let block = match (cached, ci.2, cj.2) {
+                    (true, Some(di), Some(dj)) => (di, apq, dj),
+                    _ => (by_definition(x, &ci.0), apq, by_definition(y, &cj.0)),
+                };
+                if let Some(rot) = pairing.angle(block) {
+                    pair_rotate(&mut ci.0, &mut cj.0, &mut ci.1, &mut cj.1, rot.c, rot.s);
+                    let (pp, _, qq) = apply_to_block(rot, block.0, block.1, block.2);
+                    ci.2 = ci.2.map(|_| pp);
+                    cj.2 = cj.2.map(|_| qq);
+                }
+                (cols[0][i], cols[right][j]) = (ci, cj);
+            }
+        }
+    }
+
+    /// Holds both [`tier_walks`] on every tier to [`walk_by_definition`] —
+    /// columns, slots and the blocks the rule is shown, with `same` — under
+    /// both rules, with no cache, both blocks caching and only the first,
+    /// on the columns `draw(rows)` makes at each length `ns` gives: square,
     /// and for the Gram rule also with `A` columns longer than `U` ones.
-    fn check_transition<const R: usize, const N: usize, T: Transition<N>>(
-        name: &str,
+    fn check_walks(
         ns: &[usize],
         mut draw: impl FnMut(usize) -> Vec<f64>,
-        same: impl Fn(f64, f64) -> bool + Copy,
+        same: impl Fn(f64, f64) -> bool,
     ) {
-        let (c, s) = (0.6f64.cos(), 0.6f64.sin());
         for &n in ns {
             for (gram, na, nu) in [(false, n, n), (true, n, n), (true, n + 9, n), (true, n + 1, n)]
             {
-                let cols: StepColumns = (0..6).map(|_| [draw(na), draw(nu)]).collect();
-                for turns in turn_sets::<R>(c, s) {
-                    for &tier in lane_tiers() {
-                        let case = format!("{name} R={R} {tier:?} gram={gram} {na}x{nu} {turns:?}");
-                        let check = |(got, want): ((StepColumns, [[f64; 3]; N]), _), off| {
-                            let (got, want): (_, (StepColumns, [[f64; 3]; N])) = (got, want);
-                            let flat = |c: &StepColumns| {
-                                c.iter().flatten().flatten().copied().collect::<Vec<_>>()
+                let mut column = || (draw(na), draw(nu));
+                let six: Vec<_> = (0..6).map(|_| column()).collect();
+                let four: Vec<_> = (0..4).map(|_| column()).collect();
+                for cache in [[false, false], [true, true], [true, false]] {
+                    let diag = |a: &[f64], u: &[f64]| by_definition(if gram { a } else { u }, a);
+                    let blocks = || {
+                        let mut blocks =
+                            [&six, &four].map(|c| ColumnBlock::from_columns(c, (na, nu)));
+                        for (block, cache) in blocks.iter_mut().zip(cache) {
+                            if cache {
+                                block.refresh_diag(diag);
+                            }
+                        }
+                        blocks
+                    };
+                    for (one_block, rects) in tier_walks() {
+                        let cached = cache[0] && (one_block || cache[1]);
+                        for &tier in lane_tiers() {
+                            let case = format!("{tier:?} gram={gram} {na}x{nu} cache={cache:?} one_block={one_block}");
+                            let [mut left, mut right] = blocks();
+                            let mut want = [&left, &right]
+                                .map(|b| (0..b.len()).map(|k| written(b, k)).collect::<Vec<_>>());
+                            let (got_shown, want_shown) = if gram {
+                                walk_both::<true>(
+                                    tier,
+                                    [&mut left, &mut right],
+                                    &mut want,
+                                    one_block,
+                                    &rects,
+                                    cached,
+                                )
+                            } else {
+                                walk_both::<false>(
+                                    tier,
+                                    [&mut left, &mut right],
+                                    &mut want,
+                                    one_block,
+                                    &rects,
+                                    cached,
+                                )
                             };
-                            let (g, w) = (flat(&got.0), flat(&want.0));
-                            assert!(
-                                g.iter().zip(&w).all(|(&g, &w)| same(g, w)),
-                                "{case} off={off}: columns"
-                            );
-                            for (g, w) in got.1.iter().flatten().zip(want.1.iter().flatten()) {
+                            let flat = |cols: &[Written]| {
+                                cols.iter()
+                                    .flat_map(|(a, u, d)| a.iter().chain(u).chain(d).copied())
+                                    .collect::<Vec<_>>()
+                            };
+                            for (block, want) in [&left, &right].into_iter().zip(&want) {
+                                let got: Vec<Written> =
+                                    (0..block.len()).map(|k| written(block, k)).collect();
+                                let (g, w) = (flat(&got), flat(want));
                                 assert!(
-                                    same(*g, *w),
-                                    "{case} off={off}: blocks {:?} vs {:?}",
-                                    got.1,
-                                    want.1
+                                    g.len() == w.len()
+                                        && g.iter().zip(&w).all(|(&g, &w)| same(g, w)),
+                                    "{case}: columns"
                                 );
                             }
-                        };
-                        let want =
-                            |off| step_by_definition::<R, N>(T::NEXT, (off, gram), &cols, turns);
-                        if gram {
-                            check(
-                                (step_of::<R, N, false, true, T>(tier, &cols, turns), want(false)),
-                                false,
-                            );
-                            check(
-                                (step_of::<R, N, true, true, T>(tier, &cols, turns), want(true)),
-                                true,
-                            );
-                        } else {
-                            check(
-                                (step_of::<R, N, false, false, T>(tier, &cols, turns), want(false)),
-                                false,
-                            );
-                            check(
-                                (step_of::<R, N, true, false, T>(tier, &cols, turns), want(true)),
-                                true,
-                            );
+                            // The blocks shown, as multisets: the walk shows
+                            // them in its order, the definition row-major.
+                            let sorted = |mut shown: Vec<[u64; 4]>| {
+                                shown.sort_unstable();
+                                shown
+                            };
+                            let (g, w) = (sorted(got_shown), sorted(want_shown));
+                            assert_eq!(g.len(), w.len(), "{case}: pairings");
+                            for (g, w) in g.iter().zip(&w) {
+                                let ok = (0..3)
+                                    .all(|p| same(f64::from_bits(g[p]), f64::from_bits(w[p])));
+                                assert!(ok && g[3] == w[3], "{case}: blocks {g:?} vs {w:?}");
+                            }
                         }
                     }
                 }
@@ -2030,24 +2895,34 @@ mod tests {
         }
     }
 
-    /// [`check_transition`] for every transition of the two-row walk, with
-    /// each number of pairings it follows a step of.
-    fn check_every_transition(
-        ns: &[usize],
-        mut draw: impl FnMut(usize) -> Vec<f64>,
-        same: impl Fn(f64, f64) -> bool + Copy,
-    ) {
-        check_transition::<1, 1, Down>("Down", ns, &mut draw, same);
-        check_transition::<1, 1, Along>("Along", ns, &mut draw, same);
-        check_transition::<2, 1, Along>("Along", ns, &mut draw, same);
-        check_transition::<2, 1, AlongTwo>("AlongTwo", ns, &mut draw, same);
-        check_transition::<1, 2, Open>("Open", ns, &mut draw, same);
-        check_transition::<2, 2, Open>("Open", ns, &mut draw, same);
-        check_transition::<2, 2, OpenTwo>("OpenTwo", ns, &mut draw, same);
-        check_transition::<2, 2, InRow>("InRow", ns, &mut draw, same);
-        check_transition::<2, 2, Wrap>("Wrap", ns, &mut draw, same);
-        check_transition::<2, 2, WrapTwo>("WrapTwo", ns, &mut draw, same);
-        check_transition::<2, 1, Last>("Last", ns, &mut draw, same);
+    /// One walk over `rects` on `tier` — of `blocks[0]` alone, or of it
+    /// with `blocks[1]` — and the same by the definition on `want`: the
+    /// blocks each showed the rule.
+    fn walk_both<const GRAM: bool>(
+        tier: LaneTier,
+        [left, right]: [&mut ColumnBlock; 2],
+        want: &mut [Vec<Written>; 2],
+        one_block: bool,
+        rects: &[Rect],
+        cached: bool,
+    ) -> (Vec<[u64; 4]>, Vec<[u64; 4]>) {
+        let mut walk = Walk::new(Shown::<GRAM>::default());
+        let cols = if one_block {
+            let cols = Columns::of(left, cached);
+            [cols, cols]
+        } else {
+            [Columns::of(left, cached), Columns::of(right, cached)]
+        };
+        let rects_iter = rects.iter().cloned();
+        if cached {
+            walk.walk::<true, _>(tier, cols, one_block, rects_iter);
+        } else {
+            walk.walk::<false, _>(tier, cols, one_block, rects_iter);
+        }
+        walk.close(tier);
+        let mut shown = Shown::<GRAM>::default();
+        walk_by_definition(&mut shown, want, one_block, rects, cached);
+        (walk.pairing.0, shown.0)
     }
 
     #[test]
@@ -2058,7 +2933,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(46);
         let draw = |n: usize| (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-        check_every_transition(&reduction_lengths().collect::<Vec<_>>(), draw, bitwise);
+        check_walks(&reduction_lengths().collect::<Vec<_>>(), draw, bitwise);
     }
 
     #[test]
@@ -2075,7 +2950,7 @@ mod tests {
                 })
                 .collect()
         };
-        check_every_transition(&(0..=17).chain([63, 64, 65]).collect::<Vec<_>>(), draw, bitwise);
+        check_walks(&(0..=17).chain([63, 64, 65]).collect::<Vec<_>>(), draw, bitwise);
     }
 
     #[test]
@@ -2091,18 +2966,18 @@ mod tests {
             }
             col
         };
-        check_every_transition(&[1, 8, 9, 33, 256, 259], draw, agree);
+        check_walks(&[1, 8, 9, 33, 256, 259], draw, agree);
     }
 
     #[test]
     #[should_panic(expected = "left == right")]
     fn a_step_rejects_a_next_pairing_of_mismatched_streams_with_dots_message() {
-        let (mut a, mut u) =
-            (vec![stream(0, 16), stream(1, 16)], vec![stream(2, 16), stream(3, 16)]);
-        let ([ai, aj], [ui, uj]) = (&mut a[..], &mut u[..]) else { unreachable!() };
-        let short = stream(4, 15);
-        let pairing = ([&mut ai[..], &mut aj[..], &mut ui[..], &mut uj[..]], Some((0.8, 0.6)));
-        pair_step::<1, 1, false, false, Along>([pairing], [[&short, &short], [&[], &[]]]);
+        // A walk across blocks of different heights would pair columns of
+        // two lengths: it fails with `dot`'s own message before a step.
+        let block = |n: usize| ColumnBlock::from_columns(&[(stream(0, n), stream(1, n))], (n, n));
+        let (mut short, mut long) = (block(15), block(16));
+        let mut walk = Walk::new(Shown::<false>::default());
+        walk.across::<false>(&mut short, &mut long, [(0..1, 0..1)]);
     }
 
     #[test]
@@ -2404,6 +3279,65 @@ mod tests {
                     let mut got = block.clone();
                     tier(&mut got, n, p, &chain);
                     assert!(same(&got, &want), "top pivot {name} m={n} columns={ncols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pivot_rows_are_one_top_pivot_turn_of_each_column() {
+        // Rows `p` and `q` of two columns, every other row untouched: the
+        // public call, the portable form and the FMA-compiled one where
+        // cpuid reports it, against the written-out rotation and against
+        // one `rotate_top_pivot` turn per column — ±0, subnormals, 1e±150
+        // and non-finite entries among them.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(50);
+        type PivotRowsFn = fn(&mut [f64], &mut [f64], (usize, usize), f64, f64);
+        let mut forms: Vec<(&str, PivotRowsFn)> =
+            vec![("dispatch", rotate_pivot_rows), ("portable", pivot_rows_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: fma was just detected; the rows are in both columns.
+            forms
+                .push(("fma", |x, y, rows, c, s| unsafe { x86::pivot_rows_fma(x, y, rows, c, s) }));
+        }
+        for m in [2usize, 5, 33] {
+            for (p, q) in
+                [(0, 1), (1, 0), (0, m - 1), (m / 2, m - 1)].into_iter().filter(|(p, q)| p != q)
+            {
+                let mut draw = || -> Vec<f64> {
+                    (0..m)
+                        .map(|_| match rng.gen_range(0..6) {
+                            0..=2 => rng.gen_range(-1.0..=1.0),
+                            3 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                                [rng.gen_range(0..3usize)],
+                            _ => EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                        })
+                        .collect()
+                };
+                let (x, y) = (draw(), draw());
+                let (c, s) = (0.7f64.cos(), 0.7f64.sin());
+                let mut want = [x.clone(), y.clone()];
+                for col in &mut want {
+                    (col[p], col[q]) = turn_by_definition(col[p], col[q], c, s);
+                }
+                let mut chained = [x.clone(), y.clone()];
+                for col in &mut chained {
+                    rotate_top_pivot(col, m, p, &[(q, c, s)]);
+                }
+                let bits = |cols: &[Vec<f64>; 2]| {
+                    cols.iter()
+                        .flatten()
+                        .map(|v| if v.is_nan() { 1 } else { v.to_bits() })
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&chained), bits(&want), "top pivot m={m} p={p} q={q}");
+                for (name, form) in &forms {
+                    let mut got = [x.clone(), y.clone()];
+                    let [gx, gy] = &mut got;
+                    form(gx, gy, (p, q), c, s);
+                    assert_eq!(bits(&got), bits(&want), "{name} m={m} p={p} q={q}");
                 }
             }
         }

@@ -2,9 +2,9 @@
 //! eigensolver's correctness rests on.
 
 use mph_linalg::block::{ColumnBlock, COLUMN_ALIGN_BYTES};
-use mph_linalg::rotation::{apply_to_block, symmetric_schur};
+use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
 use mph_linalg::vecops::{
-    dot, fused_triple, pair_rotate, pair_rotate_lanes, pair_step, rotate_pair, Open,
+    dot, fused_triple, pair_rotate, pair_rotate_lanes, rotate_pair, Pairing, Walk,
 };
 use mph_linalg::Matrix;
 use proptest::prelude::*;
@@ -26,6 +26,23 @@ fn quad_vecs_laned() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<f64>, Vec
         let n = 24 + tail; // 3 full 8-lane iterations + the drawn tail
         (finite_vec(n), finite_vec(n), finite_vec(n), finite_vec(n))
     })
+}
+
+/// The rule of a walk that turns its first pairing by `turn`, skips every
+/// other, and keeps every block it is shown.
+struct FirstTurns {
+    turn: Option<(f64, f64)>,
+    blocks: Vec<(f64, f64, f64)>,
+}
+
+impl Pairing for FirstTurns {
+    const GRAM: bool = false;
+
+    fn angle(&mut self, block: (f64, f64, f64)) -> Option<JacobiRotation> {
+        self.blocks.push(block);
+        let first = self.blocks.len() == 1;
+        self.turn.filter(|_| first).map(|(c, s)| JacobiRotation { c, s })
+    }
 }
 
 /// The plane rotation as `vecops` defines it, written out on a column pair:
@@ -247,20 +264,34 @@ proptest! {
             [[p.3.clone(), p.2.clone()], [p.1.clone(), p.0.clone()]]
         };
         for turn in [None, Some((0.6, -0.8))] {
-            let (mut ai, mut aj, mut ui, mut uj) = p.clone();
             let (mut ri, mut rj, mut vi, mut vj) = p.clone();
             if let Some((c, s)) = turn {
                 pair_rotate(&mut ri, &mut rj, &mut vi, &mut vj, c, s);
             }
+            // A walk of the 2 × 2 rectangle whose first pairing is `p` and
+            // whose second and third — one step, reduced as the first is
+            // rotated — each take one of `fresh`'s columns; every pairing
+            // after the first is skipped.
             let [[af, uf], [ag, ug]] = &fresh;
-            let got = pair_step::<1, 2, false, false, Open>(
-                [([&mut ai, &mut aj, &mut ui, &mut uj], turn)],
-                [[af, uf], [ag, ug]],
-            );
-            prop_assert_eq!(bits(&[ai.clone(), aj.clone(), ui.clone(), uj.clone()].concat()),
+            let n = p.0.len();
+            let block = |cols: [(&[f64], &[f64]); 2]| {
+                let mut block = ColumnBlock::from_matrix_with_identity(&Matrix::zeros(n, 2), 0..2, n);
+                for (k, (a, u)) in cols.into_iter().enumerate() {
+                    let view = block.pair_mut(k, 1 - k);
+                    view.ai.copy_from_slice(a);
+                    view.ui.copy_from_slice(u);
+                }
+                block
+            };
+            let mut left = block([(&p.0, &p.2), (ag, ug)]);
+            let mut right = block([(&p.1, &p.3), (af, uf)]);
+            let mut walk = Walk::new(FirstTurns { turn, blocks: Vec::new() });
+            walk.across::<false>(&mut left, &mut right, [(0..2, 0..2)]);
+            let got = walk.finish().blocks;
+            prop_assert_eq!(bits(&[left.a_col(0), right.a_col(0), left.u_col(0), right.u_col(0)].concat()),
                 bits(&[ri.clone(), rj.clone(), vi.clone(), vj.clone()].concat()));
-            prop_assert_eq!(bits(&[got[0].0, got[0].1, got[0].2]), want([&vi, &ri, uf, af]));
-            prop_assert_eq!(bits(&[got[1].0, got[1].1, got[1].2]), want([ug, ag, &vj, &rj]));
+            prop_assert_eq!(bits(&[got[1].0, got[1].1, got[1].2]), want([&vi, &ri, uf, af]));
+            prop_assert_eq!(bits(&[got[2].0, got[2].1, got[2].2]), want([ug, ag, &vj, &rj]));
         }
     }
 
