@@ -14,7 +14,7 @@
 //! workhorse for Table 2: deterministic, fast, and faithful to the
 //! ordering's rotation sequence.
 
-use crate::kernel::{refresh_block_diag, SweepAccumulator, SweepKernel};
+use crate::kernel::{SweepAccumulator, SweepKernel};
 use crate::multidrive::{eigen_answer, JobKind, Tally};
 use crate::offnorm::{diagonal_blocks, off_norm_blocks, residual_sq};
 use crate::options::{EigenResult, JacobiOptions};
@@ -81,12 +81,6 @@ pub(crate) fn solve_logical<R>(
         met = bar.met(off);
     }
     while !met && tally.sweeps < budget {
-        if opts.cache_diagonals {
-            // The exact refresh of every cached diagonal (M_ii or ‖w_i‖²).
-            for b in &mut blocks {
-                refresh_block_diag(b, kern.rule);
-            }
-        }
         let acc = match cube {
             Some((d, family)) => {
                 let schedule = SweepSchedule::sweep(d, family, tally.sweeps);

@@ -3,11 +3,11 @@
 //!
 //! The one-sided method maintains `A ← A₀·U` and `U` (initially `I`). The
 //! implicit iterate is `M = Uᵀ·A₀·U`, whose entries are reachable from
-//! columns alone: `M_ij = u_i · a_j`. *Pairing* columns `i` and `j`
-//! computes the 2×2 block `(M_ii, M_ij, M_jj)` from three inner products,
-//! derives the Jacobi rotation annihilating `M_ij`, and applies it to
-//! columns `i, j` of both `A` and `U` — no row access, which is what makes
-//! the method distribute by columns.
+//! columns alone: `M_ij = u_i · a_j`. *Pairing* columns `i` and `j` takes
+//! the 2×2 block `(M_ii, M_ij, M_jj)`, derives the Jacobi rotation
+//! annihilating `M_ij`, and applies it to columns `i, j` of both `A` and
+//! `U` — no row access, which is what makes the method distribute by
+//! columns.
 //!
 //! Two pairing rules share this machinery (selected by [`PairingRule`]):
 //! the symmetric eigensolver's implicit rule above, and the Hestenes SVD's
@@ -20,24 +20,26 @@
 //! vector unit too.
 //! A sweep's walk is one [`Walk`] per [`SweepKernel`] call: each step
 //! rotates its one or two pairings and, in the same pass over the columns,
-//! reduces the next step's 2×2 blocks from the rotated values — from one
-//! rectangle of pairings to the next too — so a call reduces a block on
-//! its own once, its first ([`fused_triple`]'s products, or [`dot`]'s for a
-//! cached off-diagonal), and rotates a pairing on its own once, its last.
-//! This module keeps the tiling (the rectangles, in order), the rule (the
-//! pairing's angle and its books, [`Pairing`]) and the cache dispatch; the
-//! walk compiles them into each vector tier's instructions. So the
+//! reduces the next step's off-diagonals from the rotated values — from
+//! one rectangle of pairings to the next too — so a call reduces an
+//! off-diagonal on its own once, its first, and rotates a pairing on its
+//! own once, its last. This module keeps the tiling (the rectangles, in
+//! order) and the rule (the pairing's angle and its books, [`Pairing`]);
+//! the walk compiles them into each vector tier's instructions. So the
 //! logical, threaded, and SVD drivers are *structurally* guaranteed to
 //! perform identical floating-point work — the bitwise-equality tests
 //! between drivers check an invariant the code now enforces by
 //! construction.
 //!
-//! When a [`ColumnBlock`] carries cached diagonals (`M_ii` or `‖w_i‖²`,
-//! opt-in via `JacobiOptions::cache_diagonals`), the kernel reads the two
-//! diagonal entries from the cache and maintains them under rotation with
-//! the exact 2×2 similarity update, reducing the inner products per pairing
-//! from three to one; the per-sweep [`refresh_block_diag`] recomputes them
-//! exactly so rounding drift cannot accumulate.
+//! A pairing reduces one inner product, its off-diagonal. The diagonals
+//! (`M_ii` or `‖w_i‖²`) are a cache that lives for one [`SweepKernel`]
+//! call: each column's is reduced exactly, bitwise [`dot`], when the call
+//! takes its block, kept under rotation by the exact 2×2 similarity update
+//! and dropped when the call returns — so rounding drift never outlives a
+//! call, no block carries a diagonal, and every driver making the same
+//! calls on the same blocks gets the same bits. The untiled reference
+//! ([`pair_within_block`], [`pair_across_blocks`]) keeps the same per-call
+//! cache.
 //!
 //! [`SweepKernel`] runs the sub-sweeps on the calling thread, in one
 //! order: the serial row-major tile walk, bitwise the untiled reference.
@@ -48,7 +50,7 @@
 
 use mph_linalg::block::{cross_pair_mut, two_blocks_mut, ColumnBlock, PairViewMut};
 use mph_linalg::rotation::{apply_to_block, symmetric_schur, JacobiRotation};
-use mph_linalg::vecops::{dot, fused_triple, Pairing, Rect, Walk};
+use mph_linalg::vecops::{dot, symmetric_schur_pair, Pairing, Rect, Walk};
 
 /// Outcome of one pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,8 +77,8 @@ pub enum PairingRule {
 }
 
 impl PairingRule {
-    /// The exact diagonal entry for one column — what the cache refresh
-    /// computes and what uncached pairings recompute per pairing.
+    /// The exact diagonal entry for one column — what a call's cache
+    /// starts from.
     #[inline]
     fn diag_entry(self, a: &[f64], u: &[f64]) -> f64 {
         match self {
@@ -85,57 +87,51 @@ impl PairingRule {
         }
     }
 
-    /// The four streams `[x, a, y, b]` whose [`fused_triple`] is a
-    /// pairing's 2×2 block `(x·a, x·b, y·b)`: `[u_i, a_i, u_j, a_j]`, or
-    /// the `W`-columns in both roles. The off-diagonal alone is `x·b`.
-    #[inline(always)]
-    fn streams<'v>(self, v: &'v PairViewMut<'_>) -> [&'v [f64]; 4] {
-        match self {
-            PairingRule::Implicit => [v.ui, v.ai, v.uj, v.aj],
-            PairingRule::Gram => [v.ai, v.ai, v.aj, v.aj],
-        }
+    /// The exact diagonal of every column of `block`: a call's cache at
+    /// its start.
+    fn diagonals(self, block: &ColumnBlock) -> Vec<f64> {
+        (0..block.len()).map(|k| self.diag_entry(block.a_col(k), block.u_col(k))).collect()
     }
 }
 
-/// Pairs one column pair presented as raw views — the shared core every
-/// driver funnels through. Reads the diagonal entries from the view's
-/// cache slots when present (maintaining them under rotation), recomputes
-/// them otherwise.
-///
-/// The uncached 2×2 block is three [`dot`]s, computed in one pass by
-/// [`fused_triple`], whose every product is `to_bits`-equal to `dot`; the
-/// cached off-diagonal is one `dot`. The rotation is the lane rotator,
-/// bitwise the scalar loop. So a pairing has one set of bits on every host.
-fn pair_view(v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
-    let block = pair_block(&v, rule);
-    pair_rotate_by(v, block, pair_angle(block, rule))
-}
-
-/// The 2×2 block `(app, apq, aqq)` of a pairing.
-#[inline(always)]
-fn pair_block(v: &PairViewMut<'_>, rule: PairingRule) -> (f64, f64, f64) {
-    let [x, a, y, b] = rule.streams(v);
-    match (&v.di, &v.dj) {
-        (Some(di), Some(dj)) => (**di, dot(x, b), **dj),
-        // Uncached, or a mixed cache (one side of a cross-block pair
-        // carries none): both diagonals are recomputed, in one fused pass
-        // over the pair's columns.
-        _ => fused_triple(x, a, y, b),
+/// Pairs one column pair presented as raw views, its two diagonals read
+/// from and kept in the call's cache slots `[di, dj]` — the untiled
+/// reference's pairing. The off-diagonal is one [`dot`]; the rotation is
+/// the lane rotator, bitwise the scalar loop. So a pairing has one set of
+/// bits on every host.
+fn pair_view(mut v: PairViewMut<'_>, [di, dj]: [&mut f64; 2], rule: PairingRule) -> PairOutcome {
+    let apq = match rule {
+        PairingRule::Implicit => dot(v.ui, v.aj),
+        PairingRule::Gram => dot(v.ai, v.aj),
+    };
+    let block = (*di, apq, *dj);
+    let (off_before, rot) = pair_angle(block, rule);
+    if let Some(rot) = rot {
+        v.rotate_with(rot.c, rot.s);
+        let (pp, _, qq) = apply_to_block(rot, block.0, block.1, block.2);
+        (*di, *dj) = (pp, qq);
     }
+    PairOutcome { off_before, rotated: rot.is_some() }
 }
 
 /// What a pairing's 2×2 block asks for: the off-diagonal measure it shows,
 /// and the rotation annihilating it unless there is nothing to annihilate.
 #[inline(always)]
-fn pair_angle(
-    (app, apq, aqq): (f64, f64, f64),
-    rule: PairingRule,
-) -> (f64, Option<JacobiRotation>) {
+fn pair_angle(block: (f64, f64, f64), rule: PairingRule) -> (f64, Option<JacobiRotation>) {
+    let (off_before, turns) = pair_measure(block, rule);
+    let (app, apq, aqq) = block;
+    (off_before, turns.then(|| symmetric_schur(app, apq, aqq)))
+}
+
+/// The off-diagonal measure a pairing's 2×2 block shows, and whether it
+/// turns: not where there is nothing to annihilate.
+#[inline(always)]
+fn pair_measure((app, apq, aqq): (f64, f64, f64), rule: PairingRule) -> (f64, bool) {
     let off_before = match rule {
         PairingRule::Implicit => apq.abs(),
         PairingRule::Gram => {
-            // Cached Gram diagonals can round to tiny negatives; clamp so
-            // the cosine stays well-defined.
+            // Gram diagonals kept under rotation can round to tiny
+            // negatives; clamp so the cosine stays well-defined.
             let denom = (app * aqq).max(0.0).sqrt();
             if denom > 0.0 {
                 apq.abs() / denom
@@ -147,63 +143,25 @@ fn pair_angle(
     // `off_before <= 0.0` also skips a Gram pair whose cosine is undefined
     // (a zero or NaN norm reads 0) although `apq` is not zero.
     let skip = off_before <= 0.0 || apq == 0.0;
-    (off_before, (!skip).then(|| symmetric_schur(app, apq, aqq)))
-}
-
-/// Applies what [`pair_angle`] decided for the block `(app, apq, aqq)` to
-/// the pairing's columns and cache slots.
-#[inline(always)]
-fn pair_rotate_by(
-    mut v: PairViewMut<'_>,
-    block: (f64, f64, f64),
-    (off_before, rot): (f64, Option<JacobiRotation>),
-) -> PairOutcome {
-    if let Some(rot) = rot {
-        v.rotate_with(rot.c, rot.s);
-        update_cache([v.di, v.dj], block, rot);
-    }
-    PairOutcome { off_before, rotated: rot.is_some() }
-}
-
-/// Keeps a rotated pairing's cache slots current: the rotation annihilates
-/// the off-diagonal, and the new diagonal is the exact 2×2 similarity image
-/// of the old block. Every populated slot is updated — including the mixed
-/// case where only one side of a cross-block pair carries a cache (`app`
-/// and `aqq` were then recomputed exactly, so the surviving slot stays
-/// current).
-#[inline(always)]
-fn update_cache(
-    [di, dj]: [Option<&mut f64>; 2],
-    (app, apq, aqq): (f64, f64, f64),
-    rot: JacobiRotation,
-) {
-    if di.is_some() || dj.is_some() {
-        let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
-        if let Some(di) = di {
-            *di = pp;
-        }
-        if let Some(dj) = dj {
-            *dj = qq;
-        }
-    }
-}
-
-/// Exactly recomputes a block's cached diagonals under `rule` — the
-/// periodic refresh bounding the drift of the incremental updates. Call at
-/// the start of every sweep when diagonal caching is enabled.
-pub fn refresh_block_diag(block: &mut ColumnBlock, rule: PairingRule) {
-    block.refresh_diag(|a, u| rule.diag_entry(a, u));
+    (off_before, !skip)
 }
 
 /// Pairs every column pair within `block` (ascending `(i, j)`, `i < j`) —
 /// the paper's step (1): "pair each column of a block with the remaining
-/// columns of the same block".
+/// columns of the same block" — with one call's cache.
 pub fn pair_within_block(block: &mut ColumnBlock, rule: PairingRule) -> SweepAccumulator {
+    let mut diag = rule.diagonals(block);
+    within_cached(block, &mut diag, rule)
+}
+
+/// [`pair_within_block`] with the cache in hand.
+fn within_cached(block: &mut ColumnBlock, diag: &mut [f64], rule: PairingRule) -> SweepAccumulator {
     let mut acc = SweepAccumulator::default();
     let b = block.len();
     for i in 0..b {
         for j in (i + 1)..b {
-            acc.absorb(pair_view(block.pair_mut(i, j), rule));
+            let (head, tail) = diag.split_at_mut(j);
+            acc.absorb(pair_view(block.pair_mut(i, j), [&mut head[i], &mut tail[0]], rule));
         }
     }
     acc
@@ -213,16 +171,30 @@ pub fn pair_within_block(block: &mut ColumnBlock, rule: PairingRule) -> SweepAcc
 /// step (2): "pair each column of a block with all the columns of the
 /// other block". `left` plays the `i` role (its columns are rotated as
 /// `c·a_i − s·a_j`), matching the slot-0/slot-1 roles of the threaded
-/// driver and the `(b0, b1)` order of the sweep trace.
+/// driver and the `(b0, b1)` order of the sweep trace. One call's cache
+/// for both blocks.
 pub fn pair_across_blocks(
     left: &mut ColumnBlock,
     right: &mut ColumnBlock,
     rule: PairingRule,
 ) -> SweepAccumulator {
+    let mut diag = [rule.diagonals(left), rule.diagonals(right)];
+    across_cached(left, right, &mut diag, rule)
+}
+
+/// [`pair_across_blocks`] with the cache in hand, `left`'s slots then
+/// `right`'s.
+fn across_cached(
+    left: &mut ColumnBlock,
+    right: &mut ColumnBlock,
+    [dl, dr]: &mut [Vec<f64>; 2],
+    rule: PairingRule,
+) -> SweepAccumulator {
     let mut acc = SweepAccumulator::default();
     for i in 0..left.len() {
         for j in 0..right.len() {
-            acc.absorb(pair_view(cross_pair_mut(left, i, right, j), rule));
+            let view = cross_pair_mut(left, i, right, j);
+            acc.absorb(pair_view(view, [&mut dl[i], &mut dr[j]], rule));
         }
     }
     acc
@@ -242,7 +214,7 @@ pub fn pair_across_blocks(
 /// Live at that boundary are the right tile (kept when the next rectangle
 /// shares it, dead when the walk moves to the next right tile), the last
 /// row pair's two left columns and the next rectangle's first left one —
-/// 11 again; a triangle row's boundary, inside one tile, 8. Walking whole
+/// 11 again; a triangle row pair's boundary, inside one tile, 8. Walking whole
 /// anti-diagonals of an 8 × 8 tile pair instead (16
 /// columns live) read `logical_solve` 4.62 against 4.08 — 13 % *slower*
 /// than one pairing at a time — so a wider walk needs a narrower tile.
@@ -253,10 +225,10 @@ const ACROSS_TILE: usize = 8;
 /// floating-point work.
 ///
 /// Every sweep is made of one routine: the rectangle of pairings between
-/// two `ACROSS_TILE`-wide column tiles, or a row of a tile's triangle,
+/// two `ACROSS_TILE`-wide column tiles, or two rows of a tile's triangle,
 /// walked by one [`Walk`] per call — two rows at a time with two
 /// column-disjoint pairings in flight, one pass over the columns a step:
-/// each step rotates its pairings and reduces the blocks of the next,
+/// each step rotates its pairings and reduces the off-diagonals of the next,
 /// which it carries forward, also into the next rectangle. The sweeps
 /// visit the tile pairs in row-major order — with the walk inside a
 /// rectangle, a pure reordering of *commuting* operations that preserves
@@ -272,13 +244,13 @@ impl SweepKernel {
     /// Pairs every column pair within each of `blocks` —
     /// [`pair_within_block`] per block, block by block. Within a block, the
     /// tiles in row-major order: for each tile, its rectangles against the
-    /// tiles to its left, then its own triangle, a row at a time. For ops
+    /// tiles to its left, then its own triangle, two rows at a time. For ops
     /// sharing a column the row-major relative order is preserved (for a
     /// shared left column, `j` still ascends across tiles; for a shared
     /// right column, `i` still ascends across the left tiles and inside
     /// each — [`Walk`]), and ops sharing no column commute exactly — so the
     /// tiling is bitwise invisible. One walk for the call: a rectangle's
-    /// last step reduces the next one's first block.
+    /// last step reduces the next one's first off-diagonal.
     pub fn within<'b>(
         &self,
         blocks: impl IntoIterator<Item = &'b mut ColumnBlock>,
@@ -289,11 +261,7 @@ impl SweepKernel {
             let mut walk = Walk::new(Book::<GRAM>::default());
             for block in blocks {
                 let rects = within_rects(block.len());
-                if cached(block) {
-                    walk.within::<true>(block, rects);
-                } else {
-                    walk.within::<false>(block, rects);
-                }
+                walk.within(block, rects);
             }
             walk.finish().0
         }
@@ -315,12 +283,7 @@ impl SweepKernel {
             right: &mut ColumnBlock,
         ) -> SweepAccumulator {
             let mut walk = Walk::new(Book::<GRAM>::default());
-            let rects = across_rects(left.len(), right.len());
-            if cached(left) && cached(right) {
-                walk.across::<true>(left, right, rects);
-            } else {
-                walk.across::<false>(left, right, rects);
-            }
+            walk.across(left, right, across_rects(left.len(), right.len()));
             walk.finish().0
         }
         match self.rule {
@@ -348,22 +311,22 @@ impl SweepKernel {
     }
 }
 
-/// Whether a block caches its diagonals: then a walk over it alone, or
-/// across it and another that does, reads them from the cache.
-fn cached(block: &ColumnBlock) -> bool {
-    !block.diag().is_empty()
-}
-
 /// The rectangles of a block's own pairings, in the order of
 /// [`SweepKernel::within`]: for each tile, its rectangles against the tiles
-/// to its left, then its triangle's rows, row `i` the one-row rectangle of
-/// column `i` with the columns after it in the tile.
+/// to its left, then its triangle two rows at a time. Rows `i` and `i + 1`
+/// are the pairing `(i, i + 1)`, then the two-row rectangle of columns `i`
+/// and `i + 1` with the columns after `i + 1` in the tile, which the walk
+/// takes as a wavefront: `(i, j)` abreast of `(i + 1, j − 1)`, so each
+/// column still meets its partners in row-major order.
 fn within_rects(b: usize) -> impl Iterator<Item = Rect> {
     (0..b).step_by(ACROSS_TILE).flat_map(move |t0| {
-        let tile = t0..(t0 + ACROSS_TILE).min(b);
-        let rects =
-            (0..t0).step_by(ACROSS_TILE).map(move |s0| (s0..s0 + ACROSS_TILE, t0..tile.end));
-        rects.chain((t0..tile.end).map(move |i| (i..i + 1, i + 1..tile.end)))
+        let end = (t0 + ACROSS_TILE).min(b);
+        let rects = (0..t0).step_by(ACROSS_TILE).map(move |s0| (s0..s0 + ACROSS_TILE, t0..end));
+        let pairs = (t0..end).step_by(2).flat_map(move |i| {
+            let below = (i + 2).min(end);
+            [(i..i + 1, i + 1..below), (i..below, below..end)]
+        });
+        rects.chain(pairs)
     })
 }
 
@@ -391,6 +354,21 @@ impl<const GRAM: bool> Pairing for Book<GRAM> {
         let (off_before, rot) = pair_angle(block, rule_of::<GRAM>());
         self.0.absorb(PairOutcome { off_before, rotated: rot.is_some() });
         rot
+    }
+
+    /// Both angles in the two lanes of one register, each lane bitwise
+    /// [`symmetric_schur`] — which a turning pairing's nonzero `apq` asks
+    /// of it.
+    #[inline(always)]
+    fn angles(&mut self, blocks: [(f64, f64, f64); 2]) -> [Option<JacobiRotation>; 2] {
+        let rots = symmetric_schur_pair(blocks);
+        let mut out = [None; 2];
+        for ((out, block), rot) in out.iter_mut().zip(blocks).zip(rots) {
+            let (off_before, turns) = pair_measure(block, rule_of::<GRAM>());
+            self.0.absorb(PairOutcome { off_before, rotated: turns });
+            *out = turns.then_some(rot);
+        }
+        out
     }
 }
 
@@ -443,32 +421,36 @@ mod tests {
     use mph_linalg::Matrix;
 
     /// Pairs columns `i` and `j` of the full matrices `(a, u)`, annihilating
-    /// `M_ij` — the whole-matrix oracle the block pairings are checked against.
+    /// `M_ij` — the whole-matrix oracle the block pairings are checked
+    /// against — its diagonals reduced exactly, as a call's first pairing
+    /// of the two columns reads them.
     fn pair_columns(a: &mut Matrix, u: &mut Matrix, i: usize, j: usize) -> PairOutcome {
         debug_assert!(i != j);
+        let [mut di, mut dj] = [i, j].map(|k| dot(u.col(k), a.col(k)));
         let (ai, aj) = a.col_pair_mut(i, j);
         let (ui, uj) = u.col_pair_mut(i, j);
-        pair_view(PairViewMut { ai, ui, aj, uj, di: None, dj: None }, PairingRule::Implicit)
+        pair_view(PairViewMut { ai, ui, aj, uj }, [&mut di, &mut dj], PairingRule::Implicit)
     }
 
     /// Pairs every column pair within `cols` (ascending `(i, j)`, `i < j`) on
-    /// full matrices.
+    /// full matrices, with one call's cache.
     fn pair_within(
         a: &mut Matrix,
         u: &mut Matrix,
         cols: std::ops::Range<usize>,
     ) -> SweepAccumulator {
+        let mut diag: Vec<f64> = (0..a.cols()).map(|k| dot(u.col(k), a.col(k))).collect();
         let mut acc = SweepAccumulator::default();
         for i in cols.clone() {
             for j in (i + 1)..cols.end {
-                acc.absorb(pair_columns(a, u, i, j));
+                acc.absorb(pair_cached(a, u, i, j, &mut diag));
             }
         }
         acc
     }
 
     /// Pairs every column of `left` with every column of `right` (disjoint
-    /// ranges) on full matrices.
+    /// ranges) on full matrices, with one call's cache.
     fn pair_across(
         a: &mut Matrix,
         u: &mut Matrix,
@@ -476,13 +458,32 @@ mod tests {
         right: std::ops::Range<usize>,
     ) -> SweepAccumulator {
         debug_assert!(left.end <= right.start || right.end <= left.start);
+        let mut diag: Vec<f64> = (0..a.cols()).map(|k| dot(u.col(k), a.col(k))).collect();
         let mut acc = SweepAccumulator::default();
         for i in left {
             for j in right.clone() {
-                acc.absorb(pair_columns(a, u, i, j));
+                acc.absorb(pair_cached(a, u, i, j, &mut diag));
             }
         }
         acc
+    }
+
+    /// Pairs columns `i` and `j` of the full matrices with their diagonals
+    /// in the cache `diag`, one slot per column.
+    fn pair_cached(
+        a: &mut Matrix,
+        u: &mut Matrix,
+        i: usize,
+        j: usize,
+        diag: &mut [f64],
+    ) -> PairOutcome {
+        let (ai, aj) = a.col_pair_mut(i, j);
+        let (ui, uj) = u.col_pair_mut(i, j);
+        let [mut di, mut dj] = [diag[i], diag[j]];
+        let out =
+            pair_view(PairViewMut { ai, ui, aj, uj }, [&mut di, &mut dj], PairingRule::Implicit);
+        (diag[i], diag[j]) = (di, dj);
+        out
     }
 
     fn implicit_entry(a: &Matrix, u: &Matrix, i: usize, j: usize) -> f64 {
@@ -502,13 +503,14 @@ mod tests {
     }
 
     /// The pairing written plainly, kept as the oracle `pair_view` must
-    /// match bit for bit: one `dot` per inner product and the portable
-    /// scalar rotation.
-    fn pair_view_oracle(mut v: PairViewMut<'_>, rule: PairingRule) -> PairOutcome {
-        let (app, aqq) = match (&v.di, &v.dj) {
-            (Some(di), Some(dj)) => (**di, **dj),
-            _ => (rule.diag_entry(v.ai, v.ui), rule.diag_entry(v.aj, v.uj)),
-        };
+    /// match bit for bit: its diagonals from the cache, one `dot` for the
+    /// off-diagonal and the portable scalar rotation.
+    fn pair_view_oracle(
+        mut v: PairViewMut<'_>,
+        [di, dj]: [&mut f64; 2],
+        rule: PairingRule,
+    ) -> PairOutcome {
+        let (app, aqq) = (*di, *dj);
         let apq = match rule {
             PairingRule::Implicit => dot(v.ui, v.aj),
             PairingRule::Gram => dot(v.ai, v.aj),
@@ -530,58 +532,48 @@ mod tests {
         let rot = symmetric_schur(app, apq, aqq);
         v.rotate(rot.c, rot.s);
         let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
-        if let Some(di) = v.di {
-            *di = pp;
-        }
-        if let Some(dj) = v.dj {
-            *dj = qq;
-        }
+        (*di, *dj) = (pp, qq);
         PairOutcome { off_before, rotated: true }
     }
 
     #[test]
     fn the_scalar_pairing_is_bitwise_the_three_dot_oracle() {
-        // Both rules; no cache, both caches, and the mixed cache of a
-        // cross-block pair; column lengths of every remainder mod 4; the
-        // Gram rule on tall rectangular blocks, where the `W`-columns are
-        // longer than the `V`-columns. Two sweeps, so the second runs on
-        // generic (not identity) `U`-columns.
+        // Both rules; column lengths of every remainder mod 4; the Gram
+        // rule on tall rectangular blocks, where the `W`-columns are longer
+        // than the `V`-columns. Two sweeps of one cache each, so the second
+        // runs on generic (not identity) `U`-columns; each cache's first
+        // block is three `dot`s, its others one and two slots kept.
         for (rule, extra_rows) in [(PairingRule::Implicit, 0), (PairingRule::Gram, 9)] {
             for n in [8usize, 9, 10, 11] {
                 let square = random_symmetric(n + extra_rows, 40 + n as u64);
                 let a0 = Matrix::from_fn(n + extra_rows, n, |r, c| square[(r, c)]);
-                for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
-                    let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..n / 2, n);
-                    let mut right = ColumnBlock::from_matrix_with_identity(&a0, n / 2..n, n);
-                    if cache_left {
-                        refresh_block_diag(&mut left, rule);
-                    }
-                    if cache_right {
-                        refresh_block_diag(&mut right, rule);
-                    }
-                    let (mut want_left, mut want_right) = (left.clone(), right.clone());
-                    for _sweep in 0..2 {
-                        for i in 0..left.len() {
-                            for j in i + 1..left.len() {
-                                let got = pair_view(left.pair_mut(i, j), rule);
-                                let want = pair_view_oracle(want_left.pair_mut(i, j), rule);
-                                assert_eq!(got, want, "{rule:?} n={n} within ({i},{j})");
-                            }
-                            for j in 0..right.len() {
-                                let got =
-                                    pair_view(cross_pair_mut(&mut left, i, &mut right, j), rule);
-                                let want = pair_view_oracle(
-                                    cross_pair_mut(&mut want_left, i, &mut want_right, j),
-                                    rule,
-                                );
-                                assert_eq!(got, want, "{rule:?} n={n} across ({i},{j})");
-                            }
+                let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..n / 2, n);
+                let mut right = ColumnBlock::from_matrix_with_identity(&a0, n / 2..n, n);
+                let (mut want_left, mut want_right) = (left.clone(), right.clone());
+                for _sweep in 0..2 {
+                    let [mut dl, mut dr] = [&left, &right].map(|b| rule.diagonals(b));
+                    let (mut wl, mut wr) = (dl.clone(), dr.clone());
+                    for i in 0..left.len() {
+                        for j in i + 1..left.len() {
+                            let (h, t) = dl.split_at_mut(j);
+                            let got = pair_view(left.pair_mut(i, j), [&mut h[i], &mut t[0]], rule);
+                            let (h, t) = wl.split_at_mut(j);
+                            let view = want_left.pair_mut(i, j);
+                            let want = pair_view_oracle(view, [&mut h[i], &mut t[0]], rule);
+                            assert_eq!(got, want, "{rule:?} n={n} within ({i},{j})");
+                        }
+                        for j in 0..right.len() {
+                            let view = cross_pair_mut(&mut left, i, &mut right, j);
+                            let got = pair_view(view, [&mut dl[i], &mut dr[j]], rule);
+                            let view = cross_pair_mut(&mut want_left, i, &mut want_right, j);
+                            let want = pair_view_oracle(view, [&mut wl[i], &mut wr[j]], rule);
+                            assert_eq!(got, want, "{rule:?} n={n} across ({i},{j})");
                         }
                     }
-                    let what = format!("{rule:?} n={n} cache=({cache_left},{cache_right})");
-                    assert_eq!(left, want_left, "{what}");
-                    assert_eq!(right, want_right, "{what}");
+                    assert_eq!((&dl, &dr), (&wl, &wr), "{rule:?} n={n}: the caches");
                 }
+                assert_eq!(left, want_left, "{rule:?} n={n}");
+                assert_eq!(right, want_right, "{rule:?} n={n}");
             }
         }
     }
@@ -682,16 +674,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_diagonals_track_exact_recomputation() {
-        let m = 10;
-        let a0 = random_symmetric(m, 77);
-        let mut blk = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
-        refresh_block_diag(&mut blk, PairingRule::Implicit);
-        let _ = pair_within_block(&mut blk, PairingRule::Implicit);
-        for k in 0..m {
-            let exact = dot(blk.u_col(k), blk.a_col(k));
-            let cached = blk.diag()[k];
+    /// Whether each slot of `diag` is within rounding of its column's
+    /// exact diagonal under the implicit rule.
+    fn tracks(block: &ColumnBlock, diag: &[f64]) {
+        for (k, &cached) in diag.iter().enumerate() {
+            let exact = dot(block.u_col(k), block.a_col(k));
             assert!(
                 (exact - cached).abs() <= 1e-16f64.max(1e-13 * exact.abs()),
                 "col {k}: cached {cached} vs exact {exact}"
@@ -700,24 +687,31 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_cache_stays_current_across_mixed_pairings() {
-        // Only the left block carries a diag cache; cross pairings must
-        // keep it current rather than silently leaving it stale.
+    fn cached_diagonals_track_exact_recomputation() {
+        // A call's cache, kept under rotation through every pairing of a
+        // block, ends within rounding of the exact diagonals.
+        let m = 10;
+        let a0 = random_symmetric(m, 77);
+        let mut blk = ColumnBlock::from_matrix_with_identity(&a0, 0..m, m);
+        let mut diag = PairingRule::Implicit.diagonals(&blk);
+        let acc = within_cached(&mut blk, &mut diag, PairingRule::Implicit);
+        assert!(acc.rotations > 0);
+        tracks(&blk, &diag);
+    }
+
+    #[test]
+    fn the_call_cache_stays_current_across_blocks() {
+        // A cross-block call keeps both blocks' slots current.
         let m = 8;
         let a0 = random_symmetric(m, 55);
         let mut left = ColumnBlock::from_matrix_with_identity(&a0, 0..4, m);
         let mut right = ColumnBlock::from_matrix_with_identity(&a0, 4..8, m);
-        refresh_block_diag(&mut left, PairingRule::Implicit);
-        let acc = pair_across_blocks(&mut left, &mut right, PairingRule::Implicit);
+        let rule = PairingRule::Implicit;
+        let mut diag = [rule.diagonals(&left), rule.diagonals(&right)];
+        let acc = across_cached(&mut left, &mut right, &mut diag, rule);
         assert!(acc.rotations > 0);
-        for k in 0..4 {
-            let exact = dot(left.u_col(k), left.a_col(k));
-            let cached = left.diag()[k];
-            assert!(
-                (exact - cached).abs() <= 1e-16f64.max(1e-13 * exact.abs()),
-                "col {k}: cached {cached} vs exact {exact}"
-            );
-        }
+        tracks(&left, &diag[0]);
+        tracks(&right, &diag[1]);
     }
 
     #[test]
@@ -753,7 +747,7 @@ mod tests {
     }
 
     /// Whether two blocks hold the same bits — NaN payloads aside, which
-    /// IEEE 754 does not pin: every column and cache slot.
+    /// IEEE 754 does not pin: every column.
     fn same_bits(got: &ColumnBlock, want: &ColumnBlock) -> bool {
         let agree = |g: &[f64], w: &[f64]| {
             g.len() == w.len()
@@ -764,7 +758,6 @@ mod tests {
         got.len() == want.len()
             && (0..got.len())
                 .all(|k| agree(got.a_col(k), want.a_col(k)) && agree(got.u_col(k), want.u_col(k)))
-            && agree(got.diag(), want.diag())
     }
 
     /// A 4 × 4 rectangle whose first right column meets every left one with
@@ -817,8 +810,7 @@ mod tests {
         // one column, odd, the 2-, 4- and 8-column blocks the service
         // solves, a full tile, a tile and a column. Both rules on a square
         // matrix, and the Gram rule on a tall one, whose `W`-columns are
-        // longer than its `V`-columns; no cache, both caches, and the mixed
-        // cache of a cross-block pair.
+        // longer than its `V`-columns.
         let m = 38;
         let square = random_symmetric(m, 91);
         let tall = Matrix::from_fn(m + 9, m, |r, c| ((r * 31 + c * 17) as f64 * 0.37).sin());
@@ -829,56 +821,37 @@ mod tests {
         ];
         for (nl, nr) in (0..=19usize).flat_map(|nl| (0..=19usize).map(move |nr| (nl, nr))) {
             for (rule, a0) in inputs {
-                for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
-                    let mut l_ref = ColumnBlock::from_matrix_with_identity(a0, 0..nl, m);
-                    let mut r_ref = ColumnBlock::from_matrix_with_identity(a0, nl..nl + nr, m);
-                    if cache_left {
-                        refresh_block_diag(&mut l_ref, rule);
-                    }
-                    if cache_right {
-                        refresh_block_diag(&mut r_ref, rule);
-                    }
-                    let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
-                    let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule);
-                    let acc_new = sweep_two(&SweepKernel { rule }, &mut l_new, &mut r_new);
-                    let rows = a0.rows();
-                    let what = format!(
-                        "{nl}x{nr} {rule:?} {rows} rows cache=({cache_left},{cache_right})"
-                    );
-                    assert_eq!(acc_ref, acc_new, "{what}");
-                    assert_eq!(l_ref, l_new, "{what}");
-                    assert_eq!(r_ref, r_new, "{what}");
-                }
+                let mut l_ref = ColumnBlock::from_matrix_with_identity(a0, 0..nl, m);
+                let mut r_ref = ColumnBlock::from_matrix_with_identity(a0, nl..nl + nr, m);
+                let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
+                let acc_ref = sweep_two_untiled(&mut l_ref, &mut r_ref, rule);
+                let acc_new = sweep_two(&SweepKernel { rule }, &mut l_new, &mut r_new);
+                let what = format!("{nl}x{nr} {rule:?} {} rows", a0.rows());
+                assert_eq!(acc_ref, acc_new, "{what}");
+                assert_eq!(l_ref, l_new, "{what}");
+                assert_eq!(r_ref, r_new, "{what}");
             }
         }
         // Skipped pairings mid-rectangle, their columns holding −0.0 and
         // ±∞ (the rectangle alone: a within-block pairing would spread the
         // infinities first).
         for rule in [PairingRule::Implicit, PairingRule::Gram] {
-            for (cache_left, cache_right) in [(false, false), (true, true), (true, false)] {
-                let (mut l_ref, mut r_ref) = skipped_pairings_holding_signed_zeros_and_infinities();
-                if cache_left {
-                    refresh_block_diag(&mut l_ref, rule);
-                }
-                if cache_right {
-                    refresh_block_diag(&mut r_ref, rule);
-                }
-                let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
-                let acc_ref = pair_across_blocks(&mut l_ref, &mut r_ref, rule);
-                let acc_new = SweepKernel { rule }.across(&mut l_new, &mut r_new);
-                let what = format!("skips {rule:?} cache=({cache_left},{cache_right})");
-                assert_eq!(acc_ref, acc_new, "{what}");
-                assert!(same_bits(&l_new, &l_ref) && same_bits(&r_new, &r_ref), "{what}");
-                if rule == PairingRule::Implicit {
-                    // The input does what it says: four skips, the skipped
-                    // column untouched, the left columns finite.
-                    let (_, r0) = skipped_pairings_holding_signed_zeros_and_infinities();
-                    assert_eq!(acc_ref.pairings - acc_ref.rotations, 4, "{what}: the skips");
-                    let bits = |col: &[f64]| col.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(r_ref.a_col(0)), bits(r0.a_col(0)), "{what}");
-                    assert_eq!(bits(r_ref.u_col(0)), bits(r0.u_col(0)), "{what}");
-                    assert!((0..4).all(|k| l_ref.u_col(k).iter().all(|x| x.is_finite())), "{what}");
-                }
+            let (mut l_ref, mut r_ref) = skipped_pairings_holding_signed_zeros_and_infinities();
+            let (mut l_new, mut r_new) = (l_ref.clone(), r_ref.clone());
+            let acc_ref = pair_across_blocks(&mut l_ref, &mut r_ref, rule);
+            let acc_new = SweepKernel { rule }.across(&mut l_new, &mut r_new);
+            let what = format!("skips {rule:?}");
+            assert_eq!(acc_ref, acc_new, "{what}");
+            assert!(same_bits(&l_new, &l_ref) && same_bits(&r_new, &r_ref), "{what}");
+            if rule == PairingRule::Implicit {
+                // The input does what it says: four skips, the skipped
+                // column untouched, the left columns finite.
+                let (_, r0) = skipped_pairings_holding_signed_zeros_and_infinities();
+                assert_eq!(acc_ref.pairings - acc_ref.rotations, 4, "{what}: the skips");
+                let bits = |col: &[f64]| col.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(r_ref.a_col(0)), bits(r0.a_col(0)), "{what}");
+                assert_eq!(bits(r_ref.u_col(0)), bits(r0.u_col(0)), "{what}");
+                assert!((0..4).all(|k| l_ref.u_col(k).iter().all(|x| x.is_finite())), "{what}");
             }
         }
     }
@@ -897,9 +870,6 @@ mod tests {
             .windows(2)
             .map(|w| ColumnBlock::from_matrix_with_identity(&a0, w[0]..w[1], m))
             .collect();
-        for b in merged.iter_mut() {
-            refresh_block_diag(b, PairingRule::Implicit);
-        }
         let mut single = merged.clone();
 
         let mut acc_merged = kern.within(&mut merged);

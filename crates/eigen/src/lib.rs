@@ -49,8 +49,7 @@ pub mod twosided;
 pub use blockjacobi::block_jacobi;
 pub use harness::{convergence_stats, table2_grid, ConvergenceStats};
 pub use kernel::{
-    pair_across_blocks, pair_within_block, refresh_block_diag, PairOutcome, PairingRule,
-    SweepAccumulator, SweepKernel,
+    pair_across_blocks, pair_within_block, PairOutcome, PairingRule, SweepAccumulator, SweepKernel,
 };
 pub use mph_core::BlockPartition;
 pub use mph_linalg::block::ColumnBlock;

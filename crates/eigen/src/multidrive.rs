@@ -114,9 +114,9 @@
 //! column's pairings in the same relative order. Reordering whole pairings
 //! that share no column is exact (they touch disjoint memory), so the one
 //! whole-block pairing of a round *is* its `Q` per-packet pairings
-//! (`tests/pipeline_traffic.rs` pins it on the kernel), and a job performs
-//! *identical* floating-point work for every `Q`, with the diagonal cache
-//! on or off.
+//! (`tests/pipeline_traffic.rs` pins it on the kernel, the packets' calls
+//! sharing the one cache of the round's), and a job performs *identical*
+//! floating-point work for every `Q`.
 //! Jobs share no data either: interleaving changes *when* a job's ops run,
 //! never *which* ops run or in what per-job order. Every pairing goes
 //! through the shared kernel in [`crate::kernel`] on the same storage as
@@ -146,7 +146,7 @@
 //! [`Pipelining`]: crate::options::Pipelining
 
 use crate::blockjacobi::eigenpairs;
-use crate::kernel::{refresh_block_diag, PairingRule, SweepAccumulator, SweepKernel};
+use crate::kernel::{PairingRule, SweepAccumulator, SweepKernel};
 use crate::offnorm::node_residual_sq;
 use crate::options::{Adaptation, EigenResult, JacobiOptions, Pipelining};
 use crate::svd::{extract_usv_blocks, SvdResult};
@@ -246,7 +246,7 @@ impl<'a> JobSpec<'a> {
 /// and replays (`mph_simnet`) the very plans the runtime executes.
 pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>>) {
     let n = spec.a.cols();
-    let elems_per_col = spec.a.rows() + n + usize::from(spec.opts.cache_diagonals);
+    let elems_per_col = spec.a.rows() + n;
     let plans = CommPlan::chain(n, d, spec.family, elems_per_col, spec.kind.budget(&spec.opts));
     let q_cap = packetization_cap(n, d);
     let qs = once_per_distinct(
@@ -910,10 +910,6 @@ impl<'a> JobNode<'a> {
                 self.open_sweep(ctx).await;
                 self.repriced = self.reprice(plan);
                 self.acc = SweepAccumulator::default();
-                if self.job.spec.opts.cache_diagonals {
-                    refresh_block_diag(&mut self.slot0, self.kern.rule);
-                    refresh_block_diag(&mut self.slot1, self.kern.rule);
-                }
                 self.pair_within();
                 if plan.phases().is_empty() {
                     // d = 0: the whole sweep is step 0's pairings.
@@ -1805,16 +1801,9 @@ mod tests {
         // comes back through `ThreadedRun` intact.
         let auto = Pipelining::Auto(Machine::paper_figure2());
         let mut inputs = Vec::new();
-        for cache in [false, true] {
-            for q in [Pipelining::Off, Pipelining::Fixed(3)] {
-                let opts = JacobiOptions {
-                    force_sweeps: Some(2),
-                    cache_diagonals: cache,
-                    pipelining: q,
-                    ..Default::default()
-                };
-                inputs.push((random_symmetric(16, 90), opts, vec![1usize, 2]));
-            }
+        for q in [Pipelining::Off, Pipelining::Fixed(3)] {
+            let opts = JacobiOptions { force_sweeps: Some(2), pipelining: q, ..Default::default() };
+            inputs.push((random_symmetric(16, 90), opts, vec![1usize, 2]));
         }
         // Free-running on an uneven partition, both pipelines cost-model
         // scheduled: votes, per-plan tail degrees and ragged packets.
@@ -1879,26 +1868,15 @@ mod tests {
     fn svd_block_threaded_equals_logical_svd_block_bitwise() {
         // The ROADMAP item: the SVD on the threaded/pipelined phase
         // machine, bitwise-equal to the logical block driver — whole-block
-        // and packetized, cache on and off.
+        // and packetized.
         let a = random_symmetric(16, 33);
-        for cache in [false, true] {
-            for q in [Pipelining::Off, Pipelining::Fixed(2), Pipelining::Fixed(5)] {
-                let opts = JacobiOptions {
-                    force_sweeps: Some(2),
-                    cache_diagonals: cache,
-                    pipelining: q,
-                    ..Default::default()
-                };
-                for d in [1usize, 2] {
-                    for family in OrderingFamily::ALL {
-                        let logical = svd_block(&a, d, family, &opts);
-                        let threaded = svd_block_threaded(&a, d, family, &opts).result;
-                        assert_svd_bitwise(
-                            &threaded,
-                            &logical,
-                            &format!("{family} d={d} cache={cache} {q:?}"),
-                        );
-                    }
+        for q in [Pipelining::Off, Pipelining::Fixed(2), Pipelining::Fixed(5)] {
+            let opts = JacobiOptions { force_sweeps: Some(2), pipelining: q, ..Default::default() };
+            for d in [1usize, 2] {
+                for family in OrderingFamily::ALL {
+                    let logical = svd_block(&a, d, family, &opts);
+                    let threaded = svd_block_threaded(&a, d, family, &opts).result;
+                    assert_svd_bitwise(&threaded, &logical, &format!("{family} d={d} {q:?}"));
                 }
             }
         }

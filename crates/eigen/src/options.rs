@@ -78,14 +78,15 @@ pub struct JacobiOptions {
     /// drivers. Every driver, eigen or SVD, then runs them all and reports
     /// `converged`.
     pub force_sweeps: Option<usize>,
-    /// Opt-in diagonal caching: maintain each block's diagonal entries
-    /// (`M_ii`, or `‖w_i‖²` for the SVD) under rotation instead of
-    /// recomputing them per pairing, cutting the inner products per pairing
-    /// from three to one. The cache is refreshed exactly once per sweep, so
-    /// rounding drift is bounded; results differ from the exact-recompute
-    /// path only in the last bits of the rotation angles. Off by default:
-    /// the default mode recomputes every inner product, which is the
-    /// bitwise-reference ("parity") behavior.
+    /// Ignored: no solver reads it, and every value gives the bits of the
+    /// default. Every pairing reads its diagonals (`M_ii`, or `‖w_i‖²` for
+    /// the SVD) from a cache that lives for one sweep-kernel call
+    /// ([`crate::kernel`]), reduced exactly when the call takes a block and
+    /// kept under rotation, so a pairing reduces one inner product; no
+    /// block carries a diagonal. Kept only because the repository benchmark
+    /// (`benchmark/src`) still sets it; the benchmark-correcting change of
+    /// ROADMAP item 1 deletes it.
+    #[doc(hidden)]
     pub cache_diagonals: bool,
     /// Communication pipelining of the threaded driver (ignored by the
     /// logical drivers, which move no messages). Any setting produces the
@@ -218,7 +219,7 @@ mod tests {
         assert!(o.tol > 0.0 && o.tol < 1e-4);
         assert!(o.max_sweeps >= 10);
         assert!(o.force_sweeps.is_none());
-        assert!(!o.cache_diagonals, "bitwise-parity recompute mode must be the default");
+        assert!(!o.cache_diagonals, "the inert cache knob defaults to off");
         assert_eq!(o.pipelining, Pipelining::Off, "whole-block protocol must be the default");
         assert_eq!(o.tail_pipelining, Pipelining::Off, "whole-block tail must be the default");
         assert_eq!(o.fabric, FabricModel::Free, "the raw channel fabric must be the default");
@@ -230,8 +231,8 @@ mod tests {
     #[test]
     fn both_kernel_paths_solve_to_identical_bits() {
         // `kernel` is an inert field: the logical and the engine's
-        // eigensolve and the logical SVD, uncached and cached, are the same
-        // bits whichever path it names.
+        // eigensolve and the logical SVD, with either value of the inert
+        // `cache_diagonals`, are the same bits whichever path it names.
         use crate::{block_jacobi, svd::svd_block, threaded::block_jacobi_threaded};
         use mph_core::OrderingFamily::PermutedBr;
         let a = mph_linalg::random_symmetric(24, 45);

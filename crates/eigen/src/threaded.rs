@@ -51,18 +51,23 @@ pub use mph_ccpipe::packetization_cap;
 
 /// Lowers every sweep's communication of a threaded solve up front: the
 /// exact plan chain ([`CommPlan::chain`]) [`block_jacobi_threaded`]
-/// executes, including the per-column payload — `2m` elements, plus one
-/// when the diagonal cache travels — public so experiments and
-/// conformance tests predict traffic for the same plans the solver runs,
-/// not a near copy.
+/// executes, including the per-column payload — `2m` elements, a column's
+/// `A` and `U` halves — public so experiments and conformance tests
+/// predict traffic for the same plans the solver runs, not a near copy.
+///
+/// `_cache_diagonals` is ignored, like [`JacobiOptions::cache_diagonals`]:
+/// no block carries a diagonal, so every value prices `2m` per column.
+/// Kept only because the repository benchmark (`benchmark/src`) still
+/// passes it; the benchmark-correcting change of ROADMAP item 1 deletes
+/// it.
 pub fn lower_sweeps(
     m: usize,
     d: usize,
     family: OrderingFamily,
-    cache_diagonals: bool,
+    _cache_diagonals: bool,
     budget: usize,
 ) -> Vec<CommPlan> {
-    CommPlan::chain(m, d, family, 2 * m + usize::from(cache_diagonals), budget)
+    CommPlan::chain(m, d, family, 2 * m, budget)
 }
 
 /// Picks each exchange phase's packet count for one sweep's plan — the
@@ -197,6 +202,7 @@ mod tests {
     use crate::blockjacobi::block_jacobi;
     use crate::options::Adaptation;
     use mph_ccpipe::Machine;
+    use mph_linalg::block::ColumnBlock;
     use mph_linalg::matmul::{eigen_residual, orthogonality_defect};
     use mph_linalg::symmetric::random_symmetric;
     use mph_runtime::FabricModel;
@@ -216,30 +222,23 @@ mod tests {
     fn threaded_equals_logical_bitwise_for_fixed_sweeps() {
         let a = random_symmetric(16, 90);
         // Both drivers call the one shared kernel on the same block
-        // storage, so bitwise equality must hold in exact-recompute mode
-        // AND with the diagonal cache enabled.
-        for cache_diagonals in [false, true] {
-            let opts =
-                JacobiOptions { force_sweeps: Some(3), cache_diagonals, ..Default::default() };
-            for d in [1usize, 2] {
-                for family in OrderingFamily::ALL {
-                    let logical = block_jacobi(&a, d, family, &opts);
-                    let threaded = block_jacobi_threaded(&a, d, family, &opts).result;
+        // storage, so bitwise equality must hold.
+        let opts = JacobiOptions { force_sweeps: Some(3), ..Default::default() };
+        for d in [1usize, 2] {
+            for family in OrderingFamily::ALL {
+                let logical = block_jacobi(&a, d, family, &opts);
+                let threaded = block_jacobi_threaded(&a, d, family, &opts).result;
+                assert_eq!(logical.rotations, threaded.rotations, "{family} d={d}");
+                for c in 0..16 {
                     assert_eq!(
-                        logical.rotations, threaded.rotations,
-                        "{family} d={d} cache={cache_diagonals}"
+                        logical.eigenvalues[c], threaded.eigenvalues[c],
+                        "{family} d={d} λ_{c} differs"
                     );
-                    for c in 0..16 {
-                        assert_eq!(
-                            logical.eigenvalues[c], threaded.eigenvalues[c],
-                            "{family} d={d} cache={cache_diagonals} λ_{c} differs"
-                        );
-                        assert_eq!(
-                            logical.eigenvectors.col(c),
-                            threaded.eigenvectors.col(c),
-                            "{family} d={d} cache={cache_diagonals} u_{c} differs"
-                        );
-                    }
+                    assert_eq!(
+                        logical.eigenvectors.col(c),
+                        threaded.eigenvectors.col(c),
+                        "{family} d={d} u_{c} differs"
+                    );
                 }
             }
         }
@@ -250,36 +249,28 @@ mod tests {
         // The tentpole invariant: packetizing the exchange phases changes
         // the message framing and the overlap, not one bit of the result —
         // across shallow (Q=2), oversplit (Q=5, beyond the 2-column blocks
-        // so empty tail packets fly), and deep (Q ≥ K) degrees, with the
-        // diagonal cache on and off.
+        // so empty tail packets fly), and deep (Q ≥ K) degrees.
         let m = 16;
         let a = random_symmetric(m, 90);
-        for cache_diagonals in [false, true] {
-            let base =
-                JacobiOptions { force_sweeps: Some(3), cache_diagonals, ..Default::default() };
-            for d in [1usize, 2] {
-                let k_max = (1 << d) - 1; // K of the longest exchange phase
-                for family in OrderingFamily::ALL {
-                    let reference = block_jacobi_threaded(&a, d, family, &base).result;
-                    for q in [1usize, 2, 5, k_max + 1] {
-                        let opts =
-                            JacobiOptions { pipelining: Pipelining::Fixed(q), ..base.clone() };
-                        let piped = block_jacobi_threaded(&a, d, family, &opts).result;
+        let base = JacobiOptions { force_sweeps: Some(3), ..Default::default() };
+        for d in [1usize, 2] {
+            let k_max = (1 << d) - 1; // K of the longest exchange phase
+            for family in OrderingFamily::ALL {
+                let reference = block_jacobi_threaded(&a, d, family, &base).result;
+                for q in [1usize, 2, 5, k_max + 1] {
+                    let opts = JacobiOptions { pipelining: Pipelining::Fixed(q), ..base.clone() };
+                    let piped = block_jacobi_threaded(&a, d, family, &opts).result;
+                    assert_eq!(reference.rotations, piped.rotations, "{family} d={d} q={q}");
+                    for c in 0..m {
                         assert_eq!(
-                            reference.rotations, piped.rotations,
-                            "{family} d={d} q={q} cache={cache_diagonals}"
+                            reference.eigenvalues[c], piped.eigenvalues[c],
+                            "{family} d={d} q={q} λ_{c}"
                         );
-                        for c in 0..m {
-                            assert_eq!(
-                                reference.eigenvalues[c], piped.eigenvalues[c],
-                                "{family} d={d} q={q} cache={cache_diagonals} λ_{c}"
-                            );
-                            assert_eq!(
-                                reference.eigenvectors.col(c),
-                                piped.eigenvectors.col(c),
-                                "{family} d={d} q={q} cache={cache_diagonals} u_{c}"
-                            );
-                        }
+                        assert_eq!(
+                            reference.eigenvectors.col(c),
+                            piped.eigenvectors.col(c),
+                            "{family} d={d} q={q} u_{c}"
+                        );
                     }
                 }
             }
@@ -313,54 +304,46 @@ mod tests {
         // transitions, chained per run) changes the framing and the
         // overlap, not one bit of the result — across shallow (Q=2),
         // oversplit (Q=5, beyond the block widths so empty packets fly),
-        // and cap-deep degrees, cache on and off, alone and combined with
-        // exchange pipelining.
+        // and cap-deep degrees, alone and combined with exchange
+        // pipelining.
         let m = 16;
         let a = random_symmetric(m, 90);
-        for cache_diagonals in [false, true] {
-            let base =
-                JacobiOptions { force_sweeps: Some(3), cache_diagonals, ..Default::default() };
-            for d in [1usize, 2] {
-                let cap = packetization_cap(m, d);
-                for family in OrderingFamily::ALL {
-                    let reference = block_jacobi_threaded(&a, d, family, &base).result;
-                    for tq in [1usize, 2, 5, cap] {
-                        let opts = JacobiOptions {
-                            tail_pipelining: Pipelining::Fixed(tq),
-                            ..base.clone()
-                        };
-                        let piped = block_jacobi_threaded(&a, d, family, &opts).result;
-                        assert_eq!(
-                            reference.rotations, piped.rotations,
-                            "{family} d={d} tail_q={tq} cache={cache_diagonals}"
-                        );
-                        for c in 0..m {
-                            assert_eq!(
-                                reference.eigenvalues[c], piped.eigenvalues[c],
-                                "{family} d={d} tail_q={tq} cache={cache_diagonals} λ_{c}"
-                            );
-                            assert_eq!(
-                                reference.eigenvectors.col(c),
-                                piped.eigenvectors.col(c),
-                                "{family} d={d} tail_q={tq} cache={cache_diagonals} u_{c}"
-                            );
-                        }
-                    }
-                    // Both pipelines at once: exchange packets and tail
-                    // packets coexist on the same links.
-                    let both = JacobiOptions {
-                        pipelining: Pipelining::Fixed(2),
-                        tail_pipelining: Pipelining::Fixed(3),
-                        ..base.clone()
-                    };
-                    let piped = block_jacobi_threaded(&a, d, family, &both).result;
+        let base = JacobiOptions { force_sweeps: Some(3), ..Default::default() };
+        for d in [1usize, 2] {
+            let cap = packetization_cap(m, d);
+            for family in OrderingFamily::ALL {
+                let reference = block_jacobi_threaded(&a, d, family, &base).result;
+                for tq in [1usize, 2, 5, cap] {
+                    let opts =
+                        JacobiOptions { tail_pipelining: Pipelining::Fixed(tq), ..base.clone() };
+                    let piped = block_jacobi_threaded(&a, d, family, &opts).result;
+                    assert_eq!(reference.rotations, piped.rotations, "{family} d={d} tail_q={tq}");
                     for c in 0..m {
+                        assert_eq!(
+                            reference.eigenvalues[c], piped.eigenvalues[c],
+                            "{family} d={d} tail_q={tq} λ_{c}"
+                        );
                         assert_eq!(
                             reference.eigenvectors.col(c),
                             piped.eigenvectors.col(c),
-                            "{family} d={d} both pipelines cache={cache_diagonals} u_{c}"
+                            "{family} d={d} tail_q={tq} u_{c}"
                         );
                     }
+                }
+                // Both pipelines at once: exchange packets and tail
+                // packets coexist on the same links.
+                let both = JacobiOptions {
+                    pipelining: Pipelining::Fixed(2),
+                    tail_pipelining: Pipelining::Fixed(3),
+                    ..base.clone()
+                };
+                let piped = block_jacobi_threaded(&a, d, family, &both).result;
+                for c in 0..m {
+                    assert_eq!(
+                        reference.eigenvectors.col(c),
+                        piped.eigenvectors.col(c),
+                        "{family} d={d} both pipelines u_{c}"
+                    );
                 }
             }
         }
@@ -632,20 +615,94 @@ mod tests {
     }
 
     #[test]
-    fn cached_blocks_carry_their_diagonals_across_links() {
-        // With caching on, each block message also ships its diagonal cache
-        // (b extra elements), so the metered volume grows by exactly b per
-        // block message relative to the uncached run.
+    fn shipped_blocks_carry_no_diagonals() {
+        // The diagonal cache lives for one kernel call: a block is its
+        // columns, a block message `b · 2m` elements, and the plan prices
+        // `2m` per column whatever `cache_diagonals` says.
         let m = 16usize;
         let d = 2usize;
         let a = random_symmetric(m, 3);
-        let base = JacobiOptions { force_sweeps: Some(1), ..Default::default() };
-        let cached = JacobiOptions { cache_diagonals: true, ..base.clone() };
-        let meter0 = block_jacobi_threaded(&a, d, OrderingFamily::Br, &base).meter;
-        let meter1 = block_jacobi_threaded(&a, d, OrderingFamily::Br, &cached).meter;
+        let b = m / (2 << d);
+        let block = ColumnBlock::from_matrix_with_identity(&a, 0..b, m);
+        assert_eq!(block.payload_elems(), b * (m + m));
+        let plans = lower_sweeps(m, d, OrderingFamily::Br, false, 1);
+        assert_eq!(lower_sweeps(m, d, OrderingFamily::Br, true, 1), plans);
+        assert_eq!(plans, CommPlan::chain(m, d, OrderingFamily::Br, 2 * m, 1));
         let block_msgs = ((1u64 << (d + 1)) - 1) * (1u64 << d);
-        let b = (m as u64) / (2 << d);
-        assert_eq!(meter1.total_volume() - meter0.total_volume(), block_msgs * b);
+        for cache_diagonals in [false, true] {
+            let opts =
+                JacobiOptions { force_sweeps: Some(1), cache_diagonals, ..Default::default() };
+            let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
+            let what = format!("cache_diagonals={cache_diagonals}");
+            assert_eq!(meter.total_volume(), block_msgs * (b * 2 * m) as u64, "{what}");
+        }
+    }
+
+    #[test]
+    fn the_cache_knob_is_inert() {
+        // `cache_diagonals` is read by no solver: `true` and `false` give
+        // the same bits, messages and virtual time — on the logical solve,
+        // on the engine on the free fabric, and on the engine on a
+        // throttled one with both pipelines on; run to convergence and
+        // forced. This one test stands for the cache-mode loops the
+        // driver-equality tests used to run.
+        let a = random_symmetric(16, 90);
+        let throttled = JacobiOptions {
+            fabric: FabricModel::Throttled(Machine::all_port(500.0, 10.0)),
+            pipelining: Pipelining::Fixed(2),
+            tail_pipelining: Pipelining::Fixed(3),
+            ..Default::default()
+        };
+        for family in OrderingFamily::ALL {
+            for force_sweeps in [None, Some(3)] {
+                let [off, on] = [false, true].map(|cache_diagonals| JacobiOptions {
+                    cache_diagonals,
+                    force_sweeps,
+                    ..Default::default()
+                });
+                let [want, got] = [&off, &on].map(|o| block_jacobi(&a, 2, family, o));
+                let what = format!("{family} {force_sweeps:?}: logical");
+                assert_eq!(got.eigenvalues, want.eigenvalues, "{what}");
+                assert_eq!(got.eigenvectors, want.eigenvectors, "{what}");
+                assert_eq!(got.off_history, want.off_history, "{what}");
+                for free in [true, false] {
+                    let [want, got] = [&off, &on].map(|o| {
+                        let o = if free {
+                            o.clone()
+                        } else {
+                            JacobiOptions {
+                                cache_diagonals: o.cache_diagonals,
+                                force_sweeps,
+                                ..throttled.clone()
+                            }
+                        };
+                        block_jacobi_threaded(&a, 2, family, &o)
+                    });
+                    let what = format!("{family} {force_sweeps:?}: engine, free fabric {free}");
+                    assert_eq!(got.result.eigenvalues, want.result.eigenvalues, "{what}");
+                    assert_eq!(got.result.eigenvectors, want.result.eigenvectors, "{what}");
+                    assert_eq!(got.result.rotations, want.result.rotations, "{what}");
+                    assert_eq!(got.meter.total_messages(), want.meter.total_messages(), "{what}");
+                    assert_eq!(got.meter.volume_by_dim(), want.meter.volume_by_dim(), "{what}");
+                    let [g, w] = [&got, &want].map(|run| run.fabric.makespan.to_bits());
+                    assert_eq!(g, w, "{what}: virtual time");
+                }
+            }
+        }
+        // The SVD reads no knob either, logical or on the engine.
+        let forced = |cache_diagonals| JacobiOptions {
+            cache_diagonals,
+            force_sweeps: Some(2),
+            pipelining: Pipelining::Fixed(2),
+            ..Default::default()
+        };
+        let [off, on] = [false, true].map(forced);
+        for family in OrderingFamily::ALL {
+            let [want, got] = [&off, &on].map(|o| crate::svd::svd_block(&a, 2, family, o));
+            assert_eq!((got.singular_values, got.v), (want.singular_values, want.v), "{family}");
+            let [want, got] = [&off, &on].map(|o| svd_block_threaded(&a, 2, family, o).result);
+            assert_eq!((got.singular_values, got.v), (want.singular_values, want.v), "{family}");
+        }
     }
 
     // ---- degraded-fabric scenarios -------------------------------------

@@ -1,13 +1,14 @@
 //! Cross-layer conformance of the CommPlan lowering: the threaded
 //! driver's *metered* per-dimension traffic must equal the simnet
 //! *simulated* traffic and the plan's *predicted* traffic for the same
-//! [`CommPlan`] — pipelined and unpipelined, even partitions and odd,
-//! diagonal cache on and off. One plan, three layers, one set of numbers.
+//! [`CommPlan`] — pipelined and unpipelined, even partitions and odd. One
+//! plan, three layers, one set of numbers.
 //!
 //! Also pins the two facts the pipelined driver rests on. The kernel's:
-//! the packetized cross-block pairing is bitwise-equal to the whole-block
-//! pairing for every packet count (packets never interact) — which is why
-//! the engine pairs a round's block once. And the clock's: a packet is
+//! the packetized cross-block pairing, the packets sharing one call's
+//! diagonal cache, is bitwise-equal to the whole-block pairing for every
+//! packet count (packets never interact) — which is why the engine pairs a
+//! round's block once. And the clock's: a packet is
 //! charged, not moved — a pipelined solve meters `Q` messages per
 //! transition, of the sizes `split_columns` would have cut, and ships one.
 //! And the trace's: a node's data-plane sends are its job's programs'
@@ -18,9 +19,12 @@ use mph_core::{CommPlan, OpKind, OrderingFamily};
 use mph_eigen::{
     block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
     packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock, FabricModel, JacobiOptions,
-    JobSpec, PairingRule, Pipelining, ThreadedRun,
+    JobSpec, PairingRule, Pipelining, SweepKernel, ThreadedRun,
 };
+use mph_linalg::block::cross_pair_mut;
+use mph_linalg::rotation::{apply_to_block, symmetric_schur};
 use mph_linalg::symmetric::random_symmetric;
+use mph_linalg::vecops::dot;
 use mph_linalg::Matrix;
 use mph_runtime::{RingSink, SinkHandle, TraceEvent};
 use mph_simnet::{plan_pipelined_schedule, plan_unpipelined_schedule};
@@ -127,34 +131,62 @@ proptest! {
     #[test]
     fn packetized_pairing_is_bitwise_equal_to_whole_block(
         q in 1usize..=9,
-        cache in any::<bool>(),
         seed in 0u64..1000,
     ) {
         // The kernel-level invariant behind the pipelined driver: pairing
-        // the mobile block packet by packet performs the identical
-        // floating-point work of one whole-block pairing.
+        // the mobile block packet by packet, the packets sharing one call's
+        // diagonal cache, performs the identical floating-point work of one
+        // whole-block pairing — the untiled reference's and the walk's.
         let m = 12;
         let a = random_symmetric(m, seed);
         let mut res_a = ColumnBlock::from_matrix_with_identity(&a, 0..5, m);
         let mut mob_a = ColumnBlock::from_matrix_with_identity(&a, 5..12, m);
-        let mut res_b = res_a.clone();
-        let mob_b = mob_a.clone();
-        if cache {
-            res_a.refresh_diag(|av, uv| mph_linalg::vecops::dot(uv, av));
-            res_b.refresh_diag(|av, uv| mph_linalg::vecops::dot(uv, av));
-        }
+        let (mut res_b, mob_b) = (res_a.clone(), mob_a.clone());
+        let (mut res_c, mut mob_c) = (res_a.clone(), mob_a.clone());
         let acc_whole = pair_across_blocks(&mut res_a, &mut mob_a, PairingRule::Implicit);
+        let acc_walk = SweepKernel { rule: PairingRule::Implicit }.across(&mut res_c, &mut mob_c);
         let mut packets = mob_b.split_columns(q);
-        let mut acc_split = mph_eigen::SweepAccumulator::default();
-        for pkt in packets.iter_mut() {
-            acc_split.merge(pair_across_blocks(&mut res_b, pkt, PairingRule::Implicit));
-        }
+        let (rotations, max_off) = pair_packets_with_one_cache(&mut res_b, &mut packets);
         let mob_b = ColumnBlock::from_packets(packets);
-        prop_assert_eq!(acc_whole.rotations, acc_split.rotations);
-        prop_assert_eq!(acc_whole.max_off, acc_split.max_off);
+        prop_assert_eq!(acc_whole, acc_walk);
+        prop_assert_eq!(acc_whole.rotations, rotations);
+        prop_assert_eq!(acc_whole.max_off, max_off);
+        prop_assert_eq!(&res_a, &res_c, "the walk and the reference diverged");
+        prop_assert_eq!(&mob_a, &mob_c, "the walk and the reference diverged");
         prop_assert_eq!(res_a, res_b, "resident blocks diverged (q={})", q);
         prop_assert_eq!(mob_a, mob_b, "mobile blocks diverged (q={})", q);
     }
+}
+
+/// Pairs `res` with each of `packets` in turn under the implicit rule,
+/// written out: one call's cache — every column's `u_k · a_k` by `dot` at
+/// the start, kept by the 2×2 similarity update — each pairing's
+/// off-diagonal one `dot`, skipped where it is 0.0, else turned by
+/// `symmetric_schur`'s rotation. Returns the rotations and the largest
+/// `|M_ij|` seen.
+fn pair_packets_with_one_cache(res: &mut ColumnBlock, packets: &mut [ColumnBlock]) -> (u64, f64) {
+    let diagonals = |b: &ColumnBlock| (0..b.len()).map(|k| dot(b.u_col(k), b.a_col(k))).collect();
+    let mut d_res: Vec<f64> = diagonals(res);
+    let (mut rotations, mut max_off) = (0, 0.0f64);
+    for packet in packets.iter_mut() {
+        let mut d_pkt: Vec<f64> = diagonals(packet);
+        for i in 0..res.len() {
+            for j in 0..packet.len() {
+                let mut view = cross_pair_mut(res, i, packet, j);
+                let apq = dot(view.ui, view.aj);
+                max_off = max_off.max(apq.abs());
+                if apq == 0.0 {
+                    continue;
+                }
+                let rot = symmetric_schur(d_res[i], apq, d_pkt[j]);
+                view.rotate(rot.c, rot.s);
+                let (pp, _, qq) = apply_to_block(rot, d_res[i], apq, d_pkt[j]);
+                (d_res[i], d_pkt[j]) = (pp, qq);
+                rotations += 1;
+            }
+        }
+    }
+    (rotations, max_off)
 }
 
 /// m = 100 is not a multiple of 8, so every column is stored with
@@ -165,18 +197,11 @@ proptest! {
 fn alignment_pads_are_never_metered() {
     let (m, d, sweeps) = (100usize, 2usize, 1usize);
     let a = random_symmetric(m, 100);
-    for cache in [false, true] {
-        let predicted = predicted_volume(&lower_sweeps(m, d, OrderingFamily::Br, cache, sweeps), d);
-        for pipelining in [Pipelining::Off, Pipelining::Fixed(3)] {
-            let opts = JacobiOptions {
-                force_sweeps: Some(sweeps),
-                cache_diagonals: cache,
-                pipelining,
-                ..Default::default()
-            };
-            let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
-            assert_eq!(meter.volume_by_dim(), predicted, "cache={cache} {pipelining:?}");
-        }
+    let predicted = predicted_volume(&lower_sweeps(m, d, OrderingFamily::Br, false, sweeps), d);
+    for pipelining in [Pipelining::Off, Pipelining::Fixed(3)] {
+        let opts = JacobiOptions { force_sweeps: Some(sweeps), pipelining, ..Default::default() };
+        let meter = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).meter;
+        assert_eq!(meter.volume_by_dim(), predicted, "{pipelining:?}");
     }
 }
 
@@ -263,62 +288,52 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
     let order = BatchOrder::Serial(vec![0]);
     for d in [1usize, 2] {
         let a = random_symmetric(3 * (2 << d), 40 + d as u64);
-        for cache in [false, true] {
-            let base = JacobiOptions {
-                force_sweeps: Some(2),
-                cache_diagonals: cache,
-                ..Default::default()
-            };
-            let logical = block_jacobi(&a, d, OrderingFamily::Degree4, &base);
-            let run = |opts: &JacobiOptions| {
-                let spec = JobSpec::eigen(&a, OrderingFamily::Degree4, opts.clone());
-                let lowered = [lower_job(&spec, d)];
-                let run = run_job_batch(
-                    d,
-                    std::slice::from_ref(&spec),
-                    &lowered,
-                    fabric.clone(),
-                    &order,
-                    SinkHandle::nop(),
+        let base = JacobiOptions { force_sweeps: Some(2), ..Default::default() };
+        let logical = block_jacobi(&a, d, OrderingFamily::Degree4, &base);
+        let run = |opts: &JacobiOptions| {
+            let spec = JobSpec::eigen(&a, OrderingFamily::Degree4, opts.clone());
+            let lowered = [lower_job(&spec, d)];
+            let run = run_job_batch(
+                d,
+                std::slice::from_ref(&spec),
+                &lowered,
+                fabric.clone(),
+                &order,
+                SinkHandle::nop(),
+            );
+            let [lowered] = lowered;
+            (lowered, run)
+        };
+        let (_, whole) = run(&base);
+        assert_eq!(whole.meter.shipments(), whole.meter.total_messages(), "Q = 1: one each");
+        for q in [1usize, 2, 5, 16] {
+            for tail in [Pipelining::Off, Pipelining::Fixed(q)] {
+                let what = format!("d={d} q={q} tail={tail:?}");
+                let opts = JacobiOptions {
+                    pipelining: Pipelining::Fixed(q),
+                    tail_pipelining: tail,
+                    ..base.clone()
+                };
+                let ((plans, qs), piped) = run(&opts);
+                assert_eq!(piped.meter.shipments(), whole.meter.shipments(), "{what}");
+
+                let tail_q = choose_tail_qs(&plans[0], &tail, packetization_cap(a.cols(), d));
+                let packets: u64 =
+                    plans.iter().zip(&qs).map(|(p, qs)| p.messages_with_tail(qs, tail_q)).sum();
+                assert_eq!(piped.meter.total_messages(), packets, "{what}");
+
+                let planned = [PlannedJob { plans: &plans, qs: &qs, tail_q }];
+                let priced = executed_cost(&planned, &machine, &order).makespan;
+                assert!(
+                    (piped.fabric.makespan - priced).abs() <= 1e-9 * priced,
+                    "{what}: measured {} vs executed_cost {priced}",
+                    piped.fabric.makespan
                 );
-                let [lowered] = lowered;
-                (lowered, run)
-            };
-            let (_, whole) = run(&base);
-            assert_eq!(whole.meter.shipments(), whole.meter.total_messages(), "Q = 1: one each");
-            for q in [1usize, 2, 5, 16] {
-                for tail in [Pipelining::Off, Pipelining::Fixed(q)] {
-                    let what = format!("d={d} cache={cache} q={q} tail={tail:?}");
-                    let opts = JacobiOptions {
-                        pipelining: Pipelining::Fixed(q),
-                        tail_pipelining: tail,
-                        ..base.clone()
-                    };
-                    let ((plans, qs), piped) = run(&opts);
-                    assert_eq!(piped.meter.shipments(), whole.meter.shipments(), "{what}");
 
-                    let tail_q = choose_tail_qs(&plans[0], &tail, packetization_cap(a.cols(), d));
-                    let packets: u64 =
-                        plans.iter().zip(&qs).map(|(p, qs)| p.messages_with_tail(qs, tail_q)).sum();
-                    assert_eq!(piped.meter.total_messages(), packets, "{what}");
-
-                    let planned = [PlannedJob { plans: &plans, qs: &qs, tail_q }];
-                    let priced = executed_cost(&planned, &machine, &order).makespan;
-                    assert!(
-                        (piped.fabric.makespan - priced).abs() <= 1e-9 * priced,
-                        "{what}: measured {} vs executed_cost {priced}",
-                        piped.fabric.makespan
-                    );
-
-                    let got = piped.results[0].eigen().expect("eigen job");
-                    assert_eq!(got.rotations, logical.rotations, "{what}");
-                    assert_eq!(got.eigenvalues, logical.eigenvalues, "{what}");
-                    assert_eq!(
-                        got.eigenvectors.as_slice(),
-                        logical.eigenvectors.as_slice(),
-                        "{what}"
-                    );
-                }
+                let got = piped.results[0].eigen().expect("eigen job");
+                assert_eq!(got.rotations, logical.rotations, "{what}");
+                assert_eq!(got.eigenvalues, logical.eigenvalues, "{what}");
+                assert_eq!(got.eigenvectors.as_slice(), logical.eigenvectors.as_slice(), "{what}");
             }
         }
     }
@@ -327,7 +342,7 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
 /// The engine never cuts a block: it charges packet `i` of a `q`-packet
 /// round `CommPlan::packet_size(block.payload_elems(), q, i)` elements
 /// and trusts that to be what `split_columns(q)[i]` would have shipped —
-/// uneven splits, `q > ncols` empty packets, diagonal cache and the SVD's
+/// uneven splits, `q > ncols` empty packets and the SVD's
 /// rectangular units included. And an empty packet is still a packet: a
 /// metered message and a `Ts`-only transmission.
 #[test]
@@ -335,26 +350,18 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
     // (arows, urows): a square eigen block and an SVD block (W over V).
     for (arows, urows) in [(9usize, 9usize), (13, 9)] {
         let a0 = Matrix::from_fn(arows, 9, |r, c| (r * 9 + c) as f64 + 1.0);
-        for cache in [false, true] {
-            let elems_per_col = arows + urows + usize::from(cache);
-            let plan = &CommPlan::chain(9, 1, OrderingFamily::Br, elems_per_col, 1)[0];
-            for ncols in 0..=9usize {
-                let mut block = ColumnBlock::from_matrix_with_identity(&a0, 0..ncols, urows);
-                if cache {
-                    block.refresh_diag(|a, u| a[0] + u[0]);
-                }
-                for q in 1..=12usize {
-                    let block_elems = block.payload_elems() as u64;
-                    let charged: Vec<u64> =
-                        (0..q).map(|i| plan.packet_size(block_elems, q, i)).collect();
-                    let shipped: Vec<u64> = (block.clone().split_columns(q).iter())
-                        .map(|p| p.payload_elems() as u64)
-                        .collect();
-                    assert_eq!(
-                        charged, shipped,
-                        "{arows}x{urows} cache={cache} ncols={ncols} q={q}"
-                    );
-                }
+        let elems_per_col = arows + urows;
+        let plan = &CommPlan::chain(9, 1, OrderingFamily::Br, elems_per_col, 1)[0];
+        for ncols in 0..=9usize {
+            let block = ColumnBlock::from_matrix_with_identity(&a0, 0..ncols, urows);
+            for q in 1..=12usize {
+                let block_elems = block.payload_elems() as u64;
+                let charged: Vec<u64> =
+                    (0..q).map(|i| plan.packet_size(block_elems, q, i)).collect();
+                let shipped: Vec<u64> = (block.clone().split_columns(q).iter())
+                    .map(|p| p.payload_elems() as u64)
+                    .collect();
+                assert_eq!(charged, shipped, "{arows}x{urows} ncols={ncols} q={q}");
             }
         }
     }

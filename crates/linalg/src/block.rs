@@ -22,14 +22,13 @@
 //!   subslices of the backing buffer, never copies;
 //! * **split-borrow pair access** — [`ColumnBlock::pair_mut`] and
 //!   [`cross_pair_mut`] hand out the four `&mut` column slices of a pair
-//!   (plus cached-diagonal slots) safely and without `unsafe`;
+//!   safely and without `unsafe`;
 //! * **message hand-off** — [`ColumnBlock::take`] moves the block out of a
 //!   slot in O(1), leaving an empty block behind, and the flat buffer means
-//!   a block crosses a link as *one* contiguous allocation;
-//! * **cached diagonals** — an optional side array of per-column diagonal
-//!   values (`M_kk` for the eigensolver, `‖w_k‖²` for the SVD) that the
-//!   pairing kernel keeps current under rotation, eliminating two of the
-//!   three inner products per pairing.
+//!   a block crosses a link as *one* contiguous allocation — its columns
+//!   and nothing else: the diagonals a pairing reads (`M_kk`, `‖w_k‖²`)
+//!   are a sweep call's own cache (`vecops::Walk`), never stored or
+//!   shipped with the block.
 //!
 //! [`u_col`]: ColumnBlock::u_col
 
@@ -89,10 +88,6 @@ impl AlignedStore {
         self.raw.capacity() - self.head
     }
 
-    fn clear(&mut self) {
-        self.raw.truncate(self.head);
-    }
-
     /// Appends `values`.
     ///
     /// # Panics
@@ -101,12 +96,6 @@ impl AlignedStore {
     fn extend_from_slice(&mut self, values: &[f64]) {
         assert!(self.len() + values.len() <= self.capacity(), "aligned store overflow");
         self.raw.extend_from_slice(values);
-    }
-
-    /// Appends one value; panics like [`Self::extend_from_slice`].
-    fn push(&mut self, value: f64) {
-        assert!(self.len() < self.capacity(), "aligned store overflow");
-        self.raw.push(value);
     }
 }
 
@@ -168,12 +157,9 @@ pub struct ColumnBlock {
     /// `ncols` units `[A_k | pad | U_k | pad]`, each half zero-padded to a
     /// whole number of cache lines, in a store that starts on one.
     data: AlignedStore,
-    /// Cached per-column diagonal values; empty when caching is disabled.
-    diag: AlignedStore,
 }
 
-/// The four mutable column slices (and optional cached-diagonal slots) of
-/// one column pair — the exact shape consumed by the shared pairing kernel.
+/// The four mutable column slices of one column pair — the exact shape consumed by the shared pairing kernel.
 ///
 /// Produced by [`ColumnBlock::pair_mut`] (both columns in one block) or
 /// [`cross_pair_mut`] (one column from each of two blocks).
@@ -183,10 +169,6 @@ pub struct PairViewMut<'a> {
     pub ui: &'a mut [f64],
     pub aj: &'a mut [f64],
     pub uj: &'a mut [f64],
-    /// Cached diagonal of column `i` (`None` when the cache is disabled).
-    pub di: Option<&'a mut f64>,
-    /// Cached diagonal of column `j`.
-    pub dj: Option<&'a mut f64>,
 }
 
 impl<'a> PairViewMut<'a> {
@@ -212,13 +194,11 @@ impl<'a> PairViewMut<'a> {
 
 /// A block's store as a sweep's walk (`vecops::Walk`) addresses it:
 /// `ncols` units of `unit` values, column `k`'s `A`-half of `rows[0]` values
-/// at `k · unit` and its `U`-half of `rows[1]` at `k · unit + ustart`, and
-/// the cached diagonals, empty when the cache is off.
+/// at `k · unit` and its `U`-half of `rows[1]` at `k · unit + ustart`.
 pub(crate) struct Units<'a> {
     pub(crate) data: &'a mut [f64],
     pub(crate) unit: usize,
     pub(crate) ustart: usize,
-    pub(crate) diag: &'a mut [f64],
     pub(crate) ncols: usize,
     pub(crate) rows: [usize; 2],
 }
@@ -252,7 +232,7 @@ impl ColumnBlock {
             data[k * unit..k * unit + arows].copy_from_slice(a0.col(c));
             data[k * unit + ustart + c] = 1.0;
         }
-        ColumnBlock { start, ncols, arows, urows, data, diag: AlignedStore::default() }
+        ColumnBlock { start, ncols, arows, urows, data }
     }
 
     /// Number of columns in the block.
@@ -274,12 +254,12 @@ impl ColumnBlock {
         self.start + k
     }
 
-    /// Total `f64` payload (A-columns + U-columns + cached diagonals) —
+    /// Total `f64` payload (A-columns + U-columns) —
     /// what one message carrying this block puts on a link. The logical
     /// count: alignment pads are storage, not payload.
     #[inline]
     pub fn payload_elems(&self) -> usize {
-        self.ncols * (self.arows + self.urows) + self.diag.len()
+        self.ncols * (self.arows + self.urows)
     }
 
     /// Columns whose `A`- or `U`-slice does not start on a
@@ -325,7 +305,7 @@ impl ColumnBlock {
     }
 
     /// Split-borrow access to the pair `(i, j)` within this block: the four
-    /// column slices plus the cached-diagonal slots when the cache is on.
+    /// column slices.
     ///
     /// # Panics
     /// Panics if `i == j` or either index is out of range.
@@ -338,16 +318,10 @@ impl ColumnBlock {
         let (head, tail) = self.data.split_at_mut(hi * unit);
         let (a_lo, u_lo) = split_unit(&mut head[lo * unit..(lo + 1) * unit], shape);
         let (a_hi, u_hi) = split_unit(&mut tail[..unit], shape);
-        let (d_lo, d_hi) = if self.diag.is_empty() {
-            (None, None)
-        } else {
-            let (dh, dt) = self.diag.split_at_mut(hi);
-            (Some(&mut dh[lo]), Some(&mut dt[0]))
-        };
         if i < j {
-            PairViewMut { ai: a_lo, ui: u_lo, aj: a_hi, uj: u_hi, di: d_lo, dj: d_hi }
+            PairViewMut { ai: a_lo, ui: u_lo, aj: a_hi, uj: u_hi }
         } else {
-            PairViewMut { ai: a_hi, ui: u_hi, aj: a_lo, uj: u_lo, di: d_hi, dj: d_lo }
+            PairViewMut { ai: a_hi, ui: u_hi, aj: a_lo, uj: u_lo }
         }
     }
 
@@ -356,7 +330,7 @@ impl ColumnBlock {
         self.debug_assert_aligned();
         let (unit, ustart, ncols, rows) =
             (self.unit(), self.ustart(), self.ncols, [self.arows, self.urows]);
-        Units { data: &mut self.data, unit, ustart, diag: &mut self.diag, ncols, rows }
+        Units { data: &mut self.data, unit, ustart, ncols, rows }
     }
 
     /// Moves the block out of `self` in O(1), leaving an empty block — the
@@ -376,34 +350,6 @@ impl ColumnBlock {
         }
     }
 
-    /// Whether the cached-diagonal side array is populated.
-    #[inline]
-    fn has_diag(&self) -> bool {
-        !self.diag.is_empty()
-    }
-
-    /// The cached diagonals (empty when caching is disabled).
-    #[inline]
-    pub fn diag(&self) -> &[f64] {
-        &self.diag
-    }
-
-    /// Installs exact per-column diagonal values computed by `f` from each
-    /// column's `(A, U)` slices — the "periodic exact refresh" of the
-    /// diagonal cache. Call once per sweep; the pairing kernel keeps the
-    /// values current under rotation in between.
-    pub fn refresh_diag(&mut self, f: impl Fn(&[f64], &[f64]) -> f64) {
-        let mut diag = std::mem::take(&mut self.diag);
-        if diag.capacity() < self.ncols {
-            diag = AlignedStore::with_capacity(self.ncols);
-        }
-        diag.clear();
-        for k in 0..self.ncols {
-            diag.push(f(self.a_col(k), self.u_col(k)));
-        }
-        self.diag = diag;
-    }
-
     /// The block of the columns `cols`, each `(a, u)` of `rows` — a fixture
     /// for kernels over any column height, which no matrix with an identity
     /// `U` gives a block of.
@@ -417,14 +363,14 @@ impl ColumnBlock {
             data[k * unit..k * unit + arows].copy_from_slice(a);
             data[k * unit + ustart..k * unit + ustart + urows].copy_from_slice(u);
         }
-        ColumnBlock { start: 0, ncols, arows, urows, data, diag: AlignedStore::default() }
+        ColumnBlock { start: 0, ncols, arows, urows, data }
     }
 
     /// Splits the block into `q` packets of consecutive columns — the
     /// communication-pipelining packetization. Packet sizes are balanced
     /// (they differ by at most one column, larger packets first, exactly
-    /// like the paper's block partition); column order, global column
-    /// indices and the cached-diagonal entries are preserved, so
+    /// like the paper's block partition); column order and global column
+    /// indices are preserved, so
     /// [`ColumnBlock::from_packets`] is an exact inverse. When `q` exceeds
     /// the column count the tail packets are empty (they still frame valid
     /// zero-payload messages, keeping packetized protocols symmetric).
@@ -444,18 +390,12 @@ impl ColumnBlock {
             let ncols = base + usize::from(p < extra);
             let mut data = AlignedStore::with_capacity(ncols * unit);
             data.extend_from_slice(&self.data[col * unit..(col + ncols) * unit]);
-            let mut diag = AlignedStore::default();
-            if self.has_diag() {
-                diag = AlignedStore::with_capacity(ncols);
-                diag.extend_from_slice(&self.diag[col..col + ncols]);
-            }
             packets.push(ColumnBlock {
                 start: self.start + col,
                 ncols,
                 arows: self.arows,
                 urows: self.urows,
                 data,
-                diag,
             });
             col += ncols;
         }
@@ -468,30 +408,24 @@ impl ColumnBlock {
     /// cover a contiguous global column range in order.
     ///
     /// # Panics
-    /// Panics on an empty packet list, mismatched row counts, a
-    /// non-contiguous column range, or an inconsistent diagonal cache
-    /// (all non-empty packets must either carry one or none).
+    /// Panics on an empty packet list, mismatched row counts or a
+    /// non-contiguous column range.
     pub fn from_packets(packets: Vec<ColumnBlock>) -> ColumnBlock {
         assert!(!packets.is_empty(), "cannot reassemble zero packets");
         // All packets empty: an empty block, shape from packet 0.
         let first = packets.iter().find(|p| !p.is_empty()).unwrap_or(&packets[0]);
         let (start, arows, urows) = (first.start, first.arows, first.urows);
-        let has_diag = first.has_diag();
         let total: usize = packets.iter().map(|p| p.ncols).sum();
         // Sized once for the whole block, never grown.
         let mut data = AlignedStore::with_capacity(total * first.unit());
-        let mut diag =
-            if has_diag { AlignedStore::with_capacity(total) } else { AlignedStore::default() };
         let mut ncols = 0usize;
         for p in packets.iter().filter(|p| !p.is_empty()) {
             assert_eq!((p.arows, p.urows), (arows, urows), "packet row counts differ");
             assert_eq!(p.start, start + ncols, "packets are not contiguous");
-            assert_eq!(p.has_diag(), has_diag, "inconsistent diagonal caches");
             data.extend_from_slice(&p.data);
-            diag.extend_from_slice(&p.diag);
             ncols += p.ncols;
         }
-        ColumnBlock { start, ncols, arows, urows, data, diag }
+        ColumnBlock { start, ncols, arows, urows, data }
     }
 }
 
@@ -546,16 +480,14 @@ pub fn cross_pair_mut<'a>(
     let (r_unit, r_off) = (right.unit(), j * right.unit());
     let (ai, ui) = split_unit(&mut left.data[l_off..l_off + l_unit], (left.arows, left.urows));
     let (aj, uj) = split_unit(&mut right.data[r_off..r_off + r_unit], (right.arows, right.urows));
-    let di = if left.diag.is_empty() { None } else { Some(&mut left.diag[i]) };
-    let dj = if right.diag.is_empty() { None } else { Some(&mut right.diag[j]) };
-    PairViewMut { ai, ui, aj, uj, di, dj }
+    PairViewMut { ai, ui, aj, uj }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::symmetric::random_symmetric;
-    use crate::vecops::{dot, rotate_pair};
+    use crate::vecops::rotate_pair;
 
     #[test]
     fn from_matrix_copies_a_and_builds_identity_u() {
@@ -660,61 +592,30 @@ mod tests {
     }
 
     #[test]
-    fn diag_cache_refresh_and_clear() {
-        let a0 = random_symmetric(5, 11);
-        let mut b = ColumnBlock::from_matrix_with_identity(&a0, 1..4, 5);
-        assert!(!b.has_diag());
-        {
-            let v = b.pair_mut(0, 2);
-            assert!(v.di.is_none() && v.dj.is_none());
-        }
-        b.refresh_diag(|a, u| dot(u, a));
-        assert!(b.has_diag());
-        // U = I ⇒ M_kk = A₀[c, c].
-        for k in 0..3 {
-            assert_eq!(b.diag()[k], a0[(1 + k, 1 + k)]);
-        }
-        {
-            let v = b.pair_mut(2, 0);
-            assert_eq!(*v.di.unwrap(), a0[(3, 3)]);
-            assert_eq!(*v.dj.unwrap(), a0[(1, 1)]);
-        }
-        assert_eq!(b.payload_elems(), 3 * 10 + 3);
-    }
-
-    #[test]
     fn split_columns_round_trips_exactly() {
         let a0 = random_symmetric(6, 13);
-        for cached in [false, true] {
-            for q in [1usize, 2, 3, 5, 9] {
-                let mut b = ColumnBlock::from_matrix_with_identity(&a0, 1..6, 6);
-                if cached {
-                    b.refresh_diag(|a, u| dot(u, a));
+        for q in [1usize, 2, 3, 5, 9] {
+            let b = ColumnBlock::from_matrix_with_identity(&a0, 1..6, 6);
+            let packets = b.clone().split_columns(q);
+            assert_eq!(packets.len(), q);
+            // Balanced sizes, larger first; payload conserved.
+            let sizes: Vec<usize> = packets.iter().map(|p| p.len()).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), 5, "q={q}");
+            assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
+            let payload: usize = packets.iter().map(|p| p.payload_elems()).sum();
+            assert_eq!(payload, b.payload_elems(), "q={q}");
+            // Packets view the same columns under the same global ids.
+            let mut col = 0usize;
+            for p in &packets {
+                for k in 0..p.len() {
+                    assert_eq!(p.global_col(k), b.global_col(col));
+                    assert_eq!(p.a_col(k), b.a_col(col));
+                    assert_eq!(p.u_col(k), b.u_col(col));
+                    col += 1;
                 }
-                let packets = b.clone().split_columns(q);
-                assert_eq!(packets.len(), q);
-                // Balanced sizes, larger first; payload conserved.
-                let sizes: Vec<usize> = packets.iter().map(|p| p.len()).collect();
-                assert_eq!(sizes.iter().sum::<usize>(), 5, "q={q}");
-                assert!(sizes.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1), "{sizes:?}");
-                let payload: usize = packets.iter().map(|p| p.payload_elems()).sum();
-                assert_eq!(payload, b.payload_elems(), "q={q} cached={cached}");
-                // Packets view the same columns under the same global ids.
-                let mut col = 0usize;
-                for p in &packets {
-                    for k in 0..p.len() {
-                        assert_eq!(p.global_col(k), b.global_col(col));
-                        assert_eq!(p.a_col(k), b.a_col(col));
-                        assert_eq!(p.u_col(k), b.u_col(col));
-                        if cached {
-                            assert_eq!(p.diag()[k], b.diag()[col]);
-                        }
-                        col += 1;
-                    }
-                }
-                // Exact inverse.
-                assert_eq!(ColumnBlock::from_packets(packets), b, "q={q} cached={cached}");
             }
+            // Exact inverse.
+            assert_eq!(ColumnBlock::from_packets(packets), b, "q={q}");
         }
     }
 
@@ -724,7 +625,7 @@ mod tests {
         let mut store = AlignedStore::with_capacity(8);
         let capacity = store.capacity();
         store.extend_from_slice(&vec![1.0; capacity]);
-        store.push(2.0);
+        store.extend_from_slice(&[2.0]);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Dense linear-algebra substrate for the one-sided Jacobi eigensolver.
 //!
 //! The one-sided Jacobi method (paper §2.2) operates exclusively on matrix
-//! *columns*: pairing columns `i` and `j` reads three inner products and
-//! applies one plane rotation to the two columns of each of two matrices.
+//! *columns*: pairing columns `i` and `j` reads one inner product beside
+//! two diagonals a sweep call keeps, and applies one plane rotation to the
+//! two columns of each of two matrices.
 //! Everything here is therefore column-major and column-oriented:
 //!
 //! * [`Matrix`] — column-major dense matrix with cheap column access and
 //!   column-pair rotation;
 //! * [`block`] — contiguous flat storage for a *block* of `(A, U)` columns
-//!   with zero-copy views, split-borrow pair access, and cached diagonals —
-//!   the unit every parallel driver pairs locally and ships across links;
+//!   with zero-copy views and split-borrow pair access — the unit every
+//!   parallel driver pairs locally and ships across links;
 //! * [`vecops`] — the handful of BLAS-1 kernels the solver needs (`dot`,
-//!   the fused inner products of a pairing, fused column-pair rotation)
-//!   and the sweep's walk over a block's column pairings, built from them:
+//!   several inner products in one pass, fused column-pair rotation) and
+//!   the sweep's walk over a block's column pairings, built from them:
 //!   one definition of each result's bits — the inner product's eight
 //!   fused multiply-add chains, its fixed tree and fused tail — and vector
 //!   kernels on AVX-512F, AVX2 and a portable loop that reproduce those

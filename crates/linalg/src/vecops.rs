@@ -13,8 +13,9 @@
 //!   rounded IEEE operation, so the bits do not depend on the host.
 //!   AVX-512F holds a product's eight sums in one register, AVX2 with FMA
 //!   in two; the portable form, which is also what an AVX2 host without
-//!   FMA runs, calls `f64::mul_add`. [`fused_triple`] takes a pairing's
-//!   three inner products in one pass, each bitwise [`dot`].
+//!   FMA runs, calls `f64::mul_add`. One pass may take several products,
+//!   each bitwise [`dot`]: a step's off-diagonals, a walk's diagonals four
+//!   columns abreast, [`fused_triple`]'s pairing block.
 //! * The one plane rotation is a multiply and a fused multiply-add per
 //!   entry, `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` (`turn`),
 //!   the same bits on every host. [`pair_rotate`] is its loop and
@@ -23,9 +24,12 @@
 //!   compiled with FMA, so each is the instruction there, never a library
 //!   call; only the portable tier, for hosts without FMA, calls `fma`.
 //! * [`Walk`] is a sweep's walk: each step rotates its one or two pairings,
-//!   bitwise [`pair_rotate`], and reduces the 2×2 blocks of the walk's next
-//!   step from the rotated columns, each product bitwise [`dot`] — a
-//!   rectangle of pairings at a time, from rectangle to rectangle. Each
+//!   bitwise [`pair_rotate`], and reduces the off-diagonals of the walk's
+//!   next step from the rotated columns, each product bitwise [`dot`] — a
+//!   rectangle of pairings at a time, from rectangle to rectangle. The
+//!   diagonals are the walk's own cache: each column's reduced exactly,
+//!   bitwise `dot`, when a walk call takes its block, kept by the exact 2×2
+//!   similarity update under rotation, and dropped when the walk ends. Each
 //!   vector tier walks a call's rectangles inside one function compiled for
 //!   it, the rule's angles included; on AVX-512 a step is one pass, each
 //!   chunk of eight rows loaded, rotated and stored, the next step's
@@ -177,6 +181,24 @@ impl Operands<1> for Dot {
 }
 impl Operands<1> for Triple {
     const TABLE: [[usize; 4]; 1] = [[0, 1, 2, 3]];
+}
+
+/// A walk's refresh: the diagonals of `N` columns over their streams
+/// `[a0, u0, a1, u1, …]`, column `n`'s the off-diagonal `x·b` of block `n`
+/// — `u_n · a_n`, or `a_n · a_n` under the Gram rule, where `GRAM`.
+struct Diagonals<const GRAM: bool, const N: usize>;
+
+impl<const GRAM: bool, const N: usize> Operands<N> for Diagonals<GRAM, N> {
+    const TABLE: [[usize; 4]; N] = {
+        let mut table = [[0; 4]; N];
+        let mut n = 0;
+        while n < N {
+            let (a, u) = (2 * n, 2 * n + 1);
+            table[n] = if GRAM { [a, a, a, a] } else { [u, a, u, a] };
+            n += 1;
+        }
+        table
+    };
 }
 
 /// The two streams of product `p` of the block `[x, a, y, b]`: `x·a`,
@@ -358,13 +380,14 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     d
 }
 
-/// The three inner products a Jacobi pairing needs, in one pass:
+/// The three inner products of a Jacobi pairing's 2×2 block in one pass:
 /// `(x·a, x·b, y·b)`, each `to_bits`-equal to [`dot`].
 ///
-/// A pairing derives its 2×2 block from `app = u_i·a_i`, `apq = u_i·a_j`,
-/// `aqq = u_j·a_j` (or the Gram forms with `a` in both roles) — three dot
-/// products over the same column pair. Walking the four streams once does
-/// 3 multiply-adds per 4 loads instead of three separate 2-load traversals.
+/// The block is `app = u_i·a_i`, `apq = u_i·a_j`, `aqq = u_j·a_j` (or the
+/// Gram forms with `a` in both roles). No solver reduces all three: a walk
+/// reads the diagonals from its cache. Kept as the probe of the
+/// reductions' several-products-a-pass form, which the tests hold to
+/// [`dot`] tier by tier.
 ///
 /// # Panics
 /// Panics if the slices do not all have one common length.
@@ -499,6 +522,55 @@ pub trait Pairing {
     /// is the rule's to book. Called once per pairing, in walk order, and
     /// compiled into each vector tier's walk.
     fn angle(&mut self, block: (f64, f64, f64)) -> Option<JacobiRotation>;
+
+    /// [`Self::angle`] of the two pairings a step rotates abreast, the
+    /// first's block first: by default one at a time. A rule may take both
+    /// angles at once ([`symmetric_schur_pair`]) where that gives each
+    /// pairing's bits.
+    #[inline(always)]
+    fn angles(&mut self, [first, second]: [(f64, f64, f64); 2]) -> [Option<JacobiRotation>; 2] {
+        let first = self.angle(first);
+        [first, self.angle(second)]
+    }
+}
+
+/// [`symmetric_schur`] of two blocks at once, lane `k` block `k`'s: `τ =
+/// (aqq − app) / (2·apq)`, `t = ±1/(|τ| + √(1 + τ²))` with the sign of
+/// `τ ≥ 0`, `c = 1/√(1 + t²)`, `s = t·c` — the scalar operations in the
+/// scalar order, so each lane is bitwise the scalar rotation wherever its
+/// `apq` is not 0.0 (where the scalar form returns the identity and a
+/// lane's value means nothing). On x86-64 the two lanes are one SSE2
+/// register.
+///
+/// [`symmetric_schur`]: crate::rotation::symmetric_schur
+#[inline(always)]
+pub fn symmetric_schur_pair(blocks: [(f64, f64, f64); 2]) -> [JacobiRotation; 2] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::schur_pair(blocks)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        blocks.map(|(app, apq, aqq)| crate::rotation::symmetric_schur(app, apq, aqq))
+    }
+}
+
+/// The diagonals [`apply_to_block`] gives two rotated blocks at once, lane
+/// `k` block `k`'s `(app', aqq')`, each bitwise the scalar update.
+#[inline(always)]
+fn kept_pair(blocks: [[f64; 3]; 2], rots: [JacobiRotation; 2]) -> [[f64; 2]; 2] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        x86::kept_pair(blocks, rots)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let kept = |[app, apq, aqq]: [f64; 3], rot| {
+            let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
+            [pp, qq]
+        };
+        [kept(blocks[0], rots[0]), kept(blocks[1], rots[1])]
+    }
 }
 
 /// A rectangle of pairings: every column of `.0`, in the `i` role, with
@@ -509,10 +581,22 @@ pub type Rect = (std::ops::Range<usize>, std::ops::Range<usize>);
 /// [`Walk::within`] and [`Walk::across`] are handed, in the order handed,
 /// as one chain of steps. Each step rotates its one or two pairings,
 /// bitwise [`pair_rotate`], and in the same pass over the columns reduces
-/// the 2×2 blocks of the step after it from the rotated values, each
+/// the off-diagonals of the step after it from the rotated values, each
 /// product bitwise [`dot`] — from rectangle to rectangle, triangle row and
-/// block too. So a walk reduces a block on its own once, its first, and
-/// rotates a pairing on its own once, its last, in [`Walk::finish`].
+/// block too. So a walk reduces an off-diagonal on its own once, its
+/// first, and rotates a pairing on its own once, its last, in
+/// [`Walk::finish`].
+///
+/// The diagonals a pairing's 2×2 block needs come from the walk's cache, a
+/// slot per column of each block handed: when [`Walk::within`] or
+/// [`Walk::across`] takes a block, each of its columns' diagonal is reduced
+/// exactly (`u_k · a_k`, or `a_k · a_k` under the Gram rule, bitwise
+/// [`dot`]); a rotation keeps its pairing's two slots by the exact 2×2
+/// similarity update; and the cache is dropped with the walk. A column's
+/// slot is read before its column is first rotated, so the walk's bits are
+/// those of a refresh at the call's start. The slots' store is the
+/// thread's, lent from one walk to the next: no call allocates once a
+/// thread's walks have seen their widest blocks.
 ///
 /// Inside a rectangle the walk takes two rows at a time, the odd row one
 /// step behind the even one: `(2r, j)` goes abreast of `(2r + 1, j − 1)`,
@@ -535,65 +619,93 @@ pub struct Walk<'b, P> {
     pairing: P,
     /// The walk's last pairing, reduced and not yet rotated.
     last: Option<Held>,
+    /// The cache: a slot per column of each block handed, in the order
+    /// handed — `slots[..used]` in use.
+    slots: Vec<f64>,
+    used: usize,
     /// The blocks whose columns the held pairing is in.
     _blocks: std::marker::PhantomData<&'b mut ColumnBlock>,
+}
+
+thread_local! {
+    /// The slots' store of the thread's last finished walk, lent to its
+    /// next.
+    static SPARE_SLOTS: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 impl<'b, P: Pairing> Walk<'b, P> {
     /// A walk that has paired nothing yet.
     pub fn new(pairing: P) -> Self {
-        Walk { pairing, last: None, _blocks: std::marker::PhantomData }
+        let slots = SPARE_SLOTS.with(std::cell::Cell::take);
+        Walk { pairing, last: None, slots, used: 0, _blocks: std::marker::PhantomData }
     }
 
     /// Walks `rects` of `block`'s own pairings — each rectangle's two
-    /// ranges disjoint — after whatever the walk has walked. Where
-    /// `CACHED` a pairing's diagonals are read from the block's cache slots
-    /// (kept current under rotation); otherwise they are reduced with the
-    /// off-diagonal and whichever slots there are kept current.
+    /// ranges disjoint — after whatever the walk has walked, its columns'
+    /// diagonals reduced into the cache first.
     ///
     /// # Panics
     /// Panics if a rectangle reaches past the block or pairs a column with
-    /// itself, if `CACHED` and the block caches no diagonals, or, under
-    /// the implicit rule, if its `A` and `U` columns differ in length.
-    pub fn within<const CACHED: bool>(
-        &mut self,
-        block: &'b mut ColumnBlock,
-        rects: impl IntoIterator<Item = Rect>,
-    ) {
-        let cols = Columns::of(block, CACHED);
-        self.walk::<CACHED, _>(lane_tier(), [cols, cols], true, rects.into_iter());
+    /// itself, or, under the implicit rule, if its `A` and `U` columns
+    /// differ in length.
+    pub fn within(&mut self, block: &'b mut ColumnBlock, rects: impl IntoIterator<Item = Rect>) {
+        let tier = lane_tier();
+        let [cols] = self.cached(tier, [Columns::of(block)]);
+        self.walk(tier, [cols, cols], true, rects.into_iter());
     }
 
     /// Walks `rects` of `left`'s columns (the `i` role) with `right`'s,
-    /// after whatever the walk has walked; `CACHED` as in [`Self::within`],
-    /// for both blocks.
+    /// after whatever the walk has walked, both blocks' diagonals reduced
+    /// into the cache first.
     ///
     /// # Panics
     /// Panics if a rectangle reaches past its block, if the blocks' columns
-    /// differ in length, if `CACHED` and a block caches no diagonals, or,
-    /// under the implicit rule, if their `A` and `U` columns differ in
-    /// length.
-    pub fn across<const CACHED: bool>(
+    /// differ in length, or, under the implicit rule, if their `A` and `U`
+    /// columns differ in length.
+    pub fn across(
         &mut self,
         left: &'b mut ColumnBlock,
         right: &'b mut ColumnBlock,
         rects: impl IntoIterator<Item = Rect>,
     ) {
-        let cols = [Columns::of(left, CACHED), Columns::of(right, CACHED)];
+        let tier = lane_tier();
+        let cols = [Columns::of(left), Columns::of(right)];
         assert_eq!(cols[0].rows, cols[1].rows, "the blocks' columns differ in length");
-        self.walk::<CACHED, _>(lane_tier(), cols, false, rects.into_iter());
+        let cols = self.cached(tier, cols);
+        self.walk(tier, cols, false, rects.into_iter());
     }
 
     /// Rotates the walk's last pairing — the one it rotates on its own —
-    /// and hands the rule back.
+    /// lends the cache's store to the thread's next walk, and hands the
+    /// rule back.
     pub fn finish(mut self) -> P {
         self.close(lane_tier());
+        SPARE_SLOTS.with(|spare| spare.set(std::mem::take(&mut self.slots)));
         self.pairing
     }
 
+    /// The blocks `cols`, each with the cache's next slot per column,
+    /// which [`walk_on`] fills before it walks them. Where the store must
+    /// grow, the held pairing is rotated first: its slots move with the
+    /// store.
+    fn cached<const N: usize>(&mut self, tier: LaneTier, mut cols: [Columns; N]) -> [Columns; N] {
+        let mut base = self.used;
+        self.used += cols.iter().map(|c| c.ncols).sum::<usize>();
+        if self.slots.len() < self.used {
+            self.close(tier);
+            self.slots.resize(self.used.max(2 * self.slots.len()), 0.0);
+        }
+        for c in &mut cols {
+            c.diag = self.slots.as_mut_ptr().wrapping_add(base);
+            base += c.ncols;
+        }
+        cols
+    }
+
     /// [`Self::within`] or [`Self::across`] on `tier`, over `cols` — the
-    /// same block twice where `one_block`.
-    fn walk<const CACHED: bool, I: Iterator<Item = Rect>>(
+    /// same block twice where `one_block` — their slots fresh from
+    /// [`Self::cached`].
+    fn walk<I: Iterator<Item = Rect>>(
         &mut self,
         tier: LaneTier,
         cols: [Columns; 2],
@@ -615,20 +727,20 @@ impl<'b, P: Pairing> Walk<'b, P> {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the tier implies cpuid reported avx512f and avx512vl
             // (`LaneTier`); `cols` and the held pairing address blocks this
-            // walk borrows for as long as it lives (`Columns::of`), and
-            // every column of them holds `cols[0].rows`.
+            // walk borrows for as long as it lives (`Columns::of`) and slots
+            // of its cache, and every column of them holds `cols[0].rows`.
             LaneTier::Avx512 => unsafe {
-                x86::walk_avx512::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+                x86::walk_avx512::<P, I>(pairing, last, cols, one_block, rects)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the tier implies cpuid reported avx2 and fma; the
             // columns as above.
             LaneTier::Avx2Fma => unsafe {
-                x86::walk_avx2::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+                x86::walk_avx2::<P, I>(pairing, last, cols, one_block, rects)
             },
             // SAFETY: the columns as above.
             LaneTier::Portable => unsafe {
-                walk_portable::<P, CACHED, I>(pairing, last, cols, one_block, rects)
+                walk_portable::<P, I>(pairing, last, cols, one_block, rects)
             },
         };
     }
@@ -637,14 +749,63 @@ impl<'b, P: Pairing> Walk<'b, P> {
     fn close(&mut self, tier: LaneTier) {
         if let Some(last) = self.last.take() {
             // SAFETY: the held pairing's columns are in blocks this walk
-            // borrows, two distinct columns of `last.rows`.
+            // borrows, two distinct columns of `last.rows`, and its slots
+            // are in the walk's cache.
             unsafe { rotate_alone(tier, &mut self.pairing, last.hand, last.rows) };
         }
     }
 }
 
-/// A column of a walk: its `A` and `U` streams and its cache slot, null
-/// where it has none.
+/// Reduces the diagonal of every column of `cols` into its slot, on
+/// `tier`: four columns abreast, then the one to three left over abreast,
+/// each `u_k · a_k` — or `a_k · a_k` where `GRAM` — bitwise [`dot`].
+/// Inlined into each tier's walk.
+///
+/// # Safety
+/// `cols` must address a block's columns, none with a mutable view alive,
+/// and `ncols` writable slots at `cols.diag`.
+#[inline(always)]
+unsafe fn refresh<const GRAM: bool>(tier: LaneTier, cols: Columns) {
+    let mut k = 0;
+    while k + 4 <= cols.ncols {
+        abreast::<GRAM, 8, 4>(tier, cols, k);
+        k += 4;
+    }
+    match cols.ncols - k {
+        0 => {}
+        1 => abreast::<GRAM, 2, 1>(tier, cols, k),
+        2 => abreast::<GRAM, 4, 2>(tier, cols, k),
+        _ => abreast::<GRAM, 6, 3>(tier, cols, k),
+    }
+}
+
+/// [`refresh`] of the `N` columns of `cols` from `k`, over their `S = 2N`
+/// streams in one reduction.
+///
+/// # Safety
+/// As [`refresh`], the columns in the block.
+#[inline(always)]
+unsafe fn abreast<const GRAM: bool, const S: usize, const N: usize>(
+    tier: LaneTier,
+    cols: Columns,
+    k: usize,
+) {
+    let [alen, ulen] = cols.rows;
+    let streams: [&[f64]; S] = std::array::from_fn(|s| {
+        let col = cols.at(k + s / 2);
+        if s % 2 == 0 {
+            std::slice::from_raw_parts(col.a, alen)
+        } else {
+            std::slice::from_raw_parts(col.u, ulen)
+        }
+    });
+    let blocks = dots::<S, N, true, Diagonals<GRAM, N>>(tier, streams);
+    for (n, [_, d, _]) in blocks.into_iter().enumerate() {
+        *cols.at(k + n).d = d;
+    }
+}
+
+/// A column of a walk: its `A` and `U` streams and its cache slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Column {
     a: *mut f64,
@@ -674,7 +835,8 @@ struct Columns {
     data: *mut f64,
     unit: usize,
     ustart: usize,
-    /// The cache slots, null where the block has none.
+    /// The block's slots in the walk's cache: null until the walk gives
+    /// it some.
     diag: *mut f64,
     ncols: usize,
     /// The length of every column's `A` stream and `U` stream.
@@ -682,24 +844,14 @@ struct Columns {
 }
 
 impl Columns {
-    /// `block`'s columns, for a walk that reads their cache slots where
-    /// `cached`.
-    ///
-    /// # Panics
-    /// Panics if `cached` and the block caches no diagonals.
-    fn of(block: &mut ColumnBlock, cached: bool) -> Columns {
+    /// `block`'s columns, with no slots yet.
+    fn of(block: &mut ColumnBlock) -> Columns {
         let units = block.units_mut();
-        assert!(
-            !cached || units.diag.len() == units.ncols,
-            "a walk reading the cache needs a slot per column"
-        );
-        let diag =
-            if units.diag.is_empty() { std::ptr::null_mut() } else { units.diag.as_mut_ptr() };
         Columns {
             data: units.data.as_mut_ptr(),
             unit: units.unit,
             ustart: units.ustart,
-            diag,
+            diag: std::ptr::null_mut(),
             ncols: units.ncols,
             rows: units.rows,
         }
@@ -710,8 +862,7 @@ impl Columns {
     #[inline(always)]
     fn at(self, k: usize) -> Column {
         let a = self.data.wrapping_add(k * self.unit);
-        let d = if self.diag.is_null() { self.diag } else { self.diag.wrapping_add(k) };
-        Column { a, u: a.wrapping_add(self.ustart), d }
+        Column { a, u: a.wrapping_add(self.ustart), d: self.diag.wrapping_add(k) }
     }
 }
 
@@ -845,40 +996,49 @@ impl OnTier for OnPortable {
 /// # Safety
 /// As [`walk_on`].
 #[inline(never)]
-unsafe fn walk_portable<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+unsafe fn walk_portable<P: Pairing, I: Iterator<Item = Rect>>(
     pairing: &mut P,
     last: Option<Held>,
     cols: [Columns; 2],
     one_block: bool,
     rects: I,
 ) -> Option<Held> {
-    walk_on::<OnPortable, P, CACHED, I>(pairing, last, cols, one_block, rects)
+    walk_on::<OnPortable, P, I>(pairing, last, cols, one_block, rects)
 }
 
 /// Walks `rects` over `cols` — left, right; the same block twice where
 /// `one_block` — after the held pairing `last`, on tier `K`, and returns
-/// the pairing it then holds. Inlined into each tier's function, so its
-/// steps compile in the tier's instructions.
+/// the pairing it then holds, the blocks' slots [`refresh`]ed first.
+/// Inlined into each tier's function, so its steps compile in the tier's
+/// instructions.
 ///
 /// # Safety
 /// `K`'s features must have been reported by cpuid; `cols` must address
 /// blocks the caller has borrowed for as long as the returned pairing is
-/// held, every column of both holding `cols[0].rows`, and `last` a pairing
-/// of distinct columns of such blocks, of `last.rows`.
+/// held, every column of both holding `cols[0].rows`, and each block's
+/// slots, one per column, the walk's own for as long; `last` must be a
+/// pairing of distinct columns of such blocks, of `last.rows`.
 ///
 /// # Panics
 /// Panics if a rectangle reaches past its block, or pairs a column with
 /// itself where both sides are one block.
 #[inline(always)]
-unsafe fn walk_on<K: OnTier, P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+unsafe fn walk_on<K: OnTier, P: Pairing, I: Iterator<Item = Rect>>(
     pairing: &mut P,
     last: Option<Held>,
     cols: [Columns; 2],
     one_block: bool,
     rects: I,
 ) -> Option<Held> {
+    for c in &cols[..2 - usize::from(one_block)] {
+        if P::GRAM {
+            refresh::<true>(K::TIER, *c);
+        } else {
+            refresh::<false>(K::TIER, *c);
+        }
+    }
     let rows = cols[0].rows;
-    let mut walker = Walker::<K, P, CACHED> {
+    let mut walker = Walker::<K, P> {
         pairing,
         hand: [last.map_or(NO_HAND, |last| last.hand); 2],
         held: last.is_some(),
@@ -907,7 +1067,7 @@ const NO_HAND: Hand = {
 
 /// The walk's steps on tier `K`: the pairings in hand, `R` of them from
 /// the first, and the rule's books.
-struct Walker<'p, K, P, const CACHED: bool> {
+struct Walker<'p, K, P> {
     pairing: &'p mut P,
     hand: [Hand; 2],
     /// Whether `hand[0]` is a pairing — between two rectangles, the one in
@@ -917,7 +1077,7 @@ struct Walker<'p, K, P, const CACHED: bool> {
     _tier: std::marker::PhantomData<K>,
 }
 
-impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHED> {
+impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
     type Col = Column;
     type Side = (Columns, usize);
 
@@ -935,19 +1095,13 @@ impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHE
     fn open(&mut self, [i, j]: [Column; 2]) {
         let [alen, _] = self.rows;
         // SAFETY: the walk checked both columns are in their blocks, every
-        // stream of `alen` (the implicit rule's `U` streams too); no
-        // mutable view of them is alive.
+        // stream of `alen` (the implicit rule's `U` streams too), with a
+        // slot each; no mutable view of them is alive.
         let block = unsafe {
             let stream = |s: *mut f64| std::slice::from_raw_parts(s, alen);
-            let [x, y] = if P::GRAM { [i.a, j.a] } else { [i.u, j.u] }.map(stream);
-            let [a, b] = [i.a, j.a].map(stream);
-            if CACHED {
-                let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [x, b]);
-                [*i.d, pq, *j.d]
-            } else {
-                let [block] = dots::<4, 1, false, Triple>(K::TIER, [x, a, y, b]);
-                block
-            }
+            let x = stream(if P::GRAM { i.a } else { i.u });
+            let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [x, stream(j.a)]);
+            [*i.d, pq, *j.d]
         };
         self.hand[0] = Hand { i, j, block };
         self.held = true;
@@ -959,15 +1113,20 @@ impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHE
             assert!(R == 1 || R == 2, "a step rotates one or two pairings");
             let absent = if R == 1 { 0xf0 } else { 0 };
             assert!(
-                Reads::<Step<T, P>, N, CACHED>::MASK & absent == 0,
+                Reads::<Step<T, P>, N, true>::MASK & absent == 0,
                 "a table reads a pairing not there"
             );
         }
         let now = self.hand;
-        let mut turns = [None; R];
-        for r in 0..R {
+        let block = |r: usize| {
             let [app, apq, aqq] = now[r].block;
-            turns[r] = self.pairing.angle((app, apq, aqq));
+            (app, apq, aqq)
+        };
+        let mut turns = [None; R];
+        if R == 2 {
+            [turns[0], turns[R - 1]] = self.pairing.angles([block(0), block(R - 1)]);
+        } else {
+            turns[0] = self.pairing.angle(block(0));
         }
         let mut rows = [[std::ptr::null_mut(); 4]; R];
         for r in 0..R {
@@ -978,11 +1137,20 @@ impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHE
         // SAFETY: the walk's schedule hands a step distinct columns, each
         // in a block the walk has borrowed and of `self.rows`: the ones it
         // rotates and the ones its table reads besides.
-        let blocks = unsafe { pass::<K, R, N, CACHED, Step<T, P>>(rows, turns, read, self.rows) };
-        for r in 0..R {
-            if let Some(rot) = turns[r] {
-                // SAFETY: each slot is null or its column's own.
-                unsafe { keep_slots(now[r], rot) };
+        let offs = unsafe { pass::<K, R, N, Step<T, P>>(rows, turns, read, self.rows) };
+        if let (2, Some(r0), Some(r1)) = (R, turns[0], turns[R - 1]) {
+            let [[pp0, qq0], [pp1, qq1]] = kept_pair([now[0].block, now[R - 1].block], [r0, r1]);
+            // SAFETY: each slot is its column's own.
+            unsafe {
+                ((*now[0].i.d, *now[0].j.d), (*now[R - 1].i.d, *now[R - 1].j.d)) =
+                    ((pp0, qq0), (pp1, qq1))
+            };
+        } else {
+            for r in 0..R {
+                if let Some(rot) = turns[r] {
+                    // SAFETY: each slot is its column's own.
+                    unsafe { keep_slots(now[r], rot) };
+                }
             }
         }
         let pick = |c: Col| match c {
@@ -995,12 +1163,9 @@ impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHE
         };
         for n in 0..N {
             let [i, j] = T::NEXT[n].map(pick);
-            let mut block = blocks[n];
-            if CACHED {
-                // SAFETY: a walk reading the cache has every column's slot,
-                // which this step's rotations have kept current.
-                unsafe { (block[0], block[2]) = (*i.d, *j.d) };
-            }
+            // SAFETY: every column of the walk has its slot, which this
+            // step's rotations have kept current.
+            let block = unsafe { [*i.d, offs[n], *j.d] };
             self.hand[n] = Hand { i, j, block };
         }
         self.held = true;
@@ -1019,7 +1184,7 @@ impl<K: OnTier, P: Pairing, const CACHED: bool> Steps for Walker<'_, K, P, CACHE
 ///
 /// # Safety
 /// `hand`'s columns must be distinct, their streams of `rows` and their
-/// slots null or their own.
+/// slots their own.
 #[inline(always)]
 unsafe fn rotate_alone<P: Pairing>(tier: LaneTier, pairing: &mut P, hand: Hand, rows: [usize; 2]) {
     let [app, apq, aqq] = hand.block;
@@ -1036,32 +1201,22 @@ unsafe fn rotate_alone<P: Pairing>(tier: LaneTier, pairing: &mut P, hand: Hand, 
 
 /// Keeps a rotated pairing's cache slots current: the rotation annihilates
 /// the off-diagonal, and the new diagonal is the exact 2×2 similarity
-/// image of the old block. Every slot there is is updated — including a
-/// cross-block pairing's where only one side caches (its block was then
-/// reduced whole, so the slot stays exact).
+/// image of the old block.
 ///
 /// # Safety
-/// Each slot must be null or its column's own.
+/// Each slot must be its column's own.
 #[inline(always)]
 unsafe fn keep_slots(Hand { i, j, block: [app, apq, aqq] }: Hand, rot: JacobiRotation) {
-    if !i.d.is_null() || !j.d.is_null() {
-        let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
-        if !i.d.is_null() {
-            *i.d = pp;
-        }
-        if !j.d.is_null() {
-            *j.d = qq;
-        }
-    }
+    let (pp, _, qq) = apply_to_block(rot, app, apq, aqq);
+    (*i.d, *j.d) = (pp, qq);
 }
 
 /// A step's pass on tier `K`: rotates pairing `r`'s streams `rows[r] =
 /// [ai, aj, ui, uj]` by `turns[r]` (a skipped pairing is left as it is),
-/// bitwise [`pair_rotate`], and returns the blocks of `O`'s table over the
-/// step's streams ([`STEP_STREAMS`]) after the rotation, each product
-/// bitwise [`dot`]; where `OFF`, the off-diagonals alone, the diagonals
-/// reading 0.0. On AVX-512 with every pairing turning that is one pass;
-/// otherwise a rotation pass, then one reduction pass a block.
+/// bitwise [`pair_rotate`], and returns the off-diagonals of `O`'s blocks
+/// over the step's streams ([`STEP_STREAMS`]) after the rotation, each
+/// bitwise [`dot`]. On AVX-512 with every pairing turning that is one
+/// pass; otherwise a rotation pass, then one reduction pass a block.
 ///
 /// # Safety
 /// `K`'s features must have been reported by cpuid. The rotated streams
@@ -1070,12 +1225,12 @@ unsafe fn keep_slots(Hand { i, j, block: [app, apq, aqq] }: Hand, rot: JacobiRot
 /// of `ulen`. Under the implicit rule (`O` reading `U` streams) both are
 /// one length.
 #[inline(always)]
-unsafe fn pass<K: OnTier, const R: usize, const N: usize, const OFF: bool, O: Operands<N>>(
+unsafe fn pass<K: OnTier, const R: usize, const N: usize, O: Operands<N>>(
     rows: [[*mut f64; 4]; R],
     turns: [Option<JacobiRotation>; R],
     read: [*mut f64; 4],
     [alen, ulen]: [usize; 2],
-) -> [[f64; 3]; N] {
+) -> [f64; N] {
     #[cfg(target_arch = "x86_64")]
     if matches!(K::TIER, LaneTier::Avx512) && turns.iter().all(Option::is_some) {
         let mut cs = [(0.0, 0.0); R];
@@ -1084,7 +1239,7 @@ unsafe fn pass<K: OnTier, const R: usize, const N: usize, const OFF: bool, O: Op
                 cs[r] = (rot.c, rot.s);
             }
         }
-        return x86::step_avx512::<R, N, OFF, O>(rows, cs, read, [alen, ulen]);
+        return x86::step_avx512::<R, N, O>(rows, cs, read, [alen, ulen]);
     }
     for r in 0..R {
         if let Some(rot) = turns[r] {
@@ -1096,17 +1251,11 @@ unsafe fn pass<K: OnTier, const R: usize, const N: usize, const OFF: bool, O: Op
         }
     }
     let streams = step_streams(rows, read, [alen, ulen]);
-    let mut blocks = [[0.0f64; 3]; N];
-    for (block, [x, a, y, b]) in blocks.iter_mut().zip(O::TABLE) {
-        *block = if OFF {
-            let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [streams[x], streams[b]]);
-            [0.0, pq, 0.0]
-        } else {
-            let [block] = dots::<4, 1, false, Triple>(K::TIER, [x, a, y, b].map(|s| streams[s]));
-            block
-        };
+    let mut offs = [0.0f64; N];
+    for (off, [x, _, _, b]) in offs.iter_mut().zip(O::TABLE) {
+        [[_, *off, _]] = dots::<2, 1, true, Dot>(K::TIER, [streams[x], streams[b]]);
     }
-    blocks
+    offs
 }
 
 /// The streams of a step as slices, numbered as in [`STEP_STREAMS`]; a
@@ -1514,8 +1663,54 @@ fn top_pivot_abreast<const N: usize>(
 /// of the `unsafe fn`s below.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Columns, Held, Operands, Pairing, Rect};
+    use super::{Columns, Held, JacobiRotation, Operands, Pairing, Rect};
     use std::arch::x86_64::*;
+
+    /// [`super::symmetric_schur_pair`] in the two lanes of one SSE2
+    /// register, every operation the scalar form's.
+    #[inline(always)]
+    pub(super) fn schur_pair([b0, b1]: [(f64, f64, f64); 2]) -> [JacobiRotation; 2] {
+        // SAFETY: SSE2 is part of every x86-64 target.
+        unsafe {
+            let (app, apq, aqq) =
+                (_mm_set_pd(b1.0, b0.0), _mm_set_pd(b1.1, b0.1), _mm_set_pd(b1.2, b0.2));
+            let (one, sign) = (_mm_set1_pd(1.0), _mm_set1_pd(-0.0));
+            let tau = _mm_div_pd(_mm_sub_pd(aqq, app), _mm_mul_pd(_mm_set1_pd(2.0), apq));
+            let root = _mm_sqrt_pd(_mm_add_pd(one, _mm_mul_pd(tau, tau)));
+            let t = _mm_div_pd(one, _mm_add_pd(_mm_andnot_pd(sign, tau), root));
+            // `−1/x` is `1/x` with its sign flipped: negate where τ < 0 or
+            // τ is NaN, as the scalar form's `τ ≥ 0` test does.
+            let below = _mm_andnot_pd(_mm_cmpge_pd(tau, _mm_setzero_pd()), sign);
+            let t = _mm_xor_pd(t, below);
+            let c = _mm_div_pd(one, _mm_sqrt_pd(_mm_add_pd(one, _mm_mul_pd(t, t))));
+            let s = _mm_mul_pd(t, c);
+            let lane = |v: __m128d| [_mm_cvtsd_f64(v), _mm_cvtsd_f64(_mm_unpackhi_pd(v, v))];
+            let ([c0, c1], [s0, s1]) = (lane(c), lane(s));
+            [JacobiRotation { c: c0, s: s0 }, JacobiRotation { c: c1, s: s1 }]
+        }
+    }
+
+    /// [`super::kept_pair`] in the two lanes of one SSE2 register, every
+    /// operation [`crate::rotation::apply_to_block`]'s: `pp = c·c·app −
+    /// 2·s·c·apq + s·s·aqq` and `qq = s·s·app + 2·s·c·apq + c·c·aqq`,
+    /// left to right.
+    #[inline(always)]
+    pub(super) fn kept_pair(blocks: [[f64; 3]; 2], [r0, r1]: [JacobiRotation; 2]) -> [[f64; 2]; 2] {
+        // SAFETY: SSE2 is part of every x86-64 target.
+        unsafe {
+            let lanes = |k: usize| _mm_set_pd(blocks[1][k], blocks[0][k]);
+            let (app, apq, aqq) = (lanes(0), lanes(1), lanes(2));
+            let (c, s) = (_mm_set_pd(r1.c, r0.c), _mm_set_pd(r1.s, r0.s));
+            let (cc, ss) = (_mm_mul_pd(c, c), _mm_mul_pd(s, s));
+            let sc2 = _mm_mul_pd(_mm_mul_pd(_mm_set1_pd(2.0), s), c);
+            let cross = _mm_mul_pd(sc2, apq);
+            let pp = _mm_add_pd(_mm_sub_pd(_mm_mul_pd(cc, app), cross), _mm_mul_pd(ss, aqq));
+            let qq = _mm_add_pd(_mm_add_pd(_mm_mul_pd(ss, app), cross), _mm_mul_pd(cc, aqq));
+            let lane = |v: __m128d| [_mm_cvtsd_f64(v), _mm_cvtsd_f64(_mm_unpackhi_pd(v, v))];
+            let ([pp0, pp1], [qq0, qq1]) = (lane(pp), lane(qq));
+            [[pp0, qq0], [pp1, qq1]]
+        }
+    }
 
     /// [`super::dots`] on AVX-512F: each product's eight partial sums in
     /// one register, lane `l` the sum of index `l` mod 8, one fused
@@ -1605,14 +1800,14 @@ mod x86 {
     /// As [`super::walk_on`], on a host whose cpuid reported avx512f and
     /// avx512vl.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn walk_avx512<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+    pub unsafe fn walk_avx512<P: Pairing, I: Iterator<Item = Rect>>(
         pairing: &mut P,
         last: Option<Held>,
         cols: [Columns; 2],
         one_block: bool,
         rects: I,
     ) -> Option<Held> {
-        super::walk_on::<super::OnAvx512, P, CACHED, I>(pairing, last, cols, one_block, rects)
+        super::walk_on::<super::OnAvx512, P, I>(pairing, last, cols, one_block, rects)
     }
 
     /// [`super::walk_on`] compiled for AVX2 with FMA: every step a
@@ -1621,14 +1816,14 @@ mod x86 {
     /// # Safety
     /// As [`super::walk_on`], on a host whose cpuid reported avx2 and fma.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn walk_avx2<P: Pairing, const CACHED: bool, I: Iterator<Item = Rect>>(
+    pub unsafe fn walk_avx2<P: Pairing, I: Iterator<Item = Rect>>(
         pairing: &mut P,
         last: Option<Held>,
         cols: [Columns; 2],
         one_block: bool,
         rects: I,
     ) -> Option<Held> {
-        super::walk_on::<super::OnAvx2, P, CACHED, I>(pairing, last, cols, one_block, rects)
+        super::walk_on::<super::OnAvx2, P, I>(pairing, last, cols, one_block, rects)
     }
 
     /// A step's pass on AVX-512 (F and VL), every pairing turning: per
@@ -1645,12 +1840,12 @@ mod x86 {
     /// # Safety
     /// As [`super::pass`], on a host with AVX-512F and VL.
     #[inline(always)]
-    pub unsafe fn step_avx512<const R: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    pub unsafe fn step_avx512<const R: usize, const N: usize, T: Operands<N>>(
         rows: [[*mut f64; 4]; R],
         turns: [(f64, f64); R],
         read: [*mut f64; 4],
         [alen, ulen]: [usize; 2],
-    ) -> [[f64; 3]; N] {
+    ) -> [f64; N] {
         let fused = alen.min(ulen) / 8 * 8;
         let mut vt = [(_mm512_setzero_pd(), _mm512_setzero_pd()); R];
         for r in 0..R {
@@ -1664,7 +1859,7 @@ mod x86 {
             // waits on the store, and the columns of a 256-row block start
             // 4 KiB apart.
             for f in 0..4 {
-                if super::reads::<N, OFF, T>(8 + f) {
+                if super::reads::<N, true, T>(8 + f) {
                     v[8 + f] = _mm512_loadu_pd(read[f].add(i));
                 }
             }
@@ -1676,7 +1871,7 @@ mod x86 {
                 (v[4 * r], v[4 * r + 1]) = turn8(a0, a1, vc, vs);
                 (v[4 * r + 2], v[4 * r + 3]) = turn8(u0, u1, vc, vs);
             }
-            fma_avx512::<{ super::STEP_STREAMS }, N, OFF, T>(&mut acc, &v);
+            fma_avx512::<{ super::STEP_STREAMS }, N, true, T>(&mut acc, &v);
             for r in 0..R {
                 for k in 0..4 {
                     _mm512_storeu_pd(rows[r][k].add(i), v[4 * r + k]);
@@ -1693,10 +1888,10 @@ mod x86 {
             }
         }
         if fused == alen {
-            return tree_avx512::<N, OFF>(acc);
+            return tree_avx512::<N, true>(acc).map(|[_, pq, _]| pq);
         }
         let streams = super::step_streams(rows, read, [alen, ulen]);
-        step_rest(spill_avx512(acc), streams, (T::TABLE, OFF), fused, alen)
+        step_rest(spill_avx512(acc), streams, (T::TABLE, true), fused, alen).map(|[_, pq, _]| pq)
     }
 
     /// Each product's eight partial sums through [`super::tree`]'s fixed
@@ -2483,6 +2678,51 @@ mod tests {
     }
 
     #[test]
+    fn the_two_lane_angles_and_updates_are_the_scalar_ones() {
+        // Every lane of `symmetric_schur_pair` and of `kept_pair` is the
+        // scalar `symmetric_schur` and `apply_to_block` to the bit — NaN
+        // payloads aside — on blocks whose τ is ±0, subnormal, tiny, huge,
+        // ±∞ or NaN, each block in either lane beside another.
+        use crate::rotation::symmetric_schur;
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -3.25,
+            5e-324,
+            -1e-310,
+            7e-170,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let blocks: Vec<[f64; 3]> = values
+            .iter()
+            .flat_map(|&p| values.iter().flat_map(move |&q| values.map(|r| [p, q, r])))
+            .filter(|&[_, apq, _]| apq != 0.0)
+            .collect();
+        let same = |g: f64, w: f64| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+        for (k, &first) in blocks.iter().enumerate() {
+            let second = blocks[(k * 7 + 3) % blocks.len()];
+            let pair = [first, second];
+            let want = pair.map(|[p, q, r]| symmetric_schur(p, q, r));
+            let got = symmetric_schur_pair(pair.map(|[p, q, r]| (p, q, r)));
+            for l in 0..2 {
+                let what = format!("{:?} in lane {l}", pair[l]);
+                assert!(same(got[l].c, want[l].c) && same(got[l].s, want[l].s), "{what}");
+                let [app, apq, aqq] = pair[l];
+                let (pp, _, qq) = apply_to_block(want[l], app, apq, aqq);
+                let kept = kept_pair(pair, want)[l];
+                assert!(same(kept[0], pp) && same(kept[1], qq), "{what}: kept");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "left == right")]
     fn x2_rejects_a_pairing_of_mismatched_streams_with_dots_message() {
         let (short, long) = (stream(0, 8), stream(1, 9));
@@ -2616,13 +2856,17 @@ mod tests {
 
     /// The rectangles of a sweep's pairings of one block of `b` columns, in
     /// eight-column tiles: for each tile, its rectangles against the tiles
-    /// before it, then its triangle a row at a time.
+    /// before it, then its triangle two rows at a time — the pairing of the
+    /// two, then their two-row rectangle with the columns after them.
     fn within_tiles(b: usize) -> Vec<Rect> {
         let mut rects = Vec::new();
         for t0 in (0..b).step_by(8) {
             let end = (t0 + 8).min(b);
             rects.extend((0..t0).step_by(8).map(|s0| (s0..s0 + 8, t0..end)));
-            rects.extend((t0..end).map(|i| (i..i + 1, i + 1..end)));
+            for i in (t0..end).step_by(2) {
+                let below = (i + 2).min(end);
+                rects.extend([(i..i + 1, i + 1..below), (i..below, below..end)]);
+            }
         }
         rects
     }
@@ -2670,27 +2914,45 @@ mod tests {
     fn the_walk_keeps_every_columns_pairings_in_row_major_order() {
         // The law that makes the walk bitwise the row-major sweep, checked
         // on the schedule itself: every rectangle of 1..=8 × 1..=8 columns,
-        // the tiled triangle of every block of 1..=17 columns, and tiled
-        // rectangles up to 17 × 17, where the walk carries on from one
-        // rectangle into the next (`Fresh`, `Down`, `Along`) — each as one
-        // walk that opens and closes once.
+        // the tiled triangle of every block of 1..=17 columns, two rows at a
+        // time, and tiled rectangles up to 17 × 17, where the walk carries
+        // on from one rectangle into the next (`Fresh`, `Down`, `Along`) —
+        // each as one walk that opens and closes once.
+        let abreast = |rec: &Record| rec.rotated.iter().filter(|s| s.len() == 2).count();
+        // The odd rows' pairings go one step behind the even rows';
+        // wherever both have one, the two go abreast.
+        let wavefront = |(l, r): &Rect| {
+            let (nl, nr) = (l.len(), r.len());
+            let (even, odd) = (nl.div_ceil(2) * nr, nl / 2 * nr);
+            if nr >= 2 {
+                odd.min(even.saturating_sub(1))
+            } else {
+                0
+            }
+        };
         for (nl, nr) in (1..=8usize).flat_map(|nl| (1..=8usize).map(move |nr| (nl, nr))) {
             let want: Vec<[At; 2]> =
                 (0..nl).flat_map(|i| (0..nr).map(move |j| [(0, i), (1, j)])).collect();
-            check_laws(&record(false, &[(0..nl, 0..nr)]), &want, &format!("{nl}x{nr}"));
-            // The odd rows' pairings go one step behind the even rows';
-            // wherever both have one, the two go abreast.
-            let abreast =
-                record(false, &[(0..nl, 0..nr)]).rotated.iter().filter(|s| s.len() == 2).count();
-            let (even, odd) = (nl.div_ceil(2) * nr, nl / 2 * nr);
-            let wanted = if nr >= 2 { odd.min(even.saturating_sub(1)) } else { 0 };
-            assert_eq!(abreast, wanted, "{nl}x{nr}");
+            let rec = record(false, &[(0..nl, 0..nr)]);
+            check_laws(&rec, &want, &format!("{nl}x{nr}"));
+            assert_eq!(abreast(&rec), wavefront(&(0..nl, 0..nr)), "{nl}x{nr}");
         }
         for b in 1..=17usize {
             let want: Vec<[At; 2]> =
                 (0..b).flat_map(|i| (i + 1..b).map(move |j| [(0, i), (0, j)])).collect();
-            check_laws(&record(true, &within_tiles(b)), &want, &format!("triangle {b}"));
+            let rects = within_tiles(b);
+            let rec = record(true, &rects);
+            check_laws(&rec, &want, &format!("triangle {b}"));
+            // Rows `i` and `i + 1` of a tile's triangle go as a wavefront
+            // too, `(i, j)` abreast of `(i + 1, j − 1)`.
+            let wanted: usize = rects.iter().map(wavefront).sum();
+            assert_eq!(abreast(&rec), wanted, "triangle {b}");
         }
+        // An eight-column tile's 28 pairings take 10 one-pairing steps —
+        // 28 when the walk took the triangle a row at a time.
+        let singles =
+            record(true, &within_tiles(8)).rotated.iter().filter(|s| s.len() == 1).count();
+        assert_eq!(singles, 10);
         for (nl, nr) in
             [1usize, 7, 9, 16, 17].iter().flat_map(|&nl| [1usize, 2, 9, 17].map(|nr| (nl, nr)))
         {
@@ -2766,40 +3028,37 @@ mod tests {
         }
     }
 
-    /// A column of a block, `(a, u)`, and its cache slot if it has one.
-    type Written = (Vec<f64>, Vec<f64>, Option<f64>);
+    /// A column of a block, `(a, u)`.
+    type Written = (Vec<f64>, Vec<f64>);
 
     /// Column `k` of `block`, as the definition pairs it.
     fn written(block: &ColumnBlock, k: usize) -> Written {
-        (block.a_col(k).to_vec(), block.u_col(k).to_vec(), block.diag().get(k).copied())
+        (block.a_col(k).to_vec(), block.u_col(k).to_vec())
     }
 
-    /// The walk over `rects` written plainly: each rectangle's pairings in
-    /// row-major order, each block three products by [`by_definition`] —
-    /// or the off-diagonal alone and the slots where `cached` — turned by
-    /// [`pair_rotate`] as `pairing` decides, the slots kept current.
+    /// The walk over `rects` written plainly: every column's diagonal by
+    /// [`by_definition`] first, then each rectangle's pairings in row-major
+    /// order, each off-diagonal by [`by_definition`] beside the two
+    /// diagonals, turned by [`pair_rotate`] as `pairing` decides, the
+    /// diagonals kept by the 2×2 similarity update.
     fn walk_by_definition<P: Pairing>(
         pairing: &mut P,
         cols: &mut [Vec<Written>; 2],
         one_block: bool,
         rects: &[Rect],
-        cached: bool,
     ) {
         let right = usize::from(!one_block);
+        let diagonal = |(a, u): &Written| by_definition(if P::GRAM { a } else { u }, a);
+        let mut diag = cols.clone().map(|cols| cols.iter().map(diagonal).collect::<Vec<_>>());
         for (l, r) in rects {
             for (i, j) in l.clone().flat_map(|i| r.clone().map(move |j| (i, j))) {
                 let (mut ci, mut cj) = (cols[0][i].clone(), cols[right][j].clone());
-                let (x, y) = if P::GRAM { (&ci.0, &cj.0) } else { (&ci.1, &cj.1) };
-                let apq = by_definition(x, &cj.0);
-                let block = match (cached, ci.2, cj.2) {
-                    (true, Some(di), Some(dj)) => (di, apq, dj),
-                    _ => (by_definition(x, &ci.0), apq, by_definition(y, &cj.0)),
-                };
+                let x = if P::GRAM { &ci.0 } else { &ci.1 };
+                let block = (diag[0][i], by_definition(x, &cj.0), diag[right][j]);
                 if let Some(rot) = pairing.angle(block) {
                     pair_rotate(&mut ci.0, &mut cj.0, &mut ci.1, &mut cj.1, rot.c, rot.s);
                     let (pp, _, qq) = apply_to_block(rot, block.0, block.1, block.2);
-                    ci.2 = ci.2.map(|_| pp);
-                    cj.2 = cj.2.map(|_| qq);
+                    (diag[0][i], diag[right][j]) = (pp, qq);
                 }
                 (cols[0][i], cols[right][j]) = (ci, cj);
             }
@@ -2807,10 +3066,10 @@ mod tests {
     }
 
     /// Holds both [`tier_walks`] on every tier to [`walk_by_definition`] —
-    /// columns, slots and the blocks the rule is shown, with `same` — under
-    /// both rules, with no cache, both blocks caching and only the first,
-    /// on the columns `draw(rows)` makes at each length `ns` gives: square,
-    /// and for the Gram rule also with `A` columns longer than `U` ones.
+    /// columns and the blocks the rule is shown, the cache's diagonals in
+    /// them, with `same` — under both rules, on the columns `draw(rows)`
+    /// makes at each length `ns` gives: square, and for the Gram rule also
+    /// with `A` columns longer than `U` ones.
     fn check_walks(
         ns: &[usize],
         mut draw: impl FnMut(usize) -> Vec<f64>,
@@ -2822,72 +3081,56 @@ mod tests {
                 let mut column = || (draw(na), draw(nu));
                 let six: Vec<_> = (0..6).map(|_| column()).collect();
                 let four: Vec<_> = (0..4).map(|_| column()).collect();
-                for cache in [[false, false], [true, true], [true, false]] {
-                    let diag = |a: &[f64], u: &[f64]| by_definition(if gram { a } else { u }, a);
-                    let blocks = || {
-                        let mut blocks =
+                for (one_block, rects) in tier_walks() {
+                    for &tier in lane_tiers() {
+                        let case = format!("{tier:?} gram={gram} {na}x{nu} one_block={one_block}");
+                        let [mut left, mut right] =
                             [&six, &four].map(|c| ColumnBlock::from_columns(c, (na, nu)));
-                        for (block, cache) in blocks.iter_mut().zip(cache) {
-                            if cache {
-                                block.refresh_diag(diag);
-                            }
+                        let mut want = [&left, &right]
+                            .map(|b| (0..b.len()).map(|k| written(b, k)).collect::<Vec<_>>());
+                        let (got_shown, want_shown) = if gram {
+                            walk_both::<true>(
+                                tier,
+                                [&mut left, &mut right],
+                                &mut want,
+                                one_block,
+                                &rects,
+                            )
+                        } else {
+                            walk_both::<false>(
+                                tier,
+                                [&mut left, &mut right],
+                                &mut want,
+                                one_block,
+                                &rects,
+                            )
+                        };
+                        let flat = |cols: &[Written]| {
+                            cols.iter()
+                                .flat_map(|(a, u)| a.iter().chain(u).copied())
+                                .collect::<Vec<_>>()
+                        };
+                        for (block, want) in [&left, &right].into_iter().zip(&want) {
+                            let got: Vec<Written> =
+                                (0..block.len()).map(|k| written(block, k)).collect();
+                            let (g, w) = (flat(&got), flat(want));
+                            assert!(
+                                g.len() == w.len() && g.iter().zip(&w).all(|(&g, &w)| same(g, w)),
+                                "{case}: columns"
+                            );
                         }
-                        blocks
-                    };
-                    for (one_block, rects) in tier_walks() {
-                        let cached = cache[0] && (one_block || cache[1]);
-                        for &tier in lane_tiers() {
-                            let case = format!("{tier:?} gram={gram} {na}x{nu} cache={cache:?} one_block={one_block}");
-                            let [mut left, mut right] = blocks();
-                            let mut want = [&left, &right]
-                                .map(|b| (0..b.len()).map(|k| written(b, k)).collect::<Vec<_>>());
-                            let (got_shown, want_shown) = if gram {
-                                walk_both::<true>(
-                                    tier,
-                                    [&mut left, &mut right],
-                                    &mut want,
-                                    one_block,
-                                    &rects,
-                                    cached,
-                                )
-                            } else {
-                                walk_both::<false>(
-                                    tier,
-                                    [&mut left, &mut right],
-                                    &mut want,
-                                    one_block,
-                                    &rects,
-                                    cached,
-                                )
-                            };
-                            let flat = |cols: &[Written]| {
-                                cols.iter()
-                                    .flat_map(|(a, u, d)| a.iter().chain(u).chain(d).copied())
-                                    .collect::<Vec<_>>()
-                            };
-                            for (block, want) in [&left, &right].into_iter().zip(&want) {
-                                let got: Vec<Written> =
-                                    (0..block.len()).map(|k| written(block, k)).collect();
-                                let (g, w) = (flat(&got), flat(want));
-                                assert!(
-                                    g.len() == w.len()
-                                        && g.iter().zip(&w).all(|(&g, &w)| same(g, w)),
-                                    "{case}: columns"
-                                );
-                            }
-                            // The blocks shown, as multisets: the walk shows
-                            // them in its order, the definition row-major.
-                            let sorted = |mut shown: Vec<[u64; 4]>| {
-                                shown.sort_unstable();
-                                shown
-                            };
-                            let (g, w) = (sorted(got_shown), sorted(want_shown));
-                            assert_eq!(g.len(), w.len(), "{case}: pairings");
-                            for (g, w) in g.iter().zip(&w) {
-                                let ok = (0..3)
-                                    .all(|p| same(f64::from_bits(g[p]), f64::from_bits(w[p])));
-                                assert!(ok && g[3] == w[3], "{case}: blocks {g:?} vs {w:?}");
-                            }
+                        // The blocks shown, as multisets: the walk shows
+                        // them in its order, the definition row-major.
+                        let sorted = |mut shown: Vec<[u64; 4]>| {
+                            shown.sort_unstable();
+                            shown
+                        };
+                        let (g, w) = (sorted(got_shown), sorted(want_shown));
+                        assert_eq!(g.len(), w.len(), "{case}: pairings");
+                        for (g, w) in g.iter().zip(&w) {
+                            let ok =
+                                (0..3).all(|p| same(f64::from_bits(g[p]), f64::from_bits(w[p])));
+                            assert!(ok && g[3] == w[3], "{case}: blocks {g:?} vs {w:?}");
                         }
                     }
                 }
@@ -2904,24 +3147,18 @@ mod tests {
         want: &mut [Vec<Written>; 2],
         one_block: bool,
         rects: &[Rect],
-        cached: bool,
     ) -> (Vec<[u64; 4]>, Vec<[u64; 4]>) {
         let mut walk = Walk::new(Shown::<GRAM>::default());
         let cols = if one_block {
-            let cols = Columns::of(left, cached);
+            let [cols] = walk.cached(tier, [Columns::of(left)]);
             [cols, cols]
         } else {
-            [Columns::of(left, cached), Columns::of(right, cached)]
+            walk.cached(tier, [Columns::of(left), Columns::of(right)])
         };
-        let rects_iter = rects.iter().cloned();
-        if cached {
-            walk.walk::<true, _>(tier, cols, one_block, rects_iter);
-        } else {
-            walk.walk::<false, _>(tier, cols, one_block, rects_iter);
-        }
+        walk.walk(tier, cols, one_block, rects.iter().cloned());
         walk.close(tier);
         let mut shown = Shown::<GRAM>::default();
-        walk_by_definition(&mut shown, want, one_block, rects, cached);
+        walk_by_definition(&mut shown, want, one_block, rects);
         (walk.pairing.0, shown.0)
     }
 
@@ -2977,7 +3214,7 @@ mod tests {
         let block = |n: usize| ColumnBlock::from_columns(&[(stream(0, n), stream(1, n))], (n, n));
         let (mut short, mut long) = (block(15), block(16));
         let mut walk = Walk::new(Shown::<false>::default());
-        walk.across::<false>(&mut short, &mut long, [(0..1, 0..1)]);
+        walk.across(&mut short, &mut long, [(0..1, 0..1)]);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn check_storage(
         }
     }
     prop_assert_eq!(b.misaligned_columns(), 0, "{}", what);
-    let logical = b.len() * (arows + urows) + b.diag().len();
+    let logical = b.len() * (arows + urows);
     prop_assert_eq!(b.payload_elems(), logical, "{}: payload counts pads", what);
     Ok(())
 }
@@ -88,7 +88,6 @@ proptest! {
         extra_urows in 0usize..=9,
         cut in (0usize..=19, 0usize..=19),
         q in 1usize..=7,
-        cached in any::<bool>(),
     ) {
         // A cache line, and the widest access of any kernel (one AVX-512
         // load or store).
@@ -99,17 +98,12 @@ proptest! {
         let (lo, hi) = (cut.0.min(cut.1).min(total), cut.0.max(cut.1).min(total));
         let urows = total + extra_urows;
         let shape = (arows, urows);
-        let mut block = ColumnBlock::from_matrix_with_identity(&a0, lo..hi, urows);
+        let block = ColumnBlock::from_matrix_with_identity(&a0, lo..hi, urows);
         check_storage(&block, shape, "from_matrix_with_identity")?;
         for k in 0..block.len() {
             prop_assert_eq!(block.a_col(k), a0.col(lo + k));
             let unit: Vec<f64> = (0..urows).map(|r| f64::from(r == lo + k)).collect();
             prop_assert_eq!(block.u_col(k), &unit[..]);
-        }
-        let diag = |a: &[f64], u: &[f64]| a[0] + u.len() as f64;
-        if cached {
-            block.refresh_diag(diag);
-            check_storage(&block, shape, "refresh_diag")?;
         }
         let copy = block.clone();
         check_storage(&copy, shape, "clone")?;
@@ -132,11 +126,7 @@ proptest! {
         prop_assert_eq!(&slot, &ColumnBlock::default());
         check_storage(&moved, shape, "take")?;
         slot = moved;
-        if cached {
-            slot.refresh_diag(diag);
-            check_storage(&slot, shape, "refresh_diag of a reassembled block")?;
-            prop_assert_eq!(&slot, &block);
-        }
+        prop_assert_eq!(&slot, &block);
     }
 
     #[test]
@@ -249,10 +239,12 @@ proptest! {
         // Every pairing reduction is, product by product, `dot` itself — at
         // every tail length the dispatcher can see, on whichever vector
         // tier the host dispatches to: a pairing's three, and the two
-        // blocks a step reduces for a next step of two pairings, after
-        // rotating — or skipping — its own pairing `p`. The next step's
-        // other two columns are `q`'s where it has `p`'s length, else
-        // `p`'s streams reversed.
+        // off-diagonals a step reduces for a next step of two pairings,
+        // after rotating — or skipping — its own pairing `p`, beside the
+        // walk's cached diagonals: `dot`s where a column is as the walk
+        // found it, the 2×2 similarity update of the first block where `p`
+        // turned. The next step's other two columns are `q`'s where it has
+        // `p`'s length, else `p`'s streams reversed.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let want = |[x, a, y, b]: [&[f64]; 4]| bits(&[dot(x, a), dot(x, b), dot(y, b)]);
         let quad: [&[f64]; 4] = [&p.0, &p.1, &p.2, &p.3];
@@ -286,12 +278,21 @@ proptest! {
             let mut left = block([(&p.0, &p.2), (ag, ug)]);
             let mut right = block([(&p.1, &p.3), (af, uf)]);
             let mut walk = Walk::new(FirstTurns { turn, blocks: Vec::new() });
-            walk.across::<false>(&mut left, &mut right, [(0..2, 0..2)]);
+            walk.across(&mut left, &mut right, [(0..2, 0..2)]);
             let got = walk.finish().blocks;
             prop_assert_eq!(bits(&[left.a_col(0), right.a_col(0), left.u_col(0), right.u_col(0)].concat()),
                 bits(&[ri.clone(), rj.clone(), vi.clone(), vj.clone()].concat()));
-            prop_assert_eq!(bits(&[got[1].0, got[1].1, got[1].2]), want([&vi, &ri, uf, af]));
-            prop_assert_eq!(bits(&[got[2].0, got[2].1, got[2].2]), want([ug, ag, &vj, &rj]));
+            let (app, apq, aqq) = got[0];
+            prop_assert_eq!(bits(&[app, apq, aqq]), want([&p.2, &p.0, &p.3, &p.1]));
+            let (di, dj) = match turn {
+                None => (app, aqq),
+                Some((c, s)) => {
+                    let (pp, _, qq) = apply_to_block(JacobiRotation { c, s }, app, apq, aqq);
+                    (pp, qq)
+                }
+            };
+            prop_assert_eq!(bits(&[got[1].0, got[1].1, got[1].2]), bits(&[di, dot(&vi, af), dot(uf, af)]));
+            prop_assert_eq!(bits(&[got[2].0, got[2].1, got[2].2]), bits(&[dot(ug, ag), dot(ug, &rj), dj]));
         }
     }
 

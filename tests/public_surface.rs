@@ -70,9 +70,9 @@ const KEEP: &[(&str, &str)] = &[
     ("host_tiers", "every_tier_the_host_reports_reproduces_both_tables"),
     ("with_tier", "every_tier_the_host_reports_reproduces_both_tables"),
     ("BatchOrder::jobs", "shortest_plan_first_minimizes_mean_completion"),
-    ("ColumnBlock::diag", "cached_diagonals_track_exact_recomputation"),
     ("CommPlan::final_layout", "final_layout_chains_sweeps"),
     ("CommSchedule::volume_by_dim", "metered_traffic_equals_simulated_and_predicted"),
+    ("fused_triple", "every_tier_of_dot_and_fused_triple_meets_the_reduction_contract"),
     ("JobResult::eigen", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
     ("JobResult::svd", "interleaved_mixed_batch_is_bitwise_solo_per_job"),
     ("SinkHandle::is_enabled", "free_fabric_reports_zero_makespan"),
