@@ -25,8 +25,11 @@ macro_rules! say {
 
 mod model;
 mod orderings;
+mod pairs;
 mod solver;
 mod vclock;
+
+pub use pairs::pairs;
 
 /// What one experiment prints and the files it writes.
 #[derive(Default)]

@@ -4,14 +4,19 @@
 //! `results/<stem>/` under the current directory (git-ignored) if not.
 //! `mph-bench all` runs every tracked invocation, then every untracked
 //! experiment at its default arguments, in this one process.
+//! `mph-bench pairs` is no experiment: it runs two builds of the repository
+//! benchmark against each other in alternating pairs and prints the
+//! comparison, writing nothing (see [`mph_bench::pairs`]).
 //!
 //! ```sh
 //! cargo run --release -p mph-bench -- all                  # re-capture everything
 //! cargo run --release -p mph-bench -- vclock_tables --smoke
 //! cargo run --release -p mph-bench -- table2 10 1e-4       # not tracked: results/
+//! cargo run --release -p mph-bench -- pairs --workload model_sweep \
+//!     "cd ../parent && .bench_build/release/mph-benchmark" ".bench_build/release/mph-benchmark"
 //! ```
 
-use mph_bench::{paper_dir, run, stem, EXPERIMENTS, TRACKED, UNTRACKED};
+use mph_bench::{pairs, paper_dir, run, stem, EXPERIMENTS, TRACKED, UNTRACKED};
 use std::path::PathBuf;
 use std::{env, fs, process};
 
@@ -24,9 +29,21 @@ fn main() {
             println!("\n######## {} ########", invocation.join(" "));
             execute(&invocation);
         }
+    } else if args.first().is_some_and(|w| w == "pairs") {
+        match pairs(&args[1..]) {
+            Ok(text) => print!("{text}"),
+            Err(why) => {
+                eprintln!("mph-bench pairs: {why}");
+                process::exit(1);
+            }
+        }
     } else if !execute(&args) {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!("usage: mph-bench <experiment> [args] | all\nexperiments: {}", names.join(" "));
+        eprintln!(
+            "usage: mph-bench <experiment> [args] | all | pairs [--workload W] [--seed S] \
+             [--seconds T] [--pairs N] '<A>' '<B>'\nexperiments: {}",
+            names.join(" ")
+        );
         process::exit(2);
     }
 }

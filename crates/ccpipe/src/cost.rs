@@ -41,6 +41,17 @@ pub struct PhaseCostModel {
     suffix_tx_sum: f64,
 }
 
+/// Runs `f` on `len` zeroed counters, kept on the stack up to 64: room
+/// for a link per dimension of any cube a `usize` node index can name, and
+/// for a port per link.
+fn with_counters<T>(len: usize, f: impl FnOnce(&mut [usize]) -> T) -> T {
+    let mut stack = [0usize; 64];
+    match stack.get_mut(..len) {
+        Some(counters) => f(counters),
+        None => f(&mut vec![0; len]),
+    }
+}
+
 /// Transmission makespan in packets of a window given its histogram.
 fn tx_of_hist(hist: &[usize], total: usize, max_mult: usize, ports: PortModel) -> usize {
     match ports {
@@ -50,15 +61,25 @@ fn tx_of_hist(hist: &[usize], total: usize, max_mult: usize, ports: PortModel) -
             if k <= 1 {
                 return total;
             }
-            let mut jobs: Vec<usize> = hist.iter().copied().filter(|&m| m > 0).collect();
-            jobs.sort_unstable_by(|a, b| b.cmp(a));
-            let mut loads = vec![0usize; k];
-            for j in jobs {
-                // The first least-loaded port (k ≥ 2, so 0 is one).
-                let idx = (1..k).fold(0, |min, i| if loads[i] < loads[min] { i } else { min });
-                loads[idx] += j;
-            }
-            loads.into_iter().max().unwrap_or(0)
+            with_counters(hist.len(), |jobs| {
+                let mut n = 0;
+                for &m in hist.iter().filter(|&&m| m > 0) {
+                    jobs[n] = m;
+                    n += 1;
+                }
+                let jobs = &mut jobs[..n];
+                jobs.sort_unstable_by(|a, b| b.cmp(a));
+                // Ports past the `n`-th stay idle: each of the first `n`
+                // jobs finds an idle port before them.
+                with_counters(k.min(n), |loads| {
+                    for &j in jobs.iter() {
+                        // The first least-loaded port.
+                        let port = (0..loads.len()).min_by_key(|&i| loads[i]).unwrap_or(0);
+                        loads[port] += j;
+                    }
+                    loads.iter().copied().max().unwrap_or(0)
+                })
+            })
         }
     }
 }
@@ -69,20 +90,21 @@ fn scan<'a>(
     e: usize,
     ports: PortModel,
 ) -> (Vec<usize>, Vec<usize>) {
-    let mut hist = vec![0usize; e];
-    let mut nd = 0usize;
-    let mut maxm = 0usize;
     let mut nds = Vec::with_capacity(seq.len());
     let mut txs = Vec::with_capacity(seq.len());
-    for (i, &l) in seq.enumerate() {
-        if hist[l] == 0 {
-            nd += 1;
+    with_counters(e, |hist| {
+        let mut nd = 0usize;
+        let mut maxm = 0usize;
+        for (i, &l) in seq.enumerate() {
+            if hist[l] == 0 {
+                nd += 1;
+            }
+            hist[l] += 1;
+            maxm = maxm.max(hist[l]);
+            nds.push(nd);
+            txs.push(tx_of_hist(hist, i + 1, maxm, ports));
         }
-        hist[l] += 1;
-        maxm = maxm.max(hist[l]);
-        nds.push(nd);
-        txs.push(tx_of_hist(&hist, i + 1, maxm, ports));
-    }
+    });
     (nds, txs)
 }
 
@@ -93,6 +115,12 @@ impl PhaseCostModel {
     /// Panics if `cc`'s link sequence is empty: an exchange phase has
     /// `K = 2^e − 1 ≥ 1` transitions, so an empty one is a caller bug.
     pub fn new(cc: &CcCube, machine: Machine) -> Self {
+        Self::from_cc(cc.clone(), machine)
+    }
+
+    /// [`Self::new`] on a CC-cube the model takes over: its link sequence
+    /// becomes the model's, uncopied.
+    pub(crate) fn from_cc(cc: CcCube, machine: Machine) -> Self {
         let k = cc.k();
         let e = cc.link_seq.iter().map(|&l| l + 1).max().expect("empty link sequence");
         let (prefix_nd, prefix_tx) = scan(cc.link_seq.iter(), e, machine.ports);
@@ -108,7 +136,7 @@ impl PhaseCostModel {
             e,
             elems: cc.message_elems,
             machine,
-            link_seq: cc.link_seq.clone(),
+            link_seq: cc.link_seq,
             prefix_nd,
             prefix_tx,
             suffix_nd,
@@ -157,16 +185,16 @@ impl PhaseCostModel {
     }
 
     /// Σ of stage costs over the K−Q+1 width-`q` windows (shallow kernel).
+    /// The window's histograms slide on the stack: a candidate degree
+    /// allocates nothing unless it exceeds 62.
     fn sliding_kernel_cost(&self, q: usize, s_elems: f64) -> f64 {
         let k = self.k;
         let seq = &self.link_seq;
         let ts = self.machine.ts;
         let tw = self.machine.tw;
-        match self.machine.ports {
-            PortModel::AllPort | PortModel::OnePort => {
+        with_counters(self.e, |hist| match self.machine.ports {
+            PortModel::AllPort | PortModel::OnePort => with_counters(q + 2, |mult_hist| {
                 let one_port = matches!(self.machine.ports, PortModel::OnePort);
-                let mut hist = vec![0usize; self.e];
-                let mut mult_hist = vec![0usize; q + 2];
                 let mut nd = 0usize;
                 let mut maxm = 0usize;
                 let mut total = 0.0;
@@ -200,25 +228,24 @@ impl PhaseCostModel {
                     }
                 }
                 total
-            }
+            }),
             PortModel::KPort(_) => {
                 // Histogram slides; the LPT makespan is recomputed per
                 // window (k-port is only used in small ablation studies).
-                let mut hist = vec![0usize; self.e];
                 let mut total = 0.0;
                 for i in 0..k {
                     hist[seq[i]] += 1;
                     if i + 1 >= q {
                         let nd = hist.iter().filter(|&&c| c > 0).count();
                         let maxm = hist.iter().copied().max().unwrap_or(0);
-                        let tx = tx_of_hist(&hist, q, maxm, self.machine.ports);
+                        let tx = tx_of_hist(hist, q, maxm, self.machine.ports);
                         total += nd as f64 * ts + tx as f64 * s_elems * tw;
                         hist[seq[i + 1 - q]] -= 1;
                     }
                 }
                 total
             }
-        }
+        })
     }
 
     /// Closed-form candidate for the deep-mode optimum: cost(q) = a·q + b +

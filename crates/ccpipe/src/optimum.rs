@@ -56,7 +56,11 @@ pub(crate) fn search_degree(
     cost: impl Fn(usize) -> f64,
 ) -> (usize, f64) {
     let cap = q_max.min(hard_cap).max(1.0) as usize;
-    let mut candidates: Vec<usize> = (1..=64.min(cap)).collect();
+    // Room for every candidate up front: the small degrees, the grid
+    // points, `cap` and a few extras.
+    let grid_points = (cap as f64 / 64.0).log(1.25).ceil().max(0.0) as usize;
+    let mut candidates: Vec<usize> = Vec::with_capacity(64 + grid_points + 8);
+    candidates.extend(1..=64.min(cap));
     let mut grid = 64f64;
     while (grid as usize) < cap {
         grid *= 1.25;

@@ -32,9 +32,10 @@ use crate::sweepcost::{PhaseOutcome, SweepCost};
 use mph_core::{CommPlan, Frame, PhaseKind, PlanPhase};
 
 /// Adapts one exchange phase of a plan into the CC-cube algorithm the
-/// analytic models price. The message size is the phase's largest single
-/// message — with balanced blocks all messages are equal; with uneven
-/// blocks the largest bounds every transition's transmission.
+/// analytic models price, the phase's links copied once. The message size
+/// is the phase's largest single message — with balanced blocks all
+/// messages are equal; with uneven blocks the largest bounds every
+/// transition's transmission.
 ///
 /// # Panics
 /// Panics if `phase` is not an exchange phase.
@@ -167,7 +168,7 @@ pub fn plan_cost_with_tail(
     let exchange = |idx, e, ph: &PlanPhase| match framing.frame(idx) {
         Frame::Chained { q, .. } => PhaseOutcome { e, q, mode: mode_of(1, q), cost: 0.0 },
         frame => {
-            let model = PhaseCostModel::new(&phase_cc(ph), *machine);
+            let model = PhaseCostModel::from_cc(phase_cc(ph), *machine);
             let q = frame.packets();
             PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) }
         }
@@ -212,7 +213,7 @@ pub(crate) fn optimal_sweep_cost(
     cc: impl Fn(usize, &PlanPhase) -> CcCube,
 ) -> SweepCost {
     let optimal = |_, e, ph: &PlanPhase| {
-        let model = PhaseCostModel::new(&cc(e, ph), *machine);
+        let model = PhaseCostModel::from_cc(cc(e, ph), *machine);
         let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
         PhaseOutcome { e, q, mode, cost }
     };

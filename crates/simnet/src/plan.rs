@@ -22,8 +22,8 @@
 //! message (the paper's combining assumption), while the runtime sends
 //! each packet separately.
 
-use crate::schedule::{phase_stages, CommSchedule};
-use mph_core::CommPlan;
+use crate::schedule::{CommSchedule, StageWriter};
+use mph_core::{CommPlan, PlanPhase};
 
 /// One stage per transition; node `n` sends exactly the plan's
 /// [`send`](mph_core::PlanPhase::send)`(t, n)` elements across the
@@ -39,21 +39,43 @@ pub fn plan_unpipelined_schedule(plan: &CommPlan) -> CommSchedule {
 /// whole-block tail, which is all the paper's stage model defines. A phase
 /// lowering found uniform ([`mph_core::PlanPhase::is_uniform`]: one size per
 /// transition, every node's) lowers to shared SPMD stages.
+///
+/// The schedule's store is sized for every phase up front, and each
+/// phase's packet sizes are taken once, into one table of a row per
+/// transition and sending node (a row repeats the one before it when the
+/// block size does), which the phase's stages then read.
 pub fn plan_pipelined_schedule(plan: &CommPlan, qs: &[usize]) -> CommSchedule {
     let framing = plan.framing(qs, 1);
-    let mut stages = Vec::new();
-    for (idx, ph) in plan.phases().iter().enumerate() {
-        let q = framing.frame(idx).packets();
-        let size = |k: usize, n: usize, p| plan.packet_size(ph.send(k, n), q, p);
-        stages.extend(phase_stages(plan.d(), &ph.links, q, ph.is_uniform(), 1.0, size));
+    let writers = |ph: &PlanPhase| if ph.is_uniform() { 1 } else { 1 << plan.d() };
+    let phases =
+        || plan.phases().iter().enumerate().map(|(idx, ph)| (ph, framing.frame(idx).packets()));
+    let mut writer =
+        StageWriter::new(plan.d(), phases().map(|(ph, q)| (ph.k(), q, ph.is_uniform())));
+    let table = phases().map(|(ph, q)| ph.k() * writers(ph) * q).max();
+    let mut packets: Vec<u64> = Vec::with_capacity(table.unwrap_or(0));
+    for (ph, q) in phases() {
+        let writers = writers(ph);
+        packets.clear();
+        let mut last = None;
+        for (k, n) in (0..ph.k()).flat_map(|k| (0..writers).map(move |n| (k, n))) {
+            let block = ph.send(k, n);
+            if last == Some(block) {
+                packets.extend_from_within(packets.len() - q..);
+            } else {
+                packets.extend((0..q).map(|p| plan.packet_size(block, q, p)));
+                last = Some(block);
+            }
+        }
+        let size = |k: usize, n: usize, p: usize| packets[(k * writers + n) * q + p];
+        writer.phase_stages(&ph.links, q, ph.is_uniform(), 1.0, size);
     }
-    CommSchedule::new(plan.d(), stages)
+    writer.schedule
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{pipelined_phase_schedule, CommStage};
+    use crate::schedule::pipelined_phase_schedule;
     use crate::sim::{simulate_synchronized, StartupModel};
     use mph_ccpipe::{CcCube, Machine};
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
@@ -105,9 +127,10 @@ mod tests {
         let elems = first.max_message_elems() as f64;
         let cc = CcCube { link_seq: first.links.clone(), message_elems: elems };
         for q in [1usize, 2, 4] {
-            let mut stages = plan_pipelined_schedule(&plan, &[q, 1, 1]).stages;
-            stages.truncate(first.k() + q - 1);
-            assert_eq!(CommSchedule::new(d, stages), pipelined_phase_schedule(d, &cc, q), "q={q}");
+            let plan_sched = plan_pipelined_schedule(&plan, &[q, 1, 1]);
+            let phase = pipelined_phase_schedule(d, &cc, q);
+            assert_eq!(phase.stages().len(), first.k() + q - 1);
+            assert!(plan_sched.stages().take(first.k() + q - 1).eq(phase.stages()), "q={q}");
         }
     }
 
@@ -131,13 +154,13 @@ mod tests {
             for q in 1..=7usize {
                 let sched = plan_pipelined_schedule(&plan, &vec![q; d]);
                 let mut got = vec![vec![0u64; d]; 1 << d];
-                for stage in &sched.stages {
+                for stage in sched.stages() {
                     for (n, sends) in stage.iter().enumerate() {
                         sends.iter().for_each(|s| got[n][s.dim] += s.elems as u64);
                     }
                 }
                 assert_eq!(got, want, "m={m} d={d} sweep={sweep} q={q}");
-                let spmd = sched.stages.iter().all(|st| matches!(st, CommStage::Spmd { .. }));
+                let spmd = sched.stages().all(|st| st.bundles().count() == 1);
                 assert!(spmd || m % (2 << d) != 0, "m={m} d={d} sweep={sweep} q={q}");
             }
         }

@@ -6,8 +6,7 @@
 use mph_ccpipe::{CcCube, Machine, PhaseCostModel, PortModel};
 use mph_core::OrderingFamily;
 use mph_simnet::{
-    pipelined_phase_schedule, simulate_synchronized, CommSchedule, CommStage, NodeSend,
-    StartupModel,
+    pipelined_phase_schedule, simulate_synchronized, CommSchedule, NodeSend, StartupModel,
 };
 use proptest::prelude::*;
 
@@ -27,8 +26,8 @@ fn random_schedule() -> impl Strategy<Value = CommSchedule> {
             proptest::collection::vec((0usize..d, 0.0f64..500.0), 0..=d),
             p..=p,
         )
-        .prop_map(move |sends| CommStage::PerNode {
-            sends: sends
+        .prop_map(move |sends| {
+            sends
                 .into_iter()
                 .map(|node| {
                     // At most one message per dimension (combined messages).
@@ -42,11 +41,15 @@ fn random_schedule() -> impl Strategy<Value = CommSchedule> {
                                 Some(NodeSend { dim, elems })
                             }
                         })
-                        .collect()
+                        .collect::<Vec<_>>()
                 })
-                .collect(),
+                .collect::<Vec<_>>()
         });
-        proptest::collection::vec(stage, 1..6).prop_map(move |stages| CommSchedule::new(d, stages))
+        proptest::collection::vec(stage, 1..6).prop_map(move |stages| {
+            let mut sched = CommSchedule::new(d);
+            stages.into_iter().for_each(|sends| sched.push_per_node(sends));
+            sched
+        })
     })
 }
 
@@ -103,10 +106,10 @@ proptest! {
     ) {
         // One replay of the shared bundle stands for all 2^d nodes.
         let (d, bundles) = spmd_stages;
-        let spmd = bundles.iter().map(|b| CommStage::Spmd { nodes: 1 << d, bundle: b[..].into() });
-        let spmd = CommSchedule::new(d, spmd.collect());
-        let per_node = bundles.iter().map(|b| CommStage::PerNode { sends: vec![b.clone(); 1 << d] });
-        let per_node = CommSchedule::new(d, per_node.collect());
+        let mut spmd = CommSchedule::new(d);
+        bundles.iter().for_each(|b| spmd.push_spmd(b.iter().copied()));
+        let mut per_node = CommSchedule::new(d);
+        bundles.iter().for_each(|b| per_node.push_per_node(vec![b.clone(); 1 << d]));
         for ports in [PortModel::AllPort, PortModel::OnePort, PortModel::KPort(2)] {
             for startup in [StartupModel::SerializedThenParallel, StartupModel::Overlapped] {
                 let machine = Machine { ts, tw, ports };
@@ -153,7 +156,7 @@ proptest! {
         let r = simulate_synchronized(&sched, &machine, StartupModel::SerializedThenParallel);
         let mut max_single = 0.0f64;
         let mut total = 0.0f64;
-        for st in &sched.stages {
+        for st in sched.stages() {
             for node in st.iter() {
                 for s in node {
                     max_single = max_single.max(ts + s.elems * tw);

@@ -59,6 +59,9 @@ const KEEP: &[(&str, &str)] = &[
     ("frank_matrix", "frank_matrix_spectrum_is_positive"),
     ("BlockLayout::from_slots", "e1_covers_from_swapped_slots_too"),
     ("CommPlan::lower", "the_sweep_program_obeys_its_laws"),
+    ("CommSchedule::new", "an_spmd_stage_prices_like_its_per_node_spelling"),
+    ("CommSchedule::push_per_node", "an_spmd_stage_prices_like_its_per_node_spelling"),
+    ("CommSchedule::push_spmd", "an_spmd_stage_prices_like_its_per_node_spelling"),
     ("Job::eigen", "stagger_keys_class_jobs_by_family_and_size"),
     ("Job::svd", "stagger_keys_class_jobs_by_family_and_size"),
     ("Machine::one_port", "busy_vtime_reconciles_with_the_meter"),
