@@ -9,7 +9,8 @@
 //!   and the prologue/kernel/epilogue stage schedule, in shallow
 //!   (`Q ≤ K`) and deep (`Q > K`) modes;
 //! * [`machine`] — the `Ts`/`Tw`/port machine model;
-//! * [`cost`] — analytic phase costs with O(1) deep-mode evaluation;
+//! * [`cost`] — analytic phase costs: O(1) per deep degree, and every
+//!   small shallow degree priced in one walk of the link sequence;
 //! * [`optimum`] — the optimal pipelining degree;
 //! * [`lowerbound`] — the ideal sequence whose phases bound Figure 2 from
 //!   below: one more CC-cube for the phase model;

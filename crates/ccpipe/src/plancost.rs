@@ -7,6 +7,10 @@
 //! procedure on every exchange phase (this is what the threaded solver
 //! calls to *schedule* itself), and [`plan_sweep_cost`] composes the priced
 //! phases with the serial division/last transitions into a [`SweepCost`].
+//! A phase searched for its degree prices all its small degrees in one
+//! walk of its links ([`optimize_q`]); a phase given its degree
+//! ([`plan_cost_with_tail`]) prices that one ([`PhaseCostModel::cost`]),
+//! to the same bits.
 //! These are the **paper-model** prices: stage-synchronous, witnessed by
 //! `mph_simnet::simulate_synchronized`, which replays every stage on the
 //! engine's own `NodeClock`. The chained serial tail, which the

@@ -108,10 +108,11 @@ fn a_schedule_and_its_replay_allocate_per_phase_never_per_stage() {
     assert_eq!(c7 - c5, SCHEDULE_PER_PHASE * (p7 - p5), "d=5: {c5} in {p5}; d=7: {c7} in {p7}");
 }
 
-/// What pricing may allocate per exchange phase: its CC-cube's links, the
-/// model's four window tables and the degree search's candidate list; and
-/// per plan, the list of priced phases as it grows.
-const PRICE_PER_EXCHANGE_PHASE: u64 = 6;
+/// What pricing may allocate per exchange phase: its CC-cube's links and
+/// the degree search's candidate list — the walk that prices the small
+/// degrees, and the deep statistics, live on the stack; and per plan, the
+/// list of priced phases as it grows.
+const PRICE_PER_EXCHANGE_PHASE: u64 = 2;
 const PRICE_FIXED: u64 = 2;
 
 #[test]
@@ -127,4 +128,10 @@ fn pricing_a_plan_allocates_a_constant_per_exchange_phase() {
         let budget = PRICE_FIXED + PRICE_PER_EXCHANGE_PHASE * exchange;
         assert!(count <= budget, "d={d}: {count} allocations, budget {budget}");
     }
+    // Four times the walk's widths cost not one allocation more: at d = 7
+    // the longest phase walks 64 widths at cap 64, 16 at cap 16.
+    let plan = pbr_plan(7);
+    let (_, at_16) = allocations(|| plan_sweep_cost(&plan, &machine, 16.0));
+    let (_, at_64) = allocations(|| plan_sweep_cost(&plan, &machine, 64.0));
+    assert_eq!(at_16, at_64, "d=7: {at_16} allocations at cap 16, {at_64} at cap 64");
 }
