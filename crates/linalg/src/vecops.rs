@@ -6,16 +6,21 @@
 //! with VL, then AVX2 with FMA, then a portable loop). Every tier of a
 //! kernel computes its definition's bits.
 //!
+//! * Each vector kernel is written once, over a group of eight `f64` lanes
+//!   (`Lanes`): one `__m512d` on AVX-512, two `__m256d` on AVX2 with FMA,
+//!   and `[f64; 8]` on the portable tier, which is also what an AVX2 host
+//!   without FMA runs. A tier is one `#[target_feature]` function that
+//!   runs a kernel on its group (`Kernel`), so every operation inlines
+//!   into the tier's instructions; each is the lane-wise IEEE operation, so
+//!   every tier computes the kernel's bits.
 //! * [`dot`] is the one inner product: eight partial sums by index mod 8,
-//!   each a fused multiply-add chain that starts at 0.0, then the fixed
-//!   tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the `n mod 8` tail
-//!   folded in index order with a fused multiply-add. FMA is a correctly
-//!   rounded IEEE operation, so the bits do not depend on the host.
-//!   AVX-512F holds a product's eight sums in one register, AVX2 with FMA
-//!   in two; the portable form, which is also what an AVX2 host without
-//!   FMA runs, calls `f64::mul_add`. One pass may take several products,
-//!   each bitwise [`dot`]: a step's off-diagonals, a walk's diagonals four
-//!   columns abreast, [`fused_triple`]'s pairing block.
+//!   each a fused multiply-add chain that starts at 0.0 — one lane group —
+//!   then the fixed tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the
+//!   `n mod 8` tail folded in index order with a fused multiply-add. FMA is
+//!   a correctly rounded IEEE operation, so the bits do not depend on the
+//!   host. One pass may take several products, each bitwise [`dot`]: a
+//!   step's off-diagonals, a walk's diagonals four columns abreast,
+//!   [`fused_triple`]'s pairing block.
 //! * The one plane rotation is a multiply and a fused multiply-add per
 //!   entry, `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` (`turn`),
 //!   the same bits on every host. [`pair_rotate`] is its loop and
@@ -30,14 +35,14 @@
 //!   diagonals are the walk's own cache: each column's reduced exactly,
 //!   bitwise `dot`, when a walk call takes its block, kept by the exact 2×2
 //!   similarity update under rotation, and dropped when the walk ends. Each
-//!   vector tier walks a call's rectangles inside one function compiled for
-//!   it, the rule's angles included; on AVX-512 a step is one pass, each
-//!   chunk of eight rows loaded, rotated and stored, the next step's
-//!   multiply-adds taking the rotated lanes from the registers that stored
-//!   them. Which columns the next step pairs is a `Transition`, one
-//!   constant operand table per way one step of the walk follows another,
-//!   named where the walk takes the step. The AVX2 and portable tiers
-//!   rotate, then reduce a block at a time.
+//!   tier walks a call's rectangles inside its one function, the rule's
+//!   angles included, and on every tier a step is one pass: each chunk of
+//!   eight rows loaded, rotated and stored, the next step's multiply-adds
+//!   taking the rotated lanes from the registers that stored them. Which
+//!   columns the next step pairs is a `Transition`, one constant operand
+//!   table per way one step of the walk follows another, named where the
+//!   walk takes the step. Only a step that skips a pairing rotates, then
+//!   reduces.
 
 use crate::block::ColumnBlock;
 use crate::rotation::{apply_to_block, JacobiRotation};
@@ -280,91 +285,239 @@ fn dots<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
     streams: [&[f64]; S],
 ) -> [[f64; 3]; N] {
     let len = reduced_len::<S, N, OFF, T>(&streams);
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier implies cpuid reported avx512f (`LaneTier`), and
-        // every stream the products read holds `len` elements.
-        LaneTier::Avx512 => unsafe { x86::dots_avx512::<S, N, OFF, T>(streams, len) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier implies cpuid reported avx2 and fma, and every
-        // stream the products read holds `len` elements.
-        LaneTier::Avx2Fma => unsafe { x86::dots_avx2::<S, N, OFF, T>(streams, len) },
-        _ => dots_portable::<S, N, OFF, T>(streams, len),
+    let reduce = Reduce::<T, S, N, OFF> {
+        streams: streams.map(<[f64]>::as_ptr),
+        len,
+        table: std::marker::PhantomData,
+    };
+    // SAFETY: every stream the products read holds `len` elements.
+    unsafe { on(tier, reduce) }
+}
+
+/// Eight `f64` lanes of one tier: lane `l` holds row `l` of a chunk of
+/// eight, so one group holds a product's eight chains — [`dot`]'s
+/// definition — on every tier. One `__m512d` on AVX-512, two `__m256d` on
+/// AVX2 with FMA, `[f64; 8]` on the portable tier. Every operation is the
+/// lane-wise IEEE one, so a kernel written once over the group has the
+/// same bits on each; each is always inlined, into the function of the
+/// group's tier ([`Kernel`]).
+///
+/// # Safety
+/// Every operation needs the features of `TIER`, which cpuid must have
+/// reported (`LaneTier`); `load` and `store` need eight values at `p`.
+trait Lanes: Copy {
+    /// The tier whose instructions the operations are.
+    const TIER: LaneTier;
+    /// Every lane `x`.
+    unsafe fn splat(x: f64) -> Self;
+    /// The eight values from `p`.
+    unsafe fn load(p: *const f64) -> Self;
+    /// The eight lanes to `p`.
+    unsafe fn store(self, p: *mut f64);
+    /// `self · y`.
+    unsafe fn mul(self, y: Self) -> Self;
+    /// `self · y + z`, rounded once.
+    unsafe fn fma(self, y: Self, z: Self) -> Self;
+    /// `self · y − z`, rounded once.
+    unsafe fn fmsub(self, y: Self, z: Self) -> Self;
+    /// The lanes through the fixed tree, `((s0+s4)+(s2+s6)) +
+    /// ((s1+s5)+(s3+s7))`: its adds, in its order.
+    unsafe fn tree(self) -> f64;
+}
+
+/// The portable group, each fused multiply-add `f64::mul_add`: a call to
+/// the library's `fma` in [`on_portable`], the one function it runs in.
+impl Lanes for [f64; 8] {
+    const TIER: LaneTier = LaneTier::Portable;
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        [x; 8]
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        p.cast::<[f64; 8]>().read_unaligned()
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        p.cast::<[f64; 8]>().write_unaligned(self);
+    }
+
+    #[inline(always)]
+    unsafe fn mul(self, y: Self) -> Self {
+        std::array::from_fn(|l| self[l] * y[l])
+    }
+
+    #[inline(always)]
+    unsafe fn fma(self, y: Self, z: Self) -> Self {
+        std::array::from_fn(|l| self[l].mul_add(y[l], z[l]))
+    }
+
+    #[inline(always)]
+    unsafe fn fmsub(self, y: Self, z: Self) -> Self {
+        std::array::from_fn(|l| self[l].mul_add(y[l], -z[l]))
+    }
+
+    #[inline(always)]
+    unsafe fn tree(self) -> f64 {
+        let [s0, s1, s2, s3, s4, s5, s6, s7] = self;
+        ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7))
     }
 }
 
-/// The portable tier of [`dots`]: the definition, lane `l` of each product
-/// an `f64::mul_add` chain.
-fn dots_portable<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-    streams: [&[f64]; S],
+/// A kernel written once over the lane group, which each tier's one
+/// function runs on its own group ([`on`]).
+trait Kernel {
+    type Out;
+
+    /// Runs the kernel on `G`. Always inlined, into the tier's function.
+    ///
+    /// # Safety
+    /// `G`'s (see [`Lanes`]), and the kernel's own.
+    unsafe fn run<G: Lanes>(self) -> Self::Out;
+}
+
+/// Runs `k` on `tier`, inside the tier's function.
+///
+/// # Safety
+/// The kernel's own: the tier's features are cpuid's (`LaneTier`).
+#[inline]
+unsafe fn on<K: Kernel>(tier: LaneTier, k: K) -> K::Out {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        LaneTier::Avx512 => x86::on_avx512(k),
+        #[cfg(target_arch = "x86_64")]
+        LaneTier::Avx2Fma => x86::on_avx2(k),
+        LaneTier::Portable => on_portable(k),
+    }
+}
+
+/// The portable tier's function: `k` on `[f64; 8]`, a function of its own,
+/// so no caller inlines its library calls.
+///
+/// # Safety
+/// As [`Kernel::run`].
+#[inline(never)]
+unsafe fn on_portable<K: Kernel>(k: K) -> K::Out {
+    k.run::<[f64; 8]>()
+}
+
+/// [`dots`]' kernel: `T`'s blocks over `streams`, each stream a product
+/// reads `len` long.
+struct Reduce<T, const S: usize, const N: usize, const OFF: bool> {
+    streams: [*const f64; S],
+    len: usize,
+    table: std::marker::PhantomData<T>,
+}
+
+impl<T: Operands<N>, const S: usize, const N: usize, const OFF: bool> Kernel
+    for Reduce<T, S, N, OFF>
+{
+    type Out = [[f64; 3]; N];
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) -> [[f64; 3]; N] {
+        reduce::<G, S, N, OFF, T>(self.streams, self.len)
+    }
+}
+
+/// `T`'s blocks over `streams` on `G`, every product bitwise [`dot`]: each
+/// product's chains in one group, a chunk of eight rows at a time, then
+/// the tree and the tail ([`sums`]). A product `OFF` leaves out reads 0.0.
+///
+/// # Safety
+/// `G`'s; every stream a product reads holds `len` values.
+#[inline(always)]
+unsafe fn reduce<G: Lanes, const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    streams: [*const f64; S],
     len: usize,
 ) -> [[f64; 3]; N] {
     let body = len / 8 * 8;
-    let mut sums = [[[0.0f64; 8]; 3]; N];
-    reduce_portable(&mut sums, streams, (T::TABLE, OFF), 0..body);
-    finish(sums, streams, (T::TABLE, OFF), body, len)
+    let mut acc = [[G::splat(0.0); 3]; N];
+    chunks::<G, S, N, OFF, T>(&mut acc, streams, 0..body);
+    sums::<G, S, N, OFF, T>(acc, streams, body, len)
 }
 
-/// Which products a reduction takes: the blocks' streams, and whether it
-/// takes the off-diagonals only. A constant where the reduction is
-/// monomorphized, so its indices fold; a value on the paths that take one
-/// block at a time.
-type Table<const N: usize> = ([[usize; 4]; N], bool);
-
-/// The lanes of `table`'s products over the chunks starting in `chunks`,
-/// each an `f64::mul_add` chain continued in `sums`.
+/// The products' chains in `acc`, continued over the chunks starting in
+/// `rows`, read from memory.
+///
+/// # Safety
+/// `G`'s; every stream a product reads holds the chunks.
 #[inline(always)]
-fn reduce_portable<const S: usize, const N: usize>(
-    sums: &mut [[[f64; 8]; 3]; N],
-    streams: [&[f64]; S],
-    (table, off): Table<N>,
-    chunks: std::ops::Range<usize>,
+unsafe fn chunks<G: Lanes, const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    acc: &mut [[G; 3]; N],
+    streams: [*const f64; S],
+    rows: std::ops::Range<usize>,
 ) {
-    for i in chunks.step_by(8) {
-        for (sums, row) in sums.iter_mut().zip(table) {
-            for (p, sums) in sums.iter_mut().enumerate().filter(|&(p, _)| takes(off, p)) {
-                let [x, y] = product(row, p);
-                for (l, sum) in sums.iter_mut().enumerate() {
-                    *sum = streams[x][i + l].mul_add(streams[y][i + l], *sum);
-                }
+    for i in rows.step_by(8) {
+        let mut v = [G::splat(0.0); S];
+        for s in 0..S {
+            if reads::<N, OFF, T>(s) {
+                v[s] = G::load(streams[s].add(i));
+            }
+        }
+        products::<G, S, N, OFF, T>(acc, &v);
+    }
+}
+
+/// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
+///
+/// # Safety
+/// `G`'s.
+#[inline(always)]
+unsafe fn products<G: Lanes, const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    acc: &mut [[G; 3]; N],
+    v: &[G; S],
+) {
+    for n in 0..N {
+        for p in 0..3 {
+            if takes(OFF, p) {
+                let [x, y] = product(T::TABLE[n], p);
+                acc[n][p] = v[x].fma(v[y], acc[n][p]);
             }
         }
     }
 }
 
-/// The end every tier's reduction shares: each product's eight partial sums
-/// through the fixed tree — written out here once — then the tail from
-/// `body` to `len`, folded in index order with a fused multiply-add.
+/// The end of every reduction: each product's chains through the tree,
+/// then its tail from `body` to `len`, folded in index order with a fused
+/// multiply-add.
+///
+/// # Safety
+/// `G`'s; every stream a product reads holds `len` values.
 #[inline(always)]
-fn finish<const S: usize, const N: usize>(
-    sums: [[[f64; 8]; 3]; N],
-    streams: [&[f64]; S],
-    (table, off): Table<N>,
+unsafe fn sums<G: Lanes, const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
+    acc: [[G; 3]; N],
+    streams: [*const f64; S],
     body: usize,
     len: usize,
 ) -> [[f64; 3]; N] {
-    let mut out = tree(sums);
-    for i in body..len {
-        for (out, row) in out.iter_mut().zip(table) {
-            for (p, out) in out.iter_mut().enumerate().filter(|&(p, _)| takes(off, p)) {
-                let [x, y] = product(row, p);
-                *out = streams[x][i].mul_add(streams[y][i], *out);
+    let mut out = [[0.0f64; 3]; N];
+    for n in 0..N {
+        for p in 0..3 {
+            if takes(OFF, p) {
+                let [x, y] = product(T::TABLE[n], p);
+                let mut sum = acc[n][p].tree();
+                for i in body..len {
+                    sum = (*streams[x].add(i)).mul_add(*streams[y].add(i), sum);
+                }
+                out[n][p] = sum;
             }
         }
     }
     out
 }
 
-/// Each product's eight partial sums through the fixed tree.
+/// [`turn`] on eight entry pairs: `(fma(c, x, −(s·y)), fma(s, x, c·y))`,
+/// lane by lane.
+///
+/// # Safety
+/// `G`'s.
 #[inline(always)]
-fn tree<const N: usize>(sums: [[[f64; 8]; 3]; N]) -> [[f64; 3]; N] {
-    let mut out = [[0.0f64; 3]; N];
-    for (out, sums) in out.iter_mut().zip(sums) {
-        for (out, [s0, s1, s2, s3, s4, s5, s6, s7]) in out.iter_mut().zip(sums) {
-            *out = ((s0 + s4) + (s2 + s6)) + ((s1 + s5) + (s3 + s7));
-        }
-    }
-    out
+unsafe fn turn_lanes<G: Lanes>(x: G, y: G, c: G, s: G) -> (G, G) {
+    (c.fmsub(x, s.mul(y)), s.fma(x, c.mul(y)))
 }
 
 /// The inner product of two equal-length slices: eight partial sums by
@@ -606,14 +759,13 @@ pub type Rect = (std::ops::Range<usize>, std::ops::Range<usize>);
 /// makes the walk bitwise the row-major one. An odd last row goes singly,
 /// as does all of a one-row or one-column rectangle.
 ///
-/// A call's rectangles are walked inside one function per vector tier,
+/// A call's rectangles are walked inside the one function of its tier,
 /// compiled for its instructions with the rule's angles, the cache slots'
-/// update and the rule's books; on AVX-512 a step is one pass, each chunk
-/// of eight rows loaded, rotated and stored, the next step's multiply-adds
-/// taking the rotated lanes from the registers that stored them. The AVX2
-/// and portable tiers, and a step that skips a pairing, rotate and then
-/// reduce. A walk dropped before [`Walk::finish`] leaves its last pairing
-/// unrotated.
+/// update and the rule's books. On every tier a step is one pass, each
+/// chunk of eight rows loaded, rotated and stored, the next step's
+/// multiply-adds taking the rotated lanes from the registers that stored
+/// them; only a step that skips a pairing rotates, then reduces. A walk
+/// dropped before [`Walk::finish`] leaves its last pairing unrotated.
 #[must_use = "a walk rotates its last pairing in `finish`"]
 pub struct Walk<'b, P> {
     pairing: P,
@@ -685,7 +837,7 @@ impl<'b, P: Pairing> Walk<'b, P> {
     }
 
     /// The blocks `cols`, each with the cache's next slot per column,
-    /// which [`walk_on`] fills before it walks them. Where the store must
+    /// which [`Walking`] fills before it walks them. Where the store must
     /// grow, the held pairing is rotated first: its slots move with the
     /// store.
     fn cached<const N: usize>(&mut self, tier: LaneTier, mut cols: [Columns; N]) -> [Columns; N] {
@@ -722,27 +874,11 @@ impl<'b, P: Pairing> Walk<'b, P> {
             self.close(tier);
         }
         let last = self.last.take();
-        let pairing = &mut self.pairing;
-        self.last = match tier {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the tier implies cpuid reported avx512f and avx512vl
-            // (`LaneTier`); `cols` and the held pairing address blocks this
-            // walk borrows for as long as it lives (`Columns::of`) and slots
-            // of its cache, and every column of them holds `cols[0].rows`.
-            LaneTier::Avx512 => unsafe {
-                x86::walk_avx512::<P, I>(pairing, last, cols, one_block, rects)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the tier implies cpuid reported avx2 and fma; the
-            // columns as above.
-            LaneTier::Avx2Fma => unsafe {
-                x86::walk_avx2::<P, I>(pairing, last, cols, one_block, rects)
-            },
-            // SAFETY: the columns as above.
-            LaneTier::Portable => unsafe {
-                walk_portable::<P, I>(pairing, last, cols, one_block, rects)
-            },
-        };
+        let walking = Walking { pairing: &mut self.pairing, last, cols, one_block, rects };
+        // SAFETY: `cols` and the held pairing address blocks this walk
+        // borrows for as long as it lives (`Columns::of`) and slots of its
+        // cache, and every column of them holds `cols[0].rows`.
+        self.last = unsafe { on(tier, walking) };
     }
 
     /// Rotates the held pairing on its own, if there is one.
@@ -756,26 +892,27 @@ impl<'b, P: Pairing> Walk<'b, P> {
     }
 }
 
-/// Reduces the diagonal of every column of `cols` into its slot, on
-/// `tier`: four columns abreast, then the one to three left over abreast,
-/// each `u_k · a_k` — or `a_k · a_k` where `GRAM` — bitwise [`dot`].
-/// Inlined into each tier's walk.
+/// Reduces the diagonal of every column of `cols` into its slot, on `G`:
+/// four columns abreast, then the one to three left over abreast, each
+/// `u_k · a_k` — or `a_k · a_k` where `GRAM` — bitwise [`dot`]. Inlined
+/// into each tier's walk.
 ///
 /// # Safety
-/// `cols` must address a block's columns, none with a mutable view alive,
-/// and `ncols` writable slots at `cols.diag`.
+/// `G`'s; `cols` must address a block's columns, none with a mutable view
+/// alive, and `ncols` writable slots at `cols.diag`; under the implicit
+/// rule its `A` and `U` streams share one length.
 #[inline(always)]
-unsafe fn refresh<const GRAM: bool>(tier: LaneTier, cols: Columns) {
+unsafe fn refresh<G: Lanes, const GRAM: bool>(cols: Columns) {
     let mut k = 0;
     while k + 4 <= cols.ncols {
-        abreast::<GRAM, 8, 4>(tier, cols, k);
+        abreast::<G, GRAM, 8, 4>(cols, k);
         k += 4;
     }
     match cols.ncols - k {
         0 => {}
-        1 => abreast::<GRAM, 2, 1>(tier, cols, k),
-        2 => abreast::<GRAM, 4, 2>(tier, cols, k),
-        _ => abreast::<GRAM, 6, 3>(tier, cols, k),
+        1 => abreast::<G, GRAM, 2, 1>(cols, k),
+        2 => abreast::<G, GRAM, 4, 2>(cols, k),
+        _ => abreast::<G, GRAM, 6, 3>(cols, k),
     }
 }
 
@@ -785,23 +922,18 @@ unsafe fn refresh<const GRAM: bool>(tier: LaneTier, cols: Columns) {
 /// # Safety
 /// As [`refresh`], the columns in the block.
 #[inline(always)]
-unsafe fn abreast<const GRAM: bool, const S: usize, const N: usize>(
-    tier: LaneTier,
+unsafe fn abreast<G: Lanes, const GRAM: bool, const S: usize, const N: usize>(
     cols: Columns,
     k: usize,
 ) {
-    let [alen, ulen] = cols.rows;
-    let streams: [&[f64]; S] = std::array::from_fn(|s| {
+    let mut streams = [std::ptr::null(); S];
+    for s in 0..S {
         let col = cols.at(k + s / 2);
-        if s % 2 == 0 {
-            std::slice::from_raw_parts(col.a, alen)
-        } else {
-            std::slice::from_raw_parts(col.u, ulen)
-        }
-    });
-    let blocks = dots::<S, N, true, Diagonals<GRAM, N>>(tier, streams);
-    for (n, [_, d, _]) in blocks.into_iter().enumerate() {
-        *cols.at(k + n).d = d;
+        streams[s] = if s % 2 == 0 { col.a } else { col.u };
+    }
+    let blocks = reduce::<G, S, N, true, Diagonals<GRAM, N>>(streams, cols.rows[0]);
+    for n in 0..N {
+        *cols.at(k + n).d = blocks[n][1];
     }
 }
 
@@ -966,97 +1098,63 @@ fn walk_rect<S: Steps>(s: &mut S, (left, nl): (S::Side, usize), (right, nr): (S:
     }
 }
 
-/// A vector tier a walk is compiled for.
-trait OnTier {
-    const TIER: LaneTier;
-}
-
-/// The tiers, one type each.
-#[cfg(target_arch = "x86_64")]
-struct OnAvx512;
-#[cfg(target_arch = "x86_64")]
-struct OnAvx2;
-struct OnPortable;
-
-#[cfg(target_arch = "x86_64")]
-impl OnTier for OnAvx512 {
-    const TIER: LaneTier = LaneTier::Avx512;
-}
-#[cfg(target_arch = "x86_64")]
-impl OnTier for OnAvx2 {
-    const TIER: LaneTier = LaneTier::Avx2Fma;
-}
-impl OnTier for OnPortable {
-    const TIER: LaneTier = LaneTier::Portable;
-}
-
-/// The walk on the portable tier, which a host without FMA runs: a
-/// function of its own, its passes the portable kernels'.
+/// A walk call's kernel: walks `rects` over `cols` — left, right; the
+/// same block twice where `one_block` — after the held pairing `last`, and
+/// returns the pairing it then holds, the blocks' slots [`refresh`]ed
+/// first. Each tier runs it inside its one function, so every step
+/// compiles in the tier's instructions.
 ///
-/// # Safety
-/// As [`walk_on`].
-#[inline(never)]
-unsafe fn walk_portable<P: Pairing, I: Iterator<Item = Rect>>(
-    pairing: &mut P,
+/// Safety of [`Kernel::run`]: `cols` must address blocks the caller has
+/// borrowed for as long as the returned pairing is held, every column of
+/// both holding `cols[0].rows` (`A` and `U` of one length under the
+/// implicit rule), and each block's slots, one per column, the walk's own
+/// for as long; `last` must be a pairing of distinct columns of such
+/// blocks, of `last.rows`.
+///
+/// Running it panics if a rectangle reaches past its block, or pairs a
+/// column with itself where both sides are one block.
+struct Walking<'p, P, I> {
+    pairing: &'p mut P,
     last: Option<Held>,
     cols: [Columns; 2],
     one_block: bool,
     rects: I,
-) -> Option<Held> {
-    walk_on::<OnPortable, P, I>(pairing, last, cols, one_block, rects)
 }
 
-/// Walks `rects` over `cols` — left, right; the same block twice where
-/// `one_block` — after the held pairing `last`, on tier `K`, and returns
-/// the pairing it then holds, the blocks' slots [`refresh`]ed first.
-/// Inlined into each tier's function, so its steps compile in the tier's
-/// instructions.
-///
-/// # Safety
-/// `K`'s features must have been reported by cpuid; `cols` must address
-/// blocks the caller has borrowed for as long as the returned pairing is
-/// held, every column of both holding `cols[0].rows`, and each block's
-/// slots, one per column, the walk's own for as long; `last` must be a
-/// pairing of distinct columns of such blocks, of `last.rows`.
-///
-/// # Panics
-/// Panics if a rectangle reaches past its block, or pairs a column with
-/// itself where both sides are one block.
-#[inline(always)]
-unsafe fn walk_on<K: OnTier, P: Pairing, I: Iterator<Item = Rect>>(
-    pairing: &mut P,
-    last: Option<Held>,
-    cols: [Columns; 2],
-    one_block: bool,
-    rects: I,
-) -> Option<Held> {
-    for c in &cols[..2 - usize::from(one_block)] {
-        if P::GRAM {
-            refresh::<true>(K::TIER, *c);
-        } else {
-            refresh::<false>(K::TIER, *c);
+impl<P: Pairing, I: Iterator<Item = Rect>> Kernel for Walking<'_, P, I> {
+    type Out = Option<Held>;
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) -> Option<Held> {
+        let Walking { pairing, last, cols, one_block, rects } = self;
+        for c in &cols[..2 - usize::from(one_block)] {
+            if P::GRAM {
+                refresh::<G, true>(*c);
+            } else {
+                refresh::<G, false>(*c);
+            }
         }
-    }
-    let rows = cols[0].rows;
-    let mut walker = Walker::<K, P> {
-        pairing,
-        hand: [last.map_or(NO_HAND, |last| last.hand); 2],
-        held: last.is_some(),
-        rows,
-        _tier: std::marker::PhantomData,
-    };
-    for (l, r) in rects {
-        if l.is_empty() || r.is_empty() {
-            continue;
+        let rows = cols[0].rows;
+        let mut walker = Walker::<G, P> {
+            pairing,
+            hand: [last.map_or(NO_HAND, |last| last.hand); 2],
+            held: last.is_some(),
+            rows,
+            _lanes: std::marker::PhantomData,
+        };
+        for (l, r) in rects {
+            if l.is_empty() || r.is_empty() {
+                continue;
+            }
+            assert!(l.end <= cols[0].ncols && r.end <= cols[1].ncols, "a rectangle past its block");
+            assert!(
+                !one_block || l.end <= r.start || r.end <= l.start,
+                "a rectangle pairs a column with itself"
+            );
+            walk_rect(&mut walker, ((cols[0], l.start), l.len()), ((cols[1], r.start), r.len()));
         }
-        assert!(l.end <= cols[0].ncols && r.end <= cols[1].ncols, "a rectangle past its block");
-        assert!(
-            !one_block || l.end <= r.start || r.end <= l.start,
-            "a rectangle pairs a column with itself"
-        );
-        walk_rect(&mut walker, ((cols[0], l.start), l.len()), ((cols[1], r.start), r.len()));
+        walker.held.then_some(Held { hand: walker.hand[0], rows })
     }
-    walker.held.then_some(Held { hand: walker.hand[0], rows })
 }
 
 /// The hand of a walk that holds no pairing.
@@ -1065,19 +1163,20 @@ const NO_HAND: Hand = {
     Hand { i: none, j: none, block: [0.0; 3] }
 };
 
-/// The walk's steps on tier `K`: the pairings in hand, `R` of them from
-/// the first, and the rule's books.
-struct Walker<'p, K, P> {
+/// The walk's steps on the group `G`, made only inside its tier's
+/// function ([`Walking`]): the pairings in hand, `R` of them from the
+/// first, and the rule's books.
+struct Walker<'p, G, P> {
     pairing: &'p mut P,
     hand: [Hand; 2],
     /// Whether `hand[0]` is a pairing — between two rectangles, the one in
     /// hand.
     held: bool,
     rows: [usize; 2],
-    _tier: std::marker::PhantomData<K>,
+    _lanes: std::marker::PhantomData<G>,
 }
 
-impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
+impl<G: Lanes, P: Pairing> Steps for Walker<'_, G, P> {
     type Col = Column;
     type Side = (Columns, usize);
 
@@ -1094,13 +1193,13 @@ impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
     #[inline(always)]
     fn open(&mut self, [i, j]: [Column; 2]) {
         let [alen, _] = self.rows;
-        // SAFETY: the walk checked both columns are in their blocks, every
-        // stream of `alen` (the implicit rule's `U` streams too), with a
-        // slot each; no mutable view of them is alive.
+        // SAFETY: inside `G`'s tier function; the walk checked both columns
+        // are in their blocks, every stream of `alen` (the implicit rule's
+        // `U` streams too), with a slot each; no mutable view of them is
+        // alive.
         let block = unsafe {
-            let stream = |s: *mut f64| std::slice::from_raw_parts(s, alen);
-            let x = stream(if P::GRAM { i.a } else { i.u });
-            let [[_, pq, _]] = dots::<2, 1, true, Dot>(K::TIER, [x, stream(j.a)]);
+            let x = if P::GRAM { i.a } else { i.u };
+            let [[_, pq, _]] = reduce::<G, 2, 1, true, Dot>([x, j.a], alen);
             [*i.d, pq, *j.d]
         };
         self.hand[0] = Hand { i, j, block };
@@ -1128,16 +1227,16 @@ impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
         } else {
             turns[0] = self.pairing.angle(block(0));
         }
-        let mut rows = [[std::ptr::null_mut(); 4]; R];
+        let mut streams = [std::ptr::null_mut(); STEP_STREAMS];
         for r in 0..R {
             let Hand { i, j, .. } = now[r];
-            rows[r] = [i.a, j.a, i.u, j.u];
+            streams[4 * r..4 * r + 4].copy_from_slice(&[i.a, j.a, i.u, j.u]);
         }
-        let read = [fresh[0].a, fresh[0].u, fresh[1].a, fresh[1].u];
+        streams[8..].copy_from_slice(&[fresh[0].a, fresh[0].u, fresh[1].a, fresh[1].u]);
         // SAFETY: the walk's schedule hands a step distinct columns, each
         // in a block the walk has borrowed and of `self.rows`: the ones it
         // rotates and the ones its table reads besides.
-        let offs = unsafe { pass::<K, R, N, Step<T, P>>(rows, turns, read, self.rows) };
+        let offs = unsafe { pass::<G, R, N, Step<T, P>>(streams, turns, self.rows) };
         if let (2, Some(r0), Some(r1)) = (R, turns[0], turns[R - 1]) {
             let [[pp0, qq0], [pp1, qq1]] = kept_pair([now[0].block, now[R - 1].block], [r0, r1]);
             // SAFETY: each slot is its column's own.
@@ -1175,7 +1274,7 @@ impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
     fn close(&mut self) {
         // SAFETY: the pairing in hand is two distinct columns of the walk's
         // blocks, of `self.rows`.
-        unsafe { rotate_alone(K::TIER, self.pairing, self.hand[0], self.rows) };
+        unsafe { rotate_alone(G::TIER, self.pairing, self.hand[0], self.rows) };
         self.held = false;
     }
 }
@@ -1189,12 +1288,8 @@ impl<K: OnTier, P: Pairing> Steps for Walker<'_, K, P> {
 unsafe fn rotate_alone<P: Pairing>(tier: LaneTier, pairing: &mut P, hand: Hand, rows: [usize; 2]) {
     let [app, apq, aqq] = hand.block;
     if let Some(rot) = pairing.angle((app, apq, aqq)) {
-        let [alen, ulen] = rows;
         let (i, j) = (hand.i, hand.j);
-        let stream = |s: *mut f64, len| std::slice::from_raw_parts_mut(s, len);
-        let (ai, aj) = (stream(i.a, alen), stream(j.a, alen));
-        let (ui, uj) = (stream(i.u, ulen), stream(j.u, ulen));
-        pair_rotate_on(tier, ai, aj, ui, uj, rot.c, rot.s);
+        rotate_on(tier, Rotate { rows: [i.a, j.a, i.u, j.u], lens: rows, c: rot.c, s: rot.s });
         keep_slots(hand, rot);
     }
 }
@@ -1211,83 +1306,102 @@ unsafe fn keep_slots(Hand { i, j, block: [app, apq, aqq] }: Hand, rot: JacobiRot
     (*i.d, *j.d) = (pp, qq);
 }
 
-/// A step's pass on tier `K`: rotates pairing `r`'s streams `rows[r] =
-/// [ai, aj, ui, uj]` by `turns[r]` (a skipped pairing is left as it is),
-/// bitwise [`pair_rotate`], and returns the off-diagonals of `O`'s blocks
-/// over the step's streams ([`STEP_STREAMS`]) after the rotation, each
-/// bitwise [`dot`]. On AVX-512 with every pairing turning that is one
-/// pass; otherwise a rotation pass, then one reduction pass a block.
+/// A step's pass on `G` over its streams ([`STEP_STREAMS`]): rotates
+/// pairing `r`'s `[ai, aj, ui, uj]` by `turns[r]` (a skipped pairing is
+/// left as it is), bitwise [`pair_rotate`], and returns the off-diagonals
+/// of `O`'s blocks after the rotation, each bitwise [`dot`]. With every
+/// pairing turning that is one pass ([`step`]); a step that skips one
+/// rotates the others, then reduces, since a turn by the identity would
+/// not keep −0.0 or ∞.
 ///
 /// # Safety
-/// `K`'s features must have been reported by cpuid. The rotated streams
-/// and the fresh ones `read` = `[a0, u0, a1, u1]` the table reads must be
-/// distinct columns' streams: `A` streams of `alen` values, `U` streams
-/// of `ulen`. Under the implicit rule (`O` reading `U` streams) both are
+/// `G`'s. The rotated streams and the fresh ones the table reads must be
+/// distinct columns' streams: `A` streams of `lens[0]` values, `U` streams
+/// of `lens[1]`. Under the implicit rule (`O` reading `U` streams) both are
 /// one length.
 #[inline(always)]
-unsafe fn pass<K: OnTier, const R: usize, const N: usize, O: Operands<N>>(
-    rows: [[*mut f64; 4]; R],
+unsafe fn pass<G: Lanes, const R: usize, const N: usize, O: Operands<N>>(
+    streams: [*mut f64; STEP_STREAMS],
     turns: [Option<JacobiRotation>; R],
-    read: [*mut f64; 4],
-    [alen, ulen]: [usize; 2],
+    lens: [usize; 2],
 ) -> [f64; N] {
-    #[cfg(target_arch = "x86_64")]
-    if matches!(K::TIER, LaneTier::Avx512) && turns.iter().all(Option::is_some) {
+    if turns.iter().all(Option::is_some) {
         let mut cs = [(0.0, 0.0); R];
         for r in 0..R {
             if let Some(rot) = turns[r] {
                 cs[r] = (rot.c, rot.s);
             }
         }
-        return x86::step_avx512::<R, N, O>(rows, cs, read, [alen, ulen]);
+        return step::<G, R, N, O>(streams, cs, lens);
     }
     for r in 0..R {
         if let Some(rot) = turns[r] {
-            let [ai, aj, ui, uj] = rows[r];
-            let stream = |s: *mut f64, len| std::slice::from_raw_parts_mut(s, len);
-            let (ai, aj, ui, uj) =
-                (stream(ai, alen), stream(aj, alen), stream(ui, ulen), stream(uj, ulen));
-            pair_rotate_on(K::TIER, ai, aj, ui, uj, rot.c, rot.s);
+            let rows = [streams[4 * r], streams[4 * r + 1], streams[4 * r + 2], streams[4 * r + 3]];
+            rotate_on(G::TIER, Rotate { rows, lens, c: rot.c, s: rot.s });
         }
     }
-    let streams = step_streams(rows, read, [alen, ulen]);
-    let mut offs = [0.0f64; N];
-    for (off, [x, _, _, b]) in offs.iter_mut().zip(O::TABLE) {
-        [[_, *off, _]] = dots::<2, 1, true, Dot>(K::TIER, [streams[x], streams[b]]);
-    }
-    offs
+    let streams = streams.map(<*mut f64>::cast_const);
+    reduce::<G, STEP_STREAMS, N, true, O>(streams, lens[0]).map(|[_, pq, _]| pq)
 }
 
-/// The streams of a step as slices, numbered as in [`STEP_STREAMS`]; a
-/// pairing the step does not have is empty.
+/// A step's one pass on `G`, every pairing `r` turning by `turns[r]`: per
+/// chunk of eight rows, each pairing's four streams are loaded, turned
+/// ([`turn_lanes`]) and stored, and the next step's products take the
+/// turned values from the same registers, beside the fresh columns'
+/// loads. What the chunks leave — the rows past the last common chunk of
+/// every stream — is turned by the scalar loop, then reduced from memory,
+/// each product's chains continued ([`chunks`], [`sums`]).
 ///
 /// # Safety
-/// Every pointer must address a stream of its length, `A` streams of
-/// `alen` and `U` streams of `ulen`, with no mutable view of it alive
-/// while the slices are.
+/// As [`pass`].
 #[inline(always)]
-unsafe fn step_streams<'s, const R: usize>(
-    rows: [[*mut f64; 4]; R],
-    [a0, u0, a1, u1]: [*mut f64; 4],
+unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<N>>(
+    streams: [*mut f64; STEP_STREAMS],
+    turns: [(f64, f64); R],
     [alen, ulen]: [usize; 2],
-) -> [&'s [f64]; STEP_STREAMS] {
-    let stream = |s: *mut f64, len| std::slice::from_raw_parts(s, len);
-    let mut streams: [&[f64]; STEP_STREAMS] = [&[]; STEP_STREAMS];
-    for (r, [ai, aj, ui, uj]) in rows.into_iter().enumerate() {
-        streams[4 * r..4 * r + 4].copy_from_slice(&[
-            stream(ai, alen),
-            stream(aj, alen),
-            stream(ui, ulen),
-            stream(uj, ulen),
-        ]);
+) -> [f64; N] {
+    let fused = alen.min(ulen) / 8 * 8;
+    let mut vt = [(G::splat(0.0), G::splat(0.0)); R];
+    for r in 0..R {
+        vt[r] = (G::splat(turns[r].0), G::splat(turns[r].1));
     }
-    streams[8..].copy_from_slice(&[
-        stream(a0, alen),
-        stream(u0, ulen),
-        stream(a1, alen),
-        stream(u1, ulen),
-    ]);
-    streams
+    let mut acc = [[G::splat(0.0); 3]; N];
+    for i in (0..fused).step_by(8) {
+        let mut v = [G::splat(0.0); STEP_STREAMS];
+        // Every load of the chunk before any of its stores: a load after a
+        // store whose address matches it in the low twelve bits waits on
+        // the store, and the columns of a 256-row block start 4 KiB apart.
+        for f in 8..STEP_STREAMS {
+            if reads::<N, true, T>(f) {
+                v[f] = G::load(streams[f].add(i));
+            }
+        }
+        for r in 0..R {
+            let (c, s) = vt[r];
+            let [ai, aj, ui, uj] =
+                [streams[4 * r], streams[4 * r + 1], streams[4 * r + 2], streams[4 * r + 3]];
+            let (a0, a1) = (G::load(ai.add(i)), G::load(aj.add(i)));
+            let (u0, u1) = (G::load(ui.add(i)), G::load(uj.add(i)));
+            (v[4 * r], v[4 * r + 1]) = turn_lanes(a0, a1, c, s);
+            (v[4 * r + 2], v[4 * r + 3]) = turn_lanes(u0, u1, c, s);
+        }
+        products::<G, STEP_STREAMS, N, true, T>(&mut acc, &v);
+        for k in 0..4 * R {
+            v[k].store(streams[k].add(i));
+        }
+    }
+    for r in 0..R {
+        let (c, s) = turns[r];
+        for (x, len) in [(4 * r, alen), (4 * r + 2, ulen)] {
+            let (x, y) = (streams[x], streams[x + 1]);
+            for k in fused..len {
+                (*x.add(k), *y.add(k)) = turn(*x.add(k), *y.add(k), c, s);
+            }
+        }
+    }
+    let streams = streams.map(<*mut f64>::cast_const);
+    chunks::<G, STEP_STREAMS, N, true, T>(&mut acc, streams, fused..alen / 8 * 8);
+    sums::<G, STEP_STREAMS, N, true, T>(acc, streams, alen / 8 * 8, alen).map(|[_, pq, _]| pq)
 }
 
 /// The one plane rotation, of one entry pair: `(x, y) ← (c·x − s·y,
@@ -1419,17 +1533,19 @@ fn pair_rotate_loop(
     }
 }
 
-/// The shortest prefix [`pair_rotate_lanes`] gives the AVX-512 form: four
-/// of its vectors. On an AVX-512 Xeon (Sapphire Rapids class) the two-sided
-/// oracle ran 7–10 % quicker at m = 10 and 20 with the AVX2 form, and
-/// 6–9 % slower at m = 33, 48 and 64.
+/// The shortest prefix [`pair_rotate_lanes`] gives the AVX-512 group: four
+/// of its chunks; a shorter one runs the AVX2 group. On an AVX-512 Xeon
+/// (Sapphire Rapids class) the two-sided oracle ran 7–10 % quicker at
+/// m = 10 and 20 with the AVX2 form, and 6–9 % slower at m = 33, 48 and 64
+/// (measured when that form went four lanes a chunk).
 #[cfg(target_arch = "x86_64")]
 const AVX512_MIN_ROTATE: usize = 32;
 
 /// [`pair_rotate`] on the lane path: the common prefix of all four streams
-/// is rotated by the widest vector unit available, the excess (mismatched
-/// lengths, plus the sub-width tail) by the scalar loop. On an AVX-512
-/// host a prefix shorter than 32 elements runs the AVX2 form.
+/// is rotated by the widest vector unit available, eight rows a chunk, the
+/// excess (mismatched lengths, plus the rows past the last chunk) by the
+/// scalar loop. On an AVX-512 host a prefix shorter than 32 elements runs
+/// the AVX2 group.
 ///
 /// Bitwise identical to [`pair_rotate`] on every tier: each lane rotates
 /// its entry pair with the loop's multiply and fused multiply-add, in the
@@ -1463,23 +1579,62 @@ fn pair_rotate_on(
 ) {
     assert_eq!(ai.len(), aj.len());
     assert_eq!(ui.len(), uj.len());
-    let (head, a_tail, u_tail) = split_pair_streams(ai, aj, ui, uj);
+    // SAFETY: the streams are four slices, each pair of one length.
+    unsafe { rotate_on(tier, Rotate::new([ai, aj, ui, uj], c, s)) }
+}
+
+/// Runs `rotate` on `tier`, where on AVX-512 a head shorter than
+/// [`AVX512_MIN_ROTATE`] runs the AVX2 group.
+///
+/// # Safety
+/// `rotate`'s streams must be four distinct ones, the `A` pair of
+/// `lens[0]` values and the `U` pair of `lens[1]`.
+#[inline]
+unsafe fn rotate_on(tier: LaneTier, rotate: Rotate) {
     match tier {
         #[cfg(target_arch = "x86_64")]
-        // Safety: tier implies the feature was detected (see `LaneTier`).
-        LaneTier::Avx512 if head.0.len() >= AVX512_MIN_ROTATE => unsafe {
-            x86::pair_rotate_avx512(head.0, head.1, head.2, head.3, c, s)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // Safety: each of these tiers implies avx2 and fma (rustc's
-        // `avx512f` includes both).
-        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
-            x86::pair_rotate_avx2(head.0, head.1, head.2, head.3, c, s)
-        },
-        LaneTier::Portable => pair_rotate_portable(head.0, head.1, head.2, head.3, c, s),
+        // The tier implies avx2 and fma (rustc's `avx512f` includes both).
+        LaneTier::Avx512 if rotate.lens[0].min(rotate.lens[1]) < AVX512_MIN_ROTATE => {
+            x86::on_avx2(rotate)
+        }
+        _ => on(tier, rotate),
     }
-    if !a_tail.0.is_empty() || !u_tail.0.is_empty() {
-        pair_rotate(a_tail.0, a_tail.1, u_tail.0, u_tail.1, c, s);
+}
+
+/// The lane rotator's kernel, `rows = [ai, aj, ui, uj]`: the step pass of
+/// one pairing that reduces nothing ([`step`]) — a chunk of eight rows at
+/// a time, each chunk's four loads, then its turns, then its four stores,
+/// and the rows past the last common chunk by the scalar loop.
+struct Rotate {
+    rows: [*mut f64; 4],
+    lens: [usize; 2],
+    c: f64,
+    s: f64,
+}
+
+/// A step that reduces no block: [`Rotate`]'s.
+struct NoBlocks;
+
+impl Operands<0> for NoBlocks {
+    const TABLE: [[usize; 4]; 0] = [];
+}
+
+impl Rotate {
+    /// The kernel of `(ai, aj)` and `(ui, uj)`, each pair of one length.
+    fn new([ai, aj, ui, uj]: [&mut [f64]; 4], c: f64, s: f64) -> Rotate {
+        debug_assert!(ai.len() == aj.len() && ui.len() == uj.len());
+        Rotate { lens: [ai.len(), ui.len()], rows: [ai, aj, ui, uj].map(<[f64]>::as_mut_ptr), c, s }
+    }
+}
+
+impl Kernel for Rotate {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) {
+        let mut streams = [std::ptr::null_mut(); STEP_STREAMS];
+        streams[..4].copy_from_slice(&self.rows);
+        step::<G, 1, 0, NoBlocks>(streams, [(self.c, self.s)], self.lens);
     }
 }
 
@@ -1657,13 +1812,14 @@ fn top_pivot_abreast<const N: usize>(
     }
 }
 
-/// Explicit x86-64 lane kernels. Every function here carries a
-/// `#[target_feature]` attribute and is only reachable through
+/// The x86-64 tiers: their lane groups and their one function each, the
+/// two-lane SSE2 angles and the two-sided oracle's rotators. Every
+/// `#[target_feature]` function here is reached only through
 /// [`lane_tier`]'s cpuid dispatch, which is the safety condition for each
 /// of the `unsafe fn`s below.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Columns, Held, JacobiRotation, Operands, Pairing, Rect};
+    use super::{JacobiRotation, Kernel, LaneTier, Lanes};
     use std::arch::x86_64::*;
 
     /// [`super::symmetric_schur_pair`] in the two lanes of one SSE2
@@ -1712,353 +1868,122 @@ mod x86 {
         }
     }
 
-    /// [`super::dots`] on AVX-512F: each product's eight partial sums in
-    /// one register, lane `l` the sum of index `l` mod 8, one fused
-    /// multiply-add per eight elements — then [`super::finish`]'s tree and
-    /// tail.
+    /// The AVX-512 tier's function (F and VL): `k` on one `__m512d` a
+    /// group. VL lets a walk keep its accumulators in zmm16–31
+    /// (`LaneTier::Avx512`).
     ///
     /// # Safety
-    /// Caller must have verified `avx512f` via cpuid (rustc's `avx512f`
-    /// includes `fma`); every stream the products read must hold `len`
-    /// elements (checked by [`super::dots`]).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dots_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-        streams: [&[f64]; S],
-        len: usize,
-    ) -> [[f64; 3]; N] {
-        let body = len / 8 * 8;
-        let mut acc = [[_mm512_setzero_pd(); 3]; N];
-        reduce_avx512::<S, N, OFF, T>(&mut acc, streams, 0..body);
-        super::finish(spill_avx512(acc), streams, (T::TABLE, OFF), body, len)
-    }
-
-    /// The products' fused multiply-adds over the eight-element chunks
-    /// starting in `chunks`, read from memory.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; every stream the products read must hold the
-    /// chunks.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn reduce_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-        acc: &mut [[__m512d; 3]; N],
-        streams: [&[f64]; S],
-        chunks: std::ops::Range<usize>,
-    ) {
-        let mut v = [_mm512_setzero_pd(); S];
-        for i in chunks.step_by(8) {
-            for (s, reg) in v.iter_mut().enumerate() {
-                if super::reads::<N, OFF, T>(s) {
-                    *reg = _mm512_loadu_pd(streams[s].as_ptr().add(i));
-                }
-            }
-            fma_avx512::<S, N, OFF, T>(acc, &v);
-        }
-    }
-
-    /// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
-    /// Always inlined, into an AVX-512 function.
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[inline(always)]
-    unsafe fn fma_avx512<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-        acc: &mut [[__m512d; 3]; N],
-        v: &[__m512d; S],
-    ) {
-        for (acc, row) in acc.iter_mut().zip(T::TABLE) {
-            for (p, acc) in acc.iter_mut().enumerate() {
-                if super::takes(OFF, p) {
-                    let [x, y] = super::product(row, p);
-                    *acc = _mm512_fmadd_pd(v[x], v[y], *acc);
-                }
-            }
-        }
-    }
-
-    /// The accumulators' lanes, as [`super::finish`] takes them. Always
-    /// inlined, into an AVX-512 function.
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[inline(always)]
-    unsafe fn spill_avx512<const N: usize>(acc: [[__m512d; 3]; N]) -> [[[f64; 8]; 3]; N] {
-        let mut sums = [[[0.0f64; 8]; 3]; N];
-        for (sums, acc) in sums.iter_mut().zip(acc) {
-            for (sums, acc) in sums.iter_mut().zip(acc) {
-                _mm512_storeu_pd(sums.as_mut_ptr(), acc);
-            }
-        }
-        sums
-    }
-
-    /// [`super::walk_on`] compiled for AVX-512 (F and VL): every step of
-    /// a call's rectangles in this one function, each pass
-    /// [`step_avx512`] where every pairing of the step turns.
-    ///
-    /// # Safety
-    /// As [`super::walk_on`], on a host whose cpuid reported avx512f and
+    /// As [`Kernel::run`], on a host whose cpuid reported avx512f and
     /// avx512vl.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn walk_avx512<P: Pairing, I: Iterator<Item = Rect>>(
-        pairing: &mut P,
-        last: Option<Held>,
-        cols: [Columns; 2],
-        one_block: bool,
-        rects: I,
-    ) -> Option<Held> {
-        super::walk_on::<super::OnAvx512, P, I>(pairing, last, cols, one_block, rects)
+    pub(super) unsafe fn on_avx512<K: Kernel>(k: K) -> K::Out {
+        k.run::<__m512d>()
     }
 
-    /// [`super::walk_on`] compiled for AVX2 with FMA: every step a
-    /// rotation pass, then a reduction pass a block.
+    /// The AVX2 tier's function: `k` on two `__m256d` a group.
     ///
     /// # Safety
-    /// As [`super::walk_on`], on a host whose cpuid reported avx2 and fma.
+    /// As [`Kernel::run`], on a host whose cpuid reported avx2 and fma.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn walk_avx2<P: Pairing, I: Iterator<Item = Rect>>(
-        pairing: &mut P,
-        last: Option<Held>,
-        cols: [Columns; 2],
-        one_block: bool,
-        rects: I,
-    ) -> Option<Held> {
-        super::walk_on::<super::OnAvx2, P, I>(pairing, last, cols, one_block, rects)
+    pub(super) unsafe fn on_avx2<K: Kernel>(k: K) -> K::Out {
+        k.run::<[__m256d; 2]>()
     }
 
-    /// A step's pass on AVX-512 (F and VL), every pairing turning: per
-    /// chunk of eight rows, each pairing's four streams are loaded,
-    /// rotated ([`turn8`]) and stored, and the next step's products take
-    /// the rotated values from the same registers, beside the fresh
-    /// columns' loads; the products' lanes then go through the tree in
-    /// registers ([`tree_avx512`]). What the chunks leave — the rows past
-    /// the last common chunk of every stream — is rotated by the scalar
-    /// loop, then reduced from memory by [`step_rest`], each lane's chain
-    /// continued. Inlined into [`walk_avx512`], whose instructions it
-    /// takes.
+    /// The AVX-512 group: one register.
+    impl Lanes for __m512d {
+        const TIER: LaneTier = LaneTier::Avx512;
+
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            _mm512_set1_pd(x)
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm512_loadu_pd(p)
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm512_storeu_pd(p, self);
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, y: Self) -> Self {
+            _mm512_mul_pd(self, y)
+        }
+
+        #[inline(always)]
+        unsafe fn fma(self, y: Self, z: Self) -> Self {
+            _mm512_fmadd_pd(self, y, z)
+        }
+
+        #[inline(always)]
+        unsafe fn fmsub(self, y: Self, z: Self) -> Self {
+            _mm512_fmsub_pd(self, y, z)
+        }
+
+        /// In registers: the high half added to the low one gives `s_l +
+        /// s_(l+4)`, then [`tree4`].
+        #[inline(always)]
+        unsafe fn tree(self) -> f64 {
+            tree4(_mm256_add_pd(_mm512_castpd512_pd256(self), _mm512_extractf64x4_pd::<1>(self)))
+        }
+    }
+
+    /// The AVX2 group: lanes 0–3 in the first register, 4–7 in the second.
+    impl Lanes for [__m256d; 2] {
+        const TIER: LaneTier = LaneTier::Avx2Fma;
+
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            [_mm256_set1_pd(x); 2]
+        }
+
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            [_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))]
+        }
+
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self[0]);
+            _mm256_storeu_pd(p.add(4), self[1]);
+        }
+
+        #[inline(always)]
+        unsafe fn mul(self, y: Self) -> Self {
+            [_mm256_mul_pd(self[0], y[0]), _mm256_mul_pd(self[1], y[1])]
+        }
+
+        #[inline(always)]
+        unsafe fn fma(self, y: Self, z: Self) -> Self {
+            [_mm256_fmadd_pd(self[0], y[0], z[0]), _mm256_fmadd_pd(self[1], y[1], z[1])]
+        }
+
+        #[inline(always)]
+        unsafe fn fmsub(self, y: Self, z: Self) -> Self {
+            [_mm256_fmsub_pd(self[0], y[0], z[0]), _mm256_fmsub_pd(self[1], y[1], z[1])]
+        }
+
+        /// In registers: the two added give `s_l + s_(l+4)`, then
+        /// [`tree4`].
+        #[inline(always)]
+        unsafe fn tree(self) -> f64 {
+            tree4(_mm256_add_pd(self[0], self[1]))
+        }
+    }
+
+    /// The rest of the fixed tree from `h = [s0+s4, s1+s5, s2+s6, s3+s7]`:
+    /// its high half added to its low one gives `(s0 + s4) + (s2 + s6)`
+    /// and `(s1 + s5) + (s3 + s7)`, and those two the sum.
     ///
     /// # Safety
-    /// As [`super::pass`], on a host with AVX-512F and VL.
+    /// Requires AVX.
     #[inline(always)]
-    pub unsafe fn step_avx512<const R: usize, const N: usize, T: Operands<N>>(
-        rows: [[*mut f64; 4]; R],
-        turns: [(f64, f64); R],
-        read: [*mut f64; 4],
-        [alen, ulen]: [usize; 2],
-    ) -> [f64; N] {
-        let fused = alen.min(ulen) / 8 * 8;
-        let mut vt = [(_mm512_setzero_pd(), _mm512_setzero_pd()); R];
-        for r in 0..R {
-            vt[r] = (_mm512_set1_pd(turns[r].0), _mm512_set1_pd(turns[r].1));
-        }
-        let mut acc = [[_mm512_setzero_pd(); 3]; N];
-        for i in (0..fused).step_by(8) {
-            let mut v = [_mm512_setzero_pd(); super::STEP_STREAMS];
-            // Every load of the chunk before any of its stores: a load
-            // after a store whose address matches it in the low twelve bits
-            // waits on the store, and the columns of a 256-row block start
-            // 4 KiB apart.
-            for f in 0..4 {
-                if super::reads::<N, true, T>(8 + f) {
-                    v[8 + f] = _mm512_loadu_pd(read[f].add(i));
-                }
-            }
-            for r in 0..R {
-                let [ai, aj, ui, uj] = rows[r];
-                let (vc, vs) = vt[r];
-                let (a0, a1) = (_mm512_loadu_pd(ai.add(i)), _mm512_loadu_pd(aj.add(i)));
-                let (u0, u1) = (_mm512_loadu_pd(ui.add(i)), _mm512_loadu_pd(uj.add(i)));
-                (v[4 * r], v[4 * r + 1]) = turn8(a0, a1, vc, vs);
-                (v[4 * r + 2], v[4 * r + 3]) = turn8(u0, u1, vc, vs);
-            }
-            fma_avx512::<{ super::STEP_STREAMS }, N, true, T>(&mut acc, &v);
-            for r in 0..R {
-                for k in 0..4 {
-                    _mm512_storeu_pd(rows[r][k].add(i), v[4 * r + k]);
-                }
-            }
-        }
-        for r in 0..R {
-            let [ai, aj, ui, uj] = rows[r];
-            let (c, s) = turns[r];
-            for (x, y, len) in [(ai, aj, alen), (ui, uj, ulen)] {
-                for k in fused..len {
-                    (*x.add(k), *y.add(k)) = super::turn(*x.add(k), *y.add(k), c, s);
-                }
-            }
-        }
-        if fused == alen {
-            return tree_avx512::<N, true>(acc).map(|[_, pq, _]| pq);
-        }
-        let streams = super::step_streams(rows, read, [alen, ulen]);
-        step_rest(spill_avx512(acc), streams, (T::TABLE, true), fused, alen).map(|[_, pq, _]| pq)
-    }
-
-    /// Each product's eight partial sums through [`super::tree`]'s fixed
-    /// tree without leaving the registers: the high half added to the low
-    /// one gives `s_l + s_(l+4)`, its high half added to its low one
-    /// `(s0 + s4) + (s2 + s6)` and `(s1 + s5) + (s3 + s7)`, and those two
-    /// the sum — the tree's operations, in its order. A product `OFF`
-    /// leaves out reads 0.0.
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[inline(always)]
-    unsafe fn tree_avx512<const N: usize, const OFF: bool>(
-        acc: [[__m512d; 3]; N],
-    ) -> [[f64; 3]; N] {
-        let mut out = [[0.0f64; 3]; N];
-        for n in 0..N {
-            for p in 0..3 {
-                if super::takes(OFF, p) {
-                    let s = acc[n][p];
-                    let h =
-                        _mm256_add_pd(_mm512_castpd512_pd256(s), _mm512_extractf64x4_pd::<1>(s));
-                    let q = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd::<1>(h));
-                    out[n][p] = _mm_cvtsd_f64(_mm_add_sd(q, _mm_unpackhi_pd(q, q)));
-                }
-            }
-        }
-        out
-    }
-
-    /// The end of a one-pass step whose streams outrun its last common
-    /// chunk: the chunks from `fused` on, then the tree and the tail — each
-    /// lane the chain the pass left in `sums`, continued.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; every stream `table` reads must hold `len`
-    /// elements.
-    #[inline(never)]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn step_rest<const N: usize>(
-        mut sums: [[[f64; 8]; 3]; N],
-        streams: [&[f64]; super::STEP_STREAMS],
-        table: super::Table<N>,
-        fused: usize,
-        len: usize,
-    ) -> [[f64; 3]; N] {
-        let body = len / 8 * 8;
-        super::reduce_portable(&mut sums, streams, table, fused..body);
-        super::finish(sums, streams, table, body, len)
-    }
-
-    /// [`super::dots`] on AVX2 with FMA: each product's eight partial sums
-    /// in two registers, lanes 0–3 and 4–7, one fused multiply-add each per
-    /// eight elements — then [`super::finish`]'s tree and tail. The blocks
-    /// are taken one pass each: two blocks' twelve accumulators would not
-    /// fit sixteen registers beside the loads.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid; every stream
-    /// the products read must hold `len` elements (checked by
-    /// [`super::dots`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dots_avx2<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
-        streams: [&[f64]; S],
-        len: usize,
-    ) -> [[f64; 3]; N] {
-        let body = len / 8 * 8;
-        let mut sums = [[[0.0f64; 8]; 3]; N];
-        for (sums, row) in sums.iter_mut().zip(T::TABLE) {
-            let (mut lo, mut hi) = ([_mm256_setzero_pd(); 3], [_mm256_setzero_pd(); 3]);
-            for i in (0..body).step_by(8) {
-                for (p, (lo, hi)) in lo.iter_mut().zip(&mut hi).enumerate() {
-                    if super::takes(OFF, p) {
-                        let [x, y] = super::product(row, p).map(|s| streams[s].as_ptr().add(i));
-                        *lo = _mm256_fmadd_pd(_mm256_loadu_pd(x), _mm256_loadu_pd(y), *lo);
-                        let (x, y) = (x.add(4), y.add(4));
-                        *hi = _mm256_fmadd_pd(_mm256_loadu_pd(x), _mm256_loadu_pd(y), *hi);
-                    }
-                }
-            }
-            for ((sums, lo), hi) in sums.iter_mut().zip(lo).zip(hi) {
-                _mm256_storeu_pd(sums.as_mut_ptr(), lo);
-                _mm256_storeu_pd(sums.as_mut_ptr().add(4), hi);
-            }
-        }
-        super::finish(sums, streams, (T::TABLE, OFF), body, len)
-    }
-
-    /// [`super::turn`] on eight entry pairs: `(fma(c, x, −(s·y)),
-    /// fma(s, x, c·y))`, lane by lane. Always inlined, into an AVX-512
-    /// function.
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[inline(always)]
-    unsafe fn turn8(x: __m512d, y: __m512d, vc: __m512d, vs: __m512d) -> (__m512d, __m512d) {
-        (_mm512_fmsub_pd(vc, x, _mm512_mul_pd(vs, y)), _mm512_fmadd_pd(vs, x, _mm512_mul_pd(vc, y)))
-    }
-
-    /// Four-stream rotate, 8 lanes at a time ([`turn8`]), then the rows
-    /// past the last chunk by the scalar loop — every entry [`super::turn`]'s
-    /// bits.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx512f` via cpuid; all four slices must
-    /// share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn pair_rotate_avx512(
-        ai: &mut [f64],
-        aj: &mut [f64],
-        ui: &mut [f64],
-        uj: &mut [f64],
-        c: f64,
-        s: f64,
-    ) {
-        let n = ai.len();
-        let vc = _mm512_set1_pd(c);
-        let vs = _mm512_set1_pd(s);
-        let body = n / 8 * 8;
-        for i in (0..body).step_by(8) {
-            let a0 = _mm512_loadu_pd(ai.as_ptr().add(i));
-            let a1 = _mm512_loadu_pd(aj.as_ptr().add(i));
-            let u0 = _mm512_loadu_pd(ui.as_ptr().add(i));
-            let u1 = _mm512_loadu_pd(uj.as_ptr().add(i));
-            let (na0, na1) = turn8(a0, a1, vc, vs);
-            let (nu0, nu1) = turn8(u0, u1, vc, vs);
-            _mm512_storeu_pd(ai.as_mut_ptr().add(i), na0);
-            _mm512_storeu_pd(aj.as_mut_ptr().add(i), na1);
-            _mm512_storeu_pd(ui.as_mut_ptr().add(i), nu0);
-            _mm512_storeu_pd(uj.as_mut_ptr().add(i), nu1);
-        }
-        super::rotate4(&mut ai[body..], &mut aj[body..], &mut ui[body..], &mut uj[body..], c, s);
-    }
-
-    /// Four-stream rotate, 4 lanes at a time ([`turn4`]), then the rows
-    /// past the last chunk by the scalar loop — every entry
-    /// [`super::turn`]'s bits.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid; all four
-    /// slices must share one length (checked by the safe wrapper).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn pair_rotate_avx2(
-        ai: &mut [f64],
-        aj: &mut [f64],
-        ui: &mut [f64],
-        uj: &mut [f64],
-        c: f64,
-        s: f64,
-    ) {
-        let n = ai.len();
-        let vc = _mm256_set1_pd(c);
-        let vs = _mm256_set1_pd(s);
-        let body = n / 4 * 4;
-        for i in (0..body).step_by(4) {
-            let mut a0 = _mm256_loadu_pd(ai.as_ptr().add(i));
-            let mut a1 = _mm256_loadu_pd(aj.as_ptr().add(i));
-            let mut u0 = _mm256_loadu_pd(ui.as_ptr().add(i));
-            let mut u1 = _mm256_loadu_pd(uj.as_ptr().add(i));
-            turn4(&mut a0, &mut a1, vc, vs);
-            turn4(&mut u0, &mut u1, vc, vs);
-            _mm256_storeu_pd(ai.as_mut_ptr().add(i), a0);
-            _mm256_storeu_pd(aj.as_mut_ptr().add(i), a1);
-            _mm256_storeu_pd(ui.as_mut_ptr().add(i), u0);
-            _mm256_storeu_pd(uj.as_mut_ptr().add(i), u1);
-        }
-        super::rotate4(&mut ai[body..], &mut aj[body..], &mut ui[body..], &mut uj[body..], c, s);
+    unsafe fn tree4(h: __m256d) -> f64 {
+        let q = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd::<1>(h));
+        _mm_cvtsd_f64(_mm_add_sd(q, _mm_unpackhi_pd(q, q)))
     }
 
     /// [`super::pair_rotate`] compiled with FMA, so that each
@@ -2463,11 +2388,16 @@ mod tests {
 
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
-    /// Every tier of the rotator this host can run: the portable loop, and
+    /// Every tier of the rotator this host can run: the portable group, and
     /// each x86 form once cpuid reports its features — the scalar loop
     /// compiled with FMA among them.
     fn rotate_tiers() -> Vec<(&'static str, RotateFn)> {
-        let mut tiers: Vec<(&'static str, RotateFn)> = vec![("portable", rotate4)];
+        // SAFETY: the portable group needs no feature; the tests pass
+        // equal-length slices.
+        let mut tiers: Vec<(&'static str, RotateFn)> =
+            vec![("portable", |ai, aj, ui, uj, c, s| unsafe {
+                on_portable(Rotate::new([ai, aj, ui, uj], c, s))
+            })];
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected;
@@ -2482,14 +2412,14 @@ mod tests {
                 // SAFETY: avx2 and fma were just detected; the tests pass
                 // equal-length slices.
                 tiers.push(("avx2", |ai, aj, ui, uj, c, s| unsafe {
-                    x86::pair_rotate_avx2(ai, aj, ui, uj, c, s)
+                    x86::on_avx2(Rotate::new([ai, aj, ui, uj], c, s))
                 }));
             }
-            if is_x86_feature_detected!("avx512f") {
-                // SAFETY: avx512f was just detected; the tests pass
-                // equal-length slices.
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+                // SAFETY: avx512f and avx512vl were just detected; the tests
+                // pass equal-length slices.
                 tiers.push(("avx512", |ai, aj, ui, uj, c, s| unsafe {
-                    x86::pair_rotate_avx512(ai, aj, ui, uj, c, s)
+                    x86::on_avx512(Rotate::new([ai, aj, ui, uj], c, s))
                 }));
             }
         }
@@ -2840,7 +2770,7 @@ mod tests {
     }
 
     /// The record of one walk over `rects` — of one block's own columns,
-    /// or of a left block's with a right one's — as [`walk_on`] takes
+    /// or of a left block's with a right one's — as [`Walking`] takes
     /// them, finished as [`Walk::finish`] finishes it.
     fn record(one_block: bool, rects: &[Rect]) -> Record {
         let mut rec = Record::default();
