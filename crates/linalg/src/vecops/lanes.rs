@@ -114,8 +114,12 @@ pub(super) unsafe fn on_portable<K: Kernel>(k: K) -> K::Out {
     k.run::<[f64; 8]>()
 }
 
-/// [`dots`](super::dots)' kernel: `T`'s blocks over `streams`, each stream a product
-/// reads `len` long.
+/// A reduction: `T`'s blocks over `S` streams, each stream a product reads
+/// `len` long, every product bitwise [`dot`](super::dot) — or, where
+/// `OFF`, the off-diagonals alone, the others reading 0.0. Each product's
+/// chains are one group, continued a chunk of eight rows at a time, then
+/// the tree and the tail. [`dots`](super::dots) runs it as a kernel; a
+/// walk's steps call its parts inside their tier's function.
 pub(super) struct Reduce<T, const S: usize, const N: usize, const OFF: bool> {
     pub(super) streams: [*const f64; S],
     pub(super) len: usize,
@@ -129,123 +133,90 @@ impl<T: Operands<N>, const S: usize, const N: usize, const OFF: bool> Kernel
 
     #[inline(always)]
     unsafe fn run<G: Lanes>(self) -> [[f64; 3]; N] {
-        reduce::<G, S, N, OFF, T>(self.streams, self.len)
+        let body = self.len / 8 * 8;
+        let mut acc = [[G::splat(0.0); 3]; N];
+        Self::chunks::<G>(&mut acc, self.streams, 0..body);
+        Self::sums::<G>(acc, self.streams, body, self.len)
     }
 }
 
-/// `T`'s blocks over `streams` on `G`, every product bitwise [`dot`](super::dot): each
-/// product's chains in one group, a chunk of eight rows at a time, then
-/// the tree and the tail ([`sums`]). A product `OFF` leaves out reads 0.0.
-///
-/// # Safety
-/// `G`'s; every stream a product reads holds `len` values.
-#[inline(always)]
-pub(super) unsafe fn reduce<
-    G: Lanes,
-    const S: usize,
-    const N: usize,
-    const OFF: bool,
-    T: Operands<N>,
->(
-    streams: [*const f64; S],
-    len: usize,
-) -> [[f64; 3]; N] {
-    let body = len / 8 * 8;
-    let mut acc = [[G::splat(0.0); 3]; N];
-    chunks::<G, S, N, OFF, T>(&mut acc, streams, 0..body);
-    sums::<G, S, N, OFF, T>(acc, streams, body, len)
-}
-
-/// The products' chains in `acc`, continued over the chunks starting in
-/// `rows`, read from memory.
-///
-/// # Safety
-/// `G`'s; every stream a product reads holds the chunks.
-#[inline(always)]
-pub(super) unsafe fn chunks<
-    G: Lanes,
-    const S: usize,
-    const N: usize,
-    const OFF: bool,
-    T: Operands<N>,
->(
-    acc: &mut [[G; 3]; N],
-    streams: [*const f64; S],
-    rows: std::ops::Range<usize>,
-) {
-    for i in rows.step_by(8) {
-        let mut v = [G::splat(0.0); S];
-        for s in 0..S {
-            if reads::<N, OFF, T>(s) {
-                v[s] = G::load(streams[s].add(i));
-            }
-        }
-        products::<G, S, N, OFF, T>(acc, &v);
+impl<T: Operands<N>, const S: usize, const N: usize, const OFF: bool> Reduce<T, S, N, OFF> {
+    /// The reduction over `streams`, each stream a product reads `len` long.
+    #[inline(always)]
+    pub(super) fn new(streams: [*const f64; S], len: usize) -> Self {
+        Reduce { streams, len, table: std::marker::PhantomData }
     }
-}
 
-/// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
-///
-/// # Safety
-/// `G`'s.
-#[inline(always)]
-pub(super) unsafe fn products<
-    G: Lanes,
-    const S: usize,
-    const N: usize,
-    const OFF: bool,
-    T: Operands<N>,
->(
-    acc: &mut [[G; 3]; N],
-    v: &[G; S],
-) {
-    for n in 0..N {
-        for p in 0..3 {
-            if takes(OFF, p) {
-                let [x, y] = product(T::TABLE[n], p);
-                acc[n][p] = v[x].fma(v[y], acc[n][p]);
-            }
-        }
-    }
-}
-
-/// The end of every reduction: each product's chains through the tree,
-/// then its tail from `body` to `len`, folded in index order with a fused
-/// multiply-add.
-///
-/// # Safety
-/// `G`'s; every stream a product reads holds `len` values.
-#[inline(always)]
-pub(super) unsafe fn sums<
-    G: Lanes,
-    const S: usize,
-    const N: usize,
-    const OFF: bool,
-    T: Operands<N>,
->(
-    acc: [[G; 3]; N],
-    streams: [*const f64; S],
-    body: usize,
-    len: usize,
-) -> [[f64; 3]; N] {
-    let mut out = [[0.0f64; 3]; N];
-    for n in 0..N {
-        for p in 0..3 {
-            if takes(OFF, p) {
-                let [x, y] = product(T::TABLE[n], p);
-                let mut sum = acc[n][p].tree();
-                for i in body..len {
-                    sum = (*streams[x].add(i)).mul_add(*streams[y].add(i), sum);
+    /// The products' chains in `acc`, continued over the chunks starting in
+    /// `rows`, read from memory.
+    ///
+    /// # Safety
+    /// `G`'s; every stream a product reads holds the chunks.
+    #[inline(always)]
+    pub(super) unsafe fn chunks<G: Lanes>(
+        acc: &mut [[G; 3]; N],
+        streams: [*const f64; S],
+        rows: std::ops::Range<usize>,
+    ) {
+        for i in rows.step_by(8) {
+            let mut v = [G::splat(0.0); S];
+            for s in 0..S {
+                if reads::<N, OFF, T>(s) {
+                    v[s] = G::load(streams[s].add(i));
                 }
-                out[n][p] = sum;
+            }
+            Self::products(acc, &v);
+        }
+    }
+
+    /// One chunk of every product: `acc ← v[x]·v[y] + acc`, fused.
+    ///
+    /// # Safety
+    /// `G`'s.
+    #[inline(always)]
+    pub(super) unsafe fn products<G: Lanes>(acc: &mut [[G; 3]; N], v: &[G; S]) {
+        for n in 0..N {
+            for p in 0..3 {
+                if takes(OFF, p) {
+                    let [x, y] = product(T::TABLE[n], p);
+                    acc[n][p] = v[x].fma(v[y], acc[n][p]);
+                }
             }
         }
     }
-    out
+
+    /// The end of every reduction: each product's chains through the tree,
+    /// then its tail from `body` to `len`, folded in index order with a
+    /// fused multiply-add.
+    ///
+    /// # Safety
+    /// `G`'s; every stream a product reads holds `len` values.
+    #[inline(always)]
+    pub(super) unsafe fn sums<G: Lanes>(
+        acc: [[G; 3]; N],
+        streams: [*const f64; S],
+        body: usize,
+        len: usize,
+    ) -> [[f64; 3]; N] {
+        let mut out = [[0.0f64; 3]; N];
+        for n in 0..N {
+            for p in 0..3 {
+                if takes(OFF, p) {
+                    let [x, y] = product(T::TABLE[n], p);
+                    let mut sum = acc[n][p].tree();
+                    for i in body..len {
+                        sum = (*streams[x].add(i)).mul_add(*streams[y].add(i), sum);
+                    }
+                    out[n][p] = sum;
+                }
+            }
+        }
+        out
+    }
 }
 
-/// [`turn`](super::rotate::turn) on eight entry pairs: `(fma(c, x, −(s·y)), fma(s, x, c·y))`,
-/// lane by lane.
+/// [`turn`](super::rotate::turn) on eight entry pairs: `(fma(c, x,
+/// −(s·y)), fma(s, x, c·y))`, lane by lane.
 ///
 /// # Safety
 /// `G`'s.

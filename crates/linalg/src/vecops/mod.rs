@@ -279,11 +279,7 @@ fn dots<const S: usize, const N: usize, const OFF: bool, T: Operands<N>>(
     streams: [&[f64]; S],
 ) -> [[f64; 3]; N] {
     let len = reduced_len::<S, N, OFF, T>(&streams);
-    let reduce = Reduce::<T, S, N, OFF> {
-        streams: streams.map(<[f64]>::as_ptr),
-        len,
-        table: std::marker::PhantomData,
-    };
+    let reduce = Reduce::<T, S, N, OFF>::new(streams.map(<[f64]>::as_ptr), len);
     // SAFETY: every stream the products read holds `len` elements.
     unsafe { on(tier, reduce) }
 }

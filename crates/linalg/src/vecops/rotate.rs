@@ -31,44 +31,6 @@ pub fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
     pair_rotate(x, y, &mut [], &mut [], c, s);
 }
 
-/// The fused four-stream scalar rotation over equal-length slices: the body
-/// of [`pair_rotate`]'s loop, and the rows past the last chunk of each lane
-/// form.
-#[inline(always)]
-fn rotate4(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64], c: f64, s: f64) {
-    debug_assert_eq!(ai.len(), aj.len());
-    debug_assert_eq!(ai.len(), ui.len());
-    debug_assert_eq!(ai.len(), uj.len());
-    for k in 0..ai.len() {
-        (ai[k], aj[k]) = turn(ai[k], aj[k], c, s);
-        (ui[k], uj[k]) = turn(ui[k], uj[k], c, s);
-    }
-}
-
-/// Splits the four streams of a column-pair rotation into an equal-length
-/// common prefix (rotated fused, four streams in one loop) and at most one
-/// pair of excess tails (rotated as a plain pair). Each element's update is
-/// independent, so the split cannot change any bit relative to rotating the
-/// `A`- and `U`-pairs back to back.
-type QuadStreams<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-
-type PairStreams<'a> = (&'a mut [f64], &'a mut [f64]);
-
-#[inline]
-pub(super) fn split_pair_streams<'a>(
-    ai: &'a mut [f64],
-    aj: &'a mut [f64],
-    ui: &'a mut [f64],
-    uj: &'a mut [f64],
-) -> (QuadStreams<'a>, PairStreams<'a>, PairStreams<'a>) {
-    let n = ai.len().min(ui.len());
-    let (ah, at) = ai.split_at_mut(n);
-    let (bh, bt) = aj.split_at_mut(n);
-    let (uh, ut) = ui.split_at_mut(n);
-    let (vh, vt) = uj.split_at_mut(n);
-    ((ah, bh, uh, vh), (at, bt), (ut, vt))
-}
-
 /// Fused rotation of a column *pair*: applies the same plane rotation to
 /// `(ai, aj)` and `(ui, uj)` in one pass — the full update a Jacobi pairing
 /// performs on the `A`- and `U`-columns of columns `i` and `j`.
@@ -126,9 +88,13 @@ fn pair_rotate_loop(
     c: f64,
     s: f64,
 ) {
-    let (head, a_tail, u_tail) = split_pair_streams(ai, aj, ui, uj);
-    rotate4(head.0, head.1, head.2, head.3, c, s);
-    for (x, y) in [a_tail, u_tail] {
+    let n = ai.len().min(ui.len());
+    let (ah, bh, uh, vh) = (&mut ai[..n], &mut aj[..n], &mut ui[..n], &mut uj[..n]);
+    for k in 0..n {
+        (ah[k], bh[k]) = turn(ah[k], bh[k], c, s);
+        (uh[k], vh[k]) = turn(uh[k], vh[k], c, s);
+    }
+    for (x, y) in [(&mut ai[n..], &mut aj[n..]), (&mut ui[n..], &mut uj[n..])] {
         for (x, y) in x.iter_mut().zip(y) {
             (*x, *y) = turn(*x, *y, c, s);
         }

@@ -966,6 +966,29 @@ fn every_tier_of_pair_rotate_is_bitwise_the_scalar_rotation() {
     }
 }
 
+/// Splits the four streams of a column-pair rotation into an equal-length
+/// common prefix (rotated fused, four streams in one loop) and at most one
+/// pair of excess tails (rotated as a plain pair). Each element's update is
+/// independent, so the split cannot change any bit relative to rotating the
+/// `A`- and `U`-pairs back to back.
+type QuadStreams<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
+
+type PairStreams<'a> = (&'a mut [f64], &'a mut [f64]);
+
+fn split_pair_streams<'a>(
+    ai: &'a mut [f64],
+    aj: &'a mut [f64],
+    ui: &'a mut [f64],
+    uj: &'a mut [f64],
+) -> (QuadStreams<'a>, PairStreams<'a>, PairStreams<'a>) {
+    let n = ai.len().min(ui.len());
+    let (ah, at) = ai.split_at_mut(n);
+    let (bh, bt) = aj.split_at_mut(n);
+    let (uh, ut) = ui.split_at_mut(n);
+    let (vh, vt) = uj.split_at_mut(n);
+    ((ah, bh, uh, vh), (at, bt), (ut, vt))
+}
+
 /// A copy of `src` that starts `off` elements past a 64-byte boundary:
 /// the backing vector and the copy's range within it.
 fn placed(src: &[f64], off: usize) -> (Vec<f64>, std::ops::Range<usize>) {

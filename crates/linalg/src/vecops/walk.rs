@@ -2,7 +2,7 @@
 //! per-call diagonal cache, and the step pass written once over the lane
 //! group.
 
-use super::lanes::{chunks, on, products, reduce, sums, turn_lanes, Kernel, Lanes};
+use super::lanes::{on, turn_lanes, Kernel, Lanes, Reduce};
 use super::rotate::{rotate_on, turn, Rotate};
 use super::{lane_tier, reads, Dot, LaneTier, Operands, Reads};
 use crate::block::ColumnBlock;
@@ -411,7 +411,7 @@ unsafe fn abreast<G: Lanes, const GRAM: bool, const S: usize, const N: usize>(
         let col = cols.at(k + s / 2);
         streams[s] = if s % 2 == 0 { col.a } else { col.u };
     }
-    let blocks = reduce::<G, S, N, true, Diagonals<GRAM, N>>(streams, cols.rows[0]);
+    let blocks = Reduce::<Diagonals<GRAM, N>, S, N, true>::new(streams, cols.rows[0]).run::<G>();
     for n in 0..N {
         *cols.at(k + n).d = blocks[n][1];
     }
@@ -683,7 +683,7 @@ impl<G: Lanes, P: Pairing> Steps for Walker<'_, G, P> {
         // alive.
         let block = unsafe {
             let x = if P::GRAM { i.a } else { i.u };
-            let [[_, pq, _]] = reduce::<G, 2, 1, true, Dot>([x, j.a], alen);
+            let [[_, pq, _]] = Reduce::<Dot, 2, 1, true>::new([x, j.a], alen).run::<G>();
             [*i.d, pq, *j.d]
         };
         self.hand[0] = Hand { i, j, block };
@@ -825,7 +825,7 @@ unsafe fn pass<G: Lanes, const R: usize, const N: usize, O: Operands<N>>(
         }
     }
     let streams = streams.map(<*mut f64>::cast_const);
-    reduce::<G, STEP_STREAMS, N, true, O>(streams, lens[0]).map(|[_, pq, _]| pq)
+    Reduce::<O, STEP_STREAMS, N, true>::new(streams, lens[0]).run::<G>().map(|[_, pq, _]| pq)
 }
 
 /// A step's one pass on `G`, every pairing `r` turning by `turns[r]`: per
@@ -834,7 +834,7 @@ unsafe fn pass<G: Lanes, const R: usize, const N: usize, O: Operands<N>>(
 /// turned values from the same registers, beside the fresh columns'
 /// loads. What the chunks leave — the rows past the last common chunk of
 /// every stream — is turned by the scalar loop, then reduced from memory,
-/// each product's chains continued ([`chunks`], [`sums`]).
+/// each product's chains continued ([`Reduce::chunks`], [`Reduce::sums`]).
 ///
 /// # Safety
 /// As [`pass`].
@@ -869,7 +869,7 @@ pub(super) unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<
             (v[4 * r], v[4 * r + 1]) = turn_lanes(a0, a1, c, s);
             (v[4 * r + 2], v[4 * r + 3]) = turn_lanes(u0, u1, c, s);
         }
-        products::<G, STEP_STREAMS, N, true, T>(&mut acc, &v);
+        Reduce::<T, STEP_STREAMS, N, true>::products(&mut acc, &v);
         for k in 0..4 * R {
             v[k].store(streams[k].add(i));
         }
@@ -884,8 +884,8 @@ pub(super) unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<
         }
     }
     let streams = streams.map(<*mut f64>::cast_const);
-    chunks::<G, STEP_STREAMS, N, true, T>(&mut acc, streams, fused..alen / 8 * 8);
-    sums::<G, STEP_STREAMS, N, true, T>(acc, streams, alen / 8 * 8, alen).map(|[_, pq, _]| pq)
+    Reduce::<T, STEP_STREAMS, N, true>::chunks(&mut acc, streams, fused..alen / 8 * 8);
+    Reduce::<T, STEP_STREAMS, N, true>::sums(acc, streams, alen / 8 * 8, alen).map(|[_, pq, _]| pq)
 }
 
 /// The two-lane SSE2 forms of a step's angles and kept diagonals.
