@@ -44,7 +44,7 @@ pub(crate) const SMALL_DEGREES: usize = 64;
 /// Per-phase cost model for one CC-cube link sequence under one machine
 /// model.
 #[derive(Debug, Clone)]
-pub struct PhaseCostModel {
+pub struct PhaseCostModel<'a> {
     /// Iterations (sequence length) `K`.
     pub k: usize,
     /// Distinct links `e`.
@@ -52,7 +52,7 @@ pub struct PhaseCostModel {
     /// Elements exchanged per iteration.
     pub elems: f64,
     machine: Machine,
-    link_seq: Vec<usize>,
+    link_seq: &'a [usize],
     /// What deep pipelining reads of the whole sequence, taken the first
     /// time a degree `≥ K` is priced.
     deep: OnceLock<DeepStats>,
@@ -163,28 +163,22 @@ impl<'h> Window<'h> {
     }
 }
 
-impl PhaseCostModel {
-    /// Builds the model for one exchange-phase CC-cube on one machine.
+impl<'a> PhaseCostModel<'a> {
+    /// Builds the model for one exchange-phase CC-cube on one machine,
+    /// borrowing its link sequence.
     ///
     /// # Panics
     /// Panics if `cc`'s link sequence is empty: an exchange phase has
     /// `K = 2^e − 1 ≥ 1` transitions, so an empty one is a caller bug.
-    pub fn new(cc: &CcCube, machine: Machine) -> Self {
-        Self::from_cc(cc.clone(), machine)
+    pub fn new(cc: &'a CcCube, machine: Machine) -> Self {
+        Self::of_links(&cc.link_seq, cc.message_elems, machine)
     }
 
-    /// [`Self::new`] on a CC-cube the model takes over: its link sequence
-    /// becomes the model's, uncopied.
-    pub(crate) fn from_cc(cc: CcCube, machine: Machine) -> Self {
-        let e = cc.link_seq.iter().map(|&l| l + 1).max().expect("empty link sequence");
-        PhaseCostModel {
-            k: cc.k(),
-            e,
-            elems: cc.message_elems,
-            machine,
-            link_seq: cc.link_seq,
-            deep: OnceLock::new(),
-        }
+    /// [`Self::new`] on the CC-cube whose links are `link_seq` and whose
+    /// messages carry `elems` elements.
+    pub(crate) fn of_links(link_seq: &'a [usize], elems: f64, machine: Machine) -> Self {
+        let e = link_seq.iter().map(|&l| l + 1).max().expect("empty link sequence");
+        PhaseCostModel { k: link_seq.len(), e, elems, machine, link_seq, deep: OnceLock::new() }
     }
 
     /// Cost of the original (unpipelined) CC-cube: `K` single messages.
@@ -249,7 +243,7 @@ impl PhaseCostModel {
         } else {
             // Shallow: prefixes/suffixes of length 1..q−1 plus K−Q+1 sliding
             // windows of width q.
-            let (seq, ports) = (&self.link_seq, self.machine.ports);
+            let (seq, ports) = (self.link_seq, self.machine.ports);
             let total = with_counters(self.e, |pre| {
                 with_counters(self.e, |suf| {
                     let (mut pre, mut suf) = (Window::new(pre), Window::new(suf));
@@ -298,7 +292,7 @@ impl PhaseCostModel {
     /// `tx(l, count, width, max_mult)`, called as the window grows by a
     /// transition through link `l`, which it now crosses `count` times.
     fn walk(&self, cap: usize, mut tx: impl FnMut(usize, u32, usize, u32) -> u32) -> ShallowPrices {
-        let (k, seq, machine) = (self.k, &self.link_seq, &self.machine);
+        let (k, seq, machine) = (self.k, self.link_seq, &self.machine);
         let widths = cap.min(SMALL_DEGREES).min(k - 1);
         let mut packet = [0.0; SMALL_DEGREES];
         for (q, s) in (1..=widths).zip(&mut packet) {
@@ -362,7 +356,7 @@ impl PhaseCostModel {
     /// allocates nothing unless it exceeds 62.
     fn sliding_kernel_cost(&self, q: usize, s_elems: f64) -> f64 {
         let k = self.k;
-        let seq = &self.link_seq;
+        let seq = self.link_seq;
         let ts = self.machine.ts;
         let tw = self.machine.tw;
         with_counters(self.e, |hist| match self.machine.ports {
@@ -491,7 +485,7 @@ pub(crate) mod reference {
 
     impl Tables {
         pub(crate) fn new(model: &PhaseCostModel) -> Self {
-            let (k, seq, ports) = (model.k, &model.link_seq, model.machine.ports);
+            let (k, seq, ports) = (model.k, model.link_seq, model.machine.ports);
             let (prefix_nd, prefix_tx) = scan(seq.iter(), model.e, ports);
             let (suffix_nd, suffix_tx) = scan(seq.iter().rev(), model.e, ports);
             let sum_head = |v: &[usize]| v[..k - 1].iter().map(|&x| x as f64).sum::<f64>();
@@ -721,9 +715,9 @@ mod tests {
     fn degree4_beats_br_under_shallow_pipelining() {
         let machine = Machine::all_port(0.0, 100.0);
         let e = 8;
-        let br = PhaseCostModel::new(&CcCube::exchange_phase(OrderingFamily::Br, e, 1e6), machine);
-        let d4 =
-            PhaseCostModel::new(&CcCube::exchange_phase(OrderingFamily::Degree4, e, 1e6), machine);
+        let [br, d4] = [OrderingFamily::Br, OrderingFamily::Degree4]
+            .map(|family| CcCube::exchange_phase(family, e, 1e6));
+        let [br, d4] = [&br, &d4].map(|cc| PhaseCostModel::new(cc, machine));
         assert!(d4.cost(4) < 0.6 * br.cost(4));
     }
 

@@ -34,6 +34,11 @@ pub struct OptimalQ {
     pub mode: PipelineMode,
 }
 
+/// Room for every candidate [`search_degree`] tries, on the stack: the
+/// small degrees, the ×1.25 grid from 64 to the largest cap, `2^40` (106
+/// points), a few extras and the cap.
+const MAX_CANDIDATES: usize = SMALL_DEGREES + 128;
+
 /// Finds the best integer `Q ∈ [1, q_max]` for the phase.
 ///
 /// `q_max` is the packetization ceiling — a packet must carry at least one
@@ -74,20 +79,33 @@ pub(crate) fn search_degree(
     cost: impl Fn(usize) -> f64,
 ) -> (usize, f64) {
     let cap = degree_cap(q_max, hard_cap);
-    // Room for every candidate up front: the small degrees, the grid
-    // points, `cap` and a few extras.
-    let grid_points = (cap as f64 / SMALL_DEGREES as f64).log(1.25).ceil().max(0.0) as usize;
-    let mut candidates: Vec<usize> = Vec::with_capacity(SMALL_DEGREES + grid_points + 8);
-    candidates.extend(1..=SMALL_DEGREES.min(cap));
     let mut grid = SMALL_DEGREES as f64;
-    while (grid as usize) < cap {
-        grid *= 1.25;
-        candidates.push((grid as usize).min(cap));
+    let grid = std::iter::from_fn(|| {
+        ((grid as usize) < cap).then(|| {
+            grid *= 1.25;
+            (grid as usize).min(cap)
+        })
+    });
+    let mut store = [0usize; MAX_CANDIDATES];
+    let mut len = 0;
+    for q in (1..=SMALL_DEGREES.min(cap))
+        .chain(grid)
+        .chain(extra.into_iter().filter(|q| (1..=cap).contains(q)))
+        .chain([cap])
+    {
+        store[len] = q;
+        len += 1;
     }
-    candidates.extend(extra.into_iter().filter(|q| (1..=cap).contains(q)));
-    candidates.push(cap);
-    candidates.sort_unstable();
-    candidates.dedup();
+    store[..len].sort_unstable();
+    // Each degree once: keep a candidate where it differs from the last kept.
+    let mut kept = 0;
+    for i in 0..len {
+        if kept == 0 || store[i] != store[kept - 1] {
+            store[kept] = store[i];
+            kept += 1;
+        }
+    }
+    let candidates = &store[..kept];
 
     let (mut best_idx, mut best) = (0, (candidates[0], f64::INFINITY));
     for (i, &q) in candidates.iter().enumerate() {

@@ -26,7 +26,6 @@
 //! [`plan_sweep_cost`]. The tests below hold it to the paper's closed
 //! form at power-of-two sizes, Figure 2's `d = 15` corners included.
 
-use crate::cccube::CcCube;
 use crate::cost::PhaseCostModel;
 use crate::machine::Machine;
 use crate::optimum::{optimize_q, search_degree, OptimalQ};
@@ -34,18 +33,19 @@ use crate::pipelining::mode_of;
 use crate::schedclock::chained_run_cost;
 use crate::sweepcost::{PhaseOutcome, SweepCost};
 use mph_core::{CommPlan, Frame, PhaseKind, PlanPhase};
+use std::borrow::Cow;
 
-/// Adapts one exchange phase of a plan into the CC-cube algorithm the
-/// analytic models price, the phase's links copied once. The message size
-/// is the phase's largest single message — with balanced blocks all
-/// messages are equal; with uneven blocks the largest bounds every
-/// transition's transmission.
+/// The cost model of one exchange phase of a plan on `machine`: the
+/// CC-cube algorithm the analytic models price, its links the phase's own,
+/// borrowed. The message size is the phase's largest single message —
+/// with balanced blocks all messages are equal; with uneven blocks the
+/// largest bounds every transition's transmission.
 ///
 /// # Panics
 /// Panics if `phase` is not an exchange phase.
-fn phase_cc(phase: &PlanPhase) -> CcCube {
+fn phase_cc(phase: &PlanPhase, machine: Machine) -> PhaseCostModel<'_> {
     assert!(phase.is_exchange(), "only exchange phases are CC-cube algorithms");
-    CcCube { link_seq: phase.links.clone(), message_elems: phase.max_message_elems() as f64 }
+    PhaseCostModel::of_links(&phase.links, phase.max_message_elems() as f64, machine)
 }
 
 /// The paper's packetization ceiling for an `m × m` problem on a
@@ -172,7 +172,7 @@ pub fn plan_cost_with_tail(
     let exchange = |idx, e, ph: &PlanPhase| match framing.frame(idx) {
         Frame::Chained { q, .. } => PhaseOutcome { e, q, mode: mode_of(1, q), cost: 0.0 },
         frame => {
-            let model = PhaseCostModel::from_cc(phase_cc(ph), *machine);
+            let model = phase_cc(ph, *machine);
             let q = frame.packets();
             PhaseOutcome { e, q, mode: mode_of(model.k, q), cost: model.cost(q) }
         }
@@ -201,23 +201,24 @@ pub fn plan_tail_pipelining(plan: &CommPlan, machine: &Machine, q_max: f64) -> u
 /// messages. This is the sweep Figure 2 plots for each family, and its
 /// degrees are [`plan_pipelining`]'s.
 pub fn plan_sweep_cost(plan: &CommPlan, machine: &Machine, q_max: f64) -> SweepCost {
-    optimal_sweep_cost(plan, machine, q_max, |_, ph| phase_cc(ph))
+    optimal_sweep_cost(plan, machine, q_max, |_, ph| Cow::Borrowed(&ph.links))
 }
 
 /// The one optimal-`Q` sweep composition: exchange phase `e` of `plan` is
-/// the CC-cube `cc(e, phase)`, pipelined at its own optimal `Q ≤ q_max`;
-/// division and last transitions are whole-block messages. A family's
-/// sweep reads the phase's own links ([`plan_sweep_cost`]); Figure 2's
-/// lower bound reads [`ideal_phase`](crate::lowerbound::ideal_phase) at the
-/// phase's message size.
+/// the CC-cube of the links `links(e, phase)` at the phase's largest
+/// message, pipelined at its own optimal `Q ≤ q_max`; division and last
+/// transitions are whole-block messages. A family's sweep reads the
+/// phase's own links ([`plan_sweep_cost`]); Figure 2's lower bound reads
+/// [`ideal_phase`](crate::lowerbound::ideal_phase)'s.
 pub(crate) fn optimal_sweep_cost(
     plan: &CommPlan,
     machine: &Machine,
     q_max: f64,
-    cc: impl Fn(usize, &PlanPhase) -> CcCube,
+    links: impl for<'p> Fn(usize, &'p PlanPhase) -> Cow<'p, [usize]>,
 ) -> SweepCost {
     let optimal = |_, e, ph: &PlanPhase| {
-        let model = PhaseCostModel::from_cc(cc(e, ph), *machine);
+        let links = links(e, ph);
+        let model = PhaseCostModel::of_links(&links, ph.max_message_elems() as f64, *machine);
         let OptimalQ { q, cost, mode } = optimize_q(&model, q_max);
         PhaseOutcome { e, q, mode, cost }
     };
@@ -228,7 +229,8 @@ pub(crate) fn optimal_sweep_cost(
 mod tests {
     use super::*;
     use crate::batchcost::{BatchOrder, PlannedJob};
-    use crate::lowerbound::ideal_phase;
+    use crate::cccube::CcCube;
+    use crate::lowerbound::{ideal_links, ideal_phase};
     use crate::schedclock::executed_cost;
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
 
@@ -301,10 +303,10 @@ mod tests {
                 let got = plan_unpipelined_cost(&plan, &machine);
                 assert!((got - base).abs() <= 1e-9 * base, "{what}: base {got} vs {base}");
             }
-            let ideal = |e, ph: &PlanPhase| ideal_phase(e, ph.max_message_elems() as f64);
             let plan = lower(m, d, OrderingFamily::Br, 0);
             let (want, _) = closed_form_sweep(m, d, &bound_machine, ideal_phase);
-            let got = optimal_sweep_cost(&plan, &bound_machine, q_max, ideal);
+            let got =
+                optimal_sweep_cost(&plan, &bound_machine, q_max, |e, _| Cow::Owned(ideal_links(e)));
             agree(got, &want, format!("bound d={d} m={m}"));
         }
     }
@@ -391,7 +393,7 @@ mod tests {
         let plan = lower(16, 1, OrderingFamily::Br, 0);
         let division = &plan.phases()[1];
         assert!(!division.is_exchange());
-        let _ = phase_cc(division);
+        let _ = phase_cc(division, Machine::paper_figure2());
     }
 
     #[test]
@@ -417,7 +419,7 @@ mod tests {
                         for ((out, ph), &q) in
                             got.phases.iter().zip(plan.exchange_phases()).zip(&qs)
                         {
-                            let model = PhaseCostModel::new(&phase_cc(ph), machine);
+                            let model = phase_cc(ph, machine);
                             assert_eq!((out.q, out.cost), (q, model.cost(q)), "{family} d={d}");
                         }
                     }

@@ -108,11 +108,11 @@ fn a_schedule_and_its_replay_allocate_per_phase_never_per_stage() {
     assert_eq!(c7 - c5, SCHEDULE_PER_PHASE * (p7 - p5), "d=5: {c5} in {p5}; d=7: {c7} in {p7}");
 }
 
-/// What pricing may allocate per exchange phase: its CC-cube's links and
-/// the degree search's candidate list — the walk that prices the small
-/// degrees, and the deep statistics, live on the stack; and per plan, the
-/// list of priced phases as it grows.
-const PRICE_PER_EXCHANGE_PHASE: u64 = 2;
+/// What pricing may allocate per exchange phase: nothing — its model
+/// borrows the phase's links, and the degree search's candidates, the walk
+/// that prices the small degrees and the deep statistics live on the
+/// stack; and per plan, the list of priced phases as it grows.
+const PRICE_PER_EXCHANGE_PHASE: u64 = 0;
 const PRICE_FIXED: u64 = 2;
 
 #[test]
