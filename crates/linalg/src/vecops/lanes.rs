@@ -5,12 +5,12 @@
 use super::{product, reads, takes, LaneTier, Operands};
 
 /// Eight `f64` lanes of one tier: lane `l` holds row `l` of a chunk of
-/// eight, so one group holds a product's eight chains — [`dot`](super::dot)'s
-/// definition — on every tier. One `__m512d` on AVX-512, two `__m256d` on
-/// AVX2 with FMA, `[f64; 8]` on the portable tier. Every operation is the
-/// lane-wise IEEE one, so a kernel written once over the group has the
-/// same bits on each; each is always inlined, into the function of the
-/// group's tier ([`Kernel`]).
+/// eight, so one group holds a product's eight chains —
+/// [`dot`](super::dot)'s definition — on every tier. One `__m512d` on
+/// AVX-512, two `__m256d` on AVX2 with FMA, `[f64; 8]` on the portable
+/// tier. Every operation is the lane-wise IEEE one, so a kernel written
+/// once over the group has the same bits on each; each is always inlined,
+/// into the function of the group's tier ([`Kernel`]).
 ///
 /// # Safety
 /// Every operation needs the features of `TIER`, which cpuid must have
@@ -18,6 +18,15 @@ use super::{product, reads, takes, LaneTier, Operands};
 pub(super) trait Lanes: Copy {
     /// The tier whose instructions the operations are.
     const TIER: LaneTier;
+    /// Whether a step stores each pairing's streams as soon as it has
+    /// turned them, not every stream of a chunk after all of its loads.
+    /// Loading first reads faster where the registers hold a chunk's every
+    /// stream: a load after a store whose address matches it in the low
+    /// twelve bits waits on the store, and the columns of a 256-row block
+    /// start 4 KiB apart. A two-pairing step's eight turned streams fill
+    /// all 16 of AVX2's registers, so there storing early frees the ones
+    /// the next step's products do not read.
+    const STORE_EACH_PAIRING: bool;
     /// Every lane `x`.
     unsafe fn splat(x: f64) -> Self;
     /// The eight values from `p`.
@@ -39,6 +48,7 @@ pub(super) trait Lanes: Copy {
 /// the library's `fma` in [`on_portable`], the one function it runs in.
 impl Lanes for [f64; 8] {
     const TIER: LaneTier = LaneTier::Portable;
+    const STORE_EACH_PAIRING: bool = false;
 
     #[inline(always)]
     unsafe fn splat(x: f64) -> Self {
@@ -236,20 +246,25 @@ pub(super) mod x86 {
 
     /// The AVX-512 tier's function (F and VL): `k` on one `__m512d` a
     /// group. VL lets a walk keep its accumulators in zmm16–31
-    /// (`LaneTier::Avx512`).
+    /// (`LaneTier::Avx512`). Never inlined, so a walk's reductions of its
+    /// opens, refreshes and skipping steps, and its lone rotations, are
+    /// calls of their own kernels, not copies in the walk's code.
     ///
     /// # Safety
     /// As [`Kernel::run`], on a host whose cpuid reported avx512f and
     /// avx512vl.
+    #[inline(never)]
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn on_avx512<K: Kernel>(k: K) -> K::Out {
         k.run::<__m512d>()
     }
 
-    /// The AVX2 tier's function: `k` on two `__m256d` a group.
+    /// The AVX2 tier's function: `k` on two `__m256d` a group, never
+    /// inlined, as [`on_avx512`].
     ///
     /// # Safety
     /// As [`Kernel::run`], on a host whose cpuid reported avx2 and fma.
+    #[inline(never)]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn on_avx2<K: Kernel>(k: K) -> K::Out {
         k.run::<[__m256d; 2]>()
@@ -258,6 +273,7 @@ pub(super) mod x86 {
     /// The AVX-512 group: one register.
     impl Lanes for __m512d {
         const TIER: LaneTier = LaneTier::Avx512;
+        const STORE_EACH_PAIRING: bool = false;
 
         #[inline(always)]
         unsafe fn splat(x: f64) -> Self {
@@ -300,6 +316,7 @@ pub(super) mod x86 {
     /// The AVX2 group: lanes 0–3 in the first register, 4–7 in the second.
     impl Lanes for [__m256d; 2] {
         const TIER: LaneTier = LaneTier::Avx2Fma;
+        const STORE_EACH_PAIRING: bool = true;
 
         #[inline(always)]
         unsafe fn splat(x: f64) -> Self {

@@ -209,21 +209,21 @@ pub type Rect = (std::ops::Range<usize>, std::ops::Range<usize>);
 /// One sweep call's walk over its blocks' columns: the rectangles
 /// [`Walk::within`] and [`Walk::across`] are handed, in the order handed,
 /// as one chain of steps. Each step rotates its one or two pairings,
-/// bitwise [`pair_rotate`](super::pair_rotate), and in the same pass over the columns reduces
-/// the off-diagonals of the step after it from the rotated values, each
-/// product bitwise [`dot`](super::dot) — from rectangle to rectangle, triangle row and
-/// block too. So a walk reduces an off-diagonal on its own once, its
-/// first, and rotates a pairing on its own once, its last, in
-/// [`Walk::finish`].
+/// bitwise [`pair_rotate`](super::pair_rotate), and in the same pass over
+/// the columns reduces the off-diagonals of the step after it from the
+/// rotated values, each product bitwise [`dot`](super::dot) — from
+/// rectangle to rectangle, triangle row and block too. So a walk reduces an
+/// off-diagonal on its own once, its first, and rotates a pairing on its
+/// own once, its last, in [`Walk::finish`].
 ///
 /// The diagonals a pairing's 2×2 block needs come from the walk's cache, a
 /// slot per column of each block handed: when [`Walk::within`] or
 /// [`Walk::across`] takes a block, each of its columns' diagonal is reduced
 /// exactly (`u_k · a_k`, or `a_k · a_k` under the Gram rule, bitwise
-/// [`dot`](super::dot)); a rotation keeps its pairing's two slots by the exact 2×2
-/// similarity update; and the cache is dropped with the walk. A column's
-/// slot is read before its column is first rotated, so the walk's bits are
-/// those of a refresh at the call's start. The slots' store is the
+/// [`dot`](super::dot)); a rotation keeps its pairing's two slots by the
+/// exact 2×2 similarity update; and the cache is dropped with the walk. A
+/// column's slot is read before its column is first rotated, so the walk's
+/// bits are those of a refresh at the call's start. The slots' store is the
 /// thread's, lent from one walk to the next: no call allocates once a
 /// thread's walks have seen their widest blocks.
 ///
@@ -372,10 +372,10 @@ impl<'b, P: Pairing> Walk<'b, P> {
     }
 }
 
-/// Reduces the diagonal of every column of `cols` into its slot, on `G`:
-/// four columns abreast, then the one to three left over abreast, each
-/// `u_k · a_k` — or `a_k · a_k` where `GRAM` — bitwise [`dot`](super::dot). Inlined
-/// into each tier's walk.
+/// Reduces the diagonal of every column of `cols` into its slot, on `G`'s
+/// tier: four columns abreast, then the one to three left over abreast,
+/// each `u_k · a_k` — or `a_k · a_k` where `GRAM` — bitwise
+/// [`dot`](super::dot), one reduction each.
 ///
 /// # Safety
 /// `G`'s; `cols` must address a block's columns, none with a mutable view
@@ -411,7 +411,7 @@ unsafe fn abreast<G: Lanes, const GRAM: bool, const S: usize, const N: usize>(
         let col = cols.at(k + s / 2);
         streams[s] = if s % 2 == 0 { col.a } else { col.u };
     }
-    let blocks = Reduce::<Diagonals<GRAM, N>, S, N, true>::new(streams, cols.rows[0]).run::<G>();
+    let blocks = on(G::TIER, Reduce::<Diagonals<GRAM, N>, S, N, true>::new(streams, cols.rows[0]));
     for n in 0..N {
         *cols.at(k + n).d = blocks[n][1];
     }
@@ -683,7 +683,7 @@ impl<G: Lanes, P: Pairing> Steps for Walker<'_, G, P> {
         // alive.
         let block = unsafe {
             let x = if P::GRAM { i.a } else { i.u };
-            let [[_, pq, _]] = Reduce::<Dot, 2, 1, true>::new([x, j.a], alen).run::<G>();
+            let [[_, pq, _]] = on(G::TIER, Reduce::<Dot, 2, 1, true>::new([x, j.a], alen));
             [*i.d, pq, *j.d]
         };
         self.hand[0] = Hand { i, j, block };
@@ -792,11 +792,11 @@ unsafe fn keep_slots(Hand { i, j, block: [app, apq, aqq] }: Hand, rot: JacobiRot
 
 /// A step's pass on `G` over its streams ([`STEP_STREAMS`]): rotates
 /// pairing `r`'s `[ai, aj, ui, uj]` by `turns[r]` (a skipped pairing is
-/// left as it is), bitwise [`pair_rotate`](super::pair_rotate), and returns the off-diagonals
-/// of `O`'s blocks after the rotation, each bitwise [`dot`](super::dot). With every
-/// pairing turning that is one pass ([`step`]); a step that skips one
-/// rotates the others, then reduces, since a turn by the identity would
-/// not keep −0.0 or ∞.
+/// left as it is), bitwise [`pair_rotate`](super::pair_rotate), and returns
+/// the off-diagonals of `O`'s blocks after the rotation, each bitwise
+/// [`dot`](super::dot). With every pairing turning that is one pass
+/// ([`step`]); a step that skips one rotates the others, then reduces,
+/// since a turn by the identity would not keep −0.0 or ∞.
 ///
 /// # Safety
 /// `G`'s. The rotated streams and the fresh ones the table reads must be
@@ -825,14 +825,14 @@ unsafe fn pass<G: Lanes, const R: usize, const N: usize, O: Operands<N>>(
         }
     }
     let streams = streams.map(<*mut f64>::cast_const);
-    Reduce::<O, STEP_STREAMS, N, true>::new(streams, lens[0]).run::<G>().map(|[_, pq, _]| pq)
+    on(G::TIER, Reduce::<O, STEP_STREAMS, N, true>::new(streams, lens[0])).map(|[_, pq, _]| pq)
 }
 
 /// A step's one pass on `G`, every pairing `r` turning by `turns[r]`: per
 /// chunk of eight rows, each pairing's four streams are loaded, turned
-/// ([`turn_lanes`]) and stored, and the next step's products take the
-/// turned values from the same registers, beside the fresh columns'
-/// loads. What the chunks leave — the rows past the last common chunk of
+/// ([`turn_lanes`]) and stored ([`Lanes::STORE_EACH_PAIRING`] says when),
+/// and the next step's products take the turned values from the same
+/// registers, beside the fresh columns' loads. What the chunks leave — the rows past the last common chunk of
 /// every stream — is turned by the scalar loop, then reduced from memory,
 /// each product's chains continued ([`Reduce::chunks`], [`Reduce::sums`]).
 ///
@@ -852,9 +852,6 @@ pub(super) unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<
     let mut acc = [[G::splat(0.0); 3]; N];
     for i in (0..fused).step_by(8) {
         let mut v = [G::splat(0.0); STEP_STREAMS];
-        // Every load of the chunk before any of its stores: a load after a
-        // store whose address matches it in the low twelve bits waits on
-        // the store, and the columns of a 256-row block start 4 KiB apart.
         for f in 8..STEP_STREAMS {
             if reads::<N, true, T>(f) {
                 v[f] = G::load(streams[f].add(i));
@@ -868,10 +865,17 @@ pub(super) unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<
             let (u0, u1) = (G::load(ui.add(i)), G::load(uj.add(i)));
             (v[4 * r], v[4 * r + 1]) = turn_lanes(a0, a1, c, s);
             (v[4 * r + 2], v[4 * r + 3]) = turn_lanes(u0, u1, c, s);
+            if G::STORE_EACH_PAIRING {
+                for k in 4 * r..4 * r + 4 {
+                    v[k].store(streams[k].add(i));
+                }
+            }
         }
         Reduce::<T, STEP_STREAMS, N, true>::products(&mut acc, &v);
-        for k in 0..4 * R {
-            v[k].store(streams[k].add(i));
+        if !G::STORE_EACH_PAIRING {
+            for k in 0..4 * R {
+                v[k].store(streams[k].add(i));
+            }
         }
     }
     for r in 0..R {
