@@ -216,8 +216,8 @@ pub fn ablation_q(_: &[String]) -> Report {
     let k = (1usize << e) - 1;
     let mut r = Report::default();
     r.banner(&format!("cost vs pipelining degree (exchange phase e = {e}, K = {k}, elems = 2^23)"));
-    let models =
-        FAMILIES.map(|f| PhaseCostModel::new(&CcCube::exchange_phase(f, e, elems), machine));
+    let phases = FAMILIES.map(|f| CcCube::exchange_phase(f, e, elems));
+    let models = phases.each_ref().map(|cc| PhaseCostModel::new(cc, machine));
     let mut qs = vec![1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, k, 2 * k, 4 * k];
     let mut g = 8.0 * k as f64;
     while g < elems {
