@@ -23,12 +23,7 @@ use crate::machine::Machine;
 /// The ideal exchange phase `e`: `K = 2^e − 1` iterations of
 /// `message_elems` elements each, whose links cycle `i mod e`.
 pub fn ideal_phase(e: usize, message_elems: f64) -> CcCube {
-    CcCube { link_seq: ideal_links(e), message_elems }
-}
-
-/// The links of [`ideal_phase`] `e`: `2^e − 1` of them, cycling `i mod e`.
-pub(crate) fn ideal_links(e: usize) -> Vec<usize> {
-    (0..(1usize << e) - 1).map(|i| i % e).collect()
+    CcCube { link_seq: (0..(1usize << e) - 1).map(|i| i % e).collect(), message_elems }
 }
 
 /// The strictly safe per-stage bound: even a sequence free to concentrate

@@ -230,7 +230,7 @@ mod tests {
     use super::*;
     use crate::batchcost::{BatchOrder, PlannedJob};
     use crate::cccube::CcCube;
-    use crate::lowerbound::{ideal_links, ideal_phase};
+    use crate::lowerbound::ideal_phase;
     use crate::schedclock::executed_cost;
     use mph_core::{BlockLayout, BlockPartition, OrderingFamily, SweepSchedule};
 
@@ -305,8 +305,9 @@ mod tests {
             }
             let plan = lower(m, d, OrderingFamily::Br, 0);
             let (want, _) = closed_form_sweep(m, d, &bound_machine, ideal_phase);
+            let ideal = |e, ph: &PlanPhase| ideal_phase(e, ph.max_message_elems() as f64).link_seq;
             let got =
-                optimal_sweep_cost(&plan, &bound_machine, q_max, |e, _| Cow::Owned(ideal_links(e)));
+                optimal_sweep_cost(&plan, &bound_machine, q_max, |e, ph| Cow::Owned(ideal(e, ph)));
             agree(got, &want, format!("bound d={d} m={m}"));
         }
     }

@@ -10,16 +10,16 @@
 //! every series of a point is priced by [`crate::plancost`] on a lowered
 //! one-sweep [`CommPlan`] — the three families by
 //! [`plan_sweep_cost`], the baseline by [`plan_unpipelined_cost`] and the
-//! lower bound ([`ideal_phase`](crate::ideal_phase)) by the same composition over the ideal
+//! lower bound ([`ideal_phase`]) by the same composition over the ideal
 //! sequence at each phase's message size.
 
-use crate::lowerbound::ideal_links;
+use crate::lowerbound::ideal_phase;
 use crate::machine::Machine;
 use crate::pipelining::PipelineMode;
 use crate::plancost::{
     optimal_sweep_cost, packetization_cap, plan_sweep_cost, plan_unpipelined_cost,
 };
-use mph_core::{CommPlan, OrderingFamily};
+use mph_core::{CommPlan, OrderingFamily, PlanPhase};
 use std::borrow::Cow;
 
 /// Per-phase outcome inside a sweep cost.
@@ -88,7 +88,8 @@ pub fn figure2_point(d: usize, m: f64, machine: &Machine) -> Figure2Point {
     let pbr = plan_sweep_cost(&lower(OrderingFamily::PermutedBr), machine, q_max);
     // Ideal sequences in every phase, priced all-port as defined.
     let all_port = Machine::all_port(machine.ts, machine.tw);
-    let bound = optimal_sweep_cost(&br, &all_port, q_max, |e, _| Cow::Owned(ideal_links(e)));
+    let ideal = |e, ph: &PlanPhase| ideal_phase(e, ph.max_message_elems() as f64).link_seq;
+    let bound = optimal_sweep_cost(&br, &all_port, q_max, |e, ph| Cow::Owned(ideal(e, ph)));
     Figure2Point {
         d,
         m,
