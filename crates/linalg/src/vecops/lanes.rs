@@ -44,8 +44,9 @@ pub(super) trait Lanes: Copy {
     unsafe fn tree(self) -> f64;
 }
 
-/// The portable group, each fused multiply-add `f64::mul_add`: a call to
-/// the library's `fma` in [`on_portable`], the one function it runs in.
+/// The portable group, each fused multiply-add `f64::mul_add` — on an x86
+/// host without FMA a call to the library's `fma` — in [`on_portable`],
+/// the one function it runs in.
 impl Lanes for [f64; 8] {
     const TIER: LaneTier = LaneTier::Portable;
     const STORE_EACH_PAIRING: bool = false;
@@ -131,9 +132,9 @@ pub(super) unsafe fn on_portable<K: Kernel>(k: K) -> K::Out {
 /// the tree and the tail. [`dots`](super::dots) runs it as a kernel; a
 /// walk's steps call its parts inside their tier's function.
 pub(super) struct Reduce<T, const S: usize, const N: usize, const OFF: bool> {
-    pub(super) streams: [*const f64; S],
-    pub(super) len: usize,
-    pub(super) table: std::marker::PhantomData<T>,
+    streams: [*const f64; S],
+    len: usize,
+    table: std::marker::PhantomData<T>,
 }
 
 impl<T: Operands<N>, const S: usize, const N: usize, const OFF: bool> Kernel
