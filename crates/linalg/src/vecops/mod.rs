@@ -9,10 +9,10 @@
 //! * Each vector kernel is written once, over a group of eight `f64` lanes
 //!   (`Lanes`): one `__m512d` on AVX-512, two `__m256d` on AVX2 with FMA,
 //!   and `[f64; 8]` on the portable tier, which is also what an AVX2 host
-//!   without FMA runs. A tier is one `#[target_feature]` function that
-//!   runs a kernel on its group (`Kernel`), so every operation inlines
-//!   into the tier's instructions; each is the lane-wise IEEE operation, so
-//!   every tier computes the kernel's bits.
+//!   without FMA runs. A tier is one function, compiled with the tier's
+//!   target features, that runs a kernel on its group (`Kernel`), so every
+//!   operation inlines into the tier's instructions; each is the lane-wise
+//!   IEEE operation, so every tier computes the kernel's bits.
 //! * [`dot`] is the one inner product: eight partial sums by index mod 8,
 //!   each a fused multiply-add chain that starts at 0.0 — one lane group —
 //!   then the fixed tree `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, then the
@@ -25,9 +25,10 @@
 //!   entry, `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` (`turn`),
 //!   the same bits on every host. [`pair_rotate`] is its loop and
 //!   [`pair_rotate_lanes`] its vector form, bitwise the loop at every
-//!   width. Every scalar loop of `mul_add`s a host with FMA runs is
-//!   compiled with FMA, so each is the instruction there, never a library
-//!   call; only the portable tier, for hosts without FMA, calls `fma`.
+//!   width. Every rotator is a kernel too, its scalar loop included, so it
+//!   runs inside its tier's function: each `mul_add` is the instruction on
+//!   both x86 tiers, never a library call; only the portable tier, for
+//!   hosts without FMA, calls `fma`.
 //! * [`Walk`] is a sweep's walk: each step rotates its one or two pairings,
 //!   bitwise [`pair_rotate`], and reduces the off-diagonals of the walk's
 //!   next step from the rotated columns, each product bitwise [`dot`] — a
@@ -314,12 +315,12 @@ pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f6
 
 #[cfg(test)]
 mod tests {
+    #[cfg(target_arch = "x86_64")]
+    use super::lanes;
     use super::lanes::*;
     use super::rotate::*;
     use super::walk::*;
     use super::*;
-    #[cfg(target_arch = "x86_64")]
-    use super::{lanes, rotate::x86};
     use crate::block::ColumnBlock;
     use crate::rotation::{apply_to_block, JacobiRotation};
 
@@ -499,47 +500,46 @@ mod tests {
     // on an AVX-512 machine the AVX2 forms would otherwise never run. The
     // reductions and the step pass take the tier as an argument, and
     // `lane_tiers` lists every tier cpuid reports — the safety condition of
-    // the `unsafe` forms each tier reaches. The rotators' forms are named
-    // below, each x86 one only once cpuid reports its features.
+    // the `unsafe` forms each tier reaches. The rotators' kernels are run
+    // by each tier's function by name (`tier_forms!`).
+
+    /// Every tier function this host can run — `on_portable`, then
+    /// `x86::on_avx2` and `x86::on_avx512` once cpuid reports their
+    /// features (`lane_tiers`) — each a `$form` named `"<tier> $what"`
+    /// that runs the kernel `$kernel` makes of its arguments.
+    macro_rules! tier_forms {
+        ($what:literal, $form:ty, |$($arg:ident),*| $kernel:expr) => {
+            lane_tiers()
+                .iter()
+                .map(|&tier| -> (String, $form) {
+                    // SAFETY: cpuid reported the tier's features; the tests
+                    // pass each kernel operands it takes.
+                    let form: $form = match tier {
+                        #[cfg(target_arch = "x86_64")]
+                        LaneTier::Avx512 => |$($arg),*| unsafe { lanes::x86::on_avx512($kernel) },
+                        #[cfg(target_arch = "x86_64")]
+                        LaneTier::Avx2Fma => |$($arg),*| unsafe { lanes::x86::on_avx2($kernel) },
+                        LaneTier::Portable => |$($arg),*| unsafe { on_portable($kernel) },
+                    };
+                    (format!("{tier:?} {}", $what), form)
+                })
+                .collect::<Vec<_>>()
+        };
+    }
 
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
-    /// Every tier of the rotator this host can run: the portable group, and
-    /// each x86 form once cpuid reports its features — the scalar loop
-    /// compiled with FMA among them.
-    fn rotate_tiers() -> Vec<(&'static str, RotateFn)> {
-        // SAFETY: the portable group needs no feature; the tests pass
-        // equal-length slices.
-        let mut tiers: Vec<(&'static str, RotateFn)> =
-            vec![("portable", |ai, aj, ui, uj, c, s| unsafe {
-                on_portable(Rotate::new([ai, aj, ui, uj], c, s))
-            })];
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("fma") {
-                // SAFETY: fma was just detected; the tests pass
-                // equal-length slices.
-                tiers.push(("fma loop", |ai, aj, ui, uj, c, s| unsafe {
-                    x86::pair_rotate_fma(ai, aj, ui, uj, c, s)
-                }));
-            }
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                // SAFETY: avx2 and fma were just detected; the tests pass
-                // equal-length slices.
-                tiers.push(("avx2", |ai, aj, ui, uj, c, s| unsafe {
-                    lanes::x86::on_avx2(Rotate::new([ai, aj, ui, uj], c, s))
-                }));
-            }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
-                // SAFETY: avx512f and avx512vl were just detected; the tests
-                // pass equal-length slices.
-                tiers.push(("avx512", |ai, aj, ui, uj, c, s| unsafe {
-                    lanes::x86::on_avx512(Rotate::new([ai, aj, ui, uj], c, s))
-                }));
-            }
-        }
-        tiers
+    /// Every tier of the rotator this host can run: each tier function on
+    /// the lane rotator and on `pair_rotate`'s loops. The tests pass
+    /// equal-length slices.
+    fn rotate_tiers() -> Vec<(String, RotateFn)> {
+        let lanes = tier_forms!("lanes", RotateFn, |ai, aj, ui, uj, c, s| {
+            Rotate::new([ai, aj, ui, uj], c, s)
+        });
+        let loops = tier_forms!("loop", RotateFn, |ai, aj, ui, uj, c, s| {
+            PairLoop([ai, aj, ui, uj], c, s)
+        });
+        lanes.into_iter().chain(loops).collect()
     }
 
     /// Column `k` of a deterministic, sign-mixed test family.
@@ -1113,20 +1113,21 @@ mod tests {
 
     /// Holds both [`tier_walks`] on every tier to [`walk_by_definition`] —
     /// columns and the blocks the rule is shown, the cache's diagonals in
-    /// them, with `same` — under both rules, on the columns `draw(rows)`
-    /// makes at each length `ns` gives: square, and for the Gram rule also
-    /// with `A` columns longer than `U` ones.
+    /// them, with `same` — under both rules, on the columns `draw(k, rows)`
+    /// makes at each length `ns` gives, `k` the column's place among the
+    /// ten (the six-column block's 0–5, then the four's): square, and for
+    /// the Gram rule also with `A` columns longer than `U` ones.
     fn check_walks(
         ns: &[usize],
-        mut draw: impl FnMut(usize) -> Vec<f64>,
+        mut draw: impl FnMut(usize, usize) -> Vec<f64>,
         same: impl Fn(f64, f64) -> bool,
     ) {
         for &n in ns {
             for (gram, na, nu) in [(false, n, n), (true, n, n), (true, n + 9, n), (true, n + 1, n)]
             {
-                let mut column = || (draw(na), draw(nu));
-                let six: Vec<_> = (0..6).map(|_| column()).collect();
-                let four: Vec<_> = (0..4).map(|_| column()).collect();
+                let mut column = |k| (draw(k, na), draw(k, nu));
+                let six: Vec<_> = (0..6).map(&mut column).collect();
+                let four: Vec<_> = (6..10).map(&mut column).collect();
                 for (one_block, rects) in tier_walks() {
                     for &tier in lane_tiers() {
                         let case = format!("{tier:?} gram={gram} {na}x{nu} one_block={one_block}");
@@ -1215,7 +1216,7 @@ mod tests {
         // them.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(46);
-        let draw = |n: usize| (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let draw = |_, n: usize| (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
         check_walks(&reduction_lengths().collect::<Vec<_>>(), draw, bitwise);
     }
 
@@ -1225,7 +1226,7 @@ mod tests {
         // identity, `0·x + 1·(−0)` would read +0.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(47);
-        let draw = |n: usize| {
+        let draw = |_, n: usize| {
             (0..n)
                 .map(|_| match rng.gen_range(0..3) {
                     0 => rng.gen_range(-1.0..=1.0),
@@ -1238,13 +1239,18 @@ mod tests {
 
     #[test]
     fn every_tier_of_the_step_pass_agrees_on_non_finite_input() {
-        // ±∞ and NaN in the body and the tail of every column: a skipped
-        // pairing rotated by the identity would turn `0·∞` into NaN.
+        // ±∞ and NaN in the body and the tail of every column but the six
+        // block's first three and the four block's first two: a skipped
+        // pairing rotated by the identity would turn `0·∞` into NaN. Each
+        // walk's first pairings, among the finite columns, keep finite
+        // values, so a step whose products read a carried column before
+        // its turn shows in their bits, not only in NaN-ness.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(48);
-        let draw = |n: usize| {
+        let draw = |k: usize, n: usize| {
             let mut col: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-            for at in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|_| n > 0) {
+            let finite = [0, 1, 2, 6, 7].contains(&k);
+            for at in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|_| n > 0 && !finite) {
                 col[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
             }
             col
@@ -1367,30 +1373,28 @@ mod tests {
 
     type TopPivotFn = fn(&mut [f64], usize, usize, &[(usize, f64, f64)]);
 
-    /// Every form of [`rotate_top_pivot`] this host can run besides the
-    /// portable one: the public dispatch, and the FMA-compiled scalar loop
-    /// and the AVX2 form called directly once cpuid reports them.
-    fn top_pivot_tiers() -> Vec<(&'static str, TopPivotFn)> {
-        let mut tiers: Vec<(&'static str, TopPivotFn)> = vec![("dispatch", rotate_top_pivot)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::is_x86_feature_detected;
-            if is_x86_feature_detected!("fma") {
-                // SAFETY: fma was just detected; the test passes whole
-                // columns and `p < m`.
-                tiers.push(("fma loop", |cols, m, p, chain| unsafe {
-                    x86::rotate_top_pivot_fma(cols, cols.len() / m, m, p, chain)
-                }));
-            }
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                // SAFETY: avx2 and fma were just detected; the test passes
-                // whole columns and `p < m`.
-                tiers.push(("avx2", |cols, m, p, chain| unsafe {
-                    x86::rotate_top_pivot_avx2(cols, cols.len() / m, m, p, chain)
-                }));
-            }
-        }
+    /// Every form of [`rotate_top_pivot`] this host can run: the public
+    /// dispatch, and each tier function on its kernel. The tests pass
+    /// whole columns and `p < m`.
+    fn top_pivot_tiers() -> Vec<(String, TopPivotFn)> {
+        let mut tiers = vec![("dispatch".to_string(), rotate_top_pivot as TopPivotFn)];
+        tiers.extend(tier_forms!("kernel", TopPivotFn, |cols, m, p, chain| {
+            TopPivot { n: cols.len() / m, cols, m, p, chain }
+        }));
         tiers
+    }
+
+    /// [`rotate_top_pivot`] on the portable tier: the forms' reference.
+    fn top_pivot_portable(
+        cols: &mut [f64],
+        n: usize,
+        m: usize,
+        p: usize,
+        chain: &[(usize, f64, f64)],
+    ) {
+        // SAFETY: the portable group needs no feature; the tests pass `n`
+        // whole columns and `p < m`.
+        unsafe { on_portable(TopPivot { cols, n, m, p, chain }) }
     }
 
     #[test]
@@ -1443,7 +1447,7 @@ mod tests {
                                 })
                                 .collect();
                             let mut want = cols.clone();
-                            rotate_top_pivot_portable(&mut want, ncols, m, p, &chain);
+                            top_pivot_portable(&mut want, ncols, m, p, &chain);
                             let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
                             for (name, tier) in top_pivot_tiers() {
                                 let mut got = cols.clone();
@@ -1533,9 +1537,9 @@ mod tests {
                     }
                 }
                 let mut rotators = rotate_tiers();
-                rotators.push(("pair_rotate", pair_rotate));
-                rotators.push(("pair_rotate_lanes", pair_rotate_lanes));
-                rotators.push(("rotate_pair twice", |ai, aj, ui, uj, c, s| {
+                rotators.push(("pair_rotate".into(), pair_rotate));
+                rotators.push(("pair_rotate_lanes".into(), pair_rotate_lanes));
+                rotators.push(("rotate_pair twice".into(), |ai, aj, ui, uj, c, s| {
                     rotate_pair(ai, aj, c, s);
                     rotate_pair(ui, uj, c, s);
                 }));
@@ -1579,7 +1583,7 @@ mod tests {
                     col[p] = x;
                 }
                 let mut portable = block.clone();
-                rotate_top_pivot_portable(&mut portable, ncols, n, p, &chain);
+                top_pivot_portable(&mut portable, ncols, n, p, &chain);
                 assert!(same(&portable, &want), "top pivot portable m={n} columns={ncols}");
                 for (name, tier) in top_pivot_tiers() {
                     let mut got = block.clone();
@@ -1593,21 +1597,17 @@ mod tests {
     #[test]
     fn the_pivot_rows_are_one_top_pivot_turn_of_each_column() {
         // Rows `p` and `q` of two columns, every other row untouched: the
-        // public call, the portable form and the FMA-compiled one where
-        // cpuid reports it, against the written-out rotation and against
-        // one `rotate_top_pivot` turn per column — ±0, subnormals, 1e±150
-        // and non-finite entries among them.
+        // public call and each tier function on its kernel, against the
+        // written-out rotation and against one `rotate_top_pivot` turn per
+        // column — ±0, subnormals, 1e±150 and non-finite entries among them.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(50);
         type PivotRowsFn = fn(&mut [f64], &mut [f64], (usize, usize), f64, f64);
-        let mut forms: Vec<(&str, PivotRowsFn)> =
-            vec![("dispatch", rotate_pivot_rows), ("portable", pivot_rows_portable)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: fma was just detected; the rows are in both columns.
-            forms
-                .push(("fma", |x, y, rows, c, s| unsafe { x86::pivot_rows_fma(x, y, rows, c, s) }));
-        }
+        let mut forms = vec![("dispatch".to_string(), rotate_pivot_rows as PivotRowsFn)];
+        // The rows are in both columns.
+        forms.extend(tier_forms!("kernel", PivotRowsFn, |x, y, rows, c, s| {
+            PivotRows([x, y], rows, c, s)
+        }));
         for m in [2usize, 5, 33] {
             for (p, q) in
                 [(0, 1), (1, 0), (0, m - 1), (m / 2, m - 1)].into_iter().filter(|(p, q)| p != q)

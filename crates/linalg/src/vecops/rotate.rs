@@ -1,5 +1,8 @@
 //! The one plane rotation: its scalar loop, the lane rotator, and the
-//! two-sided oracle's top-pivot sequence.
+//! two-sided oracle's top-pivot sequence — each a kernel ([`Kernel`]), so
+//! every rotator runs inside the one function of its tier ([`on`]), and
+//! each `f64::mul_add` of a scalar loop is the FMA instruction on both x86
+//! tiers and a library call on the portable tier alone.
 
 use super::lanes::{on, Kernel, Lanes};
 use super::walk::{step, STEP_STREAMS};
@@ -10,8 +13,9 @@ use super::{lane_tier, LaneTier, Operands};
 /// product rounded, then one fused multiply-add, so each entry is rounded
 /// twice. Every rotator of every tier computes these bits.
 ///
-/// Always inlined, so that a caller compiled with FMA fuses in one
-/// instruction; elsewhere `f64::mul_add` is a library call.
+/// Always inlined, so that in a tier function compiled with FMA it fuses
+/// in one instruction; on the portable tier `f64::mul_add` is a library
+/// call.
 #[inline(always)]
 pub(super) fn turn(x: f64, y: f64, c: f64, s: f64) -> (f64, f64) {
     (c.mul_add(x, -(s * y)), s.mul_add(x, c * y))
@@ -50,53 +54,30 @@ pub fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
 pub fn pair_rotate(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64], c: f64, s: f64) {
     assert_eq!(ai.len(), aj.len());
     assert_eq!(ui.len(), uj.len());
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: each of these tiers implies cpuid reported fma (rustc's
-        // `avx512f` includes it); the stream pairs' lengths were asserted
-        // above.
-        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
-            x86::pair_rotate_fma(ai, aj, ui, uj, c, s)
-        },
-        LaneTier::Portable => pair_rotate_portable(ai, aj, ui, uj, c, s),
-    }
+    // SAFETY: the loops index the slices, whose lengths were asserted above.
+    unsafe { on(lane_tier(), PairLoop([ai, aj, ui, uj], c, s)) }
 }
 
-/// [`pair_rotate`] on the portable tier: its loops, each `f64::mul_add` a
-/// library call — a function of its own, so no caller inlines one.
-#[inline(never)]
-fn pair_rotate_portable(
-    ai: &mut [f64],
-    aj: &mut [f64],
-    ui: &mut [f64],
-    uj: &mut [f64],
-    c: f64,
-    s: f64,
-) {
-    pair_rotate_loop(ai, aj, ui, uj, c, s);
-}
+/// [`pair_rotate`]'s loops as a kernel, `[ai, aj, ui, uj]`, `c`, `s`: the
+/// common prefix of the four streams, then the excess of the longer pair.
+pub(super) struct PairLoop<'a>(pub(super) [&'a mut [f64]; 4], pub(super) f64, pub(super) f64);
 
-/// [`pair_rotate`]'s loops, inlined into their caller's target features:
-/// the common prefix of the four streams, then the excess of the longer
-/// pair.
-#[inline(always)]
-fn pair_rotate_loop(
-    ai: &mut [f64],
-    aj: &mut [f64],
-    ui: &mut [f64],
-    uj: &mut [f64],
-    c: f64,
-    s: f64,
-) {
-    let n = ai.len().min(ui.len());
-    let (ah, bh, uh, vh) = (&mut ai[..n], &mut aj[..n], &mut ui[..n], &mut uj[..n]);
-    for k in 0..n {
-        (ah[k], bh[k]) = turn(ah[k], bh[k], c, s);
-        (uh[k], vh[k]) = turn(uh[k], vh[k], c, s);
-    }
-    for (x, y) in [(&mut ai[n..], &mut aj[n..]), (&mut ui[n..], &mut uj[n..])] {
-        for (x, y) in x.iter_mut().zip(y) {
-            (*x, *y) = turn(*x, *y, c, s);
+impl Kernel for PairLoop<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) {
+        let PairLoop([ai, aj, ui, uj], c, s) = self;
+        let n = ai.len().min(ui.len());
+        let (ah, bh, uh, vh) = (&mut ai[..n], &mut aj[..n], &mut ui[..n], &mut uj[..n]);
+        for k in 0..n {
+            (ah[k], bh[k]) = turn(ah[k], bh[k], c, s);
+            (uh[k], vh[k]) = turn(uh[k], vh[k], c, s);
+        }
+        for (x, y) in [(&mut ai[n..], &mut aj[n..]), (&mut ui[n..], &mut uj[n..])] {
+            for (x, y) in x.iter_mut().zip(y) {
+                (*x, *y) = turn(*x, *y, c, s);
+            }
         }
     }
 }
@@ -219,55 +200,56 @@ impl Kernel for Rotate {
 /// rotations of pivot row `p`, and the columns are independent dependency
 /// chains.
 ///
-/// Every result is `to_bits`-equal to the scalar loop on every tier. The
-/// AVX2 form holds four columns in one register, lane `l` column `l`: a
-/// run of four consecutive pivot rows is one 4×4 tile (four loads, a
-/// transpose, four turns, the transpose back, four stores), any other turn
-/// loads its four entries lane by lane, and every turn is a multiply and a
-/// fused multiply-add per entry, so each entry sees the scalar operations
-/// in the scalar order. It runs two four-column groups abreast, so their
-/// `x` chains overlap; leftover columns, and the portable tier, take the
-/// scalar loop a few columns abreast.
+/// Every result is `to_bits`-equal to the scalar loop on every tier. On
+/// both x86 tiers four or more columns take the AVX2 form, which holds
+/// four columns in one register, lane `l` column `l`: a run of four
+/// consecutive pivot rows is one 4×4 tile (four loads, a transpose, four
+/// turns, the transpose back, four stores), any other turn loads its four
+/// entries lane by lane, and every turn is a multiply and a fused
+/// multiply-add per entry, so each entry sees the scalar operations in the
+/// scalar order. It runs two four-column groups abreast, so their `x`
+/// chains overlap; leftover columns, fewer than four, and the portable
+/// tier take the scalar loop a few columns abreast.
 ///
 /// # Panics
 /// Panics unless `p < m`, `cols` is whole columns and every `q < m`.
 #[inline]
 pub fn rotate_top_pivot(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f64, f64)]) {
     assert!(p < m, "pivot row {p} outside a column of {m}");
-    // One column fills no lanes. It is the call a pivot's catch-up and the
-    // two-sided oracle's 2×2 block make once per pivot, so it takes the
-    // shortest road: no division, no grouping.
-    if cols.len() == m {
-        match lane_tier() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: each of these tiers implies cpuid reported fma
-            // (rustc's `avx512f` includes it).
-            LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
-                x86::top_pivot_column_fma(cols, p, chain)
-            },
-            LaneTier::Portable => rotate_top_pivot_portable(cols, 1, m, p, chain),
-        }
-        return;
-    }
-    let n = cols.len() / m;
+    // One column is the call a pivot's catch-up makes once per pivot: no
+    // division for it.
+    let n = if cols.len() == m { 1 } else { cols.len() / m };
     assert_eq!(n * m, cols.len(), "not whole columns of {m}");
-    if chain.is_empty() {
-        return;
+    if !chain.is_empty() {
+        // SAFETY: `p < m` and `cols` being `n` columns were asserted above.
+        unsafe { on(lane_tier(), TopPivot { cols, n, m, p, chain }) }
     }
-    match lane_tier() {
+}
+
+/// [`rotate_top_pivot`] as a kernel on the `n` columns of `m` in `cols`:
+/// the AVX2 groups on a vector tier from four columns, the scalar loop
+/// otherwise. Running it needs `p < m` and `cols` to be `n` whole columns.
+pub(super) struct TopPivot<'a> {
+    pub(super) cols: &'a mut [f64],
+    pub(super) n: usize,
+    pub(super) m: usize,
+    pub(super) p: usize,
+    pub(super) chain: &'a [(usize, f64, f64)],
+}
+
+impl Kernel for TopPivot<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) {
+        let TopPivot { cols, n, m, p, chain } = self;
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: each of these tiers implies avx2 and fma (rustc's
-        // `avx512f` includes both); `p < m` and `cols` being `n` columns
-        // were asserted above.
-        LaneTier::Avx512 | LaneTier::Avx2Fma if n >= 4 => unsafe {
-            x86::rotate_top_pivot_avx2(cols, n, m, p, chain)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; the scalar loop needs fma only.
-        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe {
-            x86::rotate_top_pivot_fma(cols, n, m, p, chain)
-        },
-        LaneTier::Portable => rotate_top_pivot_portable(cols, n, m, p, chain),
+        if n >= 4 && !matches!(G::TIER, LaneTier::Portable) {
+            // SAFETY: both vector tiers imply avx2 and fma; `p < m` and `n`
+            // whole columns are the kernel's own condition.
+            return x86::rotate_top_pivot_avx2(cols, n, m, p, chain);
+        }
+        rotate_top_pivot_loop(cols, n, m, p, chain);
     }
 }
 
@@ -282,54 +264,33 @@ pub fn rotate_top_pivot(cols: &mut [f64], m: usize, p: usize, chain: &[(usize, f
 #[inline]
 pub fn rotate_pivot_rows(x: &mut [f64], y: &mut [f64], (p, q): (usize, usize), c: f64, s: f64) {
     assert!(p != q && p.max(q) < x.len().min(y.len()), "rows {p}, {q} of the columns");
-    match lane_tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: each of these tiers implies cpuid reported fma (rustc's
-        // `avx512f` includes it).
-        LaneTier::Avx512 | LaneTier::Avx2Fma => unsafe { x86::pivot_rows_fma(x, y, (p, q), c, s) },
-        LaneTier::Portable => pivot_rows_portable(x, y, (p, q), c, s),
+    // SAFETY: the turns index the columns.
+    unsafe { on(lane_tier(), PivotRows([x, y], (p, q), c, s)) }
+}
+
+/// [`rotate_pivot_rows`]' turns as a kernel, `[x, y]`, `(p, q)`, `c`, `s`.
+pub(super) struct PivotRows<'a>(
+    pub(super) [&'a mut [f64]; 2],
+    pub(super) (usize, usize),
+    pub(super) f64,
+    pub(super) f64,
+);
+
+impl Kernel for PivotRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<G: Lanes>(self) {
+        let PivotRows(cols, (p, q), c, s) = self;
+        for col in cols {
+            (col[p], col[q]) = turn(col[p], col[q], c, s);
+        }
     }
-}
-
-/// [`rotate_pivot_rows`] on the portable tier, each `f64::mul_add` a
-/// library call — a function of its own, so no caller inlines one.
-#[inline(never)]
-pub(super) fn pivot_rows_portable(
-    x: &mut [f64],
-    y: &mut [f64],
-    rows: (usize, usize),
-    c: f64,
-    s: f64,
-) {
-    pivot_rows(x, y, rows, c, s);
-}
-
-/// [`rotate_pivot_rows`]' turns, inlined into their caller's target
-/// features.
-#[inline(always)]
-fn pivot_rows(x: &mut [f64], y: &mut [f64], (p, q): (usize, usize), c: f64, s: f64) {
-    for col in [x, y] {
-        (col[p], col[q]) = turn(col[p], col[q], c, s);
-    }
-}
-
-/// [`rotate_top_pivot`] on the portable tier: its scalar loop, each
-/// `f64::mul_add` a library call — a function of its own, so no caller
-/// inlines one.
-#[inline(never)]
-pub(super) fn rotate_top_pivot_portable(
-    cols: &mut [f64],
-    n: usize,
-    m: usize,
-    p: usize,
-    chain: &[(usize, f64, f64)],
-) {
-    rotate_top_pivot_loop(cols, n, m, p, chain);
 }
 
 /// The scalar loop of [`rotate_top_pivot`] on the `n` columns of `cols`,
 /// four abreast, then the one to three left over abreast — inlined into
-/// its caller's target features.
+/// the tier function that runs [`TopPivot`].
 #[inline(always)]
 fn rotate_top_pivot_loop(
     cols: &mut [f64],
@@ -350,8 +311,7 @@ fn rotate_top_pivot_loop(
     }
 }
 
-/// [`rotate_top_pivot`] on one column, inlined into its caller's target
-/// features.
+/// [`rotate_top_pivot`] on one column.
 #[inline(always)]
 fn top_pivot_column(col: &mut [f64], p: usize, chain: &[(usize, f64, f64)]) {
     let mut x = col[p];
@@ -386,72 +346,14 @@ fn top_pivot_abreast<const N: usize>(
     }
 }
 
-/// The x86-64 rotators of the scalar loop and the two-sided oracle: every
-/// `#[target_feature]` function here is reached only through `lane_tier`'s
-/// cpuid dispatch, which is the safety condition for each `unsafe fn`.
+/// The x86-64 form of the top-pivot sequence: four columns to a register,
+/// every function always inlined into the tier function that runs
+/// [`TopPivot`] (`lanes`' `x86::on_avx2` or `x86::on_avx512`), whose
+/// features — avx2 and fma, which rustc's `avx512f` includes — each
+/// intrinsic here needs.
 #[cfg(target_arch = "x86_64")]
-pub(super) mod x86 {
+mod x86 {
     use std::arch::x86_64::*;
-
-    /// [`super::pair_rotate`] compiled with FMA, so that each
-    /// `f64::mul_add` of its loops is the instruction.
-    ///
-    /// # Safety
-    /// Caller must have verified `fma` via cpuid; `ai`/`aj` and `ui`/`uj`
-    /// must each share one length (checked by the safe wrapper).
-    #[target_feature(enable = "fma")]
-    pub unsafe fn pair_rotate_fma(
-        ai: &mut [f64],
-        aj: &mut [f64],
-        ui: &mut [f64],
-        uj: &mut [f64],
-        c: f64,
-        s: f64,
-    ) {
-        super::pair_rotate_loop(ai, aj, ui, uj, c, s);
-    }
-
-    /// [`super::rotate_pivot_rows`] compiled with FMA.
-    ///
-    /// # Safety
-    /// Caller must have verified `fma` via cpuid.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn pivot_rows_fma(
-        x: &mut [f64],
-        y: &mut [f64],
-        rows: (usize, usize),
-        c: f64,
-        s: f64,
-    ) {
-        super::pivot_rows(x, y, rows, c, s);
-    }
-
-    /// [`super::rotate_top_pivot`]'s scalar loop on one column, compiled
-    /// with FMA: every pivot's own catch-up and the oracle's 2×2 block.
-    ///
-    /// # Safety
-    /// Caller must have verified `fma` via cpuid.
-    #[target_feature(enable = "fma")]
-    pub unsafe fn top_pivot_column_fma(col: &mut [f64], p: usize, chain: &[(usize, f64, f64)]) {
-        super::top_pivot_column(col, p, chain);
-    }
-
-    /// [`super::rotate_top_pivot`]'s scalar loop compiled with FMA: two or
-    /// three columns, fewer than fill a register.
-    ///
-    /// # Safety
-    /// Caller must have verified `fma` via cpuid, and that `p < m` and
-    /// `cols` is `n` columns of `m` (checked by the safe wrapper).
-    #[target_feature(enable = "fma")]
-    pub unsafe fn rotate_top_pivot_fma(
-        cols: &mut [f64],
-        n: usize,
-        m: usize,
-        p: usize,
-        chain: &[(usize, f64, f64)],
-    ) {
-        super::rotate_top_pivot_loop(cols, n, m, p, chain);
-    }
 
     /// [`super::rotate_top_pivot`] with four columns to a register: eight
     /// columns at a time as two groups abreast, then a group of four, then
@@ -459,11 +361,10 @@ pub(super) mod x86 {
     /// [`turn4`], so every entry's bits match the scalar chain.
     ///
     /// # Safety
-    /// Caller must have verified `avx2` and `fma` via cpuid, and that
-    /// `p < m` and `cols` is `n` columns of `m` (checked by the safe
-    /// wrapper).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rotate_top_pivot_avx2(
+    /// Requires AVX2 and FMA; `p < m` and `cols` must be `n` columns of
+    /// `m` (checked by the safe wrapper).
+    #[inline(always)]
+    pub(super) unsafe fn rotate_top_pivot_avx2(
         cols: &mut [f64],
         n: usize,
         m: usize,
@@ -488,8 +389,7 @@ pub(super) mod x86 {
     ///
     /// # Safety
     /// Requires AVX; `r` must be in bounds of every column.
-    #[inline]
-    #[target_feature(enable = "avx2")]
+    #[inline(always)]
     unsafe fn gather4(c: [*mut f64; 4], r: usize) -> __m256d {
         _mm256_set_pd(*c[3].add(r), *c[2].add(r), *c[1].add(r), *c[0].add(r))
     }
@@ -498,8 +398,7 @@ pub(super) mod x86 {
     ///
     /// # Safety
     /// Requires AVX; `r` must be in bounds of every column.
-    #[inline]
-    #[target_feature(enable = "avx2")]
+    #[inline(always)]
     unsafe fn scatter4(c: [*mut f64; 4], r: usize, v: __m256d) {
         let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
         _mm_storel_pd(c[0].add(r), lo);
@@ -513,8 +412,7 @@ pub(super) mod x86 {
     ///
     /// # Safety
     /// Requires AVX.
-    #[inline]
-    #[target_feature(enable = "avx2")]
+    #[inline(always)]
     unsafe fn transpose4(v: [__m256d; 4]) -> [__m256d; 4] {
         let t0 = _mm256_unpacklo_pd(v[0], v[1]);
         let t1 = _mm256_unpackhi_pd(v[0], v[1]);
@@ -533,8 +431,7 @@ pub(super) mod x86 {
     ///
     /// # Safety
     /// Requires AVX and FMA.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[inline(always)]
     unsafe fn turn4(x: &mut __m256d, y: &mut __m256d, vc: __m256d, vs: __m256d) {
         let (x0, y0) = (*x, *y);
         *y = _mm256_fmadd_pd(vs, x0, _mm256_mul_pd(vc, y0));
@@ -547,16 +444,16 @@ pub(super) mod x86 {
     /// # Safety
     /// Requires AVX2 and FMA; every column must hold `m` elements and
     /// `p < m`. Pivot rows are checked here.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[inline(always)]
     unsafe fn top_pivot_groups<const G: usize>(
         cols: [[*mut f64; 4]; G],
         m: usize,
         p: usize,
         chain: &[(usize, f64, f64)],
     ) {
-        // No closures below: a closure would not inherit this function's
-        // target feature, and the helpers would not inline into it.
+        // No closures below: a closure would not take the target features
+        // of the tier function this is inlined into, and the helpers would
+        // not inline into it.
         let mut x = [_mm256_setzero_pd(); G];
         for (x, &c) in x.iter_mut().zip(&cols) {
             *x = gather4(c, p);
