@@ -20,8 +20,8 @@
 //! `k` becomes a pivot `q` itself, whose column half and pivot `a_pk` read
 //! the whole column. So the row's applied rotations `(q, c, s)` form a
 //! chain, and bringing a column through a stretch of it is a top-pivot
-//! rotation sequence (`dlasr`'s shape), [`rotate_top_pivot`], which runs up
-//! to eight columns abreast in AVX2 lanes:
+//! rotation sequence (`dlasr`'s shape), [`rotate_top_pivot`], which runs
+//! eight columns in one lane group, a column to a lane:
 //!
 //! - column `p` takes every rotation at once: the column half, fused with
 //!   the same rotation of `U`'s columns `p` and `q` into one
@@ -52,7 +52,7 @@ use mph_linalg::Matrix;
 /// its `(c, s)`. A row's chain is in increasing `q`.
 type Turn = (usize, f64, f64);
 
-/// Columns brought through a chain together: two lane groups of four.
+/// Columns brought through a chain together: one lane group.
 const ABREAST: usize = 8;
 
 /// Ends row `p` on the consecutive columns `cols`, the first of which is

@@ -6,7 +6,8 @@ use super::{product, reads, takes, LaneTier, Operands};
 
 /// Eight `f64` lanes of one tier: lane `l` holds row `l` of a chunk of
 /// eight, so one group holds a product's eight chains —
-/// [`dot`](super::dot)'s definition — on every tier. One `__m512d` on
+/// [`dot`](super::dot)'s definition — on every tier; in the top-pivot
+/// sequence it holds column `l` of eight. One `__m512d` on
 /// AVX-512, two `__m256d` on AVX2 with FMA, `[f64; 8]` on the portable
 /// tier. Every operation is the lane-wise IEEE one, so a kernel written
 /// once over the group has the same bits on each; each is always inlined,
@@ -14,7 +15,8 @@ use super::{product, reads, takes, LaneTier, Operands};
 ///
 /// # Safety
 /// Every operation needs the features of `TIER`, which cpuid must have
-/// reported (`LaneTier`); `load` and `store` need eight values at `p`.
+/// reported (`LaneTier`); `load` and `store` need eight values at `p`, a
+/// gather or scatter row `r` of each column, a tile rows `r..r + 4`.
 pub(super) trait Lanes: Copy {
     /// The tier whose instructions the operations are.
     const TIER: LaneTier;
@@ -33,6 +35,16 @@ pub(super) trait Lanes: Copy {
     unsafe fn load(p: *const f64) -> Self;
     /// The eight lanes to `p`.
     unsafe fn store(self, p: *mut f64);
+    /// Row `r` of eight columns, lane `l` from `cols[l]`.
+    unsafe fn gather(cols: [*mut f64; 8], r: usize) -> Self;
+    /// Lane `l` to row `r` of `cols[l]`.
+    unsafe fn scatter(self, cols: [*mut f64; 8], r: usize);
+    /// Rows `r..r + 4` of eight columns, group `k` row `r + k`: each
+    /// column's four values loaded, then transposed in registers.
+    unsafe fn gather_tile(cols: [*mut f64; 8], r: usize) -> [Self; 4];
+    /// Group `k` to row `r + k` of the columns: the transpose back, then
+    /// each column's four values stored.
+    unsafe fn scatter_tile(tile: [Self; 4], cols: [*mut f64; 8], r: usize);
     /// `self · y`.
     unsafe fn mul(self, y: Self) -> Self;
     /// `self · y + z`, rounded once.
@@ -64,6 +76,30 @@ impl Lanes for [f64; 8] {
     #[inline(always)]
     unsafe fn store(self, p: *mut f64) {
         p.cast::<[f64; 8]>().write_unaligned(self);
+    }
+
+    #[inline(always)]
+    unsafe fn gather(cols: [*mut f64; 8], r: usize) -> Self {
+        cols.map(|col| *col.add(r))
+    }
+
+    #[inline(always)]
+    unsafe fn scatter(self, cols: [*mut f64; 8], r: usize) {
+        for (col, v) in cols.into_iter().zip(self) {
+            *col.add(r) = v;
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn gather_tile(cols: [*mut f64; 8], r: usize) -> [Self; 4] {
+        std::array::from_fn(|k| Self::gather(cols, r + k))
+    }
+
+    #[inline(always)]
+    unsafe fn scatter_tile(tile: [Self; 4], cols: [*mut f64; 8], r: usize) {
+        for (k, row) in tile.into_iter().enumerate() {
+            row.scatter(cols, r + k);
+        }
     }
 
     #[inline(always)]
@@ -121,7 +157,7 @@ pub(super) unsafe fn on<K: Kernel>(tier: LaneTier, k: K) -> K::Out {
 /// # Safety
 /// As [`Kernel::run`].
 #[inline(never)]
-pub(super) unsafe fn on_portable<K: Kernel>(k: K) -> K::Out {
+unsafe fn on_portable<K: Kernel>(k: K) -> K::Out {
     k.run::<[f64; 8]>()
 }
 
@@ -240,7 +276,7 @@ pub(super) unsafe fn turn_lanes<G: Lanes>(x: G, y: G, c: G, s: G) -> (G, G) {
 /// through [`lane_tier`](crate::vecops)'s cpuid dispatch, which is the
 /// safety condition for each `unsafe fn` here.
 #[cfg(target_arch = "x86_64")]
-pub(super) mod x86 {
+mod x86 {
     use super::{Kernel, Lanes};
     use crate::vecops::LaneTier;
     use std::arch::x86_64::*;
@@ -256,7 +292,7 @@ pub(super) mod x86 {
     /// avx512vl.
     #[inline(never)]
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn on_avx512<K: Kernel>(k: K) -> K::Out {
+    pub(super) unsafe fn on_avx512<K: Kernel>(k: K) -> K::Out {
         k.run::<__m512d>()
     }
 
@@ -267,7 +303,7 @@ pub(super) mod x86 {
     /// As [`Kernel::run`], on a host whose cpuid reported avx2 and fma.
     #[inline(never)]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn on_avx2<K: Kernel>(k: K) -> K::Out {
+    pub(super) unsafe fn on_avx2<K: Kernel>(k: K) -> K::Out {
         k.run::<[__m256d; 2]>()
     }
 
@@ -289,6 +325,38 @@ pub(super) mod x86 {
         #[inline(always)]
         unsafe fn store(self, p: *mut f64) {
             _mm512_storeu_pd(p, self);
+        }
+
+        #[inline(always)]
+        unsafe fn gather(cols: [*mut f64; 8], r: usize) -> Self {
+            let lo = _mm512_castpd256_pd512(gather_half(&cols[..4], r));
+            _mm512_insertf64x4::<1>(lo, gather_half(&cols[4..], r))
+        }
+
+        #[inline(always)]
+        unsafe fn scatter(self, cols: [*mut f64; 8], r: usize) {
+            scatter_half(_mm512_castpd512_pd256(self), &cols[..4], r);
+            scatter_half(_mm512_extractf64x4_pd::<1>(self), &cols[4..], r);
+        }
+
+        /// Column `k`'s four values in the low half of register `k`, column
+        /// `k + 4`'s in its high half, then [`transpose_halves`].
+        #[inline(always)]
+        unsafe fn gather_tile(cols: [*mut f64; 8], r: usize) -> [Self; 4] {
+            let mut v = [_mm512_setzero_pd(); 4];
+            for (k, v) in v.iter_mut().enumerate() {
+                let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(cols[k].add(r)));
+                *v = _mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(cols[k + 4].add(r)));
+            }
+            transpose_halves(v)
+        }
+
+        #[inline(always)]
+        unsafe fn scatter_tile(tile: [Self; 4], cols: [*mut f64; 8], r: usize) {
+            for (k, v) in transpose_halves(tile).into_iter().enumerate() {
+                _mm256_storeu_pd(cols[k].add(r), _mm512_castpd512_pd256(v));
+                _mm256_storeu_pd(cols[k + 4].add(r), _mm512_extractf64x4_pd::<1>(v));
+            }
         }
 
         #[inline(always)]
@@ -336,6 +404,42 @@ pub(super) mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn gather(cols: [*mut f64; 8], r: usize) -> Self {
+            [gather_half(&cols[..4], r), gather_half(&cols[4..], r)]
+        }
+
+        #[inline(always)]
+        unsafe fn scatter(self, cols: [*mut f64; 8], r: usize) {
+            scatter_half(self[0], &cols[..4], r);
+            scatter_half(self[1], &cols[4..], r);
+        }
+
+        /// Each half's four columns, through [`transpose4`].
+        #[inline(always)]
+        unsafe fn gather_tile(cols: [*mut f64; 8], r: usize) -> [Self; 4] {
+            let mut tile = [[_mm256_setzero_pd(); 2]; 4];
+            for h in 0..2 {
+                let mut v = [_mm256_setzero_pd(); 4];
+                for (k, v) in v.iter_mut().enumerate() {
+                    *v = _mm256_loadu_pd(cols[4 * h + k].add(r));
+                }
+                for (row, v) in tile.iter_mut().zip(transpose4(v)) {
+                    row[h] = v;
+                }
+            }
+            tile
+        }
+
+        #[inline(always)]
+        unsafe fn scatter_tile(tile: [Self; 4], cols: [*mut f64; 8], r: usize) {
+            for h in 0..2 {
+                for (k, v) in transpose4(tile.map(|row| row[h])).into_iter().enumerate() {
+                    _mm256_storeu_pd(cols[4 * h + k].add(r), v);
+                }
+            }
+        }
+
+        #[inline(always)]
         unsafe fn mul(self, y: Self) -> Self {
             [_mm256_mul_pd(self[0], y[0]), _mm256_mul_pd(self[1], y[1])]
         }
@@ -356,6 +460,67 @@ pub(super) mod x86 {
         unsafe fn tree(self) -> f64 {
             tree4(_mm256_add_pd(self[0], self[1]))
         }
+    }
+
+    /// Row `r` of four columns, lane `l` from `c[l]`.
+    ///
+    /// # Safety
+    /// Requires AVX.
+    #[inline(always)]
+    unsafe fn gather_half(c: &[*mut f64], r: usize) -> __m256d {
+        _mm256_setr_pd(*c[0].add(r), *c[1].add(r), *c[2].add(r), *c[3].add(r))
+    }
+
+    /// Lane `l` of `v` to row `r` of `c[l]`.
+    ///
+    /// # Safety
+    /// Requires AVX.
+    #[inline(always)]
+    unsafe fn scatter_half(v: __m256d, c: &[*mut f64], r: usize) {
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        _mm_storel_pd(c[0].add(r), lo);
+        _mm_storeh_pd(c[1].add(r), lo);
+        _mm_storel_pd(c[2].add(r), hi);
+        _mm_storeh_pd(c[3].add(r), hi);
+    }
+
+    /// The 4×4 transpose, `out[r][k] = v[k][r]`: its own inverse.
+    ///
+    /// # Safety
+    /// Requires AVX.
+    #[inline(always)]
+    unsafe fn transpose4(v: [__m256d; 4]) -> [__m256d; 4] {
+        let t0 = _mm256_unpacklo_pd(v[0], v[1]);
+        let t1 = _mm256_unpackhi_pd(v[0], v[1]);
+        let t2 = _mm256_unpacklo_pd(v[2], v[3]);
+        let t3 = _mm256_unpackhi_pd(v[2], v[3]);
+        [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ]
+    }
+
+    /// [`transpose4`] in each half of four registers at once, `out[r][4h +
+    /// k] = v[k][4h + r]`: its own inverse.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[inline(always)]
+    unsafe fn transpose_halves(v: [__m512d; 4]) -> [__m512d; 4] {
+        let t0 = _mm512_unpacklo_pd(v[0], v[1]);
+        let t1 = _mm512_unpackhi_pd(v[0], v[1]);
+        let t2 = _mm512_unpacklo_pd(v[2], v[3]);
+        let t3 = _mm512_unpackhi_pd(v[2], v[3]);
+        let even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+        let odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+        [
+            _mm512_permutex2var_pd(t0, even, t2),
+            _mm512_permutex2var_pd(t1, even, t3),
+            _mm512_permutex2var_pd(t0, odd, t2),
+            _mm512_permutex2var_pd(t1, odd, t3),
+        ]
     }
 
     /// The rest of the fixed tree from `h = [s0+s4, s1+s5, s2+s6, s3+s7]`:

@@ -315,8 +315,6 @@ pub fn fused_triple(x: &[f64], a: &[f64], y: &[f64], b: &[f64]) -> (f64, f64, f6
 
 #[cfg(test)]
 mod tests {
-    #[cfg(target_arch = "x86_64")]
-    use super::lanes;
     use super::lanes::*;
     use super::rotate::*;
     use super::walk::*;
@@ -503,10 +501,10 @@ mod tests {
     // the `unsafe` forms each tier reaches. The rotators' kernels are run
     // by each tier's function by name (`tier_forms!`).
 
-    /// Every tier function this host can run — `on_portable`, then
-    /// `x86::on_avx2` and `x86::on_avx512` once cpuid reports their
-    /// features (`lane_tiers`) — each a `$form` named `"<tier> $what"`
-    /// that runs the kernel `$kernel` makes of its arguments.
+    /// Every tier this host can run — the portable one, then AVX2 and
+    /// AVX-512 once cpuid reports their features (`lane_tiers`) — each a
+    /// `$form` named `"<tier> $what"` that runs the kernel `$kernel` makes
+    /// of its arguments in the tier's function (`on`).
     macro_rules! tier_forms {
         ($what:literal, $form:ty, |$($arg:ident),*| $kernel:expr) => {
             lane_tiers()
@@ -516,10 +514,10 @@ mod tests {
                     // pass each kernel operands it takes.
                     let form: $form = match tier {
                         #[cfg(target_arch = "x86_64")]
-                        LaneTier::Avx512 => |$($arg),*| unsafe { lanes::x86::on_avx512($kernel) },
+                        LaneTier::Avx512 => |$($arg),*| unsafe { on(LaneTier::Avx512, $kernel) },
                         #[cfg(target_arch = "x86_64")]
-                        LaneTier::Avx2Fma => |$($arg),*| unsafe { lanes::x86::on_avx2($kernel) },
-                        LaneTier::Portable => |$($arg),*| unsafe { on_portable($kernel) },
+                        LaneTier::Avx2Fma => |$($arg),*| unsafe { on(LaneTier::Avx2Fma, $kernel) },
+                        LaneTier::Portable => |$($arg),*| unsafe { on(LaneTier::Portable, $kernel) },
                     };
                     (format!("{tier:?} {}", $what), form)
                 })
@@ -1394,7 +1392,7 @@ mod tests {
     ) {
         // SAFETY: the portable group needs no feature; the tests pass `n`
         // whole columns and `p < m`.
-        unsafe { on_portable(TopPivot { cols, n, m, p, chain }) }
+        unsafe { on(LaneTier::Portable, TopPivot { cols, n, m, p, chain }) }
     }
 
     #[test]
@@ -1404,11 +1402,12 @@ mod tests {
         // last (whose first run ends at row m − 1). At turn `gap` the count
         // either skips a row for good, or takes the row two further for that
         // one turn, so that a run of consecutive pivots — the lane form's
-        // 4×4 tile — is broken at every offset, also where its first, second
-        // and fourth rows still fit one. One to eight columns: two lane
-        // groups, one, and every leftover. Entries ±0, subnormal and 1e±150
-        // mixed with ordinary ones, where a fused multiply-add would round
-        // differently.
+        // tile of four rows — is broken at every offset, also where its
+        // first, second and fourth rows still fit one. One to 17 columns:
+        // one column, every part of a lane group of eight, one group, two,
+        // and each with a part group after it. Entries ±0, subnormal and
+        // 1e±150 mixed with ordinary ones, where a fused multiply-add would
+        // round differently.
         use rand::{Rng, SeedableRng};
         const POOL: [f64; 8] = [0.0, -0.0, 5e-324, -1e-310, 1e150, -1e150, 1e-150, -1e-150];
         // How far past the count turn `i` lands, given the break at `gap`.
@@ -1439,7 +1438,7 @@ mod tests {
                             .windows(4)
                             .filter(|w| (0..4).all(|k| w[k].0 + 4 == m + k))
                             .count();
-                        for ncols in 1..=8 {
+                        for ncols in 1..=17 {
                             let cols: Vec<f64> = (0..ncols * m)
                                 .map(|_| match rng.gen_range(0..3) {
                                     0 => POOL[rng.gen_range(0..POOL.len())],
@@ -1465,35 +1464,113 @@ mod tests {
         assert!(tiles_at_the_last_row > 0);
     }
 
+    /// The top-pivot sequence's lane moves on the eight columns of `m` in
+    /// `cols`, at `rows = [r, r2, r3]`: returns row `r` gathered, then the
+    /// tile at `r` gathered, group by group; scatters that tile back to
+    /// `r`, then `vals[..8]` to row `r2` and `vals[8..]`, group by group, as
+    /// the tile at `r3`.
+    struct Moves<'a> {
+        cols: &'a mut [f64],
+        m: usize,
+        rows: [usize; 3],
+        vals: [f64; 40],
+    }
+
+    impl Kernel for Moves<'_> {
+        type Out = [f64; 40];
+
+        #[inline(always)]
+        unsafe fn run<G: Lanes>(self) -> [f64; 40] {
+            let Moves { cols, m, rows: [r, r2, r3], vals } = self;
+            let base = cols.as_mut_ptr();
+            let cols: [*mut f64; 8] = std::array::from_fn(|l| base.add(l * m));
+            let mut out = [0.0; 40];
+            G::gather(cols, r).store(out.as_mut_ptr());
+            let tile = G::gather_tile(cols, r);
+            for (k, group) in tile.into_iter().enumerate() {
+                group.store(out.as_mut_ptr().add(8 + 8 * k));
+            }
+            G::scatter_tile(tile, cols, r);
+            G::load(vals.as_ptr()).scatter(cols, r2);
+            let tile = std::array::from_fn(|k| G::load(vals.as_ptr().add(8 + 8 * k)));
+            G::scatter_tile(tile, cols, r3);
+            out
+        }
+    }
+
+    #[test]
+    fn every_tier_moves_the_lanes_where_the_definition_says() {
+        // Eight columns of 11 rows, `m` apart: a gather is row `r` across
+        // them, lane `l` column `l`; a tile is four such rows, group `k` row
+        // `r + k`; a scatter and a tile's scatter put each lane back where
+        // its gather took it, so a tile gathered and scattered (transposed
+        // there and back) leaves the columns as they were. Every value is
+        // its own bits, so a lane or a row out of place shows by name.
+        type MovesFn = fn(&mut [f64], usize, [usize; 3], [f64; 40]) -> [f64; 40];
+        let m = 11;
+        let vals: [f64; 40] = std::array::from_fn(|i| -(i as f64) - 0.5);
+        let forms =
+            tier_forms!("moves", MovesFn, |cols, m, rows, vals| Moves { cols, m, rows, vals });
+        for rows in [[0usize, 5, 7], [1, 0, 6], [7, 6, 0]] {
+            let [r, r2, r3] = rows;
+            let cols: Vec<f64> = (0..8 * m).map(|i| i as f64 + 0.25).collect();
+            let mut want_out = [0.0; 40];
+            let mut want = cols.clone();
+            for l in 0..8 {
+                want_out[l] = cols[l * m + r];
+                want[l * m + r2] = vals[l];
+                for k in 0..4 {
+                    want_out[8 + 8 * k + l] = cols[l * m + r + k];
+                    want[l * m + r3 + k] = vals[8 + 8 * k + l];
+                }
+            }
+            for (name, form) in &forms {
+                let mut got = cols.clone();
+                let out = form(&mut got, m, rows, vals);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want_out), "{name} gathers at {rows:?}");
+                assert_eq!(bits(&got), bits(&want), "{name} scatters at {rows:?}");
+            }
+        }
+    }
+
     #[test]
     fn the_top_pivot_sequence_is_the_scalar_chain_per_column() {
-        // The definition, written out on one column at a time.
+        // The definition, written out on one column at a time: one column,
+        // part of a lane group of eight, one group, and one or two groups
+        // with a part after them. The second chain has a tile-length run of
+        // pivots in the middle of the column, and a run the column's last
+        // row cuts short of a tile, then carries on from row 0.
         let (m, p) = (7usize, 2usize);
         let chain = [(3usize, 0.6f64, 0.8f64), (4, 0.28, -0.96), (5, -0.8, 0.6), (6, 1.0, 0.0)];
         let chain = [&chain[..], &chain[..], &[(0, 0.352, -0.936), (1, 0.0, 1.0)]].concat();
-        for ncols in [1usize, 4, 5, 9] {
-            let cols: Vec<f64> = (0..ncols * m).map(|i| (i as f64 * 0.37).sin()).collect();
-            let mut want = cols.clone();
-            for col in want.chunks_exact_mut(m) {
-                let mut x = col[p];
-                for &(q, c, s) in &chain {
-                    let y = col[q];
-                    col[q] = s.mul_add(x, c * y);
-                    x = c.mul_add(x, -(s * y));
+        let turn = |q: usize| (q, (q as f64 * 0.9).cos(), (q as f64 * 0.9).sin());
+        let cut: Vec<_> = [3, 4, 5, 6, 0, 6, 7, 8, 0, 1, 3].map(turn).into();
+        for (m, p, chain) in [(m, p, chain), (9, 2, cut)] {
+            for ncols in [1usize, 4, 5, 7, 8, 9, 16, 17] {
+                let cols: Vec<f64> = (0..ncols * m).map(|i| (i as f64 * 0.37).sin()).collect();
+                let mut want = cols.clone();
+                for col in want.chunks_exact_mut(m) {
+                    let mut x = col[p];
+                    for &(q, c, s) in &chain {
+                        let y = col[q];
+                        col[q] = s.mul_add(x, c * y);
+                        x = c.mul_add(x, -(s * y));
+                    }
+                    col[p] = x;
                 }
-                col[p] = x;
+                let mut got = cols.clone();
+                rotate_top_pivot(&mut got, m, p, &chain);
+                assert_eq!(got, want, "m={m} columns={ncols}");
             }
-            let mut got = cols.clone();
-            rotate_top_pivot(&mut got, m, p, &chain);
-            assert_eq!(got, want, "columns={ncols}");
         }
     }
 
     #[test]
     #[should_panic]
     fn the_top_pivot_sequence_rejects_a_pivot_row_past_the_column() {
-        // The lane form's loads are unchecked, so it asserts every pivot row
-        // itself; the portable form's indexing panics.
+        // The lane group's loads are unchecked, so it asserts every pivot
+        // row itself; the one-column loop's indexing panics.
         let mut cols = vec![1.0; 4 * 5];
         rotate_top_pivot(&mut cols, 5, 0, &[(1, 0.6, 0.8), (5, 0.6, 0.8)]);
     }
@@ -1549,13 +1626,6 @@ mod tests {
                     rotate(ai, aj, ui, uj, c, s);
                     let ok = got.iter().zip(&want).all(|(g, w)| same(g, w));
                     assert!(ok, "{name} n={n} c={c} s={s}");
-                }
-                for &tier in lane_tiers() {
-                    let mut got = cols.clone();
-                    let [ai, aj, ui, uj] = &mut got;
-                    pair_rotate_on(tier, ai, aj, ui, uj, c, s);
-                    let ok = got.iter().zip(&want).all(|(g, w)| same(g, w));
-                    assert!(ok, "pair_rotate_on {tier:?} n={n} c={c} s={s}");
                 }
             }
             // The top-pivot sequence on `m = n`: a chain over every row but

@@ -3,7 +3,7 @@
 //! group.
 
 use super::lanes::{on, turn_lanes, Kernel, Lanes, Reduce};
-use super::rotate::{rotate_on, turn, Rotate};
+use super::rotate::{turn, Rotate};
 use super::{lane_tier, reads, Dot, LaneTier, Operands, Reads};
 use crate::block::ColumnBlock;
 use crate::rotation::{apply_to_block, JacobiRotation};
@@ -773,7 +773,7 @@ unsafe fn rotate_alone<P: Pairing>(tier: LaneTier, pairing: &mut P, hand: Hand, 
     let [app, apq, aqq] = hand.block;
     if let Some(rot) = pairing.angle((app, apq, aqq)) {
         let (i, j) = (hand.i, hand.j);
-        rotate_on(tier, Rotate { rows: [i.a, j.a, i.u, j.u], lens: rows, c: rot.c, s: rot.s });
+        on(tier, Rotate { rows: [i.a, j.a, i.u, j.u], lens: rows, c: rot.c, s: rot.s });
         keep_slots(hand, rot);
     }
 }
@@ -821,7 +821,7 @@ unsafe fn pass<G: Lanes, const R: usize, const N: usize, O: Operands<N>>(
     for r in 0..R {
         if let Some(rot) = turns[r] {
             let rows = [streams[4 * r], streams[4 * r + 1], streams[4 * r + 2], streams[4 * r + 3]];
-            rotate_on(G::TIER, Rotate { rows, lens, c: rot.c, s: rot.s });
+            on(G::TIER, Rotate { rows, lens, c: rot.c, s: rot.s });
         }
     }
     let streams = streams.map(<*mut f64>::cast_const);
@@ -892,7 +892,12 @@ pub(super) unsafe fn step<G: Lanes, const R: usize, const N: usize, T: Operands<
     Reduce::<T, STEP_STREAMS, N, true>::sums(acc, streams, alen / 8 * 8, alen).map(|[_, pq, _]| pq)
 }
 
-/// The two-lane SSE2 forms of a step's angles and kept diagonals.
+/// The two-lane SSE2 forms of a step's angles and kept diagonals: the one
+/// place outside `lanes.rs` that names intrinsics. Each replacement with
+/// the same bits measured slower on `logical_solve` (ten alternating pinned
+/// pairs): the scalar `symmetric_schur` on each block +3.8 % (2 of 10 won),
+/// a branch-free `[f64; 2]` form +1.3 % (2 of 10, just past the parent's
+/// interquartile spread).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::rotation::JacobiRotation;
