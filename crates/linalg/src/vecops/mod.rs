@@ -90,7 +90,7 @@ enum LaneTier {
 }
 
 /// The widest vector unit this host has, detected once per process — or,
-/// with the `tier-override` feature, the one [`with_tier`] names.
+/// with the `tier-override` feature, the one `with_tier` names.
 #[inline]
 fn lane_tier() -> LaneTier {
     #[cfg(feature = "tier-override")]

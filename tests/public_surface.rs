@@ -25,6 +25,8 @@
 //! only where its type is written. A keep-list entry must key exactly one
 //! function, so an exception covers one item.
 
+mod tree;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
@@ -403,34 +405,14 @@ fn audit(sources: &[(String, String)], keep: &[(&str, &str)]) -> BTreeSet<Findin
     findings
 }
 
-/// Every `.rs` file under `dir` as `(path from root, text)`.
-fn collect(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
-        .map(|e| e.expect("a readable directory entry").path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() && !path.ends_with("target") {
-            collect(root, &path, out);
-        } else if path.extension().is_some_and(|x| x == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("under the root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((rel, std::fs::read_to_string(&path).expect("a readable source")));
-        }
-    }
-}
-
 #[test]
 fn the_public_surface_is_what_something_reaches() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for dir in ["crates", "examples", "benchmark/src", "tests"] {
-        collect(root, &root.join(dir), &mut sources);
+        tree::collect(root, &root.join(dir), &mut sources);
     }
+    sources.retain(|(path, _)| path.ends_with(".rs"));
     assert!(
         sources.iter().filter(|(p, _)| role(p) == Role::Library).count() > 50,
         "library sources missing"
