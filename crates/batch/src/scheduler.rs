@@ -154,8 +154,8 @@ pub fn solve_batch(d: usize, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     let machine = opts.fabric.machine().unwrap_or(Machine::paper_figure2());
     let order = opts.policy.order(&planned, &machine);
     let cost = batch_cost(&planned, &machine, &order);
-    // The lowering that priced the batch is the one that runs it.
-    let run = run_job_batch(d, &specs, &lowered, opts.fabric.clone(), &order, opts.trace.clone());
+    // The schedule that priced the batch is the one that runs it.
+    let run = run_job_batch(d, &specs, &planned, opts.fabric.clone(), &order, opts.trace.clone());
     let makespan = run.fabric.makespan;
     let throughput = Throughput::measure(jobs.len(), run.meter.total_volume(), makespan);
     BatchReport {

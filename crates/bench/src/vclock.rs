@@ -20,14 +20,13 @@
 use crate::Report;
 use mph_batch::{solve_batch, BatchOptions, Job, JobResult, Policy};
 use mph_ccpipe::{
-    executed_cost, plan_cost_with_tail, plan_sweep_cost, plan_unpipelined_cost, BatchOrder,
-    Machine, PlannedJob, PortModel,
+    executed_cost, plan_sweep_cost, plan_tail_pipelining, plan_unpipelined_cost, BatchOrder,
+    Machine, PlannedJob, PortModel, SweepCost,
 };
 use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, choose_qs, choose_tail_qs, lower_sweeps,
-    packetization_cap, svd_block, Adaptation, EigenResult, FabricModel, JacobiOptions, Pipelining,
-    ThreadedRun,
+    block_jacobi, block_jacobi_threaded, choose_qs, lower_sweeps, packetization_cap, svd_block,
+    Adaptation, EigenResult, FabricModel, JacobiOptions, Pipelining, ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec};
@@ -42,12 +41,14 @@ fn machine(ports: PortModel) -> Machine {
     Machine { ts: 1000.0, tw: 100.0, ports }
 }
 
-/// The schedule clock's virtual time for one forced sweep of `plan`
-/// executed solo at the degrees `qs` / `tail_q` — what the throttled
-/// fabric measures, to rounding.
-fn executed_vtime(plan: &CommPlan, qs: &[usize], tail_q: usize, machine: &Machine) -> f64 {
-    let job = PlannedJob { plans: std::slice::from_ref(plan), qs: &[qs.to_vec()], tail_q };
-    executed_cost(&[job], machine, &BatchOrder::Serial(vec![0])).makespan
+/// One forced sweep of `plan` run solo at the degrees `qs` / `tail_q`:
+/// its price on the paper's stage model and the schedule clock's virtual
+/// time — what the throttled fabric measures, to rounding.
+fn solo_sweep(plan: &CommPlan, qs: &[usize], tail_q: usize, machine: &Machine) -> (SweepCost, f64) {
+    let qs = [qs.to_vec()];
+    let job = PlannedJob { plans: std::slice::from_ref(plan), qs: &qs, tail_q };
+    let vtime = executed_cost(&[job], machine, &BatchOrder::Serial(vec![0])).makespan;
+    (job.sweep_prices(machine).remove(0), vtime)
 }
 
 fn same_eigen(a: &EigenResult, b: &EigenResult) -> bool {
@@ -95,7 +96,7 @@ pub fn vclock_tables(args: &[String]) -> Report {
         let ThreadedRun { meter: mp, fabric: rp, .. } = block_jacobi_threaded(&a, d, FAMILY, &auto);
         let measured = ru.makespan / rp.makespan;
         let predicted =
-            executed_vtime(plan, &ones, 1, &fmachine) / executed_vtime(plan, &qs, 1, &fmachine);
+            solo_sweep(plan, &ones, 1, &fmachine).1 / solo_sweep(plan, &qs, 1, &fmachine).1;
         let ratio = measured / predicted;
         let (u, p) = (ru.makespan, rp.makespan);
         let (msgs, elems) =
@@ -143,14 +144,13 @@ pub fn vclock_tables(args: &[String]) -> Report {
         let ta = if tm == m { a.clone() } else { random_symmetric(tm, SEED + tm as u64) };
         let tplan = &lower_sweeps(tm, d, FAMILY, false, 1)[0];
         let tcap = packetization_cap(tm, d);
-        let tq = choose_tail_qs(tplan, &Pipelining::Auto(tail_machine), tcap);
+        let tq = plan_tail_pipelining(tplan, &tail_machine, tcap as f64);
         let ones = choose_qs(tplan, &Pipelining::Off, tcap);
-        let before = plan_cost_with_tail(tplan, &tail_machine, &ones, 1);
-        let after = plan_cost_with_tail(tplan, &tail_machine, &ones, tq);
+        let (before, unchained) = solo_sweep(tplan, &ones, 1, &tail_machine);
+        let (after, chained) = solo_sweep(tplan, &ones, tq, &tail_machine);
         let (share_before, share_after) =
             (before.serial / before.total, after.serial / after.total);
-        let predicted = executed_vtime(tplan, &ones, 1, &tail_machine)
-            / executed_vtime(tplan, &ones, tq, &tail_machine);
+        let predicted = unchained / chained;
         let off = JacobiOptions {
             force_sweeps: Some(1),
             fabric: FabricModel::Throttled(tail_machine),

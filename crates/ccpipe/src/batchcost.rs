@@ -32,7 +32,7 @@ use crate::machine::Machine;
 use crate::plancost::plan_cost_with_tail;
 use crate::schedclock::executed_cost;
 use crate::sweepcost::SweepCost;
-use mph_core::CommPlan;
+use mph_core::{CommPlan, Framing};
 
 /// How a batch of jobs shares the fabric — the schedule shape the batch
 /// policies (`mph-batch`) lower to and the cooperative driver
@@ -114,9 +114,10 @@ impl OrderCursor {
     }
 }
 
-/// One lowered job as the cost model sees it: its sweep-chained plans and
-/// the per-phase pipelining degrees the driver will execute (one `Vec`
-/// per sweep, one entry per exchange phase — `choose_qs` output).
+/// One lowered job as the cost model sees it and the engine runs it: its
+/// sweep-chained plans, the per-phase pipelining degrees (one `Vec` per
+/// sweep, one entry per exchange phase — `choose_qs` output) and the one
+/// tail degree of all its sweeps — its schedule, decided once at lowering.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedJob<'a> {
     pub plans: &'a [CommPlan],
@@ -125,6 +126,23 @@ pub struct PlannedJob<'a> {
     /// `1` is the classical whole-block tail; `> 1` chains the tail run's
     /// packets across phases exactly as the driver executes them.
     pub tail_q: usize,
+}
+
+impl PlannedJob<'_> {
+    /// The [`Framing`] of each sweep, in chain order: the schedule the
+    /// engine runs and [`executed_cost`] prices.
+    pub fn framings(&self) -> Vec<Framing> {
+        assert_eq!(self.plans.len(), self.qs.len(), "one qs vector per sweep plan");
+        self.plans.iter().zip(self.qs).map(|(plan, qs)| plan.framing(qs, self.tail_q)).collect()
+    }
+
+    /// [`plan_cost_with_tail`] of each sweep, in chain order: the one
+    /// per-sweep price of a job — its solo cost, the batch tail and a
+    /// service's backlog all read it.
+    pub fn sweep_prices(&self, machine: &Machine) -> Vec<SweepCost> {
+        let sweeps = self.plans.iter().zip(self.qs);
+        sweeps.map(|(plan, qs)| plan_cost_with_tail(plan, machine, qs, self.tail_q)).collect()
+    }
 }
 
 /// The batch price sheet. All quantities are virtual-clock times per the
@@ -141,17 +159,8 @@ pub struct BatchCost {
     pub tail: f64,
 }
 
-/// [`plan_cost_with_tail`] of each sweep of `job`, in chain order: the
-/// one pricing of a job's plans.
-fn sweep_prices(job: &PlannedJob, machine: &Machine) -> Vec<SweepCost> {
-    job.plans
-        .iter()
-        .zip(job.qs)
-        .map(|(plan, qs)| plan_cost_with_tail(plan, machine, qs, job.tail_q))
-        .collect()
-}
-
-/// A job's solo cost from its [`sweep_prices`]: their totals, summed.
+/// A job's solo cost from its [`PlannedJob::sweep_prices`]: their
+/// totals, summed.
 fn solo_of(prices: &[SweepCost]) -> f64 {
     prices.iter().map(|c| c.total).sum()
 }
@@ -162,7 +171,7 @@ fn solo_of(prices: &[SweepCost]) -> f64 {
 /// solo pricing: [`batch_cost`]'s `solo` column and the shortest-plan-first
 /// policy order both come from here, so they can never diverge.
 pub fn solo_plan_costs(jobs: &[PlannedJob], machine: &Machine) -> Vec<f64> {
-    jobs.iter().map(|job| solo_of(&sweep_prices(job, machine))).collect()
+    jobs.iter().map(|job| solo_of(&job.sweep_prices(machine))).collect()
 }
 
 /// Prices a batch of lowered jobs under `machine` for a given
@@ -173,7 +182,7 @@ pub fn batch_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder) ->
     assert!(!jobs.is_empty(), "an empty batch has no cost");
     order.validate(jobs.len());
 
-    let prices: Vec<Vec<SweepCost>> = jobs.iter().map(|job| sweep_prices(job, machine)).collect();
+    let prices: Vec<Vec<SweepCost>> = jobs.iter().map(|job| job.sweep_prices(machine)).collect();
     let solo: Vec<f64> = prices.iter().map(|p| solo_of(p)).collect();
     let serial_total: f64 = solo.iter().sum();
     let tail = prices.iter().flatten().fold(0.0f64, |tail, c| tail + c.serial);

@@ -96,13 +96,7 @@ pub fn executed_cost(jobs: &[PlannedJob], machine: &Machine, order: &BatchOrder)
     order.validate(jobs.len());
     let d = jobs.iter().flat_map(|job| job.plans).map(CommPlan::d).max().unwrap_or(0);
     let mut clock = NodeClock::new(machine.ports, d);
-    let framings: Vec<Vec<Framing>> = jobs
-        .iter()
-        .map(|job| {
-            assert_eq!(job.plans.len(), job.qs.len(), "one qs vector per sweep plan");
-            job.plans.iter().zip(job.qs).map(|(plan, qs)| plan.framing(qs, job.tail_q)).collect()
-        })
-        .collect();
+    let framings: Vec<Vec<Framing>> = jobs.iter().map(PlannedJob::framings).collect();
     // Each job's sweep programs end to end, consumed a grant at a time.
     let mut programs: Vec<_> = jobs
         .iter()

@@ -107,7 +107,7 @@ fn pair_view(mut v: PairViewMut<'_>, [di, dj]: [&mut f64; 2], rule: PairingRule)
     let block = (*di, apq, *dj);
     let (off_before, rot) = pair_angle(block, rule);
     if let Some(rot) = rot {
-        v.rotate_with(rot.c, rot.s);
+        v.rotate(rot.c, rot.s);
         let (pp, _, qq) = apply_to_block(rot, block.0, block.1, block.2);
         (*di, *dj) = (pp, qq);
     }

@@ -257,20 +257,13 @@ pub fn lower_job(spec: &JobSpec<'_>, d: usize) -> (Vec<CommPlan>, Vec<Vec<usize>
     (plans, qs)
 }
 
-/// The cost model's view of `lowered[j]` = [`lower_job`]`(specs[j], d)`:
-/// the plans and exchange degrees as lowered, plus the tail degree the
-/// job's first plan picks ([`choose_tail_qs`]) — how batch, serve and the
-/// executed-cost proptest price a job.
-///
-/// The engine picks the tail degree per plan. `Off` and `Fixed` pick one
-/// per job; `Auto` may pick others on later plans of an uneven partition,
-/// which this price does not describe. In one sample (`Auto` on the paper
-/// machine and on one- and all-port machines at `Ts = 1000`, `Tw = 100`;
-/// d = 1–4; 14 sizes of 16–130 columns; four families; six sweeps) 60 of
-/// 624 jobs did, all uneven; forcing the first plan's degree moved their
-/// virtual makespan on the paper machine by −0.6 % to +0.8 %.
-/// `mph_ccpipe::executed_cost` still bounds these runs: it prices every
-/// message at its phase's largest block.
+/// Each job's one schedule, decided at lowering: `lowered[j]` =
+/// [`lower_job`]`(specs[j], d)`, the plans and exchange degrees as
+/// lowered, plus the tail degree the job's first plan picks
+/// ([`choose_tail_qs`]) for all its sweeps. The engine runs it
+/// ([`run_job_batch`], [`run_job_service`], the solo solvers) and every
+/// pricer reads it: `mph_ccpipe::batch_cost`, shortest-plan-first
+/// admission, a service's backlog and `mph_ccpipe::executed_cost`.
 pub fn planned_jobs<'a>(
     specs: &[JobSpec<'_>],
     lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
@@ -291,8 +284,9 @@ pub fn planned_jobs<'a>(
 /// `price(s)` for every sweep `s < n`, computed for the first of each run
 /// of sweeps that are the `same` to it and cloned for the rest. A job
 /// lowers `max_sweeps` plans up front and the link rotation brings the
-/// same traffic back every `d` sweeps, so `Auto` pricing — a cost-model
-/// search per plan — runs on a handful of plans instead of on all thirty.
+/// same traffic back every `d` sweeps, so the `Auto` exchange degrees — a
+/// cost-model search per plan — are priced on a handful of plans instead
+/// of on all thirty.
 fn once_per_distinct<T: Clone>(
     n: usize,
     same: impl Fn(usize, usize) -> bool,
@@ -329,38 +323,32 @@ struct Run<'a> {
 struct JobRun<'a> {
     spec: &'a JobSpec<'a>,
     plans: &'a [CommPlan],
-    /// The job's schedule: the [`Framing`] of each lowered plan — the tail
-    /// degree ([`choose_tail_qs`]) is priced once per plan rather than on
-    /// every node. A sweep that meets a dead link, or a re-priced degraded
-    /// solo sweep, overrides its entry (`JobNode::reprice`).
+    /// The job's schedule, the one its pricers read: the [`Framing`] of
+    /// each lowered plan ([`PlannedJob::framings`]), worked out once rather
+    /// than on every node. A sweep that meets a dead link, or a re-priced
+    /// degraded solo sweep, overrides its entry (`JobNode::reprice`).
     framings: Vec<Framing>,
     /// The bar a sweep's vote is held to; a forced job casts none.
     bar: Bar,
 }
 
 impl<'a> Run<'a> {
-    /// Checks `jobs` against `lowered[j]` = [`lower_job`]`(jobs[j], d)` and
+    /// Checks `jobs` against `planned[j]`, their [`planned_jobs`], and
     /// works out what their nodes read on `fabric`.
     fn new(
         d: usize,
         jobs: &'a [JobSpec<'a>],
-        lowered: &'a [(Vec<CommPlan>, Vec<Vec<usize>>)],
+        planned: &'a [PlannedJob<'a>],
         fabric: &FabricModel,
         solo: Option<Adaptation>,
     ) -> Self {
         assert!(!jobs.is_empty(), "a run needs at least one job");
-        assert_eq!(jobs.len(), lowered.len(), "one lowered plan chain per job");
-        let jobs = jobs.iter().zip(lowered).enumerate().map(|(j, (spec, (plans, qs)))| {
+        assert_eq!(jobs.len(), planned.len(), "one planned job per job");
+        let jobs = jobs.iter().zip(planned).enumerate().map(|(j, (spec, job))| {
             if spec.kind == JobKind::Eigen {
                 assert_eq!(spec.a.rows(), spec.a.cols(), "eigen job {j} needs a square matrix");
             }
-            let q_cap = packetization_cap(spec.a.cols(), d);
-            let tail = &spec.opts.tail_pipelining;
-            let framings = once_per_distinct(
-                plans.len(),
-                |t, s| plans[t].same_traffic(&plans[s]) && qs[t] == qs[s],
-                |s| plans[s].framing(&qs[s], choose_tail_qs(&plans[s], tail, q_cap)),
-            );
+            let (plans, framings) = (job.plans, job.framings());
             JobRun { spec, plans, framings, bar: spec.kind.bar(spec.a, &spec.opts) }
         });
         let scenario = fabric.scenario().cloned();
@@ -1018,12 +1006,12 @@ impl<'a> JobNode<'a> {
 /// virtual-clock spans, the shared per-job-metered traffic meter, and the
 /// fabric report whose makespan is the batch's measured virtual time.
 ///
-/// `lowered[j]` is [`lower_job`]`(jobs[j], d)`: a scheduler lowers the
-/// plans once, to price and order the batch (`mph-batch`) and to execute
-/// it. The fabric records every job's link/barrier events (tagged with job
-/// and packet headers) into `sink`, stamped on the shared virtual clock;
-/// tracing is strictly observational — results are bitwise identical to
-/// the untraced run ([`SinkHandle::nop`]).
+/// `planned` is [`planned_jobs`] of `jobs`: a scheduler lowers and plans
+/// each job once, to price and order the batch (`mph-batch`) and to
+/// execute it. The fabric records every job's link/barrier events (tagged
+/// with job and packet headers) into `sink`, stamped on the shared virtual
+/// clock; tracing is strictly observational — results are bitwise
+/// identical to the untraced run ([`SinkHandle::nop`]).
 ///
 /// Jobs of a batch share no sweep boundary, so the run passes no barrier:
 /// on a [`FabricModel::Degraded`] fabric every sweep runs at scenario
@@ -1032,13 +1020,13 @@ impl<'a> JobNode<'a> {
 pub fn run_job_batch(
     d: usize,
     jobs: &[JobSpec<'_>],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+    planned: &[PlannedJob<'_>],
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
 ) -> BatchRun {
     let SpmdRun { results: outputs, meter, fabric } =
-        run_nodes(d, jobs, lowered, fabric, order, sink, None);
+        run_nodes(d, jobs, planned, fabric, order, sink, None);
     let mut per_node: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
     let mut adaptive = AdaptiveReport::default();
     let (results, spans) = jobs
@@ -1058,13 +1046,13 @@ pub fn run_job_batch(
 fn run_nodes(
     d: usize,
     jobs: &[JobSpec<'_>],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+    planned: &[PlannedJob<'_>],
     fabric: FabricModel,
     order: &BatchOrder,
     sink: SinkHandle,
     solo: Option<Adaptation>,
 ) -> SpmdRun<Vec<JobNodeOutput>> {
-    let run = Run::new(d, jobs, lowered, &fabric, solo);
+    let run = Run::new(d, jobs, planned, &fabric, solo);
     order.validate(jobs.len());
 
     let spmd = Spmd { fabric, njobs: jobs.len(), trace: sink };
@@ -1129,10 +1117,11 @@ pub(crate) fn solve_solo<R>(
     d: usize,
     answer: impl FnOnce(&Matrix, &[ColumnBlock], Tally) -> R,
 ) -> ThreadedRun<R> {
+    let (jobs, lowered) = (std::slice::from_ref(spec), [lower_job(spec, d)]);
     let SpmdRun { results, meter, fabric } = run_nodes(
         d,
-        std::slice::from_ref(spec),
-        &[lower_job(spec, d)],
+        jobs,
+        &planned_jobs(jobs, &lowered, d),
         spec.opts.fabric.clone(),
         &BatchOrder::Serial(vec![0]),
         spec.opts.trace.clone(),
@@ -1514,7 +1503,9 @@ impl<'a> ServiceNode<'a> {
 
 /// Runs an *online* job service on one `d`-cube sharing one
 /// `fabric`: jobs arrive on the virtual clock per `plan.arrivals`, wait in
-/// a bounded queue, and join the running mix at sweep boundaries.
+/// a bounded queue, and join the running mix at sweep boundaries. Each
+/// runs `planned[j]`, its [`planned_jobs`] schedule — the one admission
+/// priced it at.
 ///
 /// The service loop per node:
 /// 1. **Sweep boundary** — a barrier synchronizes every node's virtual
@@ -1555,12 +1546,12 @@ impl<'a> ServiceNode<'a> {
 pub fn run_job_service(
     d: usize,
     jobs: &[JobSpec<'_>],
-    lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+    planned: &[PlannedJob<'_>],
     fabric: FabricModel,
     plan: &ServicePlan,
     sink: SinkHandle,
 ) -> ServiceRun {
-    let run = Run::new(d, jobs, lowered, &fabric, None);
+    let run = Run::new(d, jobs, planned, &fabric, None);
     plan.validate(jobs.len());
     let njobs = jobs.len();
     let clocked = fabric.machine().is_some();
@@ -1633,8 +1624,11 @@ mod tests {
     use mph_linalg::matmul::eigen_residual;
     use mph_linalg::symmetric::random_symmetric;
 
-    fn lower_all(jobs: &[JobSpec], d: usize) -> Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> {
-        jobs.iter().map(|s| lower_job(s, d)).collect()
+    /// `jobs`' [`planned_jobs`], their plan chains leaked: a test's few
+    /// chains live as long as its binary.
+    fn lower_all(jobs: &[JobSpec], d: usize) -> Vec<PlannedJob<'static>> {
+        let lowered: Vec<_> = jobs.iter().map(|s| lower_job(s, d)).collect();
+        planned_jobs(jobs, Vec::leak(lowered), d)
     }
 
     /// One BR eigen job per matrix, all under `opts`.
@@ -1645,20 +1639,25 @@ mod tests {
     #[test]
     fn a_job_is_priced_once_per_distinct_plan_and_reads_as_if_priced_per_sweep() {
         // Even partitions bring the same traffic back every d sweeps;
-        // uneven ones (36 and 18 columns on 8 blocks) mostly do not.
+        // uneven ones (36 and 18 columns on 8 blocks) mostly do not. Every
+        // sweep runs the exchange degrees its own plan prices and the one
+        // tail degree the job was planned at, its first plan's.
         let auto = Pipelining::Auto(Machine::paper_figure2());
         let opts = JacobiOptions { pipelining: auto, tail_pipelining: auto, ..Default::default() };
         for (m, d) in [(64usize, 3usize), (36, 2), (18, 2), (8, 1)] {
             let (a, q_cap) = (random_symmetric(m, 3), packetization_cap(m, d));
             for family in OrderingFamily::ALL {
                 let spec = JobSpec::eigen(&a, family, opts.clone());
+                let jobs = std::slice::from_ref(&spec);
                 let lowered = [lower_job(&spec, d)];
-                let run =
-                    Run::new(d, std::slice::from_ref(&spec), &lowered, &FabricModel::Free, None);
+                let planned = planned_jobs(jobs, &lowered, d);
+                let run = Run::new(d, jobs, &planned, &FabricModel::Free, None);
                 let (plans, qs) = &lowered[0];
+                let tail_q = choose_tail_qs(&plans[0], &auto, q_cap);
+                assert_eq!(planned[0].tail_q, tail_q, "{family} m={m}");
                 for (s, plan) in plans.iter().enumerate() {
                     assert_eq!(qs[s], choose_qs(plan, &auto, q_cap), "{family} m={m} sweep {s}");
-                    let framing = plan.framing(&qs[s], choose_tail_qs(plan, &auto, q_cap));
+                    let framing = plan.framing(&qs[s], tail_q);
                     assert_eq!(run.jobs[0].framings[s], framing, "{family} m={m} sweep {s}");
                 }
                 let mut priced = 0;
@@ -1728,7 +1727,7 @@ mod tests {
         assert!(stretches >= 40, "only {stretches} stretches drawn");
     }
 
-    /// An untraced batch of freshly lowered `jobs`.
+    /// An untraced batch of freshly planned `jobs`.
     fn batch(d: usize, jobs: &[JobSpec], fabric: FabricModel, order: &BatchOrder) -> BatchRun {
         run_job_batch(d, jobs, &lower_all(jobs, d), fabric, order, SinkHandle::nop())
     }
@@ -1737,11 +1736,11 @@ mod tests {
     fn service(
         d: usize,
         jobs: &[JobSpec],
-        lowered: &[(Vec<CommPlan>, Vec<Vec<usize>>)],
+        planned: &[PlannedJob],
         fabric: FabricModel,
         plan: &ServicePlan,
     ) -> ServiceRun {
-        run_job_service(d, jobs, lowered, fabric, plan, SinkHandle::nop())
+        run_job_service(d, jobs, planned, fabric, plan, SinkHandle::nop())
     }
 
     fn assert_eigen_bitwise(a: &EigenResult, b: &EigenResult, what: &str) {
@@ -1806,7 +1805,7 @@ mod tests {
             inputs.push((random_symmetric(16, 90), opts, vec![1usize, 2]));
         }
         // Free-running on an uneven partition, both pipelines cost-model
-        // scheduled: votes, per-plan tail degrees and ragged packets.
+        // scheduled: votes, per-plan exchange degrees and ragged packets.
         let free_running =
             JacobiOptions { pipelining: auto, tail_pipelining: auto, ..Default::default() };
         inputs.push((random_symmetric(40, 91), free_running, vec![2]));
@@ -2142,10 +2141,10 @@ mod tests {
         let d = 2;
         let solo = block_jacobi_threaded(&a, d, OrderingFamily::Br, &opts).result;
         let jobs = [JobSpec::eigen(&a, OrderingFamily::Br, opts.clone())];
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         for fabric in [FabricModel::Free, FabricModel::Throttled(Machine::all_port(1000.0, 100.0))]
         {
-            let run = service(d, &jobs, &lowered, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
+            let run = service(d, &jobs, &planned, fabric.clone(), &ServicePlan::fifo(vec![0.0]));
             assert_eq!(run.served(), 1);
             assert_eq!(run.rejected(), 0);
             let got = run.results[0].as_ref().and_then(JobResult::eigen).expect("served");
@@ -2169,7 +2168,7 @@ mod tests {
             JobSpec::eigen(&a0, OrderingFamily::Br, opts.clone()),
             JobSpec::svd(&a1, OrderingFamily::Degree4, opts.clone()),
         ];
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let machine = Machine::all_port(1000.0, 100.0);
         let spec = ScenarioSpec { hetero_spread: 1.0, ..ScenarioSpec::clean(5, machine) };
         let degraded = Scenario::new(d, spec).expect("a death-free scenario");
@@ -2182,9 +2181,9 @@ mod tests {
         for (what, fabric) in fabrics {
             // First measure job 0 alone to place job 1's arrival mid-run.
             let probe = ServicePlan::fifo(vec![0.0]);
-            let probe = service(d, &jobs[..1], &lowered[..1], fabric.clone(), &probe);
+            let probe = service(d, &jobs[..1], &planned[..1], fabric.clone(), &probe);
             let mid = run_outcome_finish(&probe.outcomes[0]) * 0.4;
-            let run = service(d, &jobs, &lowered, fabric, &ServicePlan::fifo(vec![0.0, mid]));
+            let run = service(d, &jobs, &planned, fabric, &ServicePlan::fifo(vec![0.0, mid]));
             assert_eq!(run.served(), 2, "{what}");
             match run.outcomes[1] {
                 JobOutcome::Served { arrival, admitted, finish } => {
@@ -2226,13 +2225,13 @@ mod tests {
         let d = 1;
         let mats: Vec<Matrix> = (0..3).map(|s| random_symmetric(8, 80 + s)).collect();
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let plan =
             ServicePlan { queue_cap: 1, max_active: 1, ..ServicePlan::fifo(vec![0.0, 0.0, 0.0]) };
         let run = service(
             d,
             &jobs,
-            &lowered,
+            &planned,
             FabricModel::Throttled(Machine::all_port(1000.0, 100.0)),
             &plan,
         );
@@ -2256,7 +2255,7 @@ mod tests {
         let d = 1;
         let mats = [random_symmetric(24, 91), random_symmetric(24, 92), random_symmetric(8, 93)];
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let plan = ServicePlan {
             max_active: 1,
             priority: vec![10.0, 10.0, 1.0],
@@ -2265,7 +2264,7 @@ mod tests {
         let run = service(
             d,
             &jobs,
-            &lowered,
+            &planned,
             FabricModel::Throttled(Machine::all_port(1000.0, 100.0)),
             &plan,
         );
@@ -2285,12 +2284,12 @@ mod tests {
         let d = 1;
         let mats = [random_symmetric(8, 95)];
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let late = 1e6;
         let run = service(
             d,
             &jobs,
-            &lowered,
+            &planned,
             FabricModel::Throttled(Machine::all_port(1000.0, 100.0)),
             &ServicePlan::fifo(vec![late]),
         );
@@ -2312,7 +2311,7 @@ mod tests {
         let mats: Vec<Matrix> =
             (0..4).map(|s| random_symmetric(12 + 4 * (s % 2), 60 + s as u64)).collect();
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let plan = ServicePlan {
             max_active: 2,
             stagger_slots: 2,
@@ -2320,8 +2319,8 @@ mod tests {
             ..ServicePlan::fifo(vec![0.0, 10_000.0, 20_000.0, 30_000.0])
         };
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
-        let a = service(d, &jobs, &lowered, fabric.clone(), &plan);
-        let b = service(d, &jobs, &lowered, fabric.clone(), &plan);
+        let a = service(d, &jobs, &planned, fabric.clone(), &plan);
+        let b = service(d, &jobs, &planned, fabric.clone(), &plan);
         assert_eq!(a.outcomes, b.outcomes, "virtual-clock outcomes must not depend on scheduling");
         assert_eq!(a.boundaries, b.boundaries);
         assert_eq!(a.fabric.makespan, b.fabric.makespan);
@@ -2335,9 +2334,9 @@ mod tests {
         let d = 1;
         let mats: Vec<Matrix> = (0..3).map(|s| random_symmetric(8, 50 + s)).collect();
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let plan = ServicePlan { max_active: 2, ..ServicePlan::fifo(vec![0.0, 5_000.0, 10_000.0]) };
-        let run = service(d, &jobs, &lowered, FabricModel::Free, &plan);
+        let run = service(d, &jobs, &planned, FabricModel::Free, &plan);
         assert_eq!(run.served(), 3);
         for o in &run.outcomes {
             assert_eq!(o.latency(), Some(0.0), "a free fabric has no virtual latency");
@@ -2356,12 +2355,12 @@ mod tests {
         let d = 2;
         let mats = [random_symmetric(32, 55), random_symmetric(32, 56)];
         let jobs = br_jobs(&mats, &opts);
-        let lowered = lower_all(&jobs, d);
+        let planned = lower_all(&jobs, d);
         let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
         let base = ServicePlan { stagger_key: vec![7, 7], ..ServicePlan::fifo(vec![0.0, 0.0]) };
-        let in_phase = service(d, &jobs, &lowered, fabric.clone(), &base);
+        let in_phase = service(d, &jobs, &planned, fabric.clone(), &base);
         let staggered =
-            service(d, &jobs, &lowered, fabric, &ServicePlan { stagger_slots: 2, ..base.clone() });
+            service(d, &jobs, &planned, fabric, &ServicePlan { stagger_slots: 2, ..base.clone() });
         assert!(
             staggered.fabric.makespan < in_phase.fabric.makespan,
             "staggered {} vs in-phase {}",

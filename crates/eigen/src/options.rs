@@ -103,8 +103,9 @@ pub struct JacobiOptions {
     /// Each packet is paired against the staying block before it ships;
     /// that is the reference pairing re-tiled by packet boundary, so any
     /// setting produces the same bits (asserted in `threaded.rs` and the
-    /// proptests). `Auto` prices the chained run per plan via
-    /// `mph_ccpipe::plan_tail_pipelining`.
+    /// proptests). `Auto` prices the chained run of the job's first plan
+    /// via `mph_ccpipe::plan_tail_pipelining`, and every sweep of the job
+    /// runs the degree it picks ([`planned_jobs`](crate::planned_jobs)).
     pub tail_pipelining: Pipelining,
     /// Link-fabric model of the threaded driver (ignored by the logical
     /// drivers). [`FabricModel::Free`] is the raw channel transport;

@@ -83,11 +83,12 @@ pub fn choose_qs(plan: &CommPlan, pipelining: &Pipelining, q_cap: usize) -> Vec<
     }
 }
 
-/// Picks the serial tail's packet degree for one sweep's plan — the exact
-/// schedule [`block_jacobi_threaded`] executes for
+/// Picks the serial tail's packet degree on one sweep's plan for
 /// [`JacobiOptions::tail_pipelining`] (pass [`packetization_cap`] as
 /// `q_cap`, as the solver does). `1` means whole-block transitions — the
-/// classical protocol, bit-for-bit.
+/// classical protocol, bit-for-bit. A job runs the degree its first plan
+/// picks on every sweep ([`planned_jobs`](crate::planned_jobs)); only a
+/// degraded solo sweep picks its own again.
 pub fn choose_tail_qs(plan: &CommPlan, tail: &Pipelining, q_cap: usize) -> usize {
     match tail {
         Pipelining::Off => 1,
@@ -351,7 +352,7 @@ mod tests {
 
     #[test]
     fn auto_tail_pipelining_matches_the_reference_bitwise_and_converges() {
-        // The cost model schedules the tail degree per plan; the result is
+        // The cost model schedules the job's one tail degree; the result is
         // still the reference bits, and free-running convergence is
         // unaffected.
         let a = random_symmetric(24, 61);

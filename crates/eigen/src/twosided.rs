@@ -25,7 +25,7 @@
 //!
 //! - column `p` takes every rotation at once: the column half, fused with
 //!   the same rotation of `U`'s columns `p` and `q` into one
-//!   [`pair_rotate_lanes`] pass, and the row half's 2×2 block from the
+//!   [`pair_rotate`] pass, and the row half's 2×2 block from the
 //!   column-pass values — the row half of columns `p` and `q` alone, both
 //!   turned in one [`rotate_pivot_rows`] call, keeping `a_pp` and `a_qq` —
 //!   with the pivot pair zeroed;
@@ -45,7 +45,7 @@
 use crate::multidrive::JobKind;
 use crate::options::{EigenResult, JacobiOptions};
 use mph_linalg::rotation::symmetric_schur;
-use mph_linalg::vecops::{pair_rotate_lanes, rotate_pivot_rows, rotate_top_pivot};
+use mph_linalg::vecops::{pair_rotate, rotate_pivot_rows, rotate_top_pivot};
 use mph_linalg::Matrix;
 
 /// One applied rotation of the current row `p`: its pivot column `q` and
@@ -105,7 +105,7 @@ fn sweep(a: &mut [f64], m: usize, u: &mut Matrix, chain: &mut Vec<Turn>) -> u64 
                 let rot = symmetric_schur(colp[p], apq, colq[q]);
                 let (c, s) = (rot.c, rot.s);
                 let (up, uq) = u.col_pair_mut(p, q);
-                pair_rotate_lanes(colp, colq, up, uq, c, s);
+                pair_rotate(colp, colq, up, uq, c, s);
                 // The row half's 2×2 block, from the column-pass values; the
                 // annihilated pair is cleaned explicitly (fp hygiene).
                 rotate_pivot_rows(colp, colq, (p, q), c, s);

@@ -5,7 +5,8 @@
 //! finish time equal what the engine measures on the virtual clock —
 //! exactly, not within a band — whenever the partition is uniform, and
 //! bound the measurement from above when it is not (every message is then
-//! priced at its phase's largest block).
+//! priced at its phase's largest block). On every partition the engine
+//! sends, message for message, the schedule the jobs were planned at.
 //!
 //! Both sides read one order — a sweep's program is
 //! `CommPlan::op_after`, the jobs merge by `OrderCursor` — so what
@@ -18,10 +19,11 @@
 //! stage model keep their bands and are labelled cross-model where they
 //! stand (`fabric_conformance.rs`, `d4_window_runtime.rs`).
 
-use mph_ccpipe::{executed_cost, BatchOrder, Machine, PortModel};
+use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
 use mph_core::{CommPlan, OrderingFamily};
 use mph_eigen::{
-    lower_job, planned_jobs, run_job_batch, FabricModel, JacobiOptions, JobSpec, Pipelining,
+    choose_tail_qs, lower_job, packetization_cap, planned_jobs, run_job_batch, FabricModel,
+    JacobiOptions, JobSpec, Pipelining,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_linalg::Matrix;
@@ -102,21 +104,64 @@ fn order(njobs: usize, rot: usize, stride: usize) -> BatchOrder {
     }
 }
 
-/// `(measured, predicted)` as `[makespan, finish of job 0, 1, …]`.
+/// One side of a run: `[makespan, finish of job 0, 1, …]` and the
+/// data-plane messages.
+struct Side {
+    times: Vec<f64>,
+    messages: u64,
+}
+
+/// `(measured, predicted)`: the engine's run of the jobs' planned schedule
+/// on the throttled fabric, and that schedule's `executed_cost` and
+/// `messages_with_tail` counts.
 fn measure_and_predict(
     specs: &[JobSpec],
     d: usize,
     machine: Machine,
     order: &BatchOrder,
-) -> (Vec<f64>, Vec<f64>) {
+) -> (Side, Side) {
     let lowered: Vec<(Vec<CommPlan>, Vec<Vec<usize>>)> =
         specs.iter().map(|spec| lower_job(spec, d)).collect();
-    let predicted = executed_cost(&planned_jobs(specs, &lowered, d), &machine, order);
+    let planned = planned_jobs(specs, &lowered, d);
+    let predicted = executed_cost(&planned, &machine, order);
+    let sweeps = |job: &PlannedJob| -> u64 {
+        job.plans.iter().zip(job.qs).map(|(p, qs)| p.messages_with_tail(qs, job.tail_q)).sum()
+    };
     let fabric = FabricModel::Throttled(machine);
-    let run = run_job_batch(d, specs, &lowered, fabric, order, SinkHandle::nop());
-    let measured =
-        std::iter::once(run.fabric.makespan).chain(run.spans.iter().map(|s| s.finish)).collect();
-    (measured, std::iter::once(predicted.makespan).chain(predicted.finish).collect())
+    let run = run_job_batch(d, specs, &planned, fabric, order, SinkHandle::nop());
+    let measured = Side {
+        times: std::iter::once(run.fabric.makespan)
+            .chain(run.spans.iter().map(|s| s.finish))
+            .collect(),
+        messages: run.meter.total_messages(),
+    };
+    let predicted = Side {
+        times: std::iter::once(predicted.makespan).chain(predicted.finish).collect(),
+        messages: planned.iter().map(sweeps).sum(),
+    };
+    (measured, predicted)
+}
+
+/// 34 columns on 8 blocks under an `Auto` tail on the all-port machine:
+/// its six plans would pick more than one tail degree each on its own, and
+/// the job runs — message for message — the one it is planned at.
+#[test]
+fn an_uneven_job_runs_the_tail_degree_it_is_planned_at() {
+    let (d, machine) = (2, Machine::all_port(1000.0, 100.0));
+    let a = random_symmetric(34, 34);
+    let tail = Pipelining::Auto(machine);
+    let opts = JacobiOptions { force_sweeps: Some(6), tail_pipelining: tail, ..Default::default() };
+    let specs = [JobSpec::eigen(&a, OrderingFamily::Br, opts)];
+    let (plans, _) = lower_job(&specs[0], d);
+    let mut degrees: Vec<usize> =
+        plans.iter().map(|p| choose_tail_qs(p, &tail, packetization_cap(34, d))).collect();
+    degrees.dedup();
+    assert!(degrees.len() > 1, "the plans agree on one degree: {degrees:?}");
+    let (measured, predicted) =
+        measure_and_predict(&specs, d, machine, &BatchOrder::Serial(vec![0]));
+    assert_eq!(measured.messages, predicted.messages);
+    let (m, p) = (measured.times[0], predicted.times[0]);
+    assert!(m <= p * (1.0 + 1e-9), "measured {m} above executed_cost {p}");
 }
 
 proptest! {
@@ -135,7 +180,8 @@ proptest! {
         let specs = specs(&draws, &mats, machine);
         let order = order(specs.len(), rot, stride);
         let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
-        for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {
+        prop_assert_eq!(measured.messages, predicted.messages);
+        for (i, (m, p)) in measured.times.iter().zip(&predicted.times).enumerate() {
             prop_assert!(
                 (m - p).abs() <= 1e-9 * p,
                 "{order:?} on {machine:?}: time {i} measured {m} vs executed_cost {p}"
@@ -157,7 +203,8 @@ proptest! {
         let specs = specs(&draws, &mats, machine);
         let order = order(specs.len(), rot, stride);
         let (measured, predicted) = measure_and_predict(&specs, d, machine, &order);
-        for (i, (m, p)) in measured.iter().zip(&predicted).enumerate() {
+        prop_assert_eq!(measured.messages, predicted.messages);
+        for (i, (m, p)) in measured.times.iter().zip(&predicted.times).enumerate() {
             prop_assert!(
                 *m <= p * (1.0 + 1e-9),
                 "{order:?} on {machine:?}: time {i} measured {m} above executed_cost {p}"

@@ -17,9 +17,9 @@
 use mph_ccpipe::{executed_cost, BatchOrder, Machine, PlannedJob, PortModel};
 use mph_core::{CommPlan, OpKind, OrderingFamily};
 use mph_eigen::{
-    block_jacobi, block_jacobi_threaded, choose_tail_qs, lower_job, lower_sweeps,
-    packetization_cap, pair_across_blocks, run_job_batch, ColumnBlock, FabricModel, JacobiOptions,
-    JobSpec, PairingRule, Pipelining, SweepKernel, ThreadedRun,
+    block_jacobi, block_jacobi_threaded, lower_job, lower_sweeps, pair_across_blocks, planned_jobs,
+    run_job_batch, ColumnBlock, FabricModel, JacobiOptions, JobSpec, PairingRule, Pipelining,
+    SweepKernel, ThreadedRun,
 };
 use mph_linalg::block::cross_pair_mut;
 use mph_linalg::rotation::{apply_to_block, symmetric_schur};
@@ -292,19 +292,15 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
         let logical = block_jacobi(&a, d, OrderingFamily::Degree4, &base);
         let run = |opts: &JacobiOptions| {
             let spec = JobSpec::eigen(&a, OrderingFamily::Degree4, opts.clone());
+            let jobs = std::slice::from_ref(&spec);
             let lowered = [lower_job(&spec, d)];
-            let run = run_job_batch(
-                d,
-                std::slice::from_ref(&spec),
-                &lowered,
-                fabric.clone(),
-                &order,
-                SinkHandle::nop(),
-            );
+            let planned = planned_jobs(jobs, &lowered, d);
+            let run = run_job_batch(d, jobs, &planned, fabric.clone(), &order, SinkHandle::nop());
+            let tail_q = planned[0].tail_q;
             let [lowered] = lowered;
-            (lowered, run)
+            (lowered, tail_q, run)
         };
-        let (_, whole) = run(&base);
+        let (_, _, whole) = run(&base);
         assert_eq!(whole.meter.shipments(), whole.meter.total_messages(), "Q = 1: one each");
         for q in [1usize, 2, 5, 16] {
             for tail in [Pipelining::Off, Pipelining::Fixed(q)] {
@@ -314,10 +310,9 @@ fn a_pipelined_solve_ships_whole_block_messages_and_charges_packets() {
                     tail_pipelining: tail,
                     ..base.clone()
                 };
-                let ((plans, qs), piped) = run(&opts);
+                let ((plans, qs), tail_q, piped) = run(&opts);
                 assert_eq!(piped.meter.shipments(), whole.meter.shipments(), "{what}");
 
-                let tail_q = choose_tail_qs(&plans[0], &tail, packetization_cap(a.cols(), d));
                 let packets: u64 =
                     plans.iter().zip(&qs).map(|(p, qs)| p.messages_with_tail(qs, tail_q)).sum();
                 assert_eq!(piped.meter.total_messages(), packets, "{what}");
@@ -400,11 +395,10 @@ fn the_clock_is_charged_the_sizes_split_columns_would_ship() {
 type Charge = (usize, Option<(u32, u32)>, u64);
 
 /// What node 0 charges for a job, by the book: the charging ops of its
-/// sweeps' programs over the lowered plans.
-fn charging_ops(plans: &[CommPlan], qs: &[Vec<usize>], tail_q: usize) -> Vec<Charge> {
+/// sweeps' programs over its planned schedule.
+fn charging_ops(job: &PlannedJob) -> Vec<Charge> {
     let mut want = Vec::new();
-    for (plan, qs) in plans.iter().zip(qs) {
-        let framing = plan.framing(qs, tail_q);
+    for (plan, framing) in job.plans.iter().zip(job.framings()) {
         want.extend(plan.program(&framing).filter(|op| op.charges()).map(|op| {
             let ph = &plan.phases()[op.phase];
             let kq = (op.kind != OpKind::Send).then_some((op.k as u32, op.q as u32));
@@ -436,7 +430,6 @@ fn traced_sends(lane: &[TraceEvent], job: u32) -> Vec<Charge> {
 fn a_nodes_traced_sends_are_its_programs_charging_ops() {
     let (m, d) = (24usize, 2usize);
     let fabric = FabricModel::Throttled(Machine::all_port(1000.0, 100.0));
-    let q_cap = packetization_cap(m, d);
     let a = random_symmetric(m, 31);
     let opts = |pipelining, tail_pipelining| JacobiOptions {
         force_sweeps: Some(2),
@@ -455,9 +448,9 @@ fn a_nodes_traced_sends_are_its_programs_charging_ops() {
         let ring = std::sync::Arc::new(RingSink::new(d, 1 << 14));
         let opts = JacobiOptions { trace: SinkHandle::new(ring.clone()), ..base.clone() };
         block_jacobi_threaded(&a, d, OrderingFamily::PermutedBr, &opts);
-        let (plans, qs) = lower_job(&JobSpec::eigen(&a, OrderingFamily::PermutedBr, opts), d);
-        let tail_q = choose_tail_qs(&plans[0], &base.tail_pipelining, q_cap);
-        let want = charging_ops(&plans, &qs, tail_q);
+        let spec = JobSpec::eigen(&a, OrderingFamily::PermutedBr, opts);
+        let lowered = [lower_job(&spec, d)];
+        let want = charging_ops(&planned_jobs(std::slice::from_ref(&spec), &lowered, d)[0]);
         assert_eq!(traced_sends(&ring.drain()[0], 0), want, "{what}");
         let framed = want.iter().any(|(_, kq, _)| kq.is_some());
         assert_eq!(framed, base.pipelining != Pipelining::Off, "{what}: a vacuous case");
@@ -469,12 +462,12 @@ fn a_nodes_traced_sends_are_its_programs_charging_ops() {
         JobSpec::eigen(&a, OrderingFamily::Degree4, framings[2].clone()),
     ];
     let lowered = [lower_job(&jobs[0], d), lower_job(&jobs[1], d)];
+    let planned = planned_jobs(&jobs, &lowered, d);
     let ring = std::sync::Arc::new(RingSink::new(d, 1 << 14));
     let order = BatchOrder::RoundRobin { order: vec![1, 0], stride: 1 };
-    run_job_batch(d, &jobs, &lowered, fabric.clone(), &order, SinkHandle::new(ring.clone()));
+    run_job_batch(d, &jobs, &planned, fabric.clone(), &order, SinkHandle::new(ring.clone()));
     let lane = &ring.drain()[0];
-    for (j, (plans, qs)) in lowered.iter().enumerate() {
-        let tail_q = choose_tail_qs(&plans[0], &jobs[j].opts.tail_pipelining, q_cap);
-        assert_eq!(traced_sends(lane, j as u32), charging_ops(plans, qs, tail_q), "job {j}");
+    for (j, job) in planned.iter().enumerate() {
+        assert_eq!(traced_sends(lane, j as u32), charging_ops(job), "job {j}");
     }
 }

@@ -322,10 +322,11 @@ fn deaths_ride_the_engine_through_batch_and_serve_with_logical_bits() {
         let sc = Scenario::new(d, spec).expect("the deaths keep the cube connected");
         let fabric = FabricModel::Degraded(Arc::new(sc));
         let lowered: Vec<_> = jobs.iter().map(|job| lower_job(job, d)).collect();
+        let planned = planned_jobs(&jobs, &lowered, d);
         let order = BatchOrder::RoundRobin { order: vec![0, 1, 2], stride: 1 };
-        let run = run_job_batch(d, &jobs, &lowered, fabric.clone(), &order, SinkHandle::nop());
+        let run = run_job_batch(d, &jobs, &planned, fabric.clone(), &order, SinkHandle::nop());
         let plan = ServicePlan::fifo(vec![0.0; 3]);
-        let served = run_job_service(d, &jobs, &lowered, fabric, &plan, SinkHandle::nop());
+        let served = run_job_service(d, &jobs, &planned, fabric, &plan, SinkHandle::nop());
         let what = format!("d={d} epoch-0 death {at_zero}");
         assert_eq!(run.adaptive.reroutes > 0, at_zero, "{what}: a batch relays at epoch 0 only");
         assert!(served.adaptive.reroutes > 0, "{what}: the service reaches every death");
@@ -356,8 +357,8 @@ fn deaths_ride_the_engine_through_batch_and_serve_with_logical_bits() {
 
 use mph_ccpipe::BatchOrder;
 use mph_eigen::{
-    lower_job, run_job_batch, run_job_service, Adaptation, JobResult, JobSpec, ServicePlan,
-    SvdResult, ThreadedRun,
+    lower_job, planned_jobs, run_job_batch, run_job_service, Adaptation, JobResult, JobSpec,
+    ServicePlan, SvdResult, ThreadedRun,
 };
 use mph_linalg::symmetric::random_symmetric;
 use mph_runtime::{LinkDeath, Scenario, ScenarioSpec, SinkHandle};

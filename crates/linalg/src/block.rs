@@ -173,22 +173,12 @@ pub struct PairViewMut<'a> {
 
 impl<'a> PairViewMut<'a> {
     /// Applies the plane rotation `(c, s)` to the pair's `A`- and
-    /// `U`-columns in one fused pass through the scalar loop
-    /// ([`crate::vecops::pair_rotate`]: a multiply and a fused multiply-add
-    /// per entry) — the definition [`PairViewMut::rotate_with`] is tested
-    /// against.
+    /// `U`-columns in one fused pass ([`crate::vecops::pair_rotate`]: a
+    /// multiply and a fused multiply-add per entry, on the widest vector
+    /// unit the host offers) — what every pairing runs.
     #[inline]
     pub fn rotate(&mut self, c: f64, s: f64) {
         crate::vecops::pair_rotate(self.ai, self.aj, self.ui, self.uj, c, s);
-    }
-
-    /// [`PairViewMut::rotate`] on the widest vector unit the host offers
-    /// ([`crate::vecops::pair_rotate_lanes`]): the same bits (each lane
-    /// takes the loop's multiply and fused multiply-add), produced faster —
-    /// what every pairing runs.
-    #[inline]
-    pub fn rotate_with(&mut self, c: f64, s: f64) {
-        crate::vecops::pair_rotate_lanes(self.ai, self.aj, self.ui, self.uj, c, s);
     }
 }
 
@@ -687,17 +677,6 @@ mod tests {
         let b = ColumnBlock::from_matrix_with_identity(&a0, 2..2, 3);
         assert!(b.is_empty());
         assert_eq!(b.payload_elems(), 0);
-    }
-
-    #[test]
-    fn rotate_with_is_bitwise_identical_across_paths() {
-        let a0 = random_symmetric(9, 31);
-        let mut scalar = ColumnBlock::from_matrix_with_identity(&a0, 0..9, 9);
-        let mut lanes = scalar.clone();
-        let (c, s) = (0.642, -0.766);
-        scalar.pair_mut(2, 7).rotate(c, s);
-        lanes.pair_mut(2, 7).rotate_with(c, s);
-        assert_eq!(scalar, lanes);
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //!   [`fused_triple`]'s pairing block.
 //! * The one plane rotation is a multiply and a fused multiply-add per
 //!   entry, `x' = fma(c, x, −(s·y))` and `y' = fma(s, x, c·y)` (`turn`),
-//!   the same bits on every host. [`pair_rotate`] is its loop and
-//!   [`pair_rotate_lanes`] its vector form, bitwise the loop at every
-//!   width. Every rotator is a kernel too, its scalar loop included, so it
-//!   runs inside its tier's function: each `mul_add` is the instruction on
-//!   both x86 tiers, never a library call; only the portable tier, for
-//!   hosts without FMA, calls `fma`.
+//!   the same bits on every host. [`pair_rotate`] is its lane rotator,
+//!   bitwise the written-out rotation at every width, and
+//!   [`pair_rotate_lanes`] another name for it. Every rotator is a kernel,
+//!   so it runs inside its tier's function: each `mul_add` is the
+//!   instruction on both x86 tiers, never a library call; only the
+//!   portable tier, for hosts without FMA, calls `fma`.
 //! * [`Walk`] is a sweep's walk: each step rotates its one or two pairings,
 //!   bitwise [`pair_rotate`], and reduces the off-diagonals of the walk's
 //!   next step from the rotated columns, each product bitwise [`dot`] — a
@@ -429,9 +429,26 @@ mod tests {
         }
     }
 
+    /// `(ai, aj)` and `(ui, uj)` turned entry by entry by the rotation as
+    /// the module defines it, written out.
+    fn pairs_by_definition(
+        ai: &mut [f64],
+        aj: &mut [f64],
+        ui: &mut [f64],
+        uj: &mut [f64],
+        c: f64,
+        s: f64,
+    ) {
+        for (x, y) in [(ai, aj), (ui, uj)] {
+            for (x, y) in x.iter_mut().zip(y) {
+                (*x, *y) = turn_by_definition(*x, *y, c, s);
+            }
+        }
+    }
+
     #[test]
     fn pair_rotate_lanes_is_bitwise_pair_rotate_on_lengths_0_to_40() {
-        // The lane rotate's core contract: each lane is the scalar loop's
+        // The lane rotate's core contract: each lane is the written-out
         // multiply and fused multiply-add, so identical bits at every
         // vector width and tail length.
         let (c, s) = (0.992f64, -0.126f64);
@@ -441,7 +458,7 @@ mod tests {
             let mut ui: Vec<f64> = (0..n).map(|i| i as f64 * 0.21 - 4.0).collect();
             let mut uj: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
             let (mut ra, mut rb, mut rc, mut rd) = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
-            pair_rotate(&mut ra, &mut rb, &mut rc, &mut rd, c, s);
+            pairs_by_definition(&mut ra, &mut rb, &mut rc, &mut rd, c, s);
             pair_rotate_lanes(&mut ai, &mut aj, &mut ui, &mut uj, c, s);
             assert_eq!(ai, ra, "n={n}");
             assert_eq!(aj, rb, "n={n}");
@@ -459,7 +476,7 @@ mod tests {
             let mut ui: Vec<f64> = (0..nu).map(|i| (i as f64).sqrt()).collect();
             let mut uj: Vec<f64> = (0..nu).map(|i| -(i as f64) * 0.6).collect();
             let (mut ra, mut rb, mut rc, mut rd) = (ai.clone(), aj.clone(), ui.clone(), uj.clone());
-            pair_rotate(&mut ra, &mut rb, &mut rc, &mut rd, c, s);
+            pairs_by_definition(&mut ra, &mut rb, &mut rc, &mut rd, c, s);
             pair_rotate_lanes(&mut ai, &mut aj, &mut ui, &mut uj, c, s);
             assert_eq!((ai, aj, ui, uj), (ra, rb, rc, rd), "na={na} nu={nu}");
         }
@@ -528,16 +545,11 @@ mod tests {
     type RotateFn = fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64], f64, f64);
 
     /// Every tier of the rotator this host can run: each tier function on
-    /// the lane rotator and on `pair_rotate`'s loops. The tests pass
-    /// equal-length slices.
+    /// the lane rotator. The tests pass equal-length slices.
     fn rotate_tiers() -> Vec<(String, RotateFn)> {
-        let lanes = tier_forms!("lanes", RotateFn, |ai, aj, ui, uj, c, s| {
+        tier_forms!("lanes", RotateFn, |ai, aj, ui, uj, c, s| {
             Rotate::new([ai, aj, ui, uj], c, s)
-        });
-        let loops = tier_forms!("loop", RotateFn, |ai, aj, ui, uj, c, s| {
-            PairLoop([ai, aj, ui, uj], c, s)
-        });
-        lanes.into_iter().chain(loops).collect()
+        })
     }
 
     /// Column `k` of a deterministic, sign-mixed test family.
@@ -1271,7 +1283,7 @@ mod tests {
     fn every_tier_of_pair_rotate_is_bitwise_the_scalar_rotation() {
         // Equal lengths 0..=40, then mismatched A/U lengths with the excess
         // on either side: the tier rotates the common prefix, `rotate_pair`
-        // the excess — the split `pair_rotate_lanes` performs.
+        // the excess — the split `pair_rotate` performs.
         let (c, s) = (0.352f64, -0.936f64);
         let mismatched = [(19, 5), (5, 19), (40, 33), (33, 40), (0, 7), (7, 0)];
         for (na, nu) in (0..=40usize).map(|n| (n, n)).chain(mismatched) {
@@ -1607,12 +1619,8 @@ mod tests {
             let cols: [Vec<f64>; 4] = std::array::from_fn(|_| draw(n));
             for (c, s) in turns {
                 let mut want = cols.clone();
-                for pair in want.chunks_exact_mut(2) {
-                    let [x, y] = pair else { unreachable!() };
-                    for (x, y) in x.iter_mut().zip(y) {
-                        (*x, *y) = turn_by_definition(*x, *y, c, s);
-                    }
-                }
+                let [ai, aj, ui, uj] = &mut want;
+                pairs_by_definition(ai, aj, ui, uj, c, s);
                 let mut rotators = rotate_tiers();
                 rotators.push(("pair_rotate".into(), pair_rotate));
                 rotators.push(("pair_rotate_lanes".into(), pair_rotate_lanes));

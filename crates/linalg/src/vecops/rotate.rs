@@ -1,4 +1,4 @@
-//! The one plane rotation: its scalar loop, the lane rotator, and the
+//! The one plane rotation: the lane rotator of a column pair and the
 //! two-sided oracle's top-pivot sequence, eight columns to a lane group —
 //! each a kernel ([`Kernel`]) written once over the group ([`Lanes`]), so
 //! every rotator runs inside the one function of its tier ([`on`]), and
@@ -40,14 +40,13 @@ pub fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
 /// `(ai, aj)` and `(ui, uj)` in one pass — the full update a Jacobi pairing
 /// performs on the `A`- and `U`-columns of columns `i` and `j`.
 ///
-/// Element-wise identical to `rotate_pair(ai, aj, c, s)` followed by
-/// `rotate_pair(ui, uj, c, s)` (each element's update is independent, so
-/// fusing cannot change any bit), but walks the four streams in a single
-/// loop: one round of loop control, four independent load/store streams for
-/// the CPU to overlap. When the `A`- and `U`-columns have different lengths
-/// (the rectangular SVD case), the common prefix of all four streams is
-/// still rotated fused and only the excess of the longer pair is rotated
-/// separately — bitwise identical to the back-to-back form either way.
+/// The lane rotator (`Rotate`): the common prefix of all four streams is
+/// rotated by the widest vector unit available, eight rows a chunk, the
+/// excess (mismatched lengths, the rectangular SVD case, plus the rows past
+/// the last chunk) by the scalar loop. Each entry takes `turn`'s multiply
+/// and fused multiply-add, and element updates are independent, so neither
+/// the vector width nor the fusing changes a bit: it is
+/// `rotate_pair(ai, aj, c, s)` followed by `rotate_pair(ui, uj, c, s)`.
 ///
 /// # Panics
 /// Panics if `ai`/`aj` or `ui`/`uj` have mismatched lengths.
@@ -55,46 +54,12 @@ pub fn rotate_pair(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
 pub fn pair_rotate(ai: &mut [f64], aj: &mut [f64], ui: &mut [f64], uj: &mut [f64], c: f64, s: f64) {
     assert_eq!(ai.len(), aj.len());
     assert_eq!(ui.len(), uj.len());
-    // SAFETY: the loops index the slices, whose lengths were asserted above.
-    unsafe { on(lane_tier(), PairLoop([ai, aj, ui, uj], c, s)) }
+    // SAFETY: the streams are four slices, each pair of one length.
+    unsafe { on(lane_tier(), Rotate::new([ai, aj, ui, uj], c, s)) }
 }
 
-/// [`pair_rotate`]'s loops as a kernel, `[ai, aj, ui, uj]`, `c`, `s`: the
-/// common prefix of the four streams, then the excess of the longer pair.
-pub(super) struct PairLoop<'a>(pub(super) [&'a mut [f64]; 4], pub(super) f64, pub(super) f64);
-
-impl Kernel for PairLoop<'_> {
-    type Out = ();
-
-    #[inline(always)]
-    unsafe fn run<G: Lanes>(self) {
-        let PairLoop([ai, aj, ui, uj], c, s) = self;
-        let n = ai.len().min(ui.len());
-        let (ah, bh, uh, vh) = (&mut ai[..n], &mut aj[..n], &mut ui[..n], &mut uj[..n]);
-        for k in 0..n {
-            (ah[k], bh[k]) = turn(ah[k], bh[k], c, s);
-            (uh[k], vh[k]) = turn(uh[k], vh[k], c, s);
-        }
-        for (x, y) in [(&mut ai[n..], &mut aj[n..]), (&mut ui[n..], &mut uj[n..])] {
-            for (x, y) in x.iter_mut().zip(y) {
-                (*x, *y) = turn(*x, *y, c, s);
-            }
-        }
-    }
-}
-
-/// [`pair_rotate`] on the lane path: the common prefix of all four streams
-/// is rotated by the widest vector unit available, eight rows a chunk, the
-/// excess (mismatched lengths, plus the rows past the last chunk) by the
-/// scalar loop.
-///
-/// Bitwise identical to [`pair_rotate`] on every tier: each lane rotates
-/// its entry pair with the loop's multiply and fused multiply-add, in the
-/// loop's operand order, and element updates are independent, so vector
-/// width cannot reorder anything that affects a result bit.
-///
-/// # Panics
-/// Panics if `ai`/`aj` or `ui`/`uj` have mismatched lengths.
+/// [`pair_rotate`], under the name the repository benchmark times its lane
+/// path by.
 #[inline]
 pub fn pair_rotate_lanes(
     ai: &mut [f64],
@@ -104,10 +69,7 @@ pub fn pair_rotate_lanes(
     c: f64,
     s: f64,
 ) {
-    assert_eq!(ai.len(), aj.len());
-    assert_eq!(ui.len(), uj.len());
-    // SAFETY: the streams are four slices, each pair of one length.
-    unsafe { on(lane_tier(), Rotate::new([ai, aj, ui, uj], c, s)) }
+    pair_rotate(ai, aj, ui, uj, c, s);
 }
 
 /// The lane rotator's kernel, `rows = [ai, aj, ui, uj]`: the step pass of

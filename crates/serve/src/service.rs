@@ -2,7 +2,7 @@
 
 use crate::scenario::Scenario;
 use mph_batch::{service_plan, AdmissionConfig, Policy, Throughput};
-use mph_ccpipe::{plan_cost_with_tail, Machine};
+use mph_ccpipe::Machine;
 use mph_core::CommPlan;
 use mph_eigen::{lower_job, planned_jobs, run_job_service, JobSpec, ServiceRun};
 use mph_runtime::{FabricModel, SinkHandle};
@@ -52,8 +52,8 @@ pub struct BacklogPoint {
     pub active: usize,
     /// Priced time to drain everything in the system serially from here:
     /// queued jobs at full cost, active jobs at the cost of their
-    /// remaining sweeps ([`plan_cost_with_tail`] per sweep, the price
-    /// that admits them).
+    /// remaining sweeps (their [`mph_ccpipe::PlannedJob::sweep_prices`],
+    /// the price that admits them).
     pub remaining_cost: f64,
 }
 
@@ -116,19 +116,14 @@ pub fn serve(d: usize, scenario: &Scenario, opts: &ServeOptions) -> ServeReport 
         &machine,
         &opts.admission,
     );
-    let run = run_job_service(d, &specs, &lowered, opts.fabric.clone(), &plan, opts.trace.clone());
+    let run = run_job_service(d, &specs, &planned, opts.fabric.clone(), &plan, opts.trace.clone());
 
     let latencies: Vec<f64> = run.outcomes.iter().filter_map(|o| o.latency()).collect();
     let waits: Vec<f64> = run.outcomes.iter().filter_map(|o| o.queue_wait()).collect();
     // Every sweep priced once; a boundary looks its backlog up.
     let sweep_costs: Vec<Vec<f64>> = planned
         .iter()
-        .map(|job| {
-            let price = |(plan, qs): (&CommPlan, &Vec<usize>)| {
-                plan_cost_with_tail(plan, &machine, qs, job.tail_q).total
-            };
-            job.plans.iter().zip(job.qs).map(price).collect()
-        })
+        .map(|job| job.sweep_prices(&machine).iter().map(|c| c.total).collect())
         .collect();
     let backlog: Vec<BacklogPoint> = run
         .boundaries

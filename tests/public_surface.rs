@@ -49,7 +49,6 @@ const KEEP: &[(&str, &str)] = &[
     ("pair_across_blocks", "tiled_serial_kernel_is_bitwise_the_untiled_reference"),
     ("pair_within_block", "tiled_serial_kernel_is_bitwise_the_untiled_reference"),
     ("pbr_sequence_literal", "fast_and_literal_generators_agree"),
-    ("PairViewMut::rotate", "rotate_with_is_bitwise_identical_across_paths"),
     ("Scenario::factors", "busy_vtime_reconciles_with_the_meter"),
     ("Machine::stage_cost_from_mults", "fast_cost_equals_naive_cost"),
     ("strict_stage_lower_bound", "strict_bound_is_below_ideal_window_cost"),

@@ -674,6 +674,30 @@ fn deaths_ride_the_one_engine() {
     ]);
 }
 
+/// One schedule per job (the engine runs what its pricers read). A job's
+/// degrees are decided once, at lowering: `planned_jobs` picks its one tail
+/// degree, and every door hands the engine the `PlannedJob`s that
+/// `batch_cost`, shortest-plan-first admission, a service's backlog and
+/// `executed_cost` price. `PlannedJob::framings` frames them for the engine
+/// and the schedule clock, and `PlannedJob::sweep_prices` is the one
+/// per-sweep price. Only `JobNode::reprice` frames a sweep anew: a dead
+/// link runs whole blocks, a degraded solo sweep re-prices itself. A
+/// second tail-degree search, a sweep priced outside the cost model or a
+/// plan framed elsewhere in the engine would run a schedule no pricer
+/// priced.
+#[test]
+fn one_schedule_per_job() {
+    let code = non_test(sources());
+    let engine = "crates/eigen/src/multidrive.rs";
+    // The two calls and the definition.
+    let searches = [engine, engine, "crates/eigen/src/threaded.rs"];
+    holds([
+        lines_in(&code, LIBRARY, Any("choose_tail_qs("), &searches),
+        forbid(&code, LIBRARY, Any("plan_cost_with_tail("), &["crates/ccpipe/src"]),
+        lines_in(&code, &["crates/eigen/src"], Any(".framing("), &[engine]),
+    ]);
+}
+
 // The scanner on in-memory trees, one rule a test.
 
 fn file(path: &str, text: &str) -> Source {
